@@ -49,17 +49,18 @@ bench-baseline:
 		| $(GO) run ./cmd/stpperf -out BENCH_baseline.json
 
 # TCP engine benchmarks (frame write/read hot path, steady-state
-# Send-Recv, sparse vs full mesh setup, k-ported fan-out), best-of-3,
+# Send-Recv, the p=16 barrier run, sparse vs full mesh setup, k-ported
+# fan-out), best-of-3,
 # parsed into BENCH_tcp.json and gated at 2x ns/op against the committed
 # baseline. Fast enough for the ci target. Refresh the baseline with
 # `make bench-tcp-baseline` after an intentional change.
 bench-tcp:
-	$(GO) test -bench 'Frame|SteadyState|Setup|KPort' -benchmem -count 3 -run '^$$' -timeout 10m ./internal/tcp/ \
+	$(GO) test -bench 'Frame|SteadyState|Setup|KPort|BarrierTCP' -benchmem -count 3 -run '^$$' -timeout 10m ./internal/tcp/ \
 		| $(GO) run ./cmd/stpperf -out BENCH_tcp.json
 	$(GO) run ./cmd/stpperf -check -baseline BENCH_tcp_baseline.json -current BENCH_tcp.json -max-ratio 2
 
 bench-tcp-baseline:
-	$(GO) test -bench 'Frame|SteadyState|Setup|KPort' -benchmem -count 3 -run '^$$' -timeout 10m ./internal/tcp/ \
+	$(GO) test -bench 'Frame|SteadyState|Setup|KPort|BarrierTCP' -benchmem -count 3 -run '^$$' -timeout 10m ./internal/tcp/ \
 		| $(GO) run ./cmd/stpperf -out BENCH_tcp_baseline.json
 
 # Sparse-mesh scale smoke: one real-byte broadcast over a route-planned

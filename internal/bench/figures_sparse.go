@@ -58,8 +58,8 @@ func runFigSparseMesh() (*Series, error) {
 		"ranks p", "counts, ms and frames/s (speedup is a ratio)",
 		"pairs", "sparse conns", "full conns", "sparse setup ms", "full setup ms",
 		"bcast ms", "ports1 f/s", "ports4 f/s", "ports speedup")
-	s.Notes = fmt.Sprintf("The sparse mesh dials only the links the algorithm's traced schedule (plus the "+
-		"dissemination barrier) uses — ~p·log p pairs instead of p(p−1)/2 — so setup stays near-linear in p "+
+	s.Notes = fmt.Sprintf("The sparse mesh dials only the links the algorithm's traced schedule uses — at most "+
+		"p/2·log2 p pairs instead of p(p−1)/2; the barrier synchronises in memory and needs none — so setup stays near-linear in p "+
 		"and the broadcast completes at p=256 where the full mesh would need ~65k descriptors (full-mesh "+
 		"columns record 0 past p=%d for that reason). The k-ported columns pace every outbound write by a "+
 		"fixed per-frame transmission time, so ports4/ports1 reflects overlapped vs serialized transmissions "+

@@ -23,15 +23,33 @@ var hotpathPayloads = []int{16, 64, 256, 1024}
 const (
 	hotpathFrames     = 20000
 	hotpathBatchBytes = 4096
+	// hotpathTries is how many times each point is measured; the best
+	// rate is kept. One 0.1 s window on a shared two-core host swings by
+	// several × with whatever else is scheduled, and the figure is about
+	// what each write path can do, not about the neighbours.
+	hotpathTries = 3
 )
+
+// bestFrameRate is tcp.MeasureFrameRate, best of hotpathTries.
+func bestFrameRate(mode string, payloadBytes, batchBytes int) (float64, error) {
+	best := 0.0
+	for i := 0; i < hotpathTries; i++ {
+		rate, err := tcp.MeasureFrameRate(mode, payloadBytes, hotpathFrames, batchBytes)
+		if err != nil {
+			return 0, err
+		}
+		best = max(best, rate)
+	}
+	return best, nil
+}
 
 // runFigTCPHotpath streams the same frame sequence through the three
 // write paths and reports frames/s plus the vectored/legacy speedup —
 // the tentpole's acceptance ratio (≥2× on small messages).
 func runFigTCPHotpath() (*Series, error) {
 	s := NewSeries(
-		fmt.Sprintf("Frame write paths over loopback TCP, %d single-part frames per point, batch threshold %d B",
-			hotpathFrames, hotpathBatchBytes),
+		fmt.Sprintf("Frame write paths over loopback TCP, %d single-part frames per point (best of %d), batch threshold %d B",
+			hotpathFrames, hotpathTries, hotpathBatchBytes),
 		"payload bytes", "frames/s (speedup is a ratio)",
 		"legacy", "vectored", "batched", "vectored/legacy")
 	s.Notes = "Wall-clock measurement, not a paper figure: absolute rates vary with the host, but the " +
@@ -40,15 +58,15 @@ func runFigTCPHotpath() (*Series, error) {
 		"one write (a gather writev above the contiguous cutoff); batching coalesces whole small frames " +
 		"below the threshold into one write for many. Acceptance: vectored ≥2× legacy on small payloads."
 	for _, n := range hotpathPayloads {
-		legacy, err := tcp.MeasureFrameRate(tcp.FrameModeLegacy, n, hotpathFrames, 0)
+		legacy, err := bestFrameRate(tcp.FrameModeLegacy, n, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: figTCPHotpath legacy %dB: %w", n, err)
 		}
-		vectored, err := tcp.MeasureFrameRate(tcp.FrameModeVectored, n, hotpathFrames, 0)
+		vectored, err := bestFrameRate(tcp.FrameModeVectored, n, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: figTCPHotpath vectored %dB: %w", n, err)
 		}
-		batched, err := tcp.MeasureFrameRate(tcp.FrameModeBatched, n, hotpathFrames, hotpathBatchBytes)
+		batched, err := bestFrameRate(tcp.FrameModeBatched, n, hotpathBatchBytes)
 		if err != nil {
 			return nil, fmt.Errorf("bench: figTCPHotpath batched %dB: %w", n, err)
 		}

@@ -521,8 +521,10 @@ func TestFigSessionShape(t *testing.T) {
 }
 
 // TestFigSparseMeshShape — the sparse-mesh acceptance bars: the
-// route-planned mesh opens at most the planned pair count and strictly
-// fewer connections than the p(p−1)/2 full mesh at every p ≥ 16; the
+// route-planned mesh opens at most the planned pair count, which is at
+// most the p/2·log2 p pairs Br_Lin's halving levels can touch (the
+// barrier adds none: ranks of one process meet in memory) and so far
+// below the p(p−1)/2 full mesh at every p ≥ 16; the
 // real-byte broadcast completes at every size including p ≥ 128 (the
 // scales the full mesh cannot reach on this harness's descriptor
 // budget); and the k-ported drivers move paced frames at ≥1.5× the
@@ -548,8 +550,8 @@ func TestFigSparseMeshShape(t *testing.T) {
 		if conns > pairs {
 			t.Errorf("p=%d: %v connections opened for %v planned pairs", p, conns, pairs)
 		}
-		if p >= 16 && conns >= full {
-			t.Errorf("p=%d: sparse mesh opened %v conns, not below the full mesh's %v", p, conns, full)
+		if schedule := float64(p/2) * math.Log2(float64(p)); pairs > schedule {
+			t.Errorf("p=%d: %v planned pairs, more than the %v Br_Lin's schedule can use — something other than the schedule is planning links", p, pairs, schedule)
 		}
 		if fc := s.Get("full conns", i); fc != 0 && fc != full {
 			t.Errorf("p=%d: full mesh opened %v conns, want %v", p, fc, full)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/plan"
+	"repro/internal/tcp"
 	"repro/internal/topology"
 )
 
@@ -96,6 +97,63 @@ func TestClusterBroadcastAdoptedWorkers(t *testing.T) {
 	}
 	if got := c.Resets(); got != 0 {
 		t.Fatalf("healthy cluster recorded %d resets", got)
+	}
+}
+
+// TestClusterUnevenPartitionPlansLeaderLinks: the route plan no longer
+// carries barrier links, and on uneven, non-power-of-two partitions the
+// schedule's own links do not happen to connect the workers' leader
+// ranks — the coordinator must add those links itself, or the barrier's
+// tokens would cost lazy dials. Only the leaders exchange tokens:
+// ⌈log2 W⌉ each way for Br_Lin's one barrier.
+func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
+	for _, tc := range []struct{ rows, cols, workers, rounds int }{
+		{3, 5, 4, 2},
+		{2, 7, 3, 2},
+	} {
+		const s, msgLen = 3, 256
+		routes, sources := testRoutes(t, tc.rows, tc.cols, s, msgLen)
+		c := adoptCluster(t, Spec{P: tc.rows * tc.cols, Links: routes}, tc.workers)
+
+		planned := make(map[[2]int]bool, len(routes))
+		for _, l := range routes {
+			planned[l] = true
+		}
+		leader := make(map[int]bool, tc.workers)
+		missing := 0
+		for _, r := range c.Ranges() {
+			leader[r[0]] = true
+		}
+		for _, l := range tcp.LeaderLinks(c.leaders) {
+			if !planned[l] && !planned[[2]int{l[1], l[0]}] {
+				missing++
+			}
+		}
+		if missing == 0 {
+			t.Fatalf("%dx%d over %d workers: the schedule already connects every leader pair; the test proves nothing", tc.rows, tc.cols, tc.workers)
+		}
+
+		res, err := c.Run(RunSpec{
+			Rows: tc.rows, Cols: tc.cols, Sources: sources, Algorithm: "Br_Lin",
+			MsgBytes: msgLen, RecvTimeoutNs: int64(time.Minute),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LazyDials != 0 {
+			t.Errorf("%dx%d over %d workers: %d lazy dials, want 0 (%d leader pairs were not schedule links)",
+				tc.rows, tc.cols, tc.workers, res.LazyDials, missing)
+		}
+		for _, ps := range res.Procs {
+			want := 0
+			if leader[ps.Rank] {
+				want = tc.rounds
+			}
+			if ps.BarrierSends != want || ps.BarrierRecvs != want {
+				t.Errorf("%dx%d over %d workers, rank %d: %d/%d barrier tokens, want %d/%d",
+					tc.rows, tc.cols, tc.workers, ps.Rank, ps.BarrierSends, ps.BarrierRecvs, want, want)
+			}
+		}
 	}
 }
 

@@ -24,8 +24,9 @@ type Spec struct {
 	// P is the mesh's processor count.
 	P int
 	// Links, when non-nil, is the planned directed link set (typically
-	// plan.Routes output); the coordinator partitions it by worker. nil
-	// plans the full mesh.
+	// plan.Routes output); the coordinator adds the barrier's links
+	// between the workers' leader ranks and partitions the union by
+	// worker. nil plans the full mesh.
 	Links [][2]int
 	// WorkerCmd, when non-nil, is the argv of the worker command to
 	// spawn (the coordinator appends nothing; the address travels in
@@ -64,6 +65,7 @@ type Coordinator struct {
 	mu      sync.Mutex
 	spec    Spec
 	ranges  [][2]int
+	leaders []int // each worker's lowest rank
 	workers []*workerHandle
 	procs   []*exec.Cmd
 	ln      net.Listener
@@ -114,12 +116,29 @@ func Start(spec Spec) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	leaders := make([]int, len(ranges))
+	for w, r := range ranges {
+		leaders[w] = r[0]
+	}
 	// Partition the link plan by worker up front; a bad plan should
-	// fail before any process is spawned.
+	// fail before any process is spawned. The barrier's cross-process
+	// tokens travel between the leaders, whatever the schedule: plan
+	// those links too, so no partition costs a lazy dial.
 	var workerLinks [][][2]int
 	nInter := 0
 	if spec.Links != nil {
-		intra, inter, err := plan.Partition(spec.Links, ranges)
+		planned := make(map[[2]int]bool, len(spec.Links))
+		for _, l := range spec.Links {
+			planned[l] = true
+		}
+		links := spec.Links[:len(spec.Links):len(spec.Links)]
+		for _, l := range tcp.LeaderLinks(leaders) {
+			if !planned[l] {
+				planned[l] = true
+				links = append(links, l)
+			}
+		}
+		intra, inter, err := plan.Partition(links, ranges)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +156,7 @@ func Start(spec Spec) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: control listen on %s: %w", addr, err)
 	}
-	c := &Coordinator{spec: spec, ranges: ranges, ln: ln, nInter: nInter}
+	c := &Coordinator{spec: spec, ranges: ranges, leaders: leaders, ln: ln, nInter: nInter}
 	if spec.OnListen != nil {
 		spec.OnListen(c.ControlAddr())
 	}
@@ -231,6 +250,7 @@ func (c *Coordinator) bootstrap(workerLinks [][][2]int) error {
 		a := &assignMsg{
 			Index: w.index, P: c.spec.P, Lo: w.lo, Hi: w.hi, Workers: c.spec.Workers,
 			FullMesh:       c.spec.Links == nil,
+			Leaders:        c.leaders,
 			ListenHost:     c.spec.ListenHost,
 			DialAttempts:   c.spec.DialAttempts,
 			DialBackoffNs:  int64(c.spec.DialBackoff),

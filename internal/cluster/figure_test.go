@@ -36,8 +36,12 @@ func TestFigClusterShape(t *testing.T) {
 	if pt.Procs < 4 {
 		t.Fatalf("broadcast spanned %d worker processes, want >= 4", pt.Procs)
 	}
-	if pt.InterLinks == 0 {
-		t.Fatal("no inter-worker links; the broadcast never crossed a process boundary")
+	// The wire carries the barrier's W·⌈log2 W⌉ = 8 leader links plus the
+	// few links on which Br_Lin's E(4) bundles cross a range boundary
+	// (10 in all, at every swept p). A plan that still dissemination-
+	// linked every rank would cross hundreds of times (766 at p=256).
+	if pt.InterLinks < 8 || pt.InterLinks > rows*cols/4 {
+		t.Fatalf("%d inter-worker links, want the 8 leader links plus a handful of schedule links", pt.InterLinks)
 	}
 	if pt.LazyDials != 0 {
 		t.Fatalf("%d lazy dials over the planned sparse mesh, want 0", pt.LazyDials)

@@ -11,7 +11,9 @@
 // Each worker dials the coordinator's control listener and identifies
 // itself (hello). The coordinator assigns it a rank range and the slice
 // of the planned link set touching that range (plan.Partition /
-// plan.WorkerLinks), the worker binds its ranks' listeners
+// plan.WorkerLinks) — the caller's schedule links plus the links between
+// the workers' leader ranks that the engine's barrier uses
+// (tcp.LeaderLinks) — the worker binds its ranks' listeners
 // (tcp.NewWorkerMachine) and reports their addresses, and once every
 // worker has reported, the coordinator broadcasts the merged
 // rank→address map and has every worker dial its share of the plan
@@ -109,6 +111,9 @@ type assignMsg struct {
 	// link slice (JSON cannot round-trip nil vs empty).
 	FullMesh bool     `json:"fullMesh,omitempty"`
 	Links    [][2]int `json:"links,omitempty"`
+	// Leaders is every worker's lowest rank, ascending: the ranks the
+	// engine's barrier synchronises the processes through.
+	Leaders []int `json:"leaders"`
 
 	ListenHost     string `json:"listenHost,omitempty"`
 	DialAttempts   int    `json:"dialAttempts,omitempty"`

@@ -123,7 +123,7 @@ func (w *worker) assign(a *assignMsg) error {
 	} else if links == nil {
 		links = [][2]int{} // empty plan: everything would be lazy
 	}
-	m, err := tcp.NewWorkerMachine(a.P, a.Lo, a.Hi, tcp.Options{
+	m, err := tcp.NewWorkerMachine(a.P, a.Lo, a.Hi, a.Leaders, tcp.Options{
 		Links:          links,
 		ListenHost:     a.ListenHost,
 		DialAttempts:   a.DialAttempts,

@@ -62,18 +62,5 @@ func (q *Queue) Reset() {
 	q.head, q.n = 0, 0
 }
 
-// Drain empties the queue like Reset, but hands each removed message to
-// fn first (in FIFO order). The tcp engine uses it to recycle undelivered
-// pooled frames between runs; slots are still zeroed, so the queue keeps
-// no reference to anything fn decides to reuse.
-func (q *Queue) Drain(fn func(Message)) {
-	for i := 0; i < q.n; i++ {
-		idx := (q.head + i) & (len(q.buf) - 1)
-		fn(q.buf[idx])
-		q.buf[idx] = Message{}
-	}
-	q.head, q.n = 0, 0
-}
-
 // Cap returns the current backing-array capacity (for retention tests).
 func (q *Queue) Cap() int { return len(q.buf) }

@@ -55,7 +55,12 @@ func runLine(c comm.Comm, line []int, holds []bool, myPos int, bundle comm.Messa
 			panic(fmt.Sprintf("core: rank %d claims line position %d held by %d", c.Rank(), myPos, line[myPos]))
 		}
 	}
-	segs := []segment{{0, len(line)}}
+	// The segments partition the line, so no level has more than
+	// len(line) of them: one allocation holds this level's list and the
+	// next's, and the two halves swap roles at every level.
+	n := len(line)
+	buf := make([]segment, 2*n)
+	segs, next := append(buf[:0:n], segment{0, n}), buf[n:n]
 	for it := 0; ; it++ {
 		split := false
 		for _, g := range segs {
@@ -69,7 +74,7 @@ func runLine(c comm.Comm, line []int, holds []bool, myPos int, bundle comm.Messa
 		}
 		comm.MarkIter(c, iterBase+it)
 		comm.MarkPhase(c, "halving")
-		next := segs[:0:0]
+		next = next[:0]
 		for _, g := range segs {
 			if g.n <= 1 {
 				continue
@@ -84,7 +89,7 @@ func runLine(c comm.Comm, line []int, holds []bool, myPos int, bundle comm.Messa
 			}
 			next = append(next, segment{g.lo, h}, segment{g.lo + h, g.n - h})
 		}
-		segs = next
+		segs, next = next, segs
 	}
 }
 

@@ -84,62 +84,10 @@ type inbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	boxes []comm.Queue
-}
-
-// barrier is a reusable (cyclic) barrier for p participants that releases
-// everyone when the machine aborts.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	count   int
-	gen     int
-	aborted *atomic.Bool
-}
-
-// wait blocks until all participants arrive. A positive stall bounds the
-// wait: exceeding it panics with a deadline error attributed to rank (a
-// root cause, not an unwind).
-func (b *barrier) wait(rank int, stall time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	var deadline time.Time
-	if stall > 0 {
-		deadline = time.Now().Add(stall)
-		timer := time.AfterFunc(stall, func() {
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
-	for gen == b.gen && !b.aborted.Load() {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			panic(fmt.Errorf("live: rank %d: barrier wait exceeded %v deadline", rank, stall))
-		}
-		b.cond.Wait()
-	}
-	if gen == b.gen { // woken by abort, not by release
-		panic(errAbort{cause: "barrier"})
-	}
-}
-
-// reset rearms the barrier for a new run. An aborted or deadline-panicked
-// waiter leaves count incremented without ever releasing, so the count
-// must be zeroed (and the generation bumped) between runs.
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.count = 0
-	b.gen++
-	b.mu.Unlock()
+	// waker wakes the owning rank's blocked Recv at its deadline. Only
+	// that rank waits here, so one reusable timer serves every receive —
+	// and a Recv whose message is already queued never touches it.
+	waker comm.DeadlineWaker
 }
 
 // ProcStats counts one processor's operations during a run.
@@ -163,7 +111,8 @@ type Result struct {
 type machine struct {
 	size        int
 	inboxes     []*inbox
-	bar         *barrier
+	bar         *comm.Rendezvous
+	arming      uint64 // the run's handle on bar (see comm.Rendezvous.Arm)
 	recvTimeout time.Duration
 	tr          obs.Tracer
 	start       time.Time // run start, the zero of traced Wall stamps
@@ -192,9 +141,7 @@ func (m *machine) abort(cause error) {
 		ib.cond.Broadcast()
 		ib.mu.Unlock()
 	}
-	m.bar.mu.Lock()
-	m.bar.cond.Broadcast()
-	m.bar.mu.Unlock()
+	m.bar.Abort(m.arming, cause)
 }
 
 // cause returns the abort cause (nil if the machine has not aborted).
@@ -290,25 +237,20 @@ func (p *Proc) Recv(src int) comm.Message {
 		panic(fmt.Sprintf("live: rank %d receives from invalid rank %d", p.rank, src))
 	}
 	ib := p.m.inboxes[p.rank]
-	var deadline time.Time
-	if p.m.recvTimeout > 0 {
-		deadline = time.Now().Add(p.m.recvTimeout)
-		timer := time.AfterFunc(p.m.recvTimeout, func() {
-			ib.mu.Lock()
-			ib.cond.Broadcast()
-			ib.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
 	var t0 time.Time
 	if p.m.tr != nil {
 		t0 = time.Now()
 	}
-	waited := false
 	ib.mu.Lock()
 	box := &ib.boxes[src]
+	waited := box.Len() == 0
+	var deadline time.Time
+	if waited && p.m.recvTimeout > 0 {
+		deadline = time.Now().Add(p.m.recvTimeout)
+		ib.waker.Arm(ib.cond, p.m.recvTimeout)
+		defer ib.waker.Stop()
+	}
 	for box.Len() == 0 {
-		waited = true
 		if p.m.aborted.Load() {
 			ib.mu.Unlock()
 			panic(errAbort{cause: fmt.Sprintf("recv from %d", src)})
@@ -348,7 +290,14 @@ func (p *Proc) Barrier() {
 	if p.m.tr != nil {
 		t0 = time.Now()
 	}
-	p.m.bar.wait(p.rank, p.m.recvTimeout)
+	if err := p.m.bar.Wait(p.rank, p.m.recvTimeout, nil); err != nil {
+		var stall *comm.StallError
+		if errors.As(err, &stall) {
+			// A root cause, not an unwind: this rank is the one stalled.
+			panic(fmt.Errorf("live: rank %d: barrier: %w", p.rank, stall))
+		}
+		panic(errAbort{cause: "barrier"})
+	}
 	if p.m.tr != nil {
 		p.m.tr.Trace(obs.Event{
 			Kind: obs.KindBarrier, Rank: p.rank, Peer: -1, Wall: p.m.wall(),
@@ -379,8 +328,7 @@ func NewMachine(p int) (*Machine, error) {
 		ib.cond = sync.NewCond(&ib.mu)
 		m.inboxes[i] = ib
 	}
-	m.bar = &barrier{size: p, aborted: &m.aborted}
-	m.bar.cond = sync.NewCond(&m.bar.mu)
+	m.bar = comm.NewRendezvous(0, p)
 	return &Machine{m: m}, nil
 }
 
@@ -420,7 +368,7 @@ func (mc *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 		}
 		ib.mu.Unlock()
 	}
-	m.bar.reset()
+	m.arming = m.bar.Arm()
 	m.abortMu.Lock()
 	m.abortCause = nil
 	m.abortMu.Unlock()

@@ -20,18 +20,12 @@ const routeMaxOps = 50_000_000
 // pairs the traced run sent messages over. Simulator tracers run inline
 // under the scheduler token, so no locking is needed.
 type linkCollector struct {
-	links   map[[2]int]struct{}
-	barrier bool
+	links map[[2]int]struct{}
 }
 
 func (lc *linkCollector) Trace(e obs.Event) {
-	switch e.Kind {
-	case obs.KindSend:
-		if e.Peer >= 0 && e.Peer != e.Rank {
-			lc.links[[2]int{e.Rank, e.Peer}] = struct{}{}
-		}
-	case obs.KindBarrier:
-		lc.barrier = true
+	if e.Kind == obs.KindSend && e.Peer >= 0 && e.Peer != e.Rank {
+		lc.links[[2]int{e.Rank, e.Peer}] = struct{}{}
 	}
 }
 
@@ -43,10 +37,10 @@ func (lc *linkCollector) Trace(e obs.Event) {
 // result a valid sparse connection plan (tcp Options.Links, or
 // stpbcast.SessionOptions.Links via RoutesFor).
 //
-// If the traced run used Barrier, the extracted set additionally
-// includes the real-byte engines' dissemination-barrier links — rank i
-// sends to (i+2^j) mod p each round — which the simulator prices as a
-// single closed-form charge and therefore does not emit as sends.
+// Barrier contributes no links: ranks that share a process synchronise
+// in memory, and the few links a multi-process mesh needs between its
+// workers' leader ranks depend on the partition, not on the schedule —
+// the cluster coordinator adds them (tcp.LeaderLinks).
 //
 // The returned pairs are deduplicated and sorted. They are directed;
 // the TCP engine collapses each unordered pair onto one shared
@@ -65,14 +59,6 @@ func Routes(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) 
 	}, sim.Options{Tracer: lc, MaxOps: routeMaxOps})
 	if err != nil {
 		return nil, fmt.Errorf("plan: route extraction for %s: %w", alg.Name(), err)
-	}
-	if lc.barrier {
-		p := spec.P()
-		for k := 1; k < p; k <<= 1 {
-			for i := 0; i < p; i++ {
-				lc.links[[2]int{i, (i + k) % p}] = struct{}{}
-			}
-		}
 	}
 	out := make([][2]int, 0, len(lc.links))
 	for l := range lc.links {

@@ -1,0 +1,340 @@
+package tcp
+
+import (
+	"context"
+	"reflect"
+	"regexp"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/faults"
+)
+
+// workerMesh stands up the partial machines of one p-rank mesh split
+// into ranges — a whole cluster's engines inside the test process, wired
+// as the coordinator would wire them: listeners first, then every
+// machine's share of the dial plan against the merged address table.
+// links nil is the full mesh.
+func workerMesh(t *testing.T, p int, ranges [][2]int, links [][2]int) []*Machine {
+	t.Helper()
+	leaders := make([]int, len(ranges))
+	for w, r := range ranges {
+		leaders[w] = r[0]
+	}
+	ms := make([]*Machine, len(ranges))
+	addrs := make(map[int]string, p)
+	for w, r := range ranges {
+		m, err := NewWorkerMachine(p, r[0], r[1], leaders, Options{Links: links})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		ms[w] = m
+		for rank, addr := range m.LocalAddrs() {
+			addrs[rank] = addr
+		}
+	}
+	connectWorkers(t, ms, addrs)
+	return ms
+}
+
+func connectWorkers(t *testing.T, ms []*Machine, addrs map[int]string) {
+	t.Helper()
+	errs := make([]error, len(ms))
+	var wg sync.WaitGroup
+	for w, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = m.ConnectMesh(context.Background(), addrs)
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d connect: %v", w, err)
+		}
+	}
+}
+
+// runWorkers is one cluster-wide run: every machine runs fn on its ranks
+// under a common epoch, released together once all mailboxes are armed
+// (the coordinator's two-phase start).
+func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc)) ([]*Result, []error) {
+	var armed sync.WaitGroup
+	armed.Add(len(ms))
+	opts.Epoch = epoch
+	opts.StartGate = func() error {
+		armed.Done()
+		armed.Wait()
+		return nil
+	}
+	res, errs := make([]*Result, len(ms)), make([]error, len(ms))
+	var wg sync.WaitGroup
+	for w, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[w], errs[w] = m.Run(opts, fn)
+		}()
+	}
+	wg.Wait()
+	return res, errs
+}
+
+// barrierRounds is the safety workload: in every round each rank checks
+// in, meets the others, and must then see everyone's check-in — with one
+// straggler that arrives late to every barrier. The second barrier keeps
+// a fast rank's next check-in out of a slow rank's reading.
+func barrierRounds(t *testing.T, p, straggler, rounds int, arrived *atomic.Int64) func(*Proc) {
+	return func(pr *Proc) {
+		for r := 1; r <= rounds; r++ {
+			if pr.Rank() == straggler {
+				time.Sleep(5 * time.Millisecond)
+			}
+			arrived.Add(1)
+			pr.Barrier()
+			if got := arrived.Load(); got != int64(r*p) {
+				t.Errorf("round %d: rank %d left the barrier after %d arrivals, want %d", r, pr.Rank(), got, r*p)
+			}
+			pr.Barrier()
+		}
+	}
+}
+
+// TestBarrierHoldsUntilLastArrival: on a single-process machine no rank
+// leaves a barrier before the straggler enters it, over several barriers
+// per run and back-to-back runs on one machine, and no token touches the
+// wire.
+func TestBarrierHoldsUntilLastArrival(t *testing.T) {
+	const p, rounds, runs = 7, 3, 3
+	m, err := NewMachine(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for run := 0; run < runs; run++ {
+		var arrived atomic.Int64
+		res, err := m.Run(Options{RecvTimeout: 30 * time.Second}, barrierRounds(t, p, run%p, rounds, &arrived))
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for _, ps := range res.Procs {
+			if ps.BarrierSends != 0 || ps.BarrierRecvs != 0 {
+				t.Errorf("run %d rank %d: %d/%d barrier tokens on a single-process machine", run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs)
+			}
+		}
+	}
+}
+
+// TestWorkerBarrierTokens runs the same safety workload across three
+// worker machines with uneven, non-power-of-two splits. The meshes are
+// planned with the leader links only, so zero lazy dials proves the
+// barrier touches no other link; only the leaders exchange tokens,
+// ⌈log2 3⌉ = 2 each way per barrier; and back-to-back runs (fresh epochs)
+// keep working on the same machines.
+func TestWorkerBarrierTokens(t *testing.T) {
+	for _, tc := range []struct {
+		p      int
+		ranges [][2]int
+	}{
+		{7, [][2]int{{0, 3}, {3, 5}, {5, 7}}},
+		{60, [][2]int{{0, 7}, {7, 40}, {40, 60}}},
+	} {
+		const rounds = 3
+		leaders := []int{tc.ranges[0][0], tc.ranges[1][0], tc.ranges[2][0]}
+		ms := workerMesh(t, tc.p, tc.ranges, LeaderLinks(leaders))
+		for run, straggler := range []int{tc.p - 1, 0, tc.ranges[1][0] + 1} {
+			var arrived atomic.Int64
+			res, errs := runWorkers(ms, uint32(run+1), Options{RecvTimeout: 30 * time.Second},
+				barrierRounds(t, tc.p, straggler, rounds, &arrived))
+			for w, err := range errs {
+				if err != nil {
+					t.Fatalf("p=%d run %d worker %d: %v", tc.p, run, w, err)
+				}
+			}
+			for w, r := range res {
+				for _, ps := range r.Procs {
+					want := 0
+					if ps.Rank == leaders[w] {
+						want = 2 * 2 * rounds // 2 barriers a round, 2 dissemination rounds each
+					}
+					if ps.BarrierSends != want || ps.BarrierRecvs != want {
+						t.Errorf("p=%d run %d rank %d: %d/%d barrier tokens, want %d/%d",
+							tc.p, run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs, want, want)
+					}
+				}
+			}
+		}
+		for w, m := range ms {
+			if n := m.LazyDials(); n != 0 {
+				t.Errorf("p=%d worker %d: %d lazy dials — the barrier left the leader links", tc.p, w, n)
+			}
+		}
+	}
+}
+
+func TestLeaderLinks(t *testing.T) {
+	if got := LeaderLinks([]int{0}); len(got) != 0 {
+		t.Errorf("one process needs no leader links, got %v", got)
+	}
+	got := LeaderLinks([]int{0, 7, 40})
+	want := [][2]int{{0, 7}, {7, 40}, {40, 0}, {0, 40}, {7, 0}, {40, 7}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("LeaderLinks = %v, want %v", got, want)
+	}
+	// W·⌈log2 W⌉ links for any W.
+	for w, rounds := range map[int]int{2: 1, 4: 2, 5: 3, 8: 3} {
+		leaders := make([]int, w)
+		for i := range leaders {
+			leaders[i] = 10 * i
+		}
+		if n := len(LeaderLinks(leaders)); n != w*rounds {
+			t.Errorf("%d workers: %d leader links, want %d", w, n, w*rounds)
+		}
+	}
+}
+
+func TestNewWorkerMachineRejectsBadLeaders(t *testing.T) {
+	for name, leaders := range map[string][]int{
+		"nil":          nil,
+		"missing lo":   {0, 5},
+		"unsorted":     {3, 0, 5},
+		"out of range": {0, 3, 9},
+	} {
+		if m, err := NewWorkerMachine(8, 3, 5, leaders, Options{}); err == nil {
+			m.Close()
+			t.Errorf("%s: leaders %v accepted for range [3,5) of 8", name, leaders)
+		}
+	}
+}
+
+// TestBarrierFailuresUnwindEveryWaiter is the abort matrix of the
+// in-memory barrier: whatever stops a barrier from completing — a rank
+// killed on its way in, a canceled context, a rank that never comes —
+// every parked rank unwinds, the error says who and why, no goroutine is
+// left behind, and the same machine runs the next barrier cleanly.
+func TestBarrierFailuresUnwindEveryWaiter(t *testing.T) {
+	const p = 6
+	m, err := NewMachine(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	healthy := func() {
+		t.Helper()
+		var arrived atomic.Int64
+		if _, err := m.Run(Options{RecvTimeout: 30 * time.Second}, barrierRounds(t, p, 2, 2, &arrived)); err != nil {
+			t.Fatalf("run after a failed barrier: %v", err)
+		}
+	}
+	healthy()
+	baseline := runtime.NumGoroutine()
+
+	t.Run("killed rank", func(t *testing.T) {
+		inj := faults.New(faults.Plan{Kills: []faults.KillAt{{Rank: 4, Op: 0}}})
+		_, err := m.Run(Options{RecvTimeout: 30 * time.Second}, func(pr *Proc) {
+			inj.Wrap(pr).Barrier()
+		})
+		if err == nil || !strings.Contains(err.Error(), "rank 4") {
+			t.Fatalf("killed rank not named: %v", err)
+		}
+		waitGoroutinesSettle(t, baseline)
+		healthy()
+	})
+
+	t.Run("canceled context", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		var parked atomic.Int64
+		_, err := m.Run(Options{Context: ctx, RecvTimeout: 30 * time.Second}, func(pr *Proc) {
+			if pr.Rank() == 0 {
+				for parked.Load() < p-1 {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+				<-ctx.Done()
+				return
+			}
+			parked.Add(1)
+			pr.Barrier()
+		})
+		if err == nil || !strings.Contains(err.Error(), "canceled") {
+			t.Fatalf("cancellation not reported: %v", err)
+		}
+		waitGoroutinesSettle(t, baseline)
+		healthy()
+	})
+
+	t.Run("absent ranks", func(t *testing.T) {
+		start := time.Now()
+		_, err := m.Run(Options{RecvTimeout: 100 * time.Millisecond}, func(pr *Proc) {
+			if pr.Rank() == 1 || pr.Rank() == 5 {
+				return // never enter the barrier
+			}
+			pr.Barrier()
+		})
+		// Whichever waiter wakes first reports; the rest unwind behind it.
+		if err == nil || !regexp.MustCompile(`rank [0234]: barrier: blocked 100ms \(deadline exceeded\) waiting for ranks \[1 5\]`).MatchString(err.Error()) {
+			t.Fatalf("stall error does not name a waiter and the absentees: %v", err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("stalled barrier took %v to fail", d)
+		}
+		waitGoroutinesSettle(t, baseline)
+		healthy()
+	})
+}
+
+// TestWorkerBarrierMissingWorker: when a whole worker never reaches the
+// barrier, the other workers' local ranks all arrive and it is the
+// leaders' token wait that times out — the error names the leader and
+// the remote leader whose token never came, and every local waiter
+// unwinds with it.
+func TestWorkerBarrierMissingWorker(t *testing.T) {
+	ranges := [][2]int{{0, 2}, {2, 5}}
+	ms := workerMesh(t, 5, ranges, nil)
+	baseline := runtime.NumGoroutine()
+	_, errs := runWorkers(ms, 1, Options{RecvTimeout: 100 * time.Millisecond}, func(pr *Proc) {
+		if pr.Rank() >= 2 {
+			return // worker 1 skips the barrier
+		}
+		pr.Barrier()
+	})
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "leader rank 0") ||
+		!strings.Contains(errs[0].Error(), "leader rank 2") || !strings.Contains(errs[0].Error(), "deadline") {
+		t.Fatalf("worker 0: %v, want a token deadline naming both leaders", errs[0])
+	}
+	waitGoroutinesSettle(t, baseline)
+}
+
+// TestBarrierFlushesBatchedAndQueuedFrames: a rank must not park in the
+// barrier holding frames a peer is waiting for — neither in a
+// FlushThreshold batch nor in a k-ported driver queue. Rank 0 sends and
+// goes straight into the barrier; rank 1 receives before it enters.
+func TestBarrierFlushesBatchedAndQueuedFrames(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"batched": {FlushThreshold: 1 << 20},
+		"ported":  {Ports: 1},
+	} {
+		opts.RecvTimeout = 5 * time.Second
+		_, err := RunOpts(3, opts, func(pr *Proc) {
+			switch pr.Rank() {
+			case 0:
+				pr.Send(1, comm.Message{Tag: 1, Parts: []comm.Part{{Origin: 0, Data: []byte("before the barrier")}}})
+			case 1:
+				if got := pr.Recv(0); string(got.Parts[0].Data) != "before the barrier" {
+					t.Errorf("%s: got %q", name, got.Parts[0].Data)
+				}
+			}
+			pr.Barrier()
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

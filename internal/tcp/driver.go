@@ -17,12 +17,10 @@ import (
 // links transmit at once, which is what the paper's multi-channel
 // routers do and what the registry's k-ported schedules assume.
 //
-// Ownership rules w.r.t. the arena: a frame handed to a driver is
-// encoded from the caller's message on the driver goroutine, but the
-// message's payloads are caller-owned (algorithm code) or arena-owned
-// with the receiver responsible — exactly the inline path's contract —
-// so drivers never recycle. The encode scratch is per-driver and pooled
-// for the driver's lifetime. Counters stay on the rank goroutine
+// Ownership: a frame handed to a driver is encoded from the caller's
+// message on the driver goroutine, and the message's payloads stay the
+// caller's — exactly the inline path's contract. The encode scratch is
+// per-driver and pooled for the driver's lifetime. Counters stay on the rank goroutine
 // (Send increments before enqueueing), so ProcStats remain exact under
 // concurrent drivers.
 

@@ -33,7 +33,7 @@ func TestMachineBackToBackRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", r, err)
 		}
-		if res.Procs[0].Sends != 1 || res.Procs[0].BarrierSends == 0 {
+		if res.Procs[0].Sends != 1 || res.Procs[0].Recvs != 1 {
 			t.Fatalf("run %d stats not per-run: %+v", r, res.Procs[0])
 		}
 	}

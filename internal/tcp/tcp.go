@@ -10,10 +10,13 @@
 // same algorithm code over a transport with real serialization.
 //
 // Semantics match the other engines: blocking Send/Recv with FIFO order
-// per (sender, receiver) pair, and a Barrier (dissemination barrier over
-// the same transport). Barrier frames travel on the same sockets but are
-// demultiplexed by tag and metered separately, so ProcStats counts agree
-// with the live engine for the same algorithm.
+// per (sender, receiver) pair, and a Barrier. The barrier is aware of
+// processes: ranks that share an address space meet in memory, and only
+// when the mesh spans several processes (cluster workers) does one
+// leader rank per process exchange dissemination tokens over the wire.
+// Those tokens travel on the same sockets as data but are demultiplexed
+// by tag and metered separately, so ProcStats counts agree with the live
+// engine for the same algorithm.
 //
 // # Sessions
 //
@@ -91,7 +94,7 @@
 //     the next Run rebuilds the mesh.
 //   - A blocking Recv or Barrier wait exceeds Options.RecvTimeout: the
 //     stalled rank aborts the run with an error naming itself and the
-//     awaited peer.
+//     awaited peer (for a barrier, the ranks that never arrived).
 //   - Options.Context is canceled or Options.RunTimeout elapses: the run
 //     aborts with the cancellation cause.
 //   - A transient dial failure during setup is retried with exponential
@@ -99,6 +102,7 @@
 package tcp
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -140,6 +144,14 @@ const (
 	// net.Buffers gather list referencing payloads in place — so big
 	// payloads are never recopied just to save syscalls.
 	contiguousLimit = 4 << 10
+	// readBufSize is each connection end's read buffer: large enough that
+	// a frame the writer sent contiguously usually arrives in one read,
+	// small enough that a full p=256 mesh's buffers stay in the low
+	// megabytes. Parts that do not fit it bypass it.
+	readBufSize = 4 << 10
+	// maxEagerParts caps the part slice allocated before any part has
+	// arrived; frames with more parts grow it as they decode.
+	maxEagerParts = 1 << 10
 
 	defaultDialAttempts = 3
 	defaultDialBackoff  = 10 * time.Millisecond
@@ -166,7 +178,9 @@ type Options struct {
 	RunTimeout time.Duration
 	// RecvTimeout, when positive, bounds any single blocking Recv or
 	// Barrier wait; exceeding it aborts the run with an error naming
-	// the blocked rank and the peer it waited on.
+	// the blocked rank and the peer it waited on (for a barrier, the
+	// local ranks that never arrived, or the remote leader whose token
+	// did not come).
 	RecvTimeout time.Duration
 	// DialAttempts is the number of connection attempts per peer during
 	// setup (0 means the default of 3); transient dial failures are
@@ -341,60 +355,128 @@ func writeFrame(w io.Writer, epoch uint32, m comm.Message) error {
 }
 
 // frameReader decodes the frames one peer sends to one local rank. The
-// reader pumps keep one per connection end, so the header scratch is
-// allocated once per link, not once per frame. Payload buffers and the
-// part slice of each decoded message come from the arena; ownership
-// transfers to the caller (see arena.go for the recycle discipline).
-// Corrupt frames are attributed to both ends of the link, honouring the
-// contract that engine errors name the affected rank and its peer.
-// Parts storage grows as bytes actually arrive, so a corrupt header
-// claiming maxParts parts cannot force a huge allocation up front.
+// reader pumps keep one per connection end; it reads through a
+// readBufSize buffer, so a small multi-part frame — which the writer put
+// on the wire with one Write — costs one read instead of one per header
+// and payload. Decoded storage is the consumer's from the start (see
+// arena.go): the parts that fit the buffered window share one slab, and
+// a part too large for the window is read straight from the socket into
+// a buffer of its own. Corrupt frames are attributed to both ends of the
+// link, honouring the contract that engine errors name the affected rank
+// and its peer. Storage grows only as bytes actually arrive, so a corrupt
+// header claiming maxParts parts cannot force a huge allocation up front.
 type frameReader struct {
-	r        io.Reader
+	br       *bufio.Reader
 	src, dst int // sending peer's rank, receiving (local) rank
-	hdr      [frameHdrLen]byte
-	ph       [partHdrLen]byte
+}
+
+func newFrameReader(r io.Reader, src, dst int) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, readBufSize), src: src, dst: dst}
 }
 
 func (fr *frameReader) read() (comm.Message, uint32, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+	hdr, err := fr.br.Peek(frameHdrLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return comm.Message{}, 0, err
 	}
-	epoch := binary.BigEndian.Uint32(fr.hdr[0:])
-	tag := int(int32(binary.BigEndian.Uint32(fr.hdr[4:])))
-	nparts := int(int32(binary.BigEndian.Uint32(fr.hdr[8:])))
+	epoch := binary.BigEndian.Uint32(hdr[0:])
+	m := comm.Message{Tag: int(int32(binary.BigEndian.Uint32(hdr[4:])))}
+	nparts := int(int32(binary.BigEndian.Uint32(hdr[8:])))
 	if nparts < 0 || nparts > maxParts {
 		return comm.Message{}, 0, fmt.Errorf("tcp: corrupt frame from rank %d at rank %d: %d parts", fr.src, fr.dst, nparts)
 	}
-	m := comm.Message{Tag: tag, Parts: getParts(nparts)}
-	for i := 0; i < nparts; i++ {
-		if _, err := io.ReadFull(fr.r, fr.ph[:]); err != nil {
-			recycleMessage(m)
+	fr.br.Discard(frameHdrLen)
+	if nparts > 0 {
+		m.Parts = make([]comm.Part, 0, min(nparts, maxEagerParts))
+	}
+	for len(m.Parts) < nparts {
+		if m.Parts, err = fr.readParts(m.Parts, nparts-len(m.Parts)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the stream ended inside a frame
+			}
 			return comm.Message{}, 0, err
 		}
-		origin := int(int32(binary.BigEndian.Uint32(fr.ph[0:])))
-		n := int(int32(binary.BigEndian.Uint32(fr.ph[4:])))
-		if n < 0 || n > maxPartLen {
-			recycleMessage(m)
-			return comm.Message{}, 0, fmt.Errorf("tcp: corrupt frame from rank %d at rank %d: part %d of %d bytes", fr.src, fr.dst, i, n)
-		}
-		data := getPayload(n)
-		if _, err := io.ReadFull(fr.r, data); err != nil {
-			putPayload(data)
-			recycleMessage(m)
-			return comm.Message{}, 0, err
-		}
-		m.Parts = append(m.Parts, comm.Part{Origin: origin, Data: data})
 	}
 	return m, epoch, nil
 }
 
+// readParts appends the next run of at most want parts to parts: every
+// whole part (header and payload) the read buffer can hold at once is
+// copied out of one buffered window into one shared slab; when not even
+// the first fits, that part alone is read, into its own allocation.
+func (fr *frameReader) readParts(parts []comm.Part, want int) ([]comm.Part, error) {
+	// Walk the part headers to size the window; Peek blocks until the
+	// bytes walked so far have arrived.
+	window, payload, k := 0, 0, 0
+	for k < want && window+partHdrLen <= readBufSize {
+		b, err := fr.br.Peek(window + partHdrLen)
+		if err != nil {
+			return nil, err
+		}
+		n, err := fr.partLen(b[window:], len(parts)+k)
+		if err != nil {
+			return nil, err
+		}
+		if window+partHdrLen+n > readBufSize {
+			break
+		}
+		window += partHdrLen + n
+		payload += n
+		k++
+	}
+	if k == 0 {
+		hdr, err := fr.br.Peek(partHdrLen)
+		if err != nil {
+			return nil, err
+		}
+		origin := int(int32(binary.BigEndian.Uint32(hdr[0:])))
+		n, err := fr.partLen(hdr, len(parts))
+		if err != nil {
+			return nil, err
+		}
+		fr.br.Discard(partHdrLen)
+		data := make([]byte, n)
+		if _, err := io.ReadFull(fr.br, data); err != nil {
+			return nil, err
+		}
+		return append(parts, comm.Part{Origin: origin, Data: data}), nil
+	}
+	b, err := fr.br.Peek(window)
+	if err != nil {
+		return nil, err
+	}
+	slab := make([]byte, payload)
+	for ; k > 0; k-- {
+		origin := int(int32(binary.BigEndian.Uint32(b[0:])))
+		n := int(int32(binary.BigEndian.Uint32(b[4:])))
+		// Full slice expressions: an append through one part must not
+		// bleed into the next part's bytes.
+		data := slab[:n:n]
+		copy(data, b[partHdrLen:])
+		parts = append(parts, comm.Part{Origin: origin, Data: data})
+		slab, b = slab[n:], b[partHdrLen+n:]
+	}
+	fr.br.Discard(window)
+	return parts, nil
+}
+
+// partLen decodes and validates the length field of part i's header.
+func (fr *frameReader) partLen(hdr []byte, i int) (int, error) {
+	n := int(int32(binary.BigEndian.Uint32(hdr[4:])))
+	if n < 0 || n > maxPartLen {
+		return 0, fmt.Errorf("tcp: corrupt frame from rank %d at rank %d: part %d of %d bytes", fr.src, fr.dst, i, n)
+	}
+	return n, nil
+}
+
 // readFrame decodes one frame sent by rank src to rank dst: the
 // one-shot form of frameReader for callers without a per-link reader of
-// their own (tests, fuzzing).
+// their own (tests, fuzzing). It may read past the frame's end.
 func readFrame(r io.Reader, src, dst int) (comm.Message, uint32, error) {
-	fr := frameReader{r: r, src: src, dst: dst}
-	return fr.read()
+	return newFrameReader(r, src, dst).read()
 }
 
 // writeFrameSeq is the pre-arena frame writer — one heap-allocated
@@ -432,6 +514,10 @@ type runState struct {
 	tr      obs.Tracer
 	start   time.Time // zero point of traced Wall stamps
 	aborted atomic.Bool
+	// arming is the run's handle on the machine's local barrier (see
+	// comm.Rendezvous.Arm): an abort quotes it, so one that outlives the
+	// run cannot poison the next run's barrier.
+	arming uint64
 	// ctx is the run's context (nil when the run has none): lazy dials
 	// triggered by this run's sends bound their backoff waits and
 	// endpoint waits by it, so a canceled run unwinds promptly instead
@@ -452,23 +538,24 @@ func (rs *runState) wallIfTraced() int64 {
 }
 
 // inbox is one processor's receive side: per-source data FIFOs plus
-// per-source barrier-frame counters, under one lock. The reader pumps
-// demultiplex by tag, so a queued barrier frame can never be handed to
-// algorithm code (and vice versa). Between runs the inbox is reset;
-// push/pushBarrier/fail revalidate (under the lock) that the run they
-// were read for is still current, which together with the pumps' epoch
-// check makes cross-run frame bleed impossible even when a pump is
-// descheduled between decoding a frame and delivering it.
+// per-source barrier-token counters (only a worker's leader rank ever
+// receives tokens), under one lock. The reader pumps demultiplex by tag,
+// so a queued barrier token can never be handed to algorithm code (and
+// vice versa). Between runs the inbox is reset; push/pushBarrier/fail
+// revalidate (under the lock) that the run they were read for is still
+// current, which together with the pumps' epoch check makes cross-run
+// frame bleed impossible even when a pump is descheduled between
+// decoding a frame and delivering it.
 type inbox struct {
-	mu sync.Mutex
-	// rank is the owning processor's rank: boxes[rank] holds self-sends,
-	// whose payloads are caller-owned and must never be recycled into
-	// the arena (every other box holds pump-decoded arena buffers).
-	rank     int
+	mu       sync.Mutex
 	cond     *sync.Cond
 	boxes    []comm.Queue
 	barriers []int
 	dead     error
+	// waker wakes a blocked wait at its deadline. An inbox has one waiter
+	// at a time, so one reusable timer serves every wait — and a receive
+	// that finds its frame already queued never touches it.
+	waker comm.DeadlineWaker
 	// arrivals mirrors boxes with per-source FIFO queues of frame-arrival
 	// wall stamps (ns since run start). Allocated only when the run is
 	// traced; nil otherwise, so untraced runs pay nothing.
@@ -496,18 +583,13 @@ func (q *tsQueue) pop() int64 {
 	return t
 }
 
-// reset wipes the previous run's leftovers: queued frames (pump-decoded
-// ones recycled into the arena, self-sends merely dropped — their
-// payloads are caller-owned), barrier tokens, the poison error, and
-// the arrival stamps (reallocated only when the new run is traced).
+// reset wipes the previous run's leftovers: queued frames, barrier
+// tokens, the poison error, and the arrival stamps (reallocated only
+// when the new run is traced).
 func (ib *inbox) reset(traced bool) {
 	ib.mu.Lock()
 	for i := range ib.boxes {
-		if i == ib.rank {
-			ib.boxes[i].Reset()
-		} else {
-			ib.boxes[i].Drain(recycleMessage)
-		}
+		ib.boxes[i].Reset()
 	}
 	for i := range ib.barriers {
 		ib.barriers[i] = 0
@@ -523,16 +605,11 @@ func (ib *inbox) reset(traced bool) {
 
 // push enqueues a data frame from src for run rs; ts is the arrival wall
 // stamp, recorded only on traced runs. The frame is dropped if rs is no
-// longer the current run; pooled marks arena-backed frames (pump
-// deliveries) whose storage is then recycled on that drop path.
-func (ib *inbox) push(st *state, rs *runState, src int, m comm.Message, ts int64, pooled bool) {
+// longer the current run (it ended while the frame was in flight).
+func (ib *inbox) push(st *state, rs *runState, src int, m comm.Message, ts int64) {
 	ib.mu.Lock()
 	if st.run.Load() != rs {
 		ib.mu.Unlock()
-		// The run ended while the frame was in flight.
-		if pooled {
-			recycleMessage(m)
-		}
 		return
 	}
 	ib.boxes[src].Push(m)
@@ -565,20 +642,28 @@ func (ib *inbox) fail(st *state, rs *runState, err error) {
 	ib.mu.Unlock()
 }
 
-// waitLocked blocks (mu held) until ready, the inbox dies, or the
-// timeout elapses.
-func (ib *inbox) waitLocked(timeout time.Duration, ready func() bool) error {
+// pending reports whether src has a barrier token (barrier) or a data
+// frame queued.
+func (ib *inbox) pending(src int, barrier bool) bool {
+	if barrier {
+		return ib.barriers[src] > 0
+	}
+	return ib.boxes[src].Len() > 0
+}
+
+// waitLocked blocks (mu held) until src has something pending, the inbox
+// dies, or the timeout elapses.
+func (ib *inbox) waitLocked(timeout time.Duration, src int, barrier bool) error {
+	if ib.pending(src, barrier) {
+		return nil
+	}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
-		timer := time.AfterFunc(timeout, func() {
-			ib.mu.Lock()
-			ib.cond.Broadcast()
-			ib.mu.Unlock()
-		})
-		defer timer.Stop()
+		ib.waker.Arm(ib.cond, timeout)
+		defer ib.waker.Stop()
 	}
-	for !ready() {
+	for !ib.pending(src, barrier) {
 		if ib.dead != nil {
 			return ib.dead
 		}
@@ -596,7 +681,7 @@ func (ib *inbox) pop(src int, timeout time.Duration) (comm.Message, int64, bool,
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	waited := ib.boxes[src].Len() == 0
-	if err := ib.waitLocked(timeout, func() bool { return ib.boxes[src].Len() > 0 }); err != nil {
+	if err := ib.waitLocked(timeout, src, false); err != nil {
 		return comm.Message{}, 0, waited, err
 	}
 	var ts int64
@@ -609,7 +694,7 @@ func (ib *inbox) pop(src int, timeout time.Duration) (comm.Message, int64, bool,
 func (ib *inbox) popBarrier(src int, timeout time.Duration) error {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	if err := ib.waitLocked(timeout, func() bool { return ib.barriers[src] > 0 }); err != nil {
+	if err := ib.waitLocked(timeout, src, true); err != nil {
 		return err
 	}
 	ib.barriers[src]--
@@ -623,7 +708,10 @@ func (ib *inbox) popBarrier(src int, timeout time.Duration) error {
 // attribute every frame and every read error to the right run — or to
 // none.
 type state struct {
-	procs  []*Proc
+	procs []*Proc
+	// bar is where the machine's local ranks meet in Barrier (see
+	// Proc.Barrier for the cross-process half).
+	bar    *comm.Rendezvous
 	closed atomic.Bool
 	broken atomic.Bool
 	run    atomic.Pointer[runState]
@@ -651,15 +739,17 @@ func (st *state) closeConns() {
 	st.connMu.Unlock()
 }
 
-// abort fails every inbox of run rs with reason, marks the mesh broken,
-// and closes all connections so blocked readers and writers unwind. The
-// first abort of a run wins; an abort for a stale run still tears the
-// damaged mesh down but cannot poison a newer run's mailboxes.
+// abort fails every inbox and the local barrier of run rs with reason,
+// marks the mesh broken, and closes all connections so blocked readers
+// and writers unwind. The first abort of a run wins; an abort for a
+// stale run still tears the damaged mesh down but cannot poison a newer
+// run's mailboxes or barrier.
 func (st *state) abort(rs *runState, reason *abortError) {
 	if rs.aborted.Swap(true) {
 		return
 	}
 	st.broken.Store(true)
+	st.bar.Abort(rs.arming, reason)
 	for _, pr := range st.procs {
 		if pr == nil {
 			continue // a cluster worker owns only its rank range
@@ -879,7 +969,7 @@ func (p *Proc) Send(dst int, m comm.Message) {
 		t0 = time.Now()
 	}
 	if dst == p.rank {
-		p.in.push(p.st, p.rs, p.rank, m, p.rs.wallIfTraced(), false)
+		p.in.push(p.st, p.rs, p.rank, m, p.rs.wallIfTraced())
 	} else {
 		p.writeTo(dst, m)
 	}
@@ -929,26 +1019,23 @@ func (p *Proc) Recv(src int) comm.Message {
 	return m
 }
 
-// Barrier implements comm.Comm as a dissemination barrier over the wire:
-// ⌈log2 p⌉ rounds of empty frames. Barrier frames bypass Send/Recv and
-// their counters — they are transport overhead, metered separately in
-// ProcStats.BarrierSends/BarrierRecvs — so algorithm operation counts
-// agree with the live engine.
+// Barrier implements comm.Comm in two levels, after the k-lane model of
+// processors sharing a node: the ranks one process owns meet in memory
+// (comm.Rendezvous), and on a cluster worker the last of them to arrive
+// then takes the worker's leader rank through a dissemination barrier
+// with the other workers' leaders (crossBarrier) before anyone is
+// released. A single-process machine is the one-worker case: no rounds,
+// no frames. Barrier tokens bypass Send/Recv and their counters — they
+// are transport overhead, metered apart in ProcStats — so algorithm
+// operation counts agree with the live engine.
 func (p *Proc) Barrier() {
 	var t0 time.Time
 	if p.rs.tr != nil {
 		t0 = time.Now()
 	}
-	for k := 1; k < p.size; k <<= 1 {
-		dst := (p.rank + k) % p.size
-		src := (p.rank - k + p.size) % p.size
-		p.barrierSends++
-		p.writeTo(dst, comm.Message{Tag: barrierTag})
-		p.flushPending() // our token must be on the wire before we wait
-		if err := p.in.popBarrier(src, p.recvTimeout); err != nil {
-			panic(fmt.Errorf("barrier recv from %d: %w", src, err))
-		}
-		p.barrierRecvs++
+	p.flushPending() // a parked rank must never hold undelivered frames
+	if err := p.st.bar.Wait(p.rank, p.recvTimeout, p.m.cross); err != nil {
+		panic(fmt.Errorf("barrier: %w", err))
 	}
 	if p.rs.tr != nil {
 		p.rs.tr.Trace(obs.Event{
@@ -958,17 +1045,66 @@ func (p *Proc) Barrier() {
 	}
 }
 
+// LeaderLinks returns the directed links the cross-process level of the
+// barrier sends its tokens over: ⌈log2 W⌉ dissemination rounds among the
+// W workers' leader ranks, leader i to leader (i+2^j) mod W in round j.
+// The cluster coordinator adds them to the plan it partitions, so a
+// sparse cluster mesh dials them up front like any schedule link.
+func LeaderLinks(leaders []int) [][2]int {
+	var links [][2]int
+	for k := 1; k < len(leaders); k <<= 1 {
+		for i, l := range leaders {
+			links = append(links, [2]int{l, leaders[(i+k)%len(leaders)]})
+		}
+	}
+	return links
+}
+
+// crossBarrier is the cross-process level of Barrier, run by the last
+// local arriver on behalf of the machine's leader rank while every local
+// rank — the leader included — is parked: one epoch-stamped token out
+// and one in per LeaderLinks round. Failures come back as errors naming
+// the leader (the caller is usually some other rank).
+func (m *Machine) crossBarrier() (err error) {
+	ld := m.procs[m.lo]
+	defer func() {
+		// The leader's send path reports failures by panicking.
+		if r := recover(); r != nil {
+			rerr, ok := r.(error)
+			if !ok {
+				rerr = fmt.Errorf("%v", r)
+			}
+			err = fmt.Errorf("leader rank %d: %w", ld.rank, rerr)
+		}
+	}()
+	w, n := sort.SearchInts(m.leaders, m.lo), len(m.leaders)
+	for k := 1; k < n; k <<= 1 {
+		dst, src := m.leaders[(w+k)%n], m.leaders[(w-k+n)%n]
+		ld.barrierSends++
+		ld.writeTo(dst, comm.Message{Tag: barrierTag})
+		ld.flushPending() // the token must be on the wire before we wait
+		if err := ld.in.popBarrier(src, ld.recvTimeout); err != nil {
+			return fmt.Errorf("leader rank %d: token from leader rank %d: %w", ld.rank, src, err)
+		}
+		ld.barrierRecvs++
+	}
+	return nil
+}
+
 // ProcStats counts one processor's operations. Sends/Recvs and the byte
-// counters cover algorithm traffic only; barrier dissemination frames
-// are counted apart so stats agree with the live engine.
+// counters cover algorithm traffic only; barrier tokens are counted
+// apart so stats agree with the live engine.
 type ProcStats struct {
 	Rank      int
 	Sends     int
 	Recvs     int
 	SendBytes int64
 	RecvBytes int64
-	// BarrierSends/BarrierRecvs count dissemination-barrier frames
-	// (transport overhead, excluded from the fields above).
+	// BarrierSends/BarrierRecvs count the barrier tokens this rank put on
+	// and took off the wire (transport overhead, excluded from the fields
+	// above). Ranks of one process meet in memory, so both are 0 on a
+	// single-process machine; on a cluster worker only the leader (lowest
+	// local) rank exchanges tokens, ⌈log2 W⌉ per barrier for W workers.
 	BarrierSends int
 	BarrierRecvs int
 }
@@ -997,7 +1133,13 @@ type Machine struct {
 	// for the historical single-process machine, a worker's slice for a
 	// cluster partial machine (NewWorkerMachine). listeners and procs
 	// are indexed by rank and nil outside [lo,hi).
-	lo, hi    int
+	lo, hi int
+	// leaders holds the lowest rank of every process sharing the mesh,
+	// ascending — just {0} on a single-process machine. cross is
+	// crossBarrier, bound once so Barrier does not allocate a method
+	// value per call.
+	leaders   []int
+	cross     func() error
 	mu        sync.Mutex // serializes Run, Close and mesh rebuilds
 	listeners []net.Listener
 	procs     []*Proc
@@ -1053,7 +1195,7 @@ type Machine struct {
 // plus Context to cancel setup); they are remembered for mesh rebuilds
 // after an abort. The caller owns the machine and must Close it.
 func NewMachine(p int, opts Options) (*Machine, error) {
-	m, err := newMachine(p, 0, p, opts)
+	m, err := newMachine(p, 0, p, []int{0}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1075,17 +1217,24 @@ func NewMachine(p int, opts Options) (*Machine, error) {
 // collects every worker's LocalAddrs, then drives ConnectMesh with the
 // merged rank→address map. The planned link set (Options.Links, or the
 // full mesh when nil) is filtered to the pairs touching [lo,hi); the
-// worker dials exactly those whose higher rank is local.
-func NewWorkerMachine(p, lo, hi int, opts Options) (*Machine, error) {
+// worker dials exactly those whose higher rank is local. leaders lists
+// the lowest rank of every worker's range, ascending (lo among them):
+// Barrier synchronises across processes through those ranks, over the
+// LeaderLinks the coordinator adds to the plan.
+func NewWorkerMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	if lo < 0 || hi > p || lo >= hi {
 		return nil, fmt.Errorf("tcp: worker rank range [%d,%d) outside machine of %d ranks", lo, hi, p)
 	}
-	return newMachine(p, lo, hi, opts)
+	w := sort.SearchInts(leaders, lo)
+	if !sort.IntsAreSorted(leaders) || w == len(leaders) || leaders[w] != lo || leaders[0] < 0 || leaders[len(leaders)-1] >= p {
+		return nil, fmt.Errorf("tcp: worker range [%d,%d) of %d ranks is not led by one of the leader ranks %v", lo, hi, p, leaders)
+	}
+	return newMachine(p, lo, hi, leaders, opts)
 }
 
 // newMachine allocates the machine, binds the local ranks' listeners
 // and starts their persistent acceptors; it does not connect.
-func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
+func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("tcp: non-positive processor count %d", p)
 	}
@@ -1110,7 +1259,8 @@ func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		size: p, lo: lo, hi: hi, st: &state{},
+		size: p, lo: lo, hi: hi, leaders: leaders,
+		st:        &state{bar: comm.NewRendezvous(lo, hi)},
 		listeners: make([]net.Listener, p), procs: make([]*Proc, p),
 		dial: dial, dialAttempts: attempts, dialBackoff: backoff,
 		disableNoDelay: opts.DisableNoDelay, listenHost: host,
@@ -1124,6 +1274,7 @@ func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
 			m.pairs = append(m.pairs, pr)
 		}
 	}
+	m.cross = m.crossBarrier
 	m.st.procs = m.procs
 	m.st.connCond = sync.NewCond(&m.st.connMu)
 	for i := lo; i < hi; i++ {
@@ -1135,7 +1286,7 @@ func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
 			return nil, fmt.Errorf("tcp: listen for rank %d: %w", i, err)
 		}
 		m.listeners[i] = ln
-		in := &inbox{rank: i, boxes: make([]comm.Queue, p), barriers: make([]int, p)}
+		in := &inbox{boxes: make([]comm.Queue, p), barriers: make([]int, p)}
 		in.cond = sync.NewCond(&in.mu)
 		m.procs[i] = &Proc{
 			rank: i, size: p, conns: make([]net.Conn, p),
@@ -1395,7 +1546,7 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	} else {
 		m.epoch++
 	}
-	rs := &runState{epoch: m.epoch, tr: opts.Tracer, ctx: opts.Context}
+	rs := &runState{epoch: m.epoch, tr: opts.Tracer, ctx: opts.Context, arming: m.st.bar.Arm()}
 	p := m.size
 	for i := m.lo; i < m.hi; i++ {
 		m.procs[i].beginRun(rs, opts.RecvTimeout, opts.FlushThreshold, opts.Ports)
@@ -2020,7 +2171,7 @@ func (m *Machine) applyNoDelay(conn net.Conn) {
 func (m *Machine) pump(pr *Proc, peer int, conn net.Conn) {
 	defer m.pumps.Done()
 	st := m.st
-	rd := &frameReader{r: conn, src: peer, dst: pr.rank}
+	rd := newFrameReader(conn, peer, pr.rank)
 	for {
 		fr, epoch, err := rd.read()
 		if err != nil {
@@ -2049,16 +2200,12 @@ func (m *Machine) pump(pr *Proc, peer int, conn net.Conn) {
 		}
 		rs := st.run.Load()
 		if rs == nil || epoch != rs.epoch {
-			// Frame from an earlier run (late or replayed): drop, and
-			// recycle its arena buffers — it was never delivered.
-			recycleMessage(fr)
-			continue
+			continue // frame from an earlier run (late or replayed): drop
 		}
 		if fr.Tag == barrierTag {
-			recycleMessage(fr) // barrier frames carry no parts normally
 			pr.in.pushBarrier(st, rs, peer)
 		} else {
-			pr.in.push(st, rs, peer, fr, rs.wallIfTraced(), true)
+			pr.in.push(st, rs, peer, fr, rs.wallIfTraced())
 		}
 	}
 }

@@ -2,9 +2,11 @@ package tcp
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 )
@@ -122,34 +124,65 @@ func BenchmarkFrameWriteLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameRead measures the pooled decode path against a pre-
-// encoded in-memory stream (recycling each message like the stale-drop
-// path does, so the arena is exercised end to end).
-func BenchmarkFrameRead(b *testing.B) {
-	m := largeMsg()
+// multiPartSmallMsg is a k-part frame the writer sends contiguously and
+// the reader decodes from one buffered window: the shape of a combined
+// small-L broadcast bundle.
+func multiPartSmallMsg() comm.Message {
+	parts := make([]comm.Part, 4)
+	for i := range parts {
+		parts[i] = comm.Part{Origin: i, Data: make([]byte, 512)}
+	}
+	return comm.Message{Tag: 1, Parts: parts}
+}
+
+func benchFrameRead(b *testing.B, m comm.Message) {
 	one := appendFrame(nil, 1, m)
 	stream := bytes.NewReader(nil)
-	rd := &frameReader{r: stream, src: 0, dst: 1}
+	rd := newFrameReader(stream, 0, 1)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(one)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stream.Reset(one)
-		fr, _, err := rd.read()
-		if err != nil {
+		if _, _, err := rd.read(); err != nil {
 			b.Fatal(err)
 		}
-		recycleMessage(fr)
+	}
+}
+
+// BenchmarkFrameRead decodes a large multi-part frame from a pre-encoded
+// in-memory stream: every part bypasses the read buffer into a buffer of
+// its own.
+func BenchmarkFrameRead(b *testing.B) { benchFrameRead(b, largeMsg()) }
+
+// BenchmarkFrameReadSmall decodes a k-part small frame: one buffered
+// window, one slab, one part slice.
+func BenchmarkFrameReadSmall(b *testing.B) { benchFrameRead(b, multiPartSmallMsg()) }
+
+// BenchmarkBarrierTCP is one run of a bare p=16 machine whose ranks do
+// nothing but meet in Barrier — the fixed cost every registry schedule
+// opens with.
+func BenchmarkBarrierTCP(b *testing.B) {
+	m, err := NewMachine(16, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(Options{RecvTimeout: 30 * time.Second}, (*Proc).Barrier); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSendRecvSteadyStateTCP measures the full engine hot path —
-// Send through the pooled writer, pump decode into arena buffers,
-// blocking Recv — as b.N ping-pong rounds over one warm 2-rank mesh.
-// The send side is allocation-free; the remaining per-round allocations
-// are the delivered payload buffers themselves, which ownership handoff
-// deliberately leaves with the receiver (arena.go) — only undelivered
-// frames recycle.
+// Send through the pooled writer, buffered pump decode, blocking Recv —
+// as b.N ping-pong rounds over one warm 2-rank mesh. The send side is
+// allocation-free; the remaining per-round allocations are the delivered
+// frames themselves (a slab and a part slice each), which belong to the
+// receiver (arena.go).
 func BenchmarkSendRecvSteadyStateTCP(b *testing.B) {
 	m, err := NewMachine(2, Options{})
 	if err != nil {
@@ -201,31 +234,87 @@ func TestFrameWriteAllocationFree(t *testing.T) {
 	}
 }
 
-// TestReadFrameReusesArenaBuffers pins the receive-side pooling: decode
-// and recycle in a loop must not allocate per frame once the pools are
-// warm (modulo the pool's interface boxing, absorbed by the slack).
-func TestReadFrameReusesArenaBuffers(t *testing.T) {
-	m := comm.Message{Tag: 3, Parts: []comm.Part{
-		{Origin: 0, Data: make([]byte, 1024)},
-		{Origin: 1, Data: make([]byte, 100)},
-	}}
-	one := appendFrame(nil, 7, m)
+// countingReader counts the Read calls that reach the underlying stream
+// — the syscalls, were it a socket.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestFrameReadSmallOneReadTwoAllocs pins the receive side of the frame
+// hot path: a k-part small frame is decoded from one read of the stream
+// with at most two allocations (the slab its parts share and the part
+// slice), and the parts cannot grow into each other.
+func TestFrameReadSmallOneReadTwoAllocs(t *testing.T) {
+	want := multiPartSmallMsg()
+	for i, part := range want.Parts {
+		for j := range part.Data {
+			part.Data[j] = byte(i + 1)
+		}
+	}
+	one := appendFrame(nil, 7, want)
 	stream := bytes.NewReader(nil)
-	rd := &frameReader{r: stream, src: 0, dst: 1}
-	cycle := func() {
+	cr := &countingReader{r: stream}
+	rd := newFrameReader(cr, 0, 1)
+	var got comm.Message
+	decode := func() {
 		stream.Reset(one)
-		fr, _, err := rd.read()
-		if err != nil {
+		var err error
+		if got, _, err = rd.read(); err != nil {
 			t.Fatal(err)
 		}
-		recycleMessage(fr)
 	}
-	cycle()
-	// Decoding allocates payloads and a parts slice only when the pools
-	// miss; a warm decode-recycle cycle costs at most the sync.Pool
-	// bookkeeping (interface boxing on Put), never fresh buffers.
-	if n := testing.AllocsPerRun(200, cycle); n > 3 {
-		t.Errorf("%v allocs per decode-recycle cycle, want <= 3", n)
+	if n := testing.AllocsPerRun(200, decode); n > 2 {
+		t.Errorf("%v allocs per decoded small frame, want <= 2", n)
+	}
+	cr.reads = 0
+	decode()
+	if cr.reads != 1 {
+		t.Errorf("%d-part small frame took %d reads, want 1", len(want.Parts), cr.reads)
+	}
+	for i, part := range got.Parts {
+		if part.Origin != i || !bytes.Equal(part.Data, want.Parts[i].Data) {
+			t.Fatalf("part %d decoded wrong: origin %d, %d bytes", i, part.Origin, len(part.Data))
+		}
+		if cap(part.Data) != len(part.Data) {
+			t.Errorf("part %d has spare capacity %d: an append would overwrite its neighbour in the slab", i, cap(part.Data)-len(part.Data))
+		}
+	}
+}
+
+// TestFrameReadLargePartsBypassBuffer decodes a frame mixing parts that
+// fit the read buffer with parts that do not: each oversized part must
+// come back intact in a buffer of its own, and small parts around it
+// must still decode.
+func TestFrameReadLargePartsBypassBuffer(t *testing.T) {
+	sizes := []int{100, readBufSize - partHdrLen + 1, 0, 3 * readBufSize, 2000, 2000, 2000}
+	var want comm.Message
+	for i, n := range sizes {
+		data := make([]byte, n)
+		for j := range data {
+			data[j] = byte(i*31 + j)
+		}
+		want.Parts = append(want.Parts, comm.Part{Origin: i, Data: data})
+	}
+	// Two frames back to back: the reader must leave the stream exactly
+	// at the next frame's header.
+	stream := appendFrame(appendFrame(nil, 3, want), 4, want)
+	rd := newFrameReader(bytes.NewReader(stream), 2, 5)
+	for epoch := uint32(3); epoch <= 4; epoch++ {
+		got, e, err := rd.read()
+		if err != nil || e != epoch || len(got.Parts) != len(sizes) {
+			t.Fatalf("frame %d: epoch %d, %d parts, err %v", epoch, e, len(got.Parts), err)
+		}
+		for i, part := range got.Parts {
+			if part.Origin != i || part.Data == nil || !bytes.Equal(part.Data, want.Parts[i].Data) {
+				t.Fatalf("frame %d part %d (%d bytes) decoded wrong", epoch, i, sizes[i])
+			}
+		}
 	}
 }
 

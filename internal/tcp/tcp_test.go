@@ -231,7 +231,8 @@ func waitGoroutinesSettle(t *testing.T, baseline int) {
 
 // TestBarrierTrafficDoesNotInflateStats runs the same workload on the
 // tcp and live engines: the algorithm-level operation counts must agree,
-// with tcp's barrier dissemination frames metered separately.
+// and the barriers of a single-process machine put nothing on the wire
+// (TestWorkerBarrierTokens covers the leaders' tokens on a cluster mesh).
 func TestBarrierTrafficDoesNotInflateStats(t *testing.T) {
 	const p = 4
 	workload := func(rank int, send func(int, comm.Message), recv func(int) comm.Message, barrier func()) {
@@ -261,9 +262,8 @@ func TestBarrierTrafficDoesNotInflateStats(t *testing.T) {
 		if tp.Sends != lp.Sends || tp.Recvs != lp.Recvs || tp.SendBytes != lp.SendBytes || tp.RecvBytes != lp.RecvBytes {
 			t.Errorf("rank %d: tcp stats %+v disagree with live %+v", i, tp, lp)
 		}
-		// Two barriers on p=4 are 2 rounds each: 4 barrier frames both ways.
-		if tp.BarrierSends != 4 || tp.BarrierRecvs != 4 {
-			t.Errorf("rank %d: barrier frames %d/%d, want 4/4", i, tp.BarrierSends, tp.BarrierRecvs)
+		if tp.BarrierSends != 0 || tp.BarrierRecvs != 0 {
+			t.Errorf("rank %d: %d/%d barrier tokens on the wire, want none (ranks share a process)", i, tp.BarrierSends, tp.BarrierRecvs)
 		}
 	}
 }
@@ -367,7 +367,9 @@ func TestTCPBarrierDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("barrier stall not converted to an error")
 	}
-	if !strings.Contains(err.Error(), "barrier recv") || !strings.Contains(err.Error(), "deadline") {
+	// One of the waiters reports; the absentee is named.
+	if !strings.Contains(err.Error(), ": barrier: blocked") || !strings.Contains(err.Error(), "deadline") ||
+		!strings.Contains(err.Error(), "waiting for ranks [1]") {
 		t.Fatalf("barrier stall error: %v", err)
 	}
 }

@@ -267,11 +267,12 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 
 // RoutesFor extracts the sparse connection plan for one configuration:
 // the directed logical links the configured algorithm's schedule uses on
-// machine m, plus the engine's dissemination-barrier links. Feed the
-// result to SessionOptions.Links to open a TCP session that dials only
-// those connections — at p in the hundreds that replaces the O(p²)
-// full-mesh setup with one proportional to the algorithm's ~p·log p
-// schedule. Config.Algorithm AutoAlgorithm resolves through the planner
+// machine m. Feed the result to SessionOptions.Links to open a TCP
+// session that dials only those connections — at p in the hundreds that
+// replaces the O(p²) full-mesh setup with one proportional to the
+// algorithm's ~p·log p schedule. Barriers need no links of their own
+// inside a process; a cluster session adds the few between its workers
+// itself. Config.Algorithm AutoAlgorithm resolves through the planner
 // exactly as Run would.
 func RoutesFor(m *Machine, cfg Config) ([][2]int, error) {
 	if err := cfg.Validate(); err != nil {
