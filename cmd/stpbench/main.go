@@ -11,8 +11,8 @@
 //	stpbench -chaos              # fault-injection sweep over both engines
 //	stpbench -chaos -seed 7 -engine tcp
 //	stpbench -session -repeat 200 -engine tcp   # warm-session vs one-shot throughput
-//	stpbench -session -engine tcp -flush 512 -pipeline 4   # batched frames, 4 async runs in flight
-//	stpbench -session -engine tcp -sparse -ports 4   # route-planned sparse mesh, 4 link drivers per rank
+//	stpbench -session -engine tcp -pipeline 4   # 4 async runs in flight
+//	stpbench -session -engine tcp -sparse       # route-planned sparse mesh
 //	stpbench -daemon 127.0.0.1:7411 -conc 1,2,4,8 -requests 200 -engine tcp
 //	stpbench -daemon 127.0.0.1:7411 -rate 50 -duration 10s -out BENCH_daemon.json
 //
@@ -51,9 +51,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "max concurrent experiment cells (0 = GOMAXPROCS, 1 = serial); output is identical at every setting")
 	session := flag.Bool("session", false, "time -repeat back-to-back broadcasts over one warm Session vs the one-shot path")
 	repeat := flag.Int("repeat", 100, "broadcast count (with -session)")
-	flush := flag.Int("flush", 0, "TCP small-frame batching threshold in bytes, 0 = off (with -session)")
 	pipeline := flag.Int("pipeline", 0, "submit session broadcasts via RunAsync with this many in flight, 0 = synchronous (with -session)")
-	ports := flag.Int("ports", 0, "TCP k-ported link drivers: outbound transmissions in flight per rank, 0 = inline writes (with -session)")
 	sparse := flag.Bool("sparse", false, "open the TCP session over the route-planned sparse mesh instead of the full mesh (with -session)")
 	daemonAddr := flag.String("daemon", "", "load-generate against a running stpbcastd at this address")
 	conc := flag.String("conc", "8", "closed-loop worker counts, comma-separated sweep (with -daemon)")
@@ -87,7 +85,7 @@ func main() {
 			fatal(err)
 		}
 	case *session:
-		if err := runSession(orBoth(*engine), *repeat, *flush, *pipeline, *ports, *sparse); err != nil {
+		if err := runSession(orBoth(*engine), *repeat, *pipeline, *sparse); err != nil {
 			fatal(err)
 		}
 	case *chaos:
@@ -132,8 +130,7 @@ func orBoth(engine string) string {
 var flagModes = map[string]string{
 	"fig": "-fig", "csv": "-fig", "plot": "-fig",
 	"chaos": "-chaos", "seed": "-chaos",
-	"session": "-session", "repeat": "-session", "flush": "-session", "pipeline": "-session",
-	"ports": "-session", "sparse": "-session",
+	"session": "-session", "repeat": "-session", "pipeline": "-session", "sparse": "-session",
 	"list":   "-list",
 	"daemon": "-daemon", "conc": "-daemon", "requests": "-daemon", "rate": "-daemon",
 	"duration": "-daemon", "rows": "-daemon", "cols": "-daemon", "collective": "-daemon",
@@ -201,25 +198,14 @@ func validateFlags() error {
 		if n := intFlag("repeat"); n <= 0 {
 			return fmt.Errorf("-repeat must be positive, got %d", n)
 		}
-		if n := intFlag("flush"); n < 0 {
-			return fmt.Errorf("-flush must be non-negative, got %d", n)
-		}
 		if n := intFlag("pipeline"); n < 0 {
 			return fmt.Errorf("-pipeline must be non-negative, got %d", n)
 		}
-		if n := intFlag("ports"); n < 0 {
-			return fmt.Errorf("-ports must be non-negative, got %d", n)
-		}
-		if intFlag("ports") > 0 && intFlag("flush") > 0 {
-			return fmt.Errorf("-flush and -ports are mutually exclusive (batched inline writes vs link drivers)")
-		}
-		// -flush, -ports and -sparse shape the TCP mesh only; under any
-		// other engine (including the default "both" sweep) they would
-		// be silently ignored for part or all of the comparison.
-		for _, name := range []string{"flush", "ports", "sparse"} {
-			if set[name] && orBoth(flag.Lookup("engine").Value.String()) != "tcp" {
-				return fmt.Errorf("-%s is TCP-only; pass -engine tcp alongside it", name)
-			}
+		// -sparse shapes the TCP mesh only; under any other engine
+		// (including the default "both" sweep) it would be silently
+		// ignored for part or all of the comparison.
+		if set["sparse"] && orBoth(flag.Lookup("engine").Value.String()) != "tcp" {
+			return fmt.Errorf("-sparse is TCP-only; pass -engine tcp alongside it")
 		}
 	case "-daemon":
 		coll, err := stpbcast.ParseCollective(flag.Lookup("collective").Value.String())
@@ -326,18 +312,13 @@ func printCSV(s *stpbcast.Series) {
 // runSession times n back-to-back 1 KiB broadcasts on a 4×4 mesh twice:
 // once paying full engine setup per broadcast (the deprecated one-shot
 // path), once over a single warm Session — and prints both rates, the
-// speedup and the session's aggregate stats. flush sets the TCP
-// engine's small-frame batching threshold; pipeline > 0 drives the
+// speedup and the session's aggregate stats. pipeline > 0 drives the
 // session loop through RunAsync with that many broadcasts in flight;
-// ports > 0 routes TCP sends through k per-destination link drivers;
 // sparse opens the session over the route-planned link set
 // (stpbcast.RoutesFor) instead of the full O(p²) mesh.
-func runSession(engine string, n, flush, pipeline, ports int, sparse bool) error {
+func runSession(engine string, n, pipeline int, sparse bool) error {
 	if n <= 0 {
 		return fmt.Errorf("-repeat must be positive, got %d", n)
-	}
-	if ports > 0 && flush > 0 {
-		return fmt.Errorf("-flush and -ports are mutually exclusive")
 	}
 	engines := []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP}
 	switch engine {
@@ -353,7 +334,7 @@ func runSession(engine string, n, flush, pipeline, ports int, sparse bool) error
 	}
 	m := stpbcast.NewParagon(4, 4)
 	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 1024}
-	opts := stpbcast.RunOptions{RecvTimeout: 30 * time.Second, FlushThreshold: flush, Ports: ports}
+	opts := stpbcast.RunOptions{RecvTimeout: 30 * time.Second}
 	var links [][2]int
 	if sparse {
 		var err error
@@ -362,14 +343,8 @@ func runSession(engine string, n, flush, pipeline, ports int, sparse bool) error
 		}
 	}
 	fmt.Printf("session demo: %d × %d B Br_Lin broadcasts, 4×4 mesh, E s=%d", n, cfg.MsgBytes, cfg.Sources)
-	if flush > 0 {
-		fmt.Printf(", flush %d B", flush)
-	}
 	if pipeline > 0 {
 		fmt.Printf(", %d in flight", pipeline)
-	}
-	if ports > 0 {
-		fmt.Printf(", %d ports", ports)
 	}
 	if sparse {
 		fmt.Printf(", sparse mesh (%d planned links)", len(links))

@@ -14,8 +14,8 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "figSparseMesh",
-		Title: "Route-aware sparse TCP mesh vs full mesh: connections, setup time and a real-byte Br_Lin broadcast up to p=256, plus the k-ported link-driver frame rate",
-		Paper: "Beyond the paper: the paper's NX runs scale to hundreds of nodes because the machine provides the links; the TCP engine's historical full mesh pays O(p²) sockets for schedules that touch ~p·log p of them. This figure measures the sparse route-planned mesh against the full one and the paper's k-ported node model (multi-channel routers) as realized by the engine's per-link drivers.",
+		Title: "Route-aware sparse TCP mesh vs full mesh: connections, setup time and a real-byte Br_Lin broadcast up to p=256",
+		Paper: "Beyond the paper: the paper's NX runs scale to hundreds of nodes because the machine provides the links; the TCP engine's historical full mesh pays O(p²) sockets for schedules that touch ~p·log p of them. This figure measures the sparse route-planned mesh against the full one.",
 		Run:   runFigSparseMesh,
 	})
 }
@@ -28,11 +28,6 @@ const (
 	sparseSources  = 4
 	sparseMsgLen   = 512
 	sparseFullMaxP = 128
-	// k-ported harness shape: one rank fans out over 4 paced links
-	// (120 µs per frame transmission), Ports=1 vs Ports=4.
-	kportFanout   = 4
-	kportFrames   = 150
-	kportPerFrame = 120 * time.Microsecond
 )
 
 // sparseMeshes are the Paragon shapes swept: p = 16 … 256.
@@ -42,9 +37,7 @@ var sparseMeshes = [][2]int{{4, 4}, {4, 8}, {8, 8}, {8, 16}, {16, 16}}
 // routes Br_Lin actually uses (plan.Routes) and the historical full
 // mesh, recording connection counts and setup times, then runs one real
 // Br_Lin broadcast over the sparse mesh — the p≥128 rows are the runs
-// the full mesh cannot reach on this harness. The k-ported columns
-// measure the paced fan-out harness (tcp.MeasureKPortRate) at Ports=1
-// and Ports=4.
+// the full mesh cannot reach on this harness.
 func runFigSparseMesh() (*Series, error) {
 	d, err := dist.ByName("E")
 	if err != nil {
@@ -53,17 +46,13 @@ func runFigSparseMesh() (*Series, error) {
 	alg := core.BrLin()
 
 	s := NewSeries(
-		fmt.Sprintf("Sparse route-planned mesh vs full mesh, Br_Lin/E/s=%d, %d B payloads; k-ported fan-out at %d frames/link, %v per frame",
-			sparseSources, sparseMsgLen, kportFrames, kportPerFrame),
-		"ranks p", "counts, ms and frames/s (speedup is a ratio)",
-		"pairs", "sparse conns", "full conns", "sparse setup ms", "full setup ms",
-		"bcast ms", "ports1 f/s", "ports4 f/s", "ports speedup")
+		fmt.Sprintf("Sparse route-planned mesh vs full mesh, Br_Lin/E/s=%d, %d B payloads", sparseSources, sparseMsgLen),
+		"ranks p", "counts and ms",
+		"pairs", "sparse conns", "full conns", "sparse setup ms", "full setup ms", "bcast ms")
 	s.Notes = fmt.Sprintf("The sparse mesh dials only the links the algorithm's traced schedule uses — at most "+
 		"p/2·log2 p pairs instead of p(p−1)/2; the barrier synchronises in memory and needs none — so setup stays near-linear in p "+
 		"and the broadcast completes at p=256 where the full mesh would need ~65k descriptors (full-mesh "+
-		"columns record 0 past p=%d for that reason). The k-ported columns pace every outbound write by a "+
-		"fixed per-frame transmission time, so ports4/ports1 reflects overlapped vs serialized transmissions "+
-		"(the paper's multi-channel routers), not host core count.", sparseFullMaxP)
+		"columns record 0 past p=%d for that reason).", sparseFullMaxP)
 
 	for _, mesh := range sparseMeshes {
 		rows, cols := mesh[0], mesh[1]
@@ -109,19 +98,10 @@ func runFigSparseMesh() (*Series, error) {
 			}
 		}
 
-		r1, err := tcp.MeasureKPortRate(1, kportFanout, sparseMsgLen, kportFrames, kportPerFrame)
-		if err != nil {
-			return nil, err
-		}
-		r4, err := tcp.MeasureKPortRate(4, kportFanout, sparseMsgLen, kportFrames, kportPerFrame)
-		if err != nil {
-			return nil, err
-		}
-
 		s.AddX(fmt.Sprintf("%d", p),
 			float64(pairs), float64(sparseConns), float64(fullConns),
 			float64(sparseSetup.Microseconds())/1e3, float64(fullSetup.Microseconds())/1e3,
-			float64(bcast.Microseconds())/1e3, r1, r4, r4/r1)
+			float64(bcast.Microseconds())/1e3)
 	}
 	return s, nil
 }

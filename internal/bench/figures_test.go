@@ -44,7 +44,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"ablation-varlen",
 		"fig10", "fig11a", "fig11b", "fig12", "fig13a", "fig13b",
 		"fig2", "fig2-growth", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"figAuto", "figCollectives", "figSession", "figSparseMesh", "figTCPHotpath",
+		"figAuto", "figCollectives", "figSession", "figSparseMesh",
 	}
 	got := Experiments()
 	if len(got) != len(want) {
@@ -524,13 +524,9 @@ func TestFigSessionShape(t *testing.T) {
 // route-planned mesh opens at most the planned pair count, which is at
 // most the p/2·log2 p pairs Br_Lin's halving levels can touch (the
 // barrier adds none: ranks of one process meet in memory) and so far
-// below the p(p−1)/2 full mesh at every p ≥ 16; the
-// real-byte broadcast completes at every size including p ≥ 128 (the
-// scales the full mesh cannot reach on this harness's descriptor
-// budget); and the k-ported drivers move paced frames at ≥1.5× the
-// single-ported rate. The k-port margin is structural — transmissions
-// overlap instead of serializing behind one paced writer — so it holds
-// regardless of host core count.
+// below the p(p−1)/2 full mesh at every p ≥ 16; and the real-byte
+// broadcast completes at every size including p ≥ 128 (the scales the
+// full mesh cannot reach on this harness's descriptor budget).
 func TestFigSparseMeshShape(t *testing.T) {
 	s := figures(t)["figSparseMesh"]
 	if len(s.XLabels) == 0 {
@@ -562,50 +558,9 @@ func TestFigSparseMeshShape(t *testing.T) {
 		if p >= 128 {
 			sawBig = true
 		}
-		r1, r4 := s.Get("ports1 f/s", i), s.Get("ports4 f/s", i)
-		if r1 <= 0 || r4 <= 0 {
-			t.Fatalf("p=%d: non-positive k-port rates (%v, %v)", p, r1, r4)
-		}
-		if ratio := s.Get("ports speedup", i); ratio != r4/r1 {
-			t.Errorf("p=%d: speedup curve %.3f != ports4/ports1 %.3f", p, ratio, r4/r1)
-		}
 	}
 	if !sawBig {
 		t.Error("no p ≥ 128 point — the scaling claim is untested")
-	}
-	if final := last(s, "ports speedup"); final < 1.5 {
-		t.Errorf("k-ported speedup = %.2f× at p=%s, want ≥ 1.5×",
-			final, s.XLabels[len(s.XLabels)-1])
-	}
-}
-
-// TestFigTCPHotpathShape — the hot-path acceptance bar: the vectored
-// arena write path moves small frames at ≥2× the legacy 2k+1-write
-// rate, and every mode reports a positive rate at every payload size.
-// Wall-clock based, but the margin is structural (one syscall and zero
-// allocations per frame vs three writes and fresh headers).
-func TestFigTCPHotpathShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock frame-rate ratios are noisy under -short CI")
-	}
-	s := figures(t)["figTCPHotpath"]
-	if len(s.XLabels) == 0 {
-		t.Fatal("figTCPHotpath produced no points")
-	}
-	for i, x := range s.XLabels {
-		legacy, vectored, batched := s.Get("legacy", i), s.Get("vectored", i), s.Get("batched", i)
-		if legacy <= 0 || vectored <= 0 || batched <= 0 {
-			t.Fatalf("payload %sB: non-positive rate (legacy %.0f, vectored %.0f, batched %.0f)",
-				x, legacy, vectored, batched)
-		}
-		if ratio := s.Get("vectored/legacy", i); ratio != vectored/legacy {
-			t.Errorf("payload %sB: speedup curve %.3f != vectored/legacy %.3f", x, ratio, vectored/legacy)
-		}
-	}
-	// The ≥2× bar applies where per-frame overhead dominates: the
-	// smallest payload point.
-	if ratio := s.Get("vectored/legacy", 0); ratio < 2 {
-		t.Errorf("vectored/legacy = %.2f× at %sB payloads, want ≥ 2×", ratio, s.XLabels[0])
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/plan"
-	"repro/internal/tcp"
 	"repro/internal/topology"
 )
 
@@ -124,7 +124,7 @@ func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
 		for _, r := range c.Ranges() {
 			leader[r[0]] = true
 		}
-		for _, l := range tcp.LeaderLinks(c.leaders) {
+		for _, l := range engine.LeaderLinks(c.leaders) {
 			if !planned[l] && !planned[[2]int{l[1], l[0]}] {
 				missing++
 			}

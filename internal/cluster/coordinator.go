@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/tcp"
 )
@@ -132,7 +133,7 @@ func Start(spec Spec) (*Coordinator, error) {
 			planned[l] = true
 		}
 		links := spec.Links[:len(spec.Links):len(spec.Links)]
-		for _, l := range tcp.LeaderLinks(leaders) {
+		for _, l := range engine.LeaderLinks(leaders) {
 			if !planned[l] {
 				planned[l] = true
 				links = append(links, l)

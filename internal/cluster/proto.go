@@ -13,7 +13,7 @@
 // of the planned link set touching that range (plan.Partition /
 // plan.WorkerLinks) — the caller's schedule links plus the links between
 // the workers' leader ranks that the engine's barrier uses
-// (tcp.LeaderLinks) — the worker binds its ranks' listeners
+// (engine.LeaderLinks) — the worker binds its ranks' listeners
 // (tcp.NewWorkerMachine) and reports their addresses, and once every
 // worker has reported, the coordinator broadcasts the merged
 // rank→address map and has every worker dial its share of the plan
@@ -136,7 +136,6 @@ type RunSpec struct {
 
 	RecvTimeoutNs int64 `json:"recvTimeoutNs,omitempty"`
 	RunTimeoutNs  int64 `json:"runTimeoutNs,omitempty"`
-	Ports         int   `json:"ports,omitempty"`
 }
 
 // doneMsg reports one worker's share of a finished run: its local

@@ -190,7 +190,6 @@ func (w *worker) run(rs *RunSpec, startCh chan bool) {
 		Epoch:       rs.Epoch,
 		RecvTimeout: time.Duration(rs.RecvTimeoutNs),
 		RunTimeout:  time.Duration(rs.RunTimeoutNs),
-		Ports:       rs.Ports,
 		StartGate: func() error {
 			armedSent = true
 			if err := w.cc.send(msg{Type: "armed"}); err != nil {

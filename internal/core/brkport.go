@@ -13,10 +13,12 @@ import (
 // and pairs positions across the halves, Br_kport splits into k+1
 // subsegments and exchanges within groups of up to k+1 evenly strided
 // positions, so every holder sends to up to k destinations per level —
-// traffic a k-ported transport (tcp Options.Ports, the paper's
-// multi-channel routers) drives concurrently instead of serially. The
-// level count drops from ⌈log₂ p⌉ to ~⌈log_{k+1} p⌉ at the price of k
-// sends per holder per level: a win exactly when the node has k ports.
+// traffic a k-ported machine (the paper's multi-channel routers) drives
+// concurrently instead of serially. The level count drops from ⌈log₂ p⌉
+// to ~⌈log_{k+1} p⌉ at the price of k sends per holder per level: a win
+// exactly when the node has k ports. Every engine here, the simulator
+// and its cost model included, issues a holder's k sends one after the
+// other, so the schedule is run and priced as on a one-ported node.
 type brKPort struct{ k int }
 
 // BrKPort returns Algorithm Br_kport<k>, the (k+1)-section broadcast

@@ -33,8 +33,8 @@ func buildRegistry() {
 		RingAllGather(),
 		RDAllGather(),
 		Indep1toP(),
-		// Beyond the paper: the k-ported broadcast for multi-channel
-		// nodes (tcp Options.Ports), k=4 by default.
+		// Beyond the paper: the k-ported broadcast, a schedule for
+		// machines with multi-channel nodes, k=4 by default.
 		BrKPort(4),
 		// Träff's circulant-graph logarithmic broadcast schedule.
 		BcastCirculant(),

@@ -1,0 +1,139 @@
+package engine
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/network"
+	"repro/internal/obs"
+)
+
+// Proc is one local rank's handle on the machine. It implements
+// comm.Comm, comm.IterMarker and comm.PhaseMarker; methods must only be
+// called from the rank's own goroutine, during a Machine.Run.
+type Proc struct {
+	rank int
+	m    *Machine
+	in   *inbox
+
+	// Per-run fields, reset by begin under the machine lock (rank
+	// goroutines only live inside Run, so no further synchronization).
+	run   *Run
+	iter  int
+	phase string
+	stats ProcStats
+}
+
+var _ comm.Comm = (*Proc)(nil)
+var _ comm.IterMarker = (*Proc)(nil)
+var _ comm.PhaseMarker = (*Proc)(nil)
+
+// begin resets the per-run half of the rank: a wiped inbox, fresh
+// counters and markers.
+func (p *Proc) begin(r *Run) {
+	p.in.reset(r.tr != nil)
+	p.run = r
+	p.iter, p.phase = -1, ""
+	p.stats = ProcStats{Rank: p.rank}
+}
+
+// BeginIter implements comm.IterMarker: traced events carry the iteration.
+func (p *Proc) BeginIter(i int) { p.iter = i }
+
+// BeginPhase implements comm.PhaseMarker: traced events carry the label.
+func (p *Proc) BeginPhase(name string) { p.phase = name }
+
+// Rank implements comm.Comm.
+func (p *Proc) Rank() int { return p.rank }
+
+// Size implements comm.Comm.
+func (p *Proc) Size() int { return p.m.size }
+
+// stamp completes an event of this rank's on a traced run: it ended now,
+// began at t0, and carries the rank's markers.
+func (p *Proc) stamp(e obs.Event, t0 time.Time) obs.Event {
+	e.Rank, e.Iter, e.Phase = p.rank, p.iter, p.phase
+	e.Wall = p.run.wall()
+	e.Dur = network.Time(time.Since(t0).Nanoseconds())
+	return e
+}
+
+// Send implements comm.Comm with buffered-send semantics: it returns as
+// soon as the caller may reuse m's buffers, never waiting for the peer
+// to post a receive. A send to the own rank goes through the local
+// (copying) delivery path on every engine.
+func (p *Proc) Send(dst int, m comm.Message) {
+	if dst < 0 || dst >= p.m.size {
+		panic(fmt.Sprintf("%s: rank %d sends to invalid rank %d", p.m.name, p.rank, dst))
+	}
+	if m.Tag == TokenTag {
+		panic(fmt.Sprintf("%s: rank %d sends message with reserved barrier tag %d", p.m.name, p.rank, m.Tag))
+	}
+	r := p.run
+	var t0 time.Time
+	if r.tr != nil {
+		t0 = time.Now()
+	}
+	bytes := m.Len()
+	p.stats.Sends++
+	p.stats.SendBytes += int64(bytes)
+	if dst == p.rank {
+		r.Local(p.rank, dst, m)
+	} else if err := p.m.tr.Deliver(r, p.rank, dst, m); err != nil {
+		panic(r.sendErr(dst, err))
+	}
+	if r.tr != nil {
+		r.tr.Trace(p.stamp(obs.Event{Kind: obs.KindSend, Peer: dst, Bytes: bytes, Parts: len(m.Parts), Tag: m.Tag}, t0))
+	}
+}
+
+// Recv implements comm.Comm. With Options.RecvTimeout set, a wait
+// exceeding the timeout aborts the run with an error naming this rank
+// and src.
+func (p *Proc) Recv(src int) comm.Message {
+	if src < 0 || src >= p.m.size {
+		panic(fmt.Sprintf("%s: rank %d receives from invalid rank %d", p.m.name, p.rank, src))
+	}
+	r := p.run
+	var t0 time.Time
+	if r.tr != nil {
+		t0 = time.Now()
+	}
+	m, arrival, waited, err := p.in.pop(src, r.recvTimeout)
+	if err != nil {
+		panic(fmt.Errorf("recv from %d: %w", src, err))
+	}
+	p.stats.Recvs++
+	p.stats.RecvBytes += int64(m.Len())
+	if r.tr != nil {
+		e := p.stamp(obs.Event{Kind: obs.KindWait, Peer: src, Arrival: network.Time(arrival)}, t0)
+		if waited {
+			r.tr.Trace(e)
+			e.Dur = 0 // the blocked span is the wait slice, not the recv
+		}
+		e.Kind, e.Bytes, e.Parts, e.Tag = obs.KindRecv, m.Len(), len(m.Parts), m.Tag
+		r.tr.Trace(e)
+	}
+	return m
+}
+
+// Barrier implements comm.Comm in two levels: the ranks one process owns
+// meet in memory (comm.Rendezvous), and on a cluster worker the last of
+// them to arrive then takes the worker's leader rank through a
+// dissemination barrier with the other workers' leaders (crossBarrier)
+// before anyone is released. A single-process machine is the one-worker
+// case: no rounds, no tokens.
+func (p *Proc) Barrier() {
+	r := p.run
+	var t0 time.Time
+	if r.tr != nil {
+		t0 = time.Now()
+	}
+	if err := p.m.bar.Wait(p.rank, r.recvTimeout, p.m.cross); err != nil {
+		panic(fmt.Errorf("barrier: %w", err))
+	}
+	if r.tr != nil {
+		r.tr.Trace(p.stamp(obs.Event{Kind: obs.KindBarrier, Peer: -1}, t0))
+	}
+}

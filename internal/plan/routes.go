@@ -40,7 +40,7 @@ func (lc *linkCollector) Trace(e obs.Event) {
 // Barrier contributes no links: ranks that share a process synchronise
 // in memory, and the few links a multi-process mesh needs between its
 // workers' leader ranks depend on the partition, not on the schedule —
-// the cluster coordinator adds them (tcp.LeaderLinks).
+// the cluster coordinator adds them (engine.LeaderLinks).
 //
 // The returned pairs are deduplicated and sorted. They are directed;
 // the TCP engine collapses each unordered pair onto one shared

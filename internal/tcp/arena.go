@@ -35,7 +35,7 @@ const (
 )
 
 // frameScratch is the send-side working set of one frame write: a
-// contiguous encode buffer for small frames and batches, the header
+// contiguous encode buffer for small frames, the header
 // bytes backing a gather list, and the gather list itself. It cycles
 // through scratchPool once per frame write.
 type frameScratch struct {

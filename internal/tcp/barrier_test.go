@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/faults"
 )
 
@@ -148,7 +148,7 @@ func TestWorkerBarrierTokens(t *testing.T) {
 	} {
 		const rounds = 3
 		leaders := []int{tc.ranges[0][0], tc.ranges[1][0], tc.ranges[2][0]}
-		ms := workerMesh(t, tc.p, tc.ranges, LeaderLinks(leaders))
+		ms := workerMesh(t, tc.p, tc.ranges, engine.LeaderLinks(leaders))
 		for run, straggler := range []int{tc.p - 1, 0, tc.ranges[1][0] + 1} {
 			var arrived atomic.Int64
 			res, errs := runWorkers(ms, uint32(run+1), Options{RecvTimeout: 30 * time.Second},
@@ -180,10 +180,10 @@ func TestWorkerBarrierTokens(t *testing.T) {
 }
 
 func TestLeaderLinks(t *testing.T) {
-	if got := LeaderLinks([]int{0}); len(got) != 0 {
+	if got := engine.LeaderLinks([]int{0}); len(got) != 0 {
 		t.Errorf("one process needs no leader links, got %v", got)
 	}
-	got := LeaderLinks([]int{0, 7, 40})
+	got := engine.LeaderLinks([]int{0, 7, 40})
 	want := [][2]int{{0, 7}, {7, 40}, {40, 0}, {0, 40}, {7, 0}, {40, 7}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("LeaderLinks = %v, want %v", got, want)
@@ -194,7 +194,7 @@ func TestLeaderLinks(t *testing.T) {
 		for i := range leaders {
 			leaders[i] = 10 * i
 		}
-		if n := len(LeaderLinks(leaders)); n != w*rounds {
+		if n := len(engine.LeaderLinks(leaders)); n != w*rounds {
 			t.Errorf("%d workers: %d leader links, want %d", w, n, w*rounds)
 		}
 	}
@@ -310,31 +310,4 @@ func TestWorkerBarrierMissingWorker(t *testing.T) {
 		t.Fatalf("worker 0: %v, want a token deadline naming both leaders", errs[0])
 	}
 	waitGoroutinesSettle(t, baseline)
-}
-
-// TestBarrierFlushesBatchedAndQueuedFrames: a rank must not park in the
-// barrier holding frames a peer is waiting for — neither in a
-// FlushThreshold batch nor in a k-ported driver queue. Rank 0 sends and
-// goes straight into the barrier; rank 1 receives before it enters.
-func TestBarrierFlushesBatchedAndQueuedFrames(t *testing.T) {
-	for name, opts := range map[string]Options{
-		"batched": {FlushThreshold: 1 << 20},
-		"ported":  {Ports: 1},
-	} {
-		opts.RecvTimeout = 5 * time.Second
-		_, err := RunOpts(3, opts, func(pr *Proc) {
-			switch pr.Rank() {
-			case 0:
-				pr.Send(1, comm.Message{Tag: 1, Parts: []comm.Part{{Origin: 0, Data: []byte("before the barrier")}}})
-			case 1:
-				if got := pr.Recv(0); string(got.Parts[0].Data) != "before the barrier" {
-					t.Errorf("%s: got %q", name, got.Parts[0].Data)
-				}
-			}
-			pr.Barrier()
-		})
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
 }

@@ -1,10 +1,7 @@
 package tcp
 
-// Hot-path measurement harness for the figTCPHotpath experiment: drive
-// one real loopback TCP link with each generation of the frame writer
-// and report the achieved frame rate. The experiment itself lives in
-// internal/bench (which imports this package; the reverse import would
-// cycle), so the raw measurement is exported from here.
+// Hot-path measurement harness: drive one real loopback TCP link with
+// the engine's frame writer and report the achieved frame rate.
 
 import (
 	"fmt"
@@ -15,26 +12,24 @@ import (
 	"repro/internal/comm"
 )
 
-// Frame-writer modes MeasureFrameRate can drive.
-const (
-	// FrameModeLegacy is the pre-arena baseline: heap-allocated headers
-	// and 2k+1 sequential Writes per k-part frame.
-	FrameModeLegacy = "legacy"
-	// FrameModeVectored is the engine's current per-frame path: pooled
-	// scratch, one Write (or writev) per frame.
-	FrameModeVectored = "vectored"
-	// FrameModeBatched is the FlushThreshold path: frames coalesce in a
-	// buffer written out whenever it reaches the threshold.
-	FrameModeBatched = "batched"
-)
+// FrameModeVectored names the engine's frame write path: pooled scratch,
+// one Write (or writev) per frame. It is the only mode.
+const FrameModeVectored = "vectored"
 
 // MeasureFrameRate writes `frames` single-part messages of payloadBytes
-// each over one real loopback TCP connection using the given writer mode
-// and returns the achieved rate in frames per second. batchBytes is the
-// flush threshold of FrameModeBatched (ignored by the other modes). The
-// clock stops only when the draining peer has consumed every byte, so
-// the number is end-to-end link throughput, not kernel-buffer fill rate.
-func MeasureFrameRate(mode string, payloadBytes, frames, batchBytes int) (float64, error) {
+// each over one real loopback TCP connection through the engine's frame
+// writer and returns the achieved rate in frames per second. The clock
+// stops only when the draining peer has consumed every byte, so the
+// number is end-to-end link throughput, not kernel-buffer fill rate.
+//
+// mode must be FrameModeVectored and the last parameter is ignored: the
+// legacy and batched writers they used to select are gone, and the
+// four-argument signature survives only because the frozen benchmark/
+// tree calls it — both parameters go when benchmark/ is next edited.
+func MeasureFrameRate(mode string, payloadBytes, frames, _ int) (float64, error) {
+	if mode != FrameModeVectored {
+		return 0, fmt.Errorf("tcp: unknown frame mode %q", mode)
+	}
 	if frames <= 0 || payloadBytes < 0 {
 		return 0, fmt.Errorf("tcp: bad MeasureFrameRate args (frames=%d payload=%d)", frames, payloadBytes)
 	}
@@ -79,42 +74,12 @@ func MeasureFrameRate(mode string, payloadBytes, frames, batchBytes int) (float6
 	}()
 
 	start := time.Now()
-	switch mode {
-	case FrameModeLegacy:
-		for i := 0; i < frames; i++ {
-			if err := writeFrameSeq(wc, 1, m); err != nil {
-				return 0, err
-			}
+	sc := getScratch()
+	defer putScratch(sc)
+	for i := 0; i < frames; i++ {
+		if err := writeFrameTo(wc, 1, m, sc); err != nil {
+			return 0, err
 		}
-	case FrameModeVectored:
-		sc := getScratch()
-		defer putScratch(sc)
-		for i := 0; i < frames; i++ {
-			if err := writeFrameTo(wc, 1, m, sc); err != nil {
-				return 0, err
-			}
-		}
-	case FrameModeBatched:
-		if batchBytes <= 0 {
-			return 0, fmt.Errorf("tcp: batched mode needs a positive flush threshold")
-		}
-		var pend []byte
-		for i := 0; i < frames; i++ {
-			pend = appendFrame(pend, 1, m)
-			if len(pend) >= batchBytes {
-				if _, err := wc.Write(pend); err != nil {
-					return 0, err
-				}
-				pend = pend[:0]
-			}
-		}
-		if len(pend) > 0 {
-			if _, err := wc.Write(pend); err != nil {
-				return 0, err
-			}
-		}
-	default:
-		return 0, fmt.Errorf("tcp: unknown frame mode %q", mode)
 	}
 	// Half-close the write side so the drain loop's io.Copy terminates,
 	// then charge the remaining in-flight bytes to the measured window.

@@ -1,0 +1,511 @@
+package tcp
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sort"
+	"sync"
+	"time"
+)
+
+// plannedPairs normalizes a directed link list into the sorted,
+// deduplicated unordered peer pairs (a<b) the mesh must dial. A nil
+// list plans the full mesh.
+func plannedPairs(p int, links [][2]int) ([][2]int, bool, error) {
+	if links == nil {
+		pairs := make([][2]int, 0, p*(p-1)/2)
+		for a := 0; a < p; a++ {
+			for b := a + 1; b < p; b++ {
+				pairs = append(pairs, [2]int{a, b})
+			}
+		}
+		return pairs, false, nil
+	}
+	seen := make(map[[2]int]struct{}, len(links))
+	pairs := make([][2]int, 0, len(links))
+	for _, l := range links {
+		a, b := l[0], l[1]
+		if a < 0 || a >= p || b < 0 || b >= p {
+			return nil, false, fmt.Errorf("tcp: planned link %d→%d outside machine of %d ranks", a, b, p)
+		}
+		if a == b {
+			continue // self sends never touch a socket
+		}
+		if a > b {
+			a, b = b, a
+		}
+		pr := [2]int{a, b}
+		if _, dup := seen[pr]; dup {
+			continue
+		}
+		seen[pr] = struct{}{}
+		pairs = append(pairs, pr)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i][0] != pairs[j][0] {
+			return pairs[i][0] < pairs[j][0]
+		}
+		return pairs[i][1] < pairs[j][1]
+	})
+	return pairs, true, nil
+}
+
+// addrOf resolves the listener address of rank dst: its own listener
+// when local, the coordinator-distributed table otherwise.
+func (m *Machine) addrOf(dst int) (string, error) {
+	if m.isLocal(dst) {
+		return m.listeners[dst].Addr().String(), nil
+	}
+	m.connMu.RLock()
+	addr, ok := m.addrs[dst]
+	m.connMu.RUnlock()
+	if !ok {
+		return "", fmt.Errorf("tcp: no address known for remote rank %d", dst)
+	}
+	return addr, nil
+}
+
+// closeConns closes every connection endpoint; double closes are
+// harmless, so abort, reconnect and Close may all call it.
+func (m *Machine) closeConns() {
+	m.connMu.Lock()
+	for _, c := range m.conns {
+		c.Close()
+	}
+	m.connCond.Broadcast()
+	m.connMu.Unlock()
+}
+
+// closeListeners closes every local listener, which is what ends the
+// acceptors (and, during setup, everything waiting on them).
+func (m *Machine) closeListeners() {
+	for _, ln := range m.listeners {
+		if ln != nil {
+			ln.Close()
+		}
+	}
+}
+
+// ConnectMesh dials this machine's share of the planned link set: every
+// planned pair whose higher rank is local, resolving remote ranks
+// through addrs (merged into the table kept from earlier calls; pass
+// nil to reuse it, as coordinator-driven reconnects do). It returns
+// once every planned pair touching the local range has both local
+// endpoints installed. On failure the listeners are closed and the
+// machine is dead.
+func (m *Machine) ConnectMesh(ctx context.Context, addrs map[int]string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dead != nil {
+		return m.dead
+	}
+	if m.closed.Load() {
+		return errors.New("tcp: ConnectMesh on closed machine")
+	}
+	if len(addrs) > 0 {
+		m.connMu.Lock()
+		if m.addrs == nil {
+			m.addrs = make(map[int]string, len(addrs))
+		}
+		for r, a := range addrs {
+			if !m.isLocal(r) {
+				m.addrs[r] = a
+			}
+		}
+		m.connMu.Unlock()
+	}
+	if err := m.connectLocked(ctx); err != nil {
+		return m.kill(fmt.Errorf("tcp: mesh connect failed: %w", err))
+	}
+	return nil
+}
+
+// ResetMesh tears the connections down and joins the pumps, clearing a
+// broken mark, but keeps listeners, acceptors and the address table: the
+// cluster coordinator resets every worker before reconnecting any, so a
+// redial can never race a peer that still considers the mesh broken.
+func (m *Machine) ResetMesh() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return errors.New("tcp: ResetMesh on closed machine")
+	}
+	m.closeConns()
+	m.pumps.Wait()
+	m.clearTable()
+	m.broken.Store(false)
+	return nil
+}
+
+// reconnect rebuilds the planned link set — not the full mesh — over
+// the still-open listeners after an abort closed the connections: the
+// orphaned pumps are joined first so no stale goroutine can touch the
+// new mesh, then exactly the pairs the machine was planned with are
+// redialed (lazily opened extras from the previous life wait for their
+// next on-demand dial).
+func (m *Machine) reconnect(ctx context.Context) error {
+	m.closeConns()
+	m.pumps.Wait()
+	m.clearTable()
+	m.broken.Store(false)
+	if err := m.connectLocked(ctx); err != nil {
+		return err
+	}
+	m.reconnects.Add(1)
+	return nil
+}
+
+// clearTable wipes the connection table and endpoint list after the
+// pumps are joined; the next connect or lazy dial repopulates it.
+func (m *Machine) clearTable() {
+	m.connMu.Lock()
+	m.conns = nil
+	for _, e := range m.ends[m.lo:m.hi] {
+		clear(e.conns)
+	}
+	m.connMu.Unlock()
+}
+
+// acceptLoop is rank j's persistent acceptor: it admits connections for
+// the machine's lifetime — planned setup dials, reconnect redials and
+// lazy on-demand dials all arrive here — and exits when the listener
+// closes (Close, or a fatal setup failure).
+func (m *Machine) acceptLoop(j int) {
+	defer m.acceptors.Done()
+	for {
+		conn, err := m.listeners[j].Accept()
+		if err != nil {
+			return
+		}
+		// The handshake read can block for up to handshakeTimeout; admit
+		// concurrently so one dead dialer cannot stall every other
+		// connection to this rank.
+		go m.admit(j, conn)
+	}
+}
+
+// admit reads the dialer's rank announcement and registers the accepted
+// endpoint. A connection that fails the handshake is dropped, not
+// fatal: the dialer's own error path (or the setup wait's deadline)
+// reports the failure with better attribution.
+func (m *Machine) admit(j int, conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	var hs [4]byte
+	if _, err := io.ReadFull(conn, hs[:]); err != nil {
+		conn.Close()
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	peer := int(int32(binary.BigEndian.Uint32(hs[:])))
+	if peer < 0 || peer >= m.size || peer == j {
+		conn.Close()
+		return
+	}
+	m.applyNoDelay(conn)
+	if !m.register(j, peer, conn, false) {
+		conn.Close()
+	}
+}
+
+// register installs one connection endpoint in the table and starts its
+// reader pump, broadcasting to anyone waiting for the pair to complete.
+// It refuses — and the caller must close the connection — when the mesh
+// is closed or broken (a racing teardown). When the slot is already
+// filled (a duplicate: across processes, both sides of a pair can lazily
+// dial each other at once and neither dialer can see the other's table),
+// the established connection keeps the slot — and the pair's FIFO send
+// order — but the duplicate is still pumped receive-only: the remote
+// process may have installed it as its send path, so refusing it would
+// lose frames. dialed marks the dialing end, counted once per connection
+// in ConnsOpened.
+func (m *Machine) register(owner, peer int, conn net.Conn, dialed bool) bool {
+	m.connMu.Lock()
+	defer m.connMu.Unlock()
+	if m.closed.Load() || m.broken.Load() {
+		return false
+	}
+	if dialed {
+		m.connsOpened.Add(1)
+	}
+	if m.ends[owner].conns[peer] == nil {
+		m.ends[owner].conns[peer] = conn
+	}
+	m.conns = append(m.conns, conn)
+	m.pumps.Add(1)
+	go m.pump(owner, peer, conn)
+	m.connCond.Broadcast()
+	return true
+}
+
+// setupFail records the first setup error and closes the listeners so
+// everything still blocked — acceptors, the pair wait — unwinds. After
+// it, the machine is beyond repair (NewMachine returns the error; a
+// failed rebuild poisons the session), which matches the historical
+// full-mesh behaviour.
+func (m *Machine) setupFail(err error) {
+	m.connMu.Lock()
+	if m.setupErr == nil {
+		m.setupErr = err
+	}
+	m.connCond.Broadcast()
+	m.connMu.Unlock()
+	m.closeListeners()
+}
+
+// dialRetry dials rank dst — the local listener's address, or the
+// coordinator-distributed one for a remote rank — with the machine's
+// retry/backoff policy, and announces src. It is the one dial path:
+// planned setup, reconnect rebuilds and lazy on-demand dials all come
+// through here. ctxDone, when non-nil, cancels the backoff waits and
+// the dial itself.
+func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, error) {
+	addr, err := m.addrOf(dst)
+	if err != nil {
+		return nil, err
+	}
+	var conn net.Conn
+	for attempt := 0; ; attempt++ {
+		var err error
+		conn, err = m.dialCancelable(ctxDone, addr)
+		if err == nil {
+			break
+		}
+		if errors.Is(err, errDialCanceled) {
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d: canceled", src, dst)
+		}
+		if attempt+1 >= m.dialAttempts {
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d failed after %d attempts: %w", src, dst, m.dialAttempts, err)
+		}
+		if m.closed.Load() || m.broken.Load() {
+			// The run aborted (or the machine closed) while we were
+			// between attempts; a retry would outlive its purpose.
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d: machine torn down", src, dst)
+		}
+		select {
+		case <-time.After(m.dialBackoff << attempt):
+		case <-ctxDone:
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d: setup canceled", src, dst)
+		}
+	}
+	m.applyNoDelay(conn)
+	var hs [4]byte
+	binary.BigEndian.PutUint32(hs[:], uint32(int32(src)))
+	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
+	if _, err := conn.Write(hs[:]); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("tcp: rank %d handshake to %d: %w", src, dst, err)
+	}
+	conn.SetWriteDeadline(time.Time{})
+	return conn, nil
+}
+
+// errDialCanceled marks a dial abandoned because the caller's context
+// ended while the connection attempt was in flight.
+var errDialCanceled = errors.New("tcp: dial canceled")
+
+// dialCancelable runs the machine's dialer but returns as soon as
+// ctxDone fires, closing the late connection (if any) in the
+// background — net dialers take no context, so a black-holed peer would
+// otherwise pin the caller for the full OS connect timeout.
+func (m *Machine) dialCancelable(ctxDone <-chan struct{}, addr string) (net.Conn, error) {
+	if ctxDone == nil {
+		return m.dial(addr)
+	}
+	type dialResult struct {
+		conn net.Conn
+		err  error
+	}
+	ch := make(chan dialResult, 1)
+	go func() {
+		c, err := m.dial(addr)
+		ch <- dialResult{c, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.conn, r.err
+	case <-ctxDone:
+		go func() {
+			if r := <-ch; r.conn != nil {
+				r.conn.Close()
+			}
+		}()
+		return nil, errDialCanceled
+	}
+}
+
+// connectLocked dials the machine's share of the planned pairs — the
+// higher rank dials (when it is local; a remote dialer's worker handles
+// it), the persistent acceptors register the other end — and waits
+// until every planned pair has its local endpoints installed. On
+// failure the listeners are closed (to unblock the acceptors) and every
+// partially built connection is torn down. Callers hold m.mu (or, for
+// NewMachine, exclusive ownership of a machine nobody else has seen).
+func (m *Machine) connectLocked(ctx context.Context) error {
+	var ctxDone <-chan struct{}
+	if ctx != nil {
+		ctxDone = ctx.Done()
+	}
+	m.connMu.Lock()
+	m.setupErr = nil
+	m.connMu.Unlock()
+
+	// Propagate setup cancellation to the pair wait.
+	stop := make(chan struct{})
+	defer close(stop)
+	if ctxDone != nil {
+		go func() {
+			select {
+			case <-ctxDone:
+				m.setupFail(fmt.Errorf("tcp: setup canceled: %w", ctx.Err()))
+			case <-stop:
+			}
+		}()
+	}
+
+	// Dial side: the higher rank of every planned pair dials the lower
+	// and announces itself, one goroutine per dialing rank so setup
+	// latency stays O(pairs/p), with retry and backoff for transient
+	// failures. On a partial machine, only local dialers dial; pairs
+	// whose higher rank lives in another process are that worker's job
+	// and land here through the acceptors.
+	byDialer := make([][]int, m.size)
+	for _, pr := range m.pairs {
+		if m.isLocal(pr[1]) {
+			byDialer[pr[1]] = append(byDialer[pr[1]], pr[0])
+		}
+	}
+	var wg sync.WaitGroup
+	for i, peers := range byDialer {
+		if len(peers) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, peers []int) {
+			defer wg.Done()
+			for _, j := range peers {
+				conn, err := m.dialRetry(ctxDone, i, j)
+				if err != nil {
+					m.setupFail(err)
+					return
+				}
+				if !m.register(i, j, conn, true) {
+					conn.Close()
+					m.setupFail(fmt.Errorf("tcp: rank %d dial rank %d: machine torn down during setup", i, j))
+					return
+				}
+			}
+		}(i, peers)
+	}
+	wg.Wait()
+	err := m.waitPairs()
+	if err != nil {
+		m.closeListeners() // waitPairs timeout: unblock the acceptors too
+		m.closeConns()
+		m.pumps.Wait()
+		m.clearTable()
+		return err
+	}
+	return nil
+}
+
+// waitPairs blocks until every planned pair has its local endpoints
+// registered (the dialed end synchronously, the accepted end by the
+// acceptor goroutines; a remote endpoint is the owning worker's
+// business), a setup error is reported, or the handshake deadline
+// expires.
+func (m *Machine) waitPairs() error {
+	timer := time.AfterFunc(handshakeTimeout, func() {
+		m.connMu.Lock()
+		m.connCond.Broadcast()
+		m.connMu.Unlock()
+	})
+	defer timer.Stop()
+	deadline := time.Now().Add(handshakeTimeout)
+	established := func(a, b int) bool {
+		if m.isLocal(a) && m.ends[a].conns[b] == nil {
+			return false
+		}
+		if m.isLocal(b) && m.ends[b].conns[a] == nil {
+			return false
+		}
+		return true
+	}
+	m.connMu.Lock()
+	defer m.connMu.Unlock()
+	idx := 0
+	for {
+		if m.setupErr != nil {
+			return m.setupErr
+		}
+		for idx < len(m.pairs) {
+			if !established(m.pairs[idx][0], m.pairs[idx][1]) {
+				break
+			}
+			idx++
+		}
+		if idx == len(m.pairs) {
+			return nil
+		}
+		if !time.Now().Before(deadline) {
+			a, b := m.pairs[idx][0], m.pairs[idx][1]
+			return fmt.Errorf("tcp: setup: link %d–%d not established within %v", a, b, handshakeTimeout)
+		}
+		m.connCond.Wait()
+	}
+}
+
+// applyNoDelay sets the machine's TCP_NODELAY policy on one mesh socket
+// (default on; Options.DisableNoDelay leaves Nagle coalescing in place).
+// Non-TCP conns — fault-injection wrappers in tests — are left alone,
+// and errors are ignored: the policy is a latency tune, not a
+// correctness requirement.
+func (m *Machine) applyNoDelay(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetNoDelay(!m.disableNoDelay)
+	}
+}
+
+// pump reads frames off rank owner's end of its connection to peer for
+// the machine's lifetime (or until the mesh breaks), handing current-
+// epoch frames to the run in flight. A read error during a run is a
+// mid-run connection failure (root cause, the run aborts); during Close
+// or after an abort it is the expected teardown; between runs it marks
+// the mesh broken so the next Run rebuilds it.
+func (m *Machine) pump(owner, peer int, conn net.Conn) {
+	defer m.pumps.Done()
+	rd := newFrameReader(conn, peer, owner)
+	for {
+		fr, epoch, err := rd.read()
+		if err != nil {
+			if m.closed.Load() || m.broken.Load() {
+				return // session teardown or already-torn mesh
+			}
+			m.connMu.RLock()
+			sidecar := m.ends[owner].conns[peer] != conn
+			m.connMu.RUnlock()
+			if sidecar {
+				// A receive-only duplicate (the loser of a cross-process
+				// pair race) closed: the link's registered connection is
+				// still up, so nothing is lost and nobody is blocked.
+				return
+			}
+			if r := m.core.Current(); r != nil {
+				r.Fail(owner, fmt.Errorf("tcp: connection %d→%d failed: %w", peer, owner, err))
+			} else {
+				// A connection died between runs: nobody is blocked on
+				// it, so just mark the mesh for rebuild.
+				m.broken.Store(true)
+			}
+			return
+		}
+		// A frame from an earlier run (late or replayed) is dropped here
+		// by its epoch, or by the core if its run ended meanwhile.
+		if r := m.core.Current(); r != nil && epoch == m.epoch.Load() {
+			r.Push(owner, peer, fr)
+		}
+	}
+}

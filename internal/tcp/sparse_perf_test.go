@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"testing"
-	"time"
 )
 
 // disseminationLinks is the directed link set of the engine's own
@@ -50,24 +49,3 @@ func BenchmarkFullMeshSetupP64(b *testing.B) {
 		m.Close()
 	}
 }
-
-// benchKPort runs the paced fan-out harness (see kport.go) with the
-// given port count; the KPort benchmark pair records the single- vs
-// multi-ported frame rates that figSparseMesh gates on.
-func benchKPort(b *testing.B, ports int) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rate, err := MeasureKPortRate(ports, 4, 512, 100, 60*time.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rate <= 0 {
-			b.Fatalf("non-positive rate %v", rate)
-		}
-	}
-}
-
-func BenchmarkKPortFanoutPorts1(b *testing.B) { benchKPort(b, 1) }
-
-func BenchmarkKPortFanoutPorts4(b *testing.B) { benchKPort(b, 4) }

@@ -156,113 +156,6 @@ func TestSparseReconnectRebuildsOnlyPlannedPairs(t *testing.T) {
 	}
 }
 
-// TestKPortedRunMatchesInline runs identical traffic through the inline
-// path and the k-ported drivers (1 and 4 ports); delivered bundles must
-// match and the driver path must stay deadlock-free through
-// send-before-receive exchanges and barriers.
-func TestKPortedRunMatchesInline(t *testing.T) {
-	const p = 5
-	run := func(opts Options) [][]byte {
-		m, err := NewMachine(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		out := make([][]byte, p)
-		opts.RecvTimeout = 10 * time.Second
-		if _, err := m.Run(opts, func(pr *Proc) {
-			var acc []byte
-			for peer := 0; peer < p; peer++ {
-				if peer == pr.Rank() {
-					continue
-				}
-				got := comm.Exchange(pr, peer, comm.Message{
-					Tag: 1, Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}},
-				})
-				acc = append(acc, got.Parts[0].Data...)
-			}
-			pr.Barrier()
-			next, prev := (pr.Rank()+1)%p, (pr.Rank()+p-1)%p
-			pr.Send(next, comm.Message{Tag: 2, Parts: []comm.Part{{Origin: pr.Rank(), Data: acc}}})
-			m := pr.Recv(prev)
-			out[pr.Rank()] = append([]byte(nil), m.Parts[0].Data...)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	inline := run(Options{})
-	for _, ports := range []int{1, 4} {
-		ported := run(Options{Ports: ports})
-		for r := range inline {
-			if !bytes.Equal(inline[r], ported[r]) {
-				t.Errorf("ports=%d rank %d: delivered %v, inline %v", ports, r, ported[r], inline[r])
-			}
-		}
-	}
-}
-
-// TestKPortedStatsExact pins the ProcStats contract under concurrent
-// drivers: counters are incremented on the rank goroutine, so sends,
-// recvs and byte totals stay exact whatever the drivers overlap.
-func TestKPortedStatsExact(t *testing.T) {
-	const p, rounds = 4, 25
-	m, err := NewMachine(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	payload := make([]byte, 100)
-	res, err := m.Run(Options{Ports: 3, RecvTimeout: 10 * time.Second}, func(pr *Proc) {
-		msg := comm.Message{Tag: 1, Parts: []comm.Part{{Origin: pr.Rank(), Data: payload}}}
-		for r := 0; r < rounds; r++ {
-			for peer := 0; peer < p; peer++ {
-				if peer != pr.Rank() {
-					pr.Send(peer, msg)
-				}
-			}
-			for peer := 0; peer < p; peer++ {
-				if peer != pr.Rank() {
-					pr.Recv(peer)
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOps := rounds * (p - 1)
-	wantBytes := int64(wantOps * len(payload))
-	for _, ps := range res.Procs {
-		if ps.Sends != wantOps || ps.Recvs != wantOps {
-			t.Errorf("rank %d: %d sends / %d recvs, want %d / %d", ps.Rank, ps.Sends, ps.Recvs, wantOps, wantOps)
-		}
-		if ps.SendBytes != wantBytes || ps.RecvBytes != wantBytes {
-			t.Errorf("rank %d: %d/%d bytes, want %d", ps.Rank, ps.SendBytes, ps.RecvBytes, wantBytes)
-		}
-	}
-}
-
-// TestPortsOptionValidation: Ports and FlushThreshold are mutually
-// exclusive, and a negative port count is rejected before the run
-// starts.
-func TestPortsOptionValidation(t *testing.T) {
-	m, err := NewMachine(2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.Run(Options{Ports: 2, FlushThreshold: 512}, func(pr *Proc) {}); err == nil {
-		t.Error("Ports+FlushThreshold accepted")
-	}
-	if _, err := m.Run(Options{Ports: -1}, func(pr *Proc) {}); err == nil {
-		t.Error("negative Ports accepted")
-	}
-	if _, err := m.Run(Options{Ports: 2}, func(pr *Proc) {}); err != nil {
-		t.Errorf("valid Ports run failed: %v", err)
-	}
-}
-
 // TestPlannedLinkValidation: out-of-range links are a setup error; self
 // links and duplicates are tolerated and collapse away.
 func TestPlannedLinkValidation(t *testing.T) {
@@ -280,7 +173,7 @@ func TestPlannedLinkValidation(t *testing.T) {
 }
 
 // flakyWriteConn fails every write after the first (the handshake), so
-// a k-ported driver's first frame write errors.
+// the first frame write errors.
 type flakyWriteConn struct {
 	net.Conn
 	writes atomic.Int64
@@ -293,11 +186,11 @@ func (c *flakyWriteConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestKPortedDriverFailureAttribution: a write failure on a driver
-// goroutine must surface as the owning rank's root-cause error — naming
-// the link driver — not as an anonymous unwind, and the machine must
-// survive into the next run via reconnect.
-func TestKPortedDriverFailureAttribution(t *testing.T) {
+// TestSendFailureAttribution: a failed socket write must surface as the
+// sending rank's root-cause error — naming the rank and the link — not
+// as an anonymous unwind, and the machine must survive into the next run
+// via reconnect.
+func TestSendFailureAttribution(t *testing.T) {
 	var dials atomic.Int64
 	m, err := NewMachine(2, Options{
 		Dial: func(addr string) (net.Conn, error) {
@@ -317,7 +210,7 @@ func TestKPortedDriverFailureAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	_, err = m.Run(Options{Ports: 1, RecvTimeout: 10 * time.Second}, func(pr *Proc) {
+	_, err = m.Run(Options{RecvTimeout: 10 * time.Second}, func(pr *Proc) {
 		// Rank 1 dialed, so rank 1's writes ride the flaky conn.
 		if pr.Rank() == 1 {
 			pr.Send(0, comm.Message{Tag: 1, Parts: []comm.Part{{Origin: 1, Data: []byte("x")}}})
@@ -326,10 +219,12 @@ func TestKPortedDriverFailureAttribution(t *testing.T) {
 		}
 	})
 	if err == nil {
-		t.Fatal("driver write failure did not fail the run")
+		t.Fatal("write failure did not fail the run")
 	}
-	if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "link driver") {
-		t.Errorf("error %q does not attribute the failing link driver on rank 1", err)
+	for _, want := range []string{"tcp: rank 1: send to 0", "injected link failure"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 	if _, err := m.Run(Options{RecvTimeout: 10 * time.Second}, func(pr *Proc) {
 		if pr.Rank() == 0 {
@@ -338,7 +233,7 @@ func TestKPortedDriverFailureAttribution(t *testing.T) {
 			pr.Recv(0)
 		}
 	}); err != nil {
-		t.Fatalf("machine did not survive the driver failure: %v", err)
+		t.Fatalf("machine did not survive the write failure: %v", err)
 	}
 	if got := m.Reconnects(); got != 1 {
 		t.Errorf("Reconnects() = %d, want 1", got)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/topology"
 )
@@ -325,7 +326,7 @@ func TestSubBarrierOverTCP(t *testing.T) {
 func TestReservedTagRejected(t *testing.T) {
 	_, err := Run(2, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, comm.Message{Tag: barrierTag})
+			p.Send(1, comm.Message{Tag: engine.TokenTag})
 		} else {
 			p.Recv(0)
 		}

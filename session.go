@@ -108,8 +108,8 @@ type SessionOptions struct {
 //
 // A cluster session moves run specs, not Go values, between processes,
 // so Run rejects options that cannot cross a process boundary:
-// RunOptions.Algorithm, Payload, Faults and Trace, Config.MsgBytesFor,
-// and FlushThreshold must be unset (Ports is supported). Sources send
+// RunOptions.Algorithm, Payload, Faults, Trace and Context, and
+// Config.MsgBytesFor must be unset. Sources send
 // the default deterministic payload (MsgBytes bytes of the rank value)
 // and every worker verifies its own ranks' bundles byte-exactly;
 // Result.Bundles is nil — payload bytes never travel the control plane.
@@ -660,12 +660,10 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		}
 	case EngineTCP:
 		r, err := s.tcpM.Run(tcp.Options{
-			Context:        opts.Context,
-			RunTimeout:     opts.RunTimeout,
-			RecvTimeout:    opts.RecvTimeout,
-			FlushThreshold: opts.FlushThreshold,
-			Ports:          opts.Ports,
-			Tracer:         tracerOrNil(opts.Trace),
+			Context:     opts.Context,
+			RunTimeout:  opts.RunTimeout,
+			RecvTimeout: opts.RecvTimeout,
+			Tracer:      tracerOrNil(opts.Trace),
 		}, func(pr *tcp.Proc) { body(pr) })
 		if err != nil {
 			return nil, 0, err
@@ -704,8 +702,6 @@ func (s *Session) runCluster(cfg Config, opts RunOptions) (*Result, int64, error
 		return nil, 0, errors.New("stpbcast: cluster runs do not support tracing")
 	case opts.Context != nil:
 		return nil, 0, errors.New("stpbcast: cluster runs do not support Context; bound them with RunTimeout")
-	case opts.FlushThreshold != 0:
-		return nil, 0, errors.New("stpbcast: cluster runs do not support FlushThreshold")
 	case cfg.MsgBytesFor != nil:
 		return nil, 0, errors.New("stpbcast: cluster runs do not support Config.MsgBytesFor; use a uniform MsgBytes")
 	case cfg.MsgBytes <= 0:
@@ -728,7 +724,6 @@ func (s *Session) runCluster(cfg Config, opts RunOptions) (*Result, int64, error
 		MsgBytes:      cfg.MsgBytes,
 		RecvTimeoutNs: int64(opts.RecvTimeout),
 		RunTimeoutNs:  int64(opts.RunTimeout),
-		Ports:         opts.Ports,
 	})
 	if err != nil {
 		return nil, 0, err

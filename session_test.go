@@ -539,16 +539,15 @@ func TestSessionStatsDuringRun(t *testing.T) {
 	}
 }
 
-// TestSessionStatsExactUnderKPortedConcurrency is the k-ported
-// accounting regression: with every send routed through concurrent link
-// drivers (Ports=4) on a sparse route-planned mesh, pipelined RunAsync
+// TestSessionStatsExactUnderPipelinedConcurrency is the accounting
+// regression: on a sparse route-planned mesh, pipelined RunAsync
 // submissions racing concurrent Stats() readers must still produce
 // exact byte totals — each run contributes precisely the deterministic
 // per-run payload volume, and Stats never exposes a partially
 // accumulated run (Bytes stays a multiple of the per-run total at every
-// observation). Run under -race this also proves the driver counters
+// observation). Run under -race this also proves the per-rank counters
 // stay rank-goroutine-local.
-func TestSessionStatsExactUnderKPortedConcurrency(t *testing.T) {
+func TestSessionStatsExactUnderPipelinedConcurrency(t *testing.T) {
 	m := stpbcast.NewParagon(4, 4)
 
 	// Reference run on a plain session: the deterministic payload byte
@@ -608,7 +607,7 @@ func TestSessionStatsExactUnderKPortedConcurrency(t *testing.T) {
 	const runs = 8
 	futures := make([]*stpbcast.Future, runs)
 	for i := range futures {
-		f, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{Ports: 4, RecvTimeout: 10 * time.Second})
+		f, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -629,7 +628,7 @@ func TestSessionStatsExactUnderKPortedConcurrency(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d runs, 0 failures", st, runs)
 	}
 	if st.Bytes != int64(runs)*perRun {
-		t.Fatalf("Stats().Bytes = %d under k-ported drivers, want exactly %d (%d runs × %d)",
+		t.Fatalf("Stats().Bytes = %d after pipelined runs, want exactly %d (%d runs × %d)",
 			st.Bytes, int64(runs)*perRun, runs, perRun)
 	}
 }

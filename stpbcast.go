@@ -511,21 +511,6 @@ type RunOptions struct {
 	// means the defaults. Sessions configure these at Open instead.
 	DialAttempts int
 	DialBackoff  time.Duration
-	// FlushThreshold, when positive, enables the TCP engine's per-link
-	// small-frame batching for this run: back-to-back frames to the
-	// same destination coalesce into one write once the pending buffer
-	// reaches the threshold, and are always flushed before the sender
-	// blocks, so the buffered-Send contract is preserved. Useful for
-	// barrier- and ack-heavy traffic; ignored by the other engines.
-	FlushThreshold int
-	// Ports, when positive, routes the TCP engine's sends through k
-	// per-destination link drivers instead of writing inline: each rank
-	// may have up to Ports frame transmissions in flight at once, the
-	// k-ported node model of the paper's multi-channel routers. Ports=1
-	// serializes transmissions through one driver; Ports and
-	// FlushThreshold are mutually exclusive. Ignored by the other
-	// engines.
-	Ports int
 }
 
 // Experiment regenerates one table or figure of the paper (see
