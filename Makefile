@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check ci
+.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check report-check ci
 
 all: ci
 
@@ -126,5 +126,17 @@ api:
 
 api-check:
 	$(GO) run ./cmd/stpapi -dir . -check api/stpbcast.txt
+
+# REPORT.md is the committed output of `go run ./cmd/stpreport -o
+# REPORT.md`: every simulated experiment, deterministic to the byte. This
+# regenerates it to a temp file and diffs, ignoring the `Generated` date
+# line — a simulated value that moved fails here by figure and cell. Runs
+# in the workflow's bench job, not in `make ci`.
+report-check:
+	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/stpreport -o "$$tmp/new.md" && \
+	grep -v '^Generated ' REPORT.md > "$$tmp/want" && \
+	grep -v '^Generated ' "$$tmp/new.md" > "$$tmp/got" && \
+	diff "$$tmp/want" "$$tmp/got" && echo "REPORT.md matches the regenerated report"
 
 ci: fmt vet build race fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp

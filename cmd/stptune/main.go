@@ -87,7 +87,7 @@ func newCommonFlags(name string) *commonFlags {
 		cachePath: fs.String("cache", "", "plan cache file (empty = in-memory)"),
 		topK:      fs.Int("topk", 0, "analytic candidates to probe (0 = default, <0 = analytic only)"),
 		workers:   fs.Int("workers", 0, "probe worker pool size (0 = GOMAXPROCS)"),
-		maxOps:    fs.Int("maxops", 0, "per-probe operation budget (0 = unlimited)"),
+		maxOps:    fs.Int("maxops", 0, "per-probe budget of communication operations: sends, receives and barriers over all ranks (0 = unlimited)"),
 	}
 }
 

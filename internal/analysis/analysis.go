@@ -106,7 +106,7 @@ type Oracle struct {
 }
 
 // BrLinOracle replays Br_Lin on the spec with uniform message length L.
-// The replay follows exactly the pairing rules of core's runLine: pairs
+// The replay follows exactly the pairing rules of core's compiler.line: pairs
 // (lo+i, lo+i+h) with h=⌈n/2⌉ exchange or single-send depending on
 // holdings, odd segments one-way the unpaired middle to the segment's last
 // position, segments halve until singletons.

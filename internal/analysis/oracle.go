@@ -4,11 +4,11 @@ import (
 	"repro/internal/core"
 )
 
-// replayHalving replays the recursive-halving pattern of core's runLine on
+// replayHalving replays the recursive-halving pattern of core's compiler.line on
 // one line: holds[i] and size[i] describe position i's current bundle; the
 // function mutates them to the final state and reports, per level, which
 // positions were active, plus total sends and payload bytes. The rules
-// mirror core.runLine exactly (pairs at ⌈n/2⌉, single send when only one
+// mirror core's compiler.line exactly (pairs at ⌈n/2⌉, single send when only one
 // side holds, odd-segment one-way from the unpaired middle to the
 // segment's last position).
 func replayHalving(holds []bool, size []int64) (levels [][]bool, sends int, bytes int64) {

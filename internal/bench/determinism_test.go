@@ -1,14 +1,25 @@
 package bench
 
 import (
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/seed_timings.golden from the code under test")
 
 // TestEveryAlgorithmDeterministic runs each registered algorithm twice on
 // p=64 and requires bit-identical results — elapsed time, per-processor
@@ -143,6 +154,166 @@ func TestSchedulerMatchesSeedTimings(t *testing.T) {
 			}
 		})
 	}
+	t.Run("golden", testSeedTimingsGolden)
+}
+
+const seedTimingsGolden = "testdata/seed_timings.golden"
+
+// rankHasher folds every traced event into a running FNV-1a hash of the
+// rank it happened on, so the digest pins each rank's event order and
+// every field of every event while leaving the global emission order
+// free (the scheduler may interleave ranks differently; what one rank
+// observes may not change).
+type rankHasher struct {
+	h   []uint64
+	buf []byte
+}
+
+func (r *rankHasher) Trace(e obs.Event) {
+	b := append(r.buf[:0], e.Kind...)
+	for _, v := range [...]int64{int64(e.Rank), int64(e.Peer), int64(e.Bytes), int64(e.Parts), int64(e.Tag),
+		int64(e.Seq), int64(e.Clock), int64(e.Arrival), e.Wall, int64(e.Dur), int64(e.Iter)} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = append(append(append(b, e.Phase...), 0), e.Fault...)
+	h := r.h[e.Rank]
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	r.h[e.Rank], r.buf = h, b
+}
+
+// sum folds the per-rank hashes in rank order.
+func (r *rankHasher) sum() uint64 {
+	h := uint64(14695981039346656037)
+	for _, rh := range r.h {
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ (rh >> i & 0xff)) * 1099511628211
+		}
+	}
+	return h
+}
+
+// seedTimingsCell is one point of the widened exactness grid.
+type seedTimingsCell struct {
+	key    string
+	m      *machine.Machine
+	alg    core.Algorithm
+	spec   core.Spec
+	msgLen int
+}
+
+// seedTimingsGrid enumerates every registry entry of every collective on
+// four machines (a 1×13 line included, where the distribution accepts
+// one) × {E, Cr, Sq} × s ∈ {1, ≈p/8, ≈p/2} × L ∈ {64, 4096}; the
+// source axes collapse for collectives that take no sources or one.
+func seedTimingsGrid() []seedTimingsCell {
+	var cells []seedTimingsCell
+	dists := []dist.Distribution{dist.Equal(), dist.Cross(), dist.Square()}
+	for _, m := range []*machine.Machine{machine.Paragon(10, 10), machine.Paragon(7, 9), machine.T3D(64), machine.Paragon(1, 13)} {
+		p := m.P()
+		for _, coll := range core.Collectives() {
+			caps := coll.Caps()
+			type srcs struct {
+				label   string
+				sources []int
+			}
+			var specs []srcs
+			switch {
+			case !caps.TakesSources:
+				specs = []srcs{{"all", core.AllRanksSources(p)}}
+			default:
+				svals := []int{1, max(1, p/8), p / 2}
+				if caps.SingleSource {
+					svals = svals[:1]
+				}
+				for _, d := range dists {
+					for i, s := range svals {
+						if i > 0 && s == svals[i-1] {
+							continue
+						}
+						sources, err := d.Sources(m.Rows, m.Cols, s)
+						if err != nil {
+							continue // the distribution does not fit this mesh
+						}
+						specs = append(specs, srcs{fmt.Sprintf("%s(%d)", d.Name(), s), sources})
+					}
+				}
+			}
+			for _, alg := range core.RegistryFor(coll) {
+				for _, sp := range specs {
+					for _, l := range []int{64, 4096} {
+						spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sp.sources, Indexing: topology.SnakeRowMajor}
+						cells = append(cells, seedTimingsCell{
+							key: fmt.Sprintf("%s/%s/%s/L%d", m.Name, alg.Name(), sp.label, l),
+							m:   m, alg: alg, spec: spec, msgLen: l,
+						})
+					}
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// testSeedTimingsGolden widens the six pinned rows above to the whole
+// registry: the golden table was generated by the scheduler that
+// yielded after every Send and Recv and by algorithm bodies that each
+// replayed the halving evolution per rank, so any engine or schedule
+// rewrite must reproduce every clock, wait, combine charge, link
+// statistic and per-rank event stream of it exactly. Regenerate with
+// -update only when simulated semantics change on purpose.
+func testSeedTimingsGolden(t *testing.T) {
+	cells := seedTimingsGrid()
+	lines := make([]string, len(cells))
+	if err := par.ForEach(len(cells), func(i int) error {
+		c := cells[i]
+		tr := &rankHasher{h: make([]uint64, c.m.P())}
+		res, err := measure(c.m, c.alg, c.spec, c.msgLen, sim.Options{Tracer: tr})
+		if err != nil {
+			lines[i] = fmt.Sprintf("%s error %v", c.key, err)
+			return nil
+		}
+		var finish, wait, combine int64
+		waits := 0
+		for _, pr := range res.Procs {
+			finish += int64(pr.Finish)
+			wait += int64(pr.WaitTime)
+			waits += pr.WaitCount
+			combine += int64(pr.CombineTime)
+		}
+		lines[i] = fmt.Sprintf("%s elapsed=%d finish=%d wait=%d waits=%d combine=%d blocked=%d linkbusy=%d iters=%d events=%016x",
+			c.key, int64(res.Elapsed), finish, wait, waits, combine, int64(res.Net.BlockedTime), int64(res.Net.LinkBusy), res.Iterations, tr.sum())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(seedTimingsGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(seedTimingsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("grid has %d cells, golden table has %d rows", len(lines), len(want))
+	}
+	bad := 0
+	for i := range lines {
+		if lines[i] != want[i] {
+			if bad++; bad <= 10 {
+				t.Errorf("row %d differs:\n got %s\nwant %s", i, lines[i], want[i])
+			}
+		}
+	}
+	if bad > 10 {
+		t.Errorf("... and %d more differing rows", bad-10)
+	}
 }
 
 // TestSerialAndParallelHarnessIdentical runs the same experiment grid
@@ -166,5 +337,51 @@ func TestSerialAndParallelHarnessIdentical(t *testing.T) {
 	parallel4 := render(4)
 	if serial != parallel4 {
 		t.Errorf("parallel output differs from serial:\nserial:\n%s\nparallel:\n%s", serial, parallel4)
+	}
+}
+
+// TestRunAllocationBudget is the count gate behind "a simulated run pays
+// for its messages, not for its processors": one Measure on the 16×16
+// Paragon allocates at most 4·p + 128 objects — the processor goroutines,
+// one bundle and one initial message per processor, and O(1) for the
+// engine, the network, the bound schedule and the result. The seed's
+// per-processor preludes, queue slabs and step-by-step bundle regrowth
+// cost 4 748 / 6 904 / 11 599 here. The count must not grow with s
+// either, beyond the sources' own initial messages.
+func TestRunAllocationBudget(t *testing.T) {
+	m := machine.Paragon(16, 16)
+	p := m.P()
+	for _, name := range []string{"Br_Lin", "Br_xy_source", "Repos_xy_source"} {
+		alg, err := core.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(s int) float64 {
+			spec, err := SpecFor(m, dist.Equal(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The least of several runs: a run that finds the engine pool
+			// empty (after a GC, or under -race, which drops pooled objects
+			// at random) pays p channels on top and says nothing about the
+			// steady state.
+			least := math.Inf(1)
+			for i := 0; i < 8; i++ {
+				least = min(least, testing.AllocsPerRun(1, func() {
+					if _, err := Measure(m, alg, spec, 1024); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return least
+		}
+		at64, at128 := allocs(64), allocs(128)
+		t.Logf("%s: %.0f allocations per run at s=64, %.0f at s=128", name, at64, at128)
+		if budget := float64(4*p + 128); at64 > budget {
+			t.Errorf("%s: %.0f allocations per run, budget 4p+128 = %.0f", name, at64, budget)
+		}
+		if at128 > at64+64+32 {
+			t.Errorf("%s: allocations grow with s beyond the 64 extra initial messages: %.0f at s=64, %.0f at s=128", name, at64, at128)
+		}
 	}
 }

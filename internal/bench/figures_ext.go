@@ -22,6 +22,7 @@ func MeasureVar(m *machine.Machine, alg core.Algorithm, spec core.Spec, lengths 
 	for rank, n := range lengths {
 		payloads[rank] = make([]byte, n)
 	}
+	alg = core.Bind(alg, spec)
 	return sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialMessage(spec, pr.Rank(), payloads[pr.Rank()])
 		alg.Run(pr, spec, mine)

@@ -13,10 +13,11 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "figSession",
-		Title: "Persistent TCP session vs one-shot setup: throughput of 100 back-to-back 1 KiB Br_Lin broadcasts at p=16",
-		Paper: "Beyond the paper: the paper's NX runs amortize machine setup across a whole experiment campaign; this figure quantifies the same amortization for the TCP engine — a warm session mesh vs rebuilding listeners, the O(p²) connection mesh and reader pumps per broadcast.",
-		Run:   runFigSession,
+		ID:        "figSession",
+		Title:     "Persistent TCP session vs one-shot setup: throughput of 100 back-to-back 1 KiB Br_Lin broadcasts at p=16",
+		Paper:     "Beyond the paper: the paper's NX runs amortize machine setup across a whole experiment campaign; this figure quantifies the same amortization for the TCP engine — a warm session mesh vs rebuilding listeners, the O(p²) connection mesh and reader pumps per broadcast.",
+		WallClock: true,
+		Run:       runFigSession,
 	})
 }
 
@@ -42,6 +43,7 @@ func sessionBody(spec core.Spec, alg core.Algorithm) (func(c comm.Comm), func() 
 		payload[i] = byte(i)
 	}
 	got := make([]int, sessP)
+	alg = core.Bind(alg, spec)
 	body := func(c comm.Comm) {
 		out := alg.Run(c, spec, core.InitialMessage(spec, c.Rank(), payload))
 		got[c.Rank()] = len(out.Parts)

@@ -79,6 +79,11 @@ type Experiment struct {
 	Title string
 	// Paper states what the original figure showed, for EXPERIMENTS.md.
 	Paper string
+	// WallClock marks an experiment that measures real time on the
+	// real-byte engines. Its values vary from run to run, so a report
+	// that promises reproducible numbers (cmd/stpreport's default
+	// selection, REPORT.md) leaves it out.
+	WallClock bool
 	// Run produces the series.
 	Run func() (*Series, error)
 }

@@ -14,10 +14,11 @@ import (
 
 func init() {
 	bench.Register(bench.Experiment{
-		ID:    "figCluster",
-		Title: "Multi-process cluster: p=64..256 sparse Br_Lin broadcast across 4 worker OS processes, per-mesh setup and broadcast time",
-		Paper: "Beyond the paper: the paper's p=256 Paragon runs one process per node; this figure runs the same sparse dial plan split across 4 coordinator-spawned worker processes on localhost, proving the mesh partitioning keeps every planned pair wired (zero lazy dials) while the frame protocol crosses process boundaries unchanged.",
-		Run:   runFigCluster,
+		ID:        "figCluster",
+		Title:     "Multi-process cluster: p=64..256 sparse Br_Lin broadcast across 4 worker OS processes, per-mesh setup and broadcast time",
+		Paper:     "Beyond the paper: the paper's p=256 Paragon runs one process per node; this figure runs the same sparse dial plan split across 4 coordinator-spawned worker processes on localhost, proving the mesh partitioning keeps every planned pair wired (zero lazy dials) while the frame protocol crosses process boundaries unchanged.",
+		WallClock: true,
+		Run:       runFigCluster,
 	})
 }
 

@@ -243,7 +243,7 @@ func (w *worker) buildRun(rs *RunSpec) (core.Spec, core.Algorithm, error) {
 	if rs.MsgBytes <= 0 {
 		return core.Spec{}, nil, fmt.Errorf("cluster: non-positive message size %d", rs.MsgBytes)
 	}
-	return spec, alg, nil
+	return spec, core.Bind(alg, spec), nil
 }
 
 // workerPayload is the deterministic per-source payload of a cluster

@@ -40,7 +40,7 @@ func Gather(c comm.Comm, root int, sources []int, mine comm.Message) comm.Messag
 		}
 		return comm.Message{}
 	}
-	out := comm.Message{Tag: mine.Tag}
+	out := comm.Message{Tag: mine.Tag}.Grow(len(sources))
 	for _, s := range sources {
 		if s == root {
 			out = out.Append(mine)
@@ -118,9 +118,19 @@ func AlltoallPersonalized(c comm.Comm, sources []int, mine comm.Message) comm.Me
 			parts[recvFrom] = c.Recv(recvFrom)
 		}
 	}
-	out := comm.Message{Tag: mine.Tag}
-	for _, s := range sources {
-		out = out.Append(parts[s])
+	return concat(mine.Tag, parts)
+}
+
+// concat joins the bundles in order into one message whose part array is
+// sized once.
+func concat(tag int, bundles []comm.Message) comm.Message {
+	n := 0
+	for _, b := range bundles {
+		n += len(b.Parts)
+	}
+	out := comm.Message{Tag: tag}.Grow(n)
+	for _, b := range bundles {
+		out = out.Append(b)
 	}
 	return out
 }
@@ -146,11 +156,7 @@ func AllgatherRing(c comm.Comm, mine comm.Message) comm.Message {
 		cur = c.Recv(prev)
 		bundles[(rank-t-1+p)%p] = cur
 	}
-	out := comm.Message{Tag: mine.Tag}
-	for r := 0; r < p; r++ {
-		out = out.Append(bundles[r])
-	}
-	return out
+	return concat(mine.Tag, bundles)
 }
 
 // AllgatherRecDoubling is the recursive-doubling all-gather (the classic
@@ -181,7 +187,7 @@ func AllgatherRecDoubling(c comm.Comm, sources []int, mine comm.Message) comm.Me
 	for _, s := range sources {
 		count[s]++
 	}
-	bundle := mine
+	bundle := mine.Grow(len(sources))
 	iter := 0
 	for dist := 1; dist < p; dist <<= 1 {
 		comm.MarkIter(c, iter)

@@ -81,6 +81,18 @@ func (m Message) Append(other Message) Message {
 	return m
 }
 
+// Grow returns m with its parts moved to a backing array of its own with
+// room for n parts in total. Call it once, before the first Append, with
+// the bundle's final part count: the merges then neither regrow the array
+// step by step nor append in place to one another processor can see (a
+// received message shares its sender's array on the simulator).
+func (m Message) Grow(n int) Message {
+	parts := make([]Part, len(m.Parts), max(n, len(m.Parts)))
+	copy(parts, m.Parts)
+	m.Parts = parts
+	return m
+}
+
 // String summarizes the message for traces and test failures.
 func (m Message) String() string {
 	return fmt.Sprintf("msg{tag=%d parts=%d bytes=%d}", m.Tag, len(m.Parts), m.Len())

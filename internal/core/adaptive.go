@@ -39,102 +39,59 @@ func (a reposAdaptive) Name() string { return "ReposAdaptive_" + a.inner.Name() 
 // The planner's analytic tier ranks distributions with it.
 func GrowthEfficiency(spec Spec) float64 { return growthEfficiency(spec) }
 
-// growthEfficiency replays the snake-order halving pattern over the given
-// source positions and scores how close the holder counts come to doubling
-// each iteration (1.0 = perfect doubling until saturation). It is the
+// growthEfficiency replays the halving pattern over the given source
+// positions and scores how close the holder counts come to doubling each
+// iteration (1.0 = perfect doubling until saturation). It is the
 // decision metric of ReposAdaptive; internal/analysis exposes richer
-// variants for offline study.
+// variants for offline study. The replay is in rank space (row-major):
+// the indexing detail matters less for the decision than the pairing
+// structure, and using one fixed order keeps the decision identical for
+// every inner algorithm.
 func growthEfficiency(spec Spec) float64 {
 	p := spec.P()
-	s := spec.S()
-	if s >= p {
+	cur := spec.S()
+	if cur >= p {
 		return 1
 	}
-	holds := spec.holderFlags()
-	// Replay in rank space (row-major); the indexing detail matters less
-	// for the decision than the pairing structure, and using one fixed
-	// order keeps the decision identical for every inner algorithm.
-	type seg struct{ lo, n int }
-	segs := []seg{{0, p}}
-	cur := s
+	gained := make([]int, lineIters(1, p))
+	cp := compile(spec, 1, len(gained))
+	cp.line(1, 0, p, func(pos int) int { return pos })
+	// A processor becomes a holder at the level of its first receive.
+	seen := spec.holderFlags()
+	for _, s := range cp.steps {
+		if s.recv && !seen[s.rank] {
+			seen[s.rank] = true
+			gained[s.iter]++
+		}
+	}
 	achieved, ideal := 0.0, 0.0
-	for {
-		split := false
-		for _, g := range segs {
-			if g.n > 1 {
-				split = true
-			}
-		}
-		if !split {
-			break
-		}
-		var next []seg
-		for _, g := range segs {
-			if g.n <= 1 {
-				continue
-			}
-			h := (g.n + 1) / 2
-			for i := 0; i < g.n-h; i++ {
-				a, b := g.lo+i, g.lo+i+h
-				m := holds[a] || holds[b]
-				holds[a], holds[b] = m, m
-			}
-			if g.n%2 == 1 {
-				u, tgt := g.lo+h-1, g.lo+g.n-1
-				if holds[u] {
-					holds[tgt] = true
-				}
-			}
-			next = append(next, seg{g.lo, h}, seg{g.lo + h, g.n - h})
-		}
-		segs = next
-		count := 0
-		for _, hl := range holds {
-			if hl {
-				count++
-			}
-		}
-		want := cur * 2
-		if want > p {
-			want = p
-		}
+	for _, g := range gained {
 		if cur < p {
-			ideal += float64(want - cur)
-			if count > cur {
-				achieved += float64(count - cur)
-			}
+			ideal += float64(min(2*cur, p) - cur)
+			achieved += float64(g)
 		}
-		cur = count
+		cur += g
 	}
 	if ideal == 0 {
 		return 1
 	}
-	e := achieved / ideal
-	if e > 1 {
-		e = 1
-	}
-	return e
+	return min(achieved/ideal, 1)
+}
+
+func (a reposAdaptive) Bind(spec Spec) Algorithm {
+	return bind(a, spec, func() body {
+		ideal := idealSources(a.inner, spec)
+		idealSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: ideal, Indexing: spec.Indexing}
+		if gain := growthEfficiency(idealSpec) - growthEfficiency(spec); gain > a.margin {
+			return reposition(a.inner, spec, ideal)
+		}
+		// Close enough to ideal: skip the permutation. The margin is the
+		// improvement that must be exceeded, so gain == margin skips too.
+		inner := Bind(a.inner, spec)
+		return func(c comm.Comm, mine comm.Message) comm.Message { return inner.Run(c, spec, mine) }
+	})
 }
 
 func (a reposAdaptive) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	gen := IdealFor(a.inner, spec.Rows, spec.Cols)
-	ideal, err := gen.Sources(spec.Rows, spec.Cols, spec.S())
-	if err != nil {
-		panic(err)
-	}
-	idealSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: ideal, Indexing: spec.Indexing}
-	gain := growthEfficiency(idealSpec) - growthEfficiency(spec)
-	if gain <= a.margin {
-		// Close enough to ideal: skip the permutation. The margin is the
-		// improvement that must be exceeded, so gain == margin skips too.
-		return a.inner.Run(c, spec, mine)
-	}
-	c.Barrier()
-	targets := repositionPermutation(spec, ideal)
-	bundle := applyReposition(c, spec, targets, mine)
-	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, bundle)
+	return a.Bind(spec).Run(c, spec, mine)
 }

@@ -39,7 +39,7 @@ func (a2aPairwise) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	for _, pt := range mine.Parts {
 		byDest[DecodeA2ADest(pt.Origin, p)] = pt
 	}
-	out := comm.Message{Tag: mine.Tag, Parts: []comm.Part{byDest[rank]}}
+	out := comm.Message{Tag: mine.Tag, Parts: append(make([]comm.Part, 0, p), byDest[rank])}
 	pow2 := p&(p-1) == 0
 	for t := 1; t < p; t++ {
 		comm.MarkIter(c, t-1)

@@ -1,0 +1,258 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/comm"
+)
+
+// Binder is implemented by algorithms whose Run starts with work that is
+// a pure function of the spec — validation, line tables, the holder
+// evolution, ideal targets — and can therefore be done once per run
+// instead of once per processor.
+type Binder interface {
+	// Bind returns the algorithm specialised to spec. The result is
+	// read-only and safe to share between all processors of a run; its
+	// Run accepts only the spec it was bound to.
+	Bind(spec Spec) Algorithm
+}
+
+// Bind specialises alg to spec if it can be (see Binder) and returns alg
+// itself otherwise. Whoever launches the p processors of a run in one
+// address space binds once and hands every processor the same value;
+// calling Run on an unbound Binder binds per call.
+func Bind(alg Algorithm, spec Spec) Algorithm {
+	if b, ok := alg.(Binder); ok {
+		return b.Bind(spec)
+	}
+	return alg
+}
+
+// body is what is left of an algorithm once its spec is bound: the part
+// that communicates.
+type body func(c comm.Comm, mine comm.Message) comm.Message
+
+// bound is a broadcast algorithm bound to one spec.
+type bound struct {
+	name string
+	spec Spec
+	run  body
+	// fail is what binding panicked with (an invalid spec, say). Every
+	// Run re-raises it, which is where the per-processor prelude raised
+	// it, so engines keep reporting it per rank.
+	fail any
+}
+
+// bind builds the bound form of alg: build runs once, after the spec has
+// been validated against its own mesh.
+func bind(alg Algorithm, spec Spec, build func() body) Algorithm {
+	b := &bound{name: alg.Name(), spec: spec}
+	func() {
+		defer func() { b.fail = recover() }()
+		if err := spec.Validate(spec.P()); err != nil {
+			panic(err)
+		}
+		b.run = build()
+	}()
+	return b
+}
+
+func (b *bound) Name() string { return b.name }
+
+func (b *bound) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
+	switch {
+	case b.fail != nil:
+		panic(b.fail)
+	case c.Size() != b.spec.P():
+		panic(b.spec.Validate(c.Size()))
+	case !b.spec.same(spec):
+		panic(fmt.Sprintf("core: %s is bound to another spec than the one it is run with", b.name))
+	}
+	return b.run(c, mine)
+}
+
+// same reports whether two specs describe the same instance; sharing the
+// source slice, as every bind-once caller does, answers in O(1).
+func (s Spec) same(o Spec) bool {
+	if s.Rows != o.Rows || s.Cols != o.Cols || s.Indexing != o.Indexing || len(s.Sources) != len(o.Sources) {
+		return false
+	}
+	return len(s.Sources) == 0 || &s.Sources[0] == &o.Sources[0] || slices.Equal(s.Sources, o.Sources)
+}
+
+// segment is a contiguous run of line positions in the sectioning
+// recursion.
+type segment struct{ lo, n int }
+
+// lineIters returns the number of levels the (k+1)-section of a line of n
+// processors needs; for the halving (k=1) that is ⌈log2 n⌉.
+func lineIters(k, n int) int {
+	it := 0
+	for size := n; size > 1; size = (size + k) / (k + 1) {
+		it++
+	}
+	return it
+}
+
+// step is one entry of a processor's compiled schedule.
+type step struct {
+	iter int32 // level the step belongs to
+	peer int32 // partner rank
+	recv bool  // receive the partner's bundle and merge it; otherwise send ours
+}
+
+// compiler runs the holder evolution of the sectioning broadcasts once
+// for the whole machine and records, for every rank, its own steps. All
+// processors know the source positions (Section 1), so the evolution is
+// a pure function of the spec: computing it per processor, as the
+// paper's model has it, would repeat it p times in one address space.
+type compiler struct {
+	holds []bool // by rank: does it hold messages at this point
+	steps []rankStep
+	// Scratch reused from line to line.
+	segs, next []segment
+	members    []int
+}
+
+type rankStep struct {
+	rank int32
+	step
+}
+
+// compile starts a compilation at the spec's initial holders, with room
+// for the steps of iters levels of (k+1)-sectioning over the machine: a
+// level costs a processor at most k sends, k receives and a straggler's
+// one-way.
+func compile(spec Spec, k, iters int) *compiler {
+	return &compiler{holds: spec.holderFlags(), steps: make([]rankStep, 0, (2*k+1)*spec.P()*iters)}
+}
+
+func (cp *compiler) add(it, rank, peer int, recv bool) {
+	cp.steps = append(cp.steps, rankStep{int32(rank), step{int32(it), int32(peer), recv}})
+}
+
+// line compiles the (k+1)-section broadcast along one line of n
+// processors, at(i) being the rank at line position i, as levels base,
+// base+1, … Per level, for each segment [lo, lo+n) with h = ⌈n/(k+1)⌉:
+//
+//   - group i (i < h) is the evenly strided positions lo+i+j·h inside the
+//     segment; its members exchange bundles all-to-all and all end
+//     holding the group union. At k=1 (Br_Lin's recursive halving) a
+//     group is the pair (lo+i, lo+i+h): an exchange when both hold
+//     messages, a single send when only one does (the paper's rule);
+//   - the segment then splits into the k+1 subsegments [lo+j·h, …): the
+//     member of group i in subsegment j carried the group's union there,
+//     so each subsegment collectively holds everything the segment held;
+//   - when the last subsegment is short, the groups with no member in it
+//     (exactly those with i ≥ n − ⌊(n−1)/h⌋·h) one-way their union from
+//     their first member to the segment's last position. At k=1 that is
+//     the unpaired middle of an odd segment — the generalization that
+//     makes Br_Lin correct on arbitrary machine sizes, and why odd
+//     dimensions grow sources faster (the machine-size effect of
+//     Sections 4–5).
+//
+// Distinct positions of a segment always hold origin-disjoint bundles
+// (group unions combine disjoint per-position bundles; the straggler
+// target never belongs to a straggler group), so merging never
+// duplicates a message.
+func (cp *compiler) line(k, base, n int, at func(pos int) int) {
+	segs, next, members := append(cp.segs[:0], segment{0, n}), cp.next, cp.members
+	for it := base; it < base+lineIters(k, n); it++ {
+		next = next[:0]
+		for _, g := range segs {
+			if g.n <= 1 {
+				continue
+			}
+			h := (g.n + k) / (k + 1)
+			for i := 0; i < h; i++ {
+				members = members[:0]
+				for pos := g.lo + i; pos < g.lo+g.n; pos += h {
+					members = append(members, at(pos))
+				}
+				cp.exchange(it, members)
+			}
+			last := at(g.lo + g.n - 1)
+			for i := g.n - (g.n-1)/h*h; i < h; i++ {
+				if u := at(g.lo + i); cp.holds[u] {
+					cp.add(it, u, last, false)
+					cp.add(it, last, u, true)
+					cp.holds[last] = true
+				}
+			}
+			for lo := g.lo; lo < g.lo+g.n; lo += h {
+				next = append(next, segment{lo, min(h, g.lo+g.n-lo)})
+			}
+		}
+		segs, next = next, segs
+	}
+	cp.segs, cp.next, cp.members = segs, next, members
+}
+
+// exchange compiles one all-to-all among the member ranks: every holder
+// sends its bundle to every other member, then every member receives and
+// merges from every other holder. All sends of a rank precede its first
+// receive, so the step is deadlock-free under buffered sends.
+func (cp *compiler) exchange(it int, members []int) {
+	any := false
+	for _, u := range members {
+		if cp.holds[u] {
+			any = true
+			for _, v := range members {
+				if v != u {
+					cp.add(it, u, v, false)
+				}
+			}
+		}
+	}
+	for _, u := range members {
+		for _, v := range members {
+			if v != u && cp.holds[v] {
+				cp.add(it, u, v, true)
+			}
+		}
+	}
+	for _, u := range members {
+		cp.holds[u] = cp.holds[u] || any
+	}
+}
+
+// body carves the recorded steps into per-rank lists (one slab) and
+// returns the communicating part of the broadcast: after the barrier
+// every processor executes only its own steps, marking each of the iters
+// levels whether or not it is active in it, and ends holding parts
+// original messages.
+func (cp *compiler) body(phase string, iters, parts int) body {
+	p := len(cp.holds)
+	off := make([]int, p+1)
+	for _, s := range cp.steps {
+		off[s.rank+1]++
+	}
+	slab, mine := make([]step, len(cp.steps)), make([][]step, p)
+	for r := range mine {
+		off[r+1] += off[r]
+		mine[r] = slab[off[r]:off[r]:off[r+1]]
+	}
+	for _, s := range cp.steps {
+		mine[s.rank] = append(mine[s.rank], s.step)
+	}
+	return func(c comm.Comm, bundle comm.Message) comm.Message {
+		c.Barrier()
+		todo := mine[c.Rank()]
+		bundle = bundle.Grow(parts)
+		for it := 0; it < iters; it++ {
+			comm.MarkIter(c, it)
+			comm.MarkPhase(c, phase)
+			for ; len(todo) > 0 && int(todo[0].iter) == it; todo = todo[1:] {
+				if st := todo[0]; st.recv {
+					m := c.Recv(int(st.peer))
+					comm.ChargeCombine(c, m.Len())
+					bundle = bundle.Append(m)
+				} else {
+					c.Send(int(st.peer), bundle)
+				}
+			}
+		}
+		return bundle
+	}
+}

@@ -19,7 +19,7 @@ import (
 // coordinate fixed except x_d. Before dimension d is processed, a
 // processor holds messages iff some source matches its coordinates on
 // every still-unprocessed dimension — the multi-dimensional form of
-// Br_xy's non-empty-row rule, computed identically everywhere.
+// Br_xy's non-empty-row rule.
 type brDims struct {
 	extents []int
 	order   []int
@@ -34,26 +34,6 @@ func BrDims(extents, order []int) Algorithm {
 }
 
 func (a brDims) Name() string { return fmt.Sprintf("Br_dims%v", a.extents) }
-
-// coordsOf decomposes a rank into grid coordinates.
-func (a brDims) coordsOf(rank int) []int {
-	d := len(a.extents)
-	out := make([]int, d)
-	for i := d - 1; i >= 0; i-- {
-		out[i] = rank % a.extents[i]
-		rank /= a.extents[i]
-	}
-	return out
-}
-
-// rankOf composes grid coordinates into a rank.
-func (a brDims) rankOf(coords []int) int {
-	rank := 0
-	for i, x := range coords {
-		rank = rank*a.extents[i] + x
-	}
-	return rank
-}
 
 func (a brDims) validate(p int) error {
 	if len(a.extents) == 0 {
@@ -82,52 +62,37 @@ func (a brDims) validate(p int) error {
 	return nil
 }
 
+func (a brDims) Bind(spec Spec) Algorithm {
+	return bind(a, spec, func() body {
+		if err := a.validate(spec.P()); err != nil {
+			panic(err)
+		}
+		return a.compile(spec)
+	})
+}
+
 func (a brDims) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	if err := a.validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	myCoords := a.coordsOf(c.Rank())
-	bundle := mine
-	processed := make([]bool, len(a.extents))
-	iterBase := 0
+	return a.Bind(spec).Run(c, spec, mine)
+}
+
+// compile runs the halving along every line of one dimension after
+// another. The holder flags carry over from phase to phase: a line's
+// halving leaves all of its processors holding iff any of them did.
+func (a brDims) compile(spec Spec) body {
+	// Σ⌈log2 e⌉ over the extents is at most ⌈log2 p⌉ plus one per dimension.
+	cp, iters := compile(spec, 1, lineIters(1, spec.P())+len(a.extents)), 0
 	for _, dim := range a.order {
-		// holdsAt reports whether the processor at the given coordinates
-		// holds messages before this phase: some source must match it on
-		// every unprocessed dimension other than dim itself.
-		holdsAt := func(coords []int) bool {
-			for _, src := range spec.Sources {
-				sc := a.coordsOf(src)
-				match := true
-				for d := range a.extents {
-					if d == dim || processed[d] {
-						continue
-					}
-					if sc[d] != coords[d] {
-						match = false
-						break
-					}
-				}
-				if match && sc[dim] == coords[dim] {
-					return true
-				}
+		stride := 1
+		for _, e := range a.extents[dim+1:] {
+			stride *= e
+		}
+		n := a.extents[dim]
+		for first := 0; first < spec.P(); first++ {
+			if first/stride%n == 0 { // the line's processor with x_dim = 0
+				cp.line(1, iters, n, func(pos int) int { return first + pos*stride })
 			}
-			return false
 		}
-		line := make([]int, a.extents[dim])
-		holds := make([]bool, a.extents[dim])
-		coords := append([]int(nil), myCoords...)
-		for pos := 0; pos < a.extents[dim]; pos++ {
-			coords[dim] = pos
-			line[pos] = a.rankOf(coords)
-			holds[pos] = holdsAt(coords)
-		}
-		bundle = runLine(c, line, holds, myCoords[dim], bundle, iterBase)
-		iterBase += lineIters(a.extents[dim])
-		processed[dim] = true
+		iters += lineIters(1, n)
 	}
-	return bundle
+	return cp.body("halving", iters, spec.S())
 }

@@ -45,7 +45,7 @@ func (circulant) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	for _, pt := range mine.Parts {
 		held[pt.Origin] = true
 	}
-	acc := mine
+	acc := mine.Grow(spec.S())
 	iter := 0
 	for skip := 1; skip < p; skip <<= 1 {
 		comm.MarkIter(c, iter)

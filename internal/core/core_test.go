@@ -233,7 +233,7 @@ func TestMaxPerLine(t *testing.T) {
 func TestLineIters(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 100: 7, 128: 7}
 	for n, want := range cases {
-		if got := lineIters(n); got != want {
+		if got := lineIters(1, n); got != want {
 			t.Errorf("lineIters(%d) = %d, want %d", n, got, want)
 		}
 	}

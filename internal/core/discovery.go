@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 )
@@ -32,23 +33,24 @@ func WithDiscovery(inner Algorithm) Algorithm { return discovery{inner: inner} }
 func (a discovery) Name() string { return "Discover+" + a.inner.Name() }
 
 func (a discovery) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	discovered := discoverSources(c, len(mine.Parts) > 0)
-	// The discovered set must equal the declared one; a mismatch means
-	// the caller's spec and payloads disagree.
-	if len(discovered) != len(spec.Sources) {
-		panic(fmt.Sprintf("core: discovery found %d sources, spec declares %d", len(discovered), len(spec.Sources)))
-	}
-	for i, s := range discovered {
-		if spec.Sources[i] != s {
-			panic(fmt.Sprintf("core: discovered source set %v differs from spec %v", discovered, spec.Sources))
+	return a.Bind(spec).Run(c, spec, mine)
+}
+
+// Bind binds the inner algorithm to the declared sources: the discovery
+// exchange must find exactly that set, so what it finds selects nothing.
+func (a discovery) Bind(spec Spec) Algorithm {
+	return bind(a, spec, func() body {
+		inner := Bind(a.inner, spec)
+		return func(c comm.Comm, mine comm.Message) comm.Message {
+			c.Barrier()
+			// The discovered set must equal the declared one; a mismatch
+			// means the caller's spec and payloads disagree.
+			if discovered := discoverSources(c, len(mine.Parts) > 0); !slices.Equal(discovered, spec.Sources) {
+				panic(fmt.Sprintf("core: discovered source set %v differs from spec %v", discovered, spec.Sources))
+			}
+			return inner.Run(c, spec, mine)
 		}
-	}
-	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: discovered, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, mine)
+	})
 }
 
 // discoverSources runs the recursive-doubling flag exchange and returns

@@ -32,7 +32,7 @@ func (indep1toP) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	// "does not require synchronization before the broadcasting").
 	p := c.Size()
 	rank := c.Rank()
-	out := comm.Message{}
+	out := comm.Message{}.Grow(spec.S())
 
 	// Every processor serves the s trees in source order: as root it
 	// fires its sends immediately; otherwise it receives from its tree

@@ -78,20 +78,33 @@ type part struct {
 func (a part) Name() string { return a.name }
 
 func (a part) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
+	return a.Bind(spec).Run(c, spec, mine)
+}
+
+func (a part) Bind(spec Spec) Algorithm {
+	return bind(a, spec, func() body { return a.compile(spec) })
+}
+
+// compile plans the partition once: the two halves, the permutation
+// targets, and per half the inner algorithm bound to the half's ideal
+// sources in the half's local ranks.
+func (a part) compile(spec Spec) body {
 	if spec.P() == 1 {
-		return mine
+		return func(c comm.Comm, mine comm.Message) comm.Message {
+			c.Barrier()
+			return mine
+		}
 	}
-	rank := c.Rank()
-	g1, g2 := splitMachine(spec)
+	var halves [2]group
+	halves[0], halves[1] = splitMachine(spec)
 
 	// Ideal positions inside each half, translated to global ranks. The
 	// permutation sends the first s1 sources into G1 and the rest into G2.
+	// An empty half idles until the final exchange.
 	targets := make([]int, 0, spec.S())
-	for _, g := range []group{g1, g2} {
+	var inner [2]Algorithm
+	var innerSpec [2]Spec
+	for h, g := range halves {
 		if g.sources == 0 {
 			continue
 		}
@@ -103,83 +116,59 @@ func (a part) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 		for _, l := range local {
 			targets = append(targets, g.members[l])
 		}
+		innerSpec[h] = Spec{Rows: g.rows, Cols: g.cols, Sources: local, Indexing: spec.Indexing}
+		inner[h] = Bind(a.inner, innerSpec[h])
 	}
 	if len(targets) != spec.S() {
 		panic(fmt.Sprintf("core: %s planned %d targets for %d sources", a.name, len(targets), spec.S()))
 	}
-	bundle := applyReposition(c, spec, targets, mine)
+	// half and local place every rank: which half it is in, and where.
+	half, local := make([]int, spec.P()), make([]int, spec.P())
+	for h, g := range halves {
+		for i, m := range g.members {
+			half[m], local[m] = h, i
+		}
+	}
+	small := min(halves[0].size(), halves[1].size())
 
-	// Run the inner algorithm inside my half (only when the half received
-	// any sources; an empty half idles until the final exchange).
-	my := g2
-	other := g1
-	for _, m := range g1.members {
-		if m == rank {
-			my, other = g1, g2
-			break
-		}
-	}
-	myLocal := -1
-	for i, m := range my.members {
-		if m == rank {
-			myLocal = i
-			break
-		}
-	}
-	if my.sources > 0 {
-		sub, err := comm.NewSub(c, my.members)
-		if err != nil {
-			panic(err)
-		}
-		localSources := make([]int, 0, my.sources)
-		for i, m := range my.members {
-			for _, t := range targets {
-				if t == m {
-					localSources = append(localSources, i)
-					break
-				}
-			}
-		}
-		inner := Spec{Rows: my.rows, Cols: my.cols, Sources: localSources, Indexing: spec.Indexing}
-		bundle = a.inner.Run(sub, inner, bundle)
-	}
+	return func(c comm.Comm, mine comm.Message) comm.Message {
+		c.Barrier()
+		rank := c.Rank()
+		bundle := applyReposition(c, spec, targets, mine)
 
-	// Final inter-half exchange: local index k < min(p1,p2) exchanges
-	// pairwise; every extra processor of the larger half receives the
-	// other half's bundle one-way from member (k mod min) of the smaller
-	// half — its own half-bundle is already covered by its pair sibling.
-	min := g1.size()
-	if g2.size() < min {
-		min = g2.size()
-	}
-	if myLocal < min {
-		peer := other.members[myLocal]
-		halfBundle := bundle // my half's bundle, before merging the peer's
+		// Run the inner algorithm inside my half.
+		h, myLocal := half[rank], local[rank]
+		my, other := halves[h], halves[1-h]
 		if my.sources > 0 {
-			c.Send(peer, halfBundle)
+			sub, err := comm.NewSub(c, my.members)
+			if err != nil {
+				panic(err)
+			}
+			bundle = inner[h].Run(sub, innerSpec[h], bundle)
+		}
+
+		// Final inter-half exchange: local index k < small = min(p1,p2) exchanges
+		// pairwise; every extra processor of the larger half receives the
+		// other half's bundle one-way from member (k mod small) of the smaller
+		// half — its own half-bundle is already covered by its pair sibling.
+		if myLocal < small && my.sources > 0 {
+			c.Send(other.members[myLocal], bundle)
 			// Serve the extra processors of the larger half mapped to me
 			// with my half-bundle (their own half's parts they already
 			// hold).
-			if my.size() == min {
-				for k := min + myLocal; k < other.size(); k += min {
-					c.Send(other.members[k], halfBundle)
+			if my.size() == small {
+				for k := small + myLocal; k < other.size(); k += small {
+					c.Send(other.members[k], bundle)
 				}
 			}
 		}
 		if other.sources > 0 {
-			m := c.Recv(peer)
+			m := c.Recv(other.members[myLocal%small])
 			comm.ChargeCombine(c, m.Len())
 			bundle = bundle.Append(m)
 		}
-	} else {
-		// I am an extra processor of the larger half.
-		if other.sources > 0 {
-			m := c.Recv(other.members[myLocal%min])
-			comm.ChargeCombine(c, m.Len())
-			bundle = bundle.Append(m)
-		}
+		return bundle
 	}
-	return bundle
 }
 
 // PartLin returns Algorithm Part_Lin (Br_Lin inside each half).

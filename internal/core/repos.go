@@ -76,6 +76,29 @@ func applyReposition(c comm.Comm, spec Spec, targets []int, mine comm.Message) c
 	return bundle
 }
 
+// reposition binds a repositioning run: the partial permutation onto
+// the ideal positions and the inner algorithm bound to them are computed
+// once; a processor only moves its message and runs its inner steps.
+func reposition(inner Algorithm, spec Spec, ideal []int) body {
+	targets := repositionPermutation(spec, ideal)
+	innerSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
+	inner = Bind(inner, innerSpec)
+	return func(c comm.Comm, mine comm.Message) comm.Message {
+		c.Barrier()
+		return inner.Run(c, innerSpec, applyReposition(c, spec, targets, mine))
+	}
+}
+
+// idealSources evaluates the inner algorithm's ideal distribution for the
+// spec's machine and source count.
+func idealSources(inner Algorithm, spec Spec) []int {
+	ideal, err := IdealFor(inner, spec.Rows, spec.Cols).Sources(spec.Rows, spec.Cols, spec.S())
+	if err != nil {
+		panic(err)
+	}
+	return ideal
+}
+
 // repos is a repositioning algorithm (Section 3): transform the given
 // source distribution into an ideal distribution for the inner algorithm
 // via a partial permutation, then invoke the inner algorithm. Like the
@@ -88,20 +111,12 @@ type repos struct {
 
 func (a repos) Name() string { return a.name }
 
+func (a repos) Bind(spec Spec) Algorithm {
+	return bind(a, spec, func() body { return reposition(a.inner, spec, idealSources(a.inner, spec)) })
+}
+
 func (a repos) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	gen := IdealFor(a.inner, spec.Rows, spec.Cols)
-	ideal, err := gen.Sources(spec.Rows, spec.Cols, spec.S())
-	if err != nil {
-		panic(err)
-	}
-	targets := repositionPermutation(spec, ideal)
-	bundle := applyReposition(c, spec, targets, mine)
-	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, bundle)
+	return a.Bind(spec).Run(c, spec, mine)
 }
 
 // reposFixed repositions to an explicit target position set instead of the
@@ -114,15 +129,12 @@ type reposFixed struct {
 
 func (a reposFixed) Name() string { return "Repos_to(" + a.inner.Name() + ")" }
 
+func (a reposFixed) Bind(spec Spec) Algorithm {
+	return bind(a, spec, func() body { return reposition(a.inner, spec, a.ideal) })
+}
+
 func (a reposFixed) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	targets := repositionPermutation(spec, a.ideal)
-	bundle := applyReposition(c, spec, targets, mine)
-	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, bundle)
+	return a.Bind(spec).Run(c, spec, mine)
 }
 
 // ReposTo returns a repositioning algorithm that permutes the sources onto

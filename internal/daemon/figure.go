@@ -10,10 +10,11 @@ import (
 
 func init() {
 	bench.Register(bench.Experiment{
-		ID:    "figDaemon",
-		Title: "Broadcast-as-a-service: warm session pool vs fresh-session-per-request under closed-loop load, TCP engine, p=16",
-		Paper: "Beyond the paper: the paper's broadcasts are one-shot library calls; this figure measures the daemon serving them — req/s and tail latency of a closed-loop concurrency sweep through POST /v1/broadcast, with the keyed warm-session pool against a baseline that rebuilds the TCP mesh for every request.",
-		Run:   runFigDaemon,
+		ID:        "figDaemon",
+		Title:     "Broadcast-as-a-service: warm session pool vs fresh-session-per-request under closed-loop load, TCP engine, p=16",
+		Paper:     "Beyond the paper: the paper's broadcasts are one-shot library calls; this figure measures the daemon serving them — req/s and tail latency of a closed-loop concurrency sweep through POST /v1/broadcast, with the keyed warm-session pool against a baseline that rebuilds the TCP mesh for every request.",
+		WallClock: true,
+		Run:       runFigDaemon,
 	})
 }
 

@@ -42,7 +42,7 @@ func Rank(m *machine.Machine, spec core.Spec, msgLen int, candidates []string) [
 // receive costs RecvOverhead plus the byte copy, and message-combining
 // algorithms additionally pay the per-byte combine cost. For the
 // line-based algorithms the estimate replays the exact halving pattern of
-// core.runLine (the replay behind core.GrowthEfficiency) with
+// core's compiler.line (the replay behind core.GrowthEfficiency) with
 // per-position virtual clocks and true hop distances, so stalled-growth
 // distributions are priced as badly as the simulator prices them.
 type model struct {
@@ -216,7 +216,7 @@ type lineState struct {
 	sizes []int64
 }
 
-// replayLine replays the halving pattern of core.runLine over one line,
+// replayLine replays the halving pattern of core's compiler.line over one line,
 // advancing the shared per-rank clocks. The pairing rules mirror
 // analysis.replayHalving (and therefore the simulator) exactly; only the
 // per-operation pricing is added.
@@ -606,9 +606,9 @@ func (md *model) estRD() float64 {
 	return md.logp()*perRound + byteCost
 }
 
-// estKPort replays Br_kport<k>'s (k+1)-section pattern (core.runLineK)
+// estKPort replays Br_kport<k>'s (k+1)-section pattern (core's compiler.line)
 // over the snake-ordered line with per-rank clocks and true hop
-// distances, exactly as estBrLin replays core.runLine: per level every
+// distances, exactly as estBrLin replays core's compiler.line: per level every
 // segment's strided groups exchange bundles all-to-all and the segment
 // splits into k+1 subsegments, so ~⌈log_{k+1} p⌉ levels at the price of
 // up to k serialized sends per holder per level.
@@ -624,7 +624,7 @@ func (md *model) estKPort(k int) float64 {
 	return maxClock(clocks)
 }
 
-// replayLineK replays the (k+1)-section pattern of core.runLineK over
+// replayLineK replays the (k+1)-section pattern of core's compiler.line over
 // one line, advancing the shared per-rank clocks. Segment splitting,
 // group membership, and the straggler rule mirror the algorithm
 // exactly; only the per-operation pricing is added.
@@ -671,7 +671,7 @@ func (md *model) replayLineK(ls *lineState, k int, clocks []float64) {
 }
 
 // groupExchange prices one group all-to-all bundle exchange among the
-// given line positions (core.groupStep): every holding member sends its
+// given line positions (core's compiler.exchange): every holding member sends its
 // bundle to every other member in member order, then receives and
 // merges from every other holder — sends complete before the first
 // receive, matching the algorithm's buffered-Send ordering. Reduces to

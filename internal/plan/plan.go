@@ -36,9 +36,10 @@ type Options struct {
 	// Cache, when non-nil, short-circuits planning for instances whose
 	// canonical key was decided before.
 	Cache *Cache
-	// MaxProbeOps bounds each probe simulation's scheduler dispatches;
-	// a probe over budget is deterministically disqualified (scored
-	// +Inf) rather than measured. 0 means unlimited.
+	// MaxProbeOps bounds the communication operations (Send, Recv and
+	// Barrier calls, summed over all processors) of each probe
+	// simulation; a probe over budget is deterministically disqualified
+	// (scored +Inf) rather than measured. 0 means unlimited.
 	MaxProbeOps int
 }
 

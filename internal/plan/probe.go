@@ -30,6 +30,7 @@ func probeOne(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen, ma
 		return 0, err
 	}
 	coll := core.CollectiveOf(alg)
+	alg = core.Bind(alg, spec)
 	res, err := sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialLenFor(coll, spec, pr.Rank(), msgLen)
 		alg.Run(pr, spec, mine)

@@ -10,10 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-// routeMaxOps bounds the route-extraction replay. Extraction runs the
-// algorithm once on the simulator, so the budget only guards against a
-// runaway user-registered algorithm; the registry suite stays far under
-// it even at p in the hundreds.
+// routeMaxOps bounds the communication operations of the
+// route-extraction replay. Extraction runs the algorithm once on the
+// simulator, so the budget only guards against a runaway user-registered
+// algorithm; the registry suite stays far under it even at p in the
+// hundreds.
 const routeMaxOps = 50_000_000
 
 // linkCollector is a sim tracer that records the directed (src, dst)
@@ -53,6 +54,7 @@ func Routes(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) 
 	}
 	lc := &linkCollector{links: make(map[[2]int]struct{})}
 	coll := core.CollectiveOf(alg)
+	alg = core.Bind(alg, spec)
 	_, err = sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialLenFor(coll, spec, pr.Rank(), msgLen)
 		alg.Run(pr, spec, mine)

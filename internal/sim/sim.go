@@ -4,26 +4,31 @@
 // Each of the p virtual processors runs the user's algorithm function in
 // its own goroutine, but the engine enforces strictly sequential execution:
 // exactly one processor goroutine holds the run token at any instant, and
-// the token always moves to the runnable processor with the smallest local
-// virtual clock (ties broken by rank). Every communication operation yields
-// the token. The result is a deterministic, conservative discrete-event
-// simulation: identical inputs produce identical timings, and network link
-// claims are issued in (near) nondecreasing virtual-time order. The
-// residual approximation — a processor that un-blocks from a receive may
-// claim links at a virtual time slightly before links already claimed by
+// a processor may send only while it is the earliest runnable one: before
+// every Send the token moves to the runnable processor with the smallest
+// scheduling key (ties broken by rank), where the key is the processor's
+// virtual clock as of its last communication operation. Send is the only
+// operation that touches order-sensitive shared state (link claims, the
+// wake of a blocked receiver); a Recv's outcome is a function of its entry
+// clock and the arrival stamped at Send time, a barrier's of the largest
+// entry clock, so neither hands the token over unless it has to block.
+// The result is a deterministic, conservative discrete-event simulation:
+// identical inputs produce identical timings, and network link claims are
+// issued in (near) nondecreasing virtual-time order. The residual
+// approximation — a processor that un-blocks from a receive may claim
+// links at a virtual time slightly before links already claimed by
 // processors that ran ahead — is second-order and documented in DESIGN.md.
 //
 // Scheduling is O(log p) per operation: runnable processors live in an
-// indexed binary min-heap keyed by (clock, rank) that is maintained
+// indexed binary min-heap keyed by (key, rank) that is maintained
 // incrementally on every state transition, and done/barrier processors are
 // tracked by counters — nothing ever rescans all p processors on the hot
 // path. The token is handed directly from the yielding processor to the
-// next one (one channel transfer per dispatch, none at all when the
-// yielding processor is still the earliest runnable one), and the
-// per-pair pending-message queues are ring buffers whose backing arrays
-// are recycled through a sync.Pool, so steady-state Send/Recv performs no
-// heap allocation. See DESIGN.md ("Simulator scheduler") for the data
-// structure and the one-token invariant.
+// next one (one channel transfer per hand-off). Everything a run needs —
+// the processor slab, the heap, the p×p queue table and the message arena
+// behind all queues — belongs to one pooled engine, so a run allocates
+// O(1) outside the algorithm bodies and steady-state Send/Recv allocates
+// nothing. See DESIGN.md ("Simulator scheduler").
 //
 // Cost model (see internal/network for the wire side):
 //
@@ -61,85 +66,48 @@ type pending struct {
 	arrival network.Time
 }
 
-// pendQueue is an allocation-free FIFO of pending messages for one
-// (src,dst) pair: a ring buffer over a power-of-two backing array.
-// Popped slots are zeroed so delivered payloads do not stay reachable
-// through the queue for the rest of the run.
-type pendQueue struct {
-	buf  []pending // len(buf) is a power of two (or nil)
-	head int
-	n    int
+// node is one slot of the engine's message arena: a queued message and
+// the arena index of the next node of its queue (or of the free list).
+type node struct {
+	pd   pending
+	next int32
 }
 
-// pendSlabs recycles ring-buffer backing arrays across queues and runs so
-// steady-state Send/Recv allocates nothing. Every slab has power-of-two
-// length; slabs are zeroed before they are returned to the pool.
-var pendSlabs = sync.Pool{New: func() any {
-	s := make([]pending, 8)
-	return &s
-}}
+// queue is the FIFO of one (src,dst) pair: the arena indices of its first
+// and last node, both 0 while it is empty (arena slot 0 is never used).
+type queue struct{ head, tail int32 }
 
-func (q *pendQueue) push(pd pending) {
-	if q.n == len(q.buf) {
-		q.grow()
+func (e *engine) push(q *queue, pd pending) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+		e.nodes[i] = node{pd: pd}
+	} else {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{pd: pd})
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = pd
-	q.n++
+	if q.tail != 0 {
+		e.nodes[q.tail].next = i
+	} else {
+		q.head = i
+	}
+	q.tail = i
+	e.queued++
 }
 
-func (q *pendQueue) grow() {
-	if q.buf == nil {
-		q.buf = *pendSlabs.Get().(*[]pending)
-		return
+// pop dequeues the head of a non-empty queue. The node is zeroed as it
+// joins the free list, so a delivered payload's lifetime ends at its
+// Recv, not at the end of the run.
+func (e *engine) pop(q *queue) pending {
+	i := q.head
+	pd := e.nodes[i].pd
+	if q.head = e.nodes[i].next; q.head == 0 {
+		q.tail = 0
 	}
-	next := make([]pending, 2*len(q.buf))
-	for i := 0; i < q.n; i++ {
-		next[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	old := q.buf
-	for i := range old {
-		old[i] = pending{}
-	}
-	pendSlabs.Put(&old)
-	q.buf = next
-	q.head = 0
-}
-
-func (q *pendQueue) pop() pending {
-	pd := q.buf[q.head]
-	q.buf[q.head] = pending{} // release message references promptly
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
+	e.nodes[i] = node{next: e.free}
+	e.free = i
+	e.queued--
 	return pd
-}
-
-// release drains any undelivered entries (zeroing their message
-// references) and returns the backing array to the slab pool.
-func (q *pendQueue) release() {
-	if q.buf == nil {
-		return
-	}
-	for q.n > 0 {
-		q.pop()
-	}
-	buf := q.buf
-	*q = pendQueue{}
-	pendSlabs.Put(&buf)
-}
-
-// queueArrays recycles the p*p queue tables across runs.
-var queueArrays = sync.Pool{}
-
-func getQueueArray(n int) []pendQueue {
-	if v := queueArrays.Get(); v != nil {
-		q := *(v.(*[]pendQueue))
-		if cap(q) >= n {
-			// Entries were reset by release(); slots beyond the previous
-			// length are zero from allocation.
-			return q[:n]
-		}
-	}
-	return make([]pendQueue, n)
 }
 
 // IterStats aggregates one processor's activity inside one algorithm
@@ -195,11 +163,14 @@ type Options struct {
 	// combine event. A wait event is emitted whenever a Recv had to block
 	// for its message (the paper's wait parameter): its Dur is the
 	// blocked virtual time and its Clock the arrival instant that ended
-	// the wait.
+	// the wait. Events of one rank arrive in that rank's program order;
+	// ranks interleave in token order, not in global clock order.
 	Tracer Tracer
-	// MaxOps, when positive, aborts the run with an error after that
-	// many scheduler dispatches — a safeguard against algorithms that
-	// loop forever.
+	// MaxOps, when positive, aborts the run with an error once the
+	// processors together have issued more than that many communication
+	// operations (Send, Recv and Barrier calls) — a safeguard against
+	// algorithms that loop forever. The count is a property of the
+	// algorithm, not of how the scheduler interleaves it.
 	MaxOps int
 }
 
@@ -211,16 +182,17 @@ type Proc struct {
 	rank int
 
 	clock network.Time
+	// key orders the ready heap: the clock as of the processor's last
+	// communication operation (Send or Recv end, block, barrier release).
+	// Combine charges move the clock but not the key, so they are no
+	// scheduling points.
+	key   network.Time
 	state procState
 	// heapIdx is the processor's slot in the ready heap, -1 when it is
 	// not runnable (blocked, in a barrier, or done).
 	heapIdx int
 	// waitSrc is the sender this processor is blocked on (stateBlocked).
 	waitSrc int
-	// recvStart is the clock when the current Recv began, for wait
-	// accounting across block/wake cycles.
-	recvStart network.Time
-	inRecv    bool
 
 	resume chan struct{}
 
@@ -245,15 +217,25 @@ var _ comm.PhaseMarker = (*Proc)(nil)
 // token: only the goroutine currently holding the token (or, before the
 // first and after the last handoff, Run itself) touches them, so no locks
 // are needed and every access is ordered by the resume/finish channels.
+// Engines are pooled: the slabs below keep their capacity (and the
+// processors their resume channels and iteration-stat arrays) from run to
+// run. A pooled engine never owns a goroutine — Run spawns the p
+// processor goroutines and has seen every one of them finish before it
+// hands the engine back.
 type engine struct {
 	net    *network.Network
 	cfg    network.Config
 	p      int
-	procs  []*Proc
-	queues []pendQueue // index src*p+dst
+	procs  []Proc
+	queues []queue // index src*p+dst
+	// nodes is the arena behind every queue, free the head of its free
+	// list; queued counts the sent-but-unreceived messages.
+	nodes  []node
+	free   int32
+	queued int
 
 	// ready is the indexed binary min-heap of runnable processors, keyed
-	// by (clock, rank). procs[i].heapIdx tracks positions.
+	// by (key, rank). procs[i].heapIdx tracks positions.
 	ready []*Proc
 	// doneCount and barrierCount replace full-state rescans: the run is
 	// over when doneCount == p, and a barrier releases when
@@ -272,6 +254,54 @@ type engine struct {
 	finish chan struct{}
 }
 
+var engines = sync.Pool{New: func() any {
+	return &engine{nodes: make([]node, 1), finish: make(chan struct{}, 1)}
+}}
+
+// acquire takes an engine from the pool and arms it for a run on nw: all
+// p processors runnable at clock 0, every queue empty.
+func acquire(nw *network.Network, opts Options) *engine {
+	e := engines.Get().(*engine)
+	p := nw.Placement().Size()
+	e.net, e.cfg, e.p, e.opts = nw, nw.Config(), p, opts
+	if cap(e.procs) < p {
+		e.procs = make([]Proc, p)
+		e.queues = make([]queue, p*p)
+		e.ready = make([]*Proc, 0, p)
+	}
+	e.procs, e.queues = e.procs[:p], e.queues[:p*p]
+	// Pushing in rank order seeds the deterministic (key, rank) dispatch
+	// order.
+	for i := range e.procs {
+		pr := &e.procs[i]
+		if pr.resume == nil {
+			pr.resume = make(chan struct{})
+		}
+		*pr = Proc{eng: e, rank: i, iter: -1, resume: pr.resume, iters: pr.iters[:0]}
+		e.heapPush(pr)
+	}
+	return e
+}
+
+// release returns the engine to the pool. Messages nobody received
+// (an abandoned run, or an algorithm that over-sends) are dropped so the
+// pool pins no payload and the next run finds every queue empty; the
+// processors forget the engine, so a handle that outlives its run faults
+// instead of touching the next one.
+func (e *engine) release() {
+	if e.queued > 0 {
+		clear(e.nodes)
+		clear(e.queues)
+	}
+	e.nodes, e.free, e.queued = e.nodes[:1], 0, 0
+	for i := range e.procs {
+		e.procs[i].eng = nil
+	}
+	e.net, e.opts, e.err, e.aborted = nil, Options{}, nil, false
+	e.doneCount, e.barrierCount, e.ops = 0, 0, 0
+	engines.Put(e)
+}
+
 // errAbort unwinds processor goroutines when the run is abandoned
 // (deadlock or MaxOps), so Run does not leak blocked goroutines.
 type errAbort struct{}
@@ -287,64 +317,29 @@ var ErrMaxOps = errors.New("operation budget exhausted")
 // reused across runs.
 func Run(net *network.Network, fn func(*Proc), opts Options) (*Result, error) {
 	net.Reset()
-	p := net.Placement().Size()
-	eng := &engine{
-		net:    net,
-		cfg:    net.Config(),
-		p:      p,
-		procs:  make([]*Proc, p),
-		queues: getQueueArray(p * p),
-		ready:  make([]*Proc, 0, p),
-		opts:   opts,
-		finish: make(chan struct{}, 1),
-	}
-	for i := 0; i < p; i++ {
-		eng.procs[i] = &Proc{eng: eng, rank: i, iter: -1, heapIdx: -1, resume: make(chan struct{})}
-	}
-	// All processors start runnable at clock 0; pushing in rank order
-	// seeds the deterministic (clock, rank) dispatch order.
-	for _, pr := range eng.procs {
-		eng.heapPush(pr)
-	}
-	for i := 0; i < p; i++ {
-		pr := eng.procs[i]
-		go func() {
-			<-pr.resume
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(errAbort); !ok {
-						pr.err = fmt.Errorf("sim: rank %d panicked: %v", pr.rank, r)
-					}
-				}
-				if pr.heapIdx >= 0 {
-					eng.heapRemove(pr)
-				}
-				pr.state = stateDone
-				eng.doneCount++
-				if eng.aborted {
-					eng.finish <- struct{}{}
-					return
-				}
-				eng.handoff(eng.next())
-			}()
-			if eng.aborted {
-				return
-			}
-			fn(pr)
-		}()
+	e := acquire(net, opts)
+	defer e.release()
+	for i := range e.procs {
+		go e.procs[i].run(fn)
 	}
 	// Hand the token to the earliest processor and wait for it to come
 	// back when the run is over.
-	eng.handoff(eng.next())
-	<-eng.finish
-	if eng.err != nil {
-		eng.drain()
-		eng.release()
-		return nil, eng.err
+	e.handoff(e.next())
+	<-e.finish
+	if e.err != nil {
+		e.drain()
+		return nil, e.err
 	}
-	eng.release()
-	res := &Result{Procs: make([]ProcStats, p), Net: net.Stats()}
-	for i, pr := range eng.procs {
+	// The result owns its memory: per-iteration stats are copied out of
+	// the pooled processors into one slab.
+	res := &Result{Procs: make([]ProcStats, e.p), Net: net.Stats()}
+	total := 0
+	for i := range e.procs {
+		total += len(e.procs[i].iters)
+	}
+	slab := make([]IterStats, total)
+	for i := range e.procs {
+		pr := &e.procs[i]
 		if pr.err != nil {
 			return nil, pr.err
 		}
@@ -360,27 +355,46 @@ func Run(net *network.Network, fn func(*Proc), opts Options) (*Result, error) {
 			SendBytes: pr.sendBytes, RecvBytes: pr.recvBytes,
 			WaitCount: pr.waitCount, WaitTime: pr.waitTime,
 			CombineTime: pr.combineTime,
-			Iters:       pr.iters,
+		}
+		if n := copy(slab, pr.iters); n > 0 {
+			res.Procs[i].Iters, slab = slab[:n:n], slab[n:]
 		}
 	}
 	return res, nil
 }
 
-// release returns the pending queues' backing arrays and the queue table
-// itself to their pools, zeroing any undelivered messages.
-func (e *engine) release() {
-	for i := range e.queues {
-		e.queues[i].release()
+// run is the body of one processor goroutine: wait for the token, execute
+// fn, and pass the token on for good.
+func (p *Proc) run(fn func(*Proc)) {
+	e := p.eng
+	<-p.resume
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(errAbort); !ok {
+				p.err = fmt.Errorf("sim: rank %d panicked: %v", p.rank, r)
+			}
+		}
+		if p.heapIdx >= 0 {
+			e.heapRemove(p)
+		}
+		p.state = stateDone
+		e.doneCount++
+		if e.aborted {
+			e.finish <- struct{}{}
+			return
+		}
+		e.handoff(e.next())
+	}()
+	if e.aborted {
+		return
 	}
-	q := e.queues[:0]
-	e.queues = nil
-	queueArrays.Put(&q)
+	fn(p)
 }
 
-// less orders the ready heap by (clock, rank) — the same total order the
+// less orders the ready heap by (key, rank) — the same total order the
 // seed scheduler's linear scan used, so timings are bit-identical.
 func (e *engine) less(a, b *Proc) bool {
-	return a.clock < b.clock || (a.clock == b.clock && a.rank < b.rank)
+	return a.key < b.key || (a.key == b.key && a.rank < b.rank)
 }
 
 func (e *engine) heapUp(i int) {
@@ -447,25 +461,11 @@ func (e *engine) heapRemove(pr *Proc) {
 	}
 }
 
-// clockAdvanced restores the heap ordering after the processor's clock
-// increased in place (it can only move toward the leaves).
-func (e *engine) clockAdvanced(pr *Proc) {
-	e.heapDown(pr.heapIdx)
-}
-
 // next picks the processor the token moves to: the root of the ready
 // heap. When no processor is runnable it releases the barrier (if every
 // live processor reached it) or records the terminal condition — normal
-// completion (nil, e.err == nil), deadlock, or an exhausted MaxOps budget
-// (nil, e.err set).
+// completion (nil, e.err == nil) or deadlock (nil, e.err set).
 func (e *engine) next() *Proc {
-	if e.opts.MaxOps > 0 {
-		e.ops++
-		if e.ops > e.opts.MaxOps {
-			e.err = fmt.Errorf("sim: aborted after %d operations (MaxOps): %w", e.opts.MaxOps, ErrMaxOps)
-			return nil
-		}
-	}
 	for {
 		if len(e.ready) > 0 {
 			return e.ready[0]
@@ -497,8 +497,8 @@ func (e *engine) handoff(next *Proc) {
 // skips its function body if it never started).
 func (e *engine) drain() {
 	e.aborted = true
-	for _, pr := range e.procs {
-		if pr.state != stateDone {
+	for i := range e.procs {
+		if pr := &e.procs[i]; pr.state != stateDone {
 			pr.resume <- struct{}{}
 			<-e.finish
 		}
@@ -509,16 +509,16 @@ func (e *engine) drain() {
 // exit instant and makes them runnable again.
 func (e *engine) releaseBarrier() {
 	var t network.Time
-	for _, pr := range e.procs {
-		if pr.state == stateBarrier && pr.clock > t {
+	for i := range e.procs {
+		if pr := &e.procs[i]; pr.state == stateBarrier && pr.clock > t {
 			t = pr.clock
 		}
 	}
 	steps := network.Time(bits.Len(uint(e.p - 1))) // ceil(log2 p)
 	t += steps * (e.cfg.SendOverhead + e.cfg.RecvOverhead + e.cfg.NetStartup)
-	for _, pr := range e.procs {
-		if pr.state == stateBarrier {
-			pr.clock = t
+	for i := range e.procs {
+		if pr := &e.procs[i]; pr.state == stateBarrier {
+			pr.clock, pr.key = t, t
 			pr.state = stateReady
 			e.heapPush(pr)
 		}
@@ -528,17 +528,17 @@ func (e *engine) releaseBarrier() {
 
 func (e *engine) deadlockError() error {
 	msg := "sim: deadlock:"
-	for _, pr := range e.procs {
-		switch pr.state {
+	for i := range e.procs {
+		switch pr := &e.procs[i]; pr.state {
 		case stateBlocked:
 			msg += fmt.Sprintf(" rank %d waits on %d;", pr.rank, pr.waitSrc)
 		case stateBarrier:
 			msg += fmt.Sprintf(" rank %d in barrier;", pr.rank)
 		}
 	}
-	for _, pr := range e.procs {
-		if pr.err != nil {
-			msg += " first panic: " + pr.err.Error()
+	for i := range e.procs {
+		if err := e.procs[i].err; err != nil {
+			msg += " first panic: " + err.Error()
 		}
 	}
 	return errors.New(msg)
@@ -553,19 +553,26 @@ func (p *Proc) Size() int { return p.eng.p }
 // Now returns the processor's current virtual clock.
 func (p *Proc) Now() network.Time { return p.clock }
 
-// yield completes one operation while the processor stays runnable: if it
-// is still the earliest runnable processor it keeps the token and returns
-// immediately (no synchronization at all); otherwise it hands the token
-// directly to the next processor and parks.
-func (p *Proc) yield() {
+// beginOp counts one communication operation against the MaxOps budget.
+// The call that exhausts it gives the token back to Run, which drains
+// every processor (this one included) through the errAbort unwind.
+func (p *Proc) beginOp() {
 	e := p.eng
-	next := e.next()
-	if next == p {
+	if e.opts.MaxOps <= 0 {
 		return
 	}
-	e.handoff(next)
+	if e.ops++; e.ops > e.opts.MaxOps {
+		e.err = fmt.Errorf("sim: aborted after %d operations (MaxOps): %w", e.opts.MaxOps, ErrMaxOps)
+		p.wait(nil)
+	}
+}
+
+// wait hands the token to next (to Run when nil) and parks until this
+// processor is rescheduled.
+func (p *Proc) wait(next *Proc) {
+	p.eng.handoff(next)
 	<-p.resume
-	if e.aborted {
+	if p.eng.aborted {
 		panic(errAbort{})
 	}
 }
@@ -578,16 +585,17 @@ func (p *Proc) yield() {
 // that case the processor keeps the token; handing off to itself would
 // block forever on its own resume channel.
 func (p *Proc) park() {
-	e := p.eng
-	next := e.next()
-	if next == p {
-		return
+	if next := p.eng.next(); next != p {
+		p.wait(next)
 	}
-	e.handoff(next)
-	<-p.resume
-	if e.aborted {
-		panic(errAbort{})
-	}
+}
+
+// rekey records the end of a communication operation: the scheduling key
+// catches up with the clock (it only grows, so the processor can only
+// move toward the leaves of the heap).
+func (p *Proc) rekey() {
+	p.key = p.clock
+	p.eng.heapDown(p.heapIdx)
 }
 
 func (p *Proc) curIter() *IterStats {
@@ -598,92 +606,99 @@ func (p *Proc) curIter() *IterStats {
 }
 
 // Send implements comm.Comm. See the package comment for the cost model.
+// It is the engine's one scheduling point for a runnable processor: the
+// token first moves to whoever is earlier, so link claims and wakes are
+// issued in (key, rank) order.
 func (p *Proc) Send(dst int, m comm.Message) {
-	if dst < 0 || dst >= p.eng.p {
+	e := p.eng
+	if dst < 0 || dst >= e.p {
 		panic(fmt.Sprintf("sim: rank %d sends to invalid rank %d", p.rank, dst))
 	}
+	p.beginOp()
+	if next := e.ready[0]; next != p {
+		p.wait(next)
+	}
 	n := m.Len()
-	cost := p.eng.cfg.SendOverhead + p.eng.cfg.CopyCost(n)
+	cost := e.cfg.SendOverhead + e.cfg.CopyCost(n)
 	p.clock += cost
-	arrival := p.eng.net.Transfer(p.rank, dst, n, p.clock)
-	p.eng.queues[p.rank*p.eng.p+dst].push(pending{msg: m, arrival: arrival})
+	arrival := e.net.Transfer(p.rank, dst, n, p.clock)
+	e.push(&e.queues[p.rank*e.p+dst], pending{msg: m, arrival: arrival})
 	p.sends++
 	p.sendBytes += int64(n)
 	it := p.curIter()
 	it.Sends++
 	it.Bytes += int64(n)
-	if t := p.eng.opts.Tracer; t != nil {
+	if t := e.opts.Tracer; t != nil {
 		t.Trace(Event{Kind: obs.KindSend, Rank: p.rank, Peer: dst, Bytes: n, Parts: len(m.Parts), Tag: m.Tag, Clock: p.clock, Dur: cost, Arrival: arrival, Iter: p.iter, Phase: p.phase})
 	}
-	p.eng.clockAdvanced(p)
+	p.rekey()
 	// Wake the destination if it is blocked waiting for exactly us.
-	d := p.eng.procs[dst]
+	d := &e.procs[dst]
 	if d.state == stateBlocked && d.waitSrc == p.rank {
 		d.state = stateReady
-		p.eng.heapPush(d)
+		e.heapPush(d)
 	}
-	p.yield()
 }
 
-// Recv implements comm.Comm.
+// Recv implements comm.Comm. It keeps the token unless the message has
+// not been sent yet.
 func (p *Proc) Recv(src int) comm.Message {
-	if src < 0 || src >= p.eng.p {
+	e := p.eng
+	if src < 0 || src >= e.p {
 		panic(fmt.Sprintf("sim: rank %d receives from invalid rank %d", p.rank, src))
 	}
-	if !p.inRecv {
-		p.inRecv = true
-		p.recvStart = p.clock
-	}
-	for {
-		q := &p.eng.queues[src*p.eng.p+p.rank]
-		if q.n > 0 {
-			pd := q.pop()
-			if pd.arrival > p.recvStart {
-				p.waitCount++
-				p.waitTime += pd.arrival - p.recvStart
-				if t := p.eng.opts.Tracer; t != nil {
-					t.Trace(Event{Kind: obs.KindWait, Rank: p.rank, Peer: src, Clock: pd.arrival, Dur: pd.arrival - p.recvStart, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
-				}
-			}
-			if pd.arrival > p.clock {
-				p.clock = pd.arrival
-			}
-			n := pd.msg.Len()
-			cost := p.eng.cfg.RecvOverhead + p.eng.cfg.CopyCost(n)
-			p.clock += cost
-			p.recvs++
-			p.recvBytes += int64(n)
-			it := p.curIter()
-			it.Recvs++
-			it.Bytes += int64(n)
-			p.inRecv = false
-			if t := p.eng.opts.Tracer; t != nil {
-				t.Trace(Event{Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: n, Parts: len(pd.msg.Parts), Tag: pd.msg.Tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
-			}
-			p.eng.clockAdvanced(p)
-			p.yield()
-			return pd.msg
-		}
+	p.beginOp()
+	q := &e.queues[src*e.p+p.rank]
+	if q.head == 0 {
+		// Block with the entry clock as key; only src's Send wakes us,
+		// and it has queued the message by then.
 		p.state = stateBlocked
 		p.waitSrc = src
-		p.eng.heapRemove(p)
+		p.key = p.clock
+		e.heapRemove(p)
 		p.park()
 	}
+	pd := e.pop(q)
+	if pd.arrival > p.clock {
+		wait := pd.arrival - p.clock
+		p.waitCount++
+		p.waitTime += wait
+		p.clock = pd.arrival
+		if t := e.opts.Tracer; t != nil {
+			t.Trace(Event{Kind: obs.KindWait, Rank: p.rank, Peer: src, Clock: pd.arrival, Dur: wait, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
+		}
+	}
+	n := pd.msg.Len()
+	cost := e.cfg.RecvOverhead + e.cfg.CopyCost(n)
+	p.clock += cost
+	p.recvs++
+	p.recvBytes += int64(n)
+	it := p.curIter()
+	it.Recvs++
+	it.Bytes += int64(n)
+	if t := e.opts.Tracer; t != nil {
+		t.Trace(Event{Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: n, Parts: len(pd.msg.Parts), Tag: pd.msg.Tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
+	}
+	p.rekey()
+	return pd.msg
 }
 
 // Barrier implements comm.Comm.
 func (p *Proc) Barrier() {
-	if t := p.eng.opts.Tracer; t != nil {
+	e := p.eng
+	p.beginOp()
+	if t := e.opts.Tracer; t != nil {
 		t.Trace(Event{Kind: obs.KindBarrier, Rank: p.rank, Peer: -1, Clock: p.clock, Iter: p.iter, Phase: p.phase})
 	}
 	p.state = stateBarrier
-	p.eng.barrierCount++
-	p.eng.heapRemove(p)
+	e.barrierCount++
+	e.heapRemove(p)
 	p.park()
 }
 
 // AdvanceCombine implements comm.Clock: charge the local cost of merging n
-// received bytes into the accumulated bundle.
+// received bytes into the accumulated bundle. Only the clock moves; the
+// scheduling key waits for the next communication operation.
 func (p *Proc) AdvanceCombine(n int) {
 	d := p.eng.cfg.CombineCost(n)
 	p.clock += d
@@ -691,9 +706,6 @@ func (p *Proc) AdvanceCombine(n int) {
 	if t := p.eng.opts.Tracer; t != nil {
 		t.Trace(Event{Kind: obs.KindCombine, Rank: p.rank, Peer: -1, Bytes: n, Clock: p.clock, Dur: d, Iter: p.iter, Phase: p.phase})
 	}
-	// The clock moved without a yield; keep the heap ordered so the next
-	// dispatch still sees a consistent (clock, rank) key.
-	p.eng.clockAdvanced(p)
 }
 
 // BeginIter implements comm.IterMarker.

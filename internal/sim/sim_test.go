@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -169,18 +171,21 @@ func TestBarrierRankZeroArrivesLast(t *testing.T) {
 	go func() {
 		done <- run(t, nw, func(p *Proc) {
 			for round := 0; round < 2; round++ {
-				// Rank 0 takes the largest clock, then performs a yielding
-				// operation (self send/receive): the token visits every
-				// other rank, they all enter the barrier, and rank 0 is
-				// the processor that arrives last and triggers the
-				// release from inside park().
+				// Rank 0 takes the largest key (the combine charge reaches
+				// it through the self receive), so at its next scheduling
+				// point — the second Send — the token visits every other
+				// rank, they all enter the barrier, and rank 0 is the
+				// processor that arrives last and triggers the release
+				// from inside park().
 				if p.Rank() == 0 {
 					p.AdvanceCombine(10_000)
 				} else {
 					p.AdvanceCombine(100 * p.Rank())
 				}
-				p.Send(p.Rank(), comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Size: 8}}})
+				self := comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Size: 8}}}
+				p.Send(p.Rank(), self)
 				p.Recv(p.Rank())
+				p.Send(p.Rank(), self)
 				p.Barrier()
 			}
 		})
@@ -394,6 +399,101 @@ func TestMaxOpsAborts(t *testing.T) {
 	}
 }
 
+// waitForGoroutines fails the test unless the goroutine count settles back
+// to at most base within a second (unwound goroutines need a moment to
+// exit after their last channel operation).
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: %d before, %d after", base, runtime.NumGoroutine())
+}
+
+// TestMaxOpsCountsOperations pins what the budget counts: communication
+// operations (Send, Recv and Barrier calls over all processors), not
+// scheduler hand-offs. A budget of N lets an endless ping-pong issue
+// exactly N operations; the call that would be operation N+1 aborts the
+// run, and every processor goroutine is gone afterwards.
+func TestMaxOpsCountsOperations(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, budget := range []int{1, 2, 7, 1000} {
+		issued := 0 // touched only under the run token
+		_, err := Run(lineNet(t, 2), func(p *Proc) {
+			issued++
+			p.Barrier()
+			msg := comm.Message{Parts: []comm.Part{{Size: 1}}}
+			for {
+				issued++
+				p.Send(1-p.Rank(), msg)
+				issued++
+				p.Recv(1 - p.Rank())
+			}
+		}, Options{MaxOps: budget})
+		if !errors.Is(err, ErrMaxOps) {
+			t.Fatalf("budget %d: got %v, want ErrMaxOps", budget, err)
+		}
+		// The aborting call was counted above but never ran.
+		if issued != budget+1 {
+			t.Errorf("budget %d: the run was stopped at operation %d, want %d", budget, issued, budget+1)
+		}
+	}
+	waitForGoroutines(t, base)
+}
+
+// TestGoroutinesReturnToBaseline runs every way a run can end — normally,
+// deadlocked, with a panic, out of budget — back to back on the pooled
+// engine: no processor goroutine may outlive its run, and a recycled
+// engine must not carry anything of an abandoned run into the next one.
+func TestGoroutinesReturnToBaseline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ring := func(p *Proc) {
+		p.Send((p.Rank()+1)%p.Size(), comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Size: 8}}})
+		if m := p.Recv((p.Rank() + p.Size() - 1) % p.Size()); m.Parts[0].Origin != (p.Rank()+p.Size()-1)%p.Size() {
+			panic(fmt.Sprintf("rank %d received a stale message from origin %d", p.Rank(), m.Parts[0].Origin))
+		}
+	}
+	endings := []struct {
+		name string
+		fn   func(*Proc)
+		opts Options
+		want string // substring of the error, "" for success
+	}{
+		{"normal", ring, Options{}, ""},
+		{"deadlock", func(p *Proc) {
+			p.Send((p.Rank()+1)%p.Size(), comm.Message{Parts: []comm.Part{{Origin: -1, Size: 8}}}) // left in the queue
+			p.Recv((p.Rank() + 1) % p.Size())
+			p.Recv((p.Rank() + 1) % p.Size())
+		}, Options{}, "deadlock"},
+		{"panic", func(p *Proc) {
+			if p.Rank() == 2 {
+				panic("boom")
+			}
+			p.Barrier()
+		}, Options{}, "boom"},
+		{"budget", func(p *Proc) {
+			for {
+				ring(p)
+			}
+		}, Options{MaxOps: 50}, "MaxOps"},
+	}
+	for round := 0; round < 5; round++ {
+		for _, e := range endings {
+			_, err := Run(lineNet(t, 4), e.fn, e.opts)
+			if e.want == "" && err != nil || e.want != "" && (err == nil || !strings.Contains(err.Error(), e.want)) {
+				t.Fatalf("round %d, %s: got %v, want %q", round, e.name, err, e.want)
+			}
+			if _, err := Run(lineNet(t, 4), ring, Options{}); err != nil {
+				t.Fatalf("round %d: run after a %s ending: %v", round, e.name, err)
+			}
+		}
+	}
+	waitForGoroutines(t, base)
+}
+
 func TestAbortDrainsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
@@ -405,12 +505,5 @@ func TestAbortDrainsGoroutines(t *testing.T) {
 			t.Fatal("deadlock not detected")
 		}
 	}
-	// Give unwound goroutines a moment to exit, then check for leaks.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before+4 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	waitForGoroutines(t, before+4)
 }

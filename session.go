@@ -546,6 +546,7 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 	if err := checkAlgorithmCollective(alg, coll); err != nil {
 		return nil, 0, err
 	}
+	alg = core.Bind(alg, spec)
 	nw, err := m.NewNetwork()
 	if err != nil {
 		return nil, 0, err
@@ -615,6 +616,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 	if err := checkAlgorithmCollective(alg, coll); err != nil {
 		return nil, 0, err
 	}
+	alg = core.Bind(alg, spec)
 	payload := opts.Payload
 	if payload == nil {
 		payload = defaultPayload(cfg, s.m.P())
