@@ -453,11 +453,13 @@ var chaosScenarios = []chaosScenario{
 // run) or aborts cleanly with a diagnostic. It returns an error if any
 // run violates that invariant.
 func runChaos(seed int64, engine string) error {
-	engines := []string{"live", "tcp"}
+	engines := []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP}
 	switch engine {
 	case "both":
-	case "live", "tcp":
-		engines = []string{engine}
+	case "live":
+		engines = []stpbcast.Engine{stpbcast.EngineLive}
+	case "tcp":
+		engines = []stpbcast.Engine{stpbcast.EngineTCP}
 	default:
 		return fmt.Errorf("unknown engine %q (want live, tcp or both)", engine)
 	}
@@ -471,18 +473,12 @@ func runChaos(seed int64, engine string) error {
 		for _, eng := range engines {
 			for _, sc := range chaosScenarios {
 				plan := sc.plan(seed)
-				opts := stpbcast.RunOptions{
+				res, err := stpbcast.Run(m, eng, cfg, stpbcast.RunOptions{
+					Payload:     payload,
 					RecvTimeout: 2 * time.Second,
 					RunTimeout:  60 * time.Second,
 					Faults:      &plan,
-				}
-				var res *stpbcast.LiveResult
-				var err error
-				if eng == "live" {
-					res, err = stpbcast.RunLiveOpts(m, cfg, payload, opts)
-				} else {
-					res, err = stpbcast.RunTCPOpts(m, cfg, payload, opts)
-				}
+				})
 				outcome, bad := chaosOutcome(sc, res, err)
 				nfaults := "-"
 				if res != nil {
@@ -504,7 +500,7 @@ func runChaos(seed int64, engine string) error {
 
 // chaosOutcome classifies one chaos run against its scenario's
 // invariant and reports whether it violated it.
-func chaosOutcome(sc chaosScenario, res *stpbcast.LiveResult, err error) (string, bool) {
+func chaosOutcome(sc chaosScenario, res *stpbcast.Result, err error) (string, bool) {
 	if sc.wantErr == "" {
 		if err != nil {
 			return fmt.Sprintf("FAIL: graceful plan aborted: %v", err), true

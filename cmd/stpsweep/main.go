@@ -83,9 +83,9 @@ func main() {
 	out := make([]string, len(cells))
 	if err := par.ForEach(len(cells), func(i int) error {
 		c := cells[i]
-		res, err := stpbcast.Simulate(m, stpbcast.Config{
+		res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: c.alg, Distribution: c.d, Sources: c.s, MsgBytes: c.l,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			return err
 		}

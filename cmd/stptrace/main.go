@@ -121,7 +121,7 @@ func main() {
 // runSim executes on the discrete-event simulator and prints the paper's
 // characteristic parameters alongside the trace summary.
 func runSim(m *stpbcast.Machine, cfg stpbcast.Config, rec *trace.Recorder, heat bool, hot int) {
-	res, err := stpbcast.SimulateInto(m, cfg, rec)
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{Trace: rec})
 	if err != nil {
 		fatal(err)
 	}
@@ -171,20 +171,18 @@ func runReal(m *stpbcast.Machine, cfg stpbcast.Config, rec *trace.Recorder, engi
 			opts.RecvTimeout = 5 * time.Second
 		}
 	}
-	payload := func(rank int) []byte {
+	opts.Payload = func(rank int) []byte {
 		b := make([]byte, cfg.MsgBytes)
 		for i := range b {
 			b[i] = byte(rank + i)
 		}
 		return b
 	}
-	var res *stpbcast.LiveResult
-	var err error
-	if engine == "live" {
-		res, err = stpbcast.RunLiveOpts(m, cfg, payload, opts)
-	} else {
-		res, err = stpbcast.RunTCPOpts(m, cfg, payload, opts)
+	eng, err := stpbcast.ParseEngine(engine)
+	if err != nil {
+		fatal(err)
 	}
+	res, err := stpbcast.Run(m, eng, cfg, opts)
 	if err != nil {
 		// Report, but fall through: the partial trace is often the most
 		// useful artifact of a failed run.

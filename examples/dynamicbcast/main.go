@@ -43,11 +43,11 @@ func main() {
 	for _, alg := range []string{"2-Step", "Br_xy_source", "Repos_xy_source"} {
 		total := 0.0
 		for _, sources := range dirtySets {
-			res, err := stpbcast.Simulate(stpbcast.NewParagon(rows, cols), stpbcast.Config{
+			res, err := stpbcast.Run(stpbcast.NewParagon(rows, cols), stpbcast.EngineSim, stpbcast.Config{
 				Algorithm:   alg,
 				SourceRanks: sources,
 				MsgBytes:    msgBytes,
-			})
+			}, stpbcast.RunOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

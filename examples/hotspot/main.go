@@ -32,16 +32,16 @@ func main() {
 
 	type run struct {
 		alg   string
-		res   *stpbcast.SimResult
+		res   *stpbcast.Result
 		loads []network.Time
 		heat  string
 	}
 	var runs []run
 	var globalMax network.Time
 	for _, alg := range []string{"2-Step", "Br_xy_source"} {
-		res, err := stpbcast.Simulate(machine, stpbcast.Config{
+		res, err := stpbcast.Run(machine, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: alg, Distribution: "E", Sources: s, MsgBytes: msgBytes,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

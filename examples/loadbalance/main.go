@@ -89,13 +89,13 @@ func main() {
 		// Broadcast the directory updates on the live engine and verify
 		// replica consistency.
 		cfg := stpbcast.Config{Algorithm: "Br_xy_source", SourceRanks: splitters, MsgBytes: 12}
-		res, err := stpbcast.RunLive(machine, cfg, func(rank int) []byte {
+		res, err := stpbcast.Run(machine, stpbcast.EngineLive, cfg, stpbcast.RunOptions{Payload: func(rank int) []byte {
 			return encode(update{
 				Region:   uint32(rank),
 				Boundary: uint32(1000*rank + phase),
 				NewOwner: uint32((rank + 1) % p),
 			})
-		})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -107,15 +107,15 @@ func main() {
 		}
 
 		// Price the same broadcast on the simulated machine.
-		plain, err := stpbcast.Simulate(machine, stpbcast.Config{
+		plain, err := stpbcast.Run(machine, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: "Br_xy_source", SourceRanks: splitters, MsgBytes: 12,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		repos, err := stpbcast.Simulate(machine, stpbcast.Config{
+		repos, err := stpbcast.Run(machine, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: "Repos_xy_source", SourceRanks: splitters, MsgBytes: 12,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -145,4 +145,4 @@ func directoryOf(bundle map[int][]byte) string {
 	return out
 }
 
-func msOf(r *stpbcast.SimResult) float64 { return float64(r.Elapsed.Nanoseconds()) / 1e6 }
+func msOf(r *stpbcast.Result) float64 { return float64(r.Elapsed.Nanoseconds()) / 1e6 }

@@ -20,7 +20,7 @@ func main() {
 		Sources:      30,
 		MsgBytes:     4096,
 	}
-	res, err := stpbcast.Simulate(paragon, cfg)
+	res, err := stpbcast.Run(paragon, stpbcast.EngineSim, cfg, stpbcast.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,9 +33,9 @@ func main() {
 	// --- The T3D inversion ---------------------------------------------
 	t3d := stpbcast.NewT3D(128)
 	for _, alg := range []string{"MPI_Alltoall", "Br_Lin"} {
-		r, err := stpbcast.Simulate(t3d, stpbcast.Config{
+		r, err := stpbcast.Run(t3d, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: algT3D(alg), Distribution: "E", Sources: 40, MsgBytes: 4096,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,9 +45,9 @@ func main() {
 	fmt.Println()
 
 	// --- Real bytes on the live engine ----------------------------------
-	live, err := stpbcast.RunLive(paragon, cfg, func(rank int) []byte {
+	live, err := stpbcast.Run(paragon, stpbcast.EngineLive, cfg, stpbcast.RunOptions{Payload: func(rank int) []byte {
 		return []byte(fmt.Sprintf("update-from-processor-%03d", rank))
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 		len(got), live.Elapsed, string(got[0]))
 }
 
-func ms(r *stpbcast.SimResult) float64 { return float64(r.Elapsed.Nanoseconds()) / 1e6 }
+func ms(r *stpbcast.Result) float64 { return float64(r.Elapsed.Nanoseconds()) / 1e6 }
 
 // algT3D maps the display name to the registered algorithm name.
 func algT3D(name string) string {

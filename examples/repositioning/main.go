@@ -32,15 +32,15 @@ func main() {
 
 	fmt.Printf("%-6s %14s %18s %10s\n", "dist", "Br_xy_source", "Repos_xy_source", "gain")
 	for _, d := range stpbcast.Distributions() {
-		plain, err := stpbcast.Simulate(machine, stpbcast.Config{
+		plain, err := stpbcast.Run(machine, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: "Br_xy_source", Distribution: d.Name(), Sources: s, MsgBytes: msgBytes,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		repos, err := stpbcast.Simulate(machine, stpbcast.Config{
+		repos, err := stpbcast.Run(machine, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: "Repos_xy_source", Distribution: d.Name(), Sources: s, MsgBytes: msgBytes,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,4 +65,4 @@ func main() {
 	fmt.Printf("\nafter repositioning (ideal rows):\n%s", dist.Render(rows, cols, ideal))
 }
 
-func ms(r *stpbcast.SimResult) float64 { return float64(r.Elapsed.Nanoseconds()) / 1e6 }
+func ms(r *stpbcast.Result) float64 { return float64(r.Elapsed.Nanoseconds()) / 1e6 }

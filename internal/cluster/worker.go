@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/comm"
@@ -232,13 +231,6 @@ func (w *worker) buildRun(rs *RunSpec) (core.Spec, core.Algorithm, error) {
 	alg, err := core.ByName(rs.Algorithm)
 	if err != nil {
 		return core.Spec{}, nil, err
-	}
-	// Workers verify full-broadcast bundles — every rank ends with every
-	// source's message. The repositioning algorithms end with a
-	// different invariant, so reject them here with a clear error
-	// instead of failing bundle verification cryptically.
-	if strings.HasPrefix(alg.Name(), "Repos") || strings.HasPrefix(alg.Name(), "Part") {
-		return core.Spec{}, nil, fmt.Errorf("cluster: %s repositions rather than broadcasts; cluster runs support broadcast algorithms only", alg.Name())
 	}
 	if rs.MsgBytes <= 0 {
 		return core.Spec{}, nil, fmt.Errorf("cluster: non-positive message size %d", rs.MsgBytes)

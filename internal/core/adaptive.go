@@ -33,12 +33,6 @@ func ReposAdaptive(inner Algorithm, margin float64) Algorithm {
 
 func (a reposAdaptive) Name() string { return "ReposAdaptive_" + a.inner.Name() }
 
-// GrowthEfficiency is the exported form of the ReposAdaptive decision
-// metric: how close the spec's halving replay comes to doubling the
-// holder count every iteration (1.0 = perfect doubling until saturation).
-// The planner's analytic tier ranks distributions with it.
-func GrowthEfficiency(spec Spec) float64 { return growthEfficiency(spec) }
-
 // growthEfficiency replays the halving pattern over the given source
 // positions and scores how close the holder counts come to doubling each
 // iteration (1.0 = perfect doubling until saturation). It is the
@@ -53,17 +47,16 @@ func growthEfficiency(spec Spec) float64 {
 	if cur >= p {
 		return 1
 	}
-	gained := make([]int, lineIters(1, p))
-	cp := compile(spec, 1, len(gained))
-	cp.line(1, 0, p, func(pos int) int { return pos })
+	rankOrder := sectioning{k: 1, passes: []pass{{n: p, at: func(_, pos int) int { return pos }}}}
+	gained := make([]int, rankOrder.levels())
 	// A processor becomes a holder at the level of its first receive.
 	seen := spec.holderFlags()
-	for _, s := range cp.steps {
-		if s.recv && !seen[s.rank] {
-			seen[s.rank] = true
-			gained[s.iter]++
+	rankOrder.stream(spec, func(st Step) {
+		if st.Recv && !seen[st.Rank] {
+			seen[st.Rank] = true
+			gained[st.Level]++
 		}
-	}
+	})
 	achieved, ideal := 0.0, 0.0
 	for _, g := range gained {
 		if cur < p {

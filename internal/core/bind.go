@@ -95,41 +95,110 @@ func lineIters(k, n int) int {
 	return it
 }
 
-// step is one entry of a processor's compiled schedule.
-type step struct {
-	iter int32 // level the step belongs to
-	peer int32 // partner rank
-	recv bool  // receive the partner's bundle and merge it; otherwise send ours
+// Step is one entry of a sectioning broadcast's compiled schedule: at
+// level Level processor Rank sends its bundle to Peer, or (Recv) receives
+// Peer's bundle and merges it into its own.
+type Step struct {
+	Level, Rank, Peer int32
+	Recv              bool
+}
+
+// Steps streams the schedule alg compiles for spec to visit, and reports
+// whether alg has one: Br_Lin, Br_kport<k>, Br_xy_* and Br_dims do, their
+// whole communication after the opening barrier being these steps. Every
+// receive follows the send it matches and a rank's steps come in the order
+// it executes them, so one pass with per-rank state can replay the run.
+// It is the stream Bind buckets into per-rank lists. The spec must be
+// valid for its own mesh, as for Bind; Steps panics otherwise.
+func Steps(alg Algorithm, spec Spec, visit func(Step)) bool {
+	a, ok := alg.(sectioned)
+	if !ok {
+		return false
+	}
+	if err := spec.Validate(spec.P()); err != nil {
+		panic(err)
+	}
+	a.sections(spec).stream(spec, visit)
+	return true
+}
+
+// sectioned is implemented by the broadcasts whose communication is a
+// sectioning of the spec: Br_Lin, Br_kport<k>, Br_xy_* and Br_dims.
+type sectioned interface {
+	Algorithm
+	sections(Spec) sectioning
+}
+
+// bindSections binds a sectioned broadcast: its steps, compiled once and
+// carved per rank.
+func bindSections(a sectioned, spec Spec) Algorithm {
+	return bind(a, spec, func() body { return a.sections(spec).body(spec) })
+}
+
+// sectioning describes a broadcast that is nothing but (k+1)-sectioning
+// along lines: every line of the first pass, then every line of the
+// next. Br_Lin is one pass over one line, the whole machine; Br_dims is
+// one pass per dimension.
+type sectioning struct {
+	k      int
+	phase  string // what a trace calls every level
+	passes []pass
+}
+
+// pass partitions the machine into p/n disjoint lines of n processors
+// each, at(line, pos) being the rank at position pos of a line.
+type pass struct {
+	n  int
+	at func(line, pos int) int
+}
+
+// levels returns the number of levels all passes take together.
+func (s sectioning) levels() int {
+	iters := 0
+	for _, ps := range s.passes {
+		iters += lineIters(s.k, ps.n)
+	}
+	return iters
+}
+
+// stream runs the holder evolution from the spec's sources through every
+// pass and hands each step to emit. The holder flags carry over from
+// pass to pass: a line's sectioning leaves all of its processors holding
+// iff any of them did.
+func (s sectioning) stream(spec Spec, emit func(Step)) {
+	longest := 0
+	for _, ps := range s.passes {
+		longest = max(longest, ps.n)
+	}
+	// A line of n processors never has more than n segments.
+	cp := &compiler{
+		holds: spec.holderFlags(), emit: emit,
+		segs: make([]segment, 0, longest), next: make([]segment, 0, longest), members: make([]int, 0, s.k+1),
+	}
+	base := 0
+	for _, ps := range s.passes {
+		for l := 0; l < spec.P()/ps.n; l++ {
+			cp.line(s.k, base, ps.n, func(pos int) int { return ps.at(l, pos) })
+		}
+		base += lineIters(s.k, ps.n)
+	}
 }
 
 // compiler runs the holder evolution of the sectioning broadcasts once
-// for the whole machine and records, for every rank, its own steps. All
+// for the whole machine and emits every processor's steps. All
 // processors know the source positions (Section 1), so the evolution is
 // a pure function of the spec: computing it per processor, as the
 // paper's model has it, would repeat it p times in one address space.
 type compiler struct {
 	holds []bool // by rank: does it hold messages at this point
-	steps []rankStep
+	emit  func(Step)
 	// Scratch reused from line to line.
 	segs, next []segment
 	members    []int
 }
 
-type rankStep struct {
-	rank int32
-	step
-}
-
-// compile starts a compilation at the spec's initial holders, with room
-// for the steps of iters levels of (k+1)-sectioning over the machine: a
-// level costs a processor at most k sends, k receives and a straggler's
-// one-way.
-func compile(spec Spec, k, iters int) *compiler {
-	return &compiler{holds: spec.holderFlags(), steps: make([]rankStep, 0, (2*k+1)*spec.P()*iters)}
-}
-
 func (cp *compiler) add(it, rank, peer int, recv bool) {
-	cp.steps = append(cp.steps, rankStep{int32(rank), step{int32(it), int32(peer), recv}})
+	cp.emit(Step{int32(it), int32(rank), int32(peer), recv})
 }
 
 // line compiles the (k+1)-section broadcast along one line of n
@@ -217,25 +286,36 @@ func (cp *compiler) exchange(it int, members []int) {
 	}
 }
 
-// body carves the recorded steps into per-rank lists (one slab) and
+// step is a Step in its own processor's list.
+type step struct {
+	iter int32 // level the step belongs to
+	peer int32 // partner rank
+	recv bool  // receive the partner's bundle and merge it; otherwise send ours
+}
+
+// body records the stream, carves it into per-rank lists (one slab) and
 // returns the communicating part of the broadcast: after the barrier
-// every processor executes only its own steps, marking each of the iters
-// levels whether or not it is active in it, and ends holding parts
-// original messages.
-func (cp *compiler) body(phase string, iters, parts int) body {
-	p := len(cp.holds)
+// every processor executes only its own steps, marking each level whether
+// or not it is active in it, and ends holding all s original messages.
+func (s sectioning) body(spec Spec) body {
+	p, iters, parts := spec.P(), s.levels(), spec.S()
+	// A level costs a processor at most k sends, k receives and a
+	// straggler's one-way.
+	steps := make([]Step, 0, (2*s.k+1)*p*iters)
+	s.stream(spec, func(st Step) { steps = append(steps, st) })
 	off := make([]int, p+1)
-	for _, s := range cp.steps {
-		off[s.rank+1]++
+	for _, st := range steps {
+		off[st.Rank+1]++
 	}
-	slab, mine := make([]step, len(cp.steps)), make([][]step, p)
+	slab, mine := make([]step, len(steps)), make([][]step, p)
 	for r := range mine {
 		off[r+1] += off[r]
 		mine[r] = slab[off[r]:off[r]:off[r+1]]
 	}
-	for _, s := range cp.steps {
-		mine[s.rank] = append(mine[s.rank], s.step)
+	for _, st := range steps {
+		mine[st.Rank] = append(mine[st.Rank], step{st.Level, st.Peer, st.Recv})
 	}
+	phase := s.phase
 	return func(c comm.Comm, bundle comm.Message) comm.Message {
 		c.Barrier()
 		todo := mine[c.Rank()]

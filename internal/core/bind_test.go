@@ -1,14 +1,83 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+// stepTracer records every rank's sends and receives as the Steps they
+// execute, in the rank's own order.
+type stepTracer [][]Step
+
+func (tr stepTracer) Trace(e obs.Event) {
+	if e.Kind == obs.KindSend || e.Kind == obs.KindRecv {
+		tr[e.Rank] = append(tr[e.Rank], Step{int32(e.Iter), int32(e.Rank), int32(e.Peer), e.Kind == obs.KindRecv})
+	}
+}
+
+// TestStepsMatchExecutedSchedule holds the step stream and the executed
+// schedule together: for every registry algorithm that has a stream, on
+// square, odd, 1×p and torus machines, the steps Steps hands out for a
+// rank are exactly the (level, peer, send|receive) sequence of that rank
+// in a traced simulator run of the bound algorithm. What the planner
+// prices is therefore what the engines run.
+func TestStepsMatchExecutedSchedule(t *testing.T) {
+	machines := []struct {
+		rows, cols int
+		topo       topology.Topology
+		cfg        network.Config
+	}{
+		{4, 4, topology.MustMesh2D(4, 4), network.ParagonNX()},
+		{7, 9, topology.MustMesh2D(7, 9), network.ParagonNX()},
+		{1, 13, topology.MustMesh2D(1, 13), network.ParagonNX()},
+		{10, 10, topology.MustMesh2D(10, 10), network.ParagonNX()},
+		{8, 8, topology.MustTorus3D(4, 4, 4), network.T3DMPI()},
+	}
+	var streamed []string
+	for _, alg := range Registry() {
+		for _, m := range machines {
+			p := m.rows * m.cols
+			for _, d := range []dist.Distribution{dist.Equal(), dist.Cross(), dist.Square()} {
+				for _, s := range []int{1, max(p/8, 1), p / 2} {
+					spec := makeSpec(t, d, m.rows, m.cols, s)
+					want := make([][]Step, p)
+					if !Steps(alg, spec, func(st Step) { want[st.Rank] = append(want[st.Rank], st) }) {
+						continue
+					}
+					if !slices.Contains(streamed, alg.Name()) {
+						streamed = append(streamed, alg.Name())
+					}
+					nw, err := network.New(m.topo, topology.IdentityPlacement(p), m.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, bound := make(stepTracer, p), Bind(alg, spec)
+					if _, err := sim.Run(nw, func(pr *sim.Proc) {
+						bound.Run(pr, spec, InitialMessageLen(spec, pr.Rank(), 64))
+					}, sim.Options{Tracer: got}); err != nil {
+						t.Fatal(err)
+					}
+					for r := range want {
+						if !slices.Equal(got[r], want[r]) {
+							t.Fatalf("%s on %d×%d %s(%d): rank %d executed %v, the stream says %v",
+								alg.Name(), m.rows, m.cols, d.Name(), s, r, got[r], want[r])
+						}
+					}
+				}
+			}
+		}
+	}
+	if want := []string{"Br_Lin", "Br_xy_source", "Br_xy_dim", "Br_kport4"}; !slices.Equal(streamed, want) {
+		t.Errorf("registry algorithms with a step stream: %v, want %v", streamed, want)
+	}
+}
 
 // TestBoundSharedByConcurrentRanks runs bound algorithms on the live
 // engine, where the p ranks really execute at once: the compiled

@@ -62,37 +62,35 @@ func (a brDims) validate(p int) error {
 	return nil
 }
 
+func (a brDims) sections(spec Spec) sectioning {
+	if err := a.validate(spec.P()); err != nil {
+		panic(err)
+	}
+	return a.passes()
+}
+
 func (a brDims) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body {
-		if err := a.validate(spec.P()); err != nil {
-			panic(err)
-		}
-		return a.compile(spec)
-	})
+	return bindSections(a, spec)
 }
 
 func (a brDims) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	return a.Bind(spec).Run(c, spec, mine)
 }
 
-// compile runs the halving along every line of one dimension after
-// another. The holder flags carry over from phase to phase: a line's
-// halving leaves all of its processors holding iff any of them did.
-func (a brDims) compile(spec Spec) body {
-	// Σ⌈log2 e⌉ over the extents is at most ⌈log2 p⌉ plus one per dimension.
-	cp, iters := compile(spec, 1, lineIters(1, spec.P())+len(a.extents)), 0
+// passes is the halving along every line of one dimension after another:
+// the lines of a dimension are numbered by their processor with x_dim = 0,
+// in rank order.
+func (a brDims) passes() sectioning {
+	s := sectioning{k: 1, phase: "halving", passes: make([]pass, 0, len(a.order))}
 	for _, dim := range a.order {
 		stride := 1
 		for _, e := range a.extents[dim+1:] {
 			stride *= e
 		}
 		n := a.extents[dim]
-		for first := 0; first < spec.P(); first++ {
-			if first/stride%n == 0 { // the line's processor with x_dim = 0
-				cp.line(1, iters, n, func(pos int) int { return first + pos*stride })
-			}
-		}
-		iters += lineIters(1, n)
+		s.passes = append(s.passes, pass{n: n, at: func(line, pos int) int {
+			return line/stride*stride*n + line%stride + pos*stride
+		}})
 	}
-	return cp.body("halving", iters, spec.S())
+	return s
 }

@@ -32,8 +32,10 @@ func BrKPort(k int) Algorithm {
 
 func (a brKPort) Name() string { return "Br_kport" + strconv.Itoa(a.k) }
 
+func (a brKPort) sections(spec Spec) sectioning { return linear(a.k, "ksection", spec) }
+
 func (a brKPort) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body { return linear(a.k, "ksection", spec) })
+	return bindSections(a, spec)
 }
 
 func (a brKPort) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {

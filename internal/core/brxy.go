@@ -41,14 +41,16 @@ type brXY struct {
 
 func (a brXY) Name() string { return a.name }
 
+func (a brXY) sections(spec Spec) sectioning {
+	order := []int{0, 1}
+	if a.rowsFirst(spec) {
+		order = []int{1, 0} // a row's line runs along the column coordinate
+	}
+	return brDims{extents: []int{spec.Rows, spec.Cols}, order: order}.passes()
+}
+
 func (a brXY) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body {
-		order := []int{0, 1}
-		if a.rowsFirst(spec) {
-			order = []int{1, 0} // a row's line runs along the column coordinate
-		}
-		return brDims{extents: []int{spec.Rows, spec.Cols}, order: order}.compile(spec)
-	})
+	return bindSections(a, spec)
 }
 
 func (a brXY) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {

@@ -7,10 +7,8 @@ import (
 
 // The algorithm suite is built once and shared: every algorithm is a
 // stateless value whose Run method keeps all per-broadcast state on the
-// stack, so one instance can serve concurrent runs. Simulate resolves the
-// registry per run and the planner's probe loop resolves it hot, which
-// made the previous construct-14-algorithms-per-lookup behaviour a
-// measurable waste.
+// stack, so one instance can serve concurrent runs. Every run resolves
+// the registry, and the planner's ranking and probe loops resolve it hot.
 var (
 	registryOnce sync.Once
 	registryAlgs []Algorithm

@@ -2,9 +2,8 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -22,7 +21,8 @@ type Score struct {
 
 // Rank scores every candidate with the analytic cost model and returns
 // them fastest-predicted first. Ties preserve candidate order, so the
-// ranking is deterministic.
+// ranking is deterministic. The spec must be valid for the machine
+// (core.Spec.Validate), as Decide ensures.
 func Rank(m *machine.Machine, spec core.Spec, msgLen int, candidates []string) []Score {
 	md := newModel(m, spec, msgLen)
 	out := make([]Score, len(candidates))
@@ -40,19 +40,22 @@ func Rank(m *machine.Machine, spec core.Spec, msgLen int, candidates []string) [
 // comment) without contention: a send costs SendOverhead plus the byte
 // copy, the wire adds startup, per-hop latency and bytes/bandwidth, a
 // receive costs RecvOverhead plus the byte copy, and message-combining
-// algorithms additionally pay the per-byte combine cost. For the
-// line-based algorithms the estimate replays the exact halving pattern of
-// core's compiler.line (the replay behind core.GrowthEfficiency) with
-// per-position virtual clocks and true hop distances, so stalled-growth
-// distributions are priced as badly as the simulator prices them.
+// algorithms additionally pay the per-byte combine cost. An algorithm
+// that compiles to a step schedule (core.Steps) is priced from that
+// schedule with per-rank clocks and true hop distances, so
+// stalled-growth distributions are priced as badly as the simulator
+// prices them; the rest have closed forms.
 type model struct {
 	spec     core.Spec
 	l        int
 	cfg      network.Config
 	topo     topology.Topology
 	place    *topology.Placement
-	mesh     *topology.Mesh2D
 	meanHops float64
+	// Scratch price reuses from schedule to schedule.
+	clocks []float64
+	sizes  []int64
+	flight []transfer
 }
 
 func newModel(m *machine.Machine, spec core.Spec, msgLen int) *model {
@@ -62,7 +65,6 @@ func newModel(m *machine.Machine, spec core.Spec, msgLen int) *model {
 		cfg:   m.Cfg,
 		topo:  m.Topo,
 		place: m.Place,
-		mesh:  topology.MustMesh2D(spec.Rows, spec.Cols),
 	}
 	md.meanHops = md.sampleMeanHops()
 	return md
@@ -138,27 +140,35 @@ func (md *model) logp() float64 {
 }
 
 // estimate returns the predicted time (ns) of one algorithm on the
-// instance. Unknown names get the conservative 2-Step estimate so that
-// user-registered algorithms still rank somewhere sensible.
+// instance: the price of its compiled schedule if it has one, its closed
+// form otherwise. Unknown names get the conservative 2-Step estimate so
+// that user-registered algorithms still rank somewhere sensible.
 func (md *model) estimate(name string) float64 {
+	if alg, err := core.ByName(name); err == nil {
+		if t, ok := md.price(alg, md.spec); ok {
+			return t
+		}
+	}
 	switch name {
-	case "2-Step":
-		return md.estTwoStep()
 	case "PersAlltoAll":
 		return md.estPersAlltoAll()
-	case "Br_Lin":
-		return md.estBrLin(md.spec)
-	case "Br_xy_source":
-		return md.estBrXY(md.spec, true)
-	case "Br_xy_dim":
-		return md.estBrXY(md.spec, false)
-	case "Repos_Lin", "Repos_xy_source", "Repos_xy_dim":
-		return md.estRepos(name)
-	case "Part_Lin", "Part_xy_source", "Part_xy_dim":
-		return md.estPart(name)
-	case "Ring_AllGather":
+	case "Repos_Lin":
+		return md.estRepos(core.BrLin())
+	case "Repos_xy_source":
+		return md.estRepos(core.BrXYSource())
+	case "Repos_xy_dim":
+		return md.estRepos(core.BrXYDim())
+	case "Part_Lin":
+		return md.estPart(core.BrLin())
+	case "Part_xy_source":
+		return md.estPart(core.BrXYSource())
+	case "Part_xy_dim":
+		return md.estPart(core.BrXYDim())
+	case "Ring_AllGather", "Ag_Ring":
+		// The allgather spec names every rank a source, so the ring and
+		// recursive-doubling closed forms price it directly.
 		return md.estRing()
-	case "RD_AllGather":
+	case "RD_AllGather", "Ag_RecDouble":
 		return md.estRD()
 	case "Indep_1toP":
 		return md.estIndep()
@@ -167,8 +177,11 @@ func (md *model) estimate(name string) float64 {
 	case "Red_Tree":
 		return md.estRedTree()
 	case "AllRed_RecDouble":
+		// The butterfly's ⌈log2 p⌉ symmetric exchange rounds each cost a
+		// tree level: a send and a receive-plus-fold of the fixed-size
+		// partial result.
 		if p := md.spec.P(); p&(p-1) == 0 {
-			return md.estButterfly()
+			return md.estRedTree()
 		}
 		return md.estRedBcast()
 	case "AllRed_RedBcast":
@@ -177,131 +190,55 @@ func (md *model) estimate(name string) float64 {
 		return md.estScatterBinomial()
 	case "Scatter_Direct":
 		return md.estScatterDirect()
-	case "Ag_Ring":
-		// The allgather spec names every rank a source, so the ring and
-		// recursive-doubling closed forms price it directly.
-		return md.estRing()
-	case "Ag_RecDouble":
-		return md.estRD()
 	case "A2A_Pairwise":
 		return md.estA2APairwise()
 	case "A2A_JungSakho":
 		return md.estJungSakho()
 	}
-	if k, ok := kportPorts(name); ok {
-		return md.estKPort(k)
-	}
+	// 2-Step itself, and every name the model does not know.
 	return md.estTwoStep()
 }
 
-// kportPorts parses the port count out of a "Br_kport<k>" registry name.
-func kportPorts(name string) (int, bool) {
-	const prefix = "Br_kport"
-	if !strings.HasPrefix(name, prefix) {
-		return 0, false
-	}
-	k, err := strconv.Atoi(name[len(prefix):])
-	if err != nil || k < 1 {
-		return 0, false
-	}
-	return k, true
+// transfer is a priced message between its send and its receive.
+type transfer struct {
+	from, to int32
+	bytes    int64
+	arrives  float64
 }
 
-// --- line-replay machinery -------------------------------------------------
-
-// lineState is one line's replay state, positions indexed along the line.
-type lineState struct {
-	ranks []int // position → full-machine rank
-	holds []bool
-	sizes []int64
-}
-
-// replayLine replays the halving pattern of core's compiler.line over one line,
-// advancing the shared per-rank clocks. The pairing rules mirror
-// analysis.replayHalving (and therefore the simulator) exactly; only the
-// per-operation pricing is added.
-func (md *model) replayLine(ls *lineState, clocks []float64) {
-	n := len(ls.ranks)
-	type seg struct{ lo, n int }
-	segs := []seg{{0, n}}
-	for {
-		split := false
-		for _, g := range segs {
-			if g.n > 1 {
-				split = true
-			}
-		}
-		if !split {
+// price replays the schedule alg compiles for spec (core.Steps; false if
+// it has none) in one pass: a send advances the sender's clock by the
+// send overhead and the copy of its current bundle and puts the bundle on
+// an uncontended wire over the true hop distance; the matching receive
+// waits for it, pays the receive overhead, the copy and the combine, and
+// grows the receiver's bundle. spec may be an ideal repositioning target
+// or a machine half rather than md.spec; its ranks are priced where the
+// full machine places them. The result is the last clock.
+func (md *model) price(alg core.Algorithm, spec core.Spec) (float64, bool) {
+	p := spec.P()
+	md.clocks = append(md.clocks[:0], make([]float64, p)...)
+	md.sizes = append(md.sizes[:0], make([]int64, p)...)
+	clocks, sizes, flight := md.clocks, md.sizes, md.flight[:0]
+	for _, src := range spec.Sources {
+		sizes[src] = int64(md.l)
+	}
+	ok := core.Steps(alg, spec, func(st core.Step) {
+		r := st.Rank
+		if !st.Recv {
+			n := sizes[r]
+			clocks[r] += md.so() + md.copy(n)
+			flight = append(flight, transfer{r, st.Peer, n, clocks[r] + md.wire(n, float64(md.hop(int(r), int(st.Peer))))})
 			return
 		}
-		var next []seg
-		for _, g := range segs {
-			if g.n <= 1 {
-				continue
-			}
-			h := (g.n + 1) / 2
-			for i := 0; i < g.n-h; i++ {
-				a, b := g.lo+i, g.lo+i+h
-				switch {
-				case ls.holds[a] && ls.holds[b]:
-					md.exchange(ls, a, b, clocks)
-				case ls.holds[a]:
-					md.oneway(ls, a, b, clocks)
-				case ls.holds[b]:
-					md.oneway(ls, b, a, clocks)
-				}
-			}
-			if g.n%2 == 1 {
-				u, tgt := g.lo+h-1, g.lo+g.n-1
-				if ls.holds[u] && u != tgt {
-					md.oneway(ls, u, tgt, clocks)
-				}
-			}
-			next = append(next, seg{g.lo, h}, seg{g.lo + h, g.n - h})
-		}
-		segs = next
-	}
-}
-
-// exchange prices a pairwise bundle swap between line positions a and b.
-func (md *model) exchange(ls *lineState, a, b int, clocks []float64) {
-	ra, rb := ls.ranks[a], ls.ranks[b]
-	sa, sb := ls.sizes[a], ls.sizes[b]
-	d := float64(md.hop(ra, rb))
-	arrAtB := clocks[ra] + md.so() + md.copy(sa) + md.wire(sa, d)
-	arrAtA := clocks[rb] + md.so() + md.copy(sb) + md.wire(sb, d)
-	clocks[ra] = math.Max(clocks[ra]+md.so()+md.copy(sa), arrAtA) + md.ro() + md.copy(sb) + md.comb(sb)
-	clocks[rb] = math.Max(clocks[rb]+md.so()+md.copy(sb), arrAtB) + md.ro() + md.copy(sa) + md.comb(sa)
-	ls.sizes[a], ls.sizes[b] = sa+sb, sa+sb
-}
-
-// oneway prices a single bundle send from line position a to b.
-func (md *model) oneway(ls *lineState, a, b int, clocks []float64) {
-	ra, rb := ls.ranks[a], ls.ranks[b]
-	sa := ls.sizes[a]
-	d := float64(md.hop(ra, rb))
-	arr := clocks[ra] + md.so() + md.copy(sa) + md.wire(sa, d)
-	clocks[ra] += md.so() + md.copy(sa)
-	clocks[rb] = math.Max(clocks[rb], arr) + md.ro() + md.copy(sa) + md.comb(sa)
-	ls.sizes[b] += sa
-	ls.holds[b] = true
-}
-
-// newLine builds a line's state from full-machine ranks and a holdings
-// predicate.
-func newLine(ranks []int, holds func(rank int) bool, size func(rank int) int64) *lineState {
-	ls := &lineState{
-		ranks: ranks,
-		holds: make([]bool, len(ranks)),
-		sizes: make([]int64, len(ranks)),
-	}
-	for pos, r := range ranks {
-		if holds(r) {
-			ls.holds[pos] = true
-			ls.sizes[pos] = size(r)
-		}
-	}
-	return ls
+		i := slices.IndexFunc(flight, func(t transfer) bool { return t.from == st.Peer && t.to == r })
+		t := flight[i]
+		flight[i] = flight[len(flight)-1]
+		flight = flight[:len(flight)-1]
+		clocks[r] = math.Max(clocks[r], t.arrives) + md.ro() + md.copy(t.bytes) + md.comb(t.bytes)
+		sizes[r] += t.bytes
+	})
+	md.flight = flight
+	return maxClock(clocks), ok
 }
 
 func maxClock(clocks []float64) float64 {
@@ -314,143 +251,18 @@ func maxClock(clocks []float64) float64 {
 	return m
 }
 
-// estBrLin replays Br_Lin over the snake-ordered line of the given spec
-// (which may be an ideal repositioning target rather than md.spec).
-func (md *model) estBrLin(spec core.Spec) float64 {
-	p := spec.P()
-	mesh := topology.MustMesh2D(spec.Rows, spec.Cols)
-	ranks := make([]int, p)
-	for pos := 0; pos < p; pos++ {
-		ranks[pos] = spec.Indexing.RankToNode(mesh, pos)
-	}
-	clocks := make([]float64, md.spec.P())
-	ls := newLine(ranks, spec.IsSource, func(int) int64 { return int64(md.l) })
-	md.replayLine(ls, clocks)
-	return maxClock(clocks)
-}
-
-// estBrXY replays Br_xy_source (sourceRule) or Br_xy_dim: the halving
-// pattern inside every line of the first dimension, then inside every line
-// of the second, per-rank clocks carried across the phases.
-func (md *model) estBrXY(spec core.Spec, sourceRule bool) float64 {
-	r, c := spec.Rows, spec.Cols
-	perRow := make([]int, r)
-	perCol := make([]int, c)
-	for _, src := range spec.Sources {
-		perRow[src/c]++
-		perCol[src%c]++
-	}
-	rowsFirst := r >= c
-	if sourceRule {
-		maxR, maxC := 0, 0
-		for _, v := range perRow {
-			if v > maxR {
-				maxR = v
-			}
-		}
-		for _, v := range perCol {
-			if v > maxC {
-				maxC = v
-			}
-		}
-		rowsFirst = maxR < maxC
-	}
-	rowLine := func(i int) []int {
-		line := make([]int, c)
-		for j := range line {
-			line[j] = i*c + j
-		}
-		return line
-	}
-	colLine := func(j int) []int {
-		line := make([]int, r)
-		for i := range line {
-			line[i] = i*c + j
-		}
-		return line
-	}
-	clocks := make([]float64, md.spec.P())
-	var lines1, lines2 [][]int
-	var phase2Vol func(rank int) (bool, int64)
-	if rowsFirst {
-		for i := 0; i < r; i++ {
-			lines1 = append(lines1, rowLine(i))
-		}
-		for j := 0; j < c; j++ {
-			lines2 = append(lines2, colLine(j))
-		}
-		phase2Vol = func(rank int) (bool, int64) {
-			i := rank / c
-			return perRow[i] > 0, int64(perRow[i]) * int64(md.l)
-		}
-	} else {
-		for j := 0; j < c; j++ {
-			lines1 = append(lines1, colLine(j))
-		}
-		for i := 0; i < r; i++ {
-			lines2 = append(lines2, rowLine(i))
-		}
-		phase2Vol = func(rank int) (bool, int64) {
-			j := rank % c
-			return perCol[j] > 0, int64(perCol[j]) * int64(md.l)
-		}
-	}
-	for _, line := range lines1 {
-		ls := newLine(line, spec.IsSource, func(int) int64 { return int64(md.l) })
-		md.replayLine(ls, clocks)
-	}
-	for _, line := range lines2 {
-		ls := newLine(line,
-			func(rank int) bool { h, _ := phase2Vol(rank); return h },
-			func(rank int) int64 { _, v := phase2Vol(rank); return v })
-		md.replayLine(ls, clocks)
-	}
-	return maxClock(clocks)
-}
-
 // estRepos prices a repositioning algorithm: barrier, the parallel partial
 // permutation onto the inner algorithm's ideal distribution (only sources
 // that actually move pay; the dist.Ideal* distance-to-ideal signal), then
-// the inner replay on the ideal spec.
-func (md *model) estRepos(name string) float64 {
-	innerName := map[string]string{
-		"Repos_Lin":       "Br_Lin",
-		"Repos_xy_source": "Br_xy_source",
-		"Repos_xy_dim":    "Br_xy_dim",
-	}[name]
-	ideal, ok := md.idealTargets(innerName)
-	if !ok {
+// the inner schedule on the ideal spec.
+func (md *model) estRepos(inner core.Algorithm) float64 {
+	r, c := md.spec.Rows, md.spec.Cols
+	ideal, err := core.IdealFor(inner, r, c).Sources(r, c, md.spec.S())
+	if err != nil {
 		return md.estTwoStep()
 	}
-	perm := md.permCost(md.spec.Sources, ideal)
-	idealSpec := core.Spec{Rows: md.spec.Rows, Cols: md.spec.Cols, Sources: ideal, Indexing: md.spec.Indexing}
-	var inner float64
-	switch innerName {
-	case "Br_Lin":
-		inner = md.estBrLin(idealSpec)
-	case "Br_xy_source":
-		inner = md.estBrXY(idealSpec, true)
-	default:
-		inner = md.estBrXY(idealSpec, false)
-	}
-	return md.barrier() + perm + inner
-}
-
-// idealTargets returns the sorted ideal positions the inner algorithm's
-// repositioning targets on this machine.
-func (md *model) idealTargets(innerName string) ([]int, bool) {
-	inner, err := core.ByName(innerName)
-	if err != nil {
-		return nil, false
-	}
-	gen := core.IdealFor(inner, md.spec.Rows, md.spec.Cols)
-	ideal, err := gen.Sources(md.spec.Rows, md.spec.Cols, md.spec.S())
-	if err != nil {
-		return nil, false
-	}
-	sorted := append([]int(nil), ideal...)
-	sort.Ints(sorted)
-	return sorted, true
+	broadcast, _ := md.price(inner, core.Spec{Rows: r, Cols: c, Sources: ideal, Indexing: md.spec.Indexing})
+	return md.barrier() + md.permCost(md.spec.Sources, ideal) + broadcast
 }
 
 // permCost prices the partial permutation k-th source → k-th target: the
@@ -475,72 +287,38 @@ func (md *model) permCost(sources, targets []int) float64 {
 // along the longer dimension, reposition within each half, run the inner
 // algorithm in both halves concurrently, then the pairwise inter-half
 // exchange of the two bundles.
-func (md *model) estPart(name string) float64 {
-	innerName := map[string]string{
-		"Part_Lin":       "Br_Lin",
-		"Part_xy_source": "Br_xy_source",
-		"Part_xy_dim":    "Br_xy_dim",
-	}[name]
+func (md *model) estPart(inner core.Algorithm) float64 {
 	r, c := md.spec.Rows, md.spec.Cols
 	p, s := md.spec.P(), md.spec.S()
 	if p < 4 || s < 2 {
-		return md.estRepos("Repos_" + innerName[3:])
+		return md.estRepos(inner)
 	}
 	// Halves along the longer dimension; source counts proportional to
 	// half sizes.
-	var r1, c1, boundary int
+	r1, c1, r2, c2 := r, c/2, r, c-c/2
+	boundary := c1 // hop count between matched half ranks
 	if r >= c {
-		r1, c1 = r/2, c
-		boundary = r1 // vertical hop count between matched half ranks
-	} else {
-		r1, c1 = r, c/2
-		boundary = c1
+		r1, c1, r2, c2 = r/2, c, r-r/2, c
+		boundary = r1
 	}
-	p1 := r1 * c1
-	s1 := s * p1 / p
-	if s1 < 1 {
-		s1 = 1
-	}
-	s2 := s - s1
-	if s2 < 1 {
-		s2 = 1
-	}
-	inner, err := core.ByName(innerName)
-	if err != nil {
-		return md.estTwoStep()
-	}
+	s1 := max(s*(r1*c1)/p, 1)
+	s2 := max(s-s1, 1)
 	halfEst := func(rows, cols, srcs int) float64 {
-		gen := core.IdealFor(inner, rows, cols)
-		ideal, err := gen.Sources(rows, cols, srcs)
+		ideal, err := core.IdealFor(inner, rows, cols).Sources(rows, cols, srcs)
 		if err != nil {
 			return md.estTwoStep()
 		}
-		spec := core.Spec{Rows: rows, Cols: cols, Sources: ideal, Indexing: md.spec.Indexing}
-		half := &model{spec: spec, l: md.l, cfg: md.cfg, topo: md.topo, place: md.place,
-			mesh: topology.MustMesh2D(rows, cols), meanHops: md.meanHops / 2}
-		switch innerName {
-		case "Br_Lin":
-			return half.estBrLin(spec)
-		case "Br_xy_source":
-			return half.estBrXY(spec, true)
-		default:
-			return half.estBrXY(spec, false)
-		}
-	}
-	var rows2, cols2 int
-	if r >= c {
-		rows2, cols2 = r-r1, c
-	} else {
-		rows2, cols2 = r, c-c1
+		t, _ := md.price(inner, core.Spec{Rows: rows, Cols: cols, Sources: ideal, Indexing: md.spec.Indexing})
+		return t
 	}
 	e1 := halfEst(r1, c1, s1)
-	e2 := halfEst(rows2, cols2, s2)
+	e2 := halfEst(r2, c2, s2)
 	// Perm cost within halves ≈ the full-machine perm bound.
 	perm := md.permCostHalf()
 	// Final exchange: matched pairs across the boundary swap bundles of
 	// s1·L and s2·L.
 	b1, b2 := int64(s1)*int64(md.l), int64(s2)*int64(md.l)
-	exch := md.so() + md.copy(b1) + md.wire(maxInt64(b1, b2), float64(boundary)) +
+	exch := md.so() + md.copy(b1) + md.wire(max(b1, b2), float64(boundary)) +
 		md.ro() + md.copy(b2) + md.comb(b2)
 	return md.barrier() + perm + math.Max(e1, e2) + exch
 }
@@ -549,13 +327,6 @@ func (md *model) estPart(name string) float64 {
 func (md *model) permCostHalf() float64 {
 	l := int64(md.l)
 	return md.so() + md.copy(l) + md.wire(l, math.Max(1, md.meanHops/2)) + md.ro() + md.copy(l)
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- closed forms for the library baselines --------------------------------
@@ -606,140 +377,17 @@ func (md *model) estRD() float64 {
 	return md.logp()*perRound + byteCost
 }
 
-// estKPort replays Br_kport<k>'s (k+1)-section pattern (core's compiler.line)
-// over the snake-ordered line with per-rank clocks and true hop
-// distances, exactly as estBrLin replays core's compiler.line: per level every
-// segment's strided groups exchange bundles all-to-all and the segment
-// splits into k+1 subsegments, so ~⌈log_{k+1} p⌉ levels at the price of
-// up to k serialized sends per holder per level.
-func (md *model) estKPort(k int) float64 {
-	p := md.spec.P()
-	ranks := make([]int, p)
-	for pos := 0; pos < p; pos++ {
-		ranks[pos] = md.spec.Indexing.RankToNode(md.mesh, pos)
-	}
-	clocks := make([]float64, p)
-	ls := newLine(ranks, md.spec.IsSource, func(int) int64 { return int64(md.l) })
-	md.replayLineK(ls, k, clocks)
-	return maxClock(clocks)
-}
-
-// replayLineK replays the (k+1)-section pattern of core's compiler.line over
-// one line, advancing the shared per-rank clocks. Segment splitting,
-// group membership, and the straggler rule mirror the algorithm
-// exactly; only the per-operation pricing is added.
-func (md *model) replayLineK(ls *lineState, k int, clocks []float64) {
-	type seg struct{ lo, n int }
-	segs := []seg{{0, len(ls.ranks)}}
-	var members []int
-	for {
-		split := false
-		for _, g := range segs {
-			if g.n > 1 {
-				split = true
-			}
-		}
-		if !split {
-			return
-		}
-		var next []seg
-		for _, g := range segs {
-			if g.n <= 1 {
-				continue
-			}
-			h := (g.n + k) / (k + 1)
-			for i := 0; i < h; i++ {
-				members = members[:0]
-				for pos := g.lo + i; pos < g.lo+g.n; pos += h {
-					members = append(members, pos)
-				}
-				md.groupExchange(ls, members, clocks)
-			}
-			jlast := (g.n - 1) / h
-			for i := g.n - jlast*h; i < h; i++ {
-				u, tgt := g.lo+i, g.lo+g.n-1
-				if ls.holds[u] && u != tgt {
-					md.oneway(ls, u, tgt, clocks)
-				}
-			}
-			for j := 0; j*h < g.n; j++ {
-				next = append(next, seg{g.lo + j*h, min(h, g.n-j*h)})
-			}
-		}
-		segs = next
-	}
-}
-
-// groupExchange prices one group all-to-all bundle exchange among the
-// given line positions (core's compiler.exchange): every holding member sends its
-// bundle to every other member in member order, then receives and
-// merges from every other holder — sends complete before the first
-// receive, matching the algorithm's buffered-Send ordering. Reduces to
-// exchange at two mutual holders.
-func (md *model) groupExchange(ls *lineState, members []int, clocks []float64) {
-	if len(members) < 2 {
-		return
-	}
-	var holders []int
-	for _, u := range members {
-		if ls.holds[u] {
-			holders = append(holders, u)
-		}
-	}
-	if len(holders) == 0 {
-		return
-	}
-	// Arrival time at v of holder u's bundle: u's i-th send departs
-	// after i+1 serialized send overheads and copies, then the wire.
-	type pair struct{ u, v int }
-	arr := make(map[pair]float64, len(holders)*(len(members)-1))
-	for _, u := range holders {
-		ru, su := ls.ranks[u], ls.sizes[u]
-		t := clocks[ru]
-		for _, v := range members {
-			if v == u {
-				continue
-			}
-			t += md.so() + md.copy(su)
-			arr[pair{u, v}] = t + md.wire(su, float64(md.hop(ru, ls.ranks[v])))
-		}
-	}
-	var total int64
-	for _, u := range holders {
-		total += ls.sizes[u]
-	}
-	for _, v := range members {
-		rv := ls.ranks[v]
-		t := clocks[rv]
-		if ls.holds[v] {
-			t += float64(len(members)-1) * (md.so() + md.copy(ls.sizes[v]))
-		}
-		for _, u := range holders {
-			if u == v {
-				continue
-			}
-			su := ls.sizes[u]
-			t = math.Max(t, arr[pair{u, v}]) + md.ro() + md.copy(su) + md.comb(su)
-		}
-		clocks[rv] = t
-	}
-	for _, v := range members {
-		ls.holds[v] = true
-		ls.sizes[v] = total
-	}
-}
-
 // --- collective-extension estimates ----------------------------------------
 
 // estCirculant replays Bcast_Circulant's round structure exactly: per
 // round j with skip 2^j, every rank's send and receive volumes follow
 // from the closed-form holder intervals, and per-rank clocks carry the
 // critical path across rounds with true hop distances — the circulant
-// analogue of the estBrLin line replay. Unlike the neighbor-hop line
-// algorithms, a circulant round puts every rank's message on a long
-// wormhole path at once, and dimension-ordered routing funnels many of
-// those paths through shared links; each transfer's serialization term
-// is stretched by the occupancy of the busiest link on its route.
+// analogue of price. Unlike the neighbor-hop line algorithms, a circulant
+// round puts every rank's message on a long wormhole path at once, and
+// dimension-ordered routing funnels many of those paths through shared
+// links; each transfer's serialization term is stretched by the occupancy
+// of the busiest link on its route.
 func (md *model) estCirculant() float64 {
 	p := md.spec.P()
 	if p <= 1 {
@@ -819,14 +467,6 @@ func (md *model) estCirculant() float64 {
 // fixed-size bundle hop plus the fold at the parent (reductions never
 // grow the bundle, unlike the broadcast-combining trees).
 func (md *model) estRedTree() float64 {
-	l := int64(md.l)
-	return md.logp() * (md.so() + md.copy(l) + md.wire(l, md.meanHops) + md.ro() + md.copy(l) + md.comb(l))
-}
-
-// estButterfly: recursive-doubling all-reduce — ⌈log2 p⌉ symmetric
-// exchange rounds, each a send and a receive-plus-fold of the fixed-size
-// partial result.
-func (md *model) estButterfly() float64 {
 	l := int64(md.l)
 	return md.logp() * (md.so() + md.copy(l) + md.wire(l, md.meanHops) + md.ro() + md.copy(l) + md.comb(l))
 }

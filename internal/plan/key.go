@@ -6,11 +6,12 @@
 //
 // The planner has three tiers:
 //
-//  1. an analytic tier that scores every registered algorithm with a
-//     closed-form or replay-based time estimate built from the machine's
-//     calibrated cost parameters (internal/network), the halving-pattern
-//     replay behind core.GrowthEfficiency, and the distance-to-ideal
-//     signals of the dist.Ideal* generators;
+//  1. an analytic tier that scores every registered algorithm from the
+//     machine's calibrated cost parameters (internal/network): an
+//     algorithm that compiles to a step schedule (core.Steps) is priced
+//     from that schedule, the repositioning and partitioning algorithms
+//     add the distance-to-ideal signals of the dist.Ideal* generators to
+//     their inner schedule's price, and the rest have closed forms;
 //  2. an empirical tier that refines the top-k analytic candidates with
 //     full deterministic probe simulations, run concurrently on a worker
 //     pool and cancellable through a context;

@@ -113,9 +113,6 @@ type SessionOptions struct {
 // the default deterministic payload (MsgBytes bytes of the rank value)
 // and every worker verifies its own ranks' bundles byte-exactly;
 // Result.Bundles is nil — payload bytes never travel the control plane.
-// The repositioning algorithms (Repos_*, Part_*) are rejected: their
-// final bundles are not full broadcasts, which is the invariant the
-// workers verify.
 type ClusterSpec struct {
 	// Workers is the number of worker processes, 1 ≤ Workers ≤ p.
 	Workers int
@@ -174,7 +171,7 @@ type SessionStats struct {
 // aggregate stats.
 //
 // For back-to-back broadcasts this amortizes setup: the TCP mesh, whose
-// construction dominates a one-shot RunTCP, is built once. A run that
+// construction dominates a one-shot Run, is built once. A run that
 // aborts (panic, injected kill, deadline) does not end the session — the
 // next Run reuses the engine, rebuilding the TCP mesh if the abort
 // damaged it (counted in SessionStats.Reconnects).
@@ -457,8 +454,7 @@ func (s *Session) RunAsync(cfg Config, opts RunOptions) (*Future, error) {
 }
 
 // Run executes one broadcast on the chosen engine: it is the unified
-// one-shot entrypoint (open-run-close over a Session) that the
-// deprecated Simulate*/RunLive*/RunTCP* variants wrap. For many
+// one-shot entrypoint (open-run-close over a Session). For many
 // broadcasts back to back, Open a Session instead and amortize the
 // engine setup.
 func Run(m *Machine, engine Engine, cfg Config, opts RunOptions) (*Result, error) {

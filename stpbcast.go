@@ -204,8 +204,8 @@ type Params = metrics.Params
 type LinkStats = network.LinkStats
 
 // AutoAlgorithm, used as Config.Algorithm, lets the planner pick the
-// algorithm: Simulate, RunLive and RunTCP then call Plan and run its
-// choice. See Plan for the selection procedure.
+// algorithm: Run and Session.Run then call Plan and run its choice. See
+// Plan for the selection procedure.
 const AutoAlgorithm = "Auto"
 
 // Config selects one collective instance.
