@@ -14,19 +14,8 @@ import (
 // source rank to its payload size (the paper's "different length
 // messages" experiment of Section 5).
 func MeasureVar(m *machine.Machine, alg core.Algorithm, spec core.Spec, lengths map[int]int) (*sim.Result, error) {
-	nw, err := m.NewNetwork()
-	if err != nil {
-		return nil, err
-	}
-	payloads := make(map[int][]byte, len(lengths))
-	for rank, n := range lengths {
-		payloads[rank] = make([]byte, n)
-	}
-	alg = core.Bind(alg, spec)
-	return sim.Run(nw, func(pr *sim.Proc) {
-		mine := core.InitialMessage(spec, pr.Rank(), payloads[pr.Rank()])
-		alg.Run(pr, spec, mine)
-	}, sim.Options{})
+	res, _, err := m.RunSim(alg, spec, func(rank int) int { return lengths[rank] }, sim.Options{})
+	return res, err
 }
 
 func init() {

@@ -20,20 +20,8 @@ import (
 // msgLen bytes (the simulator prices sizes; no payload buffers are
 // allocated).
 func Measure(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) (*sim.Result, error) {
-	return measure(m, alg, spec, msgLen, sim.Options{})
-}
-
-func measure(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int, opts sim.Options) (*sim.Result, error) {
-	nw, err := m.NewNetwork()
-	if err != nil {
-		return nil, err
-	}
-	coll := core.CollectiveOf(alg)
-	alg = core.Bind(alg, spec)
-	return sim.Run(nw, func(pr *sim.Proc) {
-		mine := core.InitialLenFor(coll, spec, pr.Rank(), msgLen)
-		alg.Run(pr, spec, mine)
-	}, opts)
+	res, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{})
+	return res, err
 }
 
 // SpecFor builds the broadcast spec for a machine and distribution.

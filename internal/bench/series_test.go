@@ -57,11 +57,19 @@ func TestMeasureErrorsWrapped(t *testing.T) {
 	if _, err := MustMillis(m, core.BrLin(), spec, 128); err != nil {
 		t.Fatalf("valid measurement failed: %v", err)
 	}
-	// A spec for the wrong machine size must fail with context.
+	// A spec for the wrong machine size must fail with context: it has a
+	// program (for six ranks), but it is the ranks of this machine that
+	// have to report it, so it runs as goroutines.
 	bad := spec
 	bad.Rows = 3
-	if _, err := MustMillis(m, core.BrLin(), bad, 128); err == nil {
+	_, err = MustMillis(m, core.BrLin(), bad, 128)
+	if err == nil {
 		t.Fatal("mismatched spec accepted")
+	}
+	for _, want := range []string{"bench: Br_Lin on paragon-nx-2x2", "sim: rank 0 panicked", "mesh 3×2 does not cover machine of 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 

@@ -8,11 +8,16 @@
 // Every operation is written against comm.Comm, so it runs identically on
 // the discrete-event simulator and the live goroutine runtime. All
 // operations assume the engines' buffered-send semantics (Send never
-// blocks on the receiver), which both engines provide.
+// blocks on the receiver), which both engines provide. The operations the
+// registry's schedules are built from are written once, as comm.Scripts:
+// the function performs the calling rank's part, and internal/core
+// compiles the same script into the programs of 2-Step, PersAlltoAll and
+// the all-gathers.
 package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 )
@@ -21,37 +26,35 @@ import (
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
 // Gather collects the bundles of the given source ranks at root. Sources
-// send their bundle; root receives them in ascending source order and
-// returns the concatenation (its own bundle included without a self-send).
-// Non-root, non-source processors return an empty message immediately.
-// All processors must agree on root and sources.
+// send their bundle; root returns its own bundle (when it is a source)
+// followed by the others', received in the order sources lists them,
+// without a self-send. A non-root source returns an empty message, every
+// other processor what it entered with. All processors must agree on root
+// and sources.
 func Gather(c comm.Comm, root int, sources []int, mine comm.Message) comm.Message {
-	rank := c.Rank()
-	isSource := false
-	for _, s := range sources {
-		if s == rank {
-			isSource = true
-			break
+	return GatherScript(root, sources).Run(c, mine)
+}
+
+// GatherScript writes Gather on register 0.
+func GatherScript(root int, sources []int) comm.Script {
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		isSource := slices.Contains(sources, rank)
+		if rank != root {
+			if isSource {
+				b.Move(root, 0)
+			}
+			return
 		}
-	}
-	if rank != root {
+		b.Grow(0, len(sources))
 		if isSource {
-			c.Send(root, mine)
+			b.Combine(0)
 		}
-		return comm.Message{}
-	}
-	out := comm.Message{Tag: mine.Tag}.Grow(len(sources))
-	for _, s := range sources {
-		if s == root {
-			out = out.Append(mine)
-			comm.ChargeCombine(c, mine.Len())
-			continue
+		for _, s := range sources {
+			if s != root {
+				b.Merge(s, 0)
+			}
 		}
-		m := c.Recv(s)
-		out = out.Append(m)
-		comm.ChargeCombine(c, m.Len())
-	}
-	return out
+	}}
 }
 
 // Bcast broadcasts root's bundle to every processor along a binomial tree
@@ -60,79 +63,73 @@ func Gather(c comm.Comm, root int, sources []int, mine comm.Message) comm.Messag
 // communication pattern used in Algorithm Br_Lin"). It returns the bundle
 // on every processor. Works for any p, any root.
 func Bcast(c comm.Comm, root int, m comm.Message) comm.Message {
-	p := c.Size()
-	if p == 1 {
-		return m
-	}
-	rel := (c.Rank() - root + p) % p
+	return BcastScript(c.Size(), root).Run(c, m)
+}
+
+// BcastScript writes Bcast on register 0 for a machine of p.
+func BcastScript(p, root int) comm.Script {
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) { BcastTree(b, p, root, rank, 0) }}
+}
+
+// BcastTree writes rank's part of the binomial tree that broadcasts
+// register reg from root on a machine of p: receive from the parent, then
+// send to the children, farthest first.
+func BcastTree(b *comm.Builder, p, root, rank, reg int) {
+	rel := (rank - root + p) % p
 	real := func(r int) int { return (r + root) % p }
 	mask := 1
 	for mask < p {
 		if rel&mask != 0 {
-			m = c.Recv(real(rel - mask))
+			b.Recv(real(rel-mask), reg)
 			break
 		}
 		mask <<= 1
 	}
-	mask >>= 1
-	for ; mask > 0; mask >>= 1 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < p {
-			c.Send(real(rel+mask), m)
+			b.Send(real(rel+mask), reg)
 		}
 	}
-	return m
 }
 
 // AlltoallPersonalized delivers every source's bundle to every other
 // processor with p−1 pairwise permutations: XOR permutations on
 // power-of-two machines, cyclic shifts otherwise. Only sources transmit;
 // every processor returns the concatenation of all source bundles (its own
-// included). This is the paper's PersAlltoAll.
+// included) in rank order. This is the paper's PersAlltoAll.
 func AlltoallPersonalized(c comm.Comm, sources []int, mine comm.Message) comm.Message {
-	p := c.Size()
-	rank := c.Rank()
+	return AlltoallPersonalizedScript(c.Size(), sources).Run(c, mine)
+}
+
+// AlltoallPersonalizedScript writes AlltoallPersonalized for a machine of
+// p. Register r holds rank r's bundle, so the result is deterministic and
+// ordered regardless of arrival permutation.
+func AlltoallPersonalizedScript(p int, sources []int) comm.Script {
 	isSource := make([]bool, p)
 	for _, s := range sources {
 		isSource[s] = true
 	}
-	// Collect parts indexed by source so the result is deterministic and
-	// ordered regardless of arrival permutation.
-	parts := make([]comm.Message, p)
-	if isSource[rank] {
-		parts[rank] = mine
-	}
-	for t := 1; t < p; t++ {
-		comm.MarkIter(c, t-1)
-		var sendTo, recvFrom int
-		if isPow2(p) {
-			sendTo = rank ^ t
-			recvFrom = rank ^ t
-		} else {
-			sendTo = (rank + t) % p
-			recvFrom = (rank - t + p) % p
+	pow2 := isPow2(p)
+	return comm.Script{Regs: p, Rank: func(b *comm.Builder, rank int) {
+		b.Swap(rank)
+		for t := 1; t < p; t++ {
+			b.Iter(t - 1)
+			var sendTo, recvFrom int
+			if pow2 {
+				sendTo = rank ^ t
+				recvFrom = rank ^ t
+			} else {
+				sendTo = (rank + t) % p
+				recvFrom = (rank - t + p) % p
+			}
+			if isSource[rank] {
+				b.Send(sendTo, rank)
+			}
+			if isSource[recvFrom] {
+				b.Recv(recvFrom, recvFrom)
+			}
 		}
-		if isSource[rank] {
-			c.Send(sendTo, mine)
-		}
-		if isSource[recvFrom] {
-			parts[recvFrom] = c.Recv(recvFrom)
-		}
-	}
-	return concat(mine.Tag, parts)
-}
-
-// concat joins the bundles in order into one message whose part array is
-// sized once.
-func concat(tag int, bundles []comm.Message) comm.Message {
-	n := 0
-	for _, b := range bundles {
-		n += len(b.Parts)
-	}
-	out := comm.Message{Tag: tag}.Grow(n)
-	for _, b := range bundles {
-		out = out.Append(b)
-	}
-	return out
+	}}
 }
 
 // AllgatherRing is the classic ring all-gather: in p−1 steps every
@@ -143,20 +140,22 @@ func concat(tag int, bundles []comm.Message) comm.Message {
 // broadcast when only sources hold parts. Provided as the modern-MPI
 // ablation of the paper's gather+broadcast MPI_AllGather.
 func AllgatherRing(c comm.Comm, mine comm.Message) comm.Message {
-	p := c.Size()
-	rank := c.Rank()
-	bundles := make([]comm.Message, p)
-	bundles[rank] = mine
-	next := (rank + 1) % p
-	prev := (rank - 1 + p) % p
-	cur := mine
-	for t := 0; t < p-1; t++ {
-		comm.MarkIter(c, t)
-		c.Send(next, cur)
-		cur = c.Recv(prev)
-		bundles[(rank-t-1+p)%p] = cur
-	}
-	return concat(mine.Tag, bundles)
+	return AllgatherRingScript(c.Size()).Run(c, mine)
+}
+
+// AllgatherRingScript writes AllgatherRing for a machine of p, register r
+// holding rank r's bundle.
+func AllgatherRingScript(p int) comm.Script {
+	return comm.Script{Regs: p, Rank: func(b *comm.Builder, rank int) {
+		b.Swap(rank)
+		next := (rank + 1) % p
+		prev := (rank - 1 + p) % p
+		for t := 0; t < p-1; t++ {
+			b.Iter(t)
+			b.Send(next, (rank-t+p)%p)
+			b.Recv(prev, (rank-t-1+p)%p)
+		}
+	}}
 }
 
 // AllgatherRecDoubling is the recursive-doubling all-gather (the classic
@@ -171,52 +170,49 @@ func AllgatherRing(c comm.Comm, mine comm.Message) comm.Message {
 // fall back to the ring all-gather (same asymptotic volume, correct for
 // every p). The paper's T3D machines are all powers of two.
 func AllgatherRecDoubling(c comm.Comm, sources []int, mine comm.Message) comm.Message {
-	p := c.Size()
-	rank := c.Rank()
-	if p == 1 {
-		return mine
-	}
+	return AllgatherRecDoublingScript(c.Size(), sources).Run(c, mine)
+}
+
+// AllgatherRecDoublingScript writes AllgatherRecDoubling for a machine of
+// p: on register 0, or the ring's script when p is no power of two.
+func AllgatherRecDoublingScript(p int, sources []int) comm.Script {
 	if !isPow2(p) {
 		// Non-power-of-two fallback: the ring all-gather is correct for
 		// any p and has the same asymptotic volume.
-		return AllgatherRing(c, mine)
+		return AllgatherRingScript(p)
 	}
-	// groupCount[g] at round k = number of sources in the 2^k-aligned
-	// group g; evolves identically on every processor.
-	count := make([]int, p)
+	// before[r] is the number of sources below rank r, so the 2^k-aligned
+	// group at base holds before[base+2^k] − before[base] of them; it
+	// evolves identically on every processor.
+	before := make([]int, p+1)
 	for _, s := range sources {
-		count[s]++
+		before[s+1]++
 	}
-	bundle := mine.Grow(len(sources))
-	iter := 0
-	for dist := 1; dist < p; dist <<= 1 {
-		comm.MarkIter(c, iter)
-		iter++
-		partner := rank ^ dist
-		myBase := rank &^ (dist - 1)
-		partnerBase := partner &^ (dist - 1)
-		myCount := groupSum(count, myBase, dist)
-		partnerCount := groupSum(count, partnerBase, dist)
-		if myCount > 0 {
-			c.Send(partner, bundle)
+	for r := 0; r < p; r++ {
+		before[r+1] += before[r]
+	}
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		if p == 1 {
+			return
 		}
-		if partnerCount > 0 {
-			// The 1996-era library packs the received blocks into the
-			// accumulated buffer before the next round; charge the copy.
-			m := c.Recv(partner)
-			comm.ChargeCombine(c, m.Len())
-			bundle = bundle.Append(m)
+		b.Grow(0, len(sources))
+		iter := 0
+		for dist := 1; dist < p; dist <<= 1 {
+			b.Iter(iter)
+			iter++
+			partner := rank ^ dist
+			myBase := rank &^ (dist - 1)
+			partnerBase := partner &^ (dist - 1)
+			if before[myBase+dist] > before[myBase] {
+				b.Send(partner, 0)
+			}
+			if before[partnerBase+dist] > before[partnerBase] {
+				// The 1996-era library packs the received blocks into the
+				// accumulated buffer before the next round; charge the copy.
+				b.Merge(partner, 0)
+			}
 		}
-	}
-	return bundle
-}
-
-func groupSum(count []int, base, width int) int {
-	total := 0
-	for i := base; i < base+width && i < len(count); i++ {
-		total += count[i]
-	}
-	return total
+	}}
 }
 
 // Scatter sends the i-th of root's bundles to processor i and returns the

@@ -75,10 +75,18 @@ func (s *Sub) Recv(src int) Message { return s.parent.Recv(s.Global(src)) }
 // ⌈log2 n⌉ rounds of empty-message exchanges, deadlock-free under the
 // engines' buffered sends.
 func (s *Sub) Barrier() {
-	n := len(s.members)
+	dissemination(len(s.members), s.local, func(to, from int) {
+		s.Send(to, Message{Tag: -1})
+		s.Recv(from)
+	})
+}
+
+// dissemination calls round with the partners of member local in every
+// round of a dissemination barrier among n members: it sends to the member
+// 2^j places ahead and receives from the one 2^j places behind.
+func dissemination(n, local int, round func(to, from int)) {
 	for k := 1; k < n; k <<= 1 {
-		s.Send((s.local+k)%n, Message{Tag: -1})
-		s.Recv((s.local - k + n) % n)
+		round((local+k)%n, (local-k+n)%n)
 	}
 }
 

@@ -72,16 +72,18 @@ func growthEfficiency(spec Spec) float64 {
 }
 
 func (a reposAdaptive) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body {
+	return bind(a, spec, func(b *bound) {
 		ideal := idealSources(a.inner, spec)
 		idealSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: ideal, Indexing: spec.Indexing}
 		if gain := growthEfficiency(idealSpec) - growthEfficiency(spec); gain > a.margin {
-			return reposition(a.inner, spec, ideal)
+			reposition(b, a.inner, spec, ideal)
+			return
 		}
 		// Close enough to ideal: skip the permutation. The margin is the
 		// improvement that must be exceeded, so gain == margin skips too.
 		inner := Bind(a.inner, spec)
-		return func(c comm.Comm, mine comm.Message) comm.Message { return inner.Run(c, spec, mine) }
+		b.prog = ProgramOf(inner)
+		b.run = func(c comm.Comm, mine comm.Message) comm.Message { return inner.Run(c, spec, mine) }
 	})
 }
 

@@ -29,14 +29,51 @@ func Bind(alg Algorithm, spec Spec) Algorithm {
 	return alg
 }
 
+// scripted is implemented by algorithms whose whole communication is a
+// function of the spec and can therefore be written down before anything
+// runs: as a comm.Script, which Bind compiles into the run's program.
+type scripted interface {
+	Algorithm
+	// script writes alg's run on spec, which is valid for its own mesh.
+	script(spec Spec) comm.Script
+}
+
+// scriptOf returns the script of alg on spec when alg has one. Like Bind
+// it panics on a spec that is invalid for its own mesh.
+func scriptOf(alg Algorithm, spec Spec) (comm.Script, bool) {
+	a, ok := alg.(scripted)
+	if !ok {
+		return comm.Script{}, false
+	}
+	if err := spec.Validate(spec.P()); err != nil {
+		panic(err)
+	}
+	return a.script(spec), true
+}
+
+// ProgramOf returns the program a bound algorithm executes — every rank's
+// operations, compiled by Bind — or nil when its body is code (or it is
+// not bound at all). Run on a rank executes that rank's part of it, so
+// whoever reads the program reads what the engines run.
+func ProgramOf(alg Algorithm) *comm.Program {
+	if b, ok := alg.(*bound); ok {
+		return b.prog
+	}
+	return nil
+}
+
 // body is what is left of an algorithm once its spec is bound: the part
 // that communicates.
 type body func(c comm.Comm, mine comm.Message) comm.Message
 
-// bound is a broadcast algorithm bound to one spec.
+// bound is an algorithm bound to one spec.
 type bound struct {
 	name string
+	coll Collective
 	spec Spec
+	// The part that communicates: as data when the algorithm is scripted,
+	// as code otherwise.
+	prog *comm.Program
 	run  body
 	// fail is what binding panicked with (an invalid spec, say). Every
 	// Run re-raises it, which is where the per-processor prelude raised
@@ -45,20 +82,38 @@ type bound struct {
 }
 
 // bind builds the bound form of alg: build runs once, after the spec has
-// been validated against its own mesh.
-func bind(alg Algorithm, spec Spec, build func() body) Algorithm {
-	b := &bound{name: alg.Name(), spec: spec}
+// been validated against its own mesh, and fills in prog or run.
+func bind(alg Algorithm, spec Spec, build func(b *bound)) Algorithm {
+	b := &bound{name: alg.Name(), coll: CollectiveOf(alg), spec: spec}
 	func() {
 		defer func() { b.fail = recover() }()
 		if err := spec.Validate(spec.P()); err != nil {
 			panic(err)
 		}
-		b.run = build()
+		build(b)
 	}()
 	return b
 }
 
+// bindScript binds a scripted algorithm: its script, compiled for the
+// whole machine.
+func bindScript(a scripted, spec Spec) Algorithm {
+	return bind(a, spec, func(b *bound) { b.prog = a.script(spec).Compile(spec.P()) })
+}
+
+// runScript is the unbound Run of a scripted algorithm: the calling rank
+// performs its own part of the script and nothing is compiled for the
+// others.
+func runScript(a scripted, c comm.Comm, spec Spec, mine comm.Message) comm.Message {
+	if err := spec.Validate(c.Size()); err != nil {
+		panic(err)
+	}
+	return a.script(spec).Run(c, mine)
+}
+
 func (b *bound) Name() string { return b.name }
+
+func (b *bound) Collective() Collective { return b.coll }
 
 func (b *bound) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	switch {
@@ -68,6 +123,8 @@ func (b *bound) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 		panic(b.spec.Validate(c.Size()))
 	case !b.spec.same(spec):
 		panic(fmt.Sprintf("core: %s is bound to another spec than the one it is run with", b.name))
+	case b.prog != nil:
+		return b.prog.Run(c, mine)
 	}
 	return b.run(c, mine)
 }
@@ -79,6 +136,38 @@ func (s Spec) same(o Spec) bool {
 		return false
 	}
 	return len(s.Sources) == 0 || &s.Sources[0] == &o.Sources[0] || slices.Equal(s.Sources, o.Sources)
+}
+
+// then is the script that runs first and, on the bundle it leaves in
+// register 0, next.
+func then(first, next comm.Script) comm.Script {
+	return comm.Script{Regs: max(first.Regs, next.Regs), Rank: func(b *comm.Builder, rank int) {
+		first.Rank(b, rank)
+		next.Rank(b, rank)
+	}}
+}
+
+// barrier is the script every coordinated run opens with.
+var barrier = comm.Script{Regs: 1, Rank: func(b *comm.Builder, _ int) { b.Barrier() }}
+
+// schedule is a registry entry that is nothing but a script of its spec:
+// a name, the collective it implements, and how to write it.
+type schedule struct {
+	name  string
+	coll  Collective
+	write func(Spec) comm.Script
+}
+
+func (a schedule) Name() string { return a.name }
+
+func (a schedule) Collective() Collective { return a.coll }
+
+func (a schedule) script(spec Spec) comm.Script { return a.write(spec) }
+
+func (a schedule) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
+
+func (a schedule) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
+	return runScript(a, c, spec, mine)
 }
 
 // segment is a contiguous run of line positions in the sectioning
@@ -129,12 +218,6 @@ type sectioned interface {
 	sections(Spec) sectioning
 }
 
-// bindSections binds a sectioned broadcast: its steps, compiled once and
-// carved per rank.
-func bindSections(a sectioned, spec Spec) Algorithm {
-	return bind(a, spec, func() body { return a.sections(spec).body(spec) })
-}
-
 // sectioning describes a broadcast that is nothing but (k+1)-sectioning
 // along lines: every line of the first pass, then every line of the
 // next. Br_Lin is one pass over one line, the whole machine; Br_dims is
@@ -171,9 +254,10 @@ func (s sectioning) stream(spec Spec, emit func(Step)) {
 		longest = max(longest, ps.n)
 	}
 	// A line of n processors never has more than n segments.
+	segs := make([]segment, 2*longest)
 	cp := &compiler{
 		holds: spec.holderFlags(), emit: emit,
-		segs: make([]segment, 0, longest), next: make([]segment, 0, longest), members: make([]int, 0, s.k+1),
+		segs: segs[:0:longest], next: segs[longest:longest], members: make([]int, 0, s.k+1),
 	}
 	base := 0
 	for _, ps := range s.passes {
@@ -192,7 +276,9 @@ func (s sectioning) stream(spec Spec, emit func(Step)) {
 type compiler struct {
 	holds []bool // by rank: does it hold messages at this point
 	emit  func(Step)
-	// Scratch reused from line to line.
+	// Scratch reused from line to line. stream sizes it for the longest
+	// line and the largest group, so line never grows it and stores nothing
+	// back — which is what lets emit's closure stay on its caller's stack.
 	segs, next []segment
 	members    []int
 }
@@ -255,7 +341,6 @@ func (cp *compiler) line(k, base, n int, at func(pos int) int) {
 		}
 		segs, next = next, segs
 	}
-	cp.segs, cp.next, cp.members = segs, next, members
 }
 
 // exchange compiles one all-to-all among the member ranks: every holder
@@ -288,51 +373,51 @@ func (cp *compiler) exchange(it int, members []int) {
 
 // step is a Step in its own processor's list.
 type step struct {
-	iter int32 // level the step belongs to
 	peer int32 // partner rank
+	next int32 // the processor's next step in the slab, 0 after its last
+	iter int16 // level the step belongs to
 	recv bool  // receive the partner's bundle and merge it; otherwise send ours
 }
 
-// body records the stream, carves it into per-rank lists (one slab) and
-// returns the communicating part of the broadcast: after the barrier
+// script records the stream as per-rank lists threaded through one slab
+// and returns the communicating part of the broadcast: after the barrier
 // every processor executes only its own steps, marking each level whether
 // or not it is active in it, and ends holding all s original messages.
-func (s sectioning) body(spec Spec) body {
+func (s sectioning) script(spec Spec) comm.Script {
 	p, iters, parts := spec.P(), s.levels(), spec.S()
-	// A level costs a processor at most k sends, k receives and a
-	// straggler's one-way.
-	steps := make([]Step, 0, (2*s.k+1)*p*iters)
-	s.stream(spec, func(st Step) { steps = append(steps, st) })
-	off := make([]int, p+1)
-	for _, st := range steps {
-		off[st.Rank+1]++
-	}
-	slab, mine := make([]step, len(steps)), make([][]step, p)
-	for r := range mine {
-		off[r+1] += off[r]
-		mine[r] = slab[off[r]:off[r]:off[r+1]]
-	}
-	for _, st := range steps {
-		mine[st.Rank] = append(mine[st.Rank], step{st.Level, st.Peer, st.Recv})
-	}
-	phase := s.phase
-	return func(c comm.Comm, bundle comm.Message) comm.Message {
-		c.Barrier()
-		todo := mine[c.Rank()]
-		bundle = bundle.Grow(parts)
+	// Together the processors take at most k sends, k receives and a
+	// straggler's one-way each per level. Slot 0 stays unused: it is what
+	// next says after a processor's last step.
+	rec := make([]step, 1, 1+(2*s.k+1)*p*iters)
+	ends := make([]int32, 2*p)
+	first, last := ends[:p], ends[p:]
+	s.stream(spec, func(st Step) {
+		i := int32(len(rec))
+		rec = append(rec, step{peer: st.Peer, iter: int16(st.Level), recv: st.Recv})
+		if l := last[st.Rank]; l != 0 {
+			rec[l].next = i
+		} else {
+			first[st.Rank] = i
+		}
+		last[st.Rank] = i
+	})
+	// The script keeps the slice under another name, so that rec, which the
+	// recording closure writes, need not move to the heap with it.
+	steps, phase := rec, s.phase
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		b.Barrier()
+		b.Grow(0, parts)
+		at := first[rank]
 		for it := 0; it < iters; it++ {
-			comm.MarkIter(c, it)
-			comm.MarkPhase(c, phase)
-			for ; len(todo) > 0 && int(todo[0].iter) == it; todo = todo[1:] {
-				if st := todo[0]; st.recv {
-					m := c.Recv(int(st.peer))
-					comm.ChargeCombine(c, m.Len())
-					bundle = bundle.Append(m)
+			b.Iter(it)
+			b.Phase(phase)
+			for ; at != 0 && int(steps[at].iter) == it; at = steps[at].next {
+				if st := steps[at]; st.recv {
+					b.Merge(int(st.peer), 0)
 				} else {
-					c.Send(int(st.peer), bundle)
+					b.Send(int(st.peer), 0)
 				}
 			}
 		}
-		return bundle
-	}
+	}}
 }

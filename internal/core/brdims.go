@@ -69,12 +69,12 @@ func (a brDims) sections(spec Spec) sectioning {
 	return a.passes()
 }
 
-func (a brDims) Bind(spec Spec) Algorithm {
-	return bindSections(a, spec)
-}
+func (a brDims) script(spec Spec) comm.Script { return a.sections(spec).script(spec) }
+
+func (a brDims) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
 
 func (a brDims) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
+	return runScript(a, c, spec, mine)
 }
 
 // passes is the halving along every line of one dimension after another:

@@ -34,10 +34,10 @@ func (a brKPort) Name() string { return "Br_kport" + strconv.Itoa(a.k) }
 
 func (a brKPort) sections(spec Spec) sectioning { return linear(a.k, "ksection", spec) }
 
-func (a brKPort) Bind(spec Spec) Algorithm {
-	return bindSections(a, spec)
-}
+func (a brKPort) script(spec Spec) comm.Script { return a.sections(spec).script(spec) }
+
+func (a brKPort) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
 
 func (a brKPort) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
+	return runScript(a, c, spec, mine)
 }

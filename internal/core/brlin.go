@@ -26,10 +26,10 @@ func (brLin) Name() string { return "Br_Lin" }
 
 func (brLin) sections(spec Spec) sectioning { return linear(1, "halving", spec) }
 
-func (a brLin) Bind(spec Spec) Algorithm {
-	return bindSections(a, spec)
-}
+func (a brLin) script(spec Spec) comm.Script { return a.sections(spec).script(spec) }
+
+func (a brLin) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
 
 func (a brLin) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
+	return runScript(a, c, spec, mine)
 }

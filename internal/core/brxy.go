@@ -49,12 +49,12 @@ func (a brXY) sections(spec Spec) sectioning {
 	return brDims{extents: []int{spec.Rows, spec.Cols}, order: order}.passes()
 }
 
-func (a brXY) Bind(spec Spec) Algorithm {
-	return bindSections(a, spec)
-}
+func (a brXY) script(spec Spec) comm.Script { return a.sections(spec).script(spec) }
+
+func (a brXY) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
 
 func (a brXY) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
+	return runScript(a, c, spec, mine)
 }
 
 // BrXYSource returns Algorithm Br_xy_source: the first dimension is the

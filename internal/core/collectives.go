@@ -256,6 +256,20 @@ func InitialLenFor(coll Collective, spec Spec, rank, size int) comm.Message {
 	}
 }
 
+// InitialLen measures the bundle InitialLenFor builds without building it:
+// its bytes and its part count, all a replayed program needs of it.
+func InitialLen(coll Collective, spec Spec, rank, size int) (bytes, parts int) {
+	switch {
+	case coll == Scatter && rank != spec.Sources[0]:
+		return 0, 0
+	case coll.Caps().Chunked:
+		return spec.P() * size, spec.P()
+	case spec.IsSource(rank):
+		return size, 1
+	}
+	return 0, 0
+}
+
 // AllRanksSources returns the sorted source list naming every rank —
 // the spec form of the sourceless collectives (AllGather, AllToAll).
 func AllRanksSources(p int) []int {

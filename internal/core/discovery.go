@@ -39,9 +39,9 @@ func (a discovery) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 // Bind binds the inner algorithm to the declared sources: the discovery
 // exchange must find exactly that set, so what it finds selects nothing.
 func (a discovery) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body {
+	return bind(a, spec, func(b *bound) {
 		inner := Bind(a.inner, spec)
-		return func(c comm.Comm, mine comm.Message) comm.Message {
+		b.run = func(c comm.Comm, mine comm.Message) comm.Message {
 			c.Barrier()
 			// The discovered set must equal the declared one; a mismatch
 			// means the caller's spec and payloads disagree.

@@ -70,6 +70,7 @@ func splitMachine(spec Spec) (g1, g2 group) {
 // that each machine half holds an ideal distribution with s1/s2 = p1/p2,
 // run the inner algorithm independently and concurrently inside each
 // half, then exchange the two half-bundles pairwise between the halves.
+// The inner algorithm is one of the scripted Br_* broadcasts.
 type part struct {
 	name  string
 	inner Algorithm
@@ -78,22 +79,17 @@ type part struct {
 func (a part) Name() string { return a.name }
 
 func (a part) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
+	return runScript(a, c, spec, mine)
 }
 
-func (a part) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body { return a.compile(spec) })
-}
+func (a part) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
 
-// compile plans the partition once: the two halves, the permutation
-// targets, and per half the inner algorithm bound to the half's ideal
+// script plans the partition once: the two halves, the permutation
+// targets, and per half the inner algorithm's script on the half's ideal
 // sources in the half's local ranks.
-func (a part) compile(spec Spec) body {
+func (a part) script(spec Spec) comm.Script {
 	if spec.P() == 1 {
-		return func(c comm.Comm, mine comm.Message) comm.Message {
-			c.Barrier()
-			return mine
-		}
+		return barrier
 	}
 	var halves [2]group
 	halves[0], halves[1] = splitMachine(spec)
@@ -102,8 +98,7 @@ func (a part) compile(spec Spec) body {
 	// permutation sends the first s1 sources into G1 and the rest into G2.
 	// An empty half idles until the final exchange.
 	targets := make([]int, 0, spec.S())
-	var inner [2]Algorithm
-	var innerSpec [2]Spec
+	var inner [2]comm.Script
 	for h, g := range halves {
 		if g.sources == 0 {
 			continue
@@ -116,8 +111,7 @@ func (a part) compile(spec Spec) body {
 		for _, l := range local {
 			targets = append(targets, g.members[l])
 		}
-		innerSpec[h] = Spec{Rows: g.rows, Cols: g.cols, Sources: local, Indexing: spec.Indexing}
-		inner[h] = Bind(a.inner, innerSpec[h])
+		inner[h], _ = scriptOf(a.inner, Spec{Rows: g.rows, Cols: g.cols, Sources: local, Indexing: spec.Indexing})
 	}
 	if len(targets) != spec.S() {
 		panic(fmt.Sprintf("core: %s planned %d targets for %d sources", a.name, len(targets), spec.S()))
@@ -130,21 +124,18 @@ func (a part) compile(spec Spec) body {
 		}
 	}
 	small := min(halves[0].size(), halves[1].size())
+	prelude := permute(spec, targets)
 
-	return func(c comm.Comm, mine comm.Message) comm.Message {
-		c.Barrier()
-		rank := c.Rank()
-		bundle := applyReposition(c, spec, targets, mine)
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		prelude.Rank(b, rank)
 
 		// Run the inner algorithm inside my half.
 		h, myLocal := half[rank], local[rank]
 		my, other := halves[h], halves[1-h]
 		if my.sources > 0 {
-			sub, err := comm.NewSub(c, my.members)
-			if err != nil {
-				panic(err)
-			}
-			bundle = inner[h].Run(sub, innerSpec[h], bundle)
+			b.Sub(my.members, myLocal)
+			inner[h].Rank(b, myLocal)
+			b.Top()
 		}
 
 		// Final inter-half exchange: local index k < small = min(p1,p2) exchanges
@@ -152,23 +143,20 @@ func (a part) compile(spec Spec) body {
 		// other half's bundle one-way from member (k mod small) of the smaller
 		// half — its own half-bundle is already covered by its pair sibling.
 		if myLocal < small && my.sources > 0 {
-			c.Send(other.members[myLocal], bundle)
+			b.Send(other.members[myLocal], 0)
 			// Serve the extra processors of the larger half mapped to me
 			// with my half-bundle (their own half's parts they already
 			// hold).
 			if my.size() == small {
 				for k := small + myLocal; k < other.size(); k += small {
-					c.Send(other.members[k], bundle)
+					b.Send(other.members[k], 0)
 				}
 			}
 		}
 		if other.sources > 0 {
-			m := c.Recv(other.members[myLocal%small])
-			comm.ChargeCombine(c, m.Len())
-			bundle = bundle.Append(m)
+			b.Merge(other.members[myLocal%small], 0)
 		}
-		return bundle
-	}
+	}}
 }
 
 // PartLin returns Algorithm Part_Lin (Br_Lin inside each half).

@@ -49,43 +49,50 @@ func repositionPermutation(spec Spec, ideal []int) []int {
 	return targets
 }
 
-// applyReposition performs the partial permutation on the calling
-// processor and returns its post-permutation bundle: the bundle it
-// received (it is an ideal position), its own bundle (source mapped to
-// itself), or the empty bundle.
-func applyReposition(c comm.Comm, spec Spec, targets []int, mine comm.Message) comm.Message {
-	rank := c.Rank()
-	var bundle comm.Message
-	if i := spec.SourceIndex(rank); i >= 0 {
-		if targets[i] == rank {
-			bundle = mine
-		} else {
-			c.Send(targets[i], mine)
+// permute is the script that opens a repositioning run: after the barrier
+// the k-th source of spec sends its message to targets[k] and keeps
+// nothing, and a target's bundle is the message it receives. A source
+// mapped to itself keeps its message.
+func permute(spec Spec, targets []int) comm.Script {
+	// Rank r's message goes to to[r] and it gets from[r]'s, -1 for neither.
+	p := spec.P()
+	to := make([]int32, 2*p)
+	for i := range to {
+		to[i] = -1
+	}
+	to, from := to[:p], to[p:]
+	for k, src := range spec.Sources {
+		if tgt := targets[k]; tgt != src {
+			to[src], from[tgt] = int32(tgt), int32(src)
 		}
 	}
-	for k, tgt := range targets {
-		if tgt != rank {
-			continue
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		b.Barrier()
+		if to[rank] >= 0 {
+			b.Move(int(to[rank]), 0)
 		}
-		src := spec.Sources[k]
-		if src != rank {
-			bundle = c.Recv(src)
+		if from[rank] >= 0 {
+			b.Recv(int(from[rank]), 0)
 		}
-		break // ideal positions are unique
-	}
-	return bundle
+	}}
 }
 
 // reposition binds a repositioning run: the partial permutation onto
-// the ideal positions and the inner algorithm bound to them are computed
-// once; a processor only moves its message and runs its inner steps.
-func reposition(inner Algorithm, spec Spec, ideal []int) body {
+// the ideal positions, then the inner algorithm on them — one program
+// when the inner algorithm is scripted. Around an inner algorithm whose
+// body is code only the permutation is a script; the inner algorithm,
+// bound to the ideal positions, runs after it.
+func reposition(b *bound, inner Algorithm, spec Spec, ideal []int) {
 	targets := repositionPermutation(spec, ideal)
 	innerSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
+	prelude := permute(spec, targets)
+	if sc, ok := scriptOf(inner, innerSpec); ok {
+		b.prog = then(prelude, sc).Compile(spec.P())
+		return
+	}
 	inner = Bind(inner, innerSpec)
-	return func(c comm.Comm, mine comm.Message) comm.Message {
-		c.Barrier()
-		return inner.Run(c, innerSpec, applyReposition(c, spec, targets, mine))
+	b.run = func(c comm.Comm, mine comm.Message) comm.Message {
+		return inner.Run(c, innerSpec, prelude.Run(c, mine))
 	}
 }
 
@@ -112,7 +119,7 @@ type repos struct {
 func (a repos) Name() string { return a.name }
 
 func (a repos) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body { return reposition(a.inner, spec, idealSources(a.inner, spec)) })
+	return bind(a, spec, func(b *bound) { reposition(b, a.inner, spec, idealSources(a.inner, spec)) })
 }
 
 func (a repos) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
@@ -130,7 +137,7 @@ type reposFixed struct {
 func (a reposFixed) Name() string { return "Repos_to(" + a.inner.Name() + ")" }
 
 func (a reposFixed) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func() body { return reposition(a.inner, spec, a.ideal) })
+	return bind(a, spec, func(b *bound) { reposition(b, a.inner, spec, a.ideal) })
 }
 
 func (a reposFixed) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {

@@ -8,9 +8,9 @@ import (
 // The scatter algorithms distribute the root's p per-destination chunks
 // (InitialFor builds them with Origin = destination rank); every
 // processor finishes holding exactly its own chunk. The allgather
-// algorithms are the ring and recursive-doubling collectives the
-// broadcast ablations already use, registered as first-class AllGather
-// entries where every rank contributes.
+// algorithms are the ring and recursive-doubling schedules the broadcast
+// ablations use (baseline.go), registered a second time as first-class
+// AllGather entries where every rank contributes.
 
 // scatterBinomial is Scatter_Binomial: the minimum-spanning-tree scatter.
 // The root starts with all p chunks; in round mask (from the highest
@@ -108,41 +108,11 @@ func (scatterDirect) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message
 	return collective.Scatter(c, root, bundles)
 }
 
-// agRing is Ag_Ring: the classic ring allgather with every rank
+// AgRing returns Ag_Ring, the classic ring allgather with every rank
 // contributing (p−1 neighbour steps, bandwidth-optimal volume).
-type agRing struct{}
+func AgRing() Algorithm { return allGatherRing("Ag_Ring", AllGather) }
 
-// AgRing returns the ring allgather.
-func AgRing() Algorithm { return agRing{} }
-
-func (agRing) Name() string { return "Ag_Ring" }
-
-func (agRing) Collective() Collective { return AllGather }
-
-func (agRing) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	return collective.AllgatherRing(c, mine)
-}
-
-// agRecDouble is Ag_RecDouble: the recursive-doubling allgather with
+// AgRecDouble returns Ag_RecDouble, the recursive-doubling allgather with
 // every rank contributing (log-depth on power-of-two machines, ring
 // fallback otherwise).
-type agRecDouble struct{}
-
-// AgRecDouble returns the recursive-doubling allgather.
-func AgRecDouble() Algorithm { return agRecDouble{} }
-
-func (agRecDouble) Name() string { return "Ag_RecDouble" }
-
-func (agRecDouble) Collective() Collective { return AllGather }
-
-func (agRecDouble) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	return collective.AllgatherRecDoubling(c, spec.Sources, mine)
-}
+func AgRecDouble() Algorithm { return allGatherRecDouble("Ag_RecDouble", AllGather) }

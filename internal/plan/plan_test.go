@@ -310,6 +310,20 @@ func TestDecideProbeBudget(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("want budget-exhausted error, got %v", err)
 	}
+	// Whichever way the simulator runs a candidate — Br_Lin is replayed,
+	// Bcast_Circulant runs as goroutines — over budget is +Inf, not an error.
+	for _, name := range []string{"Br_Lin", "Bcast_Circulant"} {
+		alg, err := core.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms, err := probeOne(m, alg, spec, 1024, 10); err != nil || !math.IsInf(ms, 1) {
+			t.Errorf("%s over budget: %v ms, %v; want +Inf", name, ms, err)
+		}
+		if ms, err := probeOne(m, alg, spec, 1024, 0); err != nil || math.IsInf(ms, 1) || ms <= 0 {
+			t.Errorf("%s without a budget: %v ms, %v", name, ms, err)
+		}
+	}
 }
 
 func TestDecideRejectsInvalidSpec(t *testing.T) {

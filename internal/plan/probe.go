@@ -25,16 +25,7 @@ type ProbeResult struct {
 
 // probeOne runs one probe simulation on the length-only payload path.
 func probeOne(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen, maxOps int) (float64, error) {
-	nw, err := m.NewNetwork()
-	if err != nil {
-		return 0, err
-	}
-	coll := core.CollectiveOf(alg)
-	alg = core.Bind(alg, spec)
-	res, err := sim.Run(nw, func(pr *sim.Proc) {
-		mine := core.InitialLenFor(coll, spec, pr.Rank(), msgLen)
-		alg.Run(pr, spec, mine)
-	}, sim.Options{MaxOps: maxOps})
+	res, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{MaxOps: maxOps})
 	if err != nil {
 		if errors.Is(err, sim.ErrMaxOps) {
 			// Over budget: deterministically disqualified, not an error.

@@ -1,42 +1,51 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// routeMaxOps bounds the communication operations of the
-// route-extraction replay. Extraction runs the algorithm once on the
-// simulator, so the budget only guards against a runaway user-registered
-// algorithm; the registry suite stays far under it even at p in the
-// hundreds.
+// routeMaxOps bounds the communication operations of the traced run that
+// extracts the routes of an algorithm whose body is code: the budget only
+// guards against a runaway user-registered algorithm; the registry suite
+// stays far under it even at p in the hundreds.
 const routeMaxOps = 50_000_000
 
-// linkCollector is a sim tracer that records the directed (src, dst)
-// pairs the traced run sent messages over. Simulator tracers run inline
-// under the scheduler token, so no locking is needed.
-type linkCollector struct {
-	links map[[2]int]struct{}
+// linkSet is a set of directed (src, dst) pairs.
+type linkSet map[[2]int]struct{}
+
+// add records a message from rank to peer, unless it stays on its rank.
+func (ls linkSet) add(rank, peer int) {
+	if peer != rank {
+		ls[[2]int{rank, peer}] = struct{}{}
+	}
 }
 
-func (lc *linkCollector) Trace(e obs.Event) {
-	if e.Kind == obs.KindSend && e.Peer >= 0 && e.Peer != e.Rank {
-		lc.links[[2]int{e.Rank, e.Peer}] = struct{}{}
+// Trace makes a linkSet a sim tracer that records the pairs the traced run
+// sent messages over. Simulator tracers run inline under the scheduler
+// token, so no locking is needed.
+func (ls linkSet) Trace(e obs.Event) {
+	if e.Kind == obs.KindSend && e.Peer >= 0 {
+		ls.add(e.Rank, e.Peer)
 	}
 }
 
 // Routes extracts the directed logical link set the algorithm uses on
-// this instance by replaying it once on the deterministic simulator
-// with a link-collecting tracer. Because every engine drives the same
-// algorithm code over the same spec, the simulated schedule's links are
+// this instance: the (rank, peer) pairs of the send operations of its
+// program. Every engine executes that program rank by rank, so these are
 // exactly the links a live or TCP run will traverse — which makes the
 // result a valid sparse connection plan (tcp Options.Links, or
-// stpbcast.SessionOptions.Links via RoutesFor).
+// stpbcast.SessionOptions.Links via RoutesFor). An algorithm whose body is
+// code has no program to read; it is run once on the simulator under a
+// link-collecting tracer instead, the engines driving the same code over
+// the same spec.
 //
 // Barrier contributes no links: ranks that share a process synchronise
 // in memory, and the few links a multi-process mesh needs between its
@@ -48,29 +57,39 @@ func (lc *linkCollector) Trace(e obs.Event) {
 // connection, so the connection count of the plan is at most the pair
 // count here.
 func Routes(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) ([][2]int, error) {
-	nw, err := m.NewNetwork()
-	if err != nil {
-		return nil, err
-	}
-	lc := &linkCollector{links: make(map[[2]int]struct{})}
-	coll := core.CollectiveOf(alg)
-	alg = core.Bind(alg, spec)
-	_, err = sim.Run(nw, func(pr *sim.Proc) {
-		mine := core.InitialLenFor(coll, spec, pr.Rank(), msgLen)
-		alg.Run(pr, spec, mine)
-	}, sim.Options{Tracer: lc, MaxOps: routeMaxOps})
-	if err != nil {
+	links := linkSet{}
+	if prog := m.Program(alg, spec); prog != nil {
+		programLinks(prog, links)
+	} else if err := tracedLinks(m, alg, spec, msgLen, links); err != nil {
 		return nil, fmt.Errorf("plan: route extraction for %s: %w", alg.Name(), err)
 	}
-	out := make([][2]int, 0, len(lc.links))
-	for l := range lc.links {
+	out := make([][2]int, 0, len(links))
+	for l := range links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	slices.SortFunc(out, compareLinks)
 	return out, nil
+}
+
+// compareLinks orders links by source, then by destination.
+func compareLinks(a, b [2]int) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+}
+
+// programLinks adds the (rank, peer) pair of every send in prog.
+func programLinks(prog *comm.Program, links linkSet) {
+	for rank := 0; rank < prog.P(); rank++ {
+		for _, op := range prog.Ops(rank) {
+			switch op.Kind {
+			case comm.OpSend, comm.OpMove, comm.OpToken:
+				links.add(rank, op.Peer())
+			}
+		}
+	}
+}
+
+// tracedLinks adds the (rank, peer) pair of every send of a simulated run.
+func tracedLinks(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int, links linkSet) error {
+	_, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{Tracer: links, MaxOps: routeMaxOps})
+	return err
 }

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,6 +58,52 @@ func TestRoutesCoverTracedLiveLinks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRoutesReadAndTracedAgree holds the two derivations of a link set
+// together: for every registry entry that is a program, the pairs read off
+// its send operations are exactly the pairs a traced simulator run of the
+// instance sends over — the derivation that remains for entries whose body
+// is code.
+func TestRoutesReadAndTracedAgree(t *testing.T) {
+	var read []string
+	for _, mesh := range [][2]int{{4, 4}, {4, 8}} {
+		m := machine.Paragon(mesh[0], mesh[1])
+		for _, coll := range core.Collectives() {
+			specs := []core.Spec{{Rows: m.Rows, Cols: m.Cols, Sources: core.AllRanksSources(m.P())}}
+			if caps := coll.Caps(); caps.SingleSource {
+				specs[0].Sources = []int{m.P() / 3}
+			} else if caps.TakesSources {
+				specs = []core.Spec{testSpec(t, m, dist.Equal(), m.P()/2), testSpec(t, m, dist.Cross(), m.P()/4)}
+			}
+			for _, alg := range core.RegistryFor(coll) {
+				for _, spec := range specs {
+					prog := m.Program(alg, spec)
+					if prog == nil {
+						continue
+					}
+					if !slices.Contains(read, alg.Name()) {
+						read = append(read, alg.Name())
+					}
+					fromProgram, traced := linkSet{}, linkSet{}
+					programLinks(prog, fromProgram)
+					if err := tracedLinks(m, alg, spec, 32, traced); err != nil {
+						t.Fatalf("%s on %s: %v", alg.Name(), m.Name, err)
+					}
+					if !maps.Equal(fromProgram, traced) {
+						t.Errorf("%s on %s, sources %v: %d links read off the program, %d traced", alg.Name(), m.Name, spec.Sources, len(fromProgram), len(traced))
+					}
+					routes, err := Routes(m, alg, spec, 32)
+					if err != nil || len(routes) != len(traced) || !slices.IsSortedFunc(routes, compareLinks) {
+						t.Errorf("%s on %s: Routes gives %d links (%v), want the %d sorted", alg.Name(), m.Name, len(routes), err, len(traced))
+					}
+				}
+			}
+		}
+	}
+	if len(read) < 17 {
+		t.Errorf("only %d registry entries had their routes read off a program: %v", len(read), read)
 	}
 }
 

@@ -1,9 +1,14 @@
 // Package sim executes an algorithm on a simulated message-passing MPP and
 // reports virtual elapsed time plus the paper's characteristic parameters.
 //
-// Each of the p virtual processors runs the user's algorithm function in
-// its own goroutine, but the engine enforces strictly sequential execution:
-// exactly one processor goroutine holds the run token at any instant, and
+// There is one engine — the processors' clocks, the ready heap, the
+// per-pair queues and the cost model below — and two drivers of it. Run
+// takes an algorithm that is code: each of the p virtual processors runs
+// the function in its own goroutine and the engine enforces strictly
+// sequential execution, exactly one processor goroutine holding the run
+// token at any instant. Replay takes an algorithm that is data (a
+// comm.Program): a processor is a program counter, and the caller's
+// goroutine steps whichever processor the token would be with. Under both
 // a processor may send only while it is the earliest runnable one: before
 // every Send the token moves to the runnable processor with the smallest
 // scheduling key (ties broken by rank), where the key is the processor's
@@ -23,8 +28,9 @@
 // indexed binary min-heap keyed by (key, rank) that is maintained
 // incrementally on every state transition, and done/barrier processors are
 // tracked by counters — nothing ever rescans all p processors on the hot
-// path. The token is handed directly from the yielding processor to the
-// next one (one channel transfer per hand-off). Everything a run needs —
+// path. Under Run the token is handed directly from the yielding processor
+// to the next one (one channel transfer per hand-off); under Replay moving
+// it is a loop iteration. Everything a run needs —
 // the processor slab, the heap, the p×p queue table and the message arena
 // behind all queues — belongs to one pooled engine, so a run allocates
 // O(1) outside the algorithm bodies and steady-state Send/Recv allocates
@@ -60,9 +66,14 @@ const (
 	stateDone
 )
 
-// pending is a sent-but-not-yet-received message in a (src,dst) queue.
+// pending is a sent-but-not-yet-received message in a (src,dst) queue:
+// what the cost model prices (bytes, part count, tag), when it arrives,
+// and under Run the parts themselves, which the receiver gets back.
 type pending struct {
-	msg     comm.Message
+	parts   []comm.Part
+	tag     int
+	nparts  int
+	bytes   int
 	arrival network.Time
 }
 
@@ -174,9 +185,10 @@ type Options struct {
 	MaxOps int
 }
 
-// Proc is one virtual processor's handle. It implements comm.Comm,
-// comm.Clock, and comm.IterMarker. Methods must only be called from the
-// algorithm function invoked for this processor.
+// Proc is one virtual processor: under Run the handle the algorithm
+// function gets — it implements comm.Comm, comm.Clock, comm.IterMarker and
+// comm.PhaseMarker, and its methods must only be called from the function
+// invoked for this processor — under Replay a program counter.
 type Proc struct {
 	eng  *engine
 	rank int
@@ -194,7 +206,13 @@ type Proc struct {
 	// waitSrc is the sender this processor is blocked on (stateBlocked).
 	waitSrc int
 
+	// resume parks the processor's goroutine (Run).
 	resume chan struct{}
+	// pc is the next operation of the processor's program (Replay); begun
+	// says that operation was counted and checked before the processor
+	// had to give way, so picking it up again does neither twice.
+	pc    int
+	begun bool
 
 	sends, recvs         int
 	sendBytes, recvBytes int64
@@ -216,8 +234,9 @@ var _ comm.PhaseMarker = (*Proc)(nil)
 // engine is the shared state of one run. All fields are owned by the run
 // token: only the goroutine currently holding the token (or, before the
 // first and after the last handoff, Run itself) touches them, so no locks
-// are needed and every access is ordered by the resume/finish channels.
-// Engines are pooled: the slabs below keep their capacity (and the
+// are needed and every access is ordered by the resume/finish channels;
+// Replay never leaves its caller's goroutine. Engines are pooled and
+// shared by both drivers: the slabs below keep their capacity (and the
 // processors their resume channels and iteration-stat arrays) from run to
 // run. A pooled engine never owns a goroutine — Run spawns the p
 // processor goroutines and has seen every one of them finish before it
@@ -233,6 +252,9 @@ type engine struct {
 	nodes  []node
 	free   int32
 	queued int
+	// regs holds what Replay knows of the processors' registers, processor
+	// i's at regs[i*prog.Regs():].
+	regs []reg
 
 	// ready is the indexed binary min-heap of runnable processors, keyed
 	// by (key, rank). procs[i].heapIdx tracks positions.
@@ -269,14 +291,12 @@ func acquire(nw *network.Network, opts Options) *engine {
 		e.queues = make([]queue, p*p)
 		e.ready = make([]*Proc, 0, p)
 	}
-	e.procs, e.queues = e.procs[:p], e.queues[:p*p]
+	// A replay that was abandoned left its runnable processors in the heap.
+	e.procs, e.queues, e.ready = e.procs[:p], e.queues[:p*p], e.ready[:0]
 	// Pushing in rank order seeds the deterministic (key, rank) dispatch
 	// order.
 	for i := range e.procs {
 		pr := &e.procs[i]
-		if pr.resume == nil {
-			pr.resume = make(chan struct{})
-		}
 		*pr = Proc{eng: e, rank: i, iter: -1, resume: pr.resume, iters: pr.iters[:0]}
 		e.heapPush(pr)
 	}
@@ -294,6 +314,11 @@ func (e *engine) release() {
 		clear(e.queues)
 	}
 	e.nodes, e.free, e.queued = e.nodes[:1], 0, 0
+	// Few programs need more than a register per processor, and those that
+	// do need up to p each: too much to sit in every pooled engine.
+	if cap(e.regs) > cap(e.procs) {
+		e.regs = nil
+	}
 	for i := range e.procs {
 		e.procs[i].eng = nil
 	}
@@ -320,7 +345,11 @@ func Run(net *network.Network, fn func(*Proc), opts Options) (*Result, error) {
 	e := acquire(net, opts)
 	defer e.release()
 	for i := range e.procs {
-		go e.procs[i].run(fn)
+		pr := &e.procs[i]
+		if pr.resume == nil {
+			pr.resume = make(chan struct{})
+		}
+		go pr.run(fn)
 	}
 	// Hand the token to the earliest processor and wait for it to come
 	// back when the run is over.
@@ -330,9 +359,14 @@ func Run(net *network.Network, fn func(*Proc), opts Options) (*Result, error) {
 		e.drain()
 		return nil, e.err
 	}
-	// The result owns its memory: per-iteration stats are copied out of
-	// the pooled processors into one slab.
-	res := &Result{Procs: make([]ProcStats, e.p), Net: net.Stats()}
+	return e.result()
+}
+
+// result assembles the outcome of a finished run. It owns its memory:
+// per-iteration stats are copied out of the pooled processors into one
+// slab.
+func (e *engine) result() (*Result, error) {
+	res := &Result{Procs: make([]ProcStats, e.p), Net: e.net.Stats()}
 	total := 0
 	for i := range e.procs {
 		total += len(e.procs[i].iters)
@@ -374,11 +408,7 @@ func (p *Proc) run(fn func(*Proc)) {
 				p.err = fmt.Errorf("sim: rank %d panicked: %v", p.rank, r)
 			}
 		}
-		if p.heapIdx >= 0 {
-			e.heapRemove(p)
-		}
-		p.state = stateDone
-		e.doneCount++
+		p.finish()
 		if e.aborted {
 			e.finish <- struct{}{}
 			return
@@ -553,16 +583,25 @@ func (p *Proc) Size() int { return p.eng.p }
 // Now returns the processor's current virtual clock.
 func (p *Proc) Now() network.Time { return p.clock }
 
-// beginOp counts one communication operation against the MaxOps budget.
-// The call that exhausts it gives the token back to Run, which drains
-// every processor (this one included) through the errAbort unwind.
-func (p *Proc) beginOp() {
-	e := p.eng
+// beginOp counts one communication operation against the MaxOps budget
+// and reports whether the run may go on; the operation that exhausts the
+// budget records the terminal error.
+func (e *engine) beginOp() bool {
 	if e.opts.MaxOps <= 0 {
-		return
+		return true
 	}
 	if e.ops++; e.ops > e.opts.MaxOps {
 		e.err = fmt.Errorf("sim: aborted after %d operations (MaxOps): %w", e.opts.MaxOps, ErrMaxOps)
+		return false
+	}
+	return true
+}
+
+// beginOp is engine.beginOp for a processor goroutine: the call that
+// exhausts the budget gives the token back to Run, which drains every
+// processor (this one included) through the errAbort unwind.
+func (p *Proc) beginOp() {
+	if !p.eng.beginOp() {
 		p.wait(nil)
 	}
 }
@@ -618,18 +657,24 @@ func (p *Proc) Send(dst int, m comm.Message) {
 	if next := e.ready[0]; next != p {
 		p.wait(next)
 	}
-	n := m.Len()
-	cost := e.cfg.SendOverhead + e.cfg.CopyCost(n)
+	p.send(dst, pending{parts: m.Parts, tag: m.Tag, nparts: len(m.Parts), bytes: m.Len()})
+}
+
+// send charges the processor for sending pd, prices its transfer and
+// queues it for dst. The processor must be the earliest runnable one.
+func (p *Proc) send(dst int, pd pending) {
+	e := p.eng
+	cost := e.cfg.SendOverhead + e.cfg.CopyCost(pd.bytes)
 	p.clock += cost
-	arrival := e.net.Transfer(p.rank, dst, n, p.clock)
-	e.push(&e.queues[p.rank*e.p+dst], pending{msg: m, arrival: arrival})
+	pd.arrival = e.net.Transfer(p.rank, dst, pd.bytes, p.clock)
+	e.push(&e.queues[p.rank*e.p+dst], pd)
 	p.sends++
-	p.sendBytes += int64(n)
+	p.sendBytes += int64(pd.bytes)
 	it := p.curIter()
 	it.Sends++
-	it.Bytes += int64(n)
+	it.Bytes += int64(pd.bytes)
 	if t := e.opts.Tracer; t != nil {
-		t.Trace(Event{Kind: obs.KindSend, Rank: p.rank, Peer: dst, Bytes: n, Parts: len(m.Parts), Tag: m.Tag, Clock: p.clock, Dur: cost, Arrival: arrival, Iter: p.iter, Phase: p.phase})
+		t.Trace(Event{Kind: obs.KindSend, Rank: p.rank, Peer: dst, Bytes: pd.bytes, Parts: pd.nparts, Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
 	}
 	p.rekey()
 	// Wake the destination if it is blocked waiting for exactly us.
@@ -648,17 +693,29 @@ func (p *Proc) Recv(src int) comm.Message {
 		panic(fmt.Sprintf("sim: rank %d receives from invalid rank %d", p.rank, src))
 	}
 	p.beginOp()
-	q := &e.queues[src*e.p+p.rank]
-	if q.head == 0 {
-		// Block with the entry clock as key; only src's Send wakes us,
-		// and it has queued the message by then.
-		p.state = stateBlocked
-		p.waitSrc = src
-		p.key = p.clock
-		e.heapRemove(p)
+	if e.queues[src*e.p+p.rank].head == 0 {
+		p.block(src)
 		p.park()
 	}
-	pd := e.pop(q)
+	pd := p.receive(src)
+	return comm.Message{Tag: pd.tag, Parts: pd.parts}
+}
+
+// block takes the processor out of the ready heap until src sends to it,
+// with the entry clock as key; only src's Send wakes it, and it has queued
+// the message by then.
+func (p *Proc) block(src int) {
+	p.state = stateBlocked
+	p.waitSrc = src
+	p.key = p.clock
+	p.eng.heapRemove(p)
+}
+
+// receive takes the next message of src, which must be queued, and charges
+// the processor for waiting on it and for receiving it.
+func (p *Proc) receive(src int) pending {
+	e := p.eng
+	pd := e.pop(&e.queues[src*e.p+p.rank])
 	if pd.arrival > p.clock {
 		wait := pd.arrival - p.clock
 		p.waitCount++
@@ -668,32 +725,47 @@ func (p *Proc) Recv(src int) comm.Message {
 			t.Trace(Event{Kind: obs.KindWait, Rank: p.rank, Peer: src, Clock: pd.arrival, Dur: wait, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
 		}
 	}
-	n := pd.msg.Len()
-	cost := e.cfg.RecvOverhead + e.cfg.CopyCost(n)
+	cost := e.cfg.RecvOverhead + e.cfg.CopyCost(pd.bytes)
 	p.clock += cost
 	p.recvs++
-	p.recvBytes += int64(n)
+	p.recvBytes += int64(pd.bytes)
 	it := p.curIter()
 	it.Recvs++
-	it.Bytes += int64(n)
+	it.Bytes += int64(pd.bytes)
 	if t := e.opts.Tracer; t != nil {
-		t.Trace(Event{Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: n, Parts: len(pd.msg.Parts), Tag: pd.msg.Tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
+		t.Trace(Event{Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: pd.bytes, Parts: pd.nparts, Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
 	}
 	p.rekey()
-	return pd.msg
+	return pd
 }
 
 // Barrier implements comm.Comm.
 func (p *Proc) Barrier() {
-	e := p.eng
 	p.beginOp()
+	p.arrive()
+	p.park()
+}
+
+// arrive takes the processor out of the ready heap until every live
+// processor has reached the barrier.
+func (p *Proc) arrive() {
+	e := p.eng
 	if t := e.opts.Tracer; t != nil {
 		t.Trace(Event{Kind: obs.KindBarrier, Rank: p.rank, Peer: -1, Clock: p.clock, Iter: p.iter, Phase: p.phase})
 	}
 	p.state = stateBarrier
 	e.barrierCount++
 	e.heapRemove(p)
-	p.park()
+}
+
+// finish retires the processor: its algorithm has returned, its program
+// has ended or its goroutine is unwinding.
+func (p *Proc) finish() {
+	if p.heapIdx >= 0 {
+		p.eng.heapRemove(p)
+	}
+	p.state = stateDone
+	p.eng.doneCount++
 }
 
 // AdvanceCombine implements comm.Clock: charge the local cost of merging n

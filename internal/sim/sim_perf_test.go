@@ -102,7 +102,7 @@ func TestRecvReleasesQueuedPayloads(t *testing.T) {
 			t.Errorf("arena holds %d nodes, want the sentinel and the used ones", len(p.eng.nodes))
 		}
 		for i, nd := range p.eng.nodes {
-			if nd.pd.msg.Parts != nil {
+			if nd.pd.parts != nil {
 				t.Errorf("popped node %d still references its payload", i)
 			}
 		}
@@ -136,4 +136,43 @@ func TestQueueArraysRecycled(t *testing.T) {
 			t.Fatalf("run %d: %d transfers, want 4", i, res.Net.Transfers)
 		}
 	}
+}
+
+// BenchmarkReplay runs one cell — a recursive-doubling exchange on the
+// 16×16 mesh, 2 048 sends of 64 bytes — under both drivers: every rank a
+// goroutine executing its part of the program, and the program replayed.
+// The model work is the same; the difference is what starting a rank and
+// handing the token on cost.
+func BenchmarkReplay(b *testing.B) {
+	const p = 256
+	prog := comm.Script{Regs: 1, Rank: func(sb *comm.Builder, rank int) {
+		sb.Barrier()
+		for i, d := 0, 1; d < p; i, d = i+1, d<<1 {
+			sb.Iter(i)
+			sb.Send(rank^d, 0)
+			sb.Recv(rank^d, 0)
+		}
+	}}.Compile(p)
+	nw, err := network.New(topology.MustMesh2D(16, 16), topology.IdentityPlacement(p), flatCfg())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(nw, func(pr *Proc) {
+				prog.Run(pr, comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Size: 64}}})
+			}, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Replay", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Replay(nw, prog, func(int) (int, int) { return 64, 1 }, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -445,9 +445,10 @@ func TestMaxOpsCountsOperations(t *testing.T) {
 }
 
 // TestGoroutinesReturnToBaseline runs every way a run can end — normally,
-// deadlocked, with a panic, out of budget — back to back on the pooled
-// engine: no processor goroutine may outlive its run, and a recycled
-// engine must not carry anything of an abandoned run into the next one.
+// deadlocked, with a panic, out of budget, under either driver — back to
+// back on the pooled engine: no processor goroutine may outlive its run
+// (a replay never starts one), and a recycled engine must not carry
+// anything of an abandoned run into the next one.
 func TestGoroutinesReturnToBaseline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ring := func(p *Proc) {
@@ -456,33 +457,62 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 			panic(fmt.Sprintf("rank %d received a stale message from origin %d", p.Rank(), m.Parts[0].Origin))
 		}
 	}
+	// script compiles rounds of the ring, each followed by what the rank
+	// does after it, for the four processors of the test.
+	script := func(rounds int, after func(b *comm.Builder, rank int)) *comm.Program {
+		return comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) {
+			for i := 0; i < rounds; i++ {
+				b.Send((rank+1)%4, 0)
+				b.Recv((rank+3)%4, 1)
+			}
+			after(b, rank)
+		}}.Compile(4)
+	}
 	endings := []struct {
 		name string
-		fn   func(*Proc)
+		fn   func(*Proc)   // run as goroutines, or
+		prog *comm.Program // replayed
 		opts Options
 		want string // substring of the error, "" for success
 	}{
-		{"normal", ring, Options{}, ""},
+		{"normal", ring, nil, Options{}, ""},
 		{"deadlock", func(p *Proc) {
 			p.Send((p.Rank()+1)%p.Size(), comm.Message{Parts: []comm.Part{{Origin: -1, Size: 8}}}) // left in the queue
 			p.Recv((p.Rank() + 1) % p.Size())
 			p.Recv((p.Rank() + 1) % p.Size())
-		}, Options{}, "deadlock"},
+		}, nil, Options{}, "deadlock"},
 		{"panic", func(p *Proc) {
 			if p.Rank() == 2 {
 				panic("boom")
 			}
 			p.Barrier()
-		}, Options{}, "boom"},
+		}, nil, Options{}, "boom"},
 		{"budget", func(p *Proc) {
 			for {
 				ring(p)
 			}
-		}, Options{MaxOps: 50}, "MaxOps"},
+		}, nil, Options{MaxOps: 50}, "MaxOps"},
+		{"replayed", nil, script(1, func(*comm.Builder, int) {}), Options{}, ""},
+		{"replayed deadlock", nil, script(1, func(b *comm.Builder, rank int) {
+			b.Send((rank+1)%4, 0) // left in the queue
+			b.Recv((rank+1)%4, 1)
+		}), Options{}, "deadlock"},
+		{"replayed budget", nil, script(100, func(*comm.Builder, int) {}), Options{MaxOps: 50}, "MaxOps"},
 	}
 	for round := 0; round < 5; round++ {
 		for _, e := range endings {
-			_, err := Run(lineNet(t, 4), e.fn, e.opts)
+			var err error
+			if e.prog != nil {
+				// Once the earlier runs' goroutines are gone, a replay must
+				// not show one of its own even for a moment.
+				waitForGoroutines(t, base)
+				_, err = Replay(lineNet(t, 4), e.prog, func(int) (int, int) { return 8, 1 }, e.opts)
+				if n := runtime.NumGoroutine(); n > base {
+					t.Fatalf("round %d, %s: %d goroutines right after the replay, %d before it", round, e.name, n, base)
+				}
+			} else {
+				_, err = Run(lineNet(t, 4), e.fn, e.opts)
+			}
 			if e.want == "" && err != nil || e.want != "" && (err == nil || !strings.Contains(err.Error(), e.want)) {
 				t.Fatalf("round %d, %s: got %v, want %q", round, e.name, err, e.want)
 			}

@@ -542,32 +542,13 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 	if err := checkAlgorithmCollective(alg, coll); err != nil {
 		return nil, 0, err
 	}
-	alg = core.Bind(alg, spec)
-	nw, err := m.NewNetwork()
-	if err != nil {
-		return nil, 0, err
-	}
-	// The simulator prices message lengths only, so sources enter with
-	// length-only parts — no payload buffers are allocated.
-	msgLens := make(map[int]int, len(spec.Sources))
-	for _, src := range spec.Sources {
-		msgLens[src] = msgLenFor(cfg, src)
-	}
 	sopts := sim.Options{}
 	if opts.Trace != nil {
 		sopts.Tracer = opts.Trace
 	}
-	res, err := sim.Run(nw, func(pr *sim.Proc) {
-		var mine comm.Message
-		if coll == core.Broadcast {
-			mine = core.InitialMessageLen(spec, pr.Rank(), msgLens[pr.Rank()])
-		} else {
-			// Non-broadcast collectives run uniform lengths (Validate
-			// rejects MsgBytesFor for them).
-			mine = core.InitialLenFor(coll, spec, pr.Rank(), cfg.MsgBytes)
-		}
-		alg.Run(pr, spec, mine)
-	}, sopts)
+	// Non-broadcast collectives run uniform lengths (Validate rejects
+	// MsgBytesFor for them), which is what msgLenFor gives them.
+	res, nw, err := m.RunSim(alg, spec, func(rank int) int { return msgLenFor(cfg, rank) }, sopts)
 	if err != nil {
 		return nil, 0, err
 	}
