@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos fuzz-seeds loc deprecated-check bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check report-check ci
+.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check report-check ci
 
 all: ci
 
@@ -46,15 +46,6 @@ loc:
 	@find internal/engine internal/live internal/tcp -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
 	@printf 'of which internal/plan:               '
 	@find internal/plan -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
-
-# The deprecated one-shots (Simulate*, RunLive*, RunTCP*, SimResult,
-# LiveResult) live in compat.go and are exercised by its tests only: any
-# other non-test file naming one fails here, so deleting compat.go stays
-# a one-file api/stpbcast.txt diff.
-deprecated-check:
-	@out="$$(grep -rnwE 'Simulate(With|Traced|Into)?|RunLive(Opts)?|RunTCP(Opts)?|SimResult|LiveResult' \
-		--include='*.go' --exclude='*_test.go' --exclude=compat.go .)"; if [ -n "$$out" ]; then \
-		echo "deprecated one-shot API referenced outside compat.go (use Run):"; echo "$$out"; exit 1; fi
 
 # Figure-regeneration benchmarks, best-of-3, parsed into BENCH_sim.json
 # (ns/op + allocs/op per figure) and gated at 2x ns/op against the
@@ -151,4 +142,4 @@ report-check:
 	grep -v '^Generated ' "$$tmp/new.md" > "$$tmp/got" && \
 	diff "$$tmp/want" "$$tmp/got" && echo "REPORT.md matches the regenerated report"
 
-ci: fmt vet build deprecated-check race fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp
+ci: fmt vet build race fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp

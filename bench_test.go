@@ -118,7 +118,7 @@ func BenchmarkSimulatorHost(b *testing.B) {
 	cfg := stpbcast.Config{Algorithm: "Br_xy_source", Distribution: "E", Sources: 64, MsgBytes: 4096}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := stpbcast.Simulate(m, cfg); err != nil {
+		if _, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func BenchmarkLiveEngineHost(b *testing.B) {
 	payload := make([]byte, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := stpbcast.RunLive(m, cfg, func(int) []byte { return payload }); err != nil {
+		if _, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{Payload: func(int) []byte { return payload }}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func BenchmarkTCPEngineHost(b *testing.B) {
 	payload := make([]byte, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := stpbcast.RunTCP(m, cfg, func(int) []byte { return payload }); err != nil {
+		if _, err := stpbcast.Run(m, stpbcast.EngineTCP, cfg, stpbcast.RunOptions{Payload: func(int) []byte { return payload }}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -310,8 +310,8 @@ func printCSV(s *stpbcast.Series) {
 }
 
 // runSession times n back-to-back 1 KiB broadcasts on a 4×4 mesh twice:
-// once paying full engine setup per broadcast (the deprecated one-shot
-// path), once over a single warm Session — and prints both rates, the
+// once paying full engine setup per broadcast (the one-shot Run),
+// once over a single warm Session — and prints both rates, the
 // speedup and the session's aggregate stats. pipeline > 0 drives the
 // session loop through RunAsync with that many broadcasts in flight;
 // sparse opens the session over the route-planned link set

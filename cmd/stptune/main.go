@@ -1,6 +1,9 @@
 // Command stptune drives the algorithm planner (internal/plan): it plans
 // single instances, sweeps grids with a chosen-vs-best table, warms a
-// persistent plan cache, and inspects cache contents.
+// persistent plan cache, and inspects cache contents. Its measure
+// subcommand is the planner-free sweep: any set of algorithms and
+// distributions, source counts and message lengths on any machine, one CSV
+// row of simulated time and the paper's parameters per cell.
 //
 // Usage:
 //
@@ -9,6 +12,7 @@
 //	stptune sweep   -machine t3d -p 256 -dists E,Cr -s 10,64 -bytes 1024,16384
 //	stptune warm    -machine paragon -cache plans.json -dists R,C,E,Dr,Dl,B,Cr,Sq -s 10,64 -bytes 1024,16384
 //	stptune inspect -cache plans.json
+//	stptune measure -machine paragon -rows 16 -cols 16 -algs Br_Lin,Repos_xy_source -dists E,Cr -s 16,32,64,128 -bytes 4096
 //
 // The sweep table reports, per cell, the planner's choice and the best
 // fixed algorithm with their simulated times; ratio 1.00 means the
@@ -26,11 +30,13 @@ import (
 	"strconv"
 	"strings"
 
+	stpbcast "repro"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/plan"
 )
 
@@ -48,50 +54,63 @@ func main() {
 		runWarm(args)
 	case "inspect":
 		runInspect(args)
+	case "measure":
+		runMeasure(args)
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: stptune {plan|sweep|warm|inspect} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: stptune {plan|sweep|warm|inspect|measure} [flags]")
 	os.Exit(2)
 }
 
-// commonFlags are the machine and planner knobs shared by the planning
-// subcommands.
+// machineFlags are the machine knobs every subcommand but inspect takes.
+type machineFlags struct {
+	fs      *flag.FlagSet
+	machine *string
+	rows    *int
+	cols    *int
+	p       *int
+	dim     *int
+	seed    *int64
+}
+
+// commonFlags add the planner knobs of the planning subcommands.
 type commonFlags struct {
-	fs        *flag.FlagSet
-	machine   *string
-	rows      *int
-	cols      *int
-	p         *int
-	dim       *int
-	seed      *int64
+	*machineFlags
 	cachePath *string
 	topK      *int
 	workers   *int
 	maxOps    *int
 }
 
-func newCommonFlags(name string) *commonFlags {
+func newMachineFlags(name string) *machineFlags {
 	fs := flag.NewFlagSet("stptune "+name, flag.ExitOnError)
-	return &commonFlags{
-		fs:        fs,
-		machine:   fs.String("machine", "paragon", "paragon | paragon-mpi | t3d | t3d-random | hypercube"),
-		rows:      fs.Int("rows", 10, "mesh rows (paragon)"),
-		cols:      fs.Int("cols", 10, "mesh columns (paragon)"),
-		p:         fs.Int("p", 128, "processors (t3d)"),
-		dim:       fs.Int("dim", 6, "dimension (hypercube)"),
-		seed:      fs.Int64("seed", 1, "placement seed (t3d-random)"),
-		cachePath: fs.String("cache", "", "plan cache file (empty = in-memory)"),
-		topK:      fs.Int("topk", 0, "analytic candidates to probe (0 = default, <0 = analytic only)"),
-		workers:   fs.Int("workers", 0, "probe worker pool size (0 = GOMAXPROCS)"),
-		maxOps:    fs.Int("maxops", 0, "per-probe budget of communication operations: sends, receives and barriers over all ranks (0 = unlimited)"),
+	return &machineFlags{
+		fs:      fs,
+		machine: fs.String("machine", "paragon", "paragon | paragon-mpi | t3d | t3d-random | hypercube"),
+		rows:    fs.Int("rows", 10, "mesh rows (paragon)"),
+		cols:    fs.Int("cols", 10, "mesh columns (paragon)"),
+		p:       fs.Int("p", 128, "processors (t3d)"),
+		dim:     fs.Int("dim", 6, "dimension (hypercube)"),
+		seed:    fs.Int64("seed", 1, "placement seed (t3d-random)"),
 	}
 }
 
-func (c *commonFlags) machineFor() (*machine.Machine, error) {
+func newCommonFlags(name string) *commonFlags {
+	m := newMachineFlags(name)
+	return &commonFlags{
+		machineFlags: m,
+		cachePath:    m.fs.String("cache", "", "plan cache file (empty = in-memory)"),
+		topK:         m.fs.Int("topk", 0, "analytic candidates to probe (0 = default, <0 = analytic only)"),
+		workers:      m.fs.Int("workers", 0, "probe worker pool size (0 = GOMAXPROCS)"),
+		maxOps:       m.fs.Int("maxops", 0, "per-probe budget of communication operations: sends, receives and barriers over all ranks (0 = unlimited)"),
+	}
+}
+
+func (c *machineFlags) machineFor() (*machine.Machine, error) {
 	switch *c.machine {
 	case "paragon":
 		return machine.Paragon(*c.rows, *c.cols), nil
@@ -309,6 +328,63 @@ func runInspect(args []string) {
 	for _, cp := range plans {
 		fmt.Printf("  %-60s -> %-18s %10.4f ms  (%s, seq %d)\n",
 			cp.Key, cp.Entry.Algorithm, cp.Entry.ElapsedMs, cp.Entry.Source, cp.Entry.Seq)
+	}
+}
+
+// runMeasure simulates every (algorithm, distribution, s, L) cell and
+// prints one CSV row per cell: no planner, no cache. Cells fan out across
+// the bounded worker pool; rows are buffered by index so the CSV comes out
+// in the same order as a serial sweep.
+func runMeasure(args []string) {
+	c := newMachineFlags("measure")
+	algsFlag := c.fs.String("algs", "Br_Lin", "comma-separated algorithm names")
+	distsFlag := c.fs.String("dists", "E", "comma-separated distribution names")
+	sFlag := c.fs.String("s", "16", "comma-separated source counts")
+	bytesFlag := c.fs.String("bytes", "4096", "comma-separated message lengths")
+	parallel := c.fs.Int("parallel", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); row order is identical at every setting")
+	c.fs.Parse(args)
+	par.SetLimit(*parallel)
+	m, err := c.machineFor()
+	if err != nil {
+		fatal(err)
+	}
+	ss, err := splitInts(*sFlag)
+	if err != nil {
+		fatal(err)
+	}
+	ls, err := splitInts(*bytesFlag)
+	if err != nil {
+		fatal(err)
+	}
+	var cells []stpbcast.Config
+	for _, alg := range splitList(*algsFlag) {
+		for _, d := range splitList(*distsFlag) {
+			for _, s := range ss {
+				for _, l := range ls {
+					cells = append(cells, stpbcast.Config{Algorithm: alg, Distribution: d, Sources: s, MsgBytes: l})
+				}
+			}
+		}
+	}
+	out := make([]string, len(cells))
+	if err := par.ForEach(len(cells), func(i int) error {
+		cfg := cells[i]
+		res, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{})
+		if err != nil {
+			return err
+		}
+		pm := res.Params
+		out[i] = fmt.Sprintf("%s,%s,%s,%d,%d,%.4f,%d,%d,%d,%.0f,%.1f",
+			m.Name, cfg.Algorithm, cfg.Distribution, cfg.Sources, cfg.MsgBytes,
+			float64(res.Elapsed.Nanoseconds())/1e6,
+			pm.Congestion, pm.Wait, pm.SendRec, pm.AvgMsgLen, pm.AvgActive)
+		return nil
+	}); err != nil {
+		fatal(err)
+	}
+	fmt.Println("machine,algorithm,distribution,sources,msg_bytes,time_ms,congestion,wait,send_rec,av_msg_lgth,av_act_proc")
+	for _, row := range out {
+		fmt.Println(row)
 	}
 }
 

@@ -6,17 +6,17 @@ import (
 	stpbcast "repro"
 )
 
-// ExampleSimulate runs one s-to-p broadcast on the simulated 10×10
+// ExampleRun runs one s-to-p broadcast on the simulated 10×10
 // Paragon and reports structural facts of the run (which are exact and
 // deterministic; timings are too, but depend on the cost calibration).
-func ExampleSimulate() {
+func ExampleRun() {
 	m := stpbcast.NewParagon(10, 10)
-	res, err := stpbcast.Simulate(m, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm:    "Br_xy_source",
 		Distribution: "E",
 		Sources:      30,
 		MsgBytes:     4096,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -30,17 +30,17 @@ func ExampleSimulate() {
 	// all active at peak: true
 }
 
-// ExampleRunLive moves real bytes through the goroutine engine and shows
+// ExampleRun_live moves real bytes through the goroutine engine and shows
 // that the far corner processor received every source's payload.
-func ExampleRunLive() {
+func ExampleRun_live() {
 	m := stpbcast.NewParagon(4, 4)
-	res, err := stpbcast.RunLive(m, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineLive, stpbcast.Config{
 		Algorithm:    "Br_Lin",
 		Distribution: "Dr",
 		Sources:      4,
-	}, func(rank int) []byte {
+	}, stpbcast.RunOptions{Payload: func(rank int) []byte {
 		return []byte(fmt.Sprintf("msg-%d", rank))
-	})
+	}})
 	if err != nil {
 		fmt.Println(err)
 		return

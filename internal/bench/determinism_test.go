@@ -350,9 +350,9 @@ func TestSerialAndParallelHarnessIdentical(t *testing.T) {
 // per-processor preludes, queue slabs and step-by-step bundle regrowth
 // 4 748 / 6 904 / 11 599.
 func TestRunAllocationBudget(t *testing.T) {
-	// The least of several runs: a run that finds the engine pool empty
-	// (after a GC, or under -race, which drops pooled objects at random)
-	// pays for a new engine on top and says nothing about the steady state.
+	// The least of several runs: the first run on an engine, or the first
+	// of its size or iteration count, grows the engine on top and says
+	// nothing about the steady state.
 	allocs := func(m *machine.Machine, alg core.Algorithm, s int) float64 {
 		spec, err := SpecFor(m, dist.Equal(), s)
 		if err != nil {

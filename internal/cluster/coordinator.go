@@ -53,10 +53,9 @@ type Spec struct {
 
 	// Engine setup options, applied uniformly to every worker's
 	// partial machine.
-	ListenHost     string
-	DialAttempts   int
-	DialBackoff    time.Duration
-	DisableNoDelay bool
+	ListenHost   string
+	DialAttempts int
+	DialBackoff  time.Duration
 }
 
 // Coordinator is the cluster's foreman: it owns the control connections
@@ -250,12 +249,11 @@ func (c *Coordinator) bootstrap(workerLinks [][][2]int) error {
 	for _, w := range c.workers {
 		a := &assignMsg{
 			Index: w.index, P: c.spec.P, Lo: w.lo, Hi: w.hi, Workers: c.spec.Workers,
-			FullMesh:       c.spec.Links == nil,
-			Leaders:        c.leaders,
-			ListenHost:     c.spec.ListenHost,
-			DialAttempts:   c.spec.DialAttempts,
-			DialBackoffNs:  int64(c.spec.DialBackoff),
-			DisableNoDelay: c.spec.DisableNoDelay,
+			FullMesh:      c.spec.Links == nil,
+			Leaders:       c.leaders,
+			ListenHost:    c.spec.ListenHost,
+			DialAttempts:  c.spec.DialAttempts,
+			DialBackoffNs: int64(c.spec.DialBackoff),
 		}
 		if workerLinks != nil {
 			a.Links = workerLinks[w.index]

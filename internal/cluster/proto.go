@@ -115,10 +115,9 @@ type assignMsg struct {
 	// engine's barrier synchronises the processes through.
 	Leaders []int `json:"leaders"`
 
-	ListenHost     string `json:"listenHost,omitempty"`
-	DialAttempts   int    `json:"dialAttempts,omitempty"`
-	DialBackoffNs  int64  `json:"dialBackoffNs,omitempty"`
-	DisableNoDelay bool   `json:"disableNoDelay,omitempty"`
+	ListenHost    string `json:"listenHost,omitempty"`
+	DialAttempts  int    `json:"dialAttempts,omitempty"`
+	DialBackoffNs int64  `json:"dialBackoffNs,omitempty"`
 }
 
 // RunSpec is one cluster-wide broadcast: the paper instance (mesh shape,

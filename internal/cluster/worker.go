@@ -123,11 +123,10 @@ func (w *worker) assign(a *assignMsg) error {
 		links = [][2]int{} // empty plan: everything would be lazy
 	}
 	m, err := tcp.NewWorkerMachine(a.P, a.Lo, a.Hi, a.Leaders, tcp.Options{
-		Links:          links,
-		ListenHost:     a.ListenHost,
-		DialAttempts:   a.DialAttempts,
-		DialBackoff:    time.Duration(a.DialBackoffNs),
-		DisableNoDelay: a.DisableNoDelay,
+		Links:        links,
+		ListenHost:   a.ListenHost,
+		DialAttempts: a.DialAttempts,
+		DialBackoff:  time.Duration(a.DialBackoffNs),
 	})
 	if err != nil {
 		return err

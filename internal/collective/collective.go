@@ -10,9 +10,8 @@
 // operations assume the engines' buffered-send semantics (Send never
 // blocks on the receiver), which both engines provide. The operations the
 // registry's schedules are built from are written once, as comm.Scripts:
-// the function performs the calling rank's part, and internal/core
-// compiles the same script into the programs of 2-Step, PersAlltoAll and
-// the all-gathers.
+// internal/core compiles them into the programs of 2-Step, PersAlltoAll
+// and the all-gathers, and Script.Run performs the calling rank's part.
 package collective
 
 import (
@@ -25,17 +24,11 @@ import (
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
-// Gather collects the bundles of the given source ranks at root. Sources
-// send their bundle; root returns its own bundle (when it is a source)
-// followed by the others', received in the order sources lists them,
-// without a self-send. A non-root source returns an empty message, every
-// other processor what it entered with. All processors must agree on root
-// and sources.
-func Gather(c comm.Comm, root int, sources []int, mine comm.Message) comm.Message {
-	return GatherScript(root, sources).Run(c, mine)
-}
-
-// GatherScript writes Gather on register 0.
+// GatherScript collects the bundles of the given source ranks at root, on
+// register 0. Sources send their bundle; root ends with its own bundle
+// (when it is a source) followed by the others', received in the order
+// sources lists them, without a self-send. A non-root source ends with an
+// empty message, every other processor with what it entered with.
 func GatherScript(root int, sources []int) comm.Script {
 	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
 		isSource := slices.Contains(sources, rank)
@@ -92,18 +85,13 @@ func BcastTree(b *comm.Builder, p, root, rank, reg int) {
 	}
 }
 
-// AlltoallPersonalized delivers every source's bundle to every other
-// processor with p−1 pairwise permutations: XOR permutations on
-// power-of-two machines, cyclic shifts otherwise. Only sources transmit;
-// every processor returns the concatenation of all source bundles (its own
-// included) in rank order. This is the paper's PersAlltoAll.
-func AlltoallPersonalized(c comm.Comm, sources []int, mine comm.Message) comm.Message {
-	return AlltoallPersonalizedScript(c.Size(), sources).Run(c, mine)
-}
-
-// AlltoallPersonalizedScript writes AlltoallPersonalized for a machine of
-// p. Register r holds rank r's bundle, so the result is deterministic and
-// ordered regardless of arrival permutation.
+// AlltoallPersonalizedScript delivers every source's bundle to every
+// other processor of a machine of p with p−1 pairwise permutations: XOR
+// permutations on power-of-two machines, cyclic shifts otherwise. Only
+// sources transmit; every processor ends with the concatenation of all
+// source bundles (its own included) in rank order — register r holds rank
+// r's bundle, so the result is ordered regardless of arrival permutation.
+// This is the paper's PersAlltoAll.
 func AlltoallPersonalizedScript(p int, sources []int) comm.Script {
 	isSource := make([]bool, p)
 	for _, s := range sources {
@@ -132,19 +120,14 @@ func AlltoallPersonalizedScript(p int, sources []int) comm.Script {
 	}}
 }
 
-// AllgatherRing is the classic ring all-gather: in p−1 steps every
-// processor forwards to its successor the bundle it received in the
-// previous step, starting with its own. Every processor returns the
-// concatenation of all p bundles in rank order. Processors without data
-// contribute an empty bundle, so the operation doubles as an s-to-p
-// broadcast when only sources hold parts. Provided as the modern-MPI
-// ablation of the paper's gather+broadcast MPI_AllGather.
-func AllgatherRing(c comm.Comm, mine comm.Message) comm.Message {
-	return AllgatherRingScript(c.Size()).Run(c, mine)
-}
-
-// AllgatherRingScript writes AllgatherRing for a machine of p, register r
-// holding rank r's bundle.
+// AllgatherRingScript is the classic ring all-gather on a machine of p:
+// in p−1 steps every processor forwards to its successor the bundle it
+// received in the previous step, starting with its own. Register r holds
+// rank r's bundle, so every processor ends with the concatenation of all p
+// bundles in rank order. Processors without data contribute an empty
+// bundle, so the operation doubles as an s-to-p broadcast when only sources
+// hold parts. Provided as the modern-MPI ablation of the paper's
+// gather+broadcast MPI_AllGather.
 func AllgatherRingScript(p int) comm.Script {
 	return comm.Script{Regs: p, Rank: func(b *comm.Builder, rank int) {
 		b.Swap(rank)
@@ -158,23 +141,17 @@ func AllgatherRingScript(p int) comm.Script {
 	}}
 }
 
-// AllgatherRecDoubling is the recursive-doubling all-gather (the classic
-// MPICH algorithm): in round k every processor exchanges its accumulated
-// bundle with the partner at XOR-distance 2^k, so after ⌈log2 p⌉ rounds
-// every processor holds every source bundle. With sparse sources the
-// exchange degenerates to a single send (or nothing) whenever one (or
-// both) sides hold no messages yet — every processor derives the holder
-// evolution locally from the known source positions.
+// AllgatherRecDoublingScript is the recursive-doubling all-gather (the
+// classic MPICH algorithm) on a machine of p, on register 0: in round k
+// every processor exchanges its accumulated bundle with the partner at
+// XOR-distance 2^k, so after ⌈log2 p⌉ rounds every processor holds every
+// source bundle. With sparse sources the exchange degenerates to a single
+// send (or nothing) whenever one (or both) sides hold no messages yet —
+// the holder evolution follows from the known source positions.
 //
 // On power-of-two machines this is exact recursive doubling; other sizes
 // fall back to the ring all-gather (same asymptotic volume, correct for
 // every p). The paper's T3D machines are all powers of two.
-func AllgatherRecDoubling(c comm.Comm, sources []int, mine comm.Message) comm.Message {
-	return AllgatherRecDoublingScript(c.Size(), sources).Run(c, mine)
-}
-
-// AllgatherRecDoublingScript writes AllgatherRecDoubling for a machine of
-// p: on register 0, or the ring's script when p is no power of two.
 func AllgatherRecDoublingScript(p int, sources []int) comm.Script {
 	if !isPow2(p) {
 		// Non-power-of-two fallback: the ring all-gather is correct for
@@ -234,36 +211,4 @@ func Scatter(c comm.Comm, root int, bundles []comm.Message) comm.Message {
 		return bundles[root]
 	}
 	return c.Recv(root)
-}
-
-// CircularShift rotates bundles around the rank ring: every processor
-// sends its bundle to (rank+k) mod p and returns the bundle received from
-// (rank−k) mod p. One of the coarse-grained mesh operations of the
-// substrate library the paper builds on (Hambrusch/Hameed/Khokhar 1995).
-// k may be negative or exceed p; k ≡ 0 (mod p) is a no-op.
-func CircularShift(c comm.Comm, k int, mine comm.Message) comm.Message {
-	p := c.Size()
-	k = ((k % p) + p) % p
-	if k == 0 {
-		return mine
-	}
-	rank := c.Rank()
-	c.Send((rank+k)%p, mine)
-	return c.Recv((rank - k + p) % p)
-}
-
-// Transpose exchanges bundles across the main diagonal of an n×n mesh:
-// processor (i,j) ends with (j,i)'s bundle; diagonal processors keep
-// their own. Ranks are row-major. Another substrate operation of the
-// 1995 library (matrix transposition on coarse-grained meshes).
-func Transpose(c comm.Comm, n int, mine comm.Message) comm.Message {
-	if n*n != c.Size() {
-		panic(fmt.Sprintf("collective: Transpose needs a square mesh, got n=%d for p=%d", n, c.Size()))
-	}
-	rank := c.Rank()
-	i, j := rank/n, rank%n
-	if i == j {
-		return mine
-	}
-	return comm.Exchange(c, j*n+i, mine)
 }

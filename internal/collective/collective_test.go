@@ -90,7 +90,7 @@ func TestGatherCollectsInSourceOrder(t *testing.T) {
 				m = mkMsg(src, 32)
 			}
 		}
-		return Gather(c, 0, sources, m)
+		return GatherScript(0, sources).Run(c, m)
 	})
 	for _, out := range [][]comm.Message{s, l} {
 		root := out[0]
@@ -117,7 +117,7 @@ func TestGatherRootAsSource(t *testing.T) {
 		if c.Rank() == 0 || c.Rank() == 2 {
 			m = mkMsg(c.Rank(), 16)
 		}
-		return Gather(c, 0, sources, m)
+		return GatherScript(0, sources).Run(c, m)
 	})
 	if got := s[0].Origins(); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("root origins = %v", got)
@@ -137,7 +137,7 @@ func TestAlltoallPersonalizedPow2AndNot(t *testing.T) {
 					m = mkMsg(src, 48)
 				}
 			}
-			return AlltoallPersonalized(c, sources, m)
+			return AlltoallPersonalizedScript(p, sources).Run(c, m)
 		})
 		label := fmt.Sprintf("Alltoall p=%d", p)
 		wantOrigins(t, label+" (sim)", s, sources)
@@ -149,7 +149,7 @@ func TestAlltoallAllSources(t *testing.T) {
 	p := 6
 	sources := []int{0, 1, 2, 3, 4, 5}
 	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
-		return AlltoallPersonalized(c, sources, mkMsg(c.Rank(), 8))
+		return AlltoallPersonalizedScript(p, sources).Run(c, mkMsg(c.Rank(), 8))
 	})
 	wantOrigins(t, "Alltoall full (sim)", s, sources)
 	wantOrigins(t, "Alltoall full (live)", l, sources)
@@ -158,7 +158,7 @@ func TestAlltoallAllSources(t *testing.T) {
 func TestAllgatherRing(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 13} {
 		s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
-			return AllgatherRing(c, mkMsg(c.Rank(), 24))
+			return AllgatherRingScript(p).Run(c, mkMsg(c.Rank(), 24))
 		})
 		all := make([]int, p)
 		for i := range all {
@@ -190,7 +190,7 @@ func TestAllgatherRingSparseSources(t *testing.T) {
 		if c.Rank() == 2 || c.Rank() == 6 {
 			m = mkMsg(c.Rank(), 40)
 		}
-		return AllgatherRing(c, m)
+		return AllgatherRingScript(p).Run(c, m)
 	})
 	wantOrigins(t, "AllgatherRing sparse (sim)", s, sources)
 	wantOrigins(t, "AllgatherRing sparse (live)", l, sources)
@@ -256,7 +256,7 @@ func TestAllgatherRecDoublingPow2(t *testing.T) {
 					m = mkMsg(src, 64)
 				}
 			}
-			return AllgatherRecDoubling(c, sources, m)
+			return AllgatherRecDoublingScript(p, sources).Run(c, m)
 		})
 		label := fmt.Sprintf("RecDoubling p=%d", p)
 		wantOrigins(t, label+" (sim)", s, sources)
@@ -271,7 +271,7 @@ func TestAllgatherRecDoublingAllSources(t *testing.T) {
 		all[i] = i
 	}
 	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
-		return AllgatherRecDoubling(c, all, mkMsg(c.Rank(), 16))
+		return AllgatherRecDoublingScript(p, all).Run(c, mkMsg(c.Rank(), 16))
 	})
 	wantOrigins(t, "RecDoubling full (sim)", s, all)
 	wantOrigins(t, "RecDoubling full (live)", l, all)
@@ -287,7 +287,7 @@ func TestAllgatherRecDoublingNonPow2FallsBack(t *testing.T) {
 				m = mkMsg(src, 32)
 			}
 		}
-		return AllgatherRecDoubling(c, sources, m)
+		return AllgatherRecDoublingScript(p, sources).Run(c, m)
 	})
 	wantOrigins(t, "RecDoubling non-pow2 (sim)", s, sources)
 	wantOrigins(t, "RecDoubling non-pow2 (live)", l, sources)
@@ -308,7 +308,7 @@ func TestAllgatherRecDoublingSkipsEmptyExchanges(t *testing.T) {
 		if pr.Rank() == 5 {
 			m = mkMsg(5, 64)
 		}
-		AllgatherRecDoubling(pr, []int{5}, m)
+		AllgatherRecDoublingScript(p, []int{5}).Run(pr, m)
 	}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -319,47 +319,5 @@ func TestAllgatherRecDoublingSkipsEmptyExchanges(t *testing.T) {
 	}
 	if total != 15 {
 		t.Fatalf("single-source rec-doubling sent %d messages, want 15", total)
-	}
-}
-
-func TestCircularShift(t *testing.T) {
-	p := 7
-	for _, k := range []int{0, 1, 3, -2, 7, 10} {
-		s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
-			return CircularShift(c, k, mkMsg(c.Rank(), 8))
-		})
-		for _, out := range [][]comm.Message{s, l} {
-			for rank := 0; rank < p; rank++ {
-				want := ((rank-k)%p + p) % p
-				if got := out[rank].Parts[0].Origin; got != want {
-					t.Fatalf("shift k=%d: rank %d got origin %d, want %d", k, rank, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	n := 4
-	s, l := runBoth(t, n*n, func(c comm.Comm) comm.Message {
-		return Transpose(c, n, mkMsg(c.Rank(), 8))
-	})
-	for _, out := range [][]comm.Message{s, l} {
-		for rank := 0; rank < n*n; rank++ {
-			i, j := rank/n, rank%n
-			want := j*n + i
-			if got := out[rank].Parts[0].Origin; got != want {
-				t.Fatalf("transpose: rank (%d,%d) got origin %d, want %d", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestTransposeRejectsNonSquare(t *testing.T) {
-	_, err := live.Run(6, func(pr *live.Proc) {
-		Transpose(pr, 2, comm.Message{})
-	})
-	if err == nil {
-		t.Fatal("non-square transpose accepted")
 	}
 }

@@ -52,83 +52,53 @@ func TestChargeCombineAndMarkIterNoOpOnPlainComm(t *testing.T) {
 	}
 }
 
-func TestSubCommTranslation(t *testing.T) {
-	members := []int{1, 3, 4}
-	results := make([]string, 6)
-	_, err := live.Run(6, func(p *live.Proc) {
-		in := false
-		for _, m := range members {
-			if m == p.Rank() {
-				in = true
+// subgroup is a script in which the listed ranks narrow to the subgroup
+// (Builder.Sub), write body addressing each other by local rank, and
+// widen again; every other rank does nothing.
+func subgroup(members []int, body func(b *comm.Builder, local int)) comm.Script {
+	return comm.Script{Rank: func(b *comm.Builder, rank int) {
+		for local, m := range members {
+			if m == rank {
+				b.Sub(members, local)
+				body(b, local)
+				b.Top()
 			}
 		}
-		if !in {
-			return
-		}
-		sub, err := comm.NewSub(p, members)
-		if err != nil {
-			t.Errorf("rank %d: %v", p.Rank(), err)
-			return
-		}
-		if sub.Size() != 3 {
-			t.Errorf("sub size %d", sub.Size())
-		}
-		// Ring of subgroup members through local ranks.
-		next := (sub.Rank() + 1) % 3
-		prev := (sub.Rank() + 2) % 3
-		sub.Send(next, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
-		m := sub.Recv(prev)
+	}}
+}
+
+func TestSubCommTranslation(t *testing.T) {
+	members := []int{1, 3, 4}
+	// Ring of subgroup members through local ranks.
+	ring := subgroup(members, func(b *comm.Builder, local int) {
+		b.Send((local+1)%3, 0)
+		b.Recv((local+2)%3, 0)
+	})
+	results := make([]string, 6)
+	_, err := live.Run(6, func(p *live.Proc) {
+		m := ring.Run(p, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
 		results[p.Rank()] = string(m.Parts[0].Data)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Member 3 (local 1) receives from member 1 (local 0), etc.
+	// Member 3 (local 1) receives from member 1 (local 0), etc.; the
+	// ranks outside the subgroup keep what they entered with.
 	if results[3] != string([]byte{1}) || results[4] != string([]byte{3}) || results[1] != string([]byte{4}) {
 		t.Fatalf("ring payloads: %q %q %q", results[1], results[3], results[4])
+	}
+	if results[0] != string([]byte{0}) || results[2] != string([]byte{2}) || results[5] != string([]byte{5}) {
+		t.Fatalf("non-members took part: %q %q %q", results[0], results[2], results[5])
 	}
 }
 
 func TestSubCommBarrier(t *testing.T) {
-	members := []int{0, 2, 3, 5, 6}
-	_, err := live.Run(8, func(p *live.Proc) {
-		for _, m := range members {
-			if m == p.Rank() {
-				sub, err := comm.NewSub(p, members)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for i := 0; i < 5; i++ {
-					sub.Barrier()
-				}
-				return
-			}
+	barriers := subgroup([]int{0, 2, 3, 5, 6}, func(b *comm.Builder, _ int) {
+		for i := 0; i < 5; i++ {
+			b.Barrier()
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewSubRejectsBadMembers(t *testing.T) {
-	_, err := live.Run(4, func(p *live.Proc) {
-		if p.Rank() != 0 {
-			return
-		}
-		if _, err := comm.NewSub(p, []int{2, 1}); err == nil {
-			t.Error("unsorted members accepted")
-		}
-		if _, err := comm.NewSub(p, []int{1, 1, 2}); err == nil {
-			t.Error("duplicate members accepted")
-		}
-		if _, err := comm.NewSub(p, []int{0, 9}); err == nil {
-			t.Error("out-of-range member accepted")
-		}
-		if _, err := comm.NewSub(p, []int{1, 2}); err == nil {
-			t.Error("non-member caller accepted")
-		}
-	})
+	_, err := live.Run(8, func(p *live.Proc) { barriers.Run(p, comm.Message{}) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,8 +192,8 @@ func (b *Builder) Phase(name string) {
 }
 
 // Barrier enters the barrier: the machine's, or between Sub and Top the
-// subgroup's dissemination barrier, whose empty messages carry tag -1 as
-// Sub.Barrier's do.
+// subgroup's dissemination barrier (the machine's would involve ranks
+// outside the group), whose empty messages carry tag -1.
 func (b *Builder) Barrier() {
 	if b.members == nil {
 		b.emit(Op{Kind: OpBarrier})
@@ -205,10 +205,11 @@ func (b *Builder) Barrier() {
 	})
 }
 
-// Sub narrows the builder to a subgroup of the machine, as NewSub narrows
-// a communicator: until Top, ranks are indices into members (sorted global
-// ranks) and Barrier synchronises the members only. local is the writing
-// rank's index.
+// Sub narrows the builder to a subgroup of the machine, the
+// MPI_Comm_split analogue the partitioning algorithms (Part_*) need to
+// broadcast inside each machine half: until Top, ranks are indices into
+// members (sorted global ranks) and Barrier synchronises the members only.
+// local is the writing rank's index.
 func (b *Builder) Sub(members []int, local int) { b.members, b.local = members, local }
 
 // Top ends a Sub.

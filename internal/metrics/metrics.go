@@ -85,22 +85,6 @@ func Row(name string, p Params) string {
 		name, p.Congestion, p.Wait, p.SendRec, p.AvgMsgLen, p.AvgActive, p.Elapsed.Milliseconds())
 }
 
-// WaitShare reports the fraction of the makespan the slowest processor
-// spent waiting — the quantity the paper uses to explain Br_Lin's T3D
-// behaviour ("the higher wait cost").
-func WaitShare(res *sim.Result) float64 {
-	if res.Elapsed == 0 {
-		return 0
-	}
-	var worst network.Time
-	for _, ps := range res.Procs {
-		if ps.WaitTime > worst {
-			worst = ps.WaitTime
-		}
-	}
-	return float64(worst) / float64(res.Elapsed)
-}
-
 // ActiveProfile returns the number of active processors in each iteration,
 // the growth curve the ideal distributions are designed to maximize.
 func ActiveProfile(res *sim.Result) []int {

@@ -112,9 +112,6 @@ func OpenCache(path string, maxEntries int) (*Cache, error) {
 	return c, nil
 }
 
-// Path returns the backing file path ("" for memory-only caches).
-func (c *Cache) Path() string { return c.path }
-
 // Len returns the number of cached plans.
 func (c *Cache) Len() int {
 	c.mu.Lock()

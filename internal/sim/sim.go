@@ -50,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"repro/internal/comm"
@@ -276,14 +277,35 @@ type engine struct {
 	finish chan struct{}
 }
 
-var engines = sync.Pool{New: func() any {
-	return &engine{nodes: make([]node, 1), finish: make(chan struct{}, 1)}
-}}
+// idle is the free list of engines, at most one per P: a bounded stack
+// under a mutex rather than a sync.Pool. A sync.Pool keeps what is Put in
+// a per-P slot no other P can take from, so a figure pass — two workers, a
+// new pair of goroutines per figure, a GC cycle every few milliseconds
+// moving them between Ps — found its pool empty a dozen times per pass, and
+// a fresh engine re-grows every processor's iteration-stat array: about a
+// thousand allocations at p = 256, how often depending on scheduling. With
+// the list, what a simulated run allocates is a function of its inputs.
+// The price is that up to GOMAXPROCS idle engines (≈0.7 MB each at
+// p = 256, the p×p queue table most of it) stay reachable until the
+// process exits.
+var idle struct {
+	sync.Mutex
+	engines []*engine
+}
 
-// acquire takes an engine from the pool and arms it for a run on nw: all
-// p processors runnable at clock 0, every queue empty.
+// acquire takes an engine from the free list (a new one when the list is
+// empty) and arms it for a run on nw: all p processors runnable at clock
+// 0, every queue empty.
 func acquire(nw *network.Network, opts Options) *engine {
-	e := engines.Get().(*engine)
+	var e *engine
+	idle.Lock()
+	if n := len(idle.engines); n > 0 {
+		e, idle.engines = idle.engines[n-1], idle.engines[:n-1]
+	}
+	idle.Unlock()
+	if e == nil {
+		e = &engine{nodes: make([]node, 1), finish: make(chan struct{}, 1)}
+	}
 	p := nw.Placement().Size()
 	e.net, e.cfg, e.p, e.opts = nw, nw.Config(), p, opts
 	if cap(e.procs) < p {
@@ -303,11 +325,12 @@ func acquire(nw *network.Network, opts Options) *engine {
 	return e
 }
 
-// release returns the engine to the pool. Messages nobody received
-// (an abandoned run, or an algorithm that over-sends) are dropped so the
-// pool pins no payload and the next run finds every queue empty; the
-// processors forget the engine, so a handle that outlives its run faults
-// instead of touching the next one.
+// release returns the engine to the free list, or to the collector when
+// the list is full. Messages nobody received (an abandoned run, or an
+// algorithm that over-sends) are dropped so the list pins no payload and
+// the next run finds every queue empty; the processors forget the engine,
+// so a handle that outlives its run faults instead of touching the next
+// one.
 func (e *engine) release() {
 	if e.queued > 0 {
 		clear(e.nodes)
@@ -324,7 +347,11 @@ func (e *engine) release() {
 	}
 	e.net, e.opts, e.err, e.aborted = nil, Options{}, nil, false
 	e.doneCount, e.barrierCount, e.ops = 0, 0, 0
-	engines.Put(e)
+	idle.Lock()
+	if len(idle.engines) < runtime.GOMAXPROCS(0) {
+		idle.engines = append(idle.engines, e)
+	}
+	idle.Unlock()
 }
 
 // errAbort unwinds processor goroutines when the run is abandoned

@@ -110,16 +110,6 @@ func writeFrameTo(w io.Writer, epoch uint32, m comm.Message, sc *frameScratch) e
 	return err
 }
 
-// writeFrame writes one frame through a pooled scratch. It is the
-// plain-io.Writer form of writeFrameTo for callers without a scratch of
-// their own (tests, fuzzing); the engine hot path uses writeFrameTo.
-func writeFrame(w io.Writer, epoch uint32, m comm.Message) error {
-	sc := getScratch()
-	err := writeFrameTo(w, epoch, m, sc)
-	putScratch(sc)
-	return err
-}
-
 // frameReader decodes the frames one peer sends to one local rank. The
 // reader pumps keep one per connection end; it reads through a
 // readBufSize buffer, so a small multi-part frame — which the writer put
@@ -236,11 +226,4 @@ func (fr *frameReader) partLen(hdr []byte, i int) (int, error) {
 		return 0, fmt.Errorf("tcp: corrupt frame from rank %d at rank %d: part %d of %d bytes", fr.src, fr.dst, i, n)
 	}
 	return n, nil
-}
-
-// readFrame decodes one frame sent by rank src to rank dst: the
-// one-shot form of frameReader for callers without a per-link reader of
-// their own (tests, fuzzing). It may read past the frame's end.
-func readFrame(r io.Reader, src, dst int) (comm.Message, uint32, error) {
-	return newFrameReader(r, src, dst).read()
 }

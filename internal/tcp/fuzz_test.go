@@ -3,11 +3,29 @@ package tcp
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/comm"
 )
+
+// writeFrame writes one frame through a pooled scratch: the
+// plain-io.Writer form of writeFrameTo for the codec tests, which have no
+// scratch of their own.
+func writeFrame(w io.Writer, epoch uint32, m comm.Message) error {
+	sc := getScratch()
+	err := writeFrameTo(w, epoch, m, sc)
+	putScratch(sc)
+	return err
+}
+
+// readFrame decodes one frame sent by rank src to rank dst: the one-shot
+// form of frameReader for the codec tests, which keep no per-link reader.
+// It may read past the frame's end.
+func readFrame(r io.Reader, src, dst int) (comm.Message, uint32, error) {
+	return newFrameReader(r, src, dst).read()
+}
 
 // frameBytes encodes a message for adversarial mutation.
 func frameBytes(epoch uint32, m comm.Message) []byte {

@@ -205,7 +205,6 @@ func (m *Machine) admit(j int, conn net.Conn) {
 		conn.Close()
 		return
 	}
-	m.applyNoDelay(conn)
 	if !m.register(j, peer, conn, false) {
 		conn.Close()
 	}
@@ -291,7 +290,6 @@ func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, er
 			return nil, fmt.Errorf("tcp: rank %d dial rank %d: setup canceled", src, dst)
 		}
 	}
-	m.applyNoDelay(conn)
 	var hs [4]byte
 	binary.BigEndian.PutUint32(hs[:], uint32(int32(src)))
 	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
@@ -455,17 +453,6 @@ func (m *Machine) waitPairs() error {
 			return fmt.Errorf("tcp: setup: link %d–%d not established within %v", a, b, handshakeTimeout)
 		}
 		m.connCond.Wait()
-	}
-}
-
-// applyNoDelay sets the machine's TCP_NODELAY policy on one mesh socket
-// (default on; Options.DisableNoDelay leaves Nagle coalescing in place).
-// Non-TCP conns — fault-injection wrappers in tests — are left alone,
-// and errors are ignored: the policy is a latency tune, not a
-// correctness requirement.
-func (m *Machine) applyNoDelay(conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(!m.disableNoDelay)
 	}
 }
 

@@ -31,9 +31,6 @@ func TestSparseSetupOpensOnlyPlannedConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if !m.Sparse() {
-		t.Error("machine with Links not marked sparse")
-	}
 	if got, want := m.PlannedPairs(), p-1; got != want {
 		t.Fatalf("planned %d pairs, want %d", got, want)
 	}

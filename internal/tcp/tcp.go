@@ -115,11 +115,11 @@ const (
 // cancellation.
 //
 // The fields split by lifetime: NewMachine consumes the setup fields
-// (Dial, DialAttempts, DialBackoff, Links, ListenHost, DisableNoDelay,
-// plus Context to cancel setup) and remembers them for mesh rebuilds;
-// Machine.Run consumes the run fields (Context, RunTimeout, RecvTimeout,
-// Tracer, Epoch, StartGate) afresh on every call. The one-shot RunOpts
-// passes the same Options to both.
+// (Dial, DialAttempts, DialBackoff, Links, ListenHost, plus Context to
+// cancel setup) and remembers them for mesh rebuilds; Machine.Run
+// consumes the run fields (Context, RunTimeout, RecvTimeout, Tracer,
+// Epoch, StartGate) afresh on every call. The one-shot RunOpts passes
+// the same Options to both.
 type Options struct {
 	// Context, RunTimeout, RecvTimeout and Tracer are the core's run
 	// options (see engine.Options). Context also cancels setup backoff
@@ -167,12 +167,6 @@ type Options struct {
 	// would still discard it as stale. Returning an error aborts the
 	// run before any rank executes.
 	StartGate func() error
-	// DisableNoDelay leaves Nagle's algorithm enabled on the mesh's
-	// sockets (a setup field, remembered for rebuilds). By default every
-	// dialed and accepted connection sets TCP_NODELAY so small frames —
-	// 12-byte barrier tokens, sub-MSS broadcast hops — are never stalled
-	// on the Nagle/delayed-ACK interaction.
-	DisableNoDelay bool
 }
 
 // The run-facing types are the core's: a Proc is one rank's comm.Comm
@@ -236,10 +230,9 @@ type Machine struct {
 	connCond *sync.Cond
 	conns    []net.Conn
 
-	dial           func(addr string) (net.Conn, error)
-	dialAttempts   int
-	dialBackoff    time.Duration
-	disableNoDelay bool
+	dial         func(addr string) (net.Conn, error)
+	dialAttempts int
+	dialBackoff  time.Duration
 	// addrs maps remote ranks (outside [lo,hi)) to their listener
 	// addresses, distributed by the cluster coordinator before
 	// ConnectMesh; guarded by connMu. Local ranks resolve through their
@@ -378,9 +371,8 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 		size: p, lo: lo, hi: hi,
 		listeners: make([]net.Listener, p), ends: make([]*endpoint, p),
 		dial: opts.Dial, dialAttempts: opts.DialAttempts, dialBackoff: opts.DialBackoff,
-		disableNoDelay: opts.DisableNoDelay,
-		sparse:         sparse,
-		lazyInflight:   make(map[[2]int]*lazyCall),
+		sparse:       sparse,
+		lazyInflight: make(map[[2]int]*lazyCall),
 	}
 	if m.dial == nil {
 		m.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -473,10 +465,6 @@ func (m *Machine) ConnsOpened() int { return int(m.connsOpened.Load()) }
 // at setup (and redials on reconnect): the route-derived pair count on
 // a sparse machine, p(p−1)/2 on a full mesh.
 func (m *Machine) PlannedPairs() int { return len(m.pairs) }
-
-// Sparse reports whether the machine was built with an explicit link
-// plan (Options.Links) instead of the full mesh.
-func (m *Machine) Sparse() bool { return m.sparse }
 
 // Close tears the machine down. It is idempotent; a run must not be in
 // flight.

@@ -172,7 +172,7 @@ func TestCollectivesOverTCP(t *testing.T) {
 	out := make([]comm.Message, p)
 	_, err := Run(p, func(pr *Proc) {
 		m := comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}}
-		out[pr.Rank()] = collective.AllgatherRing(pr, m)
+		out[pr.Rank()] = collective.AllgatherRingScript(p).Run(pr, m)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,30 +294,26 @@ func TestBarrierAndDataInterleave(t *testing.T) {
 	}
 }
 
-// TestSubBarrierOverTCP: comm.Sub's dissemination barrier uses ordinary
-// tagged messages (tag -1), which must remain algorithm data on the tcp
-// engine — only the reserved engine tag is barrier traffic.
+// TestSubBarrierOverTCP: a subgroup's dissemination barrier
+// (comm.Builder.Sub) uses ordinary tagged messages (tag -1), which must
+// remain algorithm data on the tcp engine — only the reserved engine tag
+// is barrier traffic, so the machine's own barrier between the subgroup's
+// rounds must neither swallow a token nor be satisfied by one.
 func TestSubBarrierOverTCP(t *testing.T) {
 	members := []int{0, 2, 3}
-	_, err := Run(4, func(p *Proc) {
-		in := false
-		for _, m := range members {
-			if m == p.Rank() {
-				in = true
-			}
-		}
-		if !in {
-			return
-		}
-		sub, err := comm.NewSub(p, members)
-		if err != nil {
-			t.Errorf("NewSub: %v", err)
-			return
-		}
+	sc := comm.Script{Rank: func(b *comm.Builder, rank int) {
 		for i := 0; i < 3; i++ {
-			sub.Barrier()
+			for local, m := range members {
+				if m == rank {
+					b.Sub(members, local)
+					b.Barrier()
+					b.Top()
+				}
+			}
+			b.Barrier()
 		}
-	})
+	}}
+	_, err := Run(4, func(p *Proc) { sc.Run(p, comm.Message{}) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,16 +43,11 @@ func (h *Hypercube) Nodes() int { return 1 << h.Dim }
 // Degree implements Topology: one channel per dimension.
 func (h *Hypercube) Degree() int { return h.Dim }
 
-// Route implements Topology with e-cube (dimension-ordered) routing:
-// correct the differing address bits from lowest to highest. The link
-// leaving node n along dimension k carries Direction(k+1), which is
+// AppendRoute implements Topology with e-cube (dimension-ordered)
+// routing: correct the differing address bits from lowest to highest. The
+// link leaving node n along dimension k carries Direction(k+1), which is
 // unique per (node, dimension) pair — the property the contention model
 // needs.
-func (h *Hypercube) Route(src, dst int) []Link {
-	return h.AppendRoute(nil, src, dst)
-}
-
-// AppendRoute implements Topology.
 func (h *Hypercube) AppendRoute(path []Link, src, dst int) []Link {
 	checkNode(h, src)
 	checkNode(h, dst)

@@ -25,7 +25,7 @@ func TestHypercubeRouteWalks(t *testing.T) {
 	h := MustHypercube(5)
 	for src := 0; src < h.Nodes(); src++ {
 		for dst := 0; dst < h.Nodes(); dst++ {
-			path := h.Route(src, dst)
+			path := h.AppendRoute(nil, src, dst)
 			if len(path) != h.Distance(src, dst) {
 				t.Fatalf("route %d→%d: %d links, want %d", src, dst, len(path), h.Distance(src, dst))
 			}
@@ -51,7 +51,7 @@ func TestHypercubeEcubeOrder(t *testing.T) {
 	// e-cube corrects bits lowest-first; dimension indices along a path
 	// must strictly increase.
 	h := MustHypercube(6)
-	path := h.Route(0, 0b101101)
+	path := h.AppendRoute(nil, 0, 0b101101)
 	prev := -1
 	for _, l := range path {
 		k := int(l.Dir) - 1

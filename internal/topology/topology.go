@@ -31,7 +31,6 @@ const (
 	North           // -row / -y
 	Up              // +z (torus only)
 	Down            // -z (torus only)
-	numDirections
 )
 
 // String returns the conventional compass/axis name of the direction.
@@ -69,8 +68,8 @@ func (l Link) String() string { return fmt.Sprintf("%d→%s", l.From, l.Dir) }
 
 // Topology describes a physical interconnect: how many nodes it has, how
 // they are wired, and the deterministic route a wormhole between two nodes
-// takes. Implementations must be pure: Route must always return the same
-// path for the same pair.
+// takes. Implementations must be pure: AppendRoute must always append the
+// same path for the same pair.
 type Topology interface {
 	// Name identifies the topology (for configs, traces, and tables).
 	Name() string
@@ -78,18 +77,16 @@ type Topology interface {
 	Nodes() int
 	// Degree returns the maximum number of outgoing channels per node.
 	Degree() int
-	// Route returns the ordered directed links a message from src to dst
-	// traverses. A zero-length path means src == dst (local delivery).
-	// Route panics if src or dst is out of range; callers are internal
-	// and out-of-range ranks indicate a bug, not an input error.
-	Route(src, dst int) []Link
-	// AppendRoute appends Route(src, dst) to path and returns the
-	// extended slice, letting hot-path callers (the network's pricing
-	// loop prices one route per simulated message) reuse a single
-	// backing array instead of allocating per call.
+	// AppendRoute appends to path the ordered directed links a message
+	// from src to dst traverses and returns the extended slice; nothing
+	// is appended when src == dst (local delivery). Appending lets the
+	// network's pricing loop, which prices one route per simulated
+	// message, reuse a single backing array instead of allocating per
+	// call. It panics if src or dst is out of range; callers are
+	// internal and out-of-range ranks indicate a bug, not an input error.
 	AppendRoute(path []Link, src, dst int) []Link
 	// Distance returns the number of hops between src and dst, equal to
-	// len(Route(src,dst)) but cheaper to compute.
+	// the length of the route but cheaper to compute.
 	Distance(src, dst int) int
 }
 
@@ -148,14 +145,10 @@ func (m *Mesh2D) Node(row, col int) int {
 	return row*m.Cols + col
 }
 
-// Route implements Topology using XY (column-first) dimension-ordered
-// routing: travel along the row to the destination column, then along the
-// column. This is the e-cube routing the Paragon hardware used.
-func (m *Mesh2D) Route(src, dst int) []Link {
-	return m.AppendRoute(nil, src, dst)
-}
-
-// AppendRoute implements Topology.
+// AppendRoute implements Topology using XY (column-first)
+// dimension-ordered routing: travel along the row to the destination
+// column, then along the column. This is the e-cube routing the Paragon
+// hardware used.
 func (m *Mesh2D) AppendRoute(path []Link, src, dst int) []Link {
 	checkNode(m, src)
 	checkNode(m, dst)
@@ -258,13 +251,8 @@ func torusSteps(a, b, size int) int {
 	return d - size
 }
 
-// Route implements Topology using dimension-ordered routing (x, then y,
-// then z), each dimension taking the shorter wraparound direction.
-func (t *Torus3D) Route(src, dst int) []Link {
-	return t.AppendRoute(nil, src, dst)
-}
-
-// AppendRoute implements Topology.
+// AppendRoute implements Topology using dimension-ordered routing (x,
+// then y, then z), each dimension taking the shorter wraparound direction.
 func (t *Torus3D) AppendRoute(path []Link, src, dst int) []Link {
 	checkNode(t, src)
 	checkNode(t, dst)

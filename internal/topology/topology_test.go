@@ -19,7 +19,7 @@ func TestMesh2DRouteEndpoints(t *testing.T) {
 	m := MustMesh2D(5, 6)
 	for src := 0; src < m.Nodes(); src++ {
 		for dst := 0; dst < m.Nodes(); dst++ {
-			path := m.Route(src, dst)
+			path := m.AppendRoute(nil, src, dst)
 			if len(path) != m.Distance(src, dst) {
 				t.Fatalf("route %d→%d: len=%d want distance %d", src, dst, len(path), m.Distance(src, dst))
 			}
@@ -70,7 +70,7 @@ func meshStep(m *Mesh2D, node int, d Direction, t *testing.T) int {
 func TestMesh2DXYOrder(t *testing.T) {
 	// XY routing must finish all horizontal hops before any vertical hop.
 	m := MustMesh2D(8, 8)
-	path := m.Route(m.Node(1, 1), m.Node(5, 6))
+	path := m.AppendRoute(nil, m.Node(1, 1), m.Node(5, 6))
 	sawVertical := false
 	for _, l := range path {
 		switch l.Dir {
@@ -119,7 +119,7 @@ func TestTorus3DRouteEndpoints(t *testing.T) {
 	tor := MustTorus3D(4, 4, 2) // 32 nodes, small enough for all pairs
 	for src := 0; src < tor.Nodes(); src++ {
 		for dst := 0; dst < tor.Nodes(); dst++ {
-			path := tor.Route(src, dst)
+			path := tor.AppendRoute(nil, src, dst)
 			if len(path) != tor.Distance(src, dst) {
 				t.Fatalf("route %d→%d: len=%d want %d", src, dst, len(path), tor.Distance(src, dst))
 			}
@@ -265,7 +265,7 @@ func TestMeshRouteProperty(t *testing.T) {
 	f := func(a, b uint16) bool {
 		src := int(a) % m.Nodes()
 		dst := int(b) % m.Nodes()
-		path := m.Route(src, dst)
+		path := m.AppendRoute(nil, src, dst)
 		if len(path) != m.Distance(src, dst) {
 			return false
 		}
@@ -323,10 +323,10 @@ func TestOutOfRangePanics(t *testing.T) {
 	for label, fn := range map[string]func(){
 		"mesh coord":     func() { m.Coord(9) },
 		"mesh node":      func() { m.Node(5, 0) },
-		"mesh route":     func() { m.Route(0, 9) },
+		"mesh route":     func() { m.AppendRoute(nil, 0, 9) },
 		"torus coord":    func() { MustTorus3D(2, 2, 2).Coord(-1) },
 		"torus node":     func() { MustTorus3D(2, 2, 2).Node(0, 0, 5) },
-		"hcube route":    func() { MustHypercube(2).Route(0, 7) },
+		"hcube route":    func() { MustHypercube(2).AppendRoute(nil, 0, 7) },
 		"rank to node":   func() { SnakeRowMajor.RankToNode(m, 9) },
 		"placement node": func() { IdentityPlacement(2).Node(3) },
 		"placement rank": func() { IdentityPlacement(2).Rank(-1) },

@@ -39,21 +39,15 @@ func TestCrossEngineEventSequence(t *testing.T) {
 	payload := func(rank int) []byte { return bytes.Repeat([]byte{byte(rank)}, 64) }
 
 	simRec := trace.NewRecorder(0)
-	if _, err := stpbcast.SimulateInto(m, cfg, simRec); err != nil {
+	if _, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{Trace: simRec}); err != nil {
 		t.Fatal(err)
 	}
 	simSeq := kindSeq(simRec.Events, m.P())
 
-	for _, engine := range []string{"live", "tcp"} {
+	for _, engine := range []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP} {
 		rec := trace.NewRecorder(0)
-		opts := stpbcast.RunOptions{Trace: rec, RecvTimeout: 10 * time.Second}
-		var err error
-		if engine == "live" {
-			_, err = stpbcast.RunLiveOpts(m, cfg, payload, opts)
-		} else {
-			_, err = stpbcast.RunTCPOpts(m, cfg, payload, opts)
-		}
-		if err != nil {
+		opts := stpbcast.RunOptions{Payload: payload, Trace: rec, RecvTimeout: 10 * time.Second}
+		if _, err := stpbcast.Run(m, engine, cfg, opts); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
 		seq := kindSeq(rec.Events, m.P())
@@ -79,7 +73,8 @@ func TestTraceFaultsInStream(t *testing.T) {
 	plan := stpbcast.FaultPlan{
 		Faults: []stpbcast.Fault{{Kind: stpbcast.FaultDuplicate, Src: 0, Dst: 1, Msg: 0}},
 	}
-	res, err := stpbcast.RunLiveOpts(m, cfg, payload, stpbcast.RunOptions{
+	res, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{
+		Payload:     payload,
 		Trace:       rec,
 		Faults:      &plan,
 		RecvTimeout: 10 * time.Second,

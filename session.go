@@ -72,12 +72,6 @@ type SessionOptions struct {
 	// zero means the defaults.
 	DialAttempts int
 	DialBackoff  time.Duration
-	// DisableNoDelay leaves Nagle's algorithm enabled on the TCP
-	// engine's mesh sockets (ignored by the other engines). By default
-	// every connection sets TCP_NODELAY so barrier tokens and sub-MSS
-	// broadcast hops are never stalled by the kernel's send coalescing;
-	// disabling it exists for batching experiments.
-	DisableNoDelay bool
 	// Links, when non-nil, restricts the TCP engine's dialed mesh to
 	// the listed logical links instead of the full O(p²) pair set:
 	// Open establishes one connection per distinct unordered pair and
@@ -227,17 +221,16 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 	case EngineTCP:
 		if cs := opts.Cluster; cs != nil {
 			c, err := cluster.Start(cluster.Spec{
-				Workers:        cs.Workers,
-				P:              m.P(),
-				Links:          opts.Links,
-				WorkerCmd:      cs.WorkerCmd,
-				Adopt:          cs.Adopt,
-				ControlAddr:    cs.ControlAddr,
-				AdoptTimeout:   cs.AdoptTimeout,
-				ListenHost:     cs.ListenHost,
-				DialAttempts:   opts.DialAttempts,
-				DialBackoff:    opts.DialBackoff,
-				DisableNoDelay: opts.DisableNoDelay,
+				Workers:      cs.Workers,
+				P:            m.P(),
+				Links:        opts.Links,
+				WorkerCmd:    cs.WorkerCmd,
+				Adopt:        cs.Adopt,
+				ControlAddr:  cs.ControlAddr,
+				AdoptTimeout: cs.AdoptTimeout,
+				ListenHost:   cs.ListenHost,
+				DialAttempts: opts.DialAttempts,
+				DialBackoff:  opts.DialBackoff,
 			})
 			if err != nil {
 				return nil, err
@@ -246,11 +239,10 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 			return s, nil
 		}
 		tm, err := tcp.NewMachine(m.P(), tcp.Options{
-			Context:        opts.Context,
-			DialAttempts:   opts.DialAttempts,
-			DialBackoff:    opts.DialBackoff,
-			DisableNoDelay: opts.DisableNoDelay,
-			Links:          opts.Links,
+			Context:      opts.Context,
+			DialAttempts: opts.DialAttempts,
+			DialBackoff:  opts.DialBackoff,
+			Links:        opts.Links,
 		})
 		if err != nil {
 			return nil, err

@@ -333,112 +333,6 @@ func TestSessionManyRunsTCP(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchUnified asserts every deprecated facade
-// variant returns results identical to the unified Run path it wraps.
-func TestDeprecatedWrappersMatchUnified(t *testing.T) {
-	m := stpbcast.NewParagon(4, 4)
-	cfg := sessionCfg
-
-	t.Run("Simulate", func(t *testing.T) {
-		old, err := stpbcast.Simulate(m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := stpbcast.SimResult{
-			Elapsed:       unified.Elapsed,
-			Params:        unified.Params,
-			ActiveProfile: unified.ActiveProfile,
-			HotLinks:      unified.HotLinks,
-			NodeLoad:      unified.NodeLoad,
-		}
-		if !reflect.DeepEqual(*old, want) {
-			t.Fatalf("Simulate diverged from unified Run:\nold %+v\nnew %+v", *old, want)
-		}
-	})
-
-	t.Run("SimulateWith", func(t *testing.T) {
-		alg, err := stpbcast.AlgorithmByName("Br_xy_source")
-		if err != nil {
-			t.Fatal(err)
-		}
-		old, err := stpbcast.SimulateWith(m, alg, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if old.Elapsed != unified.Elapsed || !reflect.DeepEqual(old.Params, unified.Params) {
-			t.Fatal("SimulateWith diverged from unified Run with RunOptions.Algorithm")
-		}
-	})
-
-	t.Run("SimulateTraced", func(t *testing.T) {
-		old, err := stpbcast.SimulateTraced(m, cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := stpbcast.NewTraceRecorder(0)
-		unified, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{Trace: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if old.Trace == nil || unified.Trace != rec {
-			t.Fatal("trace recorder not threaded through")
-		}
-		if len(old.Trace.Events) != len(rec.Events) {
-			t.Fatalf("traced event counts diverged: %d vs %d",
-				len(old.Trace.Events), len(rec.Events))
-		}
-	})
-
-	t.Run("RunLiveOpts", func(t *testing.T) {
-		payload := func(rank int) []byte { return []byte{byte(rank), 0xAB} }
-		old, err := stpbcast.RunLiveOpts(m, cfg, payload, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{
-			Payload:     payload,
-			RecvTimeout: 10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(old.Bundles, unified.Bundles) {
-			t.Fatal("RunLiveOpts bundles diverged from unified Run")
-		}
-		if !reflect.DeepEqual(old.Faults, unified.Faults) {
-			t.Fatal("RunLiveOpts faults diverged from unified Run")
-		}
-	})
-
-	t.Run("RunTCPOpts", func(t *testing.T) {
-		small := stpbcast.NewParagon(2, 2)
-		payload := func(rank int) []byte { return []byte{0xCD, byte(rank)} }
-		scfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 2}
-		old, err := stpbcast.RunTCPOpts(small, scfg, payload, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := stpbcast.Run(small, stpbcast.EngineTCP, scfg, stpbcast.RunOptions{
-			Payload:     payload,
-			RecvTimeout: 10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(old.Bundles, unified.Bundles) {
-			t.Fatal("RunTCPOpts bundles diverged from unified Run")
-		}
-	})
-}
-
 // TestConfigValidate table-tests the shared validation entrypoint.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {

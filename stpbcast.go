@@ -273,8 +273,8 @@ func (c Config) collective() Collective {
 // collectives (Scatter) take at most one source, and MsgBytesFor is
 // broadcast-only. Machine-dependent checks (distribution names, source
 // counts and ranks) surface when the config is resolved against a
-// machine at run time. Every entrypoint — Plan, Run, Session.Run and
-// the deprecated one-shot wrappers — calls Validate exactly once.
+// machine at run time. Every entrypoint — Plan, Run and Session.Run —
+// calls Validate exactly once.
 func (c Config) Validate() error {
 	var errs []error
 	coll, collErr := core.ParseCollective(string(c.Collective))
@@ -470,10 +470,10 @@ const (
 	FaultCorrupt   = faults.Corrupt
 )
 
-// RunOptions configure one broadcast run through the unified Run and
-// Session.Run entrypoints (and their deprecated wrappers). The zero
-// value means: the algorithm named by Config, synthesized payloads, no
-// deadlines, no cancellation, no fault injection, no tracing.
+// RunOptions configure one broadcast run through the Run and
+// Session.Run entrypoints. The zero value means: the algorithm named by
+// Config, synthesized payloads, no deadlines, no cancellation, no fault
+// injection, no tracing.
 type RunOptions struct {
 	// Context, when non-nil, cancels the run.
 	Context context.Context

@@ -13,12 +13,12 @@ import (
 
 func TestSimulateQuickstart(t *testing.T) {
 	m := stpbcast.NewParagon(10, 10)
-	res, err := stpbcast.Simulate(m, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm:    "Br_xy_source",
 		Distribution: "E",
 		Sources:      30,
 		MsgBytes:     4096,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestSimulateQuickstart(t *testing.T) {
 
 func TestSimulateDeterministic(t *testing.T) {
 	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "Dr", Sources: 12, MsgBytes: 1024}
-	a, err := stpbcast.Simulate(stpbcast.NewT3D(64), cfg)
+	a, err := stpbcast.Run(stpbcast.NewT3D(64), stpbcast.EngineSim, cfg, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := stpbcast.Simulate(stpbcast.NewT3D(64), cfg)
+	b, err := stpbcast.Run(stpbcast.NewT3D(64), stpbcast.EngineSim, cfg, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestSimulateDeterministic(t *testing.T) {
 func TestSimulateAllAlgorithmsByName(t *testing.T) {
 	for _, alg := range stpbcast.Algorithms() {
 		m := stpbcast.NewParagon(4, 4)
-		res, err := stpbcast.Simulate(m, stpbcast.Config{
+		res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm:    alg.Name(),
 			Distribution: "Sq",
 			Sources:      6,
 			MsgBytes:     256,
-		})
+		}, stpbcast.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -68,11 +68,11 @@ func TestSimulateAllAlgorithmsByName(t *testing.T) {
 
 func TestSimulateExplicitSources(t *testing.T) {
 	m := stpbcast.NewParagon(4, 4)
-	res, err := stpbcast.Simulate(m, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm:   "2-Step",
 		SourceRanks: []int{3, 9, 12},
 		MsgBytes:    128,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,9 @@ func TestSourceRanksValidation(t *testing.T) {
 	// Unsorted ranks are accepted (a sorted copy is taken) and the
 	// caller's slice is left untouched.
 	ranks := []int{12, 3, 9}
-	res, err := stpbcast.Simulate(m, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Br_Lin", SourceRanks: ranks, MsgBytes: 128,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func TestSourceRanksValidation(t *testing.T) {
 		{3, 99},      // far out of range
 		{5, 9, 5, 1}, // duplicate after sorting
 	} {
-		if _, err := stpbcast.Simulate(m, stpbcast.Config{
+		if _, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 			Algorithm: "Br_Lin", SourceRanks: bad, MsgBytes: 128,
-		}); err == nil {
+		}, stpbcast.RunOptions{}); err == nil {
 			t.Errorf("SourceRanks %v accepted", bad)
 		}
 	}
@@ -119,7 +119,7 @@ func TestAutoAlgorithm(t *testing.T) {
 	cfg := stpbcast.Config{
 		Algorithm: stpbcast.AutoAlgorithm, Distribution: "Cr", Sources: 9, MsgBytes: 2048,
 	}
-	auto, err := stpbcast.Simulate(m, cfg)
+	auto, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestAutoAlgorithm(t *testing.T) {
 		t.Fatalf("planner chose %q", dec.Algorithm)
 	}
 	// Auto must run exactly the planned algorithm.
-	fixed, err := stpbcast.Simulate(m, stpbcast.Config{
+	fixed, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: dec.Algorithm, Distribution: "Cr", Sources: 9, MsgBytes: 2048,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +149,9 @@ func TestAutoAlgorithm(t *testing.T) {
 		t.Fatalf("plan not stable: %s then %s", dec.Algorithm, again.Algorithm)
 	}
 	// The Auto choice never loses to a canonical fixed policy.
-	repos, err := stpbcast.Simulate(m, stpbcast.Config{
+	repos, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Repos_xy_source", Distribution: "Cr", Sources: 9, MsgBytes: 2048,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestAutoAlgorithm(t *testing.T) {
 func TestAutoAlgorithmLive(t *testing.T) {
 	m := stpbcast.NewParagon(3, 3)
 	cfg := stpbcast.Config{Algorithm: stpbcast.AutoAlgorithm, Distribution: "E", Sources: 3, MsgBytes: 32}
-	res, err := stpbcast.RunLive(m, cfg, func(rank int) []byte {
+	res, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{Payload: func(rank int) []byte {
 		return []byte(fmt.Sprintf("auto-%02d", rank))
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSimulateErrors(t *testing.T) {
 		{Algorithm: "Br_Lin", SourceRanks: []int{77}, MsgBytes: 8},
 	}
 	for i, cfg := range cases {
-		if _, err := stpbcast.Simulate(m, cfg); err == nil {
+		if _, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{}); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -196,9 +196,9 @@ func TestSimulateErrors(t *testing.T) {
 func TestRunLiveDeliversPayloads(t *testing.T) {
 	m := stpbcast.NewParagon(4, 5)
 	cfg := stpbcast.Config{Algorithm: "Repos_xy_source", Distribution: "Cr", Sources: 9, MsgBytes: 0}
-	res, err := stpbcast.RunLive(m, cfg, func(rank int) []byte {
+	res, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{Payload: func(rank int) []byte {
 		return []byte(fmt.Sprintf("payload-from-%02d", rank))
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +220,9 @@ func TestRunLiveDeliversPayloads(t *testing.T) {
 
 func TestSimulateTraced(t *testing.T) {
 	m := stpbcast.NewParagon(4, 4)
-	res, err := stpbcast.SimulateTraced(m, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 64,
-	}, 0)
+	}, stpbcast.RunOptions{Trace: stpbcast.NewTraceRecorder(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,15 +253,15 @@ func TestRegistriesExposed(t *testing.T) {
 }
 
 func TestRowMajorAblationDiffers(t *testing.T) {
-	snake, err := stpbcast.Simulate(stpbcast.NewParagon(8, 8), stpbcast.Config{
+	snake, err := stpbcast.Run(stpbcast.NewParagon(8, 8), stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Br_Lin", Distribution: "C", Sources: 16, MsgBytes: 2048,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := stpbcast.Simulate(stpbcast.NewParagon(8, 8), stpbcast.Config{
+	rm, err := stpbcast.Run(stpbcast.NewParagon(8, 8), stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Br_Lin", Distribution: "C", Sources: 16, MsgBytes: 2048, RowMajor: true,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,13 +272,13 @@ func TestRowMajorAblationDiffers(t *testing.T) {
 
 func TestVariableMessageLengths(t *testing.T) {
 	m := stpbcast.NewParagon(6, 6)
-	uniform, err := stpbcast.Simulate(m, stpbcast.Config{
+	uniform, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Br_Lin", Distribution: "Dr", Sources: 6, MsgBytes: 4096,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed, err := stpbcast.Simulate(m, stpbcast.Config{
+	skewed, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Br_Lin", Distribution: "Dr", Sources: 6, MsgBytes: 4096,
 		MsgBytesFor: func(rank int) int {
 			if rank%2 == 0 {
@@ -286,7 +286,7 @@ func TestVariableMessageLengths(t *testing.T) {
 			}
 			return 2048
 		},
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,9 +302,9 @@ func TestVariableMessageLengths(t *testing.T) {
 
 func TestHypercubeMachine(t *testing.T) {
 	m := stpbcast.NewHypercube(5)
-	res, err := stpbcast.Simulate(m, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Algorithm: "Br_Lin", Distribution: "E", Sources: 8, MsgBytes: 1024,
-	})
+	}, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,9 +316,9 @@ func TestHypercubeMachine(t *testing.T) {
 func TestRunTCPDeliversPayloads(t *testing.T) {
 	m := stpbcast.NewParagon(3, 4)
 	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "Dr", Sources: 4}
-	res, err := stpbcast.RunTCP(m, cfg, func(rank int) []byte {
+	res, err := stpbcast.Run(m, stpbcast.EngineTCP, cfg, stpbcast.RunOptions{Payload: func(rank int) []byte {
 		return []byte(fmt.Sprintf("wire-%02d", rank))
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,9 +338,9 @@ func TestSimulateWithCustomAlgorithm(t *testing.T) {
 	m := stpbcast.NewT3D(64)
 	x, y, z := 4, 4, 4
 	alg := core.BrDims([]int{x, y, z}, []int{2, 1, 0})
-	res, err := stpbcast.SimulateWith(m, alg, stpbcast.Config{
+	res, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Distribution: "E", Sources: 16, MsgBytes: 1024,
-	})
+	}, stpbcast.RunOptions{Algorithm: alg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +348,9 @@ func TestSimulateWithCustomAlgorithm(t *testing.T) {
 		t.Fatal("no simulated time")
 	}
 	wrapped := core.WithDiscovery(core.BrLin())
-	if _, err := stpbcast.SimulateWith(m, wrapped, stpbcast.Config{
+	if _, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
 		Distribution: "Sq", Sources: 9, MsgBytes: 256,
-	}); err != nil {
+	}, stpbcast.RunOptions{Algorithm: wrapped}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -362,29 +362,26 @@ func TestSimulateWithCustomAlgorithm(t *testing.T) {
 func TestRunOptsGracefulFaultsKeepBundlesIntact(t *testing.T) {
 	m := stpbcast.NewParagon(3, 4)
 	cfg := stpbcast.Config{Algorithm: "Br_xy_source", Distribution: "Cr", Sources: 5, MsgBytes: 0}
-	payload := func(rank int) []byte { return []byte(fmt.Sprintf("chaos-%02d", rank)) }
 	opts := stpbcast.RunOptions{
+		Payload:     func(rank int) []byte { return []byte(fmt.Sprintf("chaos-%02d", rank)) },
 		RecvTimeout: 30 * time.Second,
 		Faults:      &stpbcast.FaultPlan{Seed: 9, Duplicate: 0.25, DelayProb: 0.25, MaxDelay: time.Millisecond},
 	}
-	for name, run := range map[string]func() (*stpbcast.LiveResult, error){
-		"live": func() (*stpbcast.LiveResult, error) { return stpbcast.RunLiveOpts(m, cfg, payload, opts) },
-		"tcp":  func() (*stpbcast.LiveResult, error) { return stpbcast.RunTCPOpts(m, cfg, payload, opts) },
-	} {
-		res, err := run()
+	for _, engine := range []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP} {
+		res, err := stpbcast.Run(m, engine, cfg, opts)
 		if err != nil {
-			t.Fatalf("%s: graceful plan aborted: %v", name, err)
+			t.Fatalf("%s: graceful plan aborted: %v", engine, err)
 		}
 		if len(res.Faults) == 0 {
-			t.Fatalf("%s: no faults injected; plan was inert", name)
+			t.Fatalf("%s: no faults injected; plan was inert", engine)
 		}
 		for rank, got := range res.Bundles {
 			if len(got) != 5 {
-				t.Fatalf("%s: rank %d holds %d messages, want 5", name, rank, len(got))
+				t.Fatalf("%s: rank %d holds %d messages, want 5", engine, rank, len(got))
 			}
 			for origin, data := range got {
 				if want := fmt.Sprintf("chaos-%02d", origin); string(data) != want {
-					t.Fatalf("%s: rank %d origin %d payload %q", name, rank, origin, data)
+					t.Fatalf("%s: rank %d origin %d payload %q", engine, rank, origin, data)
 				}
 			}
 		}
@@ -396,21 +393,18 @@ func TestRunOptsGracefulFaultsKeepBundlesIntact(t *testing.T) {
 func TestRunOptsKillReportsRootCause(t *testing.T) {
 	m := stpbcast.NewParagon(3, 4)
 	cfg := stpbcast.Config{Algorithm: "Br_xy_source", Distribution: "Cr", Sources: 5, MsgBytes: 0}
-	payload := func(rank int) []byte { return []byte("x") }
 	opts := stpbcast.RunOptions{
+		Payload:     func(rank int) []byte { return []byte("x") },
 		RecvTimeout: 2 * time.Second,
 		Faults:      &stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 3, Op: 1}}},
 	}
-	for name, run := range map[string]func() (*stpbcast.LiveResult, error){
-		"live": func() (*stpbcast.LiveResult, error) { return stpbcast.RunLiveOpts(m, cfg, payload, opts) },
-		"tcp":  func() (*stpbcast.LiveResult, error) { return stpbcast.RunTCPOpts(m, cfg, payload, opts) },
-	} {
-		_, err := run()
+	for _, engine := range []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP} {
+		_, err := stpbcast.Run(m, engine, cfg, opts)
 		if err == nil {
-			t.Fatalf("%s: killed rank did not fail the run", name)
+			t.Fatalf("%s: killed rank did not fail the run", engine)
 		}
 		if !strings.Contains(err.Error(), "rank 3 killed") {
-			t.Fatalf("%s: kill diagnostic lost: %v", name, err)
+			t.Fatalf("%s: kill diagnostic lost: %v", engine, err)
 		}
 	}
 }
@@ -420,13 +414,13 @@ func TestRunOptsKillReportsRootCause(t *testing.T) {
 func TestRunOptsRecvDeadlineConvertsHang(t *testing.T) {
 	m := stpbcast.NewParagon(2, 2)
 	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 0}
-	payload := func(rank int) []byte { return []byte("y") }
 	opts := stpbcast.RunOptions{
+		Payload:     func(rank int) []byte { return []byte("y") },
 		RecvTimeout: 200 * time.Millisecond,
 		Faults:      &stpbcast.FaultPlan{Seed: 1, Drop: 1.0},
 	}
 	start := time.Now()
-	_, err := stpbcast.RunLiveOpts(m, cfg, payload, opts)
+	_, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, opts)
 	if err == nil {
 		t.Fatal("total message loss did not fail the run")
 	}
