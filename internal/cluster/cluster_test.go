@@ -1,11 +1,20 @@
 package cluster
 
 import (
+	"encoding/json"
+	"math"
+	"net"
+	"net/netip"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
@@ -277,5 +286,213 @@ func TestClusterSpawnedProcesses(t *testing.T) {
 	}
 	if c.InterLinks() == 0 {
 		t.Fatal("partition reports no inter-worker links; the broadcast never crossed a process boundary")
+	}
+}
+
+// TestClusterRecoversLinkLostBetweenRuns: an inter-worker connection
+// breaks between two runs, seen by one worker only — a corrupt frame
+// fails its reader, while the peer's end of the connection stays open
+// and healthy-looking. There is no arm round trip to report the damage,
+// so the next run starts on both workers: the worker with the broken
+// mesh refuses it and closes its connections, and the peer must fail
+// fast on those — well inside the minute-long RecvTimeout — so one
+// reset and the retry succeed.
+func TestClusterRecoversLinkLostBetweenRuns(t *testing.T) {
+	const rows, cols, s, msgLen = 4, 4, 2, 512
+	_, sources := testRoutes(t, rows, cols, s, msgLen)
+	// Adopted workers whose control connections record the rank
+	// addresses the workers report.
+	var mu sync.Mutex
+	addrs := map[int]string{}
+	c, err := Start(Spec{P: rows * cols, Workers: 2, Adopt: true, OnListen: func(addr string) {
+		for i := 0; i < 2; i++ {
+			go func() {
+				nc, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer nc.Close()
+				w := &worker{cc: newConn(addrTap{nc, &mu, addrs})}
+				if err := w.cc.send(msg{Type: "hello", PID: os.Getpid()}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := w.serve(); err != nil {
+					t.Errorf("worker: %v", err)
+				}
+			}()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rs := RunSpec{
+		Rows: rows, Cols: cols, Sources: sources, Algorithm: "Br_Lin",
+		MsgBytes: msgLen, RecvTimeoutNs: int64(time.Minute),
+	}
+	if _, err := c.Run(rs); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	// On the full mesh, worker 0's top rank is dialed by every higher
+	// rank, all in worker 1: a connection accepted at its listener
+	// crosses workers, and its dialing end is worker 1's.
+	top := c.Ranges()[0][1] - 1
+	mu.Lock()
+	topAddr := addrs[top]
+	mu.Unlock()
+	_, dialer := socketAt(t, netip.MustParseAddrPort(topAddr))
+	fd, _ := socketAt(t, dialer)
+	pumps := func() int {
+		buf := make([]byte, 8<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "tcp.(*Machine).pump(")
+	}
+	before := pumps()
+	// Epoch 0, tag 0, -1 parts: a header no frame reader accepts.
+	if _, err := syscall.Write(fd, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	// Worker 0's reader fails between runs and exits.
+	for deadline := time.Now().Add(5 * time.Second); pumps() >= before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the corrupt frame did not fail worker 0's reader")
+		}
+	}
+	start := time.Now()
+	res, err := c.Run(rs)
+	if err != nil {
+		t.Fatalf("run after the lost link: %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("run after the lost link took %v: a peer waited out its receive deadline", d)
+	}
+	if got := c.Resets(); got != 1 {
+		t.Fatalf("%d resets, want 1", got)
+	}
+	if res.LazyDials != 0 {
+		t.Fatalf("recovered mesh made %d lazy dials", res.LazyDials)
+	}
+}
+
+// addrTap is a worker's control connection that merges the rank
+// addresses of every addrs message the worker sends into addrs.
+type addrTap struct {
+	net.Conn
+	mu    *sync.Mutex
+	addrs map[int]string
+}
+
+func (a addrTap) Write(b []byte) (int, error) {
+	var m msg
+	if json.Unmarshal(b, &m) == nil && m.Type == "addrs" {
+		a.mu.Lock()
+		for r, addr := range m.Addrs {
+			a.addrs[r] = addr
+		}
+		a.mu.Unlock()
+	}
+	return a.Conn.Write(b)
+}
+
+// socketAt finds a connected socket of this process whose local address
+// is local, returning its descriptor and its peer's address.
+func socketAt(t *testing.T, local netip.AddrPort) (int, netip.AddrPort) {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	addrOf := func(sa syscall.Sockaddr, err error) netip.AddrPort {
+		if in4, ok := sa.(*syscall.SockaddrInet4); ok && err == nil {
+			return netip.AddrPortFrom(netip.AddrFrom4(in4.Addr), uint16(in4.Port))
+		}
+		return netip.AddrPort{}
+	}
+	for _, e := range ents {
+		fd, err := strconv.Atoi(e.Name())
+		if err != nil || addrOf(syscall.Getsockname(fd)) != local {
+			continue
+		}
+		if peer := addrOf(syscall.Getpeername(fd)); peer.IsValid() { // not the listener
+			return fd, peer
+		}
+	}
+	t.Fatalf("no connected socket at %v", local)
+	return 0, netip.AddrPort{}
+}
+
+// clusterRunAllocBudget leaves headroom over the 155 allocations a run
+// costs (181–186 under the race detector): an extra control message,
+// per-rank stats objects or a reference buffer per verified part each
+// cost more than that.
+const clusterRunAllocBudget = 190
+
+// TestClusterRunAllocationBudget counts what one warm cluster run
+// allocates across the coordinator and its two in-process workers:
+// control messages, payloads, bundle checks and the engine run itself.
+// The least of several measurements, so a GC or a first-of-its-size
+// buffer growth does not count.
+func TestClusterRunAllocationBudget(t *testing.T) {
+	const rows, cols, s, msgLen = 4, 4, 2, 1024
+	routes, sources := testRoutes(t, rows, cols, s, msgLen)
+	c := adoptCluster(t, Spec{P: rows * cols, Links: routes}, 2)
+	rs := RunSpec{
+		Rows: rows, Cols: cols, Sources: sources, Algorithm: "Br_Lin",
+		MsgBytes: msgLen, RecvTimeoutNs: int64(time.Minute),
+	}
+	run := func() {
+		if _, err := c.Run(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	least := math.Inf(1)
+	for i := 0; i < 8; i++ {
+		least = min(least, testing.AllocsPerRun(10, run))
+	}
+	t.Logf("%.0f allocations per cluster run", least)
+	if least > clusterRunAllocBudget {
+		t.Errorf("%.0f allocations per cluster run, budget %d", least, clusterRunAllocBudget)
+	}
+}
+
+// TestCheckBundle: a worker's verification accepts exactly the bundle a
+// full broadcast must leave — one part per source in any order, each
+// msgBytes bytes of byte(origin) — names what is wrong with any other,
+// and allocates nothing on the way.
+func TestCheckBundle(t *testing.T) {
+	const n = 13
+	spec := core.Spec{Rows: 2, Cols: 4, Sources: []int{1, 4, 6}}
+	part := func(origin int, data []byte) comm.Part { return comm.Part{Origin: origin, Data: data} }
+	good := func() []comm.Part {
+		return []comm.Part{part(6, workerPayload(6, n)), part(1, workerPayload(1, n)), part(4, workerPayload(4, n))}
+	}
+	corrupt := good()
+	corrupt[2].Data[n-1] ^= 1
+	for _, tc := range []struct {
+		name  string
+		parts []comm.Part
+		want  string
+	}{
+		{"unordered", good(), ""},
+		{"missing", good()[:2], "2 parts, want 3"},
+		{"not a source", append(good()[:2], part(5, workerPayload(5, n))), "part from 5"},
+		{"twice", append(good()[:2], part(6, workerPayload(6, n))), "part from 6"},
+		{"short", append(good()[:2], part(4, workerPayload(4, n-1))), "carries 12 bytes, want 13"},
+		{"corrupted", corrupt, "part from 4 corrupted"},
+	} {
+		err := checkBundle(spec, n, comm.Message{Parts: tc.parts})
+		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: checkBundle = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	parts := good()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := checkBundle(spec, n, comm.Message{Parts: parts}); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("checkBundle allocates %.0f times per bundle", allocs)
 	}
 }

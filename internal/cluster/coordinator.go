@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"sort"
 	"sync"
 	"time"
 
@@ -307,6 +306,11 @@ func (c *Coordinator) Run(rs RunSpec) (*Result, error) {
 		}
 		return nil, errors.New("cluster: Run on closed coordinator")
 	}
+	// A spec no worker could run fails here, before any worker sees it
+	// and without burning a recovery cycle.
+	if _, _, err := rs.resolve(); err != nil {
+		return nil, fmt.Errorf("cluster: run rejected: %w", err)
+	}
 	for attempt := 0; ; attempt++ {
 		res, broken, err := c.tryRun(rs)
 		if err == nil {
@@ -344,8 +348,9 @@ func (e *lostWorkerError) Error() string {
 	return fmt.Sprintf("cluster: worker %d lost: %v", e.index, e.cause)
 }
 
-// tryRun drives one armed→start→done cycle. broken reports whether the
-// failure left the data mesh damaged (retryable after recovery).
+// tryRun drives one run: the run message to every worker, then every
+// worker's done. broken reports whether the failure left the data mesh
+// damaged (retryable after recovery).
 func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 	c.epoch++
 	rs.Epoch = c.epoch
@@ -354,34 +359,13 @@ func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 			return nil, false, &lostWorkerError{w.index, err}
 		}
 	}
-	// Arm phase: every worker must ack before any may start, so no
-	// frame reaches a process still discarding the run's epoch.
-	broken, fatal := false, ""
-	for _, w := range c.workers {
-		m, err := w.cc.expect("armed", controlTimeout)
-		if err != nil {
-			return nil, false, &lostWorkerError{w.index, err}
-		}
-		if m.Broken {
-			broken = true
-		}
-		if m.Err != "" {
-			fatal = fmt.Sprintf("worker %d: %s", w.index, m.Err)
-		}
-	}
-	abort := broken || fatal != ""
-	for _, w := range c.workers {
-		if err := w.cc.send(msg{Type: "start", Abort: abort}); err != nil {
-			return nil, false, &lostWorkerError{w.index, err}
-		}
-	}
-	// Done phase: bounded by the run's own deadline plus slack when one
-	// is set; unbounded like the engine otherwise.
+	// Bounded by the run's own deadline plus slack when one is set;
+	// unbounded like the engine otherwise.
 	doneTimeout := time.Duration(0)
 	if rs.RunTimeoutNs > 0 {
 		doneTimeout = time.Duration(rs.RunTimeoutNs) + controlTimeout
 	}
-	res := &Result{}
+	res := &Result{Procs: make([]tcp.ProcStats, c.spec.P)}
 	var runErrs []string
 	for _, w := range c.workers {
 		m, err := w.cc.expect("done", doneTimeout)
@@ -394,29 +378,24 @@ func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 		}
 		if d.Err != "" {
 			runErrs = append(runErrs, fmt.Sprintf("worker %d: %s", w.index, d.Err))
+			continue
+		}
+		if err := mergeProcs(res.Procs, d.Procs, w.lo, w.hi); err != nil {
+			return nil, false, &lostWorkerError{w.index, err}
 		}
 		if e := time.Duration(d.ElapsedNs); e > res.Elapsed {
 			res.Elapsed = e
 		}
-		res.Procs = append(res.Procs, d.Procs...)
 		res.LazyDials += d.LazyDials
 		res.ConnsOpened += d.ConnsOpened
 		res.PlannedPairs += d.PlannedPairs
 	}
-	if fatal != "" {
-		// A worker could not even build the run (bad spec): recovery
-		// would replay the same failure, so don't.
-		return nil, false, fmt.Errorf("cluster: run rejected: %s", fatal)
-	}
-	if abort {
-		return nil, true, errors.New("cluster: mesh broken before start; recovering")
-	}
 	if len(runErrs) > 0 {
 		// A failed run aborts the engine mesh everywhere (the abort
-		// closes the wire pairs, which every peer worker observes).
+		// closes the wire pairs, which every peer worker observes), and
+		// a worker that refused the run closed its connections.
 		return nil, true, fmt.Errorf("cluster: run failed: %s", runErrs[0])
 	}
-	sort.Slice(res.Procs, func(i, j int) bool { return res.Procs[i].Rank < res.Procs[j].Rank })
 	return res, false, nil
 }
 

@@ -23,43 +23,48 @@
 //
 // # Runs
 //
-// A run is a two-phase start: the coordinator sends the run spec with a
-// cluster-wide frame epoch, each worker arms its mailboxes and acks
-// from inside the engine's start gate (tcp.Options.StartGate), and only
-// when every worker is armed does the coordinator release them — no
-// frame can reach a process that would still discard it as stale.
-// Workers verify their own ranks' bundles (every source's payload,
-// byte-exact) and report per-rank stats; the coordinator merges them.
+// A run is two control messages per worker: the coordinator validates
+// the run spec and sends it, stamped with a cluster-wide frame epoch, to
+// every worker (run), and each worker replies once it is over (done).
+// The run message is the start — there is no arm round trip: a worker
+// that starts first may send frames to one that has not armed the epoch
+// yet, and the receiving engine holds them (its reader stops, TCP flow
+// control buffers) until it does. Workers verify their own ranks'
+// bundles (every source's payload, byte-exact) and report per-rank stats
+// as one flat integer list; the coordinator rebuilds and merges them.
 //
 // # Failure semantics
 //
 // A failed run marks every worker's mesh broken (the engine's abort
 // closes all connections, including the wire pairs, whose loss the
-// peer workers observe). Workers never redial on their own — a lone
-// redialer would race peers that still consider the mesh broken — so
-// the coordinator drives recovery: reset every worker (tcp.ResetMesh),
+// peer workers observe). A worker that cannot execute a run it received
+// — its mesh is already broken — closes its connections before it
+// replies, so its peers fail the same way instead of waiting out
+// RecvTimeout. Workers never redial on their own — a lone redialer
+// would race peers that still consider the mesh broken — so the
+// coordinator drives recovery: reset every worker (tcp.ResetMesh),
 // reconnect every worker (tcp.ConnectMesh over the kept listeners and
-// address table), retry the run once. A worker process dying takes its
-// control connection with it; the coordinator reports the lost worker
-// and the cluster is finished — rank ranges are static, so a dead
-// worker's ranks cannot be re-homed mid-session.
+// address table), retry the run once. A worker process
+// dying takes its control connection with it; the coordinator reports
+// the lost worker and the cluster is finished — rank ranges are static,
+// so a dead worker's ranks cannot be re-homed mid-session.
 package cluster
 
 import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/tcp"
+	"repro/internal/topology"
 )
 
 // controlTimeout bounds every control-plane exchange that does not
-// contain an algorithm run: hello, assign/addrs, connect/ready,
-// reset/resetok and the armed ack. Run completion (done) is bounded by
-// the run spec's own timeout plus slack, or unbounded like the engine
-// when none is set.
+// contain an algorithm run: hello, assign/addrs, connect/ready and
+// reset/resetok. Run completion (done) is bounded by the run spec's own
+// timeout plus slack, or unbounded like the engine when none is set.
 const controlTimeout = 60 * time.Second
 
 // msg is the one wire message of the control protocol, a tagged union
@@ -80,14 +85,6 @@ type msg struct {
 
 	// run (coord→worker)
 	Run *RunSpec `json:"run,omitempty"`
-
-	// armed (worker→coord): mailboxes armed inside the start gate.
-	// Broken reports a mesh the engine marked damaged; Err a run the
-	// worker could not even start (bad spec) — not retryable.
-	Broken bool `json:"broken,omitempty"`
-
-	// start (coord→worker): release the gate, or abort the run.
-	Abort bool `json:"abort,omitempty"`
 
 	// done (worker→coord)
 	Done *doneMsg `json:"done,omitempty"`
@@ -137,36 +134,98 @@ type RunSpec struct {
 	RunTimeoutNs  int64 `json:"runTimeoutNs,omitempty"`
 }
 
+// resolve builds the run's paper instance and algorithm, rejecting what
+// no worker could run: a bad mesh or source list, an unknown algorithm,
+// a non-positive size. The coordinator calls it before sending, so a bad
+// spec never reaches a worker.
+func (rs *RunSpec) resolve() (core.Spec, core.Algorithm, error) {
+	idx := topology.SnakeRowMajor
+	if rs.RowMajor {
+		idx = topology.RowMajor
+	}
+	spec := core.Spec{Rows: rs.Rows, Cols: rs.Cols, Sources: rs.Sources, Indexing: idx}
+	if err := spec.Validate(rs.Rows * rs.Cols); err != nil {
+		return core.Spec{}, nil, err
+	}
+	alg, err := core.ByName(rs.Algorithm)
+	if err != nil {
+		return core.Spec{}, nil, err
+	}
+	if rs.MsgBytes <= 0 {
+		return core.Spec{}, nil, fmt.Errorf("cluster: non-positive message size %d", rs.MsgBytes)
+	}
+	return spec, alg, nil
+}
+
 // doneMsg reports one worker's share of a finished run: its local
 // ranks' stats, its bundle verification, and its machine's lifetime
 // dial counters (the zero-lazy-dials proof reads LazyDials).
 type doneMsg struct {
-	ElapsedNs    int64           `json:"elapsedNs"`
-	Procs        []tcp.ProcStats `json:"procs,omitempty"`
-	LazyDials    int             `json:"lazyDials"`
-	ConnsOpened  int             `json:"connsOpened"`
-	PlannedPairs int             `json:"plannedPairs"`
-	Err          string          `json:"err,omitempty"`
+	ElapsedNs int64 `json:"elapsedNs"`
+	// Procs is the local ranks' tcp.ProcStats, procFields integers per
+	// rank in field order (see flattenProcs).
+	Procs        []int64 `json:"procs,omitempty"`
+	LazyDials    int     `json:"lazyDials"`
+	ConnsOpened  int     `json:"connsOpened"`
+	PlannedPairs int     `json:"plannedPairs"`
+	Err          string  `json:"err,omitempty"`
 }
 
-// conn wraps one control connection with JSON codecs and a write lock
-// (a worker's protocol loop and its run goroutine both send).
+// procFields is the number of integers one rank's stats take in
+// doneMsg.Procs.
+const procFields = 7
+
+// flattenProcs lays stats out as doneMsg.Procs: Rank, Sends, Recvs,
+// SendBytes, RecvBytes, BarrierSends, BarrierRecvs per rank.
+func flattenProcs(stats []tcp.ProcStats) []int64 {
+	flat := make([]int64, 0, procFields*len(stats))
+	for _, s := range stats {
+		flat = append(flat, int64(s.Rank), int64(s.Sends), int64(s.Recvs), s.SendBytes, s.RecvBytes,
+			int64(s.BarrierSends), int64(s.BarrierRecvs))
+	}
+	return flat
+}
+
+// mergeProcs rebuilds the stats of the worker owning ranks [lo,hi) from
+// flat into procs, which is indexed by rank. flat must hold every rank
+// of the range exactly once; anything else is an error, and procs may
+// then hold a partial merge.
+func mergeProcs(procs []tcp.ProcStats, flat []int64, lo, hi int) error {
+	if len(flat) != procFields*(hi-lo) {
+		return fmt.Errorf("cluster: %d stat integers for ranks [%d,%d), want %d", len(flat), lo, hi, procFields*(hi-lo))
+	}
+	for r := lo; r < hi; r++ {
+		procs[r].Rank = -1
+	}
+	for ; len(flat) > 0; flat = flat[procFields:] {
+		r := flat[0]
+		if r < int64(lo) || r >= int64(hi) {
+			return fmt.Errorf("cluster: stats for rank %d, outside [%d,%d)", r, lo, hi)
+		}
+		if procs[r].Rank >= 0 {
+			return fmt.Errorf("cluster: stats for rank %d twice", r)
+		}
+		procs[r] = tcp.ProcStats{
+			Rank: int(r), Sends: int(flat[1]), Recvs: int(flat[2]), SendBytes: flat[3], RecvBytes: flat[4],
+			BarrierSends: int(flat[5]), BarrierRecvs: int(flat[6]),
+		}
+	}
+	return nil
+}
+
+// conn wraps one control connection with JSON codecs. Each end has one
+// sender: the worker's protocol loop, the coordinator under its lock.
 type conn struct {
 	c   net.Conn
 	enc *json.Encoder
 	dec *json.Decoder
-	wmu sync.Mutex
 }
 
 func newConn(c net.Conn) *conn {
 	return &conn{c: c, enc: json.NewEncoder(c), dec: json.NewDecoder(c)}
 }
 
-func (c *conn) send(m msg) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(m)
-}
+func (c *conn) send(m msg) error { return c.enc.Encode(m) }
 
 // recv reads the next message, bounded by timeout (0 means no bound).
 func (c *conn) recv(timeout time.Duration) (msg, error) {

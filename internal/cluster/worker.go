@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/tcp"
-	"repro/internal/topology"
 )
 
 // WorkerEnv is the environment variable a spawned worker process finds
@@ -55,14 +55,12 @@ func ServeWorker(coordAddr string) error {
 	return w.serve()
 }
 
-// worker is one worker process's state: its control connection, its
-// partial machine, and the channel the protocol loop uses to release
-// (or abort) a run blocked in the engine's start gate.
+// worker is one worker process's state: its control connection and its
+// partial machine.
 type worker struct {
-	cc      *conn
-	m       *tcp.Machine
-	lo, hi  int
-	startCh chan bool
+	cc     *conn
+	m      *tcp.Machine
+	lo, hi int
 }
 
 func (w *worker) serve() error {
@@ -96,10 +94,7 @@ func (w *worker) serve() error {
 			}
 			w.cc.send(msg{Type: "resetok"})
 		case "run":
-			w.startCh = make(chan bool, 1)
-			go w.run(m.Run, w.startCh)
-		case "start":
-			w.startCh <- m.Abort
+			w.cc.send(msg{Type: "done", Done: w.run(m.Run)})
 		case "close":
 			w.cc.send(msg{Type: "closed"})
 			return nil
@@ -135,149 +130,94 @@ func (w *worker) assign(a *assignMsg) error {
 	return nil
 }
 
-// run executes one broadcast on the worker's ranks. The protocol with
-// the coordinator is armed → start → done, with the armed ack sent from
-// inside the engine's start gate so the coordinator knows this worker's
-// mailboxes accept the run's epoch before any worker sends a frame.
-func (w *worker) run(rs *RunSpec, startCh chan bool) {
-	finish := func(d doneMsg) {
-		d.LazyDials = w.m.LazyDials()
-		d.ConnsOpened = w.m.ConnsOpened()
-		d.PlannedPairs = w.m.PlannedPairs()
-		w.cc.send(msg{Type: "done", Done: &d})
+// run executes one broadcast on the worker's ranks and reports this
+// worker's share of it, machine counters included.
+func (w *worker) run(rs *RunSpec) *doneMsg {
+	d := &doneMsg{}
+	if res, err := w.execute(rs); err != nil {
+		d.Err = err.Error()
+	} else {
+		d.ElapsedNs = res.Elapsed.Nanoseconds()
+		d.Procs = flattenProcs(res.Procs)
 	}
-	// A worker whose mesh a previous run broke (or whose run spec is
-	// unusable) still joins the armed/start rendezvous — the coordinator
-	// aborts the start and drives recovery — so the control protocol
-	// never deadlocks on a half-armed cluster.
-	bail := func(broken bool, err error) {
-		// A broken mesh is retryable (the coordinator resets and
-		// reconnects); only a non-broken failure — a run spec no reset
-		// can fix — travels as the armed ack's fatal error.
-		a := msg{Type: "armed", Broken: broken}
-		if !broken {
-			a.Err = errString(err)
-		}
-		w.cc.send(a)
-		<-startCh
-		finish(doneMsg{Err: errString(err)})
-	}
+	d.LazyDials = w.m.LazyDials()
+	d.ConnsOpened = w.m.ConnsOpened()
+	d.PlannedPairs = w.m.PlannedPairs()
+	return d
+}
+
+// execute starts the run at once — peers that started first may already
+// be sending, and the engine holds their frames until this machine arms
+// the run's epoch — and verifies every local bundle. A run the worker
+// cannot execute leaves no peer waiting on it: the engine closes a
+// broken mesh's connections when it refuses the run, and a spec the
+// worker cannot build (the coordinator validated it, so only a worker
+// of another build gets here) resets the mesh. Either way every peer
+// fails fast and the coordinator's reset, reconnect and retry follows.
+func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 	if rs == nil {
-		bail(false, errors.New("cluster: empty run spec"))
-		return
+		rs = &RunSpec{}
 	}
-	spec, alg, err := w.buildRun(rs)
+	spec, alg, err := rs.resolve()
 	if err != nil {
-		bail(false, err)
-		return
+		return nil, errors.Join(err, w.m.ResetMesh())
 	}
-	if w.m.Broken() {
-		bail(true, errors.New("cluster: mesh broken; needs coordinator reset"))
-		return
+	bound := core.Bind(alg, spec)
+	// Only local sources start with a payload; InitialMessage gives every
+	// other rank an empty bundle.
+	payloads := make([][]byte, w.hi-w.lo)
+	for _, s := range spec.Sources {
+		if s >= w.lo && s < w.hi {
+			payloads[s-w.lo] = workerPayload(s, rs.MsgBytes)
+		}
 	}
-
-	nlocal := w.hi - w.lo
-	bundles := make([]bundleCheck, nlocal)
-	body := func(pr *tcp.Proc) {
-		out := alg.Run(pr, spec, core.InitialMessage(spec, pr.Rank(), workerPayload(pr.Rank(), rs.MsgBytes)))
-		bundles[pr.Rank()-w.lo] = checkBundle(spec, rs.MsgBytes, out)
-	}
-
-	armedSent := false
+	bundleErrs := make([]error, w.hi-w.lo)
 	res, err := w.m.Run(tcp.Options{
 		Epoch:       rs.Epoch,
 		RecvTimeout: time.Duration(rs.RecvTimeoutNs),
 		RunTimeout:  time.Duration(rs.RunTimeoutNs),
-		StartGate: func() error {
-			armedSent = true
-			if err := w.cc.send(msg{Type: "armed"}); err != nil {
-				return fmt.Errorf("armed ack: %w", err)
-			}
-			if abort := <-startCh; abort {
-				return errors.New("coordinator aborted start")
-			}
-			return nil
-		},
-	}, body)
-	if !armedSent {
-		// Run failed before the gate (e.g. a broken mark raced the check
-		// above); join the rendezvous so the coordinator stays in step.
-		bail(w.m.Broken(), err)
-		return
-	}
+	}, func(pr *tcp.Proc) {
+		i := pr.Rank() - w.lo
+		out := bound.Run(pr, spec, core.InitialMessage(spec, pr.Rank(), payloads[i]))
+		bundleErrs[i] = checkBundle(spec, rs.MsgBytes, out)
+	})
 	if err != nil {
-		finish(doneMsg{Err: err.Error()})
-		return
+		return nil, err
 	}
-	for i, b := range bundles {
-		if b.err != "" {
-			finish(doneMsg{Err: fmt.Sprintf("rank %d bundle: %s", w.lo+i, b.err)})
-			return
+	for i, err := range bundleErrs {
+		if err != nil {
+			return nil, fmt.Errorf("rank %d bundle: %w", w.lo+i, err)
 		}
 	}
-	finish(doneMsg{ElapsedNs: res.Elapsed.Nanoseconds(), Procs: res.Procs})
-}
-
-func (w *worker) buildRun(rs *RunSpec) (core.Spec, core.Algorithm, error) {
-	idx := topology.SnakeRowMajor
-	if rs.RowMajor {
-		idx = topology.RowMajor
-	}
-	spec := core.Spec{Rows: rs.Rows, Cols: rs.Cols, Sources: rs.Sources, Indexing: idx}
-	if err := spec.Validate(rs.Rows * rs.Cols); err != nil {
-		return core.Spec{}, nil, err
-	}
-	alg, err := core.ByName(rs.Algorithm)
-	if err != nil {
-		return core.Spec{}, nil, err
-	}
-	if rs.MsgBytes <= 0 {
-		return core.Spec{}, nil, fmt.Errorf("cluster: non-positive message size %d", rs.MsgBytes)
-	}
-	return spec, core.Bind(alg, spec), nil
+	return res, nil
 }
 
 // workerPayload is the deterministic per-source payload of a cluster
 // run: MsgBytes bytes of byte(rank). Every worker derives it locally,
 // so bundle verification needs no payload bytes on the control plane.
 func workerPayload(rank, msgBytes int) []byte {
-	b := make([]byte, msgBytes)
-	for i := range b {
-		b[i] = byte(rank)
-	}
-	return b
+	return bytes.Repeat([]byte{byte(rank)}, msgBytes)
 }
-
-type bundleCheck struct{ err string }
 
 // checkBundle verifies one rank's final bundle byte-exactly: one part
-// per source, each carrying msgBytes bytes of byte(origin).
-func checkBundle(spec core.Spec, msgBytes int, out comm.Message) bundleCheck {
+// per source, each carrying msgBytes bytes of byte(origin). It sorts
+// out's parts by origin in place, which is what lets it check the
+// origin set against the sorted sources without allocating.
+func checkBundle(spec core.Spec, msgBytes int, out comm.Message) error {
 	if len(out.Parts) != len(spec.Sources) {
-		return bundleCheck{err: fmt.Sprintf("%d parts, want %d", len(out.Parts), len(spec.Sources))}
+		return fmt.Errorf("%d parts, want %d", len(out.Parts), len(spec.Sources))
 	}
-	sources := make(map[int]bool, len(spec.Sources))
-	for _, s := range spec.Sources {
-		sources[s] = true
-	}
-	for _, part := range out.Parts {
-		if !sources[part.Origin] {
-			return bundleCheck{err: fmt.Sprintf("part from %d, which is not a source (or arrived twice)", part.Origin)}
+	slices.SortFunc(out.Parts, func(a, b comm.Part) int { return a.Origin - b.Origin })
+	for i, part := range out.Parts {
+		if part.Origin != spec.Sources[i] {
+			return fmt.Errorf("part from %d, which is not a source (or arrived twice)", part.Origin)
 		}
-		delete(sources, part.Origin)
 		if len(part.Data) != msgBytes {
-			return bundleCheck{err: fmt.Sprintf("part from %d carries %d bytes, want %d", part.Origin, len(part.Data), msgBytes)}
+			return fmt.Errorf("part from %d carries %d bytes, want %d", part.Origin, len(part.Data), msgBytes)
 		}
-		if !bytes.Equal(part.Data, workerPayload(part.Origin, msgBytes)) {
-			return bundleCheck{err: fmt.Sprintf("part from %d corrupted", part.Origin)}
+		if bytes.Count(part.Data, []byte{byte(part.Origin)}) != msgBytes {
+			return fmt.Errorf("part from %d corrupted", part.Origin)
 		}
 	}
-	return bundleCheck{}
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
+	return nil
 }

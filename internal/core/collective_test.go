@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -266,6 +267,46 @@ func TestReduceBundle(t *testing.T) {
 	}
 	if empty := ReduceBundle(comm.Message{}); len(empty.Parts) != 0 {
 		t.Fatalf("ReduceBundle(empty) = %+v", empty.Parts)
+	}
+}
+
+// TestReduceBundleMatchesByteLoop: the word-wise fold computes what the
+// plain byte loop does, over random bundles of unequal parts — lengths
+// on and off the 8-byte grid, length-only parts mixed in, bytes near the
+// carry boundaries.
+func TestReduceBundleMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		m := comm.Message{Tag: trial, Parts: make([]comm.Part, 1+rng.Intn(6))}
+		maxLen, anyData := 0, false
+		for i := range m.Parts {
+			n := rng.Intn(70)
+			if rng.Intn(5) == 0 {
+				m.Parts[i] = comm.Part{Origin: i, Size: n}
+			} else {
+				data := make([]byte, n)
+				for j := range data {
+					data[j] = []byte{0, 1, 0x7f, 0x80, 0xff, byte(rng.Intn(256))}[rng.Intn(6)]
+				}
+				m.Parts[i] = comm.Part{Origin: i, Data: data}
+				anyData = true
+			}
+			maxLen = max(maxLen, n)
+		}
+		want := comm.Part{Origin: ReducedOrigin, Size: maxLen}
+		if anyData {
+			sum := make([]byte, maxLen)
+			for _, p := range m.Parts {
+				for i, b := range p.Data {
+					sum[i] += b
+				}
+			}
+			want = comm.Part{Origin: ReducedOrigin, Data: sum}
+		}
+		got := ReduceBundle(m)
+		if got.Tag != m.Tag || len(got.Parts) != 1 || !reflect.DeepEqual(got.Parts[0], want) {
+			t.Fatalf("trial %d: ReduceBundle = %+v, byte loop = %+v", trial, got.Parts, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -146,15 +147,29 @@ func ReduceBundle(m comm.Message) comm.Message {
 	if anyData {
 		sum := make([]byte, maxLen)
 		for _, p := range m.Parts {
-			for i, b := range p.Data {
-				sum[i] += b
-			}
+			addBytes(sum, p.Data)
 		}
 		out.Data = sum
 	} else {
 		out.Size = maxLen
 	}
 	return comm.Message{Tag: m.Tag, Parts: []comm.Part{out}}
+}
+
+// addBytes adds src into dst byte-wise mod 256 (len(dst) ≥ len(src)),
+// eight bytes per step: the low seven bits of every byte lane add
+// without carrying into the next lane, and the lanes' top bits are the
+// XOR of both top bits and that carry.
+func addBytes(dst, src []byte) {
+	const top = 0x8080808080808080
+	for len(src) >= 8 && len(dst) >= 8 {
+		a, b := binary.LittleEndian.Uint64(dst), binary.LittleEndian.Uint64(src)
+		binary.LittleEndian.PutUint64(dst, (a&^top+b&^top)^((a^b)&top))
+		dst, src = dst[8:], src[8:]
+	}
+	for i, b := range src {
+		dst[i] += b
+	}
 }
 
 // EncodeA2AOrigin packs an all-to-all chunk's (origin, destination) pair

@@ -531,3 +531,81 @@ func TestConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestSocketsHeldFrameReleasedOnTeardown: a cluster worker's pump holds
+// a frame stamped with an epoch its machine has not armed (a peer worker
+// started first). If that run never comes here, tearing the mesh down —
+// ResetMesh or Close — must drop the frame and end the pump, with
+// goroutines and descriptors back at baseline. Sockets only: the memory
+// transport has no pumps and no cross-process runs.
+func TestSocketsHeldFrameReleasedOnTeardown(t *testing.T) {
+	for _, teardown := range []string{"ResetMesh", "Close"} {
+		t.Run(teardown, func(t *testing.T) {
+			goroutines, fds := footprint()
+			leaders := []int{0, 1}
+			idle, early := workerMachine(t, 0, leaders), workerMachine(t, 1, leaders)
+			addrs := map[int]string{}
+			for _, m := range []*tcp.Machine{idle, early} {
+				for r, a := range m.LocalAddrs() {
+					addrs[r] = a
+				}
+			}
+			var wg sync.WaitGroup
+			for _, m := range []*tcp.Machine{idle, early} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := m.ConnectMesh(context.Background(), addrs); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			if _, err := early.Run(tcp.Options{Epoch: 7}, func(p *engine.Proc) { p.Send(0, msg(1, 1, "early")) }); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); !pumpHolding(); {
+				if time.Now().After(deadline) {
+					t.Fatal("the idle worker's pump never held the early frame")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			done := make(chan error, 1)
+			go func() {
+				if teardown == "ResetMesh" {
+					done <- idle.ResetMesh()
+				} else {
+					done <- idle.Close()
+				}
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s blocked on the pump holding the early frame", teardown)
+			}
+			idle.Close()
+			early.Close()
+			settled(t, goroutines, fds)
+		})
+	}
+}
+
+// workerMachine is rank r of a two-rank mesh split one rank per worker.
+func workerMachine(t *testing.T, r int, leaders []int) *tcp.Machine {
+	t.Helper()
+	m, err := tcp.NewWorkerMachine(2, r, r+1, leaders, tcp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// pumpHolding reports whether some goroutine is parked holding a frame.
+func pumpHolding() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "tcp.(*Machine).hold")
+}

@@ -78,10 +78,10 @@ type Transport interface {
 	// Run.Local; sockets encode a frame and write it, and the far end's
 	// reader calls Run.Push.
 	Deliver(r *Run, src, dst int, m comm.Message) error
-	// Begin is called with r's mailboxes armed and no rank started yet;
-	// an error aborts the run before any rank executes. Sockets pass the
-	// cluster start gate here.
-	Begin(r *Run) error
+	// Begin is called with the run's mailboxes armed and no rank started
+	// yet. Sockets publish the armed epoch here, releasing frames a
+	// cluster worker that started first already sent.
+	Begin()
 	// Abort releases whatever could keep a rank or a reader blocked
 	// outside the core once a run has failed (sockets close the mesh).
 	Abort()
@@ -188,8 +188,8 @@ func (m *Machine) Close() error {
 }
 
 // Run is one run's state: its options, clock zero and abort latch.
-// Transports receive it in Deliver and Begin and reach the run in flight
-// through Machine.Current.
+// Transports receive it in Deliver and reach the run in flight through
+// Machine.Current.
 type Run struct {
 	m           *Machine
 	tr          obs.Tracer
@@ -350,13 +350,7 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	// quoting it accepted.
 	m.cur.Store(r)
 	r.watch(opts.RunTimeout)
-	if err := m.tr.Begin(r); err != nil {
-		err = fmt.Errorf("run start aborted: %w", err)
-		r.abort(&abortError{cause: err, external: true})
-		m.cur.Store(nil)
-		r.unwatch()
-		return nil, fmt.Errorf("%s: %w", m.name, err)
-	}
+	m.tr.Begin()
 
 	// roots collects the ranks that failed by themselves (panics, deadline
 	// overruns, broken links, cancellation), unwinds those that merely

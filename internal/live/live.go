@@ -40,9 +40,9 @@ func (memory) Deliver(r *engine.Run, src, dst int, m comm.Message) error {
 	r.Local(src, dst, m)
 	return nil
 }
-func (memory) Begin(*engine.Run) error { return nil }
-func (memory) Abort()                  {}
-func (memory) Close() error            { return nil }
+func (memory) Begin()       {}
+func (memory) Abort()       {}
+func (memory) Close() error { return nil }
 
 // NewMachine builds the mailboxes and barrier for p processors. The
 // caller owns the machine and should Close it when done.

@@ -74,17 +74,6 @@ func (p Params) String() string {
 		p.Elapsed.Milliseconds(), p.Congestion, p.Wait, p.SendRec, p.AvgMsgLen, p.AvgActive, p.Iterations)
 }
 
-// Header returns the column header matching Row, for Figure-2 style tables.
-func Header() string {
-	return fmt.Sprintf("%-18s %10s %6s %6s %10s %12s %10s", "algorithm", "congestion", "wait", "s/r", "av_msg_lgth", "av_act_proc", "time(ms)")
-}
-
-// Row renders one algorithm's parameters as a Figure-2 table row.
-func Row(name string, p Params) string {
-	return fmt.Sprintf("%-18s %10d %6d %6d %10.0f %12.1f %10.3f",
-		name, p.Congestion, p.Wait, p.SendRec, p.AvgMsgLen, p.AvgActive, p.Elapsed.Milliseconds())
-}
-
 // ActiveProfile returns the number of active processors in each iteration,
 // the growth curve the ideal distributions are designed to maximize.
 func ActiveProfile(res *sim.Result) []int {

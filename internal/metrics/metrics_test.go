@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -111,21 +110,6 @@ func TestWaitShare(t *testing.T) {
 	}
 	if ws := float64(worst) / float64(res.Elapsed); ws <= 0 || ws >= 1 {
 		t.Fatalf("wait share = %v", ws)
-	}
-}
-
-func TestRowAndHeaderAligned(t *testing.T) {
-	p := FromResult(star(t))
-	h := Header()
-	r := Row("2-Step", p)
-	if !strings.Contains(h, "congestion") || !strings.Contains(h, "av_act_proc") {
-		t.Errorf("header missing columns: %q", h)
-	}
-	if !strings.HasPrefix(r, "2-Step") {
-		t.Errorf("row = %q", r)
-	}
-	if p.String() == "" {
-		t.Error("empty String()")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/faults"
 )
@@ -63,28 +64,67 @@ func connectWorkers(t *testing.T, ms []*Machine, addrs map[int]string) {
 }
 
 // runWorkers is one cluster-wide run: every machine runs fn on its ranks
-// under a common epoch, released together once all mailboxes are armed
-// (the coordinator's two-phase start).
-func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc)) ([]*Result, []error) {
-	var armed sync.WaitGroup
-	armed.Add(len(ms))
+// under a common epoch, each starting as soon as it is told to, as the
+// coordinator's run message starts them — worker w lag[w] late.
+func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc), lag ...time.Duration) ([]*Result, []error) {
 	opts.Epoch = epoch
-	opts.StartGate = func() error {
-		armed.Done()
-		armed.Wait()
-		return nil
-	}
 	res, errs := make([]*Result, len(ms)), make([]error, len(ms))
 	var wg sync.WaitGroup
 	for w, m := range ms {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if w < len(lag) {
+				time.Sleep(lag[w])
+			}
 			res[w], errs[w] = m.Run(opts, fn)
 		}()
 	}
 	wg.Wait()
 	return res, errs
+}
+
+// TestWorkerHoldsEarlyFrames: with no start rendezvous, a worker that
+// starts late sees frames of the run before it arms the run's epoch. Its
+// pumps must hold them until it does — not drop them as stale, which
+// would leave its ranks waiting out RecvTimeout — so every run succeeds
+// with every frame counted, whichever worker is late.
+func TestWorkerHoldsEarlyFrames(t *testing.T) {
+	const p, lag = 7, 50 * time.Millisecond
+	ms := workerMesh(t, p, [][2]int{{0, 3}, {3, 5}, {5, 7}}, nil)
+	allToAll := func(pr *Proc) {
+		for d := 0; d < p; d++ {
+			if d != pr.Rank() {
+				pr.Send(d, comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}})
+			}
+		}
+		for s := 0; s < p; s++ {
+			if s == pr.Rank() {
+				continue
+			}
+			if got := pr.Recv(s); len(got.Parts) != 1 || got.Parts[0].Origin != s || got.Parts[0].Data[0] != byte(s) {
+				t.Errorf("rank %d: from %d got %+v", pr.Rank(), s, got.Parts)
+			}
+		}
+		pr.Barrier()
+	}
+	for run := 0; run < 3; run++ {
+		lags := make([]time.Duration, len(ms))
+		lags[run] = lag
+		res, errs := runWorkers(ms, uint32(run+1), Options{RecvTimeout: 2 * time.Second}, allToAll, lags...)
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("run %d (worker %d late) worker %d: %v", run, run, w, err)
+			}
+		}
+		for _, r := range res {
+			for _, ps := range r.Procs {
+				if ps.Sends != p-1 || ps.Recvs != p-1 {
+					t.Errorf("run %d rank %d: %d sends, %d receives, want %d each", run, ps.Rank, ps.Sends, ps.Recvs, p-1)
+				}
+			}
+		}
+	}
 }
 
 // barrierRounds is the safety workload: in every round each rank checks

@@ -134,10 +134,7 @@ func (m *Machine) ResetMesh() error {
 	if m.closed.Load() {
 		return errors.New("tcp: ResetMesh on closed machine")
 	}
-	m.closeConns()
-	m.pumps.Wait()
-	m.clearTable()
-	m.broken.Store(false)
+	m.dropConns()
 	return nil
 }
 
@@ -148,10 +145,7 @@ func (m *Machine) ResetMesh() error {
 // redialed (lazily opened extras from the previous life wait for their
 // next on-demand dial).
 func (m *Machine) reconnect(ctx context.Context) error {
-	m.closeConns()
-	m.pumps.Wait()
-	m.clearTable()
-	m.broken.Store(false)
+	m.dropConns()
 	if err := m.connectLocked(ctx); err != nil {
 		return err
 	}
@@ -159,15 +153,21 @@ func (m *Machine) reconnect(ctx context.Context) error {
 	return nil
 }
 
-// clearTable wipes the connection table and endpoint list after the
-// pumps are joined; the next connect or lazy dial repopulates it.
-func (m *Machine) clearTable() {
+// dropConns closes the connections, joins their pumps — marking the
+// mesh broken first, which also makes pumps holding an early frame let
+// go — and wipes the connection table, clearing the mark; the next
+// connect or lazy dial repopulates it.
+func (m *Machine) dropConns() {
+	m.broken.Store(true)
+	m.closeConns()
+	m.pumps.Wait()
 	m.connMu.Lock()
 	m.conns = nil
 	for _, e := range m.ends[m.lo:m.hi] {
 		clear(e.conns)
 	}
 	m.connMu.Unlock()
+	m.broken.Store(false)
 }
 
 // acceptLoop is rank j's persistent acceptor: it admits connections for
@@ -402,9 +402,7 @@ func (m *Machine) connectLocked(ctx context.Context) error {
 	err := m.waitPairs()
 	if err != nil {
 		m.closeListeners() // waitPairs timeout: unblock the acceptors too
-		m.closeConns()
-		m.pumps.Wait()
-		m.clearTable()
+		m.dropConns()
 		return err
 	}
 	return nil
@@ -489,10 +487,27 @@ func (m *Machine) pump(owner, peer int, conn net.Conn) {
 			}
 			return
 		}
+		// A cluster worker that started first may send a frame of a run
+		// this machine has not armed yet.
+		if int32(epoch-m.epoch.Load()) > 0 {
+			m.hold(epoch)
+		}
 		// A frame from an earlier run (late or replayed) is dropped here
-		// by its epoch, or by the core if its run ended meanwhile.
-		if r := m.core.Current(); r != nil && epoch == m.epoch.Load() {
+		// by its epochs — next too, as the core may already show the next
+		// run before Begin — or by the core if its run ended meanwhile.
+		if r := m.core.Current(); r != nil && epoch == m.epoch.Load() && epoch == m.next.Load() {
 			r.Push(owner, peer, fr)
 		}
+	}
+}
+
+// hold parks a pump, and with it its connection, on a frame of a newer
+// epoch than the one armed until Begin arms it or the mesh is torn down
+// (closed or broken, then closeConns), which leaves the frame stale.
+func (m *Machine) hold(epoch uint32) {
+	m.connMu.Lock()
+	defer m.connMu.Unlock()
+	for int32(epoch-m.epoch.Load()) > 0 && !m.closed.Load() && !m.broken.Load() {
+		m.connCond.Wait()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 )
 
 // TestMachineBackToBackRuns reuses one mesh for many broadcasts: every
@@ -71,6 +72,77 @@ func TestMachineRunsDoNotBleedFrames(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("want a clean receive deadline, got %v", err)
 	}
+}
+
+// beginHook is the sockets transport with fn run first in Begin: the
+// window in which the core already publishes the new run but the pumps
+// have not seen its epoch published yet.
+type beginHook struct {
+	transport
+	fn func()
+}
+
+func (h beginHook) Begin() {
+	h.fn()
+	h.transport.Begin()
+}
+
+// TestStaleFrameDroppedBeforeBegin: a frame of the previous run that a
+// pump reads after the core armed the next run, but before Begin, must
+// be dropped — not pushed into the new run's mailbox — while a frame of
+// the new run arriving in the same window is held and then delivered.
+func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
+	m, err := newMachine(2, 0, 2, []int{0}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	begins := 0
+	m.core = engine.New("tcp", 2, 0, 2, []int{0}, beginHook{transport{m}, func() {
+		if begins++; begins != 2 {
+			return
+		}
+		// Rank 1's end of the pair feeds rank 0's pump: run 1's frame,
+		// then run 2's, which the pump must hold until Begin.
+		sc := getScratch()
+		defer putScratch(sc)
+		for _, f := range []struct {
+			epoch uint32
+			data  string
+		}{{1, "stale"}, {2, "fresh"}} {
+			if err := writeFrameTo(m.ends[1].conns[0], f.epoch, comm.Message{Parts: []comm.Part{{Origin: 1, Data: []byte(f.data)}}}, sc); err != nil {
+				t.Error(err)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); !stackHas("tcp.(*Machine).hold"); {
+			if time.Now().After(deadline) {
+				t.Error("the pump never held the new run's frame")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}})
+	if err := m.connectLocked(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Run(Options{}, func(*Proc) {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(Options{RecvTimeout: 5 * time.Second}, func(pr *Proc) {
+		if pr.Rank() == 0 {
+			if got := string(pr.Recv(1).Parts[0].Data); got != "fresh" {
+				t.Errorf("run 2 received %q, want the run's own frame", got)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stackHas reports whether some goroutine's stack mentions fn.
+func stackHas(fn string) bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn)
 }
 
 // TestMachineReconnectsAfterAbort panics a rank (which tears the mesh

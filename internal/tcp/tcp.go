@@ -31,11 +31,11 @@
 // wrappers.
 //
 // Run isolation is by epoch: every frame carries the epoch of the run
-// that sent it, the reader pumps discard frames whose epoch is not the
-// current run's (or that arrive between runs), and the core drops
-// anything quoting a run no longer in flight. A broadcast that aborts —
-// panic, injected kill, deadline — can therefore never leak a frame or a
-// stale barrier token into the next run.
+// that sent it, the reader pumps discard older epochs (and frames
+// between runs) and hold newer ones until their run arms, and the core
+// drops anything quoting a run no longer in flight. A broadcast that
+// aborts — panic, injected kill, deadline — can therefore never leak a
+// frame or a stale barrier token into the next run.
 //
 // An abort closes the mesh; the session survives it. The next Run
 // notices the damage, joins the orphaned reader pumps, and redials the
@@ -68,11 +68,12 @@
 // LocalAddrs, distributes the merged rank→address map, and drives
 // ConnectMesh so each planned pair is dialed by the worker owning its
 // higher rank — the same frame protocol, handshake and registration
-// path as the single-process mesh, now across OS processes. Runs start
-// with a coordinator-assigned Options.Epoch and an Options.StartGate
-// rendezvous so every worker's mailboxes are armed before the first
-// frame flies; a broken mesh is rebuilt by the coordinator (ResetMesh
-// then ConnectMesh on every worker), never by one worker on its own.
+// path as the single-process mesh, now across OS processes. Workers run
+// on a common coordinator-assigned Options.Epoch and start unsynchronized:
+// a pump holds a frame of an epoch its machine has not armed yet (and
+// TCP flow control the rest). A broken mesh is rebuilt by the
+// coordinator (ResetMesh then ConnectMesh on every worker), never by one
+// worker on its own, which closes its connections when it refuses a run.
 //
 // # Failure semantics
 //
@@ -118,8 +119,8 @@ const (
 // (Dial, DialAttempts, DialBackoff, Links, ListenHost, plus Context to
 // cancel setup) and remembers them for mesh rebuilds; Machine.Run
 // consumes the run fields (Context, RunTimeout, RecvTimeout, Tracer,
-// Epoch, StartGate) afresh on every call. The one-shot RunOpts passes
-// the same Options to both.
+// Epoch) afresh on every call. The one-shot RunOpts passes the same
+// Options to both.
 type Options struct {
 	// Context, RunTimeout, RecvTimeout and Tracer are the core's run
 	// options (see engine.Options). Context also cancels setup backoff
@@ -159,14 +160,6 @@ type Options struct {
 	// run so frames demultiplex consistently across processes; zero
 	// keeps the machine's own auto-incremented epoch.
 	Epoch uint32
-	// StartGate, when non-nil, is called after the run's mailboxes are
-	// armed (pumps deliver current-epoch frames) but before any rank
-	// goroutine launches (a run field). A cluster worker acks "armed" to
-	// the coordinator inside the gate and blocks until every other
-	// worker is armed too, so no frame can arrive at a process that
-	// would still discard it as stale. Returning an error aborts the
-	// run before any rank executes.
-	StartGate func() error
 }
 
 // The run-facing types are the core's: a Proc is one rank's comm.Comm
@@ -225,7 +218,8 @@ type Machine struct {
 	// lazy dials; the send/pump hot paths read through the read lock.
 	// connCond (on the write lock) is broadcast on every registration,
 	// state change and teardown so setup and lazy dials can wait for
-	// both endpoints of a pair to be installed.
+	// both endpoints of a pair to be installed, and on every armed epoch
+	// for pumps holding an early frame.
 	connMu   sync.RWMutex
 	connCond *sync.Cond
 	conns    []net.Conn
@@ -264,11 +258,12 @@ type Machine struct {
 	setupErr   error // first setup failure, under connMu
 	reconnects atomic.Int64
 
-	// epoch stamps the current run's frames; the pumps drop any other.
-	// gate is the current run's Options.StartGate. Both are set by Run
-	// under mu before the core arms the run.
+	// epoch is the last run armed: it stamps that run's frames; pumps
+	// hold newer ones. next is the epoch Run chose before the core armed
+	// the run, published as epoch by Begin under connMu. Pumps deliver
+	// only frames stamped with both.
 	epoch atomic.Uint32
-	gate  func() error
+	next  atomic.Uint32
 }
 
 // transport is the machine as the core sees it (engine.Transport).
@@ -291,13 +286,14 @@ func (t transport) Deliver(r *engine.Run, src, dst int, msg comm.Message) error 
 	return err
 }
 
-// Begin passes the start gate: the mailboxes are armed and the pumps
-// deliver the run's epoch, but no rank has started.
-func (t transport) Begin(*engine.Run) error {
-	if t.m.gate == nil {
-		return nil
-	}
-	return t.m.gate()
+// Begin publishes the armed epoch — the mailboxes accept the run, no
+// rank has started — and releases the pumps holding its early frames.
+func (t transport) Begin() {
+	m := t.m
+	m.connMu.Lock()
+	m.epoch.Store(m.next.Load())
+	m.connCond.Broadcast()
+	m.connMu.Unlock()
 }
 
 // Abort marks the mesh broken and closes every connection, so readers
@@ -436,13 +432,6 @@ func (m *Machine) LocalAddrs() map[int]string {
 	return addrs
 }
 
-// Broken reports whether the mesh is marked damaged (an abort or a
-// between-runs connection failure closed the connections). A
-// single-process machine repairs itself on the next Run; a cluster
-// worker reports the mark to the coordinator, which drives the
-// ResetMesh/ConnectMesh recovery across all workers.
-func (m *Machine) Broken() bool { return m.broken.Load() }
-
 // LazyDials reports how many on-demand (unplanned) dials the machine
 // has performed over its lifetime. Zero on a sparse machine means the
 // route plan covered every link the schedules used.
@@ -499,19 +488,20 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 			// A worker must never redial on its own: its peers may still
 			// consider the mesh broken and refuse registrations. The
 			// coordinator resets every worker, reconnects every worker,
-			// then retries the run.
+			// then retries the run; closing the rest now fails fast the
+			// peers that already started it.
+			m.closeConns()
 			return nil, errors.New("tcp: mesh broken; awaiting coordinator reset")
 		}
 		if err := m.reconnect(opts.Context); err != nil {
 			return nil, m.kill(fmt.Errorf("tcp: mesh rebuild failed: %w", err))
 		}
 	}
-	if opts.Epoch != 0 {
-		m.epoch.Store(opts.Epoch)
-	} else {
-		m.epoch.Add(1)
+	next := opts.Epoch
+	if next == 0 {
+		next = m.epoch.Load() + 1
 	}
-	m.gate = opts.StartGate
+	m.next.Store(next)
 	return m.core.Run(engine.Options{
 		Context: opts.Context, RunTimeout: opts.RunTimeout,
 		RecvTimeout: opts.RecvTimeout, Tracer: opts.Tracer,

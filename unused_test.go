@@ -23,11 +23,7 @@ var keptWithoutUser = map[string]string{
 	"internal/engine.abortError.Unwrap": "satisfies errors.Is/As, which reach the root cause of an aborted run through it",
 
 	"internal/comm.Message.Origins":         "test-support accessor: the delivery assertions of comm, collective and core read a bundle's origin set through it",
-	"internal/trace.Recorder.Count":         "test-support accessor (and part of the public TraceRecorder alias): trace assertions count events by kind",
 	"internal/topology.Indexing.NodeToRank": "test-support accessor: the inverse of RankToNode, asserted to be a bijection by the indexing tests",
-
-	"internal/metrics.Header": "the paper's Figure-2 table layout, with Row; only its alignment test reads it — goes with that test, or when a CLI prints the table",
-	"internal/metrics.Row":    "see Header",
 }
 
 // TestInternalExportsHaveProductionUsers is the "kept alive only by
