@@ -36,9 +36,11 @@ fuzz-seeds:
 	$(GO) test -run=Fuzz ./internal/...
 
 # The tracked size of the system: non-test Go lines outside benchmark/,
-# in total, for the real-byte engines (core plus both transports) and
-# for the planner. ROADMAP aim 2 wants all three to go down; CI prints
-# them, nothing gates.
+# in total, for the real-byte engines (core plus both transports), for
+# the planner, for the schedule layer (the algorithms, the program they
+# compile to, its simulator and the collectives they are built from) and,
+# within it, for the simulator. ROADMAP aim 2 wants them to go down; CI
+# prints them, nothing gates.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
@@ -46,6 +48,10 @@ loc:
 	@find internal/engine internal/live internal/tcp -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
 	@printf 'of which internal/plan:               '
 	@find internal/plan -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
+	@printf 'of which internal/{core,comm,sim,collective}: '
+	@find internal/core internal/comm internal/sim internal/collective -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
+	@printf 'of which internal/sim:                '
+	@find internal/sim -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
 
 # Figure-regeneration benchmarks, best-of-3, parsed into BENCH_sim.json
 # (ns/op + allocs/op per figure) and gated at 2x ns/op against the

@@ -19,7 +19,7 @@ import (
 	"repro/internal/topology"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/seed_timings.golden from the code under test")
+var update = flag.Bool("update", false, "rewrite the golden tables under testdata from the code under test")
 
 // TestEveryAlgorithmDeterministic runs each registered algorithm twice on
 // p=64 and requires bit-identical results — elapsed time, per-processor
@@ -313,6 +313,87 @@ func testSeedTimingsGolden(t *testing.T) {
 	}
 	if bad > 10 {
 		t.Errorf("... and %d more differing rows", bad-10)
+	}
+}
+
+const nonUniformGolden = "testdata/nonuniform.golden"
+
+// TestNonUniformLengthsMatchGolden pins the schedules whose messages are
+// selections of a bundle or folds of one — the circulant broadcast, the
+// scatters, the all-to-alls, the reductions — and the discovery prelude
+// on instances where every rank's message has its own length, 64 + 37·rank
+// bytes (per chunk for the chunked collectives). A selection's byte count
+// then depends on which parts it takes and a fold's on the longest part,
+// so a run that tracked only a bundle's total length and part count would
+// drift here while every uniform-length golden stayed green. Each row
+// holds the clocks, waits, iterations and per-rank event digest of one
+// instance; regenerate with -update only when simulated semantics change
+// on purpose.
+func TestNonUniformLengthsMatchGolden(t *testing.T) {
+	algs := []core.Algorithm{core.BcastCirculant(), core.WithDiscovery(core.BrLin()), core.WithDiscovery(core.BrXYSource())}
+	for _, name := range []string{"Scatter_Binomial", "Scatter_Direct", "A2A_Pairwise", "A2A_JungSakho", "Red_Tree", "AllRed_RecDouble", "AllRed_RedBcast"} {
+		alg, err := core.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algs = append(algs, alg)
+	}
+	msgLen := func(rank int) int { return 64 + 37*rank }
+	var lines []string
+	for _, m := range []*machine.Machine{machine.Paragon(4, 4), machine.Paragon(7, 9), machine.T3D(64)} {
+		for _, alg := range algs {
+			caps := core.CollectiveOf(alg).Caps()
+			for i, d := range []dist.Distribution{dist.Equal(), dist.Cross()} {
+				s := max(1, m.P()/4)
+				switch {
+				case !caps.TakesSources:
+					if i > 0 {
+						continue
+					}
+					s = m.P()
+				case caps.SingleSource:
+					s = 1
+				}
+				spec, err := SpecFor(m, d, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := &rankHasher{h: make([]uint64, m.P())}
+				res, _, err := m.RunSim(alg, spec, msgLen, sim.Options{Tracer: tr})
+				key := fmt.Sprintf("%s/%s/%s(%d)", m.Name, alg.Name(), d.Name(), s)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				var finish, wait, combine int64
+				for _, pr := range res.Procs {
+					finish += int64(pr.Finish)
+					wait += int64(pr.WaitTime)
+					combine += int64(pr.CombineTime)
+				}
+				lines = append(lines, fmt.Sprintf("%s elapsed=%d finish=%d wait=%d combine=%d linkbusy=%d iters=%d events=%016x",
+					key, int64(res.Elapsed), finish, wait, combine, int64(res.Net.LinkBusy), res.Iterations, tr.sum()))
+			}
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(nonUniformGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(nonUniformGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("%d instances, golden table has %d rows", len(lines), len(want))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Errorf("row %d differs:\n got %s\nwant %s", i, lines[i], want[i])
+		}
 	}
 }
 

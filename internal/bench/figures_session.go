@@ -78,7 +78,12 @@ func runFigSession() (*Series, error) {
 
 	oneShot, err := timeSessionLoop(sessRuns, func() (func(fn func(*tcp.Proc)) (*tcp.Result, error), func() error, error) {
 		return func(fn func(*tcp.Proc)) (*tcp.Result, error) {
-			return tcp.RunOpts(sessP, opts, fn)
+			mc, err := tcp.NewMachine(sessP, opts)
+			if err != nil {
+				return nil, err
+			}
+			defer mc.Close()
+			return mc.Run(opts, fn)
 		}, func() error { return nil }, nil
 	}, spec, alg)
 	if err != nil {

@@ -3,19 +3,18 @@
 // one-to-all broadcast (the halving pattern of Section 2), personalized
 // all-to-all exchange (XOR permutations for power-of-two machines, cyclic
 // shifts otherwise, following the implementation of Hambrusch/Hameed/
-// Khokhar 1995 that the paper cites), a ring all-gather, and a scatter.
+// Khokhar 1995 that the paper cites) and the ring and recursive-doubling
+// all-gathers.
 //
-// Every operation is written against comm.Comm, so it runs identically on
-// the discrete-event simulator and the live goroutine runtime. All
-// operations assume the engines' buffered-send semantics (Send never
-// blocks on the receiver), which both engines provide. The operations the
-// registry's schedules are built from are written once, as comm.Scripts:
-// internal/core compiles them into the programs of 2-Step, PersAlltoAll
-// and the all-gathers, and Script.Run performs the calling rank's part.
+// Every operation is a comm.Script, so it runs identically on every
+// engine: internal/core compiles them into the programs of 2-Step,
+// PersAlltoAll, Indep_1toP, the all-gathers and the reductions, and
+// Script.Run performs the calling rank's part. All operations assume the
+// engines' buffered-send semantics (Send never blocks on the receiver),
+// which every engine provides.
 package collective
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/comm"
@@ -50,16 +49,11 @@ func GatherScript(root int, sources []int) comm.Script {
 	}}
 }
 
-// Bcast broadcasts root's bundle to every processor along a binomial tree
-// over the linear rank order — the one-to-all implementation the paper's
-// 2-Step uses ("views the mesh as a linear array and applies the same
-// communication pattern used in Algorithm Br_Lin"). It returns the bundle
-// on every processor. Works for any p, any root.
-func Bcast(c comm.Comm, root int, m comm.Message) comm.Message {
-	return BcastScript(c.Size(), root).Run(c, m)
-}
-
-// BcastScript writes Bcast on register 0 for a machine of p.
+// BcastScript broadcasts root's bundle, register 0, to every processor
+// along a binomial tree over the linear rank order — the one-to-all
+// implementation the paper's 2-Step uses ("views the mesh as a linear
+// array and applies the same communication pattern used in Algorithm
+// Br_Lin"). Works for any p, any root.
 func BcastScript(p, root int) comm.Script {
 	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) { BcastTree(b, p, root, rank, 0) }}
 }
@@ -190,25 +184,4 @@ func AllgatherRecDoublingScript(p int, sources []int) comm.Script {
 			}
 		}
 	}}
-}
-
-// Scatter sends the i-th of root's bundles to processor i and returns the
-// bundle this processor received (root keeps its own without a self-send).
-// bundles is only read on root; its length must equal p.
-func Scatter(c comm.Comm, root int, bundles []comm.Message) comm.Message {
-	p := c.Size()
-	rank := c.Rank()
-	if rank == root {
-		if len(bundles) != p {
-			panic(fmt.Sprintf("collective: Scatter root has %d bundles for %d processors", len(bundles), p))
-		}
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			c.Send(r, bundles[r])
-		}
-		return bundles[root]
-	}
-	return c.Recv(root)
 }

@@ -12,6 +12,17 @@ import (
 	"repro/internal/topology"
 )
 
+// liveRun opens a live machine of p processors, runs fn on it once and
+// closes it.
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+	m, err := live.NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
 // runBoth executes fn on both engines with p processors and returns the
 // per-rank results from each, so tests verify engine-independent
 // semantics.
@@ -27,7 +38,7 @@ func runBoth(t *testing.T, p int, fn func(c comm.Comm) comm.Message) (simOut, li
 	if _, err := sim.Run(nw, func(pr *sim.Proc) { simOut[pr.Rank()] = fn(pr) }, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.Run(p, func(pr *live.Proc) { liveOut[pr.Rank()] = fn(pr) }); err != nil {
+	if _, err := liveRun(p, live.Options{}, func(pr *live.Proc) { liveOut[pr.Rank()] = fn(pr) }); err != nil {
 		t.Fatal(err)
 	}
 	return simOut, liveOut
@@ -71,7 +82,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 				if c.Rank() == root {
 					m = mkMsg(root, 64)
 				}
-				return Bcast(c, root, m)
+				return BcastScript(p, root).Run(c, m)
 			})
 			label := fmt.Sprintf("Bcast p=%d root=%d", p, root)
 			wantOrigins(t, label+" (sim)", s, []int{root})
@@ -196,27 +207,6 @@ func TestAllgatherRingSparseSources(t *testing.T) {
 	wantOrigins(t, "AllgatherRing sparse (live)", l, sources)
 }
 
-func TestScatter(t *testing.T) {
-	p := 7
-	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
-		var bundles []comm.Message
-		if c.Rank() == 3 {
-			bundles = make([]comm.Message, p)
-			for i := range bundles {
-				bundles[i] = mkMsg(i, 16)
-			}
-		}
-		return Scatter(c, 3, bundles)
-	})
-	for _, out := range [][]comm.Message{s, l} {
-		for rank := 0; rank < p; rank++ {
-			if len(out[rank].Parts) != 1 || out[rank].Parts[0].Origin != rank {
-				t.Fatalf("rank %d scatter result %v", rank, out[rank])
-			}
-		}
-	}
-}
-
 func TestBcastBinomialDepth(t *testing.T) {
 	// The root must send at most ⌈log2 p⌉ messages and the makespan must
 	// reflect a logarithmic tree, not a linear chain.
@@ -231,7 +221,7 @@ func TestBcastBinomialDepth(t *testing.T) {
 		if pr.Rank() == 0 {
 			m = mkMsg(0, 128)
 		}
-		Bcast(pr, 0, m)
+		BcastScript(p, 0).Run(pr, m)
 	}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -108,8 +109,8 @@ type Comm interface {
 	// Send transfers a message to dst. It blocks for the local software
 	// cost of issuing the send (buffer copy), not for delivery — the
 	// semantics of NX csend with a buffered message. This buffered
-	// (non-rendezvous) contract is load-bearing: Exchange and the
-	// dissemination barriers have all participants send before they
+	// (non-rendezvous) contract is load-bearing: pairwise exchanges and
+	// the dissemination barriers have all participants send before they
 	// receive, which deadlocks on a rendezvous transport.
 	Send(dst int, m Message)
 	// Recv blocks until the next message from src arrives and returns it.
@@ -168,18 +169,63 @@ func MarkPhase(c Comm, name string) {
 	}
 }
 
-// Exchange performs the paper's pairwise step: send our bundle to peer
-// and receive theirs. Both sides send before receiving — there is no
-// rank-ordered turn-taking — which is deadlock-free only because every
-// engine's Send is buffered (it blocks for the local cost of handing the
-// message to the transport, never for the peer to post a matching
-// receive, mirroring NX csend). An engine with rendezvous sends would
-// deadlock here; any future engine must preserve the buffered-send
-// contract documented on Comm.Send.
-func Exchange(c Comm, peer int, m Message) Message {
-	if peer == c.Rank() {
-		panic(fmt.Sprintf("comm: rank %d exchanging with itself", peer))
+// ReducedOrigin is the Origin of the part a fold produces (Reduce and
+// AllReduce results). It can never collide with a rank.
+const ReducedOrigin = -1
+
+// fold folds the parts of a and b together into a single ReducedOrigin
+// part, tagged tag, under the byte-wise sum mod 256 (commutative and
+// associative, so every reduction tree computes the same bytes).
+// Length-only parts fold to the maximum length, which is how the
+// simulator prices a reduced bundle. No parts fold to none — the identity
+// contribution of a rank without one.
+func fold(tag int, a, b []Part) Message {
+	if len(a)+len(b) == 0 {
+		return Message{Tag: tag}
 	}
-	c.Send(peer, m)
-	return c.Recv(peer)
+	// A lone part that is a fold already is its own fold.
+	for _, one := range [2][]Part{a, b} {
+		if len(one) == len(a)+len(b) && len(one) == 1 && one[0].Origin == ReducedOrigin {
+			return Message{Tag: tag, Parts: one}
+		}
+	}
+	maxLen := 0
+	anyData := false
+	for _, parts := range [2][]Part{a, b} {
+		for _, p := range parts {
+			maxLen = max(maxLen, p.Len())
+			anyData = anyData || p.Data != nil
+		}
+	}
+	// Data and Size are mutually exclusive on a Part (engines ignore and
+	// may drop Size when Data is set), so the fold sets exactly one.
+	out := Part{Origin: ReducedOrigin}
+	if anyData {
+		sum := make([]byte, maxLen)
+		for _, parts := range [2][]Part{a, b} {
+			for _, p := range parts {
+				addBytes(sum, p.Data)
+			}
+		}
+		out.Data = sum
+	} else {
+		out.Size = maxLen
+	}
+	return Message{Tag: tag, Parts: []Part{out}}
+}
+
+// addBytes adds src into dst byte-wise mod 256 (len(dst) ≥ len(src)),
+// eight bytes per step: the low seven bits of every byte lane add
+// without carrying into the next lane, and the lanes' top bits are the
+// XOR of both top bits and that carry.
+func addBytes(dst, src []byte) {
+	const top = 0x8080808080808080
+	for len(src) >= 8 && len(dst) >= 8 {
+		a, b := binary.LittleEndian.Uint64(dst), binary.LittleEndian.Uint64(src)
+		binary.LittleEndian.PutUint64(dst, (a&^top+b&^top)^((a^b)&top))
+		dst, src = dst[8:], src[8:]
+	}
+	for i, b := range src {
+		dst[i] += b
+	}
 }

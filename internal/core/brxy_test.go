@@ -189,19 +189,19 @@ func TestBrDims1D(t *testing.T) {
 
 func TestBrDimsValidation(t *testing.T) {
 	cases := []brDims{
-		BrDims([]int{3}, []int{0}).(brDims),         // wrong product
-		BrDims([]int{2, 2}, []int{0}).(brDims),      // short order
-		BrDims([]int{2, 2}, []int{0, 0}).(brDims),   // not a permutation
-		BrDims([]int{2, 2}, []int{0, 5}).(brDims),   // out of range
-		BrDims([]int{-1, -4}, []int{0, 1}).(brDims), // negative extents
-		BrDims(nil, nil).(brDims),                   // empty
+		{[]int{3}, []int{0}},         // wrong product
+		{[]int{2, 2}, []int{0}},      // short order
+		{[]int{2, 2}, []int{0, 0}},   // not a permutation
+		{[]int{2, 2}, []int{0, 5}},   // out of range
+		{[]int{-1, -4}, []int{0, 1}}, // negative extents
+		{nil, nil},                   // empty
 	}
 	for i, alg := range cases {
 		if err := alg.validate(4); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	if err := BrDims([]int{2, 2}, []int{1, 0}).(brDims).validate(4); err != nil {
+	if err := (brDims{[]int{2, 2}, []int{1, 0}}).validate(4); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -77,7 +76,7 @@ func runLiveColl(t *testing.T, coll Collective, alg Algorithm, spec Spec, size i
 	t.Helper()
 	payload := collPayload(coll, spec.P(), size)
 	out := make([]comm.Message, spec.P())
-	if _, err := live.Run(spec.P(), func(pr *live.Proc) {
+	if _, err := liveRun(spec.P(), live.Options{}, func(pr *live.Proc) {
 		mine := InitialFor(coll, spec, pr.Rank(), payload)
 		out[pr.Rank()] = alg.Run(pr, spec, mine)
 	}); err != nil {
@@ -246,66 +245,6 @@ func TestReduceAllgatherCrossEngine(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestReduceBundle pins the fold semantics: byte-wise sum mod 256 on the
-// data path, max length on the length-only path, empty in empty out.
-func TestReduceBundle(t *testing.T) {
-	got := ReduceBundle(comm.Message{Parts: []comm.Part{
-		{Origin: 0, Data: []byte{1, 2, 250}},
-		{Origin: 3, Data: []byte{10, 20}},
-	}})
-	want := []byte{11, 22, 250}
-	if len(got.Parts) != 1 || got.Parts[0].Origin != ReducedOrigin || !reflect.DeepEqual(got.Parts[0].Data, want) {
-		t.Fatalf("ReduceBundle data fold = %+v", got.Parts)
-	}
-	lenOnly := ReduceBundle(comm.Message{Parts: []comm.Part{{Origin: 0, Size: 8}, {Origin: 1, Size: 16}}})
-	if len(lenOnly.Parts) != 1 || lenOnly.Parts[0].Data != nil || lenOnly.Parts[0].Len() != 16 {
-		t.Fatalf("ReduceBundle length fold = %+v", lenOnly.Parts)
-	}
-	if empty := ReduceBundle(comm.Message{}); len(empty.Parts) != 0 {
-		t.Fatalf("ReduceBundle(empty) = %+v", empty.Parts)
-	}
-}
-
-// TestReduceBundleMatchesByteLoop: the word-wise fold computes what the
-// plain byte loop does, over random bundles of unequal parts — lengths
-// on and off the 8-byte grid, length-only parts mixed in, bytes near the
-// carry boundaries.
-func TestReduceBundleMatchesByteLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 2000; trial++ {
-		m := comm.Message{Tag: trial, Parts: make([]comm.Part, 1+rng.Intn(6))}
-		maxLen, anyData := 0, false
-		for i := range m.Parts {
-			n := rng.Intn(70)
-			if rng.Intn(5) == 0 {
-				m.Parts[i] = comm.Part{Origin: i, Size: n}
-			} else {
-				data := make([]byte, n)
-				for j := range data {
-					data[j] = []byte{0, 1, 0x7f, 0x80, 0xff, byte(rng.Intn(256))}[rng.Intn(6)]
-				}
-				m.Parts[i] = comm.Part{Origin: i, Data: data}
-				anyData = true
-			}
-			maxLen = max(maxLen, n)
-		}
-		want := comm.Part{Origin: ReducedOrigin, Size: maxLen}
-		if anyData {
-			sum := make([]byte, maxLen)
-			for _, p := range m.Parts {
-				for i, b := range p.Data {
-					sum[i] += b
-				}
-			}
-			want = comm.Part{Origin: ReducedOrigin, Data: sum}
-		}
-		got := ReduceBundle(m)
-		if got.Tag != m.Tag || len(got.Parts) != 1 || !reflect.DeepEqual(got.Parts[0], want) {
-			t.Fatalf("trial %d: ReduceBundle = %+v, byte loop = %+v", trial, got.Parts, want)
 		}
 	}
 }

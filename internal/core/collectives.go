@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/comm"
@@ -119,86 +117,7 @@ func CollectiveOf(a Algorithm) Collective {
 // ReducedOrigin is the Origin of a part produced by folding contributions
 // under a reduction (Reduce/AllReduce results). It can never collide with
 // a rank.
-const ReducedOrigin = -1
-
-// ReduceBundle folds every part of m into a single ReducedOrigin part
-// under the byte-wise sum mod 256 (commutative and associative, so every
-// reduction tree computes the same bytes). Length-only parts fold to the
-// maximum length, which is how the simulator prices a reduced bundle. An
-// empty message stays empty — the identity contribution of a
-// non-source rank.
-func ReduceBundle(m comm.Message) comm.Message {
-	if len(m.Parts) == 0 {
-		return comm.Message{Tag: m.Tag}
-	}
-	maxLen := 0
-	anyData := false
-	for _, p := range m.Parts {
-		if p.Len() > maxLen {
-			maxLen = p.Len()
-		}
-		if p.Data != nil {
-			anyData = true
-		}
-	}
-	// Data and Size are mutually exclusive on a Part (engines ignore and
-	// may drop Size when Data is set), so the fold sets exactly one.
-	out := comm.Part{Origin: ReducedOrigin}
-	if anyData {
-		sum := make([]byte, maxLen)
-		for _, p := range m.Parts {
-			addBytes(sum, p.Data)
-		}
-		out.Data = sum
-	} else {
-		out.Size = maxLen
-	}
-	return comm.Message{Tag: m.Tag, Parts: []comm.Part{out}}
-}
-
-// addBytes adds src into dst byte-wise mod 256 (len(dst) ≥ len(src)),
-// eight bytes per step: the low seven bits of every byte lane add
-// without carrying into the next lane, and the lanes' top bits are the
-// XOR of both top bits and that carry.
-func addBytes(dst, src []byte) {
-	const top = 0x8080808080808080
-	for len(src) >= 8 && len(dst) >= 8 {
-		a, b := binary.LittleEndian.Uint64(dst), binary.LittleEndian.Uint64(src)
-		binary.LittleEndian.PutUint64(dst, (a&^top+b&^top)^((a^b)&top))
-		dst, src = dst[8:], src[8:]
-	}
-	for i, b := range src {
-		dst[i] += b
-	}
-}
-
-// EncodeA2AOrigin packs an all-to-all chunk's (origin, destination) pair
-// into the part's Origin field for transit: origin·p + dest. The routing
-// steps read the destination with DecodeA2ADest; FinalizeAlltoall
-// restores plain origins at the end.
-func EncodeA2AOrigin(origin, dest, p int) int { return origin*p + dest }
-
-// DecodeA2ADest extracts the destination rank from a transit-encoded
-// all-to-all origin.
-func DecodeA2ADest(enc, p int) int { return enc % p }
-
-// FinalizeAlltoall rewrites the transit-encoded origins of a completed
-// all-to-all bundle back to plain origin ranks and sorts the parts by
-// origin. It panics if a chunk addressed to another rank is present —
-// that is a routing bug, not an input error.
-func FinalizeAlltoall(c comm.Comm, m comm.Message) comm.Message {
-	p := c.Size()
-	rank := c.Rank()
-	for i := range m.Parts {
-		enc := m.Parts[i].Origin
-		if enc%p != rank {
-			panic(fmt.Sprintf("core: all-to-all chunk for rank %d delivered to rank %d", enc%p, rank))
-		}
-		m.Parts[i].Origin = enc / p
-	}
-	sort.Slice(m.Parts, func(i, j int) bool { return m.Parts[i].Origin < m.Parts[j].Origin })
-	return m
-}
+const ReducedOrigin = comm.ReducedOrigin
 
 // chunk returns the d-th of p equal slices of data. The payload length
 // must be a multiple of p; the facade's default payloads are, and an
@@ -215,8 +134,9 @@ func chunk(data []byte, d, p int) []byte {
 // payload is called only for ranks that hold initial data. For Broadcast,
 // Reduce, AllReduce and AllGather each source contributes one part of its
 // own bytes; for Scatter the root contributes p per-destination chunks
-// (payload supplies p·L bytes, chunk d addressed to rank d); for AllToAll
-// every rank contributes p chunks with transit-encoded origins.
+// (payload supplies p·L bytes, chunk d addressed to rank d, its Origin d);
+// for AllToAll every rank contributes p chunks, chunk d addressed to rank
+// d, each with the rank as its Origin.
 func InitialFor(coll Collective, spec Spec, rank int, payload func(rank int) []byte) comm.Message {
 	p := spec.P()
 	switch coll {
@@ -234,7 +154,7 @@ func InitialFor(coll Collective, spec Spec, rank int, payload func(rank int) []b
 		data := payload(rank)
 		parts := make([]comm.Part, p)
 		for d := 0; d < p; d++ {
-			parts[d] = comm.Part{Origin: EncodeA2AOrigin(rank, d, p), Data: chunk(data, d, p)}
+			parts[d] = comm.Part{Origin: rank, Data: chunk(data, d, p)}
 		}
 		return comm.Message{Parts: parts}
 	default:
@@ -263,7 +183,7 @@ func InitialLenFor(coll Collective, spec Spec, rank, size int) comm.Message {
 	case AllToAll:
 		parts := make([]comm.Part, p)
 		for d := 0; d < p; d++ {
-			parts[d] = comm.Part{Origin: EncodeA2AOrigin(rank, d, p), Size: size}
+			parts[d] = comm.Part{Origin: rank, Size: size}
 		}
 		return comm.Message{Parts: parts}
 	default:
@@ -272,17 +192,18 @@ func InitialLenFor(coll Collective, spec Spec, rank, size int) comm.Message {
 }
 
 // InitialLen measures the bundle InitialLenFor builds without building it:
-// its bytes and its part count, all a replayed program needs of it.
-func InitialLen(coll Collective, spec Spec, rank, size int) (bytes, parts int) {
+// the length of each of its parts and their count, all a replayed program
+// needs of it.
+func InitialLen(coll Collective, spec Spec, rank, size int) (partLen, parts int) {
 	switch {
 	case coll == Scatter && rank != spec.Sources[0]:
-		return 0, 0
+		return size, 0
 	case coll.Caps().Chunked:
-		return spec.P() * size, spec.P()
+		return size, spec.P()
 	case spec.IsSource(rank):
 		return size, 1
 	}
-	return 0, 0
+	return size, 0
 }
 
 // AllRanksSources returns the sorted source list naming every rank —

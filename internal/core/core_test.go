@@ -14,6 +14,17 @@ import (
 	"repro/internal/topology"
 )
 
+// liveRun opens a live machine of p processors, runs fn on it once and
+// closes it.
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+	m, err := live.NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
 // makeSpec builds a spec from a distribution, failing the test on error.
 func makeSpec(t *testing.T, d dist.Distribution, r, c, s int) Spec {
 	t.Helper()
@@ -76,7 +87,7 @@ func runSim(t *testing.T, alg Algorithm, spec Spec, size int) ([]comm.Message, *
 func runLive(t *testing.T, alg Algorithm, spec Spec, size int) []comm.Message {
 	t.Helper()
 	out := make([]comm.Message, spec.P())
-	_, err := live.Run(spec.P(), func(pr *live.Proc) {
+	_, err := liveRun(spec.P(), live.Options{}, func(pr *live.Proc) {
 		mine := InitialMessage(spec, pr.Rank(), payloadFor(pr.Rank(), size))
 		out[pr.Rank()] = alg.Run(pr, spec, mine)
 	})

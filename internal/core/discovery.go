@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/comm"
 )
@@ -18,84 +17,59 @@ import (
 // The discovery phase costs ⌈log2 p⌉ rounds of p-byte messages — small
 // next to the broadcast itself for all but tiny L, which the
 // ablation-discovery experiment quantifies.
-type discovery struct {
-	inner Algorithm
-}
 
 // WithDiscovery wraps an algorithm with the source-discovery pre-phase.
-// The wrapped algorithm's Run ignores spec.Sources on non-sources: each
-// processor only needs to know whether it is itself a source (mine is
-// non-empty); the global source set is established by the discovery
-// exchange. spec.Sources must still be passed consistently (it defines
-// ground truth for the run and lets tests verify the discovered set).
-func WithDiscovery(inner Algorithm) Algorithm { return discovery{inner: inner} }
-
-func (a discovery) Name() string { return "Discover+" + a.inner.Name() }
-
-func (a discovery) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
+// Each processor only needs to know whether it is itself a source (mine
+// is non-empty); the exchange is what it would take to learn the global
+// source set. spec.Sources must still be passed consistently: the
+// schedule is written for it, and every rank checks that its bundle
+// agrees with it.
+//
+// The flag exchange ORs one-hot vectors until every rank holds every
+// rank's flag, so the set it would discover is {r : rank r holds a
+// message}. That equals the declared set exactly when every rank's own
+// flag equals its declared status: the check each rank makes of its own
+// bundle before the run (checkDeclared) fails on some rank exactly when
+// the exchange would have found another set, and the exchange itself is
+// kept — p-byte messages tagged -2 that no operation reads — for what it
+// costs.
+func WithDiscovery(inner Algorithm) Algorithm {
+	return schedule{name: "Discover+" + inner.Name(), coll: Broadcast, declared: true, write: func(spec Spec) comm.Script {
+		return then(discoverScript(spec.P()), scriptOf(inner, spec))
+	}}
 }
 
-// Bind binds the inner algorithm to the declared sources: the discovery
-// exchange must find exactly that set, so what it finds selects nothing.
-func (a discovery) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func(b *bound) {
-		inner := Bind(a.inner, spec)
-		b.run = func(c comm.Comm, mine comm.Message) comm.Message {
-			c.Barrier()
-			// The discovered set must equal the declared one; a mismatch
-			// means the caller's spec and payloads disagree.
-			if discovered := discoverSources(c, len(mine.Parts) > 0); !slices.Equal(discovered, spec.Sources) {
-				panic(fmt.Sprintf("core: discovered source set %v differs from spec %v", discovered, spec.Sources))
-			}
-			return inner.Run(c, spec, mine)
-		}
-	})
-}
-
-// discoverSources runs the recursive-doubling flag exchange and returns
-// the sorted source ranks. On non-power-of-two machines the rounds use
-// ring neighbours at doubling distances, which needs ⌈log2 p⌉ rounds of
-// two messages each and reaches everyone.
-func discoverSources(c comm.Comm, isSource bool) []int {
-	p := c.Size()
-	rank := c.Rank()
-	flags := make([]byte, p)
-	if isSource {
-		flags[rank] = 1
-	}
-	if p == 1 {
-		return flagsToSources(flags)
-	}
+// discoverScript is the barrier and the flag exchange: recursive doubling
+// on power-of-two machines; otherwise the rounds use ring neighbours at
+// doubling distances, which needs ⌈log2 p⌉ rounds of two messages each
+// and reaches everyone.
+func discoverScript(p int) comm.Script {
 	pow2 := p&(p-1) == 0
-	for dist := 1; dist < p; dist <<= 1 {
-		if pow2 {
-			partner := rank ^ dist
-			got := comm.Exchange(c, partner, comm.Message{Tag: -2, Parts: []comm.Part{{Origin: rank, Data: append([]byte(nil), flags...)}}})
-			merge(flags, got.Parts[0].Data)
-			continue
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		b.Barrier()
+		for dist := 1; dist < p; dist <<= 1 {
+			to, from := rank^dist, rank^dist
+			if !pow2 {
+				to, from = (rank+dist)%p, (rank-dist+p)%p
+			}
+			b.Token(to, -2, p)
+			b.Drop(from)
 		}
-		// Ring dissemination at doubling distances (works for any p):
-		// send to rank+dist, receive from rank−dist.
-		c.Send((rank+dist)%p, comm.Message{Tag: -2, Parts: []comm.Part{{Origin: rank, Data: append([]byte(nil), flags...)}}})
-		got := c.Recv((rank - dist + p) % p)
-		merge(flags, got.Parts[0].Data)
-	}
-	return flagsToSources(flags)
+	}}
 }
 
-func merge(dst, src []byte) {
-	for i := range dst {
-		dst[i] |= src[i]
-	}
+// discovers reports whether alg is, or runs, a discovery schedule.
+func discovers(alg Algorithm) bool {
+	s, ok := alg.(schedule)
+	return ok && s.declared
 }
 
-func flagsToSources(flags []byte) []int {
-	var out []int
-	for i, f := range flags {
-		if f != 0 {
-			out = append(out, i)
-		}
+// checkDeclared is a discovering rank's safety check: its bundle holds
+// parts iff the spec names it a source. A mismatch means the caller's
+// spec and payloads disagree.
+func checkDeclared(spec Spec, rank int, mine comm.Message) {
+	if held := len(mine.Parts) > 0; held != spec.IsSource(rank) {
+		panic(fmt.Sprintf("core: rank %d holds a message: %v, but the spec's sources %v say %v — discovery would find another source set",
+			rank, held, spec.Sources, !held))
 	}
-	return out
 }

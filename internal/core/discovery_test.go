@@ -78,7 +78,7 @@ func TestIndepNoBarrier(t *testing.T) {
 	// single source completes even though only the source knows anything
 	// — every processor still receives via the tree.
 	spec := makeSpec(t, dist.Equal(), 4, 4, 1)
-	out, err := live.Run(16, func(pr *live.Proc) {
+	out, err := liveRun(16, live.Options{}, func(pr *live.Proc) {
 		mine := InitialMessage(spec, pr.Rank(), []byte("solo"))
 		got := Indep1toP().Run(pr, spec, mine)
 		if len(got.Parts) != 1 || string(got.Parts[0].Data) != "solo" {

@@ -66,28 +66,19 @@ func splitMachine(spec Spec) (g1, g2 group) {
 	return g1, g2
 }
 
-// part is a partitioning algorithm (Section 3): reposition the sources so
-// that each machine half holds an ideal distribution with s1/s2 = p1/p2,
-// run the inner algorithm independently and concurrently inside each
-// half, then exchange the two half-bundles pairwise between the halves.
-// The inner algorithm is one of the scripted Br_* broadcasts.
-type part struct {
-	name  string
-	inner Algorithm
+// partition is a partitioning algorithm (Section 3): reposition the
+// sources so that each machine half holds an ideal distribution with
+// s1/s2 = p1/p2, run the inner algorithm independently and concurrently
+// inside each half, then exchange the two half-bundles pairwise between
+// the halves. The inner algorithm is one of the scripted Br_* broadcasts.
+func partition(name string, inner Algorithm) Algorithm {
+	return schedule{name: name, coll: Broadcast, write: func(spec Spec) comm.Script { return partScript(name, inner, spec) }}
 }
 
-func (a part) Name() string { return a.name }
-
-func (a part) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return runScript(a, c, spec, mine)
-}
-
-func (a part) Bind(spec Spec) Algorithm { return bindScript(a, spec) }
-
-// script plans the partition once: the two halves, the permutation
+// partScript plans the partition once: the two halves, the permutation
 // targets, and per half the inner algorithm's script on the half's ideal
 // sources in the half's local ranks.
-func (a part) script(spec Spec) comm.Script {
+func partScript(name string, inner Algorithm, spec Spec) comm.Script {
 	if spec.P() == 1 {
 		return barrier
 	}
@@ -98,12 +89,12 @@ func (a part) script(spec Spec) comm.Script {
 	// permutation sends the first s1 sources into G1 and the rest into G2.
 	// An empty half idles until the final exchange.
 	targets := make([]int, 0, spec.S())
-	var inner [2]comm.Script
+	var scripts [2]comm.Script
 	for h, g := range halves {
 		if g.sources == 0 {
 			continue
 		}
-		gen := IdealFor(a.inner, g.rows, g.cols)
+		gen := IdealFor(inner, g.rows, g.cols)
 		local, err := gen.Sources(g.rows, g.cols, g.sources)
 		if err != nil {
 			panic(err)
@@ -111,10 +102,10 @@ func (a part) script(spec Spec) comm.Script {
 		for _, l := range local {
 			targets = append(targets, g.members[l])
 		}
-		inner[h], _ = scriptOf(a.inner, Spec{Rows: g.rows, Cols: g.cols, Sources: local, Indexing: spec.Indexing})
+		scripts[h] = scriptOf(inner, Spec{Rows: g.rows, Cols: g.cols, Sources: local, Indexing: spec.Indexing})
 	}
 	if len(targets) != spec.S() {
-		panic(fmt.Sprintf("core: %s planned %d targets for %d sources", a.name, len(targets), spec.S()))
+		panic(fmt.Sprintf("core: %s planned %d targets for %d sources", name, len(targets), spec.S()))
 	}
 	// half and local place every rank: which half it is in, and where.
 	half, local := make([]int, spec.P()), make([]int, spec.P())
@@ -134,7 +125,7 @@ func (a part) script(spec Spec) comm.Script {
 		my, other := halves[h], halves[1-h]
 		if my.sources > 0 {
 			b.Sub(my.members, myLocal)
-			inner[h].Rank(b, myLocal)
+			scripts[h].Rank(b, myLocal)
 			b.Top()
 		}
 
@@ -160,11 +151,11 @@ func (a part) script(spec Spec) comm.Script {
 }
 
 // PartLin returns Algorithm Part_Lin (Br_Lin inside each half).
-func PartLin() Algorithm { return part{name: "Part_Lin", inner: BrLin()} }
+func PartLin() Algorithm { return partition("Part_Lin", BrLin()) }
 
 // PartXYSource returns Algorithm Part_xy_source (Br_xy_source inside each
 // half).
-func PartXYSource() Algorithm { return part{name: "Part_xy_source", inner: BrXYSource()} }
+func PartXYSource() Algorithm { return partition("Part_xy_source", BrXYSource()) }
 
 // PartXYDim returns Algorithm Part_xy_dim (Br_xy_dim inside each half).
-func PartXYDim() Algorithm { return part{name: "Part_xy_dim", inner: BrXYDim()} }
+func PartXYDim() Algorithm { return partition("Part_xy_dim", BrXYDim()) }

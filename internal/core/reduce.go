@@ -6,121 +6,97 @@ import (
 )
 
 // The reduction algorithms reuse the broadcast machinery: contributions
-// travel as ordinary bundles, ReduceBundle folds them under the byte-wise
-// sum (charged through the same combine hook the 1996 message-combining
-// algorithms use), and the communication skeletons are the binomial tree
-// and recursive doubling the broadcast family already prices. The root of
-// a rooted reduction is the first source.
+// travel as ordinary bundles, a fold (comm.OpFold) sums them byte-wise as
+// they meet, charged through the same combine hook the 1996
+// message-combining algorithms use, and the communication skeletons are
+// the binomial tree and recursive doubling the broadcast family already
+// prices. The root of a rooted reduction is the first source.
 
-// reduceTree folds the sources' contributions at root along the binomial
-// tree over relative ranks and returns the reduced bundle at root, an
-// empty bundle everywhere else. Non-sources contribute the empty bundle —
-// the identity of the byte-sum — so every processor participates in the
-// tree regardless of the source set.
-func reduceTree(c comm.Comm, root int, mine comm.Message) comm.Message {
-	p := c.Size()
-	rank := c.Rank()
+// reduceTree writes rank's part of the fold of every contribution at root
+// along the binomial tree over relative ranks: root ends with the reduced
+// bundle, every other rank empty. Non-sources contribute the empty bundle
+// — the identity of the byte-sum — so every processor takes part in the
+// tree regardless of the source set. A contribution is folded where it
+// meets another; on a machine of one the root folds its own.
+func reduceTree(b *comm.Builder, p, root, rank int) {
+	if p == 1 {
+		b.Fold(-1, 0)
+		return
+	}
 	rel := (rank - root + p) % p
 	real := func(r int) int { return (r + root) % p }
-	acc := ReduceBundle(mine)
 	iter := 0
 	for mask := 1; mask < p; mask <<= 1 {
-		comm.MarkIter(c, iter)
+		b.Iter(iter)
 		iter++
 		if rel&mask != 0 {
-			c.Send(real(rel-mask), acc)
-			return comm.Message{}
+			b.Move(real(rel-mask), 0)
+			return
 		}
 		if rel+mask < p {
-			m := c.Recv(real(rel + mask))
-			comm.ChargeCombine(c, m.Len())
-			acc = ReduceBundle(acc.Append(m))
+			b.Fold(real(rel+mask), 0)
 		}
 	}
-	return acc
 }
 
-// redTree is Red_Tree: the binomial-tree reduction to the root (the first
-// source). The mirror image of the one-to-all broadcast of Section 2 —
-// the same halving tree walked leaf-to-root with a fold at every merge.
-type redTree struct{}
-
-// RedTree returns the binomial-tree reduction.
-func RedTree() Algorithm { return redTree{} }
-
-func (redTree) Name() string { return "Red_Tree" }
-
-func (redTree) Collective() Collective { return Reduce }
-
-func (redTree) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	return reduceTree(c, spec.Sources[0], mine)
+// redBcast is reduce-then-broadcast: the tree fold to root, then the
+// binomial one-to-all broadcast of the result.
+func redBcast(spec Spec) comm.Script {
+	p, root := spec.P(), spec.Sources[0]
+	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		b.Barrier()
+		reduceTree(b, p, root, rank)
+		collective.BcastTree(b, p, root, rank, 0)
+	}}
 }
 
-// allRedRecDouble is AllRed_RecDouble: recursive-doubling all-reduce. In
-// round k every processor exchanges its partial fold with the partner at
-// XOR-distance 2^k, so after ⌈log2 p⌉ rounds every processor holds the
-// full reduction — the classic butterfly, log-depth with no broadcast
-// phase. Power-of-two machines only; other sizes fall back to
-// reduce-then-broadcast (same result, one extra log factor of latency).
-type allRedRecDouble struct{}
-
-// AllRedRecDouble returns the recursive-doubling all-reduce.
-func AllRedRecDouble() Algorithm { return allRedRecDouble{} }
-
-func (allRedRecDouble) Name() string { return "AllRed_RecDouble" }
-
-func (allRedRecDouble) Collective() Collective { return AllReduce }
-
-func (allRedRecDouble) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	p := c.Size()
-	rank := c.Rank()
-	if p == 1 {
-		return ReduceBundle(mine)
-	}
-	if p&(p-1) != 0 {
-		root := spec.Sources[0]
-		acc := reduceTree(c, root, mine)
-		return collective.Bcast(c, root, acc)
-	}
-	acc := ReduceBundle(mine)
-	iter := 0
-	for dist := 1; dist < p; dist <<= 1 {
-		comm.MarkIter(c, iter)
-		iter++
-		m := comm.Exchange(c, rank^dist, acc)
-		comm.ChargeCombine(c, m.Len())
-		acc = ReduceBundle(acc.Append(m))
-	}
-	return acc
+// RedTree returns Red_Tree: the binomial-tree reduction to the root (the
+// first source). The mirror image of the one-to-all broadcast of Section
+// 2 — the same halving tree walked leaf-to-root with a fold at every
+// merge.
+func RedTree() Algorithm {
+	return schedule{name: "Red_Tree", coll: Reduce, write: func(spec Spec) comm.Script {
+		p, root := spec.P(), spec.Sources[0]
+		return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+			b.Barrier()
+			reduceTree(b, p, root, rank)
+		}}
+	}}
 }
 
-// allRedRedBcast is AllRed_RedBcast: binomial-tree reduction to the root
-// followed by the binomial one-to-all broadcast of the result — the
+// AllRedRecDouble returns AllRed_RecDouble: recursive-doubling
+// all-reduce. In round k every processor exchanges its partial fold with
+// the partner at XOR-distance 2^k, so after ⌈log2 p⌉ rounds every
+// processor holds the full reduction — the classic butterfly, log-depth
+// with no broadcast phase. Power-of-two machines only; other sizes fall
+// back to reduce-then-broadcast (same result, one extra log factor of
+// latency).
+func AllRedRecDouble() Algorithm {
+	return schedule{name: "AllRed_RecDouble", coll: AllReduce, write: func(spec Spec) comm.Script {
+		p := spec.P()
+		if p&(p-1) != 0 {
+			return redBcast(spec)
+		}
+		return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+			b.Barrier()
+			if p == 1 {
+				b.Fold(-1, 0)
+			}
+			iter := 0
+			for dist := 1; dist < p; dist <<= 1 {
+				b.Iter(iter)
+				iter++
+				b.Send(rank^dist, 0)
+				b.Fold(rank^dist, 0)
+			}
+		}}
+	}}
+}
+
+// AllRedRedBcast returns AllRed_RedBcast: binomial-tree reduction to the
+// root followed by the binomial one-to-all broadcast of the result — the
 // composition a 1996-era library would write, correct for every p, twice
 // the tree depth of the butterfly.
-type allRedRedBcast struct{}
-
-// AllRedRedBcast returns the reduce-then-broadcast all-reduce.
-func AllRedRedBcast() Algorithm { return allRedRedBcast{} }
-
-func (allRedRedBcast) Name() string { return "AllRed_RedBcast" }
-
-func (allRedRedBcast) Collective() Collective { return AllReduce }
-
-func (allRedRedBcast) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	root := spec.Sources[0]
-	acc := reduceTree(c, root, mine)
-	return collective.Bcast(c, root, acc)
+func AllRedRedBcast() Algorithm {
+	return schedule{name: "AllRed_RedBcast", coll: AllReduce, write: redBcast}
 }

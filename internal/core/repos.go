@@ -77,23 +77,12 @@ func permute(spec Spec, targets []int) comm.Script {
 	}}
 }
 
-// reposition binds a repositioning run: the partial permutation onto
-// the ideal positions, then the inner algorithm on them — one program
-// when the inner algorithm is scripted. Around an inner algorithm whose
-// body is code only the permutation is a script; the inner algorithm,
-// bound to the ideal positions, runs after it.
-func reposition(b *bound, inner Algorithm, spec Spec, ideal []int) {
+// reposition is a repositioning run's script: the partial permutation onto
+// the ideal positions, then the inner algorithm on them.
+func reposition(inner Algorithm, spec Spec, ideal []int) comm.Script {
 	targets := repositionPermutation(spec, ideal)
 	innerSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
-	prelude := permute(spec, targets)
-	if sc, ok := scriptOf(inner, innerSpec); ok {
-		b.prog = then(prelude, sc).Compile(spec.P())
-		return
-	}
-	inner = Bind(inner, innerSpec)
-	b.run = func(c comm.Comm, mine comm.Message) comm.Message {
-		return inner.Run(c, innerSpec, prelude.Run(c, mine))
-	}
+	return then(permute(spec, targets), scriptOf(inner, innerSpec))
 }
 
 // idealSources evaluates the inner algorithm's ideal distribution for the
@@ -111,53 +100,30 @@ func idealSources(inner Algorithm, spec Spec) []int {
 // via a partial permutation, then invoke the inner algorithm. Like the
 // paper's implementations, it does not test whether the initial
 // distribution is already close to ideal — it always repositions.
-type repos struct {
-	name  string
-	inner Algorithm
-}
-
-func (a repos) Name() string { return a.name }
-
-func (a repos) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func(b *bound) { reposition(b, a.inner, spec, idealSources(a.inner, spec)) })
-}
-
-func (a repos) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
-}
-
-// reposFixed repositions to an explicit target position set instead of the
-// paper's per-algorithm ideal generator. Used by ablations comparing
-// repositioning targets.
-type reposFixed struct {
-	inner Algorithm
-	ideal []int
-}
-
-func (a reposFixed) Name() string { return "Repos_to(" + a.inner.Name() + ")" }
-
-func (a reposFixed) Bind(spec Spec) Algorithm {
-	return bind(a, spec, func(b *bound) { reposition(b, a.inner, spec, a.ideal) })
-}
-
-func (a reposFixed) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	return a.Bind(spec).Run(c, spec, mine)
+func repos(name string, inner Algorithm) Algorithm {
+	return schedule{name: name, coll: Broadcast, declared: discovers(inner), write: func(spec Spec) comm.Script {
+		return reposition(inner, spec, idealSources(inner, spec))
+	}}
 }
 
 // ReposTo returns a repositioning algorithm that permutes the sources onto
-// the given target positions (one per source) and then runs inner.
+// the given target positions (one per source) and then runs inner. Used
+// by ablations comparing repositioning targets.
 func ReposTo(inner Algorithm, ideal []int) Algorithm {
-	return reposFixed{inner: inner, ideal: append([]int(nil), ideal...)}
+	ideal = append([]int(nil), ideal...)
+	return schedule{name: "Repos_to(" + inner.Name() + ")", coll: Broadcast, declared: discovers(inner), write: func(spec Spec) comm.Script {
+		return reposition(inner, spec, ideal)
+	}}
 }
 
 // ReposLin returns Algorithm Repos_Lin: reposition to the left diagonal,
 // then Br_Lin.
-func ReposLin() Algorithm { return repos{name: "Repos_Lin", inner: BrLin()} }
+func ReposLin() Algorithm { return repos("Repos_Lin", BrLin()) }
 
 // ReposXYSource returns Algorithm Repos_xy_source: reposition to ideal
 // rows, then Br_xy_source.
-func ReposXYSource() Algorithm { return repos{name: "Repos_xy_source", inner: BrXYSource()} }
+func ReposXYSource() Algorithm { return repos("Repos_xy_source", BrXYSource()) }
 
 // ReposXYDim returns Algorithm Repos_xy_dim: reposition to ideal lines of
 // the dimension processed second, then Br_xy_dim.
-func ReposXYDim() Algorithm { return repos{name: "Repos_xy_dim", inner: BrXYDim()} }
+func ReposXYDim() Algorithm { return repos("Repos_xy_dim", BrXYDim()) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/collective"
 	"repro/internal/comm"
 )
 
@@ -12,100 +11,77 @@ import (
 // ablations use (baseline.go), registered a second time as first-class
 // AllGather entries where every rank contributes.
 
-// scatterBinomial is Scatter_Binomial: the minimum-spanning-tree scatter.
-// The root starts with all p chunks; in round mask (from the highest
-// power of two below p downward) every holder forwards the half of its
-// block addressed to relative ranks [rel+mask, rel+2·mask) to rel+mask.
-// Each processor receives exactly once and forwards ever-smaller blocks,
-// so the root sends ⌈log2 p⌉ messages instead of p−1.
-type scatterBinomial struct{}
-
-// ScatterBinomial returns the binomial-tree scatter.
-func ScatterBinomial() Algorithm { return scatterBinomial{} }
-
-func (scatterBinomial) Name() string { return "Scatter_Binomial" }
-
-func (scatterBinomial) Collective() Collective { return Scatter }
-
-func (scatterBinomial) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	p := c.Size()
-	rank := c.Rank()
-	root := spec.Sources[0]
-	if p == 1 {
-		return mine
-	}
-	rel := (rank - root + p) % p
-	real := func(r int) int { return (r + root) % p }
-	destRel := func(pt comm.Part) int { return (pt.Origin - root + p) % p }
-	var held []comm.Part
-	if rank == root {
-		held = mine.Parts
-	}
-	top := 1
-	for top < p {
-		top <<= 1
-	}
-	iter := 0
-	for mask := top >> 1; mask > 0; mask >>= 1 {
-		comm.MarkIter(c, iter)
-		iter++
-		switch rel % (2 * mask) {
-		case 0:
-			if rel+mask >= p {
-				continue
+// ScatterBinomial returns Scatter_Binomial, the minimum-spanning-tree
+// scatter. The root starts with all p chunks; in round mask (from the
+// highest power of two below p downward) every holder forwards the half
+// of its block addressed to relative ranks [rel+mask, rel+2·mask) to
+// rel+mask. Each processor receives exactly once and forwards ever-smaller
+// blocks, so the root sends ⌈log2 p⌉ messages instead of p−1.
+//
+// The root enters with InitialFor's layout, chunk d at index d; rotated
+// to start at its own chunk, every block a processor holds is a run of
+// consecutive relative ranks, so what it forwards is a suffix of its
+// bundle and what it keeps a prefix.
+func ScatterBinomial() Algorithm {
+	return schedule{name: "Scatter_Binomial", coll: Scatter, write: func(spec Spec) comm.Script {
+		p, root := spec.P(), spec.Sources[0]
+		top := 1
+		for top < p {
+			top <<= 1
+		}
+		return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+			b.Barrier()
+			if p == 1 {
+				return
 			}
-			keep := held[:0]
-			var fwd []comm.Part
-			for _, pt := range held {
-				if destRel(pt) >= rel+mask {
-					fwd = append(fwd, pt)
-				} else {
-					keep = append(keep, pt)
+			rel := (rank - root + p) % p
+			real := func(r int) int { return (r + root) % p }
+			if rel == 0 {
+				b.Take(0, 0, comm.Sel{Off: root, Stride: 1, Count: p})
+			}
+			iter := 0
+			for mask := top >> 1; mask > 0; mask >>= 1 {
+				b.Iter(iter)
+				iter++
+				switch rel % (2 * mask) {
+				case 0:
+					if rel+mask >= p {
+						continue
+					}
+					// The block is [rel, min(rel+2·mask, p)).
+					b.SendParts(real(rel+mask), 0, comm.Sel{Off: mask, Stride: 1, Count: min(rel+2*mask, p) - rel - mask})
+					b.Take(0, 0, comm.Sel{Off: 0, Stride: 1, Count: mask})
+				case mask:
+					b.Recv(real(rel-mask), 0)
+					b.Combine(0)
 				}
 			}
-			held = keep
-			c.Send(real(rel+mask), comm.Message{Parts: fwd})
-		case mask:
-			m := c.Recv(real(rel - mask))
-			comm.ChargeCombine(c, m.Len())
-			held = m.Parts
-		}
-	}
-	return comm.Message{Parts: held}
+		}}
+	}}
 }
 
-// scatterDirect is Scatter_Direct: the root sends every chunk straight to
-// its destination, one message per processor — the serialized library
-// baseline the binomial tree is measured against (the scatter analogue of
-// the 2-Step's congestion at P0).
-type scatterDirect struct{}
-
-// ScatterDirect returns the direct (serialized root) scatter.
-func ScatterDirect() Algorithm { return scatterDirect{} }
-
-func (scatterDirect) Name() string { return "Scatter_Direct" }
-
-func (scatterDirect) Collective() Collective { return Scatter }
-
-func (scatterDirect) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
-	c.Barrier()
-	p := c.Size()
-	root := spec.Sources[0]
-	var bundles []comm.Message
-	if c.Rank() == root {
-		bundles = make([]comm.Message, p)
-		for _, pt := range mine.Parts {
-			bundles[pt.Origin] = comm.Message{Parts: []comm.Part{pt}}
-		}
-	}
-	return collective.Scatter(c, root, bundles)
+// ScatterDirect returns Scatter_Direct: the root sends every chunk
+// straight to its destination, one message per processor — the serialized
+// library baseline the binomial tree is measured against (the scatter
+// analogue of the 2-Step's congestion at P0). The root enters with
+// InitialFor's layout, chunk d at index d, and keeps its own.
+func ScatterDirect() Algorithm {
+	return schedule{name: "Scatter_Direct", coll: Scatter, write: func(spec Spec) comm.Script {
+		p, root := spec.P(), spec.Sources[0]
+		return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+			b.Barrier()
+			if rank != root {
+				b.Recv(root, 0)
+				return
+			}
+			for r := 0; r < p; r++ {
+				if r != root {
+					b.SendParts(r, 0, comm.Sel{Off: r, Stride: 1, Count: 1})
+				}
+			}
+			b.Take(0, 0, comm.Sel{Off: root, Stride: 1, Count: 1})
+		}}
+	}}
 }
 
 // AgRing returns Ag_Ring, the classic ring allgather with every rank

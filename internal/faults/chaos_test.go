@@ -16,6 +16,28 @@ import (
 	"repro/internal/topology"
 )
 
+// liveRun opens a live machine of p processors, runs fn on it once and
+// closes it.
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+	m, err := live.NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
+// tcpRun opens a TCP machine of p processors, runs fn on it once and
+// closes it.
+func tcpRun(p int, opts tcp.Options, fn func(*tcp.Proc)) (*tcp.Result, error) {
+	m, err := tcp.NewMachine(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
 // chaosSpec is the 3×4 mesh with 5 cross-distributed sources every
 // engine's correctness matrix uses.
 func chaosSpec(t *testing.T) core.Spec {
@@ -46,10 +68,10 @@ func runChaos(t *testing.T, engine string, plan faults.Plan, recvTimeout time.Du
 	var err error
 	switch engine {
 	case "live":
-		_, err = live.RunOpts(p, live.Options{RecvTimeout: recvTimeout, RunTimeout: 60 * time.Second},
+		_, err = liveRun(p, live.Options{RecvTimeout: recvTimeout, RunTimeout: 60 * time.Second},
 			func(pr *live.Proc) { body(pr) })
 	case "tcp":
-		_, err = tcp.RunOpts(p, tcp.Options{RecvTimeout: recvTimeout, RunTimeout: 60 * time.Second},
+		_, err = tcpRun(p, tcp.Options{RecvTimeout: recvTimeout, RunTimeout: 60 * time.Second},
 			func(pr *tcp.Proc) { body(pr) })
 	default:
 		t.Fatalf("unknown engine %q", engine)

@@ -52,20 +52,3 @@ func NewMachine(p int) (*Machine, error) {
 	}
 	return engine.New("live", p, 0, p, []int{0}, memory{}), nil
 }
-
-// Run executes fn concurrently on p processors and returns operation
-// counts, applying no deadlines; see RunOpts.
-func Run(p int, fn func(*Proc)) (*Result, error) {
-	return RunOpts(p, Options{}, fn)
-}
-
-// RunOpts is the one-shot open-run-close wrapper over
-// NewMachine/Machine.Run/Machine.Close.
-func RunOpts(p int, opts Options, fn func(*Proc)) (*Result, error) {
-	mc, err := NewMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	defer mc.Close()
-	return mc.Run(opts, fn)
-}

@@ -13,6 +13,20 @@ import (
 	"repro/internal/comm"
 )
 
+// runOnce opens a machine of p processors, runs fn on it once and closes
+// it, applying no deadlines.
+func runOnce(p int, fn func(*Proc)) (*Result, error) { return runOpts(p, Options{}, fn) }
+
+// runOpts is runOnce with options.
+func runOpts(p int, opts Options, fn func(*Proc)) (*Result, error) {
+	m, err := NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
 // waitGoroutinesSettle asserts the goroutine count returns to near the
 // baseline: every processor and watcher goroutine of the run unwound.
 func waitGoroutinesSettle(t *testing.T, baseline int) {
@@ -28,7 +42,7 @@ func waitGoroutinesSettle(t *testing.T, baseline int) {
 }
 
 func TestPingPongContent(t *testing.T) {
-	res, err := Run(2, func(p *Proc) {
+	res, err := runOnce(2, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, comm.Message{Tag: 7, Parts: []comm.Part{{Origin: 0, Data: []byte("hello")}}})
 			m := p.Recv(1)
@@ -52,7 +66,7 @@ func TestPingPongContent(t *testing.T) {
 }
 
 func TestSendCopiesPayload(t *testing.T) {
-	_, err := Run(2, func(p *Proc) {
+	_, err := runOnce(2, func(p *Proc) {
 		if p.Rank() == 0 {
 			buf := []byte("original")
 			p.Send(1, comm.Message{Parts: []comm.Part{{Data: buf}}})
@@ -74,7 +88,7 @@ func TestSendCopiesPayload(t *testing.T) {
 // a full slice expression so growing one part cannot bleed into the next,
 // and length-only parts survive among data parts.
 func TestSendMultiPartOneBacking(t *testing.T) {
-	_, err := Run(2, func(p *Proc) {
+	_, err := runOnce(2, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, comm.Message{Parts: []comm.Part{
 				{Origin: 0, Data: []byte("alpha")},
@@ -113,7 +127,7 @@ func TestSendMultiPartOneBacking(t *testing.T) {
 
 func TestFIFOPerPairUnderConcurrency(t *testing.T) {
 	const n = 200
-	_, err := Run(3, func(p *Proc) {
+	_, err := runOnce(3, func(p *Proc) {
 		switch p.Rank() {
 		case 0, 1:
 			for i := 0; i < n; i++ {
@@ -141,7 +155,7 @@ func TestFIFOPerPairUnderConcurrency(t *testing.T) {
 func TestBarrierIsCyclic(t *testing.T) {
 	const rounds = 10
 	var counter atomic.Int64
-	_, err := Run(8, func(p *Proc) {
+	_, err := runOnce(8, func(p *Proc) {
 		for r := 0; r < rounds; r++ {
 			counter.Add(1)
 			p.Barrier()
@@ -159,7 +173,7 @@ func TestBarrierIsCyclic(t *testing.T) {
 
 func TestAllToAllDelivers(t *testing.T) {
 	const p = 16
-	_, err := Run(p, func(pr *Proc) {
+	_, err := runOnce(p, func(pr *Proc) {
 		for d := 0; d < p; d++ {
 			if d == pr.Rank() {
 				continue
@@ -183,7 +197,7 @@ func TestAllToAllDelivers(t *testing.T) {
 }
 
 func TestPanicAbortsMachine(t *testing.T) {
-	_, err := Run(4, func(p *Proc) {
+	_, err := runOnce(4, func(p *Proc) {
 		if p.Rank() == 3 {
 			panic("injected fault")
 		}
@@ -200,7 +214,7 @@ func TestPanicAbortsMachine(t *testing.T) {
 }
 
 func TestPanicInBarrierAborts(t *testing.T) {
-	_, err := Run(4, func(p *Proc) {
+	_, err := runOnce(4, func(p *Proc) {
 		if p.Rank() == 0 {
 			panic("dead before barrier")
 		}
@@ -212,13 +226,13 @@ func TestPanicInBarrierAborts(t *testing.T) {
 }
 
 func TestInvalidProcessorCount(t *testing.T) {
-	if _, err := Run(0, func(*Proc) {}); err == nil {
-		t.Fatal("Run(0) succeeded")
+	if _, err := runOnce(0, func(*Proc) {}); err == nil {
+		t.Fatal("runOnce(0) succeeded")
 	}
 }
 
 func TestSingleProcessor(t *testing.T) {
-	res, err := Run(1, func(p *Proc) {
+	res, err := runOnce(1, func(p *Proc) {
 		p.Barrier()
 		p.Send(0, comm.Message{Parts: []comm.Part{{Origin: 0, Data: []byte("self")}}})
 		m := p.Recv(0)
@@ -240,7 +254,7 @@ func TestSingleProcessor(t *testing.T) {
 // the root-cause rank must be the reported error.
 func TestAbortUnwindsRecvAndBarrierBlockedPeers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	_, err := Run(6, func(p *Proc) {
+	_, err := runOnce(6, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			// Give peers time to block before dying.
@@ -264,7 +278,7 @@ func TestAbortUnwindsRecvAndBarrierBlockedPeers(t *testing.T) {
 func TestRecvDeadlineNamesRankAndPeer(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	start := time.Now()
-	_, err := RunOpts(4, Options{RecvTimeout: 100 * time.Millisecond}, func(p *Proc) {
+	_, err := runOpts(4, Options{RecvTimeout: 100 * time.Millisecond}, func(p *Proc) {
 		if p.Rank() == 1 {
 			p.Recv(3) // rank 3 never sends: a dead-peer hang
 		}
@@ -284,7 +298,7 @@ func TestRecvDeadlineNamesRankAndPeer(t *testing.T) {
 }
 
 func TestBarrierStallDeadline(t *testing.T) {
-	_, err := RunOpts(3, Options{RecvTimeout: 100 * time.Millisecond}, func(p *Proc) {
+	_, err := runOpts(3, Options{RecvTimeout: 100 * time.Millisecond}, func(p *Proc) {
 		if p.Rank() == 2 {
 			return // never enters the barrier
 		}
@@ -300,7 +314,7 @@ func TestBarrierStallDeadline(t *testing.T) {
 
 func TestRunTimeoutAborts(t *testing.T) {
 	start := time.Now()
-	_, err := RunOpts(2, Options{RunTimeout: 100 * time.Millisecond}, func(p *Proc) {
+	_, err := runOpts(2, Options{RunTimeout: 100 * time.Millisecond}, func(p *Proc) {
 		p.Recv(1 - p.Rank()) // mutual hang: nobody ever sends
 	})
 	if err == nil {
@@ -320,7 +334,7 @@ func TestContextCancelAborts(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, err := RunOpts(2, Options{Context: ctx}, func(p *Proc) {
+	_, err := runOpts(2, Options{Context: ctx}, func(p *Proc) {
 		p.Recv(1 - p.Rank())
 	})
 	if err == nil {
@@ -335,7 +349,7 @@ func TestContextCancelAborts(t *testing.T) {
 // a run with steady traffic under a short RecvTimeout must succeed.
 func TestDeadlineDoesNotFireOnHealthyRun(t *testing.T) {
 	const rounds = 20
-	_, err := RunOpts(4, Options{RecvTimeout: time.Second, RunTimeout: 30 * time.Second}, func(p *Proc) {
+	_, err := runOpts(4, Options{RecvTimeout: time.Second, RunTimeout: 30 * time.Second}, func(p *Proc) {
 		next, prev := (p.Rank()+1)%4, (p.Rank()+3)%4
 		for i := 0; i < rounds; i++ {
 			p.Send(next, comm.Message{Tag: i, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(i)}}}})

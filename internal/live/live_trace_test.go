@@ -32,7 +32,7 @@ func (s *seqTracer) byRank(rank int) []obs.Event {
 
 func TestTracerSeesPingPong(t *testing.T) {
 	tr := &seqTracer{}
-	_, err := RunOpts(2, Options{Tracer: tr}, func(p *Proc) {
+	_, err := runOpts(2, Options{Tracer: tr}, func(p *Proc) {
 		p.BeginIter(0)
 		p.BeginPhase("ping")
 		if p.Rank() == 0 {
@@ -92,7 +92,7 @@ func TestTracerSeesPingPong(t *testing.T) {
 func TestTracerWaitOnBlockedRecv(t *testing.T) {
 	tr := &seqTracer{}
 	release := make(chan struct{})
-	_, err := RunOpts(2, Options{Tracer: tr}, func(p *Proc) {
+	_, err := runOpts(2, Options{Tracer: tr}, func(p *Proc) {
 		if p.Rank() == 0 {
 			<-release
 			p.Send(1, comm.Message{Parts: []comm.Part{{Origin: 0, Data: []byte("x")}}})

@@ -8,8 +8,9 @@ import (
 )
 
 // Program returns the program alg executes for spec on this machine, or nil
-// when there is none to read: alg's body is code, or the spec does not fit
-// the machine (which every rank of a run must get to report).
+// when there is none to read: alg is a value from outside internal/core,
+// or the spec does not bind or does not fit the machine (which every rank
+// of a run must get to report).
 func (m *Machine) Program(alg core.Algorithm, spec core.Spec) *comm.Program {
 	if prog := core.ProgramOf(core.Bind(alg, spec)); prog != nil && prog.P() == m.Place.Size() {
 		return prog
@@ -25,8 +26,14 @@ func (m *Machine) Program(alg core.Algorithm, spec core.Spec) *comm.Program {
 //
 // This is the one place a simulation is set up, and the one place that
 // picks the simulator's driver: an algorithm with a Program here is
-// replayed (sim.Replay), anything else runs as goroutines (sim.Run). Both
-// give the same result for the same algorithm.
+// replayed (sim.Replay). Every algorithm of internal/core has one; what
+// runs as goroutines (sim.Run), each rank calling Run, is only an
+// algorithm value without a program — today only the benchmark's tracing
+// decorator, which must see every rank's Run — and an instance whose spec
+// did not bind, whose ranks then each report why. Deleting sim.Run waits
+// for ROADMAP item 4(b): the benchmark is frozen, and its tracer must read
+// events instead of wrapping the algorithm first. Both drivers give the
+// same result for the same program.
 func (m *Machine) RunSim(alg core.Algorithm, spec core.Spec, msgLen func(rank int) int, opts sim.Options) (*sim.Result, *network.Network, error) {
 	nw, err := m.NewNetwork()
 	if err != nil {
@@ -36,7 +43,7 @@ func (m *Machine) RunSim(alg core.Algorithm, spec core.Spec, msgLen func(rank in
 	alg = core.Bind(alg, spec)
 	var res *sim.Result
 	if prog := m.Program(alg, spec); prog != nil {
-		res, err = sim.Replay(nw, prog, func(rank int) (bytes, parts int) {
+		res, err = sim.Replay(nw, prog, func(rank int) (partLen, parts int) {
 			return core.InitialLen(coll, spec, rank, msgLen(rank))
 		}, opts)
 	} else {

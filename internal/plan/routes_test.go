@@ -11,6 +11,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
 )
@@ -40,7 +41,7 @@ func TestRoutesCoverTracedLiveLinks(t *testing.T) {
 				}
 				rec := trace.NewRecorder(0)
 				payload := make([]byte, 32)
-				_, err = live.RunOpts(p, live.Options{Tracer: rec}, func(pr *live.Proc) {
+				_, err = liveRun(p, live.Options{Tracer: rec}, func(pr *live.Proc) {
 					mine := core.InitialMessage(spec, pr.Rank(), payload)
 					alg.Run(pr, spec, mine)
 				})
@@ -61,13 +62,37 @@ func TestRoutesCoverTracedLiveLinks(t *testing.T) {
 	}
 }
 
-// TestRoutesReadAndTracedAgree holds the two derivations of a link set
-// together: for every registry entry that is a program, the pairs read off
+// liveRun opens a live machine of p processors, runs fn on it once and
+// closes it.
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+	m, err := live.NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
+// tracedLinks adds the (rank, peer) pair of every send of a simulated run.
+func tracedLinks(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int, links linkSet) error {
+	_, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{Tracer: sendTracer(links)})
+	return err
+}
+
+// sendTracer records the pairs a traced run sends messages over.
+type sendTracer linkSet
+
+func (ls sendTracer) Trace(e obs.Event) {
+	if e.Kind == obs.KindSend && e.Peer >= 0 {
+		linkSet(ls).add(e.Rank, e.Peer)
+	}
+}
+
+// TestRoutesReadAndTracedAgree holds the link set read off a program
+// together with what runs: for every registry entry, the pairs read off
 // its send operations are exactly the pairs a traced simulator run of the
-// instance sends over — the derivation that remains for entries whose body
-// is code.
+// instance sends over.
 func TestRoutesReadAndTracedAgree(t *testing.T) {
-	var read []string
 	for _, mesh := range [][2]int{{4, 4}, {4, 8}} {
 		m := machine.Paragon(mesh[0], mesh[1])
 		for _, coll := range core.Collectives() {
@@ -81,10 +106,8 @@ func TestRoutesReadAndTracedAgree(t *testing.T) {
 				for _, spec := range specs {
 					prog := m.Program(alg, spec)
 					if prog == nil {
+						t.Errorf("%s on %s, sources %v: no program", alg.Name(), m.Name, spec.Sources)
 						continue
-					}
-					if !slices.Contains(read, alg.Name()) {
-						read = append(read, alg.Name())
 					}
 					fromProgram, traced := linkSet{}, linkSet{}
 					programLinks(prog, fromProgram)
@@ -101,9 +124,6 @@ func TestRoutesReadAndTracedAgree(t *testing.T) {
 				}
 			}
 		}
-	}
-	if len(read) < 17 {
-		t.Errorf("only %d registry entries had their routes read off a program: %v", len(read), read)
 	}
 }
 

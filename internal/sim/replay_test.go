@@ -30,9 +30,21 @@ func bothDrivers(t *testing.T, nw *network.Network, prog *comm.Program, opts Opt
 	return
 }
 
+// mustCompile compiles s for a machine of p.
+func mustCompile(t testing.TB, s comm.Script, p int) *comm.Program {
+	t.Helper()
+	prog, err := s.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 // everyOp is a script that uses every operation: a barrier rank 0 reaches
 // last, a rotation of bundles kept in registers of their own, a merge into
-// the first, an emptied register, a token round and self-charged combines.
+// the first, an emptied register, reversed and strided selections of parts
+// of unequal lengths, folds with and without a message, a token round and
+// self-charged combines.
 func everyOp(p int) comm.Script {
 	return comm.Script{Regs: 3, Rank: func(b *comm.Builder, rank int) {
 		next, prev := (rank+1)%p, (rank+p-1)%p
@@ -52,6 +64,17 @@ func everyOp(p int) comm.Script {
 		b.Merge(prev, 0)
 		b.Move(next, 1)
 		b.Merge(prev, 0)
+		b.Iter(2)
+		b.Phase("select")
+		b.SendParts(next, 0, comm.Sel{Off: 1, Stride: -1, Count: 2})
+		b.Recv(prev, 1)
+		b.Take(2, 0, comm.Sel{Off: 0, Stride: 1, Count: 1})
+		b.Take(2, 1, comm.Sel{Off: 1, Stride: -1, Count: 2})
+		b.SendParts(prev, 2, comm.Sel{Off: 0, Stride: 2, Count: 2})
+		b.Fold(next, 0)
+		b.Fold(-1, 2)
+		b.Token(next, 5, 7)
+		b.Drop(prev)
 		b.Combine(0)
 		b.Combine(1) // empty by now
 		b.Iter(3)
@@ -63,13 +86,13 @@ func everyOp(p int) comm.Script {
 	}}
 }
 
-// TestReplayMatchesRun is the engine-level half of the program-vs-code
+// TestReplayMatchesRun is the engine-level half of the replay-vs-goroutine
 // test (internal/core runs the registry): on a hand-written program using
 // every operation the two drivers give the same result and emit the same
 // events in the same global order.
 func TestReplayMatchesRun(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8} {
-		res, errs, events := bothDrivers(t, lineNet(t, p), everyOp(p).Compile(p), Options{})
+		res, errs, events := bothDrivers(t, lineNet(t, p), mustCompile(t, everyOp(p), p), Options{})
 		if errs[0] != nil || errs[1] != nil {
 			t.Fatalf("p=%d: Run: %v, Replay: %v", p, errs[0], errs[1])
 		}
@@ -92,13 +115,17 @@ func TestReplayMatchesRun(t *testing.T) {
 // (the same events were emitted up to it) with ErrMaxOps, or both finish.
 func TestReplayCountsOperationsLikeRun(t *testing.T) {
 	const p = 5
-	prog := everyOp(p).Compile(p)
+	prog := mustCompile(t, everyOp(p), p)
 	total := 0
 	for r := 0; r < p; r++ {
 		for _, op := range prog.Ops(r) {
 			switch op.Kind {
-			case comm.OpSend, comm.OpMove, comm.OpToken, comm.OpRecv, comm.OpMerge, comm.OpDrop, comm.OpBarrier:
+			case comm.OpSend, comm.OpMove, comm.OpToken, comm.OpSendParts, comm.OpRecv, comm.OpMerge, comm.OpDrop, comm.OpBarrier:
 				total++
+			case comm.OpFold:
+				if op.Peer() >= 0 {
+					total++
+				}
 			}
 		}
 	}
@@ -125,13 +152,13 @@ func TestReplayErrors(t *testing.T) {
 		case 2:
 			b.Recv(1, 0) // never sent
 		}
-	}}.Compile(3)
-	_, errs, _ := bothDrivers(t, lineNet(t, 3), stuck, Options{})
+	}}
+	_, errs, _ := bothDrivers(t, lineNet(t, 3), mustCompile(t, stuck, 3), Options{})
 	if want := "sim: deadlock: rank 0 in barrier; rank 2 waits on 1;"; errs[0] == nil || errs[0].Error() != want || errs[1] == nil || errs[1].Error() != want {
 		t.Errorf("deadlock: Run says %v, Replay says %v, want %q", errs[0], errs[1], want)
 	}
 
-	stray := comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) { b.Send(rank+1, 0) }}.Compile(2)
+	stray := mustCompile(t, comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) { b.Send(rank+1, 0) }}, 2)
 	if _, err := Replay(lineNet(t, 2), stray, func(int) (int, int) { return 0, 0 }, Options{}); err == nil || !strings.Contains(err.Error(), "rank 1 sends to invalid rank 2") {
 		t.Errorf("send outside the machine: got %v", err)
 	}

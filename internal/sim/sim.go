@@ -73,9 +73,10 @@ const (
 type pending struct {
 	parts   []comm.Part
 	tag     int
-	nparts  int
 	bytes   int
 	arrival network.Time
+	nparts  int32
+	lo      int32 // Replay: where the parts' lengths start in the arena
 }
 
 // node is one slot of the engine's message arena: a queued message and
@@ -254,8 +255,12 @@ type engine struct {
 	free   int32
 	queued int
 	// regs holds what Replay knows of the processors' registers, processor
-	// i's at regs[i*prog.Regs():].
-	regs []reg
+	// i's at regs[i*prog.Regs():]; for a program that reads bundles part by
+	// part (parts) lens holds the lengths of the parts, a register's and
+	// a message's a window of it.
+	regs  []reg
+	parts bool
+	lens  []int32
 
 	// ready is the indexed binary min-heap of runnable processors, keyed
 	// by (key, rank). procs[i].heapIdx tracks positions.
@@ -341,6 +346,9 @@ func (e *engine) release() {
 	// do need up to p each: too much to sit in every pooled engine.
 	if cap(e.regs) > cap(e.procs) {
 		e.regs = nil
+	}
+	if cap(e.lens) > 64*cap(e.procs) {
+		e.lens = nil
 	}
 	for i := range e.procs {
 		e.procs[i].eng = nil
@@ -684,7 +692,7 @@ func (p *Proc) Send(dst int, m comm.Message) {
 	if next := e.ready[0]; next != p {
 		p.wait(next)
 	}
-	p.send(dst, pending{parts: m.Parts, tag: m.Tag, nparts: len(m.Parts), bytes: m.Len()})
+	p.send(dst, pending{parts: m.Parts, tag: m.Tag, nparts: int32(len(m.Parts)), bytes: m.Len()})
 }
 
 // send charges the processor for sending pd, prices its transfer and
@@ -701,7 +709,7 @@ func (p *Proc) send(dst int, pd pending) {
 	it.Sends++
 	it.Bytes += int64(pd.bytes)
 	if t := e.opts.Tracer; t != nil {
-		t.Trace(Event{Kind: obs.KindSend, Rank: p.rank, Peer: dst, Bytes: pd.bytes, Parts: pd.nparts, Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
+		t.Trace(Event{Kind: obs.KindSend, Rank: p.rank, Peer: dst, Bytes: pd.bytes, Parts: int(pd.nparts), Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
 	}
 	p.rekey()
 	// Wake the destination if it is blocked waiting for exactly us.
@@ -760,7 +768,7 @@ func (p *Proc) receive(src int) pending {
 	it.Recvs++
 	it.Bytes += int64(pd.bytes)
 	if t := e.opts.Tracer; t != nil {
-		t.Trace(Event{Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: pd.bytes, Parts: pd.nparts, Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
+		t.Trace(Event{Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: pd.bytes, Parts: int(pd.nparts), Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
 	}
 	p.rekey()
 	return pd

@@ -145,14 +145,14 @@ func TestQueueArraysRecycled(t *testing.T) {
 // handing the token on cost.
 func BenchmarkReplay(b *testing.B) {
 	const p = 256
-	prog := comm.Script{Regs: 1, Rank: func(sb *comm.Builder, rank int) {
+	prog := mustCompile(b, comm.Script{Regs: 1, Rank: func(sb *comm.Builder, rank int) {
 		sb.Barrier()
 		for i, d := 0, 1; d < p; i, d = i+1, d<<1 {
 			sb.Iter(i)
 			sb.Send(rank^d, 0)
 			sb.Recv(rank^d, 0)
 		}
-	}}.Compile(p)
+	}}, p)
 	nw, err := network.New(topology.MustMesh2D(16, 16), topology.IdentityPlacement(p), flatCfg())
 	if err != nil {
 		b.Fatal(err)

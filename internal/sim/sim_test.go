@@ -127,7 +127,7 @@ func TestExchangeBothDirections(t *testing.T) {
 	nw := lineNet(t, 2)
 	run(t, nw, func(p *Proc) {
 		other := 1 - p.Rank()
-		m := comm.Exchange(p, other, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: payload(4)}}})
+		m := exchange(p, other, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: payload(4)}}})
 		if len(m.Parts) != 1 || m.Parts[0].Origin != other {
 			t.Errorf("rank %d got %v", p.Rank(), m)
 		}
@@ -278,9 +278,9 @@ func TestIterationStats(t *testing.T) {
 	res := run(t, nw, func(p *Proc) {
 		comm.MarkIter(p, 0)
 		other := 1 - p.Rank()
-		comm.Exchange(p, other, comm.Message{Parts: []comm.Part{{Data: payload(64)}}})
+		exchange(p, other, comm.Message{Parts: []comm.Part{{Data: payload(64)}}})
 		comm.MarkIter(p, 1)
-		comm.Exchange(p, other, comm.Message{Parts: []comm.Part{{Data: payload(128)}}})
+		exchange(p, other, comm.Message{Parts: []comm.Part{{Data: payload(128)}}})
 	})
 	if res.Iterations != 2 {
 		t.Fatalf("iterations = %d, want 2", res.Iterations)
@@ -391,7 +391,7 @@ func TestMaxOpsAborts(t *testing.T) {
 	_, err := Run(nw, func(p *Proc) {
 		// An endless ping-pong that would otherwise never terminate.
 		for {
-			comm.Exchange(p, 1-p.Rank(), comm.Message{Parts: []comm.Part{{Data: payload(1)}}})
+			exchange(p, 1-p.Rank(), comm.Message{Parts: []comm.Part{{Data: payload(1)}}})
 		}
 	}, Options{MaxOps: 1000})
 	if err == nil || !strings.Contains(err.Error(), "MaxOps") {
@@ -460,13 +460,13 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 	// script compiles rounds of the ring, each followed by what the rank
 	// does after it, for the four processors of the test.
 	script := func(rounds int, after func(b *comm.Builder, rank int)) *comm.Program {
-		return comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) {
+		return mustCompile(t, comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) {
 			for i := 0; i < rounds; i++ {
 				b.Send((rank+1)%4, 0)
 				b.Recv((rank+3)%4, 1)
 			}
 			after(b, rank)
-		}}.Compile(4)
+		}}, 4)
 	}
 	endings := []struct {
 		name string
@@ -536,4 +536,11 @@ func TestAbortDrainsGoroutines(t *testing.T) {
 		}
 	}
 	waitForGoroutines(t, before+4)
+}
+
+// exchange sends m to peer and receives peer's message: the pairwise step
+// both sides take send-first, which the buffered Send makes safe.
+func exchange(p *Proc, peer int, m comm.Message) comm.Message {
+	p.Send(peer, m)
+	return p.Recv(peer)
 }

@@ -27,8 +27,7 @@
 // the engine separates setup from execution. NewMachine stands the mesh
 // up once; Machine.Run executes one algorithm over the warm connections
 // and may be called many times back to back; Machine.Close tears
-// everything down. Run/RunOpts remain as one-shot open-run-close
-// wrappers.
+// everything down.
 //
 // Run isolation is by epoch: every frame carries the epoch of the run
 // that sent it, the reader pumps discard older epochs (and frames
@@ -119,8 +118,7 @@ const (
 // (Dial, DialAttempts, DialBackoff, Links, ListenHost, plus Context to
 // cancel setup) and remembers them for mesh rebuilds; Machine.Run
 // consumes the run fields (Context, RunTimeout, RecvTimeout, Tracer,
-// Epoch) afresh on every call. The one-shot RunOpts passes the same
-// Options to both.
+// Epoch) afresh on every call.
 type Options struct {
 	// Context, RunTimeout, RecvTimeout and Tracer are the core's run
 	// options (see engine.Options). Context also cancels setup backoff
@@ -506,24 +504,4 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 		Context: opts.Context, RunTimeout: opts.RunTimeout,
 		RecvTimeout: opts.RecvTimeout, Tracer: opts.Tracer,
 	}, fn)
-}
-
-// Run builds a fully connected loopback TCP machine of p processors,
-// executes fn on each, and tears the machine down, applying no
-// deadlines; see RunOpts. For many broadcasts back to back, build a
-// Machine once instead.
-func Run(p int, fn func(*Proc)) (*Result, error) {
-	return RunOpts(p, Options{}, fn)
-}
-
-// RunOpts is the one-shot open-run-close wrapper over
-// NewMachine/Machine.Run/Machine.Close; opts serves as both setup and
-// run options.
-func RunOpts(p int, opts Options, fn func(*Proc)) (*Result, error) {
-	m, err := NewMachine(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	return m.Run(opts, fn)
 }

@@ -21,6 +21,20 @@ import (
 	"repro/internal/topology"
 )
 
+// runOnce opens a machine of p processors, runs fn on it once and closes
+// it, applying no deadlines.
+func runOnce(p int, fn func(*Proc)) (*Result, error) { return runOpts(p, Options{}, fn) }
+
+// runOpts is runOnce with options.
+func runOpts(p int, opts Options, fn func(*Proc)) (*Result, error) {
+	m, err := NewMachine(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(opts, fn)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	m := comm.Message{Tag: 42, Parts: []comm.Part{
@@ -64,7 +78,7 @@ func TestFrameRejectsCorruptHeader(t *testing.T) {
 }
 
 func TestPingPongOverTCP(t *testing.T) {
-	res, err := Run(2, func(p *Proc) {
+	res, err := runOnce(2, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, comm.Message{Tag: 7, Parts: []comm.Part{{Origin: 0, Data: []byte("over the wire")}}})
 			m := p.Recv(1)
@@ -88,7 +102,7 @@ func TestPingPongOverTCP(t *testing.T) {
 }
 
 func TestBarrierOverTCP(t *testing.T) {
-	_, err := Run(6, func(p *Proc) {
+	_, err := runOnce(6, func(p *Proc) {
 		for i := 0; i < 4; i++ {
 			p.Barrier()
 		}
@@ -99,7 +113,7 @@ func TestBarrierOverTCP(t *testing.T) {
 }
 
 func TestSelfSend(t *testing.T) {
-	_, err := Run(3, func(p *Proc) {
+	_, err := runOnce(3, func(p *Proc) {
 		p.Send(p.Rank(), comm.Message{Tag: 5, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
 		m := p.Recv(p.Rank())
 		if m.Tag != 5 || m.Parts[0].Data[0] != byte(p.Rank()) {
@@ -113,7 +127,7 @@ func TestSelfSend(t *testing.T) {
 
 func TestFIFOPerPairOverTCP(t *testing.T) {
 	const n = 100
-	_, err := Run(2, func(p *Proc) {
+	_, err := runOnce(2, func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				p.Send(1, comm.Message{Tag: i, Parts: []comm.Part{{Data: []byte{byte(i)}}}})
@@ -147,7 +161,7 @@ func TestCoreAlgorithmsOverTCP(t *testing.T) {
 	spec := core.Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.SnakeRowMajor}
 	for _, alg := range core.Registry() {
 		out := make([]comm.Message, r*c)
-		_, err := Run(r*c, func(p *Proc) {
+		_, err := runOnce(r*c, func(p *Proc) {
 			mine := core.InitialMessage(spec, p.Rank(), []byte(fmt.Sprintf("tcp-%d", p.Rank())))
 			out[p.Rank()] = alg.Run(p, spec, mine)
 		})
@@ -170,7 +184,7 @@ func TestCoreAlgorithmsOverTCP(t *testing.T) {
 func TestCollectivesOverTCP(t *testing.T) {
 	const p = 8
 	out := make([]comm.Message, p)
-	_, err := Run(p, func(pr *Proc) {
+	_, err := runOnce(p, func(pr *Proc) {
 		m := comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}}
 		out[pr.Rank()] = collective.AllgatherRingScript(p).Run(pr, m)
 	})
@@ -185,7 +199,7 @@ func TestCollectivesOverTCP(t *testing.T) {
 }
 
 func TestPanicAbortsTCPMachine(t *testing.T) {
-	_, err := Run(4, func(p *Proc) {
+	_, err := runOnce(4, func(p *Proc) {
 		if p.Rank() == 2 {
 			panic("wire fault")
 		}
@@ -200,13 +214,13 @@ func TestPanicAbortsTCPMachine(t *testing.T) {
 }
 
 func TestInvalidCount(t *testing.T) {
-	if _, err := Run(0, func(*Proc) {}); err == nil {
-		t.Fatal("Run(0) accepted")
+	if _, err := runOnce(0, func(*Proc) {}); err == nil {
+		t.Fatal("runOnce(0) accepted")
 	}
 }
 
 func TestSingleProcessorTCP(t *testing.T) {
-	_, err := Run(1, func(p *Proc) {
+	_, err := runOnce(1, func(p *Proc) {
 		p.Barrier()
 		p.Send(0, comm.Message{Parts: []comm.Part{{Data: []byte("x")}}})
 		p.Recv(0)
@@ -246,13 +260,18 @@ func TestBarrierTrafficDoesNotInflateStats(t *testing.T) {
 		}
 		barrier()
 	}
-	tcpRes, err := Run(p, func(pr *Proc) {
+	tcpRes, err := runOnce(p, func(pr *Proc) {
 		workload(pr.Rank(), pr.Send, pr.Recv, pr.Barrier)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveRes, err := live.Run(p, func(pr *live.Proc) {
+	lm, err := live.NewMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lm.Close()
+	liveRes, err := lm.Run(live.Options{}, func(pr *live.Proc) {
 		workload(pr.Rank(), pr.Send, pr.Recv, pr.Barrier)
 	})
 	if err != nil {
@@ -274,7 +293,7 @@ func TestBarrierTrafficDoesNotInflateStats(t *testing.T) {
 // be consumed by the barrier (nor the barrier frame delivered to Recv).
 func TestBarrierAndDataInterleave(t *testing.T) {
 	for round := 0; round < 10; round++ {
-		_, err := Run(2, func(p *Proc) {
+		_, err := runOnce(2, func(p *Proc) {
 			if p.Rank() == 0 {
 				// Data frame enters the 0→1 socket ahead of rank 0's
 				// barrier frame.
@@ -313,14 +332,14 @@ func TestSubBarrierOverTCP(t *testing.T) {
 			b.Barrier()
 		}
 	}}
-	_, err := Run(4, func(p *Proc) { sc.Run(p, comm.Message{}) })
+	_, err := runOnce(4, func(p *Proc) { sc.Run(p, comm.Message{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReservedTagRejected(t *testing.T) {
-	_, err := Run(2, func(p *Proc) {
+	_, err := runOnce(2, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, comm.Message{Tag: engine.TokenTag})
 		} else {
@@ -335,7 +354,7 @@ func TestReservedTagRejected(t *testing.T) {
 func TestTCPRecvDeadlineNamesRankAndPeer(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	start := time.Now()
-	_, err := RunOpts(4, Options{RecvTimeout: 200 * time.Millisecond}, func(p *Proc) {
+	_, err := runOpts(4, Options{RecvTimeout: 200 * time.Millisecond}, func(p *Proc) {
 		if p.Rank() == 2 {
 			p.Recv(0) // rank 0 never sends
 		}
@@ -355,7 +374,7 @@ func TestTCPRecvDeadlineNamesRankAndPeer(t *testing.T) {
 }
 
 func TestTCPBarrierDeadline(t *testing.T) {
-	_, err := RunOpts(3, Options{RecvTimeout: 200 * time.Millisecond}, func(p *Proc) {
+	_, err := runOpts(3, Options{RecvTimeout: 200 * time.Millisecond}, func(p *Proc) {
 		if p.Rank() == 1 {
 			return // never enters the barrier
 		}
@@ -373,7 +392,7 @@ func TestTCPBarrierDeadline(t *testing.T) {
 
 func TestTCPRunTimeoutAborts(t *testing.T) {
 	start := time.Now()
-	_, err := RunOpts(2, Options{RunTimeout: 150 * time.Millisecond}, func(p *Proc) {
+	_, err := runOpts(2, Options{RunTimeout: 150 * time.Millisecond}, func(p *Proc) {
 		p.Recv(1 - p.Rank()) // mutual hang
 	})
 	if err == nil {
@@ -393,7 +412,7 @@ func TestTCPContextCancelAborts(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, err := RunOpts(2, Options{Context: ctx}, func(p *Proc) {
+	_, err := runOpts(2, Options{Context: ctx}, func(p *Proc) {
 		p.Recv(1 - p.Rank())
 	})
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
@@ -417,7 +436,7 @@ func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 		}
 		return net.Dial("tcp", addr)
 	}
-	res, err := RunOpts(3, Options{Dial: flakyDial, DialAttempts: 4, DialBackoff: time.Millisecond}, func(p *Proc) {
+	res, err := runOpts(3, Options{Dial: flakyDial, DialAttempts: 4, DialBackoff: time.Millisecond}, func(p *Proc) {
 		next := (p.Rank() + 1) % 3
 		p.Send(next, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
 		m := p.Recv((p.Rank() + 2) % 3)
@@ -449,7 +468,7 @@ func TestDialPermanentFailureErrorsOut(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunOpts(3, Options{Dial: deadDial, DialAttempts: 2, DialBackoff: time.Millisecond}, func(p *Proc) {})
+		_, err := runOpts(3, Options{Dial: deadDial, DialAttempts: 2, DialBackoff: time.Millisecond}, func(p *Proc) {})
 		done <- err
 	}()
 	select {
@@ -480,7 +499,7 @@ func TestMidRunConnectionFailureIsAttributed(t *testing.T) {
 		return c, err
 	}
 	release := make(chan struct{})
-	_, err := RunOpts(2, Options{Dial: grabDial, RecvTimeout: 5 * time.Second}, func(p *Proc) {
+	_, err := runOpts(2, Options{Dial: grabDial, RecvTimeout: 5 * time.Second}, func(p *Proc) {
 		if p.Rank() == 0 {
 			<-release
 			p.Recv(1) // the 1→0 socket is cut while we wait
@@ -507,7 +526,7 @@ func TestMidRunConnectionFailureIsAttributed(t *testing.T) {
 // Recv and Barrier; everything must unwind with the root cause reported.
 func TestTCPAbortUnwindsRecvAndBarrierBlockedPeers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	_, err := Run(6, func(p *Proc) {
+	_, err := runOnce(6, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			time.Sleep(20 * time.Millisecond)
@@ -531,7 +550,7 @@ func TestTCPAbortUnwindsRecvAndBarrierBlockedPeers(t *testing.T) {
 // a busy run over real sockets.
 func TestTCPDeadlineHealthyRun(t *testing.T) {
 	const rounds = 10
-	_, err := RunOpts(4, Options{RecvTimeout: 2 * time.Second, RunTimeout: 60 * time.Second}, func(p *Proc) {
+	_, err := runOpts(4, Options{RecvTimeout: 2 * time.Second, RunTimeout: 60 * time.Second}, func(p *Proc) {
 		next, prev := (p.Rank()+1)%4, (p.Rank()+3)%4
 		for i := 0; i < rounds; i++ {
 			p.Send(next, comm.Message{Tag: i, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(i)}}}})

@@ -22,7 +22,7 @@ func (s *seqTracer) Trace(e obs.Event) {
 
 func TestTracerSeesTraffic(t *testing.T) {
 	tr := &seqTracer{}
-	_, err := RunOpts(2, Options{Tracer: tr}, func(p *Proc) {
+	_, err := runOpts(2, Options{Tracer: tr}, func(p *Proc) {
 		p.BeginIter(2)
 		p.BeginPhase("exchange")
 		if p.Rank() == 0 {
@@ -64,7 +64,7 @@ func TestTracerSeesTraffic(t *testing.T) {
 
 func TestTracerSelfSendArrival(t *testing.T) {
 	tr := &seqTracer{}
-	_, err := RunOpts(1, Options{Tracer: tr}, func(p *Proc) {
+	_, err := runOpts(1, Options{Tracer: tr}, func(p *Proc) {
 		p.Send(0, comm.Message{Tag: 1, Parts: []comm.Part{{Origin: 0, Data: []byte("self")}}})
 		p.Recv(0)
 	})

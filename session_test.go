@@ -1,6 +1,7 @@
 package stpbcast_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -540,5 +541,67 @@ func TestEngineNames(t *testing.T) {
 	}
 	if s := stpbcast.Engine(42).String(); !strings.Contains(s, "42") {
 		t.Fatalf("out-of-range engine String() = %q", s)
+	}
+}
+
+// liveCollectiveAllocBudget gates the allocations of one run of each
+// collective on a warm p=16 live session at 1 KiB, the six configs of the
+// benchmark's session_live_collectives workload. Each sits between the
+// count with the reductions, scatters and all-to-alls written as code
+// (156, 54, 426, 115, 259, 906) and the count with them compiled into
+// programs (156, 52, 336, 96, 258, 625); -race counts the same.
+var liveCollectiveAllocBudget = map[string]float64{
+	"Br_Lin": 156, "Red_Tree": 53, "AllRed_RecDouble": 380,
+	"Scatter_Binomial": 105, "Ag_RecDouble": 258, "A2A_Pairwise": 760,
+}
+
+// TestLiveCollectivesAllocationBudget counts what a warm live session
+// allocates per run of each collective — the path a schedule takes from
+// the facade through the bound program to the engine — and takes the
+// least of several counts, so a collection during one of them does not
+// fail the gate.
+func TestLiveCollectivesAllocationBudget(t *testing.T) {
+	const l = 1024
+	m := stpbcast.NewParagon(4, 4)
+	p := m.P()
+	s, err := stpbcast.Open(m, stpbcast.EngineLive, stpbcast.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	payloads := make([][]byte, p)
+	for r := range payloads {
+		payloads[r] = make([]byte, p*l) // a scatter's root and an all-to-all's ranks supply p·L bytes
+		for i := range payloads[r] {
+			payloads[r][i] = byte(r + i)
+		}
+	}
+	for _, cfg := range []stpbcast.Config{
+		{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: l},
+		{Collective: stpbcast.CollectiveReduce, Algorithm: "Red_Tree", Distribution: "E", Sources: 1, MsgBytes: l},
+		{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble", MsgBytes: l},
+		{Collective: stpbcast.CollectiveScatter, Algorithm: "Scatter_Binomial", Distribution: "E", Sources: 1, MsgBytes: l},
+		{Collective: stpbcast.CollectiveAllGather, Algorithm: "Ag_RecDouble", MsgBytes: l},
+		{Collective: stpbcast.CollectiveAllToAll, Algorithm: "A2A_Pairwise", MsgBytes: l},
+	} {
+		n := l
+		if cfg.Collective == stpbcast.CollectiveScatter || cfg.Collective == stpbcast.CollectiveAllToAll {
+			n = p * l
+		}
+		opts := stpbcast.RunOptions{Payload: func(rank int) []byte { return payloads[rank][:n] }, RecvTimeout: time.Minute}
+		run := func() {
+			if _, err := s.Run(cfg, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(50, run))
+		}
+		t.Logf("%s: %.0f allocations per run", cfg.Algorithm, least)
+		if budget := liveCollectiveAllocBudget[cfg.Algorithm]; least > budget {
+			t.Errorf("%s: %.0f allocations per run, budget %.0f", cfg.Algorithm, least, budget)
+		}
 	}
 }
