@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check report-check ci
+.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench-all bench-pair smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check report-check ci
 
 all: ci
 
@@ -53,33 +53,6 @@ loc:
 	@printf 'of which internal/sim:                '
 	@find internal/sim -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
 
-# Figure-regeneration benchmarks, best-of-3, parsed into BENCH_sim.json
-# (ns/op + allocs/op per figure) and gated at 2x ns/op against the
-# committed baseline. Refresh the baseline with `make bench-baseline`
-# after an intentional perf change.
-bench:
-	$(GO) test -bench 'Fig' -benchmem -count 3 -run '^$$' -timeout 30m . \
-		| $(GO) run ./cmd/stpperf -out BENCH_sim.json
-	$(GO) run ./cmd/stpperf -check -baseline BENCH_baseline.json -current BENCH_sim.json -max-ratio 2
-
-bench-baseline:
-	$(GO) test -bench 'Fig' -benchmem -count 3 -run '^$$' -timeout 30m . \
-		| $(GO) run ./cmd/stpperf -out BENCH_baseline.json
-
-# TCP engine benchmarks (frame write/read hot path, steady-state
-# Send-Recv, the p=16 barrier run, sparse vs full mesh setup), best-of-3,
-# parsed into BENCH_tcp.json and gated at 2x ns/op against the committed
-# baseline. Fast enough for the ci target. Refresh the baseline with
-# `make bench-tcp-baseline` after an intentional change.
-bench-tcp:
-	$(GO) test -bench 'Frame|SteadyState|Setup|BarrierTCP' -benchmem -count 3 -run '^$$' -timeout 10m ./internal/tcp/ \
-		| $(GO) run ./cmd/stpperf -out BENCH_tcp.json
-	$(GO) run ./cmd/stpperf -check -baseline BENCH_tcp_baseline.json -current BENCH_tcp.json -max-ratio 2
-
-bench-tcp-baseline:
-	$(GO) test -bench 'Frame|SteadyState|Setup|BarrierTCP' -benchmem -count 3 -run '^$$' -timeout 10m ./internal/tcp/ \
-		| $(GO) run ./cmd/stpperf -out BENCH_tcp_baseline.json
-
 # Sparse-mesh scale smoke: one real-byte broadcast over a route-planned
 # p=64 mesh — the quick proof that the sparse TCP path works at a scale
 # the full mesh makes painful. (TestSparseBroadcastP128 runs the p=128
@@ -87,9 +60,16 @@ bench-tcp-baseline:
 smoke-p64:
 	$(GO) test -run 'TestSparseBroadcastP64Smoke' -count 1 -timeout 5m ./internal/tcp/
 
-# Microbenchmarks across all packages (no JSON, no gate).
+# Microbenchmarks across all packages (no JSON, no gate: counts are
+# gated in `go test ./...`, time is claimed with bench-pair).
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# Paired end-to-end timing against a parent revision: N interleaved pairs
+# of one benchmark workload, the benchmark's -compare table and the pairs
+# won per metric, e.g. `make bench-pair PARENT=HEAD~1 WORKLOAD=plan_cold N=10`.
+bench-pair:
+	PARENT="$(PARENT)" WORKLOAD="$(WORKLOAD)" N="$(N)" SEED="$(SEED)" sh scripts/bench_pair.sh
 
 # End-to-end trace export: run stptrace on all three engines (plus a
 # fault-injected TCP run), writing Chrome and JSONL traces, then validate
@@ -139,8 +119,7 @@ api-check:
 # REPORT.md is the committed output of `go run ./cmd/stpreport -o
 # REPORT.md`: every simulated experiment, deterministic to the byte. This
 # regenerates it to a temp file and diffs, ignoring the `Generated` date
-# line — a simulated value that moved fails here by figure and cell. Runs
-# in the workflow's bench job, not in `make ci`.
+# line — a simulated value that moved fails here by figure and cell.
 report-check:
 	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/stpreport -o "$$tmp/new.md" && \
@@ -148,4 +127,6 @@ report-check:
 	grep -v '^Generated ' "$$tmp/new.md" > "$$tmp/got" && \
 	diff "$$tmp/want" "$$tmp/got" && echo "REPORT.md matches the regenerated report"
 
-ci: fmt vet build race fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp
+# The workflow (.github/workflows/ci.yml) runs these targets, one step
+# each, in this order.
+ci: fmt vet build race chaos fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check report-check loc

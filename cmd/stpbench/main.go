@@ -14,7 +14,7 @@
 //	stpbench -session -engine tcp -pipeline 4   # 4 async runs in flight
 //	stpbench -session -engine tcp -sparse       # route-planned sparse mesh
 //	stpbench -daemon 127.0.0.1:7411 -conc 1,2,4,8 -requests 200 -engine tcp
-//	stpbench -daemon 127.0.0.1:7411 -rate 50 -duration 10s -out BENCH_daemon.json
+//	stpbench -daemon 127.0.0.1:7411 -rate 50 -duration 10s -out daemon-load.json
 //
 // Flag combinations are validated up front: -list, -fig, -chaos,
 // -session and -daemon are mutually exclusive modes, and every other
@@ -542,8 +542,7 @@ func firstLine(s string) string {
 // runDaemonLoad hammers a running stpbcastd with the configured
 // workload — a closed-loop concurrency sweep by default, a fixed-rate
 // open loop with -rate — and reports req/s plus p50/p95/p99 latency per
-// level. With -out, the reports are also written as JSON
-// (BENCH_daemon.json in the reference runs).
+// level. With -out, the reports are also written as JSON.
 func runDaemonLoad(addr, engine, concList string, requests int, rate float64, duration time.Duration,
 	rows, cols int, collective, alg, dist string, sources, msgBytes int, tenant, out string) error {
 	if engine == "" {

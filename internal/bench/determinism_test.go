@@ -467,3 +467,42 @@ func TestRunAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// figurePassAllocBudget leaves 5 % over the 7 955 allocations a pass
+// costs (8 033–8 076 under the race detector).
+const figurePassAllocBudget = 8348
+
+// TestFigurePassAllocationBudget counts what one pass over the
+// benchmark's sim_figures workload allocates — fig3, fig6, fig9 and
+// fig13a regenerated on the simulator, every point a replayed program.
+// The points run on one worker, so the count repeats to within a few
+// allocations: AllocsPerRun pins GOMAXPROCS, and with it the simulator's
+// engine free list, to 1, and a second worker's engine would be dropped
+// and re-made on every point. The least of two passes, so a collection
+// during one does not count.
+func TestFigurePassAllocationBudget(t *testing.T) {
+	defer par.SetLimit(par.SetLimit(1))
+	var exps []Experiment
+	for _, id := range []string{"fig3", "fig6", "fig9", "fig13a"} {
+		ex, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, ex)
+	}
+	pass := func() {
+		for _, ex := range exps {
+			if _, err := ex.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	least := math.Inf(1)
+	for range 2 {
+		least = min(least, testing.AllocsPerRun(1, pass))
+	}
+	t.Logf("%.0f allocations per figure pass", least)
+	if least > figurePassAllocBudget {
+		t.Errorf("%.0f allocations per figure pass, budget %d", least, figurePassAllocBudget)
+	}
+}

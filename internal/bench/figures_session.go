@@ -110,7 +110,7 @@ func runFigSession() (*Series, error) {
 		"one-shot", "session", "speedup")
 	s.Notes = "Wall-clock measurement, not a paper figure: absolute rates vary with the host, " +
 		"but the speedup column is the point — the session amortizes listener setup, the O(p²) " +
-		"dial mesh and reader-pump spawn across runs, so it must stay well above 1 (acceptance: ≥3×). " +
+		"dial mesh and reader-pump spawn across runs, so it stays well above 1 (reported, not gated). " +
 		"Session timing includes its one-time setup cost."
 	for i, k := range sessionCheckpoints {
 		os := float64(k) / oneShot[i].Seconds()

@@ -496,10 +496,13 @@ func TestFigCollectivesShape(t *testing.T) {
 	}
 }
 
-// TestFigSessionShape — the session acceptance bar: a warm TCP mesh
-// runs the 100-broadcast workload at least 3× the throughput of paying
-// full engine setup per broadcast. Wall-clock based, but the margin is
-// structural (a per-run O(p²) dial mesh vs none), not a timing nicety.
+// TestFigSessionShape — the figure completes, both loops' curves are
+// positive and the speedup column is their ratio. The speedup itself is
+// wall clock, reported and not gated. What it measures is counted
+// elsewhere: TestFigSparseMeshShape pins that a full mesh opens
+// p(p−1)/2 connections (120 at p=16, what a one-shot run pays), and
+// TestRoutesDriveSparseTCPMachine that a warm machine dials nothing
+// during a run.
 func TestFigSessionShape(t *testing.T) {
 	s := figures(t)["figSession"]
 	if got := len(s.XLabels); got == 0 {
@@ -513,10 +516,6 @@ func TestFigSessionShape(t *testing.T) {
 		if ratio := s.Get("speedup", i); ratio != ws/os {
 			t.Errorf("runs=%s: speedup curve %.3f != session/one-shot %.3f", x, ratio, ws/os)
 		}
-	}
-	if final := last(s, "speedup"); final < 3 {
-		t.Errorf("session speedup at %s runs = %.2f×, want ≥ 3×",
-			s.XLabels[len(s.XLabels)-1], final)
 	}
 }
 

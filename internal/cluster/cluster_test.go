@@ -422,12 +422,6 @@ func socketAt(t *testing.T, local netip.AddrPort) (int, netip.AddrPort) {
 	return 0, netip.AddrPort{}
 }
 
-// clusterRunAllocBudget leaves headroom over the 155 allocations a run
-// costs (181–186 under the race detector): an extra control message,
-// per-rank stats objects or a reference buffer per verified part each
-// cost more than that.
-const clusterRunAllocBudget = 190
-
 // TestClusterRunAllocationBudget counts what one warm cluster run
 // allocates across the coordinator and its two in-process workers:
 // control messages, payloads, bundle checks and the engine run itself.

@@ -52,7 +52,7 @@ func runFigDaemon() (*bench.Series, error) {
 	s.Notes = "Wall-clock measurement, not a paper figure: absolute rates vary with the host, but the " +
 		"speedup column is the point — the pool serves every request over one warm mesh (per-key " +
 		"serialization queues concurrent requests onto it) while the baseline pays listeners, the O(p²) " +
-		"dial mesh and reader pumps per request. Acceptance: pooled ≥2× fresh at every level."
+		"dial mesh and reader pumps per request. The speedup is reported, not gated."
 
 	for _, conc := range figDaemonLevels {
 		fresh, err := figDaemonLevel(conc, true)

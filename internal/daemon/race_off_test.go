@@ -1,0 +1,7 @@
+//go:build !race
+
+package daemon
+
+// requestAllocBudget is 5 % over the 208 allocations one request costs
+// (TestRequestAllocationBudget).
+const requestAllocBudget = 218

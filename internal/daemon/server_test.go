@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -423,5 +424,41 @@ func TestMethodChecks(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/shutdown got %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestRequestAllocationBudget counts what the daemon allocates per
+// request of the benchmark's daemon_tcp_small workload: the in-process
+// handler (decode → admit → lease → Session.Run → encode) on a response
+// recorder, serving a warm p=16 TCP Br_Lin E(4) 1 KiB broadcast. The
+// recorder and request it is called with are counted too; net/http's
+// per-connection work is not. The least of several rounds, so a
+// collection during one does not count.
+func TestRequestAllocationBudget(t *testing.T) {
+	srv := New(Options{})
+	defer srv.Close()
+	h := srv.Handler()
+	body, err := json.Marshal(BroadcastRequest{
+		Engine: "tcp", Topology: "paragon", Rows: 4, Cols: 4,
+		Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/broadcast", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // opens the pooled session
+	least := math.Inf(1)
+	for range 5 {
+		least = min(least, testing.AllocsPerRun(50, serve))
+	}
+	t.Logf("%.0f allocations per request", least)
+	if least > requestAllocBudget {
+		t.Errorf("%.0f allocations per request, budget %d", least, requestAllocBudget)
 	}
 }

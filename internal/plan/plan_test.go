@@ -338,3 +338,47 @@ func TestDecideRejectsInvalidSpec(t *testing.T) {
 		t.Fatal("negative length accepted")
 	}
 }
+
+// TestColdDecideAllocationBudget counts what a fresh planner with an
+// empty cache allocates deciding a handful of the benchmark's plan_cold
+// instances — analytic ranking, probe simulations, one cache fill each —
+// among them the largest, a T3D-256 broadcast. Probes run on one worker,
+// as they do by default at the GOMAXPROCS of 1 AllocsPerRun pins, which
+// also sizes the simulator's engine free list. The least of a few sweeps,
+// so a collection during one does not count.
+func TestColdDecideAllocationBudget(t *testing.T) {
+	type instance struct {
+		m   *machine.Machine
+		req Request
+	}
+	broadcast := func(m *machine.Machine, d dist.Distribution, distName string, s, l int) instance {
+		return instance{m, Request{Collective: core.Broadcast, Spec: testSpec(t, m, d, s), MsgLen: l, DistName: distName}}
+	}
+	all := func(m *machine.Machine, coll core.Collective, l int) instance {
+		spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: core.AllRanksSources(m.P()), Indexing: topology.SnakeRowMajor}
+		return instance{m, Request{Collective: coll, Spec: spec, MsgLen: l}}
+	}
+	t3d64 := machine.T3D(64)
+	grid := []instance{
+		broadcast(machine.Paragon(10, 10), dist.Equal(), "E", 12, 1<<10),
+		broadcast(machine.T3D(256), dist.Cross(), "Cr", 64, 4<<10),
+		all(t3d64, core.AllToAll, 16),
+		all(t3d64, core.AllReduce, 4<<10),
+	}
+	sweep := func() {
+		pl := New(Options{Cache: NewMemCache(0), Workers: 1})
+		for _, in := range grid {
+			if _, err := pl.Decide(context.Background(), in.m, in.req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	least := math.Inf(1)
+	for range 3 {
+		least = min(least, testing.AllocsPerRun(1, sweep))
+	}
+	t.Logf("%.0f allocations per cold sweep of %d instances", least, len(grid))
+	if least > coldDecideAllocBudget {
+		t.Errorf("%.0f allocations per cold sweep, budget %d", least, coldDecideAllocBudget)
+	}
+}

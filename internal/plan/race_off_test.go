@@ -1,0 +1,7 @@
+//go:build !race
+
+package plan
+
+// coldDecideAllocBudget is 5 % over the 1 484 allocations one cold sweep
+// costs (TestColdDecideAllocationBudget).
+const coldDecideAllocBudget = 1558

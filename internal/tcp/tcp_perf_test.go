@@ -2,14 +2,20 @@ package tcp
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
+	"math"
 	"net"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/topology"
 )
 
 // drainedConn returns a real loopback TCP connection whose far end is
@@ -108,48 +114,6 @@ func BenchmarkFrameWriteVectored(b *testing.B) {
 	}
 }
 
-// writeFrameSeq is the pre-arena frame writer — one heap-allocated
-// header plus 2k+1 sequential Writes per k-part frame — kept as the
-// baseline BenchmarkFrameWriteLegacy measures.
-func writeFrameSeq(w io.Writer, epoch uint32, m comm.Message) error {
-	hdr := make([]byte, frameHdrLen)
-	binary.BigEndian.PutUint32(hdr[0:], epoch)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(int32(m.Tag)))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(int32(len(m.Parts))))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	ph := make([]byte, partHdrLen)
-	for _, part := range m.Parts {
-		binary.BigEndian.PutUint32(ph[0:], uint32(int32(part.Origin)))
-		binary.BigEndian.PutUint32(ph[4:], uint32(int32(len(part.Data))))
-		if _, err := w.Write(ph); err != nil {
-			return err
-		}
-		if _, err := w.Write(part.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BenchmarkFrameWriteLegacy is the pre-arena baseline (2k+1 writes,
-// heap-allocated headers), kept so BENCH_tcp.json records what the
-// one-write path is compared against.
-func BenchmarkFrameWriteLegacy(b *testing.B) {
-	conn, cleanup := drainedConn(b)
-	defer cleanup()
-	m := smallMsg()
-	b.ReportAllocs()
-	b.SetBytes(int64(frameWireSize(m)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := writeFrameSeq(conn, 1, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // multiPartSmallMsg is a k-part frame the writer sends contiguously and
 // the reader decodes from one buffered window: the shape of a combined
 // small-L broadcast bundle.
@@ -233,9 +197,20 @@ func BenchmarkSendRecvSteadyStateTCP(b *testing.B) {
 	}
 }
 
-// TestFrameWriteAllocationFree asserts the tentpole's 0-allocs claim
-// directly: steady-state frame writes — small/contiguous and
-// large/vectored — allocate nothing once the scratch is warm.
+// countingWriter counts the Write calls that reach it — the syscalls,
+// were it a socket.
+type countingWriter struct{ writes int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return len(p), nil
+}
+
+// TestFrameWriteAllocationFree pins the send side of the frame hot path:
+// steady-state frame writes — small/contiguous and large/vectored —
+// allocate nothing once the scratch is warm, and a small frame reaches
+// the stream in one Write, not one per header and payload (2k+1 for k
+// parts, about 3× the cost per small frame).
 func TestFrameWriteAllocationFree(t *testing.T) {
 	conn, cleanup := drainedConn(t)
 	defer cleanup()
@@ -257,6 +232,86 @@ func TestFrameWriteAllocationFree(t *testing.T) {
 		if n := testing.AllocsPerRun(200, write); n != 0 {
 			t.Errorf("%s: %v allocs per frame write, want 0", tc.name, n)
 		}
+	}
+	for _, m := range []comm.Message{smallMsg(), multiPartSmallMsg()} {
+		cw := &countingWriter{}
+		if err := writeFrameTo(cw, 1, m, sc); err != nil {
+			t.Fatal(err)
+		}
+		if cw.writes != 1 {
+			t.Errorf("%d-part small frame took %d writes, want 1", len(m.Parts), cw.writes)
+		}
+	}
+}
+
+// syscw reads this process's write-syscall count from /proc/self/io.
+func syscw(t *testing.T) int {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no /proc/self/io: %v", err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Skip("no syscw in /proc/self/io")
+	return 0
+}
+
+// TestBroadcastWireCounts pins what one run of the benchmark's
+// session_tcp_small op puts on the wire: a p=16 Br_Lin E(4) 1 KiB
+// broadcast is 32 data frames and no barrier frame (ranks of one process
+// meet in memory), exactly; and one write syscall per frame (32 on a
+// 2-vCPU Linux guest), the least over a few runs of a process-wide count
+// that the runtime's own writes may add to, so the check fails only at
+// twice that — where a frame split into header and payload writes lands;
+// skipped where there is no /proc/self/io to count them.
+func TestBroadcastWireCounts(t *testing.T) {
+	const rows, cols, s, l = 4, 4, 4, 1 << 10
+	const frames = 32
+	sources, err := dist.Equal().Sources(rows, cols, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{Rows: rows, Cols: cols, Sources: sources, Indexing: topology.SnakeRowMajor}
+	alg := core.Bind(core.BrLin(), spec)
+	payload := make([]byte, l)
+	m, err := NewMachine(rows*cols, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	run := func() *Result {
+		res, err := m.Run(Options{RecvTimeout: time.Minute}, func(pr *Proc) {
+			alg.Run(pr, spec, core.InitialMessage(spec, pr.Rank(), payload))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	data, barrier := 0, 0
+	for _, ps := range run().Procs {
+		data += ps.Sends
+		barrier += ps.BarrierSends
+	}
+	if data != frames || barrier != 0 {
+		t.Errorf("%d data and %d barrier frames per run, want %d and 0", data, barrier, frames)
+	}
+	least := math.MaxInt
+	for range 5 {
+		before := syscw(t)
+		run()
+		least = min(least, syscw(t)-before)
+	}
+	t.Logf("%d write syscalls per run", least)
+	if least >= 2*frames {
+		t.Errorf("%d write syscalls per run, want about %d (one per frame)", least, frames)
 	}
 }
 
