@@ -123,7 +123,9 @@ func TestClusterSessionRejections(t *testing.T) {
 // message under its original origin — so a cluster runs them like any
 // other registry name and the workers' byte-exact bundle verification
 // passes. Three workers over sixteen ranks make the ranges uneven, so the
-// machine halves of Part_* straddle worker boundaries.
+// machine halves of Part_* straddle worker boundaries. The same cluster
+// then runs one entry of every other collective, each verified by the
+// workers against its own postcondition.
 func TestClusterSessionRunsRepositioning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -135,19 +137,26 @@ func TestClusterSessionRunsRepositioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	names := []string{"Repos_Lin", "Repos_xy_source", "Repos_xy_dim", "Part_Lin", "Part_xy_source", "Part_xy_dim"}
-	for _, name := range names {
-		cfg := stpbcast.Config{Algorithm: name, Distribution: "Cr", Sources: 5, MsgBytes: 256}
+	var cfgs []stpbcast.Config
+	for _, name := range []string{"Repos_Lin", "Repos_xy_source", "Repos_xy_dim", "Part_Lin", "Part_xy_source", "Part_xy_dim"} {
+		cfgs = append(cfgs, stpbcast.Config{Algorithm: name, Distribution: "Cr", Sources: 5, MsgBytes: 256})
+	}
+	for _, coll := range stpbcast.Collectives() {
+		if coll != stpbcast.CollectiveBroadcast {
+			cfgs = append(cfgs, stpbcast.Config{Collective: coll, Algorithm: stpbcast.AlgorithmsFor(coll)[0].Name(), MsgBytes: 24})
+		}
+	}
+	for _, cfg := range cfgs {
 		if _, err := s.Run(cfg, stpbcast.RunOptions{RecvTimeout: time.Minute}); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", cfg.Algorithm, err)
 		}
 	}
 	stats, err := s.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Runs != len(names) || stats.Failures != 0 || stats.Reconnects != 0 {
-		t.Fatalf("stats = %+v, want %d clean runs with no reconnects", stats, len(names))
+	if stats.Runs != len(cfgs) || stats.Failures != 0 || stats.Reconnects != 0 {
+		t.Fatalf("stats = %+v, want %d clean runs with no reconnects", stats, len(cfgs))
 	}
 }
 

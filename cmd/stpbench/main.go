@@ -32,7 +32,10 @@ import (
 	"time"
 
 	stpbcast "repro"
+	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/dist"
 	"repro/internal/viz"
 )
 
@@ -464,22 +467,25 @@ func runChaos(seed int64, engine string) error {
 		return fmt.Errorf("unknown engine %q (want live, tcp or both)", engine)
 	}
 	m := stpbcast.NewParagon(3, 4)
-	payload := func(rank int) []byte { return []byte(fmt.Sprintf("chaos-%02d", rank)) }
+	sources, err := dist.Cross().Sources(m.Rows, m.Cols, 5)
+	if err != nil {
+		return err
+	}
+	spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sources}
 	fmt.Printf("chaos sweep: seed %d, 3x4 mesh, 5 Cr sources\n", seed)
 	fmt.Printf("%-22s %-5s %-10s %-8s %s\n", "algorithm", "eng", "scenario", "faults", "outcome")
 	failures := 0
 	for _, alg := range stpbcast.Algorithms() {
-		cfg := stpbcast.Config{Algorithm: alg.Name(), Distribution: "Cr", Sources: 5, MsgBytes: 0}
+		cfg := stpbcast.Config{Algorithm: alg.Name(), Distribution: "Cr", Sources: 5, MsgBytes: chaosBytes}
 		for _, eng := range engines {
 			for _, sc := range chaosScenarios {
 				plan := sc.plan(seed)
 				res, err := stpbcast.Run(m, eng, cfg, stpbcast.RunOptions{
-					Payload:     payload,
 					RecvTimeout: 2 * time.Second,
 					RunTimeout:  60 * time.Second,
 					Faults:      &plan,
 				})
-				outcome, bad := chaosOutcome(sc, res, err)
+				outcome, bad := chaosOutcome(sc, spec, res, err)
 				nfaults := "-"
 				if res != nil {
 					nfaults = fmt.Sprintf("%d", len(res.Faults))
@@ -498,21 +504,25 @@ func runChaos(seed int64, engine string) error {
 	return nil
 }
 
-// chaosOutcome classifies one chaos run against its scenario's
-// invariant and reports whether it violated it.
-func chaosOutcome(sc chaosScenario, res *stpbcast.Result, err error) (string, bool) {
+// chaosBytes is the length of every source's default payload in the
+// chaos sweep.
+const chaosBytes = 16
+
+// chaosOutcome classifies one chaos run of spec against its scenario's
+// invariant and reports whether it violated it. A graceful run's bundles
+// must pass the broadcast postcondition (core.Collective.Check).
+func chaosOutcome(sc chaosScenario, spec core.Spec, res *stpbcast.Result, err error) (string, bool) {
 	if sc.wantErr == "" {
 		if err != nil {
 			return fmt.Sprintf("FAIL: graceful plan aborted: %v", err), true
 		}
 		for rank, got := range res.Bundles {
-			if len(got) != 5 {
-				return fmt.Sprintf("FAIL: rank %d holds %d/5 messages", rank, len(got)), true
-			}
+			var bundle comm.Message
 			for origin, data := range got {
-				if want := fmt.Sprintf("chaos-%02d", origin); string(data) != want {
-					return fmt.Sprintf("FAIL: rank %d origin %d corrupted payload %q", rank, origin, data), true
-				}
+				bundle.Parts = append(bundle.Parts, comm.Part{Origin: origin, Data: data})
+			}
+			if err := core.Broadcast.Check(spec, func(int) int { return chaosBytes }, rank, bundle); err != nil {
+				return "FAIL: " + err.Error(), true
 			}
 		}
 		return "ok (bundles intact)", false

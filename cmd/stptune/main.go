@@ -81,9 +81,7 @@ type machineFlags struct {
 type commonFlags struct {
 	*machineFlags
 	cachePath *string
-	topK      *int
-	workers   *int
-	maxOps    *int
+	parallel  *int
 }
 
 func newMachineFlags(name string) *machineFlags {
@@ -104,9 +102,7 @@ func newCommonFlags(name string) *commonFlags {
 	return &commonFlags{
 		machineFlags: m,
 		cachePath:    m.fs.String("cache", "", "plan cache file (empty = in-memory)"),
-		topK:         m.fs.Int("topk", 0, "analytic candidates to probe (0 = default, <0 = analytic only)"),
-		workers:      m.fs.Int("workers", 0, "probe worker pool size (0 = GOMAXPROCS)"),
-		maxOps:       m.fs.Int("maxops", 0, "per-probe budget of communication operations: sends, receives and barriers over all ranks (0 = unlimited)"),
+		parallel:     m.fs.Int("parallel", 0, "max concurrent probe simulations (0 = GOMAXPROCS, 1 = serial); decisions are identical at every setting"),
 	}
 }
 
@@ -135,13 +131,8 @@ func (c *commonFlags) planner() (*plan.Planner, *plan.Cache, error) {
 			return nil, nil, err
 		}
 	}
-	p := plan.New(plan.Options{
-		TopK:        *c.topK,
-		Workers:     *c.workers,
-		Cache:       cache,
-		MaxProbeOps: *c.maxOps,
-	})
-	return p, cache, nil
+	par.SetLimit(*c.parallel)
+	return plan.New(plan.Options{Cache: cache}), cache, nil
 }
 
 func runPlan(args []string) {

@@ -1,7 +1,6 @@
 package stpbcast_test
 
 import (
-	"bytes"
 	"sort"
 	"strings"
 	"testing"
@@ -90,107 +89,30 @@ func TestConfigValidateCollectives(t *testing.T) {
 	}
 }
 
-// repeated returns n bytes of value v — the facade's default payload
-// byte pattern.
-func repeated(v byte, n int) []byte {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = v
-	}
-	return buf
-}
-
 // TestRunCollectives drives every non-broadcast collective through the
 // unified Run API on the simulator and the live engine with default
 // payloads and checks the delivered bundles byte-exactly (live) and the
 // engines' acceptance (sim, which prices lengths only).
 func TestRunCollectives(t *testing.T) {
 	m := stpbcast.NewParagon(4, 4)
-	p := 16
-	const L = 32
-	sum := byte(0)
-	for r := 0; r < p; r++ {
-		sum += byte(r)
-	}
-	cases := []struct {
-		name string
-		cfg  stpbcast.Config
-		// want returns the expected bundle of one rank.
-		want func(rank int) map[int][]byte
-	}{
-		{
-			"reduce",
-			stpbcast.Config{Collective: stpbcast.CollectiveReduce, Algorithm: "Red_Tree", MsgBytes: L},
-			func(rank int) map[int][]byte {
-				if rank != 0 {
-					return map[int][]byte{}
-				}
-				return map[int][]byte{stpbcast.ReducedOrigin: repeated(sum, L)}
-			},
-		},
-		{
-			"allreduce",
-			stpbcast.Config{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble", MsgBytes: L},
-			func(rank int) map[int][]byte {
-				return map[int][]byte{stpbcast.ReducedOrigin: repeated(sum, L)}
-			},
-		},
-		{
-			"scatter",
-			stpbcast.Config{Collective: stpbcast.CollectiveScatter, Algorithm: "Scatter_Binomial", MsgBytes: L},
-			func(rank int) map[int][]byte {
-				// Root 0's chunk d is byte(0 + 131·d).
-				return map[int][]byte{rank: repeated(byte(131*rank), L)}
-			},
-		},
-		{
-			"allgather",
-			stpbcast.Config{Collective: stpbcast.CollectiveAllGather, Algorithm: "Ag_RecDouble", MsgBytes: L},
-			func(rank int) map[int][]byte {
-				out := make(map[int][]byte, p)
-				for o := 0; o < p; o++ {
-					out[o] = repeated(byte(o), L)
-				}
-				return out
-			},
-		},
-		{
-			"alltoall",
-			stpbcast.Config{Collective: stpbcast.CollectiveAllToAll, Algorithm: "A2A_JungSakho", MsgBytes: L},
-			func(rank int) map[int][]byte {
-				out := make(map[int][]byte, p)
-				for o := 0; o < p; o++ {
-					out[o] = repeated(byte(o+131*rank), L)
-				}
-				return out
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if res, err := stpbcast.Run(m, stpbcast.EngineSim, tc.cfg, stpbcast.RunOptions{}); err != nil {
+	for _, cfg := range []stpbcast.Config{
+		{Collective: stpbcast.CollectiveReduce, Algorithm: "Red_Tree", MsgBytes: 32},
+		{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble", MsgBytes: 32},
+		{Collective: stpbcast.CollectiveScatter, Algorithm: "Scatter_Binomial", MsgBytes: 32},
+		{Collective: stpbcast.CollectiveAllGather, Algorithm: "Ag_RecDouble", MsgBytes: 32},
+		{Collective: stpbcast.CollectiveAllToAll, Algorithm: "A2A_JungSakho", MsgBytes: 32},
+	} {
+		t.Run(strings.ToLower(string(cfg.Collective)), func(t *testing.T) {
+			if res, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{}); err != nil {
 				t.Fatalf("EngineSim: %v", err)
 			} else if res.Elapsed <= 0 {
 				t.Fatalf("EngineSim: non-positive elapsed %v", res.Elapsed)
 			}
-			res, err := stpbcast.Run(m, stpbcast.EngineLive, tc.cfg, stpbcast.RunOptions{})
+			res, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{})
 			if err != nil {
 				t.Fatalf("EngineLive: %v", err)
 			}
-			if len(res.Bundles) != p {
-				t.Fatalf("bundles for %d ranks, want %d", len(res.Bundles), p)
-			}
-			for rank, got := range res.Bundles {
-				want := tc.want(rank)
-				if len(got) != len(want) {
-					t.Fatalf("rank %d holds %d entries, want %d", rank, len(got), len(want))
-				}
-				for o, data := range want {
-					if !bytes.Equal(got[o], data) {
-						t.Fatalf("rank %d origin %d: got %v, want %v", rank, o, got[o], data)
-					}
-				}
-			}
+			checkResult(t, m, cfg, res)
 		})
 	}
 }

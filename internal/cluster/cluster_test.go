@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
@@ -448,45 +447,5 @@ func TestClusterRunAllocationBudget(t *testing.T) {
 	t.Logf("%.0f allocations per cluster run", least)
 	if least > clusterRunAllocBudget {
 		t.Errorf("%.0f allocations per cluster run, budget %d", least, clusterRunAllocBudget)
-	}
-}
-
-// TestCheckBundle: a worker's verification accepts exactly the bundle a
-// full broadcast must leave — one part per source in any order, each
-// msgBytes bytes of byte(origin) — names what is wrong with any other,
-// and allocates nothing on the way.
-func TestCheckBundle(t *testing.T) {
-	const n = 13
-	spec := core.Spec{Rows: 2, Cols: 4, Sources: []int{1, 4, 6}}
-	part := func(origin int, data []byte) comm.Part { return comm.Part{Origin: origin, Data: data} }
-	good := func() []comm.Part {
-		return []comm.Part{part(6, workerPayload(6, n)), part(1, workerPayload(1, n)), part(4, workerPayload(4, n))}
-	}
-	corrupt := good()
-	corrupt[2].Data[n-1] ^= 1
-	for _, tc := range []struct {
-		name  string
-		parts []comm.Part
-		want  string
-	}{
-		{"unordered", good(), ""},
-		{"missing", good()[:2], "2 parts, want 3"},
-		{"not a source", append(good()[:2], part(5, workerPayload(5, n))), "part from 5"},
-		{"twice", append(good()[:2], part(6, workerPayload(6, n))), "part from 6"},
-		{"short", append(good()[:2], part(4, workerPayload(4, n-1))), "carries 12 bytes, want 13"},
-		{"corrupted", corrupt, "part from 4 corrupted"},
-	} {
-		err := checkBundle(spec, n, comm.Message{Parts: tc.parts})
-		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: checkBundle = %v, want %q", tc.name, err, tc.want)
-		}
-	}
-	parts := good()
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := checkBundle(spec, n, comm.Message{Parts: parts}); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("checkBundle allocates %.0f times per bundle", allocs)
 	}
 }

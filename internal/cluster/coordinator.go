@@ -293,7 +293,7 @@ func (c *Coordinator) connectAll(addrs map[int]string) error {
 	return nil
 }
 
-// Run executes one cluster-wide broadcast. A run that breaks the mesh
+// Run executes one cluster-wide collective. A run that breaks the mesh
 // is recovered once — reset every worker, reconnect every worker, retry
 // — before the error is surfaced; a worker process dying is fatal for
 // the cluster (rank ranges are static).

@@ -30,7 +30,7 @@
 // that starts first may send frames to one that has not armed the epoch
 // yet, and the receiving engine holds them (its reader stops, TCP flow
 // control buffers) until it does. Workers verify their own ranks'
-// bundles (every source's payload, byte-exact) and report per-rank stats
+// bundles (core.Collective.Check, byte-exact) and report per-rank stats
 // as one flat integer list; the coordinator rebuilds and merges them.
 //
 // # Failure semantics
@@ -117,10 +117,11 @@ type assignMsg struct {
 	DialBackoffNs int64  `json:"dialBackoffNs,omitempty"`
 }
 
-// RunSpec is one cluster-wide broadcast: the paper instance (mesh shape,
-// sources, indexing), the concrete algorithm (the coordinator resolves
-// Auto before shipping), the payload size, and the engine's run knobs.
-// Epoch is assigned by the coordinator, common to every worker.
+// RunSpec is one cluster-wide collective: the paper instance (mesh
+// shape, sources, indexing), the concrete algorithm (the coordinator
+// resolves Auto before shipping; its registry name also names the
+// collective), the payload size, and the engine's run knobs. Epoch is
+// assigned by the coordinator, common to every worker.
 type RunSpec struct {
 	Epoch     uint32 `json:"epoch"`
 	Rows      int    `json:"rows"`

@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/tcp"
 )
@@ -40,7 +37,7 @@ func MaybeWorker() {
 
 // ServeWorker dials the coordinator's control listener and serves one
 // worker session: build the assigned partial machine, connect it, run
-// broadcasts as directed, and tear down on close. It returns nil when
+// collectives as directed, and tear down on close. It returns nil when
 // the coordinator closes the session.
 func ServeWorker(coordAddr string) error {
 	nc, err := net.Dial("tcp", coordAddr)
@@ -130,7 +127,7 @@ func (w *worker) assign(a *assignMsg) error {
 	return nil
 }
 
-// run executes one broadcast on the worker's ranks and reports this
+// run executes one collective on the worker's ranks and reports this
 // worker's share of it, machine counters included.
 func (w *worker) run(rs *RunSpec) *doneMsg {
 	d := &doneMsg{}
@@ -162,62 +159,28 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 	if err != nil {
 		return nil, errors.Join(err, w.m.ResetMesh())
 	}
+	coll := core.CollectiveOf(alg)
 	bound := core.Bind(alg, spec)
-	// Only local sources start with a payload; InitialMessage gives every
-	// other rank an empty bundle.
-	payloads := make([][]byte, w.hi-w.lo)
-	for _, s := range spec.Sources {
-		if s >= w.lo && s < w.hi {
-			payloads[s-w.lo] = workerPayload(s, rs.MsgBytes)
-		}
-	}
 	bundleErrs := make([]error, w.hi-w.lo)
 	res, err := w.m.Run(tcp.Options{
 		Epoch:       rs.Epoch,
 		RecvTimeout: time.Duration(rs.RecvTimeoutNs),
 		RunTimeout:  time.Duration(rs.RunTimeoutNs),
 	}, func(pr *tcp.Proc) {
-		i := pr.Rank() - w.lo
-		out := bound.Run(pr, spec, core.InitialMessage(spec, pr.Rank(), payloads[i]))
-		bundleErrs[i] = checkBundle(spec, rs.MsgBytes, out)
+		// Every rank derives its own payload and the expected result from
+		// the run spec alone.
+		rank := pr.Rank()
+		mine := core.InitialFor(coll, spec, rank, func(r int) []byte { return coll.Payload(spec.P(), r, rs.MsgBytes) })
+		out := bound.Run(pr, spec, mine)
+		bundleErrs[rank-w.lo] = coll.Check(spec, func(int) int { return rs.MsgBytes }, rank, out)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, err := range bundleErrs {
+	for _, err := range bundleErrs {
 		if err != nil {
-			return nil, fmt.Errorf("rank %d bundle: %w", w.lo+i, err)
+			return nil, fmt.Errorf("cluster: bundle check: %w", err)
 		}
 	}
 	return res, nil
-}
-
-// workerPayload is the deterministic per-source payload of a cluster
-// run: MsgBytes bytes of byte(rank). Every worker derives it locally,
-// so bundle verification needs no payload bytes on the control plane.
-func workerPayload(rank, msgBytes int) []byte {
-	return bytes.Repeat([]byte{byte(rank)}, msgBytes)
-}
-
-// checkBundle verifies one rank's final bundle byte-exactly: one part
-// per source, each carrying msgBytes bytes of byte(origin). It sorts
-// out's parts by origin in place, which is what lets it check the
-// origin set against the sorted sources without allocating.
-func checkBundle(spec core.Spec, msgBytes int, out comm.Message) error {
-	if len(out.Parts) != len(spec.Sources) {
-		return fmt.Errorf("%d parts, want %d", len(out.Parts), len(spec.Sources))
-	}
-	slices.SortFunc(out.Parts, func(a, b comm.Part) int { return a.Origin - b.Origin })
-	for i, part := range out.Parts {
-		if part.Origin != spec.Sources[i] {
-			return fmt.Errorf("part from %d, which is not a source (or arrived twice)", part.Origin)
-		}
-		if len(part.Data) != msgBytes {
-			return fmt.Errorf("part from %d carries %d bytes, want %d", part.Origin, len(part.Data), msgBytes)
-		}
-		if bytes.Count(part.Data, []byte{byte(part.Origin)}) != msgBytes {
-			return fmt.Errorf("part from %d corrupted", part.Origin)
-		}
-	}
-	return nil
 }

@@ -44,7 +44,7 @@ func TestReposAdaptiveMarginBoundary(t *testing.T) {
 
 	// Output correctness is preserved on both sides of the boundary.
 	out, _ := runSim(t, ReposAdaptive(inner, gain), spec, 24)
-	verifyBundles(t, "ReposAdaptive@margin", spec, out, 24)
+	checkOut(t, "ReposAdaptive@margin", Broadcast, spec, out, 24)
 }
 
 // TestRegistryMemoized checks the memoized registry invariants: stable

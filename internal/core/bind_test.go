@@ -203,7 +203,7 @@ func TestBoundSharedByConcurrentRanks(t *testing.T) {
 		}
 		for round := 0; round < 10; round++ {
 			out := runLive(t, bound, spec, 64)
-			verifyBundles(t, bound.Name()+" (bound, live)", spec, out, 64)
+			checkOut(t, bound.Name()+" (bound, live)", Broadcast, spec, out, 64)
 		}
 	}
 }
@@ -220,7 +220,7 @@ func TestBoundRejectsForeignSpecAndSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = sim.Run(nw, func(pr *sim.Proc) {
-			alg.Run(pr, with, InitialMessage(with, pr.Rank(), payloadFor(pr.Rank(), 8)))
+			alg.Run(pr, with, InitialMessage(with, pr.Rank(), Broadcast.Payload(with.P(), pr.Rank(), 8)))
 		}, sim.Options{})
 		return err
 	}

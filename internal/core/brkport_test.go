@@ -26,7 +26,7 @@ func TestBrKPortAllPortCounts(t *testing.T) {
 					spec := makeSpec(t, d, r, c, s)
 					label := fmt.Sprintf("%s/%s(%d)/%dx%d", alg.Name(), d.Name(), s, r, c)
 					out, _ := runSim(t, alg, spec, 16)
-					verifyBundles(t, label, spec, out, 16)
+					checkOut(t, label, Broadcast, spec, out, 16)
 				}
 			}
 		}

@@ -49,7 +49,7 @@ func TestBrXYOnDegenerateMeshes(t *testing.T) {
 		for _, dims := range [][2]int{{1, 9}, {9, 1}} {
 			spec := makeSpec(t, dist.Equal(), dims[0], dims[1], 3)
 			out, _ := runSim(t, algf(), spec, 32)
-			verifyBundles(t, algf().Name(), spec, out, 32)
+			checkOut(t, algf().Name(), Broadcast, spec, out, 32)
 		}
 	}
 }
@@ -60,7 +60,7 @@ func TestRunLineDirect(t *testing.T) {
 	// first segment): the odd rule must push its bundle to position 4.
 	spec := Spec{Rows: 1, Cols: 5, Sources: []int{2}, Indexing: topology.RowMajor}
 	out, res := runSim(t, BrLin(), spec, 16)
-	verifyBundles(t, "line5", spec, out, 16)
+	checkOut(t, "line5", Broadcast, spec, out, 16)
 	// ceil(log2 5) = 3 iterations.
 	if res.Iterations != 3 {
 		t.Fatalf("iterations = %d, want 3", res.Iterations)
@@ -137,7 +137,7 @@ func TestPartSingleSourceAndTinyMachines(t *testing.T) {
 		spec := makeSpec(t, dist.Equal(), dims[0], dims[1], 1)
 		for _, alg := range []Algorithm{PartLin(), PartXYSource(), PartXYDim()} {
 			out, _ := runSim(t, alg, spec, 16)
-			verifyBundles(t, alg.Name(), spec, out, 16)
+			checkOut(t, alg.Name(), Broadcast, spec, out, 16)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func TestPartSingleSourceAndTinyMachines(t *testing.T) {
 func TestPartUnevenHalves(t *testing.T) {
 	spec := makeSpec(t, dist.DiagRight(), 3, 7, 6)
 	out, _ := runSim(t, PartXYSource(), spec, 48)
-	verifyBundles(t, "Part uneven", spec, out, 48)
+	checkOut(t, "Part uneven", Broadcast, spec, out, 48)
 }
 
 // TestBrDimsMatchesBrXYShape: with two extents, Br_dims is the Br_xy
@@ -163,7 +163,7 @@ func TestBrDimsCorrectness(t *testing.T) {
 			for _, order := range [][]int{{0, 1}, {1, 0}} {
 				alg := BrDims([]int{r, c}, order)
 				out, _ := runSim(t, alg, spec, 16)
-				verifyBundles(t, alg.Name(), spec, out, 16)
+				checkOut(t, alg.Name(), Broadcast, spec, out, 16)
 			}
 		}
 	}
@@ -175,7 +175,7 @@ func TestBrDims3D(t *testing.T) {
 	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}} {
 		alg := BrDims([]int{2, 3, 4}, order)
 		out, _ := runSim(t, alg, spec, 32)
-		verifyBundles(t, alg.Name(), spec, out, 32)
+		checkOut(t, alg.Name(), Broadcast, spec, out, 32)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestBrDims1D(t *testing.T) {
 	spec := makeSpec(t, dist.Cross(), 2, 6, 5)
 	alg := BrDims([]int{12}, []int{0})
 	out, _ := runSim(t, alg, spec, 16)
-	verifyBundles(t, alg.Name(), spec, out, 16)
+	checkOut(t, alg.Name(), Broadcast, spec, out, 16)
 }
 
 func TestBrDimsValidation(t *testing.T) {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -12,139 +14,38 @@ import (
 	"repro/internal/topology"
 )
 
-// chunkFor builds the distinctive chunk an origin addresses to dest under
-// the chunked collectives (Scatter, AllToAll).
-func chunkFor(origin, dest, size int) []byte {
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(origin*31 + dest*131 + i)
-	}
-	return data
-}
-
-// chunkedPayloadFor is the p·size-byte payload of a chunked-collective
-// rank: the concatenation of its p per-destination chunks.
-func chunkedPayloadFor(origin, p, size int) []byte {
-	data := make([]byte, 0, p*size)
-	for d := 0; d < p; d++ {
-		data = append(data, chunkFor(origin, d, size)...)
-	}
-	return data
-}
-
-// reducedFor is the byte-wise sum mod 256 of the sources' payloads — the
-// expected result of Reduce/AllReduce.
-func reducedFor(sources []int, size int) []byte {
-	sum := make([]byte, size)
-	for _, s := range sources {
-		for i, b := range payloadFor(s, size) {
-			sum[i] += b
-		}
-	}
-	return sum
-}
-
-func collPayload(coll Collective, p, size int) func(rank int) []byte {
-	if coll.Caps().Chunked {
-		return func(rank int) []byte { return chunkedPayloadFor(rank, p, size) }
-	}
-	return func(rank int) []byte { return payloadFor(rank, size) }
-}
-
-// runSimColl executes a collective algorithm on the simulator with real
-// payload bytes and returns the per-rank result bundles.
-func runSimColl(t *testing.T, coll Collective, alg Algorithm, spec Spec, size int) []comm.Message {
+// runSimColl executes a collective algorithm on the simulator, every rank
+// entering with its Payload of size bytes, and returns the per-rank
+// result bundles plus the run result.
+func runSimColl(t *testing.T, coll Collective, alg Algorithm, spec Spec, size int) ([]comm.Message, *sim.Result) {
 	t.Helper()
 	topo := topology.MustMesh2D(spec.Rows, spec.Cols)
 	nw, err := network.New(topo, topology.IdentityPlacement(spec.P()), network.ParagonNX())
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := collPayload(coll, spec.P(), size)
 	out := make([]comm.Message, spec.P())
-	if _, err := sim.Run(nw, func(pr *sim.Proc) {
-		mine := InitialFor(coll, spec, pr.Rank(), payload)
+	res, err := sim.Run(nw, func(pr *sim.Proc) {
+		mine := InitialFor(coll, spec, pr.Rank(), func(r int) []byte { return coll.Payload(spec.P(), r, size) })
 		out[pr.Rank()] = alg.Run(pr, spec, mine)
-	}, sim.Options{}); err != nil {
-		t.Fatalf("%s/%s on %d×%d: %v", coll, alg.Name(), spec.Rows, spec.Cols, err)
+	}, sim.Options{})
+	if err != nil {
+		t.Fatalf("%s/%s on %d×%d s=%d: %v", coll, alg.Name(), spec.Rows, spec.Cols, spec.S(), err)
 	}
-	return out
+	return out, res
 }
 
 // runLiveColl is runSimColl on the live goroutine engine.
 func runLiveColl(t *testing.T, coll Collective, alg Algorithm, spec Spec, size int) []comm.Message {
 	t.Helper()
-	payload := collPayload(coll, spec.P(), size)
 	out := make([]comm.Message, spec.P())
 	if _, err := liveRun(spec.P(), live.Options{}, func(pr *live.Proc) {
-		mine := InitialFor(coll, spec, pr.Rank(), payload)
+		mine := InitialFor(coll, spec, pr.Rank(), func(r int) []byte { return coll.Payload(spec.P(), r, size) })
 		out[pr.Rank()] = alg.Run(pr, spec, mine)
 	}); err != nil {
-		t.Fatalf("%s/%s on %d×%d (live): %v", coll, alg.Name(), spec.Rows, spec.Cols, err)
+		t.Fatalf("%s/%s on %d×%d s=%d (live): %v", coll, alg.Name(), spec.Rows, spec.Cols, spec.S(), err)
 	}
 	return out
-}
-
-// verifyCollective asserts the byte-exact postcondition of each
-// collective: Reduce concentrates the fold at the root, AllReduce
-// replicates it, Scatter leaves rank r with exactly chunk r, AllGather
-// concatenates every contribution everywhere, AllToAll transposes the
-// chunk matrix.
-func verifyCollective(t *testing.T, label string, coll Collective, spec Spec, out []comm.Message, size int) {
-	t.Helper()
-	p := spec.P()
-	switch coll {
-	case Broadcast:
-		verifyBundles(t, label, spec, out, size)
-	case Reduce, AllReduce:
-		want := reducedFor(spec.Sources, size)
-		for rank, m := range out {
-			if coll == Reduce && rank != spec.Sources[0] {
-				if len(m.Parts) != 0 {
-					t.Fatalf("%s: non-root rank %d holds %d parts", label, rank, len(m.Parts))
-				}
-				continue
-			}
-			if len(m.Parts) != 1 || m.Parts[0].Origin != ReducedOrigin {
-				t.Fatalf("%s: rank %d result parts = %v, want one ReducedOrigin part", label, rank, m.Origins())
-			}
-			if !reflect.DeepEqual(m.Parts[0].Data, want) {
-				t.Fatalf("%s: rank %d reduced bytes wrong", label, rank)
-			}
-		}
-	case Scatter:
-		root := spec.Sources[0]
-		for rank, m := range out {
-			if len(m.Parts) != 1 || m.Parts[0].Origin != rank {
-				t.Fatalf("%s: rank %d holds %v, want its own chunk", label, rank, m.Origins())
-			}
-			if !reflect.DeepEqual(m.Parts[0].Data, chunkFor(root, rank, size)) {
-				t.Fatalf("%s: rank %d chunk bytes wrong", label, rank)
-			}
-		}
-	case AllGather:
-		for rank, m := range out {
-			if !reflect.DeepEqual(m.Origins(), spec.Sources) {
-				t.Fatalf("%s: rank %d origins = %v, want %v", label, rank, m.Origins(), spec.Sources)
-			}
-			for _, pt := range m.Parts {
-				if !reflect.DeepEqual(pt.Data, payloadFor(pt.Origin, size)) {
-					t.Fatalf("%s: rank %d payload of origin %d corrupted", label, rank, pt.Origin)
-				}
-			}
-		}
-	case AllToAll:
-		for rank, m := range out {
-			if !reflect.DeepEqual(m.Origins(), AllRanksSources(p)) {
-				t.Fatalf("%s: rank %d origins = %v, want all ranks", label, rank, m.Origins())
-			}
-			for _, pt := range m.Parts {
-				if !reflect.DeepEqual(pt.Data, chunkFor(pt.Origin, rank, size)) {
-					t.Fatalf("%s: rank %d chunk from origin %d corrupted", label, rank, pt.Origin)
-				}
-			}
-		}
-	}
 }
 
 // collSpecs enumerates the spec variants a collective is tested under on
@@ -183,8 +84,8 @@ func TestCollectivesSim(t *testing.T) {
 			for _, m := range meshes {
 				for _, spec := range collSpecs(coll, m[0], m[1]) {
 					label := fmt.Sprintf("%s/%s/%dx%d/s=%v", coll, alg.Name(), m[0], m[1], spec.Sources)
-					out := runSimColl(t, coll, alg, spec, 16)
-					verifyCollective(t, label, coll, spec, out, 16)
+					out, _ := runSimColl(t, coll, alg, spec, 16)
+					checkOut(t, label, coll, spec, out, 16)
 				}
 			}
 		}
@@ -204,7 +105,7 @@ func TestCollectivesLive(t *testing.T) {
 				for _, spec := range collSpecs(coll, m[0], m[1]) {
 					label := fmt.Sprintf("%s/%s/%dx%d/s=%v live", coll, alg.Name(), m[0], m[1], spec.Sources)
 					out := runLiveColl(t, coll, alg, spec, 32)
-					verifyCollective(t, label, coll, spec, out, 32)
+					checkOut(t, label, coll, spec, out, 32)
 				}
 			}
 		}
@@ -220,8 +121,8 @@ func TestCollectivesSingleProcessor(t *testing.T) {
 		}
 		spec := Spec{Rows: 1, Cols: 1, Sources: []int{0}, Indexing: topology.SnakeRowMajor}
 		for _, alg := range RegistryFor(coll) {
-			out := runSimColl(t, coll, alg, spec, 8)
-			verifyCollective(t, fmt.Sprintf("%s/%s p=1", coll, alg.Name()), coll, spec, out, 8)
+			out, _ := runSimColl(t, coll, alg, spec, 8)
+			checkOut(t, fmt.Sprintf("%s/%s p=1", coll, alg.Name()), coll, spec, out, 8)
 		}
 	}
 }
@@ -235,7 +136,7 @@ func TestReduceAllgatherCrossEngine(t *testing.T) {
 		for _, alg := range RegistryFor(coll) {
 			for _, m := range [][2]int{{4, 4}, {3, 5}} {
 				for _, spec := range collSpecs(coll, m[0], m[1]) {
-					simOut := runSimColl(t, coll, alg, spec, 24)
+					simOut, _ := runSimColl(t, coll, alg, spec, 24)
 					liveOut := runLiveColl(t, coll, alg, spec, 24)
 					for rank := range simOut {
 						if !reflect.DeepEqual(simOut[rank], liveOut[rank]) {
@@ -293,21 +194,98 @@ func TestRegistryForPartition(t *testing.T) {
 
 // TestCapsTable pins the capability rows the facade validates against.
 func TestCapsTable(t *testing.T) {
-	if c := Broadcast.Caps(); !c.TakesSources || !c.Cluster || c.Combining || c.Chunked || c.SingleSource {
+	if c := Broadcast.Caps(); !c.TakesSources || c.Combining || c.Chunked || c.SingleSource {
 		t.Errorf("Broadcast caps = %+v", c)
 	}
 	for _, coll := range []Collective{Reduce, AllReduce} {
-		if c := coll.Caps(); !c.TakesSources || !c.Combining || c.Cluster {
+		if c := coll.Caps(); !c.TakesSources || !c.Combining {
 			t.Errorf("%s caps = %+v", coll, c)
 		}
 	}
-	if c := Scatter.Caps(); !c.SingleSource || !c.Chunked || !c.TakesSources || c.Cluster {
+	if c := Scatter.Caps(); !c.SingleSource || !c.Chunked || !c.TakesSources {
 		t.Errorf("Scatter caps = %+v", c)
 	}
-	if c := AllGather.Caps(); c.TakesSources || c.Chunked || c.Cluster {
+	if c := AllGather.Caps(); c.TakesSources || c.Chunked {
 		t.Errorf("AllGather caps = %+v", c)
 	}
-	if c := AllToAll.Caps(); c.TakesSources || !c.Chunked || c.Cluster {
+	if c := AllToAll.Caps(); c.TakesSources || !c.Chunked {
 		t.Errorf("AllToAll caps = %+v", c)
+	}
+}
+
+// TestCheck: for every collective, Check accepts what a registry entry
+// leaves on every rank without allocating, and rejects each way one
+// rank's bundle can go wrong with a message naming the rank and the
+// origin, and the first bad byte where the bytes are wrong.
+func TestCheck(t *testing.T) {
+	const rows, cols, size = 2, 4, 13
+	const p = rows * cols
+	sizes := func(int) int { return size }
+	sources := map[Collective][]int{
+		Broadcast: {1, 4, 6}, Reduce: {1, 4, 6}, AllReduce: {1, 4, 6}, Scatter: {6},
+		AllGather: AllRanksSources(p), AllToAll: AllRanksSources(p),
+	}
+	for _, coll := range Collectives() {
+		t.Run(string(coll), func(t *testing.T) {
+			spec := Spec{Rows: rows, Cols: cols, Sources: sources[coll], Indexing: topology.SnakeRowMajor}
+			out := runLiveColl(t, coll, RegistryFor(coll)[0], spec, size)
+			check := func() {
+				for rank, m := range out {
+					if err := coll.Check(spec, sizes, rank, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, check); allocs != 0 {
+				t.Errorf("Check allocates %.0f times per run of %d bundles", allocs, p)
+			}
+
+			rank := spec.Sources[0] // the root, the one rank a Reduce leaves a result on
+			first, last := out[rank].Parts[0].Origin, out[rank].Parts[len(out[rank].Parts)-1].Origin
+			for _, tc := range []struct {
+				name   string
+				origin int  // the origin the error must name
+				bytes  bool // whether it must name a byte
+				mutate func([]comm.Part) []comm.Part
+			}{
+				{"missing", last, false, func(pts []comm.Part) []comm.Part { return pts[:len(pts)-1] }},
+				{"duplicate", first, false, func(pts []comm.Part) []comm.Part { return append(pts, pts[0]) }},
+				{"foreign", p, false, func(pts []comm.Part) []comm.Part {
+					return append(pts, comm.Part{Origin: p, Data: pts[0].Data})
+				}},
+				{"short", first, false, func(pts []comm.Part) []comm.Part {
+					pts[0].Data = pts[0].Data[:size-1]
+					return pts
+				}},
+				{"flipped byte", first, true, func(pts []comm.Part) []comm.Part {
+					pts[0].Data[size-1] ^= 1
+					return pts
+				}},
+				{"off-by-one chunk", first, true, func(pts []comm.Part) []comm.Part {
+					// The neighbouring destination's chunk, or the
+					// neighbouring origin's message.
+					if coll.Caps().Chunked {
+						src, d := pts[0].Origin, (rank+1)%p
+						if coll == Scatter {
+							src = spec.Sources[0]
+						}
+						pts[0].Data = coll.Payload(p, src, size)[d*size : (d+1)*size]
+					} else {
+						pts[0].Data = coll.Payload(p, pts[0].Origin+1, size)
+					}
+					return pts
+				}},
+			} {
+				parts := slices.Clone(out[rank].Parts)
+				for i := range parts {
+					parts[i].Data = slices.Clone(parts[i].Data)
+				}
+				err := coll.Check(spec, sizes, rank, comm.Message{Parts: tc.mutate(parts)})
+				want := fmt.Sprintf("rank %d, origin %d:", rank, tc.origin)
+				if err == nil || !strings.Contains(err.Error(), want) || tc.bytes != strings.Contains(err.Error(), "byte ") {
+					t.Errorf("%s: Check = %v, want an error naming %q (and a byte: %v)", tc.name, err, want, tc.bytes)
+				}
+			}
+		})
 	}
 }

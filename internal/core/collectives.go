@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/comm"
@@ -55,8 +57,8 @@ func ParseCollective(name string) (Collective, error) {
 }
 
 // Caps is a collective's capability row: what the configuration surface
-// may set for it and which runtimes can verify it. The facade validates
-// Config against this table.
+// may set for it. The facade validates Config against this table; every
+// runtime, cluster sessions included, runs every collective.
 type Caps struct {
 	// TakesSources: the source set (Sources/SourceRanks/Distribution)
 	// selects which ranks contribute. When false, every rank
@@ -71,17 +73,13 @@ type Caps struct {
 	// Chunked: initial bundles carry p per-destination chunks, so a
 	// payload supplies p·L bytes rather than L.
 	Chunked bool
-	// Cluster: supported on multi-process cluster sessions, whose
-	// workers verify results locally. Only full broadcasts are verified
-	// there today, so the other collectives are rejected.
-	Cluster bool
 }
 
 // Caps returns the collective's capability row.
 func (c Collective) Caps() Caps {
 	switch c {
 	case Broadcast:
-		return Caps{TakesSources: true, Cluster: true}
+		return Caps{TakesSources: true}
 	case Reduce:
 		return Caps{TakesSources: true, Combining: true}
 	case AllReduce:
@@ -120,8 +118,8 @@ func CollectiveOf(a Algorithm) Collective {
 const ReducedOrigin = comm.ReducedOrigin
 
 // chunk returns the d-th of p equal slices of data. The payload length
-// must be a multiple of p; the facade's default payloads are, and an
-// explicit RunOptions.Payload for a chunked collective must match.
+// must be a multiple of p; Payload's are, and an explicit
+// RunOptions.Payload for a chunked collective must match.
 func chunk(data []byte, d, p int) []byte {
 	if len(data)%p != 0 {
 		panic(fmt.Sprintf("core: chunked payload of %d bytes is not a multiple of p=%d", len(data), p))
@@ -136,7 +134,8 @@ func chunk(data []byte, d, p int) []byte {
 // own bytes; for Scatter the root contributes p per-destination chunks
 // (payload supplies p·L bytes, chunk d addressed to rank d, its Origin d);
 // for AllToAll every rank contributes p chunks, chunk d addressed to rank
-// d, each with the rank as its Origin.
+// d, each with the rank as its Origin. With Payload as payload, Check
+// verifies what the run leaves.
 func InitialFor(coll Collective, spec Spec, rank int, payload func(rank int) []byte) comm.Message {
 	p := spec.P()
 	switch coll {
@@ -163,6 +162,118 @@ func InitialFor(coll Collective, spec Spec, rank int, payload func(rank int) []b
 		}
 		return comm.Message{Parts: []comm.Part{{Origin: rank, Data: payload(rank)}}}
 	}
+}
+
+// Payload is the one deterministic payload: what rank contributes to c
+// when the caller supplies no bytes of its own. It is size bytes of
+// byte(rank) or, for the chunked collectives, p chunks of size bytes,
+// chunk d filled with byte(rank+131·d), so that every (origin,
+// destination) pair is distinguishable. Anyone can derive it from the
+// rank alone, so a cluster worker verifies its ranks without a payload
+// byte on the control plane.
+func (c Collective) Payload(p, rank, size int) []byte {
+	if !c.Caps().Chunked {
+		p = 1
+	}
+	buf := make([]byte, p*size)
+	for d := range p {
+		chunk := buf[d*size : (d+1)*size]
+		if size > 0 {
+			chunk[0] = fillByte(rank, d)
+		}
+		for n := 1; n < size; n *= 2 {
+			copy(chunk[n:], chunk[:n])
+		}
+	}
+	return buf
+}
+
+// fillByte is the byte chunk d of origin's Payload is filled with.
+func fillByte(origin, d int) byte { return byte(origin + 131*d) }
+
+// Check verifies bundle, what rank holds at the end of a run of c whose
+// ranks entered with Payload of sizes(origin) bytes, against c's
+// postcondition:
+//   - Broadcast, AllGather: one part per source, each that source's payload;
+//   - Reduce: at the root (the first source) one ReducedOrigin part, the
+//     byte-wise sum of the sources' payloads, and nothing elsewhere;
+//     AllReduce: that part on every rank;
+//   - Scatter: one part, origin rank, chunk rank of the root's payload;
+//   - AllToAll: one part per rank o, chunk rank of o's payload.
+//
+// The combining collectives and Scatter take the root's size for their
+// one part. Check sorts the parts by origin in place, checks their count,
+// origin set, duplicates and lengths, and every byte with bytes.Count; it
+// allocates nothing unless it fails, and its error names the rank, the
+// origin and, for wrong bytes, the first bad one. A fill per part cannot
+// see bytes reordered inside a part: FuzzFrameRoundTrip (the wire) and
+// TestFoldMatchesByteLoop (the fold) cover that.
+func (c Collective) Check(spec Spec, sizes func(rank int) int, rank int, bundle comm.Message) error {
+	got := bundle.Parts
+	slices.SortFunc(got, func(a, b comm.Part) int { return a.Origin - b.Origin })
+	n := c.parts(spec, rank)
+	for i := 0; i < max(n, len(got)); i++ {
+		origin, size, fill := 0, 0, byte(0)
+		if i < n {
+			origin, size, fill = c.part(spec, sizes, rank, i)
+		}
+		switch {
+		case i < len(got) && i > 0 && got[i].Origin == got[i-1].Origin:
+			return fmt.Errorf("%s: rank %d, origin %d: part held twice", c, rank, got[i].Origin)
+		case i == len(got) || i < n && got[i].Origin > origin:
+			return fmt.Errorf("%s: rank %d, origin %d: part missing", c, rank, origin)
+		case i == n || got[i].Origin < origin:
+			return fmt.Errorf("%s: rank %d, origin %d: part not expected here", c, rank, got[i].Origin)
+		}
+		data := got[i].Data
+		if len(data) != size {
+			return fmt.Errorf("%s: rank %d, origin %d: %d bytes, want %d", c, rank, origin, len(data), size)
+		}
+		if bytes.Count(data, []byte{fill}) == size {
+			continue
+		}
+		for j, b := range data {
+			if b != fill {
+				return fmt.Errorf("%s: rank %d, origin %d: byte %d is %#02x, want %#02x", c, rank, origin, j, b, fill)
+			}
+		}
+	}
+	return nil
+}
+
+// parts is the number of parts rank holds at the end of a run of c.
+func (c Collective) parts(spec Spec, rank int) int {
+	switch c {
+	case Reduce:
+		if rank != spec.Sources[0] {
+			return 0
+		}
+		return 1
+	case AllReduce, Scatter:
+		return 1
+	case AllToAll:
+		return spec.P()
+	}
+	return len(spec.Sources)
+}
+
+// part is the i-th part, in origin order, of what rank holds at the end
+// of a run of c: its origin, length and fill byte.
+func (c Collective) part(spec Spec, sizes func(rank int) int, rank, i int) (origin, size int, fill byte) {
+	root := spec.Sources[0]
+	switch c {
+	case Reduce, AllReduce:
+		for _, s := range spec.Sources {
+			fill += fillByte(s, 0)
+		}
+		return ReducedOrigin, sizes(root), fill
+	case Scatter:
+		return rank, sizes(root), fillByte(root, rank)
+	case AllToAll:
+		return i, sizes(i), fillByte(i, rank)
+	}
+	o := spec.Sources[i]
+	return o, sizes(o), fillByte(o, 0)
 }
 
 // InitialLenFor is InitialFor on the simulator's length-only path: size

@@ -35,66 +35,28 @@ func makeSpec(t *testing.T, d dist.Distribution, r, c, s int) Spec {
 	return Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.SnakeRowMajor}
 }
 
-// payloadFor builds the distinctive payload of a source.
-func payloadFor(origin, size int) []byte {
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(origin*31 + i)
-	}
-	return data
-}
-
-// verifyBundles asserts the s-to-p broadcast postcondition: every rank
-// holds exactly the source origins, each exactly once, with intact
-// payloads.
-func verifyBundles(t *testing.T, label string, spec Spec, out []comm.Message, size int) {
+// checkOut asserts coll's postcondition (Collective.Check) on every
+// rank's bundle of a run whose ranks entered with Payload of size bytes.
+func checkOut(t *testing.T, label string, coll Collective, spec Spec, out []comm.Message, size int) {
 	t.Helper()
 	for rank, m := range out {
-		got := m.Origins()
-		if !reflect.DeepEqual(got, spec.Sources) {
-			t.Fatalf("%s: rank %d origins = %v, want %v", label, rank, got, spec.Sources)
-		}
-		for _, part := range m.Parts {
-			want := payloadFor(part.Origin, size)
-			if !reflect.DeepEqual(part.Data, want) {
-				t.Fatalf("%s: rank %d payload of origin %d corrupted", label, rank, part.Origin)
-			}
+		if err := coll.Check(spec, func(int) int { return size }, rank, m); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
 }
 
-// runSim executes an algorithm on the simulator and returns per-rank
-// bundles plus the run result.
+// runSim executes a broadcast algorithm on the simulator and returns
+// per-rank bundles plus the run result.
 func runSim(t *testing.T, alg Algorithm, spec Spec, size int) ([]comm.Message, *sim.Result) {
 	t.Helper()
-	topo := topology.MustMesh2D(spec.Rows, spec.Cols)
-	nw, err := network.New(topo, topology.IdentityPlacement(spec.P()), network.ParagonNX())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]comm.Message, spec.P())
-	res, err := sim.Run(nw, func(pr *sim.Proc) {
-		mine := InitialMessage(spec, pr.Rank(), payloadFor(pr.Rank(), size))
-		out[pr.Rank()] = alg.Run(pr, spec, mine)
-	}, sim.Options{})
-	if err != nil {
-		t.Fatalf("%s on %d×%d s=%d: %v", alg.Name(), spec.Rows, spec.Cols, spec.S(), err)
-	}
-	return out, res
+	return runSimColl(t, Broadcast, alg, spec, size)
 }
 
-// runLive executes an algorithm on the live engine.
+// runLive executes a broadcast algorithm on the live engine.
 func runLive(t *testing.T, alg Algorithm, spec Spec, size int) []comm.Message {
 	t.Helper()
-	out := make([]comm.Message, spec.P())
-	_, err := liveRun(spec.P(), live.Options{}, func(pr *live.Proc) {
-		mine := InitialMessage(spec, pr.Rank(), payloadFor(pr.Rank(), size))
-		out[pr.Rank()] = alg.Run(pr, spec, mine)
-	})
-	if err != nil {
-		t.Fatalf("%s on %d×%d s=%d (live): %v", alg.Name(), spec.Rows, spec.Cols, spec.S(), err)
-	}
-	return out
+	return runLiveColl(t, Broadcast, alg, spec, size)
 }
 
 // TestAllAlgorithmsAllDistributionsSim is the broad correctness matrix on
@@ -114,7 +76,7 @@ func TestAllAlgorithmsAllDistributionsSim(t *testing.T) {
 					spec := makeSpec(t, d, r, c, s)
 					label := fmt.Sprintf("%s/%s(%d)/%dx%d", alg.Name(), d.Name(), s, r, c)
 					out, _ := runSim(t, alg, spec, 16)
-					verifyBundles(t, label, spec, out, 16)
+					checkOut(t, label, Broadcast, spec, out, 16)
 				}
 			}
 		}
@@ -134,7 +96,7 @@ func TestAlgorithmsLiveEngine(t *testing.T) {
 					spec := makeSpec(t, d, r, c, s)
 					label := fmt.Sprintf("%s/%s(%d)/%dx%d live", alg.Name(), d.Name(), s, r, c)
 					out := runLive(t, alg, spec, 32)
-					verifyBundles(t, label, spec, out, 32)
+					checkOut(t, label, Broadcast, spec, out, 32)
 				}
 			}
 		}
@@ -146,7 +108,7 @@ func TestSingleProcessorMachine(t *testing.T) {
 	spec := Spec{Rows: 1, Cols: 1, Sources: []int{0}, Indexing: topology.SnakeRowMajor}
 	for _, alg := range Registry() {
 		out, _ := runSim(t, alg, spec, 8)
-		verifyBundles(t, alg.Name()+" p=1", spec, out, 8)
+		checkOut(t, alg.Name()+" p=1", Broadcast, spec, out, 8)
 	}
 }
 
@@ -172,15 +134,15 @@ func TestQuickRandomInstances(t *testing.T) {
 		}
 		out := make([]comm.Message, p)
 		if _, err := sim.Run(nw, func(pr *sim.Proc) {
-			mine := InitialMessage(spec, pr.Rank(), payloadFor(pr.Rank(), 8))
+			mine := InitialMessage(spec, pr.Rank(), Broadcast.Payload(p, pr.Rank(), 8))
 			out[pr.Rank()] = alg.Run(pr, spec, mine)
 		}, sim.Options{}); err != nil {
 			t.Logf("%s on %d×%d s=%d sources=%v: %v", alg.Name(), r, c, s, sources, err)
 			return false
 		}
-		for _, m := range out {
-			if !reflect.DeepEqual(m.Origins(), sources) {
-				t.Logf("%s on %d×%d sources=%v: got %v", alg.Name(), r, c, sources, m.Origins())
+		for rank, m := range out {
+			if err := Broadcast.Check(spec, func(int) int { return 8 }, rank, m); err != nil {
+				t.Logf("%s on %d×%d sources=%v: %v", alg.Name(), r, c, sources, err)
 				return false
 			}
 		}
@@ -356,7 +318,7 @@ func TestBrLinActiveGrowthIdealVsPartnered(t *testing.T) {
 func TestReposIdealDistributionUnchanged(t *testing.T) {
 	spec := makeSpec(t, dist.IdealRows(), 8, 8, 16)
 	out, _ := runSim(t, ReposXYSource(), spec, 32)
-	verifyBundles(t, "Repos on ideal", spec, out, 32)
+	checkOut(t, "Repos on ideal", Broadcast, spec, out, 32)
 }
 
 // TestByNameRoundTrip checks the registry lookup.

@@ -25,9 +25,9 @@ func TestWithDiscoveryCorrectBothEngines(t *testing.T) {
 			alg := WithDiscovery(BrXYSource())
 			label := fmt.Sprintf("Discover/%dx%d/s=%d", r, c, s)
 			out, _ := runSim(t, alg, spec, 24)
-			verifyBundles(t, label, spec, out, 24)
+			checkOut(t, label, Broadcast, spec, out, 24)
 			lout := runLive(t, alg, spec, 24)
-			verifyBundles(t, label+" live", spec, lout, 24)
+			checkOut(t, label+" live", Broadcast, spec, lout, 24)
 		}
 	}
 }
@@ -117,9 +117,9 @@ func TestReposAdaptiveCorrectBothPaths(t *testing.T) {
 		spec := makeSpec(t, d, 8, 8, 16)
 		alg := ReposAdaptive(BrXYSource(), 0.1)
 		out, _ := runSim(t, alg, spec, 32)
-		verifyBundles(t, alg.Name()+"/"+d.Name(), spec, out, 32)
+		checkOut(t, alg.Name()+"/"+d.Name(), Broadcast, spec, out, 32)
 		lout := runLive(t, alg, spec, 32)
-		verifyBundles(t, alg.Name()+"/"+d.Name()+" live", spec, lout, 32)
+		checkOut(t, alg.Name()+"/"+d.Name()+" live", Broadcast, spec, lout, 32)
 	}
 }
 

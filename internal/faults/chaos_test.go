@@ -1,7 +1,7 @@
 package faults_test
 
 import (
-	"fmt"
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,10 +49,13 @@ func chaosSpec(t *testing.T) core.Spec {
 	return core.Spec{Rows: 3, Cols: 4, Sources: sources, Indexing: topology.SnakeRowMajor}
 }
 
+// chaosBytes is the length of every source's message in a chaos run.
+const chaosBytes = 16
+
 // runChaos executes one broadcast algorithm on the named engine with
-// every rank's comm wrapped by a fresh injector for plan, and returns
-// the delivered bundles, the canonical injected-event log, and the run
-// error.
+// every rank's comm wrapped by a fresh injector for plan, every source
+// sending its core.Broadcast.Payload, and returns the delivered bundles,
+// the canonical injected-event log, and the run error.
 func runChaos(t *testing.T, engine string, plan faults.Plan, recvTimeout time.Duration) ([]comm.Message, []faults.Event, error) {
 	t.Helper()
 	spec := chaosSpec(t)
@@ -62,7 +65,7 @@ func runChaos(t *testing.T, engine string, plan faults.Plan, recvTimeout time.Du
 	out := make([]comm.Message, p)
 	body := func(c comm.Comm) {
 		fc := inj.Wrap(c)
-		mine := core.InitialMessage(spec, fc.Rank(), []byte(fmt.Sprintf("chaos-%d", fc.Rank())))
+		mine := core.InitialMessage(spec, fc.Rank(), core.Broadcast.Payload(p, fc.Rank(), chaosBytes))
 		out[fc.Rank()] = alg.Run(fc, spec, mine)
 	}
 	var err error
@@ -79,18 +82,13 @@ func runChaos(t *testing.T, engine string, plan faults.Plan, recvTimeout time.Du
 	return out, inj.Events(), err
 }
 
-// assertBundles checks that every rank delivered exactly the fault-free
-// result: all source origins, with the payload each source injected.
-func assertBundles(t *testing.T, out []comm.Message, spec core.Spec) {
+// checkChaos checks that every rank delivered exactly the fault-free
+// result (core.Collective.Check).
+func checkChaos(t *testing.T, out []comm.Message, spec core.Spec) {
 	t.Helper()
 	for rank, m := range out {
-		if !reflect.DeepEqual(m.Origins(), spec.Sources) {
-			t.Fatalf("rank %d origins %v, want %v", rank, m.Origins(), spec.Sources)
-		}
-		for _, part := range m.Parts {
-			if want := fmt.Sprintf("chaos-%d", part.Origin); string(part.Data) != want {
-				t.Fatalf("rank %d delivered %q for origin %d, want %q", rank, part.Data, part.Origin, want)
-			}
+		if err := core.Broadcast.Check(spec, func(int) int { return chaosBytes }, rank, m); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -110,7 +108,7 @@ func TestChaosGracefulFaultsPreserveResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("graceful plan aborted the run: %v", err)
 			}
-			assertBundles(t, out1, spec)
+			checkChaos(t, out1, spec)
 			if len(ev1) == 0 {
 				t.Fatal("plan injected nothing; the test is vacuous")
 			}
@@ -118,7 +116,7 @@ func TestChaosGracefulFaultsPreserveResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("replay aborted: %v", err)
 			}
-			assertBundles(t, out2, spec)
+			checkChaos(t, out2, spec)
 			if !reflect.DeepEqual(ev1, ev2) {
 				t.Fatalf("same seed, different schedules:\nfirst:  %v\nsecond: %v", ev1, ev2)
 			}
@@ -199,8 +197,8 @@ func TestChaosCorruptionIsDetectedNotDelivered(t *testing.T) {
 			// No rank may have returned a bundle carrying damaged bytes.
 			for rank, m := range out {
 				for _, part := range m.Parts {
-					if part.Data != nil && string(part.Data) != fmt.Sprintf("chaos-%d", part.Origin) {
-						t.Fatalf("rank %d holds corrupted payload %q for origin %d", rank, part.Data, part.Origin)
+					if want := core.Broadcast.Payload(len(out), part.Origin, chaosBytes); part.Data != nil && !bytes.Equal(part.Data, want) {
+						t.Fatalf("rank %d holds corrupted payload %x for origin %d", rank, part.Data, part.Origin)
 					}
 				}
 			}

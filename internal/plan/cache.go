@@ -30,11 +30,9 @@ const (
 type Entry struct {
 	// Algorithm is the chosen algorithm's registry name.
 	Algorithm string `json:"algorithm"`
-	// ElapsedMs is the chosen algorithm's probed (or, with probing
-	// disabled, predicted) time in milliseconds.
+	// ElapsedMs is the chosen algorithm's probed time in milliseconds.
 	ElapsedMs float64 `json:"elapsed_ms"`
-	// Source records which tier produced the choice: "probe" or
-	// "analytic".
+	// Source records which tier produced the choice: "probe".
 	Source string `json:"source"`
 	// Seq is the entry's insertion sequence number; eviction removes the
 	// lowest sequence first (deterministic FIFO).

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/topology"
 )
 
@@ -223,10 +224,13 @@ func TestDecideDeterministic(t *testing.T) {
 	m := machine.Paragon(10, 10)
 	spec := testSpec(t, m, dist.Cross(), 20)
 	req := Request{Spec: spec, MsgLen: 4096, DistName: "Cr"}
-	// Two independent cold planners (fresh caches) must agree exactly.
+	// Two independent cold planners (fresh caches), one probing serially
+	// and one on four workers, must agree exactly.
+	defer par.SetLimit(0)
 	var decs []*Decision
 	for i := 0; i < 2; i++ {
-		p := New(Options{Cache: NewMemCache(0), Workers: 1 + i*3})
+		par.SetLimit(1 + i*3)
+		p := New(Options{Cache: NewMemCache(0)})
 		d, err := p.Decide(context.Background(), m, req)
 		if err != nil {
 			t.Fatal(err)
@@ -272,57 +276,14 @@ func TestDecideWarmCacheSkipsProbes(t *testing.T) {
 	}
 }
 
-func TestDecideAnalyticOnly(t *testing.T) {
-	m := machine.Paragon(6, 6)
-	spec := testSpec(t, m, dist.Band(), 6)
-	p := New(Options{TopK: -1})
-	probes := metrics.GetCounter(CounterProbes)
-	p0 := probes.Value()
-	d, err := p.Decide(context.Background(), m, Request{Spec: spec, MsgLen: 1024, DistName: "B"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probes.Value() != p0 {
-		t.Fatal("analytic-only decision ran probes")
-	}
-	if d.Source != "analytic" || d.Algorithm != d.Ranking[0].Algorithm {
-		t.Fatalf("analytic decision %+v", d)
-	}
-}
-
 func TestDecideCancelled(t *testing.T) {
 	m := machine.Paragon(10, 10)
 	spec := testSpec(t, m, dist.Equal(), 30)
-	p := New(Options{Workers: 1})
+	p := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.Decide(ctx, m, Request{Spec: spec, MsgLen: 4096, DistName: "E"}); err == nil {
 		t.Fatal("cancelled decide succeeded")
-	}
-}
-
-func TestDecideProbeBudget(t *testing.T) {
-	m := machine.Paragon(6, 6)
-	spec := testSpec(t, m, dist.Equal(), 9)
-	// A budget of 1 operation disqualifies every probe.
-	p := New(Options{MaxProbeOps: 1})
-	_, err := p.Decide(context.Background(), m, Request{Spec: spec, MsgLen: 1024, DistName: "E"})
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("want budget-exhausted error, got %v", err)
-	}
-	// Whichever way the simulator runs a candidate — Br_Lin is replayed,
-	// Bcast_Circulant runs as goroutines — over budget is +Inf, not an error.
-	for _, name := range []string{"Br_Lin", "Bcast_Circulant"} {
-		alg, err := core.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ms, err := probeOne(m, alg, spec, 1024, 10); err != nil || !math.IsInf(ms, 1) {
-			t.Errorf("%s over budget: %v ms, %v; want +Inf", name, ms, err)
-		}
-		if ms, err := probeOne(m, alg, spec, 1024, 0); err != nil || math.IsInf(ms, 1) || ms <= 0 {
-			t.Errorf("%s without a budget: %v ms, %v", name, ms, err)
-		}
 	}
 }
 
@@ -342,9 +303,9 @@ func TestDecideRejectsInvalidSpec(t *testing.T) {
 // TestColdDecideAllocationBudget counts what a fresh planner with an
 // empty cache allocates deciding a handful of the benchmark's plan_cold
 // instances — analytic ranking, probe simulations, one cache fill each —
-// among them the largest, a T3D-256 broadcast. Probes run on one worker,
-// as they do by default at the GOMAXPROCS of 1 AllocsPerRun pins, which
-// also sizes the simulator's engine free list. The least of a few sweeps,
+// among them the largest, a T3D-256 broadcast. Probes run on one worker
+// (par.SetLimit), as they do by default at the GOMAXPROCS of 1
+// AllocsPerRun pins, which also sizes the simulator's engine free list. The least of a few sweeps,
 // so a collection during one does not count.
 func TestColdDecideAllocationBudget(t *testing.T) {
 	type instance struct {
@@ -365,8 +326,10 @@ func TestColdDecideAllocationBudget(t *testing.T) {
 		all(t3d64, core.AllToAll, 16),
 		all(t3d64, core.AllReduce, 4<<10),
 	}
+	par.SetLimit(1)
+	defer par.SetLimit(0)
 	sweep := func() {
-		pl := New(Options{Cache: NewMemCache(0), Workers: 1})
+		pl := New(Options{Cache: NewMemCache(0)})
 		for _, in := range grid {
 			if _, err := pl.Decide(context.Background(), in.m, in.req); err != nil {
 				t.Fatal(err)

@@ -35,7 +35,7 @@ type rankCell struct {
 // planGrid), whose top-6 sets decide the benchmark's golden decisions.
 func rankGoldenGrid(t *testing.T) []rankCell {
 	registry := New(Options{})
-	bcast := registry.Candidates()
+	bcast := registry.CandidatesFor(core.Broadcast)
 	var cells []rankCell
 	specOf := func(m *machine.Machine, dn string, s int) core.Spec {
 		d, err := dist.ByName(dn)
@@ -156,7 +156,7 @@ func sameRanking(got, want string) error {
 func TestRankAllocationBudget(t *testing.T) {
 	m := machine.Paragon(16, 16)
 	spec := testSpec(t, m, dist.Equal(), 32)
-	candidates := New(Options{}).Candidates()
+	candidates := New(Options{}).CandidatesFor(core.Broadcast)
 	// The least of several runs, so a GC in the middle of one cannot flake it.
 	least := math.Inf(1)
 	for i := 0; i < 5; i++ {

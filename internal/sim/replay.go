@@ -29,9 +29,9 @@ type reg struct {
 // the root of the ready heap until the operation at which its goroutine
 // would have passed the token on under Run — a Send while another
 // processor is earlier, a Recv of a message not sent yet, a Barrier, the
-// end of its program — and then steps the new root. Order, charges, events
-// and the MaxOps count are Run's because they are the same code: only what
-// "giving up the token" means differs.
+// end of its program — and then steps the new root. Order, charges and
+// events are Run's because they are the same code: only what "giving up
+// the token" means differs.
 //
 // A program that selects parts or folds them (comm.Program.SelectsParts)
 // prices a selection by the lengths of the parts it picks and a fold by
@@ -102,10 +102,7 @@ func (e *engine) step(pr *Proc, prog *comm.Program) {
 			if op.Kind == comm.OpSendParts {
 				s, peer = prog.Selection(op)
 			}
-			if !pr.begun && !e.begin(pr, "sends to", peer) {
-				return
-			}
-			if pr.begun = true; e.ready[0] != pr {
+			if !e.checkPeer(pr, "sends to", peer) || e.ready[0] != pr {
 				return
 			}
 			var pd pending
@@ -136,10 +133,10 @@ func (e *engine) step(pr *Proc, prog *comm.Program) {
 		case comm.OpRecv, comm.OpMerge, comm.OpDrop, comm.OpFold:
 			var pd pending
 			if src := op.Peer(); op.Kind != comm.OpFold || src >= 0 {
-				if !pr.begun && !e.begin(pr, "receives from", src) {
+				if !e.checkPeer(pr, "receives from", src) {
 					return
 				}
-				if pr.begun = true; e.queues[src*e.p+pr.rank].head == 0 {
+				if e.queues[src*e.p+pr.rank].head == 0 {
 					pr.block(src)
 					return
 				}
@@ -167,9 +164,6 @@ func (e *engine) step(pr *Proc, prog *comm.Program) {
 			regs[op.Reg()] = reg{}
 			regs[dst] = e.join(regs[dst], r)
 		case comm.OpBarrier:
-			if !e.beginOp() {
-				return
-			}
 			pr.pc++
 			pr.arrive()
 			return
@@ -187,20 +181,19 @@ func (e *engine) step(pr *Proc, prog *comm.Program) {
 			e.err = fmt.Errorf("sim: rank %d: unknown operation %d", pr.rank, op.Kind)
 			return
 		}
-		pr.begun = false
 		pr.pc++
 	}
 	pr.finish()
 }
 
-// begin opens a Send or Recv of pr the way the Proc method does: the peer
-// is checked, the operation counted. It reports whether the run goes on.
-func (e *engine) begin(pr *Proc, does string, peer int) bool {
+// checkPeer checks the peer of a Send or Recv of pr the way the Proc
+// method does. It reports whether the run goes on.
+func (e *engine) checkPeer(pr *Proc, does string, peer int) bool {
 	if peer < 0 || peer >= e.p {
 		e.err = fmt.Errorf("sim: rank %d %s invalid rank %d", pr.rank, does, peer)
 		return false
 	}
-	return e.beginOp()
+	return true
 }
 
 // The part lengths of a part-reading program. A register or message is a

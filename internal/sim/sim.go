@@ -179,12 +179,6 @@ type Options struct {
 	// the wait. Events of one rank arrive in that rank's program order;
 	// ranks interleave in token order, not in global clock order.
 	Tracer Tracer
-	// MaxOps, when positive, aborts the run with an error once the
-	// processors together have issued more than that many communication
-	// operations (Send, Recv and Barrier calls) — a safeguard against
-	// algorithms that loop forever. The count is a property of the
-	// algorithm, not of how the scheduler interleaves it.
-	MaxOps int
 }
 
 // Proc is one virtual processor: under Run the handle the algorithm
@@ -210,11 +204,8 @@ type Proc struct {
 
 	// resume parks the processor's goroutine (Run).
 	resume chan struct{}
-	// pc is the next operation of the processor's program (Replay); begun
-	// says that operation was counted and checked before the processor
-	// had to give way, so picking it up again does neither twice.
-	pc    int
-	begun bool
+	// pc is the next operation of the processor's program (Replay).
+	pc int
 
 	sends, recvs         int
 	sendBytes, recvBytes int64
@@ -271,9 +262,8 @@ type engine struct {
 	doneCount    int
 	barrierCount int
 
-	ops     int
 	opts    Options
-	err     error // terminal scheduler error (deadlock, MaxOps)
+	err     error // terminal scheduler error (deadlock, bad program)
 	aborted bool
 
 	// finish carries the token back to Run when the run ends, and acks
@@ -354,7 +344,7 @@ func (e *engine) release() {
 		e.procs[i].eng = nil
 	}
 	e.net, e.opts, e.err, e.aborted = nil, Options{}, nil, false
-	e.doneCount, e.barrierCount, e.ops = 0, 0, 0
+	e.doneCount, e.barrierCount = 0, 0
 	idle.Lock()
 	if len(idle.engines) < runtime.GOMAXPROCS(0) {
 		idle.engines = append(idle.engines, e)
@@ -363,13 +353,8 @@ func (e *engine) release() {
 }
 
 // errAbort unwinds processor goroutines when the run is abandoned
-// (deadlock or MaxOps), so Run does not leak blocked goroutines.
+// (deadlock), so Run does not leak blocked goroutines.
 type errAbort struct{}
-
-// ErrMaxOps is wrapped by the error Run returns when the MaxOps budget is
-// exhausted; callers distinguishing "too expensive" from "broken" match it
-// with errors.Is.
-var ErrMaxOps = errors.New("operation budget exhausted")
 
 // Run executes fn on every processor of the simulated machine described by
 // net (one processor per placed rank) and returns the timing result. The
@@ -618,29 +603,6 @@ func (p *Proc) Size() int { return p.eng.p }
 // Now returns the processor's current virtual clock.
 func (p *Proc) Now() network.Time { return p.clock }
 
-// beginOp counts one communication operation against the MaxOps budget
-// and reports whether the run may go on; the operation that exhausts the
-// budget records the terminal error.
-func (e *engine) beginOp() bool {
-	if e.opts.MaxOps <= 0 {
-		return true
-	}
-	if e.ops++; e.ops > e.opts.MaxOps {
-		e.err = fmt.Errorf("sim: aborted after %d operations (MaxOps): %w", e.opts.MaxOps, ErrMaxOps)
-		return false
-	}
-	return true
-}
-
-// beginOp is engine.beginOp for a processor goroutine: the call that
-// exhausts the budget gives the token back to Run, which drains every
-// processor (this one included) through the errAbort unwind.
-func (p *Proc) beginOp() {
-	if !p.eng.beginOp() {
-		p.wait(nil)
-	}
-}
-
 // wait hands the token to next (to Run when nil) and parks until this
 // processor is rescheduled.
 func (p *Proc) wait(next *Proc) {
@@ -688,7 +650,6 @@ func (p *Proc) Send(dst int, m comm.Message) {
 	if dst < 0 || dst >= e.p {
 		panic(fmt.Sprintf("sim: rank %d sends to invalid rank %d", p.rank, dst))
 	}
-	p.beginOp()
 	if next := e.ready[0]; next != p {
 		p.wait(next)
 	}
@@ -727,7 +688,6 @@ func (p *Proc) Recv(src int) comm.Message {
 	if src < 0 || src >= e.p {
 		panic(fmt.Sprintf("sim: rank %d receives from invalid rank %d", p.rank, src))
 	}
-	p.beginOp()
 	if e.queues[src*e.p+p.rank].head == 0 {
 		p.block(src)
 		p.park()
@@ -776,7 +736,6 @@ func (p *Proc) receive(src int) pending {
 
 // Barrier implements comm.Comm.
 func (p *Proc) Barrier() {
-	p.beginOp()
 	p.arrive()
 	p.park()
 }

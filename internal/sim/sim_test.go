@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -386,19 +385,6 @@ func TestSendToSelf(t *testing.T) {
 	}
 }
 
-func TestMaxOpsAborts(t *testing.T) {
-	nw := lineNet(t, 2)
-	_, err := Run(nw, func(p *Proc) {
-		// An endless ping-pong that would otherwise never terminate.
-		for {
-			exchange(p, 1-p.Rank(), comm.Message{Parts: []comm.Part{{Data: payload(1)}}})
-		}
-	}, Options{MaxOps: 1000})
-	if err == nil || !strings.Contains(err.Error(), "MaxOps") {
-		t.Fatalf("runaway algorithm not aborted: %v", err)
-	}
-}
-
 // waitForGoroutines fails the test unless the goroutine count settles back
 // to at most base within a second (unwound goroutines need a moment to
 // exit after their last channel operation).
@@ -413,39 +399,8 @@ func waitForGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d before, %d after", base, runtime.NumGoroutine())
 }
 
-// TestMaxOpsCountsOperations pins what the budget counts: communication
-// operations (Send, Recv and Barrier calls over all processors), not
-// scheduler hand-offs. A budget of N lets an endless ping-pong issue
-// exactly N operations; the call that would be operation N+1 aborts the
-// run, and every processor goroutine is gone afterwards.
-func TestMaxOpsCountsOperations(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for _, budget := range []int{1, 2, 7, 1000} {
-		issued := 0 // touched only under the run token
-		_, err := Run(lineNet(t, 2), func(p *Proc) {
-			issued++
-			p.Barrier()
-			msg := comm.Message{Parts: []comm.Part{{Size: 1}}}
-			for {
-				issued++
-				p.Send(1-p.Rank(), msg)
-				issued++
-				p.Recv(1 - p.Rank())
-			}
-		}, Options{MaxOps: budget})
-		if !errors.Is(err, ErrMaxOps) {
-			t.Fatalf("budget %d: got %v, want ErrMaxOps", budget, err)
-		}
-		// The aborting call was counted above but never ran.
-		if issued != budget+1 {
-			t.Errorf("budget %d: the run was stopped at operation %d, want %d", budget, issued, budget+1)
-		}
-	}
-	waitForGoroutines(t, base)
-}
-
 // TestGoroutinesReturnToBaseline runs every way a run can end — normally,
-// deadlocked, with a panic, out of budget, under either driver — back to
+// deadlocked, with a panic, under either driver — back to
 // back on the pooled engine: no processor goroutine may outlive its run
 // (a replay never starts one), and a recycled engine must not carry
 // anything of an abandoned run into the next one.
@@ -472,32 +427,25 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 		name string
 		fn   func(*Proc)   // run as goroutines, or
 		prog *comm.Program // replayed
-		opts Options
-		want string // substring of the error, "" for success
+		want string        // substring of the error, "" for success
 	}{
-		{"normal", ring, nil, Options{}, ""},
+		{"normal", ring, nil, ""},
 		{"deadlock", func(p *Proc) {
 			p.Send((p.Rank()+1)%p.Size(), comm.Message{Parts: []comm.Part{{Origin: -1, Size: 8}}}) // left in the queue
 			p.Recv((p.Rank() + 1) % p.Size())
 			p.Recv((p.Rank() + 1) % p.Size())
-		}, nil, Options{}, "deadlock"},
+		}, nil, "deadlock"},
 		{"panic", func(p *Proc) {
 			if p.Rank() == 2 {
 				panic("boom")
 			}
 			p.Barrier()
-		}, nil, Options{}, "boom"},
-		{"budget", func(p *Proc) {
-			for {
-				ring(p)
-			}
-		}, nil, Options{MaxOps: 50}, "MaxOps"},
-		{"replayed", nil, script(1, func(*comm.Builder, int) {}), Options{}, ""},
+		}, nil, "boom"},
+		{"replayed", nil, script(1, func(*comm.Builder, int) {}), ""},
 		{"replayed deadlock", nil, script(1, func(b *comm.Builder, rank int) {
 			b.Send((rank+1)%4, 0) // left in the queue
 			b.Recv((rank+1)%4, 1)
-		}), Options{}, "deadlock"},
-		{"replayed budget", nil, script(100, func(*comm.Builder, int) {}), Options{MaxOps: 50}, "MaxOps"},
+		}), "deadlock"},
 	}
 	for round := 0; round < 5; round++ {
 		for _, e := range endings {
@@ -506,12 +454,12 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 				// Once the earlier runs' goroutines are gone, a replay must
 				// not show one of its own even for a moment.
 				waitForGoroutines(t, base)
-				_, err = Replay(lineNet(t, 4), e.prog, func(int) (int, int) { return 8, 1 }, e.opts)
+				_, err = Replay(lineNet(t, 4), e.prog, func(int) (int, int) { return 8, 1 }, Options{})
 				if n := runtime.NumGoroutine(); n > base {
 					t.Fatalf("round %d, %s: %d goroutines right after the replay, %d before it", round, e.name, n, base)
 				}
 			} else {
-				_, err = Run(lineNet(t, 4), e.fn, e.opts)
+				_, err = Run(lineNet(t, 4), e.fn, Options{})
 			}
 			if e.want == "" && err != nil || e.want != "" && (err == nil || !strings.Contains(err.Error(), e.want)) {
 				t.Fatalf("round %d, %s: got %v, want %q", round, e.name, err, e.want)

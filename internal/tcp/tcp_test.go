@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -146,35 +145,40 @@ func TestFIFOPerPairOverTCP(t *testing.T) {
 	}
 }
 
-// TestCoreAlgorithmsOverTCP runs the full algorithm registry over real
-// sockets on a 3×4 machine — the same correctness matrix the other two
-// engines pass.
+// TestCoreAlgorithmsOverTCP runs every collective's algorithm registry
+// over real sockets on a 3×4 machine — the same correctness matrix the
+// other two engines pass, each rank's result checked by
+// core.Collective.Check.
 func TestCoreAlgorithmsOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket matrix")
 	}
-	const r, c, s = 3, 4, 5
+	const r, c, s, size = 3, 4, 5, 24
 	sources, err := dist.Cross().Sources(r, c, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := core.Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.SnakeRowMajor}
-	for _, alg := range core.Registry() {
-		out := make([]comm.Message, r*c)
-		_, err := runOnce(r*c, func(p *Proc) {
-			mine := core.InitialMessage(spec, p.Rank(), []byte(fmt.Sprintf("tcp-%d", p.Rank())))
-			out[p.Rank()] = alg.Run(p, spec, mine)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", alg.Name(), err)
+	sizes := func(int) int { return size }
+	for _, coll := range core.Collectives() {
+		spec := core.Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.SnakeRowMajor}
+		switch caps := coll.Caps(); {
+		case !caps.TakesSources:
+			spec.Sources = core.AllRanksSources(r * c)
+		case caps.SingleSource:
+			spec.Sources = sources[:1]
 		}
-		for rank, m := range out {
-			if !reflect.DeepEqual(m.Origins(), sources) {
-				t.Fatalf("%s: rank %d origins %v, want %v", alg.Name(), rank, m.Origins(), sources)
+		for _, alg := range core.RegistryFor(coll) {
+			out := make([]comm.Message, r*c)
+			_, err := runOnce(r*c, func(p *Proc) {
+				mine := core.InitialFor(coll, spec, p.Rank(), func(rank int) []byte { return coll.Payload(r*c, rank, size) })
+				out[p.Rank()] = alg.Run(p, spec, mine)
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", alg.Name(), err)
 			}
-			for _, part := range m.Parts {
-				if want := fmt.Sprintf("tcp-%d", part.Origin); string(part.Data) != want {
-					t.Fatalf("%s: rank %d payload %q", alg.Name(), rank, part.Data)
+			for rank, m := range out {
+				if err := coll.Check(spec, sizes, rank, m); err != nil {
+					t.Fatalf("%s: %v", alg.Name(), err)
 				}
 			}
 		}
@@ -185,15 +189,16 @@ func TestCollectivesOverTCP(t *testing.T) {
 	const p = 8
 	out := make([]comm.Message, p)
 	_, err := runOnce(p, func(pr *Proc) {
-		m := comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}}
+		m := comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: core.AllGather.Payload(p, pr.Rank(), 1)}}}
 		out[pr.Rank()] = collective.AllgatherRingScript(p).Run(pr, m)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := core.Spec{Rows: 1, Cols: p, Sources: core.AllRanksSources(p)}
 	for rank, m := range out {
-		if len(m.Parts) != p {
-			t.Fatalf("rank %d gathered %d parts", rank, len(m.Parts))
+		if err := core.AllGather.Check(spec, func(int) int { return 1 }, rank, m); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -86,8 +86,8 @@ type SessionOptions struct {
 	// processes instead of in-process: Open stands up a coordinator
 	// that spawns (or adopts) the workers, hands each a contiguous rank
 	// range and its share of the Links plan, and wires the mesh across
-	// process boundaries; Run then drives cluster-wide broadcasts
-	// through the same Session API. EngineTCP only — Open rejects the
+	// process boundaries; Run then drives cluster-wide runs of any
+	// collective through the same Session API. EngineTCP only — Open rejects the
 	// other engines. See ClusterSpec for the run-option restrictions a
 	// distributed session imposes.
 	Cluster *ClusterSpec
@@ -103,10 +103,11 @@ type SessionOptions struct {
 // A cluster session moves run specs, not Go values, between processes,
 // so Run rejects options that cannot cross a process boundary:
 // RunOptions.Algorithm, Payload, Faults, Trace and Context, and
-// Config.MsgBytesFor must be unset. Sources send
-// the default deterministic payload (MsgBytes bytes of the rank value)
-// and every worker verifies its own ranks' bundles byte-exactly;
-// Result.Bundles is nil — payload bytes never travel the control plane.
+// Config.MsgBytesFor must be unset. Ranks send the default
+// deterministic payload (see RunOptions.Payload) and every worker
+// verifies its own ranks' bundles byte-exactly against the collective's
+// postcondition; Result.Bundles is nil — payload bytes never travel the
+// control plane.
 type ClusterSpec struct {
 	// Workers is the number of worker processes, 1 ≤ Workers ≤ p.
 	Workers int
@@ -588,7 +589,8 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 	alg = core.Bind(alg, spec)
 	payload := opts.Payload
 	if payload == nil {
-		payload = defaultPayload(cfg, s.m.P())
+		p := s.m.P()
+		payload = func(rank int) []byte { return coll.Payload(p, rank, msgLenFor(cfg, rank)) }
 	}
 	var inj *faults.Injector
 	if opts.Faults != nil {
@@ -653,15 +655,12 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 	return res, sent, nil
 }
 
-// runCluster executes one broadcast across the session's worker
+// runCluster executes one collective across the session's worker
 // processes: it resolves the config to an explicit run spec (registry
-// algorithm name, explicit source ranks) and ships that to the
-// coordinator — Go values cannot cross the process boundary, which is
-// also why the options checked below must be unset.
+// algorithm name, which names the collective, and explicit source ranks)
+// and ships that to the coordinator — Go values cannot cross the process
+// boundary, which is also why the options checked below must be unset.
 func (s *Session) runCluster(cfg Config, opts RunOptions) (*Result, int64, error) {
-	if coll := cfg.collective(); !coll.Caps().Cluster {
-		return nil, 0, fmt.Errorf("stpbcast: cluster sessions support Broadcast only, not %s (workers verify full broadcasts)", coll)
-	}
 	switch {
 	case opts.Algorithm != nil:
 		return nil, 0, errors.New("stpbcast: cluster runs cannot use RunOptions.Algorithm (an explicit Algorithm value cannot cross process boundaries); name a registry algorithm in Config.Algorithm")
@@ -703,7 +702,8 @@ func (s *Session) runCluster(cfg Config, opts RunOptions) (*Result, int64, error
 	for i := range res.Procs {
 		sent += res.Procs[i].SendBytes
 	}
-	// Bundles stay nil: each worker verified its own ranks byte-exactly;
+	// Bundles stay nil: each worker verified its own ranks with
+	// core.Collective.Check;
 	// shipping payload bytes over the control plane would defeat the
 	// point of distributing the mesh.
 	return &Result{Elapsed: res.Elapsed}, sent, nil
@@ -727,31 +727,4 @@ func msgLenFor(cfg Config, rank int) int {
 		return 0
 	}
 	return cfg.MsgBytes
-}
-
-// defaultPayload synthesizes deterministic per-source payloads when
-// RunOptions.Payload is nil: msgLenFor bytes of the source's rank value.
-// For the chunked collectives (Scatter, AllToAll) the payload carries p
-// chunks of MsgBytes bytes each, chunk d filled with byte(rank + 131·d)
-// so every (source, destination) pair is distinguishable.
-func defaultPayload(cfg Config, p int) func(rank int) []byte {
-	if cfg.collective().Caps().Chunked {
-		return func(rank int) []byte {
-			buf := make([]byte, p*cfg.MsgBytes)
-			for d := 0; d < p; d++ {
-				chunk := buf[d*cfg.MsgBytes : (d+1)*cfg.MsgBytes]
-				for i := range chunk {
-					chunk[i] = byte(rank + 131*d)
-				}
-			}
-			return buf
-		}
-	}
-	return func(rank int) []byte {
-		buf := make([]byte, msgLenFor(cfg, rank))
-		for i := range buf {
-			buf[i] = byte(rank)
-		}
-		return buf
-	}
 }

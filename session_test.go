@@ -21,15 +21,12 @@ var sessionCfg = stpbcast.Config{
 	MsgBytes:     64,
 }
 
-func checkBundles(t *testing.T, res *stpbcast.Result, p, sources int) {
+// checkResult fails the test unless every rank of res holds exactly
+// what cfg's collective must leave with the default payload.
+func checkResult(t *testing.T, m *stpbcast.Machine, cfg stpbcast.Config, res *stpbcast.Result) {
 	t.Helper()
-	if len(res.Bundles) != p {
-		t.Fatalf("bundles for %d ranks, want %d", len(res.Bundles), p)
-	}
-	for rank, got := range res.Bundles {
-		if len(got) != sources {
-			t.Fatalf("rank %d holds %d messages, want %d", rank, len(got), sources)
-		}
+	if err := stpbcast.CheckResult(m, cfg, res); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -59,7 +56,7 @@ func TestSessionIsolationRealEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chaos run: %v", err)
 			}
-			checkBundles(t, res1, m.P(), sessionCfg.Sources)
+			checkResult(t, m, sessionCfg, res1)
 			if len(res1.Faults) == 0 {
 				t.Fatal("duplicate-everything plan injected nothing")
 			}
@@ -76,7 +73,7 @@ func TestSessionIsolationRealEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
-			checkBundles(t, res2, m.P(), sessionCfg.Sources)
+			checkResult(t, m, sessionCfg, res2)
 			if len(res2.Faults) != 0 {
 				t.Fatalf("fault plan leaked into the next run: %d events", len(res2.Faults))
 			}
@@ -104,9 +101,9 @@ func TestSessionIsolationRealEngines(t *testing.T) {
 
 // TestRunAsyncOverlapTCP is the pipelining acceptance test: two
 // broadcasts submitted back to back on one warm TCP mesh, the second
-// entering the queue while the first is still in flight. Each run
-// carries a distinguishing payload fill; every delivered bundle must
-// hold exactly its own run's bytes — epoch tagging on the wire keeps
+// entering the queue while the first is still in flight. The runs differ
+// in sources and message length; every delivered bundle must hold
+// exactly its own run's parts and bytes — epoch tagging on the wire keeps
 // overlapping runs' frames apart.
 func TestRunAsyncOverlapTCP(t *testing.T) {
 	m := stpbcast.NewParagon(2, 2)
@@ -116,49 +113,28 @@ func TestRunAsyncOverlapTCP(t *testing.T) {
 	}
 	defer s.Close()
 
-	payload := func(fill byte) func(rank int) []byte {
-		return func(rank int) []byte {
-			buf := make([]byte, 64)
-			for i := range buf {
-				buf[i] = fill
-			}
-			return buf
-		}
-	}
+	cfgA := sessionCfg
+	cfgB := stpbcast.Config{Algorithm: "Br_Lin", SourceRanks: []int{1, 2}, MsgBytes: 96}
 	// Submit both before waiting on either: the second run is queued on
 	// the session while the first executes.
-	futA, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{
-		Payload: payload(0xAA), RecvTimeout: 10 * time.Second,
-	})
+	futA, err := s.RunAsync(cfgA, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	futB, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{
-		Payload: payload(0xBB), RecvTimeout: 10 * time.Second,
-	})
+	futB, err := s.RunAsync(cfgB, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	check := func(name string, fut *stpbcast.Future, fill byte) {
-		res, err := fut.Wait()
+	for _, run := range []struct {
+		fut *stpbcast.Future
+		cfg stpbcast.Config
+	}{{futA, cfgA}, {futB, cfgB}} {
+		res, err := run.fut.Wait()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		checkBundles(t, res, m.P(), sessionCfg.Sources)
-		for rank, got := range res.Bundles {
-			for origin, data := range got {
-				for _, b := range data {
-					if b != fill {
-						t.Fatalf("%s: rank %d received byte %#x from origin %d, want %#x — frames bled across runs",
-							name, rank, b, origin, fill)
-					}
-				}
-			}
-		}
+		checkResult(t, m, run.cfg, res)
 	}
-	check("runA", futA, 0xAA)
-	check("runB", futB, 0xBB)
 
 	// Wait is repeatable and Done is closed after completion.
 	select {
@@ -194,7 +170,7 @@ func TestRunAsyncCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("admitted run failed after Close: %v", err)
 	}
-	checkBundles(t, res, m.P(), sessionCfg.Sources)
+	checkResult(t, m, sessionCfg, res)
 	if _, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{}); err == nil {
 		t.Fatal("RunAsync accepted after Close")
 	} else if !strings.Contains(err.Error(), "closed session") {
@@ -279,7 +255,7 @@ func TestSessionKillThenReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after kill failed: %v", err)
 	}
-	checkBundles(t, res, m.P(), sessionCfg.Sources)
+	checkResult(t, m, sessionCfg, res)
 
 	stats, err := s.Close()
 	if err != nil {
@@ -328,7 +304,7 @@ func TestSessionManyRunsTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d (%s): %v", i, cfg.Algorithm, err)
 		}
-		checkBundles(t, res, m.P(), cfg.Sources)
+		checkResult(t, m, cfg, res)
 	}
 	if st := s.Stats(); st.Runs != 12 || st.Failures != 0 || st.Reconnects != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -514,7 +490,7 @@ func TestSessionStatsExactUnderPipelinedConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		checkBundles(t, res, m.P(), sessionCfg.Sources)
+		checkResult(t, m, sessionCfg, res)
 	}
 	close(stop)
 	readers.Wait()

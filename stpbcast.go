@@ -217,7 +217,7 @@ type Config struct {
 	// constrains the remaining fields by its capability row (see
 	// Validate): the sourceless collectives (AllGather, AllToAll) reject
 	// any source placement, Scatter takes at most one root, and only
-	// Broadcast supports MsgBytesFor and cluster sessions.
+	// Broadcast supports MsgBytesFor.
 	Collective Collective
 	// Algorithm is the registry name of the algorithm ("Br_xy_source",
 	// "AllRed_RecDouble", ...), or AutoAlgorithm — the meaning of the
@@ -491,8 +491,9 @@ type RunOptions struct {
 	// Payload, when non-nil, supplies each source rank's message bytes
 	// on the real-byte engines (it is only called for source ranks).
 	// When nil, each source sends Config.MsgBytes (or MsgBytesFor)
-	// bytes of its rank value. Ignored by EngineSim, which prices
-	// lengths only.
+	// bytes of its rank value — under Scatter and AllToAll p chunks of
+	// MsgBytes bytes, chunk d filled with byte(rank+131·d). Ignored by
+	// EngineSim, which prices lengths only.
 	Payload func(rank int) []byte
 	// Faults, when non-nil, injects the plan's faults into the run
 	// (real-byte engines only; EngineSim rejects fault plans). Set

@@ -163,17 +163,11 @@ func TestAutoAlgorithm(t *testing.T) {
 func TestAutoAlgorithmLive(t *testing.T) {
 	m := stpbcast.NewParagon(3, 3)
 	cfg := stpbcast.Config{Algorithm: stpbcast.AutoAlgorithm, Distribution: "E", Sources: 3, MsgBytes: 32}
-	res, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{Payload: func(rank int) []byte {
-		return []byte(fmt.Sprintf("auto-%02d", rank))
-	}})
+	res, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rank, got := range res.Bundles {
-		if len(got) != 3 {
-			t.Fatalf("rank %d holds %d messages, want 3", rank, len(got))
-		}
-	}
+	checkResult(t, m, cfg, res)
 }
 
 func TestSimulateErrors(t *testing.T) {
