@@ -29,7 +29,7 @@ race:
 # Fault-injection and abort-path suites only, plus the stpbench sweep.
 chaos:
 	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|Conformance|DialRetry|DialPermanent|MidRunConnection|HoldsEarlyFrames|HeldFrame|StaleFrame|ClusterRecovers|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/live/ ./internal/tcp/ ./internal/cluster/ .
-	$(GO) run ./cmd/stpbench -chaos
+	$(GO) run ./cmd/stpbench chaos
 
 # Replay the checked-in fuzz seed corpora (no fuzzing time budget).
 fuzz-seeds:

@@ -1,32 +1,43 @@
-// Command stpbench regenerates the tables and figures of the paper's
-// evaluation section on the simulated Paragon and T3D, and runs the
-// chaos harness over the real-byte engines.
+// Command stpbench runs every measurement outside the committed
+// benchmark: it regenerates the tables and figures of the paper's
+// evaluation section on the simulated Paragon and T3D, draws the source
+// distributions, runs the chaos harness over the real-byte engines, and
+// times the real-byte engines on the host it runs on.
 //
 // Usage:
 //
-//	stpbench -list               # list every experiment
-//	stpbench -fig fig3           # print one figure's series
-//	stpbench -fig all            # print everything (EXPERIMENTS.md input)
-//	stpbench -fig fig6 -csv      # machine-readable output
-//	stpbench -chaos              # fault-injection sweep over both engines
-//	stpbench -chaos -seed 7 -engine tcp
-//	stpbench -session -repeat 200 -engine tcp   # warm-session vs one-shot throughput
-//	stpbench -session -engine tcp -pipeline 4   # 4 async runs in flight
-//	stpbench -session -engine tcp -sparse       # route-planned sparse mesh
-//	stpbench -daemon 127.0.0.1:7411 -conc 1,2,4,8 -requests 200 -engine tcp
-//	stpbench -daemon 127.0.0.1:7411 -rate 50 -duration 10s -out daemon-load.json
+//	stpbench list                           # every experiment id and title
+//	stpbench fig fig3                       # one figure's series
+//	stpbench fig all                        # everything (EXPERIMENTS.md input)
+//	stpbench fig fig6 -csv                  # machine-readable output
+//	stpbench fig fig9 -plot                 # ASCII bar charts
+//	stpbench dist -rows 10 -cols 10 -s 30   # Figure 1: every distribution
+//	stpbench dist -rows 16 -cols 16 -s 64 -dist Cr -ideal
+//	stpbench chaos                          # fault-injection sweep over both engines
+//	stpbench chaos -seed 7 -engine tcp
+//	stpbench session -repeat 200 -engine tcp     # warm session vs one-shot throughput
+//	stpbench session -engine tcp -pipeline 4     # 4 async runs in flight
+//	stpbench session -engine tcp -sparse         # route-planned sparse mesh
+//	stpbench mesh                           # sparse vs full TCP mesh, p = 16 … 256
+//	stpbench daemon -conc 1,2,4,8 -requests 32   # in-process pooled vs fresh-session daemon
+//	stpbench daemon -addr 127.0.0.1:7411 -conc 1,2,4,8 -requests 200
+//	stpbench daemon -addr 127.0.0.1:7411 -rate 50 -duration 10s -out daemon-load.json
 //
-// Flag combinations are validated up front: -list, -fig, -chaos,
-// -session and -daemon are mutually exclusive modes, and every other
-// flag belongs to exactly one of them (e.g. -repeat to -session, -seed
-// to -chaos, -conc/-rate/-out to -daemon). A flag set outside its mode
-// is a usage error (exit 2), never silently ignored.
+// Each subcommand parses its own flags: a flag of another subcommand, a
+// bad value or a contradictory combination is a usage error (exit 2),
+// never silently ignored. Experiment values are simulated and identical
+// on every run; session, mesh and daemon report wall clock on the host
+// they run on.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -36,365 +47,329 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/dist"
+	"repro/internal/machine"
+	"repro/internal/plan"
+	"repro/internal/tcp"
+	"repro/internal/topology"
 	"repro/internal/viz"
 )
 
-func main() {
-	// A cluster coordinator may have re-executed this binary as a
-	// worker process (the figCluster experiment does); route such
-	// copies into worker mode before anything else.
-	stpbcast.MaybeClusterWorker()
-	list := flag.Bool("list", false, "list the available experiments")
-	fig := flag.String("fig", "", "experiment id to run (e.g. fig3), or 'all'")
-	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table (with -fig)")
-	plot := flag.Bool("plot", false, "render each curve as an ASCII bar chart (with -fig)")
-	chaos := flag.Bool("chaos", false, "run the fault-injection sweep on the real-byte engines")
-	seed := flag.Int64("seed", 1, "chaos schedule seed (same seed = same fault schedule; with -chaos)")
-	engine := flag.String("engine", "", "engine: sim, live, tcp or both (with -chaos, -session or -daemon)")
-	parallel := flag.Int("parallel", 0, "max concurrent experiment cells (0 = GOMAXPROCS, 1 = serial); output is identical at every setting")
-	session := flag.Bool("session", false, "time -repeat back-to-back broadcasts over one warm Session vs the one-shot path")
-	repeat := flag.Int("repeat", 100, "broadcast count (with -session)")
-	pipeline := flag.Int("pipeline", 0, "submit session broadcasts via RunAsync with this many in flight, 0 = synchronous (with -session)")
-	sparse := flag.Bool("sparse", false, "open the TCP session over the route-planned sparse mesh instead of the full mesh (with -session)")
-	daemonAddr := flag.String("daemon", "", "load-generate against a running stpbcastd at this address")
-	conc := flag.String("conc", "8", "closed-loop worker counts, comma-separated sweep (with -daemon)")
-	requests := flag.Int("requests", 200, "closed-loop requests per concurrency level (with -daemon)")
-	rate := flag.Float64("rate", 0, "open-loop arrivals per second; 0 = closed loop (with -daemon)")
-	duration := flag.Duration("duration", 5*time.Second, "open-loop duration (with -daemon -rate)")
-	rows := flag.Int("rows", 4, "daemon workload mesh rows (with -daemon)")
-	cols := flag.Int("cols", 4, "daemon workload mesh cols (with -daemon)")
-	collective := flag.String("collective", "", "daemon workload collective pattern, absent = Broadcast (with -daemon)")
-	alg := flag.String("alg", "Br_Lin", "daemon workload algorithm (with -daemon)")
-	dist := flag.String("dist", "E", "daemon workload source distribution (with -daemon)")
-	sources := flag.Int("s", 4, "daemon workload source count (with -daemon)")
-	msgBytes := flag.Int("bytes", 1024, "daemon workload per-source message bytes (with -daemon)")
-	tenant := flag.String("tenant", "stpbench", "daemon workload tenant name (with -daemon)")
-	out := flag.String("out", "", "write the load reports as JSON to this file (with -daemon)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := validateFlags(); err != nil {
-		fmt.Fprintln(os.Stderr, "stpbench:", err)
-		fmt.Fprintln(os.Stderr)
-		flag.Usage()
-		os.Exit(2)
+// commands maps each subcommand to the function that runs it. Each
+// registers its flags on fs, parses args with parse and writes its
+// report to out.
+var commands = map[string]func(fs *flag.FlagSet, args []string, out io.Writer) error{
+	"list":    runList,
+	"fig":     runFig,
+	"dist":    runDist,
+	"chaos":   runChaos,
+	"session": runSession,
+	"mesh":    runMesh,
+	"daemon":  runDaemon,
+}
+
+const usageLine = "usage: stpbench {list|fig <id>|all|dist|chaos|session|mesh|daemon} [flags]"
+
+// errUsage is returned once a usage error has been reported on stderr.
+var errUsage = errors.New("usage")
+
+// run executes one stpbench invocation and returns its exit status: 0
+// on success, 1 when the measurement fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, usageLine)
+		return 2
 	}
-
-	stpbcast.SetParallelism(*parallel)
-
-	switch {
-	case *daemonAddr != "":
-		if err := runDaemonLoad(*daemonAddr, *engine, *conc, *requests, *rate, *duration,
-			*rows, *cols, *collective, *alg, *dist, *sources, *msgBytes, *tenant, *out); err != nil {
-			fatal(err)
-		}
-	case *session:
-		if err := runSession(orBoth(*engine), *repeat, *pipeline, *sparse); err != nil {
-			fatal(err)
-		}
-	case *chaos:
-		if err := runChaos(*seed, orBoth(*engine)); err != nil {
-			fatal(err)
-		}
-	case *list:
-		for _, e := range stpbcast.Experiments() {
-			fmt.Printf("%-18s %s\n", e.ID, e.Title)
-		}
-	case *fig == "all":
-		for _, e := range stpbcast.Experiments() {
-			if err := runOne(e, *csv, *plot); err != nil {
-				fatal(err)
-			}
-		}
-	case *fig != "":
-		e, err := stpbcast.ExperimentByID(*fig)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runOne(e, *csv, *plot); err != nil {
-			fatal(err)
-		}
+	cmd, ok := commands[args[0]]
+	if !ok {
+		fmt.Fprintf(stderr, "stpbench: unknown subcommand %q\n%s\n", args[0], usageLine)
+		return 2
+	}
+	fs := flag.NewFlagSet("stpbench "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	switch err := cmd(fs, args[1:], stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "stpbench:", err)
+		return 1
 	}
 }
 
-// orBoth maps the unset -engine to the historical "both" default of the
-// chaos and session modes.
-func orBoth(engine string) string {
-	if engine == "" {
-		return "both"
-	}
-	return engine
-}
-
-// flagModes maps every mode-specific flag to the single mode it belongs
-// to. Flags absent here (-parallel) are global.
-var flagModes = map[string]string{
-	"fig": "-fig", "csv": "-fig", "plot": "-fig",
-	"chaos": "-chaos", "seed": "-chaos",
-	"session": "-session", "repeat": "-session", "pipeline": "-session", "sparse": "-session",
-	"list":   "-list",
-	"daemon": "-daemon", "conc": "-daemon", "requests": "-daemon", "rate": "-daemon",
-	"duration": "-daemon", "rows": "-daemon", "cols": "-daemon", "collective": "-daemon",
-	"alg": "-daemon", "dist": "-daemon", "s": "-daemon", "bytes": "-daemon",
-	"tenant": "-daemon", "out": "-daemon",
-}
-
-// engineModes lists the modes -engine applies to, with the values each
-// accepts.
-var engineValues = map[string]map[string]bool{
-	"-chaos":   {"live": true, "tcp": true, "both": true},
-	"-session": {"sim": true, "live": true, "tcp": true, "both": true},
-	"-daemon":  {"sim": true, "live": true, "tcp": true},
-}
-
-// validateFlags rejects contradictory flag combinations up front with a
-// usage error instead of panicking or silently ignoring flags.
-func validateFlags() error {
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	// Exactly one mode may be requested.
-	mode := ""
-	for _, m := range []struct{ flag, mode string }{
-		{"list", "-list"}, {"fig", "-fig"}, {"chaos", "-chaos"},
-		{"session", "-session"}, {"daemon", "-daemon"},
-	} {
-		if !set[m.flag] {
-			continue
-		}
-		if mode != "" {
-			return fmt.Errorf("%s and %s are mutually exclusive modes", mode, m.mode)
-		}
-		mode = m.mode
-	}
-
-	// Mode-specific flags must not leak into other modes.
-	for name := range set {
-		owner, owned := flagModes[name]
-		if owned && owner != mode {
-			if mode == "" {
-				return fmt.Errorf("-%s requires %s mode", name, owner)
-			}
-			return fmt.Errorf("-%s belongs to %s mode, not %s", name, owner, mode)
-		}
-	}
-	if set["engine"] {
-		accepted, ok := engineValues[mode]
-		if !ok {
-			return fmt.Errorf("-engine applies to -chaos, -session and -daemon modes only")
-		}
-		val := flag.Lookup("engine").Value.String()
-		if !accepted[val] {
-			keys := make([]string, 0, len(accepted))
-			for k := range accepted {
-				keys = append(keys, k)
-			}
-			return fmt.Errorf("-engine %q invalid for %s mode (want one of %s)", val, mode, strings.Join(keys, ", "))
-		}
-	}
-
-	// Value sanity per mode.
-	switch mode {
-	case "-session":
-		if n := intFlag("repeat"); n <= 0 {
-			return fmt.Errorf("-repeat must be positive, got %d", n)
-		}
-		if n := intFlag("pipeline"); n < 0 {
-			return fmt.Errorf("-pipeline must be non-negative, got %d", n)
-		}
-		// -sparse shapes the TCP mesh only; under any other engine
-		// (including the default "both" sweep) it would be silently
-		// ignored for part or all of the comparison.
-		if set["sparse"] && orBoth(flag.Lookup("engine").Value.String()) != "tcp" {
-			return fmt.Errorf("-sparse is TCP-only; pass -engine tcp alongside it")
-		}
-	case "-daemon":
-		coll, err := stpbcast.ParseCollective(flag.Lookup("collective").Value.String())
-		if err != nil {
-			return fmt.Errorf("-collective: %w", err)
-		}
-		if !coll.Caps().TakesSources {
-			// Sourceless collectives take no -dist/-s: an explicit value
-			// is a usage error, never silently ignored.
-			for _, name := range []string{"dist", "s"} {
-				if set[name] {
-					return fmt.Errorf("-%s: %s takes no source set (every rank contributes)", name, coll)
-				}
-			}
-		} else if coll.Caps().SingleSource && set["s"] && intFlag("s") != 1 {
-			return fmt.Errorf("-s: %s takes a single root, got %d", coll, intFlag("s"))
-		}
-		if n := intFlag("requests"); n <= 0 {
-			return fmt.Errorf("-requests must be positive, got %d", n)
-		}
-		if _, err := parseConcSweep(flag.Lookup("conc").Value.String()); err != nil {
+// parse parses a subcommand's flags; the flag package reports a flag the
+// subcommand does not define, or a malformed value.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
-		if set["rate"] && set["conc"] {
-			return fmt.Errorf("-rate (open loop) and -conc (closed loop) are mutually exclusive")
-		}
-		if set["duration"] && !set["rate"] {
-			return fmt.Errorf("-duration applies to open-loop runs only (set -rate)")
-		}
-	case "-fig":
-		if set["csv"] && set["plot"] {
-			return fmt.Errorf("-csv and -plot are mutually exclusive")
-		}
+		return errUsage
+	}
+	if fs.NArg() > 0 {
+		return usage(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	return nil
 }
 
-// intFlag reads a registered int flag's current value.
-func intFlag(name string) int {
-	g, ok := flag.Lookup(name).Value.(flag.Getter)
-	if !ok {
-		return 0
-	}
-	n, _ := g.Get().(int)
-	return n
+// usage reports a usage error the way the flag package reports a bad
+// flag — the message, then the subcommand's flags.
+func usage(fs *flag.FlagSet, format string, a ...any) error {
+	fmt.Fprintf(fs.Output(), format+"\n", a...)
+	fs.Usage()
+	return errUsage
 }
 
-// parseConcSweep parses "1,2,4,8" into worker counts.
-func parseConcSweep(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+// engines maps an -engine value to the engines it selects; "both" is the
+// two real-byte engines.
+func engines(fs *flag.FlagSet, name string, allowed ...string) ([]stpbcast.Engine, error) {
+	for _, a := range allowed {
+		if a != name {
 			continue
 		}
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("-conc wants positive comma-separated worker counts, got %q", s)
+		if name == "both" {
+			return []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP}, nil
 		}
-		out = append(out, n)
+		e, err := stpbcast.ParseEngine(name)
+		return []stpbcast.Engine{e}, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-conc wants at least one worker count, got %q", s)
-	}
-	return out, nil
+	return nil, usage(fs, "-engine %q invalid (want one of %s)", name, strings.Join(allowed, ", "))
 }
 
-func runOne(e stpbcast.Experiment, csv, plot bool) error {
-	s, err := e.Run()
-	if err != nil {
-		return fmt.Errorf("%s: %w", e.ID, err)
+func runList(fs *flag.FlagSet, args []string, out io.Writer) error {
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	fmt.Printf("== %s == %s\n", e.ID, e.Title)
-	fmt.Printf("paper: %s\n", e.Paper)
-	switch {
-	case csv:
-		printCSV(s)
-	case plot:
-		for _, curve := range s.Order {
-			vals := make([]float64, len(s.XLabels))
-			for i := range s.XLabels {
-				vals[i] = s.Get(curve, i)
-			}
-			fmt.Print(viz.SeriesChart(curve+" ["+s.YAxis+"]", s.XLabels, vals, 50))
-		}
-	default:
-		fmt.Print(s.Format())
+	for _, e := range stpbcast.Experiments() {
+		fmt.Fprintf(out, "%-18s %s\n", e.ID, e.Title)
 	}
-	fmt.Println()
 	return nil
 }
 
-func printCSV(s *stpbcast.Series) {
-	fmt.Printf("%s,%s\n", s.XAxis, strings.Join(s.Order, ","))
+func runFig(fs *flag.FlagSet, args []string, out io.Writer) error {
+	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	plot := fs.Bool("plot", false, "render each curve as an ASCII bar chart")
+	parallel := fs.Int("parallel", 0, "max concurrent experiment cells (0 = GOMAXPROCS, 1 = serial); output is identical at every setting")
+	id := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		id, args = args[0], args[1:]
+	}
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if id == "" {
+		return usage(fs, "fig wants an experiment id (see stpbench list) or all")
+	}
+	if *csv && *plot {
+		return usage(fs, "-csv and -plot are mutually exclusive")
+	}
+	stpbcast.SetParallelism(*parallel)
+	exps := stpbcast.Experiments()
+	if id != "all" {
+		e, err := stpbcast.ExperimentByID(id)
+		if err != nil {
+			return err
+		}
+		exps = []stpbcast.Experiment{e}
+	}
+	for _, e := range exps {
+		s, err := e.Run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		fmt.Fprintf(out, "== %s == %s\n", e.ID, e.Title)
+		fmt.Fprintf(out, "paper: %s\n", e.Paper)
+		switch {
+		case *csv:
+			printCSV(out, s)
+		case *plot:
+			for _, curve := range s.Order {
+				vals := make([]float64, len(s.XLabels))
+				for i := range s.XLabels {
+					vals[i] = s.Get(curve, i)
+				}
+				fmt.Fprint(out, viz.SeriesChart(curve+" ["+s.YAxis+"]", s.XLabels, vals, 50))
+			}
+		default:
+			fmt.Fprint(out, s.Format())
+		}
+		fmt.Fprintln(out)
+	}
+	return nil
+}
+
+func printCSV(out io.Writer, s *stpbcast.Series) {
+	fmt.Fprintf(out, "%s,%s\n", s.XAxis, strings.Join(s.Order, ","))
 	for i, x := range s.XLabels {
 		row := []string{x}
 		for _, name := range s.Order {
 			row = append(row, fmt.Sprintf("%.4f", s.Get(name, i)))
 		}
-		fmt.Println(strings.Join(row, ","))
+		fmt.Fprintln(out, strings.Join(row, ","))
 	}
 }
 
-// runSession times n back-to-back 1 KiB broadcasts on a 4×4 mesh twice:
-// once paying full engine setup per broadcast (the one-shot Run),
-// once over a single warm Session — and prints both rates, the
-// speedup and the session's aggregate stats. pipeline > 0 drives the
-// session loop through RunAsync with that many broadcasts in flight;
-// sparse opens the session over the route-planned link set
-// (stpbcast.RoutesFor) instead of the full O(p²) mesh.
-func runSession(engine string, n, pipeline int, sparse bool) error {
-	if n <= 0 {
-		return fmt.Errorf("-repeat must be positive, got %d", n)
+// runDist draws the paper's source distributions on a logical mesh, the
+// way Figure 1 does ('#' marks a source processor).
+func runDist(fs *flag.FlagSet, args []string, out io.Writer) error {
+	rows := fs.Int("rows", 10, "mesh rows")
+	cols := fs.Int("cols", 10, "mesh columns")
+	s := fs.Int("s", 30, "number of source processors")
+	name := fs.String("dist", "", "single distribution to draw (R C E Dr Dl B Cr Sq); empty = all")
+	ideal := fs.Bool("ideal", false, "also draw the ideal repositioning targets")
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	engines := []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP}
-	switch engine {
-	case "both":
-	case "sim":
-		engines = []stpbcast.Engine{stpbcast.EngineSim}
-	case "live":
-		engines = []stpbcast.Engine{stpbcast.EngineLive}
-	case "tcp":
-		engines = []stpbcast.Engine{stpbcast.EngineTCP}
-	default:
-		return fmt.Errorf("unknown engine %q (want sim, live, tcp or both)", engine)
+	dists := stpbcast.Distributions()
+	if *name != "" {
+		d, err := stpbcast.DistributionByName(*name)
+		if err != nil {
+			return usage(fs, "-dist: %v", err)
+		}
+		dists = []stpbcast.Distribution{d}
+	}
+	if *ideal {
+		dists = append(dists, dist.IdealRows(), dist.IdealColumns(), dist.IdealSnake())
+	}
+	for _, d := range dists {
+		sources, err := d.Sources(*rows, *cols, *s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", d.Name(), err)
+		}
+		fmt.Fprintf(out, "%s(%d) on %d×%d:\n%s\n", d.Name(), *s, *rows, *cols, dist.Render(*rows, *cols, sources))
+	}
+	return nil
+}
+
+// runSession times -repeat back-to-back 1 KiB Br_Lin E(4) broadcasts on
+// a 4×4 mesh twice per engine: once paying full engine setup per
+// broadcast (the one-shot Run), once over a single warm Session whose
+// Open is included in its time. It prints both rates, and their ratio,
+// at a tenth, a quarter, half and all of the runs, then the session's
+// stats. -pipeline n drives the session loop through RunAsync with n
+// broadcasts in flight; -sparse opens the session over the route-planned
+// link set (stpbcast.RoutesFor) instead of the full O(p²) mesh.
+func runSession(fs *flag.FlagSet, args []string, out io.Writer) error {
+	engine := fs.String("engine", "both", "sim, live, tcp or both")
+	n := fs.Int("repeat", 100, "broadcast count")
+	pipeline := fs.Int("pipeline", 0, "submit session broadcasts via RunAsync with this many in flight, 0 = synchronous")
+	sparse := fs.Bool("sparse", false, "open the TCP session over the route-planned sparse mesh instead of the full mesh (with -engine tcp)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	engs, err := engines(fs, *engine, "sim", "live", "tcp", "both")
+	if err != nil {
+		return err
+	}
+	switch {
+	case *n <= 0:
+		return usage(fs, "-repeat must be positive, got %d", *n)
+	case *pipeline < 0:
+		return usage(fs, "-pipeline must be non-negative, got %d", *pipeline)
+	case *sparse && *engine != "tcp":
+		// -sparse shapes the TCP mesh only; under any other engine it
+		// would be silently ignored for part or all of the comparison.
+		return usage(fs, "-sparse is TCP-only; pass -engine tcp alongside it")
 	}
 	m := stpbcast.NewParagon(4, 4)
 	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 1024}
 	opts := stpbcast.RunOptions{RecvTimeout: 30 * time.Second}
 	var links [][2]int
-	if sparse {
-		var err error
+	if *sparse {
 		if links, err = stpbcast.RoutesFor(m, cfg); err != nil {
 			return fmt.Errorf("route extraction: %w", err)
 		}
 	}
-	fmt.Printf("session demo: %d × %d B Br_Lin broadcasts, 4×4 mesh, E s=%d", n, cfg.MsgBytes, cfg.Sources)
-	if pipeline > 0 {
-		fmt.Printf(", %d in flight", pipeline)
+	fmt.Fprintf(out, "session: %d × %d B Br_Lin broadcasts, 4×4 mesh, E s=%d", *n, cfg.MsgBytes, cfg.Sources)
+	if *pipeline > 0 {
+		fmt.Fprintf(out, ", %d in flight", *pipeline)
 	}
-	if sparse {
-		fmt.Printf(", sparse mesh (%d planned links)", len(links))
+	if *sparse {
+		fmt.Fprintf(out, ", sparse mesh (%d planned links)", len(links))
 	}
-	fmt.Println()
-	for _, eng := range engines {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := stpbcast.Run(m, eng, cfg, opts); err != nil {
-				return fmt.Errorf("%s one-shot run %d: %w", eng, i, err)
+	fmt.Fprintf(out, "; session time includes Open\n%-6s %6s %18s %18s %9s\n", "engine", "runs", "one-shot bcasts/s", "session bcasts/s", "speedup")
+
+	var marks []int
+	for _, k := range []int{*n / 10, *n / 4, *n / 2, *n} {
+		if k > 0 && (len(marks) == 0 || k > marks[len(marks)-1]) {
+			marks = append(marks, k)
+		}
+	}
+	for _, eng := range engs {
+		oneShot, err := timed(marks, func(done func(int)) error {
+			for i := 0; i < *n; i++ {
+				if _, err := stpbcast.Run(m, eng, cfg, opts); err != nil {
+					return fmt.Errorf("%s one-shot run %d: %w", eng, i, err)
+				}
+				done(i + 1)
 			}
-		}
-		oneShot := time.Since(start)
-
-		start = time.Now()
-		s, err := stpbcast.Open(m, eng, stpbcast.SessionOptions{Links: links})
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("%s open: %w", eng, err)
+			return err
 		}
-		if err := sessionLoop(s, cfg, opts, n, pipeline); err != nil {
-			s.Close()
-			return fmt.Errorf("%s session: %w", eng, err)
-		}
-		stats, err := s.Close()
+		var stats stpbcast.SessionStats
+		warm, err := timed(marks, func(done func(int)) error {
+			s, err := stpbcast.Open(m, eng, stpbcast.SessionOptions{Links: links})
+			if err != nil {
+				return fmt.Errorf("%s open: %w", eng, err)
+			}
+			if err := sessionLoop(s, cfg, opts, *n, *pipeline, done); err != nil {
+				s.Close()
+				return fmt.Errorf("%s session: %w", eng, err)
+			}
+			stats, err = s.Close()
+			return err
+		})
 		if err != nil {
-			return fmt.Errorf("%s close: %w", eng, err)
+			return err
 		}
-		warm := time.Since(start)
-
-		osRate := float64(n) / oneShot.Seconds()
-		wRate := float64(n) / warm.Seconds()
-		fmt.Printf("%-5s one-shot %8.1f bcasts/s   session %8.1f bcasts/s   speedup %5.2fx   (runs %d, %d B sent, %d reconnects)\n",
-			eng, osRate, wRate, wRate/osRate, stats.Runs, stats.Bytes, stats.Reconnects)
+		for i, k := range marks {
+			osRate, wRate := float64(k)/oneShot[i].Seconds(), float64(k)/warm[i].Seconds()
+			fmt.Fprintf(out, "%-6s %6d %18.1f %18.1f %8.2fx\n", eng, k, osRate, wRate, wRate/osRate)
+		}
+		fmt.Fprintf(out, "%-6s session stats: %d runs, %d B sent, %d reconnects\n", eng, stats.Runs, stats.Bytes, stats.Reconnects)
 	}
 	return nil
 }
 
-// sessionLoop drives n broadcasts through the warm session: plain Run
-// when pipeline is 0, otherwise RunAsync with up to pipeline futures
-// submitted ahead of the oldest unresolved one.
-func sessionLoop(s *stpbcast.Session, cfg stpbcast.Config, opts stpbcast.RunOptions, n, pipeline int) error {
+// timed runs loop, which reports every completed broadcast's count
+// through done, and returns the wall time from the call to each count
+// in marks (ascending).
+func timed(marks []int, loop func(done func(int)) error) ([]time.Duration, error) {
+	start := time.Now()
+	at := make([]time.Duration, 0, len(marks))
+	err := loop(func(k int) {
+		if len(at) < len(marks) && k == marks[len(at)] {
+			at = append(at, time.Since(start))
+		}
+	})
+	return at, err
+}
+
+// sessionLoop drives n broadcasts through the warm session, reporting
+// each completion through done: plain Run when pipeline is 0, otherwise
+// RunAsync with up to pipeline futures submitted ahead of the oldest
+// unresolved one.
+func sessionLoop(s *stpbcast.Session, cfg stpbcast.Config, opts stpbcast.RunOptions, n, pipeline int, done func(int)) error {
 	if pipeline <= 0 {
 		for i := 0; i < n; i++ {
 			if _, err := s.Run(cfg, opts); err != nil {
 				return fmt.Errorf("run %d: %w", i, err)
 			}
+			done(i + 1)
 		}
+		return nil
+	}
+	completed := 0
+	wait := func(fut *stpbcast.Future) error {
+		if _, err := fut.Wait(); err != nil {
+			return fmt.Errorf("async run: %w", err)
+		}
+		completed++
+		done(completed)
 		return nil
 	}
 	inflight := make([]*stpbcast.Future, 0, pipeline)
@@ -405,18 +380,106 @@ func sessionLoop(s *stpbcast.Session, cfg stpbcast.Config, opts stpbcast.RunOpti
 		}
 		inflight = append(inflight, fut)
 		if len(inflight) == pipeline {
-			if _, err := inflight[0].Wait(); err != nil {
-				return fmt.Errorf("async run: %w", err)
+			if err := wait(inflight[0]); err != nil {
+				return err
 			}
 			inflight = append(inflight[:0], inflight[1:]...)
 		}
 	}
 	for _, fut := range inflight {
-		if _, err := fut.Wait(); err != nil {
-			return fmt.Errorf("async run: %w", err)
+		if err := wait(fut); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// Mesh sweep parameters. The full mesh stops at meshFullMaxP: p=256
+// would need p(p−1)/2 = 32 640 connections (~65 k descriptors), beyond a
+// default descriptor limit — the scaling wall the sparse mesh removes.
+const (
+	meshSources  = 4
+	meshMsgLen   = 512
+	meshFullMaxP = 128
+)
+
+// runMesh builds, per Paragon shape p = 16 … 256, a TCP mesh from the
+// routes Br_Lin E(4) uses (plan.Routes) and the full mesh, and prints
+// their connection counts and setup times, then one real-byte broadcast
+// over the sparse mesh — at p ≥ 128 the runs the full mesh cannot reach.
+func runMesh(fs *flag.FlagSet, args []string, out io.Writer) error {
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "mesh: route-planned sparse vs full TCP mesh, Br_Lin E(%d), %d B payloads; full mesh skipped past p=%d\n",
+		meshSources, meshMsgLen, meshFullMaxP)
+	fmt.Fprintf(out, "%5s %7s %13s %11s %16s %14s %9s\n", "p", "pairs", "sparse conns", "full conns", "sparse setup ms", "full setup ms", "bcast ms")
+	alg := core.BrLin()
+	for _, mesh := range [][2]int{{4, 4}, {4, 8}, {8, 8}, {8, 16}, {16, 16}} {
+		m := machine.Paragon(mesh[0], mesh[1])
+		p := m.P()
+		sources, err := dist.Equal().Sources(m.Rows, m.Cols, meshSources)
+		if err != nil {
+			return err
+		}
+		spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sources, Indexing: topology.SnakeRowMajor}
+		routes, err := plan.Routes(m, alg, spec, meshMsgLen)
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		tm, err := tcp.NewMachine(p, tcp.Options{Links: routes})
+		if err != nil {
+			return fmt.Errorf("sparse mesh p=%d: %w", p, err)
+		}
+		sparseSetup := time.Since(start)
+		pairs, conns := tm.PlannedPairs(), tm.ConnsOpened()
+		bcast, err := meshBroadcast(tm, spec, alg)
+		if cerr := tm.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("sparse broadcast p=%d: %w", p, err)
+		}
+
+		full, fullSetup := "-", "-"
+		if p <= meshFullMaxP {
+			start = time.Now()
+			fm, err := tcp.NewMachine(p, tcp.Options{})
+			if err != nil {
+				return fmt.Errorf("full mesh p=%d: %w", p, err)
+			}
+			fullSetup = fmt.Sprintf("%.3f", time.Since(start).Seconds()*1e3)
+			full = fmt.Sprint(fm.ConnsOpened())
+			if err := fm.Close(); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(out, "%5d %7d %13d %11s %16.3f %14s %9.3f\n",
+			p, pairs, conns, full, sparseSetup.Seconds()*1e3, fullSetup, bcast.Seconds()*1e3)
+	}
+	return nil
+}
+
+// meshBroadcast runs one real-byte broadcast of spec over the warm
+// machine and checks every rank's bundle.
+func meshBroadcast(tm *tcp.Machine, spec core.Spec, alg core.Algorithm) (time.Duration, error) {
+	p := spec.P()
+	bound := core.Bind(alg, spec)
+	bundles := make([]comm.Message, p)
+	res, err := tm.Run(tcp.Options{RecvTimeout: time.Minute}, func(pr *tcp.Proc) {
+		mine := core.InitialMessage(spec, pr.Rank(), core.Broadcast.Payload(p, pr.Rank(), meshMsgLen))
+		bundles[pr.Rank()] = bound.Run(pr, spec, mine)
+	})
+	if err != nil {
+		return 0, err
+	}
+	for rank, b := range bundles {
+		if err := core.Broadcast.Check(spec, func(int) int { return meshMsgLen }, rank, b); err != nil {
+			return 0, err
+		}
+	}
+	return res.Elapsed, nil
 }
 
 // chaosScenario is one fault plan plus the invariant it must satisfy:
@@ -455,16 +518,15 @@ var chaosScenarios = []chaosScenario{
 // fault either degrades gracefully (bundles identical to a fault-free
 // run) or aborts cleanly with a diagnostic. It returns an error if any
 // run violates that invariant.
-func runChaos(seed int64, engine string) error {
-	engines := []stpbcast.Engine{stpbcast.EngineLive, stpbcast.EngineTCP}
-	switch engine {
-	case "both":
-	case "live":
-		engines = []stpbcast.Engine{stpbcast.EngineLive}
-	case "tcp":
-		engines = []stpbcast.Engine{stpbcast.EngineTCP}
-	default:
-		return fmt.Errorf("unknown engine %q (want live, tcp or both)", engine)
+func runChaos(fs *flag.FlagSet, args []string, out io.Writer) error {
+	seed := fs.Int64("seed", 1, "fault schedule seed (same seed = same fault schedule)")
+	engine := fs.String("engine", "both", "live, tcp or both")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	engs, err := engines(fs, *engine, "live", "tcp", "both")
+	if err != nil {
+		return err
 	}
 	m := stpbcast.NewParagon(3, 4)
 	sources, err := dist.Cross().Sources(m.Rows, m.Cols, 5)
@@ -472,14 +534,14 @@ func runChaos(seed int64, engine string) error {
 		return err
 	}
 	spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sources}
-	fmt.Printf("chaos sweep: seed %d, 3x4 mesh, 5 Cr sources\n", seed)
-	fmt.Printf("%-22s %-5s %-10s %-8s %s\n", "algorithm", "eng", "scenario", "faults", "outcome")
+	fmt.Fprintf(out, "chaos sweep: seed %d, 3x4 mesh, 5 Cr sources\n", *seed)
+	fmt.Fprintf(out, "%-22s %-5s %-10s %-8s %s\n", "algorithm", "eng", "scenario", "faults", "outcome")
 	failures := 0
 	for _, alg := range stpbcast.Algorithms() {
 		cfg := stpbcast.Config{Algorithm: alg.Name(), Distribution: "Cr", Sources: 5, MsgBytes: chaosBytes}
-		for _, eng := range engines {
+		for _, eng := range engs {
 			for _, sc := range chaosScenarios {
-				plan := sc.plan(seed)
+				plan := sc.plan(*seed)
 				res, err := stpbcast.Run(m, eng, cfg, stpbcast.RunOptions{
 					RecvTimeout: 2 * time.Second,
 					RunTimeout:  60 * time.Second,
@@ -490,7 +552,7 @@ func runChaos(seed int64, engine string) error {
 				if res != nil {
 					nfaults = fmt.Sprintf("%d", len(res.Faults))
 				}
-				fmt.Printf("%-22s %-5s %-10s %-8s %s\n", alg.Name(), eng, sc.name, nfaults, outcome)
+				fmt.Fprintf(out, "%-22s %-5s %-10s %-8s %s\n", alg.Name(), eng, sc.name, nfaults, outcome)
 				if bad {
 					failures++
 				}
@@ -500,7 +562,7 @@ func runChaos(seed int64, engine string) error {
 	if failures > 0 {
 		return fmt.Errorf("%d chaos run(s) violated the degrade-or-abort invariant", failures)
 	}
-	fmt.Println("all chaos runs degraded gracefully or aborted with a diagnostic")
+	fmt.Fprintln(out, "all chaos runs degraded gracefully or aborted with a diagnostic")
 	return nil
 }
 
@@ -539,105 +601,189 @@ func chaosOutcome(sc chaosScenario, spec core.Spec, res *stpbcast.Result, err er
 	if !strings.Contains(err.Error(), sc.wantErr) {
 		return fmt.Sprintf("FAIL: abort lost diagnostic %q: %v", sc.wantErr, err), true
 	}
-	return "ok (clean abort: " + firstLine(err.Error()) + ")", false
+	msg, _, _ := strings.Cut(err.Error(), "\n")
+	return "ok (clean abort: " + msg + ")", false
 }
 
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// runDaemonLoad hammers a running stpbcastd with the configured
-// workload — a closed-loop concurrency sweep by default, a fixed-rate
-// open loop with -rate — and reports req/s plus p50/p95/p99 latency per
-// level. With -out, the reports are also written as JSON.
-func runDaemonLoad(addr, engine, concList string, requests int, rate float64, duration time.Duration,
-	rows, cols int, collective, alg, dist string, sources, msgBytes int, tenant, out string) error {
-	if engine == "" {
-		engine = "tcp"
-	}
-	base := addr
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	coll, err := stpbcast.ParseCollective(collective)
-	if err != nil {
+// runDaemon load-generates broadcast requests — a closed-loop
+// concurrency sweep by default, a fixed-rate open loop with -rate — and
+// prints req/s and p50/p95/p99 latency per level. With -addr it drives a
+// running stpbcastd; without, it drives two in-process daemons in turn,
+// one opening a fresh session per request and one serving every request
+// from its warm session pool. With -out, the reports are also written as
+// JSON.
+func runDaemon(fs *flag.FlagSet, args []string, out io.Writer) error {
+	addr := fs.String("addr", "", "drive a running stpbcastd at this address instead of in-process daemons")
+	engine := fs.String("engine", "tcp", "sim, live or tcp")
+	conc := fs.String("conc", "8", "closed-loop worker counts, comma-separated sweep")
+	requests := fs.Int("requests", 200, "closed-loop requests per concurrency level")
+	rate := fs.Float64("rate", 0, "open-loop arrivals per second; 0 = closed loop")
+	duration := fs.Duration("duration", 5*time.Second, "open-loop duration (with -rate)")
+	rows := fs.Int("rows", 4, "mesh rows")
+	cols := fs.Int("cols", 4, "mesh cols")
+	collective := fs.String("collective", "", "collective pattern, absent = Broadcast")
+	alg := fs.String("alg", "Br_Lin", "algorithm")
+	distName := fs.String("dist", "E", "source distribution")
+	sources := fs.Int("s", 4, "source count")
+	msgBytes := fs.Int("bytes", 1024, "per-source message bytes")
+	tenant := fs.String("tenant", "stpbench", "tenant name")
+	outFile := fs.String("out", "", "write the load reports as JSON to this file")
+	if err := parse(fs, args); err != nil {
 		return err
 	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if _, err := engines(fs, *engine, "sim", "live", "tcp"); err != nil {
+		return err
+	}
+	coll, err := stpbcast.ParseCollective(*collective)
+	if err != nil {
+		return usage(fs, "-collective: %v", err)
+	}
+	levels, err := parseConcSweep(*conc)
+	switch {
+	case err != nil:
+		return usage(fs, "%v", err)
+	case *requests <= 0:
+		return usage(fs, "-requests must be positive, got %d", *requests)
+	case set["rate"] && set["conc"]:
+		return usage(fs, "-rate (open loop) and -conc (closed loop) are mutually exclusive")
+	case set["duration"] && !set["rate"]:
+		return usage(fs, "-duration applies to open-loop runs only (set -rate)")
+	case !coll.Caps().TakesSources && (set["dist"] || set["s"]):
+		// Sourceless collectives take no -dist/-s: an explicit value is a
+		// usage error, never silently ignored.
+		return usage(fs, "-dist/-s: %s takes no source set (every rank contributes)", coll)
+	case coll.Caps().SingleSource && set["s"] && *sources != 1:
+		return usage(fs, "-s: %s takes a single root, got %d", coll, *sources)
+	}
 	req := daemon.BroadcastRequest{
-		Engine:     engine,
+		Engine:     *engine,
 		Topology:   "paragon",
-		Rows:       rows,
-		Cols:       cols,
-		Collective: collective,
-		Algorithm:  alg,
-		MsgBytes:   msgBytes,
-		Tenant:     tenant,
+		Rows:       *rows,
+		Cols:       *cols,
+		Collective: *collective,
+		Algorithm:  *alg,
+		MsgBytes:   *msgBytes,
+		Tenant:     *tenant,
 	}
 	srcDesc := "all-ranks"
 	if coll.Caps().TakesSources {
 		if coll.Caps().SingleSource {
-			sources = 1
+			*sources = 1
 		}
-		req.Distribution = dist
-		req.Sources = sources
-		srcDesc = fmt.Sprintf("%s s=%d", dist, sources)
+		req.Distribution = *distName
+		req.Sources = *sources
+		srcDesc = fmt.Sprintf("%s s=%d", *distName, *sources)
 	}
-	fmt.Printf("load generator: %s %s %dx%d %s/%s %s %d B → %s\n",
-		engine, req.Topology, rows, cols, coll, alg, srcDesc, msgBytes, base)
+	fmt.Fprintf(out, "load generator: %s %s %dx%d %s/%s %s %d B\n",
+		*engine, req.Topology, *rows, *cols, coll, *alg, srcDesc, *msgBytes)
 
-	var reports []*daemon.LoadReport
-	if rate > 0 {
-		r, err := daemon.RunLoad(daemon.LoadSpec{
-			BaseURL: base, Request: req, Rate: rate, Duration: duration,
-		})
-		if err != nil {
-			return err
+	type target struct{ name, base string }
+	var targets []target
+	if *addr != "" {
+		base := *addr
+		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
+			base = "http://" + base
 		}
-		fmt.Println(r)
-		reports = append(reports, r)
+		targets = append(targets, target{base, base})
 	} else {
-		levels, err := parseConcSweep(concList)
-		if err != nil {
-			return err
-		}
-		for _, conc := range levels {
-			r, err := daemon.RunLoad(daemon.LoadSpec{
-				BaseURL: base, Request: req, Concurrency: conc, Requests: requests,
-			})
+		for _, fresh := range []bool{true, false} {
+			base, stop, err := serveDaemon(fresh)
 			if err != nil {
 				return err
 			}
-			fmt.Println(r)
-			reports = append(reports, r)
+			defer stop()
+			name := "pooled"
+			if fresh {
+				name = "fresh"
+			}
+			targets = append(targets, target{name + " (in-process)", base})
 		}
 	}
-	if out != "" {
-		doc := struct {
-			Workload daemon.BroadcastRequest `json:"workload"`
-			Reports  []*daemon.LoadReport    `json:"reports"`
-		}{Workload: req, Reports: reports}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d report(s))\n", out, len(reports))
+
+	type loadRun struct {
+		Server  string               `json:"server"`
+		Reports []*daemon.LoadReport `json:"reports"`
 	}
+	var runs []loadRun
+	for _, tg := range targets {
+		fmt.Fprintf(out, "→ %s\n", tg.name)
+		r := loadRun{Server: tg.name}
+		specs := []daemon.LoadSpec{{BaseURL: tg.base, Request: req, Rate: *rate, Duration: *duration}}
+		if *rate <= 0 {
+			specs = specs[:0]
+			for _, c := range levels {
+				specs = append(specs, daemon.LoadSpec{BaseURL: tg.base, Request: req, Concurrency: c, Requests: *requests})
+			}
+		}
+		for _, spec := range specs {
+			rep, err := daemon.RunLoad(spec)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(out, rep)
+			r.Reports = append(r.Reports, rep)
+		}
+		runs = append(runs, r)
+	}
+	if *outFile == "" {
+		return nil
+	}
+	doc := struct {
+		Workload daemon.BroadcastRequest `json:"workload"`
+		Runs     []loadRun               `json:"runs"`
+	}{Workload: req, Runs: runs}
+	buf, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(*outFile, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %s\n", *outFile)
 	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "stpbench:", err)
-	os.Exit(1)
+// serveDaemon starts an in-process daemon on a loopback port, pooling
+// sessions unless fresh, and returns its base URL and a stop that
+// returns once the server goroutine has exited and the pool is closed.
+func serveDaemon(fresh bool) (string, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	srv := daemon.New(daemon.Options{Pool: daemon.PoolOptions{Disable: fresh}})
+	hs := &http.Server{Handler: srv.Handler()}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		hs.Serve(ln) // returns ErrServerClosed once stop closes hs
+	}()
+	stop := func() {
+		hs.Close()
+		<-served
+		srv.Close()
+	}
+	return "http://" + ln.Addr().String(), stop, nil
+}
+
+// parseConcSweep parses "1,2,4,8" into worker counts.
+func parseConcSweep(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		var n int
+		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n <= 0 {
+			return nil, fmt.Errorf("-conc wants positive comma-separated worker counts, got %q", s)
+		}
+		out = append(out, n)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-conc wants at least one worker count, got %q", s)
+	}
+	return out, nil
 }

@@ -3,9 +3,10 @@
 // expected behaviour and the measured series — suitable for appending to
 // EXPERIMENTS.md or pasting into an issue. REPORT.md is its output.
 //
-// By default it runs every experiment whose values are simulated, hence
-// reproducible to the byte; the wall-clock experiments (figSession,
-// figSparseMesh, figDaemon, figCluster) appear only when named in -ids.
+// Every experiment is simulated, so the report is reproducible to the
+// byte apart from its date line. Wall-clock measurements of the real-byte
+// engines are stpbench's session, mesh and daemon subcommands and the
+// end-to-end benchmark (go run ./benchmark), not report sections.
 //
 // Usage:
 //
@@ -28,10 +29,8 @@ import (
 )
 
 func main() {
-	// figCluster re-executes this binary as its worker processes.
-	stpbcast.MaybeClusterWorker()
 	out := flag.String("o", "", "output file (default stdout)")
-	ids := flag.String("ids", "", "comma-separated experiment ids (default every simulated experiment)")
+	ids := flag.String("ids", "", "comma-separated experiment ids (default every experiment)")
 	flag.Parse()
 	if err := run(*out, *ids); err != nil {
 		fmt.Fprintln(os.Stderr, "stpreport:", err)
@@ -42,11 +41,7 @@ func main() {
 func run(out, ids string) error {
 	var exps []stpbcast.Experiment
 	if ids == "" {
-		for _, e := range stpbcast.Experiments() {
-			if !e.WallClock {
-				exps = append(exps, e)
-			}
-		}
+		exps = stpbcast.Experiments()
 	}
 	for _, id := range strings.Split(ids, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -89,8 +84,7 @@ func run(out, ids string) error {
 func render(w io.Writer, exps []stpbcast.Experiment) error {
 	fmt.Fprintf(w, "# s-to-p broadcasting — regenerated results\n\n")
 	fmt.Fprintf(w, "Generated %s by cmd/stpreport. Values are simulated milliseconds\n", time.Now().Format("2006-01-02 15:04"))
-	fmt.Fprintf(w, "(or percent where noted) and deterministic, except in sections marked\n")
-	fmt.Fprintf(w, "wall clock, which are measured on the host and only appear on request.\n\n")
+	fmt.Fprintf(w, "(or percent where noted) and deterministic.\n\n")
 	for _, e := range exps {
 		s, err := e.Run()
 		if err != nil {
@@ -98,9 +92,6 @@ func render(w io.Writer, exps []stpbcast.Experiment) error {
 		}
 		fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)
 		fmt.Fprintf(w, "**Paper:** %s\n\n", e.Paper)
-		if e.WallClock {
-			fmt.Fprintf(w, "**Wall clock:** measured on this host; values vary from run to run.\n\n")
-		}
 		writeMarkdownTable(w, s)
 		if s.Notes != "" {
 			fmt.Fprintf(w, "\n*%s*\n", s.Notes)

@@ -79,25 +79,15 @@ type Experiment struct {
 	Title string
 	// Paper states what the original figure showed, for EXPERIMENTS.md.
 	Paper string
-	// WallClock marks an experiment that measures real time on the
-	// real-byte engines. Its values vary from run to run, so a report
-	// that promises reproducible numbers (cmd/stpreport's default
-	// selection, REPORT.md) leaves it out.
-	WallClock bool
 	// Run produces the series.
 	Run func() (*Series, error)
 }
 
+// registry holds every experiment. Each is simulated, so its series is
+// the same to the byte on every run and every host.
 var registry []Experiment
 
 func register(e Experiment) { registry = append(registry, e) }
-
-// Register adds an experiment from outside the package. The figure CLIs
-// discover experiments only through the registry, so a package whose
-// runner cannot live here without an import cycle (internal/daemon's
-// figDaemon drives the facade's Session API) registers at init instead;
-// its experiment then appears exactly when that package is linked in.
-func Register(e Experiment) { register(e) }
 
 // Experiments returns every defined experiment, sorted by ID.
 func Experiments() []Experiment {

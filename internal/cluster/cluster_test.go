@@ -249,8 +249,7 @@ func TestClusterRejectsBadRunSpec(t *testing.T) {
 // TestClusterSpawnedProcesses is the real thing in miniature: the
 // coordinator re-executes this test binary as 4 worker OS processes
 // (via TestMain/MaybeWorker) and runs a p=64 sparse broadcast across
-// them with zero lazy dials. The p=256 version is the figCluster
-// experiment's shape test.
+// them with zero lazy dials. The p=256 version is TestFigClusterShape.
 func TestClusterSpawnedProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -285,6 +284,52 @@ func TestClusterSpawnedProcesses(t *testing.T) {
 	}
 	if c.InterLinks() == 0 {
 		t.Fatal("partition reports no inter-worker links; the broadcast never crossed a process boundary")
+	}
+}
+
+// TestFigClusterShape checks the shape of the cluster figure's largest
+// point: the paper's p=256 mesh, broadcast with Br_Lin E(4) across 4
+// worker OS processes over the sparse dial plan, with zero lazy dials.
+// stpworker -workers 4 -rows 16 -cols 16 -sparse -fail-on-lazy is the
+// same measurement.
+func TestFigClusterShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes and builds a p=256 mesh")
+	}
+	const rows, cols, s, msgLen = 16, 16, 4, 1024
+	routes, sources := testRoutes(t, rows, cols, s, msgLen)
+	c, err := Start(Spec{Workers: 4, P: rows * cols, Links: routes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	pids := map[int]bool{os.Getpid(): true}
+	for _, pid := range c.WorkerPIDs() {
+		pids[pid] = true
+	}
+	if len(pids) != 5 {
+		t.Fatalf("expected 4 distinct worker processes plus the test, got PIDs %v", c.WorkerPIDs())
+	}
+	res, err := c.Run(RunSpec{
+		Rows: rows, Cols: cols, Sources: sources, Algorithm: "Br_Lin",
+		MsgBytes: msgLen, RecvTimeoutNs: int64(time.Minute),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Procs) != rows*cols {
+		t.Fatalf("%d proc stats, want %d", len(res.Procs), rows*cols)
+	}
+	if res.LazyDials != 0 {
+		t.Fatalf("%d lazy dials across processes, want 0", res.LazyDials)
+	}
+	// The wire carries the barrier's W·⌈log2 W⌉ = 8 leader links plus the
+	// few links on which Br_Lin's E(4) bundles cross a range boundary. A
+	// plan that still dissemination-linked every rank would cross
+	// hundreds of times (766 at p=256).
+	if n := c.InterLinks(); n < 8 || n > rows*cols/4 {
+		t.Fatalf("%d inter-worker links, want the 8 leader links plus a handful of schedule links", n)
 	}
 }
 

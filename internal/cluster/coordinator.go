@@ -50,11 +50,9 @@ type Spec struct {
 	// tests) learn an ephemeral ControlAddr in time to dial it.
 	OnListen func(addr string)
 
-	// Engine setup options, applied uniformly to every worker's
-	// partial machine.
-	ListenHost   string
-	DialAttempts int
-	DialBackoff  time.Duration
+	// ListenHost is the host every worker's partial machine binds its
+	// mesh listeners to.
+	ListenHost string
 }
 
 // Coordinator is the cluster's foreman: it owns the control connections
@@ -248,11 +246,9 @@ func (c *Coordinator) bootstrap(workerLinks [][][2]int) error {
 	for _, w := range c.workers {
 		a := &assignMsg{
 			Index: w.index, P: c.spec.P, Lo: w.lo, Hi: w.hi, Workers: c.spec.Workers,
-			FullMesh:      c.spec.Links == nil,
-			Leaders:       c.leaders,
-			ListenHost:    c.spec.ListenHost,
-			DialAttempts:  c.spec.DialAttempts,
-			DialBackoffNs: int64(c.spec.DialBackoff),
+			FullMesh:   c.spec.Links == nil,
+			Leaders:    c.leaders,
+			ListenHost: c.spec.ListenHost,
 		}
 		if workerLinks != nil {
 			a.Links = workerLinks[w.index]

@@ -112,9 +112,7 @@ type assignMsg struct {
 	// engine's barrier synchronises the processes through.
 	Leaders []int `json:"leaders"`
 
-	ListenHost    string `json:"listenHost,omitempty"`
-	DialAttempts  int    `json:"dialAttempts,omitempty"`
-	DialBackoffNs int64  `json:"dialBackoffNs,omitempty"`
+	ListenHost string `json:"listenHost,omitempty"`
 }
 
 // RunSpec is one cluster-wide collective: the paper instance (mesh

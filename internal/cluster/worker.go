@@ -14,8 +14,8 @@ import (
 
 // WorkerEnv is the environment variable a spawned worker process finds
 // the coordinator's control address in. Any binary that calls
-// MaybeWorker early in main (stpworker, stpbench, test binaries via
-// TestMain) can serve as a cluster worker, so the coordinator's default
+// MaybeWorker early in main (stpworker, the benchmark, test binaries
+// via TestMain) can serve as a cluster worker, so the coordinator's default
 // spawn mode is re-executing its own binary.
 const WorkerEnv = "STPBCAST_CLUSTER_WORKER"
 
@@ -114,12 +114,7 @@ func (w *worker) assign(a *assignMsg) error {
 	} else if links == nil {
 		links = [][2]int{} // empty plan: everything would be lazy
 	}
-	m, err := tcp.NewWorkerMachine(a.P, a.Lo, a.Hi, a.Leaders, tcp.Options{
-		Links:        links,
-		ListenHost:   a.ListenHost,
-		DialAttempts: a.DialAttempts,
-		DialBackoff:  time.Duration(a.DialBackoffNs),
-	})
+	m, err := tcp.NewWorkerMachine(a.P, a.Lo, a.Hi, a.Leaders, tcp.Options{Links: links, ListenHost: a.ListenHost})
 	if err != nil {
 		return err
 	}

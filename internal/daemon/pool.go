@@ -29,7 +29,7 @@ type PoolOptions struct {
 	IdleTTL time.Duration
 	// Disable turns pooling off: every Acquire opens a fresh session and
 	// Release closes it. This is the fresh-session-per-request baseline
-	// the figDaemon experiment measures the pool against.
+	// stpbench daemon measures the pool against.
 	Disable bool
 }
 

@@ -407,6 +407,35 @@ func TestPipelinedDispatchSameKey(t *testing.T) {
 	}
 }
 
+// TestLoadCompletesPooledAndFresh drives stpbench daemon's in-process
+// workload — closed-loop 1 KiB Br_Lin E(4) broadcasts on a 4×4 TCP mesh
+// at concurrency 4 — through RunLoad against a pooled daemon and one
+// that opens a fresh session per request: every request must complete
+// on both. Their req/s ratio is wall clock and not asserted; what it
+// measures is counted by TestPoolReusesWarmSession (one session per key)
+// and TestPoolDisabledOpensFreshSessions (one per request).
+func TestLoadCompletesPooledAndFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 4x4 TCP mesh per request on the fresh daemon")
+	}
+	req := BroadcastRequest{
+		Engine: "tcp", Topology: "paragon", Rows: 4, Cols: 4,
+		Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 1024, RecvTimeoutMs: 30_000,
+	}
+	for _, fresh := range []bool{false, true} {
+		_, base := testServer(t, Options{Pool: PoolOptions{Disable: fresh}})
+		r, err := RunLoad(LoadSpec{BaseURL: base, Request: req, Concurrency: 4, Requests: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("fresh=%v: %s", fresh, r)
+		if r.Completed != r.Requests {
+			t.Errorf("fresh=%v: %d of %d requests completed (%d rejected, %d errors)",
+				fresh, r.Completed, r.Requests, r.Rejected, r.Errors)
+		}
+	}
+}
+
 func TestMethodChecks(t *testing.T) {
 	_, base := testServer(t, Options{})
 	resp, err := http.Get(base + "/v1/broadcast")

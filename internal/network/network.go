@@ -30,10 +30,6 @@ type Time int64
 // Duration helpers for converting to the standard library's units.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Microseconds reports the time in µs as a float, the unit the paper's
-// figures use (msec) divided by 1000.
-func (t Time) Microseconds() float64 { return float64(t) / 1e3 }
-
 // Milliseconds reports the time in ms as a float, matching the paper's axes.
 func (t Time) Milliseconds() float64 { return float64(t) / 1e6 }
 

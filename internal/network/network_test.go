@@ -188,9 +188,6 @@ func TestTimeHelpers(t *testing.T) {
 	if tm.Milliseconds() != 2.5 {
 		t.Errorf("Milliseconds = %v", tm.Milliseconds())
 	}
-	if tm.Microseconds() != 2500 {
-		t.Errorf("Microseconds = %v", tm.Microseconds())
-	}
 	if tm.Duration() != 2_500_000 {
 		t.Errorf("Duration = %v", tm.Duration())
 	}

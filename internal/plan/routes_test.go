@@ -2,10 +2,12 @@ package plan
 
 import (
 	"maps"
+	"math/bits"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/live"
@@ -165,5 +167,62 @@ func TestRoutesDriveSparseTCPMachine(t *testing.T) {
 				alg.Name(), tm.PlannedPairs(), full)
 		}
 		tm.Close()
+	}
+}
+
+// TestSparseMeshScalesToP256 is the sparse mesh's scaling bar, swept over
+// the Paragon shapes p = 16 … 256 on Br_Lin E(4) routes: the machine
+// opens at most its planned pairs, which are at most the p/2·log2 p
+// pairs Br_Lin's halving levels can touch (ranks of one process meet
+// in memory, so the barrier adds none), and a real-byte broadcast
+// completes at every size, p=256 included, where a full mesh would need
+// 32 640 connections. The full mesh it replaces opens all p(p−1)/2 = 120
+// pairs at p=16.
+func TestSparseMeshScalesToP256(t *testing.T) {
+	full, err := tcp.NewMachine(16, tcp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := full.ConnsOpened(); got != 120 {
+		t.Errorf("p=16 full mesh opened %d connections, want 120", got)
+	}
+	full.Close()
+
+	const s, msgLen = 4, 512
+	for _, mesh := range [][2]int{{4, 4}, {4, 8}, {8, 8}, {8, 16}, {16, 16}} {
+		m := machine.Paragon(mesh[0], mesh[1])
+		p := m.P()
+		spec := testSpec(t, m, dist.Equal(), s)
+		alg := core.BrLin()
+		routes, err := Routes(m, alg, spec, msgLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := tcp.NewMachine(p, tcp.Options{Links: routes})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		pairs, conns := tm.PlannedPairs(), tm.ConnsOpened()
+		if conns > pairs {
+			t.Errorf("p=%d: %d connections opened for %d planned pairs", p, conns, pairs)
+		}
+		if schedule := p / 2 * bits.Len(uint(p)-1); pairs > schedule {
+			t.Errorf("p=%d: %d planned pairs, more than the %d Br_Lin's schedule can use", p, pairs, schedule)
+		}
+		bound := core.Bind(alg, spec)
+		out := make([]comm.Message, p)
+		_, err = tm.Run(tcp.Options{RecvTimeout: time.Minute}, func(pr *tcp.Proc) {
+			mine := core.InitialMessage(spec, pr.Rank(), core.Broadcast.Payload(p, pr.Rank(), msgLen))
+			out[pr.Rank()] = bound.Run(pr, spec, mine)
+		})
+		tm.Close()
+		if err != nil {
+			t.Fatalf("p=%d: sparse broadcast: %v", p, err)
+		}
+		for rank, msg := range out {
+			if err := core.Broadcast.Check(spec, func(int) int { return msgLen }, rank, msg); err != nil {
+				t.Fatalf("p=%d: %v", p, err)
+			}
+		}
 	}
 }

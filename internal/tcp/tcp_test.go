@@ -356,28 +356,6 @@ func TestReservedTagRejected(t *testing.T) {
 	}
 }
 
-func TestTCPRecvDeadlineNamesRankAndPeer(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	start := time.Now()
-	_, err := runOpts(4, Options{RecvTimeout: 200 * time.Millisecond}, func(p *Proc) {
-		if p.Rank() == 2 {
-			p.Recv(0) // rank 0 never sends
-		}
-	})
-	if err == nil {
-		t.Fatal("hang not converted to an error")
-	}
-	for _, want := range []string{"rank 2", "recv from 0", "deadline"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("deadline error %q missing %q", err, want)
-		}
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("deadline abort took %v", d)
-	}
-	waitGoroutinesSettle(t, baseline)
-}
-
 func TestTCPBarrierDeadline(t *testing.T) {
 	_, err := runOpts(3, Options{RecvTimeout: 200 * time.Millisecond}, func(p *Proc) {
 		if p.Rank() == 1 {
@@ -392,22 +370,6 @@ func TestTCPBarrierDeadline(t *testing.T) {
 	if !strings.Contains(err.Error(), ": barrier: blocked") || !strings.Contains(err.Error(), "deadline") ||
 		!strings.Contains(err.Error(), "waiting for ranks [1]") {
 		t.Fatalf("barrier stall error: %v", err)
-	}
-}
-
-func TestTCPRunTimeoutAborts(t *testing.T) {
-	start := time.Now()
-	_, err := runOpts(2, Options{RunTimeout: 150 * time.Millisecond}, func(p *Proc) {
-		p.Recv(1 - p.Rank()) // mutual hang
-	})
-	if err == nil {
-		t.Fatal("run deadline not enforced")
-	}
-	if !strings.Contains(err.Error(), "run exceeded") {
-		t.Fatalf("run-deadline error: %v", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("run-deadline abort took %v", d)
 	}
 }
 
@@ -524,31 +486,6 @@ func TestMidRunConnectionFailureIsAttributed(t *testing.T) {
 	if !strings.Contains(err.Error(), "connection") && !strings.Contains(err.Error(), "send to") {
 		t.Fatalf("failure not attributed to the transport: %v", err)
 	}
-}
-
-// TestTCPAbortUnwindsRecvAndBarrierBlockedPeers mirrors the live-engine
-// abort matrix over real sockets: one rank panics while peers block in
-// Recv and Barrier; everything must unwind with the root cause reported.
-func TestTCPAbortUnwindsRecvAndBarrierBlockedPeers(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	_, err := runOnce(6, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			time.Sleep(20 * time.Millisecond)
-			panic("rank 0 died over tcp")
-		case 1, 2:
-			p.Recv(0)
-		default:
-			p.Barrier()
-		}
-	})
-	if err == nil {
-		t.Fatal("abort not reported")
-	}
-	if !strings.Contains(err.Error(), "rank 0 died over tcp") {
-		t.Fatalf("root cause misattributed: %v", err)
-	}
-	waitGoroutinesSettle(t, baseline)
 }
 
 // TestTCPDeadlineHealthyRun guards against deadline false positives on

@@ -67,11 +67,6 @@ type SessionOptions struct {
 	// backoff waits) and later mesh rebuilds started by Session.Run calls
 	// that pass no context of their own.
 	Context context.Context
-	// DialAttempts/DialBackoff tune the TCP engine's connection-setup
-	// retry, remembered for reconnects (ignored by the other engines);
-	// zero means the defaults.
-	DialAttempts int
-	DialBackoff  time.Duration
 	// Links, when non-nil, restricts the TCP engine's dialed mesh to
 	// the listed logical links instead of the full O(p²) pair set:
 	// Open establishes one connection per distinct unordered pair and
@@ -115,7 +110,7 @@ type ClusterSpec struct {
 	// spawn; the coordinator passes the control address in the
 	// STPBCAST_CLUSTER_WORKER environment variable. nil re-executes the
 	// current binary — any main that calls MaybeClusterWorker first
-	// (cmd/stpworker, cmd/stpbench) can serve.
+	// (cmd/stpworker, the benchmark) can serve.
 	WorkerCmd []string
 	// Adopt disables spawning: the session waits for Workers externally
 	// started workers to dial ControlAddr.
@@ -230,8 +225,6 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 				ControlAddr:  cs.ControlAddr,
 				AdoptTimeout: cs.AdoptTimeout,
 				ListenHost:   cs.ListenHost,
-				DialAttempts: opts.DialAttempts,
-				DialBackoff:  opts.DialBackoff,
 			})
 			if err != nil {
 				return nil, err
@@ -239,12 +232,7 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 			s.clu = c
 			return s, nil
 		}
-		tm, err := tcp.NewMachine(m.P(), tcp.Options{
-			Context:      opts.Context,
-			DialAttempts: opts.DialAttempts,
-			DialBackoff:  opts.DialBackoff,
-			Links:        opts.Links,
-		})
+		tm, err := tcp.NewMachine(m.P(), tcp.Options{Context: opts.Context, Links: opts.Links})
 		if err != nil {
 			return nil, err
 		}
@@ -459,11 +447,7 @@ func Run(m *Machine, engine Engine, cfg Config, opts RunOptions) (*Result, error
 	if _, err := cfg.spec(m); err != nil {
 		return nil, err
 	}
-	s, err := Open(m, engine, SessionOptions{
-		Context:      opts.Context,
-		DialAttempts: opts.DialAttempts,
-		DialBackoff:  opts.DialBackoff,
-	})
+	s, err := Open(m, engine, SessionOptions{Context: opts.Context})
 	if err != nil {
 		return nil, err
 	}

@@ -507,11 +507,6 @@ type RunOptions struct {
 	// concurrency-safe, so one recorder sees all ranks. Leave nil for
 	// zero tracing overhead.
 	Trace *TraceRecorder
-	// DialAttempts/DialBackoff tune the TCP engine's connection-setup
-	// retry for the one-shot Run (ignored by the other engines); zero
-	// means the defaults. Sessions configure these at Open instead.
-	DialAttempts int
-	DialBackoff  time.Duration
 }
 
 // Experiment regenerates one table or figure of the paper (see
