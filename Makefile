@@ -28,7 +28,7 @@ race:
 
 # Fault-injection and abort-path suites only, plus the stpbench sweep.
 chaos:
-	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|Conformance|DialRetry|DialPermanent|MidRunConnection|HoldsEarlyFrames|HeldFrame|StaleFrame|ClusterRecovers|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/live/ ./internal/tcp/ ./internal/cluster/ .
+	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|Conformance|DialRetry|DialPermanent|MidRunConnection|HoldsEarlyFrames|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/live/ ./internal/tcp/ ./internal/cluster/ .
 	$(GO) run ./cmd/stpbench chaos
 
 # Replay the checked-in fuzz seed corpora (no fuzzing time budget).
@@ -95,7 +95,8 @@ daemon-smoke:
 
 # Multi-process cluster smoke: stpworker spawns 4 worker OS processes,
 # runs a p=64 sparse broadcast across them, and fails on any lazy dial
-# (plus an adopt-mode leg with externally started workers).
+# (a pair dialed before a run because the route plan lacked it), plus an
+# adopt-mode leg with externally started workers.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 

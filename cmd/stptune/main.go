@@ -17,8 +17,10 @@
 // The sweep table reports, per cell, the planner's choice and the best
 // fixed algorithm with their simulated times; ratio 1.00 means the
 // planner matched the optimum. warm populates the cache only (no
-// exhaustive baseline), so later sweeps and Auto runs answer from cache;
-// the trailing counter line shows cache hits/misses and probe runs.
+// exhaustive baseline), so later stptune runs given the same -cache file
+// answer from it; Auto in the library and the daemon plan with an
+// in-memory cache and never read the file. The trailing counter line
+// shows cache hits/misses and probe runs.
 package main
 
 import (

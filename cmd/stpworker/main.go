@@ -22,8 +22,9 @@
 //	stpworker -coord 127.0.0.1:7500                          # terminals 2, 3
 //
 // -fail-on-lazy turns the zero-lazy-dials invariant into the exit
-// status: if any send of the run crossed a link the route plan missed,
-// the coordinator exits 1. CI's cluster smoke test runs exactly this.
+// status: if any pair was dialed before a run because the route plan
+// lacked it, the coordinator exits 1. CI's cluster smoke test runs
+// exactly this.
 package main
 
 import (
@@ -59,7 +60,7 @@ func main() {
 	sparse := flag.Bool("sparse", false, "partition the traced sparse route plan instead of the full mesh")
 	runs := flag.Int("runs", 3, "broadcast repetitions over the warm cluster")
 	timeout := flag.Duration("timeout", time.Minute, "per-receive timeout")
-	failOnLazy := flag.Bool("fail-on-lazy", false, "exit 1 if any send needed a lazy dial outside the route plan")
+	failOnLazy := flag.Bool("fail-on-lazy", false, "exit 1 if any pair was dialed before a run because the route plan lacked it")
 	flag.Parse()
 
 	if *coord != "" {
@@ -144,7 +145,7 @@ func run(workers int, adopt bool, listen, host string, rows, cols int, algName, 
 	fmt.Printf("mesh %s: %d planned pairs (wire pairs count at both endpoints), %d conns opened, %d lazy dials, %d coordinator resets\n",
 		mesh, res.PlannedPairs, res.ConnsOpened, res.LazyDials, c.Resets())
 	if failOnLazy && res.LazyDials != 0 {
-		return fmt.Errorf("stpworker: %d sends crossed links outside the route plan (want 0 lazy dials)", res.LazyDials)
+		return fmt.Errorf("stpworker: %d pairs were dialed before a run because the route plan lacked them (want 0 lazy dials)", res.LazyDials)
 	}
 	return nil
 }

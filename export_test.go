@@ -6,6 +6,10 @@ import (
 	"repro/internal/comm"
 )
 
+// SessionLazyDials reports how many pairs a single-process TCP session
+// has dialed before a run because its Links plan lacked them.
+func SessionLazyDials(s *Session) int { return s.tcpM.LazyDials() }
+
 // CheckResult verifies every rank's bundle in res against the
 // postcondition of cfg's collective (core's Collective.Check) for a run
 // on m with the default payload. It is the external tests' one adapter

@@ -165,6 +165,65 @@ func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
 	}
 }
 
+// TestClusterPreDialsUnplannedPairs: three uneven workers planned with
+// Br_Lin's routes run PersAlltoAll, whose schedule uses pairs that plan
+// lacks. Each worker dials its share of them before the run — each pair
+// once, by the worker of its higher rank — and the run succeeds, which
+// means every worker's bundle check passed. A second run dials nothing
+// more, and nothing needs a reset.
+func TestClusterPreDialsUnplannedPairs(t *testing.T) {
+	const rows, cols, s, msgLen = 4, 4, 4, 256
+	routes, sources := testRoutes(t, rows, cols, s, msgLen)
+	c := adoptCluster(t, Spec{P: rows * cols, Links: routes}, 3)
+	rs := RunSpec{
+		Rows: rows, Cols: cols, Sources: sources, Algorithm: "PersAlltoAll",
+		MsgBytes: msgLen, RecvTimeoutNs: int64(time.Minute),
+	}
+	spec, alg, err := rs.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	used, err := plan.Routes(machine.Paragon(rows, cols), alg, spec, msgLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unordered := func(links [][2]int) map[[2]int]bool {
+		set := make(map[[2]int]bool, len(links))
+		for _, l := range links {
+			set[[2]int{min(l[0], l[1]), max(l[0], l[1])}] = true
+		}
+		return set
+	}
+	planned := unordered(append(routes, engine.LeaderLinks(c.leaders)...))
+	want := 0
+	for pr := range unordered(used) {
+		if !planned[pr] {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("PersAlltoAll uses no pair the Br_Lin plan lacks; the test proves nothing")
+	}
+	opened := 0
+	for i := 0; i < 2; i++ {
+		res, err := c.Run(rs)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if res.LazyDials != want {
+			t.Fatalf("run %d: %d lazy dials, want %d (the pairs PersAlltoAll uses that the plan lacks)", i, res.LazyDials, want)
+		}
+		if i == 0 {
+			opened = res.ConnsOpened
+		} else if res.ConnsOpened != opened {
+			t.Fatalf("run %d dialed again: %d conns opened, %d after the first run", i, res.ConnsOpened, opened)
+		}
+	}
+	if got := c.Resets(); got != 0 {
+		t.Fatalf("%d resets, want 0", got)
+	}
+}
+
 // TestClusterFullMeshAdopted covers the nil-Links path: every pair is
 // planned, split across workers, nothing lazy.
 func TestClusterFullMeshAdopted(t *testing.T) {

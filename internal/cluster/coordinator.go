@@ -88,9 +88,10 @@ type workerHandle struct {
 type Result struct {
 	Elapsed time.Duration
 	Procs   []tcp.ProcStats
-	// LazyDials sums the workers' lifetime on-demand dial counts: zero
-	// means the partitioned route plan covered every link every
-	// schedule used so far.
+	// LazyDials sums the workers' lifetime counts of pairs dialed before
+	// a run because the plan lacked them, each pair once (by its higher
+	// rank's worker): zero means the partitioned route plan covered every
+	// link every schedule used so far.
 	LazyDials int
 	// ConnsOpened and PlannedPairs sum the workers' per-machine
 	// counters. An inter-worker pair is planned by both endpoints'
@@ -120,7 +121,7 @@ func Start(spec Spec) (*Coordinator, error) {
 	// Partition the link plan by worker up front; a bad plan should
 	// fail before any process is spawned. The barrier's cross-process
 	// tokens travel between the leaders, whatever the schedule: plan
-	// those links too, so no partition costs a lazy dial.
+	// those links too, so no partition costs a pre-run dial.
 	var workerLinks [][][2]int
 	nInter := 0
 	if spec.Links != nil {

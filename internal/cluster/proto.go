@@ -29,18 +29,20 @@
 // The run message is the start — there is no arm round trip: a worker
 // that starts first may send frames to one that has not armed the epoch
 // yet, and the receiving engine holds them (its reader stops, TCP flow
-// control buffers) until it does. Workers verify their own ranks'
-// bundles (core.Collective.Check, byte-exact) and report per-rank stats
-// as one flat integer list; the coordinator rebuilds and merges them.
+// control buffers) until it does. Before starting, each worker dials
+// its share of the pairs the run's program uses and the plan lacked
+// (tcp.Machine.Prepare). Workers verify their own ranks' bundles
+// (core.Collective.Check, byte-exact) and report per-rank stats as one
+// flat integer list; the coordinator rebuilds and merges them.
 //
 // # Failure semantics
 //
 // A failed run marks every worker's mesh broken (the engine's abort
 // closes all connections, including the wire pairs, whose loss the
 // peer workers observe). A worker that cannot execute a run it received
-// — its mesh is already broken — closes its connections before it
-// replies, so its peers fail the same way instead of waiting out
-// RecvTimeout. Workers never redial on their own — a lone redialer
+// — its mesh is already broken, or a pre-run dial failed — closes its
+// connections before it replies, so its peers fail the same way instead
+// of waiting out RecvTimeout. Workers never redial on their own — a lone redialer
 // would race peers that still consider the mesh broken — so the
 // coordinator drives recovery: reset every worker (tcp.ResetMesh),
 // reconnect every worker (tcp.ConnectMesh over the kept listeners and
@@ -158,16 +160,19 @@ func (rs *RunSpec) resolve() (core.Spec, core.Algorithm, error) {
 
 // doneMsg reports one worker's share of a finished run: its local
 // ranks' stats, its bundle verification, and its machine's lifetime
-// dial counters (the zero-lazy-dials proof reads LazyDials).
+// dial counters.
 type doneMsg struct {
 	ElapsedNs int64 `json:"elapsedNs"`
 	// Procs is the local ranks' tcp.ProcStats, procFields integers per
 	// rank in field order (see flattenProcs).
-	Procs        []int64 `json:"procs,omitempty"`
-	LazyDials    int     `json:"lazyDials"`
-	ConnsOpened  int     `json:"connsOpened"`
-	PlannedPairs int     `json:"plannedPairs"`
-	Err          string  `json:"err,omitempty"`
+	Procs []int64 `json:"procs,omitempty"`
+	// LazyDials counts the pairs this worker dialed before a run because
+	// the plan lacked them (tcp.Machine.LazyDials); the zero-lazy-dials
+	// proof reads it.
+	LazyDials    int    `json:"lazyDials"`
+	ConnsOpened  int    `json:"connsOpened"`
+	PlannedPairs int    `json:"plannedPairs"`
+	Err          string `json:"err,omitempty"`
 }
 
 // procFields is the number of integers one rank's stats take in

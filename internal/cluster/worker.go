@@ -112,7 +112,7 @@ func (w *worker) assign(a *assignMsg) error {
 	if a.FullMesh {
 		links = nil
 	} else if links == nil {
-		links = [][2]int{} // empty plan: everything would be lazy
+		links = [][2]int{} // empty plan: every pair is dialed before its first run
 	}
 	m, err := tcp.NewWorkerMachine(a.P, a.Lo, a.Hi, a.Leaders, tcp.Options{Links: links, ListenHost: a.ListenHost})
 	if err != nil {
@@ -138,14 +138,17 @@ func (w *worker) run(rs *RunSpec) *doneMsg {
 	return d
 }
 
-// execute starts the run at once — peers that started first may already
-// be sending, and the engine holds their frames until this machine arms
+// execute dials the pairs the run's program needs and the partitioned
+// plan lacked (each by its higher rank's worker, as at setup), then
+// starts the run at once — peers that started first may already be
+// sending, and the engine holds their frames until this machine arms
 // the run's epoch — and verifies every local bundle. A run the worker
 // cannot execute leaves no peer waiting on it: the engine closes a
-// broken mesh's connections when it refuses the run, and a spec the
-// worker cannot build (the coordinator validated it, so only a worker
-// of another build gets here) resets the mesh. Either way every peer
-// fails fast and the coordinator's reset, reconnect and retry follows.
+// broken mesh's connections when it refuses the run or fails its
+// pre-run dials, and a spec the worker cannot build (the coordinator
+// validated it, so only a worker of another build gets here) resets the
+// mesh. Either way every peer fails fast and the coordinator's reset,
+// reconnect and retry follows.
 func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 	if rs == nil {
 		rs = &RunSpec{}
@@ -156,6 +159,9 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 	}
 	coll := core.CollectiveOf(alg)
 	bound := core.Bind(alg, spec)
+	if err := w.m.Prepare(context.Background(), core.ProgramOf(bound)); err != nil {
+		return nil, err
+	}
 	bundleErrs := make([]error, w.hi-w.lo)
 	res, err := w.m.Run(tcp.Options{
 		Epoch:       rs.Epoch,

@@ -171,6 +171,22 @@ func (pg *Program) Selection(op Op) (Sel, int) {
 	return Sel{int(e.off), int(e.stride), int(e.count)}, int(e.to)
 }
 
+// Partner returns the rank an operation sends to (sends true) or receives
+// from, and -1 for an operation that moves no message between ranks —
+// an OpFold from nobody included. It is the one op→peer rule: route
+// extraction and the TCP engine's pre-run dials both read it.
+func (pg *Program) Partner(op Op) (peer int, sends bool) {
+	switch op.Kind {
+	case OpSend, OpMove, OpToken:
+		return op.Peer(), true
+	case OpSendParts:
+		return int(pg.sels[op.arg].to), true
+	case OpRecv, OpMerge, OpDrop, OpFold:
+		return op.Peer(), false
+	}
+	return -1, false
+}
+
 // SelectsParts reports whether the program reads its bundles part by
 // part — it selects or folds — so that a bundle's length and part count
 // are not all there is to know of it.

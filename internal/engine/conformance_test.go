@@ -5,7 +5,7 @@ package engine_test
 // (internal/live) and sockets (internal/tcp) — with failures named
 // scenario/engine. A scenario states what comm.Comm and the run
 // lifecycle promise; nothing in it may depend on how messages travel.
-// Transport-only behaviour (frame codec, dial retry, reconnects, lazy
+// Transport-only behaviour (frame codec, dial retry, reconnects, pre-run
 // dials, worker machines) is tested in internal/tcp.
 
 import (

@@ -207,10 +207,6 @@ type Run struct {
 	watcher sync.WaitGroup
 }
 
-// Context returns the run's context, nil when it has none. Transports
-// bound their own waits (lazy dials) by it.
-func (r *Run) Context() context.Context { return r.ctx }
-
 // wall returns nanoseconds since the run started, 0 on untraced runs so
 // their hot paths skip the clock read.
 func (r *Run) wall() int64 {

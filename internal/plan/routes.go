@@ -63,11 +63,7 @@ func compareLinks(a, b [2]int) int {
 func programLinks(prog *comm.Program, links linkSet) {
 	for rank := 0; rank < prog.P(); rank++ {
 		for _, op := range prog.Ops(rank) {
-			switch op.Kind {
-			case comm.OpSend, comm.OpMove, comm.OpToken:
-				links.add(rank, op.Peer())
-			case comm.OpSendParts:
-				_, peer := prog.Selection(op)
+			if peer, sends := prog.Partner(op); sends {
 				links.add(rank, peer)
 			}
 		}

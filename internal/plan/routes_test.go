@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"maps"
 	"math/bits"
 	"slices"
@@ -131,9 +132,9 @@ func TestRoutesReadAndTracedAgree(t *testing.T) {
 
 // TestRoutesDriveSparseTCPMachine closes the loop at the transport
 // layer: a TCP machine built from exactly the extracted routes runs the
-// algorithm with zero lazy dials — ConnsOpened does not grow during the
-// run, so the plan covered every connection the broadcast needed. Any
-// link Routes missed would show up as an on-demand dial here.
+// algorithm without Prepare — and Run never dials — so the plan covered
+// every connection the broadcast needed. Any link Routes missed would
+// fail the run here, naming the undialed pair.
 func TestRoutesDriveSparseTCPMachine(t *testing.T) {
 	m := machine.Paragon(4, 4)
 	const p = 16
@@ -147,7 +148,6 @@ func TestRoutesDriveSparseTCPMachine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: machine: %v", alg.Name(), err)
 		}
-		opened := tm.ConnsOpened()
 		payload := make([]byte, 32)
 		_, err = tm.Run(tcp.Options{RecvTimeout: 30 * time.Second}, func(pr *tcp.Proc) {
 			mine := core.InitialMessage(spec, pr.Rank(), payload)
@@ -157,9 +157,10 @@ func TestRoutesDriveSparseTCPMachine(t *testing.T) {
 			tm.Close()
 			t.Fatalf("%s (tcp sparse): %v", alg.Name(), err)
 		}
-		if after := tm.ConnsOpened(); after != opened {
-			t.Errorf("%s: %d lazy dials during the run — extracted routes incomplete",
-				alg.Name(), after-opened)
+		// The same program read for its receives as well finds nothing
+		// missing either: the op→peer rule is the one Routes used.
+		if err := tm.Prepare(context.Background(), m.Program(alg, spec)); err != nil || tm.LazyDials() != 0 {
+			t.Errorf("%s: Prepare dialed %d pairs the routes lacked (%v)", alg.Name(), tm.LazyDials(), err)
 		}
 		full := p * (p - 1) / 2
 		if tm.PlannedPairs() >= full {

@@ -1,15 +1,18 @@
 package tcp
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/comm"
 )
 
 // plannedPairs normalizes a directed link list into the sorted,
@@ -25,33 +28,65 @@ func plannedPairs(p int, links [][2]int) ([][2]int, bool, error) {
 		}
 		return pairs, false, nil
 	}
-	seen := make(map[[2]int]struct{}, len(links))
 	pairs := make([][2]int, 0, len(links))
 	for _, l := range links {
 		a, b := l[0], l[1]
 		if a < 0 || a >= p || b < 0 || b >= p {
 			return nil, false, fmt.Errorf("tcp: planned link %d→%d outside machine of %d ranks", a, b, p)
 		}
-		if a == b {
-			continue // self sends never touch a socket
-		}
-		if a > b {
-			a, b = b, a
-		}
-		pr := [2]int{a, b}
-		if _, dup := seen[pr]; dup {
+		pairs = appendPair(pairs, a, b)
+	}
+	return sortPairs(pairs), true, nil
+}
+
+// appendPair appends the unordered pair {a,b} as (min,max), unless a is
+// b: self sends never touch a socket.
+func appendPair(pairs [][2]int, a, b int) [][2]int {
+	if a == b {
+		return pairs
+	}
+	return append(pairs, [2]int{min(a, b), max(a, b)})
+}
+
+// sortPairs sorts pairs and drops the duplicates.
+func sortPairs(pairs [][2]int) [][2]int {
+	slices.SortFunc(pairs, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	return slices.Compact(pairs)
+}
+
+// missing returns the pairs prog's local ranks send or receive over —
+// every pair touching a local rank when prog is nil — that lack a local
+// endpoint, sorted and deduplicated; nil, without allocating, when none
+// does.
+func (m *Machine) missing(prog *comm.Program) [][2]int {
+	m.connMu.RLock()
+	defer m.connMu.RUnlock()
+	var out [][2]int
+	for r := m.lo; r < m.hi; r++ {
+		if prog == nil {
+			for q := range m.size {
+				if !m.established(r, q) {
+					out = appendPair(out, r, q)
+				}
+			}
 			continue
 		}
-		seen[pr] = struct{}{}
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
+		for _, op := range prog.Ops(r) {
+			if q, _ := prog.Partner(op); q >= 0 && !m.established(r, q) {
+				out = appendPair(out, r, q)
+			}
 		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	return pairs, true, nil
+	}
+	return sortPairs(out)
+}
+
+// established reports whether every local endpoint of the pair {a,b} is
+// installed (a remote endpoint is the owning worker's business). Callers
+// hold connMu.
+func (m *Machine) established(a, b int) bool {
+	return (!m.isLocal(a) || m.ends[a].conns[b] != nil) && (!m.isLocal(b) || m.ends[b].conns[a] != nil)
 }
 
 // addrOf resolves the listener address of rank dst: its own listener
@@ -118,7 +153,7 @@ func (m *Machine) ConnectMesh(ctx context.Context, addrs map[int]string) error {
 		}
 		m.connMu.Unlock()
 	}
-	if err := m.connectLocked(ctx); err != nil {
+	if err := m.connect(ctx, m.pairs); err != nil {
 		return m.kill(fmt.Errorf("tcp: mesh connect failed: %w", err))
 	}
 	return nil
@@ -142,11 +177,11 @@ func (m *Machine) ResetMesh() error {
 // the still-open listeners after an abort closed the connections: the
 // orphaned pumps are joined first so no stale goroutine can touch the
 // new mesh, then exactly the pairs the machine was planned with are
-// redialed (lazily opened extras from the previous life wait for their
-// next on-demand dial).
+// redialed (extras Prepare dialed in the previous life wait for the next
+// Prepare that needs them).
 func (m *Machine) reconnect(ctx context.Context) error {
 	m.dropConns()
-	if err := m.connectLocked(ctx); err != nil {
+	if err := m.connect(ctx, m.pairs); err != nil {
 		return err
 	}
 	m.reconnects.Add(1)
@@ -156,7 +191,7 @@ func (m *Machine) reconnect(ctx context.Context) error {
 // dropConns closes the connections, joins their pumps — marking the
 // mesh broken first, which also makes pumps holding an early frame let
 // go — and wipes the connection table, clearing the mark; the next
-// connect or lazy dial repopulates it.
+// connect repopulates it.
 func (m *Machine) dropConns() {
 	m.broken.Store(true)
 	m.closeConns()
@@ -172,7 +207,7 @@ func (m *Machine) dropConns() {
 
 // acceptLoop is rank j's persistent acceptor: it admits connections for
 // the machine's lifetime — planned setup dials, reconnect redials and
-// lazy on-demand dials all arrive here — and exits when the listener
+// Prepare's dials all arrive here — and exits when the listener
 // closes (Close, or a fatal setup failure).
 func (m *Machine) acceptLoop(j int) {
 	defer m.acceptors.Done()
@@ -213,14 +248,10 @@ func (m *Machine) admit(j int, conn net.Conn) {
 // register installs one connection endpoint in the table and starts its
 // reader pump, broadcasting to anyone waiting for the pair to complete.
 // It refuses — and the caller must close the connection — when the mesh
-// is closed or broken (a racing teardown). When the slot is already
-// filled (a duplicate: across processes, both sides of a pair can lazily
-// dial each other at once and neither dialer can see the other's table),
-// the established connection keeps the slot — and the pair's FIFO send
-// order — but the duplicate is still pumped receive-only: the remote
-// process may have installed it as its send path, so refusing it would
-// lose frames. dialed marks the dialing end, counted once per connection
-// in ConnsOpened.
+// is closed or broken (a racing teardown). Only a pair's higher rank
+// ever dials, and only a pair lacking its endpoints, so a slot is never
+// filled twice. dialed marks the dialing end, counted once per
+// connection in ConnsOpened.
 func (m *Machine) register(owner, peer int, conn net.Conn, dialed bool) bool {
 	m.connMu.Lock()
 	defer m.connMu.Unlock()
@@ -230,9 +261,7 @@ func (m *Machine) register(owner, peer int, conn net.Conn, dialed bool) bool {
 	if dialed {
 		m.connsOpened.Add(1)
 	}
-	if m.ends[owner].conns[peer] == nil {
-		m.ends[owner].conns[peer] = conn
-	}
+	m.ends[owner].conns[peer] = conn
 	m.conns = append(m.conns, conn)
 	m.pumps.Add(1)
 	go m.pump(owner, peer, conn)
@@ -240,11 +269,8 @@ func (m *Machine) register(owner, peer int, conn net.Conn, dialed bool) bool {
 	return true
 }
 
-// setupFail records the first setup error and closes the listeners so
-// everything still blocked — acceptors, the pair wait — unwinds. After
-// it, the machine is beyond repair (NewMachine returns the error; a
-// failed rebuild poisons the session), which matches the historical
-// full-mesh behaviour.
+// setupFail records the first error of a connect and wakes its pair
+// wait.
 func (m *Machine) setupFail(err error) {
 	m.connMu.Lock()
 	if m.setupErr == nil {
@@ -252,15 +278,20 @@ func (m *Machine) setupFail(err error) {
 	}
 	m.connCond.Broadcast()
 	m.connMu.Unlock()
-	m.closeListeners()
+}
+
+// wake broadcasts connCond, so every wait on it rechecks its condition.
+func (m *Machine) wake() {
+	m.connMu.Lock()
+	m.connCond.Broadcast()
+	m.connMu.Unlock()
 }
 
 // dialRetry dials rank dst — the local listener's address, or the
 // coordinator-distributed one for a remote rank — with the machine's
-// retry/backoff policy, and announces src. It is the one dial path:
-// planned setup, reconnect rebuilds and lazy on-demand dials all come
-// through here. ctxDone, when non-nil, cancels the backoff waits and
-// the dial itself.
+// retry/backoff policy, and announces src. It is the one dial path, and
+// connect its one caller. ctxDone, when non-nil, cancels the backoff
+// waits and the dial itself.
 func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, error) {
 	addr, err := m.addrOf(dst)
 	if err != nil {
@@ -287,7 +318,7 @@ func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, er
 		select {
 		case <-time.After(m.dialBackoff << attempt):
 		case <-ctxDone:
-			return nil, fmt.Errorf("tcp: rank %d dial rank %d: setup canceled", src, dst)
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d: canceled", src, dst)
 		}
 	}
 	var hs [4]byte
@@ -335,43 +366,35 @@ func (m *Machine) dialCancelable(ctxDone <-chan struct{}, addr string) (net.Conn
 	}
 }
 
-// connectLocked dials the machine's share of the planned pairs — the
-// higher rank dials (when it is local; a remote dialer's worker handles
-// it), the persistent acceptors register the other end — and waits
-// until every planned pair has its local endpoints installed. On
-// failure the listeners are closed (to unblock the acceptors) and every
-// partially built connection is torn down. Callers hold m.mu (or, for
-// NewMachine, exclusive ownership of a machine nobody else has seen).
-func (m *Machine) connectLocked(ctx context.Context) error {
+// connect dials this machine's share of pairs — the planned set at setup
+// and reconnect, the missing ones in Prepare: the higher rank dials
+// (when it is local; a remote dialer's worker handles it), the
+// persistent acceptors register the other end — and waits until every
+// pair has its local endpoints installed. On failure the mesh is marked
+// broken and its connections closed; the caller kills the machine or
+// leaves the mesh for the next run to rebuild. Callers hold m.mu (or,
+// for NewMachine, exclusive ownership of a machine nobody else has
+// seen).
+func (m *Machine) connect(ctx context.Context, pairs [][2]int) error {
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done()
+		// Cancellation wakes the pair wait, which reports it.
+		stop := context.AfterFunc(ctx, m.wake)
+		defer stop()
 	}
 	m.connMu.Lock()
 	m.setupErr = nil
 	m.connMu.Unlock()
 
-	// Propagate setup cancellation to the pair wait.
-	stop := make(chan struct{})
-	defer close(stop)
-	if ctxDone != nil {
-		go func() {
-			select {
-			case <-ctxDone:
-				m.setupFail(fmt.Errorf("tcp: setup canceled: %w", ctx.Err()))
-			case <-stop:
-			}
-		}()
-	}
-
-	// Dial side: the higher rank of every planned pair dials the lower
-	// and announces itself, one goroutine per dialing rank so setup
-	// latency stays O(pairs/p), with retry and backoff for transient
-	// failures. On a partial machine, only local dialers dial; pairs
-	// whose higher rank lives in another process are that worker's job
-	// and land here through the acceptors.
+	// Dial side: the higher rank of every pair dials the lower and
+	// announces itself, one goroutine per dialing rank so connect latency
+	// stays O(pairs/p), with retry and backoff for transient failures. On
+	// a partial machine, only local dialers dial; pairs whose higher rank
+	// lives in another process are that worker's job and land here
+	// through the acceptors.
 	byDialer := make([][]int, m.size)
-	for _, pr := range m.pairs {
+	for _, pr := range pairs {
 		if m.isLocal(pr[1]) {
 			byDialer[pr[1]] = append(byDialer[pr[1]], pr[0])
 		}
@@ -392,44 +415,30 @@ func (m *Machine) connectLocked(ctx context.Context) error {
 				}
 				if !m.register(i, j, conn, true) {
 					conn.Close()
-					m.setupFail(fmt.Errorf("tcp: rank %d dial rank %d: machine torn down during setup", i, j))
+					m.setupFail(fmt.Errorf("tcp: rank %d dial rank %d: machine torn down while connecting", i, j))
 					return
 				}
 			}
 		}(i, peers)
 	}
 	wg.Wait()
-	err := m.waitPairs()
-	if err != nil {
-		m.closeListeners() // waitPairs timeout: unblock the acceptors too
-		m.dropConns()
+	if err := m.waitPairs(ctx, pairs); err != nil {
+		m.broken.Store(true)
+		m.closeConns()
 		return err
 	}
 	return nil
 }
 
-// waitPairs blocks until every planned pair has its local endpoints
-// registered (the dialed end synchronously, the accepted end by the
-// acceptor goroutines; a remote endpoint is the owning worker's
-// business), a setup error is reported, or the handshake deadline
+// waitPairs blocks until every pair has its local endpoints registered
+// (the dialed end synchronously, the accepted end by the acceptor
+// goroutines; a remote endpoint is the owning worker's business), a
+// connect error is reported, ctx ends, or the handshake deadline
 // expires.
-func (m *Machine) waitPairs() error {
-	timer := time.AfterFunc(handshakeTimeout, func() {
-		m.connMu.Lock()
-		m.connCond.Broadcast()
-		m.connMu.Unlock()
-	})
+func (m *Machine) waitPairs(ctx context.Context, pairs [][2]int) error {
+	timer := time.AfterFunc(handshakeTimeout, m.wake)
 	defer timer.Stop()
 	deadline := time.Now().Add(handshakeTimeout)
-	established := func(a, b int) bool {
-		if m.isLocal(a) && m.ends[a].conns[b] == nil {
-			return false
-		}
-		if m.isLocal(b) && m.ends[b].conns[a] == nil {
-			return false
-		}
-		return true
-	}
 	m.connMu.Lock()
 	defer m.connMu.Unlock()
 	idx := 0
@@ -437,18 +446,18 @@ func (m *Machine) waitPairs() error {
 		if m.setupErr != nil {
 			return m.setupErr
 		}
-		for idx < len(m.pairs) {
-			if !established(m.pairs[idx][0], m.pairs[idx][1]) {
-				break
-			}
+		if ctx != nil && ctx.Err() != nil {
+			return fmt.Errorf("tcp: connect canceled: %w", ctx.Err())
+		}
+		for idx < len(pairs) && m.established(pairs[idx][0], pairs[idx][1]) {
 			idx++
 		}
-		if idx == len(m.pairs) {
+		if idx == len(pairs) {
 			return nil
 		}
 		if !time.Now().Before(deadline) {
-			a, b := m.pairs[idx][0], m.pairs[idx][1]
-			return fmt.Errorf("tcp: setup: link %d–%d not established within %v", a, b, handshakeTimeout)
+			a, b := pairs[idx][0], pairs[idx][1]
+			return fmt.Errorf("tcp: link %d–%d not established within %v", a, b, handshakeTimeout)
 		}
 		m.connCond.Wait()
 	}
@@ -459,7 +468,7 @@ func (m *Machine) waitPairs() error {
 // epoch frames to the run in flight. A read error during a run is a
 // mid-run connection failure (root cause, the run aborts); during Close
 // or after an abort it is the expected teardown; between runs it marks
-// the mesh broken so the next Run rebuilds it.
+// the mesh broken so the next Prepare or Run rebuilds it.
 func (m *Machine) pump(owner, peer int, conn net.Conn) {
 	defer m.pumps.Done()
 	rd := newFrameReader(conn, peer, owner)
@@ -468,15 +477,6 @@ func (m *Machine) pump(owner, peer int, conn net.Conn) {
 		if err != nil {
 			if m.closed.Load() || m.broken.Load() {
 				return // session teardown or already-torn mesh
-			}
-			m.connMu.RLock()
-			sidecar := m.ends[owner].conns[peer] != conn
-			m.connMu.RUnlock()
-			if sidecar {
-				// A receive-only duplicate (the loser of a cross-process
-				// pair race) closed: the link's registered connection is
-				// still up, so nothing is lost and nobody is blocked.
-				return
 			}
 			if r := m.core.Current(); r != nil {
 				r.Fail(owner, fmt.Errorf("tcp: connection %d→%d failed: %w", peer, owner, err))

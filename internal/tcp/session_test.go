@@ -121,7 +121,7 @@ func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}})
-	if err := m.connectLocked(nil); err != nil {
+	if err := m.connect(nil, m.pairs); err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -57,10 +58,40 @@ func TestSparseSetupOpensOnlyPlannedConns(t *testing.T) {
 	}
 }
 
-// TestLazyDialFallbackForUnplannedSend: a send over a link the plan did
-// not include must succeed via the on-demand dial, open exactly one new
-// connection, and reuse it on the next run.
-func TestLazyDialFallbackForUnplannedSend(t *testing.T) {
+// exchangeProgram compiles a p-rank program in which ranks a and b swap
+// their bundles: a sends first, b answers over the same pair.
+func exchangeProgram(t *testing.T, p, a, b int) *comm.Program {
+	t.Helper()
+	prog, err := comm.Script{Regs: 2, Rank: func(bd *comm.Builder, r int) {
+		switch r {
+		case a:
+			bd.Send(b, 0)
+			bd.Recv(b, 1)
+		case b:
+			bd.Recv(a, 1)
+			bd.Send(a, 0)
+		}
+	}}.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// runProgram runs prog on every rank of m, each entering with a bundle
+// of its own rank's byte.
+func runProgram(m *Machine, prog *comm.Program) error {
+	_, err := m.Run(Options{RecvTimeout: 10 * time.Second}, func(pr *Proc) {
+		prog.Run(pr, comm.Message{Tag: 1, Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}})
+	})
+	return err
+}
+
+// TestPrepareDialsMissingPairsOnce: on a machine planned with {0,1},
+// Prepare of a program that uses 0–2 dials exactly that one pair —
+// counted in LazyDials — the program runs over it, and a second Prepare
+// dials nothing and allocates nothing.
+func TestPrepareDialsMissingPairsOnce(t *testing.T) {
 	const p = 3
 	m, err := NewMachine(p, Options{Links: [][2]int{{0, 1}}})
 	if err != nil {
@@ -70,40 +101,111 @@ func TestLazyDialFallbackForUnplannedSend(t *testing.T) {
 	if got := m.ConnsOpened(); got != 1 {
 		t.Fatalf("setup opened %d conns, want 1", got)
 	}
-	roundTrip := func() {
-		if _, err := m.Run(Options{RecvTimeout: 10 * time.Second}, func(pr *Proc) {
-			msg := comm.Message{Tag: 1, Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}}
-			switch pr.Rank() {
-			case 0:
-				pr.Send(2, msg) // unplanned: 0–2 must lazy-dial
-			case 2:
-				got := pr.Recv(0)
-				if got.Parts[0].Data[0] != 0 {
-					panic("bad payload")
-				}
-				pr.Send(0, msg) // reverse direction shares the pair conn
-			}
-			if pr.Rank() == 0 {
-				pr.Recv(2)
-			}
-		}); err != nil {
-			t.Fatal(err)
+	prog := exchangeProgram(t, p, 0, 2)
+	ctx := context.Background()
+	for run := 0; run < 2; run++ {
+		if err := m.Prepare(ctx, prog); err != nil {
+			t.Fatalf("run %d: Prepare: %v", run, err)
+		}
+		if opened, lazy := m.ConnsOpened(), m.LazyDials(); opened != 2 || lazy != 1 {
+			t.Fatalf("run %d: %d conns opened, %d lazy dials, want 2 and 1", run, opened, lazy)
+		}
+		if err := runProgram(m, prog); err != nil {
+			t.Fatalf("run %d: %v", run, err)
 		}
 	}
-	roundTrip()
-	if got := m.ConnsOpened(); got != 2 {
-		t.Fatalf("after lazy dial: %d conns opened, want 2", got)
+	if allocs := testing.AllocsPerRun(20, func() { m.Prepare(ctx, prog) }); allocs != 0 {
+		t.Errorf("Prepare with no pair missing allocated %.0f times, want 0", allocs)
 	}
-	roundTrip()
-	if got := m.ConnsOpened(); got != 2 {
-		t.Errorf("second run re-dialed: %d conns opened, want still 2", got)
+}
+
+// TestSendOverUndialedPairFailsRun: Run never dials. A send over a pair
+// the plan lacks and no Prepare dialed fails the run at once with an
+// error naming both ranks, while the receiver blocked on it unwinds.
+func TestSendOverUndialedPairFailsRun(t *testing.T) {
+	const p = 3
+	m, err := NewMachine(p, Options{Links: [][2]int{{0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	start := time.Now()
+	_, err = m.Run(Options{RecvTimeout: time.Minute}, func(pr *Proc) {
+		switch pr.Rank() {
+		case 0:
+			pr.Send(2, comm.Message{Tag: 1, Parts: []comm.Part{{Origin: 0, Data: []byte("x")}}})
+		case 2:
+			pr.Recv(0)
+		}
+	})
+	if err == nil {
+		t.Fatal("send over an undialed pair succeeded")
+	}
+	for _, want := range []string{"tcp: rank 0: send to 2", "no connection between ranks 0 and 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("failed run took %v to return", d)
+	}
+	if got := m.ConnsOpened(); got != 1 {
+		t.Errorf("the run dialed: %d conns opened, want 1", got)
+	}
+}
+
+// TestPrepareHonorsContextCancel: a pre-run dial into a black hole gives
+// up as soon as Prepare's context is canceled, failing that run only —
+// the machine then rebuilds its mesh and runs a planned program.
+func TestPrepareHonorsContextCancel(t *testing.T) {
+	const p = 3
+	release := make(chan struct{})
+	defer close(release)
+	var hole atomic.Bool
+	m, err := NewMachine(p, Options{
+		Links: [][2]int{{0, 1}},
+		Dial: func(addr string) (net.Conn, error) {
+			if hole.Load() {
+				<-release // a black-holed peer: connect never completes
+				return nil, errors.New("released")
+			}
+			return net.Dial("tcp", addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	hole.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	err = m.Prepare(ctx, exchangeProgram(t, p, 0, 2))
+	if err == nil {
+		t.Fatal("Prepare over a black-holed pair succeeded")
+	}
+	// Prompt means "the cancel propagated", not "the dial timed out":
+	// well under both handshakeTimeout and any OS connect timeout.
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("canceled Prepare took %v to return, want prompt unwind", d)
+	}
+	hole.Store(false)
+	if err := runProgram(m, exchangeProgram(t, p, 0, 1)); err != nil {
+		t.Fatalf("planned program after the canceled Prepare: %v", err)
+	}
+	if got := m.LazyDials(); got != 0 {
+		t.Errorf("%d lazy dials, want 0: the canceled dial never connected", got)
 	}
 }
 
 // TestSparseReconnectRebuildsOnlyPlannedPairs is the reconnect-after-
 // abort contract on a sparse machine: the rebuild redials exactly the
-// planned pair set — not the full mesh, and not links that were only
-// ever opened lazily — and counts one reconnect.
+// planned pair set — not the full mesh, and not pairs Prepare dialed
+// before a run — and counts one reconnect.
 func TestSparseReconnectRebuildsOnlyPlannedPairs(t *testing.T) {
 	const p = 8
 	links := [][2]int{{0, 1}, {1, 2}, {2, 3}} // 3 planned pairs of 28 possible
@@ -115,7 +217,11 @@ func TestSparseReconnectRebuildsOnlyPlannedPairs(t *testing.T) {
 	if got := m.ConnsOpened(); got != 3 {
 		t.Fatalf("setup opened %d conns, want 3", got)
 	}
-	// Run 1: open one lazy extra (0–7), then abort via rank panic.
+	// Run 1: dial one extra (0–7) before the run, then abort via rank
+	// panic.
+	if err := m.Prepare(context.Background(), exchangeProgram(t, p, 0, 7)); err != nil {
+		t.Fatal(err)
+	}
 	_, err = m.Run(Options{RecvTimeout: 10 * time.Second}, func(pr *Proc) {
 		msg := comm.Message{Tag: 1, Parts: []comm.Part{{Origin: 0, Data: []byte("x")}}}
 		switch pr.Rank() {
@@ -130,9 +236,9 @@ func TestSparseReconnectRebuildsOnlyPlannedPairs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("aborted run returned %v, want the rank panic", err)
 	}
-	after := m.ConnsOpened() // 3 planned + 1 lazy
+	after := m.ConnsOpened() // 3 planned + 1 dialed before the run
 	if after != 4 {
-		t.Fatalf("after lazy dial and abort: %d conns opened, want 4", after)
+		t.Fatalf("after the pre-run dial and abort: %d conns opened, want 4", after)
 	}
 	// Run 2: the rebuild must redial the 3 planned pairs only.
 	if _, err := m.Run(Options{RecvTimeout: 10 * time.Second}, func(pr *Proc) {
@@ -149,7 +255,7 @@ func TestSparseReconnectRebuildsOnlyPlannedPairs(t *testing.T) {
 		t.Errorf("Reconnects() = %d, want 1", got)
 	}
 	if got := m.ConnsOpened(); got != after+3 {
-		t.Errorf("rebuild opened %d conns (total %d), want 3 (total %d) — the lazy 0–7 link must not be rebuilt", got-after, got, after+3)
+		t.Errorf("rebuild opened %d conns (total %d), want 3 (total %d) — the pre-run 0–7 pair must not be rebuilt", got-after, got, after+3)
 	}
 }
 
@@ -240,8 +346,8 @@ func TestSendFailureAttribution(t *testing.T) {
 // TestSparseBroadcastP128 is the scale gate: a 128-rank broadcast over
 // a sparse dissemination-pattern mesh — a scale where the full
 // p(p−1)/2 = 8128-connection mesh made real-byte runs impractical. The
-// binomial tree's hops are exactly the planned links, so no lazy dial
-// fires and setup opens ≤ the route count.
+// binomial tree's hops are exactly the planned links, so the run needs
+// no pair beyond them and setup opens ≤ the route count.
 func TestSparseBroadcastP128(t *testing.T) {
 	if testing.Short() {
 		t.Skip("128-rank socket machine")
@@ -302,6 +408,6 @@ func runSparseBroadcast(t *testing.T, p int) {
 		}
 	}
 	if opened := m.ConnsOpened(); opened > routes {
-		t.Errorf("broadcast needed lazy dials: %d conns opened, routes %d", opened, routes)
+		t.Errorf("broadcast dialed beyond its routes: %d conns opened, routes %d", opened, routes)
 	}
 }

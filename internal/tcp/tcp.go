@@ -13,21 +13,22 @@
 // lifecycle, Send/Recv/Barrier, deadlines, abort and failure
 // classification are the core's and are documented there, identical to
 // the live engine's. What lives here is the wire — the frame codec
-// (frame.go), the mesh of listeners, dialed connections and reader pumps
-// (mesh.go), on-demand dials for unplanned links (lazy.go) — and the
-// machine that owns it (this file). A cluster worker is the same
-// transport with a rank range: NewWorkerMachine owns [lo,hi) of the mesh
-// and dials its share of it, and the core's barrier then adds a token
-// exchange between the workers' leader ranks over these same sockets.
+// (frame.go), the mesh of listeners, dialed connections and reader
+// pumps (mesh.go) — and the machine that owns it (this file). A cluster
+// worker is the same transport with a rank range: NewWorkerMachine owns
+// [lo,hi) of the mesh and dials its share of it, and the core's barrier
+// then adds a token exchange between the workers' leader ranks over
+// these same sockets.
 //
 // # Sessions
 //
 // Building the machine is expensive — p listeners, an O(p²) dialed mesh
 // with handshakes and retry, and one reader pump per connection end — so
 // the engine separates setup from execution. NewMachine stands the mesh
-// up once; Machine.Run executes one algorithm over the warm connections
-// and may be called many times back to back; Machine.Close tears
-// everything down.
+// up once; Machine.Prepare dials, before a run, the pairs its program
+// needs and the mesh lacks; Machine.Run executes one algorithm over the
+// warm connections and may be called many times back to back;
+// Machine.Close tears everything down.
 //
 // Run isolation is by epoch: every frame carries the epoch of the run
 // that sent it, the reader pumps discard older epochs (and frames
@@ -36,13 +37,13 @@
 // aborts — panic, injected kill, deadline — can therefore never leak a
 // frame or a stale barrier token into the next run.
 //
-// An abort closes the mesh; the session survives it. The next Run
-// notices the damage, joins the orphaned reader pumps, and redials the
-// planned link set — the sparse one when the machine was built with
-// Options.Links, the full mesh otherwise — over the still-open listeners
-// (counted in Reconnects), so a killed connection costs one failed run
-// plus one reconnect, not the session, and a sparse machine never pays
-// for connections its schedule does not use.
+// An abort closes the mesh; the session survives it. The next Prepare
+// or Run notices the damage, joins the orphaned reader pumps, and
+// redials the planned link set — the sparse one when the machine was
+// built with Options.Links, the full mesh otherwise — over the
+// still-open listeners (counted in Reconnects), so a killed connection
+// costs one failed run plus one reconnect, not the session, and a sparse
+// machine never pays for connections its schedule does not use.
 //
 // # Sparse mesh
 //
@@ -51,12 +52,14 @@
 // those directed (src,dst) links; NewMachine then materializes only the
 // connections they need, multiplexing both directions of a peer pair
 // (and every logical link between that pair) over one shared TCP
-// connection. A send over a link that was not planned falls back to a
-// lazy on-demand dial with the same retry/backoff as setup, so sparse
-// planning is a performance contract, not a correctness one. Every rank
-// keeps a persistent acceptor, and registration waits until both
-// endpoints of a pair are installed, so two ranks racing to open the
-// same pair always converge on one connection.
+// connection. The schedules are oblivious, so a run's links are known
+// before it starts: Prepare reads them off the run's comm.Program and
+// dials, through the setup path, every pair the plan lacked (counted in
+// LazyDials), which makes sparse planning a performance contract, not a
+// correctness one. Every pair is dialed by its higher rank and
+// registered at both ends before anything moves, so a pair has exactly
+// one connection. Run itself never dials: a send over a pair nobody
+// dialed fails the run, naming both ranks.
 //
 // # Worker machines (cluster partitioning)
 //
@@ -67,8 +70,11 @@
 // LocalAddrs, distributes the merged rank→address map, and drives
 // ConnectMesh so each planned pair is dialed by the worker owning its
 // higher rank — the same frame protocol, handshake and registration
-// path as the single-process mesh, now across OS processes. Workers run
-// on a common coordinator-assigned Options.Epoch and start unsynchronized:
+// path as the single-process mesh, now across OS processes. Prepare
+// splits a run's missing pairs the same way: each worker dials those
+// whose higher rank it owns and waits for its endpoints of the rest.
+// Workers run on a common coordinator-assigned Options.Epoch and start
+// unsynchronized:
 // a pump holds a frame of an epoch its machine has not armed yet (and
 // TCP flow control the rest). A broken mesh is rebuilt by the
 // coordinator (ResetMesh then ConnectMesh on every worker), never by one
@@ -82,9 +88,12 @@
 //   - A connection fails mid-run: the affected receiver reports the
 //     broken link as the root cause; everyone else unwinds. A connection
 //     closing during teardown (Close) or between runs is not an error —
-//     the next Run rebuilds the mesh.
-//   - A transient dial failure during setup is retried with exponential
-//     backoff (Options.DialAttempts / DialBackoff) before it is fatal.
+//     the next Prepare or Run rebuilds the mesh.
+//   - A transient dial failure during setup or Prepare is retried with
+//     exponential backoff (Options.DialAttempts / DialBackoff). A setup
+//     dial that still fails is fatal to the machine; a Prepare dial that
+//     fails, or whose context ends, fails that run only: the mesh is
+//     marked broken and the next Prepare or Run rebuilds it.
 package tcp
 
 import (
@@ -121,8 +130,9 @@ const (
 // Epoch) afresh on every call.
 type Options struct {
 	// Context, RunTimeout, RecvTimeout and Tracer are the core's run
-	// options (see engine.Options). Context also cancels setup backoff
-	// waits and lazy dials.
+	// options (see engine.Options). Context also cancels setup's dials
+	// and backoff waits, and a mesh rebuild Run starts; Prepare takes a
+	// context of its own.
 	Context     context.Context
 	RunTimeout  time.Duration
 	RecvTimeout time.Duration
@@ -141,11 +151,11 @@ type Options struct {
 	// rebuilds). NewMachine then materializes only the connections those
 	// links need — one shared TCP connection per unordered peer pair,
 	// multiplexing both directions — instead of the full O(p²) mesh.
-	// Self links are ignored; out-of-range ranks are a setup error. A
-	// send over an unplanned link falls back to a lazy on-demand dial
-	// with the same retry/backoff, so Links never changes what runs,
-	// only what is paid for up front. nil keeps the full mesh; an empty
-	// non-nil slice plans no links at all (everything lazy).
+	// Self links are ignored; out-of-range ranks are a setup error.
+	// Prepare dials, before a run, the pairs its program uses that the
+	// plan lacked (counted in LazyDials), so Links never changes what
+	// runs, only what is paid for up front. nil keeps the full mesh; an
+	// empty non-nil slice plans no links at all (Prepare dials them all).
 	Links [][2]int
 	// ListenHost is the host the machine's listeners bind to (a setup
 	// field). Empty means loopback-only "127.0.0.1"; cluster workers that
@@ -172,9 +182,10 @@ type (
 
 // endpoint is one local rank's side of the mesh.
 type endpoint struct {
-	// conns[peer] is nil at the own rank and on never-established links
-	// (sparse machines dial lazily); guarded by Machine.connMu — senders
-	// read through link(), registration writes under the write lock.
+	// conns[peer] is nil at the own rank and on pairs not dialed yet (a
+	// sparse plan's gaps until Prepare fills them); guarded by
+	// Machine.connMu — senders read under the read lock, registration
+	// writes under the write lock.
 	conns []net.Conn
 	// wmu[peer] serializes frame writes onto conns[peer]: the rank's own
 	// sends and, on a leader, the barrier tokens another local rank sends
@@ -186,7 +197,8 @@ type endpoint struct {
 // acceptors, a dialed mesh — full by default, or only the planned pairs
 // when built with Options.Links — and one reader pump per connection
 // end, built once by NewMachine and reused by every Run. Close tears it
-// down. Run and Close serialize; a Machine supports one run at a time.
+// down. Prepare, Run and Close serialize; a Machine supports one run at
+// a time.
 type Machine struct {
 	core *engine.Machine
 	size int
@@ -195,27 +207,27 @@ type Machine struct {
 	// partial machine (NewWorkerMachine). listeners and ends are indexed
 	// by rank and nil outside [lo,hi).
 	lo, hi    int
-	mu        sync.Mutex // serializes Run, Close and mesh rebuilds
+	mu        sync.Mutex // serializes Prepare, Run, Close and mesh rebuilds
 	listeners []net.Listener
 	ends      []*endpoint
 	pumps     sync.WaitGroup
 	acceptors sync.WaitGroup
 
 	// closed marks teardown (Close, or a failed mesh build, which also
-	// sets dead); broken marks a damaged mesh — an abort or a
-	// between-runs connection failure closed the connections, and the
-	// next Run rebuilds it. The pumps read both to tell a failure from a
-	// teardown.
+	// sets dead); broken marks a damaged mesh — an abort, a failed
+	// Prepare or a between-runs connection failure closed the
+	// connections, and the next Prepare or Run rebuilds it. The pumps
+	// read both to tell a failure from a teardown.
 	closed atomic.Bool
 	broken atomic.Bool
 	dead   error // why the machine is beyond repair, under mu
 
 	// connMu guards the connection table — conns (the flat list of every
 	// live endpoint, for teardown) and each endpoint's per-peer conns.
-	// Registration happens under the write lock at setup time and on
-	// lazy dials; the send/pump hot paths read through the read lock.
-	// connCond (on the write lock) is broadcast on every registration,
-	// state change and teardown so setup and lazy dials can wait for
+	// Registration happens under the write lock while the mesh connects
+	// (setup, reconnect, Prepare); the send/pump hot paths read through
+	// the read lock. connCond (on the write lock) is broadcast on every
+	// registration, state change and teardown so a connect can wait for
 	// both endpoints of a pair to be installed, and on every armed epoch
 	// for pumps holding an early frame.
 	connMu   sync.RWMutex
@@ -233,25 +245,19 @@ type Machine struct {
 
 	// pairs is the planned link set as sorted unordered peer pairs
 	// (a<b): every pair in it is dialed at setup and redialed on
-	// reconnect; anything else waits for a lazy dial. sparse records
+	// reconnect; anything else waits for a Prepare. sparse records
 	// whether Options.Links was given (the full mesh is just the
 	// complete pair set).
 	pairs  [][2]int
 	sparse bool
 	// connsOpened counts TCP connections dialed over the machine's
-	// lifetime (setup, lazy and reconnect dials; one per connection, not
-	// per endpoint).
+	// lifetime (setup, Prepare and reconnect dials; one per connection,
+	// not per endpoint).
 	connsOpened atomic.Int64
-	// lazyMu guards lazyInflight, the per-pair singleflight table of
-	// on-demand dials: two ranks racing to open the same unplanned pair
-	// (either direction) converge on one dial, while dials of distinct
-	// pairs proceed concurrently — one unreachable peer must not
-	// head-of-line-block every other lazy dial on the machine.
-	lazyMu       sync.Mutex
-	lazyInflight map[[2]int]*lazyCall
-	// lazyDials counts on-demand dials actually performed — the sends
-	// the route plan missed. A sparse cluster run that stays at zero
-	// proves the partitioned plan covered every link the schedule used.
+	// lazyDials counts the pairs dialed before a run because the plan
+	// lacked them (Prepare's dials). A sparse cluster run that stays at
+	// zero proves the partitioned plan covered every link the schedule
+	// used.
 	lazyDials  atomic.Int64
 	setupErr   error // first setup failure, under connMu
 	reconnects atomic.Int64
@@ -268,17 +274,20 @@ type Machine struct {
 type transport struct{ m *Machine }
 
 // Deliver frames msg onto the src–dst pair's socket stamped with the
-// run's epoch: one Write (or vectored WriteTo) through pooled scratch.
-func (t transport) Deliver(r *engine.Run, src, dst int, msg comm.Message) error {
+// run's epoch: one Write (or vectored WriteTo) through pooled scratch. It
+// never dials: a pair nobody dialed before the run fails the send.
+func (t transport) Deliver(_ *engine.Run, src, dst int, msg comm.Message) error {
 	m := t.m
-	conn, err := m.link(r.Context(), src, dst)
-	if err != nil {
-		return err
+	m.connMu.RLock()
+	conn := m.ends[src].conns[dst]
+	m.connMu.RUnlock()
+	if conn == nil {
+		return fmt.Errorf("tcp: no connection between ranks %d and %d: the pair was not dialed before the run", src, dst)
 	}
 	sc := getScratch()
 	wmu := &m.ends[src].wmu[dst]
 	wmu.Lock()
-	err = writeFrameTo(conn, m.epoch.Load(), msg, sc)
+	err := writeFrameTo(conn, m.epoch.Load(), msg, sc)
 	wmu.Unlock()
 	putScratch(sc)
 	return err
@@ -323,8 +332,8 @@ func NewMachine(p int, opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.connectLocked(opts.Context); err != nil {
-		m.acceptors.Wait()
+	if err := m.connect(opts.Context, m.pairs); err != nil {
+		m.core.Close()
 		return nil, err
 	}
 	return m, nil
@@ -365,8 +374,7 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 		size: p, lo: lo, hi: hi,
 		listeners: make([]net.Listener, p), ends: make([]*endpoint, p),
 		dial: opts.Dial, dialAttempts: opts.DialAttempts, dialBackoff: opts.DialBackoff,
-		sparse:       sparse,
-		lazyInflight: make(map[[2]int]*lazyCall),
+		sparse: sparse,
 	}
 	if m.dial == nil {
 		m.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -400,8 +408,8 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 		m.ends[i] = &endpoint{conns: make([]net.Conn, p), wmu: make([]sync.Mutex, p)}
 	}
 	// Persistent acceptors: every local rank keeps accepting for the
-	// machine's lifetime, so planned setup, reconnects and lazy dials
-	// all land on the same registration path. They exit when the
+	// machine's lifetime, so planned setup, reconnects and Prepare's
+	// dials all land on the same registration path. They exit when the
 	// listeners close (Close, or a fatal setup failure).
 	for j := lo; j < hi; j++ {
 		m.acceptors.Add(1)
@@ -430,9 +438,10 @@ func (m *Machine) LocalAddrs() map[int]string {
 	return addrs
 }
 
-// LazyDials reports how many on-demand (unplanned) dials the machine
-// has performed over its lifetime. Zero on a sparse machine means the
-// route plan covered every link the schedules used.
+// LazyDials reports how many pairs the machine has dialed before a run
+// because the plan lacked them (Prepare's dials), over its lifetime.
+// Zero on a sparse machine means the route plan covered every link the
+// schedules used.
 func (m *Machine) LazyDials() int { return int(m.lazyDials.Load()) }
 
 // Reconnects reports how many times the mesh has been rebuilt after an
@@ -442,8 +451,8 @@ func (m *Machine) LazyDials() int { return int(m.lazyDials.Load()) }
 func (m *Machine) Reconnects() int { return int(m.reconnects.Load()) }
 
 // ConnsOpened reports how many TCP connections the machine has dialed
-// over its lifetime — planned setup, reconnect rebuilds and lazy
-// on-demand dials, one count per connection (not per endpoint). On a
+// over its lifetime — planned setup, reconnect rebuilds and Prepare's
+// dials, one count per connection (not per endpoint). On a
 // sparse machine straight after NewMachine this equals the planned pair
 // count; on a full mesh it is p(p−1)/2. Safe to call at any time.
 func (m *Machine) ConnsOpened() int { return int(m.connsOpened.Load()) }
@@ -461,12 +470,68 @@ func (m *Machine) Close() error {
 	return m.core.Close()
 }
 
-// kill closes a machine whose mesh could not be (re)built — the failed
-// connect already closed the listeners — and records why: every later
-// call reports err. Callers hold mu.
+// kill closes a machine whose mesh could not be (re)built and records
+// why: every later call reports err. Callers hold mu.
 func (m *Machine) kill(err error) error {
 	m.dead = err
 	m.core.Close()
+	return err
+}
+
+// repair readies the mesh for a run, rebuilding it if an abort, a failed
+// Prepare or a between-runs connection failure damaged it. Callers hold
+// mu.
+func (m *Machine) repair(ctx context.Context) error {
+	if m.dead != nil {
+		return m.dead
+	}
+	if !m.broken.Load() || m.closed.Load() {
+		return nil
+	}
+	if m.partial() {
+		// A worker must never redial on its own: its peers may still
+		// consider the mesh broken and refuse registrations. The
+		// coordinator resets every worker, reconnects every worker, then
+		// retries the run; closing the rest now fails fast the peers that
+		// already started it.
+		m.closeConns()
+		return errors.New("tcp: mesh broken; awaiting coordinator reset")
+	}
+	if err := m.reconnect(ctx); err != nil {
+		return m.kill(fmt.Errorf("tcp: mesh rebuild failed: %w", err))
+	}
+	return nil
+}
+
+// Prepare dials, before a run, every pair that prog's local ranks send or
+// receive over and the mesh lacks — every pair touching a local rank when
+// prog is nil (an algorithm without a program) — through the setup path,
+// first rebuilding a damaged mesh as Run does. Those dials count in
+// LazyDials and are not part of the plan a reconnect rebuilds. A
+// full-mesh machine lacks nothing and returns at once; a sparse one whose
+// mesh already holds every pair allocates nothing. A dial that fails, or
+// whose ctx ends, fails the run about to start, not the machine: the
+// mesh is marked broken for the next Prepare or Run to rebuild (a
+// cluster worker's coordinator resets it).
+func (m *Machine) Prepare(ctx context.Context, prog *comm.Program) error {
+	if !m.sparse {
+		return nil
+	}
+	if prog != nil && prog.P() != m.size {
+		return fmt.Errorf("tcp: program for %d ranks on a machine of %d", prog.P(), m.size)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.repair(ctx); err != nil {
+		return err
+	}
+	missing := m.missing(prog)
+	if len(missing) == 0 {
+		return nil
+	}
+	before := m.connsOpened.Load()
+	err := m.connect(ctx, missing)
+	m.lazyDials.Add(m.connsOpened.Load() - before)
 	return err
 }
 
@@ -478,22 +543,8 @@ func (m *Machine) kill(err error) error {
 func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.dead != nil {
-		return nil, m.dead
-	}
-	if m.broken.Load() && !m.closed.Load() {
-		if m.partial() {
-			// A worker must never redial on its own: its peers may still
-			// consider the mesh broken and refuse registrations. The
-			// coordinator resets every worker, reconnects every worker,
-			// then retries the run; closing the rest now fails fast the
-			// peers that already started it.
-			m.closeConns()
-			return nil, errors.New("tcp: mesh broken; awaiting coordinator reset")
-		}
-		if err := m.reconnect(opts.Context); err != nil {
-			return nil, m.kill(fmt.Errorf("tcp: mesh rebuild failed: %w", err))
-		}
+	if err := m.repair(opts.Context); err != nil {
+		return nil, err
 	}
 	next := opts.Epoch
 	if next == 0 {

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -218,23 +217,6 @@ func TestPanicAbortsTCPMachine(t *testing.T) {
 	}
 }
 
-func TestInvalidCount(t *testing.T) {
-	if _, err := runOnce(0, func(*Proc) {}); err == nil {
-		t.Fatal("runOnce(0) accepted")
-	}
-}
-
-func TestSingleProcessorTCP(t *testing.T) {
-	_, err := runOnce(1, func(p *Proc) {
-		p.Barrier()
-		p.Send(0, comm.Message{Parts: []comm.Part{{Data: []byte("x")}}})
-		p.Recv(0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // waitGoroutinesSettle asserts the goroutine count returns to near the
 // baseline: algorithm goroutines, reader pumps and watchers all unwound.
 func waitGoroutinesSettle(t *testing.T, baseline int) {
@@ -373,20 +355,6 @@ func TestTCPBarrierDeadline(t *testing.T) {
 	}
 }
 
-func TestTCPContextCancelAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := runOpts(2, Options{Context: ctx}, func(p *Proc) {
-		p.Recv(1 - p.Rank())
-	})
-	if err == nil || !strings.Contains(err.Error(), "canceled") {
-		t.Fatalf("cancel error: %v", err)
-	}
-}
-
 // TestDialRetryAbsorbsTransientFailures injects dial failures on the
 // first two attempts per address; the retry loop must absorb them and
 // the run must complete correctly.
@@ -485,22 +453,5 @@ func TestMidRunConnectionFailureIsAttributed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "connection") && !strings.Contains(err.Error(), "send to") {
 		t.Fatalf("failure not attributed to the transport: %v", err)
-	}
-}
-
-// TestTCPDeadlineHealthyRun guards against deadline false positives on
-// a busy run over real sockets.
-func TestTCPDeadlineHealthyRun(t *testing.T) {
-	const rounds = 10
-	_, err := runOpts(4, Options{RecvTimeout: 2 * time.Second, RunTimeout: 60 * time.Second}, func(p *Proc) {
-		next, prev := (p.Rank()+1)%4, (p.Rank()+3)%4
-		for i := 0; i < rounds; i++ {
-			p.Send(next, comm.Message{Tag: i, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(i)}}}})
-			p.Recv(prev)
-			p.Barrier()
-		}
-	})
-	if err != nil {
-		t.Fatalf("healthy run failed under deadlines: %v", err)
 	}
 }

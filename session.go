@@ -69,13 +69,15 @@ type SessionOptions struct {
 	Context context.Context
 	// Links, when non-nil, restricts the TCP engine's dialed mesh to
 	// the listed logical links instead of the full O(p²) pair set:
-	// Open establishes one connection per distinct unordered pair and
-	// any send outside the plan falls back to an on-demand dial.
+	// Open establishes one connection per distinct unordered pair, and
+	// each Run first dials the pairs its schedule uses that the plan
+	// lacked (pairs dialed before a run because the plan lacked them;
+	// they stay open for later runs).
 	// RoutesFor extracts the plan for a configuration; at p in the
 	// hundreds the sparse mesh is what keeps setup time and descriptor
 	// count proportional to the algorithm's ~p·log p schedule rather
 	// than p². Ignored by the other engines. An empty non-nil slice
-	// plans no links (everything dials lazily).
+	// plans no links (every run's pairs are dialed before it).
 	Links [][2]int
 	// Cluster, when non-nil, runs the TCP mesh across worker OS
 	// processes instead of in-process: Open stands up a coordinator
@@ -248,7 +250,9 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 // machine m. Feed the result to SessionOptions.Links to open a TCP
 // session that dials only those connections — at p in the hundreds that
 // replaces the O(p²) full-mesh setup with one proportional to the
-// algorithm's ~p·log p schedule. Barriers need no links of their own
+// algorithm's ~p·log p schedule. A run of another configuration on that
+// session still works: the pairs dialed before a run because the plan
+// lacked them are its cost. Barriers need no links of their own
 // inside a process; a cluster session adds the few between its workers
 // itself. Config.Algorithm AutoAlgorithm resolves through the planner
 // exactly as Run would.
@@ -616,6 +620,9 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 			sent += r.Procs[i].SendBytes
 		}
 	case EngineTCP:
+		if err := s.tcpM.Prepare(opts.Context, core.ProgramOf(alg)); err != nil {
+			return nil, 0, err
+		}
 		r, err := s.tcpM.Run(tcp.Options{
 			Context:     opts.Context,
 			RunTimeout:  opts.RunTimeout,

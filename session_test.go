@@ -311,6 +311,57 @@ func TestSessionManyRunsTCP(t *testing.T) {
 	}
 }
 
+// TestSparseSessionDialsUnplannedPairs: a TCP session opened on Br_Lin's
+// routes runs PersAlltoAll, whose schedule uses pairs that plan lacks.
+// The run dials exactly those pairs before it starts and its bundles are
+// correct; a repeat run dials nothing more and nothing reconnects.
+func TestSparseSessionDialsUnplannedPairs(t *testing.T) {
+	m := stpbcast.NewParagon(4, 4)
+	planned := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 256}
+	cfg := planned
+	cfg.Algorithm = "PersAlltoAll"
+	pairs := func(cfg stpbcast.Config) (map[[2]int]bool, [][2]int) {
+		links, err := stpbcast.RoutesFor(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := make(map[[2]int]bool, len(links))
+		for _, l := range links {
+			set[[2]int{min(l[0], l[1]), max(l[0], l[1])}] = true
+		}
+		return set, links
+	}
+	have, links := pairs(planned)
+	used, _ := pairs(cfg)
+	want := 0
+	for pr := range used {
+		if !have[pr] {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("PersAlltoAll uses no pair the Br_Lin plan lacks; the test proves nothing")
+	}
+	s, err := stpbcast.Open(m, stpbcast.EngineTCP, stpbcast.SessionOptions{Links: links})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		res, err := s.Run(cfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		checkResult(t, m, cfg, res)
+		if got := stpbcast.SessionLazyDials(s); got != want {
+			t.Fatalf("run %d: %d lazy dials, want %d (the pairs PersAlltoAll uses that the plan lacks)", i, got, want)
+		}
+	}
+	if st := s.Stats(); st.Failures != 0 || st.Reconnects != 0 {
+		t.Fatalf("stats = %+v, want no failure and no reconnect", st)
+	}
+}
+
 // TestConfigValidate table-tests the shared validation entrypoint.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
