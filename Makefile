@@ -94,9 +94,10 @@ daemon-smoke:
 	sh scripts/daemon_smoke.sh
 
 # Multi-process cluster smoke: stpworker spawns 4 worker OS processes,
-# runs a p=64 sparse broadcast across them, and fails on any lazy dial
-# (a pair dialed before a run because the route plan lacked it), plus an
-# adopt-mode leg with externally started workers.
+# runs a p=64 broadcast across them with the route plan prefetched, and
+# fails on any lazy dial (a pair dialed before a run because the plan
+# lacked it); plus an adopt-mode leg with externally started workers,
+# and a no-plan leg whose runs dial their own pairs.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 

@@ -249,13 +249,13 @@ func runDist(fs *flag.FlagSet, args []string, out io.Writer) error {
 // Open is included in its time. It prints both rates, and their ratio,
 // at a tenth, a quarter, half and all of the runs, then the session's
 // stats. -pipeline n drives the session loop through RunAsync with n
-// broadcasts in flight; -sparse opens the session over the route-planned
-// link set (stpbcast.RoutesFor) instead of the full O(p²) mesh.
+// broadcasts in flight; -sparse dials the route-planned link set
+// (stpbcast.RoutesFor) at Open instead of before the first run.
 func runSession(fs *flag.FlagSet, args []string, out io.Writer) error {
 	engine := fs.String("engine", "both", "sim, live, tcp or both")
 	n := fs.Int("repeat", 100, "broadcast count")
 	pipeline := fs.Int("pipeline", 0, "submit session broadcasts via RunAsync with this many in flight, 0 = synchronous")
-	sparse := fs.Bool("sparse", false, "open the TCP session over the route-planned sparse mesh instead of the full mesh (with -engine tcp)")
+	sparse := fs.Bool("sparse", false, "prefetch the route plan at Open instead of dialing before the first run (with -engine tcp)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}

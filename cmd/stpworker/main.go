@@ -1,8 +1,10 @@
 // Command stpworker runs a multi-process broadcast cluster on the TCP
 // engine: one coordinator process and N worker processes, each owning a
-// contiguous rank range of the mesh, with the planned link set split so
-// intra-worker pairs stay in-process and inter-worker pairs cross the
-// wire.
+// contiguous rank range of the mesh; intra-worker pairs stay in-process
+// and inter-worker pairs cross the wire. -sparse prefetches the
+// algorithm's route plan at start-up; without it the workers dial only
+// the links between their leader ranks at start-up, and each run's
+// pairs are dialed before it starts.
 //
 // Coordinator mode (the default) spawns its workers by re-executing
 // its own binary:
@@ -21,10 +23,10 @@
 //	stpworker -workers 2 -adopt -listen 127.0.0.1:7500 ...   # terminal 1
 //	stpworker -coord 127.0.0.1:7500                          # terminals 2, 3
 //
-// -fail-on-lazy turns the zero-lazy-dials invariant into the exit
-// status: if any pair was dialed before a run because the route plan
-// lacked it, the coordinator exits 1. CI's cluster smoke test runs
-// exactly this.
+// -fail-on-lazy (with -sparse) turns the zero-lazy-dials invariant into
+// the exit status: if any pair was dialed before a run because the route
+// plan lacked it, the coordinator exits 1. CI's cluster smoke test runs
+// exactly this, and a leg without -sparse.
 package main
 
 import (
@@ -57,7 +59,7 @@ func main() {
 	distName := flag.String("dist", "E", "source distribution (paper name)")
 	sources := flag.Int("s", 4, "source processor count")
 	msgBytes := flag.Int("bytes", 1024, "per-source message bytes")
-	sparse := flag.Bool("sparse", false, "partition the traced sparse route plan instead of the full mesh")
+	sparse := flag.Bool("sparse", false, "prefetch the algorithm's route plan at start-up (without it each run's pairs are dialed before it starts)")
 	runs := flag.Int("runs", 3, "broadcast repetitions over the warm cluster")
 	timeout := flag.Duration("timeout", time.Minute, "per-receive timeout")
 	failOnLazy := flag.Bool("fail-on-lazy", false, "exit 1 if any pair was dialed before a run because the route plan lacked it")
@@ -95,7 +97,7 @@ func run(workers int, adopt bool, listen, host string, rows, cols int, algName, 
 		return err
 	}
 
-	var links [][2]int // nil: full mesh
+	var links [][2]int // nil: no prefetch beyond the leader links
 	if sparse {
 		if links, err = plan.Routes(m, alg, spec, msgBytes); err != nil {
 			return err
@@ -138,7 +140,7 @@ func run(workers int, adopt bool, listen, host string, rows, cols int, algName, 
 		fmt.Printf("run %d: %s %s s=%d L=%dB  elapsed %v\n",
 			i, alg.Name(), distName, len(srcs), msgBytes, res.Elapsed.Round(10*time.Microsecond))
 	}
-	mesh := "full"
+	mesh := "unplanned"
 	if sparse {
 		mesh = fmt.Sprintf("sparse (%d planned links)", len(links))
 	}

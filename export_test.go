@@ -10,6 +10,10 @@ import (
 // has dialed before a run because its Links plan lacked them.
 func SessionLazyDials(s *Session) int { return s.tcpM.LazyDials() }
 
+// SessionConnsOpened reports how many connections a single-process TCP
+// session has dialed, at Open and before its runs.
+func SessionConnsOpened(s *Session) int { return s.tcpM.ConnsOpened() }
+
 // CheckResult verifies every rank's bundle in res against the
 // postcondition of cfg's collective (core's Collective.Check) for a run
 // on m with the default payload. It is the external tests' one adapter

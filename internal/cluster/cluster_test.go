@@ -108,12 +108,12 @@ func TestClusterBroadcastAdoptedWorkers(t *testing.T) {
 	}
 }
 
-// TestClusterUnevenPartitionPlansLeaderLinks: the route plan no longer
-// carries barrier links, and on uneven, non-power-of-two partitions the
+// TestClusterUnevenPartitionPlansLeaderLinks: the route plan carries no
+// barrier links, and on uneven, non-power-of-two partitions the
 // schedule's own links do not happen to connect the workers' leader
-// ranks — the coordinator must add those links itself, or the barrier's
-// tokens would cost lazy dials. Only the leaders exchange tokens:
-// ⌈log2 W⌉ each way for Br_Lin's one barrier.
+// ranks — each worker machine must plan those links itself, or the
+// barrier's tokens would cost lazy dials. Only the leaders exchange
+// tokens: ⌈log2 W⌉ each way for Br_Lin's one barrier.
 func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
 	for _, tc := range []struct{ rows, cols, workers, rounds int }{
 		{3, 5, 4, 2},
@@ -187,16 +187,9 @@ func TestClusterPreDialsUnplannedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unordered := func(links [][2]int) map[[2]int]bool {
-		set := make(map[[2]int]bool, len(links))
-		for _, l := range links {
-			set[[2]int{min(l[0], l[1]), max(l[0], l[1])}] = true
-		}
-		return set
-	}
-	planned := unordered(append(routes, engine.LeaderLinks(c.leaders)...))
+	planned := pairSet(append(routes, engine.LeaderLinks(c.leaders)...))
 	want := 0
-	for pr := range unordered(used) {
+	for pr := range pairSet(used) {
 		if !planned[pr] {
 			want++
 		}
@@ -224,26 +217,73 @@ func TestClusterPreDialsUnplannedPairs(t *testing.T) {
 	}
 }
 
-// TestClusterFullMeshAdopted covers the nil-Links path: every pair is
-// planned, split across workers, nothing lazy.
-func TestClusterFullMeshAdopted(t *testing.T) {
-	const rows, cols, s, msgLen = 2, 4, 2, 256
-	_, sources := testRoutes(t, rows, cols, s, msgLen)
-	c := adoptCluster(t, Spec{P: rows * cols}, 2)
-	res, err := c.Run(RunSpec{
+// TestClusterNilLinksDialsProgramPairs: a cluster started without a link
+// plan dials only the links between its workers' leader ranks, which
+// every worker machine plans for the barrier. The first run dials the
+// pairs its program uses beyond those — each once, by the worker of its
+// higher rank — and a second run dials nothing.
+func TestClusterNilLinksDialsProgramPairs(t *testing.T) {
+	const rows, cols, s, msgLen = 4, 4, 4, 256
+	routes, sources := testRoutes(t, rows, cols, s, msgLen)
+	c := adoptCluster(t, Spec{P: rows * cols}, 3)
+	leaderPairs := pairSet(engine.LeaderLinks(c.leaders))
+	want := 0
+	for pr := range pairSet(routes) {
+		if !leaderPairs[pr] {
+			want++
+		}
+	}
+	rs := RunSpec{
 		Rows: rows, Cols: cols, Sources: sources, Algorithm: "Br_Lin",
 		MsgBytes: msgLen, RecvTimeoutNs: int64(time.Minute),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if res.LazyDials != 0 {
-		t.Fatalf("full-mesh cluster made %d lazy dials", res.LazyDials)
+	opened := 0
+	for i := 0; i < 2; i++ {
+		res, err := c.Run(rs)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		// A leader pair joins two workers, so both machines plan it.
+		if res.PlannedPairs != 2*len(leaderPairs) {
+			t.Fatalf("run %d: %d planned pairs, want %d (the leader pairs, once per endpoint's worker)", i, res.PlannedPairs, 2*len(leaderPairs))
+		}
+		if res.LazyDials != want {
+			t.Fatalf("run %d: %d lazy dials, want %d (the pairs Br_Lin uses beyond the leader links)", i, res.LazyDials, want)
+		}
+		if i == 0 {
+			opened = res.ConnsOpened
+		} else if res.ConnsOpened != opened {
+			t.Fatalf("run %d dialed again: %d conns opened, %d after the first run", i, res.ConnsOpened, opened)
+		}
 	}
-	p := rows * cols
-	if res.PlannedPairs == 0 || res.ConnsOpened < p-1 {
-		t.Fatalf("suspicious mesh counters: pairs %d conns %d", res.PlannedPairs, res.ConnsOpened)
+	if got := c.Resets(); got != 0 {
+		t.Fatalf("%d resets, want 0", got)
 	}
+}
+
+// TestStartRejectsOutOfRangeLink: a plan naming a rank outside the
+// machine fails Start before any worker is spawned (the spec would
+// re-execute this test binary) or awaited.
+func TestStartRejectsOutOfRangeLink(t *testing.T) {
+	for _, l := range [][2]int{{0, 8}, {-1, 3}} {
+		c, err := Start(Spec{Workers: 2, P: 8, Links: [][2]int{{0, 1}, l}})
+		if err == nil {
+			c.Close()
+			t.Fatalf("link %v accepted", l)
+		}
+		if !strings.Contains(err.Error(), "outside machine of 8 ranks") {
+			t.Errorf("link %v: error %q", l, err)
+		}
+	}
+}
+
+// pairSet collects the unordered pairs {min,max} of directed links.
+func pairSet(links [][2]int) map[[2]int]bool {
+	set := make(map[[2]int]bool, len(links))
+	for _, l := range links {
+		set[[2]int{min(l[0], l[1]), max(l[0], l[1])}] = true
+	}
+	return set
 }
 
 // TestClusterRecoversBrokenMesh drives the coordinator's two-phase
@@ -402,12 +442,17 @@ func TestFigClusterShape(t *testing.T) {
 // reset and the retry succeed.
 func TestClusterRecoversLinkLostBetweenRuns(t *testing.T) {
 	const rows, cols, s, msgLen = 4, 4, 2, 512
-	_, sources := testRoutes(t, rows, cols, s, msgLen)
+	routes, sources := testRoutes(t, rows, cols, s, msgLen)
 	// Adopted workers whose control connections record the rank
 	// addresses the workers report.
 	var mu sync.Mutex
 	addrs := map[int]string{}
-	c, err := Start(Spec{P: rows * cols, Workers: 2, Adopt: true, OnListen: func(addr string) {
+	// The plan holds a wire pair at worker 0's top rank: every connection
+	// accepted at that rank's listener is dialed by a higher rank, all
+	// in worker 1.
+	top := rows*cols/2 - 1
+	links := append(routes, [2]int{top, top + 1})
+	c, err := Start(Spec{P: rows * cols, Workers: 2, Links: links, Adopt: true, OnListen: func(addr string) {
 		for i := 0; i < 2; i++ {
 			go func() {
 				nc, err := net.Dial("tcp", addr)
@@ -438,10 +483,11 @@ func TestClusterRecoversLinkLostBetweenRuns(t *testing.T) {
 	if _, err := c.Run(rs); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	// On the full mesh, worker 0's top rank is dialed by every higher
-	// rank, all in worker 1: a connection accepted at its listener
-	// crosses workers, and its dialing end is worker 1's.
-	top := c.Ranges()[0][1] - 1
+	// A connection accepted at worker 0's top rank crosses workers, and
+	// its dialing end is worker 1's.
+	if got := c.Ranges()[0][1] - 1; got != top {
+		t.Fatalf("worker 0's top rank is %d, want %d", got, top)
+	}
 	mu.Lock()
 	topAddr := addrs[top]
 	mu.Unlock()

@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -23,10 +25,12 @@ type Spec struct {
 	Workers int
 	// P is the mesh's processor count.
 	P int
-	// Links, when non-nil, is the planned directed link set (typically
-	// plan.Routes output); the coordinator adds the barrier's links
-	// between the workers' leader ranks and partitions the union by
-	// worker. nil plans the full mesh.
+	// Links is the directed link set to dial at Start (typically
+	// plan.Routes output), a prefetch: every worker receives it whole
+	// and dials the pairs touching its range, plus the links between the
+	// workers' leader ranks that its barrier needs. A run's pairs the
+	// plan lacks are dialed before it starts. nil, like an empty list,
+	// prefetches nothing but the leader links.
 	Links [][2]int
 	// WorkerCmd, when non-nil, is the argv of the worker command to
 	// spawn (the coordinator appends nothing; the address travels in
@@ -68,7 +72,7 @@ type Coordinator struct {
 	ln      net.Listener
 	epoch   uint32
 	resets  int
-	nInter  int // inter-worker links in the partitioned plan
+	nInter  int // planned links crossing a worker boundary
 	closed  bool
 	dead    error
 }
@@ -90,8 +94,8 @@ type Result struct {
 	Procs   []tcp.ProcStats
 	// LazyDials sums the workers' lifetime counts of pairs dialed before
 	// a run because the plan lacked them, each pair once (by its higher
-	// rank's worker): zero means the partitioned route plan covered every
-	// link every schedule used so far.
+	// rank's worker): zero means the route plan covered every link every
+	// schedule used so far.
 	LazyDials int
 	// ConnsOpened and PlannedPairs sum the workers' per-machine
 	// counters. An inter-worker pair is planned by both endpoints'
@@ -103,9 +107,9 @@ type Result struct {
 }
 
 // Start stands the cluster up: listen, spawn (or await) the workers,
-// assign rank ranges and partitioned link plans, collect listener
-// addresses, and drive every worker's mesh connect. On return every
-// planned pair — in-process and wire — is established.
+// assign rank ranges and the link plan, collect listener addresses, and
+// drive every worker's mesh connect. On return every planned pair —
+// in-process and wire, leader links included — is established.
 func Start(spec Spec) (*Coordinator, error) {
 	if spec.Workers <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive worker count %d", spec.Workers)
@@ -118,32 +122,26 @@ func Start(spec Spec) (*Coordinator, error) {
 	for w, r := range ranges {
 		leaders[w] = r[0]
 	}
-	// Partition the link plan by worker up front; a bad plan should
-	// fail before any process is spawned. The barrier's cross-process
-	// tokens travel between the leaders, whatever the schedule: plan
-	// those links too, so no partition costs a pre-run dial.
-	var workerLinks [][][2]int
+	// A bad plan fails before any process is spawned. Every worker gets
+	// the whole plan and keeps the pairs touching its range; the links
+	// crossing a worker boundary are the plan's own plus the leader
+	// links the barrier's tokens travel, which every worker machine
+	// plans itself.
+	workerOf := func(r int) int { return sort.SearchInts(leaders, r+1) - 1 }
 	nInter := 0
+	for _, l := range spec.Links {
+		if l[0] < 0 || l[0] >= spec.P || l[1] < 0 || l[1] >= spec.P {
+			return nil, fmt.Errorf("cluster: planned link %d→%d outside machine of %d ranks", l[0], l[1], spec.P)
+		}
+		if workerOf(l[0]) != workerOf(l[1]) {
+			nInter++
+		}
+	}
 	if spec.Links != nil {
-		planned := make(map[[2]int]bool, len(spec.Links))
-		for _, l := range spec.Links {
-			planned[l] = true
-		}
-		links := spec.Links[:len(spec.Links):len(spec.Links)]
 		for _, l := range engine.LeaderLinks(leaders) {
-			if !planned[l] {
-				planned[l] = true
-				links = append(links, l)
+			if !slices.Contains(spec.Links, l) {
+				nInter++
 			}
-		}
-		intra, inter, err := plan.Partition(links, ranges)
-		if err != nil {
-			return nil, err
-		}
-		nInter = len(inter)
-		workerLinks = make([][][2]int, spec.Workers)
-		for w := range ranges {
-			workerLinks[w] = plan.WorkerLinks(intra, inter, ranges, w)
 		}
 	}
 	addr := spec.ControlAddr
@@ -158,7 +156,7 @@ func Start(spec Spec) (*Coordinator, error) {
 	if spec.OnListen != nil {
 		spec.OnListen(c.ControlAddr())
 	}
-	if err := c.bootstrap(workerLinks); err != nil {
+	if err := c.bootstrap(); err != nil {
 		c.teardown()
 		return nil, err
 	}
@@ -172,8 +170,9 @@ func (c *Coordinator) ControlAddr() string { return c.ln.Addr().String() }
 // Ranges returns each worker's [lo,hi) rank range.
 func (c *Coordinator) Ranges() [][2]int { return c.ranges }
 
-// InterLinks reports how many planned links cross worker boundaries
-// (0 when the cluster was started without a link plan).
+// InterLinks reports how many planned directed links cross worker
+// boundaries, leader links included (0 when the cluster was started
+// with a nil link plan).
 func (c *Coordinator) InterLinks() int { return c.nInter }
 
 // Resets reports how many coordinator-driven mesh recoveries have run.
@@ -214,7 +213,7 @@ func (c *Coordinator) spawn() error {
 	return nil
 }
 
-func (c *Coordinator) bootstrap(workerLinks [][][2]int) error {
+func (c *Coordinator) bootstrap() error {
 	if !c.spec.Adopt {
 		if err := c.spawn(); err != nil {
 			return err
@@ -247,12 +246,9 @@ func (c *Coordinator) bootstrap(workerLinks [][][2]int) error {
 	for _, w := range c.workers {
 		a := &assignMsg{
 			Index: w.index, P: c.spec.P, Lo: w.lo, Hi: w.hi, Workers: c.spec.Workers,
-			FullMesh:   c.spec.Links == nil,
+			Links:      c.spec.Links,
 			Leaders:    c.leaders,
 			ListenHost: c.spec.ListenHost,
-		}
-		if workerLinks != nil {
-			a.Links = workerLinks[w.index]
 		}
 		if err := w.cc.send(msg{Type: "assign", Assign: a}); err != nil {
 			return fmt.Errorf("cluster: assign worker %d: %w", w.index, err)

@@ -9,17 +9,16 @@
 // # Bootstrap
 //
 // Each worker dials the coordinator's control listener and identifies
-// itself (hello). The coordinator assigns it a rank range and the slice
-// of the planned link set touching that range (plan.Partition /
-// plan.WorkerLinks) — the caller's schedule links plus the links between
-// the workers' leader ranks that the engine's barrier uses
-// (engine.LeaderLinks) — the worker binds its ranks' listeners
-// (tcp.NewWorkerMachine) and reports their addresses, and once every
-// worker has reported, the coordinator broadcasts the merged
-// rank→address map and has every worker dial its share of the plan
-// (tcp.ConnectMesh): the higher rank of every pair dials, exactly as in
-// the single-process mesh, so intra-worker pairs stay in-process and
-// inter-worker pairs cross the wire.
+// itself (hello). The coordinator assigns it a rank range and the
+// caller's link plan; the worker binds its ranks' listeners
+// (tcp.NewWorkerMachine, which keeps the plan's pairs touching the range
+// and adds the links between the workers' leader ranks that the engine's
+// barrier uses) and reports their addresses, and once every worker has
+// reported, the coordinator broadcasts the merged rank→address map and
+// has every worker dial its share of the plan (tcp.ConnectMesh): the
+// higher rank of every pair dials, exactly as in the single-process
+// mesh, so intra-worker pairs stay in-process and inter-worker pairs
+// cross the wire.
 //
 // # Runs
 //
@@ -96,9 +95,8 @@ type msg struct {
 }
 
 // assignMsg hands a worker its identity: the mesh shape, its contiguous
-// rank range, its slice of the planned link set, and the engine's setup
-// options (every worker must agree on them, so the coordinator owns
-// them).
+// rank range, the link plan to prefetch, and the engine's setup options
+// (every worker must agree on them, so the coordinator owns them).
 type assignMsg struct {
 	Index   int `json:"index"`
 	P       int `json:"p"`
@@ -106,10 +104,10 @@ type assignMsg struct {
 	Hi      int `json:"hi"`
 	Workers int `json:"workers"`
 
-	// FullMesh distinguishes "no plan, dial everything" from an empty
-	// link slice (JSON cannot round-trip nil vs empty).
-	FullMesh bool     `json:"fullMesh,omitempty"`
-	Links    [][2]int `json:"links,omitempty"`
+	// Links is the caller's whole plan; the worker's machine keeps the
+	// pairs touching its range. Absent, it prefetches nothing but the
+	// leader links.
+	Links [][2]int `json:"links,omitempty"`
 	// Leaders is every worker's lowest rank, ascending: the ranks the
 	// engine's barrier synchronises the processes through.
 	Leaders []int `json:"leaders"`

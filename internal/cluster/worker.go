@@ -109,10 +109,8 @@ func (w *worker) assign(a *assignMsg) error {
 		return errors.New("cluster: worker already assigned")
 	}
 	links := a.Links
-	if a.FullMesh {
-		links = nil
-	} else if links == nil {
-		links = [][2]int{} // empty plan: every pair is dialed before its first run
+	if links == nil {
+		links = [][2]int{} // no prefetch: each run's pairs are dialed before it starts
 	}
 	m, err := tcp.NewWorkerMachine(a.P, a.Lo, a.Hi, a.Leaders, tcp.Options{Links: links, ListenHost: a.ListenHost})
 	if err != nil {
@@ -138,8 +136,8 @@ func (w *worker) run(rs *RunSpec) *doneMsg {
 	return d
 }
 
-// execute dials the pairs the run's program needs and the partitioned
-// plan lacked (each by its higher rank's worker, as at setup), then
+// execute dials the pairs the run's program needs and the plan lacked
+// (each by its higher rank's worker, as at setup), then
 // starts the run at once — peers that started first may already be
 // sending, and the engine holds their frames until this machine arms
 // the run's epoch — and verifies every local bundle. A run the worker

@@ -18,8 +18,8 @@ const TokenTag = -1 << 31
 // LeaderLinks returns the directed links the cross-process level of the
 // barrier sends its tokens over: ⌈log2 W⌉ dissemination rounds among the
 // W workers' leader ranks, leader i to leader (i+2^j) mod W in round j.
-// The cluster coordinator adds them to the plan it partitions, so a
-// sparse cluster mesh dials them up front like any schedule link.
+// A worker machine adds them to its planned pairs, so a cluster mesh
+// dials them up front whatever else it prefetches.
 func LeaderLinks(leaders []int) [][2]int {
 	var links [][2]int
 	for k := 1; k < len(leaders); k <<= 1 {

@@ -2,17 +2,11 @@ package plan
 
 import "fmt"
 
-// Cluster partitioning: the coordinator splits a route plan's directed
-// link set by worker so each worker process dials only the connections
-// its rank range touches. Intra-worker links stay in one process (the
-// worker's own partial mesh collapses them onto in-process sockets);
-// inter-worker links cross the wire and appear in both endpoints' link
-// sets — the higher rank's worker dials, the lower rank's accepts.
-
 // WorkerRanges splits p ranks into n contiguous near-equal ranges
 // [lo,hi), the first p%n ranges one rank larger. It is the canonical
-// rank→worker assignment: contiguous ranges keep a schedule's
-// neighbor-heavy traffic (rows of the mesh) inside one process.
+// rank→worker assignment of a cluster: contiguous ranges keep a
+// schedule's neighbor-heavy traffic (rows of the mesh) inside one
+// process.
 func WorkerRanges(p, n int) ([][2]int, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("plan: non-positive worker count %d", n)
@@ -32,62 +26,4 @@ func WorkerRanges(p, n int) ([][2]int, error) {
 		lo = hi
 	}
 	return ranges, nil
-}
-
-// Partition splits a directed link set by a contiguous rank partition:
-// intra[w] holds the links with both endpoints inside ranges[w], inter
-// holds every link crossing a worker boundary. Worker w's connection
-// plan is intra[w] plus the inter links touching its range (see
-// WorkerLinks); the inter list is also the coordinator's measure of how
-// much of the schedule crosses the wire. Links are passed through in
-// input order; self links are dropped (they never touch a socket).
-func Partition(links [][2]int, ranges [][2]int) (intra [][][2]int, inter [][2]int, err error) {
-	if len(ranges) == 0 {
-		return nil, nil, fmt.Errorf("plan: empty worker partition")
-	}
-	p := ranges[len(ranges)-1][1]
-	owner := make([]int, p)
-	lo := 0
-	for w, r := range ranges {
-		if r[0] != lo || r[1] <= r[0] {
-			return nil, nil, fmt.Errorf("plan: worker %d range [%d,%d) does not continue the partition at %d", w, r[0], r[1], lo)
-		}
-		for i := r[0]; i < r[1]; i++ {
-			owner[i] = w
-		}
-		lo = r[1]
-	}
-	intra = make([][][2]int, len(ranges))
-	for _, l := range links {
-		a, b := l[0], l[1]
-		if a < 0 || a >= p || b < 0 || b >= p {
-			return nil, nil, fmt.Errorf("plan: link %d→%d outside partition of %d ranks", a, b, p)
-		}
-		if a == b {
-			continue
-		}
-		if owner[a] == owner[b] {
-			intra[owner[a]] = append(intra[owner[a]], l)
-		} else {
-			inter = append(inter, l)
-		}
-	}
-	return intra, inter, nil
-}
-
-// WorkerLinks assembles worker w's connection plan from a Partition
-// result: its intra-worker links plus every inter-worker link touching
-// its range. Handing exactly this set to the worker's partial mesh
-// (tcp Options.Links) makes planned setup cover every link the schedule
-// uses — the zero-lazy-dials contract of a cluster run.
-func WorkerLinks(intra [][][2]int, inter [][2]int, ranges [][2]int, w int) [][2]int {
-	r := ranges[w]
-	links := make([][2]int, 0, len(intra[w])+len(inter)/len(ranges))
-	links = append(links, intra[w]...)
-	for _, l := range inter {
-		if (l[0] >= r[0] && l[0] < r[1]) || (l[1] >= r[0] && l[1] < r[1]) {
-			links = append(links, l)
-		}
-	}
-	return links
 }

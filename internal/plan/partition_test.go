@@ -1,12 +1,6 @@
 package plan
 
-import (
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/machine"
-)
+import "testing"
 
 func TestWorkerRanges(t *testing.T) {
 	ranges, err := WorkerRanges(10, 4)
@@ -28,88 +22,4 @@ func TestWorkerRanges(t *testing.T) {
 	if _, err := WorkerRanges(8, 0); err == nil {
 		t.Fatal("WorkerRanges(8, 0) accepted zero workers")
 	}
-}
-
-func TestPartitionSplitsByOwner(t *testing.T) {
-	ranges := [][2]int{{0, 2}, {2, 4}}
-	links := [][2]int{{0, 1}, {1, 0}, {2, 3}, {1, 2}, {3, 0}, {2, 2}}
-	intra, inter, err := Partition(links, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(intra[0]) != 2 || len(intra[1]) != 1 {
-		t.Fatalf("intra = %v, want worker0 {0→1,1→0}, worker1 {2→3}", intra)
-	}
-	if len(inter) != 2 {
-		t.Fatalf("inter = %v, want {1→2, 3→0}", inter)
-	}
-	// Self link 2→2 must be dropped.
-	total := len(intra[0]) + len(intra[1]) + len(inter)
-	if total != len(links)-1 {
-		t.Fatalf("partition kept %d links, want %d", total, len(links)-1)
-	}
-}
-
-func TestPartitionRejectsBadInput(t *testing.T) {
-	if _, _, err := Partition([][2]int{{0, 5}}, [][2]int{{0, 2}, {2, 4}}); err == nil {
-		t.Fatal("Partition accepted a link outside the partition")
-	}
-	if _, _, err := Partition(nil, [][2]int{{0, 2}, {3, 4}}); err == nil {
-		t.Fatal("Partition accepted a non-contiguous partition")
-	}
-	if _, _, err := Partition(nil, nil); err == nil {
-		t.Fatal("Partition accepted an empty partition")
-	}
-}
-
-// TestWorkerLinksCoverRoutes is the partitioning contract end to end: a
-// real route plan, split across workers and reassembled per worker,
-// covers every planned link exactly — intra links on one worker, inter
-// links on both endpoints' workers.
-func TestWorkerLinksCoverRoutes(t *testing.T) {
-	m := machine.Paragon(4, 8)
-	spec := testSpec(t, m, dist.Equal(), 4)
-	links, err := Routes(m, core.BrLin(), spec, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges, err := WorkerRanges(spec.P(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	intra, inter, err := Partition(links, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[[2]int]int, len(links))
-	for w := range ranges {
-		for _, l := range WorkerLinks(intra, inter, ranges, w) {
-			counts[l]++
-		}
-	}
-	for _, l := range links {
-		if l[0] == l[1] {
-			continue
-		}
-		want := 1
-		if ownerOf(ranges, l[0]) != ownerOf(ranges, l[1]) {
-			want = 2
-		}
-		if counts[l] != want {
-			t.Fatalf("link %v appears on %d workers, want %d", l, counts[l], want)
-		}
-		delete(counts, l)
-	}
-	if len(counts) != 0 {
-		t.Fatalf("workers were assigned links outside the plan: %v", counts)
-	}
-}
-
-func ownerOf(ranges [][2]int, r int) int {
-	for w, rg := range ranges {
-		if r >= rg[0] && r < rg[1] {
-			return w
-		}
-	}
-	return -1
 }

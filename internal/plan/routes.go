@@ -24,8 +24,9 @@ func (ls linkSet) add(rank, peer int) {
 // this instance: the (rank, peer) pairs of the send operations of its
 // program. Every engine executes that program rank by rank, so these are
 // exactly the links a live or TCP run will traverse — which makes the
-// result a valid sparse connection plan (tcp Options.Links, or
-// stpbcast.SessionOptions.Links via RoutesFor). An algorithm without a
+// result a prefetch plan that leaves a run nothing to dial (tcp
+// Options.Links, or stpbcast.SessionOptions.Links via RoutesFor). An
+// algorithm without a
 // program here — a value from outside internal/core, a spec that does not
 // bind or fit the machine — has no routes. msgLen is not read: the
 // schedules are oblivious, their links a function of the spec.
@@ -33,7 +34,7 @@ func (ls linkSet) add(rank, peer int) {
 // Barrier contributes no links: ranks that share a process synchronise
 // in memory, and the few links a multi-process mesh needs between its
 // workers' leader ranks depend on the partition, not on the schedule —
-// the cluster coordinator adds them (engine.LeaderLinks).
+// every worker machine plans them itself (engine.LeaderLinks).
 //
 // The returned pairs are deduplicated and sorted. They are directed;
 // the TCP engine collapses each unordered pair onto one shared

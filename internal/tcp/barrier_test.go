@@ -174,8 +174,9 @@ func TestBarrierHoldsUntilLastArrival(t *testing.T) {
 
 // TestWorkerBarrierTokens runs the same safety workload across three
 // worker machines with uneven, non-power-of-two splits. The meshes are
-// planned with the leader links only, so zero lazy dials proves the
-// barrier touches no other link; only the leaders exchange tokens,
+// given the empty plan, so they hold just the leader links every worker
+// machine plans itself, and zero lazy dials proves the barrier touches
+// no other link; only the leaders exchange tokens,
 // ⌈log2 3⌉ = 2 each way per barrier; and back-to-back runs (fresh epochs)
 // keep working on the same machines.
 func TestWorkerBarrierTokens(t *testing.T) {
@@ -188,7 +189,13 @@ func TestWorkerBarrierTokens(t *testing.T) {
 	} {
 		const rounds = 3
 		leaders := []int{tc.ranges[0][0], tc.ranges[1][0], tc.ranges[2][0]}
-		ms := workerMesh(t, tc.p, tc.ranges, engine.LeaderLinks(leaders))
+		ms := workerMesh(t, tc.p, tc.ranges, [][2]int{})
+		for w, m := range ms {
+			// With W=3 every leader is paired with both others.
+			if n := m.PlannedPairs(); n != 2 {
+				t.Fatalf("p=%d worker %d planned %d pairs, want its 2 leader pairs", tc.p, w, n)
+			}
+		}
 		for run, straggler := range []int{tc.p - 1, 0, tc.ranges[1][0] + 1} {
 			var arrived atomic.Int64
 			res, errs := runWorkers(ms, uint32(run+1), Options{RecvTimeout: 30 * time.Second},

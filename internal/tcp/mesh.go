@@ -13,12 +13,14 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 )
 
-// plannedPairs normalizes a directed link list into the sorted,
-// deduplicated unordered peer pairs (a<b) the mesh must dial. A nil
-// list plans the full mesh.
-func plannedPairs(p int, links [][2]int) ([][2]int, bool, error) {
+// plannedPairs normalizes a directed link list, plus the links the
+// barrier's tokens travel between the leader ranks (none on a
+// single-process machine), into the sorted, deduplicated unordered peer
+// pairs (a<b) the mesh must dial. A nil list plans the full mesh.
+func plannedPairs(p int, links [][2]int, leaders []int) ([][2]int, error) {
 	if links == nil {
 		pairs := make([][2]int, 0, p*(p-1)/2)
 		for a := 0; a < p; a++ {
@@ -26,17 +28,20 @@ func plannedPairs(p int, links [][2]int) ([][2]int, bool, error) {
 				pairs = append(pairs, [2]int{a, b})
 			}
 		}
-		return pairs, false, nil
+		return pairs, nil
 	}
 	pairs := make([][2]int, 0, len(links))
 	for _, l := range links {
 		a, b := l[0], l[1]
 		if a < 0 || a >= p || b < 0 || b >= p {
-			return nil, false, fmt.Errorf("tcp: planned link %d→%d outside machine of %d ranks", a, b, p)
+			return nil, fmt.Errorf("tcp: planned link %d→%d outside machine of %d ranks", a, b, p)
 		}
 		pairs = appendPair(pairs, a, b)
 	}
-	return sortPairs(pairs), true, nil
+	for _, l := range engine.LeaderLinks(leaders) {
+		pairs = appendPair(pairs, l[0], l[1])
+	}
+	return sortPairs(pairs), nil
 }
 
 // appendPair appends the unordered pair {a,b} as (min,max), unless a is

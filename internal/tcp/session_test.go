@@ -43,37 +43,6 @@ func TestMachineBackToBackRuns(t *testing.T) {
 	}
 }
 
-// TestMachineRunsDoNotBleedFrames sends an extra frame nobody receives
-// in run 1; run 2 must not see it — a Recv from the same peer must time
-// out rather than deliver the stale frame. This is the epoch-isolation
-// regression test.
-func TestMachineRunsDoNotBleedFrames(t *testing.T) {
-	m, err := NewMachine(2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.Run(Options{RecvTimeout: 5 * time.Second}, func(pr *Proc) {
-		if pr.Rank() == 0 {
-			pr.Send(1, comm.Message{Tag: 1, Parts: []comm.Part{{Origin: 0, Data: []byte("wanted")}}})
-			pr.Send(1, comm.Message{Tag: 2, Parts: []comm.Part{{Origin: 0, Data: []byte("orphan")}}})
-		} else {
-			pr.Recv(0) // consumes "wanted"; "orphan" is left in flight
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.Run(Options{RecvTimeout: 200 * time.Millisecond}, func(pr *Proc) {
-		if pr.Rank() == 1 {
-			m := pr.Recv(0) // nothing is sent this run
-			t.Errorf("stale frame bled into the next run: %+v", m)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("want a clean receive deadline, got %v", err)
-	}
-}
-
 // beginHook is the sockets transport with fn run first in Begin: the
 // window in which the core already publishes the new run but the pumps
 // have not seen its epoch published yet.

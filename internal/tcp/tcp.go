@@ -1,8 +1,8 @@
 // Package tcp executes an algorithm over real TCP sockets: every
 // processor owns a loopback listener, peers are connected with one TCP
-// connection per processor pair — the full O(p²) mesh by default, or
-// only the route-derived sparse link set when Options.Links is given —
-// and messages travel as length-prefixed frames. It is the
+// connection per processor pair — the planned pairs at setup (the full
+// O(p²) mesh when Options.Links is nil), then whatever pairs each run's
+// program adds — and messages travel as length-prefixed frames. It is the
 // distributed-transport engine of the repro hint ("channels/gRPC
 // approximation" of MPI): where internal/live approximates message
 // passing with in-process mailboxes, this engine moves every byte
@@ -22,13 +22,15 @@
 //
 // # Sessions
 //
-// Building the machine is expensive — p listeners, an O(p²) dialed mesh
+// Building the machine is expensive — p listeners, dialed connections
 // with handshakes and retry, and one reader pump per connection end — so
-// the engine separates setup from execution. NewMachine stands the mesh
-// up once; Machine.Prepare dials, before a run, the pairs its program
-// needs and the mesh lacks; Machine.Run executes one algorithm over the
-// warm connections and may be called many times back to back;
-// Machine.Close tears everything down.
+// the engine separates setup from execution. NewMachine stands the
+// listeners and the planned pairs up once; Machine.Prepare dials, before
+// a run, the pairs its program needs and the mesh lacks; Machine.Run
+// executes one algorithm over the warm connections and may be called
+// many times back to back; Machine.Close tears everything down. A
+// session planned with the empty list therefore holds exactly the pairs
+// its runs have used, dialed once each.
 //
 // Run isolation is by epoch: every frame carries the epoch of the run
 // that sent it, the reader pumps discard older epochs (and frames
@@ -39,38 +41,40 @@
 //
 // An abort closes the mesh; the session survives it. The next Prepare
 // or Run notices the damage, joins the orphaned reader pumps, and
-// redials the planned link set — the sparse one when the machine was
-// built with Options.Links, the full mesh otherwise — over the
-// still-open listeners (counted in Reconnects), so a killed connection
-// costs one failed run plus one reconnect, not the session, and a sparse
-// machine never pays for connections its schedule does not use.
+// redials the planned link set over the still-open listeners (counted in
+// Reconnects), so a killed connection costs one failed run plus one
+// reconnect, not the session; the pairs Prepare added are dialed again
+// by the next Prepare that needs them.
 //
 // # Sparse mesh
 //
 // The paper's algorithms send along a schedule's logical links, a set
-// that grows like p·log p — not p². Options.Links (a setup field) lists
-// those directed (src,dst) links; NewMachine then materializes only the
-// connections they need, multiplexing both directions of a peer pair
-// (and every logical link between that pair) over one shared TCP
-// connection. The schedules are oblivious, so a run's links are known
-// before it starts: Prepare reads them off the run's comm.Program and
-// dials, through the setup path, every pair the plan lacked (counted in
-// LazyDials), which makes sparse planning a performance contract, not a
-// correctness one. Every pair is dialed by its higher rank and
-// registered at both ends before anything moves, so a pair has exactly
-// one connection. Run itself never dials: a send over a pair nobody
-// dialed fails the run, naming both ranks.
+// that grows like p·log p — not p². The schedules are oblivious, so a
+// run's links are known before it starts: Prepare reads them off the
+// run's comm.Program and dials, through the setup path, every pair the
+// mesh lacks (counted in LazyDials). One shared TCP connection per peer
+// pair multiplexes both directions (and every logical link between that
+// pair). Options.Links (a setup field) is a prefetch: it lists directed
+// (src,dst) links whose pairs NewMachine dials up front, so their runs'
+// Prepare finds nothing missing; it never changes what runs. Every pair
+// is dialed by its higher rank and registered at both ends before
+// anything moves, so a pair has exactly one connection. Run itself never
+// dials: a send over a pair nobody dialed fails the run, naming both
+// ranks.
 //
 // # Worker machines (cluster partitioning)
 //
 // NewWorkerMachine builds the partial machine one cluster worker
 // process owns: listeners, ranks and reader pumps for a contiguous rank
 // range [lo,hi) only, with Options.ListenHost choosing the bind
-// address. The coordinator (internal/cluster) collects every worker's
-// LocalAddrs, distributes the merged rank→address map, and drives
-// ConnectMesh so each planned pair is dialed by the worker owning its
-// higher rank — the same frame protocol, handshake and registration
-// path as the single-process mesh, now across OS processes. Prepare
+// address. Its planned pairs are the ones touching its range among
+// Options.Links plus the links between the workers' leader ranks, which
+// the barrier's tokens travel; the machine adds those itself. The
+// coordinator (internal/cluster) collects every worker's LocalAddrs,
+// distributes the merged rank→address map, and drives ConnectMesh so
+// each planned pair is dialed by the worker owning its higher rank — the
+// same frame protocol, handshake and registration path as the
+// single-process mesh, now across OS processes. Prepare
 // splits a run's missing pairs the same way: each worker dials those
 // whose higher rank it owns and waits for its endpoints of the rest.
 // Workers run on a common coordinator-assigned Options.Epoch and start
@@ -120,8 +124,8 @@ const (
 )
 
 // Options configure a machine and harden its runs. The zero value means
-// the full mesh on loopback, default dial retry, no deadlines and no
-// cancellation.
+// the full mesh on loopback (what a bare machine run without Prepare
+// needs), default dial retry, no deadlines and no cancellation.
 //
 // The fields split by lifetime: NewMachine consumes the setup fields
 // (Dial, DialAttempts, DialBackoff, Links, ListenHost, plus Context to
@@ -146,16 +150,16 @@ type Options struct {
 	// Dial overrides the dialer (fault injection in tests); nil means
 	// net.Dial("tcp", addr).
 	Dial func(addr string) (net.Conn, error)
-	// Links, when non-nil, lists the directed logical (src,dst) links the
-	// planned workload uses (a setup field, remembered for mesh
-	// rebuilds). NewMachine then materializes only the connections those
-	// links need — one shared TCP connection per unordered peer pair,
-	// multiplexing both directions — instead of the full O(p²) mesh.
-	// Self links are ignored; out-of-range ranks are a setup error.
-	// Prepare dials, before a run, the pairs its program uses that the
-	// plan lacked (counted in LazyDials), so Links never changes what
-	// runs, only what is paid for up front. nil keeps the full mesh; an
-	// empty non-nil slice plans no links at all (Prepare dials them all).
+	// Links, when non-nil, lists the directed logical (src,dst) links to
+	// dial up front (a setup field, remembered for mesh rebuilds):
+	// NewMachine materializes one shared TCP connection per unordered
+	// peer pair they name, plus the leader links a worker machine's
+	// barrier needs. Self links are ignored; out-of-range ranks are a
+	// setup error. Prepare dials, before a run, the pairs its program
+	// uses that the plan lacked (counted in LazyDials), so Links never
+	// changes what runs, only what is paid for up front. An empty non-nil
+	// slice prefetches nothing (every run's pairs are dialed by its
+	// Prepare); nil dials the full O(p²) mesh.
 	Links [][2]int
 	// ListenHost is the host the machine's listeners bind to (a setup
 	// field). Empty means loopback-only "127.0.0.1"; cluster workers that
@@ -194,11 +198,10 @@ type endpoint struct {
 }
 
 // Machine is a persistent TCP machine: listeners with persistent
-// acceptors, a dialed mesh — full by default, or only the planned pairs
-// when built with Options.Links — and one reader pump per connection
-// end, built once by NewMachine and reused by every Run. Close tears it
-// down. Prepare, Run and Close serialize; a Machine supports one run at
-// a time.
+// acceptors, a dialed mesh — the planned pairs, grown by every Prepare —
+// and one reader pump per connection end, built once by NewMachine and
+// reused by every Run. Close tears it down. Prepare, Run and Close
+// serialize; a Machine supports one run at a time.
 type Machine struct {
 	core *engine.Machine
 	size int
@@ -244,20 +247,16 @@ type Machine struct {
 	addrs map[int]string
 
 	// pairs is the planned link set as sorted unordered peer pairs
-	// (a<b): every pair in it is dialed at setup and redialed on
-	// reconnect; anything else waits for a Prepare. sparse records
-	// whether Options.Links was given (the full mesh is just the
-	// complete pair set).
-	pairs  [][2]int
-	sparse bool
+	// (a<b), leader links included: every pair in it is dialed at setup
+	// and redialed on reconnect; anything else waits for a Prepare.
+	pairs [][2]int
 	// connsOpened counts TCP connections dialed over the machine's
 	// lifetime (setup, Prepare and reconnect dials; one per connection,
 	// not per endpoint).
 	connsOpened atomic.Int64
 	// lazyDials counts the pairs dialed before a run because the plan
-	// lacked them (Prepare's dials). A sparse cluster run that stays at
-	// zero proves the partitioned plan covered every link the schedule
-	// used.
+	// lacked them (Prepare's dials). A cluster run that stays at zero
+	// proves the plan covered every link the schedule used.
 	lazyDials  atomic.Int64
 	setupErr   error // first setup failure, under connMu
 	reconnects atomic.Int64
@@ -323,8 +322,8 @@ func (t transport) Close() error {
 }
 
 // NewMachine listens on p loopback ports, dials the planned link set —
-// the full mesh by default, only the pairs Options.Links needs when
-// given — and starts the reader pumps. Only the setup fields of opts
+// the pairs Options.Links names, the full mesh when it is nil — and
+// starts the reader pumps. Only the setup fields of opts
 // are consumed; they are remembered for mesh rebuilds after an abort.
 // The caller owns the machine and must Close it.
 func NewMachine(p int, opts Options) (*Machine, error) {
@@ -343,12 +342,12 @@ func NewMachine(p int, opts Options) (*Machine, error) {
 // listeners, ranks and acceptors for the contiguous rank range [lo,hi)
 // of a p-rank mesh, but no connections yet — the coordinator first
 // collects every worker's LocalAddrs, then drives ConnectMesh with the
-// merged rank→address map. The planned link set (Options.Links, or the
-// full mesh when nil) is filtered to the pairs touching [lo,hi); the
-// worker dials exactly those whose higher rank is local. leaders lists
-// the lowest rank of every worker's range, ascending (lo among them):
-// Barrier synchronises across processes through those ranks, over the
-// engine.LeaderLinks the coordinator adds to the plan.
+// merged rank→address map. leaders lists the lowest rank of every
+// worker's range, ascending (lo among them): Barrier synchronises across
+// processes through those ranks, so the machine adds engine.LeaderLinks
+// to the planned link set (Options.Links, or the full mesh when nil).
+// That set is filtered to the pairs touching [lo,hi); the worker dials
+// exactly those whose higher rank is local.
 func NewWorkerMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	if lo < 0 || hi > p || lo >= hi {
 		return nil, fmt.Errorf("tcp: worker rank range [%d,%d) outside machine of %d ranks", lo, hi, p)
@@ -366,7 +365,7 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("tcp: non-positive processor count %d", p)
 	}
-	pairs, sparse, err := plannedPairs(p, opts.Links)
+	pairs, err := plannedPairs(p, opts.Links, leaders)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +373,6 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 		size: p, lo: lo, hi: hi,
 		listeners: make([]net.Listener, p), ends: make([]*endpoint, p),
 		dial: opts.Dial, dialAttempts: opts.DialAttempts, dialBackoff: opts.DialBackoff,
-		sparse: sparse,
 	}
 	if m.dial == nil {
 		m.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -440,8 +438,7 @@ func (m *Machine) LocalAddrs() map[int]string {
 
 // LazyDials reports how many pairs the machine has dialed before a run
 // because the plan lacked them (Prepare's dials), over its lifetime.
-// Zero on a sparse machine means the route plan covered every link the
-// schedules used.
+// Zero means the plan covered every link the schedules used.
 func (m *Machine) LazyDials() int { return int(m.lazyDials.Load()) }
 
 // Reconnects reports how many times the mesh has been rebuilt after an
@@ -452,14 +449,14 @@ func (m *Machine) Reconnects() int { return int(m.reconnects.Load()) }
 
 // ConnsOpened reports how many TCP connections the machine has dialed
 // over its lifetime — planned setup, reconnect rebuilds and Prepare's
-// dials, one count per connection (not per endpoint). On a
-// sparse machine straight after NewMachine this equals the planned pair
-// count; on a full mesh it is p(p−1)/2. Safe to call at any time.
+// dials, one count per connection (not per endpoint). Straight after
+// NewMachine this equals the planned pair count. Safe to call at any
+// time.
 func (m *Machine) ConnsOpened() int { return int(m.connsOpened.Load()) }
 
 // PlannedPairs reports how many unordered peer pairs the machine dials
-// at setup (and redials on reconnect): the route-derived pair count on
-// a sparse machine, p(p−1)/2 on a full mesh.
+// at setup (and redials on reconnect): the pairs of Options.Links and the
+// leader links touching its range, p(p−1)/2 on a full mesh.
 func (m *Machine) PlannedPairs() int { return len(m.pairs) }
 
 // Close tears the machine down. It is idempotent; a run must not be in
@@ -507,16 +504,12 @@ func (m *Machine) repair(ctx context.Context) error {
 // receive over and the mesh lacks — every pair touching a local rank when
 // prog is nil (an algorithm without a program) — through the setup path,
 // first rebuilding a damaged mesh as Run does. Those dials count in
-// LazyDials and are not part of the plan a reconnect rebuilds. A
-// full-mesh machine lacks nothing and returns at once; a sparse one whose
-// mesh already holds every pair allocates nothing. A dial that fails, or
-// whose ctx ends, fails the run about to start, not the machine: the
-// mesh is marked broken for the next Prepare or Run to rebuild (a
-// cluster worker's coordinator resets it).
+// LazyDials and are not part of the plan a reconnect rebuilds. A mesh
+// that already holds every pair the run needs allocates nothing. A dial
+// that fails, or whose ctx ends, fails the run about to start, not the
+// machine: the mesh is marked broken for the next Prepare or Run to
+// rebuild (a cluster worker's coordinator resets it).
 func (m *Machine) Prepare(ctx context.Context, prog *comm.Program) error {
-	if !m.sparse {
-		return nil
-	}
 	if prog != nil && prog.P() != m.size {
 		return fmt.Errorf("tcp: program for %d ranks on a machine of %d", prog.P(), m.size)
 	}

@@ -75,41 +75,6 @@ func TestFrameRejectsCorruptHeader(t *testing.T) {
 	}
 }
 
-func TestPingPongOverTCP(t *testing.T) {
-	res, err := runOnce(2, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, comm.Message{Tag: 7, Parts: []comm.Part{{Origin: 0, Data: []byte("over the wire")}}})
-			m := p.Recv(1)
-			if string(m.Parts[0].Data) != "ack" {
-				t.Errorf("rank 0 got %q", m.Parts[0].Data)
-			}
-		} else {
-			m := p.Recv(0)
-			if m.Tag != 7 || string(m.Parts[0].Data) != "over the wire" {
-				t.Errorf("rank 1 got %+v", m)
-			}
-			p.Send(0, comm.Message{Parts: []comm.Part{{Origin: 1, Data: []byte("ack")}}})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Procs[0].Sends != 1 || res.Procs[1].RecvBytes == 0 {
-		t.Fatalf("stats: %+v", res.Procs)
-	}
-}
-
-func TestBarrierOverTCP(t *testing.T) {
-	_, err := runOnce(6, func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			p.Barrier()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSelfSend(t *testing.T) {
 	_, err := runOnce(3, func(p *Proc) {
 		p.Send(p.Rank(), comm.Message{Tag: 5, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
@@ -199,21 +164,6 @@ func TestCollectivesOverTCP(t *testing.T) {
 		if err := core.AllGather.Check(spec, func(int) int { return 1 }, rank, m); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestPanicAbortsTCPMachine(t *testing.T) {
-	_, err := runOnce(4, func(p *Proc) {
-		if p.Rank() == 2 {
-			panic("wire fault")
-		}
-		p.Recv(2) // would hang without the abort
-	})
-	if err == nil {
-		t.Fatal("fault not reported")
-	}
-	if !strings.Contains(err.Error(), "wire fault") && !strings.Contains(err.Error(), "aborted") {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

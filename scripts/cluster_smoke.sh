@@ -2,10 +2,12 @@
 # cluster_smoke.sh — end-to-end smoke test of the multi-process cluster
 # runtime: build stpworker, run a p=64 sparse Br_Lin broadcast with the
 # coordinator spawning 4 worker OS processes, and require that no send
-# crossed a link outside the partitioned route plan (zero lazy dials;
+# crossed a link outside the prefetched route plan (zero lazy dials;
 # -fail-on-lazy turns that invariant into the exit status). A second
 # leg drives the adopt path: the coordinator waits on a fixed control
-# port for externally started `stpworker -coord` processes.
+# port for externally started `stpworker -coord` processes. A third leg
+# starts the cluster with no plan: the first run dials its own pairs
+# (a non-zero lazy-dial count) and nothing needs a reset.
 # Run via `make cluster-smoke`; CI runs the same target.
 set -eu
 
@@ -48,5 +50,12 @@ wait "$coord_pid" || { echo "adopt-mode coordinator failed:"; cat "$workdir/adop
 cat "$workdir/adopt.log"
 grep -q "0 lazy dials" "$workdir/adopt.log" || {
     echo "adopt-mode lazy-dial count missing"; exit 1; }
+
+echo "== no plan: each run's pairs are dialed before it starts"
+"$workdir/stpworker" -workers 4 -rows 8 -cols 8 -runs 3 | tee "$workdir/noplan.log"
+grep -q "0 coordinator resets" "$workdir/noplan.log" || {
+    echo "no-plan cluster needed a reset"; exit 1; }
+grep -Eq " [1-9][0-9]* lazy dials" "$workdir/noplan.log" || {
+    echo "no-plan cluster reported no pre-run dials"; exit 1; }
 
 echo "== cluster smoke OK"

@@ -30,7 +30,8 @@ const (
 	// in-process mailboxes, wall-clock timing.
 	EngineLive
 	// EngineTCP is the distributed-transport engine: real payload bytes
-	// as length-prefixed frames over a full mesh of loopback TCP sockets.
+	// as length-prefixed frames over loopback TCP sockets, one per pair
+	// of ranks the schedule uses.
 	EngineTCP
 )
 
@@ -67,22 +68,20 @@ type SessionOptions struct {
 	// backoff waits) and later mesh rebuilds started by Session.Run calls
 	// that pass no context of their own.
 	Context context.Context
-	// Links, when non-nil, restricts the TCP engine's dialed mesh to
-	// the listed logical links instead of the full O(p²) pair set:
-	// Open establishes one connection per distinct unordered pair, and
-	// each Run first dials the pairs its schedule uses that the plan
-	// lacked (pairs dialed before a run because the plan lacked them;
-	// they stay open for later runs).
-	// RoutesFor extracts the plan for a configuration; at p in the
-	// hundreds the sparse mesh is what keeps setup time and descriptor
-	// count proportional to the algorithm's ~p·log p schedule rather
-	// than p². Ignored by the other engines. An empty non-nil slice
-	// plans no links (every run's pairs are dialed before it).
+	// Links is a prefetch for the TCP engine: Open establishes one
+	// connection per distinct unordered pair of the listed logical
+	// links. Whatever the plan, each Run first dials the pairs its
+	// schedule uses that the mesh lacks (they stay open for later runs),
+	// so a session only ever holds pairs it was given or has used — the
+	// algorithm's ~p·log p links, never the p² mesh. nil (or empty)
+	// prefetches nothing, and the first run of each configuration pays
+	// for its own dials; RoutesFor extracts the plan that moves that cost
+	// into Open. Ignored by the other engines.
 	Links [][2]int
 	// Cluster, when non-nil, runs the TCP mesh across worker OS
 	// processes instead of in-process: Open stands up a coordinator
 	// that spawns (or adopts) the workers, hands each a contiguous rank
-	// range and its share of the Links plan, and wires the mesh across
+	// range and the Links plan, and wires the mesh across
 	// process boundaries; Run then drives cluster-wide runs of any
 	// collective through the same Session API. EngineTCP only — Open rejects the
 	// other engines. See ClusterSpec for the run-option restrictions a
@@ -92,9 +91,10 @@ type SessionOptions struct {
 
 // ClusterSpec configures a multi-process TCP session (see
 // SessionOptions.Cluster). The mesh's p ranks are split into Workers
-// contiguous near-equal ranges, one worker process each; the planned
-// link set (SessionOptions.Links, or the full mesh when nil) is
-// partitioned so intra-worker pairs stay in-process and inter-worker
+// contiguous near-equal ranges, one worker process each. Open dials the
+// links between the workers' leader ranks, which the barrier uses, and
+// the pairs of SessionOptions.Links; each Run dials the pairs its
+// schedule adds. Intra-worker pairs stay in-process and inter-worker
 // pairs cross the wire with the same frame protocol.
 //
 // A cluster session moves run specs, not Go values, between processes,
@@ -155,15 +155,18 @@ type SessionStats struct {
 }
 
 // Session is a persistent broadcast engine: Open stands the engine up
-// once — for EngineTCP that is one listener per rank, the dialed O(p²)
-// connection mesh and the reader pumps; for EngineLive the mailboxes and
-// barrier — and Run executes many broadcasts over it, each isolated from
-// the last (fresh mailboxes, per-run epoch on the wire, per-run fault
-// injector and tracer). Close tears the engine down and returns the
-// aggregate stats.
+// once — for EngineTCP that is one listener per rank and the connections
+// of SessionOptions.Links with their reader pumps; for EngineLive the
+// mailboxes and barrier — and Run executes many broadcasts over it, each
+// isolated from the last (fresh mailboxes, per-run epoch on the wire,
+// per-run fault injector and tracer). A TCP run first dials the pairs
+// its schedule uses that the mesh lacks, so the mesh grows to the union
+// of the session's schedules and no further. Close tears the engine down
+// and returns the aggregate stats.
 //
-// For back-to-back broadcasts this amortizes setup: the TCP mesh, whose
-// construction dominates a one-shot Run, is built once. A run that
+// For back-to-back broadcasts this amortizes setup: the TCP listeners
+// and connections, whose construction dominates a one-shot Run, are
+// built once. A run that
 // aborts (panic, injected kill, deadline) does not end the session — the
 // next Run reuses the engine, rebuilding the TCP mesh if the abort
 // damaged it (counted in SessionStats.Reconnects).
@@ -234,7 +237,11 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 			s.clu = c
 			return s, nil
 		}
-		tm, err := tcp.NewMachine(m.P(), tcp.Options{Context: opts.Context, Links: opts.Links})
+		links := opts.Links
+		if links == nil {
+			links = [][2]int{} // no prefetch: each run's pairs are dialed before it starts
+		}
+		tm, err := tcp.NewMachine(m.P(), tcp.Options{Context: opts.Context, Links: links})
 		if err != nil {
 			return nil, err
 		}
@@ -245,17 +252,16 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 	return s, nil
 }
 
-// RoutesFor extracts the sparse connection plan for one configuration:
-// the directed logical links the configured algorithm's schedule uses on
-// machine m. Feed the result to SessionOptions.Links to open a TCP
-// session that dials only those connections — at p in the hundreds that
-// replaces the O(p²) full-mesh setup with one proportional to the
-// algorithm's ~p·log p schedule. A run of another configuration on that
-// session still works: the pairs dialed before a run because the plan
-// lacked them are its cost. Barriers need no links of their own
-// inside a process; a cluster session adds the few between its workers
-// itself. Config.Algorithm AutoAlgorithm resolves through the planner
-// exactly as Run would.
+// RoutesFor extracts the connection plan for one configuration: the
+// directed logical links the configured algorithm's schedule uses on
+// machine m. Feed the result to SessionOptions.Links to have Open dial
+// exactly those connections, so that the configuration's first Run
+// dials nothing. A run of another configuration on that session still
+// works: the pairs dialed before a run because the plan lacked them are
+// its cost. Barriers need no links of their own inside a process; a
+// cluster session adds the few between its workers itself.
+// Config.Algorithm AutoAlgorithm resolves through the planner exactly as
+// Run would.
 func RoutesFor(m *Machine, cfg Config) ([][2]int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -311,54 +311,80 @@ func TestSessionManyRunsTCP(t *testing.T) {
 	}
 }
 
-// TestSparseSessionDialsUnplannedPairs: a TCP session opened on Br_Lin's
-// routes runs PersAlltoAll, whose schedule uses pairs that plan lacks.
-// The run dials exactly those pairs before it starts and its bundles are
-// correct; a repeat run dials nothing more and nothing reconnects.
+// TestSparseSessionDialsUnplannedPairs: a p=16 TCP session runs Br_Lin
+// E(4) twice, then PersAlltoAll twice, whose schedule uses pairs Br_Lin's
+// lacks. Opened on Br_Lin's routes, it dials those pairs at Open; opened
+// with nil Links, it dials nothing at Open. Either way each run first
+// dials exactly the pairs its schedule uses that the mesh lacks — the
+// session then holds the union of its schedules' pairs, 32 at most for
+// Br_Lin against the full mesh's 120 — its bundles are correct, a repeat
+// run dials nothing more, and nothing reconnects.
 func TestSparseSessionDialsUnplannedPairs(t *testing.T) {
 	m := stpbcast.NewParagon(4, 4)
-	planned := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 256}
-	cfg := planned
-	cfg.Algorithm = "PersAlltoAll"
-	pairs := func(cfg stpbcast.Config) (map[[2]int]bool, [][2]int) {
+	brLin := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 256}
+	alltoall := brLin
+	alltoall.Algorithm = "PersAlltoAll"
+	routes := func(cfg stpbcast.Config) [][2]int {
 		links, err := stpbcast.RoutesFor(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return links
+	}
+	pairs := func(links [][2]int) map[[2]int]bool {
 		set := make(map[[2]int]bool, len(links))
 		for _, l := range links {
 			set[[2]int{min(l[0], l[1]), max(l[0], l[1])}] = true
 		}
-		return set, links
+		return set
 	}
-	have, links := pairs(planned)
-	used, _ := pairs(cfg)
-	want := 0
-	for pr := range used {
-		if !have[pr] {
-			want++
-		}
+	if n := len(pairs(routes(brLin))); n > 32 {
+		t.Fatalf("Br_Lin E(4) uses %d pairs, want at most 32", n)
 	}
-	if want == 0 {
-		t.Fatal("PersAlltoAll uses no pair the Br_Lin plan lacks; the test proves nothing")
-	}
-	s, err := stpbcast.Open(m, stpbcast.EngineTCP, stpbcast.SessionOptions{Links: links})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 2; i++ {
-		res, err := s.Run(cfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		checkResult(t, m, cfg, res)
-		if got := stpbcast.SessionLazyDials(s); got != want {
-			t.Fatalf("run %d: %d lazy dials, want %d (the pairs PersAlltoAll uses that the plan lacks)", i, got, want)
-		}
-	}
-	if st := s.Stats(); st.Failures != 0 || st.Reconnects != 0 {
-		t.Fatalf("stats = %+v, want no failure and no reconnect", st)
+	for _, tc := range []struct {
+		name  string
+		links [][2]int
+	}{
+		{"Br_Lin routes", routes(brLin)},
+		{"nil Links", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := stpbcast.Open(m, stpbcast.EngineTCP, stpbcast.SessionOptions{Links: tc.links})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			held := pairs(tc.links)
+			if got := stpbcast.SessionConnsOpened(s); got != len(held) {
+				t.Fatalf("Open dialed %d pairs, want the plan's %d", got, len(held))
+			}
+			lazy := 0
+			for i, cfg := range []stpbcast.Config{brLin, brLin, alltoall, alltoall} {
+				for pr := range pairs(routes(cfg)) {
+					if !held[pr] {
+						held[pr] = true
+						lazy++
+					}
+				}
+				if i == 2 && lazy == stpbcast.SessionLazyDials(s) {
+					t.Fatalf("run %d: PersAlltoAll uses no pair the mesh lacks; the test proves nothing", i)
+				}
+				res, err := s.Run(cfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
+				if err != nil {
+					t.Fatalf("run %d (%s): %v", i, cfg.Algorithm, err)
+				}
+				checkResult(t, m, cfg, res)
+				if got := stpbcast.SessionLazyDials(s); got != lazy {
+					t.Fatalf("run %d (%s): %d lazy dials, want %d", i, cfg.Algorithm, got, lazy)
+				}
+				if got := stpbcast.SessionConnsOpened(s); got != len(held) {
+					t.Fatalf("run %d (%s): session holds %d pairs, want %d", i, cfg.Algorithm, got, len(held))
+				}
+			}
+			if st := s.Stats(); st.Failures != 0 || st.Reconnects != 0 {
+				t.Fatalf("stats = %+v, want no failure and no reconnect", st)
+			}
+		})
 	}
 }
 
