@@ -65,9 +65,11 @@ smoke-p64:
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Paired end-to-end timing against a parent revision: N interleaved pairs
-# of one benchmark workload, the benchmark's -compare table and the pairs
-# won per metric, e.g. `make bench-pair PARENT=HEAD~1 WORKLOAD=plan_cold N=10`.
+# Paired end-to-end timing against a parent revision: both sides built
+# once, then per workload of a comma-separated WORKLOAD list N interleaved
+# pairs, the benchmark's -compare table and the pairs won per metric,
+# e.g. `make bench-pair PARENT=HEAD~1 WORKLOAD=plan_cold N=10` or
+# `make bench-pair PARENT=HEAD WORKLOAD=session_tcp_small,daemon_tcp_small N=5`.
 bench-pair:
 	PARENT="$(PARENT)" WORKLOAD="$(WORKLOAD)" N="$(N)" SEED="$(SEED)" sh scripts/bench_pair.sh
 

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net"
 	"net/netip"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,11 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/plan"
+	"repro/internal/tcp"
 	"repro/internal/topology"
 )
 
@@ -597,5 +601,102 @@ func TestClusterRunAllocationBudget(t *testing.T) {
 	t.Logf("%.0f allocations per cluster run", least)
 	if least > clusterRunAllocBudget {
 		t.Errorf("%.0f allocations per cluster run, budget %d", least, clusterRunAllocBudget)
+	}
+}
+
+// TestSpawnEnvSharesHostCPUs pins a spawned worker's environment: the
+// control address always, and GOMAXPROCS as the worker's share of the
+// host unless the coordinator's environment sets it.
+func TestSpawnEnvSharesHostCPUs(t *testing.T) {
+	lookup := func(env []string, key string) string {
+		v := ""
+		for _, kv := range env { // the last entry wins, as in os/exec
+			if val, ok := strings.CutPrefix(kv, key+"="); ok {
+				v = val
+			}
+		}
+		return v
+	}
+	n := runtime.NumCPU()
+	parent := []string{"HOME=/nonexistent", "GOMAXPROCS="}
+	for _, tc := range []struct{ workers, want int }{{1, n}, {n, 1}, {n + 1, 1}, {3 * n, 1}} {
+		env := spawnEnv(parent, "127.0.0.1:9", tc.workers, n)
+		if got := lookup(env, "GOMAXPROCS"); got != strconv.Itoa(tc.want) {
+			t.Errorf("%d workers on %d CPUs: GOMAXPROCS=%q, want %d", tc.workers, n, got, tc.want)
+		}
+		if got := lookup(env, WorkerEnv); got != "127.0.0.1:9" {
+			t.Errorf("%d workers: %s=%q", tc.workers, WorkerEnv, got)
+		}
+	}
+	env := spawnEnv([]string{"GOMAXPROCS=3", "HOME=/nonexistent"}, "127.0.0.1:9", 1, n)
+	if got := lookup(env, "GOMAXPROCS"); got != "3" {
+		t.Errorf("the coordinator's GOMAXPROCS=3 became %q", got)
+	}
+	if got := lookup(env, WorkerEnv); got != "127.0.0.1:9" {
+		t.Errorf("with GOMAXPROCS set: %s=%q", WorkerEnv, got)
+	}
+	if len(env) != 3 {
+		t.Errorf("environment %q: want the parent's two entries and the control address", env)
+	}
+}
+
+// TestWorkerCompilesEachRunSpecOnce runs one worker owning every rank of
+// a 4×4 mesh: two runs of one run spec execute the same compiled program
+// — the worker binds an instance once — and a run with other sources
+// executes another. It reads the worker's memo after each run, before
+// any lookup of its own could fill it.
+func TestWorkerCompilesEachRunSpecOnce(t *testing.T) {
+	const rows, cols = 4, 4
+	m, err := tcp.NewWorkerMachine(rows*cols, 0, rows*cols, []int{0}, tcp.Options{Links: [][2]int{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.ConnectMesh(context.Background(), m.LocalAddrs()); err != nil {
+		t.Fatal(err)
+	}
+	w := &worker{m: m, lo: 0, hi: rows * cols}
+	// run executes rs and returns how many instances the worker's memo
+	// then holds (core.Bindings' occupied slots: used != 0).
+	run := func(rs RunSpec) int {
+		t.Helper()
+		if d := w.run(&rs); d.Err != "" {
+			t.Fatalf("run %+v: %s", rs, d.Err)
+		}
+		slots, held := reflect.ValueOf(&w.binds).Elem().FieldByName("slots"), 0
+		for i := range slots.Len() {
+			if slots.Index(i).FieldByName("used").Uint() != 0 {
+				held++
+			}
+		}
+		return held
+	}
+	program := func(rs RunSpec) *comm.Program {
+		t.Helper()
+		_, bound, err := w.bind(&rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.ProgramOf(bound)
+	}
+	rs := RunSpec{Rows: rows, Cols: cols, Sources: []int{0, 5, 10, 15}, Algorithm: "Br_Lin", MsgBytes: 64, RecvTimeoutNs: int64(time.Minute)}
+	if held := run(rs); held != 1 {
+		t.Fatalf("after one run the worker holds %d compiled instances, want 1", held)
+	}
+	rs.Sources = []int{0, 5, 10, 15} // an equal spec in a fresh slice, as a decoded run message has
+	if held := run(rs); held != 1 {
+		t.Errorf("after two runs of one run spec the worker holds %d compiled instances, want 1", held)
+	}
+	first := program(rs)
+	other := rs
+	other.Sources = []int{1, 6}
+	if held := run(other); held != 2 {
+		t.Errorf("after a run with other sources the worker holds %d compiled instances, want 2", held)
+	}
+	if p := program(other); p == nil || p == first {
+		t.Error("a run with other sources executed the first run's program")
+	}
+	if p := program(rs); p != first {
+		t.Errorf("the first run spec's program changed (%p, then %p)", first, p)
 	}
 }

@@ -6,8 +6,11 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"runtime"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,7 +24,12 @@ import (
 // options every worker must agree on.
 type Spec struct {
 	// Workers is the number of worker processes; each receives a
-	// contiguous near-equal rank range (plan.WorkerRanges).
+	// contiguous near-equal rank range (plan.WorkerRanges). A spawned
+	// worker shares the coordinator's host and gets its share of it:
+	// GOMAXPROCS is max(1, GOMAXPROCS/Workers) of the coordinator's own
+	// (the host's CPUs by default), unless the coordinator's environment
+	// sets GOMAXPROCS, which then wins. Adopted workers are left as they
+	// were started.
 	Workers int
 	// P is the mesh's processor count.
 	P int
@@ -203,7 +211,7 @@ func (c *Coordinator) spawn() error {
 	}
 	for i := 0; i < c.spec.Workers; i++ {
 		cmd := exec.Command(argv[0], argv[1:]...)
-		cmd.Env = append(os.Environ(), WorkerEnv+"="+c.ControlAddr())
+		cmd.Env = spawnEnv(os.Environ(), c.ControlAddr(), c.spec.Workers, runtime.GOMAXPROCS(0))
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("cluster: spawn worker %d: %w", i, err)
@@ -211,6 +219,24 @@ func (c *Coordinator) spawn() error {
 		c.procs = append(c.procs, cmd)
 	}
 	return nil
+}
+
+// spawnEnv is a spawned worker's environment: the coordinator's own
+// (environ), the control address in WorkerEnv, and the worker's share of
+// the coordinator's procs (its GOMAXPROCS) as GOMAXPROCS — a spawned
+// worker shares the coordinator's host, and a Go runtime would size
+// itself to all of it. A GOMAXPROCS the coordinator's environment sets
+// passes through unchanged.
+func spawnEnv(environ []string, addr string, workers, procs int) []string {
+	env := append(slices.Clip(environ), WorkerEnv+"="+addr)
+	set := slices.ContainsFunc(environ, func(kv string) bool {
+		v, ok := strings.CutPrefix(kv, "GOMAXPROCS=")
+		return ok && v != ""
+	})
+	if !set {
+		env = append(env, "GOMAXPROCS="+strconv.Itoa(max(1, procs/workers)))
+	}
+	return env
 }
 
 func (c *Coordinator) bootstrap() error {

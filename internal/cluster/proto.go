@@ -32,7 +32,9 @@
 // its share of the pairs the run's program uses and the plan lacked
 // (tcp.Machine.Prepare). Workers verify their own ranks' bundles
 // (core.Collective.Check, byte-exact) and report per-rank stats as one
-// flat integer list; the coordinator rebuilds and merges them.
+// blob of varints; the coordinator rebuilds and merges them. A worker
+// compiles each instance it runs once (core.Bindings): the schedules are
+// oblivious, so a repeated run spec repeats the program too.
 //
 // # Failure semantics
 //
@@ -52,6 +54,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -161,9 +164,10 @@ func (rs *RunSpec) resolve() (core.Spec, core.Algorithm, error) {
 // dial counters.
 type doneMsg struct {
 	ElapsedNs int64 `json:"elapsedNs"`
-	// Procs is the local ranks' tcp.ProcStats, procFields integers per
+	// Procs is the local ranks' tcp.ProcStats as one blob, which
+	// encoding/json sends as one base64 string: procFields varints per
 	// rank in field order (see flattenProcs).
-	Procs []int64 `json:"procs,omitempty"`
+	Procs []byte `json:"procs,omitempty"`
 	// LazyDials counts the pairs this worker dialed before a run because
 	// the plan lacked them (tcp.Machine.LazyDials); the zero-lazy-dials
 	// proof reads it.
@@ -178,29 +182,41 @@ type doneMsg struct {
 const procFields = 7
 
 // flattenProcs lays stats out as doneMsg.Procs: Rank, Sends, Recvs,
-// SendBytes, RecvBytes, BarrierSends, BarrierRecvs per rank.
-func flattenProcs(stats []tcp.ProcStats) []int64 {
-	flat := make([]int64, 0, procFields*len(stats))
+// SendBytes, RecvBytes, BarrierSends, BarrierRecvs per rank, each a
+// varint (binary.AppendVarint).
+func flattenProcs(stats []tcp.ProcStats) []byte {
+	blob := make([]byte, 0, 2*procFields*len(stats))
 	for _, s := range stats {
-		flat = append(flat, int64(s.Rank), int64(s.Sends), int64(s.Recvs), s.SendBytes, s.RecvBytes,
-			int64(s.BarrierSends), int64(s.BarrierRecvs))
+		for _, v := range [procFields]int64{int64(s.Rank), int64(s.Sends), int64(s.Recvs), s.SendBytes, s.RecvBytes,
+			int64(s.BarrierSends), int64(s.BarrierRecvs)} {
+			blob = binary.AppendVarint(blob, v)
+		}
 	}
-	return flat
+	return blob
 }
 
 // mergeProcs rebuilds the stats of the worker owning ranks [lo,hi) from
-// flat into procs, which is indexed by rank. flat must hold every rank
-// of the range exactly once; anything else is an error, and procs may
-// then hold a partial merge.
-func mergeProcs(procs []tcp.ProcStats, flat []int64, lo, hi int) error {
-	if len(flat) != procFields*(hi-lo) {
-		return fmt.Errorf("cluster: %d stat integers for ranks [%d,%d), want %d", len(flat), lo, hi, procFields*(hi-lo))
-	}
+// blob into procs, which is indexed by rank. blob must hold every rank
+// of the range exactly once, in well-formed varints and nothing after
+// them; anything else is an error, and procs may then hold a partial
+// merge.
+func mergeProcs(procs []tcp.ProcStats, blob []byte, lo, hi int) error {
 	for r := lo; r < hi; r++ {
 		procs[r].Rank = -1
 	}
-	for ; len(flat) > 0; flat = flat[procFields:] {
-		r := flat[0]
+	for range hi - lo {
+		var f [procFields]int64
+		for i := range f {
+			v, k := binary.Varint(blob)
+			if k == 0 {
+				return fmt.Errorf("cluster: stats for ranks [%d,%d) truncated", lo, hi)
+			}
+			if k < 0 {
+				return fmt.Errorf("cluster: stats for ranks [%d,%d): overlong varint", lo, hi)
+			}
+			f[i], blob = v, blob[k:]
+		}
+		r := f[0]
 		if r < int64(lo) || r >= int64(hi) {
 			return fmt.Errorf("cluster: stats for rank %d, outside [%d,%d)", r, lo, hi)
 		}
@@ -208,9 +224,12 @@ func mergeProcs(procs []tcp.ProcStats, flat []int64, lo, hi int) error {
 			return fmt.Errorf("cluster: stats for rank %d twice", r)
 		}
 		procs[r] = tcp.ProcStats{
-			Rank: int(r), Sends: int(flat[1]), Recvs: int(flat[2]), SendBytes: flat[3], RecvBytes: flat[4],
-			BarrierSends: int(flat[5]), BarrierRecvs: int(flat[6]),
+			Rank: int(r), Sends: int(f[1]), Recvs: int(f[2]), SendBytes: f[3], RecvBytes: f[4],
+			BarrierSends: int(f[5]), BarrierRecvs: int(f[6]),
 		}
+	}
+	if len(blob) > 0 {
+		return fmt.Errorf("cluster: %d bytes after the stats of ranks [%d,%d)", len(blob), lo, hi)
 	}
 	return nil
 }

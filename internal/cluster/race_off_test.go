@@ -2,8 +2,8 @@
 
 package cluster
 
-// clusterRunAllocBudget is 5 % over the 155 allocations a warm cluster run
+// clusterRunAllocBudget is 5 % over the 113 allocations a warm cluster run
 // costs (TestClusterRunAllocationBudget): an extra control message,
-// per-rank stats objects or a reference buffer per verified part each
-// cost more than that.
-const clusterRunAllocBudget = 162
+// per-rank stats objects, a reference buffer per verified part or a
+// worker compiling its program again each cost more than that.
+const clusterRunAllocBudget = 118

@@ -52,12 +52,14 @@ func ServeWorker(coordAddr string) error {
 	return w.serve()
 }
 
-// worker is one worker process's state: its control connection and its
-// partial machine.
+// worker is one worker process's state: its control connection, its
+// partial machine, and the instances it has compiled (the protocol loop
+// runs one collective at a time, so binds needs no lock).
 type worker struct {
 	cc     *conn
 	m      *tcp.Machine
 	lo, hi int
+	binds  core.Bindings
 }
 
 func (w *worker) serve() error {
@@ -151,12 +153,11 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 	if rs == nil {
 		rs = &RunSpec{}
 	}
-	spec, alg, err := rs.resolve()
+	spec, bound, err := w.bind(rs)
 	if err != nil {
 		return nil, errors.Join(err, w.m.ResetMesh())
 	}
-	coll := core.CollectiveOf(alg)
-	bound := core.Bind(alg, spec)
+	coll := core.CollectiveOf(bound)
 	if err := w.m.Prepare(context.Background(), core.ProgramOf(bound)); err != nil {
 		return nil, err
 	}
@@ -182,4 +183,14 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// bind resolves the run spec into its instance and the algorithm bound
+// to it, compiled once per instance the worker runs.
+func (w *worker) bind(rs *RunSpec) (core.Spec, core.Algorithm, error) {
+	spec, alg, err := rs.resolve()
+	if err != nil {
+		return core.Spec{}, nil, err
+	}
+	return spec, w.binds.Bind(alg, spec), nil
 }

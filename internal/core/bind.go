@@ -67,6 +67,57 @@ func Bind(alg Algorithm, spec Spec) Algorithm {
 	return b
 }
 
+// Bindings memoizes Bind over the last few instances a warm engine ran:
+// the paper's schedules are oblivious, so an instance — registry name
+// plus spec, sources compared element by element — compiles to the same
+// program every time, and an engine that runs it again need not compile
+// it again. A spec that fails to bind is kept too; every rank of every
+// run re-raises its error, as with Bind. The zero value is ready to use.
+// It holds no lock: its owner serializes its runs.
+type Bindings struct {
+	slots [bindingsCap]binding
+	clock uint64
+}
+
+// bindingsCap is how many instances Bindings keeps, the least recently
+// used making way: a session cycling through the six collectives fits.
+const bindingsCap = 8
+
+type binding struct {
+	name string
+	spec Spec // Sources is the memo's own copy
+	alg  Algorithm
+	used uint64 // Bindings.clock at the last use; 0 is an empty slot
+}
+
+// Bind returns Bind(alg, spec), compiled once per instance for the
+// registry's algorithms. Any other algorithm — one from outside this
+// package, or a value built from registry entries (ReposTo, WithDiscovery,
+// …), whose name does not identify it — is bound afresh.
+func (m *Bindings) Bind(alg Algorithm, spec Spec) Algorithm {
+	a, ok := alg.(schedule)
+	if !ok || !registered(a.name) {
+		return Bind(alg, spec)
+	}
+	m.clock++
+	lru := 0
+	for i := range m.slots {
+		e := &m.slots[i]
+		if e.used != 0 && e.name == a.name && e.spec.same(spec) {
+			e.used = m.clock
+			return e.alg
+		}
+		if e.used < m.slots[lru].used {
+			lru = i
+		}
+	}
+	// The bound value keeps its spec; a copy of the sources keeps the
+	// caller's later writes to its slice out of both it and the key.
+	spec.Sources = slices.Clone(spec.Sources)
+	m.slots[lru] = binding{name: a.name, spec: spec, alg: Bind(alg, spec), used: m.clock}
+	return m.slots[lru].alg
+}
+
 // script returns a's script on spec. Like Bind it panics on a spec that
 // is invalid for its own mesh.
 func (a schedule) script(spec Spec) comm.Script {

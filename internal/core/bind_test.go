@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -271,4 +272,108 @@ func TestInitialLenMeasuresInitialLenFor(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBindingsCompileEachInstanceOnce pins the memo a warm engine binds
+// through: an instance — registry name plus spec by value — is compiled
+// once and handed back as the identical value, anything else binds anew,
+// the least recently used of bindingsCap instances makes way for a new
+// one, and a spec that fails to bind fails every rank of every run.
+func TestBindingsCompileEachInstanceOnce(t *testing.T) {
+	var m Bindings
+	spec := makeSpec(t, dist.Equal(), 4, 4, 4)
+	first := m.Bind(BrLin(), spec)
+	if ProgramOf(first) == nil {
+		t.Fatal("Br_Lin bound through the memo has no program")
+	}
+	equal := spec
+	equal.Sources = slices.Clone(spec.Sources)
+	if m.Bind(BrLin(), equal) != first {
+		t.Error("an equal spec in another slice compiled again")
+	}
+	spec.Sources[0] = 1 // the caller's slice is not the memo's key
+	if m.Bind(BrLin(), equal) != first {
+		t.Error("a write to the first caller's sources changed the memo")
+	}
+	rowMajor := equal
+	rowMajor.Indexing = topology.RowMajor
+	for label, got := range map[string]Algorithm{
+		"other sources":   m.Bind(BrLin(), makeSpec(t, dist.Equal(), 4, 4, 5)),
+		"other algorithm": m.Bind(BrXYSource(), equal),
+		"other indexing":  m.Bind(BrLin(), rowMajor),
+	} {
+		if got == first || ProgramOf(got) == nil {
+			t.Errorf("%s: got the memoized Br_Lin, or no program", label)
+		}
+	}
+
+	// Algorithms whose name does not identify them bind anew every time.
+	type foreign struct{ Algorithm }
+	ext := &foreign{BrLin()}
+	if got := m.Bind(ext, equal); got != ext {
+		t.Errorf("an algorithm from outside core came back as %T", got)
+	}
+	repos := ReposTo(BrLin(), []int{0, 5, 10, 15})
+	if a, b := m.Bind(repos, equal), m.Bind(repos, equal); a == b {
+		t.Error("ReposTo was memoized by its name")
+	}
+
+	// Eight instances fill the memo; touching the first makes the second
+	// the least recently used, which a ninth evicts.
+	m = Bindings{}
+	specs := make([]Spec, bindingsCap+1)
+	got := make([]Algorithm, bindingsCap+1)
+	for i := range specs {
+		specs[i] = makeSpec(t, dist.Equal(), 4, 4, i+1)
+	}
+	for i := 0; i < bindingsCap; i++ {
+		got[i] = m.Bind(BrLin(), specs[i])
+	}
+	m.Bind(BrLin(), specs[0])
+	got[bindingsCap] = m.Bind(BrLin(), specs[bindingsCap])
+	for _, i := range []int{0, 2, 3, 4, 5, 6, 7, 8} {
+		if m.Bind(BrLin(), specs[i]) != got[i] {
+			t.Errorf("instance %d was evicted", i)
+		}
+	}
+	if m.Bind(BrLin(), specs[1]) == got[1] {
+		t.Error("the least recently used instance survived a ninth")
+	}
+
+	// A failing bind is memoized, and every rank of every run re-raises
+	// its error.
+	bad := Spec{Rows: 2, Cols: 2, Sources: []int{9}}
+	failed := m.Bind(BrLin(), bad)
+	for run := 0; run < 2; run++ {
+		if again := m.Bind(BrLin(), bad); again != failed {
+			t.Fatal("a failing bind compiled again")
+		}
+		for rank := 0; rank < bad.P(); rank++ {
+			if err := panicOf(func() { failed.Run(rankOnly{rank: rank, size: 4}, bad, comm.Message{}) }); !strings.Contains(err, "outside machine") {
+				t.Errorf("run %d, rank %d: got %q, want the validation error", run, rank, err)
+			}
+		}
+	}
+}
+
+// rankOnly is a communicator that only knows who it is: enough for a
+// bound algorithm that fails before its first communication.
+type rankOnly struct {
+	comm.Comm
+	rank, size int
+}
+
+func (c rankOnly) Rank() int { return c.rank }
+func (c rankOnly) Size() int { return c.size }
+
+// panicOf runs f and returns what it panicked with, as text ("" if it
+// returned).
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }

@@ -88,6 +88,13 @@ func ByName(name string) (Algorithm, error) {
 	return nil, fmt.Errorf("core: unknown algorithm %q", name)
 }
 
+// registered reports whether name is a registry entry's.
+func registered(name string) bool {
+	registryOnce.Do(buildRegistry)
+	_, ok := registryIdx[name]
+	return ok
+}
+
 // ByNameFor resolves an algorithm by name and checks it implements the
 // given collective, so a Config cannot pair, say, a broadcast schedule
 // with Collective: "AllToAll".

@@ -136,13 +136,13 @@ func msg(tag, origin int, data string) comm.Message {
 	return comm.Message{Tag: tag, Parts: []comm.Part{{Origin: origin, Data: []byte(data)}}}
 }
 
-// ringRound is one healthy round of traffic on a p-ring: send right,
-// receive from the left, meet.
+// ringRound is one healthy round of traffic on a p-ring: send right a
+// one-byte payload equal to the tag, receive from the left, meet.
 func ringRound(h *harness, p, tag int) func(*engine.Proc) {
 	return func(pr *engine.Proc) {
-		pr.Send((pr.Rank()+1)%p, msg(tag, pr.Rank(), "ring"))
-		if got := pr.Recv((pr.Rank() + p - 1) % p); got.Tag != tag {
-			h.Errorf("rank %d: got tag %d, want %d", pr.Rank(), got.Tag, tag)
+		pr.Send((pr.Rank()+1)%p, msg(tag, pr.Rank(), string([]byte{byte(tag)})))
+		if got := pr.Recv((pr.Rank() + p - 1) % p); got.Tag != tag || got.Parts[0].Data[0] != byte(tag) {
+			h.Errorf("rank %d: got tag %d, payload %v, want %d", pr.Rank(), got.Tag, got.Parts[0].Data, tag)
 		}
 		pr.Barrier()
 	}
@@ -207,12 +207,16 @@ var scenarios = []struct {
 	// what Recv returns is what was sent, whatever the sender did to its
 	// buffer in between.
 	{"self-send then mutate", func(h *harness) {
-		_, err := h.run(2, engine.Options{}, func(p *engine.Proc) {
+		_, err := h.run(3, engine.Options{}, func(p *engine.Proc) {
 			buf := []byte("original")
-			p.Send(p.Rank(), comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: buf}}})
+			p.Send(p.Rank(), comm.Message{Tag: 5, Parts: []comm.Part{{Origin: p.Rank(), Data: buf}}})
 			copy(buf, "CLOBBER!")
-			if m := p.Recv(p.Rank()); !bytes.Equal(m.Parts[0].Data, []byte("original")) {
+			m := p.Recv(p.Rank())
+			if !bytes.Equal(m.Parts[0].Data, []byte("original")) {
 				h.Errorf("rank %d: self-send aliased the caller's buffer: %q", p.Rank(), m.Parts[0].Data)
+			}
+			if m.Tag != 5 || m.Parts[0].Origin != p.Rank() {
+				h.Errorf("rank %d: self message came back as tag %d from origin %d", p.Rank(), m.Tag, m.Parts[0].Origin)
 			}
 		})
 		if err != nil {
@@ -401,6 +405,11 @@ var scenarios = []struct {
 			if res.Procs[0].Sends != 1 || res.Procs[0].Recvs != 1 {
 				h.Fatalf("run %d stats not per-run: %+v", r, res.Procs[0])
 			}
+		}
+		// An engine whose links can break counts rebuilds; a healthy
+		// session has none.
+		if rc, ok := m.(interface{ Reconnects() int }); ok && rc.Reconnects() != 0 {
+			h.Errorf("healthy back-to-back runs rebuilt the mesh %d times", rc.Reconnects())
 		}
 	}},
 

@@ -12,37 +12,6 @@ import (
 	"repro/internal/engine"
 )
 
-// TestMachineBackToBackRuns reuses one mesh for many broadcasts: every
-// run must complete correctly and the machine must report no rebuilds.
-func TestMachineBackToBackRuns(t *testing.T) {
-	const p, runs = 4, 20
-	m, err := NewMachine(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for r := 0; r < runs; r++ {
-		res, err := m.Run(Options{RecvTimeout: 5 * time.Second}, func(pr *Proc) {
-			next, prev := (pr.Rank()+1)%p, (pr.Rank()+p-1)%p
-			pr.Send(next, comm.Message{Tag: r, Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(r)}}}})
-			got := pr.Recv(prev)
-			if got.Tag != r || got.Parts[0].Data[0] != byte(r) {
-				t.Errorf("run %d rank %d: got %+v", r, pr.Rank(), got)
-			}
-			pr.Barrier()
-		})
-		if err != nil {
-			t.Fatalf("run %d: %v", r, err)
-		}
-		if res.Procs[0].Sends != 1 || res.Procs[0].Recvs != 1 {
-			t.Fatalf("run %d stats not per-run: %+v", r, res.Procs[0])
-		}
-	}
-	if n := m.Reconnects(); n != 0 {
-		t.Fatalf("healthy session rebuilt the mesh %d times", n)
-	}
-}
-
 // beginHook is the sockets transport with fn run first in Begin: the
 // window in which the core already publishes the new run but the pumps
 // have not seen its epoch published yet.

@@ -75,19 +75,6 @@ func TestFrameRejectsCorruptHeader(t *testing.T) {
 	}
 }
 
-func TestSelfSend(t *testing.T) {
-	_, err := runOnce(3, func(p *Proc) {
-		p.Send(p.Rank(), comm.Message{Tag: 5, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
-		m := p.Recv(p.Rank())
-		if m.Tag != 5 || m.Parts[0].Data[0] != byte(p.Rank()) {
-			t.Errorf("rank %d self message %+v", p.Rank(), m)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFIFOPerPairOverTCP(t *testing.T) {
 	const n = 100
 	_, err := runOnce(2, func(p *Proc) {

@@ -107,6 +107,10 @@ type SessionOptions struct {
 // control plane.
 type ClusterSpec struct {
 	// Workers is the number of worker processes, 1 ≤ Workers ≤ p.
+	// Spawned workers share this host and get their share of its CPUs:
+	// each runs with GOMAXPROCS = max(1, GOMAXPROCS/Workers) of this
+	// process (the host's CPUs by default), unless this process's
+	// environment sets GOMAXPROCS, which they then inherit.
 	Workers int
 	// WorkerCmd, when non-nil, is the argv of the worker command to
 	// spawn; the coordinator passes the control address in the
@@ -190,6 +194,8 @@ type Session struct {
 	liveM  *live.Machine
 	tcpM   *tcp.Machine
 	clu    *cluster.Coordinator
+	// binds compiles each instance the session runs once; runMu guards it.
+	binds  core.Bindings
 	stats  SessionStats
 	closed bool
 	// pending counts admitted RunAsync broadcasts not yet finished;
@@ -560,7 +566,8 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 
 // runReal executes one broadcast over the session's warm real-byte
 // engine: per-run spec/algorithm resolution, a per-run fault injector
-// wrapping each rank's comm, and per-run tracer attachment.
+// wrapping each rank's comm, and per-run tracer attachment. A registry
+// algorithm is compiled once per instance the session runs (binds).
 func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 	if s.clu != nil {
 		return s.runCluster(cfg, opts)
@@ -580,7 +587,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 	if err := checkAlgorithmCollective(alg, coll); err != nil {
 		return nil, 0, err
 	}
-	alg = core.Bind(alg, spec)
+	alg = s.binds.Bind(alg, spec)
 	payload := opts.Payload
 	if payload == nil {
 		p := s.m.P()
