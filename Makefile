@@ -22,9 +22,12 @@ test:
 	$(GO) test ./...
 
 # Explicit -timeout: the chaos/abort tests promise every injected hang
-# becomes an error; a silent-hang regression should fail fast.
+# becomes an error; a silent-hang regression should fail fast. The run
+# lifecycle's packages go three more times: each machine's watchdog
+# goroutine reads inbox and barrier state on every tick.
 race:
 	$(GO) test -race -timeout 5m ./...
+	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp
 
 # Fault-injection and abort-path suites only, plus the stpbench sweep.
 chaos:

@@ -35,7 +35,7 @@ func main() {
 	tenantQuota := flag.Int("tenant-quota", 0, "max in-flight requests per tenant (0 = unlimited; excess get 429)")
 	maxSessions := flag.Int("max-sessions", 8, "max warm sessions in the pool (LRU idle eviction at the cap)")
 	idleTTL := flag.Duration("idle-ttl", 5*time.Minute, "evict sessions idle for this long (negative disables)")
-	recvTimeout := flag.Duration("recv-timeout", 30*time.Second, "default per-receive deadline for requests that set none")
+	recvTimeout := flag.Duration("recv-timeout", 30*time.Second, "default per-receive deadline T for requests that set none (a blocked wait expires within [T, 1.25 T))")
 	noPool := flag.Bool("no-pool", false, "disable the session pool: open a fresh session per request (baseline mode)")
 	flag.Parse()
 	if flag.NArg() > 0 {

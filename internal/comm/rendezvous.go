@@ -6,36 +6,13 @@ import (
 	"time"
 )
 
-// DeadlineWaker bounds waits on a sync.Cond: Arm schedules one Broadcast
-// (under the cond's lock) after a delay, so a waiter that re-checks its
-// clock on every wake-up notices its deadline. The engines' blocking
-// paths share it so that a wait costs a timer re-arm, not a new timer and
-// closure: the timer is created by the first Arm and reused afterwards.
-// The zero value is ready; callers serialize Arm and Stop (they hold the
-// cond's lock). A Broadcast from a timer that lost the race with Stop is
-// harmless — waiters re-check their condition.
-type DeadlineWaker struct{ timer *time.Timer }
-
-// Arm (re)schedules the wake-up of c's waiters after d. Every call must
-// pass the same cond.
-func (w *DeadlineWaker) Arm(c *sync.Cond, d time.Duration) {
-	if w.timer != nil {
-		w.timer.Reset(d)
-		return
-	}
-	w.timer = time.AfterFunc(d, func() {
-		c.L.Lock()
-		c.Broadcast()
-		c.L.Unlock()
-	})
-}
-
-// Stop cancels the pending wake-up, if any.
-func (w *DeadlineWaker) Stop() {
-	if w.timer != nil {
-		w.timer.Stop()
-	}
-}
+// DeadlineTicks is how the real-byte engines bound a blocking wait
+// without a clock on the wait path: a watchdog looks at every wait once
+// per tick, ticks at least timeout/DeadlineTicks apart, and a wait still
+// blocked — the same wait — DeadlineTicks ticks after the one that first
+// saw it expires. It therefore fails after at least the timeout and
+// before (1 + 1/DeadlineTicks)·timeout, give or take the scheduler.
+const DeadlineTicks = 4
 
 // Rendezvous is the in-memory cyclic barrier the real-byte engines park
 // the ranks of one address space on: the whole machine in internal/live,
@@ -43,10 +20,10 @@ func (w *DeadlineWaker) Stop() {
 // then synchronises with the other processes before anyone is released).
 // It is reusable across barriers within a run and re-armed between runs.
 //
-// One timer bounds each barrier, not one per waiter: the first arriver
-// arms it, the last stops it, and a rank that arrives to find everyone
-// present never touches it — so the common case of a barrier that
-// completes costs two timer operations however many ranks wait.
+// A barrier arms no timer: the engine's watchdog calls Tick, and a
+// barrier that stays incomplete for DeadlineTicks ticks after the first
+// one that saw it waiting fails its waiters with a *StallError. A
+// barrier that completes costs no clock read and no timer operation.
 type Rendezvous struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -54,11 +31,9 @@ type Rendezvous struct {
 	arrived []bool // by rank-lo; cleared at every release
 	count   int
 	gen     uint64 // bumped at every release
-	arming  uint64 // bumped by every Arm; Abort must quote it
-	dead    error  // abort cause of the current arming
-
-	deadline time.Time // of the current barrier, set by its first arriver
-	waker    DeadlineWaker
+	arming  uint64 // bumped by every Arm; Abort and Tick must quote it
+	dead    error  // abort or stall cause of the current arming
+	ticks   int    // watchdog ticks that saw the current barrier waiting
 }
 
 // NewRendezvous returns a barrier for the ranks [lo,hi).
@@ -80,12 +55,11 @@ func (e *StallError) Error() string {
 }
 
 // Arm resets the barrier for a new run — an aborted run leaves arrivals
-// behind that never released — and returns the arming Abort must quote,
-// so an abort that outlives its run cannot poison the next one.
+// behind that never released — and returns the arming Abort and Tick
+// must quote, so a call that outlives its run cannot reach the next one.
 func (r *Rendezvous) Arm() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.waker.Stop()
 	r.release()
 	r.arming++
 	r.dead = nil
@@ -93,7 +67,8 @@ func (r *Rendezvous) Arm() uint64 {
 }
 
 // Abort fails every current and future Wait of the given arming with
-// cause. The first cause wins; a stale arming is ignored.
+// cause. The first cause — an abort or a stall — wins; a stale arming is
+// ignored.
 func (r *Rendezvous) Abort(arming uint64, cause error) {
 	r.mu.Lock()
 	if arming == r.arming && r.dead == nil {
@@ -101,6 +76,31 @@ func (r *Rendezvous) Abort(arming uint64, cause error) {
 		r.cond.Broadcast()
 	}
 	r.mu.Unlock()
+}
+
+// Tick is the stall check, called by the engine's watchdog once per tick
+// of a run whose waits are bounded by timeout. A barrier still waiting
+// for arrivals DeadlineTicks ticks after the first tick that saw it
+// waiting fails the arming like Abort, with a *StallError naming the
+// ranks that never arrived. The last arriver's hook is not a wait for
+// arrivals and is never counted. A stale arming is ignored.
+func (r *Rendezvous) Tick(arming uint64, timeout time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if arming != r.arming || r.dead != nil || r.count == 0 || r.count == len(r.arrived) {
+		return
+	}
+	if r.ticks++; r.ticks <= DeadlineTicks {
+		return
+	}
+	stall := &StallError{Timeout: timeout}
+	for i, here := range r.arrived {
+		if !here {
+			stall.Absent = append(stall.Absent, r.lo+i)
+		}
+	}
+	r.dead = stall
+	r.cond.Broadcast()
 }
 
 // release opens the current barrier (mu held).
@@ -115,11 +115,9 @@ func (r *Rendezvous) release() {
 // arriver runs last (when non-nil) with everyone else still parked, and
 // releases them only if it returns nil; its error goes to the last
 // arriver alone, who must abort the run to unwind the others. last must
-// not panic. A positive timeout bounds the wait for the arrivals — from
-// the first arrival, so no rank is parked longer — with a *StallError;
-// the time last takes is last's own to bound. After Abort, Wait returns
-// the abort cause.
-func (r *Rendezvous) Wait(rank int, timeout time.Duration, last func() error) error {
+// not panic, and the time it takes is its own to bound. After Abort, or
+// once Tick has declared the barrier stalled, Wait returns that cause.
+func (r *Rendezvous) Wait(rank int, last func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.dead != nil {
@@ -128,7 +126,6 @@ func (r *Rendezvous) Wait(rank int, timeout time.Duration, last func() error) er
 	r.arrived[rank-r.lo] = true
 	r.count++
 	if r.count == len(r.arrived) {
-		r.waker.Stop()
 		if last != nil {
 			r.mu.Unlock()
 			err := last()
@@ -140,22 +137,12 @@ func (r *Rendezvous) Wait(rank int, timeout time.Duration, last func() error) er
 		r.release()
 		return nil
 	}
-	if timeout > 0 && r.count == 1 {
-		r.deadline = time.Now().Add(timeout)
-		r.waker.Arm(r.cond, timeout)
+	if r.count == 1 {
+		r.ticks = 0 // a new barrier: a new wait for the watchdog
 	}
 	for gen := r.gen; gen == r.gen; {
 		if r.dead != nil {
 			return r.dead
-		}
-		if timeout > 0 && r.count < len(r.arrived) && !time.Now().Before(r.deadline) {
-			stall := &StallError{Timeout: timeout}
-			for i, here := range r.arrived {
-				if !here {
-					stall.Absent = append(stall.Absent, r.lo+i)
-				}
-			}
-			return stall
 		}
 		r.cond.Wait()
 	}

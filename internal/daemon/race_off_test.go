@@ -2,6 +2,6 @@
 
 package daemon
 
-// requestAllocBudget is 5 % over the 208 allocations one request costs
+// requestAllocBudget is 5 % over the 176 allocations one request costs
 // (TestRequestAllocationBudget).
-const requestAllocBudget = 218
+const requestAllocBudget = 184

@@ -3,5 +3,5 @@
 package daemon
 
 // requestAllocBudget under the race detector, whose sync.Pool drops a
-// random quarter of what is put back: 5 % over the median of 256–261.
-const requestAllocBudget = 270
+// random quarter of what is put back: 5 % over the median of 222–227.
+const requestAllocBudget = 236

@@ -11,8 +11,11 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -323,28 +326,82 @@ var scenarios = []struct {
 		h.failed(err, "rank 0: rank 0 died mid-run")
 	}},
 
+	// The abort a deadline causes leaves nothing of the run behind: the
+	// machine's own goroutines are all that remain (on sockets fewer, as
+	// the abort closed the mesh and its pumps), before Close.
 	{"recv deadline names rank and peer", func(h *harness) {
+		m := h.machine(4)
+		goroutines, fds := footprint()
 		start := time.Now()
-		_, err := h.run(4, engine.Options{RecvTimeout: 100 * time.Millisecond}, func(p *engine.Proc) {
+		_, err := m.Run(engine.Options{RecvTimeout: 100 * time.Millisecond}, func(p *engine.Proc) {
 			if p.Rank() == 1 {
 				p.Recv(3) // rank 3 never sends: a dead-peer hang
 			}
 		})
-		h.failed(err, "rank 1: recv from 3: blocked 100ms", "deadline")
+		h.failed(err, "rank 1: recv from 3: blocked 100ms (receive deadline exceeded)")
 		if d := time.Since(start); d > 5*time.Second {
 			h.Errorf("deadline abort took %v", d)
+		}
+		settled(h.T, goroutines, fds)
+	}},
+
+	// A receive deadline T expires no sooner than T after the wait began,
+	// whatever the phase of the watchdog's ticks — and whether T divides
+	// into them or not.
+	{"recv deadline not early", func(h *harness) {
+		m := h.machine(2)
+		for _, timeout := range []time.Duration{100 * time.Millisecond, 61*time.Millisecond + 3} {
+			var blocked time.Duration
+			_, err := m.Run(engine.Options{RecvTimeout: timeout}, func(p *engine.Proc) {
+				if p.Rank() == 1 {
+					t0 := time.Now()
+					defer func() { blocked = time.Since(t0) }()
+					p.Recv(0)
+				}
+			})
+			h.failed(err, fmt.Sprintf("rank 1: recv from 0: blocked %v (receive deadline exceeded)", timeout))
+			if blocked < timeout {
+				h.Errorf("receive expired after %v, before its %v deadline", blocked, timeout)
+			}
+		}
+	}},
+
+	// A deadline bounds each wait, not the run: waits of 0.6 T one after
+	// another all succeed, receives and barriers alike.
+	{"slow receives each under the deadline", func(h *harness) {
+		const timeout, waits = 150 * time.Millisecond, 5
+		_, err := h.run(2, engine.Options{RecvTimeout: timeout}, func(p *engine.Proc) {
+			for i := 0; i < waits; i++ {
+				if p.Rank() == 0 {
+					time.Sleep(timeout * 6 / 10)
+					p.Send(1, msg(i, 0, "x"))
+				} else {
+					p.Recv(0)
+				}
+			}
+			for i := 0; i < waits; i++ {
+				if p.Rank() == 0 {
+					time.Sleep(timeout * 6 / 10)
+				}
+				p.Barrier()
+			}
+		})
+		if err != nil {
+			h.Fatalf("waits under the deadline failed: %v", err)
 		}
 	}},
 
 	{"barrier stall names absentees", func(h *harness) {
-		_, err := h.run(4, engine.Options{RecvTimeout: 100 * time.Millisecond}, func(p *engine.Proc) {
-			if p.Rank() == 1 || p.Rank() == 2 {
-				return // never enter the barrier
-			}
-			p.Barrier()
-		})
-		// Whichever waiter wakes first reports; the other unwinds.
-		h.failed(err, ": barrier: blocked 100ms (deadline exceeded) waiting for ranks [1 2]")
+		for _, absent := range [][]int{{1, 2}, {1}} {
+			_, err := h.run(4, engine.Options{RecvTimeout: 100 * time.Millisecond}, func(p *engine.Proc) {
+				if slices.Contains(absent, p.Rank()) {
+					return // never enter the barrier
+				}
+				p.Barrier()
+			})
+			// Every waiter reports the stall; the lowest rank's is returned.
+			h.failed(err, fmt.Sprintf(": barrier: blocked 100ms (deadline exceeded) waiting for ranks %v", absent))
+		}
 	}},
 
 	{"run timeout", func(h *harness) {
@@ -379,6 +436,40 @@ var scenarios = []struct {
 			}
 		})
 		h.failed(err, "rank 1: recv from 0: run canceled: context canceled")
+	}},
+
+	// A context cancelled before Run starts aborts the run: ranks blocked
+	// with no receive deadline unwind. RunTimeout is only a backstop.
+	{"context cancelled before run", func(h *harness) {
+		for i := 0; i < 5 && !h.Failed(); i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			// A fresh machine each time: on sockets the abort breaks the
+			// mesh, and a rebuild under a cancelled context fails first.
+			_, err := h.run(2, engine.Options{Context: ctx, RunTimeout: 5 * time.Second}, func(pr *engine.Proc) {
+				pr.Recv(1 - pr.Rank()) // mutual hang: nobody ever sends
+			})
+			h.failed(err, "run canceled: context canceled")
+		}
+	}},
+
+	// A deadline or a cancellation of a run that has finished never fires:
+	// on sockets it would close the mesh.
+	{"finished run's deadline stays quiet", func(h *harness) {
+		const p = 2
+		m := h.machine(p)
+		ctx, cancel := context.WithCancel(context.Background())
+		if _, err := m.Run(engine.Options{Context: ctx, RunTimeout: 20 * time.Millisecond}, ringRound(h, p, 0)); err != nil {
+			h.Fatal(err)
+		}
+		cancel()
+		time.Sleep(60 * time.Millisecond) // past the finished run's deadline
+		if _, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, ringRound(h, p, 1)); err != nil {
+			h.Fatal(err)
+		}
+		if rc, ok := m.(interface{ Reconnects() int }); ok && rc.Reconnects() != 0 {
+			h.Errorf("a finished run's deadline tore the mesh down (%d reconnects)", rc.Reconnects())
+		}
 	}},
 
 	// Deadlines must not fire on a run with steady traffic.
@@ -455,6 +546,26 @@ var scenarios = []struct {
 		for r := 0; r < 3; r++ {
 			if _, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, ringRound(h, p, r)); err != nil {
 				h.Fatalf("post-abort run %d failed: %v", r, err)
+			}
+		}
+	}},
+
+	// runtime.Goexit (what t.FailNow calls) takes the rank's goroutine
+	// with it: Run still returns, the machine still runs, and Close still
+	// leaves the goroutine count at its baseline (checked by the runner).
+	{"rank exits via Goexit", func(h *harness) {
+		const p = 3
+		m := h.machine(p)
+		if _, err := m.Run(engine.Options{}, func(pr *engine.Proc) {
+			if pr.Rank() == 1 {
+				runtime.Goexit()
+			}
+		}); err != nil {
+			h.Fatal(err)
+		}
+		for r := 0; r < 2; r++ {
+			if _, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, ringRound(h, p, r)); err != nil {
+				h.Fatalf("run %d after a Goexit: %v", r, err)
 			}
 		}
 	}},
@@ -536,6 +647,48 @@ func TestConformance(t *testing.T) {
 					}()
 					sc.run(h)
 				})
+			}
+		})
+	}
+}
+
+// TestRecvDeadlineAllocatesNothing: on both transports, a ping-pong run
+// whose receives block allocates no more with RecvTimeout set than
+// without — the deadline is the watchdog's work, not the wait's.
+func TestRecvDeadlineAllocatesNothing(t *testing.T) {
+	ping, pong := msg(1, 0, "ping"), msg(2, 1, "pong")
+	pingPong := func(pr *engine.Proc) {
+		for i := 0; i < 20; i++ {
+			if pr.Rank() == 0 {
+				pr.Send(1, ping)
+				pr.Recv(1)
+			} else {
+				pr.Recv(0)
+				pr.Send(0, pong)
+			}
+		}
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			m, err := e.open(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			without, with := math.Inf(1), math.Inf(1)
+			count := func(timeout time.Duration) float64 {
+				return testing.AllocsPerRun(50, func() {
+					if _, err := m.Run(engine.Options{RecvTimeout: timeout}, pingPong); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			for range 5 { // alternating, the least of each
+				without, with = min(without, count(0)), min(with, count(time.Minute))
+			}
+			t.Logf("%.0f allocations per run without a receive deadline, %.0f with", without, with)
+			if with > without*(1+deadlineAllocSlack) {
+				t.Errorf("a receive deadline costs %.0f allocations per run", with-without)
 			}
 		})
 	}

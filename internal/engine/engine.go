@@ -6,8 +6,22 @@
 // is where that interface — comm.Comm's Send, Recv and Barrier, their
 // bounds checks, counters and traced events — is implemented once, along
 // with everything a run needs around it: mailboxes wiped and rearmed per
-// run, the context/RunTimeout watchdog, one goroutine per local rank,
-// failure classification and the abort that unwinds every blocked rank.
+// run, deadlines, failure classification and the abort that unwinds
+// every blocked rank.
+//
+// # Goroutines
+//
+// A machine starts its goroutines once, in New, and Close joins them:
+// one per local rank, which Run hands each run to (no goroutine is
+// started per run), and one watchdog, which enforces every deadline of
+// the run in flight. The watchdog owns the only timers: one for
+// Options.RunTimeout, and, when Options.RecvTimeout is set, a tick every
+// RecvTimeout/comm.DeadlineTicks at which it looks at every blocked
+// receive and barrier. A wait seen blocked at a tick and still blocked,
+// the same wait, comm.DeadlineTicks ticks later expires, so the blocking
+// Recv and Barrier paths read no clock and touch no timer. A rank body
+// that leaves through runtime.Goexit takes its goroutine with it; Run
+// starts a replacement before it returns.
 //
 // # Failure semantics
 //
@@ -17,9 +31,10 @@
 //
 //   - A rank panics: the run aborts, every rank blocked in Recv or Barrier
 //     unwinds, and Run reports the panicking rank as the root cause.
-//   - A Recv or Barrier wait exceeds Options.RecvTimeout: the stalled rank
-//     aborts the run, naming itself and the awaited peer (for a barrier,
-//     the ranks that never arrived).
+//   - A Recv or Barrier wait stays blocked for Options.RecvTimeout T (it
+//     expires within [T, 1.25 T), give or take the scheduler): the
+//     stalled rank aborts the run, naming itself and the awaited peer
+//     (for a barrier, the ranks that never arrived).
 //   - Options.Context is canceled or Options.RunTimeout elapses: the run
 //     aborts with that cause.
 //   - The transport reports a broken link (Run.Fail): the rank that lost
@@ -54,9 +69,11 @@ type Options struct {
 	// RunTimeout, when positive, bounds the algorithm phase.
 	RunTimeout time.Duration
 	// RecvTimeout, when positive, bounds any single blocking Recv or
-	// Barrier wait; exceeding it aborts the run with an error naming the
-	// blocked rank and the peer it waited on — this is what turns a hung
-	// or dead peer into a diagnosable failure.
+	// Barrier wait: a wait blocked for RecvTimeout T expires within
+	// [T, 1.25 T) and aborts the run with an error naming the blocked rank
+	// and the peer it waited on — this is what turns a hung or dead peer
+	// into a diagnosable failure. The machine's watchdog enforces it with
+	// a tick every T/4; the wait itself reads no clock.
 	RecvTimeout time.Duration
 	// Tracer, when non-nil, receives an obs.Event for every send, recv,
 	// wait (a receive that had to block) and barrier, stamped with
@@ -148,24 +165,47 @@ type Machine struct {
 	// cur is the run in flight, nil between runs: deliveries and aborts
 	// quote the run they belong to and are dropped once it is not cur.
 	cur atomic.Pointer[Run]
+
+	// goroutines counts the rank goroutines and the watchdog, which live
+	// until Close. running counts the local ranks still executing the run
+	// in flight; the last one to finish signals finished.
+	goroutines sync.WaitGroup
+	running    atomic.Int32
+	finished   chan struct{}
+
+	// The watchdog's handoff (watchdog.go), under wmu: watched is the run
+	// in flight when it has a deadline or a context, started counts the
+	// runs handed over, period is the tick period (0 while the ticks are
+	// parked). wake tells the watchdog a run needs it; Close closes it.
+	wmu     sync.Mutex
+	watched *Run
+	started uint64
+	period  time.Duration
+	wake    chan struct{}
 }
 
 // New builds the local ranks [lo,hi) of a size-rank machine over tr.
 // leaders lists the lowest rank of every process sharing the mesh (lo
 // among them); {lo} when there is only this one. name prefixes errors.
+// It starts the machine's goroutines, one per local rank and the
+// watchdog; the caller must Close the machine to end them.
 func New(name string, size, lo, hi int, leaders []int, tr Transport) *Machine {
 	m := &Machine{
 		name: name, size: size, lo: lo, hi: hi, leaders: leaders, tr: tr,
 		procs: make([]*Proc, size), bar: comm.NewRendezvous(lo, hi),
+		finished: make(chan struct{}, 1), wake: make(chan struct{}, 1),
 	}
 	if len(leaders) > 1 {
 		m.cross = m.crossBarrier
 	}
+	m.goroutines.Add(hi - lo + 1)
 	for i := lo; i < hi; i++ {
 		in := &inbox{cur: &m.cur, boxes: make([]comm.Queue, size)}
 		in.cond = sync.NewCond(&in.mu)
-		m.procs[i] = &Proc{rank: i, m: m, in: in}
+		m.procs[i] = &Proc{rank: i, m: m, in: in, runs: make(chan *Run, 1)}
+		go m.serve(m.procs[i])
 	}
+	go m.watchdog()
 	return m
 }
 
@@ -175,8 +215,8 @@ func (m *Machine) Size() int { return m.size }
 // Current returns the run in flight, nil between runs.
 func (m *Machine) Current() *Run { return m.cur.Load() }
 
-// Close marks the machine closed and closes the transport. It is
-// idempotent; a run must not be in flight.
+// Close marks the machine closed, joins its goroutines and closes the
+// transport. It is idempotent; a run must not be in flight.
 func (m *Machine) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -184,6 +224,11 @@ func (m *Machine) Close() error {
 		return nil
 	}
 	m.closed = true
+	for _, pr := range m.procs[m.lo:m.hi] {
+		close(pr.runs)
+	}
+	close(m.wake)
+	m.goroutines.Wait()
 	return m.tr.Close()
 }
 
@@ -192,19 +237,17 @@ func (m *Machine) Close() error {
 // Machine.Current.
 type Run struct {
 	m           *Machine
+	fn          func(*Proc) // the rank body, dropped when the run ends
 	tr          obs.Tracer
 	ctx         context.Context
+	runTimeout  time.Duration
 	recvTimeout time.Duration
 	start       time.Time // zero point of traced Wall stamps
 	// arming is the run's handle on the barrier (comm.Rendezvous.Arm): an
 	// abort quotes it, so one that outlives the run cannot poison the next.
 	arming  uint64
 	aborted atomic.Bool
-
-	// The watchdog (see watch): over retires it, watcher joins it.
-	over    chan struct{}
-	timer   *time.Timer
-	watcher sync.WaitGroup
+	seq     uint64 // the watchdog's name for the run (Machine.started)
 }
 
 // wall returns nanoseconds since the run started, 0 on untraced runs so
@@ -287,56 +330,19 @@ func (r *Run) sendErr(dst int, err error) error {
 	return err
 }
 
-// watch starts the run's external abort sources: context cancellation
-// and the whole-run deadline. unwatch retires them once the run is over.
-func (r *Run) watch(timeout time.Duration) {
-	var ctxDone <-chan struct{}
-	if r.ctx != nil {
-		ctxDone = r.ctx.Done()
-	}
-	if ctxDone == nil && timeout <= 0 {
-		return
-	}
-	var timeoutC <-chan time.Time
-	if timeout > 0 {
-		r.timer = time.NewTimer(timeout)
-		timeoutC = r.timer.C
-	}
-	r.over = make(chan struct{})
-	r.watcher.Add(1)
-	go func() {
-		defer r.watcher.Done()
-		select {
-		case <-ctxDone:
-			r.abort(&abortError{cause: fmt.Errorf("run canceled: %w", r.ctx.Err()), external: true})
-		case <-timeoutC:
-			r.abort(&abortError{cause: fmt.Errorf("run exceeded %v deadline", timeout), external: true})
-		case <-r.over:
-		}
-	}()
-}
-
-func (r *Run) unwatch() {
-	if r.over == nil {
-		return
-	}
-	close(r.over)
-	r.watcher.Wait()
-	if r.timer != nil {
-		r.timer.Stop()
-	}
-}
-
-// Run executes fn on every local rank, one goroutine each, over the warm
-// machine. A failure on any rank aborts the run and is returned as an
-// error; the machine remains usable.
+// Run executes fn on every local rank, each on the rank's goroutine,
+// over the warm machine. A failure on any rank aborts the run and is
+// returned as an error; the machine remains usable.
 func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, fmt.Errorf("%s: Run on closed machine", m.name)
 	}
-	r := &Run{m: m, tr: opts.Tracer, ctx: opts.Context, recvTimeout: opts.RecvTimeout, arming: m.bar.Arm()}
+	r := &Run{
+		m: m, fn: fn, tr: opts.Tracer, ctx: opts.Context,
+		runTimeout: opts.RunTimeout, recvTimeout: opts.RecvTimeout, arming: m.bar.Arm(),
+	}
 	local := m.procs[m.lo:m.hi]
 	for _, pr := range local {
 		pr.begin(r)
@@ -345,54 +351,96 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	// Mailboxes are wiped and stamped for r; only now are deliveries
 	// quoting it accepted.
 	m.cur.Store(r)
-	r.watch(opts.RunTimeout)
+	// The ranks count as running before the watchdog sees r, so a context
+	// already cancelled or a deadline firing before they are handed r
+	// still aborts it: mailboxes and barrier are armed for r.
+	m.running.Store(int32(len(local)))
+	watched := m.watch(r)
 	m.tr.Begin()
 
-	// roots collects the ranks that failed by themselves (panics, deadline
-	// overruns, broken links, cancellation), unwinds those that merely
-	// stopped because the run was aborted.
-	failed := make([]error, 2*len(local))
-	roots, unwinds := failed[:len(local)], failed[len(local):]
-	var wg sync.WaitGroup
 	began := time.Now()
-	for i, pr := range local {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				x := recover()
-				if x == nil {
-					return
-				}
-				err, ok := x.(error)
-				if !ok {
-					err = fmt.Errorf("%v", x)
-				}
-				var ab *abortError
-				if errors.As(err, &ab) && !ab.external {
-					unwinds[i] = fmt.Errorf("%s: rank %d unwound: %w", m.name, pr.rank, err)
-					return
-				}
-				roots[i] = fmt.Errorf("%s: rank %d: %w", m.name, pr.rank, err)
-				// Fail fast: blocked peers unwind instead of hanging on
-				// a dead rank.
-				r.abort(&abortError{cause: fmt.Errorf("machine aborted by rank %d", pr.rank)})
-			}()
-			fn(pr)
-		}()
+	for _, pr := range local {
+		pr.runs <- r
 	}
-	wg.Wait()
+	<-m.finished
 	res := &Result{Elapsed: time.Since(began), Procs: make([]ProcStats, len(local))}
-	// The run is over: whatever is still in flight for it is dropped.
+	// The run is over: whatever is still in flight for it is dropped, and
+	// no deadline of it can fire any more.
 	m.cur.Store(nil)
-	r.unwatch()
+	if watched {
+		m.unwatch()
+	}
+	r.fn = nil
 	for i, pr := range local {
 		res.Procs[i] = pr.stats
 	}
-	for _, err := range failed {
-		if err != nil {
-			return nil, err
+	// Roots (ranks that failed by themselves: panics, deadline overruns,
+	// broken links, cancellation) before unwinds (ranks that merely
+	// stopped because the run was aborted).
+	for _, pr := range local {
+		if pr.root != nil {
+			return nil, pr.root
+		}
+	}
+	for _, pr := range local {
+		if pr.unwind != nil {
+			return nil, pr.unwind
 		}
 	}
 	return res, nil
+}
+
+// serve is rank pr's goroutine: it executes every run handed to it until
+// Close.
+func (m *Machine) serve(pr *Proc) {
+	var cur *Run
+	defer func() {
+		if cur != nil {
+			// The rank body left through runtime.Goexit, which takes
+			// this goroutine with it: a replacement serves the rank
+			// from here on, in place before the run is reported over.
+			m.goroutines.Add(1)
+			go m.serve(pr)
+			m.finish()
+		}
+		m.goroutines.Done()
+	}()
+	for r := range pr.runs {
+		cur = r
+		r.exec(pr)
+		cur = nil
+		m.finish()
+	}
+}
+
+// finish reports one local rank done with the run in flight.
+func (m *Machine) finish() {
+	if m.running.Add(-1) == 0 {
+		m.finished <- struct{}{}
+	}
+}
+
+// exec runs r's rank body on pr and classifies a panic: an unwind when it
+// is the run's abort reaching a blocked rank, a root cause otherwise —
+// and then the rank aborts the run, so blocked peers unwind instead of
+// hanging on a dead rank.
+func (r *Run) exec(pr *Proc) {
+	defer func() {
+		x := recover()
+		if x == nil {
+			return
+		}
+		err, ok := x.(error)
+		if !ok {
+			err = fmt.Errorf("%v", x)
+		}
+		var ab *abortError
+		if errors.As(err, &ab) && !ab.external {
+			pr.unwind = fmt.Errorf("%s: rank %d unwound: %w", r.m.name, pr.rank, err)
+			return
+		}
+		pr.root = fmt.Errorf("%s: rank %d: %w", r.m.name, pr.rank, err)
+		r.abort(&abortError{cause: fmt.Errorf("machine aborted by rank %d", pr.rank)})
+	}()
+	r.fn(pr)
 }

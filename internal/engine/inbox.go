@@ -24,10 +24,14 @@ type inbox struct {
 	boxes  []comm.Queue
 	tokens []int // by source; allocated at the first token
 	dead   error
-	// waker wakes the owning rank's blocked wait at its deadline. Only
-	// that rank waits here, so one reusable timer serves every wait — and
-	// a receive whose message is already queued never touches it.
-	waker comm.DeadlineWaker
+	// The blocked wait, if any — one at a time: the owning rank's
+	// receive, or a leader's token wait run by its machine's last barrier
+	// arriver while the leader is parked. ticks counts the watchdog ticks
+	// that saw it (tick); expired is set once it has outlasted the
+	// deadline. A receive whose message is already queued touches none
+	// of them.
+	waiting, expired bool
+	ticks            int
 	// arrivals mirrors boxes with FIFOs of arrival wall stamps (ns since
 	// run start). Allocated only when the run is traced.
 	arrivals []tsQueue
@@ -110,27 +114,39 @@ func (ib *inbox) pending(src int, token bool) bool {
 }
 
 // waitLocked blocks (mu held) until src has something pending, the inbox
-// is poisoned, or the timeout elapses.
+// is poisoned, or the watchdog expires the wait (timeout names the
+// deadline in the error).
 func (ib *inbox) waitLocked(timeout time.Duration, src int, token bool) error {
 	if ib.pending(src, token) {
 		return nil
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		ib.waker.Arm(ib.cond, timeout)
-		defer ib.waker.Stop()
-	}
-	for !ib.pending(src, token) {
-		if ib.dead != nil {
-			return ib.dead
+	ib.waiting, ib.expired, ib.ticks = true, false, 0
+	var err error
+	for err == nil && !ib.pending(src, token) {
+		switch {
+		case ib.dead != nil:
+			err = ib.dead
+		case ib.expired:
+			err = fmt.Errorf("blocked %v (receive deadline exceeded)", timeout)
+		default:
+			ib.cond.Wait()
 		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			return fmt.Errorf("blocked %v (receive deadline exceeded)", timeout)
-		}
-		ib.cond.Wait()
 	}
-	return nil
+	ib.waiting = false
+	return err
+}
+
+// tick is the watchdog's look at the inbox: a wait that was blocked at
+// DeadlineTicks earlier ticks and still is expires.
+func (ib *inbox) tick() {
+	ib.mu.Lock()
+	if ib.waiting && !ib.expired {
+		if ib.ticks++; ib.ticks > comm.DeadlineTicks {
+			ib.expired = true
+			ib.cond.Broadcast()
+		}
+	}
+	ib.mu.Unlock()
 }
 
 // pop dequeues the next message from src, returning its arrival stamp

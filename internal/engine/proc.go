@@ -17,12 +17,18 @@ type Proc struct {
 	m    *Machine
 	in   *inbox
 
-	// Per-run fields, reset by begin under the machine lock (rank
-	// goroutines only live inside Run, so no further synchronization).
-	run   *Run
-	iter  int
-	phase string
-	stats ProcStats
+	// runs hands the rank's goroutine each run (Machine.serve).
+	runs chan *Run
+
+	// Per-run fields, reset by begin under the machine lock before the
+	// run is handed to the rank's goroutine, and read by Run after the
+	// goroutine reported the run finished. root and unwind are how the
+	// rank failed, if it did.
+	run          *Run
+	iter         int
+	phase        string
+	stats        ProcStats
+	root, unwind error
 }
 
 var _ comm.Comm = (*Proc)(nil)
@@ -36,6 +42,7 @@ func (p *Proc) begin(r *Run) {
 	p.run = r
 	p.iter, p.phase = -1, ""
 	p.stats = ProcStats{Rank: p.rank}
+	p.root, p.unwind = nil, nil
 }
 
 // BeginIter implements comm.IterMarker: traced events carry the iteration.
@@ -130,7 +137,7 @@ func (p *Proc) Barrier() {
 	if r.tr != nil {
 		t0 = time.Now()
 	}
-	if err := p.m.bar.Wait(p.rank, r.recvTimeout, p.m.cross); err != nil {
+	if err := p.m.bar.Wait(p.rank, p.m.cross); err != nil {
 		panic(fmt.Errorf("barrier: %w", err))
 	}
 	if r.tr != nil {

@@ -44,8 +44,9 @@ func (memory) Begin()       {}
 func (memory) Abort()       {}
 func (memory) Close() error { return nil }
 
-// NewMachine builds the mailboxes and barrier for p processors. The
-// caller owns the machine and should Close it when done.
+// NewMachine builds the mailboxes and barrier for p processors and
+// starts the machine's goroutines (one per processor and the deadline
+// watchdog). The caller owns the machine and must Close it when done.
 func NewMachine(p int) (*Machine, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("live: non-positive processor count %d", p)

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -210,91 +209,4 @@ func TestAbortUnwindsRecvAndBarrierBlockedPeers(t *testing.T) {
 		t.Fatalf("root cause misattributed: %v", err)
 	}
 	waitGoroutinesSettle(t, baseline)
-}
-
-func TestRecvDeadlineNamesRankAndPeer(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	start := time.Now()
-	_, err := runOpts(4, Options{RecvTimeout: 100 * time.Millisecond}, func(p *Proc) {
-		if p.Rank() == 1 {
-			p.Recv(3) // rank 3 never sends: a dead-peer hang
-		}
-	})
-	if err == nil {
-		t.Fatal("hang not converted to an error")
-	}
-	for _, want := range []string{"rank 1", "recv from 3", "deadline"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("deadline error %q missing %q", err, want)
-		}
-	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("deadline abort took %v", d)
-	}
-	waitGoroutinesSettle(t, baseline)
-}
-
-func TestBarrierStallDeadline(t *testing.T) {
-	_, err := runOpts(3, Options{RecvTimeout: 100 * time.Millisecond}, func(p *Proc) {
-		if p.Rank() == 2 {
-			return // never enters the barrier
-		}
-		p.Barrier()
-	})
-	if err == nil {
-		t.Fatal("barrier stall not converted to an error")
-	}
-	if !strings.Contains(err.Error(), "barrier") || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("barrier stall error: %v", err)
-	}
-}
-
-func TestRunTimeoutAborts(t *testing.T) {
-	start := time.Now()
-	_, err := runOpts(2, Options{RunTimeout: 100 * time.Millisecond}, func(p *Proc) {
-		p.Recv(1 - p.Rank()) // mutual hang: nobody ever sends
-	})
-	if err == nil {
-		t.Fatal("run deadline not enforced")
-	}
-	if !strings.Contains(err.Error(), "run exceeded") {
-		t.Fatalf("run-deadline error: %v", err)
-	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("run-deadline abort took %v", d)
-	}
-}
-
-func TestContextCancelAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := runOpts(2, Options{Context: ctx}, func(p *Proc) {
-		p.Recv(1 - p.Rank())
-	})
-	if err == nil {
-		t.Fatal("cancellation not enforced")
-	}
-	if !strings.Contains(err.Error(), "canceled") {
-		t.Fatalf("cancel error: %v", err)
-	}
-}
-
-// TestDeadlineDoesNotFireOnHealthyRun guards against false positives:
-// a run with steady traffic under a short RecvTimeout must succeed.
-func TestDeadlineDoesNotFireOnHealthyRun(t *testing.T) {
-	const rounds = 20
-	_, err := runOpts(4, Options{RecvTimeout: time.Second, RunTimeout: 30 * time.Second}, func(p *Proc) {
-		next, prev := (p.Rank()+1)%4, (p.Rank()+3)%4
-		for i := 0; i < rounds; i++ {
-			p.Send(next, comm.Message{Tag: i, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(i)}}}})
-			p.Recv(prev)
-			p.Barrier()
-		}
-	})
-	if err != nil {
-		t.Fatalf("healthy run failed under deadlines: %v", err)
-	}
 }

@@ -34,6 +34,9 @@ func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The hooked core replaces the one newMachine built, whose goroutines
+	// end with it; both close the same transport, which is idempotent.
+	defer m.core.Close()
 	begins := 0
 	m.core = engine.New("tcp", 2, 0, 2, []int{0}, beginHook{transport{m}, func() {
 		if begins++; begins != 2 {

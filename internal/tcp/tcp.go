@@ -387,7 +387,6 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	if host == "" {
 		host = "127.0.0.1"
 	}
-	m.core = engine.New("tcp", p, lo, hi, leaders, transport{m})
 	m.connCond = sync.NewCond(&m.connMu)
 	// A partial machine only dials and waits for the pairs that touch
 	// its own rank range; the rest belong to other workers.
@@ -405,6 +404,7 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 		m.listeners[i] = ln
 		m.ends[i] = &endpoint{conns: make([]net.Conn, p), wmu: make([]sync.Mutex, p)}
 	}
+	m.core = engine.New("tcp", p, lo, hi, leaders, transport{m})
 	// Persistent acceptors: every local rank keeps accepting for the
 	// machine's lifetime, so planned setup, reconnects and Prepare's
 	// dials all land on the same registration path. They exit when the

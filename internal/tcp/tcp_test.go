@@ -275,23 +275,6 @@ func TestReservedTagRejected(t *testing.T) {
 	}
 }
 
-func TestTCPBarrierDeadline(t *testing.T) {
-	_, err := runOpts(3, Options{RecvTimeout: 200 * time.Millisecond}, func(p *Proc) {
-		if p.Rank() == 1 {
-			return // never enters the barrier
-		}
-		p.Barrier()
-	})
-	if err == nil {
-		t.Fatal("barrier stall not converted to an error")
-	}
-	// One of the waiters reports; the absentee is named.
-	if !strings.Contains(err.Error(), ": barrier: blocked") || !strings.Contains(err.Error(), "deadline") ||
-		!strings.Contains(err.Error(), "waiting for ranks [1]") {
-		t.Fatalf("barrier stall error: %v", err)
-	}
-}
-
 // TestDialRetryAbsorbsTransientFailures injects dial failures on the
 // first two attempts per address; the retry loop must absorb them and
 // the run must complete correctly.

@@ -477,10 +477,11 @@ const (
 type RunOptions struct {
 	// Context, when non-nil, cancels the run.
 	Context context.Context
-	// RunTimeout bounds the whole run; RecvTimeout bounds any single
-	// blocking receive or barrier wait. Either converts a hung or dead
-	// rank into a returned error naming the blocked rank and peer.
-	// Ignored by EngineSim (the simulator cannot hang).
+	// RunTimeout bounds the whole run; RecvTimeout T bounds any single
+	// blocking receive or barrier wait, which expires within [T, 1.25 T).
+	// Either converts a hung or dead rank into a returned error naming
+	// the blocked rank and peer. Ignored by EngineSim (the simulator
+	// cannot hang).
 	RunTimeout  time.Duration
 	RecvTimeout time.Duration
 	// Algorithm, when non-nil, overrides Config.Algorithm with an
