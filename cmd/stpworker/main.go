@@ -1,7 +1,8 @@
 // Command stpworker runs a multi-process broadcast cluster on the TCP
 // engine: one coordinator process and N worker processes, each owning a
-// contiguous rank range of the mesh; intra-worker pairs stay in-process
-// and inter-worker pairs cross the wire. -sparse prefetches the
+// contiguous rank range of the mesh; a worker's own ranks exchange
+// through memory, and only pairs that cross workers get a socket (one
+// per pair). -sparse prefetches the
 // algorithm's route plan at start-up; without it the workers dial only
 // the links between their leader ranks at start-up, and each run's
 // pairs are dialed before it starts.
@@ -144,7 +145,7 @@ func run(workers int, adopt bool, listen, host string, rows, cols int, algName, 
 	if sparse {
 		mesh = fmt.Sprintf("sparse (%d planned links)", len(links))
 	}
-	fmt.Printf("mesh %s: %d planned pairs (wire pairs count at both endpoints), %d conns opened, %d lazy dials, %d coordinator resets\n",
+	fmt.Printf("mesh %s: %d planned pairs (each crosses workers and counts at both endpoints; a worker's own ranks exchange through memory), %d conns opened, %d lazy dials, %d coordinator resets\n",
 		mesh, res.PlannedPairs, res.ConnsOpened, res.LazyDials, c.Resets())
 	if failOnLazy && res.LazyDials != 0 {
 		return fmt.Errorf("stpworker: %d pairs were dialed before a run because the route plan lacked them (want 0 lazy dials)", res.LazyDials)

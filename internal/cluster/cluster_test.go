@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -170,9 +171,10 @@ func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
 }
 
 // TestClusterPreDialsUnplannedPairs: three uneven workers planned with
-// Br_Lin's routes run PersAlltoAll, whose schedule uses pairs that plan
-// lacks. Each worker dials its share of them before the run — each pair
-// once, by the worker of its higher rank — and the run succeeds, which
+// Br_Lin's routes run PersAlltoAll, whose schedule uses cross-worker
+// pairs that plan lacks. Each worker dials its share of them before the
+// run — each pair once, by the worker of its higher rank; pairs inside a
+// worker exchange through memory — and the run succeeds, which
 // means every worker's bundle check passed. A second run dials nothing
 // more, and nothing needs a reset.
 func TestClusterPreDialsUnplannedPairs(t *testing.T) {
@@ -191,9 +193,11 @@ func TestClusterPreDialsUnplannedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Only pairs that cross workers get a socket; a worker's own pairs
+	// exchange through memory and are never dialed.
 	planned := pairSet(append(routes, engine.LeaderLinks(c.leaders)...))
 	want := 0
-	for pr := range pairSet(used) {
+	for pr := range wirePairs(c, used) {
 		if !planned[pr] {
 			want++
 		}
@@ -208,7 +212,7 @@ func TestClusterPreDialsUnplannedPairs(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if res.LazyDials != want {
-			t.Fatalf("run %d: %d lazy dials, want %d (the pairs PersAlltoAll uses that the plan lacks)", i, res.LazyDials, want)
+			t.Fatalf("run %d: %d lazy dials, want %d (the cross-worker pairs PersAlltoAll uses that the plan lacks)", i, res.LazyDials, want)
 		}
 		if i == 0 {
 			opened = res.ConnsOpened
@@ -224,15 +228,15 @@ func TestClusterPreDialsUnplannedPairs(t *testing.T) {
 // TestClusterNilLinksDialsProgramPairs: a cluster started without a link
 // plan dials only the links between its workers' leader ranks, which
 // every worker machine plans for the barrier. The first run dials the
-// pairs its program uses beyond those — each once, by the worker of its
-// higher rank — and a second run dials nothing.
+// cross-worker pairs its program uses beyond those — each once, by the
+// worker of its higher rank — and a second run dials nothing.
 func TestClusterNilLinksDialsProgramPairs(t *testing.T) {
 	const rows, cols, s, msgLen = 4, 4, 4, 256
 	routes, sources := testRoutes(t, rows, cols, s, msgLen)
 	c := adoptCluster(t, Spec{P: rows * cols}, 3)
 	leaderPairs := pairSet(engine.LeaderLinks(c.leaders))
 	want := 0
-	for pr := range pairSet(routes) {
+	for pr := range wirePairs(c, routes) {
 		if !leaderPairs[pr] {
 			want++
 		}
@@ -252,7 +256,7 @@ func TestClusterNilLinksDialsProgramPairs(t *testing.T) {
 			t.Fatalf("run %d: %d planned pairs, want %d (the leader pairs, once per endpoint's worker)", i, res.PlannedPairs, 2*len(leaderPairs))
 		}
 		if res.LazyDials != want {
-			t.Fatalf("run %d: %d lazy dials, want %d (the pairs Br_Lin uses beyond the leader links)", i, res.LazyDials, want)
+			t.Fatalf("run %d: %d lazy dials, want %d (the cross-worker pairs Br_Lin uses beyond the leader links)", i, res.LazyDials, want)
 		}
 		if i == 0 {
 			opened = res.ConnsOpened
@@ -288,6 +292,23 @@ func pairSet(links [][2]int) map[[2]int]bool {
 		set[[2]int{min(l[0], l[1]), max(l[0], l[1])}] = true
 	}
 	return set
+}
+
+// wirePairs is pairSet restricted to the pairs whose ranks lie in
+// different workers' ranges: the only pairs a cluster dials.
+func wirePairs(c *Coordinator, links [][2]int) map[[2]int]bool {
+	set := pairSet(links)
+	for pr := range set {
+		if workerOf(c, pr[0]) == workerOf(c, pr[1]) {
+			delete(set, pr)
+		}
+	}
+	return set
+}
+
+// workerOf is the index of the worker whose range holds rank r.
+func workerOf(c *Coordinator, r int) int {
+	return slices.IndexFunc(c.Ranges(), func(rg [2]int) bool { return r >= rg[0] && r < rg[1] })
 }
 
 // TestClusterRecoversBrokenMesh drives the coordinator's two-phase

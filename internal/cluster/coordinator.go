@@ -100,24 +100,26 @@ type workerHandle struct {
 type Result struct {
 	Elapsed time.Duration
 	Procs   []tcp.ProcStats
-	// LazyDials sums the workers' lifetime counts of pairs dialed before
-	// a run because the plan lacked them, each pair once (by its higher
-	// rank's worker): zero means the route plan covered every link every
-	// schedule used so far.
+	// LazyDials sums the workers' lifetime counts of cross-worker pairs
+	// dialed before a run because the plan lacked them, each pair once
+	// (by its higher rank's worker): zero means the route plan covered
+	// every cross-worker link every schedule used so far.
 	LazyDials int
 	// ConnsOpened and PlannedPairs sum the workers' per-machine
-	// counters. An inter-worker pair is planned by both endpoints'
-	// machines (so it counts twice in PlannedPairs) but dialed once —
-	// by the higher rank, as within a process — so ConnsOpened counts
-	// each established connection exactly once.
+	// counters. Only pairs that cross workers get a socket — a worker's
+	// own ranks exchange through memory — and each is planned by both
+	// endpoints' machines (so it counts twice in PlannedPairs) but
+	// dialed once, by the higher rank, so ConnsOpened counts each
+	// established connection exactly once.
 	ConnsOpened  int
 	PlannedPairs int
 }
 
 // Start stands the cluster up: listen, spawn (or await) the workers,
 // assign rank ranges and the link plan, collect listener addresses, and
-// drive every worker's mesh connect. On return every planned pair —
-// in-process and wire, leader links included — is established.
+// drive every worker's mesh connect. On return every planned pair that
+// crosses workers, leader links included, is established; a worker's own
+// pairs exchange through memory and need no connection.
 func Start(spec Spec) (*Coordinator, error) {
 	if spec.Workers <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive worker count %d", spec.Workers)

@@ -11,14 +11,14 @@
 // Each worker dials the coordinator's control listener and identifies
 // itself (hello). The coordinator assigns it a rank range and the
 // caller's link plan; the worker binds its ranks' listeners
-// (tcp.NewWorkerMachine, which keeps the plan's pairs touching the range
+// (tcp.NewWorkerMachine, which keeps the plan's pairs crossing the range
 // and adds the links between the workers' leader ranks that the engine's
 // barrier uses) and reports their addresses, and once every worker has
 // reported, the coordinator broadcasts the merged rank→address map and
 // has every worker dial its share of the plan (tcp.ConnectMesh): the
 // higher rank of every pair dials, exactly as in the single-process
-// mesh, so intra-worker pairs stay in-process and inter-worker pairs
-// cross the wire.
+// mesh. Only pairs that cross workers get a socket; a worker's own ranks
+// exchange through memory.
 //
 // # Runs
 //

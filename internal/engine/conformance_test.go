@@ -252,6 +252,19 @@ var scenarios = []struct {
 		}
 	}},
 
+	// The barrier's token tag is the engine's: a message carrying it
+	// fails the run, naming the reserved tag, on every engine.
+	{"reserved tag rejected", func(h *harness) {
+		_, err := h.run(2, engine.Options{}, func(p *engine.Proc) {
+			if p.Rank() == 0 {
+				p.Send(1, comm.Message{Tag: engine.TokenTag})
+			} else {
+				p.Recv(0)
+			}
+		})
+		h.failed(err, "rank 0", "reserved barrier tag")
+	}},
+
 	{"cyclic barrier", func(h *harness) {
 		const p, rounds = 8, 10
 		var counter atomic.Int64

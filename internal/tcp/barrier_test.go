@@ -20,7 +20,8 @@ import (
 // into ranges — a whole cluster's engines inside the test process, wired
 // as the coordinator would wire them: listeners first, then every
 // machine's share of the dial plan against the merged address table.
-// links nil is the full mesh.
+// links nil is the full mesh; either way each machine plans only the
+// pairs crossing its range, as its own ranks exchange through memory.
 func workerMesh(t *testing.T, p int, ranges [][2]int, links [][2]int) []*Machine {
 	t.Helper()
 	leaders := make([]int, len(ranges))

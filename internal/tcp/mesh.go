@@ -88,9 +88,13 @@ func (m *Machine) missing(prog *comm.Program) [][2]int {
 }
 
 // established reports whether every local endpoint of the pair {a,b} is
-// installed (a remote endpoint is the owning worker's business). Callers
-// hold connMu.
+// installed (a remote endpoint is the owning worker's business). A pair
+// that exchanges through memory is always established. Callers hold
+// connMu.
 func (m *Machine) established(a, b int) bool {
+	if m.inMemory(a, b) {
+		return true
+	}
 	return (!m.isLocal(a) || m.ends[a].conns[b] != nil) && (!m.isLocal(b) || m.ends[b].conns[a] != nil)
 }
 

@@ -30,7 +30,7 @@ func (h beginHook) Begin() {
 // be dropped — not pushed into the new run's mailbox — while a frame of
 // the new run arriving in the same window is held and then delivered.
 func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
-	m, err := newMachine(2, 0, 2, []int{0}, Options{})
+	m, err := newMachine(2, 0, 2, []int{0}, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,6 +154,90 @@ func TestSendOverUndialedPairFailsRun(t *testing.T) {
 	}
 }
 
+// TestWorkerPairsExchangeThroughMemory: a worker machine's ranks talk
+// to each other through memory, and only pairs that cross workers get a
+// socket. Rank 0 sends to rank 1 (its own worker's rank) and to rank 2
+// (the other half's leader), clobbering its buffer after each Send. The
+// plan names the inside pair too, yet each half plans — and the mesh
+// dials — only the 0–2 pair; Prepare dials nothing for 0–1; both
+// receivers get the bytes sent. A one-worker cluster follows the same
+// rule: it owns every rank, and plans and dials nothing.
+func TestWorkerPairsExchangeThroughMemory(t *testing.T) {
+	const p = 4
+	for _, tc := range []struct {
+		name    string
+		ranges  [][2]int
+		planned []int // PlannedPairs per worker
+		conns   int   // ConnsOpened over all workers
+	}{
+		{"two workers", [][2]int{{0, 2}, {2, 4}}, []int{1, 1}, 1},
+		{"one worker", [][2]int{{0, p}}, []int{0}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ms := workerMesh(t, p, tc.ranges, [][2]int{{0, 1}, {0, 2}})
+			prog, err := comm.Script{Regs: 1, Rank: func(bd *comm.Builder, r int) {
+				switch r {
+				case 0:
+					bd.Send(1, 0)
+					bd.Send(2, 0)
+				case 1, 2:
+					bd.Recv(0, 0)
+				}
+			}}.Compile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns := func() (n int) {
+				for _, m := range ms {
+					n += m.ConnsOpened()
+				}
+				return n
+			}
+			for w, m := range ms {
+				if got := m.PlannedPairs(); got != tc.planned[w] {
+					t.Errorf("worker %d plans %d pairs, want %d (the pairs crossing workers)", w, got, tc.planned[w])
+				}
+				if err := m.Prepare(context.Background(), prog); err != nil {
+					t.Fatalf("worker %d: Prepare: %v", w, err)
+				}
+				if got := m.LazyDials(); got != 0 {
+					t.Errorf("worker %d: Prepare dialed %d pairs, want 0", w, got)
+				}
+			}
+			if got := conns(); got != tc.conns {
+				t.Errorf("%d conns opened, want %d (the pairs crossing workers)", got, tc.conns)
+			}
+			for run := 1; run <= 2; run++ {
+				_, errs := runWorkers(ms, uint32(run), Options{RecvTimeout: 10 * time.Second}, func(pr *Proc) {
+					switch pr.Rank() {
+					case 0:
+						for _, dst := range []int{1, 2} {
+							buf := []byte("original")
+							pr.Send(dst, comm.Message{Tag: 3, Parts: []comm.Part{{Origin: 0, Data: buf}}})
+							copy(buf, "CLOBBER!")
+						}
+					case 1, 2:
+						m := pr.Recv(0)
+						if m.Tag != 3 || len(m.Parts) != 1 {
+							t.Errorf("run %d rank %d: got tag %d with %d parts, want tag 3 with 1", run, pr.Rank(), m.Tag, len(m.Parts))
+						} else if !bytes.Equal(m.Parts[0].Data, []byte("original")) {
+							t.Errorf("run %d rank %d: got %q, want \"original\": the sender's buffer was aliased", run, pr.Rank(), m.Parts[0].Data)
+						}
+					}
+				})
+				for w, err := range errs {
+					if err != nil {
+						t.Fatalf("run %d worker %d: %v", run, w, err)
+					}
+				}
+			}
+			if got := conns(); got != tc.conns {
+				t.Errorf("the runs dialed: %d conns opened, want %d", got, tc.conns)
+			}
+		})
+	}
+}
+
 // TestPrepareHonorsContextCancel: a pre-run dial into a black hole gives
 // up as soon as Prepare's context is canceled, failing that run only —
 // the machine then rebuilds its mesh and runs a planned program.

@@ -16,9 +16,10 @@
 // (frame.go), the mesh of listeners, dialed connections and reader
 // pumps (mesh.go) — and the machine that owns it (this file). A cluster
 // worker is the same transport with a rank range: NewWorkerMachine owns
-// [lo,hi) of the mesh and dials its share of it, and the core's barrier
+// [lo,hi) of the mesh, its own ranks exchange through memory, and it
+// dials its share of the pairs that cross workers; the core's barrier
 // then adds a token exchange between the workers' leader ranks over
-// these same sockets.
+// those sockets.
 //
 // # Sessions
 //
@@ -67,22 +68,27 @@
 // NewWorkerMachine builds the partial machine one cluster worker
 // process owns: listeners, ranks and reader pumps for a contiguous rank
 // range [lo,hi) only, with Options.ListenHost choosing the bind
-// address. Its planned pairs are the ones touching its range among
-// Options.Links plus the links between the workers' leader ranks, which
-// the barrier's tokens travel; the machine adds those itself. The
-// coordinator (internal/cluster) collects every worker's LocalAddrs,
-// distributes the merged rank→address map, and drives ConnectMesh so
-// each planned pair is dialed by the worker owning its higher rank — the
-// same frame protocol, handshake and registration path as the
-// single-process mesh, now across OS processes. Prepare
-// splits a run's missing pairs the same way: each worker dials those
-// whose higher rank it owns and waits for its endpoints of the rest.
-// Workers run on a common coordinator-assigned Options.Epoch and start
-// unsynchronized:
-// a pump holds a frame of an epoch its machine has not armed yet (and
-// TCP flow control the rest). A broken mesh is rebuilt by the
-// coordinator (ResetMesh then ConnectMesh on every worker), never by one
-// worker on its own, which closes its connections when it refuses a run.
+// address. Two cost classes, as in an MPI library that uses shared
+// memory between ranks on one node: a message between two of the
+// worker's own ranks goes through memory (the core's copying local
+// path, as a self-send does) and never touches a socket, and only pairs
+// with one rank inside the range and one outside get a connection. Its
+// planned pairs are those crossing its range among Options.Links plus
+// the links between the workers' leader ranks, which the barrier's
+// tokens travel; the machine adds those itself. The coordinator
+// (internal/cluster) collects every worker's LocalAddrs, distributes the
+// merged rank→address map, and drives ConnectMesh so each planned pair
+// is dialed by the worker owning its higher rank — the same frame
+// protocol, handshake and registration path as the single-process mesh,
+// now across OS processes. Prepare splits a run's missing cross-worker
+// pairs the same way: each worker dials those whose higher rank it owns
+// and waits for its endpoints of the rest; a pair inside the range is
+// never missing. Workers run on a common coordinator-assigned
+// Options.Epoch and start unsynchronized: a pump holds a frame of an
+// epoch its machine has not armed yet (and TCP flow control the rest).
+// A broken mesh is rebuilt by the coordinator (ResetMesh then
+// ConnectMesh on every worker), never by one worker on its own, which
+// closes its connections when it refuses a run.
 //
 // # Failure semantics
 //
@@ -154,12 +160,15 @@ type Options struct {
 	// dial up front (a setup field, remembered for mesh rebuilds):
 	// NewMachine materializes one shared TCP connection per unordered
 	// peer pair they name, plus the leader links a worker machine's
-	// barrier needs. Self links are ignored; out-of-range ranks are a
-	// setup error. Prepare dials, before a run, the pairs its program
-	// uses that the plan lacked (counted in LazyDials), so Links never
-	// changes what runs, only what is paid for up front. An empty non-nil
-	// slice prefetches nothing (every run's pairs are dialed by its
-	// Prepare); nil dials the full O(p²) mesh.
+	// barrier needs. Self links are ignored, and so are a worker
+	// machine's links between two of its own ranks, which exchange
+	// through memory; out-of-range ranks are a setup error. Prepare
+	// dials, before a run, the pairs its program uses that the plan
+	// lacked (counted in LazyDials), so Links never changes what runs,
+	// only what is paid for up front. An empty non-nil slice prefetches
+	// nothing (every run's pairs are dialed by its Prepare); nil dials
+	// the full O(p²) mesh — on a worker machine, every pair crossing its
+	// range.
 	Links [][2]int
 	// ListenHost is the host the machine's listeners bind to (a setup
 	// field). Empty means loopback-only "127.0.0.1"; cluster workers that
@@ -209,7 +218,11 @@ type Machine struct {
 	// for a single-process machine, a worker's slice for a cluster
 	// partial machine (NewWorkerMachine). listeners and ends are indexed
 	// by rank and nil outside [lo,hi).
-	lo, hi    int
+	lo, hi int
+	// worker marks a cluster worker's machine (NewWorkerMachine, even one
+	// owning every rank): a message between two of its own ranks goes
+	// through memory, and only pairs crossing [lo,hi) get a socket.
+	worker    bool
 	mu        sync.Mutex // serializes Prepare, Run, Close and mesh rebuilds
 	listeners []net.Listener
 	ends      []*endpoint
@@ -274,9 +287,15 @@ type transport struct{ m *Machine }
 
 // Deliver frames msg onto the src–dst pair's socket stamped with the
 // run's epoch: one Write (or vectored WriteTo) through pooled scratch. It
-// never dials: a pair nobody dialed before the run fails the send.
-func (t transport) Deliver(_ *engine.Run, src, dst int, msg comm.Message) error {
+// never dials: a pair nobody dialed before the run fails the send. On a
+// worker machine a message to another local rank takes the core's
+// in-memory path instead, as a self-send does.
+func (t transport) Deliver(r *engine.Run, src, dst int, msg comm.Message) error {
 	m := t.m
+	if m.inMemory(src, dst) {
+		r.Local(src, dst, msg)
+		return nil
+	}
 	m.connMu.RLock()
 	conn := m.ends[src].conns[dst]
 	m.connMu.RUnlock()
@@ -327,7 +346,7 @@ func (t transport) Close() error {
 // are consumed; they are remembered for mesh rebuilds after an abort.
 // The caller owns the machine and must Close it.
 func NewMachine(p int, opts Options) (*Machine, error) {
-	m, err := newMachine(p, 0, p, []int{0}, opts)
+	m, err := newMachine(p, 0, p, []int{0}, false, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -346,8 +365,11 @@ func NewMachine(p int, opts Options) (*Machine, error) {
 // worker's range, ascending (lo among them): Barrier synchronises across
 // processes through those ranks, so the machine adds engine.LeaderLinks
 // to the planned link set (Options.Links, or the full mesh when nil).
-// That set is filtered to the pairs touching [lo,hi); the worker dials
-// exactly those whose higher rank is local.
+// That set is filtered to the pairs crossing [lo,hi) — one rank inside,
+// one outside; the worker dials exactly those whose higher rank is
+// local. A pair inside [lo,hi) exchanges through memory: it is never
+// planned, dialed by Prepare or rebuilt, and the rule holds for a worker
+// owning every rank too.
 func NewWorkerMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	if lo < 0 || hi > p || lo >= hi {
 		return nil, fmt.Errorf("tcp: worker rank range [%d,%d) outside machine of %d ranks", lo, hi, p)
@@ -356,12 +378,12 @@ func NewWorkerMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, err
 	if !sort.IntsAreSorted(leaders) || w == len(leaders) || leaders[w] != lo || leaders[0] < 0 || leaders[len(leaders)-1] >= p {
 		return nil, fmt.Errorf("tcp: worker range [%d,%d) of %d ranks is not led by one of the leader ranks %v", lo, hi, p, leaders)
 	}
-	return newMachine(p, lo, hi, leaders, opts)
+	return newMachine(p, lo, hi, leaders, true, opts)
 }
 
 // newMachine allocates the machine, binds the local ranks' listeners
 // and starts their persistent acceptors; it does not connect.
-func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
+func newMachine(p, lo, hi int, leaders []int, worker bool, opts Options) (*Machine, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("tcp: non-positive processor count %d", p)
 	}
@@ -370,7 +392,7 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		size: p, lo: lo, hi: hi,
+		size: p, lo: lo, hi: hi, worker: worker,
 		listeners: make([]net.Listener, p), ends: make([]*endpoint, p),
 		dial: opts.Dial, dialAttempts: opts.DialAttempts, dialBackoff: opts.DialBackoff,
 	}
@@ -389,9 +411,10 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	}
 	m.connCond = sync.NewCond(&m.connMu)
 	// A partial machine only dials and waits for the pairs that touch
-	// its own rank range; the rest belong to other workers.
+	// its own rank range; the rest belong to other workers. A worker's
+	// pairs inside its range exchange through memory.
 	for _, pr := range pairs {
-		if m.isLocal(pr[0]) || m.isLocal(pr[1]) {
+		if (m.isLocal(pr[0]) || m.isLocal(pr[1])) && !m.inMemory(pr[0], pr[1]) {
 			m.pairs = append(m.pairs, pr)
 		}
 	}
@@ -419,6 +442,10 @@ func newMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 // isLocal reports whether rank r lives in this process.
 func (m *Machine) isLocal(r int) bool { return r >= m.lo && r < m.hi }
 
+// inMemory reports whether the pair {a,b} exchanges through memory: both
+// ranks are a worker machine's own.
+func (m *Machine) inMemory(a, b int) bool { return m.worker && m.isLocal(a) && m.isLocal(b) }
+
 // partial reports whether the machine owns only a slice of the mesh.
 func (m *Machine) partial() bool { return m.lo != 0 || m.hi != m.size }
 
@@ -438,7 +465,9 @@ func (m *Machine) LocalAddrs() map[int]string {
 
 // LazyDials reports how many pairs the machine has dialed before a run
 // because the plan lacked them (Prepare's dials), over its lifetime.
-// Zero means the plan covered every link the schedules used.
+// Zero means the plan covered every link the schedules used; on a
+// worker machine only cross-worker pairs count, as a worker's own pairs
+// exchange through memory and are never dialed.
 func (m *Machine) LazyDials() int { return int(m.lazyDials.Load()) }
 
 // Reconnects reports how many times the mesh has been rebuilt after an
@@ -455,8 +484,10 @@ func (m *Machine) Reconnects() int { return int(m.reconnects.Load()) }
 func (m *Machine) ConnsOpened() int { return int(m.connsOpened.Load()) }
 
 // PlannedPairs reports how many unordered peer pairs the machine dials
-// at setup (and redials on reconnect): the pairs of Options.Links and the
-// leader links touching its range, p(p−1)/2 on a full mesh.
+// at setup (and redials on reconnect): the pairs of Options.Links,
+// p(p−1)/2 on a full mesh. A worker machine counts only the pairs of
+// Options.Links and the leader links that cross its range — its own
+// ranks exchange through memory.
 func (m *Machine) PlannedPairs() int { return len(m.pairs) }
 
 // Close tears the machine down. It is idempotent; a run must not be in
@@ -503,12 +534,13 @@ func (m *Machine) repair(ctx context.Context) error {
 // Prepare dials, before a run, every pair that prog's local ranks send or
 // receive over and the mesh lacks — every pair touching a local rank when
 // prog is nil (an algorithm without a program) — through the setup path,
-// first rebuilding a damaged mesh as Run does. Those dials count in
-// LazyDials and are not part of the plan a reconnect rebuilds. A mesh
-// that already holds every pair the run needs allocates nothing. A dial
-// that fails, or whose ctx ends, fails the run about to start, not the
-// machine: the mesh is marked broken for the next Prepare or Run to
-// rebuild (a cluster worker's coordinator resets it).
+// first rebuilding a damaged mesh as Run does. A worker machine's pairs
+// inside its range exchange through memory and are never missing. Those
+// dials count in LazyDials and are not part of the plan a reconnect
+// rebuilds. A mesh that already holds every pair the run needs allocates
+// nothing. A dial that fails, or whose ctx ends, fails the run about to
+// start, not the machine: the mesh is marked broken for the next Prepare
+// or Run to rebuild (a cluster worker's coordinator resets it).
 func (m *Machine) Prepare(ctx context.Context, prog *comm.Program) error {
 	if prog != nil && prog.P() != m.size {
 		return fmt.Errorf("tcp: program for %d ranks on a machine of %d", prog.P(), m.size)

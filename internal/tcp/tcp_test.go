@@ -14,7 +14,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/topology"
 )
@@ -72,27 +71,6 @@ func TestFrameRejectsCorruptHeader(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("corrupt-frame error %q does not contain %q", err, want)
 		}
-	}
-}
-
-func TestFIFOPerPairOverTCP(t *testing.T) {
-	const n = 100
-	_, err := runOnce(2, func(p *Proc) {
-		if p.Rank() == 0 {
-			for i := 0; i < n; i++ {
-				p.Send(1, comm.Message{Tag: i, Parts: []comm.Part{{Data: []byte{byte(i)}}}})
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if m := p.Recv(0); m.Tag != i {
-					t.Errorf("out of order: got %d want %d", m.Tag, i)
-					return
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -259,19 +237,6 @@ func TestSubBarrierOverTCP(t *testing.T) {
 	_, err := runOnce(4, func(p *Proc) { sc.Run(p, comm.Message{}) })
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReservedTagRejected(t *testing.T) {
-	_, err := runOnce(2, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, comm.Message{Tag: engine.TokenTag})
-		} else {
-			p.Recv(0)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "reserved") {
-		t.Fatalf("reserved tag accepted: %v", err)
 	}
 }
 

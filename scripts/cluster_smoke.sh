@@ -7,9 +7,28 @@
 # leg drives the adopt path: the coordinator waits on a fixed control
 # port for externally started `stpworker -coord` processes. A third leg
 # starts the cluster with no plan: the first run dials its own pairs
-# (a non-zero lazy-dial count) and nothing needs a reset.
+# (a non-zero lazy-dial count) and nothing needs a reset; it runs
+# Br_xy_source, because every cross-worker pair of Br_Lin is a leader
+# pair, which the workers dial at start-up anyway. The spawn and adopt
+# legs also require that every socket crosses workers: a worker's own
+# ranks exchange through memory.
 # Run via `make cluster-smoke`; CI runs the same target.
 set -eu
+
+# wire_only LOG LEG: a pair that crosses workers is planned at both of
+# its endpoints' workers but dialed once, so with no lazy dials the
+# summary shows planned pairs == 2 x conns opened; a pair inside a worker
+# that got a socket would break the equality.
+wire_only() {
+    line="$(grep '^mesh ' "$1")"
+    planned="$(echo "$line" | sed -n 's/.*: \([0-9]*\) planned pairs.*/\1/p')"
+    opened="$(echo "$line" | sed -n 's/.* \([0-9]*\) conns opened.*/\1/p')"
+    if [ -z "$planned" ] || [ -z "$opened" ] || [ "$opened" -eq 0 ] ||
+        [ "$planned" -ne $((2 * opened)) ]; then
+        echo "$2: ${planned:-?} planned pairs, ${opened:-?} conns opened; want planned = 2 x opened > 0 (only cross-worker pairs get a socket)"
+        exit 1
+    fi
+}
 
 workdir="$(mktemp -d)"
 pids=""
@@ -31,6 +50,7 @@ grep -q "across 4 workers" "$workdir/spawn.log" || {
     echo "coordinator did not report 4 workers"; exit 1; }
 grep -q "0 lazy dials" "$workdir/spawn.log" || {
     echo "lazy-dial count missing from summary"; exit 1; }
+wire_only "$workdir/spawn.log" "spawn mode"
 
 echo "== adopt mode: externally started workers dial a fixed control port"
 port=$((20000 + $$ % 10000))
@@ -50,9 +70,10 @@ wait "$coord_pid" || { echo "adopt-mode coordinator failed:"; cat "$workdir/adop
 cat "$workdir/adopt.log"
 grep -q "0 lazy dials" "$workdir/adopt.log" || {
     echo "adopt-mode lazy-dial count missing"; exit 1; }
+wire_only "$workdir/adopt.log" "adopt mode"
 
 echo "== no plan: each run's pairs are dialed before it starts"
-"$workdir/stpworker" -workers 4 -rows 8 -cols 8 -runs 3 | tee "$workdir/noplan.log"
+"$workdir/stpworker" -workers 4 -rows 8 -cols 8 -alg Br_xy_source -runs 3 | tee "$workdir/noplan.log"
 grep -q "0 coordinator resets" "$workdir/noplan.log" || {
     echo "no-plan cluster needed a reset"; exit 1; }
 grep -Eq " [1-9][0-9]* lazy dials" "$workdir/noplan.log" || {

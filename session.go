@@ -94,8 +94,9 @@ type SessionOptions struct {
 // contiguous near-equal ranges, one worker process each. Open dials the
 // links between the workers' leader ranks, which the barrier uses, and
 // the pairs of SessionOptions.Links; each Run dials the pairs its
-// schedule adds. Intra-worker pairs stay in-process and inter-worker
-// pairs cross the wire with the same frame protocol.
+// schedule adds, and only pairs that cross workers get a socket: a
+// worker's own ranks exchange through memory, while pairs between
+// workers carry the single-process engine's frame protocol.
 //
 // A cluster session moves run specs, not Go values, between processes,
 // so Run rejects options that cannot cross a process boundary:
