@@ -278,6 +278,7 @@ func FuzzProgram(f *testing.F) {
 		if !reflect.DeepEqual(performed, compiled) {
 			t.Fatalf("performed and compiled differ:\n%v\n%v", performed, compiled)
 		}
+		res.Program = prog // what the replay ran; a goroutine run has none to report
 		if !reflect.DeepEqual(res, replayed) {
 			t.Fatalf("sim.Run and sim.Replay differ:\n%+v\n%+v", res, replayed)
 		}

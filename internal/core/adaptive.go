@@ -36,8 +36,7 @@ func ReposAdaptive(inner Algorithm, margin float64) Algorithm {
 // growthEfficiency replays the halving pattern over the given source
 // positions and scores how close the holder counts come to doubling each
 // iteration (1.0 = perfect doubling until saturation). It is the
-// decision metric of ReposAdaptive; internal/analysis exposes richer
-// variants for offline study. The replay is in rank space (row-major):
+// decision metric of ReposAdaptive. The replay is in rank space (row-major):
 // the indexing detail matters less for the decision than the pairing
 // structure, and using one fixed order keeps the decision identical for
 // every inner algorithm.

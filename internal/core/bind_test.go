@@ -125,6 +125,7 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 						if log.diff != "" {
 							t.Fatalf("%s: %s", label, log.diff)
 						}
+						want.Program = prog // what the replay ran; a goroutine run has none to report
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: the replay's result differs from the goroutine run's:\n got %+v\nwant %+v", label, got, want)
 						}

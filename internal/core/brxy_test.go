@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -18,11 +17,11 @@ func TestBrXYSourceDimensionChoice(t *testing.T) {
 	// 4×8 mesh, one full column (4 sources): max_r=1 < max_c=4 → rows
 	// first → phase 1 = log2(8) = 3 iterations, phase 2 = log2(4) = 2.
 	spec := makeSpec(t, dist.Column(), 4, 8, 4)
-	_, res := runSim(t, BrXYSource(), spec, 64)
-	if res.Iterations != 5 {
-		t.Fatalf("iterations = %d, want 3 (rows) + 2 (cols)", res.Iterations)
+	st := staticOf(t, BrXYSource(), spec)
+	if st.Iterations != 5 {
+		t.Fatalf("iterations = %d, want 3 (rows) + 2 (cols)", st.Iterations)
 	}
-	profile := metrics.ActiveProfile(res)
+	profile := st.Active
 	// Phase 1, iteration 1: only the source column's rows communicate —
 	// 2 processors per source row (the pair) × 4 rows = 8.
 	if profile[0] != 8 {
@@ -59,11 +58,11 @@ func TestRunLineDirect(t *testing.T) {
 	// Line of 5 with a single holder at position 2 (the odd middle of the
 	// first segment): the odd rule must push its bundle to position 4.
 	spec := Spec{Rows: 1, Cols: 5, Sources: []int{2}, Indexing: topology.RowMajor}
-	out, res := runSim(t, BrLin(), spec, 16)
+	out, _ := runSim(t, BrLin(), spec, 16)
 	checkOut(t, "line5", Broadcast, spec, out, 16)
 	// ceil(log2 5) = 3 iterations.
-	if res.Iterations != 3 {
-		t.Fatalf("iterations = %d, want 3", res.Iterations)
+	if n := staticOf(t, BrLin(), spec).Iterations; n != 3 {
+		t.Fatalf("iterations = %d, want 3", n)
 	}
 }
 
@@ -73,9 +72,7 @@ func TestRunLineDirect(t *testing.T) {
 // on 8×8 (stalls) vs 7×8.
 func TestBrLinOddMeshSourceGrowth(t *testing.T) {
 	active1 := func(r, c, s int) int {
-		spec := makeSpec(t, dist.Column(), r, c, s)
-		_, res := runSim(t, BrLin(), spec, 64)
-		return metrics.ActiveProfile(res)[0]
+		return staticOf(t, BrLin(), makeSpec(t, dist.Column(), r, c, s)).Active[0]
 	}
 	even := active1(8, 8, 8) // one full column on 8×8
 	odd := active1(7, 8, 7)  // one full column on 7×8

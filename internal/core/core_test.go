@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/live"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -51,6 +52,17 @@ func checkOut(t *testing.T, label string, coll Collective, spec Spec, out []comm
 func runSim(t *testing.T, alg Algorithm, spec Spec, size int) ([]comm.Message, *sim.Result) {
 	t.Helper()
 	return runSimColl(t, Broadcast, alg, spec, size)
+}
+
+// staticOf is the static profile (metrics.StaticOf) of the program alg
+// compiles for spec: what each rank does in each iteration, with no run.
+func staticOf(t *testing.T, alg Algorithm, spec Spec) metrics.Static {
+	t.Helper()
+	prog := ProgramOf(Bind(alg, spec))
+	if prog == nil {
+		t.Fatalf("%s on %d×%d %v: no program", alg.Name(), spec.Rows, spec.Cols, spec.Sources)
+	}
+	return metrics.StaticOf(prog)
 }
 
 // runLive executes a broadcast algorithm on the live engine.
@@ -283,31 +295,18 @@ func TestInvalidSpecPanicsSurface(t *testing.T) {
 // observation: two sources that are halving partners stall the first
 // iteration, while the ideal placement doubles immediately.
 func TestBrLinActiveGrowthIdealVsPartnered(t *testing.T) {
-	r, c := 1, 16
-	run := func(sources []int) *sim.Result {
-		spec := Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.RowMajor}
-		_, res := runSim(t, BrLin(), spec, 64)
-		return res
+	active := func(sources []int) int {
+		spec := Spec{Rows: 1, Cols: 16, Sources: sources, Indexing: topology.RowMajor}
+		return staticOf(t, BrLin(), spec).Active[0]
 	}
-	active := func(res *sim.Result, iter int) int {
-		n := 0
-		for _, ps := range res.Procs {
-			if iter < len(ps.Iters) && ps.Iters[iter].Active() {
-				n++
-			}
-		}
-		return n
-	}
-	partnered := run([]int{0, 8}) // halving partners on a 16-line
 	idealPos, err := dist.IdealLinear(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := run(idealPos)
-	if a := active(partnered, 0); a != 2 {
+	if a := active([]int{0, 8}); a != 2 { // halving partners on a 16-line
 		t.Fatalf("partnered sources: %d active in iter 0, want 2 (no growth)", a)
 	}
-	if a := active(ideal, 0); a != 4 {
+	if a := active(idealPos); a != 4 {
 		t.Fatalf("ideal sources: %d active in iter 0, want 4", a)
 	}
 }

@@ -1,5 +1,5 @@
 // Package metrics derives the paper's characteristic parameters (the
-// Figure 2 table) from a simulated run:
+// Figure 2 table) of a simulated run:
 //
 //	congestion   — the maximum number of sends and receives any processor
 //	               handles in one iteration;
@@ -10,12 +10,18 @@
 //	               message volume (Σᵢ lᵢ)/t;
 //	av_act_proc  — the average over iterations of the number of processors
 //	               that communicated at all.
+//
+// As in the paper, the per-iteration ones are read off the algorithm: each
+// rank's operations in the comm.Program the run replayed (StaticOf), not a
+// ledger the run keeps. The run supplies only per-processor totals: sends
+// and receives, waits (which depend on the clock) and bytes.
 package metrics
 
 import (
 	"fmt"
 	"strings"
 
+	"repro/internal/comm"
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -31,40 +37,75 @@ type Params struct {
 	Iterations int
 }
 
-// FromResult computes the parameters of a finished run.
-func FromResult(res *sim.Result) Params {
-	p := Params{Elapsed: res.Elapsed, Iterations: res.Iterations}
-	iters := res.Iterations
-	if iters == 0 {
-		iters = 1
+// Static holds what a program says of its iterations before it runs.
+type Static struct {
+	Iterations int   // the largest iteration marked plus one
+	Congestion int   // the most sends+receives of one rank in one iteration
+	SendRec    int   // the most sends+receives of one rank
+	Active     []int // the ranks that send or receive, per iteration
+}
+
+// StaticOf walks every rank's operations of prog. An operation
+// communicates when prog.Partner names a peer, and belongs to the
+// iteration of the last OpIter before it — iteration 0 before any. A run
+// without a program (prog nil, as under sim.Run) has no iterations.
+func StaticOf(prog *comm.Program) Static {
+	var st Static
+	if prog == nil {
+		return st
 	}
-	activePerIter := make([]int, res.Iterations)
+	var ops []int // one rank's sends+receives per iteration
+	for rank := range prog.P() {
+		ops = ops[:0]
+		it, total := 0, 0
+		for _, op := range prog.Ops(rank) {
+			peer, _ := prog.Partner(op)
+			switch {
+			case op.Kind == comm.OpIter:
+				it = op.Arg()
+			case peer < 0:
+				continue
+			}
+			for len(ops) <= it {
+				ops = append(ops, 0)
+			}
+			if peer >= 0 {
+				ops[it]++
+				total++
+			}
+		}
+		st.SendRec = max(st.SendRec, total)
+		for len(st.Active) < len(ops) {
+			st.Active = append(st.Active, 0)
+		}
+		for i, n := range ops {
+			st.Congestion = max(st.Congestion, n)
+			if n > 0 {
+				st.Active[i]++
+			}
+		}
+	}
+	st.Iterations = len(st.Active)
+	return st
+}
+
+// FromResult computes the parameters of a finished run: congestion,
+// av_act_proc and the iteration count from the program it ran, the rest
+// from its per-processor totals.
+func FromResult(res *sim.Result) Params {
+	st := StaticOf(res.Program)
+	p := Params{Elapsed: res.Elapsed, Congestion: st.Congestion, Iterations: st.Iterations}
+	iters := float64(max(st.Iterations, 1))
 	for _, ps := range res.Procs {
-		if sr := ps.Sends + ps.Recvs; sr > p.SendRec {
-			p.SendRec = sr
-		}
-		if ps.WaitCount > p.Wait {
-			p.Wait = ps.WaitCount
-		}
-		var bytes int64
-		for i, it := range ps.Iters {
-			if c := it.Sends + it.Recvs; c > p.Congestion {
-				p.Congestion = c
-			}
-			if it.Active() {
-				activePerIter[i]++
-			}
-			bytes += it.Bytes
-		}
-		if avg := float64(bytes) / float64(iters); avg > p.AvgMsgLen {
-			p.AvgMsgLen = avg
-		}
+		p.SendRec = max(p.SendRec, ps.Sends+ps.Recvs)
+		p.Wait = max(p.Wait, ps.WaitCount)
+		p.AvgMsgLen = max(p.AvgMsgLen, float64(ps.SendBytes+ps.RecvBytes)/iters)
 	}
 	var sum int
-	for _, a := range activePerIter {
+	for _, a := range st.Active {
 		sum += a
 	}
-	p.AvgActive = float64(sum) / float64(iters)
+	p.AvgActive = float64(sum) / iters
 	return p
 }
 
@@ -76,17 +117,7 @@ func (p Params) String() string {
 
 // ActiveProfile returns the number of active processors in each iteration,
 // the growth curve the ideal distributions are designed to maximize.
-func ActiveProfile(res *sim.Result) []int {
-	out := make([]int, res.Iterations)
-	for _, ps := range res.Procs {
-		for i, it := range ps.Iters {
-			if it.Active() {
-				out[i]++
-			}
-		}
-	}
-	return out
-}
+func ActiveProfile(res *sim.Result) []int { return StaticOf(res.Program).Active }
 
 // FormatProfile renders an active-processor profile compactly.
 func FormatProfile(profile []int) string {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -22,31 +23,43 @@ func flatNet(t *testing.T, n int) *network.Network {
 	return nw
 }
 
-// star runs a 2-iteration program: iteration 0 everyone sends to rank 0;
-// iteration 1 rank 0 replies to rank 1 only.
-func star(t *testing.T) *sim.Result {
+// replay compiles s for p ranks and replays it on a 1×p line, rank r
+// entering with a one-part bundle of size(r) bytes.
+func replay(t *testing.T, s comm.Script, p int, size func(rank int) int) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(flatNet(t, 4), func(p *sim.Proc) {
-		comm.MarkIter(p, 0)
-		if p.Rank() == 0 {
-			for src := 1; src < 4; src++ {
-				p.Recv(src)
-			}
-		} else {
-			p.Send(0, comm.Message{Parts: []comm.Part{{Data: make([]byte, 100)}}})
-		}
-		comm.MarkIter(p, 1)
-		if p.Rank() == 0 {
-			p.Send(1, comm.Message{Parts: []comm.Part{{Data: make([]byte, 50)}}})
-		}
-		if p.Rank() == 1 {
-			p.Recv(0)
-		}
-	}, sim.Options{})
+	prog, err := s.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Replay(flatNet(t, p), prog, func(rank int) (int, int) { return size(rank), 1 }, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// star is a 2-iteration program on 4 ranks: in iteration 0 everyone sends
+// rank 0 its 100 bytes; in iteration 1 rank 0 sends 50 bytes to rank 1
+// only.
+func star(t *testing.T) *sim.Result {
+	t.Helper()
+	return replay(t, comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		b.Iter(0)
+		if rank == 0 {
+			for src := 1; src < 4; src++ {
+				b.Recv(src, 0)
+			}
+		} else {
+			b.Send(0, 0)
+		}
+		b.Iter(1)
+		switch rank {
+		case 0:
+			b.Token(1, 0, 50)
+		case 1:
+			b.Drop(0)
+		}
+	}}, 4, func(int) int { return 100 })
 }
 
 func TestFromResultParameters(t *testing.T) {
@@ -113,21 +126,68 @@ func TestWaitShare(t *testing.T) {
 	}
 }
 
-func TestZeroIterationRun(t *testing.T) {
-	// A run without MarkIter still yields sane parameters (implicit
-	// iteration 0 is created on first activity).
-	res, err := sim.Run(flatNet(t, 2), func(p *sim.Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, comm.Message{Parts: []comm.Part{{Data: make([]byte, 10)}}})
+// TestStaticOf pins the rule that reads iterations off a program: an
+// operation communicates when it has a partner, and counts in the
+// iteration of the last mark before it — iteration 0 before any — while a
+// mark opens its iteration even if nothing communicates in it.
+func TestStaticOf(t *testing.T) {
+	exchange := comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) {
+		other := 1 - rank
+		b.Iter(0)
+		b.Send(other, 0)
+		b.Merge(other, 0)
+		b.Combine(0)
+		b.Iter(1)
+		b.Send(other, 0)
+		b.Recv(other, 1)
+	}}
+	unmarked := comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		if rank == 0 {
+			b.Send(1, 0)
+			b.Iter(2)
 		} else {
-			p.Recv(0)
+			b.Recv(0, 0)
 		}
-	}, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
+		b.Barrier()
+	}}
+	for _, c := range []struct {
+		name string
+		s    comm.Script
+		want Static
+	}{
+		{"exchange", exchange, Static{Iterations: 2, Congestion: 2, SendRec: 4, Active: []int{2, 2}}},
+		{"unmarked", unmarked, Static{Iterations: 3, Congestion: 1, SendRec: 1, Active: []int{2, 0, 0}}},
+	} {
+		prog, err := c.s.Compile(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := StaticOf(prog); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: StaticOf = %+v, want %+v", c.name, got, c.want)
+		}
 	}
+	if got := StaticOf(nil); !reflect.DeepEqual(got, Static{}) {
+		t.Errorf("StaticOf(nil) = %+v, want no iterations", got)
+	}
+	// av_msg_lgth from the run's byte totals: 64 bytes each way in
+	// iteration 0, then the merged 128 each way, over two iterations.
+	if p := FromResult(replay(t, exchange, 2, func(int) int { return 64 })); p.AvgMsgLen != 192 || p.Iterations != 2 {
+		t.Errorf("exchange: %+v, want av_msg_lgth 192 over 2 iterations", p)
+	}
+}
+
+func TestZeroIterationRun(t *testing.T) {
+	// A program without marks still yields sane parameters: its
+	// communication counts in iteration 0.
+	res := replay(t, comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+		if rank == 0 {
+			b.Send(1, 0)
+		} else {
+			b.Recv(0, 0)
+		}
+	}}, 2, func(int) int { return 10 })
 	p := FromResult(res)
-	if p.SendRec != 1 || p.Congestion != 1 {
+	if p.SendRec != 1 || p.Congestion != 1 || p.Iterations != 1 || p.AvgMsgLen != 10 {
 		t.Fatalf("params: %+v", p)
 	}
 }

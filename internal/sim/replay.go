@@ -21,9 +21,10 @@ type reg struct {
 
 // Replay executes prog on the simulated machine described by net and
 // returns what Run would return for an algorithm whose every processor
-// executes its part of prog (comm.Program.Run): the same result, and the
-// same events in the same order on opts.Tracer. A rank enters with the
-// untagged bundle of parts parts of partLen bytes each that initial gives.
+// executes its part of prog (comm.Program.Run): the same result, with prog
+// in its Program field, and the same events in the same order on
+// opts.Tracer. A rank enters with the untagged bundle of parts parts of
+// partLen bytes each that initial gives.
 //
 // No goroutine is started. The caller's goroutine steps the processor at
 // the root of the ready heap until the operation at which its goroutine
@@ -83,7 +84,7 @@ func Replay(net *network.Network, prog *comm.Program, initial func(rank int) (pa
 	if e.err != nil {
 		return nil, e.err
 	}
-	return e.result()
+	return e.result(prog)
 }
 
 // step executes pr's program from where it stopped until pr has to give

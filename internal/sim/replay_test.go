@@ -91,17 +91,22 @@ func everyOp(p int) comm.Script {
 // events in the same global order.
 func TestReplayMatchesRun(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8} {
-		res, errs, events := bothDrivers(t, lineNet(t, p), mustCompile(t, everyOp(p), p), Options{})
+		prog := mustCompile(t, everyOp(p), p)
+		res, errs, events := bothDrivers(t, lineNet(t, p), prog, Options{})
 		if errs[0] != nil || errs[1] != nil {
 			t.Fatalf("p=%d: Run: %v, Replay: %v", p, errs[0], errs[1])
 		}
+		if res[0].Program != nil || res[1].Program != prog {
+			t.Errorf("p=%d: Run reports program %p, Replay %p, want none and %p", p, res[0].Program, res[1].Program, prog)
+		}
+		res[0].Program = prog
 		if !reflect.DeepEqual(res[0], res[1]) {
 			t.Errorf("p=%d: results differ:\n    Run %+v\n Replay %+v", p, res[0], res[1])
 		}
 		if !slices.Equal(events[0], events[1]) {
 			t.Errorf("p=%d: event sequences differ:\n    Run %+v\n Replay %+v", p, events[0], events[1])
 		}
-		if p > 1 && (res[1].Iterations != 4 || res[1].Procs[0].CombineTime == 0 || len(events[1]) == 0) {
+		if p > 1 && (res[1].Procs[0].CombineTime == 0 || len(events[1]) == 0 || events[1][len(events[1])-1].Iter != 3) {
 			t.Errorf("p=%d: the program did not do what the test means it to: %+v", p, res[1])
 		}
 	}

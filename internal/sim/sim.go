@@ -1,5 +1,6 @@
 // Package sim executes an algorithm on a simulated message-passing MPP and
-// reports virtual elapsed time plus the paper's characteristic parameters.
+// reports virtual elapsed time plus each processor's counters (sends,
+// receives, bytes, waits).
 //
 // There is one engine — the processors' clocks, the ready heap, the
 // per-pair queues and the cost model below — and two drivers of it. Run
@@ -123,16 +124,6 @@ func (e *engine) pop(q *queue) pending {
 	return pd
 }
 
-// IterStats aggregates one processor's activity inside one algorithm
-// iteration, the granularity of the paper's Figure-2 parameters.
-type IterStats struct {
-	Sends, Recvs int   // messages sent / received this iteration
-	Bytes        int64 // payload bytes sent + received
-}
-
-// Active reports whether the processor communicated at all this iteration.
-func (s IterStats) Active() bool { return s.Sends+s.Recvs > 0 }
-
 // ProcStats is the per-processor outcome of a run.
 type ProcStats struct {
 	Rank        int
@@ -144,7 +135,6 @@ type ProcStats struct {
 	WaitCount   int          // times the processor waited for data
 	WaitTime    network.Time // total time spent waiting on receives
 	CombineTime network.Time // time charged for combining messages
-	Iters       []IterStats  // per-iteration activity (if the algorithm marks iterations)
 }
 
 // Result is the outcome of a simulated run.
@@ -155,8 +145,10 @@ type Result struct {
 	Procs []ProcStats
 	// Net holds aggregate wire statistics.
 	Net network.Stats
-	// Iterations is the largest iteration index marked plus one.
-	Iterations int
+	// Program is the program Replay ran, nil under Run: what a processor
+	// did in each iteration is read off it (internal/metrics), not
+	// recorded by the run.
+	Program *comm.Program
 }
 
 // Event is the engine-agnostic trace event (see internal/obs). The
@@ -212,9 +204,10 @@ type Proc struct {
 	waitCount            int
 	waitTime             network.Time
 	combineTime          network.Time
-	iter                 int
-	iters                []IterStats
-	phase                string
+	// iter is the iteration events are stamped with: -1 until the first
+	// mark or the first send or receive, which opens iteration 0.
+	iter  int
+	phase string
 
 	err error
 }
@@ -230,10 +223,9 @@ var _ comm.PhaseMarker = (*Proc)(nil)
 // are needed and every access is ordered by the resume/finish channels;
 // Replay never leaves its caller's goroutine. Engines are pooled and
 // shared by both drivers: the slabs below keep their capacity (and the
-// processors their resume channels and iteration-stat arrays) from run to
-// run. A pooled engine never owns a goroutine — Run spawns the p
-// processor goroutines and has seen every one of them finish before it
-// hands the engine back.
+// processors their resume channels) from run to run. A pooled engine never
+// owns a goroutine — Run spawns the p processor goroutines and has seen
+// every one of them finish before it hands the engine back.
 type engine struct {
 	net    *network.Network
 	cfg    network.Config
@@ -277,9 +269,9 @@ type engine struct {
 // a per-P slot no other P can take from, so a figure pass — two workers, a
 // new pair of goroutines per figure, a GC cycle every few milliseconds
 // moving them between Ps — found its pool empty a dozen times per pass, and
-// a fresh engine re-grows every processor's iteration-stat array: about a
-// thousand allocations at p = 256, how often depending on scheduling. With
-// the list, what a simulated run allocates is a function of its inputs.
+// a fresh engine re-makes its slabs and the processors' resume channels,
+// how often depending on scheduling. With the list, what a simulated run
+// allocates is a function of its inputs.
 // The price is that up to GOMAXPROCS idle engines (≈0.7 MB each at
 // p = 256, the p×p queue table most of it) stay reachable until the
 // process exits.
@@ -314,7 +306,7 @@ func acquire(nw *network.Network, opts Options) *engine {
 	// order.
 	for i := range e.procs {
 		pr := &e.procs[i]
-		*pr = Proc{eng: e, rank: i, iter: -1, resume: pr.resume, iters: pr.iters[:0]}
+		*pr = Proc{eng: e, rank: i, iter: -1, resume: pr.resume}
 		e.heapPush(pr)
 	}
 	return e
@@ -379,19 +371,12 @@ func Run(net *network.Network, fn func(*Proc), opts Options) (*Result, error) {
 		e.drain()
 		return nil, e.err
 	}
-	return e.result()
+	return e.result(nil)
 }
 
-// result assembles the outcome of a finished run. It owns its memory:
-// per-iteration stats are copied out of the pooled processors into one
-// slab.
-func (e *engine) result() (*Result, error) {
-	res := &Result{Procs: make([]ProcStats, e.p), Net: e.net.Stats()}
-	total := 0
-	for i := range e.procs {
-		total += len(e.procs[i].iters)
-	}
-	slab := make([]IterStats, total)
+// result assembles the outcome of a finished run of prog (nil under Run).
+func (e *engine) result(prog *comm.Program) (*Result, error) {
+	res := &Result{Procs: make([]ProcStats, e.p), Net: e.net.Stats(), Program: prog}
 	for i := range e.procs {
 		pr := &e.procs[i]
 		if pr.err != nil {
@@ -400,18 +385,12 @@ func (e *engine) result() (*Result, error) {
 		if pr.clock > res.Elapsed {
 			res.Elapsed = pr.clock
 		}
-		if len(pr.iters) > res.Iterations {
-			res.Iterations = len(pr.iters)
-		}
 		res.Procs[i] = ProcStats{
 			Rank: i, Finish: pr.clock,
 			Sends: pr.sends, Recvs: pr.recvs,
 			SendBytes: pr.sendBytes, RecvBytes: pr.recvBytes,
 			WaitCount: pr.waitCount, WaitTime: pr.waitTime,
 			CombineTime: pr.combineTime,
-		}
-		if n := copy(slab, pr.iters); n > 0 {
-			res.Procs[i].Iters, slab = slab[:n:n], slab[n:]
 		}
 	}
 	return res, nil
@@ -634,13 +613,6 @@ func (p *Proc) rekey() {
 	p.eng.heapDown(p.heapIdx)
 }
 
-func (p *Proc) curIter() *IterStats {
-	if p.iter < 0 {
-		p.BeginIter(0)
-	}
-	return &p.iters[p.iter]
-}
-
 // Send implements comm.Comm. See the package comment for the cost model.
 // It is the engine's one scheduling point for a runnable processor: the
 // token first moves to whoever is earlier, so link claims and wakes are
@@ -666,9 +638,7 @@ func (p *Proc) send(dst int, pd pending) {
 	e.push(&e.queues[p.rank*e.p+dst], pd)
 	p.sends++
 	p.sendBytes += int64(pd.bytes)
-	it := p.curIter()
-	it.Sends++
-	it.Bytes += int64(pd.bytes)
+	p.iter = max(p.iter, 0)
 	if t := e.opts.Tracer; t != nil {
 		t.Trace(Event{Kind: obs.KindSend, Rank: p.rank, Peer: dst, Bytes: pd.bytes, Parts: int(pd.nparts), Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
 	}
@@ -724,9 +694,7 @@ func (p *Proc) receive(src int) pending {
 	p.clock += cost
 	p.recvs++
 	p.recvBytes += int64(pd.bytes)
-	it := p.curIter()
-	it.Recvs++
-	it.Bytes += int64(pd.bytes)
+	p.iter = max(p.iter, 0)
 	if t := e.opts.Tracer; t != nil {
 		t.Trace(Event{Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: pd.bytes, Parts: int(pd.nparts), Tag: pd.tag, Clock: p.clock, Dur: cost, Arrival: pd.arrival, Iter: p.iter, Phase: p.phase})
 	}
@@ -778,9 +746,6 @@ func (p *Proc) AdvanceCombine(n int) {
 func (p *Proc) BeginIter(i int) {
 	if i < 0 {
 		panic(fmt.Sprintf("sim: rank %d begins negative iteration %d", p.rank, i))
-	}
-	for len(p.iters) <= i {
-		p.iters = append(p.iters, IterStats{})
 	}
 	p.iter = i
 }

@@ -272,30 +272,6 @@ func TestPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
-func TestIterationStats(t *testing.T) {
-	nw := lineNet(t, 2)
-	res := run(t, nw, func(p *Proc) {
-		comm.MarkIter(p, 0)
-		other := 1 - p.Rank()
-		exchange(p, other, comm.Message{Parts: []comm.Part{{Data: payload(64)}}})
-		comm.MarkIter(p, 1)
-		exchange(p, other, comm.Message{Parts: []comm.Part{{Data: payload(128)}}})
-	})
-	if res.Iterations != 2 {
-		t.Fatalf("iterations = %d, want 2", res.Iterations)
-	}
-	for rank, ps := range res.Procs {
-		if len(ps.Iters) != 2 {
-			t.Fatalf("rank %d has %d iteration records", rank, len(ps.Iters))
-		}
-		for i, want := range []int64{128, 256} { // 64 sent + 64 received, then 128+128
-			if ps.Iters[i].Sends != 1 || ps.Iters[i].Recvs != 1 || ps.Iters[i].Bytes != want {
-				t.Fatalf("rank %d iter %d = %+v", rank, i, ps.Iters[i])
-			}
-		}
-	}
-}
-
 func TestContentionVisibleInElapsed(t *testing.T) {
 	// Many senders hammering rank 0 must take longer than a single send,
 	// because of receiver serialization and shared links near the root.

@@ -480,10 +480,12 @@ type Result struct {
 	// EngineSim, wall clock otherwise.
 	Elapsed time.Duration
 	// Params are the paper's characteristic parameters of the run
-	// (EngineSim only).
+	// (EngineSim only). Congestion, AvgActive and Iterations are read off
+	// the algorithm's compiled program: they are zero for an algorithm
+	// value without one.
 	Params Params
 	// ActiveProfile is the number of processors communicating in each
-	// algorithm iteration (EngineSim only).
+	// algorithm iteration (EngineSim only; nil without a program).
 	ActiveProfile []int
 	// HotLinks are the ten busiest directed links of the run, most
 	// loaded first (EngineSim only).

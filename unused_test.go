@@ -14,12 +14,10 @@ import (
 
 // keptWithoutUser lists the exported internal declarations that no
 // non-test file names, each with the reason it stays. A key is
-// "<package dir>.<Name>", "<package dir>.<Type>.<Method>", or a package
-// directory alone for everything it declares. An entry that has gained a
-// user, or names nothing, fails the test too, so the table cannot rot.
+// "<package dir>.<Name>" or "<package dir>.<Type>.<Method>": a whole
+// package kept for its tests is not an exception. An entry that has gained
+// a user, or names nothing, fails the test too, so the table cannot rot.
 var keptWithoutUser = map[string]string{
-	"internal/analysis": "the independent closed-form Br_Lin/Br_xy oracle the simulator is cross-validated against (its tests are its users; ROADMAP item 3 decides its home)",
-
 	"internal/engine.abortError.Unwrap": "satisfies errors.Is/As, which reach the root cause of an aborted run through it",
 
 	"internal/comm.Message.Origins":         "test-support accessor: the delivery assertions of comm, collective and core read a bundle's origin set through it",
@@ -162,12 +160,9 @@ func TestInternalExportsHaveProductionUsers(t *testing.T) {
 		if used(d) {
 			continue
 		}
-		switch {
-		case keptWithoutUser[d.key] != "":
+		if keptWithoutUser[d.key] != "" {
 			excused[d.key] = true
-		case keptWithoutUser[d.dir] != "":
-			excused[d.dir] = true
-		default:
+		} else {
 			dead = append(dead, d.key)
 		}
 	}
