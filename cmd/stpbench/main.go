@@ -703,22 +703,22 @@ func runDaemon(fs *flag.FlagSet, args []string, out io.Writer) error {
 	}
 
 	type loadRun struct {
-		Server  string               `json:"server"`
-		Reports []*daemon.LoadReport `json:"reports"`
+		Server  string        `json:"server"`
+		Reports []*loadReport `json:"reports"`
 	}
 	var runs []loadRun
 	for _, tg := range targets {
 		fmt.Fprintf(out, "→ %s\n", tg.name)
 		r := loadRun{Server: tg.name}
-		specs := []daemon.LoadSpec{{BaseURL: tg.base, Request: req, Rate: *rate, Duration: *duration}}
+		specs := []loadSpec{{BaseURL: tg.base, Request: req, Rate: *rate, Duration: *duration}}
 		if *rate <= 0 {
 			specs = specs[:0]
 			for _, c := range levels {
-				specs = append(specs, daemon.LoadSpec{BaseURL: tg.base, Request: req, Concurrency: c, Requests: *requests})
+				specs = append(specs, loadSpec{BaseURL: tg.base, Request: req, Concurrency: c, Requests: *requests})
 			}
 		}
 		for _, spec := range specs {
-			rep, err := daemon.RunLoad(spec)
+			rep, err := runLoad(spec)
 			if err != nil {
 				return err
 			}

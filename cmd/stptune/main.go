@@ -1,7 +1,6 @@
 // Command stptune drives the algorithm planner (internal/plan): it plans
-// single instances, sweeps grids with a chosen-vs-best table, warms a
-// persistent plan cache, and inspects cache contents. Its measure
-// subcommand is the planner-free sweep: any set of algorithms and
+// single instances and sweeps grids with a chosen-vs-best table. Its
+// measure subcommand is the planner-free sweep: any set of algorithms and
 // distributions, source counts and message lengths on any machine, one CSV
 // row of simulated time and the paper's parameters per cell.
 //
@@ -10,17 +9,14 @@
 //	stptune plan    -machine paragon -rows 10 -cols 10 -dist E -s 30 -bytes 4096
 //	stptune plan    -machine t3d -p 64 -collective AllToAll -bytes 64
 //	stptune sweep   -machine t3d -p 256 -dists E,Cr -s 10,64 -bytes 1024,16384
-//	stptune warm    -machine paragon -cache plans.json -dists R,C,E,Dr,Dl,B,Cr,Sq -s 10,64 -bytes 1024,16384
-//	stptune inspect -cache plans.json
 //	stptune measure -machine paragon -rows 16 -cols 16 -algs Br_Lin,Repos_xy_source -dists E,Cr -s 16,32,64,128 -bytes 4096
 //
 // The sweep table reports, per cell, the planner's choice and the best
 // fixed algorithm with their simulated times; ratio 1.00 means the
-// planner matched the optimum. warm populates the cache only (no
-// exhaustive baseline), so later stptune runs given the same -cache file
-// answer from it; Auto in the library and the daemon plan with an
-// in-memory cache and never read the file. The trailing counter line
-// shows cache hits/misses and probe runs.
+// planner matched the optimum. The planner's memo lives for one stptune
+// run: a cell whose key matches an earlier cell's (the same L bucket,
+// say) answers from it. The trailing counter line shows cache
+// hits/misses and probe runs.
 package main
 
 import (
@@ -52,10 +48,6 @@ func main() {
 		runPlan(args)
 	case "sweep":
 		runSweep(args)
-	case "warm":
-		runWarm(args)
-	case "inspect":
-		runInspect(args)
 	case "measure":
 		runMeasure(args)
 	default:
@@ -64,11 +56,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: stptune {plan|sweep|warm|inspect|measure} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: stptune {plan|sweep|measure} [flags]")
 	os.Exit(2)
 }
 
-// machineFlags are the machine knobs every subcommand but inspect takes.
+// machineFlags are the machine knobs every subcommand takes.
 type machineFlags struct {
 	fs      *flag.FlagSet
 	machine *string
@@ -82,8 +74,7 @@ type machineFlags struct {
 // commonFlags add the planner knobs of the planning subcommands.
 type commonFlags struct {
 	*machineFlags
-	cachePath *string
-	parallel  *int
+	parallel *int
 }
 
 func newMachineFlags(name string) *machineFlags {
@@ -103,7 +94,6 @@ func newCommonFlags(name string) *commonFlags {
 	m := newMachineFlags(name)
 	return &commonFlags{
 		machineFlags: m,
-		cachePath:    m.fs.String("cache", "", "plan cache file (empty = in-memory)"),
 		parallel:     m.fs.Int("parallel", 0, "max concurrent probe simulations (0 = GOMAXPROCS, 1 = serial); decisions are identical at every setting"),
 	}
 }
@@ -124,17 +114,9 @@ func (c *machineFlags) machineFor() (*machine.Machine, error) {
 	return nil, fmt.Errorf("unknown machine %q", *c.machine)
 }
 
-func (c *commonFlags) planner() (*plan.Planner, *plan.Cache, error) {
-	cache := plan.NewMemCache(0)
-	if *c.cachePath != "" {
-		var err error
-		cache, err = plan.OpenCache(*c.cachePath, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+func (c *commonFlags) planner() *plan.Planner {
 	par.SetLimit(*c.parallel)
-	return plan.New(plan.Options{Cache: cache}), cache, nil
+	return plan.New(plan.Options{Cache: plan.NewMemCache(0)})
 }
 
 func runPlan(args []string) {
@@ -173,10 +155,7 @@ func runPlan(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	pl, _, err := c.planner()
-	if err != nil {
-		fatal(err)
-	}
+	pl := c.planner()
 	var spec core.Spec
 	dn := ""
 	switch {
@@ -221,18 +200,14 @@ func runPlan(args []string) {
 	}
 }
 
-// sweepGrid plans every (distribution, s, L) cell. When exhaustive is
-// true it also simulates every registered algorithm to report the true
-// best and the chosen/best ratio.
-func sweepGrid(c *commonFlags, distsFlag, sFlag, bytesFlag string, exhaustive bool) {
+// sweepGrid plans every (distribution, s, L) cell and simulates every
+// registered algorithm to report the true best and the chosen/best ratio.
+func sweepGrid(c *commonFlags, distsFlag, sFlag, bytesFlag string) {
 	m, err := c.machineFor()
 	if err != nil {
 		fatal(err)
 	}
-	pl, cache, err := c.planner()
-	if err != nil {
-		fatal(err)
-	}
+	pl := c.planner()
 	dists := splitList(distsFlag)
 	ss, err := splitInts(sFlag)
 	if err != nil {
@@ -242,11 +217,7 @@ func sweepGrid(c *commonFlags, distsFlag, sFlag, bytesFlag string, exhaustive bo
 	if err != nil {
 		fatal(err)
 	}
-	if exhaustive {
-		fmt.Println("machine,distribution,sources,msg_bytes,chosen,chosen_ms,best,best_ms,ratio,source")
-	} else {
-		fmt.Println("machine,distribution,sources,msg_bytes,chosen,chosen_ms,source")
-	}
+	fmt.Println("machine,distribution,sources,msg_bytes,chosen,chosen_ms,best,best_ms,ratio,source")
 	for _, dn := range dists {
 		d, err := dist.ByName(dn)
 		if err != nil {
@@ -261,10 +232,6 @@ func sweepGrid(c *commonFlags, distsFlag, sFlag, bytesFlag string, exhaustive bo
 				dec, err := pl.Decide(context.Background(), m, plan.Request{Spec: spec, MsgLen: l, DistName: dn})
 				if err != nil {
 					fatal(err)
-				}
-				if !exhaustive {
-					fmt.Printf("%s,%s,%d,%d,%s,%.4f,%s\n", m.Name, dn, s, l, dec.Algorithm, dec.ElapsedMs, dec.Source)
-					continue
 				}
 				bestName, bestMs := "", math.Inf(1)
 				for _, a := range core.Registry() {
@@ -281,9 +248,6 @@ func sweepGrid(c *commonFlags, distsFlag, sFlag, bytesFlag string, exhaustive bo
 			}
 		}
 	}
-	if err := cache.Save(); err != nil {
-		fatal(err)
-	}
 	printCounters()
 }
 
@@ -293,35 +257,7 @@ func runSweep(args []string) {
 	sFlag := c.fs.String("s", "10,64", "comma-separated source counts")
 	bytesFlag := c.fs.String("bytes", "1024,16384", "comma-separated message lengths")
 	c.fs.Parse(args)
-	sweepGrid(c, *dists, *sFlag, *bytesFlag, true)
-}
-
-func runWarm(args []string) {
-	c := newCommonFlags("warm")
-	dists := c.fs.String("dists", "R,C,E,Dr,Dl,B,Cr,Sq", "comma-separated distribution names")
-	sFlag := c.fs.String("s", "10,64", "comma-separated source counts")
-	bytesFlag := c.fs.String("bytes", "1024,16384", "comma-separated message lengths")
-	c.fs.Parse(args)
-	sweepGrid(c, *dists, *sFlag, *bytesFlag, false)
-}
-
-func runInspect(args []string) {
-	fs := flag.NewFlagSet("stptune inspect", flag.ExitOnError)
-	cachePath := fs.String("cache", "", "plan cache file")
-	fs.Parse(args)
-	if *cachePath == "" {
-		fatal(fmt.Errorf("inspect needs -cache"))
-	}
-	cache, err := plan.OpenCache(*cachePath, 0)
-	if err != nil {
-		fatal(err)
-	}
-	plans := cache.Snapshot()
-	fmt.Printf("%s: %d cached plans (format v%d)\n", *cachePath, len(plans), plan.CacheVersion)
-	for _, cp := range plans {
-		fmt.Printf("  %-60s -> %-18s %10.4f ms  (%s, seq %d)\n",
-			cp.Key, cp.Entry.Algorithm, cp.Entry.ElapsedMs, cp.Entry.Source, cp.Entry.Seq)
-	}
+	sweepGrid(c, *dists, *sFlag, *bytesFlag)
 }
 
 // runMeasure simulates every (algorithm, distribution, s, L) cell and

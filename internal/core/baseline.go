@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/collective"
 	"repro/internal/comm"
 )
 
@@ -13,7 +12,7 @@ import (
 // poor Paragon performance.
 func TwoStep() Algorithm {
 	return schedule{name: "2-Step", coll: Broadcast, write: func(spec Spec) comm.Script {
-		gather, bcast := collective.GatherScript(0, spec.Sources), collective.BcastScript(spec.P(), 0)
+		gather, bcast := gatherScript(0, spec.Sources), bcastScript(spec.P(), 0)
 		return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
 			b.Barrier()
 			b.Iter(0)
@@ -34,7 +33,7 @@ func TwoStep() Algorithm {
 // bandwidth-rich torus.
 func PersAlltoAll() Algorithm {
 	return schedule{name: "PersAlltoAll", coll: Broadcast, write: func(spec Spec) comm.Script {
-		return then(barrier, collective.AlltoallPersonalizedScript(spec.P(), spec.Sources))
+		return then(barrier, alltoallPersonalizedScript(spec.P(), spec.Sources))
 	}}
 }
 
@@ -43,7 +42,7 @@ func PersAlltoAll() Algorithm {
 // received in the step before, empty bundles for processors without data.
 func allGatherRing(name string, coll Collective) Algorithm {
 	return schedule{name: name, coll: coll, write: func(spec Spec) comm.Script {
-		return then(barrier, collective.AllgatherRingScript(spec.P()))
+		return then(barrier, allgatherRingScript(spec.P()))
 	}}
 }
 
@@ -51,7 +50,7 @@ func allGatherRing(name string, coll Collective) Algorithm {
 // name: log-depth on power-of-two machines, the ring otherwise.
 func allGatherRecDouble(name string, coll Collective) Algorithm {
 	return schedule{name: name, coll: coll, write: func(spec Spec) comm.Script {
-		return then(barrier, collective.AllgatherRecDoublingScript(spec.P(), spec.Sources))
+		return then(barrier, allgatherRecDoublingScript(spec.P(), spec.Sources))
 	}}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/collective"
 	"repro/internal/comm"
 )
 
@@ -41,7 +40,7 @@ func indepScript(spec Spec) comm.Script {
 		}
 		for k, root := range spec.Sources {
 			b.Iter(k)
-			collective.BcastTree(b, p, root, rank, k)
+			bcastTree(b, p, root, rank, k)
 		}
 	}}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/collective"
 	"repro/internal/comm"
 )
 
@@ -46,7 +45,7 @@ func redBcast(spec Spec) comm.Script {
 	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
 		b.Barrier()
 		reduceTree(b, p, root, rank)
-		collective.BcastTree(b, p, root, rank, 0)
+		bcastTree(b, p, root, rank, 0)
 	}}
 }
 

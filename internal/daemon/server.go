@@ -239,20 +239,25 @@ func (s *Server) recordOutcome(ok bool, serverDur time.Duration, ev *EventCounts
 	}
 }
 
+// decodeRequest reads one /v1/broadcast body into req, rejecting unknown
+// fields, and normalizes it. It returns a client-error message ("" when
+// valid).
+func decodeRequest(body io.Reader, req *BroadcastRequest) string {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return fmt.Sprintf("bad request body: %v", err)
+	}
+	return req.normalize()
+}
+
 func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "", "POST required")
 		return
 	}
 	var req BroadcastRequest
-	body := io.LimitReader(r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	if msg := req.normalize(); msg != "" {
+	if msg := decodeRequest(io.LimitReader(r.Body, s.opts.MaxBodyBytes), &req); msg != "" {
 		writeError(w, http.StatusBadRequest, "", "%s", msg)
 		return
 	}

@@ -409,30 +409,47 @@ func TestPipelinedDispatchSameKey(t *testing.T) {
 
 // TestLoadCompletesPooledAndFresh drives stpbench daemon's in-process
 // workload — closed-loop 1 KiB Br_Lin E(4) broadcasts on a 4×4 TCP mesh
-// at concurrency 4 — through RunLoad against a pooled daemon and one
-// that opens a fresh session per request: every request must complete
-// on both. Their req/s ratio is wall clock and not asserted; what it
-// measures is counted by TestPoolReusesWarmSession (one session per key)
-// and TestPoolDisabledOpensFreshSessions (one per request).
+// from 4 concurrent clients — against a pooled daemon and one that opens
+// a fresh session per request: every request must complete on both.
+// Their req/s ratio is wall clock and not asserted; what it measures is
+// counted by TestPoolReusesWarmSession (one session per key) and
+// TestPoolDisabledOpensFreshSessions (one per request).
 func TestLoadCompletesPooledAndFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4x4 TCP mesh per request on the fresh daemon")
 	}
-	req := BroadcastRequest{
+	body, err := json.Marshal(BroadcastRequest{
 		Engine: "tcp", Topology: "paragon", Rows: 4, Cols: 4,
 		Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 1024, RecvTimeoutMs: 30_000,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	const clients, perClient = 4, 8
 	for _, fresh := range []bool{false, true} {
 		_, base := testServer(t, Options{Pool: PoolOptions{Disable: fresh}})
-		r, err := RunLoad(LoadSpec{BaseURL: base, Request: req, Concurrency: 4, Requests: 32})
-		if err != nil {
-			t.Fatal(err)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perClient; i++ {
+					resp, err := http.Post(base+"/v1/broadcast", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("fresh=%v: %v", fresh, err)
+						return
+					}
+					var out BroadcastResponse
+					err = json.NewDecoder(resp.Body).Decode(&out)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK || err != nil {
+						t.Errorf("fresh=%v: status %d, decode %v", fresh, resp.StatusCode, err)
+						return
+					}
+				}
+			}()
 		}
-		t.Logf("fresh=%v: %s", fresh, r)
-		if r.Completed != r.Requests {
-			t.Errorf("fresh=%v: %d of %d requests completed (%d rejected, %d errors)",
-				fresh, r.Completed, r.Requests, r.Rejected, r.Errors)
-		}
+		wg.Wait()
 	}
 }
 

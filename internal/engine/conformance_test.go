@@ -583,18 +583,23 @@ var scenarios = []struct {
 		}
 	}},
 
+	// Whether the machine ever ran or not.
 	{"Run on closed machine", func(h *harness) {
-		m := h.machine(2)
-		if _, err := m.Run(engine.Options{}, func(p *engine.Proc) { p.Barrier() }); err != nil {
-			h.Fatal(err)
-		}
-		for i := 0; i < 2; i++ { // Close is idempotent
-			if err := m.Close(); err != nil {
-				h.Fatalf("Close %d: %v", i, err)
+		for _, runFirst := range []bool{false, true} {
+			m := h.machine(2)
+			if runFirst {
+				if _, err := m.Run(engine.Options{}, func(p *engine.Proc) { p.Barrier() }); err != nil {
+					h.Fatal(err)
+				}
 			}
+			for i := 0; i < 2; i++ { // Close is idempotent
+				if err := m.Close(); err != nil {
+					h.Fatalf("Close %d: %v", i, err)
+				}
+			}
+			_, err := m.Run(engine.Options{}, func(*engine.Proc) {})
+			h.failed(err, "Run on closed machine")
 		}
-		_, err := m.Run(engine.Options{}, func(*engine.Proc) {})
-		h.failed(err, "Run on closed machine")
 	}},
 
 	{"traced event sequence", func(h *harness) {

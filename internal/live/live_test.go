@@ -2,10 +2,8 @@ package live
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 )
@@ -22,20 +20,6 @@ func runOpts(p int, opts Options, fn func(*Proc)) (*Result, error) {
 	}
 	defer m.Close()
 	return m.Run(opts, fn)
-}
-
-// waitGoroutinesSettle asserts the goroutine count returns to near the
-// baseline: every processor and watcher goroutine of the run unwound.
-func waitGoroutinesSettle(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked after run: %d, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
 // TestSendMultiPartOneBacking covers the coalesced copy path: all parts
@@ -159,54 +143,4 @@ func TestPanicInBarrierAborts(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "dead before barrier") {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestInvalidProcessorCount(t *testing.T) {
-	if _, err := runOnce(0, func(*Proc) {}); err == nil {
-		t.Fatal("runOnce(0) succeeded")
-	}
-}
-
-func TestSingleProcessor(t *testing.T) {
-	res, err := runOnce(1, func(p *Proc) {
-		p.Barrier()
-		p.Send(0, comm.Message{Parts: []comm.Part{{Origin: 0, Data: []byte("self")}}})
-		m := p.Recv(0)
-		if string(m.Parts[0].Data) != "self" {
-			t.Errorf("self message corrupted: %q", m.Parts[0].Data)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Procs[0].Sends != 1 || res.Procs[0].Recvs != 1 {
-		t.Fatalf("self-op counts: %+v", res.Procs[0])
-	}
-}
-
-// TestAbortUnwindsRecvAndBarrierBlockedPeers is the abort-path matrix of
-// the robustness layer: one rank panics mid-run while some peers are
-// blocked in Recv and others in Barrier. Every goroutine must unwind and
-// the root-cause rank must be the reported error.
-func TestAbortUnwindsRecvAndBarrierBlockedPeers(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	_, err := runOnce(6, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			// Give peers time to block before dying.
-			time.Sleep(20 * time.Millisecond)
-			panic("rank 0 died mid-run")
-		case 1, 2:
-			p.Recv(0)
-		default:
-			p.Barrier()
-		}
-	})
-	if err == nil {
-		t.Fatal("abort not reported")
-	}
-	if !strings.Contains(err.Error(), "rank 0") || !strings.Contains(err.Error(), "rank 0 died mid-run") {
-		t.Fatalf("root cause misattributed: %v", err)
-	}
-	waitGoroutinesSettle(t, baseline)
 }

@@ -35,33 +35,6 @@ func TestLiveMachineBackToBackRuns(t *testing.T) {
 	}
 }
 
-// TestLiveMachineRunsDoNotBleedMessages leaves an undelivered message in
-// run 1; run 2's Recv from the same peer must time out instead of
-// delivering it.
-func TestLiveMachineRunsDoNotBleedMessages(t *testing.T) {
-	mc, err := NewMachine(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-	if _, err := mc.Run(Options{}, func(pr *Proc) {
-		if pr.Rank() == 0 {
-			pr.Send(1, comm.Message{Tag: 9, Parts: []comm.Part{{Origin: 0, Data: []byte("orphan")}}})
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = mc.Run(Options{RecvTimeout: 200 * time.Millisecond}, func(pr *Proc) {
-		if pr.Rank() == 1 {
-			m := pr.Recv(0)
-			t.Errorf("stale message bled into the next run: %+v", m)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("want a clean receive deadline, got %v", err)
-	}
-}
-
 // TestLiveMachineRecoversAfterAbort: a panicked run (with peers unwound
 // from Recv and a half-entered barrier) must not poison the machine —
 // the next runs succeed with no leftover abort cause or barrier skew.
@@ -95,22 +68,5 @@ func TestLiveMachineRecoversAfterAbort(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("post-abort run %d failed: %v", r, err)
 		}
-	}
-}
-
-// TestLiveMachineClosed: Run after Close must error; Close is idempotent.
-func TestLiveMachineClosed(t *testing.T) {
-	mc, err := NewMachine(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, err := mc.Run(Options{}, func(*Proc) {}); err == nil {
-		t.Fatal("Run on closed machine accepted")
 	}
 }

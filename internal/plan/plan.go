@@ -95,16 +95,12 @@ func (pl *Planner) Decide(ctx context.Context, m *machine.Machine, req Request) 
 	key := NewKey(m, coll, req.Spec, req.MsgLen, req.DistName)
 	if pl.opts.Cache != nil {
 		if e, ok := pl.opts.Cache.Get(key); ok {
-			if _, err := core.ByNameFor(coll, e.Algorithm); err == nil {
-				return &Decision{
-					Algorithm: e.Algorithm,
-					Key:       key,
-					Source:    "cache",
-					ElapsedMs: e.ElapsedMs,
-				}, nil
-			}
-			// The cached algorithm no longer exists (stale registry):
-			// fall through and re-plan.
+			return &Decision{
+				Algorithm: e.Algorithm,
+				Key:       key,
+				Source:    "cache",
+				ElapsedMs: e.ElapsedMs,
+			}, nil
 		}
 	}
 
@@ -134,13 +130,7 @@ func (pl *Planner) Decide(ctx context.Context, m *machine.Machine, req Request) 
 	}
 
 	if pl.opts.Cache != nil {
-		if err := pl.opts.Cache.Put(key, Entry{
-			Algorithm: dec.Algorithm,
-			ElapsedMs: dec.ElapsedMs,
-			Source:    dec.Source,
-		}); err != nil {
-			return nil, err
-		}
+		pl.opts.Cache.Put(key, Entry{Algorithm: dec.Algorithm, ElapsedMs: dec.ElapsedMs})
 	}
 	return dec, nil
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -116,15 +115,19 @@ func TestCoreAlgorithmsOverTCP(t *testing.T) {
 
 func TestCollectivesOverTCP(t *testing.T) {
 	const p = 8
-	out := make([]comm.Message, p)
-	_, err := runOnce(p, func(pr *Proc) {
-		m := comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: core.AllGather.Payload(p, pr.Rank(), 1)}}}
-		out[pr.Rank()] = collective.AllgatherRingScript(p).Run(pr, m)
-	})
+	alg, err := core.ByNameFor(core.AllGather, "Ag_Ring")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := core.Spec{Rows: 1, Cols: p, Sources: core.AllRanksSources(p)}
+	out := make([]comm.Message, p)
+	_, err = runOnce(p, func(pr *Proc) {
+		m := comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: core.AllGather.Payload(p, pr.Rank(), 1)}}}
+		out[pr.Rank()] = alg.Run(pr, spec, m)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for rank, m := range out {
 		if err := core.AllGather.Check(spec, func(int) int { return 1 }, rank, m); err != nil {
 			t.Fatal(err)

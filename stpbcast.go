@@ -93,6 +93,12 @@ func NewT3DRandom(p int, seed int64) *Machine { return machine.T3DRandom(p, seed
 // cost parameters (extension machine for topology ablations).
 func NewHypercube(dim int) *Machine { return machine.HypercubeNX(dim) }
 
+// maxProcessors caps the machines NewMachineByName builds. A request's
+// size is outside input (the daemon maps every broadcast body through
+// NewMachineByName), and unchecked it overflows rows·cols or allocates
+// without bound; the largest machine the repository builds has 256.
+const maxProcessors = 1 << 16
+
 // NewMachineByName constructs a machine from its CLI name and requested
 // logical mesh: "paragon" (NX), "paragon-mpi", "t3d" (rows·cols
 // processors on the torus; the T3D picks its own logical factorization)
@@ -102,6 +108,10 @@ func NewHypercube(dim int) *Machine { return machine.HypercubeNX(dim) }
 func NewMachineByName(kind string, rows, cols int) (*Machine, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("stpbcast: invalid machine size %d×%d (rows and cols must be positive)", rows, cols)
+	}
+	// Both factors at most the cap keeps the product from overflowing.
+	if rows > maxProcessors || cols > maxProcessors || rows*cols > maxProcessors {
+		return nil, fmt.Errorf("stpbcast: machine size %d×%d exceeds %d processors", rows, cols, maxProcessors)
 	}
 	switch strings.ToLower(kind) {
 	case "paragon", "":

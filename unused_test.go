@@ -20,7 +20,7 @@ import (
 var keptWithoutUser = map[string]string{
 	"internal/engine.abortError.Unwrap": "satisfies errors.Is/As, which reach the root cause of an aborted run through it",
 
-	"internal/comm.Message.Origins":         "test-support accessor: the delivery assertions of comm, collective and core read a bundle's origin set through it",
+	"internal/comm.Message.Origins":         "test-support accessor: the delivery assertions of comm and core read a bundle's origin set through it",
 	"internal/topology.Indexing.NodeToRank": "test-support accessor: the inverse of RankToNode, asserted to be a bijection by the indexing tests",
 }
 
