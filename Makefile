@@ -34,9 +34,11 @@ chaos:
 	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|Conformance|DialRetry|DialPermanent|MidRunConnection|HoldsEarlyFrames|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/live/ ./internal/tcp/ ./internal/cluster/ .
 	$(GO) run ./cmd/stpbench chaos
 
-# Replay the checked-in fuzz seed corpora (no fuzzing time budget).
+# Replay every fuzz target's seeds — its f.Add calls and its checked-in
+# corpus under testdata/fuzz — in every package, the root's FuzzConfigRun
+# included (no fuzzing time budget).
 fuzz-seeds:
-	$(GO) test -run=Fuzz ./internal/...
+	$(GO) test -run=Fuzz ./...
 
 # The tracked size of the system: non-test Go lines outside benchmark/,
 # in total, for the real-byte engines (core plus both transports), for

@@ -376,7 +376,7 @@ func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 	c.epoch++
 	rs.Epoch = c.epoch
 	for _, w := range c.workers {
-		if err := w.cc.send(msg{Type: "run", Run: &rs}); err != nil {
+		if err := w.cc.sendRun(&rs); err != nil {
 			return nil, false, &lostWorkerError{w.index, err}
 		}
 	}

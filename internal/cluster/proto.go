@@ -34,7 +34,12 @@
 // (core.Collective.Check, byte-exact) and report per-rank stats as one
 // blob of varints; the coordinator rebuilds and merges them. A worker
 // compiles each instance it runs once (core.Bindings): the schedules are
-// oblivious, so a repeated run spec repeats the program too.
+// oblivious, so a repeated run spec repeats the program too. Run and
+// done are binary frames on the control connection; setup and recovery
+// messages are JSON lines (see conn). A worker's in-memory copies come
+// from slabs its next run reclaims (tcp.NewWorkerMachine), which is
+// safe because it checks every bundle inside the rank body and keeps
+// none.
 //
 // # Failure semantics
 //
@@ -54,10 +59,15 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -71,9 +81,11 @@ import (
 // timeout plus slack, or unbounded like the engine when none is set.
 const controlTimeout = 60 * time.Second
 
-// msg is the one wire message of the control protocol, a tagged union
-// of newline-delimited JSON objects. Exactly one of the optional field
-// groups is meaningful per Type.
+// msg is one message of the control protocol. Setup and recovery
+// messages are newline-delimited JSON objects, a tagged union in which
+// exactly one of the optional field groups is meaningful per Type; the
+// two messages of every run, run and done, travel as binary frames
+// (see conn) and arrive in Run or Done.
 type msg struct {
 	Type string `json:"type"`
 
@@ -87,11 +99,10 @@ type msg struct {
 	// addresses by rank (JSON object keys are decimal ranks).
 	Addrs map[int]string `json:"addrs,omitempty"`
 
-	// run (coord→worker)
-	Run *RunSpec `json:"run,omitempty"`
-
-	// done (worker→coord)
-	Done *doneMsg `json:"done,omitempty"`
+	// run (coord→worker) and done (worker→coord), decoded from a frame
+	// into storage of the receiving conn: valid until its next recv.
+	Run  *RunSpec `json:"-"`
+	Done *doneMsg `json:"-"`
 
 	// err: any request the peer could not honor.
 	Err string `json:"err,omitempty"`
@@ -124,16 +135,16 @@ type assignMsg struct {
 // collective), the payload size, and the engine's run knobs. Epoch is
 // assigned by the coordinator, common to every worker.
 type RunSpec struct {
-	Epoch     uint32 `json:"epoch"`
-	Rows      int    `json:"rows"`
-	Cols      int    `json:"cols"`
-	Sources   []int  `json:"sources"`
-	RowMajor  bool   `json:"rowMajor,omitempty"` // default is the paper's snake order
-	Algorithm string `json:"algorithm"`
-	MsgBytes  int    `json:"msgBytes"`
+	Epoch     uint32
+	Rows      int
+	Cols      int
+	Sources   []int
+	RowMajor  bool // default is the paper's snake order
+	Algorithm string
+	MsgBytes  int
 
-	RecvTimeoutNs int64 `json:"recvTimeoutNs,omitempty"`
-	RunTimeoutNs  int64 `json:"runTimeoutNs,omitempty"`
+	RecvTimeoutNs int64
+	RunTimeoutNs  int64
 }
 
 // resolve builds the run's paper instance and algorithm, rejecting what
@@ -163,29 +174,27 @@ func (rs *RunSpec) resolve() (core.Spec, core.Algorithm, error) {
 // ranks' stats, its bundle verification, and its machine's lifetime
 // dial counters.
 type doneMsg struct {
-	ElapsedNs int64 `json:"elapsedNs"`
-	// Procs is the local ranks' tcp.ProcStats as one blob, which
-	// encoding/json sends as one base64 string: procFields varints per
-	// rank in field order (see flattenProcs).
-	Procs []byte `json:"procs,omitempty"`
+	ElapsedNs int64
+	// Procs is the local ranks' tcp.ProcStats as one blob: procFields
+	// varints per rank in field order (see appendProcs).
+	Procs []byte
 	// LazyDials counts the pairs this worker dialed before a run because
 	// the plan lacked them (tcp.Machine.LazyDials); the zero-lazy-dials
 	// proof reads it.
-	LazyDials    int    `json:"lazyDials"`
-	ConnsOpened  int    `json:"connsOpened"`
-	PlannedPairs int    `json:"plannedPairs"`
-	Err          string `json:"err,omitempty"`
+	LazyDials    int
+	ConnsOpened  int
+	PlannedPairs int
+	Err          string
 }
 
 // procFields is the number of integers one rank's stats take in
 // doneMsg.Procs.
 const procFields = 7
 
-// flattenProcs lays stats out as doneMsg.Procs: Rank, Sends, Recvs,
-// SendBytes, RecvBytes, BarrierSends, BarrierRecvs per rank, each a
-// varint (binary.AppendVarint).
-func flattenProcs(stats []tcp.ProcStats) []byte {
-	blob := make([]byte, 0, 2*procFields*len(stats))
+// appendProcs appends stats to blob laid out as doneMsg.Procs: Rank,
+// Sends, Recvs, SendBytes, RecvBytes, BarrierSends, BarrierRecvs per
+// rank, each a varint (binary.AppendVarint).
+func appendProcs(blob []byte, stats []tcp.ProcStats) []byte {
 	for _, s := range stats {
 		for _, v := range [procFields]int64{int64(s.Rank), int64(s.Sends), int64(s.Recvs), s.SendBytes, s.RecvBytes,
 			int64(s.BarrierSends), int64(s.BarrierRecvs)} {
@@ -234,31 +243,297 @@ func mergeProcs(procs []tcp.ProcStats, blob []byte, lo, hi int) error {
 	return nil
 }
 
-// conn wraps one control connection with JSON codecs. Each end has one
-// sender: the worker's protocol loop, the coordinator under its lock.
+// The run and done frames: [kind byte][body length, uint32 big-endian]
+// [body]. A JSON message starts with '{', which no frame kind is, so a
+// message's first byte tells which it is.
+const (
+	frameRun    = 0x01
+	frameDone   = 0x02
+	frameHdrLen = 5
+	// maxFrame caps a frame body, and a JSON line too. A done frame
+	// carries at most 70 bytes of stats a rank (seven varints), so 8 MiB
+	// holds the stats of over 100 000 ranks; a larger length is a corrupt
+	// stream, refused before anything is read or allocated for it.
+	maxFrame = 8 << 20
+	// frameChunk is how much of a frame body the reader reads, and grows
+	// its buffer by, at a time: a length the stream does not back up
+	// costs no more than the bytes that actually arrive.
+	frameChunk = 64 << 10
+)
+
+// appendRun appends the run frame body of rs: the epoch, the mesh shape,
+// the indexing (1 for row-major), the message size, both timeouts, the
+// source count and the sources, each a varint, then the algorithm name
+// as a varint length and its bytes.
+func appendRun(b []byte, rs *RunSpec) []byte {
+	rowMajor := int64(0)
+	if rs.RowMajor {
+		rowMajor = 1
+	}
+	for _, v := range [...]int64{int64(rs.Epoch), int64(rs.Rows), int64(rs.Cols), rowMajor, int64(rs.MsgBytes),
+		rs.RecvTimeoutNs, rs.RunTimeoutNs, int64(len(rs.Sources))} {
+		b = binary.AppendVarint(b, v)
+	}
+	for _, src := range rs.Sources {
+		b = binary.AppendVarint(b, int64(src))
+	}
+	b = binary.AppendVarint(b, int64(len(rs.Algorithm)))
+	return append(b, rs.Algorithm...)
+}
+
+// decodeRun decodes a run frame body into rs, reusing its Sources array
+// and keeping its Algorithm string when the name is unchanged.
+func decodeRun(body []byte, rs *RunSpec) error {
+	d := decoder{b: body}
+	epoch := d.int()
+	if epoch < 0 || epoch > math.MaxUint32 {
+		d.fail(fmt.Errorf("cluster: run frame: epoch %d", epoch))
+	}
+	rs.Epoch = uint32(epoch)
+	rs.Rows, rs.Cols = int(d.int()), int(d.int())
+	rs.RowMajor = d.int() == 1
+	rs.MsgBytes = int(d.int())
+	rs.RecvTimeoutNs, rs.RunTimeoutNs = d.int(), d.int()
+	n := d.count()
+	rs.Sources = slices.Grow(rs.Sources[:0], n)
+	for range n {
+		rs.Sources = append(rs.Sources, int(d.int()))
+	}
+	if alg := d.bytes(); string(alg) != rs.Algorithm {
+		rs.Algorithm = string(alg)
+	}
+	return d.end("run")
+}
+
+// appendDone appends the done frame body of dm: elapsed time, the three
+// dial counters, the error text as a varint length and its bytes, and the
+// stats blob the same way.
+func appendDone(b []byte, dm *doneMsg) []byte {
+	for _, v := range [...]int64{dm.ElapsedNs, int64(dm.LazyDials), int64(dm.ConnsOpened), int64(dm.PlannedPairs),
+		int64(len(dm.Err))} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = append(b, dm.Err...)
+	b = binary.AppendVarint(b, int64(len(dm.Procs)))
+	return append(b, dm.Procs...)
+}
+
+// decodeDone decodes a done frame body into dm. Its Procs aliases body.
+func decodeDone(body []byte, dm *doneMsg) error {
+	d := decoder{b: body}
+	dm.ElapsedNs = d.int()
+	dm.LazyDials, dm.ConnsOpened, dm.PlannedPairs = int(d.int()), int(d.int()), int(d.int())
+	dm.Err = ""
+	if e := d.bytes(); len(e) > 0 {
+		dm.Err = string(e)
+	}
+	dm.Procs = d.bytes()
+	return d.end("done")
+}
+
+// decoder reads a frame body's fields in order. The first malformed one
+// sets err; every read after it returns zero.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *decoder) int() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail(errors.New("truncated or overlong varint"))
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// count reads a count of varints or bytes that follow: it can be no
+// larger than the bytes left, which bounds what a decode allocates by
+// the frame's size.
+func (d *decoder) count() int {
+	v := d.int()
+	if v < 0 || v > int64(len(d.b)) {
+		d.fail(fmt.Errorf("count %d with %d bytes left", v, len(d.b)))
+		return 0
+	}
+	return int(v)
+}
+
+// bytes reads a length-prefixed byte string, aliasing the body.
+func (d *decoder) bytes() []byte {
+	n := d.count()
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b
+}
+
+// end reports the first malformed field, or bytes left over after the
+// last one.
+func (d *decoder) end(kind string) error {
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("%d bytes after the last field", len(d.b))
+	}
+	if d.err != nil {
+		return fmt.Errorf("cluster: %s frame: %w", kind, d.err)
+	}
+	return nil
+}
+
+// conn is one control connection. Setup and recovery messages go as
+// JSON lines, run and done as frames; one buffered reader reads both.
+// Each end has one sender — the worker's protocol loop, the coordinator
+// under its lock — and one receiver, so the reused buffers need no lock.
 type conn struct {
 	c   net.Conn
-	enc *json.Encoder
-	dec *json.Decoder
+	br  *bufio.Reader
+	out []byte // the message being written
+	in  []byte // the last frame body or JSON line read
+	// run and done hold the last frame of each kind decoded; a recv
+	// returns pointers to them.
+	run  RunSpec
+	done doneMsg
 }
 
-func newConn(c net.Conn) *conn {
-	return &conn{c: c, enc: json.NewEncoder(c), dec: json.NewDecoder(c)}
+func newConn(c net.Conn) *conn { return &conn{c: c, br: bufio.NewReader(c)} }
+
+// send writes a setup or recovery message as one JSON line, in one Write.
+func (c *conn) send(m msg) error {
+	b, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	_, err = c.c.Write(append(b, '\n'))
+	return err
 }
 
-func (c *conn) send(m msg) error { return c.enc.Encode(m) }
+// sendRun writes rs as a run frame.
+func (c *conn) sendRun(rs *RunSpec) error {
+	c.out = appendRun(append(c.out[:0], frameRun, 0, 0, 0, 0), rs)
+	return c.flush()
+}
 
-// recv reads the next message, bounded by timeout (0 means no bound).
+// sendDone writes dm as a done frame.
+func (c *conn) sendDone(dm *doneMsg) error {
+	c.out = appendDone(append(c.out[:0], frameDone, 0, 0, 0, 0), dm)
+	return c.flush()
+}
+
+// flush stamps the body length into the frame in c.out and writes it.
+func (c *conn) flush() error {
+	n := len(c.out) - frameHdrLen
+	if n > maxFrame {
+		return fmt.Errorf("cluster: %d-byte control frame over the %d-byte cap", n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(c.out[1:], uint32(n))
+	_, err := c.c.Write(c.out)
+	return err
+}
+
+// recv reads the next message, bounded by timeout (0 means no bound). A
+// run or done is decoded into the conn's own storage.
 func (c *conn) recv(timeout time.Duration) (msg, error) {
 	if timeout > 0 {
 		c.c.SetReadDeadline(time.Now().Add(timeout))
 		defer c.c.SetReadDeadline(time.Time{})
 	}
-	var m msg
-	if err := c.dec.Decode(&m); err != nil {
+	first, err := c.br.Peek(1)
+	if err != nil {
 		return msg{}, err
 	}
-	return m, nil
+	switch kind := first[0]; kind {
+	case '{':
+		line, err := c.readLine()
+		if err != nil {
+			return msg{}, err
+		}
+		var m msg
+		if err := json.Unmarshal(line, &m); err != nil {
+			return msg{}, err
+		}
+		return m, nil
+	case frameRun, frameDone:
+		body, err := c.readFrame()
+		if err != nil {
+			return msg{}, err
+		}
+		if kind == frameRun {
+			if err := decodeRun(body, &c.run); err != nil {
+				return msg{}, err
+			}
+			return msg{Type: "run", Run: &c.run}, nil
+		}
+		if err := decodeDone(body, &c.done); err != nil {
+			return msg{}, err
+		}
+		return msg{Type: "done", Done: &c.done}, nil
+	default:
+		return msg{}, fmt.Errorf("cluster: control message starting with byte %#x", kind)
+	}
+}
+
+// readLine reads one JSON line, newline included, of at most maxFrame
+// bytes.
+func (c *conn) readLine() ([]byte, error) {
+	c.in = c.in[:0]
+	for {
+		frag, err := c.br.ReadSlice('\n')
+		if len(c.in)+len(frag) > maxFrame {
+			return nil, fmt.Errorf("cluster: control message over the %d-byte cap", maxFrame)
+		}
+		c.in = append(c.in, frag...)
+		switch err {
+		case nil:
+			return c.in, nil
+		case bufio.ErrBufferFull:
+		case io.EOF:
+			return nil, io.ErrUnexpectedEOF // the stream ended inside a line
+		default:
+			return nil, err
+		}
+	}
+}
+
+// readFrame reads one frame's body. A length over maxFrame is refused
+// before anything is read; the body is read frameChunk bytes at a time,
+// so a length larger than what the stream holds fails without having
+// allocated for it.
+func (c *conn) readFrame() ([]byte, error) {
+	hdr, err := c.br.Peek(frameHdrLen)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	if n > maxFrame {
+		return nil, fmt.Errorf("cluster: %d-byte control frame over the %d-byte cap", n, maxFrame)
+	}
+	c.br.Discard(frameHdrLen)
+	c.in = c.in[:0]
+	for len(c.in) < n {
+		k := min(n-len(c.in), frameChunk)
+		c.in = slices.Grow(c.in, k)
+		got, err := io.ReadFull(c.br, c.in[len(c.in):len(c.in)+k])
+		c.in = c.in[:len(c.in)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return c.in, nil
 }
 
 // expect reads the next message and requires it to be of type want; an

@@ -2,8 +2,9 @@
 
 package cluster
 
-// clusterRunAllocBudget is 5 % over the 93 allocations a warm cluster run
+// clusterRunAllocBudget is 5 % over the 34 allocations a warm cluster run
 // costs (TestClusterRunAllocationBudget): an extra control message,
-// per-rank stats objects, a reference buffer per verified part or a
-// worker compiling its program again each cost more than that.
-const clusterRunAllocBudget = 97
+// per-rank stats objects, a reference buffer per verified part, a worker
+// compiling its program again or allocating its ranks' in-memory copies
+// instead of carving them from its slabs each cost more than that.
+const clusterRunAllocBudget = 35

@@ -53,13 +53,16 @@ func ServeWorker(coordAddr string) error {
 }
 
 // worker is one worker process's state: its control connection, its
-// partial machine, and the instances it has compiled (the protocol loop
-// runs one collective at a time, so binds needs no lock).
+// partial machine, the instances it has compiled and what every run
+// reuses — its done report and its ranks' bundle verdicts (the protocol
+// loop runs one collective at a time, so none of it needs a lock).
 type worker struct {
-	cc     *conn
-	m      *tcp.Machine
-	lo, hi int
-	binds  core.Bindings
+	cc         *conn
+	m          *tcp.Machine
+	lo, hi     int
+	binds      core.Bindings
+	done       doneMsg
+	bundleErrs []error
 }
 
 func (w *worker) serve() error {
@@ -93,7 +96,9 @@ func (w *worker) serve() error {
 			}
 			w.cc.send(msg{Type: "resetok"})
 		case "run":
-			w.cc.send(msg{Type: "done", Done: w.run(m.Run)})
+			if err := w.cc.sendDone(w.run(m.Run)); err != nil {
+				return fmt.Errorf("cluster: worker done: %w", err)
+			}
 		case "close":
 			w.cc.send(msg{Type: "closed"})
 			return nil
@@ -125,12 +130,13 @@ func (w *worker) assign(a *assignMsg) error {
 // run executes one collective on the worker's ranks and reports this
 // worker's share of it, machine counters included.
 func (w *worker) run(rs *RunSpec) *doneMsg {
-	d := &doneMsg{}
+	d := &w.done
+	*d = doneMsg{Procs: d.Procs[:0]}
 	if res, err := w.execute(rs); err != nil {
 		d.Err = err.Error()
 	} else {
 		d.ElapsedNs = res.Elapsed.Nanoseconds()
-		d.Procs = flattenProcs(res.Procs)
+		d.Procs = appendProcs(d.Procs, res.Procs)
 	}
 	d.LazyDials = w.m.LazyDials()
 	d.ConnsOpened = w.m.ConnsOpened()
@@ -161,7 +167,11 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 	if err := w.m.Prepare(context.Background(), core.ProgramOf(bound)); err != nil {
 		return nil, err
 	}
-	bundleErrs := make([]error, w.hi-w.lo)
+	if w.bundleErrs == nil {
+		w.bundleErrs = make([]error, w.hi-w.lo)
+	}
+	bundleErrs := w.bundleErrs
+	clear(bundleErrs)
 	res, err := w.m.Run(tcp.Options{
 		Epoch:       rs.Epoch,
 		RecvTimeout: time.Duration(rs.RecvTimeoutNs),

@@ -266,21 +266,38 @@ var scenarios = []struct {
 	}},
 
 	{"cyclic barrier", func(h *harness) {
-		const p, rounds = 8, 10
-		var counter atomic.Int64
-		_, err := h.run(p, engine.Options{}, func(pr *engine.Proc) {
-			for r := 0; r < rounds; r++ {
-				counter.Add(1)
-				pr.Barrier()
-				// After each barrier, everyone must observe the full round.
-				if got := counter.Load(); got < int64((r+1)*p) {
-					h.Errorf("round %d: counter %d < %d after barrier", r, got, (r+1)*p)
+		// Three back-to-back runs on one machine, each with a straggler
+		// that sleeps before every round: no rank leaves a barrier before
+		// the straggler enters it, so each sees exactly the round's
+		// arrivals; the second barrier keeps a fast rank's next check-in
+		// out of a slow rank's reading. Ranks of one process meet in
+		// memory: no barrier token is counted.
+		const p, rounds, runs = 8, 10, 3
+		m := h.machine(p)
+		for run := range runs {
+			straggler := (3*run + 2) % p
+			var arrived atomic.Int64
+			res, err := m.Run(engine.Options{}, func(pr *engine.Proc) {
+				for r := 1; r <= rounds; r++ {
+					if pr.Rank() == straggler {
+						time.Sleep(2 * time.Millisecond)
+					}
+					arrived.Add(1)
+					pr.Barrier()
+					if got := arrived.Load(); got != int64(r*p) {
+						h.Errorf("run %d round %d: rank %d left the barrier after %d arrivals, want %d", run, r, pr.Rank(), got, r*p)
+					}
+					pr.Barrier()
 				}
-				pr.Barrier()
+			})
+			if err != nil {
+				h.Fatalf("run %d: %v", run, err)
 			}
-		})
-		if err != nil {
-			h.Fatal(err)
+			for _, ps := range res.Procs {
+				if ps.BarrierSends != 0 || ps.BarrierRecvs != 0 {
+					h.Errorf("run %d rank %d: %d/%d barrier tokens in one process", run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs)
+				}
+			}
 		}
 	}},
 

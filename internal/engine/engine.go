@@ -159,6 +159,10 @@ type Machine struct {
 	leaders []int
 	cross   func() error
 	tr      Transport
+	// copies is where Run.Local carves its copies when the owner drops
+	// every message before the next run (ReclaimCopies); nil means every
+	// copy is allocated and belongs to whoever ends up holding it.
+	copies *copies
 
 	mu     sync.Mutex // serializes Run and Close
 	closed bool
@@ -208,6 +212,15 @@ func New(name string, size, lo, hi int, leaders []int, tr Transport) *Machine {
 	go m.watchdog()
 	return m
 }
+
+// ReclaimCopies makes the copies Run.Local hands out run-scoped: they
+// are carved from two slabs (payload bytes and part headers) that the
+// next Run reclaims when it arms, so a copy — and any bundle built on
+// it — is valid until then and no longer. Call it before the first Run,
+// and only when whoever runs the machine keeps nothing a run delivered
+// past the run: a cluster worker checks every bundle inside the rank
+// body. A machine whose bundles become the caller's result must not.
+func (m *Machine) ReclaimCopies() { m.copies = new(copies) }
 
 // Size returns the machine's rank count (local or not).
 func (m *Machine) Size() int { return m.size }
@@ -271,30 +284,39 @@ func (r *Run) Push(dst, src int, m comm.Message) {
 // backing array — the buffered-send contract lets the caller reuse its
 // buffers the moment Send returns — and pushes the copy to dst's inbox.
 // The memory transport delivers everything this way; every engine's
-// self-sends do.
+// self-sends do, and so do a cluster worker's sends between its own
+// ranks. The copy lives as long as whoever holds it keeps it, except on
+// a machine that reclaims its copies (Machine.ReclaimCopies): there it is
+// carved from the machine's slabs and valid only until the next Run
+// arms.
 func (r *Run) Local(src, dst int, m comm.Message) {
-	cp := comm.Message{Tag: m.Tag, Parts: make([]comm.Part, len(m.Parts))}
 	var total int
 	for _, part := range m.Parts {
 		total += len(part.Data)
 	}
+	var parts []comm.Part
 	var backing []byte
-	if total > 0 {
-		backing = make([]byte, 0, total)
+	if c := r.m.copies; c != nil {
+		parts, backing = c.parts.take(len(m.Parts)), c.bytes.take(total)
+	} else {
+		parts = make([]comm.Part, len(m.Parts))
+		if total > 0 {
+			backing = make([]byte, total)
+		}
 	}
 	for i, part := range m.Parts {
 		if part.Data == nil {
 			// Length-only part (simulator path): keep the declared size.
-			cp.Parts[i] = comm.Part{Origin: part.Origin, Size: part.Size}
+			parts[i] = comm.Part{Origin: part.Origin, Size: part.Size}
 			continue
 		}
-		start := len(backing)
-		backing = append(backing, part.Data...)
+		n := copy(backing, part.Data)
 		// Full slice expression: an append through one part must not
 		// bleed into the next part's bytes.
-		cp.Parts[i] = comm.Part{Origin: part.Origin, Data: backing[start:len(backing):len(backing)]}
+		parts[i] = comm.Part{Origin: part.Origin, Data: backing[:n:n]}
+		backing = backing[n:]
 	}
-	r.Push(dst, src, cp)
+	r.Push(dst, src, comm.Message{Tag: m.Tag, Parts: parts})
 }
 
 // Fail reports a failure the transport saw on rank's behalf — its link
@@ -342,6 +364,10 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	r := &Run{
 		m: m, fn: fn, tr: opts.Tracer, ctx: opts.Context,
 		runTimeout: opts.RunTimeout, recvTimeout: opts.RecvTimeout, arming: m.bar.Arm(),
+	}
+	if m.copies != nil {
+		// The last run is over and its copies with it.
+		m.copies.reclaim()
 	}
 	local := m.procs[m.lo:m.hi]
 	for _, pr := range local {

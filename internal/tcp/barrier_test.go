@@ -173,7 +173,7 @@ func TestBarrierHoldsUntilLastArrival(t *testing.T) {
 	}
 }
 
-// TestWorkerBarrierTokens runs the same safety workload across three
+// TestWorkerBarrierTokens runs the barrierRounds safety workload across three
 // worker machines with uneven, non-power-of-two splits. The meshes are
 // given the empty plan, so they hold just the leader links every worker
 // machine plans itself, and zero lazy dials proves the barrier touches
