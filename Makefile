@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench-all bench-pair smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check report-check ci
+.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench-all bench-pair smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api report ci
 
 all: ci
 
@@ -78,20 +78,20 @@ bench-all:
 bench-pair:
 	PARENT="$(PARENT)" WORKLOAD="$(WORKLOAD)" N="$(N)" SEED="$(SEED)" sh scripts/bench_pair.sh
 
-# End-to-end trace export: run stptrace on all three engines (plus a
-# fault-injected TCP run), writing Chrome and JSONL traces, then validate
-# every file against its schema with stptrace -validate.
+# End-to-end trace export: run stpbench trace on all three engines (plus
+# a fault-injected live run), writing Chrome and JSONL traces, then
+# validate every file against its schema with stpbench trace -validate.
 trace-smoke:
 	@mkdir -p .trace-smoke
-	$(GO) run ./cmd/stptrace -engine sim -rows 4 -cols 4 -alg Br_xy_source -dist E -s 4 -bytes 1024 \
+	$(GO) run ./cmd/stpbench trace -engine sim -rows 4 -cols 4 -alg Br_xy_source -dist E -s 4 -bytes 1024 \
 		-chrome .trace-smoke/sim.json -json .trace-smoke/sim.jsonl
-	$(GO) run ./cmd/stptrace -engine live -rows 4 -cols 4 -alg Br_Lin -dist E -s 4 -bytes 1024 \
+	$(GO) run ./cmd/stpbench trace -engine live -rows 4 -cols 4 -alg Br_Lin -dist E -s 4 -bytes 1024 \
 		-chrome .trace-smoke/live.json -json .trace-smoke/live.jsonl
-	$(GO) run ./cmd/stptrace -engine tcp -rows 2 -cols 2 -alg Br_Lin -dist E -s 2 -bytes 512 \
+	$(GO) run ./cmd/stpbench trace -engine tcp -rows 2 -cols 2 -alg Br_Lin -dist E -s 2 -bytes 512 \
 		-chrome .trace-smoke/tcp.json -json .trace-smoke/tcp.jsonl
-	$(GO) run ./cmd/stptrace -engine live -rows 2 -cols 2 -alg Br_Lin -dist E -s 2 -bytes 512 \
+	$(GO) run ./cmd/stpbench trace -engine live -rows 2 -cols 2 -alg Br_Lin -dist E -s 2 -bytes 512 \
 		-fault-dup 0.9 -fault-seed 7 -chrome .trace-smoke/faulty.json -json .trace-smoke/faulty.jsonl
-	$(GO) run ./cmd/stptrace -validate .trace-smoke/*.json .trace-smoke/*.jsonl
+	$(GO) run ./cmd/stpbench trace -validate .trace-smoke/*.json .trace-smoke/*.jsonl
 	@rm -rf .trace-smoke
 
 # End-to-end service smoke: start stpbcastd on a random port, run one
@@ -114,28 +114,16 @@ cluster-smoke:
 collectives-shape:
 	$(GO) test -run 'TestFigCollectivesShape' -count 1 -timeout 10m ./internal/bench/
 
-# Golden public-API surface of the facade package. `make api` refreshes
-# the committed file after an intentional API change; `make api-check`
-# (run by CI) fails when the tree and api/stpbcast.txt disagree, so the
-# public surface can only change with an explicit, reviewed diff.
+# The two golden files are checked by tests that `go test ./...` (and so
+# `make race`) runs: TestAPISurface holds api/stpbcast.txt to the facade's
+# exported API, TestReportIsCurrent holds REPORT.md to the byte. These
+# targets rewrite them after an intended change, for review as a diff.
 api:
-	@mkdir -p api
-	$(GO) run ./cmd/stpapi -dir . > api/stpbcast.txt
+	$(GO) test . -run '^TestAPISurface$$' -count=1 -update
 
-api-check:
-	$(GO) run ./cmd/stpapi -dir . -check api/stpbcast.txt
-
-# REPORT.md is the committed output of `go run ./cmd/stpreport -o
-# REPORT.md`: every simulated experiment, deterministic to the byte. This
-# regenerates it to a temp file and diffs, ignoring the `Generated` date
-# line — a simulated value that moved fails here by figure and cell.
-report-check:
-	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/stpreport -o "$$tmp/new.md" && \
-	grep -v '^Generated ' REPORT.md > "$$tmp/want" && \
-	grep -v '^Generated ' "$$tmp/new.md" > "$$tmp/got" && \
-	diff "$$tmp/want" "$$tmp/got" && echo "REPORT.md matches the regenerated report"
+report:
+	$(GO) test ./internal/bench -run '^TestReportIsCurrent$$' -count=1 -update
 
 # The workflow (.github/workflows/ci.yml) runs these targets, one step
 # each, in this order.
-ci: fmt vet build race chaos fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check report-check loc
+ci: fmt vet build race chaos fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape loc

@@ -1,8 +1,9 @@
-// Command stpbench runs every measurement outside the committed
-// benchmark: it regenerates the tables and figures of the paper's
-// evaluation section on the simulated Paragon and T3D, draws the source
-// distributions, runs the chaos harness over the real-byte engines, and
-// times the real-byte engines on the host it runs on.
+// Command stpbench is the one developer binary: it regenerates the
+// tables and figures of the paper's evaluation section on the simulated
+// Paragon and T3D, draws the source distributions, drives the planner,
+// traces single runs on any engine, runs the chaos harness over the
+// real-byte engines, and times the real-byte engines on the host it runs
+// on.
 //
 // Usage:
 //
@@ -13,6 +14,13 @@
 //	stpbench fig fig9 -plot                 # ASCII bar charts
 //	stpbench dist -rows 10 -cols 10 -s 30   # Figure 1: every distribution
 //	stpbench dist -rows 16 -cols 16 -s 64 -dist Cr -ideal
+//	stpbench plan -machine paragon -rows 10 -cols 10 -dist E -s 30 -bytes 4096
+//	stpbench plan -machine t3d -rows 8 -cols 8 -collective AllToAll -bytes 64
+//	stpbench sweep -machine t3d -rows 16 -cols 16 -dists E,Cr -s 10,64 -bytes 1024,16384
+//	stpbench measure -rows 16 -cols 16 -algs Br_Lin,Repos_xy_source -dists E,Cr -s 16,64 -bytes 4096
+//	stpbench trace -alg Br_xy_source -s 30 -hot 5 -heat
+//	stpbench trace -engine tcp -rows 4 -cols 4 -alg Br_Lin -s 4 -fault-dup 0.5 -chrome trace.json
+//	stpbench trace -validate trace.json events.jsonl
 //	stpbench chaos                          # fault-injection sweep over both engines
 //	stpbench chaos -seed 7 -engine tcp
 //	stpbench session -repeat 200 -engine tcp     # warm session vs one-shot throughput
@@ -25,9 +33,11 @@
 //
 // Each subcommand parses its own flags: a flag of another subcommand, a
 // bad value or a contradictory combination is a usage error (exit 2),
-// never silently ignored. Experiment values are simulated and identical
-// on every run; session, mesh and daemon report wall clock on the host
-// they run on.
+// never silently ignored. Every subcommand that takes a machine resolves
+// -machine, -rows and -cols through stpbcast.NewMachineByName. Experiment,
+// plan, sweep and measure values are simulated and identical on every
+// run; session, mesh and daemon report wall clock on the host they run
+// on.
 package main
 
 import (
@@ -39,6 +49,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -63,13 +75,17 @@ var commands = map[string]func(fs *flag.FlagSet, args []string, out io.Writer) e
 	"list":    runList,
 	"fig":     runFig,
 	"dist":    runDist,
+	"plan":    runPlan,
+	"sweep":   runSweep,
+	"measure": runMeasure,
+	"trace":   runTrace,
 	"chaos":   runChaos,
 	"session": runSession,
 	"mesh":    runMesh,
 	"daemon":  runDaemon,
 }
 
-const usageLine = "usage: stpbench {list|fig <id>|all|dist|chaos|session|mesh|daemon} [flags]"
+const usageLine = "usage: stpbench {list|fig <id>|all|dist|plan|sweep|measure|trace|chaos|session|mesh|daemon} [flags]"
 
 // errUsage is returned once a usage error has been reported on stderr.
 var errUsage = errors.New("usage")
@@ -100,18 +116,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // parse parses a subcommand's flags; the flag package reports a flag the
-// subcommand does not define, or a malformed value.
+// subcommand does not define, or a malformed value. An argument left
+// after the flags is a usage error too.
 func parse(fs *flag.FlagSet, args []string) error {
+	operands, err := parseOperands(fs, args)
+	if err == nil && len(operands) > 0 {
+		return usage(fs, "unexpected argument %q", operands[0])
+	}
+	return err
+}
+
+// parseOperands is parse for a subcommand that takes arguments after its
+// flags: it returns them.
+func parseOperands(fs *flag.FlagSet, args []string) ([]string, error) {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			return err
+			return nil, err
 		}
-		return errUsage
+		return nil, errUsage
 	}
-	if fs.NArg() > 0 {
-		return usage(fs, "unexpected argument %q", fs.Arg(0))
-	}
-	return nil
+	return fs.Args(), nil
 }
 
 // usage reports a usage error the way the flag package reports a bad
@@ -120,6 +144,68 @@ func usage(fs *flag.FlagSet, format string, a ...any) error {
 	fmt.Fprintf(fs.Output(), format+"\n", a...)
 	fs.Usage()
 	return errUsage
+}
+
+// machineFlags registers -machine, -rows and -cols and returns the
+// function that resolves them, after parse, through
+// stpbcast.NewMachineByName; an unknown name or a bad size is a usage
+// error.
+func machineFlags(fs *flag.FlagSet) func() (*stpbcast.Machine, error) {
+	name := fs.String("machine", "paragon", "paragon, paragon-mpi, t3d (p = rows·cols) or hypercube (rows·cols a power of two)")
+	rows := fs.Int("rows", 10, "mesh rows")
+	cols := fs.Int("cols", 10, "mesh columns")
+	return func() (*stpbcast.Machine, error) {
+		m, err := stpbcast.NewMachineByName(*name, *rows, *cols)
+		if err != nil {
+			return nil, usage(fs, "%v", err)
+		}
+		return m, nil
+	}
+}
+
+// splitList splits a comma-separated flag value, dropping empty entries.
+func splitList(v string) []string {
+	var out []string
+	for _, part := range strings.Split(v, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
+}
+
+// intList parses the comma-separated integers of flag -name; a malformed
+// entry is a usage error.
+func intList(fs *flag.FlagSet, name, v string) ([]int, error) {
+	var out []int
+	for _, part := range splitList(v) {
+		n, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, usage(fs, "-%s: bad integer %q", name, part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// isSet reports whether flag name was given on the command line.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// sourceFlagsFit rejects a -dist or -s that coll does not take, never
+// silently ignoring it: a sourceless collective takes neither, a
+// single-root one no -s but 1.
+func sourceFlagsFit(fs *flag.FlagSet, coll stpbcast.Collective, s int) error {
+	switch {
+	case !coll.Caps().TakesSources && (isSet(fs, "dist") || isSet(fs, "s")):
+		return usage(fs, "-dist/-s: %s takes no source set (every rank contributes)", coll)
+	case coll.Caps().SingleSource && isSet(fs, "s") && s != 1:
+		return usage(fs, "-s: %s takes a single root, got %d", coll, s)
+	}
+	return nil
 }
 
 // engines maps an -engine value to the engines it selects; "both" is the
@@ -631,8 +717,6 @@ func runDaemon(fs *flag.FlagSet, args []string, out io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if _, err := engines(fs, *engine, "sim", "live", "tcp"); err != nil {
 		return err
 	}
@@ -640,22 +724,22 @@ func runDaemon(fs *flag.FlagSet, args []string, out io.Writer) error {
 	if err != nil {
 		return usage(fs, "-collective: %v", err)
 	}
-	levels, err := parseConcSweep(*conc)
+	if err := sourceFlagsFit(fs, coll, *sources); err != nil {
+		return err
+	}
+	levels, err := intList(fs, "conc", *conc)
+	if err != nil {
+		return err
+	}
 	switch {
-	case err != nil:
-		return usage(fs, "%v", err)
+	case len(levels) == 0 || slices.Min(levels) <= 0:
+		return usage(fs, "-conc wants positive comma-separated worker counts, got %q", *conc)
 	case *requests <= 0:
 		return usage(fs, "-requests must be positive, got %d", *requests)
-	case set["rate"] && set["conc"]:
+	case isSet(fs, "rate") && isSet(fs, "conc"):
 		return usage(fs, "-rate (open loop) and -conc (closed loop) are mutually exclusive")
-	case set["duration"] && !set["rate"]:
+	case isSet(fs, "duration") && !isSet(fs, "rate"):
 		return usage(fs, "-duration applies to open-loop runs only (set -rate)")
-	case !coll.Caps().TakesSources && (set["dist"] || set["s"]):
-		// Sourceless collectives take no -dist/-s: an explicit value is a
-		// usage error, never silently ignored.
-		return usage(fs, "-dist/-s: %s takes no source set (every rank contributes)", coll)
-	case coll.Caps().SingleSource && set["s"] && *sources != 1:
-		return usage(fs, "-s: %s takes a single root, got %d", coll, *sources)
 	}
 	req := daemon.BroadcastRequest{
 		Engine:     *engine,
@@ -766,24 +850,4 @@ func serveDaemon(fresh bool) (string, func(), error) {
 		srv.Close()
 	}
 	return "http://" + ln.Addr().String(), stop, nil
-}
-
-// parseConcSweep parses "1,2,4,8" into worker counts.
-func parseConcSweep(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("-conc wants positive comma-separated worker counts, got %q", s)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-conc wants at least one worker count, got %q", s)
-	}
-	return out, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -20,7 +21,9 @@ func stpbench(t *testing.T, args ...string) (int, string) {
 }
 
 // TestUsageErrorsExit2: no subcommand, an unknown one, a flag that
-// belongs to another subcommand and a bad flag value are usage errors.
+// belongs to another subcommand, a bad flag value, a stray argument and a
+// contradictory combination are usage errors. Each prints nothing on
+// stdout and the subcommand's flags (or the subcommand list) on stderr.
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
@@ -32,9 +35,33 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"session", "-engine", "live", "-sparse"},
 		{"fig", "fig3", "-csv", "-plot"},
 		{"daemon", "-rate", "5", "-conc", "2"},
+		{"daemon", "-conc", "2,0"},
+		{"measure", "-s", "8,x"},
+		{"measure", "-algs", "Br_Nope"},
+		{"plan", "-machine", "nope"},
+		{"plan", "extra", "-bytes", "10"},
+		{"plan", "-p", "64"},
+		{"plan", "-collective", "AllToAll", "-s", "4"},
+		{"sweep", "-dists", "E,Nope"},
+		{"sweep", "-machine", "hypercube", "-rows", "3", "-cols", "3"},
+		{"trace", "-machine", "nope"},
+		{"trace", "-engine", "sim", "-fault-drop", "0.1"},
+		{"trace", "-engine", "live", "-heat"},
+		{"trace", "-validate"},
 	} {
-		if code, _ := stpbench(t, args...); code != 2 {
-			t.Errorf("stpbench %q exited %d, want 2", args, code)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("stpbench %q exited %d, want 2\n%s", args, code, stderr.String())
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("stpbench %q printed on stdout before failing:\n%s", args, stdout.String())
+		}
+		want := usageLine
+		if len(args) > 0 && commands[args[0]] != nil {
+			want = "Usage of stpbench " + args[0] + ":"
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stpbench %q: stderr lacks %q:\n%s", args, want, stderr.String())
 		}
 	}
 }
@@ -103,5 +130,52 @@ func TestDistDrawsOneGrid(t *testing.T) {
 	}
 	if n := strings.Count(out, "#"); n != 2 {
 		t.Errorf("grid marks %d sources, want 2:\n%s", n, out)
+	}
+}
+
+func TestPlanPrintsChosen(t *testing.T) {
+	code, out := stpbench(t, "plan", "-rows", "4", "-cols", "4", "-s", "4", "-bytes", "1024")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if !strings.Contains(out, "\nchosen     ") {
+		t.Errorf("no chosen line:\n%s", out)
+	}
+}
+
+func TestMeasurePrintsOneRow(t *testing.T) {
+	code, out := stpbench(t, "measure", "-rows", "4", "-cols", "4", "-s", "4", "-bytes", "512")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "machine,algorithm,") || !strings.HasPrefix(lines[1], "paragon") {
+		t.Errorf("want the CSV header and one paragon row, got:\n%s", out)
+	}
+}
+
+// TestTraceFilesValidate: the files trace writes pass trace -validate,
+// and a truncated copy fails it.
+func TestTraceFilesValidate(t *testing.T) {
+	dir := t.TempDir()
+	chrome, events := filepath.Join(dir, "t.json"), filepath.Join(dir, "t.jsonl")
+	code, _ := stpbench(t, "trace", "-engine", "sim", "-rows", "4", "-cols", "4", "-alg", "Br_Lin", "-s", "4", "-bytes", "256",
+		"-chrome", chrome, "-json", events)
+	if code != 0 {
+		t.Fatalf("trace exit %d", code)
+	}
+	if code, out := stpbench(t, "trace", "-validate", chrome, events); code != 0 {
+		t.Fatalf("validate exit %d:\n%s", code, out)
+	}
+	data, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := stpbench(t, "trace", "-validate", events, bad); code != 1 {
+		t.Errorf("validate of a truncated file exited %d, want 1:\n%s", code, out)
 	}
 }

@@ -208,7 +208,7 @@ type IterStat struct {
 
 // Rate returns the iteration's send-byte throughput in bytes per second
 // of its native clock (virtual for sim, wall for live/tcp) — the
-// link-utilization series plotted by cmd/stptrace.
+// link-utilization series `stpbench trace -iters` prints.
 func (s IterStat) Rate() float64 {
 	if s.End <= s.Start {
 		return 0
