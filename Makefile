@@ -24,10 +24,12 @@ test:
 # Explicit -timeout: the chaos/abort tests promise every injected hang
 # becomes an error; a silent-hang regression should fail fast. The run
 # lifecycle's packages go three more times: each machine's watchdog
-# goroutine reads inbox and barrier state on every tick.
+# goroutine reads inbox and barrier state on every tick. So does the
+# cluster's: its workers check bundles inside rank bodies while their
+# peers still hold the bundles' shared part arrays.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp
+	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp ./internal/cluster
 
 # Fault-injection and abort-path suites only, plus the stpbench sweep.
 chaos:

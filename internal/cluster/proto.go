@@ -36,10 +36,10 @@
 // compiles each instance it runs once (core.Bindings): the schedules are
 // oblivious, so a repeated run spec repeats the program too. Run and
 // done are binary frames on the control connection; setup and recovery
-// messages are JSON lines (see conn). A worker's in-memory copies come
-// from slabs its next run reclaims (tcp.NewWorkerMachine), which is
-// safe because it checks every bundle inside the rank body and keeps
-// none.
+// messages are JSON lines (see conn). A worker's ranks share their
+// program's messages in memory (tcp.NewWorkerMachine), so the check
+// inside each rank body reads a bundle whose part array its peers may
+// still hold, and must not reorder it.
 //
 // # Failure semantics
 //

@@ -5,6 +5,7 @@ package cluster
 // clusterRunAllocBudget is 5 % over the 34 allocations a warm cluster run
 // costs (TestClusterRunAllocationBudget): an extra control message,
 // per-rank stats objects, a reference buffer per verified part, a worker
-// compiling its program again or allocating its ranks' in-memory copies
-// instead of carving them from its slabs each cost more than that.
+// compiling its program again or copying the messages its ranks send one
+// another in memory, which a program shares uncopied, each cost more
+// than that.
 const clusterRunAllocBudget = 35

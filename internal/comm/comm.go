@@ -120,6 +120,18 @@ type Comm interface {
 	Barrier()
 }
 
+// SharedSender is implemented by engines whose Send copies a message for
+// the buffered-send contract, to let a sender that never changes what it
+// sent skip that copy. A compiled schedule is such a sender: its executor
+// writes no part's bytes, never reorders a part array in place and
+// appends to an array only past every length it sent.
+type SharedSender interface {
+	// SendShared is Send for a message whose part array and bytes stay as
+	// they are: the receiver may hold them without a copy. The receiver
+	// must not change them either.
+	SendShared(dst int, m Message)
+}
+
 // Clock is implemented by engines that track per-processor virtual time.
 // Algorithms charge local computation (message combining) through it.
 type Clock interface {

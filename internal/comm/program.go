@@ -281,7 +281,7 @@ func (b *Builder) Grow(reg, n int) { b.emit(Op{Kind: OpGrow, reg: int16(reg), ar
 // SendParts sends peer the parts of register reg that s selects.
 func (b *Builder) SendParts(peer, reg int, s Sel) {
 	if b.x.c != nil {
-		b.x.c.Send(b.peer(peer), b.x.pick(reg, s))
+		b.x.send(b.peer(peer), b.x.pick(reg, s))
 		return
 	}
 	b.selection(OpSendParts, reg, s, b.peer(peer))
@@ -437,7 +437,8 @@ func (pg *Program) Run(c Comm, mine Message) Message {
 // (sim.Replay) is the other reader of an Op; it tracks lengths where this
 // moves bundles.
 type executor struct {
-	c Comm
+	c     Comm
+	share SharedSender // c, when the engine can skip its send copy
 	// Register 0, and the others if there are any: the common one-register
 	// program costs its ranks no register file.
 	r0   Message
@@ -448,6 +449,7 @@ type executor struct {
 
 func newExecutor(c Comm, regs int, mine Message, pg *Program) executor {
 	x := executor{c: c, r0: mine, tag: mine.Tag, pg: pg}
+	x.share, _ = c.(SharedSender)
 	if regs > 1 {
 		x.more = make([]Message, regs-1)
 	}
@@ -468,10 +470,10 @@ func (x *executor) reg(i int) *Message {
 func (x *executor) do(op Op) {
 	switch op.Kind {
 	case OpSend:
-		x.c.Send(op.Peer(), *x.reg(op.Reg()))
+		x.send(op.Peer(), *x.reg(op.Reg()))
 	case OpMove:
 		reg := x.reg(op.Reg())
-		x.c.Send(op.Peer(), *reg)
+		x.send(op.Peer(), *reg)
 		reg.Parts = nil
 	case OpToken:
 		tag, bytes := x.pg.Token(op)
@@ -496,7 +498,7 @@ func (x *executor) do(op Op) {
 		*reg = fold(reg.Tag, reg.Parts, m.Parts)
 	case OpSendParts:
 		s, peer := x.pg.Selection(op)
-		x.c.Send(peer, x.pick(op.Reg(), s))
+		x.send(peer, x.pick(op.Reg(), s))
 	case OpTake:
 		s, dst := x.pg.Selection(op)
 		x.take(dst, op.Reg(), s)
@@ -525,6 +527,16 @@ func (x *executor) token(peer, tag, bytes int) {
 	m := Message{Tag: tag}
 	if bytes > 0 {
 		m.Parts = []Part{{Origin: x.c.Rank(), Data: make([]byte, bytes)}}
+	}
+	x.send(peer, m)
+}
+
+// send sends m to peer without a copy when the engine offers that: no
+// operation changes a part array or byte once it is sent.
+func (x *executor) send(peer int, m Message) {
+	if x.share != nil {
+		x.share.SendShared(peer, m)
+		return
 	}
 	x.c.Send(peer, m)
 }

@@ -289,3 +289,41 @@ func TestCheck(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckLeavesOrder: Check sorts a copy, never its argument — a
+// bundle's part array may be shared with the ranks that sent it. Every
+// rank's bundle, reversed, passes and comes back still reversed, on a
+// machine whose AllGather and AllToAll bundles fit Check's stack copy (8
+// ranks) and on one whose do not (72).
+func TestCheckLeavesOrder(t *testing.T) {
+	const size = 5
+	sizes := func(int) int { return size }
+	for _, shape := range [][2]int{{2, 4}, {8, 9}} {
+		rows, cols := shape[0], shape[1]
+		p := rows * cols
+		sources := map[Collective][]int{
+			Broadcast: {1, 4, 6}, Reduce: {1, 4, 6}, AllReduce: {1, 4, 6}, Scatter: {6},
+			AllGather: AllRanksSources(p), AllToAll: AllRanksSources(p),
+		}
+		for _, coll := range Collectives() {
+			spec := Spec{Rows: rows, Cols: cols, Sources: sources[coll], Indexing: topology.SnakeRowMajor}
+			for rank, m := range runLiveColl(t, coll, RegistryFor(coll)[0], spec, size) {
+				slices.Reverse(m.Parts)
+				origins := func() []int {
+					out := make([]int, len(m.Parts))
+					for i, part := range m.Parts {
+						out[i] = part.Origin
+					}
+					return out
+				}
+				want := origins()
+				if err := coll.Check(spec, sizes, rank, m); err != nil {
+					t.Fatalf("%s on %d ranks, rank %d: %v", coll, p, rank, err)
+				}
+				if got := origins(); !slices.Equal(got, want) {
+					t.Fatalf("%s on %d ranks, rank %d: Check reordered the parts %v to %v", coll, p, rank, want, got)
+				}
+			}
+		}
+	}
+}

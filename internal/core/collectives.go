@@ -202,14 +202,18 @@ func fillByte(origin, d int) byte { return byte(origin + 131*d) }
 //   - AllToAll: one part per rank o, chunk rank of o's payload.
 //
 // The combining collectives and Scatter take the root's size for their
-// one part. Check sorts the parts by origin in place, checks their count,
-// origin set, duplicates and lengths, and every byte with bytes.Count; it
-// allocates nothing unless it fails, and its error names the rank, the
-// origin and, for wrong bytes, the first bad one. A fill per part cannot
-// see bytes reordered inside a part: FuzzFrameRoundTrip (the wire) and
-// TestFoldMatchesByteLoop (the fold) cover that.
+// one part. Check sorts a copy of the part array by origin — the array
+// may be shared with the ranks that sent it (comm.SharedSender), so it
+// is never reordered in place — and checks their count, origin set,
+// duplicates and lengths, and every byte with bytes.Count. It allocates
+// nothing for up to checkOnStack parts unless it fails, and its error
+// names the rank, the origin and, for wrong bytes, the first bad one. A
+// fill per part cannot see bytes reordered inside a part:
+// FuzzFrameRoundTrip (the wire) and TestFoldMatchesByteLoop (the fold)
+// cover that.
 func (c Collective) Check(spec Spec, sizes func(rank int) int, rank int, bundle comm.Message) error {
-	got := bundle.Parts
+	var stack [checkOnStack]comm.Part
+	got := append(stack[:0], bundle.Parts...)
 	slices.SortFunc(got, func(a, b comm.Part) int { return a.Origin - b.Origin })
 	n := c.parts(spec, rank)
 	for i := 0; i < max(n, len(got)); i++ {
@@ -240,6 +244,10 @@ func (c Collective) Check(spec Spec, sizes func(rank int) int, rank int, bundle 
 	}
 	return nil
 }
+
+// checkOnStack is the most parts Check sorts without allocating: an
+// all-to-all's bundle on a 64-rank machine.
+const checkOnStack = 64
 
 // parts is the number of parts rank holds at the end of a run of c.
 func (c Collective) parts(spec Spec, rank int) int {

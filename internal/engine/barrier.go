@@ -43,7 +43,8 @@ func (m *Machine) crossBarrier() error {
 	for k := 1; k < n; k <<= 1 {
 		dst, src := m.leaders[(w+k)%n], m.leaders[(w-k+n)%n]
 		ld.stats.BarrierSends++
-		if err := m.tr.Deliver(r, ld.rank, dst, comm.Message{Tag: TokenTag}); err != nil {
+		// A token has no parts to copy: it goes shared.
+		if err := m.tr.Deliver(r, ld.rank, dst, comm.Message{Tag: TokenTag}, true); err != nil {
 			return fmt.Errorf("leader rank %d: %w", ld.rank, r.sendErr(dst, err))
 		}
 		if err := ld.in.popToken(src, r.recvTimeout); err != nil {

@@ -227,6 +227,34 @@ var scenarios = []struct {
 		}
 	}},
 
+	// A shared send hands over the part array itself (SendShared), but
+	// capped at its length: what a receiver appends to it cannot land in
+	// the sender's spare capacity.
+	{"shared send then append", func(h *harness) {
+		_, err := h.run(3, engine.Options{}, func(p *engine.Proc) {
+			me := p.Rank()
+			parts := make([]comm.Part, 1, 2)
+			parts[0] = comm.Part{Origin: me, Data: []byte("shared")}
+			dst := (me + 1) % 3
+			p.SendShared(dst, comm.Message{Parts: parts})
+			p.SendShared(me, comm.Message{Parts: parts})
+			for _, src := range []int{(me + 2) % 3, me} {
+				m := p.Recv(src)
+				if len(m.Parts) != 1 || m.Parts[0].Origin != src || string(m.Parts[0].Data) != "shared" {
+					h.Errorf("rank %d: from %d got %v", me, src, m.Parts)
+				}
+				_ = append(m.Parts, comm.Part{Origin: 99})
+			}
+			p.Barrier()
+			if spare := parts[:2][1]; spare.Origin != 0 {
+				h.Errorf("rank %d: a receiver appended into the sender's array: %+v", me, spare)
+			}
+		})
+		if err != nil {
+			h.Fatal(err)
+		}
+	}},
+
 	{"FIFO per pair", func(h *harness) {
 		const n = 200
 		_, err := h.run(3, engine.Options{}, func(p *engine.Proc) {

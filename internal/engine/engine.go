@@ -91,10 +91,11 @@ type Options struct {
 // like any message (tagged TokenTag) and come back through Run.Push.
 type Transport interface {
 	// Deliver moves m from local rank src toward dst (never src itself)
-	// and returns once m's buffers may be reused. Memory hands it to
-	// Run.Local; sockets encode a frame and write it, and the far end's
-	// reader calls Run.Push.
-	Deliver(r *Run, src, dst int, m comm.Message) error
+	// and returns once m's buffers may be reused; shared says the sender
+	// never changes them (Proc.SendShared). Memory hands it to Run.Local;
+	// sockets encode a frame and write it, and the far end's reader calls
+	// Run.Push.
+	Deliver(r *Run, src, dst int, m comm.Message, shared bool) error
 	// Begin is called with the run's mailboxes armed and no rank started
 	// yet. Sockets publish the armed epoch here, releasing frames a
 	// cluster worker that started first already sent.
@@ -159,10 +160,6 @@ type Machine struct {
 	leaders []int
 	cross   func() error
 	tr      Transport
-	// copies is where Run.Local carves its copies when the owner drops
-	// every message before the next run (ReclaimCopies); nil means every
-	// copy is allocated and belongs to whoever ends up holding it.
-	copies *copies
 
 	mu     sync.Mutex // serializes Run and Close
 	closed bool
@@ -212,15 +209,6 @@ func New(name string, size, lo, hi int, leaders []int, tr Transport) *Machine {
 	go m.watchdog()
 	return m
 }
-
-// ReclaimCopies makes the copies Run.Local hands out run-scoped: they
-// are carved from two slabs (payload bytes and part headers) that the
-// next Run reclaims when it arms, so a copy — and any bundle built on
-// it — is valid until then and no longer. Call it before the first Run,
-// and only when whoever runs the machine keeps nothing a run delivered
-// past the run: a cluster worker checks every bundle inside the rank
-// body. A machine whose bundles become the caller's result must not.
-func (m *Machine) ReclaimCopies() { m.copies = new(copies) }
 
 // Size returns the machine's rank count (local or not).
 func (m *Machine) Size() int { return m.size }
@@ -280,29 +268,28 @@ func (r *Run) Push(dst, src int, m comm.Message) {
 	r.m.procs[dst].in.push(r, src, m, r.wall())
 }
 
-// Local is the in-memory delivery path: it copies m's parts into one
-// backing array — the buffered-send contract lets the caller reuse its
-// buffers the moment Send returns — and pushes the copy to dst's inbox.
-// The memory transport delivers everything this way; every engine's
-// self-sends do, and so do a cluster worker's sends between its own
-// ranks. The copy lives as long as whoever holds it keeps it, except on
-// a machine that reclaims its copies (Machine.ReclaimCopies): there it is
-// carved from the machine's slabs and valid only until the next Run
-// arms.
-func (r *Run) Local(src, dst int, m comm.Message) {
+// Local is the in-memory delivery path: it pushes m to dst's inbox. A
+// shared message (Proc.SendShared) goes as it is, under a part header
+// capped at its length, so the receiver's appends cannot write into the
+// sender's array. Any other is copied into one backing array first — the
+// buffered-send contract lets the caller reuse its buffers the moment
+// Send returns. The memory transport delivers everything this way; every
+// engine's self-sends do, and so do a cluster worker's sends between its
+// own ranks.
+func (r *Run) Local(src, dst int, m comm.Message, shared bool) {
+	if shared {
+		n := len(m.Parts)
+		r.Push(dst, src, comm.Message{Tag: m.Tag, Parts: m.Parts[:n:n]})
+		return
+	}
 	var total int
 	for _, part := range m.Parts {
 		total += len(part.Data)
 	}
-	var parts []comm.Part
+	parts := make([]comm.Part, len(m.Parts))
 	var backing []byte
-	if c := r.m.copies; c != nil {
-		parts, backing = c.parts.take(len(m.Parts)), c.bytes.take(total)
-	} else {
-		parts = make([]comm.Part, len(m.Parts))
-		if total > 0 {
-			backing = make([]byte, total)
-		}
+	if total > 0 {
+		backing = make([]byte, total)
 	}
 	for i, part := range m.Parts {
 		if part.Data == nil {
@@ -364,10 +351,6 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	r := &Run{
 		m: m, fn: fn, tr: opts.Tracer, ctx: opts.Context,
 		runTimeout: opts.RunTimeout, recvTimeout: opts.RecvTimeout, arming: m.bar.Arm(),
-	}
-	if m.copies != nil {
-		// The last run is over and its copies with it.
-		m.copies.reclaim()
 	}
 	local := m.procs[m.lo:m.hi]
 	for _, pr := range local {

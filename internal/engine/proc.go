@@ -10,8 +10,9 @@ import (
 )
 
 // Proc is one local rank's handle on the machine. It implements
-// comm.Comm, comm.IterMarker and comm.PhaseMarker; methods must only be
-// called from the rank's own goroutine, during a Machine.Run.
+// comm.Comm, comm.SharedSender, comm.IterMarker and comm.PhaseMarker;
+// methods must only be called from the rank's own goroutine, during a
+// Machine.Run.
 type Proc struct {
 	rank int
 	m    *Machine
@@ -32,6 +33,7 @@ type Proc struct {
 }
 
 var _ comm.Comm = (*Proc)(nil)
+var _ comm.SharedSender = (*Proc)(nil)
 var _ comm.IterMarker = (*Proc)(nil)
 var _ comm.PhaseMarker = (*Proc)(nil)
 
@@ -68,9 +70,17 @@ func (p *Proc) stamp(e obs.Event, t0 time.Time) obs.Event {
 
 // Send implements comm.Comm with buffered-send semantics: it returns as
 // soon as the caller may reuse m's buffers, never waiting for the peer
-// to post a receive. A send to the own rank goes through the local
-// (copying) delivery path on every engine.
-func (p *Proc) Send(dst int, m comm.Message) {
+// to post a receive. A message that stays in memory — a send to the own
+// rank on every engine, any send on live, a cluster worker's sends
+// between its own ranks — is copied.
+func (p *Proc) Send(dst int, m comm.Message) { p.send(dst, m, false) }
+
+// SendShared implements comm.SharedSender: Send for a sender that never
+// changes m's part array or bytes, whose in-memory messages the receiver
+// then holds as they are — a compiled program's (comm.Program.Run).
+func (p *Proc) SendShared(dst int, m comm.Message) { p.send(dst, m, true) }
+
+func (p *Proc) send(dst int, m comm.Message, shared bool) {
 	if dst < 0 || dst >= p.m.size {
 		panic(fmt.Sprintf("%s: rank %d sends to invalid rank %d", p.m.name, p.rank, dst))
 	}
@@ -86,8 +96,8 @@ func (p *Proc) Send(dst int, m comm.Message) {
 	p.stats.Sends++
 	p.stats.SendBytes += int64(bytes)
 	if dst == p.rank {
-		r.Local(p.rank, dst, m)
-	} else if err := p.m.tr.Deliver(r, p.rank, dst, m); err != nil {
+		r.Local(p.rank, dst, m, shared)
+	} else if err := p.m.tr.Deliver(r, p.rank, dst, m, shared); err != nil {
 		panic(r.sendErr(dst, err))
 	}
 	if r.tr != nil {

@@ -8,11 +8,13 @@
 // The package is the in-memory transport of internal/engine plus a
 // constructor: the run lifecycle, Send/Recv/Barrier, deadlines, abort and
 // failure semantics are the core's and are documented there. What live
-// adds is how a message travels — copied on send into the destination's
-// inbox, so a sender mutating its buffer after Send cannot corrupt a
-// message in flight, the buffered semantics of NX csend that the
-// algorithms assume. Unlike the simulator, it gives no virtual timing;
-// it reports wall-clock elapsed time and operation counts.
+// adds is how a message travels — pushed into the destination's inbox by
+// the core's in-memory path: a compiled program's message as it is,
+// since the program never changes what it sent (comm.SharedSender), any
+// other copied on send, so a sender mutating its buffer after Send
+// cannot corrupt a message in flight, the buffered semantics of NX csend
+// that the algorithms assume. Unlike the simulator, it gives no virtual
+// timing; it reports wall-clock elapsed time and operation counts.
 package live
 
 import (
@@ -33,11 +35,11 @@ type (
 )
 
 // memory is the in-process transport: every delivery is the core's local
-// (copying) path, and there is no mesh to prepare, tear down or close.
+// path, and there is no mesh to prepare, tear down or close.
 type memory struct{}
 
-func (memory) Deliver(r *engine.Run, src, dst int, m comm.Message) error {
-	r.Local(src, dst, m)
+func (memory) Deliver(r *engine.Run, src, dst int, m comm.Message, shared bool) error {
+	r.Local(src, dst, m, shared)
 	return nil
 }
 func (memory) Begin()       {}

@@ -238,86 +238,6 @@ func TestWorkerPairsExchangeThroughMemory(t *testing.T) {
 	}
 }
 
-// TestWorkerCopiesLastOneRun: a worker machine carves its ranks'
-// in-memory copies from slabs the next run reclaims. Back-to-back runs
-// on two workers send every rank a two-part message from every other,
-// with a payload of each run's own, and every receiver checks it byte
-// for byte — the copies of one run cannot show through in the next.
-// Once the slabs have grown to a run's size, the in-memory messages of a
-// run allocate nothing: a run costs fewer allocations than it has
-// in-memory messages.
-func TestWorkerCopiesLastOneRun(t *testing.T) {
-	const p = 6
-	ms := workerMesh(t, p, [][2]int{{0, 3}, {3, 6}}, nil)
-	payload := func(run, src, dst, part int) []byte {
-		return bytes.Repeat([]byte{byte(run*61 + src*7 + dst*3 + part)}, 64+part*32)
-	}
-	bufs := make([][2][]byte, p)
-	body := func(run int) func(*Proc) {
-		return func(pr *Proc) {
-			me := pr.Rank()
-			for dst := range p {
-				if dst == me {
-					continue
-				}
-				for i := range bufs[me] {
-					bufs[me][i] = append(bufs[me][i][:0], payload(run, me, dst, i)...)
-				}
-				pr.Send(dst, comm.Message{Tag: run, Parts: []comm.Part{{Origin: me, Data: bufs[me][0]}, {Origin: me, Data: bufs[me][1]}}})
-			}
-			for src := range p {
-				if src == me {
-					continue
-				}
-				m := pr.Recv(src)
-				for i, part := range m.Parts {
-					if want := payload(run, src, me, i); !bytes.Equal(part.Data, want) {
-						t.Errorf("run %d: rank %d from %d part %d: got %x, want %x", run, me, src, i, part.Data, want)
-					}
-				}
-			}
-		}
-	}
-	run := func(run int) {
-		t.Helper()
-		if _, errs := runWorkers(ms, uint32(run), Options{RecvTimeout: 10 * time.Second}, body(run)); errors.Join(errs...) != nil {
-			t.Fatalf("run %d: %v", run, errors.Join(errs...))
-		}
-	}
-	for r := 1; r <= 4; r++ {
-		run(r)
-	}
-	// A one-worker machine of 3 ranks: all 6 messages of a run go
-	// through memory.
-	solo := workerMesh(t, 3, [][2]int{{0, 3}}, nil)[0]
-	msgs := make([]comm.Message, 3)
-	for me := range msgs {
-		msgs[me] = comm.Message{Parts: []comm.Part{{Origin: me, Data: make([]byte, 64)}, {Origin: me, Data: make([]byte, 96)}}}
-	}
-	inMemory := func(pr *Proc) {
-		me := pr.Rank()
-		for dst := range 3 {
-			if dst != me {
-				pr.Send(dst, msgs[me])
-			}
-		}
-		for src := range 3 {
-			if src != me {
-				pr.Recv(src)
-			}
-		}
-	}
-	once := func() {
-		if _, err := solo.Run(Options{}, inMemory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	once()
-	if allocs := testing.AllocsPerRun(20, once); allocs >= 6 {
-		t.Errorf("%.0f allocations for a run of 6 in-memory messages: the copies are not carved from the slabs", allocs)
-	}
-}
-
 // TestPrepareHonorsContextCancel: a pre-run dial into a black hole gives
 // up as soon as Prepare's context is canceled, failing that run only —
 // the machine then rebuilds its mesh and runs a planned program.

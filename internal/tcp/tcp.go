@@ -290,10 +290,10 @@ type transport struct{ m *Machine }
 // never dials: a pair nobody dialed before the run fails the send. On a
 // worker machine a message to another local rank takes the core's
 // in-memory path instead, as a self-send does.
-func (t transport) Deliver(r *engine.Run, src, dst int, msg comm.Message) error {
+func (t transport) Deliver(r *engine.Run, src, dst int, msg comm.Message, shared bool) error {
 	m := t.m
 	if m.inMemory(src, dst) {
-		r.Local(src, dst, msg)
+		r.Local(src, dst, msg, shared)
 		return nil
 	}
 	m.connMu.RLock()
@@ -371,13 +371,11 @@ func NewMachine(p int, opts Options) (*Machine, error) {
 // planned, dialed by Prepare or rebuilt, and the rule holds for a worker
 // owning every rank too.
 //
-// A message between two local ranks (or a self-send) arrives as a copy
-// carved from the machine's run-scoped slabs (engine.Machine.ReclaimCopies):
-// it, and every bundle a rank builds on it, is valid until the next Run
-// arms, which reclaims the slabs. The cluster worker checks each bundle
-// inside the rank body and keeps none; a caller that keeps a bundle past
-// its run must copy it first. Frames from other workers are decoded into
-// storage of their own, as on every machine.
+// A message between two local ranks (or a self-send) takes the core's
+// in-memory path: a compiled program's message arrives as the sender's
+// part array and bytes, shared (engine.Proc.SendShared), any other as a
+// copy. Frames from other workers are decoded into storage of their
+// own, as on every machine.
 func NewWorkerMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, error) {
 	if lo < 0 || hi > p || lo >= hi {
 		return nil, fmt.Errorf("tcp: worker rank range [%d,%d) outside machine of %d ranks", lo, hi, p)
@@ -386,12 +384,7 @@ func NewWorkerMachine(p, lo, hi int, leaders []int, opts Options) (*Machine, err
 	if !sort.IntsAreSorted(leaders) || w == len(leaders) || leaders[w] != lo || leaders[0] < 0 || leaders[len(leaders)-1] >= p {
 		return nil, fmt.Errorf("tcp: worker range [%d,%d) of %d ranks is not led by one of the leader ranks %v", lo, hi, p, leaders)
 	}
-	m, err := newMachine(p, lo, hi, leaders, true, opts)
-	if err != nil {
-		return nil, err
-	}
-	m.core.ReclaimCopies()
-	return m, nil
+	return newMachine(p, lo, hi, leaders, true, opts)
 }
 
 // newMachine allocates the machine, binds the local ranks' listeners

@@ -496,7 +496,10 @@ type Result struct {
 	// Bundles holds, per rank, the received original messages keyed by
 	// origin rank (real-byte engines only). The combining collectives
 	// (Reduce, AllReduce) deliver a single entry keyed by ReducedOrigin;
-	// a Reduce leaves non-root ranks with an empty map.
+	// a Reduce leaves non-root ranks with an empty map. The bytes are
+	// read-only: ranks that exchanged a message in memory share it
+	// uncopied, so one slice may sit in several ranks' maps and may be
+	// the very buffer RunOptions.Payload returned.
 	Bundles []map[int][]byte
 	// Faults lists the faults injected during the run, when
 	// RunOptions.Faults was set.

@@ -504,7 +504,9 @@ type RunOptions struct {
 	// When nil, each source sends Config.MsgBytes (or MsgBytesFor)
 	// bytes of its rank value — under Scatter and AllToAll p chunks of
 	// MsgBytes bytes, chunk d filled with byte(rank+131·d). Ignored by
-	// EngineSim, which prices lengths only.
+	// EngineSim, which prices lengths only. The run reads the returned
+	// buffers without copying them, and Result.Bundles may share them,
+	// so they must not change until the caller is done with the result.
 	Payload func(rank int) []byte
 	// Faults, when non-nil, injects the plan's faults into the run
 	// (real-byte engines only; EngineSim rejects fault plans). Set
