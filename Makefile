@@ -26,10 +26,12 @@ test:
 # lifecycle's packages go three more times: each machine's watchdog
 # goroutine reads inbox and barrier state on every tick. So does the
 # cluster's: its workers check bundles inside rank bodies while their
-# peers still hold the bundles' shared part arrays.
+# peers still hold the bundles' shared part arrays. So does the daemon's:
+# a pool lease holds its key's lock for the whole run, and the same-key
+# and eviction tests race requests, sweeps and evictions against it.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp ./internal/cluster
+	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp ./internal/cluster ./internal/daemon
 
 # Fault-injection and abort-path suites only, plus the stpbench sweep.
 chaos:

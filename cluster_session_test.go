@@ -54,20 +54,12 @@ func TestClusterSession(t *testing.T) {
 			t.Fatalf("run %d: cluster run returned bundles; payload bytes crossed the control plane", i)
 		}
 	}
-	// Async submission rides the same path.
-	f, err := s.RunAsync(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Wait(); err != nil {
-		t.Fatalf("async run: %v", err)
-	}
 	stats, err := s.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Runs != 3 || stats.Failures != 0 || stats.Reconnects != 0 {
-		t.Fatalf("stats = %+v, want 3 clean runs with no reconnects", stats)
+	if stats.Runs != 2 || stats.Failures != 0 || stats.Reconnects != 0 {
+		t.Fatalf("stats = %+v, want 2 clean runs with no reconnects", stats)
 	}
 	if stats.Bytes == 0 {
 		t.Fatal("cluster runs reported zero payload bytes sent")

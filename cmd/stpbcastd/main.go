@@ -7,7 +7,10 @@
 //	stpbcastd                                # 127.0.0.1:7411
 //	stpbcastd -addr 127.0.0.1:0              # random port, printed on stdout
 //	stpbcastd -max-inflight 32 -tenant-quota 8 -max-sessions 4 -idle-ttl 2m
-//	stpbcastd -no-pool                       # fresh session per request (baseline)
+//
+// A bad flag value (a count below its minimum, a zero -idle-ttl, a
+// non-positive -recv-timeout) is a usage error (exit 2) naming the flag;
+// nothing is replaced by a default.
 //
 // The daemon prints "stpbcastd listening on http://ADDR" once the
 // listener is up (scripts parse this to find a random port), drains
@@ -34,21 +37,28 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 64, "max concurrently admitted broadcast requests (excess get 503)")
 	tenantQuota := flag.Int("tenant-quota", 0, "max in-flight requests per tenant (0 = unlimited; excess get 429)")
 	maxSessions := flag.Int("max-sessions", 8, "max warm sessions in the pool (LRU idle eviction at the cap)")
-	idleTTL := flag.Duration("idle-ttl", 5*time.Minute, "evict sessions idle for this long (negative disables)")
+	idleTTL := flag.Duration("idle-ttl", 5*time.Minute, "evict sessions idle for this long (negative disables TTL eviction; 0 is an error)")
 	recvTimeout := flag.Duration("recv-timeout", 30*time.Second, "default per-receive deadline T for requests that set none (a blocked wait expires within [T, 1.25 T))")
-	noPool := flag.Bool("no-pool", false, "disable the session pool: open a fresh session per request (baseline mode)")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "stpbcastd: unexpected arguments %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
+	switch {
+	case flag.NArg() > 0:
+		usage("unexpected arguments %v", flag.Args())
+	case *maxInFlight <= 0:
+		usage("-max-inflight must be positive, got %d", *maxInFlight)
+	case *tenantQuota < 0:
+		usage("-tenant-quota must be non-negative (0 = unlimited), got %d", *tenantQuota)
+	case *maxSessions <= 0:
+		usage("-max-sessions must be positive, got %d", *maxSessions)
+	case *idleTTL == 0:
+		usage("-idle-ttl must be positive, or negative to disable TTL eviction, got 0")
+	case *recvTimeout <= 0:
+		usage("-recv-timeout must be positive, got %v", *recvTimeout)
 	}
 
 	srv := daemon.New(daemon.Options{
 		Pool: daemon.PoolOptions{
 			MaxSessions: *maxSessions,
 			IdleTTL:     *idleTTL,
-			Disable:     *noPool,
 		},
 		MaxInFlight:        *maxInFlight,
 		TenantQuota:        *tenantQuota,
@@ -86,4 +96,12 @@ func main() {
 	defer cancel()
 	hs.Shutdown(ctx)
 	fmt.Println("stpbcastd: bye")
+}
+
+// usage reports a bad command line on stderr with the flag list and
+// exits 2, before the daemon listens.
+func usage(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, "stpbcastd: "+format+"\n", a...)
+	flag.Usage()
+	os.Exit(2)
 }

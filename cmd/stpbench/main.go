@@ -24,10 +24,9 @@
 //	stpbench chaos                          # fault-injection sweep over both engines
 //	stpbench chaos -seed 7 -engine tcp
 //	stpbench session -repeat 200 -engine tcp     # warm session vs one-shot throughput
-//	stpbench session -engine tcp -pipeline 4     # 4 async runs in flight
 //	stpbench session -engine tcp -sparse         # route-planned sparse mesh
 //	stpbench mesh                           # sparse vs full TCP mesh, p = 16 … 256
-//	stpbench daemon -conc 1,2,4,8 -requests 32   # in-process pooled vs fresh-session daemon
+//	stpbench daemon -conc 1,2,4,8 -requests 32   # an in-process pooled daemon
 //	stpbench daemon -addr 127.0.0.1:7411 -conc 1,2,4,8 -requests 200
 //	stpbench daemon -addr 127.0.0.1:7411 -rate 50 -duration 10s -out daemon-load.json
 //
@@ -334,13 +333,11 @@ func runDist(fs *flag.FlagSet, args []string, out io.Writer) error {
 // broadcast (the one-shot Run), once over a single warm Session whose
 // Open is included in its time. It prints both rates, and their ratio,
 // at a tenth, a quarter, half and all of the runs, then the session's
-// stats. -pipeline n drives the session loop through RunAsync with n
-// broadcasts in flight; -sparse dials the route-planned link set
-// (stpbcast.RoutesFor) at Open instead of before the first run.
+// stats. -sparse dials the route-planned link set (stpbcast.RoutesFor)
+// at Open instead of before the first run.
 func runSession(fs *flag.FlagSet, args []string, out io.Writer) error {
 	engine := fs.String("engine", "both", "sim, live, tcp or both")
 	n := fs.Int("repeat", 100, "broadcast count")
-	pipeline := fs.Int("pipeline", 0, "submit session broadcasts via RunAsync with this many in flight, 0 = synchronous")
 	sparse := fs.Bool("sparse", false, "prefetch the route plan at Open instead of dialing before the first run (with -engine tcp)")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -352,8 +349,6 @@ func runSession(fs *flag.FlagSet, args []string, out io.Writer) error {
 	switch {
 	case *n <= 0:
 		return usage(fs, "-repeat must be positive, got %d", *n)
-	case *pipeline < 0:
-		return usage(fs, "-pipeline must be non-negative, got %d", *pipeline)
 	case *sparse && *engine != "tcp":
 		// -sparse shapes the TCP mesh only; under any other engine it
 		// would be silently ignored for part or all of the comparison.
@@ -369,9 +364,6 @@ func runSession(fs *flag.FlagSet, args []string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "session: %d × %d B Br_Lin broadcasts, 4×4 mesh, E s=%d", *n, cfg.MsgBytes, cfg.Sources)
-	if *pipeline > 0 {
-		fmt.Fprintf(out, ", %d in flight", *pipeline)
-	}
 	if *sparse {
 		fmt.Fprintf(out, ", sparse mesh (%d planned links)", len(links))
 	}
@@ -402,7 +394,7 @@ func runSession(fs *flag.FlagSet, args []string, out io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("%s open: %w", eng, err)
 			}
-			if err := sessionLoop(s, cfg, opts, *n, *pipeline, done); err != nil {
+			if err := sessionLoop(s, cfg, opts, *n, done); err != nil {
 				s.Close()
 				return fmt.Errorf("%s session: %w", eng, err)
 			}
@@ -436,46 +428,13 @@ func timed(marks []int, loop func(done func(int)) error) ([]time.Duration, error
 }
 
 // sessionLoop drives n broadcasts through the warm session, reporting
-// each completion through done: plain Run when pipeline is 0, otherwise
-// RunAsync with up to pipeline futures submitted ahead of the oldest
-// unresolved one.
-func sessionLoop(s *stpbcast.Session, cfg stpbcast.Config, opts stpbcast.RunOptions, n, pipeline int, done func(int)) error {
-	if pipeline <= 0 {
-		for i := 0; i < n; i++ {
-			if _, err := s.Run(cfg, opts); err != nil {
-				return fmt.Errorf("run %d: %w", i, err)
-			}
-			done(i + 1)
-		}
-		return nil
-	}
-	completed := 0
-	wait := func(fut *stpbcast.Future) error {
-		if _, err := fut.Wait(); err != nil {
-			return fmt.Errorf("async run: %w", err)
-		}
-		completed++
-		done(completed)
-		return nil
-	}
-	inflight := make([]*stpbcast.Future, 0, pipeline)
+// each completion through done.
+func sessionLoop(s *stpbcast.Session, cfg stpbcast.Config, opts stpbcast.RunOptions, n int, done func(int)) error {
 	for i := 0; i < n; i++ {
-		fut, err := s.RunAsync(cfg, opts)
-		if err != nil {
-			return fmt.Errorf("submit %d: %w", i, err)
+		if _, err := s.Run(cfg, opts); err != nil {
+			return fmt.Errorf("run %d: %w", i, err)
 		}
-		inflight = append(inflight, fut)
-		if len(inflight) == pipeline {
-			if err := wait(inflight[0]); err != nil {
-				return err
-			}
-			inflight = append(inflight[:0], inflight[1:]...)
-		}
-	}
-	for _, fut := range inflight {
-		if err := wait(fut); err != nil {
-			return err
-		}
+		done(i + 1)
 	}
 	return nil
 }
@@ -694,12 +653,11 @@ func chaosOutcome(sc chaosScenario, spec core.Spec, res *stpbcast.Result, err er
 // runDaemon load-generates broadcast requests — a closed-loop
 // concurrency sweep by default, a fixed-rate open loop with -rate — and
 // prints req/s and p50/p95/p99 latency per level. With -addr it drives a
-// running stpbcastd; without, it drives two in-process daemons in turn,
-// one opening a fresh session per request and one serving every request
-// from its warm session pool. With -out, the reports are also written as
-// JSON.
+// running stpbcastd; without, it drives an in-process daemon serving
+// every request from its warm session pool. With -out, the reports are
+// also written as JSON.
 func runDaemon(fs *flag.FlagSet, args []string, out io.Writer) error {
-	addr := fs.String("addr", "", "drive a running stpbcastd at this address instead of in-process daemons")
+	addr := fs.String("addr", "", "drive a running stpbcastd at this address instead of an in-process daemon")
 	engine := fs.String("engine", "tcp", "sim, live or tcp")
 	conc := fs.String("conc", "8", "closed-loop worker counts, comma-separated sweep")
 	requests := fs.Int("requests", 200, "closed-loop requests per concurrency level")
@@ -763,61 +721,44 @@ func runDaemon(fs *flag.FlagSet, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "load generator: %s %s %dx%d %s/%s %s %d B\n",
 		*engine, req.Topology, *rows, *cols, coll, *alg, srcDesc, *msgBytes)
 
-	type target struct{ name, base string }
-	var targets []target
-	if *addr != "" {
-		base := *addr
-		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-			base = "http://" + base
+	server, base := *addr, *addr
+	if *addr == "" {
+		var stop func()
+		if base, stop, err = serveDaemon(); err != nil {
+			return err
 		}
-		targets = append(targets, target{base, base})
-	} else {
-		for _, fresh := range []bool{true, false} {
-			base, stop, err := serveDaemon(fresh)
-			if err != nil {
-				return err
-			}
-			defer stop()
-			name := "pooled"
-			if fresh {
-				name = "fresh"
-			}
-			targets = append(targets, target{name + " (in-process)", base})
-		}
+		defer stop()
+		server = "pooled (in-process)"
+	} else if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
+		base = "http://" + base
+		server = base
 	}
 
-	type loadRun struct {
-		Server  string        `json:"server"`
-		Reports []*loadReport `json:"reports"`
+	fmt.Fprintf(out, "→ %s\n", server)
+	specs := []loadSpec{{BaseURL: base, Request: req, Rate: *rate, Duration: *duration}}
+	if *rate <= 0 {
+		specs = specs[:0]
+		for _, c := range levels {
+			specs = append(specs, loadSpec{BaseURL: base, Request: req, Concurrency: c, Requests: *requests})
+		}
 	}
-	var runs []loadRun
-	for _, tg := range targets {
-		fmt.Fprintf(out, "→ %s\n", tg.name)
-		r := loadRun{Server: tg.name}
-		specs := []loadSpec{{BaseURL: tg.base, Request: req, Rate: *rate, Duration: *duration}}
-		if *rate <= 0 {
-			specs = specs[:0]
-			for _, c := range levels {
-				specs = append(specs, loadSpec{BaseURL: tg.base, Request: req, Concurrency: c, Requests: *requests})
-			}
+	var reports []*loadReport
+	for _, spec := range specs {
+		rep, err := runLoad(spec)
+		if err != nil {
+			return err
 		}
-		for _, spec := range specs {
-			rep, err := runLoad(spec)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, rep)
-			r.Reports = append(r.Reports, rep)
-		}
-		runs = append(runs, r)
+		fmt.Fprintln(out, rep)
+		reports = append(reports, rep)
 	}
 	if *outFile == "" {
 		return nil
 	}
 	doc := struct {
 		Workload daemon.BroadcastRequest `json:"workload"`
-		Runs     []loadRun               `json:"runs"`
-	}{Workload: req, Runs: runs}
+		Server   string                  `json:"server"`
+		Reports  []*loadReport           `json:"reports"`
+	}{Workload: req, Server: server, Reports: reports}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
@@ -829,15 +770,15 @@ func runDaemon(fs *flag.FlagSet, args []string, out io.Writer) error {
 	return nil
 }
 
-// serveDaemon starts an in-process daemon on a loopback port, pooling
-// sessions unless fresh, and returns its base URL and a stop that
-// returns once the server goroutine has exited and the pool is closed.
-func serveDaemon(fresh bool) (string, func(), error) {
+// serveDaemon starts an in-process daemon on a loopback port and
+// returns its base URL and a stop that returns once the server
+// goroutine has exited and the pool is closed.
+func serveDaemon() (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
-	srv := daemon.New(daemon.Options{Pool: daemon.PoolOptions{Disable: fresh}})
+	srv := daemon.New(daemon.Options{})
 	hs := &http.Server{Handler: srv.Handler()}
 	served := make(chan struct{})
 	go func() {

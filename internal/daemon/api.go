@@ -46,20 +46,16 @@ func (k Key) String() string {
 }
 
 // open stands up the key's machine and warm session.
-func (k Key) open() (*stpbcast.Session, *stpbcast.Machine, error) {
+func (k Key) open() (*stpbcast.Session, error) {
 	eng, err := stpbcast.ParseEngine(k.Engine)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m, err := stpbcast.NewMachineByName(k.Topology, k.Rows, k.Cols)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s, err := stpbcast.Open(m, eng, stpbcast.SessionOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, m, nil
+	return stpbcast.Open(m, eng, stpbcast.SessionOptions{})
 }
 
 // KillSpec injects a deterministic rank kill into the run (real-byte

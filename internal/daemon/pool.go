@@ -27,10 +27,6 @@ type PoolOptions struct {
 	// negative disables TTL eviction). A janitor goroutine sweeps at
 	// IdleTTL/4 granularity.
 	IdleTTL time.Duration
-	// Disable turns pooling off: every Acquire opens a fresh session and
-	// Release closes it. This is the fresh-session-per-request baseline
-	// stpbench daemon measures the pool against.
-	Disable bool
 }
 
 func (o PoolOptions) withDefaults() PoolOptions {
@@ -46,13 +42,11 @@ func (o PoolOptions) withDefaults() PoolOptions {
 // entry is one pooled warm session.
 type entry struct {
 	key Key
-	// mu serializes runs on the session: concurrent requests for the
-	// same key queue here instead of rebuilding the mesh. (Session.Run
-	// also serializes internally; holding the lease lock additionally
-	// covers lazy open and keeps queueing observable to the pool.)
-	mu      sync.Mutex
-	sess    *stpbcast.Session
-	machine *stpbcast.Machine
+	// mu is held from Acquire to Release: concurrent requests for the
+	// same key queue here instead of rebuilding the mesh, and the lock
+	// covers the lazy open too.
+	mu   sync.Mutex
+	sess *stpbcast.Session
 	// refs and lastUse are guarded by Pool.mu: refs counts holders
 	// (running or queued), lastUse is the last acquire/release instant.
 	refs    int
@@ -81,7 +75,7 @@ func NewPool(opts PoolOptions) *Pool {
 		entries: make(map[Key]*entry),
 		stop:    make(chan struct{}),
 	}
-	if p.opts.IdleTTL > 0 && !p.opts.Disable {
+	if p.opts.IdleTTL > 0 {
 		p.janitor.Add(1)
 		go p.runJanitor()
 	}
@@ -89,47 +83,21 @@ func NewPool(opts PoolOptions) *Pool {
 }
 
 // Lease is access to one warm session, held from Acquire to Release.
-// Until Unlock (or Release) it also holds the key's serialization lock,
-// so no other request can touch the same session; after Unlock the
-// lease only pins the session in the pool (it cannot be evicted or
-// closed) while the holder waits on work it already submitted.
+// It holds the key's serialization lock throughout, so no other request
+// can touch the same session, and it pins the session in the pool: it
+// cannot be evicted or closed until Release.
 type Lease struct {
-	p        *Pool
-	e        *entry
-	fresh    bool
-	unlocked bool
+	p *Pool
+	e *entry
 }
 
 // Session returns the leased warm session.
 func (l *Lease) Session() *stpbcast.Session { return l.e.sess }
 
-// Key returns the pool key the lease serves.
-func (l *Lease) Key() Key { return l.e.key }
-
-// Unlock releases the key's serialization lock early, before Release:
-// the next request for the same key may then open its own run against
-// the session — which serializes (or pipelines, via RunAsync) runs
-// internally — while this holder waits for a run it already submitted.
-// The lease itself stays held: the session cannot be evicted or closed
-// until Release. Unlock is idempotent and a no-op on disabled-pool
-// fresh leases, which serialize nothing.
-func (l *Lease) Unlock() {
-	if l.fresh || l.unlocked {
-		return
-	}
-	l.unlocked = true
-	l.e.mu.Unlock()
-}
-
-// Release returns the session to the pool (or closes it, for a
-// disabled-pool fresh session or an entry evicted while this lease held
-// it).
+// Release unlocks the key and returns the session to the pool (or
+// closes it, for an entry that left the pool while this lease held it).
 func (l *Lease) Release() {
-	if l.fresh {
-		l.e.sess.Close()
-		return
-	}
-	l.Unlock()
+	l.e.mu.Unlock()
 	l.p.mu.Lock()
 	l.e.refs--
 	l.e.lastUse = time.Now()
@@ -151,17 +119,6 @@ func (l *Lease) Release() {
 // evicts the least recently used idle session; with every session busy
 // it fails fast with ErrPoolFull rather than queue on pool capacity.
 func (p *Pool) Acquire(key Key) (*Lease, error) {
-	if p.opts.Disable {
-		sess, m, err := key.open()
-		if err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		p.opens++
-		p.mu.Unlock()
-		return &Lease{p: p, e: &entry{key: key, sess: sess, machine: m}, fresh: true}, nil
-	}
-
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -193,7 +150,7 @@ func (p *Pool) Acquire(key Key) (*Lease, error) {
 	// Per-key serialization: queue behind whoever holds the mesh.
 	e.mu.Lock()
 	if e.sess == nil {
-		sess, m, err := key.open()
+		sess, err := key.open()
 		if err != nil {
 			e.mu.Unlock()
 			p.mu.Lock()
@@ -204,7 +161,7 @@ func (p *Pool) Acquire(key Key) (*Lease, error) {
 			p.mu.Unlock()
 			return nil, err
 		}
-		e.sess, e.machine = sess, m
+		e.sess = sess
 		p.mu.Lock()
 		p.opens++
 		p.mu.Unlock()

@@ -131,24 +131,6 @@ func TestPoolTTLSweep(t *testing.T) {
 	}
 }
 
-func TestPoolDisabledOpensFreshSessions(t *testing.T) {
-	p := NewPool(PoolOptions{Disable: true})
-	defer p.Close()
-	for i := 0; i < 2; i++ {
-		l, err := p.Acquire(simKey(4, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Release()
-	}
-	if got := p.Opens(); got != 2 {
-		t.Errorf("disabled pool opened %d sessions for 2 acquires, want 2", got)
-	}
-	if got := p.Len(); got != 0 {
-		t.Errorf("disabled pool retains %d entries", got)
-	}
-}
-
 func TestPoolOpenFailureDoesNotPoisonKey(t *testing.T) {
 	p := NewPool(PoolOptions{})
 	defer p.Close()
@@ -167,48 +149,48 @@ func TestPoolOpenFailureDoesNotPoisonKey(t *testing.T) {
 	l.Release()
 }
 
-// TestPoolEvictionSparesOutstandingAsyncRun is the pipelined-request
-// race: the server's async path unlocks the lease right after RunAsync
-// (so same-key requests can pipeline behind it) and holds only the
-// lease's ref while waiting on the Future. Neither the TTL sweep nor
-// LRU eviction at capacity may tear down the session while that run is
-// still in flight — refs pin the entry until Release.
-func TestPoolEvictionSparesOutstandingAsyncRun(t *testing.T) {
+// TestPoolEvictionSparesHeldLease: a lease is held for the whole run,
+// so neither the TTL sweep nor LRU eviction at capacity may tear down
+// its session while that run is still in flight — refs pin the entry
+// until Release.
+func TestPoolEvictionSparesHeldLease(t *testing.T) {
 	p := NewPool(PoolOptions{MaxSessions: 1, IdleTTL: time.Minute})
 	defer p.Close()
 	l, err := p.Acquire(Key{Engine: "tcp", Topology: "paragon", Rows: 2, Cols: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The source rank blocks producing its payload, keeping the async
-	// run deterministically in flight until the test releases it.
-	release := make(chan struct{})
-	fut, err := l.Session().RunAsync(
-		stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 1, MsgBytes: 8},
-		stpbcast.RunOptions{
-			RecvTimeout: time.Minute,
-			Payload: func(rank int) []byte {
-				<-release
-				return []byte{byte(rank)}
-			},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Unlock() // the async path: serialization lock gone, ref still held
+	// The source rank blocks producing its payload, keeping the run
+	// deterministically in flight until the test releases it.
+	entered, release := make(chan struct{}), make(chan struct{})
+	ran := make(chan error, 1)
+	go func() {
+		_, err := l.Session().Run(
+			stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 1, MsgBytes: 8},
+			stpbcast.RunOptions{
+				RecvTimeout: time.Minute,
+				Payload: func(rank int) []byte {
+					close(entered)
+					<-release
+					return []byte{byte(rank)}
+				},
+			})
+		ran <- err
+	}()
+	<-entered
 
 	if n := p.Sweep(time.Now().Add(time.Hour)); n != 0 {
-		t.Fatalf("Sweep tore down %d sessions with a Future outstanding", n)
+		t.Fatalf("Sweep tore down %d sessions with a run in flight", n)
 	}
 	if _, err := p.Acquire(simKey(4, 4)); err != ErrPoolFull {
 		t.Fatalf("Acquire at capacity = %v, want ErrPoolFull (the held mesh must not be evicted)", err)
 	}
 	close(release)
-	if _, err := fut.Wait(); err != nil {
-		t.Fatalf("async run on the pinned session: %v", err)
+	if err := <-ran; err != nil {
+		t.Fatalf("run on the held session: %v", err)
 	}
 	l.Release()
-	// Resolved and released: the very sweep that had to spare the
+	// Finished and released: the very sweep that had to spare the
 	// session now evicts it.
 	if n := p.Sweep(time.Now().Add(time.Hour)); n != 1 {
 		t.Fatalf("post-release Sweep evicted %d sessions, want 1", n)

@@ -296,19 +296,7 @@ func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		rec = stpbcast.NewTraceRecorder(1 << 16)
 		opts.Trace = rec
 	}
-	// Pipelined dispatch: submit the run, then drop the key's
-	// serialization lock so the next request for the same mesh can
-	// submit while we wait. RunAsync's epoch tagging keeps the
-	// overlapping runs' frames apart; the lease still pins the session
-	// against eviction until Release.
-	fut, err := lease.Session().RunAsync(req.config(), opts)
-	if err != nil {
-		s.recordOutcome(false, time.Since(start), nil)
-		writeError(w, http.StatusInternalServerError, key.String(), "broadcast failed: %v", err)
-		return
-	}
-	lease.Unlock()
-	res, err := fut.Wait()
+	res, err := lease.Session().Run(req.config(), opts)
 	serverDur := time.Since(start)
 	if err != nil {
 		s.recordOutcome(false, serverDur, nil)

@@ -357,12 +357,10 @@ func TestStatsQuantilesFewerThanWindow(t *testing.T) {
 	}
 }
 
-// TestPipelinedDispatchSameKey hammers one TCP mesh key with
-// concurrent requests. Pipelined dispatch (RunAsync + early lease
-// unlock) lets later requests submit while earlier ones wait; every
-// run must still complete with its own result and the warm session
-// must count them all.
-func TestPipelinedDispatchSameKey(t *testing.T) {
+// TestSameKeyRequestsShareSession hammers one TCP mesh key with 8
+// concurrent requests. They queue on the key's lease; every one must
+// succeed and one warm session must serve all 8 runs.
+func TestSameKeyRequestsShareSession(t *testing.T) {
 	_, base := testServer(t, Options{})
 	req := BroadcastRequest{Engine: "tcp", Rows: 2, Cols: 2, Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 128}
 	const n = 8
@@ -407,17 +405,12 @@ func TestPipelinedDispatchSameKey(t *testing.T) {
 	}
 }
 
-// TestLoadCompletesPooledAndFresh drives stpbench daemon's in-process
-// workload — closed-loop 1 KiB Br_Lin E(4) broadcasts on a 4×4 TCP mesh
-// from 4 concurrent clients — against a pooled daemon and one that opens
-// a fresh session per request: every request must complete on both.
-// Their req/s ratio is wall clock and not asserted; what it measures is
-// counted by TestPoolReusesWarmSession (one session per key) and
-// TestPoolDisabledOpensFreshSessions (one per request).
-func TestLoadCompletesPooledAndFresh(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a 4x4 TCP mesh per request on the fresh daemon")
-	}
+// TestLoadCompletesPooled drives stpbench daemon's in-process workload —
+// closed-loop 1 KiB Br_Lin E(4) broadcasts on a 4×4 TCP mesh from 4
+// concurrent clients — against a pooled daemon: every request must
+// complete. Its req/s is wall clock and not asserted; that the pool
+// opens one session per key is counted by TestPoolReusesWarmSession.
+func TestLoadCompletesPooled(t *testing.T) {
 	body, err := json.Marshal(BroadcastRequest{
 		Engine: "tcp", Topology: "paragon", Rows: 4, Cols: 4,
 		Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: 1024, RecvTimeoutMs: 30_000,
@@ -426,31 +419,29 @@ func TestLoadCompletesPooledAndFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	const clients, perClient = 4, 8
-	for _, fresh := range []bool{false, true} {
-		_, base := testServer(t, Options{Pool: PoolOptions{Disable: fresh}})
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perClient; i++ {
-					resp, err := http.Post(base+"/v1/broadcast", "application/json", bytes.NewReader(body))
-					if err != nil {
-						t.Errorf("fresh=%v: %v", fresh, err)
-						return
-					}
-					var out BroadcastResponse
-					err = json.NewDecoder(resp.Body).Decode(&out)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK || err != nil {
-						t.Errorf("fresh=%v: status %d, decode %v", fresh, resp.StatusCode, err)
-						return
-					}
+	_, base := testServer(t, Options{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(base+"/v1/broadcast", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				var out BroadcastResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("status %d, decode %v", resp.StatusCode, err)
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 func TestMethodChecks(t *testing.T) {

@@ -28,12 +28,13 @@ func (m *Machine) Program(alg core.Algorithm, spec core.Spec) *comm.Program {
 // picks the simulator's driver: an algorithm with a Program here is
 // replayed (sim.Replay). Every algorithm of internal/core has one; what
 // runs as goroutines (sim.Run), each rank calling Run, is only an
-// algorithm value without a program — today only the benchmark's tracing
-// decorator, which must see every rank's Run — and an instance whose spec
-// did not bind, whose ranks then each report why. Deleting sim.Run waits
-// for ROADMAP item 4(b): the benchmark is frozen, and its tracer must read
-// events instead of wrapping the algorithm first. Both drivers give the
-// same result for the same program.
+// algorithm value without a program and an instance whose spec did not
+// bind or does not fit the machine, whose ranks then each report why.
+// The benchmark program runs its tracing decorator on real engines only;
+// in tier-1 this branch is reached by the benchmark's EngineSim decorator
+// test and by misfit specs, while core's byte-checking test helpers call
+// sim.Run directly. ROADMAP item 10 lists what must move before sim.Run
+// can go. Both drivers give the same result for the same program.
 func (m *Machine) RunSim(alg core.Algorithm, spec core.Spec, msgLen func(rank int) int, opts sim.Options) (*sim.Result, *network.Network, error) {
 	nw, err := m.NewNetwork()
 	if err != nil {

@@ -316,8 +316,8 @@ func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, er
 		if errors.Is(err, errDialCanceled) {
 			return nil, fmt.Errorf("tcp: rank %d dial rank %d: canceled", src, dst)
 		}
-		if attempt+1 >= m.dialAttempts {
-			return nil, fmt.Errorf("tcp: rank %d dial rank %d failed after %d attempts: %w", src, dst, m.dialAttempts, err)
+		if attempt+1 >= dialAttempts {
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d failed after %d attempts: %w", src, dst, dialAttempts, err)
 		}
 		if m.closed.Load() || m.broken.Load() {
 			// The run aborted (or the machine closed) while we were
@@ -325,7 +325,7 @@ func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, er
 			return nil, fmt.Errorf("tcp: rank %d dial rank %d: machine torn down", src, dst)
 		}
 		select {
-		case <-time.After(m.dialBackoff << attempt):
+		case <-time.After(dialBackoff << attempt):
 		case <-ctxDone:
 			return nil, fmt.Errorf("tcp: rank %d dial rank %d: canceled", src, dst)
 		}

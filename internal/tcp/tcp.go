@@ -99,11 +99,11 @@
 //     broken link as the root cause; everyone else unwinds. A connection
 //     closing during teardown (Close) or between runs is not an error —
 //     the next Prepare or Run rebuilds the mesh.
-//   - A transient dial failure during setup or Prepare is retried with
-//     exponential backoff (Options.DialAttempts / DialBackoff). A setup
-//     dial that still fails is fatal to the machine; a Prepare dial that
-//     fails, or whose context ends, fails that run only: the mesh is
-//     marked broken and the next Prepare or Run rebuilds it.
+//   - A transient dial failure during setup or Prepare is retried: 3
+//     attempts per peer, 10 ms apart, the wait doubling each time. A
+//     setup dial that still fails is fatal to the machine; a Prepare
+//     dial that fails, or whose context ends, fails that run only: the
+//     mesh is marked broken and the next Prepare or Run rebuilds it.
 package tcp
 
 import (
@@ -122,8 +122,11 @@ import (
 )
 
 const (
-	defaultDialAttempts = 3
-	defaultDialBackoff  = 10 * time.Millisecond
+	// dialAttempts is the number of connection attempts per peer; a
+	// failed attempt waits dialBackoff before the next, doubling each
+	// time.
+	dialAttempts = 3
+	dialBackoff  = 10 * time.Millisecond
 	// handshakeTimeout bounds the rank-announcement read so a dialer
 	// dying between connect and handshake cannot hang setup.
 	handshakeTimeout = 10 * time.Second
@@ -131,10 +134,10 @@ const (
 
 // Options configure a machine and harden its runs. The zero value means
 // the full mesh on loopback (what a bare machine run without Prepare
-// needs), default dial retry, no deadlines and no cancellation.
+// needs), no deadlines and no cancellation.
 //
 // The fields split by lifetime: NewMachine consumes the setup fields
-// (Dial, DialAttempts, DialBackoff, Links, ListenHost, plus Context to
+// (Dial, Links, ListenHost, plus Context to
 // cancel setup) and remembers them for mesh rebuilds; Machine.Run
 // consumes the run fields (Context, RunTimeout, RecvTimeout, Tracer,
 // Epoch) afresh on every call.
@@ -147,12 +150,6 @@ type Options struct {
 	RunTimeout  time.Duration
 	RecvTimeout time.Duration
 	Tracer      obs.Tracer
-	// DialAttempts is the number of connection attempts per peer during
-	// setup (0 means the default of 3); transient dial failures are
-	// retried with exponential backoff starting at DialBackoff (0 means
-	// 10ms).
-	DialAttempts int
-	DialBackoff  time.Duration
 	// Dial overrides the dialer (fault injection in tests); nil means
 	// net.Dial("tcp", addr).
 	Dial func(addr string) (net.Conn, error)
@@ -250,9 +247,7 @@ type Machine struct {
 	connCond *sync.Cond
 	conns    []net.Conn
 
-	dial         func(addr string) (net.Conn, error)
-	dialAttempts int
-	dialBackoff  time.Duration
+	dial func(addr string) (net.Conn, error)
 	// addrs maps remote ranks (outside [lo,hi)) to their listener
 	// addresses, distributed by the cluster coordinator before
 	// ConnectMesh; guarded by connMu. Local ranks resolve through their
@@ -400,16 +395,10 @@ func newMachine(p, lo, hi int, leaders []int, worker bool, opts Options) (*Machi
 	m := &Machine{
 		size: p, lo: lo, hi: hi, worker: worker,
 		listeners: make([]net.Listener, p), ends: make([]*endpoint, p),
-		dial: opts.Dial, dialAttempts: opts.DialAttempts, dialBackoff: opts.DialBackoff,
+		dial: opts.Dial,
 	}
 	if m.dial == nil {
 		m.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	if m.dialAttempts <= 0 {
-		m.dialAttempts = defaultDialAttempts
-	}
-	if m.dialBackoff <= 0 {
-		m.dialBackoff = defaultDialBackoff
 	}
 	host := opts.ListenHost
 	if host == "" {

@@ -259,7 +259,7 @@ func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 		}
 		return net.Dial("tcp", addr)
 	}
-	res, err := runOpts(3, Options{Dial: flakyDial, DialAttempts: 4, DialBackoff: time.Millisecond}, func(p *Proc) {
+	res, err := runOpts(3, Options{Dial: flakyDial}, func(p *Proc) {
 		next := (p.Rank() + 1) % 3
 		p.Send(next, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
 		m := p.Recv((p.Rank() + 2) % 3)
@@ -291,12 +291,12 @@ func TestDialPermanentFailureErrorsOut(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := runOpts(3, Options{Dial: deadDial, DialAttempts: 2, DialBackoff: time.Millisecond}, func(p *Proc) {})
+		_, err := runOpts(3, Options{Dial: deadDial}, func(p *Proc) {})
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
+		if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
 			t.Fatalf("permanent dial failure error: %v", err)
 		}
 	case <-time.After(10 * time.Second):

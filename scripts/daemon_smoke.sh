@@ -21,6 +21,19 @@ echo "== build"
 go build -o "$workdir/stpbcastd" ./cmd/stpbcastd
 go build -o "$workdir/stpctl" ./cmd/stpctl
 
+echo "== a bad flag value is a usage error: exit 2, named, never listening"
+for bad in "-max-inflight 0" "-tenant-quota -1" "-max-sessions 0" "-idle-ttl 0" "-recv-timeout 0s"; do
+    flagname="${bad%% *}"
+    status=0
+    # A daemon that accepts the value listens until timeout stops it.
+    # shellcheck disable=SC2086 # $bad is a flag and its value
+    timeout 10 "$workdir/stpbcastd" -addr 127.0.0.1:0 $bad >"$workdir/bad.log" 2>&1 || status=$?
+    [ "$status" -eq 2 ] || { echo "stpbcastd $bad exited $status, want 2"; cat "$workdir/bad.log"; exit 1; }
+    grep -q -- "^stpbcastd: $flagname " "$workdir/bad.log" || { echo "stpbcastd $bad did not name $flagname"; cat "$workdir/bad.log"; exit 1; }
+    if grep -q 'listening' "$workdir/bad.log"; then echo "stpbcastd $bad listened"; exit 1; fi
+    echo "   $bad: exit 2"
+done
+
 echo "== start daemon on a random port"
 "$workdir/stpbcastd" -addr 127.0.0.1:0 >"$workdir/daemon.log" 2>&1 &
 daemon_pid=$!

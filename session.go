@@ -199,10 +199,6 @@ type Session struct {
 	binds  core.Bindings
 	stats  SessionStats
 	closed bool
-	// pending counts admitted RunAsync broadcasts not yet finished;
-	// Close drains it before tearing the engine down, so an async run
-	// admitted before Close always completes on a live engine.
-	pending sync.WaitGroup
 }
 
 // Open stands up a persistent engine for machine m. The caller owns the
@@ -308,12 +304,10 @@ func (s *Session) Stats() SessionStats {
 
 // Close tears the engine down (TCP listeners, connections and reader
 // pumps joined) and returns the session's aggregate stats. Close is
-// idempotent and safe for concurrent use with Run and RunAsync: it
-// stops admitting new runs, drains every run already admitted — queued
-// synchronous callers and in-flight futures alike — and only then
-// touches the engine, so a Run or RunAsync that arrives after Close
-// reports a closed-session error instead of touching the torn-down
-// engine.
+// idempotent and safe for concurrent use with Run: it stops admitting
+// new runs, waits for the run in flight and only then touches the
+// engine, so a Run still queued (or arriving later) reports a
+// closed-session error instead of touching the torn-down engine.
 func (s *Session) Close() (SessionStats, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -323,9 +317,6 @@ func (s *Session) Close() (SessionStats, error) {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// Admitted async runs still need the engine; let them finish before
-	// teardown (they cannot deadlock with us: we hold neither lock).
-	s.pending.Wait()
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	s.mu.Lock()
@@ -352,9 +343,8 @@ func (s *Session) Close() (SessionStats, error) {
 // as it targets the session's machine.
 //
 // Run is safe for concurrent use: a session executes one run at a time,
-// and concurrent callers queue in arrival order (the daemon multiplexes
-// concurrent requests onto one shared mesh exactly this way). Stats may
-// be read concurrently without waiting for the queue to drain.
+// and concurrent callers queue. Stats may be read concurrently without
+// waiting for the queue to drain.
 func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -367,13 +357,6 @@ func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return s.runLocked(cfg, opts)
-}
-
-// runLocked executes one validated, admitted broadcast. runMu must be
-// held; it dispatches to the engine and folds the outcome into the
-// session stats.
-func (s *Session) runLocked(cfg Config, opts RunOptions) (*Result, error) {
 	var res *Result
 	var sent int64
 	var err error
@@ -391,64 +374,6 @@ func (s *Session) runLocked(cfg Config, opts RunOptions) (*Result, error) {
 	}
 	s.stats.Bytes += sent
 	return res, nil
-}
-
-// Future is the handle of a broadcast submitted with Session.RunAsync:
-// a single-assignment (Result, error) pair resolved when the run
-// completes. All methods are safe for concurrent use by any number of
-// goroutines.
-type Future struct {
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
-// Wait blocks until the run completes and returns its outcome. It may
-// be called any number of times; every call returns the same pair.
-func (f *Future) Wait() (*Result, error) {
-	<-f.done
-	return f.res, f.err
-}
-
-// Done returns a channel that is closed when the run has completed and
-// Wait will no longer block — for select loops multiplexing several
-// in-flight broadcasts.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// RunAsync submits a broadcast and returns immediately with a Future
-// resolving to the run's outcome. It is the pipelined form of Run: the
-// caller can keep preparing (or submitting) the next broadcast while
-// this one executes, and a warm engine drains the submissions back to
-// back without a client round trip between them. On the TCP engine each
-// run is epoch-tagged on the wire, so a late frame from a finished run
-// can never bleed into a successor executing right behind it — overlap
-// is safe all the way down to the sockets.
-//
-// Submissions from one goroutine start in submission order relative to
-// each other only approximately (they queue on the session's run lock);
-// runs never execute concurrently. A Future is resolved exactly once;
-// an admitted run completes even if Close is called while it is queued
-// or in flight.
-func (s *Session) RunAsync(cfg Config, opts RunOptions) (*Future, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errors.New("stpbcast: RunAsync on closed session")
-	}
-	s.pending.Add(1)
-	s.mu.Unlock()
-	f := &Future{done: make(chan struct{})}
-	go func() {
-		defer s.pending.Done()
-		s.runMu.Lock()
-		defer s.runMu.Unlock()
-		f.res, f.err = s.runLocked(cfg, opts)
-		close(f.done)
-	}()
-	return f, nil
 }
 
 // Run executes one broadcast on the chosen engine: it is the unified

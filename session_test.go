@@ -99,13 +99,12 @@ func TestSessionIsolationRealEngines(t *testing.T) {
 	}
 }
 
-// TestRunAsyncOverlapTCP is the pipelining acceptance test: two
-// broadcasts submitted back to back on one warm TCP mesh, the second
-// entering the queue while the first is still in flight. The runs differ
-// in sources and message length; every delivered bundle must hold
-// exactly its own run's parts and bytes — epoch tagging on the wire keeps
-// overlapping runs' frames apart.
-func TestRunAsyncOverlapTCP(t *testing.T) {
+// TestConcurrentRunsTCP: two goroutines call Run with different configs
+// on one warm TCP mesh, so one run queues while the other executes. The
+// runs differ in sources and message length; every delivered bundle must
+// hold exactly its own run's parts and bytes — epoch tagging on the wire
+// keeps back-to-back runs' frames apart.
+func TestConcurrentRunsTCP(t *testing.T) {
 	m := stpbcast.NewParagon(2, 2)
 	s, err := stpbcast.Open(m, stpbcast.EngineTCP, stpbcast.SessionOptions{})
 	if err != nil {
@@ -113,66 +112,91 @@ func TestRunAsyncOverlapTCP(t *testing.T) {
 	}
 	defer s.Close()
 
-	cfgA := sessionCfg
-	cfgB := stpbcast.Config{Algorithm: "Br_Lin", SourceRanks: []int{1, 2}, MsgBytes: 96}
-	// Submit both before waiting on either: the second run is queued on
-	// the session while the first executes.
-	futA, err := s.RunAsync(cfgA, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+	cfgs := []stpbcast.Config{sessionCfg, {Algorithm: "Br_Lin", SourceRanks: []int{1, 2}, MsgBytes: 96}}
+	results := make([]*stpbcast.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = s.Run(cfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
+		}()
 	}
-	futB, err := s.RunAsync(cfgB, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range []struct {
-		fut *stpbcast.Future
-		cfg stpbcast.Config
-	}{{futA, cfgA}, {futB, cfgB}} {
-		res, err := run.fut.Wait()
-		if err != nil {
-			t.Fatal(err)
+	wg.Wait()
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		checkResult(t, m, run.cfg, res)
+		checkResult(t, m, cfg, results[i])
 	}
-
-	// Wait is repeatable and Done is closed after completion.
-	select {
-	case <-futA.Done():
-	default:
-		t.Fatal("Done() not closed after Wait returned")
-	}
-	if _, err := futA.Wait(); err != nil {
-		t.Fatalf("second Wait: %v", err)
-	}
-
 	if stats := s.Stats(); stats.Runs != 2 || stats.Failures != 0 {
 		t.Fatalf("stats = %+v, want 2 runs, 0 failures", stats)
 	}
 }
 
-// TestRunAsyncCloseDrains: Close must refuse new submissions but let an
-// already-admitted async run finish on the live engine.
-func TestRunAsyncCloseDrains(t *testing.T) {
+// TestCloseFinishesInFlightRun: Close while one Run is in flight and
+// another is queued behind it. The in-flight run completes with intact
+// bundles; the queued one returns a checked result or the closed-session
+// error, and a Run after Close gets that error too.
+func TestCloseFinishesInFlightRun(t *testing.T) {
 	m := stpbcast.NewParagon(2, 2)
 	s, err := stpbcast.Open(m, stpbcast.EngineTCP, stpbcast.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fut, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	payload := func(rank int) []byte {
+		once.Do(func() { close(entered) })
+		<-release
+		return []byte{byte(rank), 7}
 	}
-	if _, err := s.Close(); err != nil {
+	type outcome struct {
+		res *stpbcast.Result
+		err error
+	}
+	inFlight, queued := make(chan outcome, 1), make(chan outcome, 1)
+	go func() {
+		res, err := s.Run(sessionCfg, stpbcast.RunOptions{Payload: payload, RecvTimeout: 10 * time.Second})
+		inFlight <- outcome{res, err}
+	}()
+	<-entered
+	go func() {
+		res, err := s.Run(sessionCfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
+		queued <- outcome{res, err}
+	}()
+	closed := make(chan error, 1)
+	go func() {
+		_, err := s.Close()
+		closed <- err
+	}()
+	close(release)
+
+	got := <-inFlight
+	if got.err != nil {
+		t.Fatalf("in-flight run failed across Close: %v", got.err)
+	}
+	for rank, bundle := range got.res.Bundles {
+		if len(bundle) != m.P() {
+			t.Fatalf("rank %d holds %d parts, want %d", rank, len(bundle), m.P())
+		}
+		for origin, data := range bundle {
+			if string(data) != string(payload(origin)) {
+				t.Fatalf("rank %d: part from %d = %v, want %v", rank, origin, data, payload(origin))
+			}
+		}
+	}
+	if err := <-closed; err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	res, err := fut.Wait()
-	if err != nil {
-		t.Fatalf("admitted run failed after Close: %v", err)
+	if q := <-queued; q.err == nil {
+		checkResult(t, m, sessionCfg, q.res)
+	} else if !strings.Contains(q.err.Error(), "closed session") {
+		t.Fatalf("queued run's error %q does not mention the closed session", q.err)
 	}
-	checkResult(t, m, sessionCfg, res)
-	if _, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{}); err == nil {
-		t.Fatal("RunAsync accepted after Close")
+	if _, err := s.Run(sessionCfg, stpbcast.RunOptions{}); err == nil {
+		t.Fatal("Run accepted after Close")
 	} else if !strings.Contains(err.Error(), "closed session") {
 		t.Fatalf("post-Close error %q does not mention the closed session", err)
 	}
@@ -488,15 +512,15 @@ func TestSessionStatsDuringRun(t *testing.T) {
 	}
 }
 
-// TestSessionStatsExactUnderPipelinedConcurrency is the accounting
-// regression: on a sparse route-planned mesh, pipelined RunAsync
-// submissions racing concurrent Stats() readers must still produce
-// exact byte totals — each run contributes precisely the deterministic
-// per-run payload volume, and Stats never exposes a partially
-// accumulated run (Bytes stays a multiple of the per-run total at every
-// observation). Run under -race this also proves the per-rank counters
-// stay rank-goroutine-local.
-func TestSessionStatsExactUnderPipelinedConcurrency(t *testing.T) {
+// TestSessionStatsExactUnderConcurrentRuns is the accounting
+// regression: on a sparse route-planned mesh, 8 goroutines calling Run
+// while concurrent Stats() readers poll must still produce exact byte
+// totals — each run contributes precisely the deterministic per-run
+// payload volume, and Stats never exposes a partially accumulated run
+// (Bytes stays a multiple of the per-run total at every observation).
+// Run under -race this also proves the per-rank counters stay
+// rank-goroutine-local.
+func TestSessionStatsExactUnderConcurrentRuns(t *testing.T) {
 	m := stpbcast.NewParagon(4, 4)
 
 	// Reference run on a plain session: the deterministic payload byte
@@ -554,21 +578,22 @@ func TestSessionStatsExactUnderPipelinedConcurrency(t *testing.T) {
 	}
 
 	const runs = 8
-	futures := make([]*stpbcast.Future, runs)
-	for i := range futures {
-		f, err := s.RunAsync(sessionCfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		futures[i] = f
+	var callers sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			res, err := s.Run(sessionCfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
+			if err != nil {
+				t.Errorf("run %d: %v", i, err)
+				return
+			}
+			if err := stpbcast.CheckResult(m, sessionCfg, res); err != nil {
+				t.Errorf("run %d: %v", i, err)
+			}
+		}()
 	}
-	for i, f := range futures {
-		res, err := f.Wait()
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		checkResult(t, m, sessionCfg, res)
-	}
+	callers.Wait()
 	close(stop)
 	readers.Wait()
 
@@ -577,7 +602,7 @@ func TestSessionStatsExactUnderPipelinedConcurrency(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d runs, 0 failures", st, runs)
 	}
 	if st.Bytes != int64(runs)*perRun {
-		t.Fatalf("Stats().Bytes = %d after pipelined runs, want exactly %d (%d runs × %d)",
+		t.Fatalf("Stats().Bytes = %d after concurrent runs, want exactly %d (%d runs × %d)",
 			st.Bytes, int64(runs)*perRun, runs, perRun)
 	}
 }
