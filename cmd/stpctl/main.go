@@ -80,6 +80,18 @@ run 'stpctl <command> -h' for that command's flags.
 `)
 }
 
+// parse parses a command's flags and refuses a stray argument: the flag
+// package stops at the first one, so the flags after it would be dropped
+// without a word.
+func parse(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "stpctl %s: unexpected arguments %v\n", fs.Name(), fs.Args())
+		fs.Usage()
+		os.Exit(2)
+	}
+}
+
 // addrFlag installs -addr with the environment default.
 func addrFlag(fs *flag.FlagSet) *string {
 	def := os.Getenv("STPBCASTD_ADDR")
@@ -152,7 +164,7 @@ func cmdBroadcast(args []string) error {
 	runTO := fs.Duration("run-timeout", 0, "whole-run deadline (0 = none)")
 	traceF := fs.Bool("trace", false, "record the run's event stream and print per-kind counts")
 	jsonF := fs.Bool("json", false, "print the raw JSON response")
-	fs.Parse(args)
+	parse(fs, args)
 
 	coll, err := stpbcast.ParseCollective(*collective)
 	if err != nil {
@@ -208,7 +220,7 @@ func cmdSessions(args []string) error {
 	fs := flag.NewFlagSet("sessions", flag.ExitOnError)
 	addr := addrFlag(fs)
 	jsonF := fs.Bool("json", false, "print the raw JSON response")
-	fs.Parse(args)
+	parse(fs, args)
 	var resp daemon.SessionsResponse
 	if err := call(http.MethodGet, baseURL(*addr)+"/v1/sessions", nil, &resp); err != nil {
 		return err
@@ -232,7 +244,7 @@ func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	addr := addrFlag(fs)
 	jsonF := fs.Bool("json", false, "print the raw JSON response")
-	fs.Parse(args)
+	parse(fs, args)
 	var st daemon.StatsResponse
 	if err := call(http.MethodGet, baseURL(*addr)+"/v1/stats", nil, &st); err != nil {
 		return err
@@ -254,7 +266,7 @@ func cmdStats(args []string) error {
 func cmdPing(args []string) error {
 	fs := flag.NewFlagSet("ping", flag.ExitOnError)
 	addr := addrFlag(fs)
-	fs.Parse(args)
+	parse(fs, args)
 	start := time.Now()
 	var p daemon.PingResponse
 	if err := call(http.MethodGet, baseURL(*addr)+"/v1/ping", nil, &p); err != nil {
@@ -267,7 +279,7 @@ func cmdPing(args []string) error {
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	addr := addrFlag(fs)
-	fs.Parse(args)
+	parse(fs, args)
 	resp, err := client.Get(baseURL(*addr) + "/metrics")
 	if err != nil {
 		return err
@@ -283,7 +295,7 @@ func cmdMetrics(args []string) error {
 func cmdShutdown(args []string) error {
 	fs := flag.NewFlagSet("shutdown", flag.ExitOnError)
 	addr := addrFlag(fs)
-	fs.Parse(args)
+	parse(fs, args)
 	var resp daemon.ShutdownResponse
 	if err := call(http.MethodPost, baseURL(*addr)+"/v1/shutdown", nil, &resp); err != nil {
 		return err

@@ -65,6 +65,13 @@ func main() {
 	timeout := flag.Duration("timeout", time.Minute, "per-receive timeout")
 	failOnLazy := flag.Bool("fail-on-lazy", false, "exit 1 if any pair was dialed before a run because the route plan lacked it")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// The flag package stops at the first stray argument, so every
+		// flag after it would be dropped without a word.
+		fmt.Fprintf(os.Stderr, "stpworker: unexpected arguments %v\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *coord != "" {
 		if err := cluster.ServeWorker(*coord); err != nil {

@@ -1,11 +1,15 @@
 package stpbcast_test
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	stpbcast "repro"
+	"repro/internal/comm"
+	"repro/internal/core"
 )
 
 // TestConfigValidateCollectives table-tests the capability-row checks:
@@ -209,5 +213,73 @@ func TestAlgorithmsForPartition(t *testing.T) {
 	if len(stpbcast.Algorithms()) >= len(names) {
 		t.Fatalf("broadcast registry (%d entries) should be a strict subset of the %d collective entries %v",
 			len(stpbcast.Algorithms()), len(names), names)
+	}
+}
+
+// wrapper is an algorithm value from outside the registry: it runs the
+// registry entry it wraps on the communicator it is given.
+type wrapper struct{ inner stpbcast.Algorithm }
+
+func (w wrapper) Name() string                    { return "Wrapped_" + w.inner.Name() }
+func (w wrapper) Collective() stpbcast.Collective { return core.CollectiveOf(w.inner) }
+func (w wrapper) Run(c comm.Comm, spec core.Spec, mine comm.Message) comm.Message {
+	return w.inner.Run(c, spec, mine)
+}
+
+// talker is an algorithm value that communicates by itself: it has no
+// program to simulate.
+type talker struct{}
+
+func (talker) Name() string { return "Talker" }
+func (talker) Run(c comm.Comm, _ core.Spec, mine comm.Message) comm.Message {
+	c.Send((c.Rank()+1)%c.Size(), mine)
+	return c.Recv((c.Rank() + c.Size() - 1) % c.Size())
+}
+
+// TestSimCompilesAlgorithmValues: on EngineSim an algorithm value is
+// compiled, not run. One that wraps a registry entry simulates exactly
+// what the named entry does — its program's parameters and activity
+// profile included — and one that talks outside a program is refused
+// with an error that names it.
+func TestSimCompilesAlgorithmValues(t *testing.T) {
+	m := stpbcast.NewParagon(4, 4)
+	for _, cfg := range []stpbcast.Config{
+		{Collective: stpbcast.CollectiveBroadcast, Algorithm: "Br_xy_source", Distribution: "Cr", Sources: 6, MsgBytes: 512},
+		{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble", MsgBytes: 64},
+	} {
+		named, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, err := stpbcast.AlgorithmByNameFor(cfg.Collective, cfg.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stpbcast.Run(m, stpbcast.EngineSim, cfg, stpbcast.RunOptions{Algorithm: wrapper{inner}})
+		if err != nil {
+			t.Fatalf("%s wrapped: %v", cfg.Algorithm, err)
+		}
+		if got.Elapsed != named.Elapsed || got.Params != named.Params || !reflect.DeepEqual(got.ActiveProfile, named.ActiveProfile) || !reflect.DeepEqual(got.HotLinks, named.HotLinks) {
+			t.Errorf("%s wrapped gives %v %+v %v %v, named %v %+v %v %v", cfg.Algorithm,
+				got.Elapsed, got.Params, got.ActiveProfile, got.HotLinks, named.Elapsed, named.Params, named.ActiveProfile, named.HotLinks)
+		}
+		if named.Params.Iterations == 0 || len(named.ActiveProfile) == 0 {
+			t.Errorf("%s: no iterations read off the program: %+v", cfg.Algorithm, named.Params)
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{Distribution: "E", Sources: 4, MsgBytes: 64},
+			stpbcast.RunOptions{Algorithm: talker{}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "Talker") || !strings.Contains(err.Error(), "outside a program") {
+			t.Errorf("an algorithm that talks outside a program: got %v, want an error naming Talker", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("an algorithm that talks outside a program hung the simulator")
 	}
 }

@@ -423,14 +423,10 @@ func TestSerialAndParallelHarnessIdentical(t *testing.T) {
 }
 
 // TestRunAllocationBudget is the count gate behind "a simulated run pays
-// for its messages, not for its processors" — and, replayed, not even for
-// its processors' goroutines and bundles: one Measure of an algorithm that
-// is a program allocates at most 96 objects on the 16×16 Paragon — the
+// for its messages, not for its processors": one Measure, a replayed
+// program, allocates at most 96 objects on the 16×16 Paragon — the
 // network, the bound schedule and its program, the result — whatever p
-// and s are. Run as goroutines the first three cost 604–626 here (one
-// goroutine, one bundle and one initial message per processor), the seed's
-// per-processor preludes, queue slabs and step-by-step bundle regrowth
-// 4 748 / 6 904 / 11 599.
+// and s are.
 func TestRunAllocationBudget(t *testing.T) {
 	// The least of several runs: the first run on an engine, or the first
 	// of its size or iteration count, grows the engine on top and says
@@ -469,9 +465,9 @@ func TestRunAllocationBudget(t *testing.T) {
 	}
 }
 
-// figurePassAllocBudget leaves 5 % over the 7 704 allocations a pass
-// costs (7 826 under the race detector).
-const figurePassAllocBudget = 8089
+// figurePassAllocBudget leaves 5 % over the 7 511 allocations a pass
+// costs (7 630 under the race detector).
+const figurePassAllocBudget = 7887
 
 // TestFigurePassAllocationBudget counts what one pass over the
 // benchmark's sim_figures workload allocates — fig3, fig6, fig9 and

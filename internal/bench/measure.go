@@ -16,9 +16,8 @@ import (
 
 // Measure runs one algorithm on one machine for one collective instance
 // (the algorithm's CollectiveOf tag decides the initial bundles) and
-// returns the simulated result. Ranks enter with length-only parts of
-// msgLen bytes (the simulator prices sizes; no payload buffers are
-// allocated).
+// returns the simulated result. Ranks enter with parts of msgLen bytes,
+// which the simulator prices by their lengths alone: no payload exists.
 func Measure(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) (*sim.Result, error) {
 	res, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{})
 	return res, err

@@ -58,15 +58,14 @@ func TestMeasureErrorsWrapped(t *testing.T) {
 		t.Fatalf("valid measurement failed: %v", err)
 	}
 	// A spec for the wrong machine size must fail with context: it has a
-	// program (for six ranks), but it is the ranks of this machine that
-	// have to report it, so it runs as goroutines.
+	// program, for six ranks, which the machine refuses before it runs.
 	bad := spec
 	bad.Rows = 3
 	_, err = MustMillis(m, core.BrLin(), bad, 128)
 	if err == nil {
 		t.Fatal("mismatched spec accepted")
 	}
-	for _, want := range []string{"bench: Br_Lin on paragon-nx-2x2", "sim: rank 0 panicked", "mesh 3×2 does not cover machine of 4"} {
+	for _, want := range []string{"bench: Br_Lin on paragon-nx-2x2", "mesh 3×2 does not cover machine of 4"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not say %q", err, want)
 		}

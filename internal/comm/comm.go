@@ -1,9 +1,9 @@
 // Package comm defines the message-passing interface the s-to-p
-// broadcasting algorithms are written against. Two engines implement it:
-// internal/sim (deterministic discrete-event simulation with the network
-// cost model — produces the paper's figures) and internal/live (real
-// goroutines and channels moving real bytes — proves functional
-// correctness). Algorithm code is engine-agnostic.
+// broadcasting algorithms are written against, and the Program they
+// compile to. The real-byte engines (internal/live, internal/tcp)
+// implement the interface and execute a program rank by rank; the
+// simulator (internal/sim) replays a program on message lengths under
+// the network cost model, which is what produces the paper's figures.
 //
 // The interface mirrors the blocking NX/MPI primitives the paper's
 // implementations used: matched blocking Send/Recv with FIFO ordering per
@@ -19,33 +19,21 @@ import (
 )
 
 // Part is one original broadcast message inside a (possibly combined)
-// bundle: the rank that initiated it and its payload.
+// bundle: the rank that initiated it and its payload. The simulator
+// never builds one: it replays a program on lengths alone.
 type Part struct {
 	Origin int
 	Data   []byte
-	// Size is the simulated payload length in bytes when Data is nil —
-	// the length-only path the discrete-event simulator uses so that
-	// large sweeps never allocate real payload buffers. When Data is
-	// non-nil, len(Data) is the length and Size is ignored. The live and
-	// TCP engines move real bytes and should be given Data.
-	Size int
 }
 
-// Len returns the part's payload length: len(Data) when Data is set,
-// Size otherwise (the length-only simulator path).
-func (p Part) Len() int {
-	if p.Data != nil {
-		return len(p.Data)
-	}
-	return p.Size
-}
+// Len returns the part's payload length.
+func (p Part) Len() int { return len(p.Data) }
 
 // Message is what travels between processors: one or more Parts. The
 // message-combining algorithms (Br_*) merge messages whenever two meet at
 // a processor, so a Message late in a run carries many Parts. Parts hold
-// slice references; combining never copies payload bytes in the simulator
-// (the copy cost is charged by the engine instead), while the live engine
-// moves real bytes end to end.
+// slice references: combining appends parts and never copies payload
+// bytes.
 type Message struct {
 	// Tag labels the protocol step for traces; matching ignores it.
 	Tag int
@@ -86,7 +74,7 @@ func (m Message) Append(other Message) Message {
 // room for n parts in total. Call it once, before the first Append, with
 // the bundle's final part count: the merges then neither regrow the array
 // step by step nor append in place to one another processor can see (a
-// received message shares its sender's array on the simulator).
+// message sent uncopied shares its sender's array).
 func (m Message) Grow(n int) Message {
 	parts := make([]Part, len(m.Parts), max(n, len(m.Parts)))
 	copy(parts, m.Parts)
@@ -132,8 +120,12 @@ type SharedSender interface {
 	SendShared(dst int, m Message)
 }
 
-// Clock is implemented by engines that track per-processor virtual time.
-// Algorithms charge local computation (message combining) through it.
+// Clock marks a communicator that meters virtual time. No engine
+// implements it: the simulator replays programs and charges combining
+// itself. Only internal/core's recorder, the communicator a value
+// without a program is run on to learn the program it wraps, does, so
+// that the benchmark's tracing decorator hands it to the inner algorithm
+// unwrapped (benchmark/trace.go). It goes with that decorator.
 type Clock interface {
 	// AdvanceCombine charges the local cost of merging n received bytes
 	// into the accumulated broadcast bundle.
@@ -158,14 +150,6 @@ type PhaseMarker interface {
 	BeginPhase(name string)
 }
 
-// ChargeCombine charges message-combining cost if the engine meters it.
-// On the live engine the combining is real work and needs no charge.
-func ChargeCombine(c Comm, n int) {
-	if cl, ok := c.(Clock); ok {
-		cl.AdvanceCombine(n)
-	}
-}
-
 // MarkIter marks an iteration boundary if the engine records iterations.
 func MarkIter(c Comm, i int) {
 	if m, ok := c.(IterMarker); ok {
@@ -187,10 +171,10 @@ const ReducedOrigin = -1
 
 // fold folds the parts of a and b together into a single ReducedOrigin
 // part, tagged tag, under the byte-wise sum mod 256 (commutative and
-// associative, so every reduction tree computes the same bytes).
-// Length-only parts fold to the maximum length, which is how the
-// simulator prices a reduced bundle. No parts fold to none — the identity
-// contribution of a rank without one.
+// associative, so every reduction tree computes the same bytes) and as
+// long as the longest part, which is how the simulator prices a reduced
+// bundle. No parts fold to none — the identity contribution of a rank
+// without one.
 func fold(tag int, a, b []Part) Message {
 	if len(a)+len(b) == 0 {
 		return Message{Tag: tag}
@@ -202,28 +186,18 @@ func fold(tag int, a, b []Part) Message {
 		}
 	}
 	maxLen := 0
-	anyData := false
 	for _, parts := range [2][]Part{a, b} {
 		for _, p := range parts {
-			maxLen = max(maxLen, p.Len())
-			anyData = anyData || p.Data != nil
+			maxLen = max(maxLen, len(p.Data))
 		}
 	}
-	// Data and Size are mutually exclusive on a Part (engines ignore and
-	// may drop Size when Data is set), so the fold sets exactly one.
-	out := Part{Origin: ReducedOrigin}
-	if anyData {
-		sum := make([]byte, maxLen)
-		for _, parts := range [2][]Part{a, b} {
-			for _, p := range parts {
-				addBytes(sum, p.Data)
-			}
+	sum := make([]byte, maxLen)
+	for _, parts := range [2][]Part{a, b} {
+		for _, p := range parts {
+			addBytes(sum, p.Data)
 		}
-		out.Data = sum
-	} else {
-		out.Size = maxLen
 	}
-	return Message{Tag: tag, Parts: []Part{out}}
+	return Message{Tag: tag, Parts: []Part{{Origin: ReducedOrigin, Data: sum}}}
 }
 
 // addBytes adds src into dst byte-wise mod 256 (len(dst) ≥ len(src)),

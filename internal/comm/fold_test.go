@@ -9,9 +9,9 @@ import (
 // fold1 is the fold of one message's parts.
 func fold1(m Message) Message { return fold(m.Tag, m.Parts, nil) }
 
-// TestFold pins the fold semantics: byte-wise sum mod 256 on the data
-// path, max length on the length-only path, empty in empty out, and a
-// lone part that is a fold already comes back as it is.
+// TestFold pins the fold semantics: byte-wise sum mod 256 as long as the
+// longest part, empty in empty out, and a lone part that is a fold
+// already comes back as it is.
 func TestFold(t *testing.T) {
 	got := fold1(Message{Parts: []Part{
 		{Origin: 0, Data: []byte{1, 2, 250}},
@@ -20,10 +20,6 @@ func TestFold(t *testing.T) {
 	want := []byte{11, 22, 250}
 	if len(got.Parts) != 1 || got.Parts[0].Origin != ReducedOrigin || !reflect.DeepEqual(got.Parts[0].Data, want) {
 		t.Fatalf("data fold = %+v", got.Parts)
-	}
-	lenOnly := fold1(Message{Parts: []Part{{Origin: 0, Size: 8}, {Origin: 1, Size: 16}}})
-	if len(lenOnly.Parts) != 1 || lenOnly.Parts[0].Data != nil || lenOnly.Parts[0].Len() != 16 {
-		t.Fatalf("length fold = %+v", lenOnly.Parts)
 	}
 	if empty := fold1(Message{}); len(empty.Parts) != 0 {
 		t.Fatalf("fold of nothing = %+v", empty.Parts)
@@ -35,37 +31,27 @@ func TestFold(t *testing.T) {
 
 // TestFoldMatchesByteLoop: the word-wise fold computes what the plain
 // byte loop does, over random bundles of unequal parts — lengths on and
-// off the 8-byte grid, length-only parts mixed in, bytes near the carry
-// boundaries.
+// off the 8-byte grid, bytes near the carry boundaries.
 func TestFoldMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
 		m := Message{Tag: trial, Parts: make([]Part, 1+rng.Intn(6))}
-		maxLen, anyData := 0, false
+		maxLen := 0
 		for i := range m.Parts {
-			n := rng.Intn(70)
-			if rng.Intn(5) == 0 {
-				m.Parts[i] = Part{Origin: i, Size: n}
-			} else {
-				data := make([]byte, n)
-				for j := range data {
-					data[j] = []byte{0, 1, 0x7f, 0x80, 0xff, byte(rng.Intn(256))}[rng.Intn(6)]
-				}
-				m.Parts[i] = Part{Origin: i, Data: data}
-				anyData = true
+			data := make([]byte, rng.Intn(70))
+			for j := range data {
+				data[j] = []byte{0, 1, 0x7f, 0x80, 0xff, byte(rng.Intn(256))}[rng.Intn(6)]
 			}
-			maxLen = max(maxLen, n)
+			m.Parts[i] = Part{Origin: i, Data: data}
+			maxLen = max(maxLen, len(data))
 		}
-		want := Part{Origin: ReducedOrigin, Size: maxLen}
-		if anyData {
-			sum := make([]byte, maxLen)
-			for _, p := range m.Parts {
-				for i, b := range p.Data {
-					sum[i] += b
-				}
+		sum := make([]byte, maxLen)
+		for _, p := range m.Parts {
+			for i, b := range p.Data {
+				sum[i] += b
 			}
-			want = Part{Origin: ReducedOrigin, Data: sum}
 		}
+		want := Part{Origin: ReducedOrigin, Data: sum}
 		got := fold1(m)
 		if got.Tag != m.Tag || len(got.Parts) != 1 || !reflect.DeepEqual(got.Parts[0], want) {
 			t.Fatalf("trial %d: fold = %+v, byte loop = %+v", trial, got.Parts, want)

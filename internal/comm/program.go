@@ -483,9 +483,7 @@ func (x *executor) do(op Op) {
 		reg.Parts = x.c.Recv(op.Peer()).Parts
 	case OpMerge:
 		reg := x.reg(op.Reg())
-		m := x.c.Recv(op.Peer())
-		ChargeCombine(x.c, m.Len())
-		*reg = reg.Append(m)
+		*reg = reg.Append(x.c.Recv(op.Peer()))
 	case OpDrop:
 		x.c.Recv(op.Peer())
 	case OpFold:
@@ -493,7 +491,6 @@ func (x *executor) do(op Op) {
 		var m Message
 		if op.Peer() >= 0 {
 			m = x.c.Recv(op.Peer())
-			ChargeCombine(x.c, m.Len())
 		}
 		*reg = fold(reg.Tag, reg.Parts, m.Parts)
 	case OpSendParts:
@@ -503,7 +500,9 @@ func (x *executor) do(op Op) {
 		s, dst := x.pg.Selection(op)
 		x.take(dst, op.Reg(), s)
 	case OpCombine:
-		ChargeCombine(x.c, x.reg(op.Reg()).Len())
+		// Only the simulator prices combining: an engine combines as it
+		// merges. The register must exist all the same.
+		x.reg(op.Reg())
 	case OpSwap:
 		reg := x.reg(op.Reg())
 		x.r0, *reg = *reg, x.r0

@@ -23,27 +23,27 @@ func TestReposAdaptiveMarginBoundary(t *testing.T) {
 		t.Fatalf("cross distribution should benefit from repositioning (gain %v)", gain)
 	}
 
-	_, plain := runSim(t, inner, spec, 2048)
-	_, always := runSim(t, ReposAdaptive(inner, 0), spec, 2048)
+	plain := runSim(t, inner, spec, 2048)
+	always := runSim(t, ReposAdaptive(inner, 0), spec, 2048)
 	if always.Elapsed == plain.Elapsed {
 		t.Fatal("margin 0 with positive gain did not reposition")
 	}
 
 	// gain == margin: the improvement is not strictly above the margin, so
 	// the permutation is skipped and the run matches the inner algorithm.
-	_, at := runSim(t, ReposAdaptive(inner, gain), spec, 2048)
+	at := runSim(t, ReposAdaptive(inner, gain), spec, 2048)
 	if at.Elapsed != plain.Elapsed {
 		t.Errorf("margin == gain repositioned: elapsed %v, inner alone %v", at.Elapsed, plain.Elapsed)
 	}
 
 	// A margin a hair below the gain repositions again.
-	_, below := runSim(t, ReposAdaptive(inner, gain-1e-9), spec, 2048)
+	below := runSim(t, ReposAdaptive(inner, gain-1e-9), spec, 2048)
 	if below.Elapsed != always.Elapsed {
 		t.Errorf("margin just below gain skipped: elapsed %v, always-reposition %v", below.Elapsed, always.Elapsed)
 	}
 
 	// Output correctness is preserved on both sides of the boundary.
-	out, _ := runSim(t, ReposAdaptive(inner, gain), spec, 24)
+	out := runLive(t, ReposAdaptive(inner, gain), spec, 24)
 	checkOut(t, "ReposAdaptive@margin", Broadcast, spec, out, 24)
 }
 

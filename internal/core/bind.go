@@ -33,8 +33,13 @@ func (a schedule) Name() string { return a.name }
 func (a schedule) Collective() Collective { return a.coll }
 
 // Run is the unbound Run: the calling rank performs its own part of the
-// script and nothing is compiled for the others.
+// script and nothing is compiled for the others. On Compile's recorder it
+// performs nothing and hands over its binding instead.
 func (a schedule) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
+	if r, ok := c.(*recorder); ok {
+		r.bound = Bind(a, spec).(*bound)
+		return mine
+	}
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
@@ -66,6 +71,68 @@ func Bind(alg Algorithm, spec Spec) Algorithm {
 	}()
 	return b
 }
+
+// Compile returns the program alg executes on spec, for a machine of
+// spec.P() ranks. An algorithm of this package, or one bound by Bind,
+// compiles through Bind. Any other value is run once, as rank 0 of a
+// machine on which nothing can be sent (recorder): a value that wraps an
+// algorithm of this package and runs it on the communicator it was given
+// yields that algorithm's program, and one that communicates by itself
+// has none. A spec that does not bind and a value without a program are
+// errors.
+func Compile(alg Algorithm, spec Spec) (*comm.Program, error) {
+	b, ok := Bind(alg, spec).(*bound)
+	if !ok {
+		var err error
+		if b, err = record(alg, spec); err != nil {
+			return nil, err
+		}
+	}
+	switch fail := b.fail.(type) {
+	case nil:
+		return b.prog, nil
+	case error:
+		return nil, fail
+	default:
+		return nil, fmt.Errorf("core: %s: %v", b.name, fail)
+	}
+}
+
+// record runs alg on a recorder and returns the binding it handed over.
+func record(alg Algorithm, spec Spec) (b *bound, err error) {
+	r := &recorder{size: spec.P()}
+	defer func() {
+		if p := recover(); p != nil {
+			b, err = nil, fmt.Errorf("core: %s: %v", alg.Name(), p)
+		}
+	}()
+	alg.Run(r, spec, comm.Message{})
+	if r.bound == nil {
+		return nil, fmt.Errorf("core: %s runs no algorithm of this package", alg.Name())
+	}
+	return r.bound, nil
+}
+
+// recorder is the communicator Compile runs a value without a program on:
+// rank 0 of a machine of size ranks, on which every Send, Recv and
+// Barrier panics. A schedule run on it records its binding and returns.
+// It claims to meter virtual time (comm.Clock) for one reader, the
+// benchmark's tracing decorator, which hands such a communicator to the
+// algorithm it wraps as it is.
+type recorder struct {
+	size  int
+	bound *bound
+}
+
+// outsideProgram is what a recorder panics with.
+const outsideProgram = "communicates outside a program"
+
+func (r *recorder) Rank() int              { return 0 }
+func (r *recorder) Size() int              { return r.size }
+func (r *recorder) Send(int, comm.Message) { panic(outsideProgram) }
+func (r *recorder) Recv(int) comm.Message  { panic(outsideProgram) }
+func (r *recorder) Barrier()               { panic(outsideProgram) }
+func (r *recorder) AdvanceCombine(int)     {}
 
 // Bindings memoizes Bind over the last few instances a warm engine ran:
 // the paper's schedules are oblivious, so an instance — registry name

@@ -2,51 +2,30 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/network"
-	"repro/internal/obs"
-	"repro/internal/sim"
+	"repro/internal/live"
 	"repro/internal/topology"
 )
 
-// eventLog is a tracer that records the global event sequence of one run,
-// or — once replaying is set — holds a second run against it: the run
-// must emit the recorded events, each equal in every field, in the
-// recorded order.
-type eventLog struct {
-	events    []obs.Event
-	replaying bool
-	next      int
-	diff      string // the first difference the second run showed
-}
-
-func (l *eventLog) Trace(e obs.Event) {
-	switch {
-	case !l.replaying:
-		l.events = append(l.events, e)
-	case l.diff != "":
-	case l.next == len(l.events):
-		l.diff = fmt.Sprintf("event %d: the replay goes on with %+v after the goroutine run ended", l.next, e)
-	case l.events[l.next] != e:
-		l.diff = fmt.Sprintf("event %d: the replay emits %+v, the goroutine run emitted %+v", l.next, e, l.events[l.next])
-	default:
-		l.next++
-	}
-}
-
-// steps returns rank by rank the sends and receives of the recorded run
-// as the Steps they execute.
-func (l *eventLog) steps(p int) [][]Step {
-	out := make([][]Step, p)
-	for _, e := range l.events {
-		if e.Kind == obs.KindSend || e.Kind == obs.KindRecv {
-			out[e.Rank] = append(out[e.Rank], Step{int32(e.Iter), int32(e.Rank), int32(e.Peer), e.Kind == obs.KindRecv})
+// programSteps returns rank by rank the sends and receives of prog's
+// sending and merging operations as the Steps they execute, each in the
+// iteration of the last OpIter before it.
+func programSteps(prog *comm.Program) [][]Step {
+	out := make([][]Step, prog.P())
+	for r := range out {
+		it := 0
+		for _, op := range prog.Ops(r) {
+			switch op.Kind {
+			case comm.OpIter:
+				it = op.Arg()
+			case comm.OpSend, comm.OpMerge:
+				out[r] = append(out[r], Step{int32(it), int32(r), int32(op.Peer()), op.Kind == comm.OpMerge})
+			}
 		}
 	}
 	return out
@@ -56,79 +35,28 @@ func (l *eventLog) steps(p int) [][]Step {
 // is executed of it together, for every registry entry, on square, odd,
 // 1×p, large and torus machines.
 //
-// Program against its execution: Bind compiles the entry into a program; the
-// simulator replays it (sim.Replay) and, as the reference, runs the bound
-// algorithm rank by rank as goroutines (sim.Run), each executing its part
-// of the program the way the real-byte engines do. The two must agree to
-// the last field: reflect.DeepEqual results and one global event sequence.
-// Every entry must have a program, and the entries are listed by name, so
-// none is skipped unnoticed.
+// Every entry must have a program (Bind compiles it; every engine
+// executes it rank by rank and the simulator replays it), and the entries
+// are listed by name, so none is skipped unnoticed.
 //
-// Step stream against execution: for the sectioning broadcasts the steps
-// Steps hands out for a rank are exactly the (level, peer, send|receive)
-// sequence of that rank in the run, so what the planner prices is what the
-// engines run.
+// Step stream against program: for the sectioning broadcasts the steps
+// Steps hands out for a rank are exactly the (level, peer, send|merge)
+// sequence of that rank's operations, so what the planner prices is what
+// the engines run.
 func TestStepsMatchExecutedSchedule(t *testing.T) {
-	machines := []struct {
-		rows, cols int
-		topo       topology.Topology
-		cfg        network.Config
-	}{
-		{4, 4, topology.MustMesh2D(4, 4), network.ParagonNX()},
-		{7, 9, topology.MustMesh2D(7, 9), network.ParagonNX()},
-		{1, 13, topology.MustMesh2D(1, 13), network.ParagonNX()},
-		{10, 10, topology.MustMesh2D(10, 10), network.ParagonNX()},
-		{16, 16, topology.MustMesh2D(16, 16), network.ParagonNX()},
-		{8, 8, topology.MustTorus3D(4, 4, 4), network.T3DMPI()},
-	}
+	machines := [][2]int{{4, 4}, {7, 9}, {1, 13}, {10, 10}, {16, 16}, {8, 8}}
 	var programmed, streamed []string
-	var log eventLog
 	for _, m := range machines {
-		p := m.rows * m.cols
-		if raceEnabled && p > 100 {
-			continue
-		}
-		nw, err := network.New(m.topo, topology.IdentityPlacement(p), m.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := m[0] * m[1]
 		for _, coll := range Collectives() {
-			for _, spec := range specsFor(t, coll, m.rows, m.cols) {
+			for _, spec := range specsFor(t, coll, m[0], m[1]) {
 				for _, alg := range RegistryFor(coll) {
-					bound := Bind(alg, spec)
-					prog := ProgramOf(bound)
-					if prog == nil {
-						t.Fatalf("%s on %d×%d %v: no program", alg.Name(), m.rows, m.cols, spec.Sources)
+					prog, err := Compile(alg, spec)
+					if err != nil {
+						t.Fatalf("%s on %d×%d %v: %v", alg.Name(), m[0], m[1], spec.Sources, err)
 					}
 					if !slices.Contains(programmed, alg.Name()) {
 						programmed = append(programmed, alg.Name())
-					}
-					for _, msgLen := range []int{64, 4096} {
-						label := fmt.Sprintf("%s on %d×%d %v L=%d", alg.Name(), m.rows, m.cols, spec.Sources, msgLen)
-						log = eventLog{events: log.events[:0]}
-						want, err := sim.Run(nw, func(pr *sim.Proc) {
-							bound.Run(pr, spec, InitialLenFor(coll, spec, pr.Rank(), msgLen))
-						}, sim.Options{Tracer: &log})
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						log.replaying = true
-						got, err := sim.Replay(nw, prog, func(rank int) (int, int) {
-							return InitialLen(coll, spec, rank, msgLen)
-						}, sim.Options{Tracer: &log})
-						if err != nil {
-							t.Fatalf("%s: replay: %v", label, err)
-						}
-						if log.diff == "" && log.next < len(log.events) {
-							log.diff = fmt.Sprintf("the replay ends after %d of %d events", log.next, len(log.events))
-						}
-						if log.diff != "" {
-							t.Fatalf("%s: %s", label, log.diff)
-						}
-						want.Program = prog // what the replay ran; a goroutine run has none to report
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: the replay's result differs from the goroutine run's:\n got %+v\nwant %+v", label, got, want)
-						}
 					}
 					want := make([][]Step, p)
 					if !Steps(alg, spec, func(st Step) { want[st.Rank] = append(want[st.Rank], st) }) {
@@ -137,10 +65,10 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 					if !slices.Contains(streamed, alg.Name()) {
 						streamed = append(streamed, alg.Name())
 					}
-					for r, got := range log.steps(p) {
+					for r, got := range programSteps(prog) {
 						if !slices.Equal(got, want[r]) {
-							t.Fatalf("%s on %d×%d %v: rank %d executed %v, the stream says %v",
-								alg.Name(), m.rows, m.cols, spec.Sources, r, got, want[r])
+							t.Fatalf("%s on %d×%d %v: rank %d executes %v, the stream says %v",
+								alg.Name(), m[0], m[1], spec.Sources, r, got, want[r])
 						}
 					}
 				}
@@ -161,8 +89,8 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 	for _, alg := range []Algorithm{BrDims([]int{2, 2, 4}, []int{2, 0, 1}), ReposTo(BrLin(), []int{0, 3, 5, 6, 9, 15}),
 		ReposAdaptive(BrXYDim(), 0.1), ReposAdaptive(BrXYDim(), 1),
 		WithDiscovery(BrLin()), ReposTo(WithDiscovery(BrLin()), []int{0, 3, 5, 6, 9, 15})} {
-		if ProgramOf(Bind(alg, spec)) == nil {
-			t.Errorf("%s has no program", alg.Name())
+		if _, err := Compile(alg, spec); err != nil {
+			t.Errorf("%s: %v", alg.Name(), err)
 		}
 	}
 }
@@ -217,13 +145,9 @@ func TestBoundSharedByConcurrentRanks(t *testing.T) {
 func TestBoundRejectsForeignSpecAndSize(t *testing.T) {
 	spec := makeSpec(t, dist.Equal(), 4, 4, 4)
 	run := func(rows, cols int, alg Algorithm, with Spec) error {
-		nw, err := network.New(topology.MustMesh2D(rows, cols), topology.IdentityPlacement(rows*cols), network.ParagonNX())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sim.Run(nw, func(pr *sim.Proc) {
+		_, err := liveRun(rows*cols, live.Options{}, func(pr *live.Proc) {
 			alg.Run(pr, with, InitialMessage(with, pr.Rank(), Broadcast.Payload(with.P(), pr.Rank(), 8)))
-		}, sim.Options{})
+		})
 		return err
 	}
 	for _, alg := range []Algorithm{BrLin(), BrXYSource(), ReposXYDim(), PartLin()} {
@@ -252,14 +176,14 @@ func TestBoundRejectsForeignSpecAndSize(t *testing.T) {
 	}
 }
 
-// TestInitialLenMeasuresInitialLenFor: what a replay is told of a rank's
-// initial bundle is what the bundle a goroutine run builds measures, for
+// TestInitialLenMeasuresInitialFor: what a replay is told of a rank's
+// initial bundle is what the bundle a real-byte run builds measures, for
 // every collective.
-func TestInitialLenMeasuresInitialLenFor(t *testing.T) {
+func TestInitialLenMeasuresInitialFor(t *testing.T) {
 	for _, coll := range Collectives() {
 		for _, spec := range specsFor(t, coll, 3, 4) {
 			for rank := 0; rank < spec.P(); rank++ {
-				m := InitialLenFor(coll, spec, rank, 48)
+				m := InitialFor(coll, spec, rank, func(r int) []byte { return coll.Payload(spec.P(), r, 48) })
 				partLen, parts := InitialLen(coll, spec, rank, 48)
 				if parts != len(m.Parts) || partLen*parts != m.Len() {
 					t.Fatalf("%s, sources %v, rank %d: InitialLen says %d parts of %d bytes, the bundle has %d bytes in %d",

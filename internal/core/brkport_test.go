@@ -25,7 +25,7 @@ func TestBrKPortAllPortCounts(t *testing.T) {
 				for _, d := range []dist.Distribution{dist.Equal(), dist.Square(), dist.Cross()} {
 					spec := makeSpec(t, d, r, c, s)
 					label := fmt.Sprintf("%s/%s(%d)/%dx%d", alg.Name(), d.Name(), s, r, c)
-					out, _ := runSim(t, alg, spec, 16)
+					out := runLive(t, alg, spec, 16)
 					checkOut(t, label, Broadcast, spec, out, 16)
 				}
 			}

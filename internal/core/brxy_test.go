@@ -34,8 +34,8 @@ func TestBrXYSourceDimensionChoice(t *testing.T) {
 // order and must cost more than Br_xy_source's choice.
 func TestBrXYDimIgnoresSources(t *testing.T) {
 	spec := makeSpec(t, dist.Row(), 8, 8, 16)
-	_, dim := runSim(t, BrXYDim(), spec, 2048)
-	_, src := runSim(t, BrXYSource(), spec, 2048)
+	dim := runSim(t, BrXYDim(), spec, 2048)
+	src := runSim(t, BrXYSource(), spec, 2048)
 	if float64(dim.Elapsed) < 1.1*float64(src.Elapsed) {
 		t.Fatalf("Br_xy_dim (%d) not clearly slower than Br_xy_source (%d) on row distribution", dim.Elapsed, src.Elapsed)
 	}
@@ -47,7 +47,7 @@ func TestBrXYOnDegenerateMeshes(t *testing.T) {
 	for _, algf := range []func() Algorithm{BrXYSource, BrXYDim} {
 		for _, dims := range [][2]int{{1, 9}, {9, 1}} {
 			spec := makeSpec(t, dist.Equal(), dims[0], dims[1], 3)
-			out, _ := runSim(t, algf(), spec, 32)
+			out := runLive(t, algf(), spec, 32)
 			checkOut(t, algf().Name(), Broadcast, spec, out, 32)
 		}
 	}
@@ -58,7 +58,7 @@ func TestRunLineDirect(t *testing.T) {
 	// Line of 5 with a single holder at position 2 (the odd middle of the
 	// first segment): the odd rule must push its bundle to position 4.
 	spec := Spec{Rows: 1, Cols: 5, Sources: []int{2}, Indexing: topology.RowMajor}
-	out, _ := runSim(t, BrLin(), spec, 16)
+	out := runLive(t, BrLin(), spec, 16)
 	checkOut(t, "line5", Broadcast, spec, out, 16)
 	// ceil(log2 5) = 3 iterations.
 	if n := staticOf(t, BrLin(), spec).Iterations; n != 3 {
@@ -109,13 +109,13 @@ func TestIdealForMapping(t *testing.T) {
 // the ideal spec.
 func TestReposMovesMessagesOnce(t *testing.T) {
 	spec := makeSpec(t, dist.Square(), 8, 8, 16)
-	_, repos := runSim(t, ReposXYSource(), spec, 64)
+	repos := runSim(t, ReposXYSource(), spec, 64)
 	ideal, err := dist.IdealRows().Sources(8, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idealSpec := Spec{Rows: 8, Cols: 8, Sources: ideal, Indexing: topology.SnakeRowMajor}
-	_, inner := runSim(t, BrXYSource(), idealSpec, 64)
+	inner := runSim(t, BrXYSource(), idealSpec, 64)
 	reposSends, innerSends := 0, 0
 	for i := range repos.Procs {
 		reposSends += repos.Procs[i].Sends
@@ -133,7 +133,7 @@ func TestPartSingleSourceAndTinyMachines(t *testing.T) {
 	for _, dims := range [][2]int{{1, 2}, {2, 1}, {2, 2}, {1, 5}} {
 		spec := makeSpec(t, dist.Equal(), dims[0], dims[1], 1)
 		for _, alg := range []Algorithm{PartLin(), PartXYSource(), PartXYDim()} {
-			out, _ := runSim(t, alg, spec, 16)
+			out := runLive(t, alg, spec, 16)
 			checkOut(t, alg.Name(), Broadcast, spec, out, 16)
 		}
 	}
@@ -144,7 +144,7 @@ func TestPartSingleSourceAndTinyMachines(t *testing.T) {
 // half's bundle.
 func TestPartUnevenHalves(t *testing.T) {
 	spec := makeSpec(t, dist.DiagRight(), 3, 7, 6)
-	out, _ := runSim(t, PartXYSource(), spec, 48)
+	out := runLive(t, PartXYSource(), spec, 48)
 	checkOut(t, "Part uneven", Broadcast, spec, out, 48)
 }
 
@@ -159,7 +159,7 @@ func TestBrDimsCorrectness(t *testing.T) {
 			spec := makeSpec(t, d, r, c, p/2)
 			for _, order := range [][]int{{0, 1}, {1, 0}} {
 				alg := BrDims([]int{r, c}, order)
-				out, _ := runSim(t, alg, spec, 16)
+				out := runLive(t, alg, spec, 16)
 				checkOut(t, alg.Name(), Broadcast, spec, out, 16)
 			}
 		}
@@ -171,7 +171,7 @@ func TestBrDims3D(t *testing.T) {
 	spec := makeSpec(t, dist.Equal(), 4, 6, 8) // 24 processors, ranks reused
 	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}} {
 		alg := BrDims([]int{2, 3, 4}, order)
-		out, _ := runSim(t, alg, spec, 32)
+		out := runLive(t, alg, spec, 32)
 		checkOut(t, alg.Name(), Broadcast, spec, out, 32)
 	}
 }
@@ -180,7 +180,7 @@ func TestBrDims3D(t *testing.T) {
 func TestBrDims1D(t *testing.T) {
 	spec := makeSpec(t, dist.Cross(), 2, 6, 5)
 	alg := BrDims([]int{12}, []int{0})
-	out, _ := runSim(t, alg, spec, 16)
+	out := runLive(t, alg, spec, 16)
 	checkOut(t, alg.Name(), Broadcast, spec, out, 16)
 }
 

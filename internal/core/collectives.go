@@ -284,35 +284,10 @@ func (c Collective) part(spec Spec, sizes func(rank int) int, rank, i int) (orig
 	return o, sizes(o), fillByte(o, 0)
 }
 
-// InitialLenFor is InitialFor on the simulator's length-only path: size
-// is the per-chunk (Scatter/AllToAll) or per-source (the rest) length L,
-// declared without allocating payload bytes.
-func InitialLenFor(coll Collective, spec Spec, rank, size int) comm.Message {
-	p := spec.P()
-	switch coll {
-	case Scatter:
-		if rank != spec.Sources[0] {
-			return comm.Message{}
-		}
-		parts := make([]comm.Part, p)
-		for d := 0; d < p; d++ {
-			parts[d] = comm.Part{Origin: d, Size: size}
-		}
-		return comm.Message{Parts: parts}
-	case AllToAll:
-		parts := make([]comm.Part, p)
-		for d := 0; d < p; d++ {
-			parts[d] = comm.Part{Origin: rank, Size: size}
-		}
-		return comm.Message{Parts: parts}
-	default:
-		return InitialMessageLen(spec, rank, size)
-	}
-}
-
-// InitialLen measures the bundle InitialLenFor builds without building it:
-// the length of each of its parts and their count, all a replayed program
-// needs of it.
+// InitialLen measures the bundle InitialFor builds for rank, size being
+// the per-chunk (Scatter, AllToAll) or per-source (the rest) length L,
+// without building it: the length of each of its parts and their count,
+// all a replayed program needs of it.
 func InitialLen(coll Collective, spec Spec, rank, size int) (partLen, parts int) {
 	switch {
 	case coll == Scatter && rank != spec.Sources[0]:

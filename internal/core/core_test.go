@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/live"
 	"repro/internal/metrics"
-	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -47,11 +47,15 @@ func checkOut(t *testing.T, label string, coll Collective, spec Spec, out []comm
 	}
 }
 
-// runSim executes a broadcast algorithm on the simulator and returns
-// per-rank bundles plus the run result.
-func runSim(t *testing.T, alg Algorithm, spec Spec, size int) ([]comm.Message, *sim.Result) {
+// runSim replays the program a broadcast algorithm compiles for spec on
+// the Paragon NX model, every source entering with size bytes.
+func runSim(t *testing.T, alg Algorithm, spec Spec, size int) *sim.Result {
 	t.Helper()
-	return runSimColl(t, Broadcast, alg, spec, size)
+	res, err := replayColl(Broadcast, alg, spec, size)
+	if err != nil {
+		t.Fatalf("%s on %d×%d s=%d: %v", alg.Name(), spec.Rows, spec.Cols, spec.S(), err)
+	}
+	return res
 }
 
 // staticOf is the static profile (metrics.StaticOf) of the program alg
@@ -71,44 +75,21 @@ func runLive(t *testing.T, alg Algorithm, spec Spec, size int) []comm.Message {
 	return runLiveColl(t, Broadcast, alg, spec, size)
 }
 
-// TestAllAlgorithmsAllDistributionsSim is the broad correctness matrix on
-// the simulator: every algorithm × every named distribution × several
-// machine shapes and source counts.
-func TestAllAlgorithmsAllDistributionsSim(t *testing.T) {
+// TestAlgorithmsLiveEngine is the broad correctness matrix, on the live
+// runtime with real bytes: every algorithm × every named distribution ×
+// several machine shapes and source counts.
+func TestAlgorithmsLiveEngine(t *testing.T) {
 	meshes := [][2]int{{1, 8}, {4, 4}, {3, 5}, {5, 5}, {4, 7}}
 	for _, alg := range Registry() {
 		for _, m := range meshes {
 			r, c := m[0], m[1]
 			p := r * c
 			for _, s := range []int{1, 2, p / 2, p - 1, p} {
-				if s < 1 {
-					continue
-				}
 				for _, d := range dist.All() {
 					spec := makeSpec(t, d, r, c, s)
-					label := fmt.Sprintf("%s/%s(%d)/%dx%d", alg.Name(), d.Name(), s, r, c)
-					out, _ := runSim(t, alg, spec, 16)
-					checkOut(t, label, Broadcast, spec, out, 16)
-				}
-			}
-		}
-	}
-}
-
-// TestAlgorithmsLiveEngine runs a reduced matrix on the live runtime with
-// real bytes, confirming engine-independent correctness.
-func TestAlgorithmsLiveEngine(t *testing.T) {
-	meshes := [][2]int{{4, 4}, {3, 5}}
-	for _, alg := range Registry() {
-		for _, m := range meshes {
-			r, c := m[0], m[1]
-			p := r * c
-			for _, s := range []int{1, p / 2, p} {
-				for _, d := range []dist.Distribution{dist.Equal(), dist.Square(), dist.Cross()} {
-					spec := makeSpec(t, d, r, c, s)
 					label := fmt.Sprintf("%s/%s(%d)/%dx%d live", alg.Name(), d.Name(), s, r, c)
-					out := runLive(t, alg, spec, 32)
-					checkOut(t, label, Broadcast, spec, out, 32)
+					out := runLive(t, alg, spec, 16)
+					checkOut(t, label, Broadcast, spec, out, 16)
 				}
 			}
 		}
@@ -119,7 +100,7 @@ func TestAlgorithmsLiveEngine(t *testing.T) {
 func TestSingleProcessorMachine(t *testing.T) {
 	spec := Spec{Rows: 1, Cols: 1, Sources: []int{0}, Indexing: topology.SnakeRowMajor}
 	for _, alg := range Registry() {
-		out, _ := runSim(t, alg, spec, 8)
+		out := runLive(t, alg, spec, 8)
 		checkOut(t, alg.Name()+" p=1", Broadcast, spec, out, 8)
 	}
 }
@@ -139,16 +120,11 @@ func TestQuickRandomInstances(t *testing.T) {
 			return false
 		}
 		spec := Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.SnakeRowMajor}
-		topo := topology.MustMesh2D(r, c)
-		nw, err := network.New(topo, topology.IdentityPlacement(p), network.ParagonNX())
-		if err != nil {
-			return false
-		}
 		out := make([]comm.Message, p)
-		if _, err := sim.Run(nw, func(pr *sim.Proc) {
+		if _, err := liveRun(p, live.Options{}, func(pr *live.Proc) {
 			mine := InitialMessage(spec, pr.Rank(), Broadcast.Payload(p, pr.Rank(), 8))
 			out[pr.Rank()] = alg.Run(pr, spec, mine)
-		}, sim.Options{}); err != nil {
+		}); err != nil {
 			t.Logf("%s on %d×%d s=%d sources=%v: %v", alg.Name(), r, c, s, sources, err)
 			return false
 		}
@@ -278,16 +254,14 @@ func TestRepositionPermutationOrder(t *testing.T) {
 
 func TestInvalidSpecPanicsSurface(t *testing.T) {
 	spec := Spec{Rows: 2, Cols: 2, Sources: []int{9}} // out of range
-	topo := topology.MustMesh2D(2, 2)
-	nw, err := network.New(topo, topology.IdentityPlacement(4), network.ParagonNX())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sim.Run(nw, func(pr *sim.Proc) {
+	_, err := liveRun(4, live.Options{}, func(pr *live.Proc) {
 		BrLin().Run(pr, spec, comm.Message{})
-	}, sim.Options{})
+	})
 	if err == nil {
 		t.Fatal("invalid spec did not fail the run")
+	}
+	if _, err := Compile(BrLin(), spec); err == nil || !strings.Contains(err.Error(), "source 9 outside machine") {
+		t.Fatalf("invalid spec compiled: %v", err)
 	}
 }
 
@@ -316,7 +290,7 @@ func TestBrLinActiveGrowthIdealVsPartnered(t *testing.T) {
 // identity or a shuffle among ideal slots).
 func TestReposIdealDistributionUnchanged(t *testing.T) {
 	spec := makeSpec(t, dist.IdealRows(), 8, 8, 16)
-	out, _ := runSim(t, ReposXYSource(), spec, 32)
+	out := runLive(t, ReposXYSource(), spec, 32)
 	checkOut(t, "Repos on ideal", Broadcast, spec, out, 32)
 }
 
@@ -337,8 +311,8 @@ func TestByNameRoundTrip(t *testing.T) {
 func TestDeterministicTiming(t *testing.T) {
 	spec := makeSpec(t, dist.DiagRight(), 5, 5, 10)
 	for _, alg := range Registry() {
-		_, a := runSim(t, alg, spec, 256)
-		_, b := runSim(t, alg, spec, 256)
+		a := runSim(t, alg, spec, 256)
+		b := runSim(t, alg, spec, 256)
 		if a.Elapsed != b.Elapsed {
 			t.Errorf("%s: elapsed %d vs %d", alg.Name(), a.Elapsed, b.Elapsed)
 		}
@@ -346,8 +320,9 @@ func TestDeterministicTiming(t *testing.T) {
 }
 
 // TestEnginesAgreeOnRandomInstances is the cross-engine property test:
-// for random machines, distributions and algorithms, the simulator and
-// the live engine must deliver identical per-rank origin sets.
+// for random machines, distributions and algorithms, the simulator's
+// replay of the program counts, rank by rank, the sends, receives and
+// bytes sent of the live engine's run of it.
 func TestEnginesAgreeOnRandomInstances(t *testing.T) {
 	algs := Registry()
 	f := func(ru, cu, su, au uint8, seed int64) bool {
@@ -361,14 +336,9 @@ func TestEnginesAgreeOnRandomInstances(t *testing.T) {
 			return false
 		}
 		spec := Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.SnakeRowMajor}
-		simOut, _ := runSim(t, alg, spec, 8)
-		liveOut := runLive(t, alg, spec, 8)
-		for rank := range simOut {
-			if !reflect.DeepEqual(simOut[rank].Origins(), liveOut[rank].Origins()) {
-				t.Logf("%s on %d×%d: rank %d sim %v live %v",
-					alg.Name(), r, c, rank, simOut[rank].Origins(), liveOut[rank].Origins())
-				return false
-			}
+		if err := enginesAgree(Broadcast, alg, spec, 8); err != nil {
+			t.Logf("%s on %d×%d: %v", alg.Name(), r, c, err)
+			return false
 		}
 		return true
 	}

@@ -8,8 +8,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/live"
-	"repro/internal/network"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -24,10 +22,8 @@ func TestWithDiscoveryCorrectBothEngines(t *testing.T) {
 			spec := makeSpec(t, dist.Cross(), r, c, s)
 			alg := WithDiscovery(BrXYSource())
 			label := fmt.Sprintf("Discover/%dx%d/s=%d", r, c, s)
-			out, _ := runSim(t, alg, spec, 24)
-			checkOut(t, label, Broadcast, spec, out, 24)
-			lout := runLive(t, alg, spec, 24)
-			checkOut(t, label+" live", Broadcast, spec, lout, 24)
+			runSim(t, alg, spec, 24)
+			checkOut(t, label+" live", Broadcast, spec, runLive(t, alg, spec, 24), 24)
 		}
 	}
 }
@@ -42,8 +38,8 @@ func TestDiscoveryOverheadBounded(t *testing.T) {
 	// The discovery phase must cost only a few extra rounds of p-byte
 	// messages: for a 4K broadcast its overhead stays under 40%.
 	spec := makeSpec(t, dist.Equal(), 8, 8, 16)
-	_, plain := runSim(t, BrXYSource(), spec, 4096)
-	_, disc := runSim(t, WithDiscovery(BrXYSource()), spec, 4096)
+	plain := runSim(t, BrXYSource(), spec, 4096)
+	disc := runSim(t, WithDiscovery(BrXYSource()), spec, 4096)
 	if float64(disc.Elapsed) > 1.4*float64(plain.Elapsed) {
 		t.Fatalf("discovery overhead too large: %d vs %d", disc.Elapsed, plain.Elapsed)
 	}
@@ -56,18 +52,13 @@ func TestDiscoveryDetectsInconsistentSpec(t *testing.T) {
 	// A processor that holds a payload but is not in spec.Sources is a
 	// caller bug; discovery must catch it.
 	spec := Spec{Rows: 2, Cols: 2, Sources: []int{0}, Indexing: topology.SnakeRowMajor}
-	topo := topology.MustMesh2D(2, 2)
-	nw, err := network.New(topo, topology.IdentityPlacement(4), network.ParagonNX())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sim.Run(nw, func(pr *sim.Proc) {
+	_, err := liveRun(4, live.Options{}, func(pr *live.Proc) {
 		mine := comm.Message{}
 		if pr.Rank() == 0 || pr.Rank() == 3 { // 3 lies about being a source
 			mine = comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{1}}}}
 		}
 		WithDiscovery(BrLin()).Run(pr, spec, mine)
-	}, sim.Options{})
+	})
 	if err == nil || !strings.Contains(err.Error(), "discover") {
 		t.Fatalf("inconsistent source set not caught: %v", err)
 	}
@@ -103,8 +94,8 @@ func TestIndepCongestionWorseThanBrLin(t *testing.T) {
 	// many sources it floods the machine. At s=p/2 on a 10×10 Paragon it
 	// must be clearly slower than Br_Lin.
 	spec := makeSpec(t, dist.Equal(), 10, 10, 50)
-	_, indep := runSim(t, Indep1toP(), spec, 2048)
-	_, brlin := runSim(t, BrLin(), spec, 2048)
+	indep := runSim(t, Indep1toP(), spec, 2048)
+	brlin := runSim(t, BrLin(), spec, 2048)
 	if float64(indep.Elapsed) < 1.5*float64(brlin.Elapsed) {
 		t.Fatalf("Indep_1toP (%d) not ≥1.5× Br_Lin (%d)", indep.Elapsed, brlin.Elapsed)
 	}
@@ -116,10 +107,8 @@ func TestReposAdaptiveCorrectBothPaths(t *testing.T) {
 	for _, d := range []dist.Distribution{dist.Cross(), dist.IdealRows()} {
 		spec := makeSpec(t, d, 8, 8, 16)
 		alg := ReposAdaptive(BrXYSource(), 0.1)
-		out, _ := runSim(t, alg, spec, 32)
-		checkOut(t, alg.Name()+"/"+d.Name(), Broadcast, spec, out, 32)
-		lout := runLive(t, alg, spec, 32)
-		checkOut(t, alg.Name()+"/"+d.Name()+" live", Broadcast, spec, lout, 32)
+		runSim(t, alg, spec, 32)
+		checkOut(t, alg.Name()+"/"+d.Name()+" live", Broadcast, spec, runLive(t, alg, spec, 32), 32)
 	}
 }
 
@@ -127,8 +116,8 @@ func TestReposAdaptiveSkipsOnIdeal(t *testing.T) {
 	// On an already-ideal distribution the adaptive variant must cost
 	// (nearly) the same as the plain algorithm — no permutation sends.
 	spec := makeSpec(t, dist.IdealRows(), 16, 16, 32)
-	_, plain := runSim(t, BrXYSource(), spec, 4096)
-	_, adaptive := runSim(t, ReposAdaptive(BrXYSource(), 0.1), spec, 4096)
+	plain := runSim(t, BrXYSource(), spec, 4096)
+	adaptive := runSim(t, ReposAdaptive(BrXYSource(), 0.1), spec, 4096)
 	plainSends, adaptiveSends := 0, 0
 	for i := range plain.Procs {
 		plainSends += plain.Procs[i].Sends
@@ -143,9 +132,9 @@ func TestReposAdaptiveRepositionsOnHard(t *testing.T) {
 	// On the cross distribution the adaptive variant must behave like the
 	// always-reposition algorithm (and beat the plain one at this size).
 	spec := makeSpec(t, dist.Cross(), 16, 16, 64)
-	_, plain := runSim(t, BrXYSource(), spec, 6144)
-	_, always := runSim(t, ReposXYSource(), spec, 6144)
-	_, adaptive := runSim(t, ReposAdaptive(BrXYSource(), 0.1), spec, 6144)
+	plain := runSim(t, BrXYSource(), spec, 6144)
+	always := runSim(t, ReposXYSource(), spec, 6144)
+	adaptive := runSim(t, ReposAdaptive(BrXYSource(), 0.1), spec, 6144)
 	if adaptive.Elapsed >= plain.Elapsed {
 		t.Fatalf("adaptive (%d) did not beat plain (%d) on cross", adaptive.Elapsed, plain.Elapsed)
 	}

@@ -12,25 +12,45 @@ import (
 	"repro/internal/topology"
 )
 
-// runBoth executes fn on both engines with p processors and returns the
-// per-rank results from each, so tests verify engine-independent
-// semantics.
-func runBoth(t *testing.T, p int, fn func(c comm.Comm) comm.Message) (simOut, liveOut []comm.Message) {
+// runLib executes fn on the live engine with p processors and returns
+// the per-rank results.
+func runLib(t *testing.T, p int, fn func(c comm.Comm) comm.Message) []comm.Message {
 	t.Helper()
-	simOut = make([]comm.Message, p)
-	liveOut = make([]comm.Message, p)
-	topo := topology.MustMesh2D(1, p)
-	nw, err := network.New(topo, topology.IdentityPlacement(p), network.ParagonNX())
+	out := make([]comm.Message, p)
+	if _, err := liveRun(p, live.Options{}, func(pr *live.Proc) { out[pr.Rank()] = fn(pr) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// replayScript replays s on a 1×p Paragon NX line, rank r entering with
+// parts(r) parts of size bytes each.
+func replayScript(t *testing.T, s comm.Script, p, size int, parts func(rank int) int) *sim.Result {
+	t.Helper()
+	nw, err := network.New(topology.MustMesh2D(1, p), topology.IdentityPlacement(p), network.ParagonNX())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(nw, func(pr *sim.Proc) { simOut[pr.Rank()] = fn(pr) }, sim.Options{}); err != nil {
+	prog, err := s.Compile(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := liveRun(p, live.Options{}, func(pr *live.Proc) { liveOut[pr.Rank()] = fn(pr) }); err != nil {
+	res, err := sim.Replay(nw, prog, func(rank int) (int, int) { return size, parts(rank) }, sim.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return simOut, liveOut
+	return res
+}
+
+// only is the part count of a replay in which rank src alone enters with
+// a part.
+func only(src int) func(rank int) int {
+	return func(rank int) int {
+		if rank == src {
+			return 1
+		}
+		return 0
+	}
 }
 
 // mkMsg builds a one-part bundle whose payload encodes the origin.
@@ -66,7 +86,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
 		roots := []int{0, p / 2, p - 1}
 		for _, root := range roots {
-			s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+			l := runLib(t, p, func(c comm.Comm) comm.Message {
 				var m comm.Message
 				if c.Rank() == root {
 					m = mkMsg(root, 64)
@@ -74,7 +94,6 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 				return bcastScript(p, root).Run(c, m)
 			})
 			label := fmt.Sprintf("Bcast p=%d root=%d", p, root)
-			wantOrigins(t, label+" (sim)", s, []int{root})
 			wantOrigins(t, label+" (live)", l, []int{root})
 		}
 	}
@@ -83,7 +102,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 func TestGatherCollectsInSourceOrder(t *testing.T) {
 	p := 10
 	sources := []int{1, 4, 7, 9}
-	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+	l := runLib(t, p, func(c comm.Comm) comm.Message {
 		var m comm.Message
 		for _, src := range sources {
 			if src == c.Rank() {
@@ -92,7 +111,7 @@ func TestGatherCollectsInSourceOrder(t *testing.T) {
 		}
 		return gatherScript(0, sources).Run(c, m)
 	})
-	for _, out := range [][]comm.Message{s, l} {
+	for _, out := range [][]comm.Message{l} {
 		root := out[0]
 		if len(root.Parts) != len(sources) {
 			t.Fatalf("root has %d parts", len(root.Parts))
@@ -112,14 +131,14 @@ func TestGatherCollectsInSourceOrder(t *testing.T) {
 
 func TestGatherRootAsSource(t *testing.T) {
 	sources := []int{0, 2}
-	s, _ := runBoth(t, 4, func(c comm.Comm) comm.Message {
+	l := runLib(t, 4, func(c comm.Comm) comm.Message {
 		var m comm.Message
 		if c.Rank() == 0 || c.Rank() == 2 {
 			m = mkMsg(c.Rank(), 16)
 		}
 		return gatherScript(0, sources).Run(c, m)
 	})
-	if got := s[0].Origins(); !reflect.DeepEqual(got, []int{0, 2}) {
+	if got := l[0].Origins(); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("root origins = %v", got)
 	}
 }
@@ -130,7 +149,7 @@ func TestAlltoallPersonalizedPow2AndNot(t *testing.T) {
 		if p/2 == 0 {
 			sources = []int{0}
 		}
-		s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+		l := runLib(t, p, func(c comm.Comm) comm.Message {
 			var m comm.Message
 			for _, src := range sources {
 				if src == c.Rank() {
@@ -140,7 +159,6 @@ func TestAlltoallPersonalizedPow2AndNot(t *testing.T) {
 			return alltoallPersonalizedScript(p, sources).Run(c, m)
 		})
 		label := fmt.Sprintf("Alltoall p=%d", p)
-		wantOrigins(t, label+" (sim)", s, sources)
 		wantOrigins(t, label+" (live)", l, sources)
 	}
 }
@@ -148,16 +166,15 @@ func TestAlltoallPersonalizedPow2AndNot(t *testing.T) {
 func TestAlltoallAllSources(t *testing.T) {
 	p := 6
 	sources := []int{0, 1, 2, 3, 4, 5}
-	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+	l := runLib(t, p, func(c comm.Comm) comm.Message {
 		return alltoallPersonalizedScript(p, sources).Run(c, mkMsg(c.Rank(), 8))
 	})
-	wantOrigins(t, "Alltoall full (sim)", s, sources)
 	wantOrigins(t, "Alltoall full (live)", l, sources)
 }
 
 func TestAllgatherRing(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 13} {
-		s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+		l := runLib(t, p, func(c comm.Comm) comm.Message {
 			return allgatherRingScript(p).Run(c, mkMsg(c.Rank(), 24))
 		})
 		all := make([]int, p)
@@ -165,10 +182,9 @@ func TestAllgatherRing(t *testing.T) {
 			all[i] = i
 		}
 		label := fmt.Sprintf("AllgatherRing p=%d", p)
-		wantOrigins(t, label+" (sim)", s, all)
 		wantOrigins(t, label+" (live)", l, all)
 		// Rank order of the concatenation is part of the contract.
-		for _, out := range [][]comm.Message{s, l} {
+		for _, out := range [][]comm.Message{l} {
 			for rank := 0; rank < p; rank++ {
 				for i, part := range out[rank].Parts {
 					if part.Origin != i {
@@ -185,14 +201,13 @@ func TestAllgatherRingSparseSources(t *testing.T) {
 	// ends with exactly the source parts.
 	p := 9
 	sources := []int{2, 6}
-	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+	l := runLib(t, p, func(c comm.Comm) comm.Message {
 		var m comm.Message
 		if c.Rank() == 2 || c.Rank() == 6 {
 			m = mkMsg(c.Rank(), 40)
 		}
 		return allgatherRingScript(p).Run(c, m)
 	})
-	wantOrigins(t, "AllgatherRing sparse (sim)", s, sources)
 	wantOrigins(t, "AllgatherRing sparse (live)", l, sources)
 }
 
@@ -200,21 +215,8 @@ func TestBcastBinomialDepth(t *testing.T) {
 	// The root must send at most ⌈log2 p⌉ messages and the makespan must
 	// reflect a logarithmic tree, not a linear chain.
 	p := 16
-	topo := topology.MustMesh2D(1, p)
-	nw, err := network.New(topo, topology.IdentityPlacement(p), network.ParagonNX())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(nw, func(pr *sim.Proc) {
-		var m comm.Message
-		if pr.Rank() == 0 {
-			m = mkMsg(0, 128)
-		}
-		bcastScript(p, 0).Run(pr, m)
-	}, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayScript(t, bcastScript(p, 0), p, 128, only(0))
+
 	if res.Procs[0].Sends != 4 {
 		t.Fatalf("root sent %d messages, want 4 for p=16", res.Procs[0].Sends)
 	}
@@ -228,7 +230,7 @@ func TestBcastBinomialDepth(t *testing.T) {
 func TestAllgatherRecDoublingPow2(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 16} {
 		sources := []int{0, p - 1}
-		s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+		l := runLib(t, p, func(c comm.Comm) comm.Message {
 			var m comm.Message
 			for _, src := range sources {
 				if src == c.Rank() {
@@ -238,7 +240,6 @@ func TestAllgatherRecDoublingPow2(t *testing.T) {
 			return allgatherRecDoublingScript(p, sources).Run(c, m)
 		})
 		label := fmt.Sprintf("RecDoubling p=%d", p)
-		wantOrigins(t, label+" (sim)", s, sources)
 		wantOrigins(t, label+" (live)", l, sources)
 	}
 }
@@ -249,17 +250,16 @@ func TestAllgatherRecDoublingAllSources(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+	l := runLib(t, p, func(c comm.Comm) comm.Message {
 		return allgatherRecDoublingScript(p, all).Run(c, mkMsg(c.Rank(), 16))
 	})
-	wantOrigins(t, "RecDoubling full (sim)", s, all)
 	wantOrigins(t, "RecDoubling full (live)", l, all)
 }
 
 func TestAllgatherRecDoublingNonPow2FallsBack(t *testing.T) {
 	p := 6
 	sources := []int{1, 4}
-	s, l := runBoth(t, p, func(c comm.Comm) comm.Message {
+	l := runLib(t, p, func(c comm.Comm) comm.Message {
 		var m comm.Message
 		for _, src := range sources {
 			if src == c.Rank() {
@@ -268,7 +268,6 @@ func TestAllgatherRecDoublingNonPow2FallsBack(t *testing.T) {
 		}
 		return allgatherRecDoublingScript(p, sources).Run(c, m)
 	})
-	wantOrigins(t, "RecDoubling non-pow2 (sim)", s, sources)
 	wantOrigins(t, "RecDoubling non-pow2 (live)", l, sources)
 }
 
@@ -277,21 +276,7 @@ func TestAllgatherRecDoublingSkipsEmptyExchanges(t *testing.T) {
 	// involves processors whose group already holds the message: total
 	// sends are 1+2+4+8 = 15, not 16·4.
 	p := 16
-	topo := topology.MustMesh2D(1, p)
-	nw, err := network.New(topo, topology.IdentityPlacement(p), network.ParagonNX())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(nw, func(pr *sim.Proc) {
-		var m comm.Message
-		if pr.Rank() == 5 {
-			m = mkMsg(5, 64)
-		}
-		allgatherRecDoublingScript(p, []int{5}).Run(pr, m)
-	}, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayScript(t, allgatherRecDoublingScript(p, []int{5}), p, 64, only(5))
 	total := 0
 	for _, ps := range res.Procs {
 		total += ps.Sends

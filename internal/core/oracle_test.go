@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/metrics"
-	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -220,25 +219,6 @@ func brXYOracle(spec Spec, l int, sourceRule bool) *oracle {
 	return o
 }
 
-// replaySim replays the program alg compiles for spec on the Paragon NX
-// model, every source entering with l bytes.
-func replaySim(t *testing.T, alg Algorithm, spec Spec, l int) *sim.Result {
-	t.Helper()
-	nw, err := network.New(topology.MustMesh2D(spec.Rows, spec.Cols), topology.IdentityPlacement(spec.P()), network.ParagonNX())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := ProgramOf(Bind(alg, spec))
-	if prog == nil {
-		t.Fatalf("%s on %d×%d: no program", alg.Name(), spec.Rows, spec.Cols)
-	}
-	res, err := sim.Replay(nw, prog, func(rank int) (int, int) { return InitialLen(Broadcast, spec, rank, l) }, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // checkOracle compares an oracle with the static profile of the program
 // the run replayed and with the run's send and byte totals.
 func checkOracle(t *testing.T, label string, o *oracle, res *sim.Result) {
@@ -269,7 +249,7 @@ func TestOracleMatchesSimulatorExactly(t *testing.T) {
 			for _, s := range []int{1, 2, p / 3, p / 2, p} {
 				spec := makeSpec(t, d, r, c, s)
 				label := fmt.Sprintf("%s(%d) on %d×%d", d.Name(), s, r, c)
-				checkOracle(t, "Br_Lin/"+label, brLinOracle(spec, l), replaySim(t, BrLin(), spec, l))
+				checkOracle(t, "Br_Lin/"+label, brLinOracle(spec, l), runSim(t, BrLin(), spec, l))
 			}
 		}
 	}
@@ -286,8 +266,8 @@ func TestBrXYOracleMatchesSimulator(t *testing.T) {
 			for _, s := range []int{1, p / 3, p} {
 				spec := makeSpec(t, d, r, c, s)
 				label := fmt.Sprintf("%s(%d) on %d×%d", d.Name(), s, r, c)
-				checkOracle(t, "Br_xy_source/"+label, brXYOracle(spec, l, true), replaySim(t, BrXYSource(), spec, l))
-				checkOracle(t, "Br_xy_dim/"+label, brXYOracle(spec, l, false), replaySim(t, BrXYDim(), spec, l))
+				checkOracle(t, "Br_xy_source/"+label, brXYOracle(spec, l, true), runSim(t, BrXYSource(), spec, l))
+				checkOracle(t, "Br_xy_dim/"+label, brXYOracle(spec, l, false), runSim(t, BrXYDim(), spec, l))
 			}
 		}
 	}

@@ -111,17 +111,6 @@ func InitialMessage(spec Spec, rank int, payload []byte) comm.Message {
 	return comm.Message{Parts: []comm.Part{{Origin: rank, Data: payload}}}
 }
 
-// InitialMessageLen is InitialMessage for the simulator's length-only
-// payload path: the source's part declares size bytes without allocating
-// them. The discrete-event engine prices lengths only, so sweeps built on
-// this path never touch the allocator for payload buffers.
-func InitialMessageLen(spec Spec, rank, size int) comm.Message {
-	if !spec.IsSource(rank) {
-		return comm.Message{}
-	}
-	return comm.Message{Parts: []comm.Part{{Origin: rank, Size: size}}}
-}
-
 // Algorithm is one s-to-p broadcasting algorithm. Run executes the
 // broadcast on the calling processor: mine is the processor's initial
 // bundle (see InitialMessage) and the returned bundle carries all s

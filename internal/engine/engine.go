@@ -292,11 +292,6 @@ func (r *Run) Local(src, dst int, m comm.Message, shared bool) {
 		backing = make([]byte, total)
 	}
 	for i, part := range m.Parts {
-		if part.Data == nil {
-			// Length-only part (simulator path): keep the declared size.
-			parts[i] = comm.Part{Origin: part.Origin, Size: part.Size}
-			continue
-		}
 		n := copy(backing, part.Data)
 		// Full slice expression: an append through one part must not
 		// bleed into the next part's bytes.

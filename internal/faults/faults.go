@@ -324,8 +324,7 @@ func (in *Injector) linkFor(src, dst int) *link {
 }
 
 // proc is the per-rank faulted view of a comm.Comm. It forwards the
-// metering interfaces so sim-style cost accounting still reaches the
-// engine when one supports it.
+// iteration and phase markers, so traced events keep their stamps.
 type proc struct {
 	inner comm.Comm
 	inj   *Injector
@@ -335,16 +334,12 @@ type proc struct {
 
 var (
 	_ comm.Comm        = (*proc)(nil)
-	_ comm.Clock       = (*proc)(nil)
 	_ comm.IterMarker  = (*proc)(nil)
 	_ comm.PhaseMarker = (*proc)(nil)
 )
 
 func (p *proc) Rank() int { return p.inner.Rank() }
 func (p *proc) Size() int { return p.inner.Size() }
-
-// AdvanceCombine implements comm.Clock by forwarding to the engine.
-func (p *proc) AdvanceCombine(n int) { comm.ChargeCombine(p.inner, n) }
 
 // BeginIter implements comm.IterMarker by forwarding to the engine.
 func (p *proc) BeginIter(i int) { comm.MarkIter(p.inner, i) }

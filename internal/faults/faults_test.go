@@ -13,10 +13,9 @@ import (
 // fakeEngine is a single-threaded two-sided mailbox: good enough to
 // exercise the injector's send/recv interception without goroutines.
 type fakeEngine struct {
-	size    int
-	queues  map[[2]int][]comm.Message
-	combine int
-	iters   []int
+	size   int
+	queues map[[2]int][]comm.Message
+	iters  []int
 }
 
 type fakeProc struct {
@@ -46,9 +45,8 @@ func (p *fakeProc) Recv(src int) comm.Message {
 	p.eng.queues[k] = q[1:]
 	return m
 }
-func (p *fakeProc) Barrier()             {}
-func (p *fakeProc) AdvanceCombine(n int) { p.eng.combine += n }
-func (p *fakeProc) BeginIter(i int)      { p.eng.iters = append(p.eng.iters, i) }
+func (p *fakeProc) Barrier()        {}
+func (p *fakeProc) BeginIter(i int) { p.eng.iters = append(p.eng.iters, i) }
 
 func msg(origin int, payload string) comm.Message {
 	return comm.Message{Parts: []comm.Part{{Origin: origin, Data: []byte(payload)}}}
@@ -198,11 +196,7 @@ func TestMeteringInterfacesForward(t *testing.T) {
 	eng := newFakeEngine(1)
 	in := New(Plan{})
 	c := in.Wrap(eng.proc(0))
-	comm.ChargeCombine(c, 128)
 	comm.MarkIter(c, 7)
-	if eng.combine != 128 {
-		t.Fatalf("AdvanceCombine not forwarded: %d", eng.combine)
-	}
 	if len(eng.iters) != 1 || eng.iters[0] != 7 {
 		t.Fatalf("BeginIter not forwarded: %v", eng.iters)
 	}

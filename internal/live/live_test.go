@@ -24,39 +24,34 @@ func runOpts(p int, opts Options, fn func(*Proc)) (*Result, error) {
 
 // TestSendMultiPartOneBacking covers the coalesced copy path: all parts
 // of a message share one backing allocation, but each part is sealed with
-// a full slice expression so growing one part cannot bleed into the next,
-// and length-only parts survive among data parts.
+// a full slice expression so growing one part cannot bleed into the next.
 func TestSendMultiPartOneBacking(t *testing.T) {
 	_, err := runOnce(2, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, comm.Message{Parts: []comm.Part{
 				{Origin: 0, Data: []byte("alpha")},
-				{Origin: 7, Size: 128}, // length-only, no bytes
 				{Origin: 1, Data: []byte("beta")},
 			}})
 			return
 		}
 		m := p.Recv(0)
-		if len(m.Parts) != 3 {
-			t.Fatalf("got %d parts, want 3", len(m.Parts))
+		if len(m.Parts) != 2 {
+			t.Fatalf("got %d parts, want 2", len(m.Parts))
 		}
-		if string(m.Parts[0].Data) != "alpha" || string(m.Parts[2].Data) != "beta" {
-			t.Errorf("payloads corrupted: %q %q", m.Parts[0].Data, m.Parts[2].Data)
-		}
-		if m.Parts[1].Data != nil || m.Parts[1].Size != 128 {
-			t.Errorf("length-only part mangled: %+v", m.Parts[1])
+		if string(m.Parts[0].Data) != "alpha" || string(m.Parts[1].Data) != "beta" {
+			t.Errorf("payloads corrupted: %q %q", m.Parts[0].Data, m.Parts[1].Data)
 		}
 		for i, part := range m.Parts {
-			if part.Data != nil && cap(part.Data) != len(part.Data) {
+			if cap(part.Data) != len(part.Data) {
 				t.Errorf("part %d not sealed: len %d cap %d", i, len(part.Data), cap(part.Data))
 			}
 		}
-		// Growing part 0 must reallocate, never overwrite part 2's bytes
+		// Growing part 0 must reallocate, never overwrite part 1's bytes
 		// in the shared backing array.
 		grown := append(m.Parts[0].Data, []byte("XXXXXXXX")...)
 		_ = grown
-		if string(m.Parts[2].Data) != "beta" {
-			t.Errorf("append through part 0 clobbered part 2: %q", m.Parts[2].Data)
+		if string(m.Parts[1].Data) != "beta" {
+			t.Errorf("append through part 0 clobbered part 1: %q", m.Parts[1].Data)
 		}
 	})
 	if err != nil {

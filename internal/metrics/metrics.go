@@ -47,13 +47,9 @@ type Static struct {
 
 // StaticOf walks every rank's operations of prog. An operation
 // communicates when prog.Partner names a peer, and belongs to the
-// iteration of the last OpIter before it — iteration 0 before any. A run
-// without a program (prog nil, as under sim.Run) has no iterations.
+// iteration of the last OpIter before it — iteration 0 before any.
 func StaticOf(prog *comm.Program) Static {
 	var st Static
-	if prog == nil {
-		return st
-	}
 	var ops []int // one rank's sends+receives per iteration
 	for rank := range prog.P() {
 		ops = ops[:0]

@@ -166,9 +166,6 @@ func TestStaticOf(t *testing.T) {
 			t.Errorf("%s: StaticOf = %+v, want %+v", c.name, got, c.want)
 		}
 	}
-	if got := StaticOf(nil); !reflect.DeepEqual(got, Static{}) {
-		t.Errorf("StaticOf(nil) = %+v, want no iterations", got)
-	}
 	// av_msg_lgth from the run's byte totals: 64 bytes each way in
 	// iteration 0, then the merged 128 each way, over two iterations.
 	if p := FromResult(replay(t, exchange, 2, func(int) int { return 64 })); p.AvgMsgLen != 192 || p.Iterations != 2 {

@@ -2,6 +2,6 @@
 
 package plan
 
-// coldDecideAllocBudget is 5 % over the 1 484 allocations one cold sweep
+// coldDecideAllocBudget is 5 % over the 1 409 allocations one cold sweep
 // costs (TestColdDecideAllocationBudget).
-const coldDecideAllocBudget = 1558
+const coldDecideAllocBudget = 1480

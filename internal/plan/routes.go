@@ -26,10 +26,10 @@ func (ls linkSet) add(rank, peer int) {
 // exactly the links a live or TCP run will traverse — which makes the
 // result a prefetch plan that leaves a run nothing to dial (tcp
 // Options.Links, or stpbcast.SessionOptions.Links via RoutesFor). An
-// algorithm without a
-// program here — a value from outside internal/core, a spec that does not
-// bind or fit the machine — has no routes. msgLen is not read: the
-// schedules are oblivious, their links a function of the spec.
+// algorithm without a program here (machine.Program: a value that wraps
+// no algorithm of internal/core, a spec that does not bind or fit the
+// machine) has no routes. msgLen is not read: the schedules are
+// oblivious, their links a function of the spec.
 //
 // Barrier contributes no links: ranks that share a process synchronise
 // in memory, and the few links a multi-process mesh needs between its
@@ -41,9 +41,9 @@ func (ls linkSet) add(rank, peer int) {
 // connection, so the connection count of the plan is at most the pair
 // count here.
 func Routes(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) ([][2]int, error) {
-	prog := m.Program(alg, spec)
-	if prog == nil {
-		return nil, fmt.Errorf("plan: route extraction for %s: no program for sources %v on %s", alg.Name(), spec.Sources, m.Name)
+	prog, err := m.Program(alg, spec)
+	if err != nil {
+		return nil, fmt.Errorf("plan: route extraction for %s on %s: %w", alg.Name(), m.Name, err)
 	}
 	links := linkSet{}
 	programLinks(prog, links)

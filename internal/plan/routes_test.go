@@ -107,9 +107,9 @@ func TestRoutesReadAndTracedAgree(t *testing.T) {
 			}
 			for _, alg := range core.RegistryFor(coll) {
 				for _, spec := range specs {
-					prog := m.Program(alg, spec)
-					if prog == nil {
-						t.Errorf("%s on %s, sources %v: no program", alg.Name(), m.Name, spec.Sources)
+					prog, err := m.Program(alg, spec)
+					if err != nil {
+						t.Errorf("%s on %s, sources %v: %v", alg.Name(), m.Name, spec.Sources, err)
 						continue
 					}
 					fromProgram, traced := linkSet{}, linkSet{}
@@ -159,7 +159,11 @@ func TestRoutesDriveSparseTCPMachine(t *testing.T) {
 		}
 		// The same program read for its receives as well finds nothing
 		// missing either: the op→peer rule is the one Routes used.
-		if err := tm.Prepare(context.Background(), m.Program(alg, spec)); err != nil || tm.LazyDials() != 0 {
+		prog, err := m.Program(alg, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		if err := tm.Prepare(context.Background(), prog); err != nil || tm.LazyDials() != 0 {
 			t.Errorf("%s: Prepare dialed %d pairs the routes lacked (%v)", alg.Name(), tm.LazyDials(), err)
 		}
 		full := p * (p - 1) / 2

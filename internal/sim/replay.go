@@ -19,20 +19,17 @@ type reg struct {
 	parts, lo int32
 }
 
-// Replay executes prog on the simulated machine described by net and
-// returns what Run would return for an algorithm whose every processor
-// executes its part of prog (comm.Program.Run): the same result, with prog
-// in its Program field, and the same events in the same order on
-// opts.Tracer. A rank enters with the untagged bundle of parts parts of
-// partLen bytes each that initial gives.
+// Replay executes prog on the simulated machine described by net (one
+// processor per placed rank) and returns the timing result, with prog in
+// its Program field; opts.Tracer sees every event. A rank enters with the
+// untagged bundle of parts parts of partLen bytes each that initial
+// gives. The network's link state and statistics are reset first, so a
+// Network can be reused across runs.
 //
 // No goroutine is started. The caller's goroutine steps the processor at
-// the root of the ready heap until the operation at which its goroutine
-// would have passed the token on under Run — a Send while another
-// processor is earlier, a Recv of a message not sent yet, a Barrier, the
-// end of its program — and then steps the new root. Order, charges and
-// events are Run's because they are the same code: only what "giving up
-// the token" means differs.
+// the root of the ready heap until it has to give way — a Send while
+// another processor is earlier, a Recv of a message not sent yet, a
+// Barrier, the end of its program — and then steps the new root.
 //
 // A program that selects parts or folds them (comm.Program.SelectsParts)
 // prices a selection by the lengths of the parts it picks and a fold by
@@ -43,9 +40,8 @@ func Replay(net *network.Network, prog *comm.Program, initial func(rank int) (pa
 	if p := net.Placement().Size(); prog.P() != p {
 		return nil, fmt.Errorf("sim: program for %d ranks replayed on a machine of %d", prog.P(), p)
 	}
-	// A replay never blocks, so unlike a Run — which passes through the
-	// scheduler at every hand-off — it would keep its P from the runtime's
-	// own goroutines until the preemption tick. With every P busy replaying
+	// A replay never blocks, so it would keep its P from the runtime's own
+	// goroutines until the preemption tick. With every P busy replaying
 	// (a figure's worker pool) the collector's mark workers start late and
 	// the heap overshoots its goal by whatever is allocated meanwhile: one
 	// yield per replay, free when nothing else wants to run, keeps the peak
@@ -84,14 +80,14 @@ func Replay(net *network.Network, prog *comm.Program, initial func(rank int) (pa
 	if e.err != nil {
 		return nil, e.err
 	}
-	return e.result(prog)
+	return e.result(prog), nil
 }
 
 // step executes pr's program from where it stopped until pr has to give
 // way: the operation it stops at is picked up again when pr is next at
 // the root of the heap (a Barrier, which completes by being released, is
 // stepped over at once).
-func (e *engine) step(pr *Proc, prog *comm.Program) {
+func (e *engine) step(pr *proc, prog *comm.Program) {
 	ops := prog.Ops(pr.rank)
 	regs := e.regs[pr.rank*prog.Regs():][:prog.Regs()]
 	for pr.pc < len(ops) {
@@ -148,11 +144,11 @@ func (e *engine) step(pr *Proc, prog *comm.Program) {
 			case comm.OpRecv:
 				*r = msg
 			case comm.OpMerge:
-				pr.AdvanceCombine(pd.bytes)
+				pr.combine(pd.bytes)
 				*r = e.join(*r, msg)
 			case comm.OpFold:
 				if op.Peer() >= 0 {
-					pr.AdvanceCombine(pd.bytes)
+					pr.combine(pd.bytes)
 				}
 				*r = e.fold(*r, msg)
 			}
@@ -169,13 +165,17 @@ func (e *engine) step(pr *Proc, prog *comm.Program) {
 			pr.arrive()
 			return
 		case comm.OpCombine:
-			pr.AdvanceCombine(regs[op.Reg()].bytes)
+			pr.combine(regs[op.Reg()].bytes)
 		case comm.OpSwap:
 			regs[0], regs[op.Reg()] = regs[op.Reg()], regs[0]
 		case comm.OpGrow:
 			// Sizes the bundle's array where bundles exist; nothing to price.
 		case comm.OpIter:
-			pr.BeginIter(op.Arg())
+			if op.Arg() < 0 {
+				e.err = fmt.Errorf("sim: rank %d begins negative iteration %d", pr.rank, op.Arg())
+				return
+			}
+			pr.iter = op.Arg()
 		case comm.OpPhase:
 			pr.phase = prog.Phase(op.Arg())
 		default:
@@ -187,9 +187,9 @@ func (e *engine) step(pr *Proc, prog *comm.Program) {
 	pr.finish()
 }
 
-// checkPeer checks the peer of a Send or Recv of pr the way the Proc
-// method does. It reports whether the run goes on.
-func (e *engine) checkPeer(pr *Proc, does string, peer int) bool {
+// checkPeer checks the peer of a Send or Recv of pr. It reports whether
+// the run goes on.
+func (e *engine) checkPeer(pr *proc, does string, peer int) bool {
 	if peer < 0 || peer >= e.p {
 		e.err = fmt.Errorf("sim: rank %d %s invalid rank %d", pr.rank, does, peer)
 		return false
@@ -212,7 +212,7 @@ func (e *engine) store(n int) int32 {
 // pick returns the parts s selects from r as a register of its own, their
 // lengths copied to the end of the arena. An out-of-range selector ends
 // the run.
-func (e *engine) pick(pr *Proc, r reg, s comm.Sel) (reg, bool) {
+func (e *engine) pick(pr *proc, r reg, s comm.Sel) (reg, bool) {
 	if err := s.RangeError(int(r.parts)); err != nil {
 		e.err = fmt.Errorf("sim: rank %d: %v", pr.rank, err)
 		return reg{}, false

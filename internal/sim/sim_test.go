@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/topology"
 )
 
@@ -29,7 +27,7 @@ func flatCfg() network.Config {
 	}
 }
 
-func lineNet(t *testing.T, n int) *network.Network {
+func lineNet(t testing.TB, n int) *network.Network {
 	t.Helper()
 	topo := topology.MustMesh2D(1, n)
 	nw, err := network.New(topo, topology.IdentityPlacement(n), flatCfg())
@@ -39,30 +37,77 @@ func lineNet(t *testing.T, n int) *network.Network {
 	return nw
 }
 
-func run(t *testing.T, nw *network.Network, fn func(*Proc)) *Result {
+// mustCompile compiles s for a machine of p.
+func mustCompile(t testing.TB, s comm.Script, p int) *comm.Program {
 	t.Helper()
-	res, err := Run(nw, fn, Options{})
+	prog, err := s.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// script is a two-register script whose every rank runs body.
+func script(body func(b *comm.Builder, rank int)) comm.Script {
+	return comm.Script{Regs: 2, Rank: body}
+}
+
+// lengths is the initial of a replay in which rank r enters with one part
+// of lens(r) bytes, or with nothing when that is 0.
+func lengths(lens func(rank int) int) func(rank int) (int, int) {
+	return func(rank int) (int, int) {
+		n := lens(rank)
+		return n, min(n, 1)
+	}
+}
+
+// none is the initial of a replay in which every rank enters empty.
+func none(int) (int, int) { return 0, 0 }
+
+// replay compiles s for the ranks of nw and replays it.
+func replay(t testing.TB, nw *network.Network, s comm.Script, initial func(rank int) (int, int), opts Options) (*Result, error) {
+	t.Helper()
+	return Replay(nw, mustCompile(t, s, nw.Placement().Size()), initial, opts)
+}
+
+// run is replay for a script that must finish.
+func run(t testing.TB, nw *network.Network, s comm.Script, initial func(rank int) (int, int)) *Result {
+	t.Helper()
+	res, err := replay(t, nw, s, initial, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-func payload(n int) []byte { return make([]byte, n) }
+type eventLog []obs.Event
+
+func (l *eventLog) Trace(e obs.Event) { *l = append(*l, e) }
+
+// received returns the tags of the messages rank received, in order.
+func (l eventLog) received(rank int) []int {
+	var tags []int
+	for _, e := range l {
+		if e.Kind == obs.KindRecv && e.Rank == rank {
+			tags = append(tags, e.Tag)
+		}
+	}
+	return tags
+}
 
 func TestPingTiming(t *testing.T) {
 	nw := lineNet(t, 2)
-	res := run(t, nw, func(p *Proc) {
-		switch p.Rank() {
+	res := run(t, nw, script(func(b *comm.Builder, rank int) {
+		switch rank {
 		case 0:
-			p.Send(1, comm.Message{Parts: []comm.Part{{Origin: 0, Data: payload(100)}}})
+			b.Send(1, 0)
 		case 1:
-			m := p.Recv(0)
-			if m.Len() != 100 {
-				t.Errorf("recv len = %d", m.Len())
-			}
+			b.Recv(0, 0)
 		}
-	})
+	}), lengths(func(rank int) int { return 100 * (1 - rank) }))
+	if got := res.Procs[1].RecvBytes; got != 100 {
+		t.Errorf("recv len = %d", got)
+	}
 	// Sender: 10 (send) + 100 (copy) = 110. Wire: 5 + 1 + 100 = 106,
 	// arrival 216. Receiver: max(0,216) + 20 + 100 = 336.
 	if got := res.Procs[0].Finish; got != 110 {
@@ -82,15 +127,15 @@ func TestPingTiming(t *testing.T) {
 func TestNoWaitWhenMessageEarly(t *testing.T) {
 	// Receiver that is already past the arrival instant records no wait.
 	nw := lineNet(t, 2)
-	res := run(t, nw, func(p *Proc) {
-		switch p.Rank() {
+	res := run(t, nw, script(func(b *comm.Builder, rank int) {
+		switch rank {
 		case 0:
-			p.Send(1, comm.Message{Parts: []comm.Part{{Data: payload(10)}}})
+			b.Send(1, 0)
 		case 1:
-			p.AdvanceCombine(1000) // clock = 2000 > arrival 51
-			p.Recv(0)
+			b.Combine(0) // clock = 2000 > arrival 51
+			b.Recv(0, 1)
 		}
-	})
+	}), lengths(func(rank int) int { return []int{10, 1000}[rank] }))
 	if res.Procs[1].WaitCount != 0 {
 		t.Errorf("wait count = %d, want 0", res.Procs[1].WaitCount)
 	}
@@ -102,44 +147,52 @@ func TestNoWaitWhenMessageEarly(t *testing.T) {
 
 func TestFIFOPerPair(t *testing.T) {
 	nw := lineNet(t, 2)
-	var got []int
-	run(t, nw, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			for i := 0; i < 5; i++ {
-				p.Send(1, comm.Message{Tag: i, Parts: []comm.Part{{Data: payload(8)}}})
-			}
-		case 1:
-			for i := 0; i < 5; i++ {
-				got = append(got, p.Recv(0).Tag)
+	var log eventLog
+	if _, err := replay(t, nw, script(func(b *comm.Builder, rank int) {
+		for i := 0; i < 5; i++ {
+			switch rank {
+			case 0:
+				b.Token(1, i, 8)
+			case 1:
+				b.Drop(0)
 			}
 		}
-	})
+	}), none, Options{Tracer: &log}); err != nil {
+		t.Fatal(err)
+	}
+	got := log.received(1)
 	for i, tag := range got {
 		if tag != i {
 			t.Fatalf("messages reordered: %v", got)
 		}
 	}
+	if len(got) != 5 {
+		t.Fatalf("received %d messages, want 5", len(got))
+	}
 }
 
 func TestExchangeBothDirections(t *testing.T) {
+	// Each rank sends first and then receives, which the buffered send
+	// makes safe; each gets the other's bundle, told apart by its length.
 	nw := lineNet(t, 2)
-	run(t, nw, func(p *Proc) {
-		other := 1 - p.Rank()
-		m := exchange(p, other, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: payload(4)}}})
-		if len(m.Parts) != 1 || m.Parts[0].Origin != other {
-			t.Errorf("rank %d got %v", p.Rank(), m)
+	res := run(t, nw, script(func(b *comm.Builder, rank int) {
+		b.Send(1-rank, 0)
+		b.Recv(1-rank, 1)
+	}), lengths(func(rank int) int { return 4 * (rank + 1) }))
+	for rank, ps := range res.Procs {
+		if want := int64(4 * (2 - rank)); ps.RecvBytes != want || ps.Recvs != 1 {
+			t.Errorf("rank %d received %d messages of %d bytes, want one of %d", rank, ps.Recvs, ps.RecvBytes, want)
 		}
-	})
+	}
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	nw := lineNet(t, 4)
-	res := run(t, nw, func(p *Proc) {
-		// Skew the clocks, then meet at the barrier.
-		p.AdvanceCombine(100 * (p.Rank() + 1))
-		p.Barrier()
-	})
+	// Skew the clocks, then meet at the barrier.
+	res := run(t, nw, script(func(b *comm.Builder, rank int) {
+		b.Combine(0)
+		b.Barrier()
+	}), lengths(func(rank int) int { return 100 * (rank + 1) }))
 	var first network.Time
 	for i, ps := range res.Procs {
 		if i == 0 {
@@ -156,68 +209,49 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-// TestBarrierRankZeroArrivesLast pins the self-handoff case: when rank 0
-// carries the largest clock it is dispatched last, so it is the
-// processor whose park() releases the barrier — and after the release
-// every waiter exits at the same instant, making rank 0 the heap minimum
-// again. The scheduler must keep the token instead of handing it to
-// itself (which deadlocked: a send on its own resume channel). The
-// watchdog turns a regression into a fast failure instead of a hung
-// test binary.
+// TestBarrierRankZeroArrivesLast pins the release by the lowest rank:
+// when rank 0 carries the largest clock it is stepped last, so it is the
+// processor that arrives last and releases the barrier — after which
+// every waiter exits at the same instant and rank 0 is the heap minimum
+// again, twice over.
 func TestBarrierRankZeroArrivesLast(t *testing.T) {
 	nw := lineNet(t, 4)
-	done := make(chan *Result, 1)
-	go func() {
-		done <- run(t, nw, func(p *Proc) {
-			for round := 0; round < 2; round++ {
-				// Rank 0 takes the largest key (the combine charge reaches
-				// it through the self receive), so at its next scheduling
-				// point — the second Send — the token visits every other
-				// rank, they all enter the barrier, and rank 0 is the
-				// processor that arrives last and triggers the release
-				// from inside park().
-				if p.Rank() == 0 {
-					p.AdvanceCombine(10_000)
-				} else {
-					p.AdvanceCombine(100 * p.Rank())
-				}
-				self := comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Size: 8}}}
-				p.Send(p.Rank(), self)
-				p.Recv(p.Rank())
-				p.Send(p.Rank(), self)
-				p.Barrier()
-			}
-		})
-	}()
-	select {
-	case res := <-done:
-		var first network.Time
-		for i, ps := range res.Procs {
-			if i == 0 {
-				first = ps.Finish
-			} else if ps.Finish != first {
-				t.Fatalf("barrier left clocks skewed: %v vs %v", ps.Finish, first)
-			}
+	res := run(t, nw, script(func(b *comm.Builder, rank int) {
+		for round := 0; round < 2; round++ {
+			// Rank 0 takes the largest key (the combine charge reaches it
+			// through the self receive), so at its next scheduling point —
+			// the second send — every other rank runs into the barrier
+			// first.
+			b.Combine(0)
+			b.Token(rank, 0, 8)
+			b.Drop(rank)
+			b.Token(rank, 0, 8)
+			b.Barrier()
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("run deadlocked: barrier release handed the token to the parking processor")
+	}), lengths(func(rank int) int { return []int{5000, 50, 100, 150}[rank] }))
+	var first network.Time
+	for i, ps := range res.Procs {
+		if i == 0 {
+			first = ps.Finish
+		} else if ps.Finish != first {
+			t.Fatalf("barrier left clocks skewed: %v vs %v", ps.Finish, first)
+		}
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	prog := func(p *Proc) {
-		comm.MarkIter(p, 0)
-		right := (p.Rank() + 1) % p.Size()
-		left := (p.Rank() - 1 + p.Size()) % p.Size()
-		p.Send(right, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: payload(256)}}})
-		p.Recv(left)
-		comm.MarkIter(p, 1)
-		p.Send(left, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: payload(512)}}})
-		p.Recv(right)
-	}
+	ring := script(func(b *comm.Builder, rank int) {
+		right, left := (rank+1)%8, (rank+7)%8
+		b.Iter(0)
+		b.Token(right, 0, 256)
+		b.Drop(left)
+		b.Iter(1)
+		b.Token(left, 0, 512)
+		b.Drop(right)
+	})
 	nw := lineNet(t, 8)
-	a := run(t, nw, prog)
-	b := run(t, nw, prog)
+	a := run(t, nw, ring, none)
+	b := run(t, nw, ring, none)
 	if a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic elapsed: %d vs %d", a.Elapsed, b.Elapsed)
 	}
@@ -230,9 +264,9 @@ func TestDeterminism(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	nw := lineNet(t, 2)
-	_, err := Run(nw, func(p *Proc) {
-		p.Recv(1 - p.Rank()) // both receive first: classic deadlock
-	}, Options{})
+	_, err := replay(t, nw, script(func(b *comm.Builder, rank int) {
+		b.Recv(1-rank, 0) // both receive first: classic deadlock
+	}), none, Options{})
 	if err == nil {
 		t.Fatal("deadlock not detected")
 	}
@@ -243,57 +277,39 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestPartialBarrierIsDeadlock(t *testing.T) {
 	nw := lineNet(t, 3)
-	_, err := Run(nw, func(p *Proc) {
-		if p.Rank() == 2 {
-			p.Recv(0) // never sent
+	_, err := replay(t, nw, script(func(b *comm.Builder, rank int) {
+		if rank == 2 {
+			b.Recv(0, 0) // never sent
 			return
 		}
-		p.Barrier()
-	}, Options{})
+		b.Barrier()
+	}), none, Options{})
 	if err == nil {
 		t.Fatal("stuck barrier not detected")
-	}
-}
-
-func TestPanicSurfacesAsError(t *testing.T) {
-	nw := lineNet(t, 2)
-	_, err := Run(nw, func(p *Proc) {
-		if p.Rank() == 1 {
-			panic("boom")
-		}
-		// Rank 0 blocks forever waiting for rank 1.
-		p.Recv(1)
-	}, Options{})
-	if err == nil {
-		t.Fatal("panic not surfaced")
-	}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("error does not mention panic: %v", err)
 	}
 }
 
 func TestContentionVisibleInElapsed(t *testing.T) {
 	// Many senders hammering rank 0 must take longer than a single send,
 	// because of receiver serialization and shared links near the root.
-	nw := lineNet(t, 8)
-	gather := func(p *Proc) {
-		if p.Rank() == 0 {
-			for src := 1; src < p.Size(); src++ {
-				p.Recv(src)
+	gather := script(func(b *comm.Builder, rank int) {
+		if rank == 0 {
+			for src := 1; src < 8; src++ {
+				b.Drop(src)
 			}
 			return
 		}
-		p.Send(0, comm.Message{Parts: []comm.Part{{Data: payload(1024)}}})
-	}
-	res := run(t, nw, gather)
-	single := run(t, lineNet(t, 8), func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Recv(7)
-		}
-		if p.Rank() == 7 {
-			p.Send(0, comm.Message{Parts: []comm.Part{{Data: payload(1024)}}})
-		}
+		b.Token(0, 0, 1024)
 	})
+	res := run(t, lineNet(t, 8), gather, none)
+	single := run(t, lineNet(t, 8), script(func(b *comm.Builder, rank int) {
+		switch rank {
+		case 0:
+			b.Drop(7)
+		case 7:
+			b.Token(0, 0, 1024)
+		}
+	}), none)
 	// The link into rank 0 serializes all seven wormholes, so the gather
 	// must take at least seven single-hop wire times plus the final
 	// receive's software cost (overhead 20 + copy 1024).
@@ -322,14 +338,14 @@ func (c *countTracer) Trace(e Event) {
 func TestTracerReceivesEvents(t *testing.T) {
 	nw := lineNet(t, 2)
 	tr := &countTracer{}
-	_, err := Run(nw, func(p *Proc) {
-		p.Barrier()
-		if p.Rank() == 0 {
-			p.Send(1, comm.Message{Parts: []comm.Part{{Data: payload(1)}}})
+	_, err := replay(t, nw, script(func(b *comm.Builder, rank int) {
+		b.Barrier()
+		if rank == 0 {
+			b.Send(1, 0)
 		} else {
-			p.Recv(0)
+			b.Recv(0, 0)
 		}
-	}, Options{Tracer: tr})
+	}), lengths(func(rank int) int { return 1 - rank }), Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,123 +364,20 @@ func TestTracerReceivesEvents(t *testing.T) {
 
 func TestSendToSelf(t *testing.T) {
 	nw := lineNet(t, 2)
-	res := run(t, nw, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Send(0, comm.Message{Tag: 9, Parts: []comm.Part{{Data: payload(32)}}})
-			if m := p.Recv(0); m.Tag != 9 {
-				t.Errorf("self recv tag = %d", m.Tag)
-			}
+	var log eventLog
+	res, err := replay(t, nw, script(func(b *comm.Builder, rank int) {
+		if rank == 0 {
+			b.Token(0, 9, 32)
+			b.Drop(0)
 		}
-	})
+	}), none, Options{Tracer: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tags := log.received(0); len(tags) != 1 || tags[0] != 9 {
+		t.Errorf("self recv tags = %v, want [9]", tags)
+	}
 	if res.Procs[0].Sends != 1 || res.Procs[0].Recvs != 1 {
 		t.Fatalf("self send not counted: %+v", res.Procs[0])
 	}
-}
-
-// waitForGoroutines fails the test unless the goroutine count settles back
-// to at most base within a second (unwound goroutines need a moment to
-// exit after their last channel operation).
-func waitForGoroutines(t *testing.T, base int) {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", base, runtime.NumGoroutine())
-}
-
-// TestGoroutinesReturnToBaseline runs every way a run can end — normally,
-// deadlocked, with a panic, under either driver — back to
-// back on the pooled engine: no processor goroutine may outlive its run
-// (a replay never starts one), and a recycled engine must not carry
-// anything of an abandoned run into the next one.
-func TestGoroutinesReturnToBaseline(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ring := func(p *Proc) {
-		p.Send((p.Rank()+1)%p.Size(), comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Size: 8}}})
-		if m := p.Recv((p.Rank() + p.Size() - 1) % p.Size()); m.Parts[0].Origin != (p.Rank()+p.Size()-1)%p.Size() {
-			panic(fmt.Sprintf("rank %d received a stale message from origin %d", p.Rank(), m.Parts[0].Origin))
-		}
-	}
-	// script compiles rounds of the ring, each followed by what the rank
-	// does after it, for the four processors of the test.
-	script := func(rounds int, after func(b *comm.Builder, rank int)) *comm.Program {
-		return mustCompile(t, comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) {
-			for i := 0; i < rounds; i++ {
-				b.Send((rank+1)%4, 0)
-				b.Recv((rank+3)%4, 1)
-			}
-			after(b, rank)
-		}}, 4)
-	}
-	endings := []struct {
-		name string
-		fn   func(*Proc)   // run as goroutines, or
-		prog *comm.Program // replayed
-		want string        // substring of the error, "" for success
-	}{
-		{"normal", ring, nil, ""},
-		{"deadlock", func(p *Proc) {
-			p.Send((p.Rank()+1)%p.Size(), comm.Message{Parts: []comm.Part{{Origin: -1, Size: 8}}}) // left in the queue
-			p.Recv((p.Rank() + 1) % p.Size())
-			p.Recv((p.Rank() + 1) % p.Size())
-		}, nil, "deadlock"},
-		{"panic", func(p *Proc) {
-			if p.Rank() == 2 {
-				panic("boom")
-			}
-			p.Barrier()
-		}, nil, "boom"},
-		{"replayed", nil, script(1, func(*comm.Builder, int) {}), ""},
-		{"replayed deadlock", nil, script(1, func(b *comm.Builder, rank int) {
-			b.Send((rank+1)%4, 0) // left in the queue
-			b.Recv((rank+1)%4, 1)
-		}), "deadlock"},
-	}
-	for round := 0; round < 5; round++ {
-		for _, e := range endings {
-			var err error
-			if e.prog != nil {
-				// Once the earlier runs' goroutines are gone, a replay must
-				// not show one of its own even for a moment.
-				waitForGoroutines(t, base)
-				_, err = Replay(lineNet(t, 4), e.prog, func(int) (int, int) { return 8, 1 }, Options{})
-				if n := runtime.NumGoroutine(); n > base {
-					t.Fatalf("round %d, %s: %d goroutines right after the replay, %d before it", round, e.name, n, base)
-				}
-			} else {
-				_, err = Run(lineNet(t, 4), e.fn, Options{})
-			}
-			if e.want == "" && err != nil || e.want != "" && (err == nil || !strings.Contains(err.Error(), e.want)) {
-				t.Fatalf("round %d, %s: got %v, want %q", round, e.name, err, e.want)
-			}
-			if _, err := Run(lineNet(t, 4), ring, Options{}); err != nil {
-				t.Fatalf("round %d: run after a %s ending: %v", round, e.name, err)
-			}
-		}
-	}
-	waitForGoroutines(t, base)
-}
-
-func TestAbortDrainsGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		nw := lineNet(t, 4)
-		_, err := Run(nw, func(p *Proc) {
-			p.Recv((p.Rank() + 1) % p.Size()) // circular wait: deadlock
-		}, Options{})
-		if err == nil {
-			t.Fatal("deadlock not detected")
-		}
-	}
-	waitForGoroutines(t, before+4)
-}
-
-// exchange sends m to peer and receives peer's message: the pairwise step
-// both sides take send-first, which the buffered Send makes safe.
-func exchange(p *Proc, peer int, m comm.Message) comm.Message {
-	p.Send(peer, m)
-	return p.Recv(peer)
 }

@@ -21,17 +21,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // because the simulator is.
 func smallRun(t *testing.T) *Recorder {
 	t.Helper()
-	m := machine.Paragon(2, 2)
-	nw, err := m.NewNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := core.Spec{Rows: 2, Cols: 2, Sources: []int{0, 3}, Indexing: topology.SnakeRowMajor}
 	rec := NewRecorder(0)
-	if _, err := sim.Run(nw, func(p *sim.Proc) {
-		mine := core.InitialMessageLen(spec, p.Rank(), 64)
-		core.TwoStep().Run(p, spec, mine)
-	}, sim.Options{Tracer: rec}); err != nil {
+	if _, _, err := machine.Paragon(2, 2).RunSim(core.TwoStep(), spec, machine.Uniform(64), sim.Options{Tracer: rec}); err != nil {
 		t.Fatal(err)
 	}
 	return rec

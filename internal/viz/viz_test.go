@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -64,16 +65,9 @@ func TestTwoStepHotspotVisible(t *testing.T) {
 	// After a 2-Step run, the hottest links must be adjacent to P0's
 	// region — the congestion picture of the paper.
 	mesh := topology.MustMesh2D(8, 8)
-	nw, err := network.New(mesh, topology.IdentityPlacement(64), network.ParagonNX())
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := core.Spec{Rows: 8, Cols: 8, Sources: seq(16, 4), Indexing: topology.SnakeRowMajor}
-	payload := make([]byte, 4096)
-	if _, err := sim.Run(nw, func(pr *sim.Proc) {
-		mine := core.InitialMessage(spec, pr.Rank(), payload)
-		core.TwoStep().Run(pr, spec, mine)
-	}, sim.Options{}); err != nil {
+	_, nw, err := machine.Paragon(8, 8).RunSim(core.TwoStep(), spec, machine.Uniform(4096), sim.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	hot := nw.HotLinks(3)

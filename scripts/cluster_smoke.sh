@@ -12,6 +12,7 @@
 # pair, which the workers dial at start-up anyway. The spawn and adopt
 # legs also require that every socket crosses workers: a worker's own
 # ranks exchange through memory.
+# A stray argument must be a usage error before any of that.
 # Run via `make cluster-smoke`; CI runs the same target.
 set -eu
 
@@ -42,6 +43,15 @@ trap cleanup EXIT
 
 echo "== build"
 go build -o "$workdir/stpworker" ./cmd/stpworker
+
+echo "== a stray argument is a usage error: exit 2, named, no cluster started"
+status=0
+# The flags after a stray argument would be dropped: without the check
+# this runs the default 8x8 cluster.
+timeout 10 "$workdir/stpworker" extra -rows 16 >"$workdir/stray.log" 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "stpworker extra exited $status, want 2"; cat "$workdir/stray.log"; exit 1; }
+grep -q "unexpected arguments \[extra" "$workdir/stray.log" || { echo "stpworker extra did not name the argument"; cat "$workdir/stray.log"; exit 1; }
+echo "   stpworker extra: exit 2"
 
 echo "== spawn mode: coordinator + 4 worker processes, p=64 sparse"
 "$workdir/stpworker" -workers 4 -rows 8 -cols 8 -alg Br_Lin -dist E -s 4 \

@@ -2,7 +2,8 @@
 # daemon_smoke.sh — end-to-end smoke test of the stpbcastd service:
 # build the daemon and client, start the daemon on a random port, run
 # one broadcast per engine through stpctl, scrape /metrics, and shut
-# down cleanly. Run via `make daemon-smoke`; CI runs the same target.
+# down cleanly; before that, bad flag values and a stray argument must be
+# usage errors. Run via `make daemon-smoke`; CI runs the same target.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -33,6 +34,15 @@ for bad in "-max-inflight 0" "-tenant-quota -1" "-max-sessions 0" "-idle-ttl 0" 
     if grep -q 'listening' "$workdir/bad.log"; then echo "stpbcastd $bad listened"; exit 1; fi
     echo "   $bad: exit 2"
 done
+
+echo "== a stray argument is a usage error: exit 2, named, no request sent"
+status=0
+# The flags after a stray argument would be dropped: without the check
+# this pings the default address instead of 127.0.0.1:1.
+timeout 10 "$workdir/stpctl" ping extra -addr 127.0.0.1:1 >"$workdir/stray.log" 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "stpctl ping extra exited $status, want 2"; cat "$workdir/stray.log"; exit 1; }
+grep -q "unexpected arguments \[extra" "$workdir/stray.log" || { echo "stpctl ping extra did not name the argument"; cat "$workdir/stray.log"; exit 1; }
+echo "   stpctl ping extra: exit 2"
 
 echo "== start daemon on a random port"
 "$workdir/stpbcastd" -addr 127.0.0.1:0 >"$workdir/daemon.log" 2>&1 &

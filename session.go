@@ -406,11 +406,10 @@ type Result struct {
 	Elapsed time.Duration
 	// Params are the paper's characteristic parameters of the run
 	// (EngineSim only). Congestion, AvgActive and Iterations are read off
-	// the algorithm's compiled program: they are zero for an algorithm
-	// value without one.
+	// the program the simulator replayed.
 	Params Params
 	// ActiveProfile is the number of processors communicating in each
-	// algorithm iteration (EngineSim only; nil without a program).
+	// algorithm iteration (EngineSim only).
 	ActiveProfile []int
 	// HotLinks are the ten busiest directed links of the run, most
 	// loaded first (EngineSim only).

@@ -497,7 +497,12 @@ type RunOptions struct {
 	// Algorithm, when non-nil, overrides Config.Algorithm with an
 	// explicit Algorithm value — for parameterized algorithms such as
 	// core.BrDims, core.ReposTo or core.WithDiscovery that have no
-	// registry name.
+	// registry name. EngineSim simulates the value's program: a value
+	// from outside the package is compiled by running it once on a
+	// communicator that carries nothing, so one that wraps an algorithm
+	// of the package and runs it on the communicator it is given is
+	// simulated as that algorithm, and one that communicates by itself
+	// is rejected with an error naming it.
 	Algorithm Algorithm
 	// Payload, when non-nil, supplies each source rank's message bytes
 	// on the real-byte engines (it is only called for source ranks).

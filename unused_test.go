@@ -18,7 +18,8 @@ import (
 // package kept for its tests is not an exception. An entry that has gained
 // a user, or names nothing, fails the test too, so the table cannot rot.
 var keptWithoutUser = map[string]string{
-	"internal/engine.abortError.Unwrap": "satisfies errors.Is/As, which reach the root cause of an aborted run through it",
+	"internal/engine.abortError.Unwrap":     "satisfies errors.Is/As, which reach the root cause of an aborted run through it",
+	"internal/core.recorder.AdvanceCombine": "makes Compile's recorder a comm.Clock, the mark the benchmark's tracing decorator passes through unwrapped; goes with that decorator (ROADMAP 10(b))",
 
 	"internal/comm.Message.Origins":         "test-support accessor: the delivery assertions of comm and core read a bundle's origin set through it",
 	"internal/topology.Indexing.NodeToRank": "test-support accessor: the inverse of RankToNode, asserted to be a bijection by the indexing tests",
