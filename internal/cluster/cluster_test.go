@@ -370,6 +370,74 @@ func TestClusterRejectsBadRunSpec(t *testing.T) {
 	}
 }
 
+// TestClusterRunFailureNamesEveryWorker: a failed run reports every
+// worker's error, in worker order. The cause may sit on any worker — here
+// on the last, as when one of its ranks panics — while the others report
+// only what the abort did to them. Fake workers answer the control
+// protocol with those reports, on the first run and on the retry after
+// the coordinator's reset.
+func TestClusterRunFailureNamesEveryWorker(t *testing.T) {
+	reports := []string{"tcp: mesh broken; awaiting coordinator reset", "tcp: rank 3: boom"}
+	c, err := Start(Spec{P: 4, Workers: len(reports), Adopt: true, OnListen: func(addr string) {
+		for range reports {
+			go fakeWorker(t, addr, reports)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Run(RunSpec{Rows: 2, Cols: 2, Sources: []int{0}, Algorithm: "Br_Lin", MsgBytes: 8})
+	want := "cluster: run failed: worker 0: tcp: mesh broken; awaiting coordinator reset; worker 1: tcp: rank 3: boom"
+	if err == nil || err.Error() != want {
+		t.Fatalf("run error %v, want %q", err, want)
+	}
+}
+
+// fakeWorker serves the control protocol without a machine: it reports
+// placeholder addresses for its ranks, accepts every connect and reset,
+// and fails every run with reports[its index].
+func fakeWorker(t *testing.T, addr string, reports []string) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer nc.Close()
+	cc := newConn(nc)
+	if cc.send(msg{Type: "hello"}) != nil {
+		return
+	}
+	index := 0
+	for {
+		m, err := cc.recv(0)
+		if err != nil {
+			return
+		}
+		switch m.Type {
+		case "assign":
+			index = m.Assign.Index
+			addrs := map[int]string{}
+			for r := m.Assign.Lo; r < m.Assign.Hi; r++ {
+				addrs[r] = "127.0.0.1:9"
+			}
+			err = cc.send(msg{Type: "addrs", Addrs: addrs})
+		case "connect":
+			err = cc.send(msg{Type: "ready"})
+		case "reset":
+			err = cc.send(msg{Type: "resetok"})
+		case "run":
+			err = cc.sendDone(&doneMsg{Err: reports[index]})
+		default:
+			cc.send(msg{Type: "closed"})
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
 // TestClusterSpawnedProcesses is the real thing in miniature: the
 // coordinator re-executes this test binary as 4 worker OS processes
 // (via TestMain/MaybeWorker) and runs a p=64 sparse broadcast across

@@ -414,8 +414,10 @@ func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 	if len(runErrs) > 0 {
 		// A failed run aborts the engine mesh everywhere (the abort
 		// closes the wire pairs, which every peer worker observes), and
-		// a worker that refused the run closed its connections.
-		return nil, true, fmt.Errorf("cluster: run failed: %s", runErrs[0])
+		// a worker that refused the run closed its connections. So most
+		// workers report a consequence, and any of them may hold the
+		// cause: every report goes, in worker order.
+		return nil, true, fmt.Errorf("cluster: run failed: %s", strings.Join(runErrs, "; "))
 	}
 	return res, false, nil
 }

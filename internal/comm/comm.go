@@ -15,7 +15,6 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Part is one original broadcast message inside a (possibly combined)
@@ -49,17 +48,6 @@ func (m Message) Len() int {
 		n += p.Len()
 	}
 	return n
-}
-
-// Origins returns the sorted ranks whose original messages the bundle
-// carries.
-func (m Message) Origins() []int {
-	out := make([]int, len(m.Parts))
-	for i, p := range m.Parts {
-		out[i] = p.Origin
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Append returns m with the parts of other appended. It does not

@@ -71,7 +71,7 @@ func TestScriptPerformedAndCompiledAgree(t *testing.T) {
 		}
 	}
 	for r := 0; r < p; r++ {
-		if got := compiled[r].Origins(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) || compiled[r].Parts[3].Origin != 3 || compiled[r].Tag != 7 {
+		if got := origins(compiled[r]); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) || compiled[r].Parts[3].Origin != 3 || compiled[r].Tag != 7 {
 			t.Errorf("rank %d ends with %v (origins %v), want every rank's part in rank order under tag 7", r, compiled[r], got)
 		}
 		if !reflect.DeepEqual(streamed[r], compiled[r]) {

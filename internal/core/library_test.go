@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -11,6 +12,16 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+// origins returns the sorted ranks whose original messages m carries.
+func origins(m comm.Message) []int {
+	out := make([]int, len(m.Parts))
+	for i, p := range m.Parts {
+		out[i] = p.Origin
+	}
+	slices.Sort(out)
+	return out
+}
 
 // runLib executes fn on the live engine with p processors and returns
 // the per-rank results.
@@ -64,11 +75,11 @@ func mkMsg(origin, size int) comm.Message {
 
 // wantOrigins asserts that every rank's bundle carries exactly the given
 // origins (in any order) with intact payloads.
-func wantOrigins(t *testing.T, label string, out []comm.Message, origins []int) {
+func wantOrigins(t *testing.T, label string, out []comm.Message, ranks []int) {
 	t.Helper()
 	for rank, m := range out {
-		got := m.Origins()
-		want := append([]int(nil), origins...)
+		got := origins(m)
+		want := append([]int(nil), ranks...)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: rank %d origins = %v, want %v", label, rank, got, want)
 		}
@@ -138,7 +149,7 @@ func TestGatherRootAsSource(t *testing.T) {
 		}
 		return gatherScript(0, sources).Run(c, m)
 	})
-	if got := l[0].Origins(); !reflect.DeepEqual(got, []int{0, 2}) {
+	if got := origins(l[0]); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("root origins = %v", got)
 	}
 }
@@ -188,7 +199,7 @@ func TestAllgatherRing(t *testing.T) {
 			for rank := 0; rank < p; rank++ {
 				for i, part := range out[rank].Parts {
 					if part.Origin != i {
-						t.Fatalf("%s: rank %d parts out of order: %v", label, rank, out[rank].Origins())
+						t.Fatalf("%s: rank %d parts out of order: %v", label, rank, origins(out[rank]))
 					}
 				}
 			}

@@ -1,19 +1,27 @@
 package engine_test
 
 // The conformance table of the real-byte engines: one list of lifecycle
-// scenarios, run against every transport of the core — memory
-// (internal/live) and sockets (internal/tcp) — with failures named
-// scenario/engine. A scenario states what comm.Comm and the run
-// lifecycle promise; nothing in it may depend on how messages travel.
-// Transport-only behaviour (frame codec, dial retry, reconnects, pre-run
-// dials, worker machines) is tested in internal/tcp.
+// scenarios, run against every machine the engines build — memory
+// (internal/live), sockets (internal/tcp, one process) and workers (the
+// machine a cluster runs: one mesh split across tcp worker machines) —
+// with failures named scenario/engine. A scenario states what comm.Comm
+// and the run lifecycle promise; nothing in it may depend on how
+// messages travel, only on where the machine's process boundaries lie.
+// Transport-only behaviour (frame codec, dial retry, reconnect counts,
+// pre-run dials, which pairs a worker machine dials) is tested in
+// internal/tcp.
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"math/bits"
 	"os"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -39,31 +47,193 @@ type machine interface {
 type sockets struct{ *tcp.Machine }
 
 func (s sockets) Run(o engine.Options, fn func(*engine.Proc)) (*engine.Result, error) {
-	return s.Machine.Run(tcp.Options{
-		Context: o.Context, RunTimeout: o.RunTimeout, RecvTimeout: o.RecvTimeout, Tracer: o.Tracer,
-	}, fn)
+	return s.Machine.Run(runOptions(o), fn)
 }
 
-// engines are the transports under test. name is the prefix every error
-// of that engine must carry.
+func runOptions(o engine.Options) tcp.Options {
+	return tcp.Options{Context: o.Context, RunTimeout: o.RunTimeout, RecvTimeout: o.RecvTimeout, Tracer: o.Tracer}
+}
+
+// engines are the machines under test. prefix begins every error of that
+// engine; parts are the rank ranges of the processes a p-rank machine
+// spans.
 var engines = []struct {
 	name, prefix string
 	open         func(p int) (machine, error)
+	parts        func(p int) [][2]int
 }{
-	{"memory", "live: ", func(p int) (machine, error) {
-		m, err := live.NewMachine(p)
+	{"memory", "live: ", openMemory, oneProcess},
+	{"sockets", "tcp: ", openSockets, oneProcess},
+	{"workers", "tcp: ", openWorkers, workerRanges},
+}
+
+func openMemory(p int) (machine, error) {
+	m, err := live.NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func openSockets(p int) (machine, error) {
+	m, err := tcp.NewMachine(p, tcp.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return sockets{m}, nil
+}
+
+func oneProcess(p int) [][2]int { return [][2]int{{0, p}} }
+
+// workerRanges splits p ranks into min(3, p) contiguous ranges of uneven
+// size: the last two hold ⌊p/4⌋ ranks each (one at least), the first the
+// rest.
+func workerRanges(p int) [][2]int {
+	n := min(3, p)
+	if n <= 1 {
+		return oneProcess(p)
+	}
+	step := max(1, p/4)
+	ranges := make([][2]int, n)
+	for w := range ranges {
+		ranges[w] = [2]int{p - (n-w)*step, p - (n-w-1)*step}
+	}
+	ranges[0][0] = 0
+	return ranges
+}
+
+// workers is the machine a cluster runs, in one process: a p-rank mesh
+// split into workerRanges, a tcp.NewWorkerMachine each, wired as the
+// cluster coordinator wires its workers — every part's LocalAddrs merged,
+// then ConnectMesh on every part at once. A part's own ranks exchange
+// through memory and meet in its barrier; pairs across parts use sockets,
+// and the barrier crosses parts by leader tokens.
+type workers struct {
+	size   int
+	parts  []*tcp.Machine
+	epoch  uint32
+	broken bool // the last run failed: the mesh is rebuilt before the next
+	resets int
+}
+
+// lag is how late the last part starts every run: the others' first
+// frames reach it before it arms the run's epoch, so every scenario runs
+// through the pumps' holding of early frames.
+const lag = 2 * time.Millisecond
+
+// hangAfter ends a run that outlives any scenario's: a part that lost
+// its peers' frames would otherwise hang the test binary. The error it
+// leaves names no engine, so every scenario fails on it.
+const hangAfter = 5 * time.Second
+
+func openWorkers(p int) (machine, error) {
+	ranges := workerRanges(p)
+	leaders := make([]int, len(ranges))
+	for i, r := range ranges {
+		leaders[i] = r[0]
+	}
+	w := &workers{size: p}
+	addrs := map[int]string{}
+	for _, r := range ranges {
+		m, err := tcp.NewWorkerMachine(p, r[0], r[1], leaders, tcp.Options{})
 		if err != nil {
+			w.Close()
 			return nil, err
 		}
-		return m, nil
-	}},
-	{"sockets", "tcp: ", func(p int) (machine, error) {
-		m, err := tcp.NewMachine(p, tcp.Options{})
+		w.parts = append(w.parts, m)
+		maps.Copy(addrs, m.LocalAddrs())
+	}
+	if err := w.each(func(_ int, m *tcp.Machine) error { return m.ConnectMesh(context.Background(), addrs) }); err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
+// each calls fn on every part at once and returns the parts' errors in
+// part order, as the coordinator reports its workers'.
+func (w *workers) each(fn func(int, *tcp.Machine) error) error {
+	errs := make([]error, len(w.parts))
+	var wg sync.WaitGroup
+	for i, m := range w.parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, m)
+		}()
+	}
+	wg.Wait()
+	var msgs []string
+	for _, err := range errs {
 		if err != nil {
+			msgs = append(msgs, err.Error())
+		}
+	}
+	if msgs == nil {
+		return nil
+	}
+	return errors.New(strings.Join(msgs, "; "))
+}
+
+// Run runs fn on every part under one epoch, the last part lag late,
+// and merges the parts' stats by rank. After a failed run it first
+// resets every part's mesh, then reconnects every part, as the
+// coordinator recovers.
+func (w *workers) Run(o engine.Options, fn func(*engine.Proc)) (*engine.Result, error) {
+	if w.broken {
+		if err := w.each(func(_ int, m *tcp.Machine) error { return m.ResetMesh() }); err != nil {
 			return nil, err
 		}
-		return sockets{m}, nil
-	}},
+		if err := w.each(func(_ int, m *tcp.Machine) error { return m.ConnectMesh(context.Background(), nil) }); err != nil {
+			return nil, err
+		}
+		w.broken = false
+		w.resets++
+	}
+	w.epoch++
+	opts := runOptions(o)
+	opts.Epoch = w.epoch
+	ctx, cancel := context.WithCancel(cmp.Or(o.Context, context.Background()))
+	defer cancel()
+	opts.Context = ctx
+	guard := time.AfterFunc(hangAfter, cancel)
+	results := make([]*engine.Result, len(w.parts))
+	err := w.each(func(i int, m *tcp.Machine) (err error) {
+		if i > 0 && i == len(w.parts)-1 {
+			time.Sleep(lag)
+		}
+		results[i], err = m.Run(opts, fn)
+		return err
+	})
+	hung := !guard.Stop()
+	if hung || err != nil {
+		w.broken = true
+	}
+	if hung {
+		return nil, fmt.Errorf("workers: run still going after %v: %v", hangAfter, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res := &engine.Result{Procs: make([]engine.ProcStats, w.size)}
+	for _, r := range results {
+		res.Elapsed = max(res.Elapsed, r.Elapsed)
+		for _, ps := range r.Procs {
+			res.Procs[ps.Rank] = ps
+		}
+	}
+	return res, nil
+}
+
+// Reconnects counts the mesh rebuilds after failed runs.
+func (w *workers) Reconnects() int { return w.resets }
+
+func (w *workers) Close() error {
+	var errs []error
+	for _, m := range w.parts {
+		errs = append(errs, m.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // harness is one scenario's view of one engine.
@@ -71,6 +241,7 @@ type harness struct {
 	*testing.T
 	prefix string
 	open   func(p int) (machine, error)
+	parts  func(p int) [][2]int
 	opened []machine
 }
 
@@ -229,16 +400,18 @@ var scenarios = []struct {
 
 	// A shared send hands over the part array itself (SendShared), but
 	// capped at its length: what a receiver appends to it cannot land in
-	// the sender's spare capacity.
+	// the sender's spare capacity. On workers rank 0 sends to rank 1
+	// through memory, as a cluster worker's own ranks exchange.
 	{"shared send then append", func(h *harness) {
-		_, err := h.run(3, engine.Options{}, func(p *engine.Proc) {
+		const n = 4
+		_, err := h.run(n, engine.Options{}, func(p *engine.Proc) {
 			me := p.Rank()
 			parts := make([]comm.Part, 1, 2)
 			parts[0] = comm.Part{Origin: me, Data: []byte("shared")}
-			dst := (me + 1) % 3
+			dst := (me + 1) % n
 			p.SendShared(dst, comm.Message{Parts: parts})
 			p.SendShared(me, comm.Message{Parts: parts})
-			for _, src := range []int{(me + 2) % 3, me} {
+			for _, src := range []int{(me + n - 1) % n, me} {
 				m := p.Recv(src)
 				if len(m.Parts) != 1 || m.Parts[0].Origin != src || string(m.Parts[0].Data) != "shared" {
 					h.Errorf("rank %d: from %d got %v", me, src, m.Parts)
@@ -255,6 +428,9 @@ var scenarios = []struct {
 		}
 	}},
 
+	// The receiver meets the senders in a barrier before it receives: the
+	// barrier must neither swallow a queued message nor be satisfied by
+	// one — on workers its tokens follow the data on the same sockets.
 	{"FIFO per pair", func(h *harness) {
 		const n = 200
 		_, err := h.run(3, engine.Options{}, func(p *engine.Proc) {
@@ -262,8 +438,10 @@ var scenarios = []struct {
 				for i := 0; i < n; i++ {
 					p.Send(2, msg(i, p.Rank(), "x"))
 				}
+				p.Barrier()
 				return
 			}
+			p.Barrier()
 			// Interleave receives from both senders; each stream must
 			// stay in order.
 			for i := 0; i < n; i++ {
@@ -299,8 +477,16 @@ var scenarios = []struct {
 		// the straggler enters it, so each sees exactly the round's
 		// arrivals; the second barrier keeps a fast rank's next check-in
 		// out of a slow rank's reading. Ranks of one process meet in
-		// memory: no barrier token is counted.
+		// memory: only the leader (lowest) rank of each of W > 1 processes
+		// counts barrier tokens, ⌈log2 W⌉ each way per barrier.
 		const p, rounds, runs = 8, 10, 3
+		parts := h.parts(p)
+		tokens := make([]int, p)
+		if len(parts) > 1 {
+			for _, r := range parts {
+				tokens[r[0]] = 2 * rounds * bits.Len(uint(len(parts)-1))
+			}
+		}
 		m := h.machine(p)
 		for run := range runs {
 			straggler := (3*run + 2) % p
@@ -322,8 +508,8 @@ var scenarios = []struct {
 				h.Fatalf("run %d: %v", run, err)
 			}
 			for _, ps := range res.Procs {
-				if ps.BarrierSends != 0 || ps.BarrierRecvs != 0 {
-					h.Errorf("run %d rank %d: %d/%d barrier tokens in one process", run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs)
+				if want := tokens[ps.Rank]; ps.BarrierSends != want || ps.BarrierRecvs != want {
+					h.Errorf("run %d rank %d: %d/%d barrier tokens, want %d/%d", run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs, want, want)
 				}
 			}
 		}
@@ -427,7 +613,7 @@ var scenarios = []struct {
 	// A deadline bounds each wait, not the run: waits of 0.6 T one after
 	// another all succeed, receives and barriers alike.
 	{"slow receives each under the deadline", func(h *harness) {
-		const timeout, waits = 150 * time.Millisecond, 5
+		const timeout, waits = 150 * time.Millisecond, 3
 		_, err := h.run(2, engine.Options{RecvTimeout: timeout}, func(p *engine.Proc) {
 			for i := 0; i < waits; i++ {
 				if p.Rank() == 0 {
@@ -449,23 +635,55 @@ var scenarios = []struct {
 		}
 	}},
 
+	// A process's waiters name the ranks of their own process that never
+	// came; a process none of whose ranks came is named by the leaders
+	// waiting for its token. Each case leaves the waiting to one process,
+	// or to waits on one absent leader, so no other process's abort can
+	// overtake the report. Every failure leaves no goroutine or socket
+	// behind, and the machine runs on.
 	{"barrier stall names absentees", func(h *harness) {
-		for _, absent := range [][]int{{1, 2}, {1}} {
-			_, err := h.run(4, engine.Options{RecvTimeout: 100 * time.Millisecond}, func(p *engine.Proc) {
-				if slices.Contains(absent, p.Rank()) {
-					return // never enter the barrier
+		const p = 4
+		parts := h.parts(p)
+		first, last := parts[0], parts[len(parts)-1]
+		m := h.machine(p)
+		goroutines, fds := footprint()
+		stall := func(absent func(rank int) bool) error {
+			_, err := m.Run(engine.Options{RecvTimeout: 100 * time.Millisecond}, func(pr *engine.Proc) {
+				if !absent(pr.Rank()) {
+					pr.Barrier()
 				}
-				p.Barrier()
 			})
+			settled(h.T, goroutines, fds)
+			return err
+		}
+		for _, away := range [][]int{{1, 2}, {1}} {
+			// The first process's ranks in away never come, nor does any
+			// rank of another process.
+			err := stall(func(r int) bool { return slices.Contains(away, r) || r >= first[1] })
+			named := slices.DeleteFunc(slices.Clone(away), func(r int) bool { return r >= first[1] })
 			// Every waiter reports the stall; the lowest rank's is returned.
-			h.failed(err, fmt.Sprintf(": barrier: blocked 100ms (deadline exceeded) waiting for ranks %v", absent))
+			h.failed(err, fmt.Sprintf(": barrier: blocked 100ms (deadline exceeded) waiting for ranks %v", named))
+		}
+		if len(parts) > 1 {
+			err := stall(func(r int) bool { return r >= last[0] })
+			h.failed(err)
+			if re := fmt.Sprintf(`leader rank \d+: token from leader rank %d: blocked 100ms \(receive deadline exceeded\)`, last[0]); !regexp.MustCompile(re).MatchString(err.Error()) {
+				h.Errorf("error %q does not name a waiting leader and the absent one", err)
+			}
+		}
+		if _, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, ringRound(h, p, 0)); err != nil {
+			h.Fatalf("run after the stalls: %v", err)
 		}
 	}},
 
+	// Only rank 0 waits: on workers each process's deadline runs on its
+	// own clock, and the first to abort would break the other's link.
 	{"run timeout", func(h *harness) {
 		start := time.Now()
 		_, err := h.run(2, engine.Options{RunTimeout: 100 * time.Millisecond}, func(p *engine.Proc) {
-			p.Recv(1 - p.Rank()) // mutual hang: nobody ever sends
+			if p.Rank() == 0 {
+				p.Recv(1) // rank 1 leaves without sending
+			}
 		})
 		h.failed(err, "rank 0: recv from 1: run exceeded 100ms deadline")
 		if d := time.Since(start); d > 5*time.Second {
@@ -493,7 +711,13 @@ var scenarios = []struct {
 				p.Barrier()
 			}
 		})
-		h.failed(err, "rank 1: recv from 0: run canceled: context canceled")
+		want := "rank 1: recv from 0: run canceled: context canceled"
+		if len(h.parts(3)) > 1 {
+			// Each process sees the cancel on its own, and the first to
+			// abort breaks the others' links: rank 1 may report that.
+			want = "run canceled: context canceled"
+		}
+		h.failed(err, want)
 	}},
 
 	// A context cancelled before Run starts aborts the run: ranks blocked
@@ -701,7 +925,7 @@ func TestConformance(t *testing.T) {
 			for _, e := range engines {
 				t.Run(e.name, func(t *testing.T) {
 					goroutines, fds := footprint()
-					h := &harness{T: t, prefix: e.prefix, open: e.open}
+					h := &harness{T: t, prefix: e.prefix, open: e.open, parts: e.parts}
 					defer func() {
 						for _, m := range h.opened {
 							m.Close()
@@ -717,7 +941,9 @@ func TestConformance(t *testing.T) {
 
 // TestRecvDeadlineAllocatesNothing: on both transports, a ping-pong run
 // whose receives block allocates no more with RecvTimeout set than
-// without — the deadline is the watchdog's work, not the wait's.
+// without — the deadline is the watchdog's work, not the wait's. The
+// workers machine is the sockets transport in parts; its runs' own
+// goroutines and guard would be counted too.
 func TestRecvDeadlineAllocatesNothing(t *testing.T) {
 	ping, pong := msg(1, 0, "ping"), msg(2, 1, "pong")
 	pingPong := func(pr *engine.Proc) {
@@ -732,6 +958,9 @@ func TestRecvDeadlineAllocatesNothing(t *testing.T) {
 		}
 	}
 	for _, e := range engines {
+		if e.name == "workers" {
+			continue
+		}
 		t.Run(e.name, func(t *testing.T) {
 			m, err := e.open(2)
 			if err != nil {
@@ -767,25 +996,12 @@ func TestSocketsHeldFrameReleasedOnTeardown(t *testing.T) {
 	for _, teardown := range []string{"ResetMesh", "Close"} {
 		t.Run(teardown, func(t *testing.T) {
 			goroutines, fds := footprint()
-			leaders := []int{0, 1}
-			idle, early := workerMachine(t, 0, leaders), workerMachine(t, 1, leaders)
-			addrs := map[int]string{}
-			for _, m := range []*tcp.Machine{idle, early} {
-				for r, a := range m.LocalAddrs() {
-					addrs[r] = a
-				}
+			m, err := openWorkers(2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var wg sync.WaitGroup
-			for _, m := range []*tcp.Machine{idle, early} {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := m.ConnectMesh(context.Background(), addrs); err != nil {
-						t.Error(err)
-					}
-				}()
-			}
-			wg.Wait()
+			w := m.(*workers)
+			idle, early := w.parts[0], w.parts[1]
 			if _, err := early.Run(tcp.Options{Epoch: 7}, func(p *engine.Proc) { p.Send(0, msg(1, 1, "early")) }); err != nil {
 				t.Fatal(err)
 			}
@@ -812,21 +1028,10 @@ func TestSocketsHeldFrameReleasedOnTeardown(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("%s blocked on the pump holding the early frame", teardown)
 			}
-			idle.Close()
-			early.Close()
+			w.Close()
 			settled(t, goroutines, fds)
 		})
 	}
-}
-
-// workerMachine is rank r of a two-rank mesh split one rank per worker.
-func workerMachine(t *testing.T, r int, leaders []int) *tcp.Machine {
-	t.Helper()
-	m, err := tcp.NewWorkerMachine(2, r, r+1, leaders, tcp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 // pumpHolding reports whether some goroutine is parked holding a frame.

@@ -2,18 +2,13 @@ package engine_test
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/live"
-	"repro/internal/tcp"
 	"repro/internal/topology"
 )
 
@@ -84,8 +79,8 @@ func sharedSpec(coll core.Collective, rows, cols int) core.Spec {
 // it is sent — not the executor, not the ranks it reaches, not
 // core.Collective.Check run on a bundle inside the rank body, as a
 // cluster worker does while its peers still hold the bundle's array.
-// For every registry entry, on a live machine and on two worker machines
-// sharing a mesh, back-to-back runs with payloads of their own lengths
+// For every registry entry, on a live machine and on the conformance
+// table's split mesh of worker machines, back-to-back runs with payloads of their own lengths
 // record every message each rank sends. After each run every part sent
 // so far still has the origin, length and bytes it was sent with, and
 // the bundles kept from the first run still pass Check.
@@ -95,40 +90,17 @@ func TestSentPartsStayUnchanged(t *testing.T) {
 	opts := engine.Options{RecvTimeout: 10 * time.Second}
 	for _, m := range []struct {
 		name string
-		open func(t *testing.T) func(fn func(*engine.Proc)) error
+		open func(p int) (machine, error)
 	}{
-		{"memory", func(t *testing.T) func(fn func(*engine.Proc)) error {
-			m, err := live.NewMachine(p)
+		{"memory", openMemory},
+		{"worker", openWorkers},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			mc, err := m.open(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { m.Close() })
-			return func(fn func(*engine.Proc)) error {
-				_, err := m.Run(opts, fn)
-				return err
-			}
-		}},
-		{"worker", func(t *testing.T) func(fn func(*engine.Proc)) error {
-			ws := workerHalves(t, p)
-			var epoch uint32
-			return func(fn func(*engine.Proc)) error {
-				epoch++
-				errs := make([]error, len(ws))
-				var wg sync.WaitGroup
-				for w, m := range ws {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						_, errs[w] = m.Run(tcp.Options{Epoch: epoch, RecvTimeout: opts.RecvTimeout}, fn)
-					}()
-				}
-				wg.Wait()
-				return errors.Join(errs...)
-			}
-		}},
-	} {
-		t.Run(m.name, func(t *testing.T) {
-			run := m.open(t)
+			defer mc.Close()
 			for _, coll := range core.Collectives() {
 				spec := sharedSpec(coll, rows, cols)
 				for _, alg := range core.RegistryFor(coll) {
@@ -139,7 +111,7 @@ func TestSentPartsStayUnchanged(t *testing.T) {
 					for k, size := range []int{24, 8, 40} {
 						sizes := func(int) int { return size }
 						bundles := make([]comm.Message, p)
-						err := run(func(pr *engine.Proc) {
+						_, err := mc.Run(opts, func(pr *engine.Proc) {
 							rank := pr.Rank()
 							mine := core.InitialFor(coll, spec, rank, func(r int) []byte { return coll.Payload(p, r, size) })
 							out := bound.Run(recorder{pr, &sent[rank]}, spec, mine)
@@ -168,42 +140,4 @@ func TestSentPartsStayUnchanged(t *testing.T) {
 			}
 		})
 	}
-}
-
-// workerHalves is a p-rank mesh split between two worker machines of
-// this process, connected over every pair that crosses them.
-func workerHalves(t *testing.T, p int) []*tcp.Machine {
-	t.Helper()
-	leaders := []int{0, p / 2}
-	ws := make([]*tcp.Machine, len(leaders))
-	addrs := map[int]string{}
-	for w, lo := range leaders {
-		hi := p
-		if w+1 < len(leaders) {
-			hi = leaders[w+1]
-		}
-		m, err := tcp.NewWorkerMachine(p, lo, hi, leaders, tcp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { m.Close() })
-		ws[w] = m
-		for r, a := range m.LocalAddrs() {
-			addrs[r] = a
-		}
-	}
-	errs := make([]error, len(ws))
-	var wg sync.WaitGroup
-	for w, m := range ws {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[w] = m.ConnectMesh(context.Background(), addrs)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	return ws
 }

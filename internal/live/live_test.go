@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -59,33 +58,6 @@ func TestSendMultiPartOneBacking(t *testing.T) {
 	}
 }
 
-func TestFIFOPerPairUnderConcurrency(t *testing.T) {
-	const n = 200
-	_, err := runOnce(3, func(p *Proc) {
-		switch p.Rank() {
-		case 0, 1:
-			for i := 0; i < n; i++ {
-				p.Send(2, comm.Message{Tag: i, Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(i)}}}})
-			}
-		case 2:
-			// Interleave receives from both senders; each stream must
-			// stay in order.
-			for i := 0; i < n; i++ {
-				for src := 0; src < 2; src++ {
-					m := p.Recv(src)
-					if m.Tag != i {
-						t.Errorf("stream %d out of order: got %d want %d", src, m.Tag, i)
-						return
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllToAllDelivers(t *testing.T) {
 	const p = 16
 	_, err := runOnce(p, func(pr *Proc) {
@@ -108,34 +80,5 @@ func TestAllToAllDelivers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPanicAbortsMachine(t *testing.T) {
-	_, err := runOnce(4, func(p *Proc) {
-		if p.Rank() == 3 {
-			panic("injected fault")
-		}
-		// Everyone else blocks on the dead processor; the abort must
-		// unwind them instead of hanging the test.
-		p.Recv(3)
-	})
-	if err == nil {
-		t.Fatal("fault not reported")
-	}
-	if !strings.Contains(err.Error(), "injected fault") {
-		t.Fatalf("root cause lost: %v", err)
-	}
-}
-
-func TestPanicInBarrierAborts(t *testing.T) {
-	_, err := runOnce(4, func(p *Proc) {
-		if p.Rank() == 0 {
-			panic("dead before barrier")
-		}
-		p.Barrier()
-	})
-	if err == nil || !strings.Contains(err.Error(), "dead before barrier") {
-		t.Fatalf("err = %v", err)
 	}
 }

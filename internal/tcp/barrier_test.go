@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/faults"
 )
@@ -66,8 +65,8 @@ func connectWorkers(t *testing.T, ms []*Machine, addrs map[int]string) {
 
 // runWorkers is one cluster-wide run: every machine runs fn on its ranks
 // under a common epoch, each starting as soon as it is told to, as the
-// coordinator's run message starts them — worker w lag[w] late.
-func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc), lag ...time.Duration) ([]*Result, []error) {
+// coordinator's run message starts them.
+func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc)) ([]*Result, []error) {
 	opts.Epoch = epoch
 	res, errs := make([]*Result, len(ms)), make([]error, len(ms))
 	var wg sync.WaitGroup
@@ -75,57 +74,11 @@ func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc), lag .
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if w < len(lag) {
-				time.Sleep(lag[w])
-			}
 			res[w], errs[w] = m.Run(opts, fn)
 		}()
 	}
 	wg.Wait()
 	return res, errs
-}
-
-// TestWorkerHoldsEarlyFrames: with no start rendezvous, a worker that
-// starts late sees frames of the run before it arms the run's epoch. Its
-// pumps must hold them until it does — not drop them as stale, which
-// would leave its ranks waiting out RecvTimeout — so every run succeeds
-// with every frame counted, whichever worker is late.
-func TestWorkerHoldsEarlyFrames(t *testing.T) {
-	const p, lag = 7, 50 * time.Millisecond
-	ms := workerMesh(t, p, [][2]int{{0, 3}, {3, 5}, {5, 7}}, nil)
-	allToAll := func(pr *Proc) {
-		for d := 0; d < p; d++ {
-			if d != pr.Rank() {
-				pr.Send(d, comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: []byte{byte(pr.Rank())}}}})
-			}
-		}
-		for s := 0; s < p; s++ {
-			if s == pr.Rank() {
-				continue
-			}
-			if got := pr.Recv(s); len(got.Parts) != 1 || got.Parts[0].Origin != s || got.Parts[0].Data[0] != byte(s) {
-				t.Errorf("rank %d: from %d got %+v", pr.Rank(), s, got.Parts)
-			}
-		}
-		pr.Barrier()
-	}
-	for run := 0; run < 3; run++ {
-		lags := make([]time.Duration, len(ms))
-		lags[run] = lag
-		res, errs := runWorkers(ms, uint32(run+1), Options{RecvTimeout: 2 * time.Second}, allToAll, lags...)
-		for w, err := range errs {
-			if err != nil {
-				t.Fatalf("run %d (worker %d late) worker %d: %v", run, run, w, err)
-			}
-		}
-		for _, r := range res {
-			for _, ps := range r.Procs {
-				if ps.Sends != p-1 || ps.Recvs != p-1 {
-					t.Errorf("run %d rank %d: %d sends, %d receives, want %d each", run, ps.Rank, ps.Sends, ps.Recvs, p-1)
-				}
-			}
-		}
-	}
 }
 
 // barrierRounds is the safety workload: in every round each rank checks
@@ -144,31 +97,6 @@ func barrierRounds(t *testing.T, p, straggler, rounds int, arrived *atomic.Int64
 				t.Errorf("round %d: rank %d left the barrier after %d arrivals, want %d", r, pr.Rank(), got, r*p)
 			}
 			pr.Barrier()
-		}
-	}
-}
-
-// TestBarrierHoldsUntilLastArrival: on a single-process machine no rank
-// leaves a barrier before the straggler enters it, over several barriers
-// per run and back-to-back runs on one machine, and no token touches the
-// wire.
-func TestBarrierHoldsUntilLastArrival(t *testing.T) {
-	const p, rounds, runs = 7, 3, 3
-	m, err := NewMachine(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for run := 0; run < runs; run++ {
-		var arrived atomic.Int64
-		res, err := m.Run(Options{RecvTimeout: 30 * time.Second}, barrierRounds(t, p, run%p, rounds, &arrived))
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		for _, ps := range res.Procs {
-			if ps.BarrierSends != 0 || ps.BarrierRecvs != 0 {
-				t.Errorf("run %d rank %d: %d/%d barrier tokens on a single-process machine", run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs)
-			}
 		}
 	}
 }
@@ -336,26 +264,4 @@ func TestBarrierFailuresUnwindEveryWaiter(t *testing.T) {
 		waitGoroutinesSettle(t, baseline)
 		healthy()
 	})
-}
-
-// TestWorkerBarrierMissingWorker: when a whole worker never reaches the
-// barrier, the other workers' local ranks all arrive and it is the
-// leaders' token wait that times out — the error names the leader and
-// the remote leader whose token never came, and every local waiter
-// unwinds with it.
-func TestWorkerBarrierMissingWorker(t *testing.T) {
-	ranges := [][2]int{{0, 2}, {2, 5}}
-	ms := workerMesh(t, 5, ranges, nil)
-	baseline := runtime.NumGoroutine()
-	_, errs := runWorkers(ms, 1, Options{RecvTimeout: 100 * time.Millisecond}, func(pr *Proc) {
-		if pr.Rank() >= 2 {
-			return // worker 1 skips the barrier
-		}
-		pr.Barrier()
-	})
-	if errs[0] == nil || !strings.Contains(errs[0].Error(), "leader rank 0") ||
-		!strings.Contains(errs[0].Error(), "leader rank 2") || !strings.Contains(errs[0].Error(), "deadline") {
-		t.Fatalf("worker 0: %v, want a token deadline naming both leaders", errs[0])
-	}
-	waitGoroutinesSettle(t, baseline)
 }

@@ -487,12 +487,12 @@ func (m *Machine) pump(owner, peer int, conn net.Conn) {
 			if m.closed.Load() || m.broken.Load() {
 				return // session teardown or already-torn mesh
 			}
+			// The mesh is marked for rebuild before the pump looks for a
+			// run: one armed before the mark fails here, one armed after
+			// it sees the mark in Begin. Between runs nobody is blocked.
+			m.broken.Store(true)
 			if r := m.core.Current(); r != nil {
 				r.Fail(owner, fmt.Errorf("tcp: connection %d→%d failed: %w", peer, owner, err))
-			} else {
-				// A connection died between runs: nobody is blocked on
-				// it, so just mark the mesh for rebuild.
-				m.broken.Store(true)
 			}
 			return
 		}

@@ -25,20 +25,35 @@ func (h beginHook) Begin() {
 	h.transport.Begin()
 }
 
-// TestStaleFrameDroppedBeforeBegin: a frame of the previous run that a
-// pump reads after the core armed the next run, but before Begin, must
-// be dropped — not pushed into the new run's mailbox — while a frame of
-// the new run arriving in the same window is held and then delivered.
-func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
+// hookedMachine is a connected two-rank machine whose Begin runs hook
+// first.
+func hookedMachine(t *testing.T, hook func(m *Machine)) *Machine {
+	t.Helper()
 	m, err := newMachine(2, 0, 2, []int{0}, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The hooked core replaces the one newMachine built, whose goroutines
 	// end with it; both close the same transport, which is idempotent.
-	defer m.core.Close()
+	built := m.core
+	m.core = engine.New("tcp", 2, 0, 2, []int{0}, beginHook{transport{m}, func() { hook(m) }})
+	t.Cleanup(func() {
+		m.Close()
+		built.Close()
+	})
+	if err := m.connect(nil, m.pairs); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestStaleFrameDroppedBeforeBegin: a frame of the previous run that a
+// pump reads after the core armed the next run, but before Begin, must
+// be dropped — not pushed into the new run's mailbox — while a frame of
+// the new run arriving in the same window is held and then delivered.
+func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
 	begins := 0
-	m.core = engine.New("tcp", 2, 0, 2, []int{0}, beginHook{transport{m}, func() {
+	m := hookedMachine(t, func(m *Machine) {
 		if begins++; begins != 2 {
 			return
 		}
@@ -61,11 +76,7 @@ func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-	}})
-	if err := m.connect(nil, m.pairs); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	})
 	if _, err := m.Run(Options{}, func(*Proc) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +88,28 @@ func TestStaleFrameDroppedBeforeBegin(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkLostBeforeArmingFailsRun: a pump that reads a dead connection
+// before a run is armed finds no run to fail and only marks the mesh
+// broken — possibly after Run's repair looked. The run armed next must
+// then fail at once, not wait on the dead link until its receive
+// deadline. The hook leaves the mark where such a pump would, just
+// before Begin.
+func TestLinkLostBeforeArmingFailsRun(t *testing.T) {
+	m := hookedMachine(t, func(m *Machine) { m.broken.Store(true) })
+	start := time.Now()
+	_, err := m.Run(Options{RecvTimeout: 5 * time.Second}, func(pr *Proc) {
+		if pr.Rank() == 0 {
+			pr.Recv(1)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 0: recv from 1: tcp: a connection failed before the run started") {
+		t.Fatalf("run on a mesh marked broken before Begin: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("the run waited %v on the dead link", d)
 	}
 }
 
@@ -169,27 +202,4 @@ func TestMachineReconnectsAfterMidRunConnectionKill(t *testing.T) {
 	if n := m.Reconnects(); n != 1 {
 		t.Fatalf("reconnects = %d, want 1", n)
 	}
-}
-
-// TestMachineCloseJoinsPumps: after Close, every reader pump and rank
-// goroutine must be gone; Run on a closed machine errors.
-func TestMachineCloseJoinsPumps(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	m, err := NewMachine(4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(Options{}, func(pr *Proc) { pr.Barrier() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, err := m.Run(Options{}, func(*Proc) {}); err == nil {
-		t.Fatal("Run on closed machine accepted")
-	}
-	waitGoroutinesSettle(t, baseline)
 }

@@ -314,6 +314,12 @@ func (t transport) Begin() {
 	m.epoch.Store(m.next.Load())
 	m.connCond.Broadcast()
 	m.connMu.Unlock()
+	// A connection that died after Run's repair looked, but before the
+	// run was armed, failed no run: this one fails instead of waiting
+	// on it.
+	if m.broken.Load() {
+		m.core.Current().Fail(m.lo, errors.New("tcp: a connection failed before the run started"))
+	}
 }
 
 // Abort marks the mesh broken and closes every connection, so readers

@@ -193,31 +193,6 @@ func TestBarrierTrafficDoesNotInflateStats(t *testing.T) {
 	}
 }
 
-// TestBarrierAndDataInterleave is the tag-matching regression test: a
-// data frame queued ahead of a barrier frame from the same peer must not
-// be consumed by the barrier (nor the barrier frame delivered to Recv).
-func TestBarrierAndDataInterleave(t *testing.T) {
-	for round := 0; round < 10; round++ {
-		_, err := runOnce(2, func(p *Proc) {
-			if p.Rank() == 0 {
-				// Data frame enters the 0→1 socket ahead of rank 0's
-				// barrier frame.
-				p.Send(1, comm.Message{Tag: 7, Parts: []comm.Part{{Origin: 0, Data: []byte("data-before-barrier")}}})
-				p.Barrier()
-			} else {
-				p.Barrier()
-				m := p.Recv(0)
-				if m.Tag != 7 || string(m.Parts[0].Data) != "data-before-barrier" {
-					t.Errorf("barrier swallowed the data frame: got %+v", m)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestSubBarrierOverTCP: a subgroup's dissemination barrier
 // (comm.Builder.Sub) uses ordinary tagged messages (tag -1), which must
 // remain algorithm data on the tcp engine — only the reserved engine tag

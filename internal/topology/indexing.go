@@ -52,24 +52,6 @@ func (ix Indexing) RankToNode(m *Mesh2D, rank int) int {
 	panic(fmt.Sprintf("topology: unknown indexing %d", int(ix)))
 }
 
-// NodeToRank converts a row-major mesh node id back to a logical rank.
-// It is the inverse of RankToNode.
-func (ix Indexing) NodeToRank(m *Mesh2D, node int) int {
-	checkNode(m, node)
-	switch ix {
-	case RowMajor:
-		return node
-	case SnakeRowMajor:
-		row := node / m.Cols
-		col := node % m.Cols
-		if row%2 == 1 {
-			col = m.Cols - 1 - col
-		}
-		return row*m.Cols + col
-	}
-	panic(fmt.Sprintf("topology: unknown indexing %d", int(ix)))
-}
-
 // Placement maps logical ranks to physical nodes. The Paragon lets an
 // application own a contiguous submesh (identity placement); on the T3D the
 // mapping of virtual to physical processors is outside user control, which

