@@ -28,10 +28,12 @@ test:
 # cluster's: its workers check bundles inside rank bodies while their
 # peers still hold the bundles' shared part arrays. So does the daemon's:
 # a pool lease holds its key's lock for the whole run, and the same-key
-# and eviction tests race requests, sweeps and evictions against it.
+# and eviction tests race requests, sweeps and evictions against it. So
+# does the fault injector's: rank goroutines write their own event slices,
+# which Events reads only after the engine has joined them.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp ./internal/cluster ./internal/daemon
+	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults
 
 # Fault-injection and abort-path suites only, plus the stpbench sweep.
 chaos:

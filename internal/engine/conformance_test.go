@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/tcp"
@@ -334,6 +335,40 @@ func (s *seqTracer) Trace(e obs.Event) {
 	s.mu.Unlock()
 }
 
+// injected is one fault plan's injectors on a p-rank machine: one per
+// process, as every process of a run builds its own from the run's plan.
+type injected struct {
+	parts [][2]int
+	injs  []*faults.Injector
+}
+
+func inject(parts [][2]int, plan faults.Plan) injected {
+	in := injected{parts: parts}
+	for range parts {
+		in.injs = append(in.injs, faults.New(plan))
+	}
+	return in
+}
+
+// wrap wraps a rank with its own process's injector.
+func (in injected) wrap(pr *engine.Proc) comm.Comm {
+	i := slices.IndexFunc(in.parts, func(r [2]int) bool { return pr.Rank() < r[1] })
+	return in.injs[i].Wrap(pr)
+}
+
+// events merges every process's event log in one canonical order.
+func (in injected) events() []faults.Event {
+	var out []faults.Event
+	for _, inj := range in.injs {
+		out = append(out, inj.Events()...)
+	}
+	slices.SortFunc(out, func(a, b faults.Event) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Msg, b.Msg),
+			cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Kind, b.Kind))
+	})
+	return out
+}
+
 var scenarios = []struct {
 	name string
 	run  func(h *harness)
@@ -570,6 +605,36 @@ var scenarios = []struct {
 		h.failed(err, "rank 0: rank 0 died mid-run")
 	}},
 
+	// A rank the fault injector kills on its way into a barrier is the
+	// named root cause, every rank waiting there unwinds, nothing of the
+	// run is left behind, and the machine runs on.
+	{"injected kill", func(h *harness) {
+		const p, killed = 6, 4
+		m := h.machine(p)
+		goroutines, fds := footprint()
+		inj := inject(h.parts(p), faults.Plan{Kills: []faults.KillAt{{Rank: killed, Op: 0}}})
+		var parked atomic.Int64
+		_, err := m.Run(engine.Options{}, func(pr *engine.Proc) {
+			c := inj.wrap(pr)
+			if pr.Rank() == killed {
+				for parked.Load() < p-1 {
+					time.Sleep(time.Millisecond)
+				}
+			} else {
+				parked.Add(1)
+			}
+			c.Barrier()
+		})
+		h.failed(err, fmt.Sprintf("rank %d: faults: rank %d killed at operation 0 (injected)", killed, killed))
+		if ev := inj.events(); len(ev) != 1 || ev[0].Kind != faults.Kill || ev[0].Rank != killed {
+			h.Errorf("event log %v, want the one kill", ev)
+		}
+		settled(h.T, goroutines, fds)
+		if _, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, ringRound(h, p, 0)); err != nil {
+			h.Fatalf("run after the kill: %v", err)
+		}
+	}},
+
 	// The abort a deadline causes leaves nothing of the run behind: the
 	// machine's own goroutines are all that remain (on sockets fewer, as
 	// the abort closed the mesh and its pumps), before Close.
@@ -691,11 +756,15 @@ var scenarios = []struct {
 		}
 	}},
 
+	// The cancel leaves nothing of the run behind, and the machine runs on.
 	{"context cancel", func(h *harness) {
+		const p = 3
+		m := h.machine(p)
+		goroutines, fds := footprint()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var parked atomic.Int64
-		_, err := h.run(3, engine.Options{Context: ctx}, func(p *engine.Proc) {
+		_, err := m.Run(engine.Options{Context: ctx}, func(p *engine.Proc) {
 			switch p.Rank() {
 			case 0:
 				for parked.Load() < 2 {
@@ -712,12 +781,16 @@ var scenarios = []struct {
 			}
 		})
 		want := "rank 1: recv from 0: run canceled: context canceled"
-		if len(h.parts(3)) > 1 {
+		if len(h.parts(p)) > 1 {
 			// Each process sees the cancel on its own, and the first to
 			// abort breaks the others' links: rank 1 may report that.
 			want = "run canceled: context canceled"
 		}
 		h.failed(err, want)
+		settled(h.T, goroutines, fds)
+		if _, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, ringRound(h, p, 0)); err != nil {
+			h.Fatalf("run after the cancel: %v", err)
+		}
 	}},
 
 	// A context cancelled before Run starts aborts the run: ranks blocked
@@ -934,6 +1007,58 @@ func TestConformance(t *testing.T) {
 					}()
 					sc.run(h)
 				})
+			}
+		})
+	}
+}
+
+// TestChaosEventLogSameOnEveryMachine: a fault schedule is a function of
+// its plan alone, so one seed injects the same faults on every machine —
+// on the split mesh too, where each process wraps its own ranks with an
+// injector of its own, so no fault state crosses a process boundary —
+// and duplicates and delays leave every delivery exact.
+func TestChaosEventLogSameOnEveryMachine(t *testing.T) {
+	const p, rounds = 8, 3
+	plan := faults.Plan{Seed: 5, Duplicate: 0.3, DelayProb: 0.2, MaxDelay: 200 * time.Microsecond}
+	payload := func(round, src, dst int) string { return fmt.Sprintf("round %d: %d→%d", round, src, dst) }
+	var want []faults.Event
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			m, err := e.open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			inj := inject(e.parts(p), plan)
+			_, err = m.Run(engine.Options{RecvTimeout: 10 * time.Second}, func(pr *engine.Proc) {
+				c, me := inj.wrap(pr), pr.Rank()
+				for round := range rounds {
+					for dst := range p {
+						if dst != me {
+							c.Send(dst, msg(round, me, payload(round, me, dst)))
+						}
+					}
+					for src := range p {
+						if src == me {
+							continue
+						}
+						if got := c.Recv(src); got.Tag != round || string(got.Parts[0].Data) != payload(round, src, me) {
+							t.Errorf("rank %d from %d: tag %d, %q, want tag %d, %q", me, src, got.Tag, got.Parts[0].Data, round, payload(round, src, me))
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := inj.events()
+			switch {
+			case len(got) == 0:
+				t.Fatal("plan injected nothing; the test is vacuous")
+			case want == nil:
+				want = got
+			case !slices.Equal(got, want):
+				t.Errorf("event log differs from %s's:\n%v\nvs\n%v", engines[0].name, got, want)
 			}
 		})
 	}

@@ -1,14 +1,19 @@
 // Package faults injects deterministic communication faults into a
-// live or tcp run for chaos testing. An Injector wraps every rank's
-// comm.Comm; the wrapper intercepts Send/Recv/Barrier and applies the
-// faults of a Plan: dropping, delaying, duplicating or corrupting
-// individual messages on a (src, dst) link, and killing a rank when it
-// reaches its Nth communication operation.
+// live or tcp run for chaos testing. An Injector built from a Plan wraps
+// a rank's comm.Comm; the wrapper intercepts Send/Recv/Barrier and
+// applies the plan's faults: dropping, delaying, duplicating or
+// corrupting individual messages on a (src, dst) link, and killing a
+// rank when it reaches its Nth communication operation.
 //
-// The schedule is a pure function of the Plan. Rate-based faults are
-// decided by hashing (Seed, src, dst, message index), never by a shared
-// RNG, so the same seed produces the same fault schedule regardless of
-// goroutine interleaving — a failing chaos run is replayable by seed.
+// The schedule is a pure function of the Plan. Every fault is decided by
+// hashing (Seed, src, dst, message index), never by a shared RNG or a
+// shared log, so the same seed produces the same fault schedule
+// regardless of goroutine interleaving — a failing chaos run is
+// replayable by seed — and no state is shared between ranks: the sender
+// of a message decides its faults, and its receiver recomputes the same
+// decisions from its own count of the link's messages. Every rank of a
+// run is wrapped by an injector built from the same Plan; one injector
+// per process suffices, and the ranks of a run may span processes.
 //
 // Faults are applied above the engine, at the comm.Comm boundary: a
 // dropped message is never handed to the engine (the receiver blocks
@@ -21,13 +26,15 @@
 // duplicated deliveries are detected at the receiver and silently
 // discarded, so a run under Duplicate faults completes with the exact
 // bundles of a fault-free run; corrupted deliveries are detected at the
-// receiver, which aborts the run with a diagnostic naming the link —
-// corruption is surfaced, never silently delivered to algorithm code.
+// receiver, which aborts the run with a diagnostic naming the link and
+// the message — corruption is surfaced, never silently delivered to
+// algorithm code.
 package faults
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,25 +150,9 @@ func (e Event) String() string {
 	return s
 }
 
-// delivery is one message handed to the engine on a link, in FIFO
-// order. The receive side consumes entries in the same order — the
-// engines guarantee per-(src,dst) FIFO delivery — and reacts to the
-// flags: dup entries are discarded, corrupt entries abort.
-type delivery struct {
-	corrupt bool
-	dup     bool
-}
-
-// link is the injector's shared per-(src,dst) state.
-type link struct {
-	sent  int // messages sent (fault indexing; includes dropped)
-	log   []delivery
-	taken int
-}
-
-// Injector owns the shared fault schedule of one run. Create one per
-// run and wrap every rank's comm.Comm with Wrap. All methods are safe
-// for concurrent use by the per-rank goroutines.
+// Injector holds the fault schedule of one Plan. Create one per run in
+// each process the run spans and wrap every local rank's comm.Comm with
+// Wrap; the schedule needs nothing from the other processes' injectors.
 type Injector struct {
 	plan     Plan
 	explicit map[[3]int][]Fault // (src,dst,msg) → faults
@@ -169,26 +160,18 @@ type Injector struct {
 	tr    obs.Tracer
 	start time.Time
 
-	mu     sync.Mutex
-	links  map[[2]int]*link
-	events []Event
+	mu    sync.Mutex // guards procs; taken once per Wrap
+	procs []*proc
 }
 
 // New builds an injector for the plan. Rates are clamped to [0, 1].
 func New(plan Plan) *Injector {
-	clamp := func(r *float64) {
-		if *r < 0 {
-			*r = 0
-		}
-		if *r > 1 {
-			*r = 1
-		}
-	}
+	clamp := func(r *float64) { *r = min(max(*r, 0), 1) }
 	clamp(&plan.Drop)
 	clamp(&plan.Duplicate)
 	clamp(&plan.Corrupt)
 	clamp(&plan.DelayProb)
-	in := &Injector{plan: plan, explicit: make(map[[3]int][]Fault), links: make(map[[2]int]*link)}
+	in := &Injector{plan: plan, explicit: make(map[[3]int][]Fault)}
 	for _, f := range plan.Faults {
 		k := [3]int{f.Src, f.Dst, f.Msg}
 		in.explicit[k] = append(in.explicit[k], f)
@@ -226,34 +209,28 @@ func (in *Injector) trace(e Event) {
 	in.tr.Trace(oe)
 }
 
-// Events returns the injected faults so far in a canonical order
-// (independent of goroutine interleaving).
+// Events returns the faults injected by the ranks this injector wrapped,
+// in a canonical order (independent of goroutine interleaving). Each rank
+// records its own faults as it runs, so read Events after the run: the
+// merge is only complete, and only safe, once every wrapped rank is done.
 func (in *Injector) Events() []Event {
 	in.mu.Lock()
-	out := append([]Event(nil), in.events...)
-	in.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Msg != b.Msg {
-			return a.Msg < b.Msg
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.Kind < b.Kind
+	defer in.mu.Unlock()
+	var out []Event
+	for _, p := range in.procs {
+		out = append(out, p.events...)
+	}
+	slices.SortFunc(out, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Msg, b.Msg),
+			cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Kind, b.Kind))
 	})
 	return out
 }
 
-// Wrap returns c with the injector's faults applied. Call once per
-// rank, with every rank of the run wrapped by the same Injector (the
-// duplicate/corruption detection needs the shared delivery log).
+// Wrap returns c with the plan's faults applied. Call it once per rank
+// per run; every rank of the run must be wrapped by an injector built
+// from the same Plan, so that each receiver recomputes its senders'
+// decisions.
 func (in *Injector) Wrap(c comm.Comm) comm.Comm {
 	kill := -1
 	for _, k := range in.plan.Kills {
@@ -261,7 +238,15 @@ func (in *Injector) Wrap(c comm.Comm) comm.Comm {
 			kill = k.Op
 		}
 	}
-	return &proc{inner: c, inj: in, kill: kill}
+	p := &proc{inner: c, inj: in, kill: kill, links: make([]link, c.Size())}
+	p.share, _ = c.(comm.SharedSender)
+	in.mu.Lock()
+	if in.procs == nil {
+		in.procs = make([]*proc, 0, c.Size())
+	}
+	in.procs = append(in.procs, p)
+	in.mu.Unlock()
+	return p
 }
 
 // decision is the set of faults applying to one message.
@@ -272,20 +257,15 @@ type decision struct {
 }
 
 // decide computes the faults for message #msg on link src→dst. Pure
-// function of the plan — this is what makes the schedule seed-stable.
+// function of the plan — this is what makes the schedule seed-stable,
+// and what lets a receiver recompute the decisions its sender made.
 func (in *Injector) decide(src, dst, msg int) decision {
 	var d decision
 	p := in.plan
 	s, t, m := uint64(src), uint64(dst), uint64(msg)
-	if p.Drop > 0 && frac(p.Seed, 1, s, t, m) < p.Drop {
-		d.drop = true
-	}
-	if p.Duplicate > 0 && frac(p.Seed, 2, s, t, m) < p.Duplicate {
-		d.dup = true
-	}
-	if p.Corrupt > 0 && frac(p.Seed, 3, s, t, m) < p.Corrupt {
-		d.corrupt = true
-	}
+	d.drop = p.Drop > 0 && frac(p.Seed, 1, s, t, m) < p.Drop
+	d.dup = p.Duplicate > 0 && frac(p.Seed, 2, s, t, m) < p.Duplicate
+	d.corrupt = p.Corrupt > 0 && frac(p.Seed, 3, s, t, m) < p.Corrupt
 	if p.DelayProb > 0 && frac(p.Seed, 4, s, t, m) < p.DelayProb {
 		max := p.MaxDelay
 		if max <= 0 {
@@ -309,33 +289,38 @@ func (in *Injector) decide(src, dst, msg int) decision {
 			d.delay = dl
 		}
 	}
+	if d.drop { // never delivered, so neither duplicated nor corrupted
+		d.dup, d.corrupt = false, false
+	}
 	d.corruptByte = mix(p.Seed, 6, s, t, m)
 	return d
 }
 
-func (in *Injector) linkFor(src, dst int) *link {
-	k := [2]int{src, dst}
-	l := in.links[k]
-	if l == nil {
-		l = &link{}
-		in.links[k] = l
-	}
-	return l
+// link is one rank's own side of its two links with a peer.
+type link struct {
+	sent int  // messages sent to the peer (fault indexing; includes dropped)
+	next int  // index of the next message to receive from the peer
+	dup  bool // the last message received was duplicated: its copy is still due
 }
 
 // proc is the per-rank faulted view of a comm.Comm. It forwards the
-// iteration and phase markers, so traced events keep their stamps.
+// iteration and phase markers, so traced events keep their stamps. Only
+// its rank's goroutine touches it during the run.
 type proc struct {
-	inner comm.Comm
-	inj   *Injector
-	kill  int // op index at which this rank dies; -1 = never
-	ops   int
+	inner  comm.Comm
+	share  comm.SharedSender // inner, when the engine can skip its send copy
+	inj    *Injector
+	kill   int // op index at which this rank dies; -1 = never
+	ops    int
+	links  []link // by peer rank
+	events []Event
 }
 
 var (
-	_ comm.Comm        = (*proc)(nil)
-	_ comm.IterMarker  = (*proc)(nil)
-	_ comm.PhaseMarker = (*proc)(nil)
+	_ comm.Comm         = (*proc)(nil)
+	_ comm.SharedSender = (*proc)(nil)
+	_ comm.IterMarker   = (*proc)(nil)
+	_ comm.PhaseMarker  = (*proc)(nil)
 )
 
 func (p *proc) Rank() int { return p.inner.Rank() }
@@ -347,105 +332,111 @@ func (p *proc) BeginIter(i int) { comm.MarkIter(p.inner, i) }
 // BeginPhase implements comm.PhaseMarker by forwarding to the engine.
 func (p *proc) BeginPhase(name string) { comm.MarkPhase(p.inner, name) }
 
+// record keeps one injected fault in the rank's own log and traces it.
+func (p *proc) record(e Event) {
+	p.events = append(p.events, e)
+	p.inj.trace(e)
+}
+
 // op counts one communication operation and kills the rank when its
 // schedule says so.
 func (p *proc) op() {
 	n := p.ops
 	p.ops++
 	if p.kill >= 0 && n == p.kill {
-		in := p.inj
-		ev := Event{Kind: Kill, Src: -1, Dst: -1, Msg: -1, Rank: p.Rank(), Op: n}
-		in.mu.Lock()
-		in.events = append(in.events, ev)
-		in.mu.Unlock()
-		in.trace(ev)
+		p.record(Event{Kind: Kill, Src: -1, Dst: -1, Msg: -1, Rank: p.Rank(), Op: n})
 		panic(fmt.Errorf("faults: rank %d killed at operation %d (injected)", p.Rank(), n))
 	}
 }
 
 // Send implements comm.Comm with the link's faults applied.
-func (p *proc) Send(dst int, m comm.Message) {
-	p.op()
-	src := p.Rank()
-	in := p.inj
+func (p *proc) Send(dst int, m comm.Message) { p.send(dst, m, false) }
 
-	in.mu.Lock()
-	l := in.linkFor(src, dst)
+// SendShared implements comm.SharedSender: Send that keeps the engine's
+// uncopied path when the inner comm has one.
+func (p *proc) SendShared(dst int, m comm.Message) { p.send(dst, m, p.share != nil) }
+
+func (p *proc) send(dst int, m comm.Message, shared bool) {
+	p.op()
+	if dst < 0 || dst >= len(p.links) {
+		p.inner.Send(dst, m) // the engine names the invalid rank
+		return
+	}
+	src := p.Rank()
+	l := &p.links[dst]
 	idx := l.sent
 	l.sent++
-	d := in.decide(src, dst, idx)
+	d := p.inj.decide(src, dst, idx)
 	ev := Event{Src: src, Dst: dst, Msg: idx, Rank: -1, Op: -1}
 	if d.delay > 0 {
 		ev.Kind, ev.Delay = Delay, d.delay
-		in.events = append(in.events, ev)
-		in.trace(ev)
+		p.record(ev)
+		ev.Delay = 0
 	}
 	if d.drop {
-		ev.Kind, ev.Delay = Drop, 0
-		in.events = append(in.events, ev)
-		in.trace(ev)
-		in.mu.Unlock()
-		if d.delay > 0 {
-			time.Sleep(d.delay)
-		}
-		return // never handed to the engine
+		ev.Kind = Drop
+		p.record(ev)
 	}
 	if d.corrupt {
-		ev.Kind, ev.Delay = Corrupt, 0
-		in.events = append(in.events, ev)
-		in.trace(ev)
+		ev.Kind = Corrupt
+		p.record(ev)
+		m = corruptCopy(m, d.corruptByte)
 	}
 	if d.dup {
-		ev.Kind, ev.Delay = Duplicate, 0
-		in.events = append(in.events, ev)
-		in.trace(ev)
+		ev.Kind = Duplicate
+		p.record(ev)
 	}
-	// Register the deliveries before the engine can make them
-	// receivable: the receive side pops this log in FIFO order.
-	l.log = append(l.log, delivery{corrupt: d.corrupt})
-	if d.dup {
-		l.log = append(l.log, delivery{corrupt: d.corrupt, dup: true})
-	}
-	in.mu.Unlock()
-
 	if d.delay > 0 {
 		time.Sleep(d.delay)
 	}
-	if d.corrupt {
-		m = corruptCopy(m, d.corruptByte)
+	if d.drop {
+		return // never handed to the engine
 	}
-	p.inner.Send(dst, m)
+	p.deliver(dst, m, shared)
 	if d.dup {
+		p.deliver(dst, m, shared)
+	}
+}
+
+// deliver hands m to the engine, uncopied when shared.
+func (p *proc) deliver(dst int, m comm.Message, shared bool) {
+	if shared {
+		p.share.SendShared(dst, m)
+	} else {
 		p.inner.Send(dst, m)
 	}
 }
 
-// Recv implements comm.Comm: it consumes engine deliveries, discarding
-// injected duplicates and aborting on detected corruption.
+// Recv implements comm.Comm: it takes the engine's next delivery from
+// src and recomputes the sender's decisions to learn which message it
+// is — past every dropped index — discarding the copy a duplicate left
+// behind and aborting on detected corruption.
 func (p *proc) Recv(src int) comm.Message {
 	p.op()
-	dst := p.Rank()
-	for {
-		m := p.inner.Recv(src)
-		in := p.inj
-		in.mu.Lock()
-		l := in.linkFor(src, dst)
-		if l.taken >= len(l.log) {
-			in.mu.Unlock()
-			panic(fmt.Errorf("faults: rank %d received unlogged message from %d (traffic bypassed the injector?)", dst, src))
-		}
-		d := l.log[l.taken]
-		idx := l.taken
-		l.taken++
-		in.mu.Unlock()
-		if d.dup {
-			continue // duplicate detected and discarded
-		}
-		if d.corrupt {
-			panic(fmt.Errorf("faults: rank %d detected corrupted delivery #%d on link %d→%d (injected corruption)", dst, idx, src, dst))
-		}
-		return m
+	if src < 0 || src >= len(p.links) {
+		return p.inner.Recv(src) // the engine names the invalid rank
 	}
+	l := &p.links[src]
+	if l.dup {
+		p.inner.Recv(src) // the duplicate, detected and discarded
+		l.dup = false
+	}
+	// An arrival first: the index search below ends at the message that
+	// arrived, so even a plan that drops everything never spins.
+	m := p.inner.Recv(src)
+	dst := p.Rank()
+	d := p.inj.decide(src, dst, l.next)
+	for d.drop {
+		l.next++
+		d = p.inj.decide(src, dst, l.next)
+	}
+	idx := l.next
+	l.next++
+	if d.corrupt {
+		panic(fmt.Errorf("faults: rank %d detected corrupted delivery of msg #%d on link %d→%d (injected corruption)", dst, idx, src, dst))
+	}
+	l.dup = d.dup
+	return m
 }
 
 // Barrier implements comm.Comm; it only counts toward the kill

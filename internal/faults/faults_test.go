@@ -192,6 +192,18 @@ func TestDelayFaultSleepsAndDelivers(t *testing.T) {
 	}
 }
 
+// TestOutOfRangePeerReachesEngine: a peer outside the machine has no
+// link to fault; the message goes to the engine as sent, which names the
+// invalid rank.
+func TestOutOfRangePeerReachesEngine(t *testing.T) {
+	eng := newFakeEngine(2)
+	in := New(Plan{Drop: 1})
+	in.Wrap(eng.proc(0)).Send(5, msg(0, "stray"))
+	if q := eng.queues[[2]int{0, 5}]; len(q) != 1 || string(q[0].Parts[0].Data) != "stray" {
+		t.Fatalf("engine saw %v for peer 5, want the message as sent", q)
+	}
+}
+
 func TestMeteringInterfacesForward(t *testing.T) {
 	eng := newFakeEngine(1)
 	in := New(Plan{})
@@ -208,5 +220,52 @@ func TestPlanActive(t *testing.T) {
 	}
 	if !(Plan{Drop: 0.1}).Active() || !(Plan{Kills: []KillAt{{Rank: 0, Op: 0}}}).Active() {
 		t.Fatal("non-empty plan reported inactive")
+	}
+}
+
+// TestCorruptionDiagnosticNamesTheMessage: the receiver names a corrupted
+// delivery by the link's message index, the Msg of its event, however
+// many dropped messages come before it or duplicates arrived with them.
+func TestCorruptionDiagnosticNamesTheMessage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		before Kind // the fault on msg 0
+	}{
+		{"after a drop", Drop},
+		{"after a duplicate", Duplicate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := newFakeEngine(2)
+			in := New(Plan{Faults: []Fault{
+				{Kind: tc.before, Src: 0, Dst: 1, Msg: 0},
+				{Kind: Corrupt, Src: 0, Dst: 1, Msg: 1},
+			}})
+			s, r := in.Wrap(eng.proc(0)), in.Wrap(eng.proc(1))
+			s.Send(1, msg(0, "m0"))
+			s.Send(1, msg(0, "m1"))
+			if tc.before == Duplicate {
+				if m := r.Recv(0); string(m.Parts[0].Data) != "m0" {
+					t.Fatalf("first recv %q", m.Parts[0].Data)
+				}
+			}
+			defer func() {
+				rec := fmt.Sprint(recover())
+				for _, want := range []string{"corrupted delivery", "#1 ", "0→1"} {
+					if !strings.Contains(rec, want) {
+						t.Errorf("diagnostic %q does not contain %q", rec, want)
+					}
+				}
+				var corrupt []Event
+				for _, e := range in.Events() {
+					if e.Kind == Corrupt {
+						corrupt = append(corrupt, e)
+					}
+				}
+				if len(corrupt) != 1 || corrupt[0].Msg != 1 {
+					t.Errorf("corrupt events %v, want one on msg 1", corrupt)
+				}
+			}()
+			r.Recv(0)
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -635,12 +636,11 @@ var liveCollectiveAllocBudget = map[string]float64{
 	"Scatter_Binomial": 43, "Ag_RecDouble": 109, "A2A_Pairwise": 126,
 }
 
-// TestLiveCollectivesAllocationBudget counts what a warm live session
-// allocates per run of each collective — the path a schedule takes from
-// the facade through the bound program to the engine — and takes the
-// least of several counts, so a collection during one of them does not
-// fail the gate.
-func TestLiveCollectivesAllocationBudget(t *testing.T) {
+// liveAllocs opens a warm p=16 live session and returns what one run of
+// a collective at 1 KiB allocates there under a fault plan (nil: none):
+// the least of several counts, so a collection during one of them does
+// not fail a gate.
+func liveAllocs(t *testing.T) func(cfg stpbcast.Config, faults *stpbcast.FaultPlan) float64 {
 	const l = 1024
 	m := stpbcast.NewParagon(4, 4)
 	p := m.P()
@@ -648,7 +648,7 @@ func TestLiveCollectivesAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 	payloads := make([][]byte, p)
 	for r := range payloads {
 		payloads[r] = make([]byte, p*l) // a scatter's root and an all-to-all's ranks supply p·L bytes
@@ -656,19 +656,13 @@ func TestLiveCollectivesAllocationBudget(t *testing.T) {
 			payloads[r][i] = byte(r + i)
 		}
 	}
-	for _, cfg := range []stpbcast.Config{
-		{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: l},
-		{Collective: stpbcast.CollectiveReduce, Algorithm: "Red_Tree", Distribution: "E", Sources: 1, MsgBytes: l},
-		{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble", MsgBytes: l},
-		{Collective: stpbcast.CollectiveScatter, Algorithm: "Scatter_Binomial", Distribution: "E", Sources: 1, MsgBytes: l},
-		{Collective: stpbcast.CollectiveAllGather, Algorithm: "Ag_RecDouble", MsgBytes: l},
-		{Collective: stpbcast.CollectiveAllToAll, Algorithm: "A2A_Pairwise", MsgBytes: l},
-	} {
+	return func(cfg stpbcast.Config, faults *stpbcast.FaultPlan) float64 {
+		cfg.MsgBytes = l
 		n := l
 		if cfg.Collective == stpbcast.CollectiveScatter || cfg.Collective == stpbcast.CollectiveAllToAll {
 			n = p * l
 		}
-		opts := stpbcast.RunOptions{Payload: func(rank int) []byte { return payloads[rank][:n] }, RecvTimeout: time.Minute}
+		opts := stpbcast.RunOptions{Payload: func(rank int) []byte { return payloads[rank][:n] }, RecvTimeout: time.Minute, Faults: faults}
 		run := func() {
 			if _, err := s.Run(cfg, opts); err != nil {
 				t.Fatal(err)
@@ -679,10 +673,56 @@ func TestLiveCollectivesAllocationBudget(t *testing.T) {
 		for range 5 {
 			least = min(least, testing.AllocsPerRun(50, run))
 		}
+		return least
+	}
+}
+
+// TestLiveCollectivesAllocationBudget counts what a warm live session
+// allocates per run of each collective — the path a schedule takes from
+// the facade through the bound program to the engine.
+func TestLiveCollectivesAllocationBudget(t *testing.T) {
+	allocs := liveAllocs(t)
+	for _, cfg := range []stpbcast.Config{
+		{Algorithm: "Br_Lin", Distribution: "E", Sources: 4},
+		{Collective: stpbcast.CollectiveReduce, Algorithm: "Red_Tree", Distribution: "E", Sources: 1},
+		{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble"},
+		{Collective: stpbcast.CollectiveScatter, Algorithm: "Scatter_Binomial", Distribution: "E", Sources: 1},
+		{Collective: stpbcast.CollectiveAllGather, Algorithm: "Ag_RecDouble"},
+		{Collective: stpbcast.CollectiveAllToAll, Algorithm: "A2A_Pairwise"},
+	} {
+		least := allocs(cfg, nil)
 		t.Logf("%s: %.0f allocations per run", cfg.Algorithm, least)
 		if budget := liveCollectiveAllocBudget[cfg.Algorithm]; least > budget {
 			t.Errorf("%s: %.0f allocations per run, budget %.0f", cfg.Algorithm, least, budget)
 		}
+	}
+}
+
+// TestFaultsAllocatePerRankNotPerMessage: an active fault plan that fires
+// nothing costs a warm p=16 live session a few allocations per rank (the
+// wrapper and its link counters), the same for every collective, not
+// allocations per message: a faulted program keeps the uncopied send
+// path (comm.SharedSender), and no rank logs what it does not inject.
+func TestFaultsAllocatePerRankNotPerMessage(t *testing.T) {
+	const p = 16
+	allocs := liveAllocs(t)
+	idle := &stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 0, Op: 1 << 30}}}
+	var extras []float64
+	for _, cfg := range []stpbcast.Config{
+		{Algorithm: "Br_Lin", Distribution: "E", Sources: 4},
+		{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble"},
+		{Collective: stpbcast.CollectiveAllToAll, Algorithm: "A2A_Pairwise"},
+	} {
+		clean, faulted := allocs(cfg, nil), allocs(cfg, idle)
+		extra := faulted - clean
+		t.Logf("%s: %.0f allocations per run, %.0f under the idle plan (%+.0f)", cfg.Algorithm, clean, faulted, extra)
+		if extra > 4*p {
+			t.Errorf("%s: the idle plan costs %+.0f allocations per run, more than 4 per rank", cfg.Algorithm, extra)
+		}
+		extras = append(extras, extra)
+	}
+	if lo, hi := slices.Min(extras), slices.Max(extras); hi-lo > 2 {
+		t.Errorf("the idle plan's cost depends on the collective: %+v allocations per run, want them within 2 of each other", extras)
 	}
 }
 
