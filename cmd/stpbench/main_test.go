@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	stpbcast "repro"
+	"repro/internal/core"
 )
 
 // stpbench runs one invocation and returns its exit status and stdout.
@@ -177,5 +179,30 @@ func TestTraceFilesValidate(t *testing.T) {
 	}
 	if code, out := stpbench(t, "trace", "-validate", events, bad); code != 1 {
 		t.Errorf("validate of a truncated file exited %d, want 1:\n%s", code, out)
+	}
+}
+
+// TestChaosAbortLineIsReplayable: under drop-all, which starved rank's
+// deadline fires first is up to timing. Two aborts that name different
+// ranks must print the same outcome line, so a seed's output can be
+// compared with diff.
+func TestChaosAbortLineIsReplayable(t *testing.T) {
+	var dropAll chaosScenario
+	for _, sc := range chaosScenarios {
+		if sc.name == "drop-all" {
+			dropAll = sc
+		}
+	}
+	var lines []string
+	for _, rank := range []int{3, 9} {
+		err := fmt.Errorf("live: rank %d: recv 0: blocked 2s (receive deadline exceeded)\nrun aborted", rank)
+		line, bad := chaosOutcome(dropAll, core.Spec{}, nil, err)
+		if bad {
+			t.Fatalf("clean abort judged a violation: %s", line)
+		}
+		lines = append(lines, line)
+	}
+	if lines[0] != lines[1] || lines[0] != "ok (clean abort: deadline)" {
+		t.Fatalf("outcome lines %q and %q, want both %q", lines[0], lines[1], "ok (clean abort: deadline)")
 	}
 }

@@ -40,23 +40,17 @@ type Spec struct {
 	// plan lacks are dialed before it starts. nil, like an empty list,
 	// prefetches nothing but the leader links.
 	Links [][2]int
-	// WorkerCmd, when non-nil, is the argv of the worker command to
-	// spawn (the coordinator appends nothing; the address travels in
-	// WorkerEnv). nil spawns the coordinator's own binary re-executed —
-	// any main that calls MaybeWorker works.
-	WorkerCmd []string
 	// Adopt disables spawning: the coordinator waits for Workers
 	// externally started workers (pointed at ControlAddr via their
-	// -coord flag or WorkerEnv) to dial in.
+	// -coord flag or WorkerEnv) to dial in. Otherwise it spawns them by
+	// re-executing its own binary, the address in WorkerEnv; any main
+	// that calls MaybeWorker works.
 	Adopt bool
 	// ControlAddr is the coordinator's control listener address.
 	// Empty means an ephemeral loopback port — fine for spawned
 	// workers, which inherit the address; adopted workers need a
 	// well-known one.
 	ControlAddr string
-	// AdoptTimeout bounds the wait for workers to dial in (spawned or
-	// adopted); 0 means controlTimeout.
-	AdoptTimeout time.Duration
 	// OnListen, when non-nil, is called with the control listener's
 	// address before any worker is awaited — how adopted workers (and
 	// tests) learn an ephemeral ControlAddr in time to dial it.
@@ -203,16 +197,12 @@ func (c *Coordinator) WorkerPIDs() []int {
 }
 
 func (c *Coordinator) spawn() error {
-	argv := c.spec.WorkerCmd
-	if argv == nil {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("cluster: resolve own binary for worker spawn: %w", err)
-		}
-		argv = []string{exe}
+	exe, err := os.Executable()
+	if err != nil {
+		return fmt.Errorf("cluster: resolve own binary for worker spawn: %w", err)
 	}
 	for i := 0; i < c.spec.Workers; i++ {
-		cmd := exec.Command(argv[0], argv[1:]...)
+		cmd := exec.Command(exe)
 		cmd.Env = spawnEnv(os.Environ(), c.ControlAddr(), c.spec.Workers, runtime.GOMAXPROCS(0))
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -247,11 +237,7 @@ func (c *Coordinator) bootstrap() error {
 			return err
 		}
 	}
-	wait := c.spec.AdoptTimeout
-	if wait <= 0 {
-		wait = controlTimeout
-	}
-	deadline := time.Now().Add(wait)
+	deadline := time.Now().Add(controlTimeout)
 	for i := 0; i < c.spec.Workers; i++ {
 		c.ln.(*net.TCPListener).SetDeadline(deadline)
 		nc, err := c.ln.Accept()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/live"
 )
 
@@ -21,7 +22,7 @@ func origins(m comm.Message) []int {
 
 // liveRun opens a live machine of p processors, runs fn on it once and
 // closes it.
-func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
 	m, err := live.NewMachine(p)
 	if err != nil {
 		return nil, err

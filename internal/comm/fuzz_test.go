@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -225,7 +226,7 @@ func FuzzProgram(f *testing.F) {
 		if fz.fault != wellFormed {
 			opts = live.Options{RecvTimeout: 100 * time.Millisecond}
 		}
-		runLive := func(run func(c comm.Comm, mine comm.Message) comm.Message) ([]comm.Message, *live.Result, error) {
+		runLive := func(run func(c comm.Comm, mine comm.Message) comm.Message) ([]comm.Message, *engine.Result, error) {
 			out := make([]comm.Message, p)
 			res, err := liveRun(p, opts, func(pr *live.Proc) { out[pr.Rank()] = run(pr, fz.initial(pr.Rank())) })
 			return out, res, err

@@ -61,6 +61,3 @@ func (q *Queue) Reset() {
 	}
 	q.head, q.n = 0, 0
 }
-
-// Cap returns the current backing-array capacity (for retention tests).
-func (q *Queue) Cap() int { return len(q.buf) }

@@ -47,7 +47,7 @@ func TestQueuePopReleasesPayload(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		q.Pop()
 	}
-	for i := 0; i < q.Cap(); i++ {
+	for i := 0; i < len(q.buf); i++ {
 		if q.buf[i].Parts != nil {
 			t.Errorf("slot %d still references a delivered message", i)
 		}
@@ -63,8 +63,8 @@ func TestQueueBoundedByHighWaterMark(t *testing.T) {
 		q.Push(Message{Tag: i})
 		q.Pop()
 	}
-	if q.Cap() > 8 {
-		t.Errorf("steady 1-deep traffic grew the ring to %d slots", q.Cap())
+	if len(q.buf) > 8 {
+		t.Errorf("steady 1-deep traffic grew the ring to %d slots", len(q.buf))
 	}
 }
 
@@ -82,15 +82,15 @@ func TestQueueResetDropsAndZeroes(t *testing.T) {
 	for i := 0; i < 6; i++ { // head is now mid-ring; wrap the tail past the end
 		q.Push(Message{Parts: []Part{{Origin: 10 + i, Data: make([]byte, 64)}}})
 	}
-	cap0 := q.Cap()
+	cap0 := len(q.buf)
 	q.Reset()
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after Reset", q.Len())
 	}
-	if q.Cap() != cap0 {
-		t.Fatalf("Reset changed capacity: %d -> %d", cap0, q.Cap())
+	if len(q.buf) != cap0 {
+		t.Fatalf("Reset changed capacity: %d -> %d", cap0, len(q.buf))
 	}
-	for i := 0; i < q.Cap(); i++ {
+	for i := 0; i < len(q.buf); i++ {
 		if q.buf[i].Parts != nil {
 			t.Errorf("slot %d still references a message after Reset", i)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -40,7 +41,7 @@ func runLiveColl(t *testing.T, coll Collective, alg Algorithm, spec Spec, size i
 	return out
 }
 
-func liveColl(coll Collective, alg Algorithm, spec Spec, size int) ([]comm.Message, *live.Result, error) {
+func liveColl(coll Collective, alg Algorithm, spec Spec, size int) ([]comm.Message, *engine.Result, error) {
 	out := make([]comm.Message, spec.P())
 	res, err := liveRun(spec.P(), live.Options{}, func(pr *live.Proc) {
 		mine := InitialFor(coll, spec, pr.Rank(), func(r int) []byte { return coll.Payload(spec.P(), r, size) })

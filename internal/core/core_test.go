@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -17,7 +18,7 @@ import (
 
 // liveRun opens a live machine of p processors, runs fn on it once and
 // closes it.
-func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
 	m, err := live.NewMachine(p)
 	if err != nil {
 		return nil, err

@@ -15,7 +15,8 @@
 //	POST /v1/shutdown    graceful drain: stop admitting, finish in-flight, close the pool
 //
 // Every error body is an ErrorResponse. Backpressure is by status code:
-// 429 when a tenant exceeds its in-flight quota, 503 when the daemon is
+// 429 when a tenant exceeds its in-flight quota or a new tenant would
+// pass the daemon's tenant cap (1 024), 503 when the daemon is
 // at its global in-flight cap, the pool is full of busy meshes, or a
 // drain is in progress.
 package daemon
@@ -97,7 +98,7 @@ type BroadcastRequest struct {
 	// MsgBytes is the per-source message length L (default 0).
 	MsgBytes int `json:"msg_bytes,omitempty"`
 	// Tenant attributes the request for quota accounting and the
-	// per-tenant counters (default "anonymous").
+	// per-tenant counters (default "anonymous", at most maxTenantBytes).
 	Tenant string `json:"tenant,omitempty"`
 	// RecvTimeoutMs / RunTimeoutMs bound the run (0 = the daemon's
 	// default receive deadline, so a dead rank can never wedge a mesh).
@@ -110,6 +111,9 @@ type BroadcastRequest struct {
 	// daemon's cumulative stpbcastd_events_total metrics).
 	Trace bool `json:"trace,omitempty"`
 }
+
+// maxTenantBytes caps a tenant name's length.
+const maxTenantBytes = 64
 
 // normalize applies defaults and validates what can be checked without a
 // machine. It returns a client-error message ("" when valid).
@@ -176,6 +180,9 @@ func (r *BroadcastRequest) normalize() string {
 	}
 	if r.Tenant == "" {
 		r.Tenant = "anonymous"
+	}
+	if len(r.Tenant) > maxTenantBytes {
+		return fmt.Sprintf("tenant name of %d bytes exceeds %d", len(r.Tenant), maxTenantBytes)
 	}
 	if r.Kill != nil && r.Engine == "sim" {
 		return "kill injection requires a real-byte engine (live or tcp)"

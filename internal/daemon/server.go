@@ -28,9 +28,15 @@ type Options struct {
 	// no deadline of their own (default 30s), so a dead rank turns into
 	// a structured error instead of a wedged mesh.
 	DefaultRecvTimeout time.Duration
-	// MaxBodyBytes caps the request body (default 1 MiB).
-	MaxBodyBytes int64
 }
+
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 1 << 20
+
+// maxTenants caps the distinct tenant names the daemon tracks: each one
+// keeps an entry for the life of the process, and /v1/stats and /metrics
+// copy them all. A request naming a new tenant past the cap gets 429.
+const maxTenants = 1024
 
 func (o Options) withDefaults() Options {
 	if o.MaxInFlight <= 0 {
@@ -38,9 +44,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DefaultRecvTimeout <= 0 {
 		o.DefaultRecvTimeout = 30 * time.Second
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
 	}
 	return o
 }
@@ -197,6 +200,11 @@ func (s *Server) admit(tenant string) (release func(), status int, msg string) {
 	}
 	ts := s.tenants[tenant]
 	if ts == nil {
+		if len(s.tenants) >= maxTenants {
+			s.rejected++
+			return nil, http.StatusTooManyRequests,
+				fmt.Sprintf("daemon tracks %d tenants, its cap: tenant %q is new", maxTenants, tenant)
+		}
 		ts = &tenantState{}
 		s.tenants[tenant] = ts
 	}
@@ -257,7 +265,7 @@ func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BroadcastRequest
-	if msg := decodeRequest(io.LimitReader(r.Body, s.opts.MaxBodyBytes), &req); msg != "" {
+	if msg := decodeRequest(io.LimitReader(r.Body, maxBodyBytes), &req); msg != "" {
 		writeError(w, http.StatusBadRequest, "", "%s", msg)
 		return
 	}

@@ -256,6 +256,56 @@ func TestAdmissionBackpressure(t *testing.T) {
 	rel3()
 }
 
+// TestOversizedMeshRefusedBeforeOpen: a live request for a 64×64 mesh
+// (4 096 ranks, past the facade's 1 024-processor cap) is a 400 naming
+// the cap, and no session is opened for it.
+func TestOversizedMeshRefusedBeforeOpen(t *testing.T) {
+	srv, base := testServer(t, Options{})
+	status, _, e := post(t, base, BroadcastRequest{Engine: "live", Rows: 64, Cols: 64})
+	if status != http.StatusBadRequest {
+		t.Fatalf("64x64 live request got %d, want 400", status)
+	}
+	if !strings.Contains(e.Error, "exceeds 1024 processors") {
+		t.Errorf("error %q does not name the 1024-processor cap", e.Error)
+	}
+	if n := srv.pool.Opens(); n != 0 {
+		t.Errorf("pool opened %d sessions for a refused request", n)
+	}
+}
+
+// TestTenantTableBounded: a tenant name over 64 bytes is a 400, and once
+// the daemon tracks maxTenants tenants a request for a new one is a 429
+// naming the cap, counted as rejected, while a known tenant still runs.
+func TestTenantTableBounded(t *testing.T) {
+	srv, base := testServer(t, Options{})
+	req := BroadcastRequest{Engine: "sim", Rows: 1, Cols: 1, Tenant: strings.Repeat("t", 65)}
+	if status, _, e := post(t, base, req); status != http.StatusBadRequest || !strings.Contains(e.Error, "exceeds 64") {
+		t.Fatalf("65-byte tenant name got %d %+v, want 400 naming the 64-byte cap", status, e)
+	}
+	for i := 0; i < maxTenants; i++ {
+		release, status, msg := srv.admit(fmt.Sprint("tenant-", i))
+		if release == nil {
+			t.Fatalf("tenant %d refused with %d: %s", i, status, msg)
+		}
+		release()
+	}
+	req.Tenant = "one-too-many"
+	status, _, e := post(t, base, req)
+	if status != http.StatusTooManyRequests || !strings.Contains(e.Error, "1024 tenants") {
+		t.Fatalf("tenant past the cap got %d %+v, want 429 naming the cap", status, e)
+	}
+	req.Tenant = "tenant-0"
+	if status, _, e := post(t, base, req); status != http.StatusOK {
+		t.Fatalf("known tenant refused with %d %+v", status, e)
+	}
+	srv.mu.Lock()
+	st := srv.statsLocked()
+	srv.mu.Unlock()
+	if st.Rejected != 1 || len(st.TenantRequests) != maxTenants {
+		t.Errorf("rejected %d, tenants %d; want 1 and %d", st.Rejected, len(st.TenantRequests), maxTenants)
+	}
+}
+
 func TestShutdownDrains(t *testing.T) {
 	srv, base := testServer(t, Options{})
 	if status, _, _ := post(t, base, BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2}); status != http.StatusOK {

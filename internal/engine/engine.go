@@ -210,9 +210,6 @@ func New(name string, size, lo, hi int, leaders []int, tr Transport) *Machine {
 	return m
 }
 
-// Size returns the machine's rank count (local or not).
-func (m *Machine) Size() int { return m.size }
-
 // Current returns the run in flight, nil between runs.
 func (m *Machine) Current() *Run { return m.cur.Load() }
 

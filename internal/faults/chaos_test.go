@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/live"
 	"repro/internal/tcp"
@@ -18,7 +19,7 @@ import (
 
 // liveRun opens a live machine of p processors, runs fn on it once and
 // closes it.
-func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
 	m, err := live.NewMachine(p)
 	if err != nil {
 		return nil, err

@@ -28,7 +28,6 @@ import (
 type (
 	Options = engine.Options
 	Proc    = engine.Proc
-	Result  = engine.Result
 	// Machine is a persistent live machine: mailboxes and barrier built
 	// once by NewMachine and reused by every Run.
 	Machine = engine.Machine

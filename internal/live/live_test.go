@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 )
 
 // runOnce opens a machine of p processors, runs fn on it once and closes
 // it, applying no deadlines.
-func runOnce(p int, fn func(*Proc)) (*Result, error) { return runOpts(p, Options{}, fn) }
+func runOnce(p int, fn func(*Proc)) (*engine.Result, error) { return runOpts(p, Options{}, fn) }
 
 // runOpts is runOnce with options.
-func runOpts(p int, opts Options, fn func(*Proc)) (*Result, error) {
+func runOpts(p int, opts Options, fn func(*Proc)) (*engine.Result, error) {
 	m, err := NewMachine(p)
 	if err != nil {
 		return nil, err

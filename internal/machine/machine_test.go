@@ -72,8 +72,11 @@ func TestT3DMachine(t *testing.T) {
 	if m.Topo.Degree() != 6 {
 		t.Fatalf("degree %d", m.Topo.Degree())
 	}
-	if m.Place.Name() != "snake3d" {
-		t.Fatalf("placement %s", m.Place.Name())
+	snake := topology.Snake3DPlacement(m.Topo.(*topology.Torus3D))
+	for r := 0; r < m.P(); r++ {
+		if m.Place.Node(r) != snake.Node(r) {
+			t.Fatalf("rank %d on node %d, want the snake placement's %d", r, m.Place.Node(r), snake.Node(r))
+		}
 	}
 	if _, err := m.NewNetwork(); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,7 @@ import (
 // the planner's cache hit/miss and probe counts are the first users.
 // All methods are safe for concurrent use.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 var (
@@ -29,25 +28,16 @@ func GetCounter(name string) *Counter {
 	if c, ok := counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	counters[name] = c
 	return c
 }
 
-// Name returns the counter's registration name.
-func (c *Counter) Name() string { return c.name }
-
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n may be zero; negative n is reserved for tests).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Reset sets the counter back to zero (tests and warm-up phases).
-func (c *Counter) Reset() { c.v.Store(0) }
 
 // CounterSnapshot is one counter's value at snapshot time.
 type CounterSnapshot struct {

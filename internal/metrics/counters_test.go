@@ -10,12 +10,9 @@ func TestCounterRegistry(t *testing.T) {
 	if GetCounter("test.counters.a") != a {
 		t.Fatal("same name returned a different counter")
 	}
-	if a.Name() != "test.counters.a" {
-		t.Fatalf("name %q", a.Name())
+	for i := 0; i < 5; i++ {
+		a.Inc()
 	}
-	a.Reset()
-	a.Inc()
-	a.Add(4)
 	if a.Value() != 5 {
 		t.Fatalf("value %d, want 5", a.Value())
 	}
@@ -28,15 +25,10 @@ func TestCounterRegistry(t *testing.T) {
 	if !found {
 		t.Fatal("snapshot missing counter")
 	}
-	a.Reset()
-	if a.Value() != 0 {
-		t.Fatal("reset did not zero")
-	}
 }
 
 func TestCounterConcurrent(t *testing.T) {
 	c := GetCounter("test.counters.concurrent")
-	c.Reset()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -221,9 +221,6 @@ func New(topo topology.Topology, place *topology.Placement, cfg Config) (*Networ
 // Config returns the cost configuration the network was built with.
 func (n *Network) Config() Config { return n.cfg }
 
-// Topology returns the underlying physical topology.
-func (n *Network) Topology() topology.Topology { return n.topo }
-
 // Placement returns the logical→physical mapping in use.
 func (n *Network) Placement() *topology.Placement { return n.place }
 

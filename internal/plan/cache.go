@@ -53,13 +53,6 @@ func NewMemCache(maxEntries int) *Cache {
 	}
 }
 
-// Len returns the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Get returns the cached entry for a key and whether it was present,
 // incrementing the hit or miss counter.
 func (c *Cache) Get(k Key) (Entry, bool) {

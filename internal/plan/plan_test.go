@@ -76,8 +76,8 @@ func TestCacheEvictionFIFO(t *testing.T) {
 		keys = append(keys, k)
 		c.Put(k, Entry{Algorithm: "Br_Lin"})
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len %d, want 3", c.Len())
+	if len(c.entries) != 3 {
+		t.Fatalf("len %d, want 3", len(c.entries))
 	}
 	for i, k := range keys {
 		_, ok := c.Get(k)

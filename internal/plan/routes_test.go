@@ -11,6 +11,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -67,7 +68,7 @@ func TestRoutesCoverTracedLiveLinks(t *testing.T) {
 
 // liveRun opens a live machine of p processors, runs fn on it once and
 // closes it.
-func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*live.Result, error) {
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
 	m, err := live.NewMachine(p)
 	if err != nil {
 		return nil, err

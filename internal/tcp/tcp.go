@@ -450,9 +450,6 @@ func (m *Machine) inMemory(a, b int) bool { return m.worker && m.isLocal(a) && m
 // partial reports whether the machine owns only a slice of the mesh.
 func (m *Machine) partial() bool { return m.lo != 0 || m.hi != m.size }
 
-// Size returns the processor count the machine was built for.
-func (m *Machine) Size() int { return m.size }
-
 // LocalAddrs returns the listener address of every local rank — what a
 // cluster worker reports to the coordinator for the merged rank→address
 // map.

@@ -58,18 +58,15 @@ func (ix Indexing) RankToNode(m *Mesh2D, rank int) int {
 // the paper calls out as the reason topology-aware algorithms were not run
 // there. RandomPlacement models that effect deterministically from a seed.
 type Placement struct {
-	name       string
 	rankToNode []int
-	nodeToRank []int
 }
 
 // IdentityPlacement returns the placement where logical rank i runs on
 // physical node i.
 func IdentityPlacement(n int) *Placement {
-	p := &Placement{name: "identity", rankToNode: make([]int, n), nodeToRank: make([]int, n)}
+	p := &Placement{rankToNode: make([]int, n)}
 	for i := 0; i < n; i++ {
 		p.rankToNode[i] = i
-		p.nodeToRank[i] = i
 	}
 	return p
 }
@@ -79,18 +76,8 @@ func IdentityPlacement(n int) *Placement {
 // same seed always yields the same placement, keeping experiments
 // reproducible.
 func RandomPlacement(n int, seed int64) *Placement {
-	p := &Placement{name: fmt.Sprintf("random(seed=%d)", seed), rankToNode: make([]int, n), nodeToRank: make([]int, n)}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	for rank, node := range perm {
-		p.rankToNode[rank] = node
-		p.nodeToRank[node] = rank
-	}
-	return p
+	return &Placement{rankToNode: rand.New(rand.NewSource(seed)).Perm(n)}
 }
-
-// Name identifies the placement for configs and traces.
-func (p *Placement) Name() string { return p.name }
 
 // Size returns the number of placed ranks.
 func (p *Placement) Size() int { return len(p.rankToNode) }
@@ -103,14 +90,6 @@ func (p *Placement) Node(rank int) int {
 	return p.rankToNode[rank]
 }
 
-// Rank returns the logical rank running on a physical node.
-func (p *Placement) Rank(node int) int {
-	if node < 0 || node >= len(p.nodeToRank) {
-		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", node, len(p.nodeToRank)))
-	}
-	return p.nodeToRank[node]
-}
-
 // Snake3DPlacement places consecutive logical ranks along a boustrophedon
 // walk of the torus: x runs forward then backward as y advances, y runs
 // forward then backward as z advances. Consecutive ranks are always
@@ -119,7 +98,7 @@ func (p *Placement) Rank(node int) int {
 // T3D's fixed, user-uncontrollable virtual→physical numbering.
 func Snake3DPlacement(t *Torus3D) *Placement {
 	n := t.Nodes()
-	p := &Placement{name: "snake3d", rankToNode: make([]int, n), nodeToRank: make([]int, n)}
+	p := &Placement{rankToNode: make([]int, n)}
 	for r := 0; r < n; r++ {
 		x := r % t.X
 		y := (r / t.X) % t.Y
@@ -130,9 +109,7 @@ func Snake3DPlacement(t *Torus3D) *Placement {
 		if z%2 == 1 {
 			y = t.Y - 1 - y
 		}
-		node := t.Node(x, y, z)
-		p.rankToNode[r] = node
-		p.nodeToRank[node] = r
+		p.rankToNode[r] = t.Node(x, y, z)
 	}
 	return p
 }

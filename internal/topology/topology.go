@@ -131,12 +131,6 @@ func (m *Mesh2D) Nodes() int { return m.Rows * m.Cols }
 // Degree implements Topology. A mesh router has at most four mesh channels.
 func (m *Mesh2D) Degree() int { return 4 }
 
-// Coord returns the (row, col) coordinates of a node.
-func (m *Mesh2D) Coord(node int) (row, col int) {
-	checkNode(m, node)
-	return node / m.Cols, node % m.Cols
-}
-
 // Node returns the node at (row, col).
 func (m *Mesh2D) Node(row, col int) int {
 	if row < 0 || row >= m.Rows || col < 0 || col >= m.Cols {

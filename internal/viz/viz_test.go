@@ -75,7 +75,7 @@ func TestTwoStepHotspotVisible(t *testing.T) {
 		t.Fatalf("hot links: %v", hot)
 	}
 	for _, h := range hot {
-		r, c := mesh.Coord(h.Link.From)
+		r, c := h.Link.From/mesh.Cols, h.Link.From%mesh.Cols
 		if r+c > 4 {
 			t.Errorf("hot link %v far from P0 (at %d,%d)", h.Link, r, c)
 		}

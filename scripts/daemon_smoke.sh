@@ -1,8 +1,9 @@
 #!/bin/sh
 # daemon_smoke.sh — end-to-end smoke test of the stpbcastd service:
 # build the daemon and client, start the daemon on a random port, run
-# one broadcast per engine through stpctl, scrape /metrics, and shut
-# down cleanly; before that, bad flag values and a stray argument must be
+# one broadcast per engine through stpctl, check an oversized mesh is
+# refused while the daemon stays up, scrape /metrics, and shut down
+# cleanly; before that, bad flag values and a stray argument must be
 # usage errors. Run via `make daemon-smoke`; CI runs the same target.
 set -eu
 
@@ -78,6 +79,14 @@ ctl broadcast -engine live -rows 3 -cols 3 -collective AllReduce -bytes 256 \
 if ctl broadcast -engine sim -rows 4 -cols 4 -collective AllToAll -dist E 2>/dev/null; then
     echo "stpctl accepted -dist for AllToAll"; exit 1
 fi
+
+echo "== an oversized mesh is refused by name, and the daemon stays up"
+status=0
+ctl broadcast -engine live -rows 64 -cols 64 >"$workdir/big.log" 2>&1 || status=$?
+[ "$status" -ne 0 ] || { echo "64x64 live broadcast succeeded"; cat "$workdir/big.log"; exit 1; }
+grep -q 'exceeds 1024 processors' "$workdir/big.log" || { echo "64x64 refusal does not name the cap"; cat "$workdir/big.log"; exit 1; }
+echo "   64x64 live: exit $status"
+ctl ping
 
 echo "== sessions and stats"
 ctl sessions

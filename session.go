@@ -113,35 +113,15 @@ type ClusterSpec struct {
 	// process (the host's CPUs by default), unless this process's
 	// environment sets GOMAXPROCS, which they then inherit.
 	Workers int
-	// WorkerCmd, when non-nil, is the argv of the worker command to
-	// spawn; the coordinator passes the control address in the
-	// STPBCAST_CLUSTER_WORKER environment variable. nil re-executes the
-	// current binary — any main that calls MaybeClusterWorker first
-	// (cmd/stpworker, the benchmark) can serve.
-	WorkerCmd []string
-	// Adopt disables spawning: the session waits for Workers externally
-	// started workers to dial ControlAddr.
-	Adopt bool
-	// ControlAddr is the coordinator's control listener address. Empty
-	// means an ephemeral loopback port (fine for spawned workers, which
-	// inherit it; adopted workers need a well-known address).
-	ControlAddr string
-	// AdoptTimeout bounds the wait for workers to dial in; 0 means a
-	// generous default.
-	AdoptTimeout time.Duration
-	// ListenHost is the host every worker binds its mesh listeners to.
-	// Empty means loopback; workers spread across hosts need an
-	// externally visible address.
-	ListenHost string
 }
 
 // MaybeClusterWorker turns the current process into a cluster worker
 // when the coordinator spawned it (the STPBCAST_CLUSTER_WORKER
 // environment variable carries the control address): it serves the
 // cluster session until it closes, then exits the process. In ordinary
-// processes it returns immediately, doing nothing. Any binary that may
-// be named in (or default to) ClusterSpec.WorkerCmd must call it at the
-// top of main.
+// processes it returns immediately, doing nothing. A cluster session
+// spawns its workers by re-executing the current binary on the local
+// host, so any binary that opens one must call it at the top of main.
 func MaybeClusterWorker() { cluster.MaybeWorker() }
 
 // SessionStats aggregate a session's activity across runs.
@@ -224,16 +204,7 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 		s.liveM = lm
 	case EngineTCP:
 		if cs := opts.Cluster; cs != nil {
-			c, err := cluster.Start(cluster.Spec{
-				Workers:      cs.Workers,
-				P:            m.P(),
-				Links:        opts.Links,
-				WorkerCmd:    cs.WorkerCmd,
-				Adopt:        cs.Adopt,
-				ControlAddr:  cs.ControlAddr,
-				AdoptTimeout: cs.AdoptTimeout,
-				ListenHost:   cs.ListenHost,
-			})
+			c, err := cluster.Start(cluster.Spec{Workers: cs.Workers, P: m.P(), Links: opts.Links})
 			if err != nil {
 				return nil, err
 			}
@@ -279,9 +250,6 @@ func RoutesFor(m *Machine, cfg Config) ([][2]int, error) {
 	}
 	return plan.Routes(m, alg, spec, cfg.MsgBytes)
 }
-
-// Engine returns the engine the session was opened with.
-func (s *Session) Engine() Engine { return s.engine }
 
 // Stats returns the session's aggregate stats so far. It is safe for
 // concurrent use from any goroutine and does not block behind an

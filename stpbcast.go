@@ -77,30 +77,26 @@ type Machine = machine.Machine
 // NewParagon returns an r×c Intel Paragon under the NX library.
 func NewParagon(rows, cols int) *Machine { return machine.Paragon(rows, cols) }
 
-// NewParagonMPI returns an r×c Intel Paragon under the MPI environment
-// (the paper's measured 2–5% software-overhead loss over NX).
-func NewParagonMPI(rows, cols int) *Machine { return machine.ParagonMPI(rows, cols) }
-
 // NewT3D returns a p-processor Cray T3D under MPI (3-D torus, fixed
 // system-controlled snake placement).
 func NewT3D(p int) *Machine { return machine.T3D(p) }
-
-// NewT3DRandom returns a T3D whose virtual→physical mapping is a seeded
-// random scatter, the worst-case reading of "uncontrollable placement".
-func NewT3DRandom(p int, seed int64) *Machine { return machine.T3DRandom(p, seed) }
 
 // NewHypercube returns a 2^dim-processor binary hypercube with Paragon
 // cost parameters (extension machine for topology ablations).
 func NewHypercube(dim int) *Machine { return machine.HypercubeNX(dim) }
 
-// maxProcessors caps the machines NewMachineByName builds. A request's
-// size is outside input (the daemon maps every broadcast body through
-// NewMachineByName), and unchecked it overflows rows·cols or allocates
-// without bound; the largest machine the repository builds has 256.
-const maxProcessors = 1 << 16
+// maxProcessors caps the machines NewMachineByName builds, at four times
+// the largest one the repository builds (256). A request's size is
+// outside input (the daemon maps every broadcast body through
+// NewMachineByName), and the real-byte engines grow as p² (a live
+// machine keeps p inboxes of p queues, a TCP rank a p-slot conn table),
+// so a cap in the tens of thousands let one request ask for hundreds of
+// gigabytes.
+const maxProcessors = 1024
 
 // NewMachineByName constructs a machine from its CLI name and requested
-// logical mesh: "paragon" (NX), "paragon-mpi", "t3d" (rows·cols
+// logical mesh: "paragon" (NX), "paragon-mpi" (the Paragon under MPI,
+// the paper's measured 2–5% software-overhead loss over NX), "t3d" (rows·cols
 // processors on the torus; the T3D picks its own logical factorization)
 // or "hypercube" (rows·cols must be a power of two). It is the single
 // name-to-machine mapping shared by the daemon's session-pool keys and
@@ -547,6 +543,3 @@ func ExperimentByID(id string) (Experiment, error) { return bench.ByID(id) }
 // the default (GOMAXPROCS). It returns the previous limit. Figure output
 // is byte-identical at every setting; only wall-clock time changes.
 func SetParallelism(n int) int { return par.SetLimit(n) }
-
-// Parallelism returns the current concurrency cap (see SetParallelism).
-func Parallelism() int { return par.Limit() }

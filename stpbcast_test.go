@@ -307,6 +307,19 @@ func TestHypercubeMachine(t *testing.T) {
 	}
 }
 
+// TestMachineByNameCapsProcessors: NewMachineByName builds a 32×32
+// machine and refuses 33×32, one row past its 1 024-processor cap, so no
+// request can size an engine that grows as p² past it.
+func TestMachineByNameCapsProcessors(t *testing.T) {
+	if m, err := stpbcast.NewMachineByName("paragon", 32, 32); err != nil || m.P() != 1024 {
+		t.Fatalf("32x32: %v, %v", m, err)
+	}
+	_, err := stpbcast.NewMachineByName("paragon", 33, 32)
+	if err == nil || !strings.Contains(err.Error(), "exceeds 1024 processors") {
+		t.Fatalf("33x32: err %v, want the 1024-processor cap", err)
+	}
+}
+
 func TestRunTCPDeliversPayloads(t *testing.T) {
 	m := stpbcast.NewParagon(3, 4)
 	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "Dr", Sources: 4}

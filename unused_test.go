@@ -2,171 +2,187 @@ package stpbcast_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// keptWithoutUser lists the exported internal declarations that no
-// non-test file names, each with the reason it stays. A key is
-// "<package dir>.<Name>" or "<package dir>.<Type>.<Method>": a whole
-// package kept for its tests is not an exception. An entry that has gained
-// a user, or names nothing, fails the test too, so the table cannot rot.
+// keptWithoutUser lists the exported declarations the gate below finds no
+// non-test user for, each with the reason it stays. A key is
+// "<package dir>.<Name>", "<package dir>.<Type>.<Method>" or
+// "<package dir>.<Type>.<Field>", the directory left out for the root
+// package: a whole package kept for its tests is not an exception. An
+// entry that has gained a user, or names nothing, fails the test too, so
+// the table cannot rot.
 var keptWithoutUser = map[string]string{
-	"internal/engine.abortError.Unwrap":     "satisfies errors.Is/As, which reach the root cause of an aborted run through it",
-	"internal/core.recorder.AdvanceCombine": "makes Compile's recorder a comm.Clock, the mark the benchmark's tracing decorator passes through unwrapped; goes with that decorator (ROADMAP 10(b))",
+	"internal/engine.abortError.Unwrap": "satisfies errors.Is/As, which reach the root cause of an aborted run through it",
+	"Config.RowMajor":                   "the facade's switch for the paper's row-major ablation of Br_Lin; a library caller sets it, no binary does",
+	"Config.MsgBytesFor":                "the facade's per-source message lengths, the paper's variable-length experiment; a library caller sets it, no binary does",
+	"RunOptions.Context":                "a library caller's cancellation of one run; the binaries bound runs by deadlines instead",
+	"internal/tcp.Options.Dial":         "the seam the dial-retry and dial-failure tests inject failing dialers through",
 }
 
 // TestInternalExportsHaveProductionUsers is the "kept alive only by
-// tests" gate: every exported top-level func, type, var, const and method
-// declared in a non-test file under internal/ must be named by some
-// non-test file of the module (cmd/, examples/, benchmark/ and the facade
-// count as users) other than by its own declaration. It parses only —
-// no type information — so a use of a package-level name is that
-// identifier in the declaring package or pkg.Name in an importer, and a
-// use of a method is any selector x.Name anywhere (methods are also
-// reached through interfaces declared elsewhere).
+// tests" gate. It type-checks every non-test file of the module (cmd/,
+// examples/, benchmark/ and the facade count as users) and resolves each
+// use to the object it names, so two methods that share a name are two
+// objects. It fails on
+//   - an exported top-level func, type, var or const declared under
+//     internal/ that no non-test code refers to;
+//   - an exported method of a type declared under internal/ that no
+//     non-test code selects, unless its type satisfies an interface that
+//     declares it (one of the module's, error or fmt.Stringer) or the
+//     facade re-exports its type by an alias;
+//   - an exported field of an *Options, *Spec or *Config struct anywhere
+//     in the module that no non-test code writes (in a composite literal,
+//     an assignment or by taking its address). A struct whose fields carry
+//     json tags is a wire type, which the other side of the wire writes.
 func TestInternalExportsHaveProductionUsers(t *testing.T) {
-	type decl struct {
-		key, dir, name string
-		method         bool
-		ident          *ast.Ident
-	}
-	type file struct {
-		dir       string
-		idents    map[string][]*ast.Ident
-		selects   map[string]bool // names used as x.Name
-		qualified map[string]bool // "<dir>.<Name>" for every pkg.Name naming an imported package
-	}
-	var decls []decl
-	var files []file
+	m := loadModule(t)
 
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		fl := file{dir: dir, idents: map[string][]*ast.Ident{}, selects: map[string]bool{}, qualified: map[string]bool{}}
-		imported := map[string]string{} // import name -> module-relative dir of an imported package
-		for _, im := range f.Imports {
-			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "repro/") {
-				name := filepath.Base(p)
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imported[name] = strings.TrimPrefix(p, "repro/")
-			}
-		}
+	used := map[types.Object]bool{}
+	for _, obj := range m.info.Uses {
+		used[obj] = true
+	}
+	written := map[types.Object]bool{}
+	for _, f := range m.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				fl.selects[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
-					fl.qualified[imported[x.Name]+"."+n.Sel.Name] = true
+			case *ast.CompositeLit:
+				st, ok := m.info.TypeOf(n).Underlying().(*types.Struct)
+				if !ok {
+					return true
 				}
-			case *ast.Ident:
-				fl.idents[n.Name] = append(fl.idents[n.Name], n)
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						written[m.info.Uses[kv.Key.(*ast.Ident)]] = true
+					} else {
+						written[st.Field(i)] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					written[m.field(lhs)] = true
+				}
+			case *ast.IncDecStmt:
+				written[m.field(n.X)] = true
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					written[m.field(n.X)] = true
+				}
 			}
 			return true
 		})
-		files = append(files, fl)
+	}
 
-		if !strings.HasPrefix(dir, "internal/") {
-			return nil
-		}
-		add := func(id *ast.Ident, recv string) {
-			if !id.IsExported() {
-				return
-			}
-			key := dir + "." + id.Name
-			if recv != "" {
-				key = dir + "." + recv + "." + id.Name
-			}
-			decls = append(decls, decl{key: key, dir: dir, name: id.Name, method: recv != "", ident: id})
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				recv := ""
-				if d.Recv != nil {
-					recv = receiverName(d.Recv.List[0].Type)
-				}
-				add(d.Name, recv)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(spec.Name, "")
-					case *ast.ValueSpec:
-						for _, id := range spec.Names {
-							add(id, "")
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
+	// Interfaces a method may be reached through without a selector
+	// naming it.
+	fmtPkg, err := m.Import("fmt")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	used := func(d decl) bool {
-		for _, f := range files {
-			if d.method {
-				if f.selects[d.name] {
-					return true
-				}
+	ifaces := []*types.Interface{
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
+		fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface),
+	}
+	reexported := map[*types.TypeName]bool{}
+	for _, p := range m.pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
 				continue
 			}
-			if f.dir != d.dir {
-				if f.qualified[d.key] {
-					return true
-				}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			}
+			if n, ok := types.Unalias(tn.Type()).(*types.Named); ok && tn.IsAlias() && p.Path() == "repro" {
+				reexported[n.Obj()] = true
+			}
+		}
+	}
+	reached := func(n *types.Named, fn *types.Func) bool {
+		if reexported[n.Obj()] {
+			return true
+		}
+		for _, it := range ifaces {
+			if it.NumMethods() == 0 {
 				continue
 			}
-			for _, id := range f.idents[d.name] {
-				if id != d.ident {
-					return true
-				}
+			if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name()); obj == nil {
+				continue
+			}
+			if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
+				return true
 			}
 		}
 		return false
 	}
+
+	type decl struct {
+		key         string
+		live, field bool
+	}
+	var decls []decl
+	for _, p := range m.pkgs {
+		dir := strings.TrimPrefix(strings.TrimPrefix(p.Path(), "repro"), "/")
+		internal := strings.HasPrefix(dir, "internal/")
+		prefix := dir + "."
+		if dir == "" {
+			prefix = ""
+		}
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if internal && obj.Exported() {
+				decls = append(decls, decl{key: prefix + name, live: used[obj]})
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n := tn.Type().(*types.Named)
+			if internal {
+				for i := 0; i < n.NumMethods(); i++ {
+					if fn := n.Method(i); fn.Exported() {
+						decls = append(decls, decl{key: prefix + name + "." + fn.Name(), live: used[fn] || reached(n, fn)})
+					}
+				}
+			}
+			st, ok := n.Underlying().(*types.Struct)
+			if !ok || !isOptions(name) || isWire(st) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					decls = append(decls, decl{key: prefix + name + "." + f.Name(), live: written[f], field: true})
+				}
+			}
+		}
+	}
+
 	excused := map[string]bool{}
 	var dead []string
 	for _, d := range decls {
-		if used(d) {
-			continue
-		}
-		if keptWithoutUser[d.key] != "" {
+		switch {
+		case d.live:
+		case keptWithoutUser[d.key] != "":
 			excused[d.key] = true
-		} else {
-			dead = append(dead, d.key)
+		case d.field:
+			dead = append(dead, d.key+" is a knob no non-test code sets: delete it")
+		default:
+			dead = append(dead, d.key+" is exported but no non-test code uses it: delete it, or move it beside the tests that use it")
 		}
 	}
 	sort.Strings(dead)
-	for _, key := range dead {
-		t.Errorf("%s is exported but no non-test file names it: delete it, or move it beside the tests that use it", key)
+	for _, msg := range dead {
+		t.Error(msg)
 	}
 	for key := range keptWithoutUser {
 		if !excused[key] {
@@ -178,21 +194,110 @@ func TestInternalExportsHaveProductionUsers(t *testing.T) {
 	}
 }
 
-// receiverName returns the type name of a method receiver, through a
-// pointer and type parameters.
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// isOptions reports whether a struct type's name marks it as a set of
+// knobs, whose every field some caller should set.
+func isOptions(name string) bool {
+	return strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec") || strings.HasSuffix(name, "Config")
+}
+
+// isWire reports whether a struct is a JSON wire type: a field carries a
+// json tag.
+func isWire(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
 		}
 	}
+	return false
+}
+
+// module is the module's non-test code, type-checked.
+type module struct {
+	fset  *token.FileSet
+	std   types.Importer
+	src   map[string][]*ast.File // import path -> its non-test files
+	pkgs  map[string]*types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// field returns the struct field an lvalue writes, or nil.
+func (m *module) field(e ast.Expr) types.Object {
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if s := m.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			return s.Obj()
+		}
+	}
+	return nil
+}
+
+// loadModule parses every non-test file the default build context
+// selects and type-checks each package of the module; the standard
+// library comes from its export data.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	m := &module{
+		fset: token.NewFileSet(),
+		std:  importer.Default(),
+		src:  map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Clean(dir), name); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imp := "repro"
+		if d := filepath.ToSlash(filepath.Dir(path)); d != "." {
+			imp += "/" + d
+		}
+		m.src[imp] = append(m.src[imp], f)
+		m.files = append(m.files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path := range m.src {
+		if _, err := m.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// Import type-checks a module package from its files, once, and hands
+// any other path to the standard library's importer.
+func (m *module) Import(path string) (*types.Package, error) {
+	files, ok := m.src[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	p, err := (&types.Config{Importer: m}).Check(path, m.fset, files, m.info)
+	m.pkgs[path] = p
+	return p, err
 }
