@@ -30,14 +30,18 @@ test:
 # a pool lease holds its key's lock for the whole run, and the same-key
 # and eviction tests race requests, sweeps and evictions against it. So
 # does the fault injector's: rank goroutines write their own event slices,
-# which Events reads only after the engine has joined them.
+# which Events reads only after the engine has joined them. And tcp's run
+# arenas: a caller's Release marks a run's storage free on its goroutine,
+# and the reader pumps reuse it on theirs when the next run's frames
+# arrive.
 race:
 	$(GO) test -race -timeout 5m ./...
 	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults
 
-# Fault-injection and abort-path suites only, plus the stpbench sweep.
+# Fault-injection, abort-path and result-ownership suites only, plus the
+# stpbench sweep.
 chaos:
-	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|Conformance|DialRetry|DialPermanent|MidRunConnection|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/tcp/ ./internal/cluster/ .
+	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|Conformance|Release|DialRetry|DialPermanent|MidRunConnection|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/tcp/ ./internal/cluster/ .
 	$(GO) run ./cmd/stpbench chaos
 
 # Replay every fuzz target's seeds — its f.Add calls and its checked-in

@@ -53,6 +53,7 @@ func TestClusterSession(t *testing.T) {
 		if res.Bundles != nil {
 			t.Fatalf("run %d: cluster run returned bundles; payload bytes crossed the control plane", i)
 		}
+		res.Release() // the workers recycle their own storage: a no-op here
 	}
 	stats, err := s.Close()
 	if err != nil {

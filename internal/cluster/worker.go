@@ -148,7 +148,8 @@ func (w *worker) run(rs *RunSpec) *doneMsg {
 // (each by its higher rank's worker, as at setup), then
 // starts the run at once — peers that started first may already be
 // sending, and the engine holds their frames until this machine arms
-// the run's epoch — and verifies every local bundle. A run the worker
+// the run's epoch — and verifies every local bundle, then hands the
+// run's received storage back to the machine. A run the worker
 // cannot execute leaves no peer waiting on it: the engine closes a
 // broken mesh's connections when it refuses the run or fails its
 // pre-run dials, and a spec the worker cannot build (the coordinator
@@ -192,6 +193,10 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 			return nil, fmt.Errorf("cluster: bundle check: %w", err)
 		}
 	}
+	// Checked, the bundles are dropped: the next run's frames land in
+	// their storage. The coordinator sends that run only after every
+	// worker's done, so no peer can send one of its frames before this.
+	w.m.Reclaim(w.m.Epoch())
 	return res, nil
 }
 

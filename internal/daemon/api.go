@@ -47,16 +47,17 @@ func (k Key) String() string {
 }
 
 // open stands up the key's machine and warm session.
-func (k Key) open() (*stpbcast.Session, error) {
+func (k Key) open() (*stpbcast.Machine, *stpbcast.Session, error) {
 	eng, err := stpbcast.ParseEngine(k.Engine)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, err := stpbcast.NewMachineByName(k.Topology, k.Rows, k.Cols)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return stpbcast.Open(m, eng, stpbcast.SessionOptions{})
+	s, err := stpbcast.Open(m, eng, stpbcast.SessionOptions{})
+	return m, s, err
 }
 
 // KillSpec injects a deterministic rank kill into the run (real-byte

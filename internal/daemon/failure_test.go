@@ -1,9 +1,13 @@
 package daemon
 
 import (
+	"bytes"
 	"net/http"
 	"strings"
 	"testing"
+
+	stpbcast "repro"
+	"repro/internal/core"
 )
 
 // TestKillFaultReturnsStructuredErrorAndReconnects is the daemon
@@ -56,6 +60,84 @@ func TestKillFaultReturnsStructuredErrorAndReconnects(t *testing.T) {
 		"stpbcastd_failed_total 1",
 		"stpbcastd_session_failures{key=\"tcp/paragon/3x4\"} 1",
 		"stpbcastd_session_reconnects{key=\"tcp/paragon/3x4\"} 1",
+	} {
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestCheckBundlesNamesFlippedByte: the daemon's check passes the bundles
+// a run must leave, without allocating, and names the rank, the origin
+// and the byte of one flipped byte.
+func TestCheckBundlesNamesFlippedByte(t *testing.T) {
+	const p, msgBytes = 4, 8
+	spec := core.Spec{Rows: 2, Cols: 2, Sources: []int{0, 3}}
+	bundles := make([]map[int][]byte, p)
+	for rank := range bundles {
+		bundles[rank] = map[int][]byte{}
+		for _, origin := range spec.Sources {
+			bundles[rank][origin] = core.Broadcast.Payload(p, origin, msgBytes)
+		}
+	}
+	if err := checkBundles(core.Broadcast, spec, msgBytes, bundles); err != nil {
+		t.Fatalf("intact bundles: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { checkBundles(core.Broadcast, spec, msgBytes, bundles) }); n != 0 {
+		t.Errorf("checking intact bundles allocates %v times", n)
+	}
+	bundles[2][3] = bytes.Clone(bundles[2][3])
+	bundles[2][3][5] ^= 0xFF
+	err := checkBundles(core.Broadcast, spec, msgBytes, bundles)
+	if err == nil || !strings.Contains(err.Error(), "rank 2, origin 3: byte 5 is 0xfc, want 0x03") {
+		t.Fatalf("flipped byte: %v, want it named by rank, origin and byte", err)
+	}
+}
+
+// TestBundleCheckFailureIsStructured5xx: a run whose delivered bytes fail
+// the daemon's check — here one byte flipped on its way to rank 2 — is
+// a 500 naming the rank, the origin and the byte, not a 200, and counts
+// as the session's failure in the next reply and on /metrics.
+func TestBundleCheckFailureIsStructured5xx(t *testing.T) {
+	srv, base := testServer(t, Options{})
+	planted := false
+	srv.verify = func(l *Lease, req *BroadcastRequest, res *stpbcast.Result) error {
+		if !planted {
+			planted = true
+			for origin, data := range res.Bundles[2] {
+				flipped := bytes.Clone(data)
+				flipped[5] ^= 0xFF
+				res.Bundles[2][origin] = flipped
+				break
+			}
+		}
+		return l.verify(req, res)
+	}
+	req := BroadcastRequest{Engine: "tcp", Rows: 2, Cols: 2, Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 8}
+	status, _, e := post(t, base, req)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("corrupt delivery returned status %d, want 500", status)
+	}
+	for _, want := range []string{"bundle check failed", "rank 2, origin", "byte 5 is"} {
+		if !strings.Contains(e.Error, want) {
+			t.Errorf("error %q does not contain %q", e.Error, want)
+		}
+	}
+	if e.Key != "tcp/paragon/2x2" {
+		t.Errorf("error names key %q, want tcp/paragon/2x2", e.Key)
+	}
+	status, out, e2 := post(t, base, req)
+	if status != http.StatusOK {
+		t.Fatalf("intact request failed with %d: %s", status, e2.Error)
+	}
+	if out.Runs != 2 || out.Failures != 1 {
+		t.Errorf("session stats runs=%d failures=%d, want 2/1", out.Runs, out.Failures)
+	}
+	metrics := getMetrics(t, base)
+	for _, want := range []string{
+		"stpbcastd_failed_total 1",
+		"stpbcastd_completed_total 1",
+		"stpbcastd_session_failures{key=\"tcp/paragon/2x2\"} 1",
 	} {
 		if !strings.Contains(metrics, want+"\n") {
 			t.Errorf("/metrics missing %q", want)

@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	stpbcast "repro"
@@ -46,7 +47,12 @@ type entry struct {
 	// same key queue here instead of rebuilding the mesh, and the lock
 	// covers the lazy open too.
 	mu   sync.Mutex
+	m    *stpbcast.Machine
 	sess *stpbcast.Session
+	// badRuns counts the runs the session completed whose bundles failed
+	// the daemon's check: a failure the session itself never saw, which
+	// stats folds into its Failures.
+	badRuns atomic.Int64
 	// refs and lastUse are guarded by Pool.mu: refs counts holders
 	// (running or queued), lastUse is the last acquire/release instant.
 	refs    int
@@ -93,6 +99,14 @@ type Lease struct {
 
 // Session returns the leased warm session.
 func (l *Lease) Session() *stpbcast.Session { return l.e.sess }
+
+// stats is the leased session's stats, the runs whose bundles failed
+// the daemon's check counted as failures.
+func (l *Lease) stats() stpbcast.SessionStats {
+	st := l.e.sess.Stats()
+	st.Failures += int(l.e.badRuns.Load())
+	return st
+}
 
 // Release unlocks the key and returns the session to the pool (or
 // closes it, for an entry that left the pool while this lease held it).
@@ -150,7 +164,7 @@ func (p *Pool) Acquire(key Key) (*Lease, error) {
 	// Per-key serialization: queue behind whoever holds the mesh.
 	e.mu.Lock()
 	if e.sess == nil {
-		sess, err := key.open()
+		m, sess, err := key.open()
 		if err != nil {
 			e.mu.Unlock()
 			p.mu.Lock()
@@ -161,8 +175,9 @@ func (p *Pool) Acquire(key Key) (*Lease, error) {
 			p.mu.Unlock()
 			return nil, err
 		}
-		e.sess = sess
+		// Under p.mu too: Sessions reads sess under it, not under e.mu.
 		p.mu.Lock()
+		e.m, e.sess = m, sess
 		p.opens++
 		p.mu.Unlock()
 	}
@@ -241,13 +256,14 @@ func (p *Pool) Sessions() []SessionInfo {
 	type snap struct {
 		key     Key
 		sess    *stpbcast.Session
+		badRuns int64
 		busy    bool
 		lastUse time.Time
 	}
 	p.mu.Lock()
 	snaps := make([]snap, 0, len(p.entries))
 	for _, e := range p.entries {
-		snaps = append(snaps, snap{key: e.key, sess: e.sess, busy: e.refs > 0, lastUse: e.lastUse})
+		snaps = append(snaps, snap{key: e.key, sess: e.sess, badRuns: e.badRuns.Load(), busy: e.refs > 0, lastUse: e.lastUse})
 	}
 	p.mu.Unlock()
 	now := time.Now()
@@ -259,6 +275,7 @@ func (p *Pool) Sessions() []SessionInfo {
 		}
 		if s.sess != nil {
 			st := s.sess.Stats()
+			st.Failures += int(s.badRuns)
 			info.Runs, info.Failures, info.Bytes, info.Reconnects = st.Runs, st.Failures, st.Bytes, st.Reconnects
 		}
 		out = append(out, info)

@@ -196,3 +196,36 @@ func TestPoolEvictionSparesHeldLease(t *testing.T) {
 		t.Fatalf("post-release Sweep evicted %d sessions, want 1", n)
 	}
 }
+
+// TestPoolSessionsDuringLazyOpen polls the pool snapshot while new keys
+// open their sessions: under the race detector, the snapshot's read of
+// an entry's session must be ordered with the lazy open's write of it.
+func TestPoolSessionsDuringLazyOpen(t *testing.T) {
+	const keys = 200
+	p := NewPool(PoolOptions{MaxSessions: keys})
+	defer p.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				p.Sessions()
+			}
+		}
+	}()
+	for i := range keys {
+		l, err := p.Acquire(simKey(1+i/20, 1+i%20))
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		l.Release()
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -2,6 +2,6 @@
 
 package daemon
 
-// requestAllocBudget is 5 % over the 173 allocations one request costs
+// requestAllocBudget is 5 % over the 109 allocations one request costs
 // (TestRequestAllocationBudget).
-const requestAllocBudget = 181
+const requestAllocBudget = 114

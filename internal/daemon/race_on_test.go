@@ -3,5 +3,5 @@
 package daemon
 
 // requestAllocBudget under the race detector, whose sync.Pool drops a
-// random quarter of what is put back: 5 % over the median of 220–224.
-const requestAllocBudget = 233
+// random quarter of what is put back: 5 % over the median of 156–160.
+const requestAllocBudget = 166

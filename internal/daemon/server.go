@@ -108,6 +108,10 @@ type Server struct {
 	latencies *latencyRing // recent server-side latencies
 	events    EventCounts  // cumulative, from traced runs
 
+	// verify checks a served run's bundles (Lease.verify); a test
+	// replaces it to plant a failed check.
+	verify func(*Lease, *BroadcastRequest, *stpbcast.Result) error
+
 	wg       sync.WaitGroup // in-flight broadcast requests
 	done     chan struct{}  // closed when a drain has fully completed
 	shutOnce sync.Once
@@ -126,6 +130,7 @@ func New(opts Options) *Server {
 		start:     time.Now(),
 		tenants:   make(map[string]*tenantState),
 		latencies: newLatencyRing(latencyWindow),
+		verify:    (*Lease).verify,
 		done:      make(chan struct{}),
 	}
 	s.pool = NewPool(s.opts.Pool)
@@ -305,10 +310,20 @@ func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		opts.Trace = rec
 	}
 	res, err := lease.Session().Run(req.config(), opts)
+	if err != nil {
+		s.recordOutcome(false, time.Since(start), nil)
+		writeError(w, http.StatusInternalServerError, key.String(), "broadcast failed: %v", err)
+		return
+	}
+	// Check what was served, then keep none of it: the session decodes
+	// the next run's bytes into this run's storage.
+	err = s.verify(lease, &req, res)
+	res.Release()
 	serverDur := time.Since(start)
 	if err != nil {
+		lease.e.badRuns.Add(1)
 		s.recordOutcome(false, serverDur, nil)
-		writeError(w, http.StatusInternalServerError, key.String(), "broadcast failed: %v", err)
+		writeError(w, http.StatusInternalServerError, key.String(), "bundle check failed: %v", err)
 		return
 	}
 	var ev *EventCounts
@@ -316,7 +331,7 @@ func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		ev = countEvents(rec)
 	}
 	s.recordOutcome(true, serverDur, ev)
-	st := lease.Session().Stats()
+	st := lease.stats()
 	writeJSON(w, http.StatusOK, BroadcastResponse{
 		Key:        key.String(),
 		Collective: req.Collective,

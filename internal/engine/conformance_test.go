@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/engine"
@@ -229,6 +230,16 @@ func (w *workers) Run(o engine.Options, fn func(*engine.Proc)) (*engine.Result, 
 // Reconnects counts the mesh rebuilds after failed runs.
 func (w *workers) Reconnects() int { return w.resets }
 
+// Epoch and Reclaim make the parts' runs ownable, as a cluster's are:
+// every part runs under the common epoch, and reclaims it.
+func (w *workers) Epoch() uint32 { return w.epoch }
+
+func (w *workers) Reclaim(epoch uint32) {
+	for _, m := range w.parts {
+		m.Reclaim(epoch)
+	}
+}
+
 func (w *workers) Close() error {
 	var errs []error
 	for _, m := range w.parts {
@@ -320,6 +331,78 @@ func ringRound(h *harness, p, tag int) func(*engine.Proc) {
 			h.Errorf("rank %d: got tag %d, payload %v, want %d", pr.Rank(), got.Tag, got.Parts[0].Data, tag)
 		}
 		pr.Barrier()
+	}
+}
+
+// owner is a machine that recycles what its runs receive (tcp.Machine
+// and so the sockets and workers columns): Epoch names the run just
+// returned, and Reclaim hands that run's received storage back for the
+// next run to decode into.
+type owner interface {
+	Epoch() uint32
+	Reclaim(epoch uint32)
+}
+
+// epochOf names the run m just returned, and release hands a run back as
+// Result.Release does: a no-op on a machine that recycles nothing.
+func epochOf(m machine) uint32 {
+	if own, ok := m.(owner); ok {
+		return own.Epoch()
+	}
+	return 0
+}
+
+func release(m machine, epoch uint32) {
+	if own, ok := m.(owner); ok {
+		own.Reclaim(epoch)
+	}
+}
+
+// ownP is the ownership rows' machine: rank r sends to r+2 mod 4, a pair
+// whose messages cross a socket on sockets and on workers, whose first
+// part holds ranks 0 and 1 only.
+const ownP = 4
+
+// ownedPart is the bytes of part i of what origin sends in run: the first
+// fits a reader's buffered window, the second is read into a buffer of
+// its own.
+func ownedPart(run, origin, i int) []byte {
+	return bytes.Repeat([]byte{byte(run*7 + origin*3 + i)}, []int{100, 5000}[i])
+}
+
+// exchange runs run's traffic on m and returns the parts each rank
+// received, with the run's epoch.
+func exchange(h *harness, m machine, run int) ([][]comm.Part, uint32) {
+	h.Helper()
+	got := make([][]comm.Part, ownP)
+	_, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, func(pr *engine.Proc) {
+		me := pr.Rank()
+		pr.Send((me+2)%ownP, comm.Message{Tag: run, Parts: []comm.Part{
+			{Origin: me, Data: ownedPart(run, me, 0)}, {Origin: me, Data: ownedPart(run, me, 1)},
+		}})
+		got[me] = pr.Recv((me + 2) % ownP).Parts
+	})
+	if err != nil {
+		h.Fatalf("run %d: %v", run, err)
+	}
+	return got, epochOf(m)
+}
+
+// intact fails unless got still holds exactly what run delivered.
+func intact(h *harness, got [][]comm.Part, run int) {
+	h.Helper()
+	for me, parts := range got {
+		src := (me + 2) % ownP
+		if len(parts) != 2 {
+			h.Errorf("run %d: rank %d holds %d parts, want 2", run, me, len(parts))
+			continue
+		}
+		for i, part := range parts {
+			if part.Origin != src || !bytes.Equal(part.Data, ownedPart(run, src, i)) {
+				h.Errorf("run %d: rank %d's part %d from %d changed after its run (origin %d, %d bytes, first %#02x)",
+					run, me, i, src, part.Origin, len(part.Data), part.Data[:min(1, len(part.Data))])
+			}
+		}
 	}
 }
 
@@ -942,6 +1025,111 @@ var scenarios = []struct {
 			_, err := m.Run(engine.Options{}, func(*engine.Proc) {})
 			h.failed(err, "Run on closed machine")
 		}
+	}},
+
+	// Received storage is the caller's until it releases the run: later
+	// runs — each released, so their own storage is recycled — never
+	// decode into a run nobody released. The first run is released only
+	// so that the machine recycles at all.
+	{"unreleased bundles survive later runs", func(h *harness) {
+		m := h.machine(ownP)
+		_, e := exchange(h, m, 0)
+		release(m, e)
+		kept, _ := exchange(h, m, 1)
+		for run := 2; run <= 4; run++ {
+			got, e := exchange(h, m, run)
+			intact(h, got, run)
+			release(m, e)
+		}
+		intact(h, kept, 1)
+	}},
+
+	// A released run's storage is where the next run's frames land, byte
+	// for byte: the same buffers, so a warm released run allocates almost
+	// nothing for what it receives.
+	{"released storage is reused", func(h *harness) {
+		m := h.machine(ownP)
+		if _, ok := m.(owner); !ok {
+			h.Skip("in-memory messages are handed over, not decoded into storage of the machine's")
+		}
+		_, e := exchange(h, m, 0)
+		release(m, e)
+		prev, e := exchange(h, m, 1)
+		release(m, e)
+		got, e := exchange(h, m, 2)
+		intact(h, got, 2)
+		for me, parts := range got {
+			for i, part := range parts {
+				if unsafe.SliceData(part.Data) != unsafe.SliceData(prev[me][i].Data) {
+					h.Errorf("rank %d's part %d was decoded into new storage, not the released run's", me, i)
+				}
+			}
+		}
+		release(m, e)
+
+		// The bytes a run allocates with and without releasing: the least
+		// of several rounds, so a collection during one does not count.
+		large := make([]byte, 64<<10)
+		body := func(pr *engine.Proc) {
+			pr.Send((pr.Rank()+2)%ownP, comm.Message{Parts: []comm.Part{{Origin: pr.Rank(), Data: large}}})
+			pr.Recv((pr.Rank() + 2) % ownP)
+		}
+		perRun := func(recycle bool) uint64 {
+			least := uint64(math.MaxUint64)
+			for range 5 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range 5 {
+					if _, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, body); err != nil {
+						h.Fatal(err)
+					}
+					if recycle {
+						release(m, epochOf(m))
+					}
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, (after.TotalAlloc-before.TotalAlloc)/5)
+			}
+			return least
+		}
+		kept, released := perRun(false), perRun(true)
+		h.Logf("%d bytes per run kept, %d released", kept, released)
+		if received := uint64(ownP * len(large)); kept < received || released > received/10 {
+			h.Errorf("%d bytes per run kept, %d released: want at least the %d received, and a tenth of that", kept, released, received)
+		}
+	}},
+
+	// Releasing twice is releasing once, and a release that comes after a
+	// later run has started is too late to take effect: neither may hand
+	// out storage a result still holds.
+	{"Release twice and after a later run", func(h *harness) {
+		m := h.machine(ownP)
+		_, e := exchange(h, m, 0)
+		release(m, e)
+		_, a := exchange(h, m, 1)
+		release(m, a)
+		release(m, a)
+		b, eb := exchange(h, m, 2)
+		release(m, a) // b started since: too late
+		c, ec := exchange(h, m, 3)
+		intact(h, b, 2)
+		intact(h, c, 3)
+		release(m, eb) // c started since: too late
+		d, _ := exchange(h, m, 4)
+		release(m, ec)
+		intact(h, b, 2)
+		intact(h, c, 3)
+		intact(h, d, 4)
+
+		// Too late even where nothing arrived since: after a run with no
+		// traffic, the readers still hold x's storage, and must keep it.
+		x, ex := exchange(h, m, 5)
+		if _, err := m.Run(engine.Options{}, func(*engine.Proc) {}); err != nil {
+			h.Fatal(err)
+		}
+		release(m, ex)
+		exchange(h, m, 6)
+		intact(h, x, 5)
 	}},
 
 	{"traced event sequence", func(h *harness) {

@@ -1,32 +1,42 @@
 package tcp
 
-// The buffer arena behind the frame hot path: sync.Pool-backed storage
-// for send-side frame scratch (frame headers, part headers, the small-
-// frame copy buffer and the writev gather list). The arena is
-// package-level and shared across runs and machines — a sync.Pool already
-// provides per-P caching and GC-driven draining.
+// The buffer arenas behind the frame hot path.
 //
-// Ownership discipline:
+// Send side: sync.Pool-backed storage for frame scratch (frame headers,
+// part headers, the small-frame copy buffer and the writev gather list).
+// It is package-level and shared across runs and machines — a sync.Pool
+// already provides per-P caching and GC-driven draining. A frameScratch
+// is only ever held across one writeFrameTo call under the
+// per-destination write lock, so nothing it references outlives the
+// write; putScratch drops payload references before the scratch
+// re-enters the pool.
 //
-//   - Send side: a frameScratch is only ever held across one writeFrameTo
-//     call under the per-destination write lock, so nothing it references
-//     outlives the write. putScratch drops payload references before the
-//     scratch re-enters the pool.
-//   - Receive side: nothing is pooled. A decoded frame's storage — one
-//     slab shared by the parts of a buffered window, or a buffer of its
-//     own for a part larger than the window (frameReader) — belongs to
-//     whoever holds the message: the inbox's comm.Queue until delivery,
-//     then the algorithm (result bundles keep it). Delivered buffers can
-//     never come back, so a receive-side pool would miss on every frame
-//     that matters; the few frames that are never delivered (stale-epoch
-//     drops, leftovers wiped between runs) are simply left to the GC.
-//     Parts of one frame may share a slab, capacity-clipped so an append
-//     through one cannot reach the next; a consumer that keeps one small
-//     part of a frame keeps at most readBufSize bytes alive with it.
+// Receive side: one runArena per connection end, owned by its reader
+// pump. A decoded frame's storage — one slab shared by the parts of a
+// buffered window, a buffer of its own for a part larger than the window,
+// and the frame's part array — belongs to whoever holds the message: the
+// inbox's comm.Queue until delivery, then the algorithm, whose result
+// bundles keep it. It comes back only when the caller says so:
+// Machine.Reclaim(epoch) (Result.Release in the facade, a cluster worker
+// once its checks pass) marks that run's storage free, and the arena,
+// which lists every buffer a run was given in allocation order, hands
+// the same buffers out again, in order, to the frames of the next run it
+// sees. A run nobody reclaims is forgotten instead: the arena clears its
+// list and the GC takes the buffers once their result is dropped. So a
+// session that releases every result retains one run's received bytes
+// per connection end between runs and allocates almost none per run; a
+// machine on which no run was ever reclaimed lists nothing and allocates
+// exactly what it did before arenas existed. Parts of one window share a
+// slab, capacity-clipped so an append through one cannot reach the next;
+// a consumer that keeps one small part of a frame keeps at most
+// readBufSize bytes alive with it.
 
 import (
 	"net"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/comm"
 )
 
 const (
@@ -63,4 +73,97 @@ func putScratch(sc *frameScratch) {
 	sc.bufs = sc.bufs[:0]
 	sc.vec = nil
 	scratchPool.Put(sc)
+}
+
+// runArena is one connection end's receive storage, in the order the
+// frames of its current run were given it (see the receive side above).
+// Only its reader pump touches it.
+type runArena struct {
+	// epoch is the run the listed buffers belong to.
+	epoch uint32
+	// list marks a machine on which some run was reclaimed: only then
+	// are a run's buffers listed. reuse marks that the listed buffers'
+	// run was reclaimed, so they are handed out again.
+	list, reuse bool
+	slabs       [][]byte      // payload storage: window slabs and own-buffer parts
+	arrays      [][]comm.Part // the frames' part arrays
+	ns, na      int           // cursors into slabs and arrays
+}
+
+// poison, when nonzero, overwrites every byte of a reclaimed run's
+// buffers before they are handed out again, so that a read past
+// Release meets it instead of plausible bytes. Only tests set it.
+var poison byte
+
+// begin starts the arena on the first frame of a newer run. reclaimed is
+// the machine's last Reclaim mark (1<<32 | epoch, 0 for none; nil for a
+// reader without a machine): when it names the run the listed buffers
+// belong to, they are handed out again; otherwise they are forgotten,
+// keeping the lists' backing arrays.
+func (a *runArena) begin(epoch uint32, reclaimed *atomic.Uint64) {
+	var mark uint64
+	if reclaimed != nil {
+		mark = reclaimed.Load()
+	}
+	a.list = mark != 0
+	a.reuse = a.list && uint32(mark) == a.epoch
+	a.epoch, a.ns, a.na = epoch, 0, 0
+	if a.reuse {
+		if poison != 0 {
+			for _, b := range a.slabs {
+				b = b[:cap(b)]
+				for i := range b {
+					b[i] = poison
+				}
+			}
+		}
+		return
+	}
+	clear(a.slabs)
+	a.slabs = a.slabs[:0]
+	clear(a.arrays)
+	a.arrays = a.arrays[:0]
+}
+
+// bytes returns n bytes of payload storage, capacity-clipped: the next
+// listed buffer when its run was reclaimed and it is large enough, a new
+// one otherwise.
+func (a *runArena) bytes(n int) []byte {
+	if a.reuse && a.ns < len(a.slabs) && cap(a.slabs[a.ns]) >= n {
+		a.ns++
+		return a.slabs[a.ns-1][:n:n]
+	}
+	b := make([]byte, n)
+	if a.list {
+		a.slabs = put(a.slabs, a.ns, b)
+		a.ns++
+	}
+	return b
+}
+
+// parts returns an empty part array for a frame of n parts: the next
+// listed array when its run was reclaimed and it holds n parts, a new
+// one otherwise, as large as n or maxEagerParts, whichever is smaller.
+// keepParts lists what the frame's parts ended up in.
+func (a *runArena) parts(n int) []comm.Part {
+	if a.reuse && a.na < len(a.arrays) && cap(a.arrays[a.na]) >= n {
+		return a.arrays[a.na][:0]
+	}
+	return make([]comm.Part, 0, min(n, maxEagerParts))
+}
+
+func (a *runArena) keepParts(p []comm.Part) {
+	if a.list {
+		a.arrays = put(a.arrays, a.na, p)
+		a.na++
+	}
+}
+
+// put stores v at list[i], appending when i is the list's length.
+func put[T any](list []T, i int, v T) []T {
+	if i < len(list) {
+		list[i] = v
+		return list
+	}
+	return append(list, v)
 }

@@ -1,0 +1,27 @@
+package tcp
+
+import (
+	"fmt"
+	"testing"
+)
+
+// poisonReclaimed turns the arenas' poison fill on for the rest of the
+// test: every byte of a reclaimed run's storage reads b until the next
+// run writes over it.
+func poisonReclaimed(t *testing.T, b byte) {
+	t.Helper()
+	poison = b
+	t.Cleanup(func() { poison = 0 })
+}
+
+// unpoisoned names the first poisoned byte of data: what a read of a
+// message whose run was reclaimed, and whose storage a later run
+// reused, finds there.
+func unpoisoned(data []byte) error {
+	for i, b := range data {
+		if poison != 0 && b == poison {
+			return fmt.Errorf("byte %d of %d is the poison fill %#02x: read after its run was reclaimed", i, len(data), b)
+		}
+	}
+	return nil
+}

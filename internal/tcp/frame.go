@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/comm"
 )
@@ -114,20 +115,26 @@ func writeFrameTo(w io.Writer, epoch uint32, m comm.Message, sc *frameScratch) e
 // reader pumps keep one per connection end; it reads through a
 // readBufSize buffer, so a small multi-part frame — which the writer put
 // on the wire with one Write — costs one read instead of one per header
-// and payload. Decoded storage is the consumer's from the start (see
-// arena.go): the parts that fit the buffered window share one slab, and
-// a part too large for the window is read straight from the socket into
-// a buffer of its own. Corrupt frames are attributed to both ends of the
-// link, honouring the contract that engine errors name the affected rank
-// and its peer. Storage grows only as bytes actually arrive, so a corrupt
+// and payload. Decoded storage is the consumer's until its run is
+// reclaimed, and comes from the reader's run arena (see arena.go): the
+// parts that fit the buffered window share one slab, and a part too
+// large for the window is read straight from the socket into a buffer of
+// its own. Corrupt frames are attributed to both ends of the link,
+// honouring the contract that engine errors name the affected rank and
+// its peer. Storage grows only as bytes actually arrive, so a corrupt
 // header claiming maxParts parts cannot force a huge allocation up front.
 type frameReader struct {
 	br       *bufio.Reader
 	src, dst int // sending peer's rank, receiving (local) rank
+	arena    runArena
+	// reclaimed is the machine's Reclaim mark (Machine.reclaimed), read
+	// when a frame of a newer run arrives; nil for a reader without a
+	// machine, whose runs are never reclaimed.
+	reclaimed *atomic.Uint64
 }
 
-func newFrameReader(r io.Reader, src, dst int) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, readBufSize), src: src, dst: dst}
+func newFrameReader(r io.Reader, src, dst int, reclaimed *atomic.Uint64) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, readBufSize), src: src, dst: dst, reclaimed: reclaimed}
 }
 
 func (fr *frameReader) read() (comm.Message, uint32, error) {
@@ -145,9 +152,13 @@ func (fr *frameReader) read() (comm.Message, uint32, error) {
 		return comm.Message{}, 0, fmt.Errorf("tcp: corrupt frame from rank %d at rank %d: %d parts", fr.src, fr.dst, nparts)
 	}
 	fr.br.Discard(frameHdrLen)
-	if nparts > 0 {
-		m.Parts = make([]comm.Part, 0, min(nparts, maxEagerParts))
+	if int32(epoch-fr.arena.epoch) > 0 {
+		fr.arena.begin(epoch, fr.reclaimed)
 	}
+	if nparts == 0 {
+		return m, epoch, nil
+	}
+	m.Parts = fr.arena.parts(nparts)
 	for len(m.Parts) < nparts {
 		if m.Parts, err = fr.readParts(m.Parts, nparts-len(m.Parts)); err != nil {
 			if err == io.EOF {
@@ -156,13 +167,15 @@ func (fr *frameReader) read() (comm.Message, uint32, error) {
 			return comm.Message{}, 0, err
 		}
 	}
+	fr.arena.keepParts(m.Parts)
 	return m, epoch, nil
 }
 
 // readParts appends the next run of at most want parts to parts: every
 // whole part (header and payload) the read buffer can hold at once is
 // copied out of one buffered window into one shared slab; when not even
-// the first fits, that part alone is read, into its own allocation.
+// the first fits, that part alone is read, into a buffer of its own.
+// Both come from the arena.
 func (fr *frameReader) readParts(parts []comm.Part, want int) ([]comm.Part, error) {
 	// Walk the part headers to size the window; Peek blocks until the
 	// bytes walked so far have arrived.
@@ -194,7 +207,7 @@ func (fr *frameReader) readParts(parts []comm.Part, want int) ([]comm.Part, erro
 			return nil, err
 		}
 		fr.br.Discard(partHdrLen)
-		data := make([]byte, n)
+		data := fr.arena.bytes(n)
 		if _, err := io.ReadFull(fr.br, data); err != nil {
 			return nil, err
 		}
@@ -204,7 +217,7 @@ func (fr *frameReader) readParts(parts []comm.Part, want int) ([]comm.Part, erro
 	if err != nil {
 		return nil, err
 	}
-	slab := make([]byte, payload)
+	slab := fr.arena.bytes(payload)
 	for ; k > 0; k-- {
 		origin := int(int32(binary.BigEndian.Uint32(b[0:])))
 		n := int(int32(binary.BigEndian.Uint32(b[4:])))

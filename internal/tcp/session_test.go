@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"strings"
@@ -201,5 +202,49 @@ func TestMachineReconnectsAfterMidRunConnectionKill(t *testing.T) {
 	}
 	if n := m.Reconnects(); n != 1 {
 		t.Fatalf("reconnects = %d, want 1", n)
+	}
+}
+
+// TestReadAfterReleaseFailsByName: a message whose run was reclaimed,
+// read after a later run reused its storage, meets the test build's
+// poison fill where the later run wrote nothing — a read past Release
+// fails by name instead of seeing plausible bytes — while a message of a
+// run nobody reclaimed keeps its bytes.
+func TestReadAfterReleaseFailsByName(t *testing.T) {
+	poisonReclaimed(t, 0xA5)
+	m, err := NewMachine(2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	send := func(n int, fill byte) []byte {
+		t.Helper()
+		var got []byte
+		if _, err := m.Run(Options{RecvTimeout: 5 * time.Second}, func(pr *Proc) {
+			if pr.Rank() == 0 {
+				pr.Send(1, comm.Message{Parts: []comm.Part{{Data: bytes.Repeat([]byte{fill}, n)}}})
+			} else {
+				got = pr.Recv(0).Parts[0].Data
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	send(1000, 1)
+	m.Reclaim(m.Epoch()) // the machine recycles from here on
+
+	kept := send(1000, 2)
+	send(10, 3) // kept's run was not reclaimed: its storage is not reused
+	if err := unpoisoned(kept); err != nil || !bytes.Equal(kept, bytes.Repeat([]byte{2}, 1000)) {
+		t.Fatalf("a message of a run nobody reclaimed changed: %v", err)
+	}
+
+	released := send(1000, 4)
+	m.Reclaim(m.Epoch())
+	send(10, 5) // decoded into released's storage
+	err = unpoisoned(released)
+	if err == nil || !strings.Contains(err.Error(), "byte 10 of 1000 is the poison fill 0xa5") {
+		t.Fatalf("read after Reclaim: %v, want the poison fill named at byte 10", err)
 	}
 }

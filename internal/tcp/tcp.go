@@ -33,6 +33,12 @@
 // session planned with the empty list therefore holds exactly the pairs
 // its runs have used, dialed once each.
 //
+// A run's received bytes are the caller's until it reclaims them:
+// Reclaim(epoch) lets the reader pumps decode the next run's frames into
+// the storage of that run instead of fresh buffers (arena.go), so a
+// session that hands every run back allocates almost nothing for the
+// bytes it receives, and one that never does allocates them afresh.
+//
 // Run isolation is by epoch: every frame carries the epoch of the run
 // that sent it, the reader pumps discard older epochs (and frames
 // between runs) and hold newer ones until their run arms, and the core
@@ -275,6 +281,10 @@ type Machine struct {
 	// only frames stamped with both.
 	epoch atomic.Uint32
 	next  atomic.Uint32
+	// reclaimed is Reclaim's mark, 1<<32 | the epoch of the last run
+	// handed back (0 until one is): the reader pumps read it on the
+	// first frame of each newer run to reuse that run's storage.
+	reclaimed atomic.Uint64
 }
 
 // transport is the machine as the core sees it (engine.Transport).
@@ -487,6 +497,28 @@ func (m *Machine) ConnsOpened() int { return int(m.connsOpened.Load()) }
 // Options.Links and the leader links that cross its range — its own
 // ranks exchange through memory.
 func (m *Machine) PlannedPairs() int { return len(m.pairs) }
+
+// Epoch returns the epoch of the last run the machine armed: right after
+// Run returns, the run it ran, which is what Reclaim names.
+func (m *Machine) Epoch() uint32 { return m.epoch.Load() }
+
+// Reclaim hands the storage the run of epoch received into back to the
+// machine: the reader pumps decode the next run's frames into the same
+// buffers, in the order that run was given them, so the caller must not
+// read that run's messages, or any slice of them, after the call. It
+// takes effect only while epoch is the last run armed; once a later run
+// has armed it is a no-op, and the storage stays the caller's, for the
+// GC. Calling it twice is harmless, and so is calling it from any
+// goroutine.
+func (m *Machine) Reclaim(epoch uint32) {
+	// Begin arms a run under connMu, so the mark lands either before the
+	// next run arms or not at all.
+	m.connMu.Lock()
+	defer m.connMu.Unlock()
+	if m.epoch.Load() == epoch {
+		m.reclaimed.Store(1<<32 | uint64(epoch))
+	}
+}
 
 // Close tears the machine down. It is idempotent; a run must not be in
 // flight.

@@ -310,6 +310,12 @@ func (s *Session) Close() (SessionStats, error) {
 // freely between runs (algorithm, distribution, message sizes) as long
 // as it targets the session's machine.
 //
+// The result's bundles are the caller's: no later run touches them until
+// the caller calls Result.Release, after which it must not read them.
+// A caller done with a result releases it, so the session decodes the
+// next run's bytes into the same storage; one that keeps results, or
+// never releases, gets fresh storage every run.
+//
 // Run is safe for concurrent use: a session executes one run at a time,
 // and concurrent callers queue. Stats may be read concurrently without
 // waiting for the queue to drain.
@@ -391,13 +397,37 @@ type Result struct {
 	// a Reduce leaves non-root ranks with an empty map. The bytes are
 	// read-only: ranks that exchanged a message in memory share it
 	// uncopied, so one slice may sit in several ranks' maps and may be
-	// the very buffer RunOptions.Payload returned.
+	// the very buffer RunOptions.Payload returned. They stay valid until
+	// Release, or for as long as the Result is held if it never is.
 	Bundles []map[int][]byte
 	// Faults lists the faults injected during the run, when
 	// RunOptions.Faults was set.
 	Faults []FaultEvent
 	// Trace echoes RunOptions.Trace when tracing was requested.
 	Trace *TraceRecorder
+
+	// tcpM and epoch name the TCP run whose received storage Release
+	// hands back (nil tcpM: nothing to hand back).
+	tcpM  *tcp.Machine
+	epoch uint32
+}
+
+// Release hands the bytes the run received back to its session, which
+// decodes a later run's frames into them: after Release the caller must
+// not read Bundles, nor any slice taken from them. Under EngineTCP a
+// session whose results are released reuses that storage run after run,
+// so a warm run allocates almost nothing for the bytes it receives, and
+// between runs the session retains one run's received bytes per
+// connection end. A result never released keeps its bytes for as long
+// as it is held, and the GC reclaims them after, as if Release did not
+// exist. Release is a no-op when called twice, once a later Run on the
+// session has started (the bytes then stay the caller's), and for
+// results of EngineSim, EngineLive and cluster sessions, whose storage
+// is not recycled.
+func (r *Result) Release() {
+	if r.tcpM != nil {
+		r.tcpM.Reclaim(r.epoch)
+	}
 }
 
 // checkAlgorithmCollective rejects an algorithm whose collective tag
@@ -513,7 +543,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		bundles[rank] = got
 	}
 
-	var elapsed time.Duration
+	res := &Result{Bundles: bundles, Trace: opts.Trace}
 	var sent int64
 	switch s.engine {
 	case EngineLive:
@@ -526,7 +556,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		elapsed = r.Elapsed
+		res.Elapsed = r.Elapsed
 		for i := range r.Procs {
 			sent += r.Procs[i].SendBytes
 		}
@@ -543,14 +573,13 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		elapsed = r.Elapsed
+		res.Elapsed, res.tcpM, res.epoch = r.Elapsed, s.tcpM, s.tcpM.Epoch()
 		for i := range r.Procs {
 			sent += r.Procs[i].SendBytes
 		}
 	default:
 		return nil, 0, fmt.Errorf("stpbcast: unknown engine %v", s.engine)
 	}
-	res := &Result{Elapsed: elapsed, Bundles: bundles, Trace: opts.Trace}
 	if inj != nil {
 		res.Faults = inj.Events()
 	}

@@ -1,6 +1,7 @@
 package stpbcast_test
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	stpbcast "repro"
 )
@@ -95,6 +97,86 @@ func TestSessionIsolationRealEngines(t *testing.T) {
 			}
 			if stats.Bytes <= 0 {
 				t.Fatalf("stats counted no payload bytes: %+v", stats)
+			}
+		})
+	}
+}
+
+// TestResultRelease: a result's bundles are the caller's until Release.
+// On every engine a result kept while later runs go on keeps its bytes,
+// and releasing twice, or once a later run has started, hands out
+// nothing a result still holds. On TCP the next run receives into a
+// released result's storage — every part that came over a socket lands
+// where the released one's did — and elsewhere Release does nothing.
+func TestResultRelease(t *testing.T) {
+	for _, engine := range []stpbcast.Engine{stpbcast.EngineSim, stpbcast.EngineLive, stpbcast.EngineTCP} {
+		t.Run(engine.String(), func(t *testing.T) {
+			m := stpbcast.NewParagon(4, 4)
+			s, err := stpbcast.Open(m, engine, stpbcast.SessionOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			fill := func(i, origin int) []byte { return bytes.Repeat([]byte{byte(16*i + origin)}, sessionCfg.MsgBytes) }
+			run := func(i int) *stpbcast.Result {
+				t.Helper()
+				res, err := s.Run(sessionCfg, stpbcast.RunOptions{
+					Payload:     func(rank int) []byte { return fill(i, rank) },
+					RecvTimeout: 10 * time.Second,
+				})
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				return res
+			}
+			holds := func(res *stpbcast.Result, i int) {
+				t.Helper()
+				if engine == stpbcast.EngineSim {
+					if res.Bundles != nil {
+						t.Fatalf("run %d: a simulated run returned bundles", i)
+					}
+					return
+				}
+				for rank, bundle := range res.Bundles {
+					if len(bundle) != sessionCfg.Sources {
+						t.Fatalf("run %d: rank %d holds %d parts, want %d", i, rank, len(bundle), sessionCfg.Sources)
+					}
+					for origin, data := range bundle {
+						if !bytes.Equal(data, fill(i, origin)) {
+							t.Fatalf("run %d: rank %d's part from %d changed after its run", i, rank, origin)
+						}
+					}
+				}
+			}
+			run(0).Release()
+			a := run(1)
+			a.Release()
+			a.Release()
+			b := run(2)
+			a.Release() // b started since: too late to matter
+			c := run(3)
+			b.Release() // c started since: too late
+			d := run(4)
+			holds(b, 2)
+			holds(c, 3)
+			holds(d, 4)
+
+			d.Release()
+			e := run(5)
+			holds(e, 5)
+			reused, want := 0, 0
+			for rank, bundle := range e.Bundles {
+				for origin, data := range bundle {
+					if unsafe.SliceData(data) == unsafe.SliceData(d.Bundles[rank][origin]) {
+						reused++
+					}
+				}
+			}
+			if engine == stpbcast.EngineTCP {
+				want = m.P()*sessionCfg.Sources - sessionCfg.Sources // all but the sources' own parts
+			}
+			if reused != want {
+				t.Errorf("%d parts received into the released run's storage, want %d", reused, want)
 			}
 		})
 	}
@@ -750,7 +832,10 @@ const sessionTCPLargeByteBudget = 16_500_000
 // its session_tcp_small and session_tcp_large workloads — and, at 256 KiB,
 // the bytes too: there every source's message is received into fresh
 // buffers on 15 ranks, so a second copy per part shows up here first. The
-// least of several rounds, so a collection during one does not count.
+// released row runs the large one but releases each result, so its runs
+// receive into the storage of the run before: its byte budget is what is
+// left once the received bytes are recycled. The least of several
+// rounds, so a collection during one does not count.
 func TestSessionTCPAllocationBudget(t *testing.T) {
 	m := stpbcast.NewParagon(4, 4)
 	s, err := stpbcast.Open(m, stpbcast.EngineTCP, stpbcast.SessionOptions{})
@@ -761,10 +846,12 @@ func TestSessionTCPAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		l, n          int     // message length, runs per round
+		release       bool    // release each result
 		allocs, bytes float64 // budgets per run; 0 bytes: not gated
 	}{
-		{"session_tcp_small", 1 << 10, 50, sessionTCPSmallAllocBudget, 0},
-		{"session_tcp_large", 256 << 10, 10, sessionTCPLargeAllocBudget, sessionTCPLargeByteBudget},
+		{"session_tcp_small", 1 << 10, 50, false, sessionTCPSmallAllocBudget, 0},
+		{"session_tcp_large", 256 << 10, 10, false, sessionTCPLargeAllocBudget, sessionTCPLargeByteBudget},
+		{"session_tcp_large/released", 256 << 10, 10, true, sessionTCPReleasedAllocBudget, sessionTCPReleasedByteBudget},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			payload := make([]byte, tc.l)
@@ -774,8 +861,12 @@ func TestSessionTCPAllocationBudget(t *testing.T) {
 			cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 4, MsgBytes: tc.l}
 			opts := stpbcast.RunOptions{Payload: func(int) []byte { return payload }, RecvTimeout: time.Minute}
 			run := func() {
-				if _, err := s.Run(cfg, opts); err != nil {
+				res, err := s.Run(cfg, opts)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if tc.release {
+					res.Release()
 				}
 			}
 			allocs, bytes := math.Inf(1), math.Inf(1)
