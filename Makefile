@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos fuzz-seeds loc bench-all bench-pair smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api report ci
+.PHONY: all fmt vet build test race chaos fuzz-seeds loc allocs bench-all bench-pair smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api report ci
 
 all: ci
 
@@ -67,6 +67,16 @@ loc:
 	@find internal/core internal/comm internal/sim -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
 	@printf 'of which internal/sim:                '
 	@find internal/sim -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1
+
+# The counted allocation gates' counts: every *AllocationBudget test run
+# verbose, and only the lines where each logs what it measured ("N
+# allocations per …"). Counts, unlike times, are the same on any host,
+# so a change quotes them from here; the gates themselves fail in
+# `go test ./...`. CI prints them; the target fails only if a test does.
+allocs:
+	@out="$$($(GO) test -count=1 -run 'AllocationBudget' -v ./... 2>&1)"; status=$$?; \
+		printf '%s\n' "$$out" | grep -E '[0-9] allocations(,| per )' | sed 's/^ *//'; \
+		if [ $$status -ne 0 ]; then printf '%s\n' "$$out" | grep -E '^(--- FAIL|FAIL)'; fi; exit $$status
 
 # Sparse-mesh scale smoke: one real-byte broadcast over a route-planned
 # p=64 mesh — the quick proof that the sparse TCP path works at a scale
@@ -136,4 +146,4 @@ report:
 
 # The workflow (.github/workflows/ci.yml) runs these targets, one step
 # each, in this order.
-ci: fmt vet build race chaos fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape loc
+ci: fmt vet build race chaos fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape loc allocs

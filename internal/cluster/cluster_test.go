@@ -668,7 +668,8 @@ func socketAt(t *testing.T, local netip.AddrPort) (int, netip.AddrPort) {
 // allocates across the coordinator and its two in-process workers:
 // control messages, payloads, bundle checks and the engine run itself.
 // The least of several measurements, so a GC or a first-of-its-size
-// buffer growth does not count.
+// buffer growth does not count: 12 allocations today, the workers'
+// part arrays and received bytes recycled once their checks pass.
 func TestClusterRunAllocationBudget(t *testing.T) {
 	const rows, cols, s, msgLen = 4, 4, 2, 1024
 	routes, sources := testRoutes(t, rows, cols, s, msgLen)

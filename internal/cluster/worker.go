@@ -149,8 +149,8 @@ func (w *worker) run(rs *RunSpec) *doneMsg {
 // starts the run at once — peers that started first may already be
 // sending, and the engine holds their frames until this machine arms
 // the run's epoch — and verifies every local bundle, then hands the
-// run's received storage back to the machine. A run the worker
-// cannot execute leaves no peer waiting on it: the engine closes a
+// run's part arrays and received bytes back to the machine. A run the
+// worker cannot execute leaves no peer waiting on it: the engine closes a
 // broken mesh's connections when it refuses the run or fails its
 // pre-run dials, and a spec the worker cannot build (the coordinator
 // validated it, so only a worker of another build gets here) resets the
@@ -181,7 +181,7 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 		// Every rank derives its own payload and the expected result from
 		// the run spec alone.
 		rank := pr.Rank()
-		mine := core.InitialFor(coll, spec, rank, func(r int) []byte { return coll.Payload(spec.P(), r, rs.MsgBytes) })
+		mine := core.InitialOn(pr, coll, spec, func(r int) []byte { return coll.Payload(spec.P(), r, rs.MsgBytes) })
 		out := bound.Run(pr, spec, mine)
 		bundleErrs[rank-w.lo] = coll.Check(spec, func(int) int { return rs.MsgBytes }, rank, out)
 	})
@@ -193,9 +193,11 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 			return nil, fmt.Errorf("cluster: bundle check: %w", err)
 		}
 	}
-	// Checked, the bundles are dropped: the next run's frames land in
-	// their storage. The coordinator sends that run only after every
-	// worker's done, so no peer can send one of its frames before this.
+	// Checked, the bundles are dropped: the next run's ranks and frames
+	// get their part arrays, and its frames land in their bytes. The
+	// coordinator sends that run only after every worker's done, so no
+	// peer can send one of its frames before this.
+	w.m.Recycle()
 	w.m.Reclaim(w.m.Epoch())
 	return res, nil
 }

@@ -58,18 +58,6 @@ func (m Message) Append(other Message) Message {
 	return m
 }
 
-// Grow returns m with its parts moved to a backing array of its own with
-// room for n parts in total. Call it once, before the first Append, with
-// the bundle's final part count: the merges then neither regrow the array
-// step by step nor append in place to one another processor can see (a
-// message sent uncopied shares its sender's array).
-func (m Message) Grow(n int) Message {
-	parts := make([]Part, len(m.Parts), max(n, len(m.Parts)))
-	copy(parts, m.Parts)
-	m.Parts = parts
-	return m
-}
-
 // String summarizes the message for traces and test failures.
 func (m Message) String() string {
 	return fmt.Sprintf("msg{tag=%d parts=%d bytes=%d}", m.Tag, len(m.Parts), m.Len())
@@ -163,7 +151,7 @@ const ReducedOrigin = -1
 // long as the longest part, which is how the simulator prices a reduced
 // bundle. No parts fold to none — the identity contribution of a rank
 // without one.
-func fold(tag int, a, b []Part) Message {
+func (x *executor) fold(tag int, a, b []Part) Message {
 	if len(a)+len(b) == 0 {
 		return Message{Tag: tag}
 	}
@@ -185,7 +173,7 @@ func fold(tag int, a, b []Part) Message {
 			addBytes(sum, p.Data)
 		}
 	}
-	return Message{Tag: tag, Parts: []Part{{Origin: ReducedOrigin, Data: sum}}}
+	return Message{Tag: tag, Parts: append(x.array(1), Part{Origin: ReducedOrigin, Data: sum})}
 }
 
 // addBytes adds src into dst byte-wise mod 256 (len(dst) ≥ len(src)),

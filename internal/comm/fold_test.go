@@ -7,7 +7,7 @@ import (
 )
 
 // fold1 is the fold of one message's parts.
-func fold1(m Message) Message { return fold(m.Tag, m.Parts, nil) }
+func fold1(m Message) Message { return new(executor).fold(m.Tag, m.Parts, nil) }
 
 // TestFold pins the fold semantics: byte-wise sum mod 256 as long as the
 // longest part, empty in empty out, and a lone part that is a fold
@@ -24,7 +24,7 @@ func TestFold(t *testing.T) {
 	if empty := fold1(Message{}); len(empty.Parts) != 0 {
 		t.Fatalf("fold of nothing = %+v", empty.Parts)
 	}
-	if again := fold(7, nil, got.Parts); again.Tag != 7 || !reflect.DeepEqual(again.Parts, got.Parts) {
+	if again := new(executor).fold(7, nil, got.Parts); again.Tag != 7 || !reflect.DeepEqual(again.Parts, got.Parts) {
 		t.Fatalf("fold of a fold = %+v", again)
 	}
 }

@@ -54,7 +54,10 @@ const (
 	// OpSwap exchanges registers 0 and Reg.
 	OpSwap
 	// OpGrow moves register Reg to an array of its own with room for Arg
-	// parts (Message.Grow). It costs memory, not simulated time.
+	// parts, the bundle's final size: the merges then neither regrow the
+	// array step by step nor append in place to one another processor can
+	// see (a message sent uncopied shares its sender's array). It costs
+	// memory, not simulated time.
 	OpGrow
 	// OpBarrier enters the machine-wide barrier.
 	OpBarrier
@@ -275,7 +278,7 @@ func (b *Builder) Fold(peer, reg int) { b.emit(b.on(OpFold, peer, reg)) }
 func (b *Builder) Combine(reg int) { b.emit(Op{Kind: OpCombine, reg: int16(reg)}) }
 
 // Grow gives register reg an array of its own with room for n parts, the
-// bundle's final size (see Message.Grow).
+// bundle's final size (see OpGrow).
 func (b *Builder) Grow(reg, n int) { b.emit(Op{Kind: OpGrow, reg: int16(reg), arg: int32(n)}) }
 
 // SendParts sends peer the parts of register reg that s selects.
@@ -437,8 +440,9 @@ func (pg *Program) Run(c Comm, mine Message) Message {
 // (sim.Replay) is the other reader of an Op; it tracks lengths where this
 // moves bundles.
 type executor struct {
-	c     Comm
-	share SharedSender // c, when the engine can skip its send copy
+	c      Comm
+	share  SharedSender // c, when the engine can skip its send copy
+	arrays ArraySource  // c, when the engine gives its ranks run-scoped part storage
 	// Register 0, and the others if there are any: the common one-register
 	// program costs its ranks no register file.
 	r0   Message
@@ -450,6 +454,7 @@ type executor struct {
 func newExecutor(c Comm, regs int, mine Message, pg *Program) executor {
 	x := executor{c: c, r0: mine, tag: mine.Tag, pg: pg}
 	x.share, _ = c.(SharedSender)
+	x.arrays, _ = c.(ArraySource)
 	if regs > 1 {
 		x.more = make([]Message, regs-1)
 	}
@@ -492,7 +497,7 @@ func (x *executor) do(op Op) {
 		if op.Peer() >= 0 {
 			m = x.c.Recv(op.Peer())
 		}
-		*reg = fold(reg.Tag, reg.Parts, m.Parts)
+		*reg = x.fold(reg.Tag, reg.Parts, m.Parts)
 	case OpSendParts:
 		s, peer := x.pg.Selection(op)
 		x.send(peer, x.pick(op.Reg(), s))
@@ -508,7 +513,7 @@ func (x *executor) do(op Op) {
 		x.r0, *reg = *reg, x.r0
 	case OpGrow:
 		reg := x.reg(op.Reg())
-		*reg = reg.Grow(op.Arg())
+		*reg = x.grow(*reg, op.Arg())
 	case OpBarrier:
 		x.c.Barrier()
 	case OpIter:
@@ -525,9 +530,26 @@ func (x *executor) do(op Op) {
 func (x *executor) token(peer, tag, bytes int) {
 	m := Message{Tag: tag}
 	if bytes > 0 {
-		m.Parts = []Part{{Origin: x.c.Rank(), Data: make([]byte, bytes)}}
+		m.Parts = append(x.array(1), Part{Origin: x.c.Rank(), Data: make([]byte, bytes)})
 	}
 	x.send(peer, m)
+}
+
+// array returns an empty part array with room for n parts: from the
+// engine's run-scoped storage when it offers that, from the heap
+// otherwise.
+func (x *executor) array(n int) []Part {
+	if x.arrays != nil {
+		return x.arrays.PartArray(n)
+	}
+	return make([]Part, 0, n)
+}
+
+// grow returns m with its parts moved to an array of its own with room
+// for n parts in total (OpGrow).
+func (x *executor) grow(m Message, n int) Message {
+	m.Parts = append(x.array(max(n, len(m.Parts))), m.Parts...)
+	return m
 }
 
 // send sends m to peer without a copy when the engine offers that: no
@@ -552,7 +574,7 @@ func (x *executor) pick(reg int, s Sel) Message {
 	if end := s.Off + s.Count; s.contiguous(n) {
 		return Message{Tag: m.Tag, Parts: m.Parts[s.Off:end:end]}
 	}
-	parts := make([]Part, s.Count)
+	parts := x.array(s.Count)[:s.Count]
 	for i := range parts {
 		parts[i] = m.Parts[s.Index(i, n)]
 	}
@@ -580,7 +602,7 @@ func (x *executor) result() Message {
 	for _, r := range x.more {
 		n += len(r.Parts)
 	}
-	out := Message{Tag: x.tag}.Grow(n).Append(x.r0)
+	out := x.grow(Message{Tag: x.tag}, n).Append(x.r0)
 	for _, r := range x.more {
 		out = out.Append(r)
 	}

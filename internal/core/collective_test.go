@@ -284,6 +284,12 @@ func TestCheck(t *testing.T) {
 					t.Errorf("%s: Check = %v, want an error naming %q (and a byte: %v)", tc.name, err, want, tc.bytes)
 				}
 			}
+			// A part read through an array its run's consumer marked dead
+			// is the recycled fill, and Check says so.
+			stale := append(slices.Clone(out[rank].Parts), comm.Part{Origin: comm.RecycledOrigin})
+			if err := coll.Check(spec, sizes, rank, comm.Message{Parts: stale}); err == nil || !strings.Contains(err.Error(), "recycled array") {
+				t.Errorf("recycled part: Check = %v, want an error naming the recycled array", err)
+			}
 		})
 	}
 }

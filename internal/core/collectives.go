@@ -137,21 +137,38 @@ func chunk(data []byte, d, p int) []byte {
 // d, each with the rank as its Origin. With Payload as payload, Check
 // verifies what the run leaves.
 func InitialFor(coll Collective, spec Spec, rank int, payload func(rank int) []byte) comm.Message {
+	return initial(coll, spec, rank, payload, nil)
+}
+
+// InitialOn is InitialFor for the rank c is, its part array taken from
+// c's run-scoped storage when the engine offers that (comm.ArraySource).
+func InitialOn(c comm.Comm, coll Collective, spec Spec, payload func(rank int) []byte) comm.Message {
+	arrays, _ := c.(comm.ArraySource)
+	return initial(coll, spec, c.Rank(), payload, arrays)
+}
+
+func initial(coll Collective, spec Spec, rank int, payload func(rank int) []byte, arrays comm.ArraySource) comm.Message {
 	p := spec.P()
+	array := func(n int) []comm.Part {
+		if arrays != nil {
+			return arrays.PartArray(n)[:n]
+		}
+		return make([]comm.Part, n)
+	}
 	switch coll {
 	case Scatter:
 		if rank != spec.Sources[0] {
 			return comm.Message{}
 		}
 		data := payload(rank)
-		parts := make([]comm.Part, p)
+		parts := array(p)
 		for d := 0; d < p; d++ {
 			parts[d] = comm.Part{Origin: d, Data: chunk(data, d, p)}
 		}
 		return comm.Message{Parts: parts}
 	case AllToAll:
 		data := payload(rank)
-		parts := make([]comm.Part, p)
+		parts := array(p)
 		for d := 0; d < p; d++ {
 			parts[d] = comm.Part{Origin: rank, Data: chunk(data, d, p)}
 		}
@@ -160,7 +177,9 @@ func InitialFor(coll Collective, spec Spec, rank int, payload func(rank int) []b
 		if !spec.IsSource(rank) {
 			return comm.Message{}
 		}
-		return comm.Message{Parts: []comm.Part{{Origin: rank, Data: payload(rank)}}}
+		parts := array(1)
+		parts[0] = comm.Part{Origin: rank, Data: payload(rank)}
+		return comm.Message{Parts: parts}
 	}
 }
 
@@ -216,6 +235,9 @@ func (c Collective) Check(spec Spec, sizes func(rank int) int, rank int, bundle 
 	got := append(stack[:0], bundle.Parts...)
 	slices.SortFunc(got, func(a, b comm.Part) int { return a.Origin - b.Origin })
 	n := c.parts(spec, rank)
+	if len(got) > 0 && got[0].Origin == comm.RecycledOrigin {
+		return fmt.Errorf("%s: rank %d holds a part of a recycled array: read after its run's arrays were marked dead", c, rank)
+	}
 	for i := 0; i < max(n, len(got)); i++ {
 		origin, size, fill := 0, 0, byte(0)
 		if i < n {

@@ -119,6 +119,9 @@ type Algorithm interface {
 	// Name is the paper's name for the algorithm ("Br_Lin", ...).
 	Name() string
 	// Run performs the broadcast. All processors of the communicator
-	// must call Run with the same spec.
+	// must call Run with the same spec. The part arrays of mine, of the
+	// messages c delivers and of the result are the run's: an engine may
+	// hand them to its next run once the run's bundles are copied out,
+	// so what outlives the run is bytes, not arrays.
 	Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message
 }

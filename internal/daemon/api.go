@@ -27,6 +27,7 @@ import (
 	"time"
 
 	stpbcast "repro"
+	"repro/internal/machine"
 )
 
 // Key identifies one warm session in the pool: requests that agree on
@@ -133,7 +134,7 @@ func (r *BroadcastRequest) normalize() string {
 	if r.Rows < 1 || r.Cols < 1 {
 		return fmt.Sprintf("rows and cols must be positive, got %dx%d", r.Rows, r.Cols)
 	}
-	if _, err := stpbcast.NewMachineByName(r.Topology, r.Rows, r.Cols); err != nil {
+	if err := machine.CheckByName(r.Topology, r.Rows, r.Cols); err != nil {
 		return err.Error()
 	}
 	coll, err := stpbcast.ParseCollective(r.Collective)

@@ -18,28 +18,45 @@ func (l *Lease) verify(req *BroadcastRequest, res *stpbcast.Result) error {
 	if res.Bundles == nil {
 		return nil
 	}
-	spec, err := specOf(l.e.m, req)
+	spec, err := l.e.specOf(req)
 	if err != nil {
 		return err
 	}
 	return checkBundles(core.Collective(req.Collective), spec, req.MsgBytes, res.Bundles)
 }
 
-// specOf is the instance a normalized request runs on m: the sources
-// its distribution places, every rank for the collectives that take
-// none (what Config gives the session for the same fields).
-func specOf(m *stpbcast.Machine, req *BroadcastRequest) (core.Spec, error) {
+// specKey is what of a normalized request decides its instance on a
+// pooled machine.
+type specKey struct {
+	coll, dist string
+	sources    int
+}
+
+// specOf is the instance a normalized request runs on the entry's
+// machine: the sources its distribution places, every rank for the
+// collectives that take none (what Config gives the session for the
+// same fields). The entry keeps the last one it resolved, for the next
+// request that asks for the same; the lease's lock guards it.
+func (e *entry) specOf(req *BroadcastRequest) (core.Spec, error) {
+	key := specKey{req.Collective, req.Distribution, req.Sources}
+	if e.spec.Sources != nil && e.specFor == key {
+		return e.spec, nil
+	}
+	m := e.m
 	spec := core.Spec{Rows: m.Rows, Cols: m.Cols}
 	if !core.Collective(req.Collective).Caps().TakesSources {
 		spec.Sources = core.AllRanksSources(m.P())
-		return spec, nil
+	} else {
+		d, err := stpbcast.DistributionByName(req.Distribution)
+		if err != nil {
+			return core.Spec{}, err
+		}
+		if spec.Sources, err = d.Sources(m.Rows, m.Cols, req.Sources); err != nil {
+			return core.Spec{}, err
+		}
 	}
-	d, err := stpbcast.DistributionByName(req.Distribution)
-	if err != nil {
-		return core.Spec{}, err
-	}
-	spec.Sources, err = d.Sources(m.Rows, m.Cols, req.Sources)
-	return spec, err
+	e.spec, e.specFor = spec, key
+	return spec, nil
 }
 
 // checkBundles verifies every rank's bundle against coll's

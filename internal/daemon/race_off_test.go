@@ -2,6 +2,6 @@
 
 package daemon
 
-// requestAllocBudget is 5 % over the 109 allocations one request costs
-// (TestRequestAllocationBudget).
-const requestAllocBudget = 114
+// requestAllocBudget is 5 % over the 45 allocations one request costs
+// (TestRequestAllocationBudget), rounded up.
+const requestAllocBudget = 48

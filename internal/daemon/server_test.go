@@ -520,7 +520,8 @@ func TestMethodChecks(t *testing.T) {
 // recorder, serving a warm p=16 TCP Br_Lin E(4) 1 KiB broadcast. The
 // recorder and request it is called with are counted too; net/http's
 // per-connection work is not. The least of several rounds, so a
-// collection during one does not count.
+// collection during one does not count: 45 allocations today, the
+// result's bundle maps, received bytes and part arrays all recycled.
 func TestRequestAllocationBudget(t *testing.T) {
 	srv := New(Options{})
 	defer srv.Close()

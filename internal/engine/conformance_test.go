@@ -240,6 +240,14 @@ func (w *workers) Reclaim(epoch uint32) {
 	}
 }
 
+// Recycle marks the last run's part arrays dead on every part, as a
+// cluster's workers each do once their checks pass.
+func (w *workers) Recycle() {
+	for _, m := range w.parts {
+		m.Recycle()
+	}
+}
+
 func (w *workers) Close() error {
 	var errs []error
 	for _, m := range w.parts {
@@ -1130,6 +1138,49 @@ var scenarios = []struct {
 		release(m, ex)
 		exchange(h, m, 6)
 		intact(h, x, 5)
+	}},
+
+	// A run's part arrays are handed to the next run once its consumer
+	// marks them dead (Recycle), the ranks' own and the ones frames were
+	// decoded into alike; a run nobody marked keeps them. The first mark
+	// only makes the machine list its arrays, so the run after the second
+	// is the first to reuse any.
+	{"recycled part arrays are reused, unmarked ones kept", func(h *harness) {
+		m := h.machine(ownP)
+		rec := m.(interface{ Recycle() })
+		round := func(run int) (own, got [][]comm.Part) {
+			h.Helper()
+			own, got = make([][]comm.Part, ownP), make([][]comm.Part, ownP)
+			_, err := m.Run(engine.Options{RecvTimeout: 5 * time.Second}, func(pr *engine.Proc) {
+				me := pr.Rank()
+				a := append(pr.PartArray(3), comm.Part{Origin: me, Data: ownedPart(run, me, 0)}, comm.Part{Origin: me, Data: ownedPart(run, me, 1)})
+				pr.SendShared((me+2)%ownP, comm.Message{Tag: run, Parts: a})
+				own[me], got[me] = a, pr.Recv((me+2)%ownP).Parts
+			})
+			if err != nil {
+				h.Fatalf("run %d: %v", run, err)
+			}
+			return own, got
+		}
+		_, kept := round(0)
+		round(1)
+		rec.Recycle()
+		own2, got2 := round(2)
+		rec.Recycle()
+		own3, got3 := round(3)
+		intact(h, kept, 0)
+		intact(h, got3, 3)
+		for me := range own3 {
+			if unsafe.SliceData(own3[me]) != unsafe.SliceData(own2[me]) {
+				h.Errorf("rank %d built its array anew, not in the marked run's", me)
+			}
+			if unsafe.SliceData(got3[me]) != unsafe.SliceData(got2[me]) {
+				h.Errorf("rank %d received into a new part array, not the marked run's", me)
+			}
+			if p := own2[me][:3][2]; p.Origin != comm.RecycledOrigin {
+				h.Errorf("rank %d: a recycled array's unwritten slot holds %+v, not the recycled fill", me, p)
+			}
+		}
 	}},
 
 	{"traced event sequence", func(h *harness) {

@@ -75,6 +75,10 @@ type Options struct {
 	// into a diagnosable failure. The machine's watchdog enforces it with
 	// a tick every T/4; the wait itself reads no clock.
 	RecvTimeout time.Duration
+	// Epoch names the run: a transport's frame epoch, which its readers'
+	// part storage is listed by too. Zero has the machine number its runs
+	// itself.
+	Epoch uint32
 	// Tracer, when non-nil, receives an obs.Event for every send, recv,
 	// wait (a receive that had to block) and barrier, stamped with
 	// wall-clock nanoseconds since the run started; a traced recv also
@@ -163,6 +167,11 @@ type Machine struct {
 
 	mu     sync.Mutex // serializes Run and Close
 	closed bool
+	// epoch names the last run started (Options.Epoch); recycled is the
+	// consumer's mark on the runs whose part arrays are dead (Recycle),
+	// which every rank's run-scoped arrays, and a transport's, follow.
+	epoch    uint32
+	recycled comm.Mark
 	// cur is the run in flight, nil between runs: deliveries and aborts
 	// quote the run they belong to and are dropped once it is not cur.
 	cur atomic.Pointer[Run]
@@ -209,6 +218,22 @@ func New(name string, size, lo, hi int, leaders []int, tr Transport) *Machine {
 	go m.watchdog()
 	return m
 }
+
+// Recycle marks the last run's part arrays dead: what its consumer keeps
+// of the run is copied out, so the ranks' run-scoped arrays
+// (Proc.PartArray), and a transport's that follow RecycleMark, are handed
+// to the next run again. Call it between runs, after Run returned and
+// before the next starts; a machine whose runs are never marked
+// allocates every run's arrays afresh.
+func (m *Machine) Recycle() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recycled.Set(m.epoch)
+}
+
+// RecycleMark is the mark Recycle sets, for a transport whose own part
+// arrays follow it, listed by Options.Epoch.
+func (m *Machine) RecycleMark() *comm.Mark { return &m.recycled }
 
 // Current returns the run in flight, nil between runs.
 func (m *Machine) Current() *Run { return m.cur.Load() }
@@ -344,9 +369,12 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 		m: m, fn: fn, tr: opts.Tracer, ctx: opts.Context,
 		runTimeout: opts.RunTimeout, recvTimeout: opts.RecvTimeout, arming: m.bar.Arm(),
 	}
+	if m.epoch++; opts.Epoch != 0 {
+		m.epoch = opts.Epoch
+	}
 	local := m.procs[m.lo:m.hi]
 	for _, pr := range local {
-		pr.begin(r)
+		pr.begin(r, m.epoch)
 	}
 	r.start = time.Now()
 	// Mailboxes are wiped and stamped for r; only now are deliveries

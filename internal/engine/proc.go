@@ -10,9 +10,9 @@ import (
 )
 
 // Proc is one local rank's handle on the machine. It implements
-// comm.Comm, comm.SharedSender, comm.IterMarker and comm.PhaseMarker;
-// methods must only be called from the rank's own goroutine, during a
-// Machine.Run.
+// comm.Comm, comm.SharedSender, comm.ArraySource, comm.IterMarker and
+// comm.PhaseMarker; methods must only be called from the rank's own
+// goroutine, during a Machine.Run.
 type Proc struct {
 	rank int
 	m    *Machine
@@ -20,6 +20,8 @@ type Proc struct {
 
 	// runs hands the rank's goroutine each run (Machine.serve).
 	runs chan *Run
+	// arrays is the rank's run-scoped part storage (PartArray).
+	arrays comm.Arrays
 
 	// Per-run fields, reset by begin under the machine lock before the
 	// run is handed to the rank's goroutine, and read by Run after the
@@ -34,18 +36,25 @@ type Proc struct {
 
 var _ comm.Comm = (*Proc)(nil)
 var _ comm.SharedSender = (*Proc)(nil)
+var _ comm.ArraySource = (*Proc)(nil)
 var _ comm.IterMarker = (*Proc)(nil)
 var _ comm.PhaseMarker = (*Proc)(nil)
 
 // begin resets the per-run half of the rank: a wiped inbox, fresh
-// counters and markers.
-func (p *Proc) begin(r *Run) {
+// counters and markers, and its part arrays started on the run's epoch.
+func (p *Proc) begin(r *Run, epoch uint32) {
 	p.in.reset(r.tr != nil)
+	p.arrays.Begin(epoch, &p.m.recycled)
 	p.run = r
 	p.iter, p.phase = -1, ""
 	p.stats = ProcStats{Rank: p.rank}
 	p.root, p.unwind = nil, nil
 }
+
+// PartArray implements comm.ArraySource from the rank's run-scoped
+// arrays: the arrays of the run before, in order, when its consumer
+// marked it (Machine.Recycle).
+func (p *Proc) PartArray(n int) []comm.Part { return p.arrays.Get(n) }
 
 // BeginIter implements comm.IterMarker: traced events carry the iteration.
 func (p *Proc) BeginIter(i int) { p.iter = i }

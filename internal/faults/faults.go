@@ -240,6 +240,7 @@ func (in *Injector) Wrap(c comm.Comm) comm.Comm {
 	}
 	p := &proc{inner: c, inj: in, kill: kill, links: make([]link, c.Size())}
 	p.share, _ = c.(comm.SharedSender)
+	p.arrays, _ = c.(comm.ArraySource)
 	in.mu.Lock()
 	if in.procs == nil {
 		in.procs = make([]*proc, 0, c.Size())
@@ -309,6 +310,7 @@ type link struct {
 type proc struct {
 	inner  comm.Comm
 	share  comm.SharedSender // inner, when the engine can skip its send copy
+	arrays comm.ArraySource  // inner, when the engine gives its ranks run-scoped part storage
 	inj    *Injector
 	kill   int // op index at which this rank dies; -1 = never
 	ops    int
@@ -319,6 +321,7 @@ type proc struct {
 var (
 	_ comm.Comm         = (*proc)(nil)
 	_ comm.SharedSender = (*proc)(nil)
+	_ comm.ArraySource  = (*proc)(nil)
 	_ comm.IterMarker   = (*proc)(nil)
 	_ comm.PhaseMarker  = (*proc)(nil)
 )
@@ -331,6 +334,16 @@ func (p *proc) BeginIter(i int) { comm.MarkIter(p.inner, i) }
 
 // BeginPhase implements comm.PhaseMarker by forwarding to the engine.
 func (p *proc) BeginPhase(name string) { comm.MarkPhase(p.inner, name) }
+
+// PartArray implements comm.ArraySource: the engine's run-scoped storage
+// when it has one, so a faulted program builds its arrays where a clean
+// one does.
+func (p *proc) PartArray(n int) []comm.Part {
+	if p.arrays != nil {
+		return p.arrays.PartArray(n)
+	}
+	return make([]comm.Part, 0, n)
+}
 
 // record keeps one injected fault in the rank's own log and traces it.
 func (p *proc) record(e Event) {

@@ -16,25 +16,31 @@ package tcp
 // buffered window, a buffer of its own for a part larger than the window,
 // and the frame's part array — belongs to whoever holds the message: the
 // inbox's comm.Queue until delivery, then the algorithm, whose result
-// bundles keep it. It comes back only when the caller says so:
-// Machine.Reclaim(epoch) (Result.Release in the facade, a cluster worker
-// once its checks pass) marks that run's storage free, and the arena,
-// which lists every buffer a run was given in allocation order, hands
-// the same buffers out again, in order, to the frames of the next run it
-// sees. A run nobody reclaims is forgotten instead: the arena clears its
-// list and the GC takes the buffers once their result is dropped. So a
-// session that releases every result retains one run's received bytes
-// per connection end between runs and allocates almost none per run; a
-// machine on which no run was ever reclaimed lists nothing and allocates
-// exactly what it did before arenas existed. Parts of one window share a
-// slab, capacity-clipped so an append through one cannot reach the next;
-// a consumer that keeps one small part of a frame keeps at most
-// readBufSize bytes alive with it.
+// bundles keep it. Each comes back on its own mark, by the one recycle
+// rule (comm.Mark.Frees), and is handed out again, in order, to the
+// frames of the next run the arena sees:
+//
+//   - the part array as soon as the run's consumer has copied the
+//     bundles out — the facade once it has built its result maps, a
+//     cluster worker once its checks pass (engine.Machine.Recycle, whose
+//     mark the ranks' own arrays follow too, comm.Arrays);
+//   - the payload bytes only when the caller says so:
+//     Machine.Reclaim(epoch) (Result.Release in the facade, a cluster
+//     worker once its checks pass).
+//
+// A run nobody marks is forgotten instead: the arena clears its list and
+// the GC takes the storage once its result is dropped. So a session that
+// releases every result retains one run's received bytes per connection
+// end between runs and allocates almost none per run; a machine on which
+// no run was ever reclaimed lists no bytes and allocates them exactly as
+// it did before arenas existed. Parts of one window share a slab,
+// capacity-clipped so an append through one cannot reach the next; a
+// consumer that keeps one small part of a frame keeps at most readBufSize
+// bytes alive with it.
 
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/comm"
 )
@@ -79,15 +85,15 @@ func putScratch(sc *frameScratch) {
 // frames of its current run were given it (see the receive side above).
 // Only its reader pump touches it.
 type runArena struct {
-	// epoch is the run the listed buffers belong to.
+	// epoch is the run the listed storage belongs to.
 	epoch uint32
 	// list marks a machine on which some run was reclaimed: only then
-	// are a run's buffers listed. reuse marks that the listed buffers'
-	// run was reclaimed, so they are handed out again.
+	// are a run's slabs listed. reuse marks that the listed slabs' run
+	// was reclaimed, so they are handed out again.
 	list, reuse bool
-	slabs       [][]byte      // payload storage: window slabs and own-buffer parts
-	arrays      [][]comm.Part // the frames' part arrays
-	ns, na      int           // cursors into slabs and arrays
+	slabs       [][]byte // payload storage: window slabs and own-buffer parts
+	ns          int      // the cursor into slabs
+	arrays      comm.Arrays
 }
 
 // poison, when nonzero, overwrites every byte of a reclaimed run's
@@ -95,19 +101,15 @@ type runArena struct {
 // Release meets it instead of plausible bytes. Only tests set it.
 var poison byte
 
-// begin starts the arena on the first frame of a newer run. reclaimed is
-// the machine's last Reclaim mark (1<<32 | epoch, 0 for none; nil for a
-// reader without a machine): when it names the run the listed buffers
-// belong to, they are handed out again; otherwise they are forgotten,
-// keeping the lists' backing arrays.
-func (a *runArena) begin(epoch uint32, reclaimed *atomic.Uint64) {
-	var mark uint64
-	if reclaimed != nil {
-		mark = reclaimed.Load()
-	}
-	a.list = mark != 0
-	a.reuse = a.list && uint32(mark) == a.epoch
-	a.epoch, a.ns, a.na = epoch, 0, 0
+// begin starts the arena on the first frame of a newer run. reclaimed and
+// recycled are the machine's marks for the bytes and the part arrays
+// (nil for a reader without a machine): storage whose run its mark names
+// is handed out again, the rest forgotten, keeping the lists' backing
+// arrays.
+func (a *runArena) begin(epoch uint32, reclaimed, recycled *comm.Mark) {
+	a.arrays.Begin(epoch, recycled)
+	a.list, a.reuse = reclaimed.Frees(a.epoch)
+	a.epoch, a.ns = epoch, 0
 	if a.reuse {
 		if poison != 0 {
 			for _, b := range a.slabs {
@@ -121,8 +123,6 @@ func (a *runArena) begin(epoch uint32, reclaimed *atomic.Uint64) {
 	}
 	clear(a.slabs)
 	a.slabs = a.slabs[:0]
-	clear(a.arrays)
-	a.arrays = a.arrays[:0]
 }
 
 // bytes returns n bytes of payload storage, capacity-clipped: the next
@@ -135,35 +135,23 @@ func (a *runArena) bytes(n int) []byte {
 	}
 	b := make([]byte, n)
 	if a.list {
-		a.slabs = put(a.slabs, a.ns, b)
+		if a.ns < len(a.slabs) {
+			a.slabs[a.ns] = b
+		} else {
+			a.slabs = append(a.slabs, b)
+		}
 		a.ns++
 	}
 	return b
 }
 
 // parts returns an empty part array for a frame of n parts: the next
-// listed array when its run was reclaimed and it holds n parts, a new
-// one otherwise, as large as n or maxEagerParts, whichever is smaller.
-// keepParts lists what the frame's parts ended up in.
+// listed array when its run was recycled and it holds n parts, a new one
+// otherwise, as large as n or maxEagerParts, whichever is smaller. The
+// frame reader lists what the frame's parts ended up in (arrays.Keep).
 func (a *runArena) parts(n int) []comm.Part {
-	if a.reuse && a.na < len(a.arrays) && cap(a.arrays[a.na]) >= n {
-		return a.arrays[a.na][:0]
+	if p := a.arrays.Next(n); p != nil {
+		return p
 	}
 	return make([]comm.Part, 0, min(n, maxEagerParts))
-}
-
-func (a *runArena) keepParts(p []comm.Part) {
-	if a.list {
-		a.arrays = put(a.arrays, a.na, p)
-		a.na++
-	}
-}
-
-// put stores v at list[i], appending when i is the list's length.
-func put[T any](list []T, i int, v T) []T {
-	if i < len(list) {
-		list[i] = v
-		return list
-	}
-	return append(list, v)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/comm"
 )
@@ -127,14 +126,15 @@ type frameReader struct {
 	br       *bufio.Reader
 	src, dst int // sending peer's rank, receiving (local) rank
 	arena    runArena
-	// reclaimed is the machine's Reclaim mark (Machine.reclaimed), read
-	// when a frame of a newer run arrives; nil for a reader without a
-	// machine, whose runs are never reclaimed.
-	reclaimed *atomic.Uint64
+	// reclaimed and recycled are the machine's marks (Machine.Reclaim for
+	// the bytes, engine.Machine.Recycle for the part arrays), read when a
+	// frame of a newer run arrives; nil for a reader without a machine,
+	// whose runs are never marked.
+	reclaimed, recycled *comm.Mark
 }
 
-func newFrameReader(r io.Reader, src, dst int, reclaimed *atomic.Uint64) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, readBufSize), src: src, dst: dst, reclaimed: reclaimed}
+func newFrameReader(r io.Reader, src, dst int, reclaimed, recycled *comm.Mark) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, readBufSize), src: src, dst: dst, reclaimed: reclaimed, recycled: recycled}
 }
 
 func (fr *frameReader) read() (comm.Message, uint32, error) {
@@ -153,7 +153,7 @@ func (fr *frameReader) read() (comm.Message, uint32, error) {
 	}
 	fr.br.Discard(frameHdrLen)
 	if int32(epoch-fr.arena.epoch) > 0 {
-		fr.arena.begin(epoch, fr.reclaimed)
+		fr.arena.begin(epoch, fr.reclaimed, fr.recycled)
 	}
 	if nparts == 0 {
 		return m, epoch, nil
@@ -167,7 +167,7 @@ func (fr *frameReader) read() (comm.Message, uint32, error) {
 			return comm.Message{}, 0, err
 		}
 	}
-	fr.arena.keepParts(m.Parts)
+	fr.arena.arrays.Keep(m.Parts)
 	return m, epoch, nil
 }
 

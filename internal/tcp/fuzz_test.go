@@ -24,7 +24,7 @@ func writeFrame(w io.Writer, epoch uint32, m comm.Message) error {
 // form of frameReader for the codec tests, which keep no per-link reader.
 // It may read past the frame's end.
 func readFrame(r io.Reader, src, dst int) (comm.Message, uint32, error) {
-	return newFrameReader(r, src, dst, nil).read()
+	return newFrameReader(r, src, dst, nil, nil).read()
 }
 
 // frameBytes encodes a message for adversarial mutation.

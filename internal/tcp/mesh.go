@@ -480,7 +480,7 @@ func (m *Machine) waitPairs(ctx context.Context, pairs [][2]int) error {
 // the mesh broken so the next Prepare or Run rebuilds it.
 func (m *Machine) pump(owner, peer int, conn net.Conn) {
 	defer m.pumps.Done()
-	rd := newFrameReader(conn, peer, owner, &m.reclaimed)
+	rd := newFrameReader(conn, peer, owner, &m.reclaimed, m.core.RecycleMark())
 	for {
 		fr, epoch, err := rd.read()
 		if err != nil {

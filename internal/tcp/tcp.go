@@ -37,7 +37,9 @@
 // Reclaim(epoch) lets the reader pumps decode the next run's frames into
 // the storage of that run instead of fresh buffers (arena.go), so a
 // session that hands every run back allocates almost nothing for the
-// bytes it receives, and one that never does allocates them afresh.
+// bytes it receives, and one that never does allocates them afresh. The
+// part arrays frames and ranks build are dead sooner, once the run's
+// bundles are copied out: Recycle hands them to the next run.
 //
 // Run isolation is by epoch: every frame carries the epoch of the run
 // that sent it, the reader pumps discard older epochs (and frames
@@ -281,10 +283,10 @@ type Machine struct {
 	// only frames stamped with both.
 	epoch atomic.Uint32
 	next  atomic.Uint32
-	// reclaimed is Reclaim's mark, 1<<32 | the epoch of the last run
-	// handed back (0 until one is): the reader pumps read it on the
-	// first frame of each newer run to reuse that run's storage.
-	reclaimed atomic.Uint64
+	// reclaimed is Reclaim's mark on the last run whose received bytes
+	// were handed back: the reader pumps read it on the first frame of
+	// each newer run to reuse that run's storage.
+	reclaimed comm.Mark
 }
 
 // transport is the machine as the core sees it (engine.Transport).
@@ -516,9 +518,15 @@ func (m *Machine) Reclaim(epoch uint32) {
 	m.connMu.Lock()
 	defer m.connMu.Unlock()
 	if m.epoch.Load() == epoch {
-		m.reclaimed.Store(1<<32 | uint64(epoch))
+		m.reclaimed.Set(epoch)
 	}
 }
+
+// Recycle marks the last run's part arrays dead (engine.Machine.Recycle):
+// the ranks' and the reader pumps' alike are handed to the next run
+// again. Its bytes stay the caller's until Reclaim. Call it between
+// runs, once the run's bundles are copied out or checked.
+func (m *Machine) Recycle() { m.core.Recycle() }
 
 // Close tears the machine down. It is idempotent; a run must not be in
 // flight.
@@ -608,6 +616,6 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	m.next.Store(next)
 	return m.core.Run(engine.Options{
 		Context: opts.Context, RunTimeout: opts.RunTimeout,
-		RecvTimeout: opts.RecvTimeout, Tracer: opts.Tracer,
+		RecvTimeout: opts.RecvTimeout, Epoch: next, Tracer: opts.Tracer,
 	}, fn)
 }

@@ -128,7 +128,7 @@ func multiPartSmallMsg() comm.Message {
 func benchFrameRead(b *testing.B, m comm.Message) {
 	one := appendFrame(nil, 1, m)
 	stream := bytes.NewReader(nil)
-	rd := newFrameReader(stream, 0, 1, nil)
+	rd := newFrameReader(stream, 0, 1, nil, nil)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(one)))
 	b.ResetTimer()
@@ -341,7 +341,7 @@ func TestFrameReadSmallOneReadTwoAllocs(t *testing.T) {
 	one := appendFrame(nil, 7, want)
 	stream := bytes.NewReader(nil)
 	cr := &countingReader{r: stream}
-	rd := newFrameReader(cr, 0, 1, nil)
+	rd := newFrameReader(cr, 0, 1, nil, nil)
 	var got comm.Message
 	decode := func() {
 		stream.Reset(one)
@@ -385,7 +385,7 @@ func TestFrameReadLargePartsBypassBuffer(t *testing.T) {
 	// Two frames back to back: the reader must leave the stream exactly
 	// at the next frame's header.
 	stream := appendFrame(appendFrame(nil, 3, want), 4, want)
-	rd := newFrameReader(bytes.NewReader(stream), 2, 5, nil)
+	rd := newFrameReader(bytes.NewReader(stream), 2, 5, nil, nil)
 	for epoch := uint32(3); epoch <= 4; epoch++ {
 		got, e, err := rd.read()
 		if err != nil || e != epoch || len(got.Parts) != len(sizes) {

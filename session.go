@@ -175,10 +175,29 @@ type Session struct {
 	liveM  *live.Machine
 	tcpM   *tcp.Machine
 	clu    *cluster.Coordinator
-	// binds compiles each instance the session runs once; runMu guards it.
-	binds  core.Bindings
-	stats  SessionStats
-	closed bool
+	// binds compiles each instance the session runs once, and payloads
+	// keeps each rank's last default payload (RunOptions.Payload unset):
+	// the bytes Collective.Payload made for its collective and length,
+	// handed out again while they match. Bundles and payloads are
+	// read-only, so a later run may share bytes an earlier result holds.
+	// runMu guards both; a run's rank r touches payloads[r] only.
+	binds    core.Bindings
+	payloads []payloadMemo
+	// started counts the runs begun and spare holds the bundle maps of a
+	// result released before the next run began, for it to clear and
+	// refill (Result.Release); mu guards both.
+	started uint64
+	spare   []map[int][]byte
+	stats   SessionStats
+	closed  bool
+}
+
+// payloadMemo is one rank's last default payload: Collective.Payload's
+// bytes for coll at n bytes per source or chunk.
+type payloadMemo struct {
+	coll core.Collective
+	n    int
+	data []byte
 }
 
 // Open stands up a persistent engine for machine m. The caller owns the
@@ -312,9 +331,9 @@ func (s *Session) Close() (SessionStats, error) {
 //
 // The result's bundles are the caller's: no later run touches them until
 // the caller calls Result.Release, after which it must not read them.
-// A caller done with a result releases it, so the session decodes the
-// next run's bytes into the same storage; one that keeps results, or
-// never releases, gets fresh storage every run.
+// A caller done with a result releases it, so the next run refills its
+// maps and, on TCP, decodes its bytes into the same storage; one that
+// keeps results, or never releases, gets fresh maps and bytes every run.
 //
 // Run is safe for concurrent use: a session executes one run at a time,
 // and concurrent callers queue. Stats may be read concurrently without
@@ -327,6 +346,9 @@ func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 		s.mu.Unlock()
 		return nil, errors.New("stpbcast: Run on closed session")
 	}
+	s.started++
+	spare := s.spare
+	s.spare = nil
 	s.mu.Unlock()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -337,7 +359,7 @@ func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 	if s.engine == EngineSim {
 		res, sent, err = runSim(s.m, cfg, opts)
 	} else {
-		res, sent, err = s.runReal(cfg, opts)
+		res, sent, err = s.runReal(cfg, opts, spare)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,27 +428,37 @@ type Result struct {
 	// Trace echoes RunOptions.Trace when tracing was requested.
 	Trace *TraceRecorder
 
-	// tcpM and epoch name the TCP run whose received storage Release
-	// hands back (nil tcpM: nothing to hand back).
+	// sess and run name the session run whose bundle maps Release hands
+	// back (nil sess: nothing to hand back); tcpM and epoch the TCP run
+	// whose received bytes it hands back (nil tcpM: none).
+	sess  *Session
+	run   uint64
 	tcpM  *tcp.Machine
 	epoch uint32
 }
 
-// Release hands the bytes the run received back to its session, which
-// decodes a later run's frames into them: after Release the caller must
-// not read Bundles, nor any slice taken from them. Under EngineTCP a
-// session whose results are released reuses that storage run after run,
+// Release hands the result's storage back to its session for a later
+// run: after Release the caller must not read Bundles, nor any slice
+// taken from them. Under EngineLive and EngineTCP the session clears and
+// refills the per-rank maps of Bundles in the next run; under EngineTCP
+// it also decodes later runs' frames into the bytes this run received,
 // so a warm run allocates almost nothing for the bytes it receives, and
 // between runs the session retains one run's received bytes per
-// connection end. A result never released keeps its bytes for as long
-// as it is held, and the GC reclaims them after, as if Release did not
-// exist. Release is a no-op when called twice, once a later Run on the
-// session has started (the bytes then stay the caller's), and for
-// results of EngineSim, EngineLive and cluster sessions, whose storage
-// is not recycled.
+// connection end. A result never released keeps its maps and bytes for
+// as long as it is held, and the GC reclaims them after, as if Release
+// did not exist. Release is a no-op when called twice, once a later Run
+// on the session has started (the storage then stays the caller's), and
+// for results of EngineSim and cluster sessions, which hold no bundles.
 func (r *Result) Release() {
 	if r.tcpM != nil {
 		r.tcpM.Reclaim(r.epoch)
+	}
+	if s := r.sess; s != nil {
+		s.mu.Lock()
+		if s.started == r.run {
+			s.spare = r.Bundles
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -496,7 +528,11 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 // engine: per-run spec/algorithm resolution, a per-run fault injector
 // wrapping each rank's comm, and per-run tracer attachment. A registry
 // algorithm is compiled once per instance the session runs (binds).
-func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
+//
+// bundles, when not nil, are the maps of a released result, cleared and
+// refilled here. Once the maps are built the run's part arrays are dead:
+// the engine hands them to the next run (Recycle).
+func (s *Session) runReal(cfg Config, opts RunOptions, bundles []map[int][]byte) (*Result, int64, error) {
 	if s.clu != nil {
 		return s.runCluster(cfg, opts)
 	}
@@ -516,10 +552,20 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		return nil, 0, err
 	}
 	alg = s.binds.Bind(alg, spec)
+	p := s.m.P()
 	payload := opts.Payload
 	if payload == nil {
-		p := s.m.P()
-		payload = func(rank int) []byte { return coll.Payload(p, rank, msgLenFor(cfg, rank)) }
+		if s.payloads == nil {
+			s.payloads = make([]payloadMemo, p)
+		}
+		memo := s.payloads
+		payload = func(rank int) []byte {
+			m, n := &memo[rank], msgLenFor(cfg, rank)
+			if m.data == nil || m.coll != coll || m.n != n {
+				*m = payloadMemo{coll: coll, n: n, data: coll.Payload(p, rank, n)}
+			}
+			return m.data
+		}
 	}
 	var inj *faults.Injector
 	if opts.Faults != nil {
@@ -528,22 +574,29 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 			inj.SetTracer(opts.Trace, time.Now())
 		}
 	}
-	bundles := make([]map[int][]byte, s.m.P())
+	if bundles == nil {
+		bundles = make([]map[int][]byte, p)
+	}
 	body := func(c comm.Comm) {
 		rank := c.Rank()
+		mine := core.InitialOn(c, coll, spec, payload)
 		if inj != nil {
 			c = inj.Wrap(c)
 		}
-		mine := core.InitialFor(coll, spec, rank, payload)
 		out := alg.Run(c, spec, mine)
-		got := make(map[int][]byte, len(out.Parts))
+		got := bundles[rank]
+		if got == nil {
+			got = make(map[int][]byte, len(out.Parts))
+			bundles[rank] = got
+		} else {
+			clear(got)
+		}
 		for _, part := range out.Parts {
 			got[part.Origin] = part.Data
 		}
-		bundles[rank] = got
 	}
 
-	res := &Result{Bundles: bundles, Trace: opts.Trace}
+	res := &Result{Bundles: bundles, Trace: opts.Trace, sess: s, run: s.started}
 	var sent int64
 	switch s.engine {
 	case EngineLive:
@@ -556,6 +609,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
+		s.liveM.Recycle()
 		res.Elapsed = r.Elapsed
 		for i := range r.Procs {
 			sent += r.Procs[i].SendBytes
@@ -573,6 +627,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
+		s.tcpM.Recycle()
 		res.Elapsed, res.tcpM, res.epoch = r.Elapsed, s.tcpM, s.tcpM.Epoch()
 		for i := range r.Procs {
 			sent += r.Procs[i].SendBytes

@@ -53,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -85,49 +84,15 @@ func NewT3D(p int) *Machine { return machine.T3D(p) }
 // cost parameters (extension machine for topology ablations).
 func NewHypercube(dim int) *Machine { return machine.HypercubeNX(dim) }
 
-// maxProcessors caps the machines NewMachineByName builds, at four times
-// the largest one the repository builds (256). A request's size is
-// outside input (the daemon maps every broadcast body through
-// NewMachineByName), and the real-byte engines grow as p² (a live
-// machine keeps p inboxes of p queues, a TCP rank a p-slot conn table),
-// so a cap in the tens of thousands let one request ask for hundreds of
-// gigabytes.
-const maxProcessors = 1024
-
 // NewMachineByName constructs a machine from its CLI name and requested
 // logical mesh: "paragon" (NX), "paragon-mpi" (the Paragon under MPI,
 // the paper's measured 2–5% software-overhead loss over NX), "t3d" (rows·cols
 // processors on the torus; the T3D picks its own logical factorization)
-// or "hypercube" (rows·cols must be a power of two). It is the single
-// name-to-machine mapping shared by the daemon's session-pool keys and
-// the stpctl/stpbench topology flags.
+// or "hypercube" (rows·cols must be a power of two), at most 1 024
+// processors in all. It is the single name-to-machine mapping shared by
+// the daemon's session-pool keys and the stpctl/stpbench topology flags.
 func NewMachineByName(kind string, rows, cols int) (*Machine, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("stpbcast: invalid machine size %d×%d (rows and cols must be positive)", rows, cols)
-	}
-	// Both factors at most the cap keeps the product from overflowing.
-	if rows > maxProcessors || cols > maxProcessors || rows*cols > maxProcessors {
-		return nil, fmt.Errorf("stpbcast: machine size %d×%d exceeds %d processors", rows, cols, maxProcessors)
-	}
-	switch strings.ToLower(kind) {
-	case "paragon", "":
-		return machine.Paragon(rows, cols), nil
-	case "paragon-mpi":
-		return machine.ParagonMPI(rows, cols), nil
-	case "t3d":
-		return machine.T3D(rows * cols), nil
-	case "hypercube":
-		p := rows * cols
-		dim := 0
-		for 1<<dim < p {
-			dim++
-		}
-		if 1<<dim != p {
-			return nil, fmt.Errorf("stpbcast: hypercube needs a power-of-two processor count, got %d×%d = %d", rows, cols, p)
-		}
-		return machine.HypercubeNX(dim), nil
-	}
-	return nil, fmt.Errorf("stpbcast: unknown machine %q (want paragon, paragon-mpi, t3d or hypercube)", kind)
+	return machine.ByName(kind, rows, cols)
 }
 
 // Algorithm is one collective algorithm (see core for the suite).
