@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -424,9 +425,9 @@ func TestSerialAndParallelHarnessIdentical(t *testing.T) {
 
 // TestRunAllocationBudget is the count gate behind "a simulated run pays
 // for its messages, not for its processors": one Measure, a replayed
-// program, allocates at most 96 objects on the 16×16 Paragon — the
-// network, the bound schedule and its program, the result — whatever p
-// and s are.
+// program, allocates at most 86 objects on the 16×16 Paragon — the bound
+// schedule and its program, the result — whatever p and s are; the
+// network's tables and the engine's storage are those of the run before.
 func TestRunAllocationBudget(t *testing.T) {
 	// The least of several runs: the first run on an engine, or the first
 	// of its size or iteration count, grows the engine on top and says
@@ -454,8 +455,8 @@ func TestRunAllocationBudget(t *testing.T) {
 		}
 		at64, at128, on8x8 := allocs(large, alg, 64), allocs(large, alg, 128), allocs(small, alg, 32)
 		t.Logf("%s: %.0f allocations per run on 16×16 at s=64, %.0f at s=128, %.0f on 8×8 at s=32", name, at64, at128, on8x8)
-		if at64 > 96 {
-			t.Errorf("%s: %.0f allocations per run, budget 96", name, at64)
+		if at64 > 86 {
+			t.Errorf("%s: %.0f allocations per run, budget 86", name, at64)
 		}
 		// The slack is for what grows with log p or log s: a slice appended
 		// to level by level, the ideal-position search.
@@ -465,18 +466,23 @@ func TestRunAllocationBudget(t *testing.T) {
 	}
 }
 
-// figurePassAllocBudget leaves 5 % over the 7 511 allocations a pass
-// costs (7 630 under the race detector).
-const figurePassAllocBudget = 7887
+// figurePassAllocBudget and figurePassKBBudget leave 5 % over what a
+// pass costs: 4 662 allocations (4 672–4 683 under the race detector)
+// and 20 951 kB.
+const (
+	figurePassAllocBudget = 4896
+	figurePassKBBudget    = 21999
+)
 
 // TestFigurePassAllocationBudget counts what one pass over the
 // benchmark's sim_figures workload allocates — fig3, fig6, fig9 and
-// fig13a regenerated on the simulator, every point a replayed program.
-// The points run on one worker, so the count repeats to within a few
-// allocations: AllocsPerRun pins GOMAXPROCS, and with it the simulator's
-// engine free list, to 1, and a second worker's engine would be dropped
-// and re-made on every point. The least of two passes, so a collection
-// during one does not count.
+// fig13a regenerated on the simulator, every point a replayed program —
+// in objects and in bytes. The points run on one worker, so the counts
+// repeat to within a few allocations: the pass pins GOMAXPROCS, and with
+// it the free lists of the simulator's engines and networks, to 1, and a
+// second worker's engine would be dropped and re-made on every point.
+// The least of three passes after a first, so neither a collection
+// during one nor the storage the first grows counts.
 func TestFigurePassAllocationBudget(t *testing.T) {
 	defer par.SetLimit(par.SetLimit(1))
 	var exps []Experiment
@@ -494,12 +500,19 @@ func TestFigurePassAllocationBudget(t *testing.T) {
 			}
 		}
 	}
-	least := math.Inf(1)
-	for range 2 {
-		least = min(least, testing.AllocsPerRun(1, pass))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass()
+	least, leastKB := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pass()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+		leastKB = min(leastKB, (after.TotalAlloc-before.TotalAlloc)/1000)
 	}
-	t.Logf("%.0f allocations per figure pass", least)
-	if least > figurePassAllocBudget {
-		t.Errorf("%.0f allocations per figure pass, budget %d", least, figurePassAllocBudget)
+	t.Logf("%d allocations, %d kB per figure pass", least, leastKB)
+	if least > figurePassAllocBudget || leastKB > figurePassKBBudget {
+		t.Errorf("%d allocations, %d kB per figure pass, budget %d, %d kB", least, leastKB, figurePassAllocBudget, figurePassKBBudget)
 	}
 }

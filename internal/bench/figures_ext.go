@@ -14,8 +14,7 @@ import (
 // source rank to its payload size (the paper's "different length
 // messages" experiment of Section 5).
 func MeasureVar(m *machine.Machine, alg core.Algorithm, spec core.Spec, lengths map[int]int) (*sim.Result, error) {
-	res, _, err := m.RunSim(alg, spec, func(rank int) int { return lengths[rank] }, sim.Options{})
-	return res, err
+	return measure(m, alg, spec, func(rank int) int { return lengths[rank] })
 }
 
 func init() {

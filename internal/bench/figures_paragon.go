@@ -45,11 +45,15 @@ func sevenAlgs() []entrant {
 	)
 }
 
-// sweep measures every entrant at every x position of a Paragon figure,
-// fanning the cells out across the bounded worker pool.
-func sweep(s *Series, entrants []entrant, xs []string, run func(e entrant, i int) (float64, error)) (*Series, error) {
+// sweep measures every entrant at every x position of a rows×cols Paragon
+// figure on the bounded worker pool; an entrant's cells share its machine.
+func sweep(s *Series, entrants []entrant, rows, cols int, xs []string, run func(m *machine.Machine, e entrant, i int) (float64, error)) (*Series, error) {
+	ms := make([]*machine.Machine, len(entrants))
+	for j, e := range entrants {
+		ms[j] = paragonFor(e, rows, cols)
+	}
 	return fillSeries(s, xs, len(entrants), func(i, j int) (float64, error) {
-		return run(entrants[j], i)
+		return run(ms[j], entrants[j], i)
 	})
 }
 
@@ -182,8 +186,7 @@ func runFig3() (*Series, error) {
 		xs = append(xs, fmt.Sprintf("%d", v))
 		svals = append(svals, v)
 	}
-	return sweep(s, entrants, xs, func(e entrant, i int) (float64, error) {
-		m := paragonFor(e, 10, 10)
+	return sweep(s, entrants, 10, 10, xs, func(m *machine.Machine, e entrant, i int) (float64, error) {
 		spec, err := SpecFor(m, dist.Equal(), svals[i])
 		if err != nil {
 			return 0, err
@@ -201,8 +204,7 @@ func runFig4() (*Series, error) {
 		xs = append(xs, fmt.Sprintf("%d", l))
 		lvals = append(lvals, l)
 	}
-	return sweep(s, entrants, xs, func(e entrant, i int) (float64, error) {
-		m := paragonFor(e, 10, 10)
+	return sweep(s, entrants, 10, 10, xs, func(m *machine.Machine, e entrant, i int) (float64, error) {
 		spec, err := SpecFor(m, dist.DiagRight(), 30)
 		if err != nil {
 			return 0, err
@@ -220,14 +222,14 @@ func runFig5() (*Series, error) {
 		xs = append(xs, fmt.Sprintf("%d", side*side))
 		sides = append(sides, side)
 	}
-	return sweep(s, entrants, xs, func(e entrant, i int) (float64, error) {
+	return fillSeries(s, xs, len(entrants), func(i, j int) (float64, error) {
 		side := sides[i]
-		m := paragonFor(e, side, side)
+		m := paragonFor(entrants[j], side, side)
 		spec, err := SpecFor(m, dist.DiagRight(), side)
 		if err != nil {
 			return 0, err
 		}
-		return MustMillis(m, e.alg, spec, 1024)
+		return MustMillis(m, entrants[j].alg, spec, 1024)
 	})
 }
 
@@ -243,8 +245,7 @@ func runFig6() (*Series, error) {
 	for _, d := range dists {
 		xs = append(xs, d.Name())
 	}
-	return sweep(s, entrants, xs, func(e entrant, i int) (float64, error) {
-		m := paragonFor(e, 10, 10)
+	return sweep(s, entrants, 10, 10, xs, func(m *machine.Machine, e entrant, i int) (float64, error) {
 		spec, err := SpecFor(m, dists[i], 30)
 		if err != nil {
 			return 0, err
@@ -267,8 +268,7 @@ func runFig7() (*Series, error) {
 		xs = append(xs, fmt.Sprintf("%d", v))
 		svals = append(svals, v)
 	}
-	return sweep(s, entrants, xs, func(e entrant, i int) (float64, error) {
-		m := paragonFor(e, 10, 10)
+	return sweep(s, entrants, 10, 10, xs, func(m *machine.Machine, e entrant, i int) (float64, error) {
 		spec, err := SpecFor(m, dist.DiagRight(), svals[i])
 		if err != nil {
 			return 0, err
@@ -330,8 +330,9 @@ func runFig9() (*Series, error) {
 	for i, sv := range svals {
 		xs[i] = fmt.Sprintf("%d", sv)
 	}
+	m := machine.Paragon(16, 16)
 	return fillSeries(s, xs, len(dists), func(i, j int) (float64, error) {
-		return reposGain(machine.Paragon(16, 16), dists[j], svals[i], 6*1024)
+		return reposGain(m, dists[j], svals[i], 6*1024)
 	})
 }
 
@@ -349,7 +350,8 @@ func runFig10() (*Series, error) {
 		lvals = append(lvals, l)
 		xs = append(xs, fmt.Sprintf("%d", l))
 	}
+	m := machine.Paragon(16, 16)
 	return fillSeries(s, xs, len(dists), func(i, j int) (float64, error) {
-		return reposGain(machine.Paragon(16, 16), dists[j], 75, lvals[i])
+		return reposGain(m, dists[j], 75, lvals[i])
 	})
 }

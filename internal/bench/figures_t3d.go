@@ -83,8 +83,8 @@ func runFig11b() (*Series, error) {
 	for i, sv := range svals {
 		xs[i] = fmt.Sprintf("%d", sv)
 	}
+	m := machine.T3D(128)
 	return fillSeries(s, xs, len(dists), func(i, j int) (float64, error) {
-		m := machine.T3D(128)
 		spec, err := SpecFor(m, dists[j], svals[i])
 		if err != nil {
 			return 0, err
@@ -106,8 +106,8 @@ func runFig12() (*Series, error) {
 	for i, sv := range svals {
 		xs[i] = fmt.Sprintf("%d", sv)
 	}
+	m := machine.T3D(128)
 	return fillSeries(s, xs, len(dists), func(i, j int) (float64, error) {
-		m := machine.T3D(128)
 		spec, err := SpecFor(m, dists[j], svals[i])
 		if err != nil {
 			return 0, err
@@ -147,8 +147,8 @@ func runFig13a() (*Series, error) {
 	for i, sv := range svals {
 		xs[i] = fmt.Sprintf("%d", sv)
 	}
+	m := machine.T3D(128)
 	return fillSeries(s, xs, len(algs), func(i, j int) (float64, error) {
-		m := machine.T3D(128)
 		spec, err := SpecFor(m, dist.Equal(), svals[i])
 		if err != nil {
 			return 0, err
@@ -169,8 +169,8 @@ func runFig13b() (*Series, error) {
 	for i, d := range dists {
 		xs[i] = d.Name()
 	}
+	m := machine.T3D(128)
 	return fillSeries(s, xs, len(algs), func(i, j int) (float64, error) {
-		m := machine.T3D(128)
 		spec, err := SpecFor(m, dists[i], 40)
 		if err != nil {
 			return 0, err

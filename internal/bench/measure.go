@@ -19,7 +19,16 @@ import (
 // returns the simulated result. Ranks enter with parts of msgLen bytes,
 // which the simulator prices by their lengths alone: no payload exists.
 func Measure(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) (*sim.Result, error) {
-	res, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{})
+	return measure(m, alg, spec, machine.Uniform(msgLen))
+}
+
+// measure replays one instance and releases its network: a figure reads
+// the result only.
+func measure(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen func(rank int) int) (*sim.Result, error) {
+	res, nw, err := m.RunSim(alg, spec, msgLen, sim.Options{})
+	if err == nil {
+		nw.Release()
+	}
 	return res, err
 }
 

@@ -41,7 +41,8 @@ type Machine struct {
 // P returns the processor count.
 func (m *Machine) P() int { return m.Rows * m.Cols }
 
-// NewNetwork builds a fresh contention network for one run.
+// NewNetwork builds a contention network for one run (network.New: the
+// tables of a released network when one is idle).
 func (m *Machine) NewNetwork() (*network.Network, error) {
 	return network.New(m.Topo, m.Place, m.Cfg)
 }

@@ -21,14 +21,14 @@ func (m *Machine) Program(alg core.Algorithm, spec core.Spec) (*comm.Program, er
 	return prog, nil
 }
 
-// RunSim replays one collective instance on a fresh network of the
-// machine: the program alg executes for spec (Program), every rank
-// entering with the bundle of its collective (core.InitialLen) at
-// msgLen(rank) bytes — the simulator prices lengths, so no payload
-// exists. It returns the result and the network the run left its link
-// statistics in. It is the one place a simulation is set up:
-// bench.Measure/MeasureVar, the planner's probes and the facade's
-// EngineSim all go through it.
+// RunSim replays one collective instance on a network of the machine: the
+// program alg executes for spec (Program), every rank entering with the
+// bundle of its collective (core.InitialLen) at msgLen(rank) bytes — the
+// simulator prices lengths, so no payload exists. It returns the result
+// and the network the run left its link statistics in, which the caller
+// releases (network.Release) once it has read them. It is the one place
+// a simulation is set up: bench.Measure/MeasureVar, the planner's probes
+// and the facade's EngineSim all go through it.
 func (m *Machine) RunSim(alg core.Algorithm, spec core.Spec, msgLen func(rank int) int, opts sim.Options) (*sim.Result, *network.Network, error) {
 	prog, err := m.Program(alg, spec)
 	if err != nil {
@@ -42,7 +42,11 @@ func (m *Machine) RunSim(alg core.Algorithm, spec core.Spec, msgLen func(rank in
 	res, err := sim.Replay(nw, prog, func(rank int) (partLen, parts int) {
 		return core.InitialLen(coll, spec, rank, msgLen(rank))
 	}, opts)
-	return res, nw, err
+	if err != nil {
+		nw.Release()
+		return nil, nil, err
+	}
+	return res, nw, nil
 }
 
 // Uniform is the msgLen of an instance whose ranks all enter with n bytes.

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/topology"
 )
 
@@ -193,8 +194,13 @@ type Network struct {
 	blocked   Time // summed time transfers waited on busy links
 }
 
+// idle holds released networks: their link tables and route buffer
+// serve the next New, sized up when it needs more.
+var idle par.FreeList[*Network]
+
 // New builds a Network over the topology with the given placement and cost
 // configuration. The placement must cover exactly the topology's nodes.
+// Its tables are those of a released network when one is idle.
 func New(topo topology.Topology, place *topology.Placement, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -207,15 +213,22 @@ func New(topo topology.Topology, place *topology.Placement, cfg Config) (*Networ
 	// compass constants, the hypercube uses dimension+1), so Degree()+1
 	// slots per node cover them exactly.
 	deg := topo.Degree() + 1
-	return &Network{
-		topo:     topo,
-		place:    place,
-		cfg:      cfg,
-		linkFree: make([]Time, topo.Nodes()*deg),
-		linkBusy: make([]Time, topo.Nodes()*deg),
-		linkUse:  make([]int, topo.Nodes()*deg),
-		degree:   deg,
-	}, nil
+	links := topo.Nodes() * deg
+	n, ok := idle.Get()
+	if !ok || cap(n.linkFree) < links {
+		n = &Network{linkFree: make([]Time, links), linkBusy: make([]Time, links), linkUse: make([]int, links)}
+	}
+	n.topo, n.place, n.cfg, n.degree = topo, place, cfg, deg
+	n.linkFree, n.linkBusy, n.linkUse = n.linkFree[:links], n.linkBusy[:links], n.linkUse[:links]
+	n.Reset()
+	return n, nil
+}
+
+// Release hands the network's tables to the next New; the caller must not
+// use n afterwards. A network never released is left to the collector.
+func (n *Network) Release() {
+	n.topo, n.place = nil, nil
+	idle.Put(n)
 }
 
 // Config returns the cost configuration the network was built with.

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -288,5 +289,48 @@ func TestStoreAndForwardStats(t *testing.T) {
 	}
 	if len(n.HotLinks(0)) != 3 {
 		t.Fatalf("store-and-forward should touch 3 links: %v", n.HotLinks(0))
+	}
+}
+
+// TestReleasedNetworkStartsNew loads the links of networks of other
+// shapes and releases them, then requires a network New builds from their
+// tables to start empty and to price a traffic pattern, and report its
+// load, exactly as one built while no network was idle.
+func TestReleasedNetworkStartsNew(t *testing.T) {
+	type outcome struct {
+		arrivals []Time
+		stats    Stats
+		hot      []LinkStats
+		load     []Time
+	}
+	traffic := func(n *Network) outcome {
+		var out outcome
+		p := n.Placement().Size()
+		for i := range 3 * p {
+			out.arrivals = append(out.arrivals, n.Transfer(i%p, (i*7+3)%p, 512*(1+i%5), Time(100*i)))
+		}
+		out.stats, out.hot, out.load = n.Stats(), n.HotLinks(0), n.NodeLoad()
+		return out
+	}
+	mesh := topology.MustMesh2D(3, 4)
+	for _, ok := idle.Get(); ok; _, ok = idle.Get() {
+	}
+	want := traffic(mustNet(t, mesh, ParagonNX()))
+	x, y, z := topology.TorusDims(128)
+	for _, topo := range []topology.Topology{topology.MustTorus3D(x, y, z), topology.MustHypercube(6), mesh} {
+		old := mustNet(t, topo, T3DMPI())
+		traffic(old)
+		old.Release()
+		n := mustNet(t, mesh, ParagonNX())
+		if n != old {
+			t.Fatalf("after a %d-node network was released, New built a new one", topo.Nodes())
+		}
+		if s, hot := n.Stats(), n.HotLinks(0); s != (Stats{}) || len(hot) != 0 {
+			t.Errorf("after a %d-node network: a recycled network starts with %+v and %d loaded links", topo.Nodes(), s, len(hot))
+		}
+		if got := traffic(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("after a %d-node network: a recycled network gives %+v, a new one %+v", topo.Nodes(), got, want)
+		}
+		n.Release()
 	}
 }

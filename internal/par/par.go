@@ -94,3 +94,32 @@ func ForEach(n int, job func(i int) error) error {
 	}
 	return nil
 }
+
+// FreeList keeps at most GOMAXPROCS idle values — the simulator's engines,
+// the networks' link tables — for the next run, until the process exits.
+// Unlike a sync.Pool, whose per-P slots lost them whenever a GC moved a
+// figure worker to another P, it makes what a run allocates a function of
+// the run's inputs, not of scheduling.
+type FreeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// Get takes the value put last; ok is false when the list is empty.
+func (l *FreeList[T]) Get() (v T, ok bool) {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		v, ok, l.items = l.items[n-1], true, l.items[:n-1]
+	}
+	l.mu.Unlock()
+	return v, ok
+}
+
+// Put hands v to the next Get, or to the collector when the list is full.
+func (l *FreeList[T]) Put(v T) {
+	l.mu.Lock()
+	if len(l.items) < runtime.GOMAXPROCS(0) {
+		l.items = append(l.items, v)
+	}
+	l.mu.Unlock()
+}

@@ -40,10 +40,11 @@ func probeCandidates(ctx context.Context, m *machine.Machine, spec core.Spec, ms
 			return err
 		}
 		probes.Inc()
-		res, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{})
+		res, nw, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{})
 		if err != nil {
 			return fmt.Errorf("plan: probe %s: %w", names[i], err)
 		}
+		nw.Release()
 		out[i] = ProbeResult{Algorithm: names[i], ElapsedMs: res.Elapsed.Milliseconds()}
 		return nil
 	})

@@ -99,7 +99,7 @@ func (e *engine) step(pr *proc, prog *comm.Program) {
 			if op.Kind == comm.OpSendParts {
 				s, peer = prog.Selection(op)
 			}
-			if !e.checkPeer(pr, "sends to", peer) || e.ready[0] != pr {
+			if !e.checkPeer(pr, "sends to", peer) || e.ready[0].rank != pr.rank {
 				return
 			}
 			var pd pending

@@ -45,12 +45,12 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 type procState int
@@ -170,11 +170,6 @@ type proc struct {
 	rank int
 
 	clock network.Time
-	// key orders the ready heap: the clock as of the processor's last
-	// communication operation (Send or Recv end, block, barrier release).
-	// Combine charges move the clock but not the key, so they are no
-	// scheduling points.
-	key   network.Time
 	state procState
 	// heapIdx is the processor's slot in the ready heap, -1 when it is
 	// not runnable (blocked, in a barrier, or done).
@@ -219,7 +214,7 @@ type engine struct {
 
 	// ready is the indexed binary min-heap of runnable processors, keyed
 	// by (key, rank). procs[i].heapIdx tracks positions.
-	ready []*proc
+	ready []slot
 	// doneCount and barrierCount replace full-state rescans: the run is
 	// over when doneCount == p, and a barrier releases when
 	// barrierCount+doneCount == p with barrierCount > 0.
@@ -230,32 +225,28 @@ type engine struct {
 	err  error // terminal scheduler error (deadlock, bad program)
 }
 
-// idle is the free list of engines, at most one per P: a bounded stack
-// under a mutex rather than a sync.Pool. A sync.Pool keeps what is Put in
-// a per-P slot no other P can take from, so a figure pass — two workers, a
-// new pair of goroutines per figure, a GC cycle every few milliseconds
-// moving them between Ps — found its pool empty a dozen times per pass, and
-// a fresh engine re-makes its slabs, how often depending on scheduling. With the list, what a simulated run
-// allocates is a function of its inputs.
-// The price is that up to GOMAXPROCS idle engines (≈0.7 MB each at
-// p = 256, the p×p queue table most of it) stay reachable until the
-// process exits.
-var idle struct {
-	sync.Mutex
-	engines []*engine
+// slot is an entry of the ready heap, a value so that a sift writes no
+// pointer: a runnable processor's rank and its key, the clock as of its
+// last communication operation (combine charges are no scheduling points).
+type slot struct {
+	key  network.Time
+	rank int
 }
+
+// idle holds the engines between runs. An idle engine keeps what its runs
+// grew: at p = 256 the p×p queue table (0.5 MB), the message arena of its
+// busiest run, and a register file and a length arena of up to keepBytes
+// each — 1 MiB, the p² registers of an all-to-all at p = 256.
+var idle par.FreeList[*engine]
+
+const keepBytes = 1 << 20
 
 // acquire takes an engine from the free list (a new one when the list is
 // empty) and arms it for a run on nw: all p processors runnable at clock
 // 0, every queue empty.
 func acquire(nw *network.Network, opts Options) *engine {
-	var e *engine
-	idle.Lock()
-	if n := len(idle.engines); n > 0 {
-		e, idle.engines = idle.engines[n-1], idle.engines[:n-1]
-	}
-	idle.Unlock()
-	if e == nil {
+	e, ok := idle.Get()
+	if !ok {
 		e = &engine{nodes: make([]node, 1)}
 	}
 	p := nw.Placement().Size()
@@ -263,7 +254,7 @@ func acquire(nw *network.Network, opts Options) *engine {
 	if cap(e.procs) < p {
 		e.procs = make([]proc, p)
 		e.queues = make([]queue, p*p)
-		e.ready = make([]*proc, 0, p)
+		e.ready = make([]slot, 0, p)
 	}
 	// A replay that was abandoned left its runnable processors in the heap.
 	e.procs, e.queues, e.ready = e.procs[:p], e.queues[:p*p], e.ready[:0]
@@ -286,21 +277,15 @@ func (e *engine) release() {
 		clear(e.queues)
 	}
 	e.nodes, e.free, e.queued = e.nodes[:1], 0, 0
-	// Few programs need more than a register per processor, and those that
-	// do need up to p each: too much to sit in every pooled engine.
-	if cap(e.regs) > cap(e.procs) {
+	if cap(e.regs)*int(unsafe.Sizeof(reg{})) > keepBytes {
 		e.regs = nil
 	}
-	if cap(e.lens) > 64*cap(e.procs) {
+	if cap(e.lens)*int(unsafe.Sizeof(int32(0))) > keepBytes {
 		e.lens = nil
 	}
 	e.net, e.opts, e.err = nil, Options{}, nil
 	e.doneCount, e.barrierCount = 0, 0
-	idle.Lock()
-	if len(idle.engines) < runtime.GOMAXPROCS(0) {
-		idle.engines = append(idle.engines, e)
-	}
-	idle.Unlock()
+	idle.Put(e)
 }
 
 // result assembles the outcome of a finished run of prog.
@@ -324,29 +309,33 @@ func (e *engine) result(prog *comm.Program) *Result {
 
 // less orders the ready heap by (key, rank) — the same total order the
 // seed scheduler's linear scan used, so timings are bit-identical.
-func (e *engine) less(a, b *proc) bool {
+func less(a, b slot) bool {
 	return a.key < b.key || (a.key == b.key && a.rank < b.rank)
 }
 
+// put stores s at heap position i and records the position.
+func (e *engine) put(i int, s slot) {
+	e.ready[i] = s
+	e.procs[s.rank].heapIdx = i
+}
+
 func (e *engine) heapUp(i int) {
-	pr := e.ready[i]
+	s := e.ready[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(pr, e.ready[parent]) {
+		if !less(s, e.ready[parent]) {
 			break
 		}
-		e.ready[i] = e.ready[parent]
-		e.ready[i].heapIdx = i
+		e.put(i, e.ready[parent])
 		i = parent
 	}
-	e.ready[i] = pr
-	pr.heapIdx = i
+	e.put(i, s)
 }
 
 // heapDown sifts the element at i toward the leaves; it reports whether
 // the element moved.
 func (e *engine) heapDown(i int) bool {
-	pr := e.ready[i]
+	s := e.ready[i]
 	start := i
 	n := len(e.ready)
 	for {
@@ -355,25 +344,24 @@ func (e *engine) heapDown(i int) bool {
 			break
 		}
 		c := l
-		if r := l + 1; r < n && e.less(e.ready[r], e.ready[l]) {
+		if r := l + 1; r < n && less(e.ready[r], e.ready[l]) {
 			c = r
 		}
-		if !e.less(e.ready[c], pr) {
+		if !less(e.ready[c], s) {
 			break
 		}
-		e.ready[i] = e.ready[c]
-		e.ready[i].heapIdx = i
+		e.put(i, e.ready[c])
 		i = c
 	}
-	e.ready[i] = pr
-	pr.heapIdx = i
+	e.put(i, s)
 	return i != start
 }
 
+// heapPush makes pr runnable; it enters at a communication operation (the
+// start, a wake, a barrier release), so its key is its clock.
 func (e *engine) heapPush(pr *proc) {
-	e.ready = append(e.ready, pr)
-	pr.heapIdx = len(e.ready) - 1
-	e.heapUp(pr.heapIdx)
+	e.ready = append(e.ready, slot{key: pr.clock, rank: pr.rank})
+	e.heapUp(len(e.ready) - 1)
 }
 
 func (e *engine) heapRemove(pr *proc) {
@@ -385,8 +373,7 @@ func (e *engine) heapRemove(pr *proc) {
 	if i == last {
 		return
 	}
-	e.ready[i] = moved
-	moved.heapIdx = i
+	e.put(i, moved)
 	if !e.heapDown(i) {
 		e.heapUp(i)
 	}
@@ -399,7 +386,7 @@ func (e *engine) heapRemove(pr *proc) {
 func (e *engine) next() *proc {
 	for {
 		if len(e.ready) > 0 {
-			return e.ready[0]
+			return &e.procs[e.ready[0].rank]
 		}
 		if e.doneCount == e.p {
 			return nil
@@ -426,7 +413,7 @@ func (e *engine) releaseBarrier() {
 	t += steps * (e.cfg.SendOverhead + e.cfg.RecvOverhead + e.cfg.NetStartup)
 	for i := range e.procs {
 		if pr := &e.procs[i]; pr.state == stateBarrier {
-			pr.clock, pr.key = t, t
+			pr.clock = t
 			pr.state = stateReady
 			e.heapPush(pr)
 		}
@@ -451,8 +438,9 @@ func (e *engine) deadlockError() error {
 // catches up with the clock (it only grows, so the processor can only
 // move toward the leaves of the heap).
 func (p *proc) rekey() {
-	p.key = p.clock
-	p.eng.heapDown(p.heapIdx)
+	e := p.eng
+	e.ready[p.heapIdx].key = p.clock
+	e.heapDown(p.heapIdx)
 }
 
 // send charges the processor for sending pd, prices its transfer and
@@ -478,13 +466,12 @@ func (p *proc) send(dst int, pd pending) {
 	}
 }
 
-// block takes the processor out of the ready heap until src sends to it,
-// with the entry clock as key; only src's Send wakes it, and it has queued
-// the message by then.
+// block takes the processor out of the ready heap until src sends to it;
+// only src's Send wakes it, and it has queued the message by then. Its
+// clock stays the entry clock, the key it is woken with.
 func (p *proc) block(src int) {
 	p.state = stateBlocked
 	p.waitSrc = src
-	p.key = p.clock
 	p.eng.heapRemove(p)
 }
 

@@ -1,10 +1,11 @@
 package sim
 
 import (
-	"runtime"
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/topology"
 )
@@ -28,31 +29,30 @@ func pingPong(rounds int) comm.Script {
 // TestSendRecvAllocationFree asserts the 0-allocs/op property directly:
 // growing the round count 100x must not grow the allocation count of a
 // replay with it (all per-message state lives in the pooled engine's
-// arena and the reused route scratch buffer).
+// arena and the reused route scratch buffer), and a program of several
+// registers per processor allocates what one of one does: the engine
+// keeps its register file.
 func TestSendRecvAllocationFree(t *testing.T) {
 	nw := lineNet(t, 2)
-	allocs := func(rounds int) uint64 {
-		prog := mustCompile(t, pingPong(rounds), 2)
-		replay := func() {
+	allocs := func(regs, rounds int) float64 {
+		s := pingPong(rounds)
+		s.Regs = regs
+		prog := mustCompile(t, s, 2)
+		// AllocsPerRun warms the engine pool and the route buffer first.
+		return testing.AllocsPerRun(5, func() {
 			if _, err := Replay(nw, prog, lengths(func(int) int { return 64 }), Options{}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		// Warm the engine pool and the route buffer first.
-		replay()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		replay()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		})
 	}
-	small := allocs(100)
-	big := allocs(10_000)
+	small, big := allocs(1, 100), allocs(1, 10_000)
 	// Fixed per-run setup (procs, stats) is allowed; anything proportional
-	// to the extra 9900 rounds is a regression. The slack absorbs
-	// runtime-internal allocations.
-	if big > small+100 {
-		t.Errorf("allocations scale with operation count: %d for 100 rounds, %d for 10000", small, big)
+	// to the extra 9900 rounds is a regression.
+	if big > small {
+		t.Errorf("allocations scale with operation count: %.0f for 100 rounds, %.0f for 10000", small, big)
+	}
+	if multi := allocs(4, 100); multi > small {
+		t.Errorf("a replay of four registers per processor allocates %.0f, of one %.0f: the register file is made again", multi, small)
 	}
 }
 
@@ -82,6 +82,90 @@ func TestQueueArraysRecycled(t *testing.T) {
 			t.Fatalf("run %d: %d transfers, want 4", i, res.Net.Transfers)
 		}
 	}
+}
+
+// TestRecycledStorageMatchesFresh replays cells whose shape changes from
+// one to the next — machine size and topology, one register per
+// processor or p, part lengths read or not — each on the engine and the
+// network tables the cell before left behind, and requires exactly the
+// result, hot links and node loads of the same cell on a new engine.
+// That a released network starts as a new one is checked on its own in
+// internal/network; the references here run on networks never released.
+func TestRecycledStorageMatchesFresh(t *testing.T) {
+	x, y, z := topology.TorusDims(128)
+	torus := topology.MustTorus3D(x, y, z)
+	cells := []struct {
+		topo       topology.Topology
+		place      *topology.Placement
+		cfg        network.Config
+		rows, cols int
+		alg        string
+		sources    []int
+		msgLen     int
+	}{
+		{topology.MustMesh2D(16, 16), topology.IdentityPlacement(256), network.ParagonNX(), 16, 16, "Br_Lin", stride(256, 4), 1024},
+		{torus, topology.Snake3DPlacement(torus), network.T3DMPI(), 8, 16, "PersAlltoAll", stride(128, 3), 4096},
+		{topology.MustHypercube(6), topology.IdentityPlacement(64), network.ParagonNX(), 8, 8, "A2A_Pairwise", core.AllRanksSources(64), 256},
+		{topology.MustMesh2D(3, 4), topology.IdentityPlacement(12), network.ParagonMPI(), 3, 4, "Bcast_Circulant", []int{5}, 2048},
+		{topology.MustMesh2D(3, 4), topology.IdentityPlacement(12), network.ParagonMPI(), 3, 4, "Ring_AllGather", stride(12, 2), 512},
+		{topology.MustMesh2D(3, 4), topology.IdentityPlacement(12), network.ParagonMPI(), 3, 4, "A2A_JungSakho", core.AllRanksSources(12), 64},
+	}
+	type outcome struct {
+		res  *Result
+		hot  []network.LinkStats
+		load []network.Time
+	}
+	replay := func(i int, fresh bool) outcome {
+		c := cells[i]
+		alg, err := core.ByName(c.alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := core.Spec{Rows: c.rows, Cols: c.cols, Sources: c.sources, Indexing: topology.SnakeRowMajor}
+		prog, err := core.Compile(alg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh {
+			for _, ok := idle.Get(); ok; _, ok = idle.Get() {
+			}
+		}
+		nw, err := network.New(c.topo, c.place, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll := core.CollectiveOf(alg)
+		res, err := Replay(nw, prog, func(rank int) (int, int) { return core.InitialLen(coll, spec, rank, c.msgLen) }, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.alg, err)
+		}
+		res.Program = nil
+		out := outcome{res, nw.HotLinks(0), nw.NodeLoad()}
+		if !fresh {
+			nw.Release()
+		}
+		return out
+	}
+	want := make([]outcome, len(cells))
+	for i := range cells {
+		want[i] = replay(i, true)
+	}
+	for round := range 2 {
+		for i, c := range cells {
+			if got := replay(i, false); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("round %d, %s on %s: a recycled engine and network give %+v, new ones %+v", round, c.alg, c.cfg.Name, *got.res, *want[i].res)
+			}
+		}
+	}
+}
+
+// stride returns every k-th rank of p.
+func stride(p, k int) []int {
+	var out []int
+	for r := 0; r < p; r += k {
+		out = append(out, r)
+	}
+	return out
 }
 
 // BenchmarkReplay replays one cell — a recursive-doubling exchange on the

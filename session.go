@@ -209,12 +209,14 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 	}
 	switch engine {
 	case EngineSim:
-		// The simulator builds its (cheap) network per run for
-		// determinism; validate the machine once so a bad topology
-		// surfaces at Open like the other engines' setup errors.
-		if _, err := m.NewNetwork(); err != nil {
+		// The simulator takes a network per run; validate the machine
+		// once so a bad topology surfaces at Open like the other
+		// engines' setup errors.
+		nw, err := m.NewNetwork()
+		if err != nil {
 			return nil, err
 		}
+		nw.Release()
 	case EngineLive:
 		lm, err := live.NewMachine(m.P())
 		if err != nil {
@@ -505,7 +507,8 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	loads := nw.NodeLoad()
+	loads, hot := nw.NodeLoad(), nw.HotLinks(10)
+	nw.Release()
 	nodeLoad := make([]time.Duration, len(loads))
 	for i, v := range loads {
 		nodeLoad[i] = v.Duration()
@@ -518,7 +521,7 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 		Elapsed:       res.Elapsed.Duration(),
 		Params:        metrics.FromResult(res),
 		ActiveProfile: metrics.ActiveProfile(res),
-		HotLinks:      nw.HotLinks(10),
+		HotLinks:      hot,
 		NodeLoad:      nodeLoad,
 		Trace:         opts.Trace,
 	}, sent, nil

@@ -3,7 +3,9 @@ package stpbcast_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -304,6 +306,53 @@ func TestHypercubeMachine(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Fatal("no simulated time")
+	}
+}
+
+// TestSimHotLinksSurviveRecycling runs EngineSim cells of four shapes —
+// Paragon 16×16, T3D-128, a 6-cube, Paragon 3×4 — alone, then all at
+// once, four runs of each: every run hands its network's tables to the
+// next once it has read its hot links and node loads, so each concurrent
+// run must report exactly what it reported alone.
+func TestSimHotLinksSurviveRecycling(t *testing.T) {
+	cells := []struct {
+		m   *stpbcast.Machine
+		cfg stpbcast.Config
+	}{
+		{stpbcast.NewParagon(16, 16), stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 64, MsgBytes: 1024}},
+		{stpbcast.NewT3D(128), stpbcast.Config{Algorithm: "PersAlltoAll", Distribution: "Cr", Sources: 40, MsgBytes: 4096}},
+		{stpbcast.NewHypercube(6), stpbcast.Config{Algorithm: "2-Step", Distribution: "Sq", Sources: 16, MsgBytes: 2048}},
+		{stpbcast.NewParagon(3, 4), stpbcast.Config{Algorithm: "Br_xy_source", Distribution: "R", Sources: 3, MsgBytes: 512}},
+	}
+	run := func(i int) *stpbcast.Result {
+		res, err := stpbcast.Run(cells[i].m, stpbcast.EngineSim, cells[i].cfg, stpbcast.RunOptions{})
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	want := make([]*stpbcast.Result, len(cells))
+	for i := range cells {
+		want[i] = run(i)
+	}
+	got := make([]*stpbcast.Result, 4*len(cells))
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k] = run(k % len(cells))
+		}()
+	}
+	wg.Wait()
+	for k, res := range got {
+		w := want[k%len(cells)]
+		if res == nil || w == nil {
+			continue
+		}
+		if res.Elapsed != w.Elapsed || !reflect.DeepEqual(res.HotLinks, w.HotLinks) || !reflect.DeepEqual(res.NodeLoad, w.NodeLoad) {
+			t.Errorf("%s: a concurrent run gives %v, hot links %v; alone %v, %v", cells[k%len(cells)].cfg.Algorithm, res.Elapsed, res.HotLinks, w.Elapsed, w.HotLinks)
+		}
 	}
 }
 

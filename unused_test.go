@@ -7,12 +7,16 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 // keptWithoutUser lists the exported declarations the gate below finds no
@@ -34,7 +38,8 @@ var keptWithoutUser = map[string]string{
 // tests" gate. It type-checks every non-test file of the module (cmd/,
 // examples/, benchmark/ and the facade count as users) and resolves each
 // use to the object it names, so two methods that share a name are two
-// objects. It fails on
+// objects, and a use through an instantiation of a generic type to the
+// generic declaration. It fails on
 //   - an exported top-level func, type, var or const declared under
 //     internal/ that no non-test code refers to;
 //   - an exported method of a type declared under internal/ that no
@@ -46,11 +51,72 @@ var keptWithoutUser = map[string]string{
 //     an assignment or by taking its address). A struct whose fields carry
 //     json tags is a wire type, which the other side of the wire writes.
 func TestInternalExportsHaveProductionUsers(t *testing.T) {
-	m := loadModule(t)
+	dead, excused := unusedExports(t, loadModule(t, os.DirFS(".")))
+	for _, msg := range dead {
+		t.Error(msg)
+	}
+	for key := range keptWithoutUser {
+		if !excused[key] {
+			t.Errorf("keptWithoutUser[%q] excuses nothing: the declaration is gone or has a user now, drop the entry", key)
+		}
+	}
+	if n := len(keptWithoutUser); n > 12 {
+		t.Errorf("%d exceptions; the table is capped at 12", n)
+	}
+}
 
+// TestGateSeesGenericMethods runs the gate on a module of two files
+// whose internal package declares a generic stack: the methods its root
+// package calls through an instantiation count as used, the one no
+// non-test code calls still fails.
+func TestGateSeesGenericMethods(t *testing.T) {
+	dead, _ := unusedExports(t, loadModule(t, fstest.MapFS{
+		"internal/list/list.go": {Data: []byte(`package list
+
+type List[T any] struct{ items []T }
+
+func (l *List[T]) Push(v T) { l.items = append(l.items, v) }
+
+func (l *List[T]) Pop() T {
+	v := l.items[len(l.items)-1]
+	l.items = l.items[:len(l.items)-1]
+	return v
+}
+
+func (l *List[T]) Len() int { return len(l.items) }
+`)},
+		"gate.go": {Data: []byte(`package gate
+
+import "repro/internal/list"
+
+var ints list.List[int]
+
+func Round(v int) int {
+	ints.Push(v)
+	return ints.Pop()
+}
+`)},
+	}))
+	want := []string{"internal/list.List.Len is exported but no non-test code uses it: delete it, or move it beside the tests that use it"}
+	if !reflect.DeepEqual(dead, want) {
+		t.Errorf("the gate reports %q, want %q", dead, want)
+	}
+}
+
+// unusedExports applies the gate to m: it returns what fails it, sorted,
+// and the keys of keptWithoutUser that excused a declaration.
+func unusedExports(t *testing.T, m *module) (dead []string, excused map[string]bool) {
+	t.Helper()
 	used := map[types.Object]bool{}
 	for _, obj := range m.info.Uses {
-		used[obj] = true
+		switch obj := obj.(type) {
+		case *types.Func:
+			used[obj.Origin()] = true
+		case *types.Var:
+			used[obj.Origin()] = true
+		default:
+			used[obj] = true
+		}
 	}
 	written := map[types.Object]bool{}
 	for _, f := range m.files {
@@ -167,8 +233,7 @@ func TestInternalExportsHaveProductionUsers(t *testing.T) {
 		}
 	}
 
-	excused := map[string]bool{}
-	var dead []string
+	excused = map[string]bool{}
 	for _, d := range decls {
 		switch {
 		case d.live:
@@ -181,17 +246,7 @@ func TestInternalExportsHaveProductionUsers(t *testing.T) {
 		}
 	}
 	sort.Strings(dead)
-	for _, msg := range dead {
-		t.Error(msg)
-	}
-	for key := range keptWithoutUser {
-		if !excused[key] {
-			t.Errorf("keptWithoutUser[%q] excuses nothing: the declaration is gone or has a user now, drop the entry", key)
-		}
-	}
-	if n := len(keptWithoutUser); n > 12 {
-		t.Errorf("%d exceptions; the table is capped at 12", n)
-	}
+	return dead, excused
 }
 
 // isOptions reports whether a struct type's name marks it as a set of
@@ -231,10 +286,10 @@ func (m *module) field(e ast.Expr) types.Object {
 	return nil
 }
 
-// loadModule parses every non-test file the default build context
-// selects and type-checks each package of the module; the standard
-// library comes from its export data.
-func loadModule(t *testing.T) *module {
+// loadModule parses every non-test file of the module in root that the
+// default build context selects and type-checks each of its packages;
+// the standard library comes from its export data.
+func loadModule(t *testing.T, root fs.FS) *module {
 	t.Helper()
 	m := &module{
 		fset: token.NewFileSet(),
@@ -247,29 +302,35 @@ func loadModule(t *testing.T) *module {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	ctxt := build.Default
+	ctxt.OpenFile = func(name string) (io.ReadCloser, error) { return root.Open(filepath.ToSlash(name)) }
+	err := fs.WalkDir(root, ".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+			if name := d.Name(); file != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return fs.SkipDir
 			}
 			return nil
 		}
-		dir, name := filepath.Split(path)
+		dir, name := path.Split(file)
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		if ok, err := build.Default.MatchFile(filepath.Clean(dir), name); !ok || err != nil {
+		if ok, err := ctxt.MatchFile(path.Clean(dir), name); !ok || err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
+		src, err := fs.ReadFile(root, file)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(m.fset, file, src, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		imp := "repro"
-		if d := filepath.ToSlash(filepath.Dir(path)); d != "." {
+		if d := path.Dir(file); d != "." {
 			imp += "/" + d
 		}
 		m.src[imp] = append(m.src[imp], f)
