@@ -30,13 +30,15 @@ test:
 # a pool lease holds its key's lock for the whole run, and the same-key
 # and eviction tests race requests, sweeps and evictions against it. So
 # does the fault injector's: rank goroutines write their own event slices,
-# which Events reads only after the engine has joined them. And tcp's run
-# arenas: a caller's Release marks a run's storage free on its goroutine,
-# and the reader pumps reuse it on theirs when the next run's frames
-# arrive.
+# which Events reads only after the engine has joined them. And the run
+# stores (comm.Store): a caller's Release marks a run's storage free on
+# its goroutine, and tcp's reader pumps, or the session's next run, reuse
+# it on theirs — so the facade's Release and kept-result tests go three
+# more times too.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/live ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults
+	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults
+	$(GO) test -race -timeout 5m -count=3 -run 'Release|Kept' .
 
 # Fault-injection, abort-path and result-ownership suites only, plus the
 # stpbench sweep.

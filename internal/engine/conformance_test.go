@@ -488,14 +488,29 @@ var scenarios = []struct {
 		}
 	}},
 
+	// Every received part is capacity-clipped, wherever its bytes live:
+	// an append through one must not reach the next.
 	{"send copies payload", func(h *harness) {
 		_, err := h.run(2, engine.Options{}, func(p *engine.Proc) {
 			if p.Rank() == 0 {
 				buf := []byte("original")
-				p.Send(1, comm.Message{Parts: []comm.Part{{Data: buf}}})
+				p.Send(1, comm.Message{Parts: []comm.Part{{Data: buf}, {Origin: 1, Data: []byte("beta")}}})
 				copy(buf, "CLOBBER!") // must not affect the in-flight message
-			} else if m := p.Recv(0); !bytes.Equal(m.Parts[0].Data, []byte("original")) {
-				h.Errorf("payload aliased: %q", m.Parts[0].Data)
+				return
+			}
+			m := p.Recv(0)
+			if len(m.Parts) != 2 || string(m.Parts[0].Data) != "original" || string(m.Parts[1].Data) != "beta" {
+				h.Errorf("payload aliased or lost: %+v", m.Parts)
+				return
+			}
+			for i, part := range m.Parts {
+				if cap(part.Data) != len(part.Data) {
+					h.Errorf("part %d not clipped: len %d cap %d", i, len(part.Data), cap(part.Data))
+				}
+			}
+			_ = append(m.Parts[0].Data, "XXXXXXXX"...)
+			if string(m.Parts[1].Data) != "beta" {
+				h.Errorf("an append through part 0 reached part 1: %q", m.Parts[1].Data)
 			}
 		})
 		if err != nil {
@@ -918,12 +933,27 @@ var scenarios = []struct {
 		}
 	}},
 
-	// Deadlines must not fire on a run with steady traffic.
+	// Deadlines must not fire on a run with steady traffic: ring rounds,
+	// then one all-to-all in which every rank hears from every other.
 	{"healthy run under deadlines", func(h *harness) {
-		const p, rounds = 4, 20
+		const p, rounds = 16, 20
 		_, err := h.run(p, engine.Options{RecvTimeout: 2 * time.Second, RunTimeout: 60 * time.Second}, func(pr *engine.Proc) {
 			for i := 0; i < rounds; i++ {
 				ringRound(h, p, i)(pr)
+			}
+			me := pr.Rank()
+			for dst := range p {
+				if dst != me {
+					pr.Send(dst, msg(rounds, me, fmt.Sprint("from-", me)))
+				}
+			}
+			for src := range p {
+				if src == me {
+					continue
+				}
+				if got := pr.Recv(src); got.Tag != rounds || string(got.Parts[0].Data) != fmt.Sprint("from-", src) {
+					h.Errorf("rank %d from %d: tag %d, %q", me, src, got.Tag, got.Parts[0].Data)
+				}
 			}
 		})
 		if err != nil {
@@ -1190,7 +1220,8 @@ var scenarios = []struct {
 			p.BeginIter(2)
 			p.BeginPhase("ping")
 			if p.Rank() == 0 {
-				<-release // rank 1 is provably about to block in Recv
+				<-release                    // rank 1 is about to block in Recv
+				time.Sleep(time.Millisecond) // and is blocked by now
 				p.Send(1, msg(7, 0, "hello"))
 				p.Recv(1)
 			} else {
@@ -1204,12 +1235,17 @@ var scenarios = []struct {
 			h.Fatal(err)
 		}
 		kinds := make([][]string, 2)
+		waited := false
 		for _, e := range tr.events {
 			if e.Iter != 2 || e.Phase != "ping" || e.Wall < 0 {
 				h.Errorf("event without markers or clock: %+v", e)
 			}
 			switch e.Kind {
-			case obs.KindWait: // timing-dependent: not part of the sequence
+			case obs.KindWait: // rank 1's blocked Recv; rank 0's is timing-dependent
+				if e.Peer != 1-e.Rank {
+					h.Errorf("rank %d waited on peer %d", e.Rank, e.Peer)
+				}
+				waited = waited || e.Rank == 1
 				continue
 			case obs.KindSend:
 				if want := []int{5, 6}[e.Rank]; e.Bytes != want || e.Tag != 7+e.Rank || e.Peer != 1-e.Rank || e.Parts != 1 {
@@ -1227,6 +1263,9 @@ var scenarios = []struct {
 			if got := strings.Join(kinds[rank], " "); got != want {
 				h.Errorf("rank %d traced %q, want %q", rank, got, want)
 			}
+		}
+		if !waited {
+			h.Error("rank 1's blocked Recv traced no wait")
 		}
 	}},
 }

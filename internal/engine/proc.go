@@ -21,7 +21,7 @@ type Proc struct {
 	// runs hands the rank's goroutine each run (Machine.serve).
 	runs chan *Run
 	// arrays is the rank's run-scoped part storage (PartArray).
-	arrays comm.Arrays
+	arrays comm.Store[comm.Part]
 
 	// Per-run fields, reset by begin under the machine lock before the
 	// run is handed to the rank's goroutine, and read by Run after the
@@ -44,7 +44,7 @@ var _ comm.PhaseMarker = (*Proc)(nil)
 // counters and markers, and its part arrays started on the run's epoch.
 func (p *Proc) begin(r *Run, epoch uint32) {
 	p.in.reset(r.tr != nil)
-	p.arrays.Begin(epoch, &p.m.recycled)
+	p.arrays.Begin(epoch, &p.m.recycled, comm.FillRecycled)
 	p.run = r
 	p.iter, p.phase = -1, ""
 	p.stats = ProcStats{Rank: p.rank}

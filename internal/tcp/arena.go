@@ -12,31 +12,13 @@ package tcp
 // re-enters the pool.
 //
 // Receive side: one runArena per connection end, owned by its reader
-// pump. A decoded frame's storage — one slab shared by the parts of a
-// buffered window, a buffer of its own for a part larger than the window,
-// and the frame's part array — belongs to whoever holds the message: the
-// inbox's comm.Queue until delivery, then the algorithm, whose result
-// bundles keep it. Each comes back on its own mark, by the one recycle
-// rule (comm.Mark.Frees), and is handed out again, in order, to the
-// frames of the next run the arena sees:
-//
-//   - the part array as soon as the run's consumer has copied the
-//     bundles out — the facade once it has built its result maps, a
-//     cluster worker once its checks pass (engine.Machine.Recycle, whose
-//     mark the ranks' own arrays follow too, comm.Arrays);
-//   - the payload bytes only when the caller says so:
-//     Machine.Reclaim(epoch) (Result.Release in the facade, a cluster
-//     worker once its checks pass).
-//
-// A run nobody marks is forgotten instead: the arena clears its list and
-// the GC takes the storage once its result is dropped. So a session that
-// releases every result retains one run's received bytes per connection
-// end between runs and allocates almost none per run; a machine on which
-// no run was ever reclaimed lists no bytes and allocates them exactly as
-// it did before arenas existed. Parts of one window share a slab,
-// capacity-clipped so an append through one cannot reach the next; a
-// consumer that keeps one small part of a frame keeps at most readBufSize
-// bytes alive with it.
+// pump: two run-scoped stores (comm.Store), one for the payload bytes,
+// on Machine.Reclaim's mark, one for the frames' part arrays, on
+// engine.Machine.Recycle's. The parts of a buffered window share one
+// slab, and a part larger than the window gets a buffer of its own. Each
+// part is capacity-clipped, so an append through one cannot reach the
+// next, and a consumer that keeps one small part of a frame keeps at
+// most readBufSize bytes alive with it.
 
 import (
 	"net"
@@ -81,77 +63,24 @@ func putScratch(sc *frameScratch) {
 	scratchPool.Put(sc)
 }
 
-// runArena is one connection end's receive storage, in the order the
-// frames of its current run were given it (see the receive side above).
-// Only its reader pump touches it.
+// runArena is one connection end's receive storage (see the receive
+// side above). Only its reader pump touches it.
 type runArena struct {
-	// epoch is the run the listed storage belongs to.
-	epoch uint32
-	// list marks a machine on which some run was reclaimed: only then
-	// are a run's slabs listed. reuse marks that the listed slabs' run
-	// was reclaimed, so they are handed out again.
-	list, reuse bool
-	slabs       [][]byte // payload storage: window slabs and own-buffer parts
-	ns          int      // the cursor into slabs
-	arrays      comm.Arrays
+	epoch uint32 // the run its stores were begun on
+	bytes comm.Store[byte]
+	parts comm.Store[comm.Part]
 }
 
-// poison, when nonzero, overwrites every byte of a reclaimed run's
-// buffers before they are handed out again, so that a read past
+// poison, when set, is the byte store's fill: it overwrites a reclaimed
+// run's buffers before they are handed out again, so that a read past
 // Release meets it instead of plausible bytes. Only tests set it.
-var poison byte
+var poison func([]byte)
 
-// begin starts the arena on the first frame of a newer run. reclaimed and
-// recycled are the machine's marks for the bytes and the part arrays
-// (nil for a reader without a machine): storage whose run its mark names
-// is handed out again, the rest forgotten, keeping the lists' backing
-// arrays.
+// begin starts the arena's stores on the first frame of a newer run.
+// reclaimed and recycled are the machine's marks for the bytes and the
+// part arrays (nil for a reader without a machine).
 func (a *runArena) begin(epoch uint32, reclaimed, recycled *comm.Mark) {
-	a.arrays.Begin(epoch, recycled)
-	a.list, a.reuse = reclaimed.Frees(a.epoch)
-	a.epoch, a.ns = epoch, 0
-	if a.reuse {
-		if poison != 0 {
-			for _, b := range a.slabs {
-				b = b[:cap(b)]
-				for i := range b {
-					b[i] = poison
-				}
-			}
-		}
-		return
-	}
-	clear(a.slabs)
-	a.slabs = a.slabs[:0]
-}
-
-// bytes returns n bytes of payload storage, capacity-clipped: the next
-// listed buffer when its run was reclaimed and it is large enough, a new
-// one otherwise.
-func (a *runArena) bytes(n int) []byte {
-	if a.reuse && a.ns < len(a.slabs) && cap(a.slabs[a.ns]) >= n {
-		a.ns++
-		return a.slabs[a.ns-1][:n:n]
-	}
-	b := make([]byte, n)
-	if a.list {
-		if a.ns < len(a.slabs) {
-			a.slabs[a.ns] = b
-		} else {
-			a.slabs = append(a.slabs, b)
-		}
-		a.ns++
-	}
-	return b
-}
-
-// parts returns an empty part array for a frame of n parts: the next
-// listed array when its run was recycled and it holds n parts, a new one
-// otherwise, as large as n or maxEagerParts, whichever is smaller. The
-// frame reader lists what the frame's parts ended up in (arrays.Keep).
-func (a *runArena) parts(n int) []comm.Part {
-	if p := a.arrays.Next(n); p != nil {
-		return p
-	}
-	return make([]comm.Part, 0, min(n, maxEagerParts))
+	a.epoch = epoch
+	a.bytes.Begin(epoch, reclaimed, poison)
+	a.parts.Begin(epoch, recycled, comm.FillRecycled)
 }

@@ -5,13 +5,21 @@ import (
 	"testing"
 )
 
+// poisoned is the byte poisonReclaimed fills with, 0 while it is off.
+var poisoned byte
+
 // poisonReclaimed turns the arenas' poison fill on for the rest of the
 // test: every byte of a reclaimed run's storage reads b until the next
 // run writes over it.
 func poisonReclaimed(t *testing.T, b byte) {
 	t.Helper()
-	poison = b
-	t.Cleanup(func() { poison = 0 })
+	poisoned = b
+	poison = func(slab []byte) {
+		for i := range slab {
+			slab[i] = b
+		}
+	}
+	t.Cleanup(func() { poisoned, poison = 0, nil })
 }
 
 // unpoisoned names the first poisoned byte of data: what a read of a
@@ -19,7 +27,7 @@ func poisonReclaimed(t *testing.T, b byte) {
 // reused, finds there.
 func unpoisoned(data []byte) error {
 	for i, b := range data {
-		if poison != 0 && b == poison {
+		if poisoned != 0 && b == poisoned {
 			return fmt.Errorf("byte %d of %d is the poison fill %#02x: read after its run was reclaimed", i, len(data), b)
 		}
 	}

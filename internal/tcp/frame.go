@@ -158,7 +158,11 @@ func (fr *frameReader) read() (comm.Message, uint32, error) {
 	if nparts == 0 {
 		return m, epoch, nil
 	}
-	m.Parts = fr.arena.parts(nparts)
+	// A frame's part array is as large as nparts or maxEagerParts,
+	// whichever is smaller, unless a recycled one holds nparts.
+	if m.Parts = fr.arena.parts.Next(nparts); m.Parts == nil {
+		m.Parts = make([]comm.Part, 0, min(nparts, maxEagerParts))
+	}
 	for len(m.Parts) < nparts {
 		if m.Parts, err = fr.readParts(m.Parts, nparts-len(m.Parts)); err != nil {
 			if err == io.EOF {
@@ -167,7 +171,7 @@ func (fr *frameReader) read() (comm.Message, uint32, error) {
 			return comm.Message{}, 0, err
 		}
 	}
-	fr.arena.arrays.Keep(m.Parts)
+	fr.arena.parts.Keep(m.Parts)
 	return m, epoch, nil
 }
 
@@ -207,7 +211,7 @@ func (fr *frameReader) readParts(parts []comm.Part, want int) ([]comm.Part, erro
 			return nil, err
 		}
 		fr.br.Discard(partHdrLen)
-		data := fr.arena.bytes(n)
+		data := fr.arena.bytes.Get(n)[:n:n]
 		if _, err := io.ReadFull(fr.br, data); err != nil {
 			return nil, err
 		}
@@ -217,7 +221,7 @@ func (fr *frameReader) readParts(parts []comm.Part, want int) ([]comm.Part, erro
 	if err != nil {
 		return nil, err
 	}
-	slab := fr.arena.bytes(payload)
+	slab := fr.arena.bytes.Get(payload)[:payload:payload]
 	for ; k > 0; k-- {
 		origin := int(int32(binary.BigEndian.Uint32(b[0:])))
 		n := int(int32(binary.BigEndian.Uint32(b[4:])))

@@ -183,13 +183,15 @@ type Session struct {
 	// runMu guards both; a run's rank r touches payloads[r] only.
 	binds    core.Bindings
 	payloads []payloadMemo
-	// started counts the runs begun and spare holds the bundle maps of a
-	// result released before the next run began, for it to clear and
-	// refill (Result.Release); mu guards both.
-	started uint64
-	spare   []map[int][]byte
-	stats   SessionStats
-	closed  bool
+	// maps holds the runs' bundle maps, and released is Result.Release's
+	// mark on them: a result released before the next run began hands
+	// its maps to that run to clear and refill. The session's run n
+	// (stats.Runs counts the runs before it) is run n of maps; Run
+	// begins it and Release checks that it is still the latest, under mu.
+	maps     comm.Store[map[int][]byte]
+	released comm.Mark
+	stats    SessionStats
+	closed   bool
 }
 
 // payloadMemo is one rank's last default payload: Collective.Payload's
@@ -348,9 +350,8 @@ func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 		s.mu.Unlock()
 		return nil, errors.New("stpbcast: Run on closed session")
 	}
-	s.started++
-	spare := s.spare
-	s.spare = nil
+	run := uint32(s.stats.Runs) + 1
+	s.maps.Begin(run, &s.released, nil)
 	s.mu.Unlock()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -361,7 +362,7 @@ func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 	if s.engine == EngineSim {
 		res, sent, err = runSim(s.m, cfg, opts)
 	} else {
-		res, sent, err = s.runReal(cfg, opts, spare)
+		res, sent, err = s.runReal(cfg, opts, run)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -434,7 +435,7 @@ type Result struct {
 	// back (nil sess: nothing to hand back); tcpM and epoch the TCP run
 	// whose received bytes it hands back (nil tcpM: none).
 	sess  *Session
-	run   uint64
+	run   uint32
 	tcpM  *tcp.Machine
 	epoch uint32
 }
@@ -448,17 +449,19 @@ type Result struct {
 // between runs the session retains one run's received bytes per
 // connection end. A result never released keeps its maps and bytes for
 // as long as it is held, and the GC reclaims them after, as if Release
-// did not exist. Release is a no-op when called twice, once a later Run
-// on the session has started (the storage then stays the caller's), and
-// for results of EngineSim and cluster sessions, which hold no bundles.
+// did not exist. A session's first run lists nothing, so its maps and
+// bytes are not handed out again even when released. Release is a no-op
+// when called twice, once a later Run on the session has started (the
+// storage then stays the caller's), and for results of EngineSim and
+// cluster sessions, which hold no bundles.
 func (r *Result) Release() {
 	if r.tcpM != nil {
 		r.tcpM.Reclaim(r.epoch)
 	}
 	if s := r.sess; s != nil {
 		s.mu.Lock()
-		if s.started == r.run {
-			s.spare = r.Bundles
+		if uint32(s.stats.Runs) == r.run {
+			s.released.Set(r.run)
 		}
 		s.mu.Unlock()
 	}
@@ -532,10 +535,11 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 // wrapping each rank's comm, and per-run tracer attachment. A registry
 // algorithm is compiled once per instance the session runs (binds).
 //
-// bundles, when not nil, are the maps of a released result, cleared and
-// refilled here. Once the maps are built the run's part arrays are dead:
-// the engine hands them to the next run (Recycle).
-func (s *Session) runReal(cfg Config, opts RunOptions, bundles []map[int][]byte) (*Result, int64, error) {
+// run numbers the run in the session's maps: those of a released result,
+// when the store hands them out, are cleared and refilled here. Once the
+// maps are built the run's part arrays are dead: the engine hands them
+// to the next run (Recycle).
+func (s *Session) runReal(cfg Config, opts RunOptions, run uint32) (*Result, int64, error) {
 	if s.clu != nil {
 		return s.runCluster(cfg, opts)
 	}
@@ -577,9 +581,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions, bundles []map[int][]byte)
 			inj.SetTracer(opts.Trace, time.Now())
 		}
 	}
-	if bundles == nil {
-		bundles = make([]map[int][]byte, p)
-	}
+	bundles := s.maps.Get(p)[:p]
 	body := func(c comm.Comm) {
 		rank := c.Rank()
 		mine := core.InitialOn(c, coll, spec, payload)
@@ -599,7 +601,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions, bundles []map[int][]byte)
 		}
 	}
 
-	res := &Result{Bundles: bundles, Trace: opts.Trace, sess: s, run: s.started}
+	res := &Result{Bundles: bundles, Trace: opts.Trace, sess: s, run: run}
 	var sent int64
 	switch s.engine {
 	case EngineLive:
