@@ -467,11 +467,11 @@ func TestRunAllocationBudget(t *testing.T) {
 }
 
 // figurePassAllocBudget and figurePassKBBudget leave 5 % over what a
-// pass costs: 4 662 allocations (4 672–4 683 under the race detector)
-// and 20 951 kB.
+// pass costs: 4 662 allocations (4 673–4 686 under the race detector)
+// and 16 000 kB (16 004 kB).
 const (
 	figurePassAllocBudget = 4896
-	figurePassKBBudget    = 21999
+	figurePassKBBudget    = 16800
 )
 
 // TestFigurePassAllocationBudget counts what one pass over the

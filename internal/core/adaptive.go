@@ -48,10 +48,11 @@ func growthEfficiency(spec Spec) float64 {
 	}
 	rankOrder := sectioning{k: 1, passes: []pass{{n: p, at: func(_, pos int) int { return pos }}}}
 	gained := make([]int, rankOrder.levels())
-	// A processor becomes a holder at the level of its first receive.
-	seen := spec.holderFlags()
+	// A processor that is no source becomes a holder at the level of its
+	// first receive.
+	seen := make([]bool, p)
 	rankOrder.stream(spec, func(st Step) {
-		if st.Recv && !seen[st.Rank] {
+		if st.Recv && !seen[st.Rank] && !spec.IsSource(int(st.Rank)) {
 			seen[st.Rank] = true
 			gained[st.Level]++
 		}

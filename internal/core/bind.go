@@ -297,7 +297,7 @@ type Step struct {
 // whole communication after the opening barrier being these steps. Every
 // receive follows the send it matches and a rank's steps come in the order
 // it executes them, so one pass with per-rank state can replay the run.
-// It is the stream Bind buckets into per-rank lists. The spec must be
+// It is the stream Bind files rank by rank into one slab. The spec must be
 // valid for its own mesh, as for Bind; Steps panics otherwise.
 func Steps(alg Algorithm, spec Spec, visit func(Step)) bool {
 	a, ok := alg.(schedule)
@@ -338,50 +338,75 @@ func (s sectioning) levels() int {
 }
 
 // stream runs the holder evolution from the spec's sources through every
-// pass and hands each step to emit. The holder flags carry over from
-// pass to pass: a line's sectioning leaves all of its processors holding
-// iff any of them did.
+// pass and hands each step to emit.
 func (s sectioning) stream(spec Spec, emit func(Step)) {
+	cp := s.scratch(spec)
+	cp.emit = emit
+	s.evolve(&cp, spec)
+}
+
+// scratch returns a compiler for the passes of s on spec, its scratch
+// sized for the longest line and the largest group, so that line never
+// grows it and stores nothing back — which is what lets emit's closure
+// stay on its caller's stack.
+func (s sectioning) scratch(spec Spec) compiler {
 	longest := 0
 	for _, ps := range s.passes {
 		longest = max(longest, ps.n)
 	}
 	// A line of n processors never has more than n segments.
 	segs := make([]segment, 2*longest)
-	cp := &compiler{
-		holds: spec.holderFlags(), emit: emit,
-		segs: segs[:0:longest], next: segs[longest:longest], members: make([]int, 0, s.k+1),
+	ints := make([]int, longest+s.k+1)
+	return compiler{holds: make([]bool, spec.P()), segs: segs[:0:longest], next: segs[longest:longest],
+		ranks: ints[:longest], members: ints[longest:longest]}
+}
+
+// evolve runs the holder evolution on cp from the spec's sources, so a
+// compiler can run it more than once. The holder flags carry over from
+// pass to pass: a line's sectioning leaves all of its processors holding
+// iff any of them did.
+func (s sectioning) evolve(cp *compiler, spec Spec) {
+	clear(cp.holds)
+	for _, src := range spec.Sources {
+		cp.holds[src] = true
 	}
 	base := 0
 	for _, ps := range s.passes {
+		// A line's ranks are looked up once, not per level.
+		ranks := cp.ranks[:ps.n]
 		for l := 0; l < spec.P()/ps.n; l++ {
-			cp.line(s.k, base, ps.n, func(pos int) int { return ps.at(l, pos) })
+			for pos := range ranks {
+				ranks[pos] = ps.at(l, pos)
+			}
+			cp.line(s.k, base, ranks)
 		}
 		base += lineIters(s.k, ps.n)
 	}
 }
 
-// compiler runs the holder evolution of the sectioning broadcasts once
-// for the whole machine and emits every processor's steps. All
+// compiler runs the holder evolution of the sectioning broadcasts for the
+// whole machine at once and emits every processor's steps. All
 // processors know the source positions (Section 1), so the evolution is
 // a pure function of the spec: computing it per processor, as the
 // paper's model has it, would repeat it p times in one address space.
+// Bind runs it twice, once to count each processor's steps and once to
+// file them.
 type compiler struct {
 	holds []bool // by rank: does it hold messages at this point
 	emit  func(Step)
-	// Scratch reused from line to line. stream sizes it for the longest
-	// line and the largest group, so line never grows it and stores nothing
-	// back — which is what lets emit's closure stay on its caller's stack.
-	segs, next []segment
-	members    []int
+	// Scratch reused from line to line (scratch sizes it): the segments of
+	// a level and of the next, the ranks of the line's positions and those
+	// of one group.
+	segs, next     []segment
+	ranks, members []int
 }
 
 func (cp *compiler) add(it, rank, peer int, recv bool) {
 	cp.emit(Step{int32(it), int32(rank), int32(peer), recv})
 }
 
-// line compiles the (k+1)-section broadcast along one line of n
-// processors, at(i) being the rank at line position i, as levels base,
+// line compiles the (k+1)-section broadcast along one line of n =
+// len(at) processors, at[i] being the rank at line position i, as levels base,
 // base+1, … Per level, for each segment [lo, lo+n) with h = ⌈n/(k+1)⌉:
 //
 //   - group i (i < h) is the evenly strided positions lo+i+j·h inside the
@@ -404,9 +429,10 @@ func (cp *compiler) add(it, rank, peer int, recv bool) {
 // (group unions combine disjoint per-position bundles; the straggler
 // target never belongs to a straggler group), so merging never
 // duplicates a message.
-func (cp *compiler) line(k, base, n int, at func(pos int) int) {
+func (cp *compiler) line(k, base int, at []int) {
+	n := len(at)
 	segs, next, members := append(cp.segs[:0], segment{0, n}), cp.next, cp.members
-	for it := base; it < base+lineIters(k, n); it++ {
+	for it, end := base, base+lineIters(k, n); it < end; it++ {
 		next = next[:0]
 		for _, g := range segs {
 			if g.n <= 1 {
@@ -416,13 +442,13 @@ func (cp *compiler) line(k, base, n int, at func(pos int) int) {
 			for i := 0; i < h; i++ {
 				members = members[:0]
 				for pos := g.lo + i; pos < g.lo+g.n; pos += h {
-					members = append(members, at(pos))
+					members = append(members, at[pos])
 				}
 				cp.exchange(it, members)
 			}
-			last := at(g.lo + g.n - 1)
+			last := at[g.lo+g.n-1]
 			for i := g.n - (g.n-1)/h*h; i < h; i++ {
-				if u := at(g.lo + i); cp.holds[u] {
+				if u := at[g.lo+i]; cp.holds[u] {
 					cp.add(it, u, last, false)
 					cp.add(it, last, u, true)
 					cp.holds[last] = true
@@ -464,48 +490,47 @@ func (cp *compiler) exchange(it int, members []int) {
 	}
 }
 
-// step is a Step in its own processor's list.
+// step is a Step in its own processor's slice of the slab.
 type step struct {
 	peer int32 // partner rank
-	next int32 // the processor's next step in the slab, 0 after its last
 	iter int16 // level the step belongs to
 	recv bool  // receive the partner's bundle and merge it; otherwise send ours
 }
 
-// script records the stream as per-rank lists threaded through one slab
-// and returns the communicating part of the broadcast: after the barrier
-// every processor executes only its own steps, marking each level whether
-// or not it is active in it, and ends holding all s original messages.
+// script files the stream into one slab, rank r's steps at
+// steps[off[r]:off[r+1]], and returns the communicating part of the
+// broadcast: after the barrier every processor executes only its own
+// steps, marking each level whether or not it is active in it, and ends
+// holding all s original messages. The evolution runs twice on one
+// scratch: once to count each rank's steps, so the slab is exact, and
+// once to file them.
 func (s sectioning) script(spec Spec) comm.Script {
-	p, iters, parts := spec.P(), s.levels(), spec.S()
-	// Together the processors take at most k sends, k receives and a
-	// straggler's one-way each per level. Slot 0 stays unused: it is what
-	// next says after a processor's last step.
-	rec := make([]step, 1, 1+(2*s.k+1)*p*iters)
-	ends := make([]int32, 2*p)
-	first, last := ends[:p], ends[p:]
-	s.stream(spec, func(st Step) {
-		i := int32(len(rec))
-		rec = append(rec, step{peer: st.Peer, iter: int16(st.Level), recv: st.Recv})
-		if l := last[st.Rank]; l != 0 {
-			rec[l].next = i
-		} else {
-			first[st.Rank] = i
-		}
-		last[st.Rank] = i
-	})
-	// The script keeps the slice under another name, so that rec, which the
-	// recording closure writes, need not move to the heap with it.
-	steps, phase := rec, s.phase
+	p, iters, parts, phase := spec.P(), s.levels(), spec.S(), s.phase
+	cp := s.scratch(spec)
+	// off[r+1] counts rank r's steps, then is where they start, the cursor
+	// they are filed at, and so where they end.
+	off := make([]int32, p+1)
+	cp.emit = func(st Step) { off[st.Rank+1]++ }
+	s.evolve(&cp, spec)
+	total := int32(0)
+	for r := 1; r <= p; r++ {
+		off[r], total = total, total+off[r]
+	}
+	steps := make([]step, total)
+	cp.emit = func(st Step) {
+		steps[off[st.Rank+1]] = step{peer: st.Peer, iter: int16(st.Level), recv: st.Recv}
+		off[st.Rank+1]++
+	}
+	s.evolve(&cp, spec)
 	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
 		b.Barrier()
 		b.Grow(0, parts)
-		at := first[rank]
+		mine := steps[off[rank]:off[rank+1]]
 		for it := 0; it < iters; it++ {
 			b.Iter(it)
 			b.Phase(phase)
-			for ; at != 0 && int(steps[at].iter) == it; at = steps[at].next {
-				if st := steps[at]; st.recv {
+			for ; len(mine) > 0 && int(mine[0].iter) == it; mine = mine[1:] {
+				if st := mine[0]; st.recv {
 					b.Merge(int(st.peer), 0)
 				} else {
 					b.Send(int(st.peer), 0)

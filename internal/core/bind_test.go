@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
@@ -47,7 +50,6 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 	machines := [][2]int{{4, 4}, {7, 9}, {1, 13}, {10, 10}, {16, 16}, {8, 8}}
 	var programmed, streamed []string
 	for _, m := range machines {
-		p := m[0] * m[1]
 		for _, coll := range Collectives() {
 			for _, spec := range specsFor(t, coll, m[0], m[1]) {
 				for _, alg := range RegistryFor(coll) {
@@ -58,18 +60,8 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 					if !slices.Contains(programmed, alg.Name()) {
 						programmed = append(programmed, alg.Name())
 					}
-					want := make([][]Step, p)
-					if !Steps(alg, spec, func(st Step) { want[st.Rank] = append(want[st.Rank], st) }) {
-						continue
-					}
-					if !slices.Contains(streamed, alg.Name()) {
+					if checkStream(t, alg, spec, prog) && !slices.Contains(streamed, alg.Name()) {
 						streamed = append(streamed, alg.Name())
-					}
-					for r, got := range programSteps(prog) {
-						if !slices.Equal(got, want[r]) {
-							t.Fatalf("%s on %d×%d %v: rank %d executes %v, the stream says %v",
-								alg.Name(), m[0], m[1], spec.Sources, r, got, want[r])
-						}
 					}
 				}
 			}
@@ -84,13 +76,80 @@ func TestStepsMatchExecutedSchedule(t *testing.T) {
 	if want := []string{"Br_Lin", "Br_xy_source", "Br_xy_dim", "Br_kport4"}; !slices.Equal(streamed, want) {
 		t.Errorf("registry algorithms with a step stream: %v, want %v", streamed, want)
 	}
-	// Values built outside the registry compile too.
+	// Values built outside the registry compile too, and Br_dims on three
+	// dimensions — three passes, the holder flags carrying over from each
+	// to the next — executes its stream.
 	spec := makeSpec(t, dist.Cross(), 4, 4, 6)
-	for _, alg := range []Algorithm{BrDims([]int{2, 2, 4}, []int{2, 0, 1}), ReposTo(BrLin(), []int{0, 3, 5, 6, 9, 15}),
+	dims := BrDims([]int{2, 2, 4}, []int{2, 0, 1})
+	if prog, err := Compile(dims, spec); err != nil {
+		t.Errorf("%s: %v", dims.Name(), err)
+	} else if !checkStream(t, dims, spec, prog) {
+		t.Errorf("%s has no step stream", dims.Name())
+	}
+	for _, alg := range []Algorithm{ReposTo(BrLin(), []int{0, 3, 5, 6, 9, 15}),
 		ReposAdaptive(BrXYDim(), 0.1), ReposAdaptive(BrXYDim(), 1),
 		WithDiscovery(BrLin()), ReposTo(WithDiscovery(BrLin()), []int{0, 3, 5, 6, 9, 15})} {
 		if _, err := Compile(alg, spec); err != nil {
 			t.Errorf("%s: %v", alg.Name(), err)
+		}
+	}
+}
+
+// checkStream reports whether alg has a step stream on spec and, if it
+// has, fails t unless each rank's steps are those its operations in prog
+// execute.
+func checkStream(t *testing.T, alg Algorithm, spec Spec, prog *comm.Program) bool {
+	t.Helper()
+	want := make([][]Step, spec.P())
+	if !Steps(alg, spec, func(st Step) { want[st.Rank] = append(want[st.Rank], st) }) {
+		return false
+	}
+	for r, got := range programSteps(prog) {
+		if !slices.Equal(got, want[r]) {
+			t.Fatalf("%s on %d×%d %v: rank %d executes %v, the stream says %v",
+				alg.Name(), spec.Rows, spec.Cols, spec.Sources, r, got, want[r])
+		}
+	}
+	return true
+}
+
+// TestSectionedBindBytesNearProgram holds what Bind allocates for a
+// sectioning broadcast, in bytes, to at most 2.5× its program's op slab:
+// the steps it files and the scratch of its holder evolution are sized by
+// what the evolution does, not by a bound on it. The least of three
+// binds, so a collection during one does not count.
+func TestSectionedBindBytesNearProgram(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations count")
+	}
+	for _, alg := range []Algorithm{BrLin(), BrXYSource(), BrXYDim(), BrKPort(4)} {
+		for _, m := range [][2]int{{7, 9}, {10, 10}, {16, 16}} {
+			p := m[0] * m[1]
+			for _, s := range []int{1, p / 8, p / 2} {
+				t.Run(fmt.Sprintf("%s/%dx%d/E(%d)", alg.Name(), m[0], m[1], s), func(t *testing.T) {
+					spec := makeSpec(t, dist.Equal(), m[0], m[1], s)
+					least := uint64(math.MaxUint64)
+					var prog *comm.Program
+					for range 3 {
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						bound := Bind(alg, spec)
+						runtime.ReadMemStats(&after)
+						least = min(least, after.TotalAlloc-before.TotalAlloc)
+						prog = ProgramOf(bound)
+					}
+					ops := 0
+					for r := range p {
+						ops += len(prog.Ops(r))
+					}
+					slab := uint64(ops) * uint64(unsafe.Sizeof(comm.Op{}))
+					ratio := float64(least) / float64(slab)
+					t.Logf("%d bytes, %.2f× the %d-byte op slab", least, ratio, slab)
+					if ratio > 2.5 {
+						t.Errorf("Bind allocates %d bytes, %.2f× its %d-byte op slab, budget 2.5×", least, ratio, slab)
+					}
+				})
+			}
 		}
 	}
 }

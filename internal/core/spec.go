@@ -91,16 +91,6 @@ func (s Spec) SourceIndex(rank int) int {
 	return -1
 }
 
-// holderFlags returns the initial holds vector: holds[rank] == true iff
-// rank is a source.
-func (s Spec) holderFlags() []bool {
-	h := make([]bool, s.P())
-	for _, src := range s.Sources {
-		h[src] = true
-	}
-	return h
-}
-
 // InitialMessage builds the bundle a processor enters the broadcast with:
 // one part carrying its payload if it is a source, an empty bundle
 // otherwise.

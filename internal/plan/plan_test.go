@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -196,10 +197,11 @@ func TestDecideRejectsInvalidSpec(t *testing.T) {
 // TestColdDecideAllocationBudget counts what a fresh planner with an
 // empty cache allocates deciding a handful of the benchmark's plan_cold
 // instances — analytic ranking, probe simulations, one cache fill each —
-// among them the largest, a T3D-256 broadcast. Probes run on one worker
-// (par.SetLimit), as they do by default at the GOMAXPROCS of 1
-// AllocsPerRun pins, which also sizes the simulator's engine free list. The least of a few sweeps,
-// so a collection during one does not count.
+// among them the largest, a T3D-256 broadcast, in objects and in bytes.
+// Probes run on one worker (par.SetLimit), as they do by default at the
+// GOMAXPROCS of 1 the sweep pins, which also sizes the simulator's engine
+// free list. The least of three sweeps after a first, so neither a
+// collection during one nor the storage the first grows counts.
 func TestColdDecideAllocationBudget(t *testing.T) {
 	type instance struct {
 		m   *machine.Machine
@@ -229,12 +231,19 @@ func TestColdDecideAllocationBudget(t *testing.T) {
 			}
 		}
 	}
-	least := math.Inf(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sweep()
+	least, leastKB := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for range 3 {
-		least = min(least, testing.AllocsPerRun(1, sweep))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sweep()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+		leastKB = min(leastKB, (after.TotalAlloc-before.TotalAlloc)/1000)
 	}
-	t.Logf("%.0f allocations per cold sweep of %d instances", least, len(grid))
-	if least > coldDecideAllocBudget {
-		t.Errorf("%.0f allocations per cold sweep, budget %d", least, coldDecideAllocBudget)
+	t.Logf("%d allocations, %d kB per cold sweep of %d instances", least, leastKB, len(grid))
+	if least > coldDecideAllocBudget || leastKB > coldDecideKBBudget {
+		t.Errorf("%d allocations, %d kB per cold sweep, budget %d, %d kB", least, leastKB, coldDecideAllocBudget, coldDecideKBBudget)
 	}
 }

@@ -2,6 +2,10 @@
 
 package plan
 
-// coldDecideAllocBudget is 5 % over the 1 242 allocations one cold sweep
-// costs (TestColdDecideAllocationBudget).
-const coldDecideAllocBudget = 1305
+// coldDecideAllocBudget and coldDecideKBBudget are 5 % over the 1 242
+// allocations and 2 551 kB one cold sweep costs
+// (TestColdDecideAllocationBudget).
+const (
+	coldDecideAllocBudget = 1305
+	coldDecideKBBudget    = 2679
+)
