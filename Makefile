@@ -18,8 +18,9 @@ vet:
 build:
 	$(GO) build ./...
 
+# -timeout: a test that hangs fails instead of stalling the run.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 # Explicit -timeout: the chaos/abort tests promise every injected hang
 # becomes an error; a silent-hang regression should fail fast. The run

@@ -467,11 +467,11 @@ func TestRunAllocationBudget(t *testing.T) {
 }
 
 // figurePassAllocBudget and figurePassKBBudget leave 5 % over what a
-// pass costs: 4 662 allocations (4 673–4 686 under the race detector)
-// and 16 000 kB (16 004 kB).
+// pass costs: 4 658 allocations (4 672–4 686 under the race detector)
+// and 11 716 kB (11 719–11 720 kB), the kB budget over the larger.
 const (
 	figurePassAllocBudget = 4896
-	figurePassKBBudget    = 16800
+	figurePassKBBudget    = 12306
 )
 
 // TestFigurePassAllocationBudget counts what one pass over the

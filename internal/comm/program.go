@@ -61,7 +61,9 @@ const (
 	OpGrow
 	// OpBarrier enters the machine-wide barrier.
 	OpBarrier
-	// OpIter begins iteration Arg.
+	// OpIter begins iteration Arg. Most iterations begin without one: an
+	// operation's Adv counts the iterations begun, one after another, just
+	// before it; an OpIter marks a jump, or where a rank's marks end.
 	OpIter
 	// OpPhase begins the phase named by entry Arg of the program's table.
 	OpPhase
@@ -73,6 +75,7 @@ const (
 // the operation indexes.
 type Op struct {
 	Kind OpKind
+	adv  uint8 // the iterations begun, one after another, before the operation
 	reg  int16 // the register, or an OpToken's entry in the token table
 	arg  int32 // the peer, a table index, or an OpGrow's part count, an OpIter's index
 }
@@ -86,6 +89,10 @@ func (op Op) Reg() int { return int(op.reg) }
 // Arg returns the part count of an OpGrow, the iteration of an OpIter or
 // the index of an OpPhase in the program's table.
 func (op Op) Arg() int { return int(op.arg) }
+
+// Adv returns the number of iterations the rank begins, one after another,
+// before the operation: the iterations after the last one it marked.
+func (op Op) Adv() int { return int(op.adv) }
 
 // Sel selects parts of a register of n parts: Count of them, the first at
 // index Off and each next Stride places on, counted around the register
@@ -205,6 +212,10 @@ type Builder struct {
 	err     error    // recording: the first ill-formed operation
 	x       executor // performing, when x.c is set
 	phase   string   // the phase the writing rank is in
+	// Compiling: the writing rank's last iteration marked, and how many of
+	// its marks the next operation carries (Op.Adv).
+	iter int
+	adv  uint8
 
 	// Set between Sub and Top: ranks are indices into members, local is
 	// the writing rank's.
@@ -221,8 +232,10 @@ func (b *Builder) emit(op Op) {
 			b.fail(fmt.Errorf("comm: rank %d uses register %d of %d", b.rank, op.reg, b.pg.regs))
 		}
 		b.pg.parts = b.pg.parts || op.Kind == OpFold || op.Kind == OpSendParts || op.Kind == OpTake
+		op.adv, b.adv = b.adv, 0
 		b.pg.ops = append(b.pg.ops, op)
 	default:
+		b.adv = 0
 		b.n++
 	}
 }
@@ -306,13 +319,11 @@ func (b *Builder) Take(dst, reg int, s Sel) {
 
 // selection records an operation whose selector goes to the table.
 func (b *Builder) selection(kind OpKind, reg int, s Sel, to int) {
-	if b.pg == nil {
-		b.n++
-		b.nsel++
-		return
+	b.nsel++
+	if b.pg != nil {
+		b.pg.sels = append(b.pg.sels, selection{int32(s.Off), int32(s.Stride), int32(s.Count), int32(to)})
 	}
-	b.pg.sels = append(b.pg.sels, selection{int32(s.Off), int32(s.Stride), int32(s.Count), int32(to)})
-	b.emit(Op{Kind: kind, reg: int16(reg), arg: int32(len(b.pg.sels) - 1)})
+	b.emit(Op{Kind: kind, reg: int16(reg), arg: int32(b.nsel - 1)})
 }
 
 // Token sends peer a message that is no register's, tagged tag: empty, or
@@ -330,8 +341,25 @@ func (b *Builder) Token(peer, tag, bytes int) {
 	b.emit(Op{Kind: OpToken, reg: int16(i), arg: int32(peer)})
 }
 
-// Iter begins iteration i.
-func (b *Builder) Iter(i int) { b.emit(Op{Kind: OpIter, arg: int32(i)}) }
+// Iter begins iteration i. Compiling, the iteration after the last one
+// marked rides on the next operation (Op.Adv); any other is an OpIter.
+func (b *Builder) Iter(i int) {
+	if b.x.c == nil && i == b.iter+1 && b.adv < math.MaxUint8 {
+		b.iter, b.adv = i, b.adv+1
+		return
+	}
+	b.iter = i
+	b.emit(Op{Kind: OpIter, arg: int32(i)})
+}
+
+// endRank writes the marks no operation of the rank carried as one OpIter.
+func (b *Builder) endRank() {
+	if b.adv > 0 {
+		b.adv--
+		b.emit(Op{Kind: OpIter, arg: int32(b.iter)})
+	}
+	b.phase, b.iter = "", -1
+}
 
 // Phase begins the named phase, unless the rank is in it already.
 func (b *Builder) Phase(name string) {
@@ -392,20 +420,21 @@ func (s Script) Compile(p int) (*Program, error) {
 	if s.Regs > math.MaxInt16 {
 		return nil, fmt.Errorf("comm: a script with %d registers", s.Regs)
 	}
-	var b Builder
+	b := Builder{iter: -1}
 	for r := 0; r < p; r++ {
-		b.phase = ""
 		s.Rank(&b, r)
+		b.endRank()
 	}
 	pg := &Program{regs: max(s.Regs, 1), ops: make([]Op, 0, b.n), off: make([]int32, p+1)}
 	if b.nsel > 0 {
 		pg.sels = make([]selection, 0, b.nsel)
 	}
 	pg.phases = pg.fewPhases[:0]
-	b.pg = pg
+	b.pg, b.nsel = pg, 0
 	for r := 0; r < p; r++ {
-		b.rank, b.phase = r, ""
+		b.rank = r
 		s.Rank(&b, r)
+		b.endRank()
 		pg.off[r+1] = int32(len(pg.ops))
 	}
 	if b.err != nil {
@@ -449,10 +478,11 @@ type executor struct {
 	more []Message
 	tag  int      // of the bundle the rank entered with
 	pg   *Program // the tables, when executing a program
+	iter int      // the last iteration marked
 }
 
 func newExecutor(c Comm, regs int, mine Message, pg *Program) executor {
-	x := executor{c: c, r0: mine, tag: mine.Tag, pg: pg}
+	x := executor{c: c, r0: mine, tag: mine.Tag, pg: pg, iter: -1}
 	x.share, _ = c.(SharedSender)
 	x.arrays, _ = c.(ArraySource)
 	if regs > 1 {
@@ -473,6 +503,10 @@ func (x *executor) reg(i int) *Message {
 }
 
 func (x *executor) do(op Op) {
+	for range op.adv {
+		x.iter++
+		MarkIter(x.c, x.iter)
+	}
 	switch op.Kind {
 	case OpSend:
 		x.send(op.Peer(), *x.reg(op.Reg()))
@@ -517,7 +551,8 @@ func (x *executor) do(op Op) {
 	case OpBarrier:
 		x.c.Barrier()
 	case OpIter:
-		MarkIter(x.c, op.Arg())
+		x.iter = op.Arg()
+		MarkIter(x.c, x.iter)
 	case OpPhase:
 		MarkPhase(x.c, x.pg.Phase(op.Arg()))
 	default:

@@ -17,17 +17,18 @@ import (
 
 // programSteps returns rank by rank the sends and receives of prog's
 // sending and merging operations as the Steps they execute, each in the
-// iteration of the last OpIter before it.
+// iteration last marked before it (an OpIter, or an operation's Adv).
 func programSteps(prog *comm.Program) [][]Step {
 	out := make([][]Step, prog.P())
 	for r := range out {
-		it := 0
+		it := -1
 		for _, op := range prog.Ops(r) {
+			it += op.Adv()
 			switch op.Kind {
 			case comm.OpIter:
 				it = op.Arg()
 			case comm.OpSend, comm.OpMerge:
-				out[r] = append(out[r], Step{int32(it), int32(r), int32(op.Peer()), op.Kind == comm.OpMerge})
+				out[r] = append(out[r], Step{int32(max(it, 0)), int32(r), int32(op.Peer()), op.Kind == comm.OpMerge})
 			}
 		}
 	}
@@ -114,10 +115,11 @@ func checkStream(t *testing.T, alg Algorithm, spec Spec, prog *comm.Program) boo
 }
 
 // TestSectionedBindBytesNearProgram holds what Bind allocates for a
-// sectioning broadcast, in bytes, to at most 2.5× its program's op slab:
-// the steps it files and the scratch of its holder evolution are sized by
-// what the evolution does, not by a bound on it. The least of three
-// binds, so a collection during one does not count.
+// sectioning broadcast, in bytes, to at most 2.5× its program's op slab
+// with every mark an operation carries (Op.Adv) counted as an OpIter of
+// its own: the steps it files and the scratch of its holder evolution are
+// sized by what the evolution does, not by a bound on it. The least of
+// three binds, so a collection during one does not count.
 func TestSectionedBindBytesNearProgram(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations count")
@@ -140,7 +142,9 @@ func TestSectionedBindBytesNearProgram(t *testing.T) {
 					}
 					ops := 0
 					for r := range p {
-						ops += len(prog.Ops(r))
+						for _, op := range prog.Ops(r) {
+							ops += 1 + op.Adv()
+						}
 					}
 					slab := uint64(ops) * uint64(unsafe.Sizeof(comm.Op{}))
 					ratio := float64(least) / float64(slab)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
@@ -17,8 +18,13 @@ import (
 )
 
 // liveRun opens a live machine of p processors, runs fn on it once and
-// closes it.
+// closes it. A receive or barrier that waits 10 s, unless opts bounds it
+// otherwise, fails the run: a schedule whose sends and receives do not
+// match ends in an error, not in a hang.
 func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
+	if opts.RecvTimeout == 0 {
+		opts.RecvTimeout = 10 * time.Second
+	}
 	m, err := live.NewMachine(p)
 	if err != nil {
 		return nil, err

@@ -47,25 +47,25 @@ type Static struct {
 
 // StaticOf walks every rank's operations of prog. An operation
 // communicates when prog.Partner names a peer, and belongs to the
-// iteration of the last OpIter before it — iteration 0 before any.
+// iteration last marked before it — iteration 0 before any. Every
+// iteration marked counts, whether an OpIter marks it or an operation
+// begins it (comm.Op.Adv).
 func StaticOf(prog *comm.Program) Static {
 	var st Static
 	var ops []int // one rank's sends+receives per iteration
 	for rank := range prog.P() {
 		ops = ops[:0]
-		it, total := 0, 0
+		mark, total := -1, 0
 		for _, op := range prog.Ops(rank) {
-			peer, _ := prog.Partner(op)
-			switch {
-			case op.Kind == comm.OpIter:
-				it = op.Arg()
-			case peer < 0:
-				continue
+			mark += op.Adv()
+			ops = grow(ops, mark) // before an OpIter's jump back, too
+			if op.Kind == comm.OpIter {
+				mark = op.Arg()
+				ops = grow(ops, mark)
 			}
-			for len(ops) <= it {
-				ops = append(ops, 0)
-			}
-			if peer >= 0 {
+			if peer, _ := prog.Partner(op); peer >= 0 {
+				it := max(mark, 0)
+				ops = grow(ops, it)
 				ops[it]++
 				total++
 			}
@@ -83,6 +83,14 @@ func StaticOf(prog *comm.Program) Static {
 	}
 	st.Iterations = len(st.Active)
 	return st
+}
+
+// grow returns ops extended with zeros to hold iteration it, if it is one.
+func grow(ops []int, it int) []int {
+	for len(ops) <= it {
+		ops = append(ops, 0)
+	}
+	return ops
 }
 
 // FromResult computes the parameters of a finished run: congestion,

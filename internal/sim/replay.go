@@ -92,6 +92,11 @@ func (e *engine) step(pr *proc, prog *comm.Program) {
 	regs := e.regs[pr.rank*prog.Regs():][:prog.Regs()]
 	for pr.pc < len(ops) {
 		op := ops[pr.pc]
+		if op.Adv() > 0 {
+			// From the program's last mark, which moves only once the
+			// operation is done: one that gives way is stepped again.
+			pr.iter = pr.mark + op.Adv()
+		}
 		switch op.Kind {
 		case comm.OpSend, comm.OpMove, comm.OpToken, comm.OpSendParts:
 			peer := op.Peer()
@@ -161,7 +166,7 @@ func (e *engine) step(pr *proc, prog *comm.Program) {
 			regs[op.Reg()] = reg{}
 			regs[dst] = e.join(regs[dst], r)
 		case comm.OpBarrier:
-			pr.pc++
+			pr.done(op)
 			pr.arrive()
 			return
 		case comm.OpCombine:
@@ -182,9 +187,18 @@ func (e *engine) step(pr *proc, prog *comm.Program) {
 			e.err = fmt.Errorf("sim: rank %d: unknown operation %d", pr.rank, op.Kind)
 			return
 		}
-		pr.pc++
+		pr.done(op)
 	}
 	pr.finish()
+}
+
+// done moves pr past op: the last iteration op marks or begins is the
+// program's last mark now.
+func (pr *proc) done(op comm.Op) {
+	if op.Adv() > 0 || op.Kind == comm.OpIter {
+		pr.mark = pr.iter
+	}
+	pr.pc++
 }
 
 // checkPeer checks the peer of a Send or Recv of pr. It reports whether

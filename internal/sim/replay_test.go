@@ -30,3 +30,27 @@ func TestReplayErrors(t *testing.T) {
 		t.Errorf("program of another machine size: got %v", err)
 	}
 }
+
+// TestReplayRefusesNegativeIteration: a mark of a negative iteration is
+// an OpIter of its own — no operation carries it (comm.Op.Adv) — and the
+// replay fails on it by name, as the first mark of a rank or after a run
+// of marks the next operation carries.
+func TestReplayRefusesNegativeIteration(t *testing.T) {
+	for _, marks := range [][]int{{-1}, {0, 1, 2, -1}} {
+		sc := comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+			if rank == 1 {
+				for _, it := range marks {
+					b.Iter(it)
+				}
+			}
+			b.Barrier()
+		}}
+		prog := mustCompile(t, sc, 2)
+		if ops := prog.Ops(1); ops[0].Kind != comm.OpIter || ops[0].Arg() != -1 || ops[0].Adv() != len(marks)-1 {
+			t.Errorf("marks %v compile to %+v, want an OpIter of -1 first", marks, ops)
+		}
+		if _, err := Replay(lineNet(t, 2), prog, none, Options{}); err == nil || err.Error() != "sim: rank 1 begins negative iteration -1" {
+			t.Errorf("marks %v: got %v", marks, err)
+		}
+	}
+}

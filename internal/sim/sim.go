@@ -185,9 +185,10 @@ type proc struct {
 	waitTime             network.Time
 	combineTime          network.Time
 	// iter is the iteration events are stamped with: -1 until the first
-	// mark or the first send or receive, which opens iteration 0.
-	iter  int
-	phase string
+	// mark or the first send or receive, which opens iteration 0. mark is
+	// the last iteration the program marked before operation pc.
+	iter, mark int
+	phase      string
 }
 
 // engine is the shared state of one run, which never leaves its caller's
@@ -262,7 +263,7 @@ func acquire(nw *network.Network, opts Options) *engine {
 	// order.
 	for i := range e.procs {
 		pr := &e.procs[i]
-		*pr = proc{eng: e, rank: i, iter: -1}
+		*pr = proc{eng: e, rank: i, iter: -1, mark: -1}
 		e.heapPush(pr)
 	}
 	return e
