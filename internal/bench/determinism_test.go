@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -285,7 +284,7 @@ func testSeedTimingsGolden(t *testing.T) {
 			combine += int64(pr.CombineTime)
 		}
 		lines[i] = fmt.Sprintf("%s elapsed=%d finish=%d wait=%d waits=%d combine=%d blocked=%d linkbusy=%d iters=%d events=%016x",
-			c.key, int64(res.Elapsed), finish, wait, waits, combine, int64(res.Net.BlockedTime), int64(res.Net.LinkBusy), metrics.StaticOf(res.Program).Iterations, tr.sum())
+			c.key, int64(res.Elapsed), finish, wait, waits, combine, int64(res.Net.BlockedTime), int64(res.Net.LinkBusy), res.Program.Facts().Iterations, tr.sum())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -373,7 +372,7 @@ func TestNonUniformLengthsMatchGolden(t *testing.T) {
 					combine += int64(pr.CombineTime)
 				}
 				lines = append(lines, fmt.Sprintf("%s elapsed=%d finish=%d wait=%d combine=%d linkbusy=%d iters=%d events=%016x",
-					key, int64(res.Elapsed), finish, wait, combine, int64(res.Net.LinkBusy), metrics.StaticOf(res.Program).Iterations, tr.sum()))
+					key, int64(res.Elapsed), finish, wait, combine, int64(res.Net.LinkBusy), res.Program.Facts().Iterations, tr.sum()))
 			}
 		}
 	}

@@ -1,15 +1,17 @@
 package comm_test
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/live"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -69,12 +71,12 @@ func logsOf(t *testing.T, p int, run func(c comm.Comm, mine comm.Message) comm.M
 	return logs
 }
 
-// staticOfLogs is metrics.StaticOf read off what the ranks did: every
-// iteration begun counts, and a send or receive belongs to the last one
-// begun — iteration 0 before any.
-func staticOfLogs(logs [][]event) metrics.Static {
-	var st metrics.Static
-	for _, log := range logs {
+// factsOfLogs is comm.Facts read off what the ranks did: every iteration
+// begun counts, a send or receive belongs to the last one begun —
+// iteration 0 before any — and a send to another rank is a link.
+func factsOfLogs(logs [][]event) comm.Facts {
+	var f comm.Facts
+	for rank, log := range logs {
 		var ops []int
 		grow := func(it int) {
 			for len(ops) <= it {
@@ -91,21 +93,25 @@ func staticOfLogs(logs [][]event) metrics.Static {
 				grow(it)
 				ops[it]++
 				total++
+				if l := [2]int{rank, e.n}; e.kind == obs.KindSend && e.n != rank && !slices.Contains(f.Links, l) {
+					f.Links = append(f.Links, l)
+				}
 			}
 		}
-		st.SendRec = max(st.SendRec, total)
-		for len(st.Active) < len(ops) {
-			st.Active = append(st.Active, 0)
+		f.SendRec = max(f.SendRec, total)
+		for len(f.Active) < len(ops) {
+			f.Active = append(f.Active, 0)
 		}
 		for i, n := range ops {
-			st.Congestion = max(st.Congestion, n)
+			f.Congestion = max(f.Congestion, n)
 			if n > 0 {
-				st.Active[i]++
+				f.Active[i]++
 			}
 		}
 	}
-	st.Iterations = len(st.Active)
-	return st
+	f.Iterations = len(f.Active)
+	slices.SortFunc(f.Links, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+	return f
 }
 
 // pair exchanges register 0 with the rank's partner, rank^1.
@@ -119,10 +125,10 @@ func pair(b *comm.Builder, rank int) {
 // for every script of the table, the ranks that execute the program
 // (Program.Run) begin the same iterations, phases and barriers, and send
 // and receive in the same iterations, as the ranks that perform the
-// script (Script.Run); metrics.StaticOf reads off the program what they
-// did; and the simulator's replay stamps every send and receive with
-// that iteration — or, for a script that marks a negative iteration,
-// fails.
+// script (Script.Run); Program.Facts reads off the program what they
+// did, their links included; and the simulator's replay stamps every
+// send and receive with that iteration — or, for a script that marks a
+// negative iteration, fails.
 func TestCompiledMarksMatchPerformed(t *testing.T) {
 	const p = 4
 	for _, tc := range []struct {
@@ -201,8 +207,8 @@ func TestCompiledMarksMatchPerformed(t *testing.T) {
 			if compiled := logsOf(t, p, prog.Run); !reflect.DeepEqual(compiled, performed) {
 				t.Fatalf("compiled:\n%v\nperformed:\n%v", compiled, performed)
 			}
-			if got, want := metrics.StaticOf(prog), staticOfLogs(performed); !reflect.DeepEqual(got, want) {
-				t.Errorf("StaticOf says %+v, the ranks did %+v", got, want)
+			if got, want := *prog.Facts(), factsOfLogs(performed); !reflect.DeepEqual(got, want) {
+				t.Errorf("Facts says %+v, the ranks did %+v", got, want)
 			}
 
 			nw, err := network.New(topology.MustMesh2D(1, p), topology.IdentityPlacement(p), network.ParagonNX())
@@ -238,6 +244,31 @@ func TestCompiledMarksMatchPerformed(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFactsComputedOnce: goroutines that ask a fresh program for its
+// facts at once all get the same Facts, and a later call gets it too.
+func TestFactsComputedOnce(t *testing.T) {
+	const p = 8
+	prog, err := comm.Script{Rank: pair}.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*comm.Facts, p)
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[r] = prog.Facts()
+		}()
+	}
+	wg.Wait()
+	for r, f := range got {
+		if f == nil || f != prog.Facts() {
+			t.Fatalf("goroutine %d got facts %p, the program keeps %p", r, f, prog.Facts())
+		}
 	}
 }
 

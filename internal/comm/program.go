@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // The paper's schedules are oblivious: every processor knows the source
@@ -153,6 +154,7 @@ type Program struct {
 	off    []int32 // rank r's operations are ops[off[r]:off[r+1]]
 	// Where phases starts out: few programs name more than two.
 	fewPhases [2]string
+	facts     atomic.Pointer[Facts] // set by the first Facts call
 }
 
 // P returns the number of ranks the program was compiled for.
@@ -179,22 +181,6 @@ func (pg *Program) Token(op Op) (tag, bytes int) {
 func (pg *Program) Selection(op Op) (Sel, int) {
 	e := pg.sels[op.arg]
 	return Sel{int(e.off), int(e.stride), int(e.count)}, int(e.to)
-}
-
-// Partner returns the rank an operation sends to (sends true) or receives
-// from, and -1 for an operation that moves no message between ranks —
-// an OpFold from nobody included. It is the one op→peer rule: route
-// extraction and the TCP engine's pre-run dials both read it.
-func (pg *Program) Partner(op Op) (peer int, sends bool) {
-	switch op.Kind {
-	case OpSend, OpMove, OpToken:
-		return op.Peer(), true
-	case OpSendParts:
-		return int(pg.sels[op.arg].to), true
-	case OpRecv, OpMerge, OpDrop, OpFold:
-		return op.Peer(), false
-	}
-	return -1, false
 }
 
 // SelectsParts reports whether the program reads its bundles part by

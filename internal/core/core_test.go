@@ -12,7 +12,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/live"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -65,15 +64,15 @@ func runSim(t *testing.T, alg Algorithm, spec Spec, size int) *sim.Result {
 	return res
 }
 
-// staticOf is the static profile (metrics.StaticOf) of the program alg
+// staticOf is the static profile (comm.Program.Facts) of the program alg
 // compiles for spec: what each rank does in each iteration, with no run.
-func staticOf(t *testing.T, alg Algorithm, spec Spec) metrics.Static {
+func staticOf(t *testing.T, alg Algorithm, spec Spec) *comm.Facts {
 	t.Helper()
 	prog := ProgramOf(Bind(alg, spec))
 	if prog == nil {
 		t.Fatalf("%s on %d×%d %v: no program", alg.Name(), spec.Rows, spec.Cols, spec.Sources)
 	}
-	return metrics.StaticOf(prog)
+	return prog.Facts()
 }
 
 // runLive executes a broadcast algorithm on the live engine.

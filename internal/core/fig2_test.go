@@ -5,12 +5,12 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/metrics"
 )
 
 // TestFig2Asymptotics checks the paper's Figure-2 rows as a sweep, not a
-// formula: the static profile (metrics.StaticOf) of 2-Step, PersAlltoAll
+// formula: the static profile (comm.Program.Facts) of 2-Step, PersAlltoAll
 // and Br_Lin compiled for E(s) on p = 16, 64 and 256 processors, for every
 // s of the sweep, with no simulation. The constants are the programs'
 // own; a failure is named fig2/<alg>/<r>x<c>/E(<s>)/<param>.
@@ -20,28 +20,28 @@ func TestFig2Asymptotics(t *testing.T) {
 		param string
 		// check returns the parameter's value, the bound it must meet at
 		// (p, s), and whether it does.
-		check func(st metrics.Static, p, s int) (int, string, bool)
+		check func(st *comm.Facts, p, s int) (int, string, bool)
 	}{
 		// O(s): the gather root, itself a source, receives the other s−1
 		// messages in one iteration; below ⌈log₂p⌉ the binomial
 		// broadcast's root sends dominate.
-		{TwoStep(), "congestion", func(st metrics.Static, p, s int) (int, string, bool) {
+		{TwoStep(), "congestion", func(st *comm.Facts, p, s int) (int, string, bool) {
 			want := max(s-1, log2Ceil(p))
 			return st.Congestion, fmt.Sprintf("= max(s−1, ⌈log₂p⌉) = %d", want), st.Congestion == want
 		}},
 		// O(1): one exchange per iteration, or one send or receive.
-		{PersAlltoAll(), "congestion", func(st metrics.Static, _, _ int) (int, string, bool) {
+		{PersAlltoAll(), "congestion", func(st *comm.Facts, _, _ int) (int, string, bool) {
 			return st.Congestion, "≤ 2", st.Congestion <= 2
 		}},
-		{BrLin(), "congestion", func(st metrics.Static, _, _ int) (int, string, bool) {
+		{BrLin(), "congestion", func(st *comm.Facts, _, _ int) (int, string, bool) {
 			return st.Congestion, "≤ 2", st.Congestion <= 2
 		}},
 		// O(p): every processor exchanges with every other one.
-		{PersAlltoAll(), "send/rec", func(st metrics.Static, p, _ int) (int, string, bool) {
+		{PersAlltoAll(), "send/rec", func(st *comm.Facts, p, _ int) (int, string, bool) {
 			return st.SendRec, fmt.Sprintf("≥ p−1 = %d", p-1), st.SendRec >= p-1
 		}},
 		// O(log p): at most one exchange in each of ⌈log₂p⌉ iterations.
-		{BrLin(), "send/rec", func(st metrics.Static, p, _ int) (int, string, bool) {
+		{BrLin(), "send/rec", func(st *comm.Facts, p, _ int) (int, string, bool) {
 			return st.SendRec, fmt.Sprintf("≤ 2⌈log₂p⌉ = %d", 2*log2Ceil(p)), st.SendRec <= 2*log2Ceil(p)
 		}},
 	}
@@ -53,7 +53,7 @@ func TestFig2Asymptotics(t *testing.T) {
 				break
 			}
 			spec := makeSpec(t, dist.Equal(), n, n, s)
-			profiles := map[string]metrics.Static{}
+			profiles := map[string]*comm.Facts{}
 			for _, row := range rows {
 				name := row.alg.Name()
 				st, ok := profiles[name]

@@ -22,7 +22,7 @@ import (
 // oracle is the exact replay of a halving broadcast on one instance.
 type oracle struct {
 	// Active is the number of processors that send or receive in each
-	// iteration — what metrics.StaticOf reads off the program.
+	// iteration — what comm.Program.Facts reads off the program.
 	Active []int
 	// Holders is the number of message-holding processors after each
 	// iteration.

@@ -11,17 +11,17 @@
 //	av_act_proc  — the average over iterations of the number of processors
 //	               that communicated at all.
 //
-// As in the paper, the per-iteration ones are read off the algorithm: each
-// rank's operations in the comm.Program the run replayed (StaticOf), not a
+// As in the paper, the per-iteration ones are read off the algorithm: the
+// facts of the comm.Program the run replayed (Program.Facts), not a
 // ledger the run keeps. The run supplies only per-processor totals: sends
 // and receives, waits (which depend on the clock) and bytes.
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/comm"
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -37,67 +37,11 @@ type Params struct {
 	Iterations int
 }
 
-// Static holds what a program says of its iterations before it runs.
-type Static struct {
-	Iterations int   // the largest iteration marked plus one
-	Congestion int   // the most sends+receives of one rank in one iteration
-	SendRec    int   // the most sends+receives of one rank
-	Active     []int // the ranks that send or receive, per iteration
-}
-
-// StaticOf walks every rank's operations of prog. An operation
-// communicates when prog.Partner names a peer, and belongs to the
-// iteration last marked before it — iteration 0 before any. Every
-// iteration marked counts, whether an OpIter marks it or an operation
-// begins it (comm.Op.Adv).
-func StaticOf(prog *comm.Program) Static {
-	var st Static
-	var ops []int // one rank's sends+receives per iteration
-	for rank := range prog.P() {
-		ops = ops[:0]
-		mark, total := -1, 0
-		for _, op := range prog.Ops(rank) {
-			mark += op.Adv()
-			ops = grow(ops, mark) // before an OpIter's jump back, too
-			if op.Kind == comm.OpIter {
-				mark = op.Arg()
-				ops = grow(ops, mark)
-			}
-			if peer, _ := prog.Partner(op); peer >= 0 {
-				it := max(mark, 0)
-				ops = grow(ops, it)
-				ops[it]++
-				total++
-			}
-		}
-		st.SendRec = max(st.SendRec, total)
-		for len(st.Active) < len(ops) {
-			st.Active = append(st.Active, 0)
-		}
-		for i, n := range ops {
-			st.Congestion = max(st.Congestion, n)
-			if n > 0 {
-				st.Active[i]++
-			}
-		}
-	}
-	st.Iterations = len(st.Active)
-	return st
-}
-
-// grow returns ops extended with zeros to hold iteration it, if it is one.
-func grow(ops []int, it int) []int {
-	for len(ops) <= it {
-		ops = append(ops, 0)
-	}
-	return ops
-}
-
 // FromResult computes the parameters of a finished run: congestion,
 // av_act_proc and the iteration count from the program it ran, the rest
 // from its per-processor totals.
 func FromResult(res *sim.Result) Params {
-	st := StaticOf(res.Program)
+	st := res.Program.Facts()
 	p := Params{Elapsed: res.Elapsed, Congestion: st.Congestion, Iterations: st.Iterations}
 	iters := float64(max(st.Iterations, 1))
 	for _, ps := range res.Procs {
@@ -120,8 +64,9 @@ func (p Params) String() string {
 }
 
 // ActiveProfile returns the number of active processors in each iteration,
-// the growth curve the ideal distributions are designed to maximize.
-func ActiveProfile(res *sim.Result) []int { return StaticOf(res.Program).Active }
+// the growth curve the ideal distributions are designed to maximize: a
+// copy the caller owns.
+func ActiveProfile(res *sim.Result) []int { return slices.Clone(res.Program.Facts().Active) }
 
 // FormatProfile renders an active-processor profile compactly.
 func FormatProfile(profile []int) string {

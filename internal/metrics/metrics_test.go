@@ -126,11 +126,12 @@ func TestWaitShare(t *testing.T) {
 	}
 }
 
-// TestStaticOf pins the rule that reads iterations off a program: an
-// operation communicates when it has a partner, and counts in the
-// iteration of the last mark before it — iteration 0 before any — while a
-// mark opens its iteration even if nothing communicates in it.
-func TestStaticOf(t *testing.T) {
+// TestProgramFacts pins the rule FromResult reads iterations by, the
+// program's facts (comm.Program.Facts): an operation communicates when it
+// has a partner, and counts in the iteration of the last mark before it —
+// iteration 0 before any — while a mark opens its iteration even if
+// nothing communicates in it.
+func TestProgramFacts(t *testing.T) {
 	exchange := comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) {
 		other := 1 - rank
 		b.Iter(0)
@@ -153,17 +154,17 @@ func TestStaticOf(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		s    comm.Script
-		want Static
+		want comm.Facts
 	}{
-		{"exchange", exchange, Static{Iterations: 2, Congestion: 2, SendRec: 4, Active: []int{2, 2}}},
-		{"unmarked", unmarked, Static{Iterations: 3, Congestion: 1, SendRec: 1, Active: []int{2, 0, 0}}},
+		{"exchange", exchange, comm.Facts{Iterations: 2, Congestion: 2, SendRec: 4, Active: []int{2, 2}, Links: [][2]int{{0, 1}, {1, 0}}}},
+		{"unmarked", unmarked, comm.Facts{Iterations: 3, Congestion: 1, SendRec: 1, Active: []int{2, 0, 0}, Links: [][2]int{{0, 1}}}},
 	} {
 		prog, err := c.s.Compile(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := StaticOf(prog); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: StaticOf = %+v, want %+v", c.name, got, c.want)
+		if got := *prog.Facts(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Facts = %+v, want %+v", c.name, got, c.want)
 		}
 	}
 	// av_msg_lgth from the run's byte totals: 64 bytes each way in

@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"context"
-	"maps"
+	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -20,115 +20,107 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRoutesCoverTracedLiveLinks is the route-extraction soundness gate:
-// for every registry algorithm, the link set Routes extracts from a
-// simulated replay must be a superset of the directed links a real
-// (live-engine) run of the same instance actually sends over, observed
-// through its obs event stream. Checked at p=16 and p=32 on two source
-// distributions so both the dense and the straggler-heavy schedules are
-// exercised.
-func TestRoutesCoverTracedLiveLinks(t *testing.T) {
-	meshes := [][2]int{{4, 4}, {4, 8}}
-	for _, mesh := range meshes {
+// sentLinks returns the distinct pairs a traced run sent over, a rank's
+// sends to itself excepted, in Routes' order.
+func sentLinks(events []obs.Event) [][2]int {
+	var links [][2]int
+	for _, e := range events {
+		if e.Kind == obs.KindSend && e.Peer >= 0 && e.Peer != e.Rank {
+			links = append(links, [2]int{e.Rank, e.Peer})
+		}
+	}
+	slices.SortFunc(links, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	return slices.Compact(links)
+}
+
+// routeCase is one instance the route gates check: an algorithm of a
+// collective on a spec, with the Routes it extracts at 32-byte messages.
+type routeCase struct {
+	m      *machine.Machine
+	coll   core.Collective
+	alg    core.Algorithm
+	spec   core.Spec
+	name   string
+	routes [][2]int
+}
+
+// eachRouteCase calls fn on every registry entry at p=16 and p=32; the
+// broadcasts on E(p/2), Cross(p/2) and Cross(p/4), so both the dense and
+// the straggler-heavy schedules are exercised.
+func eachRouteCase(t *testing.T, fn func(c routeCase)) {
+	for _, mesh := range [][2]int{{4, 4}, {4, 8}} {
 		m := machine.Paragon(mesh[0], mesh[1])
-		p := mesh[0] * mesh[1]
-		for _, d := range []dist.Distribution{dist.Equal(), dist.Cross()} {
-			spec := testSpec(t, m, d, p/2)
-			for _, alg := range core.Registry() {
-				routes, err := Routes(m, alg, spec, 32)
-				if err != nil {
-					t.Fatalf("%s p=%d %s: %v", alg.Name(), p, d.Name(), err)
-				}
-				planned := make(map[[2]int]bool, len(routes))
-				for _, l := range routes {
-					planned[l] = true
-				}
-				rec := trace.NewRecorder(0)
-				payload := make([]byte, 32)
-				_, err = liveRun(p, live.Options{Tracer: rec}, func(pr *live.Proc) {
-					mine := core.InitialMessage(spec, pr.Rank(), payload)
-					alg.Run(pr, spec, mine)
-				})
-				if err != nil {
-					t.Fatalf("%s p=%d %s (live): %v", alg.Name(), p, d.Name(), err)
-				}
-				for _, e := range rec.Events {
-					if e.Kind != obs.KindSend || e.Peer < 0 || e.Peer == e.Rank {
+		p := m.P()
+		for _, coll := range core.Collectives() {
+			specs := []core.Spec{{Rows: m.Rows, Cols: m.Cols, Sources: core.AllRanksSources(p)}}
+			if caps := coll.Caps(); caps.SingleSource {
+				specs[0].Sources = []int{p / 3}
+			} else if caps.TakesSources {
+				specs = []core.Spec{testSpec(t, m, dist.Equal(), p/2), testSpec(t, m, dist.Cross(), p/2), testSpec(t, m, dist.Cross(), p/4)}
+			}
+			for _, alg := range core.RegistryFor(coll) {
+				for _, spec := range specs {
+					name := fmt.Sprintf("%s on %s, sources %v", alg.Name(), m.Name, spec.Sources)
+					routes, err := Routes(m, alg, spec, 32)
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
 						continue
 					}
-					if !planned[[2]int{e.Rank, e.Peer}] {
-						t.Errorf("%s p=%d %s: run sent %d→%d, not in the %d extracted routes",
-							alg.Name(), p, d.Name(), e.Rank, e.Peer, len(routes))
-					}
+					fn(routeCase{m: m, coll: coll, alg: alg, spec: spec, name: name, routes: routes})
 				}
 			}
 		}
-	}
-}
-
-// liveRun opens a live machine of p processors, runs fn on it once and
-// closes it.
-func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
-	m, err := live.NewMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	return m.Run(opts, fn)
-}
-
-// tracedLinks adds the (rank, peer) pair of every send of a simulated run.
-func tracedLinks(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int, links linkSet) error {
-	_, _, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{Tracer: sendTracer(links)})
-	return err
-}
-
-// sendTracer records the pairs a traced run sends messages over.
-type sendTracer linkSet
-
-func (ls sendTracer) Trace(e obs.Event) {
-	if e.Kind == obs.KindSend && e.Peer >= 0 {
-		linkSet(ls).add(e.Rank, e.Peer)
 	}
 }
 
 // TestRoutesReadAndTracedAgree holds the link set read off a program
-// together with what runs: for every registry entry, the pairs read off
-// its send operations are exactly the pairs a traced simulator run of the
-// instance sends over.
+// together with what runs: for every registry entry, the pairs Routes
+// reads off its program are exactly the pairs a traced simulator run of
+// the instance sends over.
 func TestRoutesReadAndTracedAgree(t *testing.T) {
-	for _, mesh := range [][2]int{{4, 4}, {4, 8}} {
-		m := machine.Paragon(mesh[0], mesh[1])
-		for _, coll := range core.Collectives() {
-			specs := []core.Spec{{Rows: m.Rows, Cols: m.Cols, Sources: core.AllRanksSources(m.P())}}
-			if caps := coll.Caps(); caps.SingleSource {
-				specs[0].Sources = []int{m.P() / 3}
-			} else if caps.TakesSources {
-				specs = []core.Spec{testSpec(t, m, dist.Equal(), m.P()/2), testSpec(t, m, dist.Cross(), m.P()/4)}
-			}
-			for _, alg := range core.RegistryFor(coll) {
-				for _, spec := range specs {
-					prog, err := m.Program(alg, spec)
-					if err != nil {
-						t.Errorf("%s on %s, sources %v: %v", alg.Name(), m.Name, spec.Sources, err)
-						continue
-					}
-					fromProgram, traced := linkSet{}, linkSet{}
-					programLinks(prog, fromProgram)
-					if err := tracedLinks(m, alg, spec, 32, traced); err != nil {
-						t.Fatalf("%s on %s: %v", alg.Name(), m.Name, err)
-					}
-					if !maps.Equal(fromProgram, traced) {
-						t.Errorf("%s on %s, sources %v: %d links read off the program, %d traced", alg.Name(), m.Name, spec.Sources, len(fromProgram), len(traced))
-					}
-					routes, err := Routes(m, alg, spec, 32)
-					if err != nil || len(routes) != len(traced) || !slices.IsSortedFunc(routes, compareLinks) {
-						t.Errorf("%s on %s: Routes gives %d links (%v), want the %d sorted", alg.Name(), m.Name, len(routes), err, len(traced))
-					}
-				}
-			}
+	eachRouteCase(t, func(c routeCase) {
+		simmed := trace.NewRecorder(0)
+		if _, _, err := c.m.RunSim(c.alg, c.spec, machine.Uniform(32), sim.Options{Tracer: simmed}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
+		if traced := sentLinks(simmed.Events); !slices.Equal(c.routes, traced) {
+			t.Errorf("%s: %d routes read off the program, %d links the simulator sent over", c.name, len(c.routes), len(traced))
+		}
+	})
+}
+
+// TestRoutesCoverTracedLiveLinks is the route-extraction soundness gate:
+// for every registry entry, the pairs Routes reads off its program are
+// exactly those a real-byte (live-engine) run of the same instance sends
+// over, observed through its obs event stream.
+func TestRoutesCoverTracedLiveLinks(t *testing.T) {
+	machines := map[int]*live.Machine{}
+	defer func() {
+		for _, lm := range machines {
+			lm.Close()
+		}
+	}()
+	eachRouteCase(t, func(c routeCase) {
+		p := c.m.P()
+		lm := machines[p]
+		if lm == nil {
+			var err error
+			if lm, err = live.NewMachine(p); err != nil {
+				t.Fatal(err)
+			}
+			machines[p] = lm
+		}
+		ran := trace.NewRecorder(0)
+		if _, err := lm.Run(live.Options{Tracer: ran}, func(pr *live.Proc) {
+			mine := core.InitialFor(c.coll, c.spec, pr.Rank(), func(r int) []byte { return c.coll.Payload(p, r, 32) })
+			c.alg.Run(pr, c.spec, mine)
+		}); err != nil {
+			t.Fatalf("%s (live): %v", c.name, err)
+		}
+		if traced := sentLinks(ran.Events); !slices.Equal(c.routes, traced) {
+			t.Errorf("%s: %d routes read off the program, %d links the live run sent over", c.name, len(c.routes), len(traced))
+		}
+	})
 }
 
 // TestRoutesDriveSparseTCPMachine closes the loop at the transport

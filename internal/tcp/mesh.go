@@ -61,25 +61,24 @@ func sortPairs(pairs [][2]int) [][2]int {
 	return slices.Compact(pairs)
 }
 
-// missing returns the pairs prog's local ranks send or receive over —
-// every pair touching a local rank when prog is nil — that lack a local
-// endpoint, sorted and deduplicated; nil, without allocating, when none
-// does.
+// missing returns the pairs of prog's links (Program.Facts) that lack a
+// local endpoint — of every pair touching a local rank when prog is nil —
+// sorted and deduplicated; nil, without allocating, when none does.
 func (m *Machine) missing(prog *comm.Program) [][2]int {
 	m.connMu.RLock()
 	defer m.connMu.RUnlock()
 	var out [][2]int
-	for r := m.lo; r < m.hi; r++ {
-		if prog == nil {
-			for q := range m.size {
-				if !m.established(r, q) {
-					out = appendPair(out, r, q)
-				}
+	if prog != nil {
+		for _, l := range prog.Facts().Links {
+			if !m.established(l[0], l[1]) {
+				out = appendPair(out, l[0], l[1])
 			}
-			continue
 		}
-		for _, op := range prog.Ops(r) {
-			if q, _ := prog.Partner(op); q >= 0 && !m.established(r, q) {
+		return sortPairs(out)
+	}
+	for r := m.lo; r < m.hi; r++ {
+		for q := range m.size {
+			if !m.established(r, q) {
 				out = appendPair(out, r, q)
 			}
 		}

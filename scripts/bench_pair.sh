@@ -13,7 +13,8 @@
 #
 # Each run's result file and its one-line result JSON (the last line the
 # benchmark prints) are kept under OUT/<workload>-seed<seed>/, replacing
-# that directory's previous contents. Exits non-zero if a run failed or
+# that directory's previous contents; an absolute OUT is used as given, a
+# relative one is taken from the repo root. Exits non-zero if a run failed or
 # -compare found a regression on any workload.
 set -eu
 
@@ -72,8 +73,13 @@ sets() { # the comma-separated result files of one side
 # value METRIC FILE: the metric's value in a one-line result.
 value() { sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p" "$2"; }
 
+outdir="${OUT:-.bench-pair}"
+case "$outdir" in
+/*) ;;
+*) outdir="$root/$outdir" ;;
+esac
 for workload in $workloads; do
-    out="$root/${OUT:-.bench-pair}/$workload-seed$seed"
+    out="$outdir/$workload-seed$seed"
     rm -rf "$out"
     mkdir -p "$out"
 
