@@ -46,7 +46,7 @@ func gridFlags(fs *flag.FlagSet, dists, s, bytes string) func() ([]stpbcast.Dist
 
 // runPlan plans one instance the way Config.Algorithm "Auto" would
 // (stpbcast.Plan) and prints the key, the choice, the analytic ranking
-// and the probes behind it.
+// (Broadcast only) and the probes behind it.
 func runPlan(fs *flag.FlagSet, args []string, out io.Writer) error {
 	machineOf := machineFlags(fs)
 	parallel := parallelFlag(fs)

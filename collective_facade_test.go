@@ -147,8 +147,8 @@ func TestRunCollectiveAuto(t *testing.T) {
 // TestAutoSelectsJungSakho is the acceptance check for the torus
 // all-to-all: on the T3D at latency-bound chunk sizes the planner's
 // Auto must pick the Jung–Sakho dimension-ordered schedule over the
-// direct pairwise exchange (the analytic model predicts the crossover
-// and the probe tier confirms it; at large L the preference flips).
+// direct pairwise exchange (Auto probes both AllToAll entries; at large
+// L the preference flips).
 func TestAutoSelectsJungSakho(t *testing.T) {
 	m := stpbcast.NewT3D(64)
 	dec, err := stpbcast.Plan(m, stpbcast.Config{

@@ -21,8 +21,9 @@ type Score struct {
 
 // Rank scores every candidate with the analytic cost model and returns
 // them fastest-predicted first. Ties preserve candidate order, so the
-// ranking is deterministic. The spec must be valid for the machine
-// (core.Spec.Validate), as Decide ensures.
+// ranking is deterministic. Only Broadcast is ranked (see estimate). The
+// spec must be valid for the machine (core.Spec.Validate), as Decide
+// ensures.
 func Rank(m *machine.Machine, spec core.Spec, msgLen int, candidates []string) []Score {
 	md := newModel(m, spec, msgLen)
 	out := make([]Score, len(candidates))
@@ -139,10 +140,10 @@ func (md *model) logp() float64 {
 	return lp
 }
 
-// estimate returns the predicted time (ns) of one algorithm on the
-// instance: the price of its compiled schedule if it has one, its closed
-// form otherwise. Unknown names get the conservative 2-Step estimate so
-// that user-registered algorithms still rank somewhere sensible.
+// estimate returns the predicted time (ns) of one broadcast algorithm on
+// the instance: the price of its compiled schedule if it has one, its
+// closed form otherwise. Any other name, which Decide never ranks (the
+// registry is fixed at build time), gets 2-Step's closed form.
 func (md *model) estimate(name string) float64 {
 	if alg, err := core.ByName(name); err == nil {
 		if t, ok := md.price(alg, md.spec); ok {
@@ -164,38 +165,16 @@ func (md *model) estimate(name string) float64 {
 		return md.estPart(core.BrXYSource())
 	case "Part_xy_dim":
 		return md.estPart(core.BrXYDim())
-	case "Ring_AllGather", "Ag_Ring":
-		// The allgather spec names every rank a source, so the ring and
-		// recursive-doubling closed forms price it directly.
+	case "Ring_AllGather":
 		return md.estRing()
-	case "RD_AllGather", "Ag_RecDouble":
+	case "RD_AllGather":
 		return md.estRD()
 	case "Indep_1toP":
 		return md.estIndep()
 	case "Bcast_Circulant":
 		return md.estCirculant()
-	case "Red_Tree":
-		return md.estRedTree()
-	case "AllRed_RecDouble":
-		// The butterfly's ⌈log2 p⌉ symmetric exchange rounds each cost a
-		// tree level: a send and a receive-plus-fold of the fixed-size
-		// partial result.
-		if p := md.spec.P(); p&(p-1) == 0 {
-			return md.estRedTree()
-		}
-		return md.estRedBcast()
-	case "AllRed_RedBcast":
-		return md.estRedBcast()
-	case "Scatter_Binomial":
-		return md.estScatterBinomial()
-	case "Scatter_Direct":
-		return md.estScatterDirect()
-	case "A2A_Pairwise":
-		return md.estA2APairwise()
-	case "A2A_JungSakho":
-		return md.estJungSakho()
 	}
-	// 2-Step itself, and every name the model does not know.
+	// 2-Step itself, and every name outside the broadcast suite.
 	return md.estTwoStep()
 }
 
@@ -377,7 +356,7 @@ func (md *model) estRD() float64 {
 	return md.logp()*perRound + byteCost
 }
 
-// --- collective-extension estimates ----------------------------------------
+// --- closed forms for the broadcast extensions -----------------------------
 
 // estCirculant replays Bcast_Circulant's round structure exactly: per
 // round j with skip 2^j, every rank's send and receive volumes follow
@@ -461,89 +440,6 @@ func (md *model) estCirculant() float64 {
 		}
 	}
 	return maxClock(clocks)
-}
-
-// estRedTree: the binomial reduction tree — ⌈log2 p⌉ levels, each a
-// fixed-size bundle hop plus the fold at the parent (reductions never
-// grow the bundle, unlike the broadcast-combining trees).
-func (md *model) estRedTree() float64 {
-	l := int64(md.l)
-	return md.logp() * (md.so() + md.copy(l) + md.wire(l, md.meanHops) + md.ro() + md.copy(l) + md.comb(l))
-}
-
-// estRedBcast: reduce-then-broadcast all-reduce — the tree down and the
-// tree back up, the broadcast half without the fold.
-func (md *model) estRedBcast() float64 {
-	l := int64(md.l)
-	return md.estRedTree() + md.logp()*(md.so()+md.copy(l)+md.wire(l, md.meanHops)+md.ro()+md.copy(l))
-}
-
-// estScatterBinomial: the MST scatter's critical path is the root's
-// chain of halving blocks — p/2·L, p/4·L, … L — each forwarded once.
-func (md *model) estScatterBinomial() float64 {
-	p := md.spec.P()
-	l := int64(md.l)
-	top := 1
-	for top < p {
-		top <<= 1
-	}
-	total := 0.0
-	for mask := top >> 1; mask > 0; mask >>= 1 {
-		b := int64(mask) * l
-		total += md.so() + md.copy(b) + md.wire(b, md.meanHops) + md.ro() + md.copy(b) + md.comb(b)
-	}
-	return total
-}
-
-// estScatterDirect: the root serializes p−1 sends of one chunk each; the
-// makespan is the root's send chain plus the last chunk's flight.
-func (md *model) estScatterDirect() float64 {
-	p := float64(md.spec.P())
-	l := int64(md.l)
-	return (p-1)*(md.so()+md.copy(l)) + md.wire(l, md.meanHops) + md.ro() + md.copy(l)
-}
-
-// estA2APairwise: p−1 serialized exchange steps, each moving one chunk
-// out and one chunk in.
-func (md *model) estA2APairwise() float64 {
-	p := float64(md.spec.P())
-	l := int64(md.l)
-	return (p - 1) * (md.so() + md.copy(l) + md.wire(l, md.meanHops) + md.ro() + md.copy(l))
-}
-
-// estJungSakho prices the dimension-ordered torus all-to-all: for each
-// torus dimension of radix k (topology.TorusDims — the same
-// decomposition the algorithm routes along), k−1 ring steps each moving
-// a (p/k)-chunk block, with the true mean hop distance of that step's
-// fixed stride. Σ(k_d−1) messages against the pairwise exchange's p−1,
-// bought with store-and-forward volume — so it ranks ahead exactly where
-// per-message startup dominates.
-func (md *model) estJungSakho() float64 {
-	p := md.spec.P()
-	if p <= 1 {
-		return 0
-	}
-	x, y, z := topology.TorusDims(p)
-	total := 0.0
-	stride := 1
-	for _, k := range []int{x, y, z} {
-		if k <= 1 {
-			continue
-		}
-		b := int64(p/k) * int64(md.l)
-		for t := 1; t < k; t++ {
-			hops := 0.0
-			for r := 0; r < p; r++ {
-				pos := (r / stride) % k
-				destPos := (pos + t) % k
-				hops += float64(md.hop(r, r+(destPos-pos)*stride))
-			}
-			hops /= float64(p)
-			total += md.so() + md.copy(b) + md.wire(b, hops) + md.ro() + md.copy(b) + md.comb(b)
-		}
-		stride *= k
-	}
-	return total
 }
 
 // estIndep: s uncoordinated binomial broadcasts; every processor relays

@@ -6,26 +6,28 @@
 //
 // The planner has two tiers:
 //
-//  1. an analytic tier that scores every registered algorithm from the
-//     machine's calibrated cost parameters (internal/network): an
-//     algorithm that compiles to a step schedule (core.Steps) is priced
-//     from that schedule, the repositioning and partitioning algorithms
-//     add the distance-to-ideal signals of the dist.Ideal* generators to
-//     their inner schedule's price, and the rest have closed forms;
+//  1. an analytic tier that scores every registered broadcast algorithm
+//     from the machine's calibrated cost parameters (internal/network):
+//     an algorithm that compiles to a step schedule (core.Steps) is
+//     priced from that schedule, the repositioning and partitioning
+//     algorithms add the distance-to-ideal signals of the dist.Ideal*
+//     generators to their inner schedule's price, and the rest have
+//     closed forms;
 //  2. an empirical tier that refines the top-k analytic candidates with
 //     full deterministic probe simulations, run concurrently on a worker
-//     pool and cancellable through a context.
+//     pool and cancellable through a context. Every other collective has
+//     at most k entries and skips the analytic tier: all are probed.
 //
 // In front of both sits an optional in-memory memo (Cache) keyed by the
-// canonical (machine, mesh, collective, s, L bucket, distribution
-// signature) key, with deterministic FIFO eviction. It lives as long as
-// the process, so every plan it returns is the current planner's choice.
-// A hit skips both tiers; hit/miss/probe counts are surfaced through
-// internal/metrics counters.
+// canonical (machine, mesh and its rank order, collective, s, L bucket,
+// distribution signature) key, with deterministic FIFO eviction. It
+// lives as long as the process, so every plan it returns is the current
+// planner's choice. A hit skips both tiers; hit/miss/probe counts are
+// surfaced through internal/metrics counters.
 //
 // Selection is deterministic: the probes are deterministic simulations,
-// ties break by candidate order, and a warm cache returns the identical
-// algorithm the cold path chose.
+// ties break by probe order (analytic rank, else registry order), and a
+// warm cache returns the identical algorithm the cold path chose.
 package plan
 
 import (
@@ -35,6 +37,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/topology"
 )
 
 // Key canonically identifies one planning instance. Two instances with
@@ -48,6 +51,9 @@ type Key struct {
 	Machine string
 	// Rows, Cols are the logical mesh dimensions.
 	Rows, Cols int
+	// Indexing is the logical rank order: it lays out the line Br_Lin
+	// and Br_kport<k> section, so snake and row-major plans differ.
+	Indexing topology.Indexing
 	// Coll is the collective's canonical name ("Broadcast", "AllToAll",
 	// ...): different collectives have disjoint algorithm sets, so they
 	// never share a plan.
@@ -96,18 +102,19 @@ func DistSignature(distName string, sources []int) string {
 // when the ranks were pinned explicitly.
 func NewKey(m *machine.Machine, coll core.Collective, spec core.Spec, msgLen int, distName string) Key {
 	return Key{
-		Machine: m.Name,
-		Rows:    spec.Rows,
-		Cols:    spec.Cols,
-		Coll:    string(coll),
-		S:       spec.S(),
-		LBucket: LBucketOf(msgLen),
-		Dist:    DistSignature(distName, spec.Sources),
+		Machine:  m.Name,
+		Rows:     spec.Rows,
+		Cols:     spec.Cols,
+		Indexing: spec.Indexing,
+		Coll:     string(coll),
+		S:        spec.S(),
+		LBucket:  LBucketOf(msgLen),
+		Dist:     DistSignature(distName, spec.Sources),
 	}
 }
 
 // String renders the key for display.
 func (k Key) String() string {
-	return fmt.Sprintf("m=%s|g=%dx%d|c=%s|s=%d|lb=%d|d=%s",
-		k.Machine, k.Rows, k.Cols, k.Coll, k.S, k.LBucket, k.Dist)
+	return fmt.Sprintf("m=%s|g=%dx%d|ix=%s|c=%s|s=%d|lb=%d|d=%s",
+		k.Machine, k.Rows, k.Cols, k.Indexing, k.Coll, k.S, k.LBucket, k.Dist)
 }

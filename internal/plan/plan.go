@@ -32,8 +32,8 @@ type Decision struct {
 	Source string
 	// ElapsedMs is the chosen algorithm's probed time in milliseconds.
 	ElapsedMs float64
-	// Ranking is the analytic tier's full ranking, fastest predicted
-	// first. Empty on a cache hit.
+	// Ranking is the analytic tier's full Broadcast ranking, fastest
+	// predicted first. Empty on a cache hit and for other collectives.
 	Ranking []Score
 	// Probes holds the empirical tier's measurements, fastest first.
 	// Empty on a cache hit.
@@ -77,10 +77,13 @@ func (pl *Planner) CandidatesFor(coll core.Collective) []string {
 	return out
 }
 
-// Decide chooses an algorithm for the instance. The selection is
+// Decide chooses an algorithm for the instance: the least probed time of
+// the topK analytic front-runners when the collective has more entries
+// (Broadcast), of its whole registry otherwise. The selection is
 // deterministic: identical inputs yield the identical decision, cold or
 // warm cache — probe timings come from the deterministic simulator, ties
-// break by analytic rank, and cache entries store the exact prior choice.
+// break by probe order (analytic rank, else registry order), and cache
+// entries store the exact prior choice.
 func (pl *Planner) Decide(ctx context.Context, m *machine.Machine, req Request) (*Decision, error) {
 	if err := req.Spec.Validate(m.P()); err != nil {
 		return nil, err
@@ -108,16 +111,19 @@ func (pl *Planner) Decide(ctx context.Context, m *machine.Machine, req Request) 
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("plan: no candidate algorithms for %s", coll)
 	}
-	ranking := Rank(m, req.Spec, req.MsgLen, candidates)
-	names := make([]string, min(topK, len(ranking)))
-	for i := range names {
-		names[i] = ranking[i].Algorithm
+	var ranking []Score
+	if len(candidates) > topK {
+		ranking = Rank(m, req.Spec, req.MsgLen, candidates)
+		candidates = candidates[:topK]
+		for i := range candidates {
+			candidates[i] = ranking[i].Algorithm
+		}
 	}
-	probes, err := probeCandidates(ctx, m, req.Spec, req.MsgLen, names)
+	probes, err := probeCandidates(ctx, m, req.Spec, req.MsgLen, candidates)
 	if err != nil {
 		return nil, err
 	}
-	// Fastest first; ties keep analytic rank order (stable sort over the
+	// Fastest first; ties keep probe order (stable sort over the
 	// deterministic input order).
 	sort.SliceStable(probes, func(i, j int) bool { return probes[i].ElapsedMs < probes[j].ElapsedMs })
 	dec := &Decision{

@@ -2,9 +2,11 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/par"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -43,6 +46,12 @@ func TestKeyBucketsAndSignatures(t *testing.T) {
 	other := testSpec(t, m, dist.Cross(), 30)
 	if NewKey(m, core.Broadcast, spec, 4096, "").Dist == NewKey(m, core.Broadcast, other, 4096, "").Dist {
 		t.Error("distinct rank sets hash equal")
+	}
+	// Same sources in another rank order: different keys.
+	rowMajor := spec
+	rowMajor.Indexing = topology.RowMajor
+	if NewKey(m, core.Broadcast, spec, 4096, "E") == NewKey(m, core.Broadcast, rowMajor, 4096, "E") {
+		t.Error("snake and row-major instances share a key")
 	}
 }
 
@@ -142,6 +151,70 @@ func TestDecideDeterministic(t *testing.T) {
 	}
 }
 
+// TestDecideProbesSmallRegistriesWhole: every collective but Broadcast
+// has at most topK entries, so Decide probes its whole registry in
+// registry order and ranks nothing. Its choice is then the first entry
+// with the least simulated time, which RunSim of every entry checks case
+// by case — including exact ties, such as Ag_RecDouble, which runs
+// Ag_Ring's program at a p that is not a power of two.
+func TestDecideProbesSmallRegistriesWhole(t *testing.T) {
+	machines := []*machine.Machine{
+		machine.Paragon(1, 13), machine.Paragon(5, 3), machine.Paragon(4, 4),
+		machine.Paragon(10, 10), machine.T3D(64), machine.HypercubeNX(3),
+	}
+	for _, coll := range core.Collectives() {
+		reg := core.RegistryFor(coll)
+		if coll == core.Broadcast {
+			continue
+		}
+		if len(reg) > topK {
+			t.Fatalf("%s has %d entries, more than topK = %d", coll, len(reg), topK)
+		}
+		for _, m := range machines {
+			sources := core.AllRanksSources(m.P())
+			if coll.Caps().SingleSource {
+				sources = []int{0}
+			}
+			spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sources, Indexing: topology.SnakeRowMajor}
+			for _, l := range []int{0, 16, 1 << 10, 64 << 10} {
+				t.Run(fmt.Sprintf("%s/%s/L=%d", coll, m.Name, l), func(t *testing.T) {
+					best, bestMs := "", math.Inf(1)
+					var names []string
+					for _, alg := range reg {
+						res, nw, err := m.RunSim(alg, spec, machine.Uniform(l), sim.Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						nw.Release()
+						if ms := res.Elapsed.Milliseconds(); ms < bestMs {
+							best, bestMs = alg.Name(), ms
+						}
+						names = append(names, alg.Name())
+					}
+					dec, err := New(Options{}).Decide(context.Background(), m, Request{Collective: coll, Spec: spec, MsgLen: l})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dec.Algorithm != best || dec.ElapsedMs != bestMs {
+						t.Errorf("decided %s at %v ms, want %s at %v ms", dec.Algorithm, dec.ElapsedMs, best, bestMs)
+					}
+					var probed []string
+					for _, pr := range dec.Probes {
+						probed = append(probed, pr.Algorithm)
+					}
+					slices.Sort(probed)
+					if slices.Sort(names); !slices.Equal(probed, names) {
+						t.Errorf("probed %v, want every entry of %v", probed, names)
+					}
+					if len(dec.Ranking) != 0 {
+						t.Errorf("ranked %d candidates, want none", len(dec.Ranking))
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestDecideWarmCacheSkipsProbes(t *testing.T) {
 	m := machine.T3D(64)
 	spec := testSpec(t, m, dist.Equal(), 16)
@@ -196,7 +269,8 @@ func TestDecideRejectsInvalidSpec(t *testing.T) {
 
 // TestColdDecideAllocationBudget counts what a fresh planner with an
 // empty cache allocates deciding a handful of the benchmark's plan_cold
-// instances — analytic ranking, probe simulations, one cache fill each —
+// instances — the broadcasts' analytic ranking, probe simulations, one
+// cache fill each —
 // among them the largest, a T3D-256 broadcast, in objects and in bytes.
 // Probes run on one worker (par.SetLimit), as they do by default at the
 // GOMAXPROCS of 1 the sweep pins, which also sizes the simulator's engine

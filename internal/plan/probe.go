@@ -22,12 +22,12 @@ type ProbeResult struct {
 
 // probeCandidates measures the named candidates on the shared worker pool
 // (par.ForEach) on the simulator, which prices lengths and builds no
-// payload. The result order follows names (the analytic ranking), so the
-// caller's min-with-ties-first selection is deterministic regardless of
-// scheduling. A context
-// cancellation abandons unstarted probes and returns the context error;
-// running probes finish (the simulator is not interruptible mid-run) but
-// their results are discarded.
+// payload. The result order follows names (the analytic ranking, or the
+// registry), so the caller's min-with-ties-first selection is
+// deterministic regardless of scheduling. A context cancellation
+// abandons unstarted probes and returns the context error; running
+// probes finish (the simulator is not interruptible mid-run) but their
+// results are discarded.
 func probeCandidates(ctx context.Context, m *machine.Machine, spec core.Spec, msgLen int, names []string) ([]ProbeResult, error) {
 	probes := metrics.GetCounter(CounterProbes)
 	out := make([]ProbeResult, len(names))

@@ -2,10 +2,10 @@
 
 package plan
 
-// coldDecideAllocBudget and coldDecideKBBudget are 5 % over the 1 242
-// allocations and 1 683 kB one cold sweep costs
+// coldDecideAllocBudget and coldDecideKBBudget are 5 % over the 1 226
+// allocations and 1 680 kB one cold sweep costs
 // (TestColdDecideAllocationBudget).
 const (
-	coldDecideAllocBudget = 1305
-	coldDecideKBBudget    = 1768
+	coldDecideAllocBudget = 1288
+	coldDecideKBBudget    = 1764
 )

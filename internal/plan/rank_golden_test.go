@@ -12,30 +12,28 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/machine"
-	"repro/internal/topology"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/rank.golden from the code under test")
 
 const rankGolden = "testdata/rank.golden"
 
-// rankCell is one instance of the analytic-tier golden grid.
+// rankCell is one broadcast instance of the analytic-tier golden grid.
 type rankCell struct {
-	label      string
-	m          *machine.Machine
-	spec       core.Spec
-	msgLen     int
-	candidates []string
+	label  string
+	m      *machine.Machine
+	spec   core.Spec
+	msgLen int
 }
 
 // rankGoldenGrid is 630 broadcast cells — seven machines (square,
 // non-square, odd, a 1×p line, both T3D sizes) × six distributions ×
-// s ∈ p/{16,8,4,2,1} × L ∈ {64, 1 Ki, 4 Ki} — plus the 20 instances of
-// the benchmark's frozen plan_cold grid (benchmark/workloads.go
-// planGrid), whose top-6 sets decide the benchmark's golden decisions.
+// s ∈ p/{16,8,4,2,1} × L ∈ {64, 1 Ki, 4 Ki} — plus the 16 broadcast
+// instances of the benchmark's frozen plan_cold grid
+// (benchmark/workloads.go planGrid), whose top-6 sets decide the
+// benchmark's golden decisions. The grid's AllToAll and AllReduce cells
+// are not ranked: Decide probes those collectives' whole registries.
 func rankGoldenGrid(t *testing.T) []rankCell {
-	registry := New(Options{})
-	bcast := registry.CandidatesFor(core.Broadcast)
 	var cells []rankCell
 	specOf := func(m *machine.Machine, dn string, s int) core.Spec {
 		d, err := dist.ByName(dn)
@@ -53,7 +51,7 @@ func rankGoldenGrid(t *testing.T) []rankCell {
 				s := max(m.P()/div, 1)
 				spec := specOf(m, dn, s)
 				for _, l := range []int{64, 1 << 10, 4 << 10} {
-					cells = append(cells, rankCell{fmt.Sprintf("%s/%s/p/%d=%d/L=%d", m.Name, dn, div, s, l), m, spec, l, bcast})
+					cells = append(cells, rankCell{fmt.Sprintf("%s/%s/p/%d=%d/L=%d", m.Name, dn, div, s, l), m, spec, l})
 				}
 			}
 		}
@@ -62,15 +60,8 @@ func rankGoldenGrid(t *testing.T) []rankCell {
 		for _, dn := range []string{"E", "Cr"} {
 			for _, c := range []struct{ div, l int }{{8, 1 << 10}, {4, 4 << 10}} {
 				s := m.P() / c.div
-				cells = append(cells, rankCell{fmt.Sprintf("plan_cold/%s/Broadcast/%s(%d)/L=%d", m.Name, dn, s, c.l), m, specOf(m, dn, s), c.l, bcast})
+				cells = append(cells, rankCell{fmt.Sprintf("plan_cold/%s/Broadcast/%s(%d)/L=%d", m.Name, dn, s, c.l), m, specOf(m, dn, s), c.l})
 			}
-		}
-	}
-	t3d := machine.T3D(64)
-	for _, coll := range []core.Collective{core.AllToAll, core.AllReduce} {
-		for _, l := range []int{16, 4 << 10} {
-			spec := core.Spec{Rows: t3d.Rows, Cols: t3d.Cols, Sources: core.AllRanksSources(t3d.P()), Indexing: topology.SnakeRowMajor}
-			cells = append(cells, rankCell{fmt.Sprintf("plan_cold/%s/%s/L=%d", t3d.Name, coll, l), t3d, spec, l, registry.CandidatesFor(coll)})
 		}
 	}
 	return cells
@@ -86,11 +77,12 @@ func rankGoldenGrid(t *testing.T) []rankCell {
 // with it).
 func TestRankMatchesGolden(t *testing.T) {
 	cells := rankGoldenGrid(t)
+	bcast := New(Options{}).CandidatesFor(core.Broadcast)
 	lines := make([]string, len(cells))
 	for i, c := range cells {
 		var sb strings.Builder
 		sb.WriteString(c.label)
-		for _, sc := range Rank(c.m, c.spec, c.msgLen, c.candidates) {
+		for _, sc := range Rank(c.m, c.spec, c.msgLen, bcast) {
 			fmt.Fprintf(&sb, " %s=%s", sc.Algorithm, strconv.FormatFloat(sc.PredictedMs, 'x', -1, 64))
 		}
 		lines[i] = sb.String()

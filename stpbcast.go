@@ -327,21 +327,25 @@ func (c Config) spec(m *Machine) (core.Spec, error) {
 }
 
 // PlanDecision is the planner's output: the chosen algorithm, the tier
-// that chose it, and the supporting analytic ranking and probe timings.
+// that chose it, and the supporting probe timings (and, for Broadcast,
+// the analytic ranking).
 type PlanDecision = plan.Decision
 
-// defaultPlanner backs AutoAlgorithm and Plan: analytic ranking, probe
-// refinement of the front-runners, and a process-wide in-memory plan
-// cache so repeated Auto runs of the same instance skip the probes.
+// defaultPlanner backs AutoAlgorithm and Plan: probe simulations of the
+// front-runners (of a broadcast's analytic ranking, or a smaller
+// collective's whole registry), and a process-wide in-memory plan cache
+// so repeated Auto runs of the same instance skip the probes.
 var defaultPlanner = plan.New(plan.Options{Cache: plan.NewMemCache(0)})
 
 // Plan selects the fastest algorithm for the collective instance
-// described by cfg (cfg.Algorithm is ignored). It ranks the collective's
-// registered algorithms with the analytic cost model, refines the
-// front-runners with deterministic probe simulations, and caches the
-// decision in memory: identical inputs yield the identical plan, and a
-// warm cache answers without probing. For variable-length runs
-// (MsgBytesFor) the planner prices the longest source message.
+// described by cfg (cfg.Algorithm is ignored). For Broadcast it ranks
+// the registered algorithms with the analytic cost model and refines the
+// front-runners with deterministic probe simulations; every other
+// collective has few enough entries that all of them are probed, ties
+// going to registry order. It caches the decision in memory: identical
+// inputs yield the identical plan, and a warm cache answers without
+// probing. For variable-length runs (MsgBytesFor) the planner prices the
+// longest source message.
 func Plan(m *Machine, cfg Config) (*PlanDecision, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

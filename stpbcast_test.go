@@ -266,6 +266,52 @@ func TestRowMajorAblationDiffers(t *testing.T) {
 	}
 }
 
+// rowMajorPlanned records that TestAutoPlansRowMajorApart has run in
+// this process: the planner's memo outlives the test (-count), so only
+// its first run probes.
+var rowMajorPlanned bool
+
+// TestAutoPlansRowMajorApart: the planner's memo keys the mesh's rank
+// order. On the 10×10 Paragon at E(30), L=4096 the snake instance's plan
+// is not the row-major instance's cheapest, so a row-major Plan after a
+// snake one must probe its own instance, not reuse the snake choice.
+func TestAutoPlansRowMajorApart(t *testing.T) {
+	m := stpbcast.NewParagon(10, 10)
+	cfg := stpbcast.Config{Distribution: "E", Sources: 30, MsgBytes: 4096}
+	snake, err := stpbcast.Plan(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RowMajor = true
+	rm, err := stpbcast.Plan(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rowMajorPlanned && rm.Source != "probe" {
+		t.Errorf("row-major plan came from %q, want a probe", rm.Source)
+	}
+	rowMajorPlanned = true
+	if rm.Key == snake.Key {
+		t.Errorf("snake and row-major instances share the key %s", rm.Key)
+	}
+	simulated := func(alg string) float64 {
+		run := cfg
+		run.Algorithm = alg
+		res, err := stpbcast.Run(m, stpbcast.EngineSim, run, stpbcast.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(res.Elapsed) / 1e6
+	}
+	if got := simulated(rm.Algorithm); got != rm.ElapsedMs {
+		t.Errorf("row-major plan %s at %v ms, but it simulates at %v ms", rm.Algorithm, rm.ElapsedMs, got)
+	}
+	if snakeChoice := simulated(snake.Algorithm); snakeChoice <= rm.ElapsedMs {
+		t.Errorf("snake choice %s simulates at %v ms row-major, no dearer than the row-major plan %s at %v ms",
+			snake.Algorithm, snakeChoice, rm.Algorithm, rm.ElapsedMs)
+	}
+}
+
 func TestVariableMessageLengths(t *testing.T) {
 	m := stpbcast.NewParagon(6, 6)
 	uniform, err := stpbcast.Run(m, stpbcast.EngineSim, stpbcast.Config{
