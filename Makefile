@@ -47,7 +47,7 @@ race:
 # Fault-injection, abort-path and result-ownership suites only, plus the
 # stpbench sweep.
 chaos:
-	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|Conformance|Release|DialRetry|DialPermanent|MidRunConnection|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/tcp/ ./internal/cluster/ .
+	$(GO) test -race -timeout 4m -run 'Chaos|Check|Abort|Deadline|Timeout|Cancel|Conformance|Release|DialRetry|DialPermanent|MidRunConnection|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/tcp/ ./internal/cluster/ .
 	$(GO) run ./cmd/stpbench chaos
 
 # Replay every fuzz target's seeds — its f.Add calls and its checked-in

@@ -574,16 +574,11 @@ func runChaos(fs *flag.FlagSet, args []string, out io.Writer) error {
 		return err
 	}
 	m := stpbcast.NewParagon(3, 4)
-	sources, err := dist.Cross().Sources(m.Rows, m.Cols, 5)
-	if err != nil {
-		return err
-	}
-	spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sources}
 	fmt.Fprintf(out, "chaos sweep: seed %d, 3x4 mesh, 5 Cr sources\n", *seed)
 	fmt.Fprintf(out, "%-22s %-5s %-10s %-8s %s\n", "algorithm", "eng", "scenario", "faults", "outcome")
 	failures := 0
 	for _, alg := range stpbcast.Algorithms() {
-		cfg := stpbcast.Config{Algorithm: alg.Name(), Distribution: "Cr", Sources: 5, MsgBytes: chaosBytes}
+		cfg := stpbcast.Config{Algorithm: alg.Name(), Distribution: "Cr", Sources: 5, MsgBytes: 16}
 		for _, eng := range engs {
 			for _, sc := range chaosScenarios {
 				plan := sc.plan(*seed)
@@ -592,7 +587,7 @@ func runChaos(fs *flag.FlagSet, args []string, out io.Writer) error {
 					RunTimeout:  60 * time.Second,
 					Faults:      &plan,
 				})
-				outcome, bad := chaosOutcome(sc, spec, res, err)
+				outcome, bad := chaosOutcome(sc, res, err)
 				nfaults := "-"
 				if res != nil {
 					nfaults = fmt.Sprintf("%d", len(res.Faults))
@@ -611,28 +606,18 @@ func runChaos(fs *flag.FlagSet, args []string, out io.Writer) error {
 	return nil
 }
 
-// chaosBytes is the length of every source's default payload in the
-// chaos sweep.
-const chaosBytes = 16
-
-// chaosOutcome classifies one chaos run of spec against its scenario's
+// chaosOutcome classifies one chaos run against its scenario's
 // invariant and reports whether it violated it. A graceful run's bundles
-// must pass the broadcast postcondition (core.Collective.Check); a clean
-// abort is reported by its scenario's class, so one seed prints the same
-// line every time.
-func chaosOutcome(sc chaosScenario, spec core.Spec, res *stpbcast.Result, err error) (string, bool) {
+// must pass the broadcast postcondition (Result.Check); a clean abort is
+// reported by its scenario's class, so one seed prints the same line
+// every time.
+func chaosOutcome(sc chaosScenario, res *stpbcast.Result, err error) (string, bool) {
 	if sc.wantErr == "" {
 		if err != nil {
 			return fmt.Sprintf("FAIL: graceful plan aborted: %v", err), true
 		}
-		for rank, got := range res.Bundles {
-			var bundle comm.Message
-			for origin, data := range got {
-				bundle.Parts = append(bundle.Parts, comm.Part{Origin: origin, Data: data})
-			}
-			if err := core.Broadcast.Check(spec, func(int) int { return chaosBytes }, rank, bundle); err != nil {
-				return "FAIL: " + err.Error(), true
-			}
+		if err := res.Check(); err != nil {
+			return "FAIL: " + err.Error(), true
 		}
 		return "ok (bundles intact)", false
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	stpbcast "repro"
-	"repro/internal/core"
 )
 
 // stpbench runs one invocation and returns its exit status and stdout.
@@ -196,7 +195,7 @@ func TestChaosAbortLineIsReplayable(t *testing.T) {
 	var lines []string
 	for _, rank := range []int{3, 9} {
 		err := fmt.Errorf("live: rank %d: recv 0: blocked 2s (receive deadline exceeded)\nrun aborted", rank)
-		line, bad := chaosOutcome(dropAll, core.Spec{}, nil, err)
+		line, bad := chaosOutcome(dropAll, nil, err)
 		if bad {
 			t.Fatalf("clean abort judged a violation: %s", line)
 		}

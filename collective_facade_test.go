@@ -116,7 +116,7 @@ func TestRunCollectives(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EngineLive: %v", err)
 			}
-			checkResult(t, m, cfg, res)
+			checkResult(t, res)
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	stpbcast "repro"
-	"repro/internal/core"
 )
 
 // TestKillFaultReturnsStructuredErrorAndReconnects is the daemon
@@ -67,33 +66,6 @@ func TestKillFaultReturnsStructuredErrorAndReconnects(t *testing.T) {
 	}
 }
 
-// TestCheckBundlesNamesFlippedByte: the daemon's check passes the bundles
-// a run must leave, without allocating, and names the rank, the origin
-// and the byte of one flipped byte.
-func TestCheckBundlesNamesFlippedByte(t *testing.T) {
-	const p, msgBytes = 4, 8
-	spec := core.Spec{Rows: 2, Cols: 2, Sources: []int{0, 3}}
-	bundles := make([]map[int][]byte, p)
-	for rank := range bundles {
-		bundles[rank] = map[int][]byte{}
-		for _, origin := range spec.Sources {
-			bundles[rank][origin] = core.Broadcast.Payload(p, origin, msgBytes)
-		}
-	}
-	if err := checkBundles(core.Broadcast, spec, msgBytes, bundles); err != nil {
-		t.Fatalf("intact bundles: %v", err)
-	}
-	if n := testing.AllocsPerRun(100, func() { checkBundles(core.Broadcast, spec, msgBytes, bundles) }); n != 0 {
-		t.Errorf("checking intact bundles allocates %v times", n)
-	}
-	bundles[2][3] = bytes.Clone(bundles[2][3])
-	bundles[2][3][5] ^= 0xFF
-	err := checkBundles(core.Broadcast, spec, msgBytes, bundles)
-	if err == nil || !strings.Contains(err.Error(), "rank 2, origin 3: byte 5 is 0xfc, want 0x03") {
-		t.Fatalf("flipped byte: %v, want it named by rank, origin and byte", err)
-	}
-}
-
 // TestBundleCheckFailureIsStructured5xx: a run whose delivered bytes fail
 // the daemon's check — here one byte flipped on its way to rank 2 — is
 // a 500 naming the rank, the origin and the byte, not a 200, and counts
@@ -101,7 +73,7 @@ func TestCheckBundlesNamesFlippedByte(t *testing.T) {
 func TestBundleCheckFailureIsStructured5xx(t *testing.T) {
 	srv, base := testServer(t, Options{})
 	planted := false
-	srv.verify = func(l *Lease, req *BroadcastRequest, res *stpbcast.Result) error {
+	srv.verify = func(res *stpbcast.Result) error {
 		if !planted {
 			planted = true
 			for origin, data := range res.Bundles[2] {
@@ -111,7 +83,7 @@ func TestBundleCheckFailureIsStructured5xx(t *testing.T) {
 				break
 			}
 		}
-		return l.verify(req, res)
+		return res.Check()
 	}
 	req := BroadcastRequest{Engine: "tcp", Rows: 2, Cols: 2, Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 8}
 	status, _, e := post(t, base, req)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	stpbcast "repro"
-	"repro/internal/core"
 )
 
 // ErrPoolFull is returned by Acquire when the pool is at MaxSessions and
@@ -50,10 +49,6 @@ type entry struct {
 	mu   sync.Mutex
 	m    *stpbcast.Machine
 	sess *stpbcast.Session
-	// spec is the last instance a request was verified on, specFor what
-	// it was resolved from (entry.specOf); mu guards both.
-	spec    core.Spec
-	specFor specKey
 	// badRuns counts the runs the session completed whose bundles failed
 	// the daemon's check: a failure the session itself never saw, which
 	// stats folds into its Failures.

@@ -108,9 +108,9 @@ type Server struct {
 	latencies *latencyRing // recent server-side latencies
 	events    EventCounts  // cumulative, from traced runs
 
-	// verify checks a served run's bundles (Lease.verify); a test
+	// verify checks a served run's bundles (Result.Check); a test
 	// replaces it to plant a failed check.
-	verify func(*Lease, *BroadcastRequest, *stpbcast.Result) error
+	verify func(*stpbcast.Result) error
 
 	wg       sync.WaitGroup // in-flight broadcast requests
 	done     chan struct{}  // closed when a drain has fully completed
@@ -130,7 +130,7 @@ func New(opts Options) *Server {
 		start:     time.Now(),
 		tenants:   make(map[string]*tenantState),
 		latencies: newLatencyRing(latencyWindow),
-		verify:    (*Lease).verify,
+		verify:    (*stpbcast.Result).Check,
 		done:      make(chan struct{}),
 	}
 	s.pool = NewPool(s.opts.Pool)
@@ -317,7 +317,7 @@ func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	}
 	// Check what was served, then keep none of it: the session decodes
 	// the next run's bytes into this run's storage.
-	err = s.verify(lease, &req, res)
+	err = s.verify(res)
 	res.Release()
 	serverDur := time.Since(start)
 	if err != nil {

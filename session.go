@@ -263,11 +263,7 @@ func RoutesFor(m *Machine, cfg Config) ([][2]int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	spec, err := cfg.spec(m)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := resolveAlgorithm(m, cfg, spec)
+	spec, alg, err := resolve(m, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -343,6 +339,17 @@ func (s *Session) Close() (SessionStats, error) {
 // and concurrent callers queue. Stats may be read concurrently without
 // waiting for the queue to drain.
 func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return s.run(cfg, opts, core.Spec{}, nil)
+}
+
+// run executes one validated config over the session. alg, when
+// non-nil, is the algorithm Run resolved with spec before it opened the
+// session; otherwise run resolves both, and a config that does not
+// resolve counts as a failed run.
+func (s *Session) run(cfg Config, opts RunOptions, spec core.Spec, alg Algorithm) (*Result, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	s.mu.Lock()
@@ -353,16 +360,20 @@ func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 	run := uint32(s.stats.Runs) + 1
 	s.maps.Begin(run, &s.released, nil)
 	s.mu.Unlock()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	var err error
+	if alg == nil {
+		spec, alg, err = resolve(s.m, cfg, opts.Algorithm)
 	}
 	var res *Result
 	var sent int64
-	var err error
-	if s.engine == EngineSim {
-		res, sent, err = runSim(s.m, cfg, opts)
-	} else {
-		res, sent, err = s.runReal(cfg, opts, run)
+	switch {
+	case err != nil:
+	case s.engine == EngineSim:
+		res, sent, err = runSim(s.m, cfg, opts, spec, alg)
+	case s.clu != nil:
+		res, sent, err = s.runCluster(cfg, opts, spec, alg)
+	default:
+		res, sent, err = s.runReal(cfg, opts, spec, alg, run)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -380,12 +391,13 @@ func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
 // broadcasts back to back, Open a Session instead and amortize the
 // engine setup.
 func Run(m *Machine, engine Engine, cfg Config, opts RunOptions) (*Result, error) {
-	// Validate before standing up the engine, so a bad config never pays
+	// Resolve before standing up the engine, so a bad config never pays
 	// (or leaks) a TCP mesh.
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := cfg.spec(m); err != nil {
+	spec, alg, err := resolve(m, cfg, opts.Algorithm)
+	if err != nil {
 		return nil, err
 	}
 	s, err := Open(m, engine, SessionOptions{Context: opts.Context})
@@ -393,7 +405,7 @@ func Run(m *Machine, engine Engine, cfg Config, opts RunOptions) (*Result, error
 		return nil, err
 	}
 	defer s.Close()
-	return s.Run(cfg, opts)
+	return s.run(cfg, opts, spec, alg)
 }
 
 // Result is the outcome of one broadcast through the unified Run API.
@@ -438,7 +450,56 @@ type Result struct {
 	run   uint32
 	tcpM  *tcp.Machine
 	epoch uint32
+	// coll, sources, msgBytes and msgBytesFor are what Check needs of the
+	// instance the run resolved (its rows and cols are sess.m's); payload
+	// marks a run of RunOptions.Payload, whose bytes Check cannot know.
+	coll        Collective
+	sources     []int
+	msgBytes    int
+	msgBytesFor func(rank int) int
+	payload     bool
 }
+
+// Check verifies every rank's bundle against the postcondition of the
+// collective the run resolved, for the default payload (see
+// RunOptions.Payload) — the check a cluster worker makes of its own
+// ranks. The first failure names the rank, the origin and, for wrong
+// bytes, the first bad one; bundles that pass cost no allocation. A
+// result without bundles (EngineSim, or a cluster session, whose workers
+// check their ranks themselves) returns nil, and one of a run with
+// RunOptions.Payload, whose bytes are the caller's, an error. Like any
+// read of Bundles, Check belongs before Release.
+func (r *Result) Check() error {
+	if r.Bundles == nil {
+		return nil
+	}
+	if r.payload {
+		return errors.New("stpbcast: Result.Check: the run sent RunOptions.Payload's bytes, not the default payload")
+	}
+	m := r.sess.m
+	if len(r.Bundles) != m.P() {
+		return fmt.Errorf("stpbcast: Result.Check: bundles for %d ranks, want %d", len(r.Bundles), m.P())
+	}
+	spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: r.sources}
+	sizes := func(rank int) int { return msgLen(r.msgBytes, r.msgBytesFor, rank) }
+	for rank, bundle := range r.Bundles {
+		// A map holds no part array to hand Check: build one on the
+		// stack, so that a bundle that passes allocates nothing.
+		var stack [checkOnStack]comm.Part
+		parts := stack[:0]
+		for origin, data := range bundle {
+			parts = append(parts, comm.Part{Origin: origin, Data: data})
+		}
+		if err := r.coll.Check(spec, sizes, rank, comm.Message{Parts: parts}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkOnStack is the most parts of one bundle Check builds a message
+// of without allocating: an all-to-all's bundle on a 64-rank machine.
+const checkOnStack = 64
 
 // Release hands the result's storage back to its session for a later
 // run: after Release the caller must not read Bundles, nor any slice
@@ -467,46 +528,20 @@ func (r *Result) Release() {
 	}
 }
 
-// checkAlgorithmCollective rejects an algorithm whose collective tag
-// does not match the config's collective — the guard behind
-// RunOptions.Algorithm (named algorithms are already collective-checked
-// by resolveAlgorithm's ByNameFor).
-func checkAlgorithmCollective(alg Algorithm, coll Collective) error {
-	if got := core.CollectiveOf(alg); got != coll {
-		return fmt.Errorf("stpbcast: algorithm %s implements %s, but Config.Collective is %s", alg.Name(), got, coll)
-	}
-	return nil
-}
-
 // runSim executes one simulated collective. The simulator is
 // deterministic, so a session adds no warm state — each run builds a
 // fresh network, keeping results identical to the one-shot path.
-func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
+func runSim(m *Machine, cfg Config, opts RunOptions, spec core.Spec, alg Algorithm) (*Result, int64, error) {
 	if opts.Faults != nil {
 		return nil, 0, errors.New("stpbcast: fault injection requires a real-byte engine (EngineLive or EngineTCP)")
-	}
-	spec, err := cfg.spec(m)
-	if err != nil {
-		return nil, 0, err
-	}
-	coll := cfg.collective()
-	alg := opts.Algorithm
-	if alg == nil {
-		alg, err = resolveAlgorithm(m, cfg, spec)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := checkAlgorithmCollective(alg, coll); err != nil {
-		return nil, 0, err
 	}
 	sopts := sim.Options{}
 	if opts.Trace != nil {
 		sopts.Tracer = opts.Trace
 	}
 	// Non-broadcast collectives run uniform lengths (Validate rejects
-	// MsgBytesFor for them), which is what msgLenFor gives them.
-	res, nw, err := m.RunSim(alg, spec, func(rank int) int { return msgLenFor(cfg, rank) }, sopts)
+	// MsgBytesFor for them), which is what msgLen gives them.
+	res, nw, err := m.RunSim(alg, spec, func(rank int) int { return msgLen(cfg.MsgBytes, cfg.MsgBytesFor, rank) }, sopts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -530,8 +565,8 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 	}, sent, nil
 }
 
-// runReal executes one broadcast over the session's warm real-byte
-// engine: per-run spec/algorithm resolution, a per-run fault injector
+// runReal executes one broadcast of the resolved instance over the
+// session's warm real-byte engine: a per-run fault injector
 // wrapping each rank's comm, and per-run tracer attachment. A registry
 // algorithm is compiled once per instance the session runs (binds).
 //
@@ -539,25 +574,8 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 // when the store hands them out, are cleared and refilled here. Once the
 // maps are built the run's part arrays are dead: the engine hands them
 // to the next run (Recycle).
-func (s *Session) runReal(cfg Config, opts RunOptions, run uint32) (*Result, int64, error) {
-	if s.clu != nil {
-		return s.runCluster(cfg, opts)
-	}
-	spec, err := cfg.spec(s.m)
-	if err != nil {
-		return nil, 0, err
-	}
+func (s *Session) runReal(cfg Config, opts RunOptions, spec core.Spec, alg Algorithm, run uint32) (*Result, int64, error) {
 	coll := cfg.collective()
-	alg := opts.Algorithm
-	if alg == nil {
-		alg, err = resolveAlgorithm(s.m, cfg, spec)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := checkAlgorithmCollective(alg, coll); err != nil {
-		return nil, 0, err
-	}
 	alg = s.binds.Bind(alg, spec)
 	p := s.m.P()
 	payload := opts.Payload
@@ -567,7 +585,7 @@ func (s *Session) runReal(cfg Config, opts RunOptions, run uint32) (*Result, int
 		}
 		memo := s.payloads
 		payload = func(rank int) []byte {
-			m, n := &memo[rank], msgLenFor(cfg, rank)
+			m, n := &memo[rank], msgLen(cfg.MsgBytes, cfg.MsgBytesFor, rank)
 			if m.data == nil || m.coll != coll || m.n != n {
 				*m = payloadMemo{coll: coll, n: n, data: coll.Payload(p, rank, n)}
 			}
@@ -601,7 +619,10 @@ func (s *Session) runReal(cfg Config, opts RunOptions, run uint32) (*Result, int
 		}
 	}
 
-	res := &Result{Bundles: bundles, Trace: opts.Trace, sess: s, run: run}
+	res := &Result{
+		Bundles: bundles, Trace: opts.Trace, sess: s, run: run,
+		coll: coll, sources: spec.Sources, msgBytes: cfg.MsgBytes, msgBytesFor: cfg.MsgBytesFor, payload: opts.Payload != nil,
+	}
 	var sent int64
 	switch s.engine {
 	case EngineLive:
@@ -647,11 +668,12 @@ func (s *Session) runReal(cfg Config, opts RunOptions, run uint32) (*Result, int
 }
 
 // runCluster executes one collective across the session's worker
-// processes: it resolves the config to an explicit run spec (registry
-// algorithm name, which names the collective, and explicit source ranks)
-// and ships that to the coordinator — Go values cannot cross the process
-// boundary, which is also why the options checked below must be unset.
-func (s *Session) runCluster(cfg Config, opts RunOptions) (*Result, int64, error) {
+// processes: it ships the resolved instance to the coordinator as an
+// explicit run spec (registry algorithm name, which names the
+// collective, and explicit source ranks) — Go values cannot cross the
+// process boundary, which is also why the options checked below must be
+// unset.
+func (s *Session) runCluster(cfg Config, opts RunOptions, spec core.Spec, alg Algorithm) (*Result, int64, error) {
 	switch {
 	case opts.Algorithm != nil:
 		return nil, 0, errors.New("stpbcast: cluster runs cannot use RunOptions.Algorithm (an explicit Algorithm value cannot cross process boundaries); name a registry algorithm in Config.Algorithm")
@@ -667,14 +689,6 @@ func (s *Session) runCluster(cfg Config, opts RunOptions) (*Result, int64, error
 		return nil, 0, errors.New("stpbcast: cluster runs do not support Config.MsgBytesFor; use a uniform MsgBytes")
 	case cfg.MsgBytes <= 0:
 		return nil, 0, fmt.Errorf("stpbcast: cluster runs need a positive Config.MsgBytes, got %d", cfg.MsgBytes)
-	}
-	spec, err := cfg.spec(s.m)
-	if err != nil {
-		return nil, 0, err
-	}
-	alg, err := resolveAlgorithm(s.m, cfg, spec)
-	if err != nil {
-		return nil, 0, err
 	}
 	res, err := s.clu.Run(cluster.RunSpec{
 		Rows:          spec.Rows,
@@ -709,13 +723,11 @@ func tracerOrNil(rec *TraceRecorder) obsTracer {
 	return rec
 }
 
-// msgLenFor resolves one source's message length under cfg.
-func msgLenFor(cfg Config, rank int) int {
-	if cfg.MsgBytesFor != nil {
-		if n := cfg.MsgBytesFor(rank); n > 0 {
-			return n
-		}
-		return 0
+// msgLen resolves one source's message length: msgBytesFor's, clamped
+// at zero, when the config sets it (Config.MsgBytesFor), else msgBytes.
+func msgLen(msgBytes int, msgBytesFor func(rank int) int, rank int) int {
+	if msgBytesFor != nil {
+		return max(msgBytesFor(rank), 0)
 	}
-	return cfg.MsgBytes
+	return msgBytes
 }

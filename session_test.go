@@ -24,11 +24,14 @@ var sessionCfg = stpbcast.Config{
 	MsgBytes:     64,
 }
 
-// checkResult fails the test unless every rank of res holds exactly
-// what cfg's collective must leave with the default payload.
-func checkResult(t *testing.T, m *stpbcast.Machine, cfg stpbcast.Config, res *stpbcast.Result) {
+// checkResult fails the test unless res holds a bundle per rank, each
+// what its collective must leave with the default payload.
+func checkResult(t *testing.T, res *stpbcast.Result) {
 	t.Helper()
-	if err := stpbcast.CheckResult(m, cfg, res); err != nil {
+	if res.Bundles == nil {
+		t.Fatal("result holds no bundles")
+	}
+	if err := res.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +62,7 @@ func TestSessionIsolationRealEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chaos run: %v", err)
 			}
-			checkResult(t, m, sessionCfg, res1)
+			checkResult(t, res1)
 			if len(res1.Faults) == 0 {
 				t.Fatal("duplicate-everything plan injected nothing")
 			}
@@ -76,7 +79,7 @@ func TestSessionIsolationRealEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
-			checkResult(t, m, sessionCfg, res2)
+			checkResult(t, res2)
 			if len(res2.Faults) != 0 {
 				t.Fatalf("fault plan leaked into the next run: %d events", len(res2.Faults))
 			}
@@ -236,7 +239,7 @@ func TestKeptResultSurvivesRecycling(t *testing.T) {
 					t.Fatalf("%s: %v", cfg.Algorithm, err)
 				}
 				if tc.cluster == nil {
-					checkResult(t, m, cfg, res)
+					checkResult(t, res)
 				}
 				return res
 			}
@@ -253,7 +256,83 @@ func TestKeptResultSurvivesRecycling(t *testing.T) {
 				}
 				return
 			}
-			checkResult(t, m, kept, res)
+			checkResult(t, res)
+		})
+	}
+}
+
+// TestResultCheck: Result.Check passes the bundles a run must leave,
+// without allocating, and names the rank, the origin and the byte of one
+// flipped byte; it still passes a result kept across four later
+// released runs of other instances, refuses a RunOptions.Payload run's
+// bundles, whose bytes only the caller knows, and has nothing to check
+// in a simulated or a cluster run.
+func TestResultCheck(t *testing.T) {
+	m := stpbcast.NewParagon(2, 2)
+	cfg := stpbcast.Config{Algorithm: "Br_Lin", SourceRanks: []int{3, 0}, MsgBytes: 8}
+	others := []stpbcast.Config{
+		{Algorithm: "Br_Lin", SourceRanks: []int{1, 2}, MsgBytes: 8},
+		{Collective: stpbcast.CollectiveAllToAll, Algorithm: "A2A_Pairwise", MsgBytes: 12},
+		{Algorithm: "Br_xy_source", Distribution: "E", Sources: 3, MsgBytes: 20},
+		{Collective: stpbcast.CollectiveAllReduce, Algorithm: "AllRed_RecDouble", MsgBytes: 8},
+	}
+	for _, tc := range []struct {
+		name    string
+		engine  stpbcast.Engine
+		cluster *stpbcast.ClusterSpec
+	}{
+		{"live", stpbcast.EngineLive, nil},
+		{"tcp", stpbcast.EngineTCP, nil},
+		{"sim", stpbcast.EngineSim, nil},
+		{"cluster", stpbcast.EngineTCP, &stpbcast.ClusterSpec{Workers: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.cluster != nil && testing.Short() {
+				t.Skip("spawns worker processes")
+			}
+			s, err := stpbcast.Open(m, tc.engine, stpbcast.SessionOptions{Cluster: tc.cluster})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			run := func(cfg stpbcast.Config, opts stpbcast.RunOptions) *stpbcast.Result {
+				t.Helper()
+				opts.RecvTimeout = time.Minute
+				res, err := s.Run(cfg, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", cfg.Algorithm, err)
+				}
+				return res
+			}
+			res := run(cfg, stpbcast.RunOptions{})
+			if err := res.Check(); err != nil {
+				t.Fatalf("intact bundles: %v", err)
+			}
+			if tc.engine == stpbcast.EngineSim || tc.cluster != nil {
+				if res.Bundles != nil {
+					t.Fatal("a simulated or cluster run returned bundles")
+				}
+				return
+			}
+			if n := testing.AllocsPerRun(100, func() { res.Check() }); n != 0 {
+				t.Errorf("checking intact bundles allocates %v times", n)
+			}
+			for _, other := range others {
+				run(other, stpbcast.RunOptions{}).Release()
+			}
+			if err := res.Check(); err != nil {
+				t.Fatalf("kept across four released runs: %v", err)
+			}
+			res.Bundles[2][3] = bytes.Clone(res.Bundles[2][3])
+			res.Bundles[2][3][5] ^= 0xFF
+			err = res.Check()
+			if err == nil || !strings.Contains(err.Error(), "rank 2, origin 3: byte 5 is 0xfc, want 0x03") {
+				t.Fatalf("flipped byte: %v, want it named by rank, origin and byte", err)
+			}
+			payload := func(rank int) []byte { return bytes.Repeat([]byte{byte(rank)}, 8) }
+			if err := run(cfg, stpbcast.RunOptions{Payload: payload}).Check(); err == nil {
+				t.Fatal("a RunOptions.Payload run's bundles checked against the default payload")
+			}
 		})
 	}
 }
@@ -283,11 +362,11 @@ func TestConcurrentRunsTCP(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for i, cfg := range cfgs {
+	for i := range cfgs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		checkResult(t, m, cfg, results[i])
+		checkResult(t, results[i])
 	}
 	if stats := s.Stats(); stats.Runs != 2 || stats.Failures != 0 {
 		t.Fatalf("stats = %+v, want 2 runs, 0 failures", stats)
@@ -317,7 +396,7 @@ func TestReleaseRacesNextRun(t *testing.T) {
 					for range 50 {
 						res, err := s.Run(cfg, stpbcast.RunOptions{RecvTimeout: 10 * time.Second})
 						if err == nil {
-							err = stpbcast.CheckResult(m, cfg, res)
+							err = res.Check()
 						}
 						if err != nil {
 							t.Error(err)
@@ -388,7 +467,7 @@ func TestCloseFinishesInFlightRun(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	if q := <-queued; q.err == nil {
-		checkResult(t, m, sessionCfg, q.res)
+		checkResult(t, q.res)
 	} else if !strings.Contains(q.err.Error(), "closed session") {
 		t.Fatalf("queued run's error %q does not mention the closed session", q.err)
 	}
@@ -476,7 +555,7 @@ func TestSessionKillThenReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after kill failed: %v", err)
 	}
-	checkResult(t, m, sessionCfg, res)
+	checkResult(t, res)
 
 	stats, err := s.Close()
 	if err != nil {
@@ -525,7 +604,7 @@ func TestSessionManyRunsTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d (%s): %v", i, cfg.Algorithm, err)
 		}
-		checkResult(t, m, cfg, res)
+		checkResult(t, res)
 	}
 	if st := s.Stats(); st.Runs != 12 || st.Failures != 0 || st.Reconnects != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -594,7 +673,7 @@ func TestSparseSessionDialsUnplannedPairs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run %d (%s): %v", i, cfg.Algorithm, err)
 				}
-				checkResult(t, m, cfg, res)
+				checkResult(t, res)
 				if got := stpbcast.SessionLazyDials(s); got != lazy {
 					t.Fatalf("run %d (%s): %d lazy dials, want %d", i, cfg.Algorithm, got, lazy)
 				}
@@ -785,7 +864,7 @@ func TestSessionStatsExactUnderConcurrentRuns(t *testing.T) {
 				t.Errorf("run %d: %v", i, err)
 				return
 			}
-			if err := stpbcast.CheckResult(m, sessionCfg, res); err != nil {
+			if err := res.Check(); err != nil {
 				t.Errorf("run %d: %v", i, err)
 			}
 		}()

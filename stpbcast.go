@@ -384,21 +384,39 @@ func planFor(m *Machine, cfg Config, spec core.Spec) (*PlanDecision, error) {
 	})
 }
 
-// resolveAlgorithm maps cfg.Algorithm to a runnable algorithm of the
-// config's collective, invoking the planner for AutoAlgorithm (or the
-// empty string — the zero Config plans, like the zero Collective
-// broadcasts). A name that implements a different collective is
-// rejected with a diagnostic naming both.
-func resolveAlgorithm(m *Machine, cfg Config, spec core.Spec) (Algorithm, error) {
-	coll := cfg.collective()
-	if cfg.Algorithm != AutoAlgorithm && cfg.Algorithm != "" {
-		return core.ByNameFor(coll, cfg.Algorithm)
-	}
-	dec, err := planFor(m, cfg, spec)
+// resolve resolves cfg against m: the instance (Config.spec), then the
+// algorithm that runs it. An override (RunOptions.Algorithm) must
+// implement the config's collective; otherwise cfg.Algorithm names a
+// registry entry of that collective, or AutoAlgorithm (or the empty
+// string — the zero Config plans, like the zero Collective broadcasts)
+// asks the planner. A name or override of a different collective is
+// rejected with a diagnostic naming both. It assumes cfg passed
+// Validate.
+func resolve(m *Machine, cfg Config, override Algorithm) (core.Spec, Algorithm, error) {
+	spec, err := cfg.spec(m)
 	if err != nil {
-		return nil, err
+		return core.Spec{}, nil, err
 	}
-	return core.ByNameFor(coll, dec.Algorithm)
+	coll := cfg.collective()
+	if override != nil {
+		if got := core.CollectiveOf(override); got != coll {
+			return core.Spec{}, nil, fmt.Errorf("stpbcast: algorithm %s implements %s, but Config.Collective is %s", override.Name(), got, coll)
+		}
+		return spec, override, nil
+	}
+	name := cfg.Algorithm
+	if name == AutoAlgorithm || name == "" {
+		dec, err := planFor(m, cfg, spec)
+		if err != nil {
+			return core.Spec{}, nil, err
+		}
+		name = dec.Algorithm
+	}
+	alg, err := core.ByNameFor(coll, name)
+	if err != nil {
+		return core.Spec{}, nil, err
+	}
+	return spec, alg, nil
 }
 
 // TraceRecorder is the concurrency-safe event recorder behind

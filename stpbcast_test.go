@@ -169,7 +169,7 @@ func TestAutoAlgorithmLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResult(t, m, cfg, res)
+	checkResult(t, res)
 }
 
 func TestSimulateErrors(t *testing.T) {
