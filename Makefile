@@ -44,10 +44,11 @@ race:
 	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults
 	$(GO) test -race -timeout 5m -count=3 -run 'Release|Kept' .
 
-# Fault-injection, abort-path and result-ownership suites only, plus the
-# stpbench sweep.
+# Fault-injection, abort-path and result-ownership suites only (fault
+# plans refused before a run, fault events on the run's clock included),
+# plus the stpbench sweep.
 chaos:
-	$(GO) test -race -timeout 4m -run 'Chaos|Check|Abort|Deadline|Timeout|Cancel|Conformance|Release|DialRetry|DialPermanent|MidRunConnection|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec' ./internal/faults/ ./internal/engine/ ./internal/tcp/ ./internal/cluster/ .
+	$(GO) test -race -timeout 4m -run 'Chaos|Check|Abort|Deadline|Timeout|Cancel|Conformance|Release|DialRetry|DialPermanent|MidRunConnection|HeldFrame|StaleFrame|ClusterRecovers|ClusterPreDials|BadRunSpec|InvalidRun|TraceFaults' ./internal/faults/ ./internal/engine/ ./internal/tcp/ ./internal/cluster/ .
 	$(GO) run ./cmd/stpbench chaos
 
 # Replay every fuzz target's seeds — its f.Add calls and its checked-in
@@ -105,7 +106,8 @@ bench-pair:
 	PARENT="$(PARENT)" WORKLOAD="$(WORKLOAD)" N="$(N)" SEED="$(SEED)" sh scripts/bench_pair.sh
 
 # End-to-end trace export: run stpbench trace on all three engines (plus
-# a fault-injected live run), writing Chrome and JSONL traces, then
+# a fault-injected live run, and a fault-injected TCP run whose pairs are
+# dialed before it starts), writing Chrome and JSONL traces, then
 # validate every file against its schema with stpbench trace -validate.
 trace-smoke:
 	@mkdir -p .trace-smoke
@@ -117,6 +119,8 @@ trace-smoke:
 		-chrome .trace-smoke/tcp.json -json .trace-smoke/tcp.jsonl
 	$(GO) run ./cmd/stpbench trace -engine live -rows 2 -cols 2 -alg Br_Lin -dist E -s 2 -bytes 512 \
 		-fault-dup 0.9 -fault-seed 7 -chrome .trace-smoke/faulty.json -json .trace-smoke/faulty.jsonl
+	$(GO) run ./cmd/stpbench trace -engine tcp -rows 4 -cols 4 -alg Br_Lin -dist E -s 4 -bytes 1024 \
+		-fault-delay 0.3 -fault-seed 7 -chrome .trace-smoke/tcp-faulty.json -json .trace-smoke/tcp-faulty.jsonl
 	$(GO) run ./cmd/stpbench trace -validate .trace-smoke/*.json .trace-smoke/*.jsonl
 	@rm -rf .trace-smoke
 

@@ -1,6 +1,7 @@
 package stpbcast_test
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -101,11 +102,15 @@ func TestClusterSessionRejections(t *testing.T) {
 		{"zero-bytes", stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 2}, stpbcast.RunOptions{}, "MsgBytes"},
 	}
 	for _, tc := range cases {
-		if _, err := s.Run(tc.cfg, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error = %v, want mention of %q", tc.name, err, tc.want)
+		if _, err := s.Run(tc.cfg, tc.opts); !errors.Is(err, stpbcast.ErrInvalidRun) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want ErrInvalidRun mentioning %q", tc.name, err, tc.want)
 		}
 	}
-	// The rejections must not have consumed the cluster.
+	// The rejections must not have consumed the cluster, nor counted as
+	// runs.
+	if st := s.Stats(); st.Runs != 0 || st.Failures != 0 {
+		t.Errorf("stats %+v after rejected runs, want none counted", st)
+	}
 	if _, err := s.Run(cfg, stpbcast.RunOptions{RecvTimeout: time.Minute}); err != nil {
 		t.Fatalf("cluster unusable after rejected runs: %v", err)
 	}

@@ -54,14 +54,9 @@ import (
 	"time"
 
 	stpbcast "repro"
-	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/dist"
-	"repro/internal/machine"
-	"repro/internal/plan"
 	"repro/internal/tcp"
-	"repro/internal/topology"
 	"repro/internal/viz"
 )
 
@@ -449,9 +444,12 @@ const (
 )
 
 // runMesh builds, per Paragon shape p = 16 … 256, a TCP mesh from the
-// routes Br_Lin E(4) uses (plan.Routes) and the full mesh, and prints
-// their connection counts and setup times, then one real-byte broadcast
-// over the sparse mesh — at p ≥ 128 the runs the full mesh cannot reach.
+// routes Br_Lin E(4) uses (stpbcast.RoutesFor) and the full mesh, and
+// prints their connection counts and setup times, then one real-byte
+// broadcast over a session opened on the same routes, checked
+// (Result.Check) — at p ≥ 128 the runs the full mesh cannot reach. The
+// bare machines exist for the pairs, conns and setup columns, which no
+// session reports.
 func runMesh(fs *flag.FlagSet, args []string, out io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
@@ -459,16 +457,11 @@ func runMesh(fs *flag.FlagSet, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "mesh: route-planned sparse vs full TCP mesh, Br_Lin E(%d), %d B payloads; full mesh skipped past p=%d\n",
 		meshSources, meshMsgLen, meshFullMaxP)
 	fmt.Fprintf(out, "%5s %7s %13s %11s %16s %14s %9s\n", "p", "pairs", "sparse conns", "full conns", "sparse setup ms", "full setup ms", "bcast ms")
-	alg := core.BrLin()
+	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: meshSources, MsgBytes: meshMsgLen}
 	for _, mesh := range [][2]int{{4, 4}, {4, 8}, {8, 8}, {8, 16}, {16, 16}} {
-		m := machine.Paragon(mesh[0], mesh[1])
+		m := stpbcast.NewParagon(mesh[0], mesh[1])
 		p := m.P()
-		sources, err := dist.Equal().Sources(m.Rows, m.Cols, meshSources)
-		if err != nil {
-			return err
-		}
-		spec := core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sources, Indexing: topology.SnakeRowMajor}
-		routes, err := plan.Routes(m, alg, spec, meshMsgLen)
+		routes, err := stpbcast.RoutesFor(m, cfg)
 		if err != nil {
 			return err
 		}
@@ -479,8 +472,18 @@ func runMesh(fs *flag.FlagSet, args []string, out io.Writer) error {
 		}
 		sparseSetup := time.Since(start)
 		pairs, conns := tm.PlannedPairs(), tm.ConnsOpened()
-		bcast, err := meshBroadcast(tm, spec, alg)
-		if cerr := tm.Close(); err == nil {
+		if err := tm.Close(); err != nil {
+			return err
+		}
+		s, err := stpbcast.Open(m, stpbcast.EngineTCP, stpbcast.SessionOptions{Links: routes})
+		if err != nil {
+			return fmt.Errorf("sparse session p=%d: %w", p, err)
+		}
+		res, err := s.Run(cfg, stpbcast.RunOptions{RecvTimeout: time.Minute})
+		if err == nil {
+			err = res.Check()
+		}
+		if _, cerr := s.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
@@ -501,30 +504,9 @@ func runMesh(fs *flag.FlagSet, args []string, out io.Writer) error {
 			}
 		}
 		fmt.Fprintf(out, "%5d %7d %13d %11s %16.3f %14s %9.3f\n",
-			p, pairs, conns, full, sparseSetup.Seconds()*1e3, fullSetup, bcast.Seconds()*1e3)
+			p, pairs, conns, full, sparseSetup.Seconds()*1e3, fullSetup, res.Elapsed.Seconds()*1e3)
 	}
 	return nil
-}
-
-// meshBroadcast runs one real-byte broadcast of spec over the warm
-// machine and checks every rank's bundle.
-func meshBroadcast(tm *tcp.Machine, spec core.Spec, alg core.Algorithm) (time.Duration, error) {
-	p := spec.P()
-	bound := core.Bind(alg, spec)
-	bundles := make([]comm.Message, p)
-	res, err := tm.Run(tcp.Options{RecvTimeout: time.Minute}, func(pr *tcp.Proc) {
-		mine := core.InitialMessage(spec, pr.Rank(), core.Broadcast.Payload(p, pr.Rank(), meshMsgLen))
-		bundles[pr.Rank()] = bound.Run(pr, spec, mine)
-	})
-	if err != nil {
-		return 0, err
-	}
-	for rank, b := range bundles {
-		if err := core.Broadcast.Check(spec, func(int) int { return meshMsgLen }, rank, b); err != nil {
-			return 0, err
-		}
-	}
-	return res.Elapsed, nil
 }
 
 // chaosScenario is one fault plan plus the invariant it must satisfy:

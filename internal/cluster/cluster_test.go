@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"net"
 	"net/netip"
 	"os"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/topology"
 )
@@ -56,6 +58,26 @@ func testRoutes(t *testing.T, rows, cols, s, msgLen int) ([][2]int, []int) {
 		t.Fatal(err)
 	}
 	return routes, sources
+}
+
+// wantTotals is what a cluster run of Br_Lin over workers workers must
+// sum to: the messages and bytes of the simulator's replay of the same
+// program, whose ranks send what the schedule fixes, and ⌈log2 W⌉
+// barrier tokens each way per worker for the schedule's one barrier.
+func wantTotals(t *testing.T, rows, cols int, sources []int, msgLen, workers int) Totals {
+	t.Helper()
+	spec := core.Spec{Rows: rows, Cols: cols, Sources: sources, Indexing: topology.SnakeRowMajor}
+	res, nw, err := machine.Paragon(rows, cols).RunSim(core.BrLin(), spec, func(int) int { return msgLen }, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Release()
+	rounds := bits.Len(uint(workers - 1))
+	want := Totals{BarrierSends: workers * rounds, BarrierRecvs: workers * rounds}
+	for _, ps := range res.Procs {
+		want.add(Totals{Sends: ps.Sends, Recvs: ps.Recvs, SendBytes: ps.SendBytes, RecvBytes: ps.RecvBytes})
+	}
+	return want
 }
 
 // adoptWorkers starts n in-process workers (goroutines running the
@@ -96,13 +118,8 @@ func TestClusterBroadcastAdoptedWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if len(res.Procs) != rows*cols {
-			t.Fatalf("run %d: %d proc stats, want %d", i, len(res.Procs), rows*cols)
-		}
-		for r, ps := range res.Procs {
-			if ps.Rank != r {
-				t.Fatalf("run %d: merged stats out of order at %d: rank %d", i, r, ps.Rank)
-			}
+		if want := wantTotals(t, rows, cols, sources, msgLen, 2); res.Totals != want {
+			t.Fatalf("run %d: totals %+v, want %+v", i, res.Totals, want)
 		}
 		if res.LazyDials != 0 {
 			t.Fatalf("run %d: %d lazy dials over the planned sparse mesh, want 0", i, res.LazyDials)
@@ -118,7 +135,9 @@ func TestClusterBroadcastAdoptedWorkers(t *testing.T) {
 // schedule's own links do not happen to connect the workers' leader
 // ranks — each worker machine must plan those links itself, or the
 // barrier's tokens would cost lazy dials. Only the leaders exchange
-// tokens: ⌈log2 W⌉ each way for Br_Lin's one barrier.
+// tokens, ⌈log2 W⌉ each way for Br_Lin's one barrier, so the run's
+// totals are W·⌈log2 W⌉ each way (that only the leaders send them is
+// the conformance table's "cyclic barrier" row on the split mesh).
 func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
 	for _, tc := range []struct{ rows, cols, workers, rounds int }{
 		{3, 5, 4, 2},
@@ -132,11 +151,7 @@ func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
 		for _, l := range routes {
 			planned[l] = true
 		}
-		leader := make(map[int]bool, tc.workers)
 		missing := 0
-		for _, r := range c.Ranges() {
-			leader[r[0]] = true
-		}
 		for _, l := range engine.LeaderLinks(c.leaders) {
 			if !planned[l] && !planned[[2]int{l[1], l[0]}] {
 				missing++
@@ -157,15 +172,9 @@ func TestClusterUnevenPartitionPlansLeaderLinks(t *testing.T) {
 			t.Errorf("%dx%d over %d workers: %d lazy dials, want 0 (%d leader pairs were not schedule links)",
 				tc.rows, tc.cols, tc.workers, res.LazyDials, missing)
 		}
-		for _, ps := range res.Procs {
-			want := 0
-			if leader[ps.Rank] {
-				want = tc.rounds
-			}
-			if ps.BarrierSends != want || ps.BarrierRecvs != want {
-				t.Errorf("%dx%d over %d workers, rank %d: %d/%d barrier tokens, want %d/%d",
-					tc.rows, tc.cols, tc.workers, ps.Rank, ps.BarrierSends, ps.BarrierRecvs, want, want)
-			}
+		if want := tc.workers * tc.rounds; res.BarrierSends != want || res.BarrierRecvs != want {
+			t.Errorf("%dx%d over %d workers: %d/%d barrier tokens, want %d/%d",
+				tc.rows, tc.cols, tc.workers, res.BarrierSends, res.BarrierRecvs, want, want)
 		}
 	}
 }
@@ -468,8 +477,8 @@ func TestClusterSpawnedProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Procs) != rows*cols {
-		t.Fatalf("%d proc stats, want %d", len(res.Procs), rows*cols)
+	if want := wantTotals(t, rows, cols, sources, msgLen, 4); res.Totals != want {
+		t.Fatalf("totals %+v, want %+v", res.Totals, want)
 	}
 	if res.LazyDials != 0 {
 		t.Fatalf("%d lazy dials across processes, want 0", res.LazyDials)
@@ -510,8 +519,8 @@ func TestFigClusterShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Procs) != rows*cols {
-		t.Fatalf("%d proc stats, want %d", len(res.Procs), rows*cols)
+	if want := wantTotals(t, rows, cols, sources, msgLen, 4); res.Totals != want {
+		t.Fatalf("totals %+v, want %+v", res.Totals, want)
 	}
 	if res.LazyDials != 0 {
 		t.Fatalf("%d lazy dials across processes, want 0", res.LazyDials)
@@ -668,7 +677,7 @@ func socketAt(t *testing.T, local netip.AddrPort) (int, netip.AddrPort) {
 // allocates across the coordinator and its two in-process workers:
 // control messages, payloads, bundle checks and the engine run itself.
 // The least of several measurements, so a GC or a first-of-its-size
-// buffer growth does not count: 12 allocations today, the workers'
+// buffer growth does not count: 11 allocations today, the workers'
 // part arrays and received bytes recycled once their checks pass.
 func TestClusterRunAllocationBudget(t *testing.T) {
 	const rows, cols, s, msgLen = 4, 4, 2, 1024

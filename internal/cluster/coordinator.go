@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/plan"
-	"repro/internal/tcp"
 )
 
 // Spec describes the cluster to stand up: how many workers share the
@@ -84,16 +83,13 @@ type workerHandle struct {
 	cc    *conn
 	index int
 	pid   int
-	lo    int
-	hi    int
 }
 
 // Result aggregates one cluster run: elapsed is the slowest worker's
-// algorithm phase, Procs merges every worker's local stats (sorted by
-// rank, all p present), and the dial counters sum the workers'.
+// algorithm phase, and the totals and dial counters sum the workers'.
 type Result struct {
 	Elapsed time.Duration
-	Procs   []tcp.ProcStats
+	Totals
 	// LazyDials sums the workers' lifetime counts of cross-worker pairs
 	// dialed before a run because the plan lacked them, each pair once
 	// (by its higher rank's worker): zero means the route plan covered
@@ -244,7 +240,7 @@ func (c *Coordinator) bootstrap() error {
 		if err != nil {
 			return fmt.Errorf("cluster: %d of %d workers connected: %w", i, c.spec.Workers, err)
 		}
-		w := &workerHandle{cc: newConn(nc), index: i, lo: c.ranges[i][0], hi: c.ranges[i][1]}
+		w := &workerHandle{cc: newConn(nc), index: i}
 		hello, err := w.cc.expect("hello", controlTimeout)
 		if err != nil {
 			nc.Close()
@@ -259,7 +255,7 @@ func (c *Coordinator) bootstrap() error {
 	merged := make(map[int]string, c.spec.P)
 	for _, w := range c.workers {
 		a := &assignMsg{
-			Index: w.index, P: c.spec.P, Lo: w.lo, Hi: w.hi, Workers: c.spec.Workers,
+			Index: w.index, P: c.spec.P, Lo: c.ranges[w.index][0], Hi: c.ranges[w.index][1], Workers: c.spec.Workers,
 			Links:      c.spec.Links,
 			Leaders:    c.leaders,
 			ListenHost: c.spec.ListenHost,
@@ -372,7 +368,7 @@ func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 	if rs.RunTimeoutNs > 0 {
 		doneTimeout = time.Duration(rs.RunTimeoutNs) + controlTimeout
 	}
-	res := &Result{Procs: make([]tcp.ProcStats, c.spec.P)}
+	res := &Result{}
 	var runErrs []string
 	for _, w := range c.workers {
 		m, err := w.cc.expect("done", doneTimeout)
@@ -387,12 +383,10 @@ func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 			runErrs = append(runErrs, fmt.Sprintf("worker %d: %s", w.index, d.Err))
 			continue
 		}
-		if err := mergeProcs(res.Procs, d.Procs, w.lo, w.hi); err != nil {
-			return nil, false, &lostWorkerError{w.index, err}
-		}
 		if e := time.Duration(d.ElapsedNs); e > res.Elapsed {
 			res.Elapsed = e
 		}
+		res.add(d.Totals)
 		res.LazyDials += d.LazyDials
 		res.ConnsOpened += d.ConnsOpened
 		res.PlannedPairs += d.PlannedPairs

@@ -31,8 +31,8 @@
 // control buffers) until it does. Before starting, each worker dials
 // its share of the pairs the run's program uses and the plan lacked
 // (tcp.Machine.Prepare). Workers verify their own ranks' bundles
-// (core.Collective.Check, byte-exact) and report per-rank stats as one
-// blob of varints; the coordinator rebuilds and merges them. A worker
+// (core.Collective.Check, byte-exact) and report their ranks' stats
+// summed; the coordinator adds the workers' sums. A worker
 // compiles each instance it runs once (core.Bindings): the schedules are
 // oblivious, so a repeated run spec repeats the program too. Run and
 // done are binary frames on the control connection; setup and recovery
@@ -71,7 +71,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/tcp"
 	"repro/internal/topology"
 )
 
@@ -170,14 +169,12 @@ func (rs *RunSpec) resolve() (core.Spec, core.Algorithm, error) {
 	return spec, alg, nil
 }
 
-// doneMsg reports one worker's share of a finished run: its local
-// ranks' stats, its bundle verification, and its machine's lifetime
+// doneMsg reports one worker's share of a finished run: the totals of
+// its ranks' stats, its bundle verification, and its machine's lifetime
 // dial counters.
 type doneMsg struct {
 	ElapsedNs int64
-	// Procs is the local ranks' tcp.ProcStats as one blob: procFields
-	// varints per rank in field order (see appendProcs).
-	Procs []byte
+	Totals
 	// LazyDials counts the pairs this worker dialed before a run because
 	// the plan lacked them (tcp.Machine.LazyDials); the zero-lazy-dials
 	// proof reads it.
@@ -187,60 +184,24 @@ type doneMsg struct {
 	Err          string
 }
 
-// procFields is the number of integers one rank's stats take in
-// doneMsg.Procs.
-const procFields = 7
-
-// appendProcs appends stats to blob laid out as doneMsg.Procs: Rank,
-// Sends, Recvs, SendBytes, RecvBytes, BarrierSends, BarrierRecvs per
-// rank, each a varint (binary.AppendVarint).
-func appendProcs(blob []byte, stats []tcp.ProcStats) []byte {
-	for _, s := range stats {
-		for _, v := range [procFields]int64{int64(s.Rank), int64(s.Sends), int64(s.Recvs), s.SendBytes, s.RecvBytes,
-			int64(s.BarrierSends), int64(s.BarrierRecvs)} {
-			blob = binary.AppendVarint(blob, v)
-		}
-	}
-	return blob
+// Totals sums the stats (engine.ProcStats) of a run's ranks: algorithm
+// messages and their payload bytes each way, and barrier tokens each
+// way. The schedules are oblivious, so a rank's share is fixed by its
+// program and only the sum tells anything a caller reads.
+type Totals struct {
+	Sends, Recvs               int
+	SendBytes, RecvBytes       int64
+	BarrierSends, BarrierRecvs int
 }
 
-// mergeProcs rebuilds the stats of the worker owning ranks [lo,hi) from
-// blob into procs, which is indexed by rank. blob must hold every rank
-// of the range exactly once, in well-formed varints and nothing after
-// them; anything else is an error, and procs may then hold a partial
-// merge.
-func mergeProcs(procs []tcp.ProcStats, blob []byte, lo, hi int) error {
-	for r := lo; r < hi; r++ {
-		procs[r].Rank = -1
-	}
-	for range hi - lo {
-		var f [procFields]int64
-		for i := range f {
-			v, k := binary.Varint(blob)
-			if k == 0 {
-				return fmt.Errorf("cluster: stats for ranks [%d,%d) truncated", lo, hi)
-			}
-			if k < 0 {
-				return fmt.Errorf("cluster: stats for ranks [%d,%d): overlong varint", lo, hi)
-			}
-			f[i], blob = v, blob[k:]
-		}
-		r := f[0]
-		if r < int64(lo) || r >= int64(hi) {
-			return fmt.Errorf("cluster: stats for rank %d, outside [%d,%d)", r, lo, hi)
-		}
-		if procs[r].Rank >= 0 {
-			return fmt.Errorf("cluster: stats for rank %d twice", r)
-		}
-		procs[r] = tcp.ProcStats{
-			Rank: int(r), Sends: int(f[1]), Recvs: int(f[2]), SendBytes: f[3], RecvBytes: f[4],
-			BarrierSends: int(f[5]), BarrierRecvs: int(f[6]),
-		}
-	}
-	if len(blob) > 0 {
-		return fmt.Errorf("cluster: %d bytes after the stats of ranks [%d,%d)", len(blob), lo, hi)
-	}
-	return nil
+// add adds s to t.
+func (t *Totals) add(s Totals) {
+	t.Sends += s.Sends
+	t.Recvs += s.Recvs
+	t.SendBytes += s.SendBytes
+	t.RecvBytes += s.RecvBytes
+	t.BarrierSends += s.BarrierSends
+	t.BarrierRecvs += s.BarrierRecvs
 }
 
 // The run and done frames: [kind byte][body length, uint32 big-endian]
@@ -250,10 +211,10 @@ const (
 	frameRun    = 0x01
 	frameDone   = 0x02
 	frameHdrLen = 5
-	// maxFrame caps a frame body, and a JSON line too. A done frame
-	// carries at most 70 bytes of stats a rank (seven varints), so 8 MiB
-	// holds the stats of over 100 000 ranks; a larger length is a corrupt
-	// stream, refused before anything is read or allocated for it.
+	// maxFrame caps a frame body, and a JSON line too. A run frame
+	// carries at most 10 bytes a source rank, so 8 MiB holds the sources
+	// of over 800 000 ranks; a larger length is a corrupt stream, refused
+	// before anything is read or allocated for it.
 	maxFrame = 8 << 20
 	// frameChunk is how much of a frame body the reader reads, and grows
 	// its buffer by, at a time: a length the stream does not back up
@@ -306,28 +267,30 @@ func decodeRun(body []byte, rs *RunSpec) error {
 }
 
 // appendDone appends the done frame body of dm: elapsed time, the three
-// dial counters, the error text as a varint length and its bytes, and the
-// stats blob the same way.
+// dial counters and the six totals, each a varint, then the error text
+// as a varint length and its bytes.
 func appendDone(b []byte, dm *doneMsg) []byte {
 	for _, v := range [...]int64{dm.ElapsedNs, int64(dm.LazyDials), int64(dm.ConnsOpened), int64(dm.PlannedPairs),
+		int64(dm.Sends), int64(dm.Recvs), dm.SendBytes, dm.RecvBytes, int64(dm.BarrierSends), int64(dm.BarrierRecvs),
 		int64(len(dm.Err))} {
 		b = binary.AppendVarint(b, v)
 	}
-	b = append(b, dm.Err...)
-	b = binary.AppendVarint(b, int64(len(dm.Procs)))
-	return append(b, dm.Procs...)
+	return append(b, dm.Err...)
 }
 
-// decodeDone decodes a done frame body into dm. Its Procs aliases body.
+// decodeDone decodes a done frame body into dm; a negative count is an
+// error.
 func decodeDone(body []byte, dm *doneMsg) error {
 	d := decoder{b: body}
 	dm.ElapsedNs = d.int()
-	dm.LazyDials, dm.ConnsOpened, dm.PlannedPairs = int(d.int()), int(d.int()), int(d.int())
+	dm.LazyDials, dm.ConnsOpened, dm.PlannedPairs = int(d.tally()), int(d.tally()), int(d.tally())
+	dm.Sends, dm.Recvs = int(d.tally()), int(d.tally())
+	dm.SendBytes, dm.RecvBytes = d.tally(), d.tally()
+	dm.BarrierSends, dm.BarrierRecvs = int(d.tally()), int(d.tally())
 	dm.Err = ""
 	if e := d.bytes(); len(e) > 0 {
 		dm.Err = string(e)
 	}
-	dm.Procs = d.bytes()
 	return d.end("done")
 }
 
@@ -354,6 +317,16 @@ func (d *decoder) int() int64 {
 		return 0
 	}
 	d.b = d.b[n:]
+	return v
+}
+
+// tally reads a count of events, which cannot be negative.
+func (d *decoder) tally() int64 {
+	v := d.int()
+	if v < 0 {
+		d.fail(fmt.Errorf("negative count %d", v))
+		return 0
+	}
 	return v
 }
 

@@ -128,15 +128,18 @@ func (w *worker) assign(a *assignMsg) error {
 }
 
 // run executes one collective on the worker's ranks and reports this
-// worker's share of it, machine counters included.
+// worker's share of it, its ranks' stats summed and its machine's
+// counters included.
 func (w *worker) run(rs *RunSpec) *doneMsg {
 	d := &w.done
-	*d = doneMsg{Procs: d.Procs[:0]}
+	*d = doneMsg{}
 	if res, err := w.execute(rs); err != nil {
 		d.Err = err.Error()
 	} else {
 		d.ElapsedNs = res.Elapsed.Nanoseconds()
-		d.Procs = appendProcs(d.Procs, res.Procs)
+		for _, s := range res.Procs {
+			d.add(Totals{s.Sends, s.Recvs, s.SendBytes, s.RecvBytes, s.BarrierSends, s.BarrierRecvs})
+		}
 	}
 	d.LazyDials = w.m.LazyDials()
 	d.ConnsOpened = w.m.ConnsOpened()

@@ -209,7 +209,7 @@ func TestBoundRejectsForeignSpecAndSize(t *testing.T) {
 	spec := makeSpec(t, dist.Equal(), 4, 4, 4)
 	run := func(rows, cols int, alg Algorithm, with Spec) error {
 		_, err := liveRun(rows*cols, live.Options{}, func(pr *live.Proc) {
-			alg.Run(pr, with, InitialMessage(with, pr.Rank(), Broadcast.Payload(with.P(), pr.Rank(), 8)))
+			alg.Run(pr, with, InitialFor(Broadcast, with, pr.Rank(), func(r int) []byte { return Broadcast.Payload(with.P(), r, 8) }))
 		})
 		return err
 	}

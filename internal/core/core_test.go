@@ -128,7 +128,7 @@ func TestQuickRandomInstances(t *testing.T) {
 		spec := Spec{Rows: r, Cols: c, Sources: sources, Indexing: topology.SnakeRowMajor}
 		out := make([]comm.Message, p)
 		if _, err := liveRun(p, live.Options{}, func(pr *live.Proc) {
-			mine := InitialMessage(spec, pr.Rank(), Broadcast.Payload(p, pr.Rank(), 8))
+			mine := InitialFor(Broadcast, spec, pr.Rank(), func(r int) []byte { return Broadcast.Payload(p, r, 8) })
 			out[pr.Rank()] = alg.Run(pr, spec, mine)
 		}); err != nil {
 			t.Logf("%s on %d×%d s=%d sources=%v: %v", alg.Name(), r, c, s, sources, err)

@@ -70,7 +70,7 @@ func TestIndepNoBarrier(t *testing.T) {
 	// — every processor still receives via the tree.
 	spec := makeSpec(t, dist.Equal(), 4, 4, 1)
 	out, err := liveRun(16, live.Options{}, func(pr *live.Proc) {
-		mine := InitialMessage(spec, pr.Rank(), []byte("solo"))
+		mine := InitialFor(Broadcast, spec, pr.Rank(), func(int) []byte { return []byte("solo") })
 		got := Indep1toP().Run(pr, spec, mine)
 		if len(got.Parts) != 1 || string(got.Parts[0].Data) != "solo" {
 			t.Errorf("rank %d got %v", pr.Rank(), got)

@@ -91,19 +91,9 @@ func (s Spec) SourceIndex(rank int) int {
 	return -1
 }
 
-// InitialMessage builds the bundle a processor enters the broadcast with:
-// one part carrying its payload if it is a source, an empty bundle
-// otherwise.
-func InitialMessage(spec Spec, rank int, payload []byte) comm.Message {
-	if !spec.IsSource(rank) {
-		return comm.Message{}
-	}
-	return comm.Message{Parts: []comm.Part{{Origin: rank, Data: payload}}}
-}
-
 // Algorithm is one s-to-p broadcasting algorithm. Run executes the
 // broadcast on the calling processor: mine is the processor's initial
-// bundle (see InitialMessage) and the returned bundle carries all s
+// bundle (see InitialFor) and the returned bundle carries all s
 // original messages on every processor.
 type Algorithm interface {
 	// Name is the paper's name for the algorithm ("Br_Lin", ...).

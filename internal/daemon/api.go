@@ -273,9 +273,10 @@ type SessionsResponse struct {
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
 	// Requests counts admitted broadcast requests; Completed those that
-	// returned a result; Failed those whose run errored; Rejected those
-	// turned away by backpressure (quota, in-flight cap, drain, pool
-	// full).
+	// returned a result; Failed those whose run errored — not those the
+	// session refused as the caller's error (stpbcast.ErrInvalidRun,
+	// answered 400), which count in neither; Rejected those turned away
+	// by backpressure (quota, in-flight cap, drain, pool full).
 	Requests  int64 `json:"requests"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`

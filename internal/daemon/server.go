@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -310,6 +311,11 @@ func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		opts.Trace = rec
 	}
 	res, err := lease.Session().Run(req.config(), opts)
+	if errors.Is(err, stpbcast.ErrInvalidRun) {
+		// The request, not the run: nothing ran, so nothing is counted.
+		writeError(w, http.StatusBadRequest, key.String(), "%v", err)
+		return
+	}
 	if err != nil {
 		s.recordOutcome(false, time.Since(start), nil)
 		writeError(w, http.StatusInternalServerError, key.String(), "broadcast failed: %v", err)

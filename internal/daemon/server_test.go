@@ -50,6 +50,21 @@ func post(t *testing.T, base string, req BroadcastRequest) (int, *BroadcastRespo
 	return resp.StatusCode, nil, &e
 }
 
+// getStats reads GET /v1/stats.
+func getStats(t *testing.T, base string) StatsResponse {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestEndToEndConcurrentAcrossKeys is the acceptance scenario: ≥8
 // concurrent broadcast requests across ≥2 session keys through the HTTP
 // API, all succeeding, with /metrics reflecting the run counts.
@@ -160,19 +175,25 @@ func TestBroadcastRequestValidation(t *testing.T) {
 		{"distribution on an all-to-all", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "AllToAll", Distribution: "E"}, "no source distribution"},
 		{"sources on an allgather", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "AllGather", Sources: 2}, "no source count"},
 		{"two roots on a scatter", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "Scatter", Sources: 2}, "single root"},
+		// The session refuses these, before a run is counted.
+		{"more sources than ranks", BroadcastRequest{Engine: "live", Rows: 2, Cols: 2, Sources: 100}, "source count 100 outside [1,4]"},
+		{"kill of a rank the mesh lacks", BroadcastRequest{Engine: "live", Rows: 2, Cols: 2, Kill: &KillSpec{Rank: 9}},
+			"FaultPlan.Kills[0]: rank 9 outside the machine's 4 ranks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, _, e := post(t, base, tc.req)
-			// Topology errors surface at session open (500 carries the
-			// message too); everything else must be a 400.
-			if status == http.StatusOK {
-				t.Fatalf("accepted invalid request %+v", tc.req)
+			if status != http.StatusBadRequest {
+				t.Fatalf("request %+v answered %d, want %d", tc.req, status, http.StatusBadRequest)
 			}
 			if !strings.Contains(e.Error, tc.want) {
 				t.Errorf("error %q does not mention %q", e.Error, tc.want)
 			}
 		})
+	}
+	// A caller's error is no failed run.
+	if st := getStats(t, base); st.Completed != 0 || st.Failed != 0 {
+		t.Errorf("stats after invalid requests: %d completed, %d failed, want 0 and 0", st.Completed, st.Failed)
 	}
 	// Unknown fields are rejected, so typos cannot silently become
 	// defaults.
@@ -386,15 +407,7 @@ func TestStatsQuantilesFewerThanWindow(t *testing.T) {
 			t.Fatalf("broadcast %d failed with %d: %+v", i, status, e)
 		}
 	}
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := getStats(t, base)
 	if st.Completed != n {
 		t.Fatalf("completed = %d, want %d", st.Completed, n)
 	}

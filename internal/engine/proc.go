@@ -77,6 +77,17 @@ func (p *Proc) stamp(e obs.Event, t0 time.Time) obs.Event {
 	return e
 }
 
+// Trace implements obs.Tracer for an event of this rank's that happened
+// above the engine (an injected fault, internal/faults): on a traced run
+// it is stamped with the rank and its markers on the run's clock, its
+// duration kept, and recorded; otherwise it is dropped.
+func (p *Proc) Trace(e obs.Event) {
+	if r := p.run; r.tr != nil {
+		e.Rank, e.Iter, e.Phase, e.Wall = p.rank, p.iter, p.phase, r.wall()
+		r.tr.Trace(e)
+	}
+}
+
 // Send implements comm.Comm with buffered-send semantics: it returns as
 // soon as the caller may reuse m's buffers, never waiting for the peer
 // to post a receive. A message that stays in memory — a send to the own

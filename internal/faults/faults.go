@@ -157,9 +157,6 @@ type Injector struct {
 	plan     Plan
 	explicit map[[3]int][]Fault // (src,dst,msg) → faults
 
-	tr    obs.Tracer
-	start time.Time
-
 	mu    sync.Mutex // guards procs; taken once per Wrap
 	procs []*proc
 }
@@ -177,36 +174,6 @@ func New(plan Plan) *Injector {
 		in.explicit[k] = append(in.explicit[k], f)
 	}
 	return in
-}
-
-// SetTracer mirrors every injected fault into an engine-agnostic event
-// stream (kind "fault", the fault name in Event.Fault) so chaos lands in
-// the same trace as the traffic that triggered it. Wall stamps are
-// nanoseconds since start — pass the same zero point the engine's tracer
-// uses. Call before the run starts; the tracer must be safe for
-// concurrent use.
-func (in *Injector) SetTracer(t obs.Tracer, start time.Time) {
-	in.tr = t
-	in.start = start
-}
-
-// trace mirrors one fault event to the tracer (nil-safe). Link faults
-// land on the sending rank's track; kills on the killed rank's.
-func (in *Injector) trace(e Event) {
-	if in.tr == nil {
-		return
-	}
-	oe := obs.Event{
-		Kind: obs.KindFault, Fault: e.Kind.String(), Iter: -1,
-		Wall: time.Since(in.start).Nanoseconds(),
-		Dur:  network.Time(e.Delay.Nanoseconds()),
-	}
-	if e.Kind == Kill {
-		oe.Rank, oe.Peer, oe.Seq = e.Rank, -1, e.Op
-	} else {
-		oe.Rank, oe.Peer, oe.Seq = e.Src, e.Dst, e.Msg
-	}
-	in.tr.Trace(oe)
 }
 
 // Events returns the faults injected by the ranks this injector wrapped,
@@ -239,6 +206,7 @@ func (in *Injector) Wrap(c comm.Comm) comm.Comm {
 		}
 	}
 	p := &proc{inner: c, inj: in, kill: kill, links: make([]link, c.Size())}
+	p.tr, _ = c.(obs.Tracer)
 	p.share, _ = c.(comm.SharedSender)
 	p.arrays, _ = c.(comm.ArraySource)
 	in.mu.Lock()
@@ -311,6 +279,7 @@ type proc struct {
 	inner  comm.Comm
 	share  comm.SharedSender // inner, when the engine can skip its send copy
 	arrays comm.ArraySource  // inner, when the engine gives its ranks run-scoped part storage
+	tr     obs.Tracer        // inner, when the engine records its rank's events on a traced run
 	inj    *Injector
 	kill   int // op index at which this rank dies; -1 = never
 	ops    int
@@ -345,10 +314,22 @@ func (p *proc) PartArray(n int) []comm.Part {
 	return make([]comm.Part, 0, n)
 }
 
-// record keeps one injected fault in the rank's own log and traces it.
+// record keeps one injected fault in the rank's own log and traces it
+// through the rank it wraps (kind "fault", the fault name in
+// obs.Event.Fault), which stamps it on its run's clock, so chaos lands in
+// the same trace as the traffic that triggered it. A link fault is the
+// sending rank's event, a kill the killed rank's.
 func (p *proc) record(e Event) {
 	p.events = append(p.events, e)
-	p.inj.trace(e)
+	if p.tr == nil {
+		return
+	}
+	oe := obs.Event{Kind: obs.KindFault, Fault: e.Kind.String(), Peer: e.Dst, Seq: e.Msg,
+		Dur: network.Time(e.Delay.Nanoseconds())}
+	if e.Kind == Kill {
+		oe.Seq = e.Op
+	}
+	p.tr.Trace(oe)
 }
 
 // op counts one communication operation and kills the rank when its

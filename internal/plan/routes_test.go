@@ -143,7 +143,7 @@ func TestRoutesDriveSparseTCPMachine(t *testing.T) {
 		}
 		payload := make([]byte, 32)
 		_, err = tm.Run(tcp.Options{RecvTimeout: 30 * time.Second}, func(pr *tcp.Proc) {
-			mine := core.InitialMessage(spec, pr.Rank(), payload)
+			mine := core.InitialFor(core.Broadcast, spec, pr.Rank(), func(int) []byte { return payload })
 			alg.Run(pr, spec, mine)
 		})
 		if err != nil {
@@ -210,7 +210,7 @@ func TestSparseMeshScalesToP256(t *testing.T) {
 		bound := core.Bind(alg, spec)
 		out := make([]comm.Message, p)
 		_, err = tm.Run(tcp.Options{RecvTimeout: time.Minute}, func(pr *tcp.Proc) {
-			mine := core.InitialMessage(spec, pr.Rank(), core.Broadcast.Payload(p, pr.Rank(), msgLen))
+			mine := core.InitialFor(core.Broadcast, spec, pr.Rank(), func(r int) []byte { return core.Broadcast.Payload(p, r, msgLen) })
 			out[pr.Rank()] = bound.Run(pr, spec, mine)
 		})
 		tm.Close()

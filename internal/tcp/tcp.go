@@ -190,12 +190,11 @@ type Options struct {
 
 // The run-facing types are the core's: a Proc is one rank's comm.Comm
 // handle, a Result the local ranks' operation counts (every rank on a
-// single-process machine, the local range on a cluster worker, whose
-// slices the coordinator merges).
+// single-process machine, the local range on a cluster worker, which
+// sums them for the coordinator).
 type (
-	Proc      = engine.Proc
-	ProcStats = engine.ProcStats
-	Result    = engine.Result
+	Proc   = engine.Proc
+	Result = engine.Result
 )
 
 // endpoint is one local rank's side of the mesh.

@@ -288,7 +288,7 @@ func TestBroadcastWireCounts(t *testing.T) {
 	defer m.Close()
 	run := func() *Result {
 		res, err := m.Run(Options{RecvTimeout: time.Minute}, func(pr *Proc) {
-			alg.Run(pr, spec, core.InitialMessage(spec, pr.Rank(), payload))
+			alg.Run(pr, spec, core.InitialFor(core.Broadcast, spec, pr.Rank(), func(int) []byte { return payload }))
 		})
 		if err != nil {
 			t.Fatal(err)

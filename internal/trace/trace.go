@@ -1,6 +1,7 @@
 // Package trace records observability events (internal/obs) for
-// inspection and export. A Recorder plugs into sim.Options.Tracer,
-// live/tcp Options.Tracer, or faults.Injector.SetTracer; afterwards the
+// inspection and export. A Recorder plugs into sim.Options.Tracer or
+// live/tcp Options.Tracer (which also records the faults an injector
+// wrapping a rank injects); afterwards the
 // events can be dumped as JSON lines (one event per line), exported in
 // Chrome trace-event format for Perfetto (see WriteChrome), or summarized
 // per kind.

@@ -64,40 +64,56 @@ func TestCrossEngineEventSequence(t *testing.T) {
 }
 
 // TestTraceFaultsInStream asserts injected faults land in the same event
-// stream as traffic, tagged with the fault kind.
+// stream as traffic, tagged with the fault kind and stamped on the run's
+// clock. The TCP row is a one-shot run, whose Prepare dials every pair
+// before the run starts: a fault stamped on a clock started before those
+// dials would read later than the run's last engine event.
 func TestTraceFaultsInStream(t *testing.T) {
-	m := stpbcast.NewParagon(2, 2)
-	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 64}
-	payload := func(rank int) []byte { return bytes.Repeat([]byte{byte(rank)}, 64) }
-	rec := trace.NewRecorder(0)
-	plan := stpbcast.FaultPlan{
-		Faults: []stpbcast.Fault{{Kind: stpbcast.FaultDuplicate, Src: 0, Dst: 1, Msg: 0}},
-	}
-	res, err := stpbcast.Run(m, stpbcast.EngineLive, cfg, stpbcast.RunOptions{
-		Payload:     payload,
-		Trace:       rec,
-		Faults:      &plan,
-		RecvTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Faults) == 0 {
-		t.Fatal("fault plan injected nothing")
-	}
-	if got := rec.Count(obs.KindFault); got != len(res.Faults) {
-		t.Fatalf("stream has %d fault events, injector reports %d", got, len(res.Faults))
-	}
-	found := false
-	for _, e := range rec.Events {
-		if e.Kind == obs.KindFault {
-			if e.Fault != "duplicate" || e.Rank != 0 || e.Peer != 1 {
-				t.Fatalf("fault event mis-tagged: %+v", e)
+	for _, tc := range []struct {
+		engine     stpbcast.Engine
+		rows, cols int
+	}{
+		{stpbcast.EngineLive, 2, 2},
+		{stpbcast.EngineTCP, 4, 4},
+	} {
+		t.Run(tc.engine.String(), func(t *testing.T) {
+			m := stpbcast.NewParagon(tc.rows, tc.cols)
+			cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 64}
+			rec := trace.NewRecorder(0)
+			plan := stpbcast.FaultPlan{Seed: 7, Duplicate: 0.5}
+			res, err := stpbcast.Run(m, tc.engine, cfg, stpbcast.RunOptions{
+				Trace:       rec,
+				Faults:      &plan,
+				RecvTimeout: 10 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no fault event in stream")
+			if len(res.Faults) == 0 {
+				t.Fatal("fault plan injected nothing")
+			}
+			if got := rec.Count(obs.KindFault); got != len(res.Faults) {
+				t.Fatalf("stream has %d fault events, injector reports %d", got, len(res.Faults))
+			}
+			injected := map[[3]int]bool{}
+			for _, f := range res.Faults {
+				injected[[3]int{f.Src, f.Dst, f.Msg}] = true
+			}
+			var lastEngine, lastFault int64
+			for _, e := range rec.Events {
+				if e.Kind != obs.KindFault {
+					lastEngine = max(lastEngine, e.Wall)
+					continue
+				}
+				if e.Fault != "duplicate" || !injected[[3]int{e.Rank, e.Peer, e.Seq}] {
+					t.Fatalf("fault event mis-tagged: %+v", e)
+				}
+				lastFault = max(lastFault, e.Wall)
+			}
+			if lastFault > lastEngine {
+				t.Fatalf("a fault is stamped at %v, after the run's last engine event at %v",
+					time.Duration(lastFault), time.Duration(lastEngine))
+			}
+		})
 	}
 }

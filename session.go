@@ -126,8 +126,9 @@ func MaybeClusterWorker() { cluster.MaybeWorker() }
 
 // SessionStats aggregate a session's activity across runs.
 type SessionStats struct {
-	// Runs counts Session.Run calls that passed validation and reached
-	// the engine; Failures counts those that returned an error.
+	// Runs counts Session.Run calls that reached the engine — a call
+	// refused with ErrInvalidRun does not; Failures counts those that
+	// returned an error.
 	Runs     int
 	Failures int
 	// Bytes totals the algorithm payload bytes sent across all
@@ -339,16 +340,95 @@ func (s *Session) Close() (SessionStats, error) {
 // and concurrent callers queue. Stats may be read concurrently without
 // waiting for the queue to drain.
 func (s *Session) Run(cfg Config, opts RunOptions) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	spec, alg, err := admit(s.m, s.engine, s.clu != nil, cfg, opts)
+	if err != nil {
 		return nil, err
 	}
-	return s.run(cfg, opts, core.Spec{}, nil)
+	return s.run(cfg, opts, spec, alg)
 }
 
-// run executes one validated config over the session. alg, when
-// non-nil, is the algorithm Run resolved with spec before it opened the
-// session; otherwise run resolves both, and a config that does not
-// resolve counts as a failed run.
+// ErrInvalidRun is what Run and Session.Run wrap when they refuse the
+// caller's input before anything runs (test with errors.Is): a config
+// that Validate rejects or that does not resolve against the machine,
+// a fault plan on EngineSim or naming a rank the machine lacks, or an
+// option a cluster session cannot honour. A session counts no run for
+// it.
+var ErrInvalidRun = errors.New("stpbcast: invalid run")
+
+// invalidRun marks a refusal of the caller's input: it reads as its
+// cause and matches ErrInvalidRun.
+type invalidRun struct{ error }
+
+func (e invalidRun) Is(target error) bool { return target == ErrInvalidRun }
+func (e invalidRun) Unwrap() error        { return e.error }
+
+// admit validates cfg, checks opts against the engine (a cluster
+// session's when cluster is set) and m, and resolves the run's instance
+// and algorithm: everything that can refuse the caller's input does so
+// here, as ErrInvalidRun, before a run is counted or an engine stood up.
+func admit(m *Machine, engine Engine, cluster bool, cfg Config, opts RunOptions) (core.Spec, Algorithm, error) {
+	err := cfg.Validate()
+	if err == nil {
+		err = checkOptions(m.P(), engine, cluster, cfg, opts)
+	}
+	var spec core.Spec
+	var alg Algorithm
+	if err == nil {
+		spec, alg, err = resolve(m, cfg, opts.Algorithm)
+	}
+	if err != nil {
+		return core.Spec{}, nil, invalidRun{err}
+	}
+	return spec, alg, nil
+}
+
+// checkOptions refuses the options a run on p ranks cannot honour: a
+// fault plan on the simulator, or one naming a rank the machine lacks
+// (it would inject nothing), and on a cluster session whatever cannot
+// cross a process boundary.
+func checkOptions(p int, engine Engine, cluster bool, cfg Config, opts RunOptions) error {
+	if cluster {
+		// A cluster session moves run specs, not Go values, between
+		// processes.
+		switch {
+		case opts.Algorithm != nil:
+			return errors.New("stpbcast: cluster runs cannot use RunOptions.Algorithm (an explicit Algorithm value cannot cross process boundaries); name a registry algorithm in Config.Algorithm")
+		case opts.Payload != nil:
+			return errors.New("stpbcast: cluster runs cannot use RunOptions.Payload; workers synthesize the default deterministic payload")
+		case opts.Faults != nil:
+			return errors.New("stpbcast: cluster runs do not support fault injection")
+		case opts.Trace != nil:
+			return errors.New("stpbcast: cluster runs do not support tracing")
+		case opts.Context != nil:
+			return errors.New("stpbcast: cluster runs do not support Context; bound them with RunTimeout")
+		case cfg.MsgBytesFor != nil:
+			return errors.New("stpbcast: cluster runs do not support Config.MsgBytesFor; use a uniform MsgBytes")
+		case cfg.MsgBytes <= 0:
+			return fmt.Errorf("stpbcast: cluster runs need a positive Config.MsgBytes, got %d", cfg.MsgBytes)
+		}
+	}
+	plan := opts.Faults
+	if plan == nil {
+		return nil
+	}
+	if engine == EngineSim {
+		return errors.New("stpbcast: fault injection requires a real-byte engine (EngineLive or EngineTCP)")
+	}
+	for i, k := range plan.Kills {
+		if k.Rank < 0 || k.Rank >= p {
+			return fmt.Errorf("stpbcast: FaultPlan.Kills[%d]: rank %d outside the machine's %d ranks", i, k.Rank, p)
+		}
+	}
+	for i, f := range plan.Faults {
+		if f.Src < 0 || f.Src >= p || f.Dst < 0 || f.Dst >= p {
+			return fmt.Errorf("stpbcast: FaultPlan.Faults[%d]: link %d→%d outside the machine's %d ranks", i, f.Src, f.Dst, p)
+		}
+	}
+	return nil
+}
+
+// run executes one admitted run, the instance and algorithm resolved,
+// over the session.
 func (s *Session) run(cfg Config, opts RunOptions, spec core.Spec, alg Algorithm) (*Result, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -360,14 +440,10 @@ func (s *Session) run(cfg Config, opts RunOptions, spec core.Spec, alg Algorithm
 	run := uint32(s.stats.Runs) + 1
 	s.maps.Begin(run, &s.released, nil)
 	s.mu.Unlock()
-	var err error
-	if alg == nil {
-		spec, alg, err = resolve(s.m, cfg, opts.Algorithm)
-	}
 	var res *Result
 	var sent int64
+	var err error
 	switch {
-	case err != nil:
 	case s.engine == EngineSim:
 		res, sent, err = runSim(s.m, cfg, opts, spec, alg)
 	case s.clu != nil:
@@ -391,12 +467,9 @@ func (s *Session) run(cfg Config, opts RunOptions, spec core.Spec, alg Algorithm
 // broadcasts back to back, Open a Session instead and amortize the
 // engine setup.
 func Run(m *Machine, engine Engine, cfg Config, opts RunOptions) (*Result, error) {
-	// Resolve before standing up the engine, so a bad config never pays
+	// Admit before standing up the engine, so a bad config never pays
 	// (or leaks) a TCP mesh.
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	spec, alg, err := resolve(m, cfg, opts.Algorithm)
+	spec, alg, err := admit(m, engine, false, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -532,9 +605,6 @@ func (r *Result) Release() {
 // deterministic, so a session adds no warm state — each run builds a
 // fresh network, keeping results identical to the one-shot path.
 func runSim(m *Machine, cfg Config, opts RunOptions, spec core.Spec, alg Algorithm) (*Result, int64, error) {
-	if opts.Faults != nil {
-		return nil, 0, errors.New("stpbcast: fault injection requires a real-byte engine (EngineLive or EngineTCP)")
-	}
 	sopts := sim.Options{}
 	if opts.Trace != nil {
 		sopts.Tracer = opts.Trace
@@ -595,9 +665,6 @@ func (s *Session) runReal(cfg Config, opts RunOptions, spec core.Spec, alg Algor
 	var inj *faults.Injector
 	if opts.Faults != nil {
 		inj = faults.New(*opts.Faults)
-		if opts.Trace != nil {
-			inj.SetTracer(opts.Trace, time.Now())
-		}
 	}
 	bundles := s.maps.Get(p)[:p]
 	body := func(c comm.Comm) {
@@ -671,25 +738,9 @@ func (s *Session) runReal(cfg Config, opts RunOptions, spec core.Spec, alg Algor
 // processes: it ships the resolved instance to the coordinator as an
 // explicit run spec (registry algorithm name, which names the
 // collective, and explicit source ranks) — Go values cannot cross the
-// process boundary, which is also why the options checked below must be
-// unset.
+// process boundary, which is also why checkOptions refuses the options
+// that carry them.
 func (s *Session) runCluster(cfg Config, opts RunOptions, spec core.Spec, alg Algorithm) (*Result, int64, error) {
-	switch {
-	case opts.Algorithm != nil:
-		return nil, 0, errors.New("stpbcast: cluster runs cannot use RunOptions.Algorithm (an explicit Algorithm value cannot cross process boundaries); name a registry algorithm in Config.Algorithm")
-	case opts.Payload != nil:
-		return nil, 0, errors.New("stpbcast: cluster runs cannot use RunOptions.Payload; workers synthesize the default deterministic payload")
-	case opts.Faults != nil:
-		return nil, 0, errors.New("stpbcast: cluster runs do not support fault injection")
-	case opts.Trace != nil:
-		return nil, 0, errors.New("stpbcast: cluster runs do not support tracing")
-	case opts.Context != nil:
-		return nil, 0, errors.New("stpbcast: cluster runs do not support Context; bound them with RunTimeout")
-	case cfg.MsgBytesFor != nil:
-		return nil, 0, errors.New("stpbcast: cluster runs do not support Config.MsgBytesFor; use a uniform MsgBytes")
-	case cfg.MsgBytes <= 0:
-		return nil, 0, fmt.Errorf("stpbcast: cluster runs need a positive Config.MsgBytes, got %d", cfg.MsgBytes)
-	}
 	res, err := s.clu.Run(cluster.RunSpec{
 		Rows:          spec.Rows,
 		Cols:          spec.Cols,
@@ -703,15 +754,11 @@ func (s *Session) runCluster(cfg Config, opts RunOptions, spec core.Spec, alg Al
 	if err != nil {
 		return nil, 0, err
 	}
-	var sent int64
-	for i := range res.Procs {
-		sent += res.Procs[i].SendBytes
-	}
 	// Bundles stay nil: each worker verified its own ranks with
 	// core.Collective.Check;
 	// shipping payload bytes over the control plane would defeat the
 	// point of distributing the mesh.
-	return &Result{Elapsed: res.Elapsed}, sent, nil
+	return &Result{Elapsed: res.Elapsed}, res.SendBytes, nil
 }
 
 // tracerOrNil avoids the classic non-nil interface holding a nil

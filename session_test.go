@@ -2,6 +2,7 @@ package stpbcast_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -1079,6 +1080,53 @@ func TestSessionTCPAllocationBudget(t *testing.T) {
 			}
 			if tc.bytes > 0 && bytes > tc.bytes {
 				t.Errorf("%.0f bytes per run, budget %.0f", bytes, tc.bytes)
+			}
+		})
+	}
+}
+
+// TestInvalidRunCountsNothing: input a run cannot honour — a config that
+// does not resolve against the machine, a fault plan on the simulator or
+// naming a rank or link the machine lacks — is the caller's error
+// (ErrInvalidRun), refused before the run starts: a session's stats do
+// not move, and the one-shot Run refuses it too.
+func TestInvalidRunCountsNothing(t *testing.T) {
+	m := stpbcast.NewParagon(2, 2)
+	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 64}
+	tooMany := cfg
+	tooMany.Sources = 9
+	for _, tc := range []struct {
+		name   string
+		engine stpbcast.Engine
+		cfg    stpbcast.Config
+		faults *stpbcast.FaultPlan
+		want   string
+	}{
+		{"sources over p", stpbcast.EngineLive, tooMany, nil, "source count 9 outside [1,4]"},
+		{"faults on sim", stpbcast.EngineSim, cfg, &stpbcast.FaultPlan{Seed: 1, Drop: 0.5}, "real-byte engine"},
+		{"kill of rank 9", stpbcast.EngineLive, cfg, &stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 9}}},
+			"FaultPlan.Kills[0]: rank 9 outside the machine's 4 ranks"},
+		{"fault on link 7 to 8", stpbcast.EngineTCP, cfg,
+			&stpbcast.FaultPlan{Faults: []stpbcast.Fault{{Kind: stpbcast.FaultDrop}, {Kind: stpbcast.FaultDrop, Src: 7, Dst: 8}}},
+			"FaultPlan.Faults[1]: link 7→8 outside the machine's 4 ranks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := stpbcast.RunOptions{Faults: tc.faults, RecvTimeout: 10 * time.Second}
+			s, err := stpbcast.Open(m, tc.engine, stpbcast.SessionOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			before := s.Stats()
+			_, err = s.Run(tc.cfg, opts)
+			if !errors.Is(err, stpbcast.ErrInvalidRun) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Session.Run error = %v, want ErrInvalidRun mentioning %q", err, tc.want)
+			}
+			if after := s.Stats(); after != before {
+				t.Errorf("stats %+v after a refused run, want %+v", after, before)
+			}
+			if _, err := stpbcast.Run(m, tc.engine, tc.cfg, opts); !errors.Is(err, stpbcast.ErrInvalidRun) {
+				t.Errorf("Run error = %v, want ErrInvalidRun", err)
 			}
 		})
 	}
