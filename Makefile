@@ -38,10 +38,13 @@ test:
 # stores (comm.Store): a caller's Release marks a run's storage free on
 # its goroutine, and tcp's reader pumps, or the session's next run, reuse
 # it on theirs — so the facade's Release and kept-result tests go three
-# more times too.
+# more times too. So do the simulator's, the figures' and the planner's:
+# a figure cell or probe releases its program's operation slab
+# (comm.Program.Release) on one worker of the pool and the next Compile
+# draws it on another.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults
+	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults ./internal/sim ./internal/bench ./internal/plan
 	$(GO) test -race -timeout 5m -count=3 -run 'Release|Kept' .
 
 # Fault-injection, abort-path and result-ownership suites only (fault

@@ -466,11 +466,12 @@ func TestRunAllocationBudget(t *testing.T) {
 }
 
 // figurePassAllocBudget and figurePassKBBudget leave 5 % over what a
-// pass costs: 4 658 allocations (4 672–4 686 under the race detector)
-// and 11 716 kB (11 719–11 720 kB), the kB budget over the larger.
+// pass costs: 4 071–4 073 allocations (4 080–4 100 under the race
+// detector) and 3 413–3 414 kB (3 416–3 418 kB), each budget over the
+// larger.
 const (
-	figurePassAllocBudget = 4896
-	figurePassKBBudget    = 12306
+	figurePassAllocBudget = 4305
+	figurePassKBBudget    = 3589
 )
 
 // TestFigurePassAllocationBudget counts what one pass over the

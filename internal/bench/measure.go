@@ -43,12 +43,13 @@ func SpecFor(m *machine.Machine, d interface {
 	return core.Spec{Rows: m.Rows, Cols: m.Cols, Sources: sources, Indexing: topology.SnakeRowMajor}, nil
 }
 
-// MustMillis runs Measure and returns the makespan in milliseconds,
+// MustMillis replays the instance Measure does and returns the makespan
+// in milliseconds (machine.Elapsed: a cell keeps nothing of the run),
 // wrapping any error with experiment context.
 func MustMillis(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) (float64, error) {
-	res, err := Measure(m, alg, spec, msgLen)
+	t, err := m.Elapsed(alg, spec, machine.Uniform(msgLen))
 	if err != nil {
 		return 0, fmt.Errorf("bench: %s on %s (s=%d L=%d): %w", alg.Name(), m.Name, spec.S(), msgLen, err)
 	}
-	return res.Elapsed.Milliseconds(), nil
+	return t.Milliseconds(), nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // The paper's schedules are oblivious: every processor knows the source
@@ -157,7 +159,8 @@ type Program struct {
 	facts     atomic.Pointer[Facts] // set by the first Facts call
 }
 
-// P returns the number of ranks the program was compiled for.
+// P returns the number of ranks the program was compiled for, -1 once it
+// is released.
 func (pg *Program) P() int { return len(pg.off) - 1 }
 
 // Regs returns the number of registers per rank.
@@ -411,7 +414,11 @@ func (s Script) Compile(p int) (*Program, error) {
 		s.Rank(&b, r)
 		b.endRank()
 	}
-	pg := &Program{regs: max(s.Regs, 1), ops: make([]Op, 0, b.n), off: make([]int32, p+1)}
+	ops, _ := slabs.Get()
+	if cap(ops) < b.n {
+		ops = make([]Op, 0, b.n) // a smaller slab is left to the collector
+	}
+	pg := &Program{regs: max(s.Regs, 1), ops: ops, off: make([]int32, p+1)}
 	if b.nsel > 0 {
 		pg.sels = make([]selection, 0, b.nsel)
 	}
@@ -427,6 +434,22 @@ func (s Script) Compile(p int) (*Program, error) {
 		return nil, b.err
 	}
 	return pg, nil
+}
+
+// slabs holds the operation slabs of released programs for the next
+// Compile.
+var slabs par.FreeList[[]Op]
+
+// Release gives the program's operation slab to the next Compile. Only
+// the caller that compiled the program may release it, once nothing reads
+// it any more; the program of a bound algorithm, which every run of it
+// shares, is never released. A released program has no ranks: a replay
+// of it fails, Run and Ops panic.
+func (pg *Program) Release() {
+	if pg.ops != nil {
+		slabs.Put(pg.ops[:0])
+	}
+	pg.ops, pg.off = nil, nil
 }
 
 // Run executes the calling rank's part of the script on c without

@@ -314,13 +314,18 @@ func (p *proc) PartArray(n int) []comm.Part {
 	return make([]comm.Part, 0, n)
 }
 
-// record keeps one injected fault in the rank's own log and traces it
-// through the rank it wraps (kind "fault", the fault name in
-// obs.Event.Fault), which stamps it on its run's clock, so chaos lands in
-// the same trace as the traffic that triggered it. A link fault is the
-// sending rank's event, a kill the killed rank's.
+// record keeps one injected fault in the rank's own log and traces it.
 func (p *proc) record(e Event) {
 	p.events = append(p.events, e)
+	p.trace(e)
+}
+
+// trace traces one injected fault through the rank it wraps (kind
+// "fault", the fault name in obs.Event.Fault), which stamps it on its
+// run's clock as it ends, so chaos lands in the same trace as the traffic
+// that triggered it. A link fault is the sending rank's event, a kill the
+// killed rank's.
+func (p *proc) trace(e Event) {
 	if p.tr == nil {
 		return
 	}
@@ -362,10 +367,9 @@ func (p *proc) send(dst int, m comm.Message, shared bool) {
 	l.sent++
 	d := p.inj.decide(src, dst, idx)
 	ev := Event{Src: src, Dst: dst, Msg: idx, Rank: -1, Op: -1}
+	delay := Event{Kind: Delay, Src: src, Dst: dst, Msg: idx, Rank: -1, Op: -1, Delay: d.delay}
 	if d.delay > 0 {
-		ev.Kind, ev.Delay = Delay, d.delay
-		p.record(ev)
-		ev.Delay = 0
+		p.events = append(p.events, delay) // traced once it is over
 	}
 	if d.drop {
 		ev.Kind = Drop
@@ -382,6 +386,7 @@ func (p *proc) send(dst int, m comm.Message, shared bool) {
 	}
 	if d.delay > 0 {
 		time.Sleep(d.delay)
+		p.trace(delay)
 	}
 	if d.drop {
 		return // never handed to the engine

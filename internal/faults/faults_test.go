@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 // fakeEngine is a single-threaded two-sided mailbox: good enough to
@@ -189,6 +191,38 @@ func TestDelayFaultSleepsAndDelivers(t *testing.T) {
 	r := in.Wrap(eng.proc(1))
 	if m := r.Recv(0); string(m.Parts[0].Data) != "slow" {
 		t.Fatalf("delayed message corrupted: %q", m.Parts[0].Data)
+	}
+}
+
+// tracedProc is a fakeProc that traces what its rank's wrapper hands it,
+// stamped as an engine stamps it: on the clock of a run that began at
+// start, when the event ends.
+type tracedProc struct {
+	*fakeProc
+	start  time.Time
+	events []obs.Event
+}
+
+func (p *tracedProc) Trace(e obs.Event) {
+	e.Wall = time.Since(p.start).Nanoseconds()
+	p.events = append(p.events, e)
+}
+
+// TestTracedDelayStartsAtItsSend: a delay fault is traced once the delay
+// is over, so the span it claims (obs.Event.Start to its wall stamp)
+// begins no earlier than the send it held up.
+func TestTracedDelayStartsAtItsSend(t *testing.T) {
+	const delay = 5 * time.Millisecond
+	in := New(Plan{Faults: []Fault{{Kind: Delay, Src: 0, Dst: 1, Msg: 0, Delay: delay}}})
+	p := &tracedProc{fakeProc: newFakeEngine(2).proc(0), start: time.Now()}
+	s := in.Wrap(p)
+	sent := time.Since(p.start).Nanoseconds()
+	s.Send(1, msg(0, "slow"))
+	if len(p.events) != 1 || p.events[0].Fault != "delay" || p.events[0].Dur != network.Time(delay) {
+		t.Fatalf("traced %+v, want one delay of %v", p.events, delay)
+	}
+	if start := p.events[0].Start(true); int64(start) < sent {
+		t.Errorf("the delay is traced from %v, before its send at %v", time.Duration(start), time.Duration(sent))
 	}
 }
 

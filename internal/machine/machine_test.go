@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -122,5 +124,53 @@ func TestSnakePlacementBreaksStrideResonance(t *testing.T) {
 	}
 	if len(xs) < 2 {
 		t.Fatalf("stride-4 ranks occupy only x-planes %v", xs)
+	}
+}
+
+// TestElapsedKeepsBoundPrograms: Elapsed gives back a program it compiled
+// for the call, never a bound algorithm's. A bound algorithm measured twice
+// gives the makespan of the unbound one both times, its program still
+// replays to it afterwards, and an unbound algorithm's makespan is what
+// RunSim reports.
+func TestElapsedKeepsBoundPrograms(t *testing.T) {
+	m := Paragon(4, 4)
+	spec := core.Spec{Rows: 4, Cols: 4, Sources: []int{0, 5, 10, 15}, Indexing: topology.SnakeRowMajor}
+	for _, name := range []string{"Br_Lin", "Repos_xy_source", "PersAlltoAll"} {
+		alg, err := core.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "PersAlltoAll" {
+			spec.Sources = core.AllRanksSources(16)
+		}
+		res, nw, err := m.RunSim(alg, spec, Uniform(1024), sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.Release()
+		if got, err := m.Elapsed(alg, spec, Uniform(1024)); err != nil || got != res.Elapsed {
+			t.Errorf("%s: Elapsed gives %v, %v; RunSim %v", name, got, err, res.Elapsed)
+		}
+		bound := core.Bind(alg, spec)
+		for i := range 2 {
+			if got, err := m.Elapsed(bound, spec, Uniform(1024)); err != nil || got != res.Elapsed {
+				t.Errorf("%s, bound, call %d: Elapsed gives %v, %v; want %v", name, i, got, err, res.Elapsed)
+			}
+		}
+		again, nw, err := m.RunSim(bound, spec, Uniform(1024), sim.Options{})
+		if err != nil {
+			t.Fatalf("%s: the bound program no longer replays: %v", name, err)
+		}
+		nw.Release()
+		if again.Program != core.ProgramOf(bound) || again.Elapsed != res.Elapsed {
+			t.Errorf("%s: the bound program replays to %v, want %v", name, again.Elapsed, res.Elapsed)
+		}
+	}
+	// Bound to a 4×4 spec, an algorithm has no program for a 2×2 machine,
+	// though the 2×2 spec it is asked for there covers it.
+	small := core.Spec{Rows: 2, Cols: 2, Sources: []int{0}, Indexing: topology.SnakeRowMajor}
+	bound := core.Bind(core.BrLin(), core.Spec{Rows: 4, Cols: 4, Sources: []int{0, 5, 10, 15}, Indexing: topology.SnakeRowMajor})
+	if _, err := Paragon(2, 2).Elapsed(bound, small, Uniform(1024)); err == nil || err.Error() != "machine: Br_Lin has a program for 16 ranks, paragon-nx-2x2 has 4" {
+		t.Errorf("a 4×4 binding on a 2×2 machine: got %v", err)
 	}
 }

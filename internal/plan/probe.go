@@ -8,7 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/par"
-	"repro/internal/sim"
 )
 
 // ProbeResult is one empirical measurement: a candidate's full
@@ -40,12 +39,11 @@ func probeCandidates(ctx context.Context, m *machine.Machine, spec core.Spec, ms
 			return err
 		}
 		probes.Inc()
-		res, nw, err := m.RunSim(alg, spec, machine.Uniform(msgLen), sim.Options{})
+		t, err := m.Elapsed(alg, spec, machine.Uniform(msgLen))
 		if err != nil {
 			return fmt.Errorf("plan: probe %s: %w", names[i], err)
 		}
-		nw.Release()
-		out[i] = ProbeResult{Algorithm: names[i], ElapsedMs: res.Elapsed.Milliseconds()}
+		out[i] = ProbeResult{Algorithm: names[i], ElapsedMs: t.Milliseconds()}
 		return nil
 	})
 	if err != nil {

@@ -2,10 +2,10 @@
 
 package plan
 
-// coldDecideAllocBudget and coldDecideKBBudget are 5 % over the 1 226
-// allocations and 1 680 kB one cold sweep costs
+// coldDecideAllocBudget and coldDecideKBBudget are 5 % over the 1 172–
+// 1 173 allocations and 429 kB one cold sweep costs
 // (TestColdDecideAllocationBudget).
 const (
-	coldDecideAllocBudget = 1288
-	coldDecideKBBudget    = 1764
+	coldDecideAllocBudget = 1232
+	coldDecideKBBudget    = 451
 )

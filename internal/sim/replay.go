@@ -37,6 +37,28 @@ type reg struct {
 // lengths of its parts, in order, in an arena the run appends to; any
 // other program needs a bundle's length and part count only.
 func Replay(net *network.Network, prog *comm.Program, initial func(rank int) (partLen, parts int), opts Options) (*Result, error) {
+	e, err := execute(net, prog, initial, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer e.release()
+	return e.result(prog), nil
+}
+
+// Makespan is an untraced Replay for a caller that reads the makespan
+// only: it builds no Result.
+func Makespan(net *network.Network, prog *comm.Program, initial func(rank int) (partLen, parts int)) (network.Time, error) {
+	e, err := execute(net, prog, initial, Options{})
+	if err != nil {
+		return 0, err
+	}
+	defer e.release()
+	return e.elapsed(), nil
+}
+
+// execute runs prog to its end on an engine of its own, which the caller
+// reads and releases; a run that fails releases it itself.
+func execute(net *network.Network, prog *comm.Program, initial func(rank int) (partLen, parts int), opts Options) (*engine, error) {
 	if p := net.Placement().Size(); prog.P() != p {
 		return nil, fmt.Errorf("sim: program for %d ranks replayed on a machine of %d", prog.P(), p)
 	}
@@ -49,7 +71,6 @@ func Replay(net *network.Network, prog *comm.Program, initial func(rank int) (pa
 	runtime.Gosched()
 	net.Reset()
 	e := acquire(net, opts)
-	defer e.release()
 	nregs := prog.Regs()
 	if n := e.p * nregs; cap(e.regs) < n {
 		e.regs = make([]reg, n)
@@ -77,10 +98,11 @@ func Replay(net *network.Network, prog *comm.Program, initial func(rank int) (pa
 		}
 		e.step(pr, prog)
 	}
-	if e.err != nil {
-		return nil, e.err
+	if err := e.err; err != nil {
+		e.release()
+		return nil, err
 	}
-	return e.result(prog), nil
+	return e, nil
 }
 
 // step executes pr's program from where it stopped until pr has to give

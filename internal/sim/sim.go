@@ -291,12 +291,9 @@ func (e *engine) release() {
 
 // result assembles the outcome of a finished run of prog.
 func (e *engine) result(prog *comm.Program) *Result {
-	res := &Result{Procs: make([]ProcStats, e.p), Net: e.net.Stats(), Program: prog}
+	res := &Result{Elapsed: e.elapsed(), Procs: make([]ProcStats, e.p), Net: e.net.Stats(), Program: prog}
 	for i := range e.procs {
 		pr := &e.procs[i]
-		if pr.clock > res.Elapsed {
-			res.Elapsed = pr.clock
-		}
 		res.Procs[i] = ProcStats{
 			Rank: i, Finish: pr.clock,
 			Sends: pr.sends, Recvs: pr.recvs,
@@ -306,6 +303,15 @@ func (e *engine) result(prog *comm.Program) *Result {
 		}
 	}
 	return res
+}
+
+// elapsed is the makespan of a finished run: the largest processor clock.
+func (e *engine) elapsed() network.Time {
+	var t network.Time
+	for i := range e.procs {
+		t = max(t, e.procs[i].clock)
+	}
+	return t
 }
 
 // less orders the ready heap by (key, rank) — the same total order the

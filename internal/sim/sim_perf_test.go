@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/comm"
@@ -156,6 +157,73 @@ func TestRecycledStorageMatchesFresh(t *testing.T) {
 				t.Errorf("round %d, %s on %s: a recycled engine and network give %+v, new ones %+v", round, c.alg, c.cfg.Name, *got.res, *want[i].res)
 			}
 		}
+	}
+}
+
+// TestRecompiledSlabMatchesFresh compiles a small program into the
+// operation slab a larger program for another p left behind
+// (comm.Program.Release) and requires the ops and the replay of a fresh
+// compile of it.
+func TestRecompiledSlabMatchesFresh(t *testing.T) {
+	small := comm.Script{Regs: 2, Rank: func(b *comm.Builder, rank int) {
+		b.Send((rank+1)%3, 0)
+		b.Merge((rank+2)%3, 0)
+		b.Token((rank+2)%3, 5, 8)
+		b.Drop((rank + 1) % 3)
+	}}
+	// Drain the slabs released programs left, so the first compile is fresh.
+	for range runtime.GOMAXPROCS(0) {
+		mustCompile(t, pingPong(1), 2)
+	}
+	fresh := mustCompile(t, small, 3)
+	mustCompile(t, pingPong(500), 2).Release()
+	recycled := mustCompile(t, small, 3)
+	for rank := range 3 {
+		if got, want := recycled.Ops(rank), fresh.Ops(rank); !reflect.DeepEqual(got, want) {
+			t.Errorf("rank %d: ops %v in a recycled slab, %v in a fresh one", rank, got, want)
+		}
+	}
+	want := run3(t, fresh)
+	if got := run3(t, recycled); !reflect.DeepEqual(got, want) {
+		t.Errorf("a program in a recycled slab replays to %+v, a fresh one to %+v", *got, *want)
+	}
+}
+
+// run3 replays a program on a line of 3, every rank entering with 64
+// bytes, and returns the result without its program.
+func run3(t *testing.T, prog *comm.Program) *Result {
+	t.Helper()
+	res, err := Replay(lineNet(t, 3), prog, lengths(func(int) int { return 64 }), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Program = nil
+	return res
+}
+
+// TestReleasedProgramFailsLoudly: a released program has no operations of
+// its own any more, so its replay fails and Ops panics, also once its slab
+// holds another program's.
+func TestReleasedProgramFailsLoudly(t *testing.T) {
+	prog := mustCompile(t, pingPong(10), 2)
+	prog.Release()
+	other := mustCompile(t, pingPong(10), 2)
+	if _, err := Replay(lineNet(t, 2), prog, none, Options{}); err == nil {
+		t.Error("a released program replays")
+	}
+	if _, err := Makespan(lineNet(t, 2), prog, none); err == nil {
+		t.Error("a released program replays for its makespan")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Ops of a released program returns")
+			}
+		}()
+		t.Errorf("a released program reads ops %v", prog.Ops(0))
+	}()
+	if _, err := Replay(lineNet(t, 2), other, none, Options{}); err != nil {
+		t.Errorf("the program compiled into the released slab: %v", err)
 	}
 }
 
