@@ -41,10 +41,13 @@ test:
 # more times too. So do the simulator's, the figures' and the planner's:
 # a figure cell or probe releases its program's operation slab
 # (comm.Program.Release) on one worker of the pool and the next Compile
-# draws it on another.
+# draws it on another. So do the schedules': figure cells and planner
+# probes bind sectioning broadcasts concurrently on the pool's workers,
+# and each compile gives its step slab and scratch back to one free list
+# (core's filings) that the next draws from.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults ./internal/sim ./internal/bench ./internal/plan
+	$(GO) test -race -timeout 5m -count=3 ./internal/engine ./internal/comm ./internal/tcp ./internal/cluster ./internal/daemon ./internal/faults ./internal/sim ./internal/bench ./internal/plan ./internal/core
 	$(GO) test -race -timeout 5m -count=3 -run 'Release|Kept' .
 
 # Fault-injection, abort-path and result-ownership suites only (fault

@@ -465,15 +465,6 @@ func TestRunAllocationBudget(t *testing.T) {
 	}
 }
 
-// figurePassAllocBudget and figurePassKBBudget leave 5 % over what a
-// pass costs: 4 071–4 073 allocations (4 080–4 100 under the race
-// detector) and 3 413–3 414 kB (3 416–3 418 kB), each budget over the
-// larger.
-const (
-	figurePassAllocBudget = 4305
-	figurePassKBBudget    = 3589
-)
-
 // TestFigurePassAllocationBudget counts what one pass over the
 // benchmark's sim_figures workload allocates — fig3, fig6, fig9 and
 // fig13a regenerated on the simulator, every point a replayed program —

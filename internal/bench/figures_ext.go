@@ -7,15 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/par"
-	"repro/internal/sim"
 )
-
-// MeasureVar is Measure with a per-source message length: lengths maps a
-// source rank to its payload size (the paper's "different length
-// messages" experiment of Section 5).
-func MeasureVar(m *machine.Machine, alg core.Algorithm, spec core.Spec, lengths map[int]int) (*sim.Result, error) {
-	return measure(m, alg, spec, func(rank int) int { return lengths[rank] })
-}
 
 func init() {
 	register(Experiment{
@@ -166,11 +158,12 @@ func runAblationVarlen() (*Series, error) {
 		xs[i] = sh.label
 	}
 	return fillSeries(series, xs, len(algs), func(i, j int) (float64, error) {
-		res, err := MeasureVar(m, algs[j].alg, spec, shapes[i].lengths())
+		lengths := shapes[i].lengths()
+		t, err := m.Elapsed(algs[j].alg, spec, func(r int) int { return lengths[r] })
 		if err != nil {
 			return 0, err
 		}
-		return res.Elapsed.Milliseconds(), nil
+		return t.Milliseconds(), nil
 	})
 }
 

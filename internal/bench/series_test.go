@@ -86,7 +86,7 @@ func TestMeasureVarLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 	lengths := map[int]int{spec.Sources[0]: 100, spec.Sources[1]: 5000}
-	res, err := MeasureVar(m, core.BrLin(), spec, lengths)
+	res, err := measure(m, core.BrLin(), spec, func(r int) int { return lengths[r] })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,14 @@ type Script struct {
 	// order.
 	Regs int
 	Rank func(b *Builder, rank int)
+	// Done, if set, gives back the storage Rank reads: Compile releases it
+	// once it has written every rank, Run once its rank has run. A script
+	// with a Done is compiled or run once.
+	Done Releaser
 }
+
+// Releaser gives back storage for reuse (Script.Done).
+type Releaser interface{ Release() }
 
 // Program is a Script compiled for a machine of p ranks: every rank's
 // operations, in one slab, and the tables they index.
@@ -402,10 +409,14 @@ func (b *Builder) Sub(members []int, local int) { b.members, b.local = members, 
 // Top ends a Sub.
 func (b *Builder) Top() { b.members = nil }
 
-// Compile writes the script for every rank of a machine of p. The script
-// runs twice, once to size the slab and once to fill it. A script that
-// uses a register it does not have is refused.
+// Compile writes the script for every rank of a machine of p and then
+// releases it (Done). The script runs twice, once to size the slab and
+// once to fill it. A script that uses a register it does not have is
+// refused.
 func (s Script) Compile(p int) (*Program, error) {
+	if s.Done != nil {
+		defer s.Done.Release()
+	}
 	if s.Regs > math.MaxInt16 {
 		return nil, fmt.Errorf("comm: a script with %d registers", s.Regs)
 	}
@@ -453,9 +464,13 @@ func (pg *Program) Release() {
 }
 
 // Run executes the calling rank's part of the script on c without
-// compiling anything: the operations are performed as the script writes
-// them. mine is the rank's initial bundle; the result is its final one.
+// compiling anything, and then releases the script (Done): the operations
+// are performed as the script writes them. mine is the rank's initial
+// bundle; the result is its final one.
 func (s Script) Run(c Comm, mine Message) Message {
+	if s.Done != nil {
+		defer s.Done.Release()
+	}
 	b := Builder{x: newExecutor(c, s.Regs, mine, nil)}
 	s.Rank(&b, c.Rank())
 	return b.x.result()

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"repro/internal/comm"
+	"repro/internal/par"
 )
 
 // schedule is an algorithm of this package: every one is oblivious, its
@@ -259,13 +261,25 @@ func (s Spec) same(o Spec) bool {
 }
 
 // then is the script that runs first and, on the bundle it leaves in
-// register 0, next.
+// register 0, next; it releases what both hold.
 func then(first, next comm.Script) comm.Script {
-	return comm.Script{Regs: max(first.Regs, next.Regs), Rank: func(b *comm.Builder, rank int) {
+	return comm.Script{Regs: max(first.Regs, next.Regs), Done: both(first.Done, next.Done), Rank: func(b *comm.Builder, rank int) {
 		first.Rank(b, rank)
 		next.Rank(b, rank)
 	}}
 }
+
+// both is the hook that releases a and b, either of which may be nil.
+func both(a, b comm.Releaser) comm.Releaser {
+	if a == nil || b == nil {
+		return cmp.Or(a, b)
+	}
+	return releasers{a, b}
+}
+
+type releasers [2]comm.Releaser
+
+func (r releasers) Release() { r[0].Release(); r[1].Release() }
 
 // barrier is the script every coordinated run opens with.
 var barrier = comm.Script{Regs: 1, Rank: func(b *comm.Builder, _ int) { b.Barrier() }}
@@ -338,27 +352,51 @@ func (s sectioning) levels() int {
 }
 
 // stream runs the holder evolution from the spec's sources through every
-// pass and hands each step to emit.
+// pass and hands each step to emit, on scratch it gives back.
 func (s sectioning) stream(spec Spec, emit func(Step)) {
-	cp := s.scratch(spec)
+	f, cp := s.compiler(spec)
 	cp.emit = emit
 	s.evolve(&cp, spec)
+	f.Release()
 }
 
-// scratch returns a compiler for the passes of s on spec, its scratch
-// sized for the longest line and the largest group, so that line never
-// grows it and stores nothing back — which is what lets emit's closure
-// stay on its caller's stack.
-func (s sectioning) scratch(spec Spec) compiler {
+// filing is what a sectioning compile stores: its step slab, rank r's
+// steps at steps[off[r]:off[r+1]], and its compiler's scratch. The steps
+// are a function of the spec, computed and then dropped: a compile takes
+// a filing from filings and its script's hook (comm.Script.Done) gives it
+// back, each slice reallocated only when the instance outgrows it.
+type filing struct {
+	steps []step
+	off   []int32
+	holds []bool
+	segs  []segment
+	ints  []int
+}
+
+var filings par.FreeList[*filing]
+
+// Release gives f to the next compile.
+func (f *filing) Release() { filings.Put(f) }
+
+// compiler takes a filing and returns it with a compiler for the passes
+// of s on spec, on its scratch sized for the longest line and the
+// largest group, so that line never grows it and stores nothing back —
+// which is what lets emit's closure stay on its caller's stack.
+func (s sectioning) compiler(spec Spec) (*filing, compiler) {
+	f, _ := filings.Get()
+	if f == nil {
+		f = new(filing)
+	}
 	longest := 0
 	for _, ps := range s.passes {
 		longest = max(longest, ps.n)
 	}
 	// A line of n processors never has more than n segments.
-	segs := make([]segment, 2*longest)
-	ints := make([]int, longest+s.k+1)
-	return compiler{holds: make([]bool, spec.P()), segs: segs[:0:longest], next: segs[longest:longest],
-		ranks: ints[:longest], members: ints[longest:longest]}
+	f.holds = slices.Grow(f.holds[:0], spec.P())[:spec.P()]
+	f.segs = slices.Grow(f.segs[:0], 2*longest)[:2*longest]
+	f.ints = slices.Grow(f.ints[:0], longest+s.k+1)[:longest+s.k+1]
+	return f, compiler{holds: f.holds, segs: f.segs[:0:longest], next: f.segs[longest:longest],
+		ranks: f.ints[:longest], members: f.ints[longest:longest]}
 }
 
 // evolve runs the holder evolution on cp from the spec's sources, so a
@@ -394,7 +432,7 @@ func (s sectioning) evolve(cp *compiler, spec Spec) {
 type compiler struct {
 	holds []bool // by rank: does it hold messages at this point
 	emit  func(Step)
-	// Scratch reused from line to line (scratch sizes it): the segments of
+	// Scratch reused from line to line (compiler sizes it): the segments of
 	// a level and of the next, the ranks of the line's positions and those
 	// of one group.
 	segs, next     []segment
@@ -497,35 +535,36 @@ type step struct {
 	recv bool  // receive the partner's bundle and merge it; otherwise send ours
 }
 
-// script files the stream into one slab, rank r's steps at
-// steps[off[r]:off[r+1]], and returns the communicating part of the
-// broadcast: after the barrier every processor executes only its own
-// steps, marking each level whether or not it is active in it, and ends
-// holding all s original messages. The evolution runs twice on one
-// scratch: once to count each rank's steps, so the slab is exact, and
-// once to file them.
+// script files the stream into a filing and returns the communicating
+// part of the broadcast, which gives the filing back: after the barrier
+// every processor executes only its own steps, marking each level
+// whether or not it is active in it, and ends holding all s original
+// messages. The evolution runs twice on one scratch: once to count each
+// rank's steps, so the slab is exact, and once to file them.
 func (s sectioning) script(spec Spec) comm.Script {
 	p, iters, parts, phase := spec.P(), s.levels(), spec.S(), s.phase
-	cp := s.scratch(spec)
+	f, cp := s.compiler(spec)
 	// off[r+1] counts rank r's steps, then is where they start, the cursor
 	// they are filed at, and so where they end.
-	off := make([]int32, p+1)
+	off := slices.Grow(f.off[:0], p+1)[:p+1]
+	clear(off)
 	cp.emit = func(st Step) { off[st.Rank+1]++ }
 	s.evolve(&cp, spec)
 	total := int32(0)
 	for r := 1; r <= p; r++ {
 		off[r], total = total, total+off[r]
 	}
-	steps := make([]step, total)
+	steps := slices.Grow(f.steps[:0], int(total))[:total]
 	cp.emit = func(st Step) {
 		steps[off[st.Rank+1]] = step{peer: st.Peer, iter: int16(st.Level), recv: st.Recv}
 		off[st.Rank+1]++
 	}
 	s.evolve(&cp, spec)
-	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+	f.steps, f.off = steps, off
+	return comm.Script{Regs: 1, Done: f, Rank: func(b *comm.Builder, rank int) {
 		b.Barrier()
 		b.Grow(0, parts)
-		mine := steps[off[rank]:off[rank+1]]
+		mine := f.steps[f.off[rank]:f.off[rank+1]]
 		for it := 0; it < iters; it++ {
 			b.Iter(it)
 			b.Phase(phase)

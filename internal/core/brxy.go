@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // maxPerLine returns the maximum number of sources in any row (max_r) and
 // any column (max_c) of the spec's mesh.
 func maxPerLine(spec Spec) (maxR, maxC int) {
@@ -9,17 +11,7 @@ func maxPerLine(spec Spec) (maxR, maxC int) {
 		perRow[src/spec.Cols]++
 		perCol[src%spec.Cols]++
 	}
-	for _, v := range perRow {
-		if v > maxR {
-			maxR = v
-		}
-	}
-	for _, v := range perCol {
-		if v > maxC {
-			maxC = v
-		}
-	}
-	return maxR, maxC
+	return slices.Max(perRow), slices.Max(perCol)
 }
 
 // brXY runs Br_Lin one dimension at a time: first within every line of the

@@ -117,7 +117,7 @@ func partScript(name string, inner Algorithm, spec Spec) comm.Script {
 	small := min(halves[0].size(), halves[1].size())
 	prelude := permute(spec, targets)
 
-	return comm.Script{Regs: 1, Rank: func(b *comm.Builder, rank int) {
+	return comm.Script{Regs: 1, Done: both(scripts[0].Done, scripts[1].Done), Rank: func(b *comm.Builder, rank int) {
 		prelude.Rank(b, rank)
 
 		// Run the inner algorithm inside my half.

@@ -33,8 +33,8 @@ func (m *Machine) Program(alg core.Algorithm, spec core.Spec) (*comm.Program, er
 // simulator prices lengths, so no payload exists. It returns the result
 // and the network the run left its link statistics in, which the caller
 // releases (network.Release) once it has read them. It and Elapsed are
-// the only places a simulation is set up: bench.Measure/MeasureVar and the
-// facade's EngineSim go through RunSim.
+// the only places a simulation is set up: bench.Measure and the facade's
+// EngineSim go through RunSim.
 func (m *Machine) RunSim(alg core.Algorithm, spec core.Spec, msgLen func(rank int) int, opts sim.Options) (*sim.Result, *network.Network, error) {
 	prog, nw, err := m.instance(alg, spec)
 	if err != nil {
