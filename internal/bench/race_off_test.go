@@ -3,9 +3,9 @@
 package bench
 
 // figurePassAllocBudget and figurePassKBBudget leave 5 % over what a
-// pass costs (TestFigurePassAllocationBudget): 3 429–3 430 allocations
-// and 776 kB.
+// pass costs (TestFigurePassAllocationBudget): 2 736 allocations and
+// 538 kB.
 const (
-	figurePassAllocBudget = 3602
-	figurePassKBBudget    = 815
+	figurePassAllocBudget = 2873
+	figurePassKBBudget    = 565
 )

@@ -3,9 +3,9 @@
 package bench
 
 // figurePassAllocBudget and figurePassKBBudget under the race detector:
-// 3 441–3 455 allocations and 778–780 kB per pass over seven runs, each
+// 2 747–2 758 allocations and 539–541 kB per pass over eight runs, each
 // budget 5 % over the largest.
 const (
-	figurePassAllocBudget = 3628
-	figurePassKBBudget    = 819
+	figurePassAllocBudget = 2896
+	figurePassKBBudget    = 569
 )

@@ -64,7 +64,7 @@ func testRoutes(t *testing.T, rows, cols, s, msgLen int) ([][2]int, []int) {
 // sum to: the messages and bytes of the simulator's replay of the same
 // program, whose ranks send what the schedule fixes, and ⌈log2 W⌉
 // barrier tokens each way per worker for the schedule's one barrier.
-func wantTotals(t *testing.T, rows, cols int, sources []int, msgLen, workers int) Totals {
+func wantTotals(t *testing.T, rows, cols int, sources []int, msgLen, workers int) engine.Totals {
 	t.Helper()
 	spec := core.Spec{Rows: rows, Cols: cols, Sources: sources, Indexing: topology.SnakeRowMajor}
 	res, nw, err := machine.Paragon(rows, cols).RunSim(core.BrLin(), spec, func(int) int { return msgLen }, sim.Options{})
@@ -73,9 +73,9 @@ func wantTotals(t *testing.T, rows, cols int, sources []int, msgLen, workers int
 	}
 	nw.Release()
 	rounds := bits.Len(uint(workers - 1))
-	want := Totals{BarrierSends: workers * rounds, BarrierRecvs: workers * rounds}
+	want := engine.Totals{BarrierSends: workers * rounds, BarrierRecvs: workers * rounds}
 	for _, ps := range res.Procs {
-		want.add(Totals{Sends: ps.Sends, Recvs: ps.Recvs, SendBytes: ps.SendBytes, RecvBytes: ps.RecvBytes})
+		want.Add(engine.Totals{Sends: ps.Sends, Recvs: ps.Recvs, SendBytes: ps.SendBytes, RecvBytes: ps.RecvBytes})
 	}
 	return want
 }
@@ -677,7 +677,7 @@ func socketAt(t *testing.T, local netip.AddrPort) (int, netip.AddrPort) {
 // allocates across the coordinator and its two in-process workers:
 // control messages, payloads, bundle checks and the engine run itself.
 // The least of several measurements, so a GC or a first-of-its-size
-// buffer growth does not count: 11 allocations today, the workers'
+// buffer growth does not count: 7 allocations today, the workers'
 // part arrays and received bytes recycled once their checks pass.
 func TestClusterRunAllocationBudget(t *testing.T) {
 	const rows, cols, s, msgLen = 4, 4, 2, 1024

@@ -89,7 +89,7 @@ type workerHandle struct {
 // algorithm phase, and the totals and dial counters sum the workers'.
 type Result struct {
 	Elapsed time.Duration
-	Totals
+	engine.Totals
 	// LazyDials sums the workers' lifetime counts of cross-worker pairs
 	// dialed before a run because the plan lacked them, each pair once
 	// (by its higher rank's worker): zero means the route plan covered
@@ -386,7 +386,7 @@ func (c *Coordinator) tryRun(rs RunSpec) (*Result, bool, error) {
 		if e := time.Duration(d.ElapsedNs); e > res.Elapsed {
 			res.Elapsed = e
 		}
-		res.add(d.Totals)
+		res.Add(d.Totals)
 		res.LazyDials += d.LazyDials
 		res.ConnsOpened += d.ConnsOpened
 		res.PlannedPairs += d.PlannedPairs

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // FuzzControlDecode feeds arbitrary bytes to the control protocol's
@@ -20,7 +22,7 @@ import (
 // re-encoding unchanged, and a done that decodes carries no negative
 // count: a negative one is an error.
 func FuzzControlDecode(f *testing.F) {
-	valid := doneMsg{ElapsedNs: 5, Totals: Totals{Sends: 1, Recvs: 2, SendBytes: 3, RecvBytes: 4, BarrierSends: 2, BarrierRecvs: 2},
+	valid := doneMsg{ElapsedNs: 5, Totals: engine.Totals{Sends: 1, Recvs: 2, SendBytes: 3, RecvBytes: 4, BarrierSends: 2, BarrierRecvs: 2},
 		LazyDials: 1, ConnsOpened: 6, PlannedPairs: 12}
 	run := RunSpec{Epoch: 2, Rows: 2, Cols: 5, Sources: []int{0, 7}, Algorithm: "Br_Lin", MsgBytes: 1024}
 	runFrame := controlFrame(frameRun, appendRun(nil, &run))
@@ -34,7 +36,7 @@ func FuzzControlDecode(f *testing.F) {
 	validFrame := doneFrame(valid)
 	for _, seed := range [][]byte{
 		validFrame,
-		doneFrame(doneMsg{Totals: Totals{Sends: -1}}),
+		doneFrame(doneMsg{Totals: engine.Totals{Sends: -1}}),
 		doneFrame(doneMsg{LazyDials: -3}),
 		validFrame[:len(validFrame)-2], // truncated inside the body
 		controlFrame(frameDone, append(bytes.Repeat([]byte{0xff}, 10), 0x01)),
@@ -112,7 +114,7 @@ func doneFrame(dm doneMsg) []byte { return controlFrame(frameDone, appendDone(ni
 func TestMalformedFramesFail(t *testing.T) {
 	run := RunSpec{Epoch: 2, Rows: 2, Cols: 5, Sources: []int{0, 7}, Algorithm: "Br_Lin", MsgBytes: 1024}
 	runFrame := controlFrame(frameRun, appendRun(nil, &run))
-	valid := appendDone(nil, &doneMsg{Totals: Totals{Sends: 1}})
+	valid := appendDone(nil, &doneMsg{Totals: engine.Totals{Sends: 1}})
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -126,7 +128,7 @@ func TestMalformedFramesFail(t *testing.T) {
 			controlFrame(frameRun, binary.AppendVarint(appendRun(nil, &RunSpec{Rows: 2, Cols: 5})[:7], 1<<40)), 0,
 			"run frame: count 1099511627776 with 0 bytes left"},
 		{"trailing bytes", controlFrame(frameDone, append(slices.Clone(valid), 0)), 0, "done frame: 1 bytes after the last field"},
-		{"negative count", doneFrame(doneMsg{Totals: Totals{RecvBytes: -2}}), 0, "done frame: negative count -2"},
+		{"negative count", doneFrame(doneMsg{Totals: engine.Totals{RecvBytes: -2}}), 0, "done frame: negative count -2"},
 		{"epoch out of range", controlFrame(frameRun, binary.AppendVarint(nil, 1<<32)), 0, "epoch 4294967296"},
 		{"unknown kind", []byte{0x07, 0, 0, 0, 0}, 0, "starting with byte 0x7"},
 	} {

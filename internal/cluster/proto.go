@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/topology"
 )
 
@@ -174,7 +175,7 @@ func (rs *RunSpec) resolve() (core.Spec, core.Algorithm, error) {
 // dial counters.
 type doneMsg struct {
 	ElapsedNs int64
-	Totals
+	engine.Totals
 	// LazyDials counts the pairs this worker dialed before a run because
 	// the plan lacked them (tcp.Machine.LazyDials); the zero-lazy-dials
 	// proof reads it.
@@ -182,26 +183,6 @@ type doneMsg struct {
 	ConnsOpened  int
 	PlannedPairs int
 	Err          string
-}
-
-// Totals sums the stats (engine.ProcStats) of a run's ranks: algorithm
-// messages and their payload bytes each way, and barrier tokens each
-// way. The schedules are oblivious, so a rank's share is fixed by its
-// program and only the sum tells anything a caller reads.
-type Totals struct {
-	Sends, Recvs               int
-	SendBytes, RecvBytes       int64
-	BarrierSends, BarrierRecvs int
-}
-
-// add adds s to t.
-func (t *Totals) add(s Totals) {
-	t.Sends += s.Sends
-	t.Recvs += s.Recvs
-	t.SendBytes += s.SendBytes
-	t.RecvBytes += s.RecvBytes
-	t.BarrierSends += s.BarrierSends
-	t.BarrierRecvs += s.BarrierRecvs
 }
 
 // The run and done frames: [kind byte][body length, uint32 big-endian]

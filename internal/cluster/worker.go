@@ -136,10 +136,7 @@ func (w *worker) run(rs *RunSpec) *doneMsg {
 	if res, err := w.execute(rs); err != nil {
 		d.Err = err.Error()
 	} else {
-		d.ElapsedNs = res.Elapsed.Nanoseconds()
-		for _, s := range res.Procs {
-			d.add(Totals{s.Sends, s.Recvs, s.SendBytes, s.RecvBytes, s.BarrierSends, s.BarrierRecvs})
-		}
+		d.ElapsedNs, d.Totals = res.Elapsed.Nanoseconds(), res.Totals
 	}
 	d.LazyDials = w.m.LazyDials()
 	d.ConnsOpened = w.m.ConnsOpened()
@@ -159,17 +156,17 @@ func (w *worker) run(rs *RunSpec) *doneMsg {
 // validated it, so only a worker of another build gets here) resets the
 // mesh. Either way every peer fails fast and the coordinator's reset,
 // reconnect and retry follows.
-func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
+func (w *worker) execute(rs *RunSpec) (tcp.Result, error) {
 	if rs == nil {
 		rs = &RunSpec{}
 	}
 	spec, bound, err := w.bind(rs)
 	if err != nil {
-		return nil, errors.Join(err, w.m.ResetMesh())
+		return tcp.Result{}, errors.Join(err, w.m.ResetMesh())
 	}
 	coll := core.CollectiveOf(bound)
 	if err := w.m.Prepare(context.Background(), core.ProgramOf(bound)); err != nil {
-		return nil, err
+		return tcp.Result{}, err
 	}
 	if w.bundleErrs == nil {
 		w.bundleErrs = make([]error, w.hi-w.lo)
@@ -189,11 +186,11 @@ func (w *worker) execute(rs *RunSpec) (*tcp.Result, error) {
 		bundleErrs[rank-w.lo] = coll.Check(spec, func(int) int { return rs.MsgBytes }, rank, out)
 	})
 	if err != nil {
-		return nil, err
+		return tcp.Result{}, err
 	}
 	for _, err := range bundleErrs {
 		if err != nil {
-			return nil, fmt.Errorf("cluster: bundle check: %w", err)
+			return tcp.Result{}, fmt.Errorf("cluster: bundle check: %w", err)
 		}
 	}
 	// Checked, the bundles are dropped: the next run's ranks and frames

@@ -22,10 +22,10 @@ func origins(m comm.Message) []int {
 
 // liveRun opens a live machine of p processors, runs fn on it once and
 // closes it.
-func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (engine.Result, error) {
 	m, err := live.NewMachine(p)
 	if err != nil {
-		return nil, err
+		return engine.Result{}, err
 	}
 	defer m.Close()
 	return m.Run(opts, fn)

@@ -211,8 +211,9 @@ func decodeScript(data []byte) *fuzzed {
 // FuzzProgram holds the ways a script is run together. A well-formed
 // script gives every rank the same bundle whether its ranks perform it
 // (Script.Run) or execute it compiled (Program.Run) on the live engine,
-// and the simulator's replay of the program (sim.Replay) counts, rank by
-// rank, the sends, receives and bytes sent that the live run of it made.
+// and the simulator's replay of the program (sim.Replay) counts the
+// sends, receives and bytes sent that the live run of it made, and, rank
+// by rank, the sends and receives of the program's operations.
 // An ill-formed one ends in an error on every path, never in a hang or a
 // panic: a register the script does not have is refused by Compile, a
 // selector out of range or a receive nobody sends to fails the run.
@@ -226,7 +227,7 @@ func FuzzProgram(f *testing.F) {
 		if fz.fault != wellFormed {
 			opts = live.Options{RecvTimeout: 100 * time.Millisecond}
 		}
-		runLive := func(run func(c comm.Comm, mine comm.Message) comm.Message) ([]comm.Message, *engine.Result, error) {
+		runLive := func(run func(c comm.Comm, mine comm.Message) comm.Message) ([]comm.Message, engine.Result, error) {
 			out := make([]comm.Message, p)
 			res, err := liveRun(p, opts, func(pr *live.Proc) { out[pr.Rank()] = run(pr, fz.initial(pr.Rank())) })
 			return out, res, err
@@ -266,12 +267,31 @@ func FuzzProgram(f *testing.F) {
 		if !reflect.DeepEqual(performed, compiled) {
 			t.Fatalf("performed and compiled differ:\n%v\n%v", performed, compiled)
 		}
-		for r := range p {
-			got, want := replayed.Procs[r], ran.Procs[r]
-			if got.Sends != want.Sends || got.Recvs != want.Recvs || got.SendBytes != want.SendBytes {
-				t.Fatalf("rank %d: the replay counts %d sends, %d receives, %d bytes sent; live %d, %d, %d",
-					r, got.Sends, got.Recvs, got.SendBytes, want.Sends, want.Recvs, want.SendBytes)
+		var sum engine.Totals
+		for r, got := range replayed.Procs {
+			if sends, recvs := opCounts(prog, r); got.Sends != sends || got.Recvs != recvs {
+				t.Fatalf("rank %d: the replay counts %d sends, %d receives; its program %d, %d", r, got.Sends, got.Recvs, sends, recvs)
 			}
+			sum.Add(engine.Totals{Sends: got.Sends, Recvs: got.Recvs, SendBytes: got.SendBytes})
+		}
+		if want := (engine.Totals{Sends: ran.Sends, Recvs: ran.Recvs, SendBytes: ran.SendBytes}); sum != want {
+			t.Fatalf("the replay counts %d sends, %d receives, %d bytes sent; live %d, %d, %d",
+				sum.Sends, sum.Recvs, sum.SendBytes, want.Sends, want.Recvs, want.SendBytes)
 		}
 	})
+}
+
+// opCounts counts the sends and the receives among rank's operations.
+func opCounts(prog *comm.Program, rank int) (sends, recvs int) {
+	for _, op := range prog.Ops(rank) {
+		switch op.Kind {
+		case comm.OpSend, comm.OpMove, comm.OpToken, comm.OpSendParts:
+			sends++
+		case comm.OpRecv, comm.OpMerge, comm.OpDrop, comm.OpFold:
+			if op.Peer() >= 0 {
+				recvs++
+			}
+		}
+	}
+	return sends, recvs
 }

@@ -41,7 +41,7 @@ func runLiveColl(t *testing.T, coll Collective, alg Algorithm, spec Spec, size i
 	return out
 }
 
-func liveColl(coll Collective, alg Algorithm, spec Spec, size int) ([]comm.Message, *engine.Result, error) {
+func liveColl(coll Collective, alg Algorithm, spec Spec, size int) ([]comm.Message, engine.Result, error) {
 	out := make([]comm.Message, spec.P())
 	res, err := liveRun(spec.P(), live.Options{}, func(pr *live.Proc) {
 		mine := InitialFor(coll, spec, pr.Rank(), func(r int) []byte { return coll.Payload(spec.P(), r, size) })
@@ -51,8 +51,9 @@ func liveColl(coll Collective, alg Algorithm, spec Spec, size int) ([]comm.Messa
 }
 
 // enginesAgree runs alg on spec on the live engine and replays its
-// program, and says where the two differ: in what a rank sent or
-// received, counted in messages and bytes sent.
+// program, and says where the two differ: in the messages sent and
+// received and the bytes sent, summed over the ranks, or in what a rank
+// of the replay sent or received against its program's operations.
 func enginesAgree(coll Collective, alg Algorithm, spec Spec, size int) error {
 	_, ran, err := liveColl(coll, alg, spec, size)
 	if err != nil {
@@ -62,13 +63,33 @@ func enginesAgree(coll Collective, alg Algorithm, spec Spec, size int) error {
 	if err != nil {
 		return err
 	}
+	var sum engine.Totals
 	for rank, got := range replayed.Procs {
-		if want := ran.Procs[rank]; got.Sends != want.Sends || got.Recvs != want.Recvs || got.SendBytes != want.SendBytes {
-			return fmt.Errorf("rank %d: the replay counts %d sends, %d receives, %d bytes sent; live %d, %d, %d",
-				rank, got.Sends, got.Recvs, got.SendBytes, want.Sends, want.Recvs, want.SendBytes)
+		if sends, recvs := opCounts(replayed.Program, rank); got.Sends != sends || got.Recvs != recvs {
+			return fmt.Errorf("rank %d: the replay counts %d sends, %d receives; its program %d, %d", rank, got.Sends, got.Recvs, sends, recvs)
 		}
+		sum.Add(engine.Totals{Sends: got.Sends, Recvs: got.Recvs, SendBytes: got.SendBytes})
+	}
+	if got, want := sum, (engine.Totals{Sends: ran.Sends, Recvs: ran.Recvs, SendBytes: ran.SendBytes}); got != want {
+		return fmt.Errorf("the replay counts %d sends, %d receives, %d bytes sent; live %d, %d, %d",
+			got.Sends, got.Recvs, got.SendBytes, want.Sends, want.Recvs, want.SendBytes)
 	}
 	return nil
+}
+
+// opCounts counts the sends and the receives among rank's operations.
+func opCounts(prog *comm.Program, rank int) (sends, recvs int) {
+	for _, op := range prog.Ops(rank) {
+		switch op.Kind {
+		case comm.OpSend, comm.OpMove, comm.OpToken, comm.OpSendParts:
+			sends++
+		case comm.OpRecv, comm.OpMerge, comm.OpDrop, comm.OpFold:
+			if op.Peer() >= 0 {
+				recvs++
+			}
+		}
+	}
+	return sends, recvs
 }
 
 // collSpecs enumerates the spec variants a collective is tested under on

@@ -20,13 +20,13 @@ import (
 // closes it. A receive or barrier that waits 10 s, unless opts bounds it
 // otherwise, fails the run: a schedule whose sends and receives do not
 // match ends in an error, not in a hang.
-func liveRun(p int, opts live.Options, fn func(*live.Proc)) (*engine.Result, error) {
+func liveRun(p int, opts live.Options, fn func(*live.Proc)) (engine.Result, error) {
 	if opts.RecvTimeout == 0 {
 		opts.RecvTimeout = 10 * time.Second
 	}
 	m, err := live.NewMachine(p)
 	if err != nil {
-		return nil, err
+		return engine.Result{}, err
 	}
 	defer m.Close()
 	return m.Run(opts, fn)

@@ -80,12 +80,8 @@ func TestIndepNoBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No barrier operations: total ops = tree sends + recvs only.
-	totalSends := 0
-	for _, ps := range out.Procs {
-		totalSends += ps.Sends
-	}
-	if totalSends != 15 {
-		t.Fatalf("single tree sent %d messages, want 15", totalSends)
+	if out.Sends != 15 {
+		t.Fatalf("single tree sent %d messages, want 15", out.Sends)
 	}
 }
 

@@ -2,6 +2,6 @@
 
 package daemon
 
-// requestAllocBudget is 5 % over the 45 allocations one request costs
+// requestAllocBudget is 5 % over the 42 allocations one request costs
 // (TestRequestAllocationBudget), rounded up.
-const requestAllocBudget = 48
+const requestAllocBudget = 45

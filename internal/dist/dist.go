@@ -41,32 +41,32 @@ func check(name string, r, c, s int) error {
 
 // placer collects cells, ignoring duplicates, until s cells are placed.
 type placer struct {
-	r, c, s int
-	seen    map[int]bool
-	out     []int
+	c, s, n int
+	placed  []bool // by rank
 }
 
-func newPlacer(r, c, s int) *placer {
-	return &placer{r: r, c: c, s: s, seen: make(map[int]bool, s)}
-}
+func newPlacer(r, c, s int) *placer { return &placer{c: c, s: s, placed: make([]bool, r*c)} }
 
 // full reports whether s sources have been placed.
-func (p *placer) full() bool { return len(p.out) >= p.s }
+func (p *placer) full() bool { return p.n >= p.s }
 
 // add places a source at (row, col) if the cell is free; it reports
 // whether the placer is full afterwards.
 func (p *placer) add(row, col int) bool {
-	rank := row*p.c + col
-	if !p.seen[rank] {
-		p.seen[rank] = true
-		p.out = append(p.out, rank)
+	if rank := row*p.c + col; !p.placed[rank] {
+		p.placed[rank], p.n = true, p.n+1
 	}
 	return p.full()
 }
 
 func (p *placer) sorted() []int {
-	sort.Ints(p.out)
-	return p.out
+	out := make([]int, 0, p.n)
+	for rank, ok := range p.placed {
+		if ok {
+			out = append(out, rank)
+		}
+	}
+	return out
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -359,9 +359,10 @@ func ByName(name string) (Distribution, error) {
 }
 
 // Render draws the distribution on an r×c character grid ('#' source,
-// '.' other), the format of the paper's Figure 1.
+// '.' other), the format of the paper's Figure 1; sources are ranks of
+// that mesh.
 func Render(r, c int, sources []int) string {
-	set := make(map[int]bool, len(sources))
+	set := make([]bool, r*c)
 	for _, x := range sources {
 		set[x] = true
 	}

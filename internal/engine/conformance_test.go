@@ -41,14 +41,14 @@ import (
 
 // machine is what a scenario drives: one engine's persistent machine.
 type machine interface {
-	Run(engine.Options, func(*engine.Proc)) (*engine.Result, error)
+	Run(engine.Options, func(*engine.Proc)) (engine.Result, error)
 	Close() error
 }
 
 // sockets adapts tcp.Machine's wider run options to the core's.
 type sockets struct{ *tcp.Machine }
 
-func (s sockets) Run(o engine.Options, fn func(*engine.Proc)) (*engine.Result, error) {
+func (s sockets) Run(o engine.Options, fn func(*engine.Proc)) (engine.Result, error) {
 	return s.Machine.Run(runOptions(o), fn)
 }
 
@@ -111,8 +111,10 @@ func workerRanges(p int) [][2]int {
 // through memory and meet in its barrier; pairs across parts use sockets,
 // and the barrier crosses parts by leader tokens.
 type workers struct {
-	size   int
-	parts  []*tcp.Machine
+	size  int
+	parts []*tcp.Machine
+	// last holds each part's result of the last successful run.
+	last   []engine.Result
 	epoch  uint32
 	broken bool // the last run failed: the mesh is rebuilt before the next
 	resets int
@@ -178,16 +180,16 @@ func (w *workers) each(fn func(int, *tcp.Machine) error) error {
 }
 
 // Run runs fn on every part under one epoch, the last part lag late,
-// and merges the parts' stats by rank. After a failed run it first
+// and sums the parts' totals. After a failed run it first
 // resets every part's mesh, then reconnects every part, as the
 // coordinator recovers.
-func (w *workers) Run(o engine.Options, fn func(*engine.Proc)) (*engine.Result, error) {
+func (w *workers) Run(o engine.Options, fn func(*engine.Proc)) (engine.Result, error) {
 	if w.broken {
 		if err := w.each(func(_ int, m *tcp.Machine) error { return m.ResetMesh() }); err != nil {
-			return nil, err
+			return engine.Result{}, err
 		}
 		if err := w.each(func(_ int, m *tcp.Machine) error { return m.ConnectMesh(context.Background(), nil) }); err != nil {
-			return nil, err
+			return engine.Result{}, err
 		}
 		w.broken = false
 		w.resets++
@@ -199,7 +201,7 @@ func (w *workers) Run(o engine.Options, fn func(*engine.Proc)) (*engine.Result, 
 	defer cancel()
 	opts.Context = ctx
 	guard := time.AfterFunc(hangAfter, cancel)
-	results := make([]*engine.Result, len(w.parts))
+	results := make([]engine.Result, len(w.parts))
 	err := w.each(func(i int, m *tcp.Machine) (err error) {
 		if i > 0 && i == len(w.parts)-1 {
 			time.Sleep(lag)
@@ -212,18 +214,17 @@ func (w *workers) Run(o engine.Options, fn func(*engine.Proc)) (*engine.Result, 
 		w.broken = true
 	}
 	if hung {
-		return nil, fmt.Errorf("workers: run still going after %v: %v", hangAfter, err)
+		return engine.Result{}, fmt.Errorf("workers: run still going after %v: %v", hangAfter, err)
 	}
 	if err != nil {
-		return nil, err
+		return engine.Result{}, err
 	}
-	res := &engine.Result{Procs: make([]engine.ProcStats, w.size)}
+	var res engine.Result
 	for _, r := range results {
 		res.Elapsed = max(res.Elapsed, r.Elapsed)
-		for _, ps := range r.Procs {
-			res.Procs[ps.Rank] = ps
-		}
+		res.Add(r.Totals)
 	}
+	w.last = results
 	return res, nil
 }
 
@@ -278,7 +279,7 @@ func (h *harness) machine(p int) machine {
 }
 
 // run is the one-shot form: a fresh p-rank machine, one run.
-func (h *harness) run(p int, opts engine.Options, fn func(*engine.Proc)) (*engine.Result, error) {
+func (h *harness) run(p int, opts engine.Options, fn func(*engine.Proc)) (engine.Result, error) {
 	h.Helper()
 	return h.machine(p).Run(opts, fn)
 }
@@ -481,10 +482,8 @@ var scenarios = []struct {
 		if err != nil {
 			h.Fatal(err)
 		}
-		for _, ps := range res.Procs {
-			if ps.Sends != 1 || ps.Recvs != 1 || ps.SendBytes != 5 || ps.RecvBytes != 5 {
-				h.Errorf("rank %d counts: %+v", ps.Rank, ps)
-			}
+		if want := (engine.Totals{Sends: 2, Recvs: 2, SendBytes: 10, RecvBytes: 10}); res.Totals != want {
+			h.Errorf("counts %+v, want %+v", res.Totals, want)
 		}
 	}},
 
@@ -622,12 +621,9 @@ var scenarios = []struct {
 		// counts barrier tokens, ⌈log2 W⌉ each way per barrier.
 		const p, rounds, runs = 8, 10, 3
 		parts := h.parts(p)
-		tokens := make([]int, p)
-		if len(parts) > 1 {
-			for _, r := range parts {
-				tokens[r[0]] = 2 * rounds * bits.Len(uint(len(parts)-1))
-			}
-		}
+		// Two barriers a round: 4·rounds tokens each way per process at
+		// W = 3, none at W = 1.
+		perPart := 2 * rounds * bits.Len(uint(len(parts)-1))
 		m := h.machine(p)
 		for run := range runs {
 			straggler := (3*run + 2) % p
@@ -648,9 +644,14 @@ var scenarios = []struct {
 			if err != nil {
 				h.Fatalf("run %d: %v", run, err)
 			}
-			for _, ps := range res.Procs {
-				if want := tokens[ps.Rank]; ps.BarrierSends != want || ps.BarrierRecvs != want {
-					h.Errorf("run %d rank %d: %d/%d barrier tokens, want %d/%d", run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs, want, want)
+			if want := len(parts) * perPart; res.BarrierSends != want || res.BarrierRecvs != want {
+				h.Errorf("run %d: %d/%d barrier tokens, want %d/%d", run, res.BarrierSends, res.BarrierRecvs, want, want)
+			}
+			if w, ok := m.(*workers); ok {
+				for i, r := range w.last {
+					if r.BarrierSends != perPart || r.BarrierRecvs != perPart {
+						h.Errorf("run %d part %d: %d/%d barrier tokens, want %d/%d", run, i, r.BarrierSends, r.BarrierRecvs, perPart, perPart)
+					}
 				}
 			}
 		}
@@ -667,8 +668,8 @@ var scenarios = []struct {
 		if err != nil {
 			h.Fatal(err)
 		}
-		if res.Procs[0].Sends != 1 || res.Procs[0].Recvs != 1 {
-			h.Errorf("self-op counts: %+v", res.Procs[0])
+		if res.Sends != 1 || res.Recvs != 1 {
+			h.Errorf("self-op counts: %+v", res.Totals)
 		}
 	}},
 
@@ -969,8 +970,8 @@ var scenarios = []struct {
 			if err != nil {
 				h.Fatalf("run %d: %v", r, err)
 			}
-			if res.Procs[0].Sends != 1 || res.Procs[0].Recvs != 1 {
-				h.Fatalf("run %d stats not per-run: %+v", r, res.Procs[0])
+			if res.Sends != p || res.Recvs != p {
+				h.Fatalf("run %d stats not per-run: %+v", r, res.Totals)
 			}
 		}
 		// An engine whose links can break counts rebuilds; a healthy

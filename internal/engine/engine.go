@@ -111,30 +111,38 @@ type Transport interface {
 	Close() error
 }
 
-// ProcStats counts one rank's operations during a run. Sends/Recvs and
-// the byte counters cover algorithm traffic only.
-type ProcStats struct {
-	Rank      int
-	Sends     int
-	Recvs     int
-	SendBytes int64
-	RecvBytes int64
-	// BarrierSends/BarrierRecvs count the barrier tokens this rank put on
-	// and took off the wire. Ranks of one process meet in memory, so both
-	// are 0 unless the machine is a cluster worker's, and there only the
-	// leader (lowest local) rank exchanges tokens, ⌈log2 W⌉ per barrier
-	// for W workers.
-	BarrierSends int
-	BarrierRecvs int
+// Totals counts operations during a run: those of one rank, or the sum
+// over a machine's ranks that Run returns. Sends/Recvs and the byte
+// counters cover algorithm traffic only. The schedules are oblivious, so
+// a rank's share is fixed by its program and only the sum tells a caller
+// anything.
+type Totals struct {
+	Sends, Recvs         int
+	SendBytes, RecvBytes int64
+	// BarrierSends/BarrierRecvs count the barrier tokens put on and taken
+	// off the wire. Ranks of one process meet in memory, so both are 0
+	// unless the machine is a cluster worker's, and there only the leader
+	// (lowest local) rank exchanges tokens, ⌈log2 W⌉ per barrier for W
+	// workers.
+	BarrierSends, BarrierRecvs int
 }
 
-// Result is the outcome of a run.
+// Add adds s to t.
+func (t *Totals) Add(s Totals) {
+	t.Sends += s.Sends
+	t.Recvs += s.Recvs
+	t.SendBytes += s.SendBytes
+	t.RecvBytes += s.RecvBytes
+	t.BarrierSends += s.BarrierSends
+	t.BarrierRecvs += s.BarrierRecvs
+}
+
+// Result is the outcome of a run: its elapsed time and the local ranks'
+// counts summed (every rank, or a cluster worker's range).
 type Result struct {
 	// Elapsed is the wall-clock duration of the algorithm phase.
 	Elapsed time.Duration
-	// Procs holds the local ranks' operation counts in rank order: every
-	// rank, or a cluster worker's range (Rank identifies each entry).
-	Procs []ProcStats
+	Totals
 }
 
 // abortError is what aborted mailboxes and barriers hand to the ranks
@@ -359,11 +367,11 @@ func (r *Run) sendErr(dst int, err error) error {
 // Run executes fn on every local rank, each on the rank's goroutine,
 // over the warm machine. A failure on any rank aborts the run and is
 // returned as an error; the machine remains usable.
-func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
+func (m *Machine) Run(opts Options, fn func(*Proc)) (Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, fmt.Errorf("%s: Run on closed machine", m.name)
+		return Result{}, fmt.Errorf("%s: Run on closed machine", m.name)
 	}
 	r := &Run{
 		m: m, fn: fn, tr: opts.Tracer, ctx: opts.Context,
@@ -392,7 +400,7 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 		pr.runs <- r
 	}
 	<-m.finished
-	res := &Result{Elapsed: time.Since(began), Procs: make([]ProcStats, len(local))}
+	res := Result{Elapsed: time.Since(began)}
 	// The run is over: whatever is still in flight for it is dropped, and
 	// no deadline of it can fire any more.
 	m.cur.Store(nil)
@@ -400,20 +408,20 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 		m.unwatch()
 	}
 	r.fn = nil
-	for i, pr := range local {
-		res.Procs[i] = pr.stats
+	for _, pr := range local {
+		res.Add(pr.stats)
 	}
 	// Roots (ranks that failed by themselves: panics, deadline overruns,
 	// broken links, cancellation) before unwinds (ranks that merely
 	// stopped because the run was aborted).
 	for _, pr := range local {
 		if pr.root != nil {
-			return nil, pr.root
+			return Result{}, pr.root
 		}
 	}
 	for _, pr := range local {
 		if pr.unwind != nil {
-			return nil, pr.unwind
+			return Result{}, pr.unwind
 		}
 	}
 	return res, nil

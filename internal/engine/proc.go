@@ -30,7 +30,7 @@ type Proc struct {
 	run          *Run
 	iter         int
 	phase        string
-	stats        ProcStats
+	stats        Totals
 	root, unwind error
 }
 
@@ -47,7 +47,7 @@ func (p *Proc) begin(r *Run, epoch uint32) {
 	p.arrays.Begin(epoch, &p.m.recycled, comm.FillRecycled)
 	p.run = r
 	p.iter, p.phase = -1, ""
-	p.stats = ProcStats{Rank: p.rank}
+	p.stats = Totals{}
 	p.root, p.unwind = nil, nil
 }
 

@@ -95,8 +95,9 @@ func ForEach(n int, job func(i int) error) error {
 	return nil
 }
 
-// FreeList keeps at most GOMAXPROCS idle values — the simulator's engines,
-// the networks' link tables — for the next run, until the process exits.
+// FreeList keeps at most max(GOMAXPROCS, 2) idle values — the simulator's
+// engines, the networks' link tables — for the next run, until the process
+// exits.
 // Unlike a sync.Pool, whose per-P slots lost them whenever a GC moved a
 // figure worker to another P, it makes what a run allocates a function of
 // the run's inputs, not of scheduling.
@@ -118,7 +119,8 @@ func (l *FreeList[T]) Get() (v T, ok bool) {
 // Put hands v to the next Get, or to the collector when the list is full.
 func (l *FreeList[T]) Put(v T) {
 	l.mu.Lock()
-	if len(l.items) < runtime.GOMAXPROCS(0) {
+	// Two at least: a part script holds two filings at once.
+	if len(l.items) < max(runtime.GOMAXPROCS(0), 2) {
 		l.items = append(l.items, v)
 	}
 	l.mu.Unlock()

@@ -2,10 +2,10 @@
 
 package plan
 
-// coldDecideAllocBudget and coldDecideKBBudget are 5 % over the 1 068
-// allocations and 271 kB one cold sweep costs
+// coldDecideAllocBudget and coldDecideKBBudget are 5 % over the 895
+// allocations and 217 kB one cold sweep costs
 // (TestColdDecideAllocationBudget).
 const (
-	coldDecideAllocBudget = 1122
-	coldDecideKBBudget    = 285
+	coldDecideAllocBudget = 940
+	coldDecideKBBudget    = 228
 )

@@ -3,10 +3,10 @@
 package plan
 
 // coldDecideAllocBudget and coldDecideKBBudget under the race detector,
-// whose sync.Pool drops a random quarter of what is put back: 1 404–1 483
-// allocations and 446–453 kB per sweep over 42 runs, each budget 5 %
+// whose sync.Pool drops a random quarter of what is put back: 1 224–1 311
+// allocations and 365–372 kB per sweep over 38 runs, each budget 5 %
 // over the largest.
 const (
-	coldDecideAllocBudget = 1558
-	coldDecideKBBudget    = 476
+	coldDecideAllocBudget = 1377
+	coldDecideKBBudget    = 391
 )

@@ -65,9 +65,9 @@ func connectWorkers(t *testing.T, ms []*Machine, addrs map[int]string) {
 // runWorkers is one cluster-wide run: every machine runs fn on its ranks
 // under a common epoch, each starting as soon as it is told to, as the
 // coordinator's run message starts them.
-func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc)) ([]*Result, []error) {
+func runWorkers(ms []*Machine, epoch uint32, opts Options, fn func(*Proc)) ([]Result, []error) {
 	opts.Epoch = epoch
-	res, errs := make([]*Result, len(ms)), make([]error, len(ms))
+	res, errs := make([]Result, len(ms)), make([]error, len(ms))
 	var wg sync.WaitGroup
 	for w, m := range ms {
 		wg.Add(1)
@@ -116,7 +116,6 @@ func TestWorkerBarrierTokens(t *testing.T) {
 		{60, [][2]int{{0, 7}, {7, 40}, {40, 60}}},
 	} {
 		const rounds = 3
-		leaders := []int{tc.ranges[0][0], tc.ranges[1][0], tc.ranges[2][0]}
 		ms := workerMesh(t, tc.p, tc.ranges, [][2]int{})
 		for w, m := range ms {
 			// With W=3 every leader is paired with both others.
@@ -133,16 +132,13 @@ func TestWorkerBarrierTokens(t *testing.T) {
 					t.Fatalf("p=%d run %d worker %d: %v", tc.p, run, w, err)
 				}
 			}
+			// A worker's tokens are its leader's: 2 barriers a round, 2
+			// dissemination rounds each.
+			const want = 2 * 2 * rounds
 			for w, r := range res {
-				for _, ps := range r.Procs {
-					want := 0
-					if ps.Rank == leaders[w] {
-						want = 2 * 2 * rounds // 2 barriers a round, 2 dissemination rounds each
-					}
-					if ps.BarrierSends != want || ps.BarrierRecvs != want {
-						t.Errorf("p=%d run %d rank %d: %d/%d barrier tokens, want %d/%d",
-							tc.p, run, ps.Rank, ps.BarrierSends, ps.BarrierRecvs, want, want)
-					}
+				if r.BarrierSends != want || r.BarrierRecvs != want {
+					t.Errorf("p=%d run %d worker %d: %d/%d barrier tokens, want %d/%d",
+						tc.p, run, w, r.BarrierSends, r.BarrierRecvs, want, want)
 				}
 			}
 		}

@@ -189,9 +189,9 @@ type Options struct {
 }
 
 // The run-facing types are the core's: a Proc is one rank's comm.Comm
-// handle, a Result the local ranks' operation counts (every rank on a
-// single-process machine, the local range on a cluster worker, which
-// sums them for the coordinator).
+// handle, a Result the run's elapsed time and its local ranks' operation
+// counts summed (every rank on a single-process machine, the local range
+// on a cluster worker, which reports the sum to the coordinator).
 type (
 	Proc   = engine.Proc
 	Result = engine.Result
@@ -602,11 +602,11 @@ func (m *Machine) Prepare(ctx context.Context, prog *comm.Program) error {
 // opts are consumed; each call may pass different ones. A failure on any
 // rank aborts the run and is returned as an error; the machine remains
 // usable — the next Run reconnects.
-func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
+func (m *Machine) Run(opts Options, fn func(*Proc)) (Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.repair(opts.Context); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	next := opts.Epoch
 	if next == 0 {

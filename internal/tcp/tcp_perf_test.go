@@ -286,7 +286,7 @@ func TestBroadcastWireCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	run := func() *Result {
+	run := func() Result {
 		res, err := m.Run(Options{RecvTimeout: time.Minute}, func(pr *Proc) {
 			alg.Run(pr, spec, core.InitialFor(core.Broadcast, spec, pr.Rank(), func(int) []byte { return payload }))
 		})
@@ -295,13 +295,8 @@ func TestBroadcastWireCounts(t *testing.T) {
 		}
 		return res
 	}
-	data, barrier := 0, 0
-	for _, ps := range run().Procs {
-		data += ps.Sends
-		barrier += ps.BarrierSends
-	}
-	if data != frames || barrier != 0 {
-		t.Errorf("%d data and %d barrier frames per run, want %d and 0", data, barrier, frames)
+	if res := run(); res.Sends != frames || res.BarrierSends != 0 {
+		t.Errorf("%d data and %d barrier frames per run, want %d and 0", res.Sends, res.BarrierSends, frames)
 	}
 	least := math.MaxInt
 	for range 5 {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/live"
 	"repro/internal/metrics"
@@ -667,11 +668,12 @@ func (s *Session) runReal(cfg Config, opts RunOptions, spec core.Spec, alg Algor
 		inj = faults.New(*opts.Faults)
 	}
 	bundles := s.maps.Get(p)[:p]
-	body := func(c comm.Comm) {
-		rank := c.Rank()
-		mine := core.InitialOn(c, coll, spec, payload)
+	body := func(pr *engine.Proc) {
+		rank := pr.Rank()
+		mine := core.InitialOn(pr, coll, spec, payload)
+		var c comm.Comm = pr
 		if inj != nil {
-			c = inj.Wrap(c)
+			c = inj.Wrap(pr)
 		}
 		out := alg.Run(c, spec, mine)
 		got := bundles[rank]
@@ -690,48 +692,41 @@ func (s *Session) runReal(cfg Config, opts RunOptions, spec core.Spec, alg Algor
 		Bundles: bundles, Trace: opts.Trace, sess: s, run: run,
 		coll: coll, sources: spec.Sources, msgBytes: cfg.MsgBytes, msgBytesFor: cfg.MsgBytesFor, payload: opts.Payload != nil,
 	}
-	var sent int64
+	var r engine.Result
+	var err error
 	switch s.engine {
 	case EngineLive:
-		r, err := s.liveM.Run(live.Options{
+		if r, err = s.liveM.Run(live.Options{
 			Context:     opts.Context,
 			RunTimeout:  opts.RunTimeout,
 			RecvTimeout: opts.RecvTimeout,
 			Tracer:      tracerOrNil(opts.Trace),
-		}, func(pr *live.Proc) { body(pr) })
-		if err != nil {
+		}, body); err != nil {
 			return nil, 0, err
 		}
 		s.liveM.Recycle()
-		res.Elapsed = r.Elapsed
-		for i := range r.Procs {
-			sent += r.Procs[i].SendBytes
-		}
 	case EngineTCP:
-		if err := s.tcpM.Prepare(opts.Context, core.ProgramOf(alg)); err != nil {
+		if err = s.tcpM.Prepare(opts.Context, core.ProgramOf(alg)); err != nil {
 			return nil, 0, err
 		}
-		r, err := s.tcpM.Run(tcp.Options{
+		if r, err = s.tcpM.Run(tcp.Options{
 			Context:     opts.Context,
 			RunTimeout:  opts.RunTimeout,
 			RecvTimeout: opts.RecvTimeout,
 			Tracer:      tracerOrNil(opts.Trace),
-		}, func(pr *tcp.Proc) { body(pr) })
-		if err != nil {
+		}, body); err != nil {
 			return nil, 0, err
 		}
 		s.tcpM.Recycle()
-		res.Elapsed, res.tcpM, res.epoch = r.Elapsed, s.tcpM, s.tcpM.Epoch()
-		for i := range r.Procs {
-			sent += r.Procs[i].SendBytes
-		}
+		res.tcpM, res.epoch = s.tcpM, s.tcpM.Epoch()
 	default:
 		return nil, 0, fmt.Errorf("stpbcast: unknown engine %v", s.engine)
 	}
+	res.Elapsed = r.Elapsed
 	if inj != nil {
 		res.Faults = inj.Events()
 	}
-	return res, sent, nil
+	return res, r.SendBytes, nil
 }
 
 // runCluster executes one collective across the session's worker

@@ -903,14 +903,14 @@ func TestEngineNames(t *testing.T) {
 // liveCollectiveAllocBudget gates the allocations of one run of each
 // collective on a warm p=16 live session at 1 KiB, the six configs of the
 // benchmark's session_live_collectives workload: 5 % over the counts,
-// rounded up (40, 26, 104, 40, 72, 88), which -race repeats exactly. A
+// rounded up (37, 23, 101, 37, 69, 85), which -race repeats exactly. A
 // program's messages travel uncopied (comm.SharedSender) and its part
 // arrays come from the ranks' run-scoped storage (comm.ArraySource), so
 // a send in memory, a grown register or a fold's part costs no
 // allocation: a part array or payload copy per message shows up here.
 var liveCollectiveAllocBudget = map[string]float64{
-	"Br_Lin": 42, "Red_Tree": 28, "AllRed_RecDouble": 110,
-	"Scatter_Binomial": 42, "Ag_RecDouble": 76, "A2A_Pairwise": 93,
+	"Br_Lin": 39, "Red_Tree": 25, "AllRed_RecDouble": 107,
+	"Scatter_Binomial": 39, "Ag_RecDouble": 73, "A2A_Pairwise": 90,
 }
 
 // liveAllocs opens a warm p=16 live session and returns what one run of
@@ -956,8 +956,8 @@ func liveAllocs(t *testing.T) func(cfg stpbcast.Config, faults *stpbcast.FaultPl
 
 // TestLiveCollectivesAllocationBudget counts what a warm live session
 // allocates per run of each collective — the path a schedule takes from
-// the facade through the bound program to the engine: 40, 26, 104, 40,
-// 72 and 88 allocations today.
+// the facade through the bound program to the engine: 37, 23, 101, 37,
+// 69 and 85 allocations today.
 func TestLiveCollectivesAllocationBudget(t *testing.T) {
 	allocs := liveAllocs(t)
 	for _, cfg := range []stpbcast.Config{
