@@ -118,7 +118,8 @@ type BroadcastRequest struct {
 const maxTenantBytes = 64
 
 // normalize applies defaults and validates what can be checked without a
-// machine. It returns a client-error message ("" when valid).
+// machine, Config.Validate included. It returns a client-error message
+// ("" when valid).
 func (r *BroadcastRequest) normalize() string {
 	if r.Engine == "" {
 		r.Engine = "sim"
@@ -163,22 +164,10 @@ func (r *BroadcastRequest) normalize() string {
 		if r.Sources < 1 {
 			return fmt.Sprintf("sources must be positive, got %d", r.Sources)
 		}
-		if coll.Caps().SingleSource && r.Sources > 1 {
-			return fmt.Sprintf("%s takes a single root, got sources=%d", coll, r.Sources)
-		}
-	} else {
-		// Sourceless collectives (AllGather, AllToAll): every rank
-		// contributes, so a distribution or source count is a client
-		// error, not something to silently ignore.
-		if r.Distribution != "" {
-			return fmt.Sprintf("%s takes no source distribution (got %q): every rank contributes", coll, r.Distribution)
-		}
-		if r.Sources != 0 {
-			return fmt.Sprintf("%s takes no source count (got %d): every rank contributes", coll, r.Sources)
-		}
 	}
-	if r.MsgBytes < 0 {
-		return fmt.Sprintf("msg_bytes must be non-negative, got %d", r.MsgBytes)
+	// Validate refuses sources on AllGather or AllToAll, two roots, L < 0.
+	if err := r.config().Validate(); err != nil {
+		return err.Error()
 	}
 	if r.Tenant == "" {
 		r.Tenant = "anonymous"

@@ -167,12 +167,12 @@ func TestBroadcastRequestValidation(t *testing.T) {
 		{"zero mesh", BroadcastRequest{Engine: "sim"}, "rows and cols"},
 		{"unknown algorithm", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Algorithm: "Br_Nope"}, "unknown algorithm"},
 		{"unknown distribution", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Distribution: "Z"}, "unknown distribution"},
-		{"negative bytes", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, MsgBytes: -1}, "msg_bytes"},
+		{"negative bytes", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, MsgBytes: -1}, "Config.MsgBytes: negative message length"},
 		{"kill on sim", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Kill: &KillSpec{Rank: 1, Op: 0}}, "real-byte engine"},
 		{"bad topology", BroadcastRequest{Engine: "sim", Topology: "dragonfly", Rows: 2, Cols: 2}, "unknown machine"},
 		{"unknown collective", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "Gossip"}, "unknown collective"},
 		{"wrong-collective algorithm", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "AllReduce", Algorithm: "Br_Lin"}, "implements Broadcast, not AllReduce"},
-		{"distribution on an all-to-all", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "AllToAll", Distribution: "E"}, "no source distribution"},
+		{"distribution on an all-to-all", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "AllToAll", Distribution: "E"}, "no source placement"},
 		{"sources on an allgather", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "AllGather", Sources: 2}, "no source count"},
 		{"two roots on a scatter", BroadcastRequest{Engine: "sim", Rows: 2, Cols: 2, Collective: "Scatter", Sources: 2}, "single root"},
 		// The session refuses these, before a run is counted.
@@ -279,18 +279,30 @@ func TestAdmissionBackpressure(t *testing.T) {
 
 // TestOversizedMeshRefusedBeforeOpen: a live request for a 64×64 mesh
 // (4 096 ranks, past the facade's 1 024-processor cap) is a 400 naming
-// the cap, and no session is opened for it.
+// the cap, and so is a live request Config.Validate refuses; no session
+// is opened for either.
 func TestOversizedMeshRefusedBeforeOpen(t *testing.T) {
 	srv, base := testServer(t, Options{})
-	status, _, e := post(t, base, BroadcastRequest{Engine: "live", Rows: 64, Cols: 64})
-	if status != http.StatusBadRequest {
-		t.Fatalf("64x64 live request got %d, want 400", status)
-	}
-	if !strings.Contains(e.Error, "exceeds 1024 processors") {
-		t.Errorf("error %q does not name the 1024-processor cap", e.Error)
+	for _, tc := range []struct {
+		req  BroadcastRequest
+		want string
+	}{
+		{BroadcastRequest{Engine: "live", Rows: 64, Cols: 64}, "exceeds 1024 processors"},
+		{BroadcastRequest{Engine: "live", Rows: 2, Cols: 2, Collective: "Scatter", Sources: 2}, "Config.Sources: Scatter has a single root"},
+	} {
+		status, _, e := post(t, base, tc.req)
+		if status != http.StatusBadRequest {
+			t.Fatalf("request %+v got %d, want 400", tc.req, status)
+		}
+		if !strings.Contains(e.Error, tc.want) {
+			t.Errorf("error %q does not mention %q", e.Error, tc.want)
+		}
 	}
 	if n := srv.pool.Opens(); n != 0 {
 		t.Errorf("pool opened %d sessions for a refused request", n)
+	}
+	if st := getStats(t, base); st.Opens != 0 {
+		t.Errorf("StatsResponse.Opens = %d after refused requests, want 0", st.Opens)
 	}
 }
 

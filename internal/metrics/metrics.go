@@ -13,8 +13,8 @@
 //
 // As in the paper, the per-iteration ones are read off the algorithm: the
 // facts of the comm.Program the run replayed (Program.Facts), not a
-// ledger the run keeps. The run supplies only per-processor totals: sends
-// and receives, waits (which depend on the clock) and bytes.
+// ledger the run keeps. The run supplies only per-processor totals: waits
+// (which depend on the clock) and bytes.
 package metrics
 
 import (
@@ -38,14 +38,13 @@ type Params struct {
 }
 
 // FromResult computes the parameters of a finished run: congestion,
-// av_act_proc and the iteration count from the program it ran, the rest
-// from its per-processor totals.
+// #send/rec, av_act_proc and the iteration count from the program it
+// ran, wait and av_msg_lgth from its per-processor totals.
 func FromResult(res *sim.Result) Params {
 	st := res.Program.Facts()
-	p := Params{Elapsed: res.Elapsed, Congestion: st.Congestion, Iterations: st.Iterations}
+	p := Params{Elapsed: res.Elapsed, Congestion: st.Congestion, SendRec: st.SendRec, Iterations: st.Iterations}
 	iters := float64(max(st.Iterations, 1))
 	for _, ps := range res.Procs {
-		p.SendRec = max(p.SendRec, ps.Sends+ps.Recvs)
 		p.Wait = max(p.Wait, ps.WaitCount)
 		p.AvgMsgLen = max(p.AvgMsgLen, float64(ps.SendBytes+ps.RecvBytes)/iters)
 	}

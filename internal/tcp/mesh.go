@@ -298,9 +298,9 @@ func (m *Machine) wake() {
 // dialRetry dials rank dst — the local listener's address, or the
 // coordinator-distributed one for a remote rank — with the machine's
 // retry/backoff policy, and announces src. It is the one dial path, and
-// connect its one caller. ctxDone, when non-nil, cancels the backoff
-// waits and the dial itself.
-func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, error) {
+// connect its one caller. ctx ends the dial in flight and the backoff
+// waits.
+func (m *Machine) dialRetry(ctx context.Context, src, dst int) (net.Conn, error) {
 	addr, err := m.addrOf(dst)
 	if err != nil {
 		return nil, err
@@ -308,12 +308,11 @@ func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, er
 	var conn net.Conn
 	for attempt := 0; ; attempt++ {
 		var err error
-		conn, err = m.dialCancelable(ctxDone, addr)
-		if err == nil {
+		if conn, err = m.dial(ctx, addr); err == nil {
 			break
 		}
-		if errors.Is(err, errDialCanceled) {
-			return nil, fmt.Errorf("tcp: rank %d dial rank %d: canceled", src, dst)
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d: %w", src, dst, ctx.Err())
 		}
 		if attempt+1 >= dialAttempts {
 			return nil, fmt.Errorf("tcp: rank %d dial rank %d failed after %d attempts: %w", src, dst, dialAttempts, err)
@@ -325,8 +324,8 @@ func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, er
 		}
 		select {
 		case <-time.After(dialBackoff << attempt):
-		case <-ctxDone:
-			return nil, fmt.Errorf("tcp: rank %d dial rank %d: canceled", src, dst)
+		case <-ctx.Done():
+			return nil, fmt.Errorf("tcp: rank %d dial rank %d: %w", src, dst, ctx.Err())
 		}
 	}
 	var hs [4]byte
@@ -340,57 +339,22 @@ func (m *Machine) dialRetry(ctxDone <-chan struct{}, src, dst int) (net.Conn, er
 	return conn, nil
 }
 
-// errDialCanceled marks a dial abandoned because the caller's context
-// ended while the connection attempt was in flight.
-var errDialCanceled = errors.New("tcp: dial canceled")
-
-// dialCancelable runs the machine's dialer but returns as soon as
-// ctxDone fires, closing the late connection (if any) in the
-// background — net dialers take no context, so a black-holed peer would
-// otherwise pin the caller for the full OS connect timeout.
-func (m *Machine) dialCancelable(ctxDone <-chan struct{}, addr string) (net.Conn, error) {
-	if ctxDone == nil {
-		return m.dial(addr)
-	}
-	type dialResult struct {
-		conn net.Conn
-		err  error
-	}
-	ch := make(chan dialResult, 1)
-	go func() {
-		c, err := m.dial(addr)
-		ch <- dialResult{c, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.conn, r.err
-	case <-ctxDone:
-		go func() {
-			if r := <-ch; r.conn != nil {
-				r.conn.Close()
-			}
-		}()
-		return nil, errDialCanceled
-	}
-}
-
 // connect dials this machine's share of pairs — the planned set at setup
 // and reconnect, the missing ones in Prepare: the higher rank dials
 // (when it is local; a remote dialer's worker handles it), the
 // persistent acceptors register the other end — and waits until every
 // pair has its local endpoints installed. On failure the mesh is marked
 // broken and its connections closed; the caller kills the machine or
-// leaves the mesh for the next run to rebuild. Callers hold m.mu (or,
-// for NewMachine, exclusive ownership of a machine nobody else has
-// seen).
+// leaves the mesh for the next run to rebuild. A nil ctx never ends.
+// Callers hold m.mu (or, for NewMachine, exclusive ownership of a
+// machine nobody else has seen).
 func (m *Machine) connect(ctx context.Context, pairs [][2]int) error {
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-		// Cancellation wakes the pair wait, which reports it.
-		stop := context.AfterFunc(ctx, m.wake)
-		defer stop()
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	// Cancellation wakes the pair wait, which reports it.
+	stop := context.AfterFunc(ctx, m.wake)
+	defer stop()
 	m.connMu.Lock()
 	m.setupErr = nil
 	m.connMu.Unlock()
@@ -416,7 +380,7 @@ func (m *Machine) connect(ctx context.Context, pairs [][2]int) error {
 		go func(i int, peers []int) {
 			defer wg.Done()
 			for _, j := range peers {
-				conn, err := m.dialRetry(ctxDone, i, j)
+				conn, err := m.dialRetry(ctx, i, j)
 				if err != nil {
 					m.setupFail(err)
 					return
@@ -454,7 +418,7 @@ func (m *Machine) waitPairs(ctx context.Context, pairs [][2]int) error {
 		if m.setupErr != nil {
 			return m.setupErr
 		}
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return fmt.Errorf("tcp: connect canceled: %w", ctx.Err())
 		}
 		for idx < len(pairs) && m.established(pairs[idx][0], pairs[idx][1]) {

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"runtime"
 	"strings"
@@ -160,8 +161,8 @@ func TestMachineReconnectsAfterAbort(t *testing.T) {
 func TestMachineReconnectsAfterMidRunConnectionKill(t *testing.T) {
 	var mu sync.Mutex
 	var conns []net.Conn
-	grabDial := func(addr string) (net.Conn, error) {
-		c, err := net.Dial("tcp", addr)
+	grabDial := func(ctx context.Context, addr string) (net.Conn, error) {
+		c, err := dialTCP(ctx, addr)
 		if err == nil {
 			mu.Lock()
 			conns = append(conns, c)
@@ -169,7 +170,7 @@ func TestMachineReconnectsAfterMidRunConnectionKill(t *testing.T) {
 		}
 		return c, err
 	}
-	m, err := NewMachine(2, Options{Dial: grabDial})
+	m, err := NewMachine(2, Options{dial: grabDial})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -238,28 +239,36 @@ func TestWorkerPairsExchangeThroughMemory(t *testing.T) {
 	}
 }
 
-// TestPrepareHonorsContextCancel: a pre-run dial into a black hole gives
-// up as soon as Prepare's context is canceled, failing that run only —
-// the machine then rebuilds its mesh and runs a planned program.
+// TestPrepareHonorsContextCancel: pre-run dials into a black hole give
+// up as soon as Prepare's context is canceled, failing that run only,
+// and leave nothing running — the machine then rebuilds its mesh, runs
+// a planned program, and is back at the goroutines it started with. Two
+// ranks dial at once (Prepare of no program dials every pair), so a
+// dial left behind per rank would show past waitGoroutinesSettle's
+// slack.
 func TestPrepareHonorsContextCancel(t *testing.T) {
-	const p = 3
+	const p = 4
 	release := make(chan struct{})
 	defer close(release)
 	var hole atomic.Bool
 	m, err := NewMachine(p, Options{
 		Links: [][2]int{{0, 1}},
-		Dial: func(addr string) (net.Conn, error) {
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			if hole.Load() {
-				<-release // a black-holed peer: connect never completes
-				return nil, errors.New("released")
+				select { // a black-holed peer: connect never completes
+				case <-ctx.Done():
+				case <-release:
+				}
+				return nil, errors.New("black hole")
 			}
-			return net.Dial("tcp", addr)
+			return dialTCP(ctx, addr)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	baseline := runtime.NumGoroutine()
 
 	hole.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -268,9 +277,9 @@ func TestPrepareHonorsContextCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = m.Prepare(ctx, exchangeProgram(t, p, 0, 2))
+	err = m.Prepare(ctx, nil)
 	if err == nil {
-		t.Fatal("Prepare over a black-holed pair succeeded")
+		t.Fatal("Prepare over black-holed pairs succeeded")
 	}
 	// Prompt means "the cancel propagated", not "the dial timed out":
 	// well under both handshakeTimeout and any OS connect timeout.
@@ -282,8 +291,9 @@ func TestPrepareHonorsContextCancel(t *testing.T) {
 		t.Fatalf("planned program after the canceled Prepare: %v", err)
 	}
 	if got := m.LazyDials(); got != 0 {
-		t.Errorf("%d lazy dials, want 0: the canceled dial never connected", got)
+		t.Errorf("%d lazy dials, want 0: the canceled dials never connected", got)
 	}
+	waitGoroutinesSettle(t, baseline)
 }
 
 // TestSparseReconnectRebuildsOnlyPlannedPairs is the reconnect-after-
@@ -380,8 +390,8 @@ func (c *flakyWriteConn) Write(b []byte) (int, error) {
 func TestSendFailureAttribution(t *testing.T) {
 	var dials atomic.Int64
 	m, err := NewMachine(2, Options{
-		Dial: func(addr string) (net.Conn, error) {
-			c, err := net.Dial("tcp", addr)
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			c, err := dialTCP(ctx, addr)
 			if err != nil {
 				return nil, err
 			}

@@ -145,10 +145,9 @@ const (
 // needs), no deadlines and no cancellation.
 //
 // The fields split by lifetime: NewMachine consumes the setup fields
-// (Dial, Links, ListenHost, plus Context to
-// cancel setup) and remembers them for mesh rebuilds; Machine.Run
-// consumes the run fields (Context, RunTimeout, RecvTimeout, Tracer,
-// Epoch) afresh on every call.
+// (Links, ListenHost, plus Context to cancel setup) and remembers them
+// for mesh rebuilds; Machine.Run consumes the run fields (Context,
+// RunTimeout, RecvTimeout, Tracer, Epoch) afresh on every call.
 type Options struct {
 	// Context, RunTimeout, RecvTimeout and Tracer are the core's run
 	// options (see engine.Options). Context also cancels setup's dials
@@ -158,9 +157,6 @@ type Options struct {
 	RunTimeout  time.Duration
 	RecvTimeout time.Duration
 	Tracer      obs.Tracer
-	// Dial overrides the dialer (fault injection in tests); nil means
-	// net.Dial("tcp", addr).
-	Dial func(addr string) (net.Conn, error)
 	// Links, when non-nil, lists the directed logical (src,dst) links to
 	// dial up front (a setup field, remembered for mesh rebuilds):
 	// NewMachine materializes one shared TCP connection per unordered
@@ -186,6 +182,16 @@ type Options struct {
 	// run so frames demultiplex consistently across processes; zero
 	// keeps the machine's own auto-incremented epoch.
 	Epoch uint32
+
+	// dial, when set, replaces the machine's dialer (a setup field; the
+	// package's tests inject failing or stalling dialers through it).
+	dial func(ctx context.Context, addr string) (net.Conn, error)
+}
+
+// dialTCP is the machine's default dialer.
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	return d.DialContext(ctx, "tcp", addr)
 }
 
 // The run-facing types are the core's: a Proc is one rank's comm.Comm
@@ -254,7 +260,8 @@ type Machine struct {
 	connCond *sync.Cond
 	conns    []net.Conn
 
-	dial func(addr string) (net.Conn, error)
+	// dial connects to a listener address; ctx ends an attempt in flight.
+	dial func(ctx context.Context, addr string) (net.Conn, error)
 	// addrs maps remote ranks (outside [lo,hi)) to their listener
 	// addresses, distributed by the cluster coordinator before
 	// ConnectMesh; guarded by connMu. Local ranks resolve through their
@@ -412,10 +419,10 @@ func newMachine(p, lo, hi int, leaders []int, worker bool, opts Options) (*Machi
 	m := &Machine{
 		size: p, lo: lo, hi: hi, worker: worker,
 		listeners: make([]net.Listener, p), ends: make([]*endpoint, p),
-		dial: opts.Dial,
+		dial: opts.dial,
 	}
 	if m.dial == nil {
-		m.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+		m.dial = dialTCP
 	}
 	host := opts.ListenHost
 	if host == "" {

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -219,7 +220,7 @@ func TestSubBarrierOverTCP(t *testing.T) {
 func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 	var mu sync.Mutex
 	tries := make(map[string]int)
-	flakyDial := func(addr string) (net.Conn, error) {
+	flakyDial := func(ctx context.Context, addr string) (net.Conn, error) {
 		mu.Lock()
 		tries[addr]++
 		n := tries[addr]
@@ -227,9 +228,9 @@ func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 		if n <= 2 {
 			return nil, fmt.Errorf("injected transient dial failure %d to %s", n, addr)
 		}
-		return net.Dial("tcp", addr)
+		return dialTCP(ctx, addr)
 	}
-	res, err := runOpts(3, Options{Dial: flakyDial}, func(p *Proc) {
+	res, err := runOpts(3, Options{dial: flakyDial}, func(p *Proc) {
 		next := (p.Rank() + 1) % 3
 		p.Send(next, comm.Message{Parts: []comm.Part{{Origin: p.Rank(), Data: []byte{byte(p.Rank())}}}})
 		m := p.Recv((p.Rank() + 2) % 3)
@@ -256,12 +257,12 @@ func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 // must return an error (and not deadlock the accept side).
 func TestDialPermanentFailureErrorsOut(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	deadDial := func(addr string) (net.Conn, error) {
+	deadDial := func(ctx context.Context, addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("injected permanent dial failure to %s", addr)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := runOpts(3, Options{Dial: deadDial}, func(p *Proc) {})
+		_, err := runOpts(3, Options{dial: deadDial}, func(p *Proc) {})
 		done <- err
 	}()
 	select {
@@ -276,14 +277,14 @@ func TestDialPermanentFailureErrorsOut(t *testing.T) {
 }
 
 // TestMidRunConnectionFailureIsAttributed closes one connection in the
-// middle of a run (via the Dial hook, which hands the test the socket):
+// middle of a run (via the dial hook, which hands the test the socket):
 // the run must abort with an error naming the broken link, not hang and
 // not misreport a graceful teardown.
 func TestMidRunConnectionFailureIsAttributed(t *testing.T) {
 	var mu sync.Mutex
 	var conns []net.Conn
-	grabDial := func(addr string) (net.Conn, error) {
-		c, err := net.Dial("tcp", addr)
+	grabDial := func(ctx context.Context, addr string) (net.Conn, error) {
+		c, err := dialTCP(ctx, addr)
 		if err == nil {
 			mu.Lock()
 			conns = append(conns, c)
@@ -292,7 +293,7 @@ func TestMidRunConnectionFailureIsAttributed(t *testing.T) {
 		return c, err
 	}
 	release := make(chan struct{})
-	_, err := runOpts(2, Options{Dial: grabDial, RecvTimeout: 5 * time.Second}, func(p *Proc) {
+	_, err := runOpts(2, Options{dial: grabDial, RecvTimeout: 5 * time.Second}, func(p *Proc) {
 		if p.Rank() == 0 {
 			<-release
 			p.Recv(1) // the 1→0 socket is cut while we wait

@@ -31,7 +31,6 @@ var keptWithoutUser = map[string]string{
 	"Config.RowMajor":                   "the facade's switch for the paper's row-major ablation of Br_Lin; a library caller sets it, no binary does",
 	"Config.MsgBytesFor":                "the facade's per-source message lengths, the paper's variable-length experiment; a library caller sets it, no binary does",
 	"RunOptions.Context":                "a library caller's cancellation of one run; the binaries bound runs by deadlines instead",
-	"internal/tcp.Options.Dial":         "the seam the dial-retry and dial-failure tests inject failing dialers through",
 }
 
 // TestInternalExportsHaveProductionUsers is the "kept alive only by
